@@ -1,8 +1,9 @@
-"""Shared fixtures for the E1-E10 benchmark harness (DESIGN.md §5).
+"""Shared fixtures for the E1-E17 benchmark harness.
 
 Run per experiment file: ``pytest benchmarks/bench_e10_planner.py
---benchmark-only``.  Each file regenerates one experiment;
-EXPERIMENTS.md records the measured series.
+--benchmark-only``.  Each file regenerates one experiment and asserts
+its speed-up ratio; absolute end-to-end numbers come from
+``benchmarks/e2e`` (see its README).
 
 Setting ``BENCH_SMOKE=1`` shrinks every workload to a fraction of its
 measured size: CI runs each benchmark end-to-end on tiny data (with
@@ -12,12 +13,22 @@ real measurement runs keep the published scales.
 
 from __future__ import annotations
 
+import importlib.util
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.smartground.ontology import researcher_kb
 from repro.workloads import bench_engine, scaled_databank
+
+# E17's reference is the tier-1 suite's ``generic_kernels`` seam: one
+# definition, loaded from tests/conftest.py and registered here as well.
+_spec = importlib.util.spec_from_file_location(
+    "tests_conftest", Path(__file__).parent.parent / "tests" / "conftest.py")
+_tests_conftest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_tests_conftest)
+generic_kernels = _tests_conftest.generic_kernels
 
 #: CI smoke mode: run everything, measure nothing meaningful.
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")

@@ -42,15 +42,15 @@ from .api import (PlanCache, PlatformSession, PreparedQuery, QueryOptions,
                   QueryPlan, Session, SessionError, connect)
 from .durability import (DurabilityError, DurabilityManager,
                          DurabilityOptions, RecoveryReport)
-from .planner import (OperatorNode, PlannedStatement, PlannerOptions,
-                      StatisticsCatalog)
+from .planner import PlannedStatement, PlannerOptions, StatisticsCatalog
+from .relational import Operator
 from .telemetry import (MetricsRegistry, Span, Telemetry, TelemetryOptions,
                         Tracer)
 
 __all__ = [
     "connect", "Session", "PlatformSession", "PreparedQuery",
     "QueryOptions", "QueryPlan", "PlanCache", "SessionError",
-    "PlannerOptions", "PlannedStatement", "OperatorNode",
+    "PlannerOptions", "PlannedStatement", "Operator",
     "StatisticsCatalog", "DurabilityOptions", "DurabilityManager",
     "DurabilityError", "RecoveryReport",
     "Telemetry", "TelemetryOptions", "MetricsRegistry", "Tracer", "Span",

@@ -3,8 +3,8 @@
 These mirror the *planner's* decisions rather than re-deriving them:
 ``W-VEC-FALLBACK`` asks :func:`repro.relational.vectors.fallback_reason`
 — which delegates the vectorizable/not verdict to the very kernel
-compiler the executor uses — and the single-table / index-probe gating
-reproduces ``compile_core``'s conditions step by step.  A lint here is
+compiler the filter operator uses — and the single-table / index-probe
+gating reproduces ``build_core``'s conditions step by step.  A lint here is
 therefore a statement about what the engine *will* do, not a heuristic
 about what engines usually do.
 """
@@ -56,9 +56,9 @@ def scanned_table(core: ast.SelectCore, env) -> Table | None:
 
 def _index_probe_applies(conjunct_list: list[ast.Expr], table: Table,
                          scopes: list[Scope]) -> bool:
-    """Mirror compile_core's fast path: the first ``col = literal``
+    """Mirror build_core's fast path: the first ``col = literal``
     equality over an indexed column of the scanned table becomes a
-    point probe and disables the vectorized scan entirely."""
+    point probe, which replaces the scan entirely."""
     for conjunct in conjunct_list:
         if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
             continue
@@ -76,14 +76,12 @@ def lint_vectorization(core: ast.SelectCore, env,
                        scopes: list[Scope]) -> None:
     """``W-VEC-FALLBACK``: WHERE conjuncts the kernel compiler rejects.
 
-    Fires only when the engine would actually attempt a vectorized
-    scan (columnar storage on, single-table FROM, no index probe), and
-    names both the exact conjunct and the reason the kernel compiler
-    gives up on it.  Conjuncts containing ``?`` parameters are skipped:
+    Fires only for a single-table FROM over columnar storage that no
+    index probe replaces, and names both the exact conjunct and the
+    reason the kernel compiler gives up on it.  Conjuncts containing ``?`` parameters are skipped:
     the bound value decides vectorizability at execute time.
     """
-    databank = env.databank
-    if databank is None or not getattr(databank, "vectorized", True):
+    if env.databank is None:
         return
     table = scanned_table(core, env)
     if table is None or core.where is None:

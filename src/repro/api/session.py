@@ -387,7 +387,8 @@ class Session:
                                      user=self._telemetry_user,
                                      rows=inner.rows_yielded)
 
-        return Cursor(inner.columns, rows(), on_close=inner.close)
+        return Cursor(inner.columns, rows(), on_close=inner.close,
+                      plan=inner.plan)
 
     def _explain_prepared(self, prepared: PreparedQuery, params,
                           analyze: bool = False) -> QueryPlan:

@@ -67,11 +67,11 @@ class SESQLResult:
     #: WHERE/SELECT stages) are deduped and run once, so this count can
     #: be lower than ``len(sparql_queries)``.
     sparql_executions: int = 0
-    #: The databank's cost-based plan for the (rewritten) SQL stage — a
-    #: :class:`repro.planner.PlannedStatement`, or ``None`` when the
-    #: databank planner is disabled.  The WHERE-enrichment rewrite runs
-    #: *before* planning, so enrichment-injected predicates benefit from
-    #: pushdown and join re-ordering like hand-written ones.
+    #: The operator tree the databank ran for the (rewritten) SQL stage
+    #: — the base result's ``plan``, with per-operator actual rows.  The
+    #: WHERE-enrichment rewrite runs *before* planning, so enrichment-
+    #: injected predicates benefit from pushdown and join re-ordering
+    #: like hand-written ones.
     db_plan: object | None = None
 
     @property
@@ -308,9 +308,9 @@ class SESQLEngine:
             with (tel.span("sesql.sql") if tel is not None else _NOOP):
                 base = self.databank.execute_ast(enriched.query)
             timings["sql"] = time.perf_counter() - stage
-            db_plan = getattr(self.databank, "last_plan", None)
             if not isinstance(base, ResultSet):  # pragma: no cover
                 raise EnrichmentError("the SQL part did not produce rows")
+            db_plan = base.plan
         finally:
             rewriter.cleanup()
 

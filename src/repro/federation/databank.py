@@ -94,7 +94,8 @@ class MediatedDatabank(Database):
             inner.close()
             self.session._drop_partials(partial)
 
-        return Cursor(inner.columns, inner, on_close=cleanup)
+        return Cursor(inner.columns, inner, on_close=cleanup,
+                      plan=inner.plan)
 
     def explain(self, target, analyze: bool = False):
         from ..relational.parser import parse_sql

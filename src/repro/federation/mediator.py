@@ -551,7 +551,8 @@ class MediatorSession:
                 inner.close()
                 self._drop_partials(partial)
 
-            cursor = Cursor(inner.columns, inner, on_close=cleanup)
+            cursor = Cursor(inner.columns, inner, on_close=cleanup,
+                            plan=inner.plan)
         report.elapsed_s = time.perf_counter() - started
         return cursor, report
 

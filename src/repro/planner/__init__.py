@@ -14,8 +14,9 @@ equivalent plan before compilation:
   with a physical strategy — hash, index probe or nested loop — chosen
   per join;
 * :mod:`repro.planner.plan` — the driver producing a
-  :class:`PlannedStatement`, whose operator tree records estimated and
-  (after execution) actual rows per operator.
+  :class:`PlannedStatement`: the rewritten AST plus the executable
+  operator tree (:mod:`repro.relational.operators`) built from it, which
+  records estimated and (after execution) actual rows per operator.
 
 The planner is wired into :class:`repro.relational.Database` (on by
 default, see :class:`PlannerOptions`), which makes every layer above —
@@ -26,14 +27,13 @@ mediator's scratch database — benefit transparently.
 from .cost import CostModel, JoinChoice
 from .estimate import (equality_selectivity, join_selectivity,
                        predicate_selectivity, range_selectivity)
-from .explain import OperatorNode
 from .options import PlannerOptions
 from .plan import PlannedStatement, plan_select
 from .stats import ColumnStats, Histogram, StatisticsCatalog, TableStats
 
 __all__ = [
     "PlannerOptions", "PlannedStatement", "plan_select",
-    "OperatorNode", "CostModel", "JoinChoice",
+    "CostModel", "JoinChoice",
     "StatisticsCatalog", "TableStats", "ColumnStats", "Histogram",
     "predicate_selectivity", "equality_selectivity", "range_selectivity",
     "join_selectivity",

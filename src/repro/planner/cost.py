@@ -27,7 +27,7 @@ OUTPUT_COST_PER_ROW = 0.2
 class JoinChoice:
     """One costed physical alternative for a join step."""
 
-    strategy: str          # 'hash' | 'index' | 'nested-loop'
+    strategy: str          # operator kind: hash-join|index-join|nested-loop
     cost: float
 
 
@@ -64,9 +64,9 @@ class CostModel:
         if not has_equi:
             return JoinChoice("nested-loop", self.nested_loop_cost(
                 left_rows, right_rows, out_rows))
-        choices = [JoinChoice("hash", self.hash_join_cost(
+        choices = [JoinChoice("hash-join", self.hash_join_cost(
             left_rows, right_rows, out_rows))]
         if index_available:
-            choices.append(JoinChoice("index", self.index_join_cost(
+            choices.append(JoinChoice("index-join", self.index_join_cost(
                 left_rows, out_rows)))
         return min(choices, key=lambda choice: choice.cost)

@@ -11,14 +11,13 @@ WHERE).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from ..relational import ast
 from ..relational.table import Table, find_probe_index
 from .cost import CostModel
 from .estimate import join_selectivity, predicate_selectivity
-from .explain import OperatorNode
 from .stats import StatisticsCatalog, TableStats
 
 FOREIGN_ROWS_GUESS = 1000.0
@@ -32,12 +31,10 @@ class BaseRelation:
 
     expr: ast.TableExpr          # possibly a pushdown wrapper
     binding: str                 # lower-cased
-    columns: list[str] | None
     table: Table | None          # underlying heap table, if a bare scan
     raw_rows: float              # before any pushed filter
     est_rows: float              # after pushed filters
     filtered: bool
-    node: OperatorNode = field(default=None)  # type: ignore[assignment]
 
 
 @dataclass
@@ -58,7 +55,7 @@ class JoinStep:
 
     relation: BaseRelation
     predicates: list[JoinPredicate]
-    strategy: str                # 'hash' | 'index' | 'nested-loop'
+    strategy: str                # the chosen JoinChoice.strategy
     est_rows: float
     est_cost: float
 
@@ -119,8 +116,6 @@ def classify_equi(expr: ast.Expr,
     if sides[0][0] == sides[1][0]:
         return None
     return sides[0][0], sides[0][1], sides[1][0], sides[1][1]
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +232,7 @@ def make_resolver(binding_stats: dict[str, TableStats | None],
 
 def order_joins(relations: list[BaseRelation],
                 predicates: list[JoinPredicate],
-                binding_stats: dict[str, TableStats | None],
-                cost_model: CostModel,
-                dp_limit: int,
+                cost_model: CostModel, dp_limit: int,
                 index_probe: bool) -> tuple[list[int], list[JoinStep]]:
     """Choose a left-deep order (as relation indices) and its steps."""
     if len(relations) <= dp_limit:
@@ -285,7 +278,7 @@ def _step_for(acc_bindings: frozenset[str], acc_rows: float,
     choice = cost_model.choose_join(acc_rows, relation.est_rows, out_rows,
                                     has_equi, index_available)
     cost = choice.cost
-    if choice.strategy != "index":
+    if choice.strategy != "index-join":
         cost += _access_cost(relation, cost_model)
     return JoinStep(relation, applicable, choice.strategy, out_rows, cost)
 
@@ -353,26 +346,13 @@ def _order_greedy(relations: list[BaseRelation],
 # Tree rebuild
 # ---------------------------------------------------------------------------
 
-_STEP_KIND = {"hash": "hash-join", "index": "index-join",
-              "nested-loop": "nested-loop"}
-
-
 def build_join_tree(relations: list[BaseRelation], order: list[int],
-                    steps: list[JoinStep],
-                    annotations: dict[int, OperatorNode]
-                    ) -> tuple[ast.TableExpr, OperatorNode]:
-    """Assemble the chosen left-deep ast.Join chain and its trace."""
-    acc_expr = relations[order[0]].expr
-    acc_node = relations[order[0]].node
+                    steps: list[JoinStep]) -> ast.TableExpr:
+    """Assemble the chosen left-deep ast.Join chain; every join carries
+    its costed strategy and estimate for the operator builder."""
+    tree = relations[order[0]].expr
     for step in steps:
         condition = ast.conjoin([p.expr for p in step.predicates])
-        join = ast.Join("INNER", acc_expr, step.relation.expr, condition)
-        node = OperatorNode(
-            kind=(_STEP_KIND[step.strategy] if condition is not None
-                  else "cross-join"),
-            label=f"to {step.relation.binding}",
-            est_rows=step.est_rows,
-            children=[acc_node, step.relation.node])
-        annotations[id(join)] = node
-        acc_expr, acc_node = join, node
-    return acc_expr, acc_node
+        tree = ast.Join("INNER", tree, step.relation.expr, condition,
+                        ast.PlanHint(step.est_rows, step.strategy))
+    return tree

@@ -1,10 +1,16 @@
 """The planning driver: one call turns a parsed SELECT into a
-:class:`PlannedStatement` — a rewritten (private) AST plus the operator
-tree EXPLAIN renders and the executor instruments.
+:class:`PlannedStatement` — a rewritten (private) AST and the operator
+tree built from it, which is both what EXPLAIN renders and what runs.
 
-``plan_select`` never raises in production use: any planning failure
-falls back to executing the query exactly as written (``strict`` mode,
-used by the tests, re-raises instead so planner bugs cannot hide).
+The planner decides on the AST: it rewrites its deep copy (folding,
+pushdown wrappers, pruned projections, the chosen join order), leaves
+each physical decision on the node it concerns as a
+:class:`~repro.relational.ast.PlanHint`, and hands the AST to the one
+operator builder (:func:`repro.relational.executor.build_select`).
+
+A rewrite error falls back to the query exactly as written (``strict``
+mode, used by the tests, re-raises so planner bugs cannot hide); errors
+in the query itself surface from the build, as with the planner off.
 """
 
 from __future__ import annotations
@@ -13,13 +19,15 @@ import copy
 from dataclasses import dataclass, field
 
 from ..relational import ast
+from ..relational.ast import PlanHint
+from ..relational.executor import build_select
+from ..relational.operators import Result
 from .cost import CostModel
 from .estimate import predicate_selectivity
-from .explain import OperatorNode
 from .joins import (BaseRelation, JoinPredicate, build_join_tree,
-                    classify_equi, estimate_query_rows, flatten_inner_joins,
-                    join_selectivity, make_resolver, order_joins,
-                    _column_stats, _leaf_stats, _relation_raw_rows)
+                    classify_equi, flatten_inner_joins, join_selectivity,
+                    make_resolver, order_joins, _column_stats, _leaf_stats,
+                    _relation_raw_rows)
 from .options import PlannerOptions
 from .rewrite import (binding_of, expand_star_items, fold_expr, from_leaves,
                       needed_columns, null_safe_bindings, output_columns,
@@ -32,32 +40,15 @@ from .stats import StatisticsCatalog
 class PlannedStatement:
     """What the planner decided for one SELECT."""
 
-    original: ast.SelectQuery
-    query: ast.SelectQuery            # the (rewritten) AST to compile
-    root: OperatorNode
-    annotations: dict[int, OperatorNode] = field(default_factory=dict)
-    #: Aggregate nodes keyed by SELECT core id.  Separate from
-    #: ``annotations`` because a core's id already keys its filter node,
-    #: and the executor needs to reach both (filter instrumentation vs.
-    #: marking the aggregation vectorized).
-    agg_annotations: dict[int, OperatorNode] = field(default_factory=dict)
-    options: PlannerOptions = field(default_factory=PlannerOptions)
+    query: ast.SelectQuery            # the (rewritten) AST that was built
+    #: The executable operator tree (set once the rewrite is done).
+    root: Result = None               # type: ignore[assignment]
+    #: Shared with ``root.notes``, so a result's ``plan`` carries them.
     notes: list[str] = field(default_factory=list)
     reordered: bool = False
-    #: When set (EXPLAIN ANALYZE), the executor counts the rows that
-    #: actually flow through each annotated operator.
-    instrument: bool = False
-
-    def annotation_for(self, node) -> OperatorNode | None:
-        return self.annotations.get(id(node))
-
-    def operators(self) -> list[OperatorNode]:
-        return list(self.root.walk())
 
     def format(self) -> str:
-        lines = [self.root.format()]
-        lines.extend(f"note: {note}" for note in self.notes)
-        return "\n".join(lines)
+        return self.root.format()
 
 
 def is_trivial_select(query: ast.SelectQuery) -> bool:
@@ -80,22 +71,32 @@ def is_trivial_select(query: ast.SelectQuery) -> bool:
 
 
 def plan_select(query: ast.SelectQuery, catalog,
-                stats: StatisticsCatalog,
-                options: PlannerOptions) -> PlannedStatement:
-    """Plan one SELECT; on failure, degrade to the query as written."""
-    working = copy.deepcopy(query)
-    planned = PlannedStatement(original=query, query=working,
-                               root=OperatorNode("result", "select"),
-                               options=options)
-    try:
-        planned.root = _plan_query(working, catalog, stats, options, planned)
-    except Exception as exc:
-        if options.strict:
-            raise
-        return PlannedStatement(
-            original=query, query=query,
-            root=OperatorNode("result", "select"), options=options,
-            notes=[f"planning failed, executing as written: {exc!r}"])
+                stats: StatisticsCatalog, options: PlannerOptions,
+                exec_hooks=None) -> PlannedStatement:
+    """Plan one SELECT (unless the planner is off) and build its
+    operator tree; when the rewrite fails, degrade to the query as
+    written."""
+    planned = PlannedStatement(query=query)
+    if options.enabled:
+        planned.query = copy.deepcopy(query)
+        try:
+            _plan_query(planned.query, catalog, stats, options, planned)
+        except Exception as exc:
+            if options.strict:
+                raise
+            planned = PlannedStatement(query=query, notes=[
+                f"planning failed, executing as written: {exc!r}"])
+    root = planned.root = build_select(planned.query, catalog, exec_hooks)
+    root.notes = planned.notes
+    vectorized = root.vectorized_ops
+    if vectorized:
+        note = "vectorized: " + ", ".join(sorted(vectorized))
+        fallbacks = root.vectorized_fallbacks
+        if fallbacks:
+            note += "; fallback: " + "; ".join(
+                f"{expression} ({reason})"
+                for expression, reason in fallbacks)
+        planned.notes.append(note)
     return planned
 
 
@@ -105,38 +106,19 @@ def plan_select(query: ast.SelectQuery, catalog,
 
 
 def _plan_query(query: ast.SelectQuery, catalog, stats, options,
-                planned: PlannedStatement) -> OperatorNode:
-    cores = [query.core] + [core for _op, core in query.compounds]
-    children = [_plan_core(core, query, catalog, stats, options, planned)
-                for core in cores]
-    if query.is_compound:
-        label = " / ".join(op for op, _core in query.compounds)
-        inner = OperatorNode("set-op", label, children=children)
-    else:
-        inner = children[0]
-    root = OperatorNode("result", "select",
-                        est_rows=inner.est_rows, children=[inner])
-    return root
+                planned: PlannedStatement) -> None:
+    for core in [query.core] + [core for _op, core in query.compounds]:
+        _plan_core(core, query, catalog, stats, options, planned)
 
 
 def _plan_core(core: ast.SelectCore, query: ast.SelectQuery, catalog,
                stats, options: PlannerOptions,
-               planned: PlannedStatement) -> OperatorNode:
+               planned: PlannedStatement) -> None:
     if options.fold_constants:
         _fold_core(core)
     _plan_expression_subqueries(core, catalog, stats, options, planned)
-
-    if core.from_clause is None:
-        return OperatorNode("values", "no FROM", est_rows=1.0)
-
-    node = _plan_from(core, query, catalog, stats, options, planned)
-
-    if bool(core.group_by) or core.having is not None or core.distinct:
-        label = "group by" if core.group_by else (
-            "aggregate" if core.having is not None else "distinct")
-        node = OperatorNode("aggregate", label, children=[node])
-        planned.agg_annotations[id(core)] = node
-    return node
+    if core.from_clause is not None:
+        _plan_from(core, query, catalog, stats, options, planned)
 
 
 def _fold_core(core: ast.SelectCore) -> None:
@@ -181,18 +163,17 @@ def _has_ordinals(exprs) -> bool:
 
 def _plan_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
                stats, options: PlannerOptions,
-               planned: PlannedStatement) -> OperatorNode:
+               planned: PlannedStatement) -> None:
     leaves = from_leaves(core.from_clause)
     bindings = [binding_of(leaf) for leaf in leaves]
     if None in bindings or len(set(bindings)) != len(bindings):
-        # Something we do not model (or a duplicate alias the executor
+        # Something we do not model (or a duplicate alias the builder
         # will reject): leave the FROM exactly as written.
-        return _trace_as_written(core, catalog, stats, planned)
+        return
 
     # Plan derived tables from the inside out (their own pushdown and
     # ordering), pruning unread columns first.
     binding_columns: dict[str, list[str] | None] = {}
-    inner_roots: dict[str, OperatorNode] = {}
     for leaf, binding in zip(leaves, bindings):
         if isinstance(leaf, ast.SubqueryRef):
             if options.prune_projections:
@@ -202,8 +183,7 @@ def _plan_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
                                             exclude=leaf.query)
                     if needed is not None:
                         prune_derived_projection(leaf, needed)
-            inner_roots[binding] = _plan_query(leaf.query, catalog, stats,
-                                               options, planned)
+            _plan_query(leaf.query, catalog, stats, options, planned)
         binding_columns[binding] = output_columns(leaf, catalog)
 
     flat = flatten_inner_joins(core.from_clause)
@@ -215,14 +195,16 @@ def _plan_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
         if ordinals or not expand_star_items(core, catalog):
             reorderable = False
 
-    if not reorderable:
-        _pushdown_in_place(core, query, catalog, stats, options, planned,
-                           binding_columns)
-        return _trace_as_written(core, catalog, stats, planned,
-                                 inner_roots)
-
-    return _reorder_from(core, query, catalog, stats, options, planned,
-                         flat[0], flat[1], binding_columns, inner_roots)
+    if reorderable:
+        _reorder_from(core, query, catalog, stats, options, planned,
+                      flat[0], flat[1], binding_columns)
+        return
+    # The written shape stays (LEFT joins, single relations, opt-outs):
+    # estimate its leaves, then push what can be pushed below them.
+    for leaf in leaves:
+        leaf.hint = PlanHint(est_rows=_relation_raw_rows(leaf, catalog,
+                                                         stats))
+    _pushdown_in_place(core, options, binding_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +217,7 @@ def _reorder_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
                   planned: PlannedStatement,
                   leaves: list[ast.TableExpr],
                   on_conjuncts: list[ast.Expr],
-                  binding_columns: dict,
-                  inner_roots: dict[str, OperatorNode]) -> OperatorNode:
+                  binding_columns: dict) -> None:
     binding_stats = {binding_of(leaf): _leaf_stats(leaf, stats)
                      for leaf in leaves}
     resolve = make_resolver(binding_stats, binding_columns)
@@ -279,67 +260,49 @@ def _reorder_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
     relations: list[BaseRelation] = []
     for leaf in leaves:
         relations.append(_build_relation(
-            leaf, catalog, stats, options, planned, resolve,
+            leaf, catalog, stats, options, resolve,
             pushes.get(binding_of(leaf), []),
-            binding_columns, needed_by_binding, inner_roots))
+            binding_columns, needed_by_binding))
 
     order, steps = order_joins(
-        relations, join_predicates, binding_stats, CostModel(),
+        relations, join_predicates, CostModel(),
         options.dp_relation_limit, options.index_probe_joins)
-    tree, join_root = build_join_tree(relations, order, steps,
-                                      planned.annotations)
-    core.from_clause = tree
+    core.from_clause = build_join_tree(relations, order, steps)
     core.where = ast.conjoin(residual)
     if order != list(range(len(relations))):
         planned.reordered = True
         planned.notes.append(
             "join order: " + " -> ".join(relations[i].binding
                                          for i in order))
-
-    top = join_root
     if core.where is not None:
-        est = (join_root.est_rows or 1.0) * max(
-            predicate_selectivity(core.where, resolve), 0.0005)
-        top = OperatorNode("filter", "residual WHERE", est_rows=est,
-                           children=[join_root])
-        planned.annotations[id(core)] = top
-    return top
+        core.hint = PlanHint(est_rows=(steps[-1].est_rows or 1.0) * max(
+            predicate_selectivity(core.where, resolve), 0.0005))
 
 
 def _build_relation(leaf, catalog, stats, options: PlannerOptions,
-                    planned: PlannedStatement, resolve,
-                    pushed: list[ast.Expr], binding_columns,
-                    needed_by_binding,
-                    inner_roots: dict[str, OperatorNode]) -> BaseRelation:
+                    resolve, pushed: list[ast.Expr], binding_columns,
+                    needed_by_binding) -> BaseRelation:
     from ..relational.table import Table
 
     binding = binding_of(leaf)
     raw_rows = _relation_raw_rows(leaf, catalog, stats)
+    leaf.hint = PlanHint(est_rows=raw_rows)
     table = None
     if isinstance(leaf, ast.TableRef) and catalog.has_table(leaf.name):
         candidate = catalog.table(leaf.name)
         if isinstance(candidate, Table):
             table = candidate
 
-    if isinstance(leaf, ast.SubqueryRef):
-        scan_node = OperatorNode("derived", binding, est_rows=raw_rows)
-        if binding in inner_roots:
-            scan_node.children.append(inner_roots[binding])
-    else:
-        scan_node = OperatorNode("scan", _scan_label(leaf),
-                                 est_rows=raw_rows)
-    planned.annotations[id(leaf)] = scan_node
-
     if not pushed:
-        return BaseRelation(leaf, binding, binding_columns.get(binding),
-                            table, raw_rows, raw_rows, False,
-                            node=scan_node)
+        return BaseRelation(leaf, binding, table, raw_rows, raw_rows, False)
 
     selectivity = 1.0
     for conjunct in pushed:
         selectivity *= predicate_selectivity(conjunct, resolve)
     est_rows = max(raw_rows * selectivity, 0.05)
     wrapper = wrap_with_filter(leaf, pushed)
+    wrapper.hint = PlanHint(est_rows=est_rows,
+                            detail="pushed-down predicate")
     if options.prune_projections:
         needed = needed_by_binding.get(binding)
         columns = binding_columns.get(binding)
@@ -350,26 +313,7 @@ def _build_relation(leaf, catalog, stats, options: PlannerOptions,
             if keep and len(keep) < len(columns) \
                     and prune_wrapper_projection(wrapper, keep):
                 binding_columns[binding] = keep
-    filter_node = OperatorNode("filter", binding, est_rows=est_rows,
-                               detail="pushed-down predicate",
-                               children=[scan_node])
-    # The wrapper's inner core compiles through the executor's batch
-    # gate, so a columnar base table scans (and often filters)
-    # vectorized — unlike bare join inputs, which stay row-at-a-time.
-    if table is not None \
-            and not _has_index_probe(ast.conjoin(pushed), table):
-        scan_node.vectorized = True
-        if _any_vector_conjunct(ast.conjoin(pushed), table):
-            filter_node.vectorized = True
-    planned.annotations[id(wrapper)] = filter_node
-    return BaseRelation(wrapper, binding, binding_columns.get(binding),
-                        table, raw_rows, est_rows, True, node=filter_node)
-
-
-def _scan_label(leaf: ast.TableRef) -> str:
-    if leaf.alias and leaf.alias.lower() != leaf.name.lower():
-        return f"{leaf.name} as {leaf.alias}"
-    return leaf.name
+    return BaseRelation(wrapper, binding, table, raw_rows, est_rows, True)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +321,7 @@ def _scan_label(leaf: ast.TableRef) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _pushdown_in_place(core: ast.SelectCore, query: ast.SelectQuery,
-                       catalog, stats, options: PlannerOptions,
-                       planned: PlannedStatement,
+def _pushdown_in_place(core: ast.SelectCore, options: PlannerOptions,
                        binding_columns: dict) -> None:
     """Push WHERE conjuncts into null-safe leaves of a FROM tree whose
     shape is kept (LEFT joins present, or reordering is off)."""
@@ -413,109 +355,3 @@ def _wrap_leaves(table_expr: ast.TableExpr,
     if binding in pushes:
         return wrap_with_filter(table_expr, pushes[binding])
     return table_expr
-
-
-def _columnar_table(table_expr, catalog):
-    """The columnar Table behind a TableRef, or None."""
-    from ..relational.table import Table
-
-    if not isinstance(table_expr, ast.TableRef) \
-            or not catalog.has_table(table_expr.name):
-        return None
-    table = catalog.table(table_expr.name)
-    return table if isinstance(table, Table) else None
-
-
-def _has_index_probe(where, table) -> bool:
-    """Mirror the executor's preference: an indexed ``col = literal``
-    conjunct becomes a point probe, not a vectorized scan."""
-    if where is None:
-        return False
-    for conjunct in ast.conjuncts(where):
-        if not (isinstance(conjunct, ast.BinaryOp)
-                and conjunct.op == "="):
-            continue
-        for side, other in ((conjunct.left, conjunct.right),
-                            (conjunct.right, conjunct.left)):
-            if isinstance(side, ast.ColumnRef) \
-                    and isinstance(other, ast.Literal) \
-                    and table.schema.has_column(side.name) \
-                    and table.find_index_on([side.name]) is not None:
-                return True
-    return False
-
-
-def _any_vector_conjunct(where, table) -> bool:
-    """Would at least one WHERE conjunct compile to a vector kernel?"""
-    from ..relational.vectors import compile_filter_kernel
-
-    if where is None:
-        return False
-    schema = table.schema
-
-    def resolve(ref):
-        if not schema.has_column(ref.name):
-            return None
-        position = schema.position_of(ref.name)
-        return position, schema.columns[position].data_type
-
-    return any(compile_filter_kernel(conjunct, resolve) is not None
-               for conjunct in ast.conjuncts(where))
-
-
-def _trace_as_written(core: ast.SelectCore, catalog, stats,
-                      planned: PlannedStatement,
-                      inner_roots: dict[str, OperatorNode] | None = None
-                      ) -> OperatorNode:
-    """Build (and register) display/instrumentation nodes for a FROM
-    tree the planner left structurally alone."""
-    node = _trace_table_expr(core.from_clause, catalog, stats, planned,
-                             inner_roots or {})
-    vector_table = _columnar_table(core.from_clause, catalog)
-    if vector_table is not None \
-            and _has_index_probe(core.where, vector_table):
-        vector_table = None
-    if vector_table is not None:
-        node.vectorized = True
-    if core.where is not None:
-        top = OperatorNode("filter", "WHERE", children=[node])
-        if vector_table is not None \
-                and _any_vector_conjunct(core.where, vector_table):
-            top.vectorized = True
-        planned.annotations[id(core)] = top
-        return top
-    return node
-
-
-def _trace_table_expr(table_expr: ast.TableExpr, catalog, stats,
-                      planned: PlannedStatement,
-                      inner_roots: dict[str, OperatorNode]) -> OperatorNode:
-    if isinstance(table_expr, ast.Join):
-        left = _trace_table_expr(table_expr.left, catalog, stats, planned,
-                                 inner_roots)
-        right = _trace_table_expr(table_expr.right, catalog, stats,
-                                  planned, inner_roots)
-        label = ("left join" if table_expr.join_type == "LEFT"
-                 else "join" if table_expr.condition is not None
-                 else "cross join")
-        node = OperatorNode("join", label, children=[left, right])
-        planned.annotations[id(table_expr)] = node
-        return node
-    if isinstance(table_expr, ast.SubqueryRef):
-        inner = table_expr.query
-        # Pushdown wrappers carry their filter in the inner WHERE.
-        label = binding_of(table_expr) or "derived"
-        node = OperatorNode("derived", label,
-                            est_rows=estimate_query_rows(inner, catalog,
-                                                         stats))
-        if label in inner_roots:
-            node.children.append(inner_roots[label])
-        planned.annotations[id(table_expr)] = node
-        return node
-    est = _relation_raw_rows(table_expr, catalog, stats) \
-        if isinstance(table_expr, ast.TableRef) else None
-    node = OperatorNode("scan", _scan_label(table_expr)
-                        if isinstance(table_expr, ast.TableRef)
-                        else "?", est_rows=est)
-    planned.annotations[id(table_expr)] = node
-    return node

@@ -31,45 +31,9 @@ from ..relational.compiler import CompileContext, compile_expr
 
 def map_expr(expr: ast.Expr,
              fn: Callable[[ast.Expr], ast.Expr]) -> ast.Expr:
-    """Rebuild *expr* bottom-up, applying *fn* to every node."""
-    rebuilt = _rebuild(expr, lambda child: map_expr(child, fn))
-    return fn(rebuilt)
-
-
-def _rebuild(expr: ast.Expr,
-             recurse: Callable[[ast.Expr], ast.Expr]) -> ast.Expr:
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, recurse(expr.operand))
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(expr.op, recurse(expr.left),
-                            recurse(expr.right))
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(recurse(expr.operand), expr.negated)
-    if isinstance(expr, ast.Like):
-        return ast.Like(recurse(expr.operand), recurse(expr.pattern),
-                        expr.negated)
-    if isinstance(expr, ast.InList):
-        return ast.InList(recurse(expr.operand),
-                          [recurse(item) for item in expr.items],
-                          expr.negated)
-    if isinstance(expr, ast.Between):
-        return ast.Between(recurse(expr.operand), recurse(expr.low),
-                           recurse(expr.high), expr.negated)
-    if isinstance(expr, ast.FunctionCall):
-        return ast.FunctionCall(expr.name,
-                                [recurse(arg) for arg in expr.args],
-                                expr.distinct, expr.star)
-    if isinstance(expr, ast.CaseExpr):
-        operand = recurse(expr.operand) if expr.operand is not None else None
-        whens = [(recurse(c), recurse(r)) for c, r in expr.whens]
-        else_result = (recurse(expr.else_result)
-                       if expr.else_result is not None else None)
-        return ast.CaseExpr(operand, whens, else_result)
-    if isinstance(expr, ast.Cast):
-        return ast.Cast(recurse(expr.operand), expr.type_name)
-    # Literals, column/slot refs and subquery expressions are leaves
-    # here (subquery internals are rewritten by the plan driver).
-    return expr
+    """Rebuild *expr* bottom-up, applying *fn* to every node (subquery
+    internals are rewritten by the plan driver, not here)."""
+    return fn(ast.rebuild_expr(expr, lambda child: map_expr(child, fn)))
 
 
 # ---------------------------------------------------------------------------

@@ -150,9 +150,22 @@ class TableExpr(Node):
 
 
 @dataclass
+class PlanHint:
+    """What the planner decided for the operator built from one node of
+    its private, rewritten AST copy.  The operator builder copies the
+    hint onto the operator; a node without one is built as written."""
+
+    est_rows: Optional[float] = None
+    #: Joins only: 'hash-join' | 'index-join' | 'nested-loop'.
+    strategy: Optional[str] = None
+    detail: str = ""
+
+
+@dataclass
 class TableRef(TableExpr):
     name: str
     alias: Optional[str] = None
+    hint: Optional[PlanHint] = field(default=None, compare=False, repr=False)
 
     @property
     def binding(self) -> str:
@@ -163,6 +176,7 @@ class TableRef(TableExpr):
 class SubqueryRef(TableExpr):
     query: "SelectQuery"
     alias: str
+    hint: Optional[PlanHint] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -171,6 +185,7 @@ class Join(TableExpr):
     left: TableExpr
     right: TableExpr
     condition: Optional[Expr] = None
+    hint: Optional[PlanHint] = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +230,8 @@ class SelectCore(Node):
     where: Optional[Expr] = None
     group_by: list[Expr] = field(default_factory=list)
     having: Optional[Expr] = None
+    #: The planner's estimate for this core's WHERE filter.
+    hint: Optional[PlanHint] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -388,6 +405,39 @@ def child_exprs(node: Expr) -> list[Expr]:
     if isinstance(node, Cast):
         return [node.operand]
     return []
+
+
+def rebuild_expr(expr: Expr, recurse) -> Expr:
+    """A copy of *expr* with *recurse* applied to each direct child.
+    Literals, column/slot refs and subquery expressions are leaves and
+    come back unchanged."""
+    if isinstance(expr, UnaryOp):
+        return UnaryOp(expr.op, recurse(expr.operand))
+    if isinstance(expr, BinaryOp):
+        return BinaryOp(expr.op, recurse(expr.left), recurse(expr.right))
+    if isinstance(expr, IsNull):
+        return IsNull(recurse(expr.operand), expr.negated)
+    if isinstance(expr, Like):
+        return Like(recurse(expr.operand), recurse(expr.pattern),
+                    expr.negated)
+    if isinstance(expr, InList):
+        return InList(recurse(expr.operand),
+                      [recurse(item) for item in expr.items], expr.negated)
+    if isinstance(expr, Between):
+        return Between(recurse(expr.operand), recurse(expr.low),
+                       recurse(expr.high), expr.negated)
+    if isinstance(expr, FunctionCall):
+        return FunctionCall(expr.name, [recurse(arg) for arg in expr.args],
+                            expr.distinct, expr.star)
+    if isinstance(expr, CaseExpr):
+        operand = recurse(expr.operand) if expr.operand is not None else None
+        whens = [(recurse(c), recurse(r)) for c, r in expr.whens]
+        else_result = (recurse(expr.else_result)
+                       if expr.else_result is not None else None)
+        return CaseExpr(operand, whens, else_result)
+    if isinstance(expr, Cast):
+        return Cast(recurse(expr.operand), expr.type_name)
+    return expr
 
 
 def walk_expr(node: Expr):

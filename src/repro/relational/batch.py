@@ -1,26 +1,82 @@
-"""Batch-at-a-time execution: the stream unit and its consumers.
+"""Batch-at-a-time execution: the unit every operator exchanges.
 
-The vectorized path moves rows through the executor as *batches* —
-either row-tuple chunks (``list[tuple]``) or column batches (a list of
-per-column value lists, all the same length).  Batches flatten back to
-rows at the ``QueryPlan.stream`` boundary, so cursors, ``/api/v1``
-pagination, LIMIT early-termination and ``rows_yielded`` accounting are
-untouched.
+Operators (:mod:`repro.relational.operators`) pass :class:`Batch` es —
+runs of rows held column-major, row-major, or both — so a column kernel
+(selection mask, column fold, gather) and the generic per-row expression
+kernel can sit in one pipeline without either dictating the layout.
+Batches flatten to rows only at the ``Cursor`` / ``ResultSet`` boundary,
+so pagination, LIMIT early-termination and ``rows_yielded`` accounting
+never see a batch edge.
 
-This module holds the pieces that are independent of the expression
-compiler: the batch size, the telemetry hooks, and the vectorized
-GROUP BY / aggregate consumer.
+This module holds what is independent of the expression compiler: the
+batch type and size, the telemetry hooks, and the two kernels of one
+aggregate (column fold and generic state machine).
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Any, Iterable, Iterator, Optional
+from itertools import compress, repeat
+from typing import Any, Iterable, Optional
+
+from .indexes import _normalize
 
 #: Rows per batch.  Large enough to amortize per-batch Python overhead
 #: (generator resumption, kernel dispatch), small enough that LIMIT
-#: early-termination and pagination stay responsive.
+#: early-termination and pagination stay responsive.  Operators read it
+#: at run time, so patching this one name resizes every batch.
 BATCH_SIZE = 2048
+
+
+def norm_tuple(values: Iterable[Any]) -> tuple:
+    """Hashable, type-normalised key for grouping / distinct / set ops."""
+    return tuple(_normalize(value) for value in values)
+
+
+class Batch:
+    """A non-empty run of rows: ``cols`` (one sequence per column) and
+    ``rows`` (a list of tuples) are two views of the same data.  A batch
+    is built from either; the other is derived on first use and cached.
+    """
+
+    __slots__ = ("_rows", "_cols")
+
+    def __init__(self, rows: Optional[list] = None,
+                 cols: Optional[list] = None) -> None:
+        self._rows = rows
+        self._cols = cols
+
+    def __len__(self) -> int:
+        if self._rows is not None:
+            return len(self._rows)
+        return len(self._cols[0])
+
+    @property
+    def rows(self) -> list:
+        if self._rows is None:
+            self._rows = list(zip(*self._cols))
+        return self._rows
+
+    @property
+    def cols(self) -> list:
+        if self._cols is None:
+            self._cols = list(zip(*self._rows))
+        return self._cols
+
+    def iter_rows(self):
+        """The rows for one pass, without caching the row view."""
+        return self._rows if self._rows is not None else zip(*self._cols)
+
+    def column(self, position: int):
+        """One column, without deriving the whole column view."""
+        if self._cols is not None:
+            return self._cols[position]
+        return [row[position] for row in self._rows]
+
+    def select(self, mask: list) -> "Batch":
+        """The rows where *mask* is true, in whichever view exists."""
+        if self._rows is not None:
+            return Batch(rows=list(compress(self._rows, mask)))
+        return Batch(cols=[list(compress(col, mask)) for col in self._cols])
 
 
 class ExecHooks:
@@ -28,7 +84,7 @@ class ExecHooks:
 
     Mirrors the PR 7 convention: the engine builds one of these only
     when telemetry is attached, holds pre-resolved metric children, and
-    the executor guards every call site with a single ``is None`` test.
+    the operators guard every call site with a single ``is None`` test.
     """
 
     __slots__ = ("batch_rows", "_counters", "_counter_family")
@@ -49,186 +105,131 @@ class ExecHooks:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized GROUP BY / aggregates
+# The two kernels of one aggregate
 # ---------------------------------------------------------------------------
+#
+# Both keep one state per group, indexed by the group id the Aggregate
+# operator assigns, and share a protocol: ``new_group()``, then per batch
+# ``step(batch, gids, contexts)`` (``gids`` is ``None`` when there is no
+# GROUP BY: every row belongs to group 0), then ``finals()``.
 
-#: One aggregate spec: (kind, argument column position, distinct) where
-#: kind is "count*", "count", "sum", "avg", "min" or "max".  The
-#: position is ``None`` for "count*".
-AggregateSpec = tuple
 
+class ColumnFold:
+    """COUNT(*) / COUNT / SUM / AVG / MIN / MAX folded off one column.
 
-def run_vector_aggregate(batches: Iterable[list],
-                         key_positions: list,
-                         specs: list,
-                         hooks: Optional[ExecHooks] = None) -> list:
-    """Aggregate column *batches* directly into group slot rows.
-
-    Returns ``[key_tuple + (final_0, final_1, ...), ...]`` in first-seen
-    group order — exactly the slot rows the row-at-a-time aggregate
-    builds, so HAVING / ORDER BY / projection code is shared downstream.
-
-    Accumulation order matches the row path per group (batches arrive in
-    row order), so float results are bit-identical: SUM folds ``state +
-    value`` left to right from a ``None`` start, AVG accumulates
-    ``total + float(value)`` with a separate count, MIN/MAX keep the
-    first of ties.  DISTINCT is tracked with per-(spec, group) value
-    sets; the specs are pre-validated so every column is type-family
-    homogeneous and set membership agrees with ``values_equal``.
+    Accumulation order matches :class:`GenericFold` per group (batches
+    arrive in row order), so float results are bit-identical: SUM folds
+    ``state + value`` left to right from a ``None`` start, AVG
+    accumulates ``total + float(value)`` with a separate count, MIN/MAX
+    keep the first of ties.  The selector only picks a fold for a typed
+    column, whose values belong to one type family, so DISTINCT set
+    membership agrees with ``values_equal``.
     """
-    grouped = bool(key_positions)
-    single_key = len(key_positions) == 1
-    groups: dict = {}
-    key_rows: list = []
-    prim: list = []       # per spec: primary accumulator list (one per group)
-    extra: list = []      # per spec: AVG count list, else None
-    seen: list = []       # per spec: DISTINCT value sets, else None
-    inits: list = []      # called once per new group: append fresh states
 
-    for kind, _position, distinct in specs:
-        acc: list = []
-        prim.append(acc)
-        if kind == "avg":
-            counts: list = []
-            extra.append(counts)
-            inits.append(lambda a=acc, c=counts: (a.append(0.0),
-                                                  c.append(0)))
-        elif kind in ("count", "count*"):
-            extra.append(None)
-            inits.append(lambda a=acc: a.append(0))
+    def __init__(self, kind: str, position: Optional[int],
+                 distinct: bool) -> None:
+        self.kind = kind
+        self.position = position
+        self.acc: list = []
+        self.counts: Optional[list] = [] if kind == "avg" else None
+        # DISTINCT MIN/MAX sees the same extrema; skip the dedup
+        self.seen: Optional[list] = (
+            [] if distinct and kind in ("count", "sum", "avg") else None)
+
+    def new_group(self) -> None:
+        if self.kind == "avg":
+            self.acc.append(0.0)
+            self.counts.append(0)
         else:
-            extra.append(None)
-            inits.append(lambda a=acc: a.append(None))
-        if distinct and kind in ("count", "sum", "avg"):
-            sets: list = []
-            seen.append(sets)
-            inits.append(lambda s=sets: s.append(set()))
-        else:
-            # DISTINCT MIN/MAX sees the same extrema; skip the dedup
-            seen.append(None)
+            self.acc.append(0 if self.kind in ("count", "count*") else None)
+        if self.seen is not None:
+            self.seen.append(set())
 
-    def new_group() -> None:
-        for init in inits:
-            init()
+    def _fresh(self, pairs):
+        """The (gid, value) pairs whose value is new to its group."""
+        seen = self.seen
+        for gid, value in pairs:
+            if value is not None and value not in seen[gid]:
+                seen[gid].add(value)
+                yield gid, value
 
-    if not grouped:
-        # an aggregate query with no GROUP BY always produces one group,
-        # even over zero rows (COUNT(*) -> 0, SUM -> NULL, ...)
-        groups[()] = 0
-        key_rows.append(())
-        new_group()
-
-    for cols in batches:
-        n = len(cols[0])
-        if hooks is not None:
-            hooks.observe("aggregate", n)
-        if grouped:
-            if single_key:
-                keys: Iterator = iter(cols[key_positions[0]])
+    def step(self, batch: Batch, gids: Optional[list], contexts) -> None:
+        acc, kind = self.acc, self.kind
+        if kind == "count*":
+            if gids is None:
+                acc[0] += len(batch)
             else:
-                keys = zip(*[cols[p] for p in key_positions])
-            gids: list = []
-            add_gid = gids.append
-            lookup = groups.get
-            if single_key:
-                for key in keys:
-                    gid = lookup(key)
-                    if gid is None:
-                        gid = len(key_rows)
-                        groups[key] = gid
-                        key_rows.append((key,))
-                        new_group()
-                    add_gid(gid)
-            else:
-                for key in keys:
-                    gid = lookup(key)
-                    if gid is None:
-                        gid = len(key_rows)
-                        groups[key] = gid
-                        key_rows.append(key)
-                        new_group()
-                    add_gid(gid)
-            gid_source: Optional[list] = gids
-        else:
-            gid_source = None
+                for gid in gids:
+                    acc[gid] += 1
+            return
+        pairs = zip(repeat(0) if gids is None else gids,
+                    batch.column(self.position))
+        if self.seen is not None:
+            pairs = self._fresh(pairs)
+        if kind == "count":
+            for gid, value in pairs:
+                if value is not None:
+                    acc[gid] += 1
+        elif kind == "sum":
+            for gid, value in pairs:
+                if value is not None:
+                    state = acc[gid]
+                    acc[gid] = value if state is None else state + value
+        elif kind == "avg":
+            counts = self.counts
+            for gid, value in pairs:
+                if value is not None:
+                    acc[gid] += float(value)
+                    counts[gid] += 1
+        elif kind == "min":
+            for gid, value in pairs:
+                if value is not None:
+                    best = acc[gid]
+                    if best is None or value < best:
+                        acc[gid] = value
+        else:  # max
+            for gid, value in pairs:
+                if value is not None:
+                    best = acc[gid]
+                    if best is None or value > best:
+                        acc[gid] = value
 
-        for index, (kind, position, _distinct) in enumerate(specs):
-            acc = prim[index]
-            if kind == "count*":
-                if gid_source is None:
-                    acc[0] += n
-                else:
-                    for gid in gid_source:
-                        acc[gid] += 1
-                continue
-            col = cols[position]
-            gids_it = repeat(0) if gid_source is None else gid_source
-            sets = seen[index]
-            if kind == "count":
-                if sets is None:
-                    for gid, value in zip(gids_it, col):
-                        if value is not None:
-                            acc[gid] += 1
-                else:
-                    for gid, value in zip(gids_it, col):
-                        if value is not None:
-                            group_seen = sets[gid]
-                            if value not in group_seen:
-                                group_seen.add(value)
-                                acc[gid] += 1
-            elif kind == "sum":
-                if sets is None:
-                    for gid, value in zip(gids_it, col):
-                        if value is not None:
-                            state = acc[gid]
-                            acc[gid] = value if state is None \
-                                else state + value
-                else:
-                    for gid, value in zip(gids_it, col):
-                        if value is not None:
-                            group_seen = sets[gid]
-                            if value not in group_seen:
-                                group_seen.add(value)
-                                state = acc[gid]
-                                acc[gid] = value if state is None \
-                                    else state + value
-            elif kind == "avg":
-                counts = extra[index]
-                if sets is None:
-                    for gid, value in zip(gids_it, col):
-                        if value is not None:
-                            acc[gid] += float(value)
-                            counts[gid] += 1
-                else:
-                    for gid, value in zip(gids_it, col):
-                        if value is not None:
-                            group_seen = sets[gid]
-                            if value not in group_seen:
-                                group_seen.add(value)
-                                acc[gid] += float(value)
-                                counts[gid] += 1
-            elif kind == "min":
-                for gid, value in zip(gids_it, col):
-                    if value is not None:
-                        best = acc[gid]
-                        if best is None or value < best:
-                            acc[gid] = value
-            else:  # max
-                for gid, value in zip(gids_it, col):
-                    if value is not None:
-                        best = acc[gid]
-                        if best is None or value > best:
-                            acc[gid] = value
+    def finals(self) -> list:
+        if self.kind == "avg":
+            return [total / count if count else None
+                    for total, count in zip(self.acc, self.counts)]
+        return self.acc
 
-    final_cols: list = []
-    for index, (kind, _position, _distinct) in enumerate(specs):
-        if kind == "avg":
-            final_cols.append([total / count if count else None
-                               for total, count in zip(prim[index],
-                                                       extra[index])])
-        else:
-            final_cols.append(prim[index])
-    if not final_cols:
-        return list(key_rows)
-    return [key + finals
-            for key, finals in zip(key_rows, zip(*final_cols))]
+
+class GenericFold:
+    """Any aggregate over any argument expressions: the
+    :mod:`~repro.relational.aggregates` state machine stepped once per
+    row with the compiled argument functions."""
+
+    def __init__(self, aggregate, arg_fns: list, distinct: bool) -> None:
+        self.aggregate = aggregate
+        self.arg_fns = arg_fns
+        self.states: list = []
+        self.seen: Optional[list] = [] if distinct else None
+
+    def new_group(self) -> None:
+        self.states.append(self.aggregate.initial())
+        if self.seen is not None:
+            self.seen.append(set())
+
+    def step(self, batch: Batch, gids: Optional[list], contexts) -> None:
+        states, seen = self.states, self.seen
+        step, arg_fns = self.aggregate.step, self.arg_fns
+        for gid, context in zip(repeat(0) if gids is None else gids,
+                                contexts):
+            args = tuple(fn(context) for fn in arg_fns)
+            if seen is not None:
+                marker = norm_tuple(args)
+                if marker in seen[gid]:
+                    continue
+                seen[gid].add(marker)
+            states[gid] = step(states[gid], args)
+
+    def finals(self) -> list:
+        final = self.aggregate.final
+        return [final(state) for state in self.states]

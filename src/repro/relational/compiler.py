@@ -41,69 +41,22 @@ class SubPlanLike(Protocol):
 
 
 class CompileContext:
-    """Compilation state shared across a query tree.
+    """Build state shared across a query tree.
 
-    ``subplan_factory`` is injected by the executor (it owns query
-    planning); the compiler only knows the :class:`SubPlanLike` protocol.
-
-    ``planned`` optionally carries the cost-based plan
-    (:class:`repro.planner.plan.PlannedStatement`) for the statement
-    being compiled: the executor consults it for per-node physical
-    strategy decisions and — when the plan asks to be instrumented —
-    wires row counters onto the matching operators.
+    ``subplan_factory(query, scopes, ctx)`` is injected by the executor
+    (it owns query building); the compiler only knows :class:`SubPlanLike`.
     """
 
     def __init__(self, subplan_factory: Callable[..., SubPlanLike],
-                 planned=None, vectorize: bool = True,
                  exec_hooks=None) -> None:
         self.subplan_factory = subplan_factory
-        self.planned = planned
-        #: Whether the executor may compile batch-at-a-time operators.
-        self.vectorize = vectorize
         #: Duck-typed telemetry hooks for vectorized operators (see
         #: :class:`repro.relational.batch.ExecHooks`), or ``None``.
         self.exec_hooks = exec_hooks
-        #: Operator kinds ("scan", "filter", "project", "aggregate")
-        #: that compiled to the vectorized path anywhere in the tree.
-        self.vectorized_ops: set[str] = set()
-        #: ``(expression, reason)`` pairs for WHERE conjuncts that fell
-        #: back to the row path during an otherwise vectorized scan —
-        #: the runtime counterpart of the analyzer's ``W-VEC-FALLBACK``.
-        self.vectorized_fallbacks: list[tuple[str, str]] = []
+        #: Root operators of the subqueries built for expressions; the
+        #: statement root shows them beside the main tree.
+        self.subplans: list = []
         self._watchers: list[set[int]] = []
-
-    def note_vectorized(self, op: str) -> None:
-        self.vectorized_ops.add(op)
-
-    def note_fallback(self, expression: str, reason: str) -> None:
-        entry = (expression, reason)
-        if entry not in self.vectorized_fallbacks:
-            self.vectorized_fallbacks.append(entry)
-
-    def plan_node(self, ast_node):
-        """The planner's operator node for *ast_node* (or ``None``)."""
-        if self.planned is None:
-            return None
-        return self.planned.annotations.get(id(ast_node))
-
-    def agg_node(self, ast_node):
-        """The planner's aggregate node for a SELECT core, if any.
-
-        Aggregate nodes cannot share the ``annotations`` key with the
-        core's filter node (both hang off the same AST node), so the
-        planner records them in a separate map."""
-        if self.planned is None:
-            return None
-        return getattr(self.planned, "agg_annotations", {}).get(id(ast_node))
-
-    def counter_for(self, ast_node):
-        """Like :meth:`plan_node`, but only when the plan is being
-        instrumented (EXPLAIN ANALYZE) — keeps the hot path free of
-        per-row counting otherwise."""
-        if self.planned is None or not getattr(self.planned,
-                                               "instrument", False):
-            return None
-        return self.planned.annotations.get(id(ast_node))
 
     def push_watcher(self) -> set[int]:
         watcher: set[int] = set()
@@ -346,7 +299,7 @@ def compile_expr(expr: ast.Expr, scopes: list[RowSchema],
 
     if isinstance(expr, ast.InSubquery):
         operand = compile_expr(expr.operand, scopes, ctx)
-        plan = ctx.subplan_factory(expr.query, scopes)
+        plan = ctx.subplan_factory(expr.query, scopes, ctx)
 
         def in_subquery(rows: Rows) -> bool | None:
             return membership(operand(rows), plan.column_values(rows))
@@ -355,13 +308,13 @@ def compile_expr(expr: ast.Expr, scopes: list[RowSchema],
         return in_subquery
 
     if isinstance(expr, ast.Exists):
-        plan = ctx.subplan_factory(expr.query, scopes)
+        plan = ctx.subplan_factory(expr.query, scopes, ctx)
         if expr.negated:
             return lambda rows: not plan.exists(rows)
         return lambda rows: plan.exists(rows)
 
     if isinstance(expr, ast.ScalarSubquery):
-        plan = ctx.subplan_factory(expr.query, scopes)
+        plan = ctx.subplan_factory(expr.query, scopes, ctx)
         return lambda rows: plan.scalar(rows)
 
     if isinstance(expr, ast.FunctionCall):

@@ -7,14 +7,14 @@ database of the SESQL pipeline (Fig. 6) are instances of it.
 Every database owns a cost-based planner (:mod:`repro.planner`, on by
 default): SELECTs are rewritten — constant folding, predicate pushdown,
 projection pruning, join re-ordering with per-join physical strategy —
-before compilation, ``ANALYZE`` collects the statistics the estimates
-feed on, and ``explain()`` exposes the operator tree with estimated
-(and, under ``analyze=True``, actual) row counts.
+before the operator tree is built, ``ANALYZE`` collects the statistics
+the estimates feed on, and ``explain()`` exposes the tree with
+estimated (and, under ``analyze=True``, actual) row counts.  The tree a
+SELECT ran travels with its result (``ResultSet.plan``/``Cursor.plan``).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import nullcontext
 from typing import Any, Iterable, Iterator
@@ -22,9 +22,9 @@ from typing import Any, Iterable, Iterator
 from ..rwlock import RWLock
 from . import ast
 from .catalog import Catalog
-from .compiler import CompileContext, compile_expr
+from .compiler import compile_expr
 from .errors import ExecutionError, RelationalError, SchemaError
-from .executor import _make_context, compile_query
+from .executor import build_select, make_context
 from .parser import parse_script, parse_sql
 from .render import render_statement
 from .result import Cursor, ResultSet
@@ -35,7 +35,7 @@ from .types import DataType, parse_type_name
 #: Shared no-op context for disabled-telemetry span sites.
 _NOOP = nullcontext()
 
-#: OperatorNode kinds that describe how base data was reached.
+#: Operator kinds that describe how base data was reached.
 _ACCESS_KINDS = frozenset(
     {"scan", "index-join", "hash-join", "nested-loop", "cross-join"})
 
@@ -61,24 +61,17 @@ class Database:
     upgrade instead of deadlocking).
     """
 
-    def __init__(self, name: str = "main", planner=None,
-                 vectorized: bool = True) -> None:
+    def __init__(self, name: str = "main", planner=None) -> None:
         from ..planner import PlannerOptions, StatisticsCatalog
         self.name = name
         self.catalog = Catalog()
-        #: Whether SELECT compilation may use the columnar batch path.
-        #: Off forces the row-at-a-time executor everywhere (the
-        #: equivalence suite and benchmarks compare the two).
-        self.vectorized = vectorized
         #: Duck-typed batch-execution telemetry (built when telemetry
-        #: attaches; ``None`` keeps the executor hook-free).
+        #: attaches; ``None`` keeps the operators hook-free).
         self._exec_hooks = None
         #: Planner feature flags; replace to toggle passes or disable.
         self.planner: "PlannerOptions" = planner or PlannerOptions()
         #: ANALYZE-collected statistics, maintained incrementally on DML.
         self.stats = StatisticsCatalog()
-        #: Thread-local storage backing :attr:`last_plan`.
-        self._plans = threading.local()
         #: Readers (SELECT / cursors) share; writers (DML/DDL/ANALYZE)
         #: are exclusive.
         self.rwlock = RWLock()
@@ -139,16 +132,13 @@ class Database:
             "Operator kinds reaching base data in executed plans",
             labels=("path",))
 
-    def _note_select(self, planned, rows_out: int, elapsed: float,
+    def _note_select(self, root, rows_out: int, elapsed: float,
                      *, streamed: bool = False) -> None:
         """Fold one finished SELECT into the metrics registry."""
         hist = self._tm_stream_seconds if streamed \
             else self._tm_select_seconds
         hist.observe(elapsed)
         self._tm_rows_returned.inc(rows_out)
-        if planned is None:
-            return
-        root = planned.root
         if root.est_rows is not None:
             self._tm_estimate_ratio.observe(
                 (rows_out + 1.0) / (root.est_rows + 1.0))
@@ -194,35 +184,6 @@ class Database:
         """
         with self.rwlock.write_locked():
             self._generation = generation
-
-    @property
-    def last_plan(self):
-        """The plan of the most recent top-level SELECT *on this
-        thread* (observability: the SESQL engine and ``explain``
-        surface it).  Thread-local so concurrent readers don't report
-        each other's plans."""
-        return getattr(self._plans, "last_plan", None)
-
-    @last_plan.setter
-    def last_plan(self, value) -> None:
-        self._plans.last_plan = value
-
-    @property
-    def last_vectorized_ops(self) -> set:
-        """Which operator kinds ("scan", "filter", "project",
-        "aggregate") compiled to the batch path in the most recent
-        SELECT *on this thread* — empty when it ran fully row-at-a-time.
-        Observability only (tests assert fallback behaviour with it)."""
-        return getattr(self._plans, "last_vectorized", set())
-
-    @property
-    def last_vectorized_fallbacks(self) -> list:
-        """``(expression, reason)`` pairs for WHERE conjuncts of the
-        most recent SELECT *on this thread* that a vectorized scan had
-        to evaluate row-at-a-time — why each predicate fell off the
-        batch path, in the analyzer's ``W-VEC-FALLBACK`` vocabulary.
-        Empty when the scan was fully vectorized (or not batched)."""
-        return getattr(self._plans, "last_fallbacks", [])
 
     # -- SQL entry points ---------------------------------------------------
 
@@ -300,60 +261,36 @@ class Database:
 
     # -- SELECT ----------------------------------------------------------------
 
-    def _plan_and_compile(self, query: ast.SelectQuery):
-        planned = None
-        self.last_plan = None  # never report a stale plan for this query
-        if self.planner.enabled:
-            from ..planner.plan import is_trivial_select, plan_select
-            # Trivial selects skip planning (and its deep copy) so
-            # point lookups stay as fast as with the planner off.
-            if not is_trivial_select(query):
-                tel = self.telemetry
-                if tel is None:
-                    planned = plan_select(query, self.catalog, self.stats,
-                                          self.planner)
-                else:
-                    started = time.perf_counter()
-                    with tel.span("db.plan", db=self.name):
-                        planned = plan_select(query, self.catalog,
-                                              self.stats, self.planner)
-                    self._tm_plan_seconds.observe(
-                        time.perf_counter() - started)
-                    if tel.options.instrument_operators:
-                        planned.instrument = True
-                if not self.vectorized:
-                    # The planner marks batch-capable operators
-                    # statically; drop the marks when this database
-                    # forces the row path.
-                    for node in planned.root.walk():
-                        node.vectorized = False
-                self.last_plan = planned
-                query = planned.query
-        plan = compile_query(query, self.catalog, planned=planned,
-                             vectorize=self.vectorized,
-                             exec_hooks=self._exec_hooks)
-        self._plans.last_vectorized = plan.vectorized_ops
-        self._plans.last_fallbacks = plan.vectorized_fallbacks
-        return plan, planned
+    def _build(self, query: ast.SelectQuery):
+        """The operator tree for *query*: the planner's, or — planner
+        off, or nothing for it to improve — the builder's as written."""
+        from ..planner.plan import is_trivial_select, plan_select
+        # Trivial selects skip planning (and its deep copy) so point
+        # lookups stay as fast as with the planner off.
+        if not self.planner.enabled or is_trivial_select(query):
+            return build_select(query, self.catalog, self._exec_hooks)
+        tel = self.telemetry
+        started = time.perf_counter()
+        with (tel.span("db.plan", db=self.name)
+              if tel is not None else _NOOP):
+            planned = plan_select(query, self.catalog, self.stats,
+                                  self.planner, self._exec_hooks)
+        if tel is not None:
+            self._tm_plan_seconds.observe(time.perf_counter() - started)
+        return planned.root
 
     def _run_select(self, query: ast.SelectQuery) -> ResultSet:
         tel = self.telemetry
-        if tel is None:
-            plan, planned = self._plan_and_compile(query)
-            rows = plan.run(())
-            if planned is not None:
-                planned.root.actual_rows = len(rows)
-            return ResultSet(plan.schema.names(), rows)
         started = time.perf_counter()
-        with tel.span("db.execute", db=self.name) as span:
-            plan, planned = self._plan_and_compile(query)
-            rows = plan.run(())
-            if planned is not None:
-                planned.root.actual_rows = len(rows)
+        with (tel.span("db.execute", db=self.name)
+              if tel is not None else _NOOP) as span:
+            root = self._build(query)
+            rows = root.run()
             if span is not None:
                 span.attrs["rows"] = len(rows)
-        self._note_select(planned, len(rows), time.perf_counter() - started)
-        return ResultSet(plan.schema.names(), rows)
+        if tel is not None:
+            self._note_select(root, len(rows), time.perf_counter() - started)
+        return ResultSet(root.schema.names(), rows, plan=root)
 
     # -- streaming SELECT --------------------------------------------------------
 
@@ -382,11 +319,11 @@ class Database:
         tel = self.telemetry
         started = time.perf_counter() if tel is not None else 0.0
         try:
-            # Plan/compile eagerly so schema errors surface here, not
-            # on the first fetch.
+            # Build eagerly so schema errors surface here, not on the
+            # first fetch.
             with (tel.span("db.stream", db=self.name)
                   if tel is not None else _NOOP):
-                plan, planned = self._plan_and_compile(query)
+                root = self._build(query)
         except BaseException:
             hold.release()
             raise
@@ -394,21 +331,22 @@ class Database:
         def rows() -> Iterator[tuple]:
             produced = 0
             try:
-                for row in plan.stream(()):
+                for row in root.rows():
                     produced += 1
                     yield row
             finally:
                 hold.release()
-                # Record on early termination (LIMIT, close()) too:
-                # the count of rows actually produced.
-                if planned is not None:
-                    planned.root.actual_rows = produced
+                # The root reports the rows handed out, not the rows of
+                # the batches drawn: they differ on early termination
+                # (close() inside a batch).
+                root.actual_rows = produced
                 if tel is not None:
                     self._note_select(
-                        planned, produced,
+                        root, produced,
                         time.perf_counter() - started, streamed=True)
 
-        return Cursor(plan.schema.names(), rows(), on_close=hold.release)
+        return Cursor(root.schema.names(), rows(), on_close=hold.release,
+                      plan=root)
 
     # -- planner surface --------------------------------------------------------
 
@@ -442,39 +380,25 @@ class Database:
 
     def explain(self, target: "str | ast.SelectQuery",
                 analyze: bool = False):
-        """The cost-based plan for a SELECT, without side effects.
+        """The plan a SELECT would run (the cost-based one, or with the
+        planner off the query as written), without side effects.
 
-        With ``analyze=True`` the query is executed with row counters
-        attached, so every operator reports estimated *and* actual rows
-        (EXPLAIN ANALYZE).  Returns a
-        :class:`repro.planner.PlannedStatement`.
+        With ``analyze=True`` the tree is also run, so every operator
+        reports estimated *and* actual rows (EXPLAIN ANALYZE).  Returns
+        a :class:`repro.planner.PlannedStatement`.
         """
         from ..planner import plan_select
         stmt = parse_sql(target) if isinstance(target, str) else target
         if not isinstance(stmt, ast.SelectQuery):
             raise ExecutionError("explain() requires a SELECT statement")
-        options = self.planner
-        if not options.enabled:
-            options = options.replace(
-                fold_constants=False, predicate_pushdown=False,
-                prune_projections=False, reorder_joins=False)
         with self.rwlock.read_locked():
-            planned = plan_select(stmt, self.catalog, self.stats, options)
-            planned.instrument = analyze
-            if not self.vectorized:
-                for node in planned.root.walk():
-                    node.vectorized = False
+            planned = plan_select(stmt, self.catalog, self.stats,
+                                  self.planner)
             if analyze:
-                plan = compile_query(planned.query, self.catalog,
-                                     planned=planned,
-                                     vectorize=self.vectorized)
-                planned.root.actual_rows = len(plan.run(()))
+                planned.root.run()
         return planned
 
     # -- DML ----------------------------------------------------------------------
-
-    def _constant_context(self) -> CompileContext:
-        return _make_context(self.catalog)
 
     def _run_insert(self, stmt: ast.InsertStmt) -> int:
         table = self.catalog.table(stmt.table)
@@ -487,7 +411,7 @@ class Database:
         track = self.stats.get(table.name) is not None
         inserted: list[tuple] = []
         if stmt.rows is not None:
-            ctx = self._constant_context()
+            ctx = make_context(self.catalog)
             for row_exprs in stmt.rows:
                 if len(row_exprs) != len(columns):
                     raise ExecutionError(
@@ -502,13 +426,12 @@ class Database:
                     inserted.append(table.row(row_id))
                 count += 1
         else:
-            plan = compile_query(stmt.query, self.catalog,
-                                 vectorize=self.vectorized)
-            if len(plan.schema) != len(columns):
+            root = build_select(stmt.query, self.catalog)
+            if len(root.schema) != len(columns):
                 raise ExecutionError(
                     f"INSERT ... SELECT expects {len(columns)} columns, "
-                    f"got {len(plan.schema)}")
-            for row in plan.run(()):
+                    f"got {len(root.schema)}")
+            for row in root.run():
                 row_id = table.insert_row(dict(zip(columns, row)))
                 if track:
                     inserted.append(table.row(row_id))
@@ -521,7 +444,7 @@ class Database:
         table = self.catalog.table(stmt.table)
         from .schema import RowSchema
         scope = RowSchema.for_table(table.schema, table.name)
-        ctx = self._constant_context()
+        ctx = make_context(self.catalog)
         assignment_fns = []
         for column, expr in stmt.assignments:
             if not table.schema.has_column(column):
@@ -550,7 +473,7 @@ class Database:
         table = self.catalog.table(stmt.table)
         from .schema import RowSchema
         scope = RowSchema.for_table(table.schema, table.name)
-        ctx = self._constant_context()
+        ctx = make_context(self.catalog)
         where_fn = None
         if stmt.where is not None:
             from .compiler import compile_predicate
@@ -567,7 +490,7 @@ class Database:
 
     def _run_create_table(self, stmt: ast.CreateTableStmt) -> None:
         columns = []
-        ctx = self._constant_context()
+        ctx = make_context(self.catalog)
         for definition in stmt.columns:
             data_type = parse_type_name(definition.type_name)
             default_value = None

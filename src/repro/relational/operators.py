@@ -1,0 +1,603 @@
+"""Physical operators: the tree the builder emits is the thing that runs.
+
+Every SELECT — planned or not, top-level or subquery — is a tree of
+:class:`Operator` nodes built by :mod:`repro.relational.executor`.  A
+node owns its output schema, children, the planner's ``est_rows``, the
+``actual_rows`` it has produced, and one ``chunks(outer_rows)`` generator
+of :class:`~repro.relational.batch.Batch` es; ``explain`` renders the
+same tree, so what it shows is what ran.
+
+:class:`Filter`, :class:`Project` and :class:`Aggregate` pick a column
+kernel (selection mask, gather, fold) per conjunct / item / aggregate
+where they see plain typed columns, and apply the generic compiled
+expression over the batch's rows otherwise; ``vectorized`` says a column
+kernel is in use.  Joins run row-at-a-time inside and emit batches.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Iterator
+
+from . import batch as _batch
+from .batch import Batch, norm_tuple
+from .errors import ExecutionError
+from .schema import ResultColumn, RowSchema
+from .table import Table
+from .types import is_true, sort_key, values_equal
+
+Rows = tuple
+RowFn = Callable[[Rows], Any]
+
+
+def _round(value: float) -> str:
+    if value >= 100 or float(value).is_integer():
+        return str(int(round(value)))
+    return f"{value:.1f}"
+
+
+class Operator:
+    """One node of an executable plan.
+
+    ``kind`` is the EXPLAIN vocabulary (``scan``, ``filter``,
+    ``hash-join``, ``aggregate``, ``result`` ...).  The base class is
+    itself the pass-through operator: it yields its first child's
+    batches unchanged (the statement root, a derived table and a
+    subquery root are exactly that, plus a schema or a label).
+    """
+
+    #: Row-preserving operators inherit their child's estimate.
+    preserves_rows = True
+    #: ``(expression, reason)`` per conjunct kept off a column kernel
+    #: (filters fill it in).
+    fallbacks: list[tuple[str, str]] = []
+
+    def __init__(self, kind: str, label: str, schema: RowSchema,
+                 children: list["Operator"] | None = None,
+                 est_rows: float | None = None, detail: str = "",
+                 hooks=None) -> None:
+        self.kind = kind
+        self.label = label
+        self.schema = schema
+        self.children = children or []
+        if est_rows is None and self.preserves_rows and self.children:
+            est_rows = self.children[0].est_rows
+        self.est_rows = est_rows
+        #: Rows produced so far; ``None`` until the operator first runs.
+        self.actual_rows: int | None = None
+        self.detail = detail
+        #: True when a specialised column kernel does this node's work.
+        self.vectorized = False
+        self._hooks = hooks
+        #: True when the output is the first child's, unchanged.
+        self.passes_through = type(self)._batches is Operator._batches
+
+    # -- execution -----------------------------------------------------------
+
+    def chunks(self, outer_rows: Rows = ()) -> Iterator[Batch]:
+        """This operator's output for one run, batch by batch.
+        *outer_rows* carries one row per enclosing query scope."""
+        if self.actual_rows is None:
+            self.actual_rows = 0
+        for batch in self._batches(outer_rows):
+            self.actual_rows += len(batch)
+            yield batch
+
+    def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
+        return self.children[0].chunks(outer_rows)
+
+    def rows(self, outer_rows: Rows = ()) -> Iterator[tuple]:
+        for batch in self.chunks(outer_rows):
+            yield from batch.iter_rows()
+
+    def run(self, outer_rows: Rows = ()) -> list[tuple]:
+        """One whole run, materialized.  Nothing here is batch-sized: a
+        pass-through hands on its child's list, a scan zips its table."""
+        if self.passes_through:
+            return self._ran(self.children[0].run(outer_rows))
+        rows: list[tuple] = []
+        for batch in self.chunks(outer_rows):
+            rows.extend(batch.iter_rows())
+        return rows
+
+    def _ran(self, rows: list[tuple]) -> list[tuple]:
+        self.actual_rows = (self.actual_rows or 0) + len(rows)
+        self._observe(len(rows))
+        return rows
+
+    def _observe(self, rows: int) -> None:
+        if self._hooks is not None and self.vectorized:
+            self._hooks.observe(self.kind, rows)
+
+    # -- introspection -------------------------------------------------------
+
+    def walk(self) -> Iterator["Operator"]:
+        yield self
+        for child in self.children:
+            yield from child.walk()
+
+    @property
+    def vectorized_ops(self) -> set[str]:
+        """Kinds of the operators below (and including) this one that
+        use a specialised column kernel."""
+        return {node.kind for node in self.walk() if node.vectorized}
+
+    @property
+    def vectorized_fallbacks(self) -> list[tuple[str, str]]:
+        """``(expression, reason)`` per WHERE conjunct a filter over
+        typed columns evaluates with the generic kernel — the runtime
+        counterpart of the analyzer's ``W-VEC-FALLBACK``."""
+        found: list[tuple[str, str]] = []
+        for node in self.walk():
+            for entry in node.fallbacks:
+                if entry not in found:
+                    found.append(entry)
+        return found
+
+    def format(self, indent: int = 0) -> str:
+        parts = [f"{'  ' * indent}{self.kind} {self.label}".rstrip()]
+        annotations = []
+        if self.est_rows is not None:
+            annotations.append(f"est={_round(self.est_rows)}")
+        if self.actual_rows is not None:
+            annotations.append(f"actual={self.actual_rows}")
+        if self.vectorized:
+            annotations.append("vectorized")
+        if self.detail:
+            annotations.append(self.detail)
+        if annotations:
+            parts[0] += "  (" + ", ".join(annotations) + ")"
+        parts.extend(child.format(indent + 1) for child in self.children)
+        return "\n".join(parts)
+
+
+def _slices(rows: list) -> Iterator[Batch]:
+    """Re-batch a materialized row list."""
+    size = _batch.BATCH_SIZE
+    for start in range(0, len(rows), size):
+        yield Batch(rows=rows[start:start + size])
+
+
+class Result(Operator):
+    """The statement root: the top operator's rows, plus the notes the
+    planner left about the statement (join order, degraded planning)."""
+
+    def __init__(self, top: Operator, subqueries: list[Operator]) -> None:
+        super().__init__("result", "select", top.schema, [top] + subqueries)
+        self.notes: list[str] = []
+
+    def format(self, indent: int = 0) -> str:
+        lines = [super().format(indent)]
+        lines.extend(f"note: {note}" for note in self.notes)
+        return "\n".join(lines)
+
+
+class Values(Operator):
+    """A SELECT without FROM: one empty input row."""
+
+    def __init__(self) -> None:
+        super().__init__("values", "no FROM", RowSchema([]), est_rows=1.0)
+
+    def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
+        yield Batch(rows=[()])
+
+
+class Scan(Operator):
+    """Full scan of a catalog table.  A columnar :class:`Table` is read
+    as column slices; any other table (foreign wrappers) as row chunks;
+    a whole ``run`` of either is one zip across the table."""
+
+    def __init__(self, table, binding: str, label: str,
+                 est_rows: float | None = None, hooks=None) -> None:
+        super().__init__("scan", label,
+                         RowSchema.for_table(table.schema, binding),
+                         est_rows=est_rows, hooks=hooks)
+        self.table = table
+        self.vectorized = isinstance(table, Table)
+
+    def run(self, outer_rows: Rows = ()) -> list[tuple]:
+        return self._ran(list(self.table.rows()))
+
+    def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
+        # Table state is read at run time, never at build time: SELECTs
+        # hold the database's read lock and INSERT ... SELECT
+        # materializes before it mutates.
+        if not self.vectorized:
+            yield from _slices(list(self.table.rows()))
+            return
+        for cols in self.table.iter_batches(_batch.BATCH_SIZE):
+            self._observe(len(cols[0]))
+            yield Batch(cols=cols)
+
+
+class IndexProbe(Operator):
+    """Point lookup through an index: the rows of *table* whose indexed
+    columns equal the key the ``key_fns`` evaluate to.
+
+    Serves both ``WHERE col = literal`` (keys are constants) and the
+    inner side of an index join (keys read the current outer row, which
+    the join appends to ``outer_rows``).  A hash index buckets by the
+    same normalization as ``values_equal``, so its candidates are exact;
+    any other index (``SortedIndex`` coerces keys to float, collapsing
+    integers beyond 2**53) only narrows, and every candidate is
+    re-checked here.  ``lookup`` is the primitive the join calls per
+    left row; only a run through ``chunks`` counts ``actual_rows``.
+    """
+
+    preserves_rows = False
+
+    def __init__(self, scan: Scan, index, key_fns: list[RowFn],
+                 positions: list[int]) -> None:
+        super().__init__("scan", scan.label, scan.schema,
+                         est_rows=scan.est_rows,
+                         detail=f"index {index.name}")
+        self.table = scan.table
+        self.index = index
+        self.key_fns = key_fns
+        self.positions = positions
+        self.verify = getattr(index, "kind", None) != "hash"
+
+    def lookup(self, context: Rows) -> list[tuple]:
+        key = tuple(fn(context) for fn in self.key_fns)
+        row = self.table.row
+        found = [row(row_id) for row_id in sorted(self.index.lookup(key))]
+        if self.verify:
+            found = [candidate for candidate in found
+                     if all(is_true(values_equal(candidate[position], value))
+                            for position, value in zip(self.positions, key))]
+        return found
+
+    def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
+        return _slices(self.lookup(outer_rows))
+
+
+class Filter(Operator):
+    """Keep the rows a predicate holds for.
+
+    ``mask_fn`` is the conjunction of the conjuncts that compiled to
+    mask kernels (``None`` when none did); ``residual_fn`` is the
+    generic predicate for the rest, applied to the surviving rows.
+    """
+
+    preserves_rows = False
+
+    def __init__(self, child: Operator, label: str, mask_fn, residual_fn,
+                 fallbacks: list[tuple[str, str]],
+                 est_rows: float | None = None, hooks=None) -> None:
+        super().__init__("filter", label, child.schema, [child], est_rows,
+                         hooks=hooks)
+        self.mask_fn = mask_fn
+        self.residual_fn = residual_fn
+        self.fallbacks = fallbacks
+        self.vectorized = mask_fn is not None
+
+    def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
+        mask_fn, residual_fn = self.mask_fn, self.residual_fn
+        for batch in self.children[0].chunks(outer_rows):
+            if mask_fn is not None:
+                mask = mask_fn(batch.cols)
+                kept = sum(mask)
+                if not kept:
+                    continue
+                if kept < len(mask):
+                    batch = batch.select(mask)
+                self._observe(kept)
+            if residual_fn is not None:
+                rows = [row for row in batch.rows
+                        if residual_fn(outer_rows + (row,))]
+                if not rows:
+                    continue
+                if len(rows) < len(batch):
+                    batch = Batch(rows=rows)
+            yield batch
+
+
+class Project(Operator):
+    """Evaluate the select list, one output column at a time.
+
+    ``columns`` holds ``(position, fn)`` per output column: a gathered
+    input column when the selector found a plain column there, else the
+    compiled expression applied over the batch.
+    """
+
+    def __init__(self, child: Operator, schema: RowSchema,
+                 columns: list[tuple[int | None, RowFn]],
+                 hooks=None) -> None:
+        positions = [position for position, _fn in columns]
+        #: Every input column, in order: batches pass through untouched.
+        identity = positions == list(range(len(child.schema)))
+        label = "*" if identity else ", ".join(schema.names())
+        super().__init__("project", label, schema, [child], hooks=hooks)
+        self.passes_through = identity
+        self.columns = columns
+        self.vectorized = None not in positions
+
+    def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
+        for batch in self.children[0].chunks(outer_rows):
+            if not self.passes_through:
+                contexts = None if self.vectorized else [
+                    outer_rows + (row,) for row in batch.rows]
+                batch = Batch(cols=[
+                    batch.column(position) if position is not None
+                    else [fn(context) for context in contexts]
+                    for position, fn in self.columns])
+            self._observe(len(batch))
+            yield batch
+
+
+class Aggregate(Operator):
+    """Hash aggregation into *slot rows*: group keys first, one slot per
+    aggregate after (HAVING, ORDER BY and the select list are ordinary
+    operators above, compiled against the slots).
+
+    Groups come out in first-seen order.  ``key_positions`` is set when
+    every GROUP BY key is a plain typed column (raw values hash like the
+    normalised ones within one type family); otherwise ``group_fns``
+    evaluate the keys per row.  ``folds`` are factories — one fresh
+    accumulator per aggregate per run.
+    """
+
+    preserves_rows = False
+
+    def __init__(self, child: Operator, label: str, slot_schema: RowSchema,
+                 group_fns: list[RowFn], key_positions: list[int] | None,
+                 folds: list[Callable[[], Any]], needs_rows: bool,
+                 vectorized: bool, hooks=None) -> None:
+        super().__init__("aggregate", label, slot_schema, [child],
+                         hooks=hooks)
+        self.group_fns = group_fns
+        self.key_positions = key_positions
+        self.folds = folds
+        self.needs_rows = needs_rows
+        self.vectorized = vectorized
+
+    def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
+        # A pipeline breaker: every input row is seen before any group.
+        folds = [make() for make in self.folds]
+        groups: dict = {}
+        key_rows: list[tuple] = []
+        grouped = bool(self.group_fns)
+        positions = self.key_positions
+
+        def new_group(key: tuple) -> int:
+            key_rows.append(key)
+            for fold in folds:
+                fold.new_group()
+            return len(key_rows) - 1
+
+        if not grouped:
+            # no GROUP BY: always one group, even over zero rows
+            new_group(())
+        for batch in self.children[0].chunks(outer_rows):
+            self._observe(len(batch))
+            contexts = ([outer_rows + (row,) for row in batch.rows]
+                        if self.needs_rows else None)
+            gids = None
+            if grouped:
+                gids = []
+                add_gid, lookup = gids.append, groups.get
+                if positions is not None and len(positions) == 1:
+                    for key in batch.column(positions[0]):
+                        gid = lookup(key)
+                        if gid is None:
+                            gid = groups[key] = new_group((key,))
+                        add_gid(gid)
+                else:
+                    if positions is not None:
+                        keys = hashed = list(zip(
+                            *[batch.column(p) for p in positions]))
+                    else:
+                        keys = [tuple(fn(context) for fn in self.group_fns)
+                                for context in contexts]
+                        hashed = map(norm_tuple, keys)
+                    for key, marker in zip(keys, hashed):
+                        gid = lookup(marker)
+                        if gid is None:
+                            gid = groups[marker] = new_group(key)
+                        add_gid(gid)
+            for fold in folds:
+                fold.step(batch, gids, contexts)
+        if folds:
+            finals = zip(*[fold.finals() for fold in folds])
+            key_rows = [key + slots for key, slots in zip(key_rows, finals)]
+        yield from _slices(key_rows)
+
+
+class Sort(Operator):
+    """ORDER BY: a pipeline breaker (stable, so ties keep input order)."""
+
+    def __init__(self, child: Operator, label: str,
+                 order_fns: list[tuple[RowFn, bool]]) -> None:
+        super().__init__("sort", label, child.schema, [child])
+        self.order_fns = order_fns
+
+    def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
+        rows = self.children[0].run(outer_rows)
+        rows.sort(key=lambda row: tuple(
+            sort_key(fn(outer_rows + (row,)), descending)
+            for fn, descending in self.order_fns))
+        yield from _slices(rows)
+
+
+class Distinct(Operator):
+    """Streaming de-duplication: each new row is passed on as found."""
+
+    preserves_rows = False
+
+    def __init__(self, child: Operator) -> None:
+        super().__init__("distinct", "", child.schema, [child])
+
+    def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
+        seen: set[tuple] = set()
+        for batch in self.children[0].chunks(outer_rows):
+            fresh = []
+            for row in batch.rows:
+                key = norm_tuple(row)
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(row)
+            if fresh:
+                yield Batch(rows=fresh)
+
+
+def _bound_value(fn: RowFn | None, outer_rows: Rows,
+                 clause: str) -> int | None:
+    """Evaluate a LIMIT/OFFSET expression and validate it.  NULL means
+    "no bound"; anything but a non-negative integer is a user error."""
+    value = fn(outer_rows) if fn is not None else None
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ExecutionError(
+            f"{clause} must be a non-negative integer, got {value!r}")
+    return value
+
+
+class Limit(Operator):
+    """Lazy OFFSET/LIMIT: stops pulling its child once satisfied, so the
+    batches (and UNION ALL operands) after that point never run."""
+
+    def __init__(self, child: Operator, limit_fn: RowFn | None,
+                 offset_fn: RowFn | None, label: str) -> None:
+        super().__init__("limit", label, child.schema, [child])
+        self.limit_fn = limit_fn
+        self.offset_fn = offset_fn
+
+    def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
+        skip = _bound_value(self.offset_fn, outer_rows, "OFFSET") or 0
+        wanted = _bound_value(self.limit_fn, outer_rows, "LIMIT")
+        if wanted == 0:
+            return
+        for batch in self.children[0].chunks(outer_rows):
+            size = len(batch)
+            if skip >= size:
+                skip -= size
+                continue
+            if skip or (wanted is not None and size - skip > wanted):
+                stop = None if wanted is None else skip + wanted
+                batch = Batch(rows=batch.rows[skip:stop])
+                skip = 0
+            yield batch
+            if wanted is not None:
+                wanted -= len(batch)
+                if wanted <= 0:
+                    return
+
+
+class SetOp(Operator):
+    """UNION [ALL] / INTERSECT / EXCEPT over same-width operands, folded
+    left to right.  A pure UNION ALL chain streams: operand k+1 is not
+    started until operand k is exhausted."""
+
+    preserves_rows = False
+
+    def __init__(self, operands: list[Operator],
+                 operations: list[str]) -> None:
+        # Named after the first operand, but untyped: operands may put
+        # values of different type families into one column.
+        schema = RowSchema([ResultColumn(column.name, column.qualifier)
+                            for column in operands[0].schema.columns])
+        super().__init__("set-op", " / ".join(operations), schema, operands)
+        self.operations = operations
+
+    def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
+        if all(op == "UNION ALL" for op in self.operations):
+            for operand in self.children:
+                yield from operand.chunks(outer_rows)
+            return
+        current = self.children[0].run(outer_rows)
+        for operation, operand in zip(self.operations, self.children[1:]):
+            other = operand.run(outer_rows)
+            if operation == "UNION ALL":
+                current = current + other
+                continue
+            # UNION dedups both sides; INTERSECT / EXCEPT dedup the left
+            # side's rows that are / are not among the right side's.
+            if operation == "UNION":
+                current, other_keys = current + other, None
+            else:
+                other_keys = {norm_tuple(row) for row in other}
+            in_other = operation == "INTERSECT"
+            seen: set[tuple] = set()
+            merged = []
+            for row in current:
+                key = norm_tuple(row)
+                if key in seen or (other_keys is not None
+                                   and (key in other_keys) != in_other):
+                    continue
+                seen.add(key)
+                merged.append(row)
+            current = merged
+        yield from _slices(current)
+
+
+class Join(Operator):
+    """INNER / LEFT / CROSS join, row-at-a-time inside, in left order.
+
+    The strategy is the node's ``kind``: ``hash-join`` builds buckets
+    over the right input's ``right_keys`` and probes them with
+    ``left_keys``; ``index-join`` asks the right child — an
+    :class:`IndexProbe` whose keys read the current left row — and never
+    scans it; ``nested-loop`` / ``cross-join`` pair every left row with
+    the materialized right input.  ``check`` (the residual ON predicate,
+    or all of it for a nested loop) runs on each combined row.
+    """
+
+    preserves_rows = False
+
+    def __init__(self, kind: str, label: str, left: Operator,
+                 right: Operator, left_join: bool,
+                 left_keys: list[RowFn], right_keys: list[RowFn],
+                 check, est_rows: float | None = None) -> None:
+        super().__init__(kind, label, left.schema.extended(right.schema),
+                         [left, right], est_rows)
+        self.left_join = left_join
+        self.left_keys = left_keys
+        self.right_keys = right_keys
+        self.check = check
+
+    def _candidates(self, outer_rows: Rows) -> Callable[[tuple], Any]:
+        """The function giving one left row's candidate right rows."""
+        right = self.children[1]
+        if self.kind == "index-join":
+            return lambda left_row: right.lookup(outer_rows + (left_row,))
+        if self.kind != "hash-join":
+            right_rows = right.run(outer_rows)
+            return lambda left_row: right_rows
+        buckets: dict[tuple, list[tuple]] = {}
+        right_keys, left_keys = self.right_keys, self.left_keys
+        for right_row in right.rows(outer_rows):
+            context = outer_rows + (right_row,)
+            values = [fn(context) for fn in right_keys]
+            if None not in values:  # NULL never matches in an equi-join
+                buckets.setdefault(norm_tuple(values), []).append(right_row)
+
+        def probe(left_row: tuple):
+            context = outer_rows + (left_row,)
+            values = [fn(context) for fn in left_keys]
+            if None in values:
+                return ()
+            return buckets.get(norm_tuple(values), ())
+        return probe
+
+    def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
+        candidates = self._candidates(outer_rows)
+        check, left_join = self.check, self.left_join
+        pad = (None,) * len(self.children[1].schema)
+        size = _batch.BATCH_SIZE
+        out: list[tuple] = []
+        for batch in self.children[0].chunks(outer_rows):
+            for left_row in batch.rows:
+                matched = False
+                for right_row in candidates(left_row):
+                    combined = left_row + right_row
+                    if check is None or check(outer_rows + (combined,)):
+                        matched = True
+                        out.append(combined)
+                if left_join and not matched:
+                    out.append(left_row + pad)
+                if len(out) >= size:
+                    yield Batch(rows=out)
+                    out = []
+            if out:
+                yield Batch(rows=out)
+                out = []

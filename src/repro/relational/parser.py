@@ -11,8 +11,6 @@ from . import ast
 from .errors import NotSupportedError, SqlSyntaxError
 from .lexer import Token, tokenize
 
-_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX", "GROUP_CONCAT"})
-
 _COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
 
@@ -635,8 +633,3 @@ def parse_script(text: str) -> list[ast.Statement]:
 def parse_expr(text: str) -> ast.Expr:
     """Parse a standalone SQL expression (used by SESQL condition tags)."""
     return SqlParser(text).parse_expression()
-
-
-def is_aggregate_call(expr: ast.Expr) -> bool:
-    return (isinstance(expr, ast.FunctionCall)
-            and expr.name.upper() in _AGGREGATES)

@@ -30,8 +30,13 @@ class Cursor:
     """
 
     def __init__(self, columns: list[str], rows: Iterable[tuple],
-                 on_close: Callable[[], None] | None = None) -> None:
+                 on_close: Callable[[], None] | None = None,
+                 plan=None) -> None:
         self.columns = list(columns)
+        #: Root :class:`~repro.relational.operators.Operator` of the
+        #: tree producing the rows (``None`` for cursors over anything
+        #: but a database SELECT).  Its counters move as rows are drawn.
+        self.plan = plan
         self._rows = iter(rows)
         self._on_close = on_close
         self._closed = False
@@ -107,7 +112,7 @@ class Cursor:
 
     def to_result_set(self) -> "ResultSet":
         """Drain the remaining rows into a materialized ResultSet."""
-        return ResultSet(self.columns, self.fetchall())
+        return ResultSet(self.columns, self.fetchall(), plan=self.plan)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"
@@ -117,14 +122,21 @@ class Cursor:
 class ResultSet:
     """An ordered table of result rows with named columns."""
 
-    def __init__(self, columns: list[str], rows: list[tuple]) -> None:
+    def __init__(self, columns: list[str], rows: list[tuple],
+                 plan=None) -> None:
         self.columns = list(columns)
-        self.rows = list(rows)
+        #: A list is adopted, not copied: the engine hands over its own.
+        self.rows = rows if isinstance(rows, list) else list(rows)
+        #: Root :class:`~repro.relational.operators.Operator` of the
+        #: tree that produced the rows (per-operator ``actual_rows``,
+        #: ``vectorized_ops``, ``vectorized_fallbacks``), or ``None``
+        #: for a result no database SELECT computed.
+        self.plan = plan
 
     @classmethod
     def from_cursor(cls, cursor: Cursor) -> "ResultSet":
         """Materialize a streaming cursor (drains and closes it)."""
-        return cls(cursor.columns, cursor.fetchall())
+        return cls(cursor.columns, cursor.fetchall(), plan=cursor.plan)
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -12,20 +12,18 @@ sees a slot).
 
 Row-oriented accessors (``rows`` / ``rows_with_ids`` / ``row``) keep
 their exact shapes, so snapshots, ANALYZE fallbacks, replicas and every
-other consumer are unaffected.  The executor's batch path uses the new
-surface: ``iter_batches`` (column-slice batches for kernel filters and
-vector aggregates), ``iter_row_chunks`` (row-tuple chunks, the fastest
-full-scan shape) and ``column_values`` (one live column for ANALYZE).
+other consumer are unaffected.  The scan operator reads
+``iter_batches`` (column-slice batches); ANALYZE reads
+``column_values`` (one live column).
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import compress, islice
+from itertools import compress
 from operator import not_
 from typing import Any, Iterable, Iterator
 
-from .batch import BATCH_SIZE
 from .errors import ConstraintViolation, SchemaError
 from .indexes import HashIndex, IndexType, build_index
 from .schema import TableSchema
@@ -82,9 +80,8 @@ class Table:
         """Iterate over row tuples (order of insertion)."""
         columns = [column.values for column in self._columns]
         if self._deleted_count == 0:
-            yield from zip(*columns)
-        else:
-            yield from compress(zip(*columns), map(not_, self._deleted))
+            return zip(*columns)
+        return compress(zip(*columns), map(not_, self._deleted))
 
     def rows_with_ids(self) -> Iterator[tuple[int, tuple]]:
         columns = [column.values for column in self._columns]
@@ -100,8 +97,8 @@ class Table:
 
     # -- batch scan surface --------------------------------------------------
 
-    def iter_batches(self, size: int = BATCH_SIZE) -> Iterator[list]:
-        """Column-slice batches of live rows.
+    def iter_batches(self, size: int) -> Iterator[list]:
+        """Column-slice batches of at most *size* live rows.
 
         Each batch is a list of per-column value lists, all the same
         length — the shape predicate kernels and the vector aggregate
@@ -109,14 +106,8 @@ class Table:
         never see the deleted bitmap.
         """
         columns = [column.values for column in self._columns]
-        total = len(self._row_ids)
-        if self._deleted_count == 0:
-            for start in range(0, total, size):
-                end = start + size
-                yield [column[start:end] for column in columns]
-            return
         deleted = self._deleted
-        for start in range(0, total, size):
+        for start in range(0, len(self._row_ids), size):
             end = start + size
             window = deleted[start:end]
             if 1 not in window:
@@ -127,22 +118,6 @@ class Table:
                      for column in columns]
             if batch[0]:
                 yield batch
-
-    def iter_row_chunks(self, size: int = BATCH_SIZE) -> Iterator[list]:
-        """Row-tuple chunks of live rows — the full-scan fast path.
-
-        One ``zip`` across the whole columns beats per-batch slicing
-        when no mask will be applied, so unfiltered scans use this.
-        """
-        source: Iterator[tuple] = zip(*[column.values
-                                        for column in self._columns])
-        if self._deleted_count:
-            source = compress(source, map(not_, self._deleted))
-        while True:
-            chunk = list(islice(source, size))
-            if not chunk:
-                return
-            yield chunk
 
     def column_values(self, position: int) -> list:
         """Live values of one column, in row order (ANALYZE reads this)."""

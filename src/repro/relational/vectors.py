@@ -26,8 +26,8 @@ execution path:
   negation into the tree De-Morgan-style (flipping comparison operators
   and the ``negated`` flags) before compiling, which keeps every leaf
   3VL-exact.  Anything the compiler does not understand returns ``None``
-  and the executor falls back to the row-at-a-time predicate for that
-  conjunct — a hybrid plan, not an error.
+  and the filter operator keeps that conjunct on the generic compiled
+  predicate — a hybrid plan, not an error.
 """
 
 from __future__ import annotations
@@ -329,7 +329,7 @@ def fallback_reason(expr: ast.Expr, resolve: Resolver) -> str | None:
 
     The single source of truth for "would this conjunct vectorize":
     the answer is literally :func:`compile_filter_kernel`'s, so the
-    runtime fallback note, ``Database.last_vectorized_fallbacks`` and
+    runtime fallback note, a result plan's ``vectorized_fallbacks`` and
     the static analyzer's ``W-VEC-FALLBACK`` diagnostic can never
     disagree about *whether* — this function only adds the *why*.
     """

@@ -41,10 +41,6 @@ class TelemetryOptions:
         pathological queries.  Excess spans are counted but not kept.
     latency_buckets
         Upper bounds (seconds) for every latency histogram.
-    instrument_operators
-        When True, per-operator row counters are forced on for planned
-        statements (equivalent to ``EXPLAIN ANALYZE`` accounting on
-        every query).  Costs a closure per row; default off.
     """
 
     enabled: bool = True
@@ -53,7 +49,6 @@ class TelemetryOptions:
     trace_retention: int = 128
     max_spans_per_trace: int = 512
     latency_buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
-    instrument_operators: bool = False
 
     def __post_init__(self) -> None:
         if self.slow_query_threshold_s is not None \

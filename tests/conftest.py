@@ -2,9 +2,37 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
-from repro.relational import Database
+from repro.relational import Database, executor, vectors
+
+
+@contextmanager
+def _generic_kernels():
+    saved = (vectors.compile_filter_kernel, executor.select_gather,
+             executor.select_folds)
+    vectors.compile_filter_kernel = lambda expr, resolve: None
+    executor.select_gather = lambda exprs, scopes: [None] * len(exprs)
+    executor.select_folds = lambda group_exprs, calls, scopes: (
+        None, [None] * len(calls))
+    try:
+        yield
+    finally:
+        (vectors.compile_filter_kernel, executor.select_gather,
+         executor.select_folds) = saved
+
+
+@pytest.fixture(scope="session")
+def generic_kernels():
+    """The row-semantics reference, as a test seam: ``with
+    generic_kernels():`` makes the three kernel selectors decline, so
+    every filter, projection and aggregate built inside the block
+    evaluates its compiled expressions row by row.  The equivalence
+    suites and E17 compare the default engine against it.  (Session
+    scoped because hypothesis tests switch it per example.)"""
+    return _generic_kernels
 
 
 @pytest.fixture

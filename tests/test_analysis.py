@@ -389,12 +389,13 @@ class TestSessionIntegration:
             "SELECT name FROM landfill ORDER BY name LIMIT 5")
         assert "diagnostics:" not in plan.format()
 
-    def test_fallback_observable_on_database(self, db):
-        db.execute("SELECT name FROM landfill WHERE LENGTH(name) > 3")
-        fallbacks = db.last_vectorized_fallbacks
+    def test_fallback_observable_on_the_result(self, db):
+        result = db.execute(
+            "SELECT name FROM landfill WHERE LENGTH(name) > 3")
+        fallbacks = result.plan.vectorized_fallbacks
         assert fallbacks and "LENGTH(name)" in fallbacks[0][0]
-        db.execute("SELECT name FROM landfill WHERE area_m2 > 1.0")
-        assert db.last_vectorized_fallbacks == []
+        result = db.execute("SELECT name FROM landfill WHERE area_m2 > 1.0")
+        assert result.plan.vectorized_fallbacks == []
 
     def test_fallback_reason_in_explain_analyze_note(self, db):
         planned = db.explain(

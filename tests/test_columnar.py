@@ -2,13 +2,14 @@
 
 Covers the columnar ``Table`` rewrite (stable row ids over typed column
 vectors, deleted bitmap, compaction, truncate via the public index
-``clear()``), the executor's batch path and its row-path fallback
-(observable through ``Database.last_vectorized_ops``), the planner's
-vectorized operator marking in EXPLAIN, the batch-execution telemetry
-instruments, and a durability regression: a columnar table survives
-snapshot + WAL replay with exact generation stamps.
+``clear()``), the operators' specialised column kernels and their
+generic fallback (observable through ``ResultSet.plan.vectorized_ops``;
+the ``generic_kernels`` fixture is the all-generic reference), the
+vectorized marks in EXPLAIN, the batch-execution telemetry instruments,
+and a durability regression: a columnar table survives snapshot + WAL
+replay with exact generation stamps.
 
-The randomized vectorized-vs-row equivalence suite lives in
+The randomized kernel-vs-generic equivalence suite lives in
 ``test_columnar_properties.py``.
 """
 
@@ -30,8 +31,8 @@ from repro.relational.schema import DataType
 from repro.telemetry import Telemetry, TelemetryOptions
 
 
-def make_db(vectorized: bool = True) -> Database:
-    db = Database(vectorized=vectorized)
+def make_db() -> Database:
+    db = Database()
     db.execute("CREATE TABLE t (id INTEGER, k TEXT, v REAL, b BOOLEAN)")
     db.insert_rows("t", ({"id": i, "k": f"k{i % 5}", "v": float(i),
                           "b": i % 2 == 0}
@@ -136,22 +137,26 @@ class TestColumnarStorage:
 class TestVectorizedExecution:
     def test_simple_shapes_run_vectorized(self):
         db = make_db()
-        assert len(db.query("SELECT * FROM t").rows) == 100
-        assert db.last_vectorized_ops >= {"scan", "project"}
-        db.query("SELECT * FROM t WHERE v > 50.0 AND k = 'k1'")
-        assert db.last_vectorized_ops >= {"scan", "filter", "project"}
-        rows = db.query("SELECT k, COUNT(*), SUM(v), AVG(v), MIN(v), "
-                        "MAX(v) FROM t GROUP BY k").rows
-        assert len(rows) == 5
-        assert db.last_vectorized_ops >= {"scan", "aggregate"}
+        result = db.query("SELECT * FROM t")
+        assert len(result.rows) == 100
+        assert result.plan.vectorized_ops >= {"scan", "project"}
+        result = db.query("SELECT * FROM t WHERE v > 50.0 AND k = 'k1'")
+        assert result.plan.vectorized_ops >= {"scan", "filter", "project"}
+        result = db.query("SELECT k, COUNT(*), SUM(v), AVG(v), MIN(v), "
+                          "MAX(v) FROM t GROUP BY k")
+        assert len(result.rows) == 5
+        assert result.plan.vectorized_ops >= {"scan", "aggregate"}
 
-    def test_vectorized_disabled_database_reports_nothing(self):
-        db = make_db(vectorized=False)
-        assert len(db.query("SELECT * FROM t WHERE v > 50.0").rows) == 49
-        assert db.last_vectorized_ops == set()
+    def test_generic_kernels_use_no_column_kernel(self, generic_kernels):
+        db = make_db()
+        with generic_kernels():
+            result = db.query("SELECT * FROM t WHERE v > 50.0")
+        assert len(result.rows) == 49
+        # Storage is columnar either way; nothing above the scan is.
+        assert result.plan.vectorized_ops == {"scan"}
 
-    def test_results_match_row_path(self):
-        vector_db, row_db = make_db(), make_db(vectorized=False)
+    def test_results_match_generic_kernels(self, generic_kernels):
+        db = make_db()
         for sql in (
             "SELECT * FROM t",
             "SELECT k, v FROM t WHERE v >= 10.0 AND v < 90.0",
@@ -162,17 +167,19 @@ class TestVectorizedExecution:
             "SELECT * FROM t WHERE v IS NULL",
             "SELECT * FROM t ORDER BY v DESC LIMIT 7",
         ):
-            assert vector_db.query(sql).rows == row_db.query(sql).rows, sql
+            with generic_kernels():
+                expected = db.query(sql).rows
+            assert db.query(sql).rows == expected, sql
 
     def test_expression_predicate_falls_back_but_stays_correct(self):
         db = make_db()
-        rows = db.query("SELECT id FROM t WHERE v * 2.0 > 190.0").rows
-        assert sorted(rows) == [(96,), (97,), (98,), (99,)]
+        result = db.query("SELECT id FROM t WHERE v * 2.0 > 190.0")
+        assert sorted(result.rows) == [(96,), (97,), (98,), (99,)]
         # Hybrid: the scan is batched, the residual filter is row-wise.
-        assert "scan" in db.last_vectorized_ops
-        assert "filter" not in db.last_vectorized_ops
+        assert "scan" in result.plan.vectorized_ops
+        assert "filter" not in result.plan.vectorized_ops
 
-    def test_join_falls_back_to_row_path(self):
+    def test_join_runs_rows_inside_a_batch_pipeline(self):
         db = make_db()
         db.execute("CREATE TABLE s (id INTEGER, w REAL)")
         db.insert_rows("s", ({"id": i, "w": float(i)} for i in range(50)))
@@ -184,16 +191,22 @@ class TestVectorizedExecution:
         # The outer IN-subquery predicate cannot kernelize, but the
         # inner SELECT still runs batched; both paths agree.
         db = make_db()
-        rows = db.query("SELECT id FROM t WHERE id IN "
-                        "(SELECT id FROM t WHERE v < 2.0)").rows
-        assert sorted(rows) == [(0,), (1,)]
-        assert "scan" in db.last_vectorized_ops
+        result = db.query("SELECT id FROM t WHERE id IN "
+                          "(SELECT id FROM t WHERE v < 2.0)")
+        assert sorted(result.rows) == [(0,), (1,)]
+        # The subquery's tree hangs off the statement root.
+        subquery = [node for node in result.plan.walk()
+                    if node.kind == "subquery"]
+        assert len(subquery) == 1
+        assert "filter" in subquery[0].vectorized_ops
 
     def test_index_probe_beats_vector_scan(self):
         db = make_db()
         db.execute("CREATE INDEX idx_id ON t (id)")
-        assert db.query("SELECT k FROM t WHERE id = 7").rows == [("k2",)]
-        assert "scan" not in db.last_vectorized_ops
+        result = db.query("SELECT k FROM t WHERE id = 7")
+        assert result.rows == [("k2",)]
+        assert "scan" not in result.plan.vectorized_ops
+        assert "index idx_id" in result.plan.format()
 
     def test_type_mismatch_still_raises_through_fallback(self):
         db = make_db()
@@ -221,7 +234,7 @@ class TestExplainMarking:
         planned = db.explain("SELECT * FROM t WHERE v > 5.0")
         marks = {node.kind for node in planned.root.walk()
                  if node.vectorized}
-        assert marks == {"scan", "filter"}
+        assert marks == {"scan", "filter", "project"}
         assert "vectorized" in planned.root.format()
 
     def test_explain_analyze_marks_aggregate_and_notes(self):
@@ -246,15 +259,16 @@ class TestExplainMarking:
                           if node.kind == "filter" and node.vectorized]
         assert len(vector_filters) == 2  # both pushed-down wrappers
 
-    def test_row_path_database_shows_no_marks(self):
-        db = make_db(vectorized=False)
-        planned = db.explain("SELECT * FROM t WHERE v > 5.0")
-        assert not any(node.vectorized for node in planned.root.walk())
-        planned = db.explain("SELECT k, COUNT(*) FROM t GROUP BY k",
-                             analyze=True)
-        assert not any(node.vectorized for node in planned.root.walk())
-        assert not any(note.startswith("vectorized:")
-                       for note in planned.notes)
+    def test_generic_kernels_show_no_marks_above_the_scan(
+            self, generic_kernels):
+        db = make_db()
+        with generic_kernels():
+            plans = [db.explain("SELECT * FROM t WHERE v > 5.0"),
+                     db.explain("SELECT k, COUNT(*) FROM t GROUP BY k",
+                                analyze=True)]
+        for planned in plans:
+            assert {node.kind for node in planned.root.walk()
+                    if node.vectorized} == {"scan"}
 
     def test_cost_model_prefers_vectorized_scans(self):
         from repro.planner.cost import CostModel
@@ -283,13 +297,15 @@ class TestBatchTelemetry:
         assert ops["filter"] == 49.0     # rows surviving the mask
         assert ops["aggregate"] == 100.0
 
-    def test_row_path_database_records_nothing(self):
+    def test_generic_kernels_record_only_the_scan(self, generic_kernels):
         telemetry = Telemetry(TelemetryOptions())
-        db = make_db(vectorized=False)
+        db = make_db()
         db.attach_telemetry(telemetry)
-        db.query("SELECT k, COUNT(*) FROM t GROUP BY k")
-        metrics = telemetry.metrics.to_dict()
-        assert metrics["repro_exec_vectorized_total"]["series"] == []
+        with generic_kernels():
+            db.query("SELECT k, COUNT(*) FROM t GROUP BY k")
+        series = telemetry.metrics.to_dict()[
+            "repro_exec_vectorized_total"]["series"]
+        assert [entry["labels"]["op"] for entry in series] == ["scan"]
 
     def test_metrics_visible_over_rest(self):
         db = Database("bank")
@@ -350,8 +366,8 @@ class TestColumnarDurability:
             "SELECT * FROM t ORDER BY id").rows == expected
         # The recovered table is columnar and vectorizes immediately.
         assert isinstance(recovered.catalog.table("t"), Table)
-        recovered.query("SELECT k, COUNT(*) FROM t GROUP BY k")
-        assert "aggregate" in recovered.last_vectorized_ops
+        result = recovered.query("SELECT k, COUNT(*) FROM t GROUP BY k")
+        assert "aggregate" in result.plan.vectorized_ops
         recovered_manager.close()
 
 
@@ -359,8 +375,9 @@ class TestColumnarDurability:
 
 
 def test_planner_disabled_still_vectorizes_execution():
-    db = Database(planner=PlannerOptions(enabled=False), vectorized=True)
+    db = Database(planner=PlannerOptions(enabled=False))
     db.execute("CREATE TABLE t (id INTEGER, v REAL)")
     db.insert_rows("t", ({"id": i, "v": float(i)} for i in range(20)))
-    assert len(db.query("SELECT * FROM t WHERE v >= 10.0").rows) == 10
-    assert "scan" in db.last_vectorized_ops
+    result = db.query("SELECT * FROM t WHERE v >= 10.0")
+    assert len(result.rows) == 10
+    assert {"scan", "filter"} <= result.plan.vectorized_ops

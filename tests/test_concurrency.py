@@ -366,27 +366,27 @@ def test_analyze_all_skips_concurrent_enrichment_temp_tables():
     db.drop_temp_table(temp.name)
 
 
-def test_last_plan_is_thread_local():
+def test_each_result_carries_its_own_plan():
     db = Database()
     db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
     db.insert_rows("t", ({"a": i, "b": i % 3} for i in range(200)))
     db.execute("ANALYZE")
     join = "SELECT t.a FROM t JOIN t AS u ON t.a = u.a"
-    db.query(join)
-    mine = db.last_plan
-    assert mine is not None
+    mine = db.query(join)
+    counted = mine.plan.actual_rows
 
     seen = []
 
     def other():
-        db.query(join + " WHERE t.b = 1")
-        seen.append(db.last_plan)
+        seen.append(db.query(join + " WHERE t.b = 1"))
 
     thread = threading.Thread(target=other)
     thread.start()
-    thread.join()
-    assert seen[0] is not None
-    assert db.last_plan is mine           # not clobbered by the other thread
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert seen[0].plan is not mine.plan
+    assert seen[0].plan.actual_rows == len(seen[0].rows) < counted
+    assert mine.plan.actual_rows == counted   # untouched by the other run
 
 
 def test_pool_username_rules():

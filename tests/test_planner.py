@@ -281,13 +281,16 @@ def test_explain_without_analyze_runs_nothing():
                for node in planned.root.walk())
 
 
-def test_plain_execution_skips_row_counters():
+def test_plain_execution_returns_the_tree_that_ran():
+    # Counters are per batch, so every execution carries them — the
+    # result's plan is the same tree EXPLAIN ANALYZE would show.
     db = make_db()
-    db.query(SKEWED)
-    assert db.last_plan is not None
-    joins = [node for node in db.last_plan.root.walk()
+    result = db.query(SKEWED)
+    joins = [node for node in result.plan.walk()
              if node.kind.endswith("-join")]
-    assert joins and all(node.actual_rows is None for node in joins)
+    assert joins and all(node.actual_rows is not None for node in joins)
+    assert result.plan.kind == "result"
+    assert result.plan.actual_rows == len(result.rows)
 
 
 def test_explain_requires_a_select():
@@ -305,7 +308,7 @@ def test_planner_failure_degrades_to_as_written(monkeypatch):
     monkeypatch.setattr(plan_module, "_plan_query", boom)
     result = db.query(SKEWED)
     assert len(result.rows) == 50
-    assert any("planning failed" in note for note in db.last_plan.notes)
+    assert any("planning failed" in note for note in result.plan.notes)
 
 
 # -- session explain surfaces the databank plan ------------------------------
@@ -351,10 +354,14 @@ def test_sorted_index_probe_reverifies_float_collapsed_keys():
     assert rows == [(big + 1,)]
 
 
-def test_last_plan_resets_when_planner_toggled_off():
+def test_unplanned_results_carry_a_tree_without_estimates():
     db = make_db()
-    db.query(SKEWED)
-    assert db.last_plan is not None
+    db.analyze()
+    assert any(node.est_rows is not None
+               for node in db.query(SKEWED).plan.walk())
     db.planner = db.planner.replace(enabled=False)
-    db.query(SKEWED)
-    assert db.last_plan is None
+    unplanned = db.query(SKEWED).plan
+    assert all(node.est_rows is None for node in unplanned.walk())
+    # Same operator classes either way: the written order, built as is.
+    assert [node.kind for node in unplanned.walk()].count("hash-join") \
+        + [node.kind for node in unplanned.walk()].count("index-join") == 2

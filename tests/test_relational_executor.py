@@ -273,3 +273,143 @@ def test_case_expression_in_projection(landfill_db):
 def test_duplicate_alias_rejected(landfill_db):
     with pytest.raises(Exception):
         landfill_db.query("SELECT * FROM landfill a, landfill a")
+
+
+# -- the operator tree ---------------------------------------------------------
+
+
+def test_sorted_index_point_probe_rechecks_float_collapsed_keys(db):
+    # SortedIndex keys are floats, which collapse integers beyond 2**53:
+    # the WHERE probe must verify its candidates like the join probe.
+    db.execute_script("""
+        CREATE TABLE t (k INTEGER, v TEXT);
+        INSERT INTO t VALUES (9007199254740992,'a'),(9007199254740993,'b');
+        CREATE INDEX ix ON t (k) USING sorted;
+    """)
+    result = db.query("SELECT v FROM t WHERE k = 9007199254740993")
+    assert "index ix" in result.plan.format()
+    assert result.rows == [("b",)]
+
+
+@pytest.mark.parametrize("planner_on", [True, False])
+def test_set_op_columns_mixing_type_families_stay_on_generic_kernels(
+        planner_on):
+    # A set operation's column is untyped, whatever its first operand
+    # says: over mixed families raw ``==`` / ``<`` / hashing (1 == True)
+    # differ from SQL comparison, so masks, typed group keys and column
+    # folds must not run on it.
+    from repro.planner import PlannerOptions
+    from repro.relational.errors import TypeMismatchError
+    db = Database(planner=PlannerOptions(enabled=planner_on))
+    db.execute_script("""
+        CREATE TABLE a (i INTEGER, b BOOLEAN, s TEXT);
+        INSERT INTO a VALUES (1, TRUE, 'x'), (2, FALSE, 'y');
+    """)
+    bools = "(SELECT i AS k FROM a UNION {} SELECT b FROM a) d"
+    texts = "(SELECT i AS k FROM a UNION ALL SELECT s FROM a) d"
+    assert db.query(f"SELECT k FROM {bools.format('')} WHERE k = 1"
+                    ).rows == [(1,)]
+    assert db.query(f"SELECT k FROM {bools.format('ALL')} WHERE k IN (1, 2)"
+                    ).rows == [(1,), (2,)]
+    assert db.query(f"SELECT k, COUNT(*) FROM {bools.format('ALL')} "
+                    "GROUP BY k").rows == [
+        (1, 1), (2, 1), (True, 1), (False, 1)]
+    assert db.query(f"SELECT COUNT(DISTINCT k) FROM {bools.format('ALL')}"
+                    ).rows == [(4,)]
+    assert db.query("SELECT i FROM (SELECT * FROM a UNION "
+                    "SELECT b, b, b FROM a) d WHERE i = 1").rows == [(1,)]
+    for select in ("k FROM {} WHERE k < 3", "MIN(k) FROM {}",
+                   "MAX(k) FROM {}", "SUM(k) FROM {}"):
+        with pytest.raises(TypeMismatchError):
+            db.query("SELECT " + select.format(texts))
+
+
+@pytest.fixture(scope="module")
+def shapes_db():
+    database = Database()
+    database.execute_script("""
+        CREATE TABLE big (id INTEGER, grp TEXT, v REAL, tag_id INTEGER);
+        CREATE TABLE tag (id INTEGER PRIMARY KEY, name TEXT);
+        CREATE TABLE note (tag_id INTEGER, body TEXT);
+    """)
+    database.insert_rows("big", (
+        {"id": i, "grp": f"g{i % 7}", "v": float((i * 37) % 101),
+         "tag_id": i % 13 if i % 5 else None} for i in range(500)))
+    database.execute("DELETE FROM big WHERE id % 11 = 3")
+    database.insert_rows("tag", ({"id": i, "name": f"t{i}"}
+                                 for i in range(10)))
+    database.insert_rows("note", ({"tag_id": i % 12, "body": f"n{i}"}
+                                  for i in range(40)))
+    return database
+
+
+SHAPES = [
+    "SELECT * FROM big",
+    "SELECT id, v FROM big WHERE v > 40.0 AND grp <> 'g3'",
+    "SELECT id FROM big WHERE v * 2.0 > 90.0 AND id < 400",
+    "SELECT grp, COUNT(*), SUM(v), MIN(id) FROM big GROUP BY grp",
+    "SELECT grp, COUNT(DISTINCT tag_id) FROM big WHERE v < 80.0 "
+    "GROUP BY grp HAVING COUNT(*) > 10",
+    "SELECT DISTINCT grp, tag_id FROM big",
+    "SELECT id, v FROM big ORDER BY v DESC, id LIMIT 25 OFFSET 5",
+    "SELECT id FROM big LIMIT 9 OFFSET 440",
+    "SELECT big.id, tag.name FROM big JOIN tag ON big.tag_id = tag.id "
+    "WHERE big.v > 50.0",
+    "SELECT big.id, tag.name, note.body FROM big "
+    "LEFT JOIN tag ON big.tag_id = tag.id "
+    "LEFT JOIN note ON note.tag_id = tag.id WHERE big.id < 60",
+    "SELECT grp FROM big WHERE id < 20 UNION SELECT name FROM tag",
+    "SELECT id FROM big WHERE tag_id IN (SELECT id FROM tag WHERE id > 6)",
+]
+
+
+@pytest.mark.parametrize("sql", SHAPES)
+def test_batch_size_never_changes_rows_or_order(shapes_db, monkeypatch, sql):
+    from repro.relational import batch
+    results = {}
+    for size in (1, 7, 2048):
+        monkeypatch.setattr(batch, "BATCH_SIZE", size)
+        results[size] = shapes_db.query(sql).rows
+    assert results[2048]
+    assert results[1] == results[7] == results[2048]
+
+
+def _counts(planned):
+    return {(node.kind, node.label): node.actual_rows
+            for node in planned.root.walk()}
+
+
+def test_explain_analyze_counts_match_independent_counts(shapes_db):
+    big = list(shapes_db.table("big").rows())
+    masked = [row for row in big if row[2] > 40.0]            # kernel
+    kept = [row for row in masked if (row[0] * 3) % 7 < 4]    # residual
+    planned = shapes_db.explain(
+        "SELECT id FROM big WHERE v > 40.0 AND (id * 3) % 7 < 4",
+        analyze=True)
+    where = next(node for node in planned.root.walk()
+                 if node.kind == "filter")
+    assert where.vectorized and where.fallbacks   # a hybrid filter
+    assert _counts(planned) == {
+        ("result", "select"): len(kept), ("project", "id"): len(kept),
+        ("filter", "WHERE"): len(kept), ("scan", "big"): len(big)}
+
+    tags = {row[0]: row for row in shapes_db.table("tag").rows()}
+    notes = list(shapes_db.table("note").rows())
+    first = [row for row in big if row[3] in tags]
+    second = [(row, note) for row in first for note in notes
+              if note[0] == row[3]]
+    shapes_db.planner = shapes_db.planner.replace(enabled=False)
+    try:
+        planned = shapes_db.explain(
+            "SELECT big.id, note.body FROM big "
+            "JOIN tag ON big.tag_id = tag.id "
+            "JOIN note ON note.tag_id = tag.id", analyze=True)
+    finally:
+        shapes_db.planner = shapes_db.planner.replace(enabled=True)
+    assert _counts(planned) == {
+        ("result", "select"): len(second),
+        ("project", "id, body"): len(second),
+        ("hash-join", "to note"): len(second),
+        ("hash-join", "to tag"): len(first),
+        ("scan", "big"): len(big), ("scan", "tag"): len(tags),
+        ("scan", "note"): len(notes)}
