@@ -40,7 +40,7 @@ from conftest import scaled
 from repro.rdf import TripleStore
 from repro.rwlock import RWLock
 from repro.smartground import synthetic_kb
-from repro.sparql import SparqlEngine
+from repro.sparql import NaiveEvaluator, SparqlEngine, parse_sparql
 
 TRIPLES = scaled(50_000, floor=5_000)
 LOAD_TRIPLES = scaled(20_000, floor=5_000)
@@ -124,8 +124,8 @@ def test_e12_bgp_join_planned(benchmark, kb):
 
 
 def test_e12_bgp_join_naive(benchmark, kb):
-    engine = SparqlEngine(kb, evaluator="naive")
-    results = benchmark(lambda: engine.query(BGP_QUERY))
+    results = benchmark(
+        lambda: NaiveEvaluator(kb).select(parse_sparql(BGP_QUERY)))
     assert len(results) > 0
 
 
@@ -178,13 +178,15 @@ def test_e12_set_at_a_time_evaluator_wins(kb):
     """The acceptance gate: identical solutions, ≥5x faster than the
     pinned naive interpreter on the multi-pattern BGP join."""
     planned = SparqlEngine(kb)
-    naive = SparqlEngine(kb, evaluator="naive")
+    def naive():
+        return NaiveEvaluator(kb).select(parse_sparql(BGP_QUERY))
+
     fast = planned.query(BGP_QUERY)
-    slow = naive.query(BGP_QUERY)
+    slow = naive()
     assert _multiset(fast) == _multiset(slow)
 
     planned_s = _best_of(lambda: planned.query(BGP_QUERY), repeats=3)
-    naive_s = _best_of(lambda: naive.query(BGP_QUERY), repeats=3)
+    naive_s = _best_of(naive, repeats=3)
     speedup = naive_s / planned_s
     print(f"\nE12 bgp-join: naive={naive_s * 1000:.1f}ms "
           f"planned={planned_s * 1000:.1f}ms speedup={speedup:.1f}x "

@@ -23,11 +23,16 @@ duck-typed hook attributes rather than imports.  Nothing in the
     own the wiring (``cluster``).  Everyone else must import lazily
     inside the enable/attach call.
 
-``locks``
+``choke-points``
+    One table, method name → the only files allowed to call it.
     ``Table.insert_row`` / ``update_row`` / ``delete_row`` assume the
-    caller holds the databank's write lock, so calls may appear only
-    at the whitelisted choke points (``relational/engine.py``,
-    ``relational/table.py``).
+    caller holds the databank's write lock (``relational/engine.py``,
+    ``relational/table.py``); the SESQL pipeline's stage methods
+    (``extraction_for`` / ``apply_where_rewrites`` /
+    ``combine_enrichments``) are driven by the one run in
+    ``core/engine.py``, and the mediator's ship step by the one
+    ``shipped`` scope in ``federation/mediator.py`` — a second copy of
+    either sequence elsewhere fails here.
 
 Defaults live in :data:`DEFAULT_CONFIG`; a ``[tool.repro.archlint]``
 table in ``pyproject.toml`` overrides them key by key.  Run as
@@ -78,8 +83,16 @@ DEFAULT_CONFIG: dict = {
     },
     "hook-modules": ["telemetry", "durability"],
     "hook-importers": ["cluster", "telemetry", "durability"],
-    "mutator-methods": ["insert_row", "update_row", "delete_row"],
-    "mutator-files": ["relational/engine.py", "relational/table.py"],
+    "choke-points": {
+        "insert_row": ["relational/engine.py", "relational/table.py"],
+        "update_row": ["relational/engine.py", "relational/table.py"],
+        "delete_row": ["relational/engine.py", "relational/table.py"],
+        "extraction_for": ["core/engine.py"],
+        "apply_where_rewrites": ["core/engine.py"],
+        "combine_enrichments": ["core/engine.py"],
+        "_ship_parsed": ["federation/mediator.py"],
+        "ship": ["federation/mediator.py"],
+    },
 }
 
 
@@ -89,7 +102,7 @@ class Violation:
 
     file: str
     line: int
-    rule: str      # 'layering' | 'layering-cycle' | 'hooks' | 'locks'
+    rule: str      # 'layering' | 'layering-cycle' | 'hooks' | 'choke-points'
     message: str
 
     def format(self) -> str:
@@ -199,8 +212,7 @@ def check_tree(root: Path, config: dict | None = None) -> list[Violation]:
     lazy_layers = config["lazy-layers"]
     hook_modules = set(config["hook-modules"])
     hook_importers = set(config["hook-importers"])
-    mutators = set(config["mutator-methods"])
-    mutator_files = set(config["mutator-files"])
+    choke_points = config["choke-points"]
 
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root).as_posix()
@@ -231,15 +243,15 @@ def check_tree(root: Path, config: dict | None = None) -> list[Violation]:
                     f"import it lazily where the hook is attached"))
 
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in mutators
-                    and relative not in mutator_files):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            allowed = choke_points.get(node.func.attr)
+            if allowed is not None and relative not in allowed:
                 violations.append(Violation(
-                    relative, node.lineno, "locks",
-                    f".{node.func.attr}() assumes the write lock is "
-                    f"held; call it only from "
-                    f"{sorted(mutator_files)}"))
+                    relative, node.lineno, "choke-points",
+                    f".{node.func.attr}() is a choke point; call it "
+                    f"only from {sorted(allowed)}"))
 
     cycle = _find_cycle(observed)
     if cycle:

@@ -1,15 +1,17 @@
 """Structured query plans returned by ``Session.explain()``.
 
-``explain()`` runs the *planning* stages of the Fig. 6 pipeline — parse
-(or plan-cache recall), parameter binding, SPARQL extraction and the
-WHERE rewrite — but, by default, never the databank query or the
-combine join, so it is safe to call on expensive queries.  The plan
-exposes exactly what an execution would do: the stage list, every
-SPARQL text, the rewritten SQL, how many extractions were served from
-cache, and the databank's cost-based operator tree with estimated rows
-per operator.  ``explain(..., analyze=True)`` additionally runs the
-databank stage with row counters attached, so every operator reports
-estimated *and* actual rows.
+``explain()`` is the third drain of the engine's one pipeline run (see
+:mod:`repro.core.engine`): the same stage sequence an execution goes
+through — SPARQL extraction, WHERE rewrite, databank, extraction again —
+with ``databank.explain`` in place of the databank query and no combine
+join, so by default it is safe to call on expensive queries.  The
+session prepends the parse (or plan-cache recall) and bind stages and
+:func:`plan_stages` renders the run's stage records; the stage list,
+every SPARQL text, the rewritten SQL and the cache counters are
+therefore what an execution records, by construction.  The databank's
+cost-based operator tree carries estimated rows per operator;
+``explain(..., analyze=True)`` additionally runs the databank stage, so
+every operator reports estimated *and* actual rows.
 """
 
 from __future__ import annotations
@@ -37,6 +39,23 @@ class PlanStage:
         lines = [f"{self.name}{marker}: {self.description}"]
         lines.extend(f"    {query}" for query in self.queries)
         return "\n".join(lines)
+
+
+def plan_stages(records, analyze: bool = False) -> list[PlanStage]:
+    """The engine's stage records (``extract | rewrite | sql |
+    combine``, as the pipeline run appended them) as plan stages."""
+    describe = {
+        "extract": "SQM extraction for {}",
+        "rewrite": "tagged conditions rewritten over extraction temp "
+                   "tables",
+        "sql": ("databank executed the (rewritten) SQL [analyze]"
+                if analyze else "databank executes the (rewritten) SQL"),
+        "combine": "JoinManager folds {}",
+    }
+    return [PlanStage(record.name,
+                      describe[record.name].format(record.detail),
+                      list(record.queries), cached=record.cached)
+            for record in records]
 
 
 @dataclass

@@ -55,10 +55,8 @@ class PreparedQuery:
     def execute(self, params=None, *, include_original=None,
                 join_strategy=None):
         """Run the query; skips re-parsing and re-runs only stale SPARQL."""
-        return self._session._execute_prepared(self, params, {
-            "include_original": include_original,
-            "join_strategy": join_strategy,
-        })
+        return self._session._execute_prepared(
+            self, params, include_original, join_strategy)
 
     def execute_many(self, param_rows) -> list:
         """Execute once per parameter row, reusing the parsed template."""
@@ -69,10 +67,8 @@ class PreparedQuery:
         """Run lazily: a :class:`~repro.relational.Cursor` whose rows
         are produced as fetched, with SELECT enrichments combined one
         page at a time (see :meth:`repro.api.Session.stream`)."""
-        return self._session._stream_prepared(self, params, {
-            "include_original": include_original,
-            "join_strategy": join_strategy,
-        }, page_size=page_size)
+        return self._session._stream_prepared(
+            self, params, include_original, join_strategy, page_size)
 
     def explain(self, params=None, *, analyze: bool = False):
         """The :class:`~repro.api.QueryPlan`; by default nothing is

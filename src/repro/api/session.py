@@ -22,6 +22,7 @@ query.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..analysis import (AnalysisError, AnalysisReport, DEFAULT_OPTIONS,
@@ -29,12 +30,11 @@ from ..analysis import (AnalysisError, AnalysisReport, DEFAULT_OPTIONS,
 from ..core.ast import EnrichedQuery
 from ..core.engine import SESQLEngine, SESQLResult
 from ..core.sqp import expand_placeholders
-from ..relational.render import render_query
 from ..relational.result import ResultSet
 from .cache import ExtractionCache, PlanCache
 from .errors import SessionError
 from .options import QueryOptions
-from .plan import PlanStage, QueryPlan
+from .plan import PlanStage, QueryPlan, plan_stages
 from .prepared import PreparedQuery
 
 
@@ -268,95 +268,87 @@ class Session:
 
     # -- prepared-query internals ------------------------------------------------
 
-    def _overrides(self, overrides: dict) -> tuple[bool | None, str | None]:
-        """Per-call > session options > engine defaults (None = defer)."""
-        include = overrides.get("include_original")
-        if include is None:
-            include = self.options.include_original
-        strategy = overrides.get("join_strategy") \
-            or self.options.join_strategy
-        return include, strategy
+    def _drain(self, drain, enriched: EnrichedQuery,
+               include_original: bool | None = None,
+               join_strategy: str | None = None, **extra):
+        """Call one of the engine's three drains of the pipeline run on
+        a bound (hence private: ``reuse_ast``) statement.  Per-call >
+        session options > engine defaults (None = defer)."""
+        if include_original is None:
+            include_original = self.options.include_original
+        return drain(enriched, knowledge_base=self._current_kb(),
+                     include_original=include_original,
+                     join_strategy=(join_strategy
+                                    or self.options.join_strategy),
+                     reuse_ast=True, **extra)
 
-    def _execute_prepared(self, prepared: PreparedQuery, params,
-                          overrides: dict) -> SESQLResult:
-        self._check_open()
-        include, strategy = self._overrides(overrides)
-        enriched = prepared.bind(params)
+    @contextmanager
+    def _root_span(self, name: str, backend: str, prepared: PreparedQuery):
+        """The root span one prepared execution runs under (yields None
+        with telemetry off).  A failure finishes and records it here;
+        on success the caller decides when the query is over —
+        :meth:`_finish_root` at once, or when a stream is drained."""
         tel = self.telemetry
         if tel is None:
-            outcome = self.engine.execute_parsed(
-                enriched, knowledge_base=self._current_kb(),
-                include_original=include, join_strategy=strategy,
-                reuse_ast=True)  # bind() already produced a private copy
-            if self._on_result is not None:
-                self._on_result(outcome)
-            return outcome
-        root = tel.tracer.start_root(
-            "sesql.query", statement=prepared.text)
+            yield None
+            return
+        root = tel.tracer.start_root(name, statement=prepared.text)
+        self._last_trace = root
         try:
             with tel.tracer.activate(root):
                 tel.tracer.record_synthetic(
                     "sesql.parse", prepared.parse_time_s,
                     cached=prepared.from_cache)
-                outcome = self.engine.execute_parsed(
-                    enriched, knowledge_base=self._current_kb(),
-                    include_original=include, join_strategy=strategy,
-                    reuse_ast=True)
-                # Observer runs inside the root span: a context-feed's
-                # journaled writes (and any snapshot they trigger) are
-                # attributed to the query that caused them.
-                if self._on_result is not None:
-                    self._on_result(outcome)
+                yield root
         except BaseException as exc:
             root.finish(error=exc)
-            self._last_trace = root
-            tel.record_query(root, backend="sesql",
+            tel.record_query(root, backend=backend,
                              statement=prepared.text,
                              user=self._telemetry_user)
             raise
+
+    def _finish_root(self, tel, root, backend: str, statement: str,
+                     rows: int) -> None:
         root.finish()
-        root.attrs["rows"] = len(outcome.result)
-        self._last_trace = root
-        tel.record_query(root, backend="sesql", statement=prepared.text,
-                         user=self._telemetry_user,
-                         rows=len(outcome.result))
+        root.attrs["rows"] = rows
+        tel.record_query(root, backend=backend, statement=statement,
+                         user=self._telemetry_user, rows=rows)
+
+    def _execute_prepared(self, prepared: PreparedQuery, params,
+                          include_original=None,
+                          join_strategy=None) -> SESQLResult:
+        self._check_open()
+        enriched = prepared.bind(params)
+        with self._root_span("sesql.query", "sesql", prepared) as root:
+            outcome = self._drain(self.engine.execute_parsed, enriched,
+                                  include_original, join_strategy)
+            # Observer runs inside the root span: a context-feed's
+            # journaled writes (and any snapshot they trigger) are
+            # attributed to the query that caused them.
+            if self._on_result is not None:
+                self._on_result(outcome)
+        if root is not None:
+            self._finish_root(self.telemetry, root, "sesql", prepared.text,
+                              len(outcome.result))
         return outcome
 
     def _stream_prepared(self, prepared: PreparedQuery, params,
-                         overrides: dict, page_size: int = 256):
+                         include_original=None, join_strategy=None,
+                         page_size: int = 256):
         self._check_open()
-        include, strategy = self._overrides(overrides)
         enriched = prepared.bind(params)
-        tel = self.telemetry
         # Streamed executions bypass the on_result observer: the result
         # never materializes in one piece to observe.
-        if tel is None:
-            return self.engine.stream_parsed(
-                enriched, knowledge_base=self._current_kb(),
-                include_original=include, join_strategy=strategy,
-                reuse_ast=True, page_size=page_size)
-        root = tel.tracer.start_root(
-            "sesql.stream", statement=prepared.text)
-        try:
-            with tel.tracer.activate(root):
-                tel.tracer.record_synthetic(
-                    "sesql.parse", prepared.parse_time_s,
-                    cached=prepared.from_cache)
-                inner = self.engine.stream_parsed(
-                    enriched, knowledge_base=self._current_kb(),
-                    include_original=include, join_strategy=strategy,
-                    reuse_ast=True, page_size=page_size)
-        except BaseException as exc:
-            root.finish(error=exc)
-            self._last_trace = root
-            tel.record_query(root, backend="sesql-stream",
-                             statement=prepared.text,
-                             user=self._telemetry_user)
-            raise
-        self._last_trace = root
-        return self._traced_cursor(tel, root, prepared.text, inner)
+        with self._root_span("sesql.stream", "sesql-stream",
+                             prepared) as root:
+            inner = self._drain(self.engine.stream_parsed, enriched,
+                                include_original, join_strategy,
+                                page_size=page_size)
+        if root is None:
+            return inner
+        return self._traced_cursor(root, prepared.text, inner)
 
-    def _traced_cursor(self, tel, root, statement: str, inner):
+    def _traced_cursor(self, root, statement: str, inner):
         """Wrap a streaming cursor so lazy execution stays in the trace.
 
         The root span is re-activated around every row pull (a plain
@@ -366,13 +358,13 @@ class Session:
         drain time — when the stream is exhausted or closed.
         """
         from ..relational.result import Cursor
-        tracer = tel.tracer
+        tel = self.telemetry
 
         def rows():
             source = iter(inner)
             try:
                 while True:
-                    with tracer.activate(root):
+                    with tel.tracer.activate(root):
                         try:
                             row = next(source)
                         except StopIteration:
@@ -380,12 +372,8 @@ class Session:
                     yield row
             finally:
                 if root.open:
-                    root.finish()
-                    root.attrs["rows"] = inner.rows_yielded
-                    tel.record_query(root, backend="sesql-stream",
-                                     statement=statement,
-                                     user=self._telemetry_user,
-                                     rows=inner.rows_yielded)
+                    self._finish_root(tel, root, "sesql-stream",
+                                      statement, inner.rows_yielded)
 
         return Cursor(inner.columns, rows(), on_close=inner.close,
                       plan=inner.plan)
@@ -393,92 +381,27 @@ class Session:
     def _explain_prepared(self, prepared: PreparedQuery, params,
                           analyze: bool = False) -> QueryPlan:
         self._check_open()
-        include, strategy = self._overrides({})
-        engine = self.engine
-        if include is None:
-            include = engine.include_original
-        strategy = strategy or engine.join_strategy
-        enriched = prepared.bind(params)
-        kb = self._current_kb()
-        cache = engine.sqm.cache
-        hits_before = cache.hits if cache is not None else 0
-        misses_before = cache.misses if cache is not None else 0
-
+        run = self._drain(self.engine.explain_parsed,
+                          prepared.bind(params), analyze=analyze)
         stages = [PlanStage(
             "parse", "SQP: split SESQL, strip tags, parse SQL + enrichments",
-            [enriched.sql_text], cached=prepared.from_cache)]
+            [run.enriched.sql_text], cached=prepared.from_cache)]
         if prepared.parameter_count:
             stages.append(PlanStage(
                 "bind", f"splice {prepared.parameter_count} typed "
                 "parameter(s) into the AST"))
-
-        sparql_queries: list[str] = []
-        # Statement-level dedupe memo: every logical extraction still
-        # gets its own plan stage and ``sparql_queries`` entry, but
-        # duplicates execute once and report as cached.
-        memo: dict = {}
-
-        def extract_stage(enrichment):
-            seen = cache.hits if cache is not None else 0
-            deduped = engine.extraction_key(enrichment) in memo
-            extraction = engine.extraction_for(enrichment, kb, memo)
-            hit = deduped or (cache is not None and cache.hits > seen)
-            sparql_queries.append(extraction.sparql)
-            stages.append(PlanStage(
-                "extract", f"SQM extraction for {enrichment.kind}",
-                [extraction.sparql], cached=hit))
-            return extraction
-
-        where_plan = [(enrichment, extract_stage(enrichment))
-                      for enrichment in enriched.where_enrichments()]
-        rewriter = None
-        if where_plan:
-            rewriter = engine.apply_where_rewrites(enriched, where_plan,
-                                                   include)
-        try:
-            rewritten_sql = render_query(enriched.query)
-            # The databank's cost-based plan (estimates; plus actual
-            # rows when analyze is requested).  Planned while the
-            # extraction temp tables still exist, so enrichment-
-            # injected predicates are estimated like any others.
-            db_plan = None
-            databank_explain = getattr(engine.databank, "explain", None)
-            if databank_explain is not None:
-                db_plan = databank_explain(enriched.query, analyze=analyze)
-        finally:
-            if rewriter is not None:
-                rewriter.cleanup()
-        if where_plan:
-            stages.append(PlanStage(
-                "rewrite", "tagged conditions rewritten over extraction "
-                "temp tables", [rewritten_sql]))
-        stages.append(PlanStage(
-            "sql", ("databank executed the (rewritten) SQL [analyze]"
-                    if analyze else
-                    "databank executes the (rewritten) SQL"),
-            [rewritten_sql]))
-
-        select_enrichments = enriched.select_enrichments()
-        for enrichment in select_enrichments:
-            extract_stage(enrichment)
-        if select_enrichments:
-            stages.append(PlanStage(
-                "combine", f"JoinManager folds {len(select_enrichments)} "
-                f"SELECT enrichment(s) [{strategy} strategy]"))
-
+        stages.extend(plan_stages(run.stages, analyze))
         return QueryPlan(
             statement=prepared.text,
-            base_sql=enriched.sql_text,
-            rewritten_sql=rewritten_sql,
-            join_strategy=strategy,
+            base_sql=run.enriched.sql_text,
+            rewritten_sql=run.executed_sql,
+            join_strategy=run.strategy,
             stages=stages,
-            sparql_queries=sparql_queries,
-            cache_hits=(cache.hits - hits_before
-                        if cache is not None else 0),
-            cache_misses=(cache.misses - misses_before
-                          if cache is not None else 0),
+            sparql_queries=run.queries("extract"),
+            cache_hits=run.total("cache_hits"),
+            cache_misses=run.total("cache_misses"),
             parse_cached=prepared.from_cache,
-            db_plan=db_plan,
+            db_plan=run.base,
             diagnostics=prepared.diagnostics,
         )
 

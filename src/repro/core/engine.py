@@ -13,11 +13,21 @@
    enrichment through the temporary support database, issuing the final
    SQL query that yields the enriched result.
 
-The pipeline is factored into *resumable stages* so the session layer
-(:mod:`repro.api`) can drive them independently: ``execute_parsed``
-accepts a pre-parsed (prepared) query and skips the SQP, while
-``extraction_plan`` / ``apply_where_rewrites`` let ``explain()`` run the
-planning stages without touching the databank result.
+That stage sequence is written **once**, in ``SESQLEngine._run``.  A
+run resolves the per-call defaults, takes a private copy of the AST,
+keeps one statement memo and appends a record per stage as it happens
+(name, SPARQL or SQL texts, cached/deduped, seconds); it alone cleans up
+the rewriter's temp tables and an open databank cursor.  The public
+entry points are three *drains* of that run, differing only in what
+they plug into its databank and combine steps:
+
+* ``execute_parsed`` — ``databank.execute_ast`` + ``combine_enrichments``
+  under the configured strategy; the ``SESQLResult`` is read off the
+  records;
+* ``stream_parsed`` — ``databank.stream_ast`` + page-wise prepared
+  combiners, behind a ``Cursor`` that releases the run when it closes;
+* ``explain_parsed`` — ``databank.explain`` and no combine; the session
+  layer (:mod:`repro.api`) renders the same records as plan stages.
 """
 
 from __future__ import annotations
@@ -81,6 +91,57 @@ class SESQLResult:
     @property
     def columns(self) -> list[str]:
         return self.result.columns
+
+
+@dataclass
+class _Stage:
+    """One pipeline stage as it ran: what ``SESQLResult`` and the
+    session layer's ``explain()`` are both read off."""
+
+    name: str                 # extract | rewrite | sql | combine
+    detail: str = ""          # extract: enrichment kind; combine: what
+    queries: list[str] = field(default_factory=list)
+    seconds: float = 0.0
+    #: extract: served by the statement memo or the extraction cache,
+    #: i.e. no SPARQL query reached the KB for it.
+    cached: bool = False
+    cache_hits: int = 0       # extraction-cache lookups of this stage
+    cache_misses: int = 0
+
+
+@dataclass
+class _PipelineRun:
+    """One pass of the stage sequence over one statement: the records,
+    what the stages produced, and the resources a pass can leave open."""
+
+    enriched: EnrichedQuery           # private copy, rewritten in place
+    strategy: str
+    stages: list[_Stage] = field(default_factory=list)
+    #: Statement-level dedupe across the WHERE and SELECT stages:
+    #: identical logical extractions execute once.
+    memo: dict = field(default_factory=dict)
+    executed_sql: str = ""            # SQL actually put to the databank
+    rewriter: WhereRewriter | None = None
+    base: object = None               # ResultSet | Cursor | databank plan
+    outcome: object = None            # what the drain's combine returned
+    seconds: float = 0.0
+
+    def release(self) -> None:
+        """Close an open databank cursor (it holds the read lock, and
+        reads the extraction temp tables), then drop those.  Idempotent."""
+        rewriter, self.rewriter = self.rewriter, None
+        if isinstance(self.base, Cursor):
+            self.base.close()
+        if rewriter is not None:
+            rewriter.cleanup()
+
+    def queries(self, name: str) -> list[str]:
+        """Every text the stages called *name* ran, in order."""
+        return [query for stage in self.stages if stage.name == name
+                for query in stage.queries]
+
+    def total(self, counter: str) -> int:
+        return sum(getattr(stage, counter) for stage in self.stages)
 
 
 class SESQLEngine:
@@ -160,71 +221,58 @@ class SESQLEngine:
         raise EnrichmentError(  # pragma: no cover - exhaustive
             f"unhandled enrichment {enrichment.kind}")
 
-    def extraction_for(self, enrichment: Enrichment,
-                       kb: TripleStore,
-                       memo: dict | None = None) -> Extraction:
-        """Run (or recall from cache/memo) the SQM extraction for one
-        clause.  *memo* dedupes identical extractions within a single
-        statement; the SQM's generation-keyed cache dedupes across
+    def extraction_for(self, enrichment: Enrichment, kb: TripleStore,
+                       run: _PipelineRun) -> Extraction:
+        """Run (or recall) the SQM extraction for one clause and append
+        its stage record.  The run's memo dedupes identical extractions
+        within the statement — each still gets its own record, reported
+        as cached; the SQM's generation-keyed cache dedupes across
         statements and re-executions."""
+        started = time.perf_counter()
+        stage = _Stage("extract", enrichment.kind)
         key = self.extraction_key(enrichment)
-        if memo is not None:
-            found = memo.get(key)
-            if found is not None:
-                if self.telemetry is not None:
-                    self._tm_dedupe.inc()
-                return found
-        if key[0] == "values":
-            extraction = self.sqm.values_for(kb, enrichment.prop,
-                                             enrichment.constant)
-        elif key[0] == "pairs":
-            extraction = self.sqm.pairs_for(kb, enrichment.prop)
+        extraction = run.memo.get(key)
+        if extraction is not None:
+            stage.cached = True
+            if self.telemetry is not None:
+                self._tm_dedupe.inc()
         else:
-            extraction = self.sqm.subjects_for(kb, enrichment.prop,
-                                               enrichment.concept)
-        if memo is not None:
-            memo[key] = extraction
+            cache = self.sqm.cache
+            hits, misses = ((cache.hits, cache.misses)
+                            if cache is not None else (0, 0))
+            if key[0] == "values":
+                extraction = self.sqm.values_for(kb, enrichment.prop,
+                                                 enrichment.constant)
+            elif key[0] == "pairs":
+                extraction = self.sqm.pairs_for(kb, enrichment.prop)
+            else:
+                extraction = self.sqm.subjects_for(kb, enrichment.prop,
+                                                   enrichment.concept)
+            run.memo[key] = extraction
+            if cache is not None:
+                stage.cache_hits = cache.hits - hits
+                stage.cache_misses = cache.misses - misses
+                stage.cached = stage.cache_hits > 0
+        stage.queries.append(extraction.sparql)
+        stage.seconds = time.perf_counter() - started
+        run.stages.append(stage)
         return extraction
-
-    def extraction_plan(self, enriched: EnrichedQuery, kb: TripleStore,
-                        which: str, memo: dict | None = None
-                        ) -> list[tuple[Enrichment, Extraction]]:
-        """Extractions for the ``"where"`` or ``"select"`` enrichments.
-
-        Pass one *memo* dict across both stages of a statement so a
-        WHERE and a SELECT enrichment over the same property (or stored
-        query) evaluate their SPARQL once.
-        """
-        enrichments = (enriched.where_enrichments() if which == "where"
-                       else enriched.select_enrichments())
-        return [(enrichment, self.extraction_for(enrichment, kb, memo))
-                for enrichment in enrichments]
 
     # -- stage 3: WHERE rewrite + databank query ----------------------------------
 
     def apply_where_rewrites(self, enriched: EnrichedQuery,
                              plan: list[tuple[Enrichment, Extraction]],
-                             include_original: bool) -> WhereRewriter:
-        """Rewrite tagged conditions in place over materialized temp tables.
-
-        The caller owns the returned rewriter and must ``cleanup()`` it
-        once the databank query has run (or been skipped, for explain).
-        """
-        rewriter = WhereRewriter(self.databank, self.mapping,
-                                 include_original)
-        try:
-            for enrichment, extraction in plan:
-                condition = enriched.conditions[enrichment.cond]
-                if isinstance(enrichment, ReplaceConstant):
-                    rewriter.apply_replace_constant(
-                        enriched.query, enrichment, condition, extraction)
-                else:
-                    rewriter.apply_replace_variable(
-                        enriched.query, enrichment, condition, extraction)
-        except BaseException:
-            rewriter.cleanup()
-            raise
-        return rewriter
+                             rewriter: WhereRewriter) -> None:
+        """Rewrite tagged conditions in place over temp tables that
+        *rewriter* materializes (and its owner, the run, drops)."""
+        for enrichment, extraction in plan:
+            condition = enriched.conditions[enrichment.cond]
+            if isinstance(enrichment, ReplaceConstant):
+                rewriter.apply_replace_constant(
+                    enriched.query, enrichment, condition, extraction)
+            else:
+                rewriter.apply_replace_variable(
+                    enriched.query, enrichment, condition, extraction)
 
     # -- stage 4: combine ----------------------------------------------------------
 
@@ -242,7 +290,76 @@ class SESQLEngine:
                 final_sqls.append(outcome.final_sql)
         return current
 
-    # -- the full pipeline ---------------------------------------------------------
+    # -- the pipeline, written once ------------------------------------------------
+
+    def _run(self, enriched: EnrichedQuery,
+             knowledge_base: TripleStore | None,
+             include_original: bool | None, join_strategy: str | None,
+             reuse_ast: bool, databank, combine) -> _PipelineRun:
+        """The Fig. 6 stage sequence; the callers are its drains.
+
+        *databank* maps the rewritten query AST to the base outcome (a
+        ``ResultSet``, a ``Cursor`` or a plan); *combine* maps ``(run,
+        select_plan, final_sqls)`` to the drain's outcome.  Unless
+        ``reuse_ast`` is set, *enriched* is deep-copied first: the WHERE
+        rewrite mutates the AST, and a prepared template must survive.
+        On any error the run is released before the error propagates.
+        """
+        kb = knowledge_base if knowledge_base is not None \
+            else self.knowledge_base
+        include = (self.include_original if include_original is None
+                   else include_original)
+        if not reuse_ast:
+            enriched = clone_enriched(enriched)
+        run = _PipelineRun(enriched, join_strategy or self.join_strategy)
+        tel = self.telemetry
+        started = time.perf_counter()
+        try:
+            with (tel.span("sesql.extract", stage="where")
+                  if tel is not None else _NOOP):
+                where_plan = [
+                    (enrichment, self.extraction_for(enrichment, kb, run))
+                    for enrichment in enriched.where_enrichments()]
+                stage = time.perf_counter()
+                run.rewriter = WhereRewriter(self.databank, self.mapping,
+                                             include)
+                self.apply_where_rewrites(enriched, where_plan,
+                                          run.rewriter)
+                run.executed_sql = render_query(enriched.query)
+                if where_plan:
+                    run.stages.append(_Stage(
+                        "rewrite", queries=[run.executed_sql],
+                        seconds=time.perf_counter() - stage))
+            with (tel.span("sesql.sql") if tel is not None else _NOOP):
+                stage = time.perf_counter()
+                run.base = databank(enriched.query)
+                run.stages.append(_Stage(
+                    "sql", queries=[run.executed_sql],
+                    seconds=time.perf_counter() - stage))
+            if not isinstance(run.base, Cursor):
+                # A materialized result or a plan is done with the
+                # extraction temp tables; a live cursor still reads them.
+                run.release()
+            with (tel.span("sesql.combine", strategy=run.strategy)
+                  if tel is not None else _NOOP):
+                select_plan = [
+                    (enrichment, self.extraction_for(enrichment, kb, run))
+                    for enrichment in enriched.select_enrichments()]
+                stage = time.perf_counter()
+                final_sqls: list[str] = []
+                run.outcome = combine(run, select_plan, final_sqls)
+                if select_plan:
+                    run.stages.append(_Stage(
+                        "combine", f"{len(select_plan)} SELECT "
+                        f"enrichment(s) [{run.strategy} strategy]",
+                        final_sqls, time.perf_counter() - stage))
+        except BaseException:
+            run.release()
+            raise
+        run.seconds = time.perf_counter() - started
+        return run
+
+    # -- drain 1: materialize ------------------------------------------------------
 
     def execute(self, text: str,
                 knowledge_base: TripleStore | None = None,
@@ -265,91 +382,51 @@ class SESQLEngine:
                        join_strategy: str | None = None,
                        reuse_ast: bool = False,
                        parse_time: float = 0.0) -> SESQLResult:
-        """Run stages 2-4 on an already-parsed (e.g. prepared) query.
-
-        Unless ``reuse_ast`` is set, *enriched* is deep-copied first: the
-        WHERE rewrite mutates the query AST, and a prepared template must
-        survive the call unchanged.
-        """
-        kb = knowledge_base if knowledge_base is not None \
-            else self.knowledge_base
-        include = (self.include_original if include_original is None
-                   else include_original)
-        strategy = join_strategy or self.join_strategy
-        if not reuse_ast:
-            enriched = clone_enriched(enriched)
-
-        started = time.perf_counter()
-        timings = {"parse": parse_time}
-        sparql_queries: list[str] = []
-        final_sqls: list[str] = []
-        cache = self.sqm.cache
-        hits_before = cache.hits if cache is not None else 0
-        misses_before = cache.misses if cache is not None else 0
-        executions_before = self.sqm.sparql_execution_count()
-        tel = self.telemetry
-        # One memo across the WHERE and SELECT stages: identical logical
-        # extractions within this statement execute once.
-        memo: dict = {}
-
-        stage = time.perf_counter()
-        with (tel.span("sesql.extract", stage="where")
-              if tel is not None else _NOOP):
-            where_plan = self.extraction_plan(enriched, kb, "where", memo)
-            sparql_queries.extend(x.sparql for _e, x in where_plan)
-            rewriter = self.apply_where_rewrites(enriched, where_plan,
-                                                 include)
-        timings["where_rewrite"] = time.perf_counter() - stage
-
-        db_plan = None
-        try:
-            executed_sql = render_query(enriched.query)
-            stage = time.perf_counter()
-            with (tel.span("sesql.sql") if tel is not None else _NOOP):
-                base = self.databank.execute_ast(enriched.query)
-            timings["sql"] = time.perf_counter() - stage
-            if not isinstance(base, ResultSet):  # pragma: no cover
+        """Run the pipeline on an already-parsed (e.g. prepared) query
+        and materialize: the databank executes the rewritten SQL and the
+        JoinManager folds the SELECT enrichments in under the configured
+        strategy."""
+        def combine(run, select_plan, final_sqls):
+            if not isinstance(run.base, ResultSet):  # pragma: no cover
                 raise EnrichmentError("the SQL part did not produce rows")
-            db_plan = base.plan
-        finally:
-            rewriter.cleanup()
+            return self.combine_enrichments(run.base, select_plan,
+                                            run.strategy, final_sqls)
 
-        stage = time.perf_counter()
-        with (tel.span("sesql.combine", strategy=strategy)
-              if tel is not None else _NOOP):
-            select_plan = self.extraction_plan(enriched, kb, "select", memo)
-            sparql_queries.extend(x.sparql for _e, x in select_plan)
-            current = self.combine_enrichments(base, select_plan, strategy,
-                                               final_sqls)
-        timings["combine"] = time.perf_counter() - stage
-        timings["total"] = parse_time + time.perf_counter() - started
-        if tel is not None:
+        run = self._run(enriched, knowledge_base, include_original,
+                        join_strategy, reuse_ast,
+                        self.databank.execute_ast, combine)
+        sql_at = [stage.name for stage in run.stages].index("sql")
+        timings = {
+            "parse": parse_time,
+            "where_rewrite": sum(s.seconds for s in run.stages[:sql_at]),
+            "sql": run.stages[sql_at].seconds,
+            "combine": sum(s.seconds for s in run.stages[sql_at + 1:]),
+            "total": parse_time + run.seconds,
+        }
+        if self.telemetry is not None:
             for name, hist in self._tm_stage.items():
-                if name in timings:
-                    hist.observe(timings[name])
-
+                hist.observe(timings[name])
         return SESQLResult(
-            result=current,
-            enriched=enriched,
-            base_sql=enriched.sql_text,
-            executed_sql=executed_sql,
-            sparql_queries=sparql_queries,
-            final_sqls=final_sqls,
+            result=run.outcome,
+            enriched=run.enriched,
+            base_sql=run.enriched.sql_text,
+            executed_sql=run.executed_sql,
+            sparql_queries=run.queries("extract"),
+            final_sqls=run.queries("combine"),
             timings=timings,
-            cache_hits=(cache.hits - hits_before
-                        if cache is not None else 0),
-            cache_misses=(cache.misses - misses_before
-                          if cache is not None else 0),
-            sparql_executions=(self.sqm.sparql_execution_count()
-                               - executions_before),
-            db_plan=db_plan,
+            cache_hits=run.total("cache_hits"),
+            cache_misses=run.total("cache_misses"),
+            sparql_executions=sum(
+                stage.name == "extract" and not stage.cached
+                for stage in run.stages),
+            db_plan=run.base.plan,
         )
 
     def query(self, text: str, **kwargs) -> ResultSet:
         """Execute and return just the enriched result rows."""
         return self.execute(text, **kwargs).result
 
-    # -- streaming -----------------------------------------------------------------
+    # -- drain 2: stream -----------------------------------------------------------
 
     def stream(self, text: str,
                knowledge_base: TripleStore | None = None,
@@ -377,62 +454,39 @@ class SESQLEngine:
                       page_size: int = 256) -> Cursor:
         """Streaming counterpart of :meth:`execute_parsed`.
 
-        Stages 2-3 (SPARQL extraction, WHERE rewrite) still run eagerly
-        — they are planning work and must precede the databank query —
-        but the databank result is pulled through a cursor and each
-        SELECT enrichment is folded in per *page_size* rows.  The
-        enrichment temp tables live until the returned cursor is
-        exhausted or closed; observers (``on_result`` context feeding)
-        are not invoked for streamed executions.
+        Extraction and the WHERE rewrite still run eagerly — they are
+        planning work and must precede the databank query — but the
+        databank result is pulled through a cursor and each SELECT
+        enrichment is folded in per *page_size* rows.  The enrichment
+        temp tables live until the returned cursor is exhausted or
+        closed; observers (``on_result`` context feeding) are not
+        invoked for streamed executions.
         """
         if page_size < 1:
             raise EnrichmentError(
                 f"page_size must be positive, got {page_size}")
-        kb = knowledge_base if knowledge_base is not None \
-            else self.knowledge_base
-        include = (self.include_original if include_original is None
-                   else include_original)
-        strategy = join_strategy or self.join_strategy
-        if not reuse_ast:
-            enriched = clone_enriched(enriched)
 
-        tel = self.telemetry
-        memo: dict = {}
-        with (tel.span("sesql.extract", stage="where")
-              if tel is not None else _NOOP):
-            where_plan = self.extraction_plan(enriched, kb, "where", memo)
-            rewriter = self.apply_where_rewrites(enriched, where_plan,
-                                                 include)
-        cleaned = [False]
-
-        def cleanup() -> None:
-            if not cleaned[0]:
-                cleaned[0] = True
-                rewriter.cleanup()
-
-        try:
-            base_cursor = self.databank.stream_ast(enriched.query)
-            with (tel.span("sesql.extract", stage="select")
-                  if tel is not None else _NOOP):
-                select_plan = self.extraction_plan(enriched, kb, "select",
-                                                   memo)
+        def prepare(run, select_plan, _final_sqls):
             # Extraction-side combine structures are built ONCE per
             # cursor and applied page after page (hash-probe semantics
             # identical to the tempdb final-SQL LEFT JOIN, whatever the
             # configured strategy).
-            join_manager = JoinManager(self.mapping, strategy)
+            join_manager = JoinManager(self.mapping, run.strategy)
             combiners = [join_manager.prepare(enrichment, extraction)
                          for enrichment, extraction in select_plan]
-            base_columns = list(base_cursor.columns)
             # Combining an empty page derives the enriched column list
             # (and validates the enrichment attributes) up front.
-            probe = ResultSet(base_columns, [])
+            probe = ResultSet(list(run.base.columns), [])
             for combiner in combiners:
                 probe = combiner.combine(probe)
-            out_columns = probe.columns
-        except BaseException:
-            cleanup()
-            raise
+            return combiners, probe.columns
+
+        run = self._run(enriched, knowledge_base, include_original,
+                        join_strategy, reuse_ast,
+                        self.databank.stream_ast, prepare)
+        base_cursor = run.base
+        base_columns = list(base_cursor.columns)
+        combiners, out_columns = run.outcome
 
         def pages():
             try:
@@ -445,11 +499,30 @@ class SESQLEngine:
                         current = combiner.combine(current)
                     yield from current.rows
             finally:
-                base_cursor.close()
-                cleanup()
+                run.release()
 
-        def on_close() -> None:
-            base_cursor.close()
-            cleanup()
+        return Cursor(out_columns, pages(), on_close=run.release)
 
-        return Cursor(out_columns, pages(), on_close=on_close)
+    # -- drain 3: explain ----------------------------------------------------------
+
+    def explain_parsed(self, enriched: EnrichedQuery,
+                       knowledge_base: TripleStore | None = None,
+                       include_original: bool | None = None,
+                       join_strategy: str | None = None,
+                       reuse_ast: bool = False,
+                       analyze: bool = False) -> _PipelineRun:
+        """Run the pipeline with ``databank.explain`` in place of
+        execution and no combine; returns the run, whose ``stages`` are
+        the records an execution of the same statement would leave and
+        whose ``base`` is the databank's plan (``None`` for a databank
+        that cannot explain).  Planned while the extraction temp tables
+        still exist, so enrichment-injected predicates are estimated
+        like any others; ``analyze=True`` also runs the databank stage.
+        """
+        explain = getattr(self.databank, "explain", None)
+        return self._run(
+            enriched, knowledge_base, include_original, join_strategy,
+            reuse_ast,
+            lambda query: (explain(query, analyze=analyze)
+                           if explain is not None else None),
+            lambda run, select_plan, final_sqls: None)

@@ -212,97 +212,54 @@ class JoinManager:
         if self.strategy == "direct":
             prepared = self.prepare(enrichment, extraction)
             return CombineOutcome(prepared.combine(base), None)
-        new_column = self._new_column_for(enrichment)
         if isinstance(enrichment, (SchemaExtension, SchemaReplacement)):
-            return self._tempdb_pairs(
-                base, find_attr_index(base.columns, enrichment.attr),
-                self._pair_values(extraction), new_column,
-                isinstance(enrichment, SchemaReplacement))
+            pairs = self._pair_values(extraction)
+            return self._tempdb_join(
+                base, enrichment, isinstance(enrichment, SchemaReplacement),
+                lambda tempdb: tempdb.store_pairs(pairs),
+                sql_ast.ColumnRef("c1", "m"))
         if isinstance(enrichment, (BoolSchemaExtension,
                                    BoolSchemaReplacement)):
-            return self._tempdb_flags(
-                base, enrichment.attr, self._subject_values(extraction),
-                new_column, isinstance(enrichment, BoolSchemaReplacement))
+            subjects = sorted((subject for subject
+                               in self._subject_values(extraction)
+                               if subject is not None), key=str)
+            return self._tempdb_join(
+                base, enrichment,
+                isinstance(enrichment, BoolSchemaReplacement),
+                lambda tempdb: tempdb.store_values(subjects, hint="flags"),
+                sql_ast.IsNull(sql_ast.ColumnRef("c0", "m"), negated=True))
         raise EnrichmentError(
             f"{enrichment.kind} is not a SELECT-clause enrichment")
 
     # -- tempdb strategy (paper-faithful final SQL) ------------------------------
 
-    def _tempdb_pairs(self, base: ResultSet, attr_index: int,
-                      pairs: list[tuple], new_column: str,
-                      replace: bool) -> CombineOutcome:
+    def _tempdb_join(self, base: ResultSet, enrichment: Enrichment,
+                     replace: bool, store_map,
+                     value: sql_ast.Expr) -> CombineOutcome:
+        """Both partials as temp tables and the final SQL over them:
+        the base ``b`` LEFT JOINed to the extraction's map table ``m``
+        (stored by *store_map*) on the enrichment attribute, with
+        *value* — an expression over ``m`` — replacing or extending
+        that attribute's column."""
+        attr_index = find_attr_index(base.columns, enrichment.attr)
         tempdb = TemporarySupportDatabase()
         try:
             t_base = tempdb.store_result(base.columns, base.rows)
-            t_map = tempdb.store_pairs(pairs)
+            t_map = store_map(tempdb)
             columns = output_columns(base.columns, attr_index,
-                                     new_column, replace)
-            items: list[sql_ast.SelectItem] = []
-            output_index = 0
-            for index, internal in enumerate(t_base.internal_columns):
-                if replace and index == attr_index:
-                    items.append(sql_ast.SelectItem(
-                        sql_ast.ColumnRef("c1", "m"),
-                        alias=columns[output_index]))
-                else:
-                    items.append(sql_ast.SelectItem(
-                        sql_ast.ColumnRef(internal, "b"),
-                        alias=columns[output_index]))
-                output_index += 1
+                                     self._new_column_for(enrichment),
+                                     replace)
+            items = [sql_ast.SelectItem(
+                value if replace and index == attr_index
+                else sql_ast.ColumnRef(internal, "b"),
+                alias=columns[index])
+                for index, internal in enumerate(t_base.internal_columns)]
             if not replace:
-                items.append(sql_ast.SelectItem(
-                    sql_ast.ColumnRef("c1", "m"), alias=columns[-1]))
+                items.append(sql_ast.SelectItem(value, alias=columns[-1]))
             join = sql_ast.Join(
                 "LEFT",
                 sql_ast.TableRef(t_base.name, "b"),
                 sql_ast.TableRef(t_map.name, "m"),
-                sql_ast.BinaryOp(
-                    "=",
-                    sql_ast.ColumnRef(
-                        t_base.internal_columns[attr_index], "b"),
-                    sql_ast.ColumnRef("c0", "m")))
-            query = sql_ast.SelectQuery(
-                core=sql_ast.SelectCore(items=items, from_clause=join))
-            final_sql = render_query(query)
-            result = tempdb.db.execute_ast(query)
-            return CombineOutcome(ResultSet(columns, result.rows), final_sql)
-        finally:
-            tempdb.cleanup()
-
-    # -- boolean enrichments -----------------------------------------------------------
-
-    def _tempdb_flags(self, base: ResultSet, attr: str,
-                      subjects: set, new_column: str,
-                      replace: bool) -> CombineOutcome:
-        attr_index = find_attr_index(base.columns, attr)
-        tempdb = TemporarySupportDatabase()
-        try:
-            t_base = tempdb.store_result(base.columns, base.rows)
-            t_flag = tempdb.store_values(sorted(
-                (s for s in subjects if s is not None),
-                key=lambda v: str(v)), hint="flags")
-            columns = output_columns(base.columns, attr_index,
-                                     new_column, replace)
-            flag_expr = sql_ast.IsNull(
-                sql_ast.ColumnRef("c0", "m"), negated=True)
-            items = []
-            output_index = 0
-            for index, internal in enumerate(t_base.internal_columns):
-                if replace and index == attr_index:
-                    items.append(sql_ast.SelectItem(
-                        flag_expr, alias=columns[output_index]))
-                else:
-                    items.append(sql_ast.SelectItem(
-                        sql_ast.ColumnRef(internal, "b"),
-                        alias=columns[output_index]))
-                output_index += 1
-            if not replace:
-                items.append(sql_ast.SelectItem(flag_expr,
-                                                alias=columns[-1]))
-            join = sql_ast.Join(
-                "LEFT",
-                sql_ast.TableRef(t_base.name, "b"),
-                sql_ast.TableRef(t_flag.name, "m"),
                 sql_ast.BinaryOp(
                     "=",
                     sql_ast.ColumnRef(

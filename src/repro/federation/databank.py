@@ -54,24 +54,13 @@ class MediatedDatabank(Database):
         """Drop cached view materializations (see MediatorSession)."""
         self.session.refresh(views)
 
-    # -- query paths: ship views, then run locally ----------------------
-
-    def _ship_for(self, statement: sql_ast.SelectQuery | None,
-                  pushdown: bool) -> list[str]:
-        report = MediationReport()
-        partial = self.session._ship_parsed(statement, None, pushdown,
-                                            report)
-        self.last_report = report
-        return partial
+    # -- query paths: run locally, inside the session's shipped scope ----
 
     def execute_ast(self, stmt: sql_ast.Statement):
         if not isinstance(stmt, sql_ast.SelectQuery):
             return super().execute_ast(stmt)
-        partial = self._ship_for(stmt, pushdown=True)
-        try:
+        with self.session.shipped(stmt) as (self.last_report, _tie):
             return super().execute_ast(stmt)
-        finally:
-            self.session._drop_partials(partial)
 
     def stream_ast(self, query: sql_ast.SelectQuery) -> Cursor:
         # Ship BEFORE opening the stream: materialization stores views
@@ -80,30 +69,14 @@ class MediatedDatabank(Database):
         # is off for the same reason as MediatorSession.stream — a
         # filtered partial must not outlive this cursor under the
         # view's name.
-        partial = self._ship_for(query, pushdown=False)
-        try:
-            cursor = super().stream_ast(query)
-        except BaseException:
-            self.session._drop_partials(partial)
-            raise
-        if not partial:
-            return cursor
-        inner = cursor
-
-        def cleanup() -> None:
-            inner.close()
-            self.session._drop_partials(partial)
-
-        return Cursor(inner.columns, inner, on_close=cleanup,
-                      plan=inner.plan)
+        with self.session.shipped(query, pushdown=False) \
+                as (self.last_report, tie):
+            return tie(super().stream_ast(query))
 
     def explain(self, target, analyze: bool = False):
         from ..relational.parser import parse_sql
         stmt = parse_sql(target) if isinstance(target, str) else target
-        partial = self._ship_for(
-            stmt if isinstance(stmt, sql_ast.SelectQuery) else None,
-            pushdown=False)
-        try:
+        with self.session.shipped(
+                stmt if isinstance(stmt, sql_ast.SelectQuery) else None,
+                pushdown=False) as (self.last_report, _tie):
             return super().explain(stmt, analyze)
-        finally:
-            self.session._drop_partials(partial)

@@ -26,7 +26,7 @@ tests and benchmarks can check who was asked for what and what it cost.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 from ..planner.joins import estimate_query_rows
@@ -39,7 +39,7 @@ from ..relational.errors import ExecutionError
 from ..relational.indexes import _normalize
 from ..relational.parser import parse_sql
 from ..relational.render import quote_identifier, render_expr
-from ..relational.result import ResultSet
+from ..relational.result import Cursor, ResultSet
 from ..relational.table import Table
 from .errors import MediationError
 from .executor import (FederationExecutor, FederationOptions, FragmentCache,
@@ -428,6 +428,19 @@ class Mediator:
             table.insert_tuple(row)
 
 
+@dataclass
+class _ShipPlan:
+    """What one statement needs shipped, derived once per query."""
+
+    wanted: list[str]                 # pruned views, as referenced
+    costs: dict[str, float]           # 0.0 = already local
+    pushable: dict[str, str]          # view → filter its sources apply
+    cached: list[str]                 # cost-ranked, held materialized
+    #: Cost-ranked views to ship → their fragment jobs (pushable filter
+    #: wrapped in), in fragment order.
+    jobs: dict[str, list[FragmentJob]]
+
+
 class MediatorSession:
     """A stateful query session over a mediator's global schema.
 
@@ -490,19 +503,15 @@ class MediatorSession:
         unparseable statement falls back to materializing every view
         and letting the scratch database report the real error.
         """
-        report = MediationReport()
         started = time.perf_counter()
-        statement, partial = self._ship_views(sql, views, pushdown, report)
-        try:
+        statement = Mediator._try_parse(sql)
+        with self.shipped(statement, pushdown, views) as (report, _tie):
             if statement is not None:
-                outcome = self._scratch.execute_ast(statement)
-                if not isinstance(outcome, ResultSet):
+                result = self._scratch.execute_ast(statement)
+                if not isinstance(result, ResultSet):
                     raise ExecutionError("statement did not produce rows")
-                result = outcome
             else:
                 result = self._scratch.query(sql)
-        finally:
-            self._drop_partials(partial)
         report.elapsed_s = time.perf_counter() - started
         return result, report
 
@@ -526,39 +535,92 @@ class MediatorSession:
         is dropped when the cursor closes.  Returns
         ``(cursor, report)``.
         """
-        from ..relational.result import Cursor
-
-        report = MediationReport()
         started = time.perf_counter()
-        statement, partial = self._ship_views(sql, views, False, report)
-        try:
-            if statement is not None:
-                cursor = self._scratch.stream_ast(statement)
-            else:
-                cursor = self._scratch.stream(sql)
-        except BaseException:
-            # Eager plan/parse errors would otherwise strand the
-            # skip-reduced copies under their view names forever.
-            self._drop_partials(partial)
-            raise
-        if partial:
-            # Pushdown is off, so these are skip-reduced views: tie
-            # their cleanup to the cursor (close the inner stream
-            # first — it holds the scratch read lock the drop needs).
-            inner = cursor
-
-            def cleanup() -> None:
-                inner.close()
-                self._drop_partials(partial)
-
-            cursor = Cursor(inner.columns, inner, on_close=cleanup,
-                            plan=inner.plan)
+        statement = Mediator._try_parse(sql)
+        with self.shipped(statement, False, views) as (report, tie):
+            cursor = tie(self._scratch.stream_ast(statement)
+                         if statement is not None
+                         else self._scratch.stream(sql))
         report.elapsed_s = time.perf_counter() - started
         return cursor, report
 
-    def _ship_views(self, sql: str, views: list[str] | None,
-                    pushdown: bool, report: MediationReport):
-        """Prune, cost-rank and materialize the views *sql* needs.
+    @contextmanager
+    def shipped(self, statement: sql_ast.SelectQuery | None,
+                pushdown: bool = True, views: list[str] | None = None):
+        """The scope of one query over shipped views: ship what
+        *statement* needs, yield ``(report, tie)``, and on exit — normal
+        or not — drop the partial materializations (filtered or
+        ``skip``-reduced views, usable for this query only).
+
+        A streaming caller passes its cursor through ``tie`` inside the
+        scope: the partials then live until the returned cursor closes
+        (the inner stream is closed first — it holds the scratch read
+        lock the drop needs) instead of until scope exit.
+        """
+        report = MediationReport()
+        partial: list[str] = []
+
+        def drop(names: list[str]) -> None:
+            for view_name in names:
+                self._scratch.drop_table(view_name, if_exists=True)
+
+        def tie(cursor: Cursor) -> Cursor:
+            if not partial:
+                return cursor
+            tied = partial[:]
+            partial.clear()
+
+            def cleanup() -> None:
+                cursor.close()
+                drop(tied)
+
+            return Cursor(cursor.columns, cursor, on_close=cleanup,
+                          plan=cursor.plan)
+
+        try:
+            self._ship_parsed(self._plan_ship(statement, views, pushdown),
+                              report, partial)
+            yield report, tie
+        finally:
+            drop(partial)
+
+    def _plan_ship(self, statement: sql_ast.SelectQuery | None,
+                   views: list[str] | None, pushdown: bool) -> _ShipPlan:
+        """Derive what *statement* needs shipped: prune to the wanted
+        views (an unparseable statement, ``None``, wants them all),
+        cost-rank them (already-local ones are free), find the pushable
+        filters, and split the ranking into cached views and fragment
+        jobs.  ``_ship_parsed`` executes the plan, ``explain`` renders it.
+        """
+        mediator = self.mediator
+        if views is not None:
+            # Dedupe (order-preserving): a repeated name is one view.
+            wanted = list(dict.fromkeys(views))
+        elif statement is not None:
+            wanted = mediator.referenced_views_in(statement)
+        else:
+            wanted = mediator.view_names()
+        for view_name in wanted:
+            if view_name not in mediator._views:
+                raise MediationError(f"unknown view {view_name!r}")
+        costs = {name: (0.0 if name in self._view_rows
+                        else mediator.estimate_view_cost(
+                            mediator._views[name]))
+                 for name in wanted}
+        ranked = sorted(wanted, key=lambda name: (costs[name],
+                                                  wanted.index(name)))
+        pushable = (_pushable_filters(statement, wanted, mediator)
+                    if pushdown and statement is not None else {})
+        return _ShipPlan(
+            wanted, costs, pushable,
+            cached=[name for name in ranked if name in self._view_rows],
+            jobs={name: mediator._fragment_jobs(mediator._views[name],
+                                                pushable.get(name))
+                  for name in ranked if name not in self._view_rows})
+
+    def _ship_parsed(self, plan: _ShipPlan, report: MediationReport,
+                     partial: list[str]) -> None:
+        """Execute a ship plan, filling *report*.
 
         All fragments of all missed views are dispatched to the sources
         in **one concurrent batch** (the executor's worker pool); the
@@ -567,112 +629,56 @@ class MediatorSession:
         the cost ranking — so the report reads exactly as the serial
         shipping of earlier revisions, only faster.
 
-        Returns ``(statement, partial)`` — the parsed statement (or
-        ``None`` when unparseable) and the names of filtered, partial
-        materializations the caller must drop when done.
+        Appends to *partial* the name of every partial materialization
+        it stores — the caller drops them when the query is done, or
+        when shipping fails half-way (see :meth:`shipped`).
         """
-        statement = Mediator._try_parse(sql)
-        return statement, self._ship_parsed(statement, views, pushdown,
-                                            report)
-
-    def _ship_parsed(self, statement: sql_ast.SelectQuery | None,
-                     views: list[str] | None, pushdown: bool,
-                     report: MediationReport) -> list[str]:
-        """Ship the views an already-parsed statement needs (the body
-        of :meth:`_ship_views`, reusable by callers that hold an AST —
-        e.g. :class:`~repro.federation.MediatedDatabank`).  Returns the
-        partial-materialization names to drop when the query is done."""
-        if views is not None:
-            # Dedupe (order-preserving): a repeated name is one view.
-            wanted = list(dict.fromkeys(views))
-        elif statement is not None:
-            wanted = self.mediator.referenced_views_in(statement)
-        else:
-            wanted = self.mediator.view_names()
-
-        for view_name in wanted:
-            if view_name not in self.mediator._views:
-                raise MediationError(f"unknown view {view_name!r}")
-
-        # Cost-ranked source selection: cheapest views first in the
-        # report and the scratch store (already-local ones are free).
-        for view_name in wanted:
-            view = self.mediator._views[view_name]
-            report.view_costs[view_name] = (
-                0.0 if view_name in self._view_rows
-                else self.mediator.estimate_view_cost(view))
-        ranked = sorted(wanted,
-                        key=lambda name: (report.view_costs[name],
-                                          wanted.index(name)))
-
-        pushable = (_pushable_filters(statement, wanted, self.mediator)
-                    if pushdown and statement is not None else {})
-        missed: list[str] = []
-        jobs: list[FragmentJob] = []
-        for view_name in ranked:
-            view = self.mediator._views[view_name]
-            if view_name in self._view_rows:
-                self.hits += 1
-                report.view_rows[view.name] = self._view_rows[view.name]
-                # Re-emit the first-materialization warnings: a cached
-                # hit serves the same (renamed-column) data, so the
-                # report must carry the same caveats.
-                report.warnings.extend(
-                    self._view_warnings.get(view_name, ()))
-                continue
-            missed.append(view_name)
-            view_jobs = self.mediator._fragment_jobs(
-                view, pushable.get(view_name))
-            jobs.extend(view_jobs)
-            for job in view_jobs:
-                report.sub_queries.append((job.source, job.sql))
+        report.view_costs.update(plan.costs)
+        for view_name in plan.cached:
+            self.hits += 1
+            report.view_rows[view_name] = self._view_rows[view_name]
+            # Re-emit the first-materialization warnings: a cached hit
+            # serves the same (renamed-column) data, so the report must
+            # carry the same caveats.
+            report.warnings.extend(self._view_warnings.get(view_name, ()))
+        jobs = [job for view_jobs in plan.jobs.values() for job in view_jobs]
+        report.sub_queries.extend((job.source, job.sql) for job in jobs)
         if not jobs:
-            return []
+            return
 
         # One batch, all views: a failing fragment (under the ``fail``
         # policy) aborts here, before anything is stored — no view of
         # this batch is ever observable partially shipped.
         tel = self.telemetry
-        with (tel.span("federation.ship", views=",".join(missed),
+        with (tel.span("federation.ship", views=",".join(plan.jobs),
                        fragments=len(jobs))
               if tel is not None else _NOOP):
             shipped = self._executor.ship(jobs)
-        partial: list[str] = []
-        try:
-            for view_name in missed:
-                view = self.mediator._views[view_name]
-                results = shipped.get(view_name, [])
-                Mediator._fold_results(report, results)
-                warn_start = len(report.warnings)
-                rows, columns = self.mediator._assemble_view(
-                    view, results, report)
-                view_warnings = report.warnings[warn_start:]
-                Mediator._store(self._scratch, view.name, columns, rows)
-                self.misses += 1
-                filter_sql = pushable.get(view_name)
-                skip_reduced = any(outcome.result is None
-                                   for outcome in results)
-                if filter_sql is not None or skip_reduced:
-                    # A filtered materialization is partial: usable for
-                    # this query only, never cached for later ones.
-                    # Ditto a skip-reduced one — caching it would keep
-                    # serving the dropped source's absence (with clean
-                    # reports) long after the source recovered.
-                    partial.append(view.name)
-                    if filter_sql is not None:
-                        report.pushed_filters[view.name] = filter_sql
-                else:
-                    self._view_rows[view.name] = len(rows)
-                    self._view_warnings[view.name] = view_warnings
-                report.view_rows[view.name] = len(rows)
-        except BaseException:
-            self._drop_partials(partial)
-            raise
-        return partial
-
-    def _drop_partials(self, partial: list[str]) -> None:
-        for view_name in partial:
-            self._scratch.drop_table(view_name, if_exists=True)
+        for view_name in plan.jobs:
+            view = self.mediator._views[view_name]
+            results = shipped.get(view_name, [])
+            Mediator._fold_results(report, results)
+            warn_start = len(report.warnings)
+            rows, columns = self.mediator._assemble_view(
+                view, results, report)
+            Mediator._store(self._scratch, view_name, columns, rows)
+            self.misses += 1
+            filter_sql = plan.pushable.get(view_name)
+            if filter_sql is not None \
+                    or any(outcome.result is None for outcome in results):
+                # A filtered materialization is partial: usable for
+                # this query only, never cached for later ones.  Ditto
+                # a skip-reduced one — caching it would keep serving
+                # the dropped source's absence (with clean reports)
+                # long after the source recovered.
+                partial.append(view_name)
+                if filter_sql is not None:
+                    report.pushed_filters[view_name] = filter_sql
+            else:
+                self._view_rows[view_name] = len(rows)
+                self._view_warnings[view_name] = \
+                    report.warnings[warn_start:]
+            report.view_rows[view_name] = len(rows)
 
     def query(self, sql: str) -> ResultSet:
         """Execute and return just the rows."""
@@ -689,7 +695,8 @@ class MediatorSession:
     def explain(self, sql: str, pushdown: bool = True) -> "QueryPlan":
         """The mediation plan — pruned views, cost-ranked per-source
         sub-queries, pushed filters and materialization cache state —
-        without shipping anything.
+        without shipping anything: a rendering of the same ship plan
+        ``execute`` would carry out.
 
         Views still to be shipped appear as **batched** ``materialize``
         stages: all their fragments are dispatched in one concurrent
@@ -700,52 +707,39 @@ class MediatorSession:
         from ..api.plan import PlanStage, QueryPlan
 
         statement = Mediator._try_parse(sql)
-        wanted = (self.mediator.referenced_views_in(statement)
-                  if statement is not None else self.mediator.view_names())
+        ship = self._plan_ship(statement, None, pushdown)
         stages = [PlanStage(
-            "prune", f"query references {len(wanted)} of "
+            "prune", f"query references {len(ship.wanted)} of "
             f"{len(self.mediator.view_names())} global view(s)",
-            [", ".join(wanted) or "(none)"])]
-        costs = {name: (0.0 if name in self._view_rows
-                        else self.mediator.estimate_view_cost(
-                            self.mediator._views[name]))
-                 for name in wanted}
-        ranked = sorted(wanted, key=lambda name: (costs[name],
-                                                  wanted.index(name)))
-        pushable = (_pushable_filters(statement, wanted, self.mediator)
-                    if pushdown and statement is not None else {})
-        hits = misses = 0
+            [", ".join(ship.wanted) or "(none)"])]
+        stages.extend(PlanStage(
+            "materialize",
+            f"view {view_name!r}: local materialization reused",
+            cached=True) for view_name in ship.cached)
         batch: list[str] = []
-        for view_name in ranked:
+        for view_name, jobs in ship.jobs.items():
             view = self.mediator._views[view_name]
-            if view_name in self._view_rows:
-                hits += 1
-                stages.append(PlanStage(
-                    "materialize",
-                    f"view {view_name!r}: local materialization reused",
-                    cached=True))
-                continue
-            misses += 1
             label = (f"{view_name!r} ({view.reconciliation}, "
-                     f"cost~{costs[view_name]:.0f}")
-            if view_name in pushable:
-                label += f", pushdown [{pushable[view_name]}]"
+                     f"cost~{ship.costs[view_name]:.0f}")
+            if view_name in ship.pushable:
+                label += f", pushdown [{ship.pushable[view_name]}]"
             label += ")"
-            batch.extend(f"{label} <- {fragment.source}: {fragment.sql}"
-                         for fragment in view.fragments)
+            batch.extend(
+                f"{label} <- {job.source}: {view.fragments[job.index].sql}"
+                for job in jobs)
         if batch:
             workers = min(self.options.max_workers, len(batch))
             stages.append(PlanStage(
                 "materialize",
-                f"batch of {misses} view(s), {len(batch)} fragment(s) "
-                f"shipped in parallel ({workers} worker(s))",
+                f"batch of {len(ship.jobs)} view(s), {len(batch)} "
+                f"fragment(s) shipped in parallel ({workers} worker(s))",
                 batch))
         stages.append(PlanStage(
             "sql", "scratch database executes the global query", [sql]))
         plan = QueryPlan(
             statement=sql, base_sql=sql, rewritten_sql=sql,
             join_strategy="mediation", stages=stages,
-            cache_hits=hits, cache_misses=misses)
+            cache_hits=len(ship.cached), cache_misses=len(ship.jobs))
         if statement is not None:
             try:
                 plan.db_plan = self._scratch.explain(statement)

@@ -232,12 +232,12 @@ def make_resolver(binding_stats: dict[str, TableStats | None],
 
 def order_joins(relations: list[BaseRelation],
                 predicates: list[JoinPredicate],
-                cost_model: CostModel, dp_limit: int,
-                index_probe: bool) -> tuple[list[int], list[JoinStep]]:
+                cost_model: CostModel,
+                dp_limit: int) -> tuple[list[int], list[JoinStep]]:
     """Choose a left-deep order (as relation indices) and its steps."""
     if len(relations) <= dp_limit:
-        return _order_dp(relations, predicates, cost_model, index_probe)
-    return _order_greedy(relations, predicates, cost_model, index_probe)
+        return _order_dp(relations, predicates, cost_model)
+    return _order_greedy(relations, predicates, cost_model)
 
 
 def _access_cost(relation: BaseRelation, cost_model: CostModel) -> float:
@@ -249,7 +249,7 @@ def _access_cost(relation: BaseRelation, cost_model: CostModel) -> float:
 
 def _step_for(acc_bindings: frozenset[str], acc_rows: float,
               relation: BaseRelation, predicates: list[JoinPredicate],
-              cost_model: CostModel, index_probe: bool) -> JoinStep:
+              cost_model: CostModel) -> JoinStep:
     joined = acc_bindings | {relation.binding}
     applicable = [p for p in predicates
                   if relation.binding in p.bindings
@@ -270,7 +270,7 @@ def _step_for(acc_bindings: frozenset[str], acc_rows: float,
             inner_equi_columns.append(column_b)
     has_equi = bool(inner_equi_columns)
     index_available = (
-        index_probe and has_equi and not relation.filtered
+        has_equi and not relation.filtered
         and relation.table is not None
         and find_probe_index(relation.table,
                              inner_equi_columns) is not None)
@@ -285,8 +285,8 @@ def _step_for(acc_bindings: frozenset[str], acc_rows: float,
 
 def _order_dp(relations: list[BaseRelation],
               predicates: list[JoinPredicate],
-              cost_model: CostModel,
-              index_probe: bool) -> tuple[list[int], list[JoinStep]]:
+              cost_model: CostModel
+              ) -> tuple[list[int], list[JoinStep]]:
     indices = range(len(relations))
     best: dict[frozenset[int], tuple[float, float, list[int],
                                      list[JoinStep]]] = {}
@@ -305,7 +305,7 @@ def _order_dp(relations: list[BaseRelation],
                 acc_bindings = frozenset(
                     relations[i].binding for i in prev_order)
                 step = _step_for(acc_bindings, prev_rows, relations[last],
-                                 predicates, cost_model, index_probe)
+                                 predicates, cost_model)
                 total = prev_cost + step.est_cost
                 if champion is None or total < champion[0]:
                     champion = (total, step.est_rows, prev_order + [last],
@@ -317,8 +317,8 @@ def _order_dp(relations: list[BaseRelation],
 
 def _order_greedy(relations: list[BaseRelation],
                   predicates: list[JoinPredicate],
-                  cost_model: CostModel,
-                  index_probe: bool) -> tuple[list[int], list[JoinStep]]:
+                  cost_model: CostModel
+                  ) -> tuple[list[int], list[JoinStep]]:
     remaining = set(range(len(relations)))
     start = min(remaining, key=lambda i: relations[i].est_rows)
     order = [start]
@@ -330,7 +330,7 @@ def _order_greedy(relations: list[BaseRelation],
         champion = None
         for i in remaining:
             step = _step_for(acc_bindings, rows, relations[i],
-                             predicates, cost_model, index_probe)
+                             predicates, cost_model)
             rank = (step.est_cost + step.est_rows, step.est_rows)
             if champion is None or rank < champion[0]:
                 champion = (rank, i, step)

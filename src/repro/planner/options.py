@@ -1,9 +1,9 @@
 """Planner configuration.
 
 Every :class:`~repro.relational.engine.Database` owns a
-:class:`PlannerOptions` (on by default).  Individual passes can be
-switched off independently, which the equivalence tests use to compare
-planned and unplanned executions of the same query.
+:class:`PlannerOptions` (on by default).  ``enabled=False`` compiles
+every query exactly as written — the reference the equivalence tests
+compare planned executions against.
 """
 
 from __future__ import annotations
@@ -15,19 +15,10 @@ from dataclasses import dataclass, replace
 class PlannerOptions:
     """Feature flags and tuning knobs of the cost-based planner."""
 
-    #: Master switch.  Off = compile the query exactly as written.
+    #: Off = compile the query exactly as written (every pass — constant
+    #: folding, predicate pushdown, projection pruning, join re-ordering,
+    #: index-probe joins — is skipped).
     enabled: bool = True
-    #: Fold literal-only sub-expressions (``1 + 1`` -> ``2``) and
-    #: simplify AND/OR/NOT around literal booleans.
-    fold_constants: bool = True
-    #: Push single-relation WHERE/ON conjuncts below joins.
-    predicate_pushdown: bool = True
-    #: Drop derived-table select items the outer query never reads.
-    prune_projections: bool = True
-    #: Re-order inner-join trees by estimated cost.
-    reorder_joins: bool = True
-    #: Let equi-joins probe a matching index on the inner table.
-    index_probe_joins: bool = True
     #: Exhaustive (left-deep DP) ordering up to this many relations;
     #: larger FROM lists fall back to the greedy heuristic.
     dp_relation_limit: int = 6

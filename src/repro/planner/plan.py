@@ -114,8 +114,7 @@ def _plan_query(query: ast.SelectQuery, catalog, stats, options,
 def _plan_core(core: ast.SelectCore, query: ast.SelectQuery, catalog,
                stats, options: PlannerOptions,
                planned: PlannedStatement) -> None:
-    if options.fold_constants:
-        _fold_core(core)
+    _fold_core(core)
     _plan_expression_subqueries(core, catalog, stats, options, planned)
     if core.from_clause is not None:
         _plan_from(core, query, catalog, stats, options, planned)
@@ -176,19 +175,17 @@ def _plan_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
     binding_columns: dict[str, list[str] | None] = {}
     for leaf, binding in zip(leaves, bindings):
         if isinstance(leaf, ast.SubqueryRef):
-            if options.prune_projections:
-                columns = output_columns(leaf, catalog)
-                if columns is not None:
-                    needed = needed_columns(query, binding, columns,
-                                            exclude=leaf.query)
-                    if needed is not None:
-                        prune_derived_projection(leaf, needed)
+            columns = output_columns(leaf, catalog)
+            if columns is not None:
+                needed = needed_columns(query, binding, columns,
+                                        exclude=leaf.query)
+                if needed is not None:
+                    prune_derived_projection(leaf, needed)
             _plan_query(leaf.query, catalog, stats, options, planned)
         binding_columns[binding] = output_columns(leaf, catalog)
 
     flat = flatten_inner_joins(core.from_clause)
-    reorderable = (flat is not None and len(leaves) >= 2
-                   and options.reorder_joins)
+    reorderable = flat is not None and len(leaves) >= 2
     if reorderable and any(item.is_star for item in core.items):
         ordinals = _has_ordinals(core.group_by) \
             or _has_ordinals([item.expr for item in query.order_by])
@@ -204,7 +201,7 @@ def _plan_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
     for leaf in leaves:
         leaf.hint = PlanHint(est_rows=_relation_raw_rows(leaf, catalog,
                                                          stats))
-    _pushdown_in_place(core, options, binding_columns)
+    _pushdown_in_place(core, binding_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +228,8 @@ def _reorder_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
         touched = referenced_bindings(conjunct, binding_columns)
         if touched is None or len(touched) == 0:
             residual.append(conjunct)
-        elif len(touched) == 1 and options.predicate_pushdown:
-            pushes.setdefault(next(iter(touched)), []).append(conjunct)
         elif len(touched) == 1:
-            residual.append(conjunct)
+            pushes.setdefault(next(iter(touched)), []).append(conjunct)
         else:
             equi = classify_equi(conjunct, binding_columns)
             if equi is not None:
@@ -260,13 +255,12 @@ def _reorder_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
     relations: list[BaseRelation] = []
     for leaf in leaves:
         relations.append(_build_relation(
-            leaf, catalog, stats, options, resolve,
+            leaf, catalog, stats, resolve,
             pushes.get(binding_of(leaf), []),
             binding_columns, needed_by_binding))
 
     order, steps = order_joins(
-        relations, join_predicates, CostModel(),
-        options.dp_relation_limit, options.index_probe_joins)
+        relations, join_predicates, CostModel(), options.dp_relation_limit)
     core.from_clause = build_join_tree(relations, order, steps)
     core.where = ast.conjoin(residual)
     if order != list(range(len(relations))):
@@ -279,8 +273,8 @@ def _reorder_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
             predicate_selectivity(core.where, resolve), 0.0005))
 
 
-def _build_relation(leaf, catalog, stats, options: PlannerOptions,
-                    resolve, pushed: list[ast.Expr], binding_columns,
+def _build_relation(leaf, catalog, stats, resolve,
+                    pushed: list[ast.Expr], binding_columns,
                     needed_by_binding) -> BaseRelation:
     from ..relational.table import Table
 
@@ -303,16 +297,15 @@ def _build_relation(leaf, catalog, stats, options: PlannerOptions,
     wrapper = wrap_with_filter(leaf, pushed)
     wrapper.hint = PlanHint(est_rows=est_rows,
                             detail="pushed-down predicate")
-    if options.prune_projections:
-        needed = needed_by_binding.get(binding)
-        columns = binding_columns.get(binding)
-        if needed is not None and columns is not None:
-            keep = [name for name in columns if name in needed]
-            # Join/residual predicates live above the wrapper and read
-            # through it, so their columns are part of "needed" already.
-            if keep and len(keep) < len(columns) \
-                    and prune_wrapper_projection(wrapper, keep):
-                binding_columns[binding] = keep
+    needed = needed_by_binding.get(binding)
+    columns = binding_columns.get(binding)
+    if needed is not None and columns is not None:
+        keep = [name for name in columns if name in needed]
+        # Join/residual predicates live above the wrapper and read
+        # through it, so their columns are part of "needed" already.
+        if keep and len(keep) < len(columns) \
+                and prune_wrapper_projection(wrapper, keep):
+            binding_columns[binding] = keep
     return BaseRelation(wrapper, binding, table, raw_rows, est_rows, True)
 
 
@@ -321,11 +314,11 @@ def _build_relation(leaf, catalog, stats, options: PlannerOptions,
 # ---------------------------------------------------------------------------
 
 
-def _pushdown_in_place(core: ast.SelectCore, options: PlannerOptions,
+def _pushdown_in_place(core: ast.SelectCore,
                        binding_columns: dict) -> None:
     """Push WHERE conjuncts into null-safe leaves of a FROM tree whose
-    shape is kept (LEFT joins present, or reordering is off)."""
-    if not options.predicate_pushdown or core.where is None:
+    shape is kept (LEFT joins present, or not re-orderable)."""
+    if core.where is None:
         return
     if not isinstance(core.from_clause, ast.Join):
         return  # single relation: WHERE already sits on the scan

@@ -870,31 +870,20 @@ class _Reversed:
         return isinstance(other, _Reversed) and self.key == other.key
 
 
-_EVALUATORS = {"planned": Evaluator, "naive": NaiveEvaluator}
-
-
 class SparqlEngine:
-    """Convenience front end binding a store to the parser + evaluator.
-
-    ``evaluator="planned"`` (default) runs the set-at-a-time engine;
-    ``"naive"`` pins the seed interpreter (equivalence tests, E12).
+    """Convenience front end binding a store to the parser and the
+    set-at-a-time :class:`Evaluator` (:class:`NaiveEvaluator`, the seed
+    interpreter, is the reference equivalence tests construct directly).
     """
 
-    def __init__(self, store: TripleStore,
-                 evaluator: str = "planned") -> None:
-        if evaluator not in _EVALUATORS:
-            raise SparqlEvalError(
-                f"unknown evaluator {evaluator!r}; "
-                f"expected one of {sorted(_EVALUATORS)}")
+    def __init__(self, store: TripleStore) -> None:
         self.store = store
-        self.evaluator_kind = evaluator
-        self._evaluator_class = _EVALUATORS[evaluator]
 
     def query(self, text: str | ast.Query):
         """Run a query; returns SparqlResults, bool (ASK) or TripleStore
         (CONSTRUCT) depending on the query form."""
         parsed = parse_sparql(text) if isinstance(text, str) else text
-        evaluator = self._evaluator_class(self.store)
+        evaluator = Evaluator(self.store)
         if isinstance(parsed, ast.SelectQuery):
             return evaluator.select(parsed)
         if isinstance(parsed, ast.AskQuery):
@@ -914,7 +903,4 @@ class SparqlEngine:
         parsed = parse_sparql(text) if isinstance(text, str) else text
         if not isinstance(parsed, ast.SelectQuery):
             raise SparqlEvalError("stream() supports SELECT queries only")
-        evaluator = self._evaluator_class(self.store)
-        if isinstance(evaluator, Evaluator):
-            return evaluator.iter_select(parsed)
-        return iter(evaluator.select(parsed).solutions)
+        return Evaluator(self.store).iter_select(parsed)

@@ -609,14 +609,29 @@ class TestArchlint:
         root = self.seed(
             tmp_path, "core/bad.py",
             "def f(table):\n    table.insert_row({})\n")
-        violations = [v for v in check_tree(root) if v.rule == "locks"]
+        violations = [v for v in check_tree(root)
+                      if v.rule == "choke-points"]
         assert violations and violations[0].line == 2
 
     def test_lock_rule_allows_choke_points(self, tmp_path):
         root = self.seed(
             tmp_path, "relational/engine.py",
             "def f(table):\n    table.insert_row({})\n")
-        assert [v for v in check_tree(root) if v.rule == "locks"] == []
+        assert [v for v in check_tree(root)
+                if v.rule == "choke-points"] == []
+
+    @pytest.mark.parametrize("relative, call", [
+        ("api/bad.py", "engine.apply_where_rewrites(q, plan, rewriter)"),
+        ("api/bad.py", "engine.extraction_for(enrichment, kb, run)"),
+        ("crosse/bad.py", "engine.combine_enrichments(base, [], 's', [])"),
+        ("federation/databank.py", "self.session._ship_parsed(plan, r, p)"),
+        ("federation/databank.py", "executor.ship(jobs)"),
+    ])
+    def test_pipeline_copy_outside_its_choke_point_fails(
+            self, tmp_path, relative, call):
+        root = self.seed(tmp_path, relative, f"def f(*a):\n    {call}\n")
+        assert [v.line for v in check_tree(root)
+                if v.rule == "choke-points"] == [2]
 
     def test_cycle_detection(self, tmp_path):
         config = {**load_config(), "layers": {
@@ -634,11 +649,14 @@ class TestArchlint:
         pyproject = tmp_path / "pyproject.toml"
         pyproject.write_text(
             "[tool.repro.archlint]\n"
-            'mutator-files = ["core/sqm.py"]\n'
+            "[tool.repro.archlint.choke-points]\n"
+            'insert_row = ["core/sqm.py"]\n'
             "[tool.repro.archlint.layers]\n"
             'relational = ["rwlock", "telemetry"]\n')
         config = load_config(pyproject)
-        assert config["mutator-files"] == ["core/sqm.py"]
+        assert config["choke-points"]["insert_row"] == ["core/sqm.py"]
+        assert config["choke-points"]["update_row"] \
+            == DEFAULT_CONFIG["choke-points"]["update_row"]
         assert config["layers"]["relational"] == ["rwlock", "telemetry"]
         assert config["layers"]["core"] == DEFAULT_CONFIG["layers"]["core"]
 

@@ -231,7 +231,7 @@ def test_equi_join_probes_inner_index():
 def test_index_probe_join_matches_hash_join_results():
     with_probe = make_db(STRICT)
     with_probe.analyze()
-    no_probe = make_db(STRICT.replace(index_probe_joins=False))
+    no_probe = make_db(OFF)
     no_probe.analyze()
     sql = ("SELECT fact.id, mid.dim_id FROM mid "
            "JOIN fact ON fact.mid_id = mid.id WHERE mid.dim_id = 2")

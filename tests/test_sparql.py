@@ -232,13 +232,9 @@ def test_stream_applies_limit_offset_and_modifiers(engine):
 
 
 def test_naive_engine_selectable():
-    import pytest as _pytest
-    from repro.sparql import SparqlEvalError
+    from repro.sparql import NaiveEvaluator
     store = parse_turtle(DATA)
-    naive = SparqlEngine(store, evaluator="naive")
-    fast = SparqlEngine(store)
     query = PREFIX + "SELECT ?s WHERE { ?s smg:isA smg:HazardousWaste }"
-    assert sorted(map(repr, naive.query(query).tuples())) \
-        == sorted(map(repr, fast.query(query).tuples()))
-    with _pytest.raises(SparqlEvalError):
-        SparqlEngine(store, evaluator="bogus")
+    naive = NaiveEvaluator(store).select(parse_sparql(query))
+    assert sorted(map(repr, naive.tuples())) \
+        == sorted(map(repr, SparqlEngine(store).query(query).tuples()))

@@ -1,0 +1,252 @@
+"""execute, stream and explain are three drains of one pipeline run.
+
+Every statement of ``tests/test_paper_examples.py`` (read off that
+module's source, so a new example is covered the day it is added) and
+of the SmartGround workload runs through all three drains — over a
+plain databank and over the same tables behind a mediator, under both
+join strategies and three page sizes — and the drains must agree: same
+rows, same SPARQL, same rewritten SQL, same operator row counts, and
+nothing left behind (no extraction temp table, no read lock), also when
+a stream is abandoned after one row.  The mediator's own explain must
+name what a following execute reports.
+"""
+
+import ast
+import re
+import threading
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.core import EnrichmentError, StoredQueryRegistry
+from repro.federation import Mediator
+from repro.smartground import (DANGER_QUERY_SPARQL, SQL_BASELINES,
+                               SmartGroundConfig, WORKLOAD,
+                               generate_databank, researcher_kb)
+from test_paper_examples import engine as paper_engine  # noqa: F401
+
+
+def _paper_statements() -> list[str]:
+    """The first argument of every ``engine.execute(...)`` call."""
+    source = Path(__file__).with_name("test_paper_examples.py").read_text()
+    found = [node.args[0].value for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "execute"
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "engine"]
+    return list(dict.fromkeys(found))
+
+
+PAPER = _paper_statements()
+STATEMENTS = ([pytest.param("paper", text, id=f"paper-{index}")
+               for index, text in enumerate(PAPER)]
+              + [pytest.param("smartground", query.sesql, id=query.name)
+                 for query in WORKLOAD])
+
+
+def test_the_paper_statements_were_found():
+    assert len(PAPER) >= 8
+    assert all("SELECT" in text for text in PAPER)
+
+
+@pytest.fixture(scope="module")
+def smartground():
+    registry = StoredQueryRegistry()
+    registry.register("dangerQuery", DANGER_QUERY_SPARQL)
+    databank = generate_databank(SmartGroundConfig(n_landfills=6, seed=42))
+    return databank, researcher_kb(), registry
+
+
+def mediated(databank):
+    """*databank*'s tables as the global views of a one-source mediator."""
+    mediator = Mediator()
+    mediator.register_source("origin", databank)
+    for table in databank.table_names():
+        mediator.define_view(table, [("origin", f"SELECT * FROM {table}")])
+    return mediator
+
+
+@pytest.fixture
+def connect(paper_engine, smartground):  # noqa: F811
+    def build(dataset: str, federated: bool, strategy: str):
+        if dataset == "paper":
+            databank, kb, registry = (paper_engine.databank,
+                                      paper_engine.knowledge_base,
+                                      paper_engine.stored_queries)
+        else:
+            databank, kb, registry = smartground
+        if federated:
+            databank = mediated(databank).as_databank()
+        return repro.connect(databank, knowledge_base=kb,
+                             stored_queries=registry,
+                             join_strategy=strategy)
+    return build
+
+
+def unnumbered(sql: str) -> str:
+    """Temp tables are named off a process-wide counter."""
+    return re.sub(r"(__sesql_[a-z]+_)\d+", r"\1N", sql)
+
+
+def assert_nothing_left_behind(databank) -> None:
+    assert [name for name in databank.table_names()
+            if name.startswith("__sesql_")] == []
+    assert_writer_can_acquire(databank)
+
+
+def assert_writer_can_acquire(databank, timeout: float = 5.0) -> None:
+    def write() -> None:
+        with databank.rwlock.write_locked():
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    writer.join(timeout)
+    assert not writer.is_alive(), "a drain still holds the read lock"
+
+
+@pytest.mark.parametrize("page_size", [1, 7, 256])
+@pytest.mark.parametrize("strategy", ["tempdb", "direct"])
+@pytest.mark.parametrize("federated", [False, True],
+                         ids=["plain", "federated"])
+@pytest.mark.parametrize("dataset, text", STATEMENTS)
+def test_three_drains_agree(connect, dataset, text, federated, strategy,
+                            page_size):
+    session = connect(dataset, federated, strategy)
+    databank = session.databank
+
+    executed = session.execute(text)
+    assert_nothing_left_behind(databank)
+
+    cursor = session.stream(text, page_size=page_size)
+    assert cursor.columns == executed.columns
+    assert list(cursor) == executed.rows
+    assert_nothing_left_behind(databank)
+
+    abandoned = session.stream(text, page_size=page_size)
+    next(abandoned, None)
+    abandoned.close()
+    assert_nothing_left_behind(databank)
+
+    plan = session.explain(text)
+    assert_nothing_left_behind(databank)
+    assert plan.sparql_queries == executed.sparql_queries
+    assert unnumbered(plan.rewritten_sql) == unnumbered(executed.executed_sql)
+    assert plan.join_strategy == strategy
+    assert [stage.name for stage in plan.stages
+            if stage.name in ("extract", "rewrite", "sql", "combine")] \
+        == (["extract"] * len(executed.enriched.where_enrichments())
+            + ["rewrite"] * bool(executed.enriched.where_enrichments())
+            + ["sql"]
+            + ["extract"] * len(executed.enriched.select_enrichments())
+            + ["combine"] * bool(executed.enriched.select_enrichments()))
+    assert bool(executed.final_sqls) == (
+        strategy == "tempdb"
+        and bool(executed.enriched.select_enrichments()))
+
+    # Operator row counts are compared in the same view-cache state: a
+    # cold federated execute ships *filtered* views (pushdown) and scans
+    # fewer rows than any query after the streams above cached the full
+    # views — MediatedDatabank.explain itself ships unfiltered.
+    analyzed = session.explain(text, analyze=True)
+    assert_nothing_left_behind(databank)
+    again = session.execute(text)
+    assert again.rows == executed.rows
+    assert [(node.kind, node.actual_rows)
+            for node in analyzed.db_plan.root.walk()] \
+        == [(node.kind, node.actual_rows)
+            for node in again.db_plan.walk()]
+
+
+# -- the run owns cleanup, whichever drain fails ----------------------------------
+
+BAD_ATTRIBUTE = "SELECT name FROM landfill ENRICH SCHEMAEXTENSION(nope, p)"
+
+
+def _insert_from_a_second_thread(databank) -> threading.Thread:
+    writer = threading.Thread(
+        target=databank.execute,
+        args=("INSERT INTO landfill VALUES ('z', 'Oslo')",), daemon=True)
+    writer.start()
+    writer.join(3.0)
+    return writer
+
+
+def test_failed_stream_releases_the_read_lock_core(paper_engine):  # noqa
+    """The stream drain opens the databank cursor (read lock, taken
+    eagerly) before SELECT extraction and the empty-page probe; an
+    error there must not leave the lock to the traceback's lifetime."""
+    with pytest.raises(EnrichmentError) as held:  # keeps the traceback
+        paper_engine.stream(BAD_ATTRIBUTE)
+    writer = _insert_from_a_second_thread(paper_engine.databank)
+    assert not writer.is_alive(), "the failed stream kept the read lock"
+    assert held.value is not None
+
+
+def test_failed_stream_releases_the_read_lock_session(paper_engine):  # noqa
+    session = repro.connect(paper_engine)
+    with pytest.raises(EnrichmentError) as held:
+        session.stream(BAD_ATTRIBUTE)
+    writer = _insert_from_a_second_thread(session.databank)
+    assert not writer.is_alive(), "the failed stream kept the read lock"
+    assert held.value is not None
+    assert_nothing_left_behind(session.databank)
+
+
+# -- the mediator: explain renders the ship plan execute carries out -------------
+
+MEDIATED_SQL = list(SQL_BASELINES.values()) + [
+    "SELECT name FROM landfill WHERE area_m2 > 50000 AND city <> 'x'",
+    "SELECT l.name, e.elem_name FROM landfill AS l JOIN elem_contained "
+    "AS e ON e.landfill_name = l.name WHERE e.amount > 5.0",
+]
+
+
+@pytest.mark.parametrize("pushdown", [True, False])
+@pytest.mark.parametrize("sql", MEDIATED_SQL)
+def test_mediator_explain_names_what_execute_ships(smartground, sql,
+                                                   pushdown):
+    databank, _kb, _registry = smartground
+    mediator = Mediator()
+    mediator.register_source("north", databank)
+    mediator.register_source("south", databank)
+    for table in databank.table_names():
+        mediator.define_view(table, [
+            ("north", f"SELECT * FROM {table}"),
+            ("south", f"SELECT * FROM {table} WHERE 1 = 0")], "union")
+    for warm in (False, True):
+        session = mediator.connect()
+        if warm:
+            session.query("SELECT COUNT(*) FROM landfill")
+        plan = session.explain(sql, pushdown=pushdown)
+        _result, report = session.execute(sql, pushdown=pushdown)
+
+        prune, *materialize, _sql_stage = plan.stages
+        assert prune.queries == [", ".join(report.view_costs) or "(none)"]
+        cached = [stage for stage in materialize if stage.cached]
+        batch = [line for stage in materialize if not stage.cached
+                 for line in stage.queries]
+        shipped_views = {line.split("'")[1] for line in batch}
+        assert plan.cache_hits == len(cached)
+        assert plan.cache_misses == len(shipped_views)
+        assert {stage.description.split("'")[1] for stage in cached} \
+            | shipped_views == set(report.view_rows)
+        # Same sources, same fragments, in the same order.
+        assert len(batch) == len(report.sub_queries)
+        for line, (source, shipped_sql) in zip(batch, report.sub_queries):
+            label, fragment = line.split(" <- ", 1)
+            fragment_source, fragment_sql = fragment.split(": ", 1)
+            assert fragment_source == source
+            assert fragment_sql in shipped_sql
+            view = label.split("'")[1]
+            pushed = report.pushed_filters.get(view)
+            if pushed is None:
+                assert "pushdown [" not in label
+                assert shipped_sql == fragment_sql
+            else:
+                assert f"pushdown [{pushed}]" in label
+                assert shipped_sql.endswith(f"WHERE {pushed}")
+        if not pushdown:
+            assert report.pushed_filters == {}
