@@ -2,10 +2,11 @@
 
 Costs are abstract "row visits" — good enough to rank join orders and
 pick a physical join strategy.  Constants reflect the Python executor:
-hashing a build side costs a bit more per row than streaming the probe
-side, a per-row index lookup costs more than one dict probe (the
-HashIndex copies its bucket and fetches rows by id), and nested loops
-pay the full cross product.
+a hash join builds a dict over whole key columns and probes it a batch
+at a time, so a probe row costs a fraction of a build row; a per-row
+index lookup costs far more than either (the HashIndex normalises the
+key, copies its bucket and fetches rows by id), and nested loops pay
+the full cross product.
 """
 
 from __future__ import annotations
@@ -16,9 +17,18 @@ SCAN_COST_PER_ROW = 1.0
 #: Columnar tables scan batch-at-a-time: the measured per-row cost of a
 #: vectorized scan is a fraction of the row-at-a-time generator walk.
 VECTORIZED_SCAN_FACTOR = 0.3
+#: The four join constants below were re-measured against the batch
+#: hash join with ``benchmarks/measure_join_costs.py`` (INTEGER keys,
+#: 10k -> 20k rows, five runs), in units fixed by the scan: one
+#: materialised row of a columnar scan (59-62 ns) is 0.3.  Measured:
+#: build 1.32-1.53 (273-303 ns/row), probe 0.21-0.34 (42-68 ns; was
+#: ~930 ns row-at-a-time), index lookup 8.6-9.3 (1.7-1.9 us, unchanged
+#: in ns), output -0.1-0.6 (a difference of three slopes: noise around
+#: 0.2).  A constant moved only where it was off by more than 2x: the
+#: probe (1.0 -> 0.25) and the index lookup (3.0 -> 9.0).
 HASH_BUILD_PER_ROW = 1.6
-HASH_PROBE_PER_ROW = 1.0
-INDEX_PROBE_PER_LOOKUP = 3.0
+HASH_PROBE_PER_ROW = 0.25
+INDEX_PROBE_PER_LOOKUP = 9.0
 NESTED_LOOP_PER_PAIR = 0.9
 OUTPUT_COST_PER_ROW = 0.2
 

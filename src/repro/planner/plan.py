@@ -86,7 +86,8 @@ def plan_select(query: ast.SelectQuery, catalog,
                 raise
             planned = PlannedStatement(query=query, notes=[
                 f"planning failed, executing as written: {exc!r}"])
-    root = planned.root = build_select(planned.query, catalog, exec_hooks)
+    root = planned.root = build_select(planned.query, catalog, exec_hooks,
+                                       stats)
     root.notes = planned.notes
     vectorized = root.vectorized_ops
     if vectorized:

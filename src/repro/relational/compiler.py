@@ -48,11 +48,15 @@ class CompileContext:
     """
 
     def __init__(self, subplan_factory: Callable[..., SubPlanLike],
-                 exec_hooks=None) -> None:
+                 exec_hooks=None, stats=None) -> None:
         self.subplan_factory = subplan_factory
         #: Duck-typed telemetry hooks for vectorized operators (see
         #: :class:`repro.relational.batch.ExecHooks`), or ``None``.
         self.exec_hooks = exec_hooks
+        #: The database's statistics catalog (duck-typed
+        #: :class:`repro.planner.StatisticsCatalog`), or ``None``: where
+        #: the builder itself picks an access path, it estimates it.
+        self.stats = stats
         #: Root operators of the subqueries built for expressions; the
         #: statement root shows them beside the main tree.
         self.subplans: list = []

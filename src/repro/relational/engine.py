@@ -268,7 +268,8 @@ class Database:
         # Trivial selects skip planning (and its deep copy) so point
         # lookups stay as fast as with the planner off.
         if not self.planner.enabled or is_trivial_select(query):
-            return build_select(query, self.catalog, self._exec_hooks)
+            return build_select(query, self.catalog, self._exec_hooks,
+                                self.stats)
         tel = self.telemetry
         started = time.perf_counter()
         with (tel.span("db.plan", db=self.name)

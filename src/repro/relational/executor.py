@@ -87,14 +87,15 @@ class SubPlan:
         return [row[0] for row in self.rows(outer_rows)]
 
 
-def make_context(catalog: Catalog, exec_hooks=None) -> CompileContext:
-    return CompileContext(partial(SubPlan, catalog), exec_hooks)
+def make_context(catalog: Catalog, exec_hooks=None,
+                 stats=None) -> CompileContext:
+    return CompileContext(partial(SubPlan, catalog), exec_hooks, stats)
 
 
 def build_select(query: ast.SelectQuery, catalog: Catalog,
-                 exec_hooks=None) -> Result:
+                 exec_hooks=None, stats=None) -> Result:
     """The executable tree of one top-level SELECT."""
-    ctx = make_context(catalog, exec_hooks)
+    ctx = make_context(catalog, exec_hooks, stats)
     return Result(build_query(query, catalog, [], ctx), ctx.subplans)
 
 
@@ -102,7 +103,7 @@ def build_select(query: ast.SelectQuery, catalog: Catalog,
 # Kernel selectors: where an operator may use a specialised column kernel
 # ---------------------------------------------------------------------------
 #
-# ``vectors.compile_filter_kernel`` is the third one (mask kernels, per
+# ``vectors.compile_filter_kernel`` is the fifth one (mask kernels, per
 # WHERE conjunct).  Each answers from what the builder can observe; the
 # generic compiled expression is always the alternative.
 
@@ -167,6 +168,41 @@ def select_folds(group_exprs: list[ast.Expr],
                 spec = (name.lower(), column[0], call.distinct)
         specs.append(spec)
     return (None if None in keys else [key[0] for key in keys]), specs
+
+
+#: Column types whose raw values hash and compare as ``values_equal``
+#: does: within one family only (``TRUE = 1`` is false in SQL, true in
+#: Python).
+_KEY_FAMILY = {DataType.INTEGER: "n", DataType.REAL: "n",
+               DataType.TEXT: "s", DataType.BOOLEAN: "b"}
+
+
+def select_join_keys(pairs: list[tuple[ast.Expr, ast.Expr]],
+                     left_scopes: list[RowSchema],
+                     right_scopes: list[RowSchema]
+                     ) -> tuple[list[int], list[int]] | None:
+    """The ``(left positions, right positions)`` a hash join may read
+    its keys from as raw column values: every ``left = right`` pair must
+    be plain typed columns of one comparison family."""
+    positions: tuple[list[int], list[int]] = ([], [])
+    for left_expr, right_expr in pairs:
+        left = _typed_column(left_expr, left_scopes)
+        right = _typed_column(right_expr, right_scopes)
+        if left is None or right is None \
+                or _KEY_FAMILY[left[1]] != _KEY_FAMILY[right[1]]:
+            return None
+        positions[0].append(left[0])
+        positions[1].append(right[0])
+    return positions
+
+
+def select_sort_keys(exprs: list[ast.Expr], scopes: list[RowSchema]
+                     ) -> list[int | None] | None:
+    """Per ORDER BY key, the input position (plain column or slot) to
+    gather its key column from, or ``None`` when it is an expression to
+    evaluate.  Always accepts: whether the key columns sort natively is
+    decided on their values, at run time."""
+    return select_gather(exprs, scopes)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +306,7 @@ def _build_join(join: ast.Join, catalog: Catalog,
     # left key, right key, inner-table position when the right side is
     # a plain inner column: an index-probe candidate) — and a residual.
     equi: list[tuple[ast.Expr, RowFn, RowFn, int | None]] = []
+    pairs: list[tuple[ast.Expr, ast.Expr]] = []
     residual: list[ast.Expr] = []
     for conjunct in ast.conjuncts(join.condition):
         if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
@@ -281,6 +318,7 @@ def _build_join(join: ast.Join, catalog: Catalog,
                     equi.append((conjunct, left_fn, right_fn,
                                  _innermost_position(right_ast,
                                                      right_scopes)))
+                    pairs.append((left_ast, right_ast))
                     break
             else:
                 residual.append(conjunct)
@@ -293,34 +331,40 @@ def _build_join(join: ast.Join, catalog: Catalog,
                     check, hint.est_rows)
 
     kind = "hash-join"
+    key_positions = None
     probe = _choose_probe(right, hint.strategy,
                           [position for *_rest, position in equi])
     if probe is not None:
-        # The index answers the covered pairs; the others are checked
-        # on each candidate row, ahead of the residual.
+        # The index answers the covered pairs (the probe holds their
+        # left keys); the others are checked on each candidate row,
+        # ahead of the residual.
         index, covered = probe
         kind = "index-join"
         right = IndexProbe(right, index, [equi[i][1] for i in covered],
-                           [equi[i][3] for i in covered])
+                           [equi[i][3] for i in covered], right.est_rows)
         residual = [pair[0] for i, pair in enumerate(equi)
                     if i not in covered] + residual
+    else:
+        key_positions = select_join_keys(pairs, left_scopes, right_scopes)
     residual_expr = ast.conjoin(residual)
     check = (compile_predicate(residual_expr, combined_scopes, ctx)
              if residual_expr is not None else None)
     return Join(kind, label, left, right, left_join,
                 [pair[1] for pair in equi], [pair[2] for pair in equi],
-                check, hint.est_rows)
+                check, hint.est_rows, key_positions, ctx.exec_hooks)
 
 
 # ---------------------------------------------------------------------------
 # WHERE / HAVING
 # ---------------------------------------------------------------------------
 
-def _point_probe(scan: Scan, where: ast.Expr, scopes: list[RowSchema]
-                 ) -> tuple[Operator, ast.Expr | None]:
+def _point_probe(scan: Scan, where: ast.Expr, scopes: list[RowSchema],
+                 stats) -> tuple[Operator, ast.Expr | None]:
     """Single-table fast path: the first ``column = literal`` conjunct
     over an indexed column becomes an index probe, which beats any scan.
-    Returns the (possibly replaced) source and the remaining WHERE."""
+    Returns the (possibly replaced) source and the remaining WHERE.
+    The probe's estimate is ``rows / distinct`` of an ANALYZEd column,
+    and unset (not the table's row count) otherwise."""
     conjuncts = ast.conjuncts(where)
     for number, conjunct in enumerate(conjuncts):
         if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
@@ -336,8 +380,12 @@ def _point_probe(scan: Scan, where: ast.Expr, scopes: list[RowSchema]
             index = scan.table.find_index_on([column_side.name])
             if index is not None:
                 value = value_side.value
-                probe = IndexProbe(scan, index, [lambda rows: value],
-                                   [position])
+                analyzed = stats and stats.get(scan.table.schema.name)
+                column = analyzed and analyzed.column(column_side.name)
+                probe = IndexProbe(
+                    scan, index, [lambda rows: value], [position],
+                    len(scan.table) / column.distinct
+                    if column and column.distinct else None)
                 rest = conjuncts[:number] + conjuncts[number + 1:]
                 return probe, ast.conjoin(rest)
     return scan, where
@@ -468,7 +516,8 @@ def _sort(child: Operator, order_by: list[ast.OrderItem],
                       for item in order_by)
     return Sort(child, label, [
         (compile_expr(expr, scopes, ctx), item.descending)
-        for expr, item in zip(exprs, order_by)])
+        for expr, item in zip(exprs, order_by)],
+        select_sort_keys(exprs, scopes), ctx.exec_hooks)
 
 
 def _plain_items(items: list[ast.SelectItem], source: RowSchema,
@@ -532,7 +581,7 @@ def build_core(core: ast.SelectCore, catalog: Catalog,
 
     where = core.where
     if where is not None and isinstance(op, Scan):
-        op, where = _point_probe(op, where, scopes)
+        op, where = _point_probe(op, where, scopes, ctx.stats)
     if where is not None:
         op = build_filter(op, "WHERE", where, scopes, ctx,
                           (core.hint or _NO_HINT).est_rows)
@@ -635,8 +684,13 @@ def build_query(query: ast.SelectQuery, catalog: Catalog,
         if query.offset is not None:
             label += f" offset {render_expr(query.offset)}"
 
+        bound = query.limit.value \
+            if isinstance(query.limit, ast.Literal) else None
+        if type(bound) is not int or bound < 0:
+            bound = None  # running it reports the error
+
         def limit(child: Operator) -> Operator:
-            return Limit(child, limit_fn, offset_fn, label)
+            return Limit(child, limit_fn, offset_fn, label, bound)
 
     if not query.is_compound:
         return build_core(query.core, catalog, outer_scopes, ctx,

@@ -11,12 +11,29 @@ same tree, so what it shows is what ran.
 kernel (selection mask, gather, fold) per conjunct / item / aggregate
 where they see plain typed columns, and apply the generic compiled
 expression over the batch's rows otherwise; ``vectorized`` says a column
-kernel is in use.  Joins run row-at-a-time inside and emit batches.
+kernel is in use.
+
+:class:`Join` and :class:`Sort` have one probe loop and one sort routine
+each, whose only variation is how keys are extracted.  A hash join
+whose key pairs are plain typed columns of one comparison family on
+both sides hashes the raw values of whole key columns (build and
+probe); any other key — an expression, ``BOOLEAN = INTEGER``, an untyped
+set-operation column — is evaluated per row and normalised with
+``norm_tuple``, still batch by batch.  A sort gathers or evaluates each
+ORDER BY key once per row into a key column and, when every key column
+turns out to hold one family of values (checked at run time: slot rows
+and set-operation outputs are untyped at build time) and no NaN, sorts
+on the native values with C comparisons; otherwise it wraps them in the
+``compare_values`` comparator, which is also what raises
+``TypeMismatchError`` for mixed families.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from collections import defaultdict
+from itertools import repeat
+from operator import ne
+from typing import Any, Callable, Iterable, Iterator
 
 from . import batch as _batch
 from .batch import Batch, norm_tuple
@@ -219,25 +236,25 @@ class IndexProbe(Operator):
     same normalization as ``values_equal``, so its candidates are exact;
     any other index (``SortedIndex`` coerces keys to float, collapsing
     integers beyond 2**53) only narrows, and every candidate is
-    re-checked here.  ``lookup`` is the primitive the join calls per
-    left row; only a run through ``chunks`` counts ``actual_rows``.
+    re-checked here.  ``lookup`` is the primitive the join maps over a
+    batch's keys; only a run through ``chunks`` counts ``actual_rows``.
     """
 
     preserves_rows = False
 
     def __init__(self, scan: Scan, index, key_fns: list[RowFn],
-                 positions: list[int]) -> None:
+                 positions: list[int],
+                 est_rows: float | None = None) -> None:
         super().__init__("scan", scan.label, scan.schema,
-                         est_rows=scan.est_rows,
-                         detail=f"index {index.name}")
+                         est_rows=est_rows, detail=f"index {index.name}")
         self.table = scan.table
         self.index = index
         self.key_fns = key_fns
         self.positions = positions
         self.verify = getattr(index, "kind", None) != "hash"
 
-    def lookup(self, context: Rows) -> list[tuple]:
-        key = tuple(fn(context) for fn in self.key_fns)
+    def lookup(self, key: tuple) -> list[tuple]:
+        """The rows whose indexed columns equal *key*, in row-id order."""
         row = self.table.row
         found = [row(row_id) for row_id in sorted(self.index.lookup(key))]
         if self.verify:
@@ -247,7 +264,8 @@ class IndexProbe(Operator):
         return found
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
-        return _slices(self.lookup(outer_rows))
+        return _slices(self.lookup(
+            tuple(fn(outer_rows) for fn in self.key_fns)))
 
 
 class Filter(Operator):
@@ -402,20 +420,74 @@ class Aggregate(Operator):
         yield from _slices(key_rows)
 
 
+#: The value families ``compare_values`` orders, by exact Python type.
+_NATIVE_FAMILIES = ({str}, {int, float}, {bool})
+
+
+def _one_family(column: list) -> bool:
+    """Whether raw ``<`` orders *column*'s non-NULL values exactly as
+    ``compare_values`` does: one family, and no NaN (which the
+    comparator treats as equal to everything)."""
+    kinds = set(map(type, column))
+    kinds.discard(type(None))
+    if float in kinds and any(map(ne, column, column)):
+        return False
+    return any(kinds <= family for family in _NATIVE_FAMILIES)
+
+
 class Sort(Operator):
-    """ORDER BY: a pipeline breaker (stable, so ties keep input order)."""
+    """ORDER BY: a pipeline breaker (stable, so ties keep input order).
+
+    Each key is evaluated once per row into a key column — gathered
+    from ``positions[k]`` where the selector found a plain column or
+    slot, else computed by the compiled expression.  ``positions`` is
+    ``None`` when the selector declined the kernel altogether.  Whether
+    the key columns sort natively is only known once they exist, so
+    ``vectorized`` says what the latest run did.
+    """
 
     def __init__(self, child: Operator, label: str,
-                 order_fns: list[tuple[RowFn, bool]]) -> None:
-        super().__init__("sort", label, child.schema, [child])
+                 order_fns: list[tuple[RowFn, bool]],
+                 positions: list[int | None] | None, hooks=None) -> None:
+        super().__init__("sort", label, child.schema, [child], hooks=hooks)
         self.order_fns = order_fns
+        self.positions = positions
+        self.vectorized = positions is not None
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
         rows = self.children[0].run(outer_rows)
-        rows.sort(key=lambda row: tuple(
-            sort_key(fn(outer_rows + (row,)), descending)
-            for fn, descending in self.order_fns))
-        yield from _slices(rows)
+        contexts = None
+        columns = []
+        for (fn, _descending), position in zip(
+                self.order_fns, self.positions or repeat(None)):
+            if position is not None:
+                columns.append([row[position] for row in rows])
+                continue
+            if contexts is None:
+                contexts = [outer_rows + (row,) for row in rows]
+            columns.append([fn(context) for context in contexts])
+        directions = [descending for _fn, descending in self.order_fns]
+        order = list(range(len(rows)))
+        self.vectorized = self.positions is not None \
+            and all(map(_one_family, columns))
+        if self.vectorized:
+            self._observe(len(rows))
+            # Successive stable sorts, last key first; NULLs are
+            # partitioned out (LAST for ASC, FIRST for DESC).
+            for column, descending in zip(reversed(columns),
+                                          reversed(directions)):
+                nulls = []
+                if None in column:
+                    nulls = [i for i in order if column[i] is None]
+                    order = [i for i in order if column[i] is not None]
+                order.sort(key=column.__getitem__, reverse=descending)
+                order = nulls + order if descending else order + nulls
+        else:
+            keys = list(zip(*[
+                [sort_key(value, descending) for value in column]
+                for column, descending in zip(columns, directions)]))
+            order.sort(key=keys.__getitem__)
+        yield from _slices([rows[i] for i in order])
 
 
 class Distinct(Operator):
@@ -454,11 +526,20 @@ def _bound_value(fn: RowFn | None, outer_rows: Rows,
 
 class Limit(Operator):
     """Lazy OFFSET/LIMIT: stops pulling its child once satisfied, so the
-    batches (and UNION ALL operands) after that point never run."""
+    batches (and UNION ALL operands) after that point never run.
+
+    *bound* is the LIMIT when it is a literal: the estimate is then at
+    most that, and unset when the bound is only known at run time."""
+
+    preserves_rows = False
 
     def __init__(self, child: Operator, limit_fn: RowFn | None,
-                 offset_fn: RowFn | None, label: str) -> None:
-        super().__init__("limit", label, child.schema, [child])
+                 offset_fn: RowFn | None, label: str,
+                 bound: int | None = None) -> None:
+        est_rows = bound
+        if bound is not None and child.est_rows is not None:
+            est_rows = min(child.est_rows, bound)
+        super().__init__("limit", label, child.schema, [child], est_rows)
         self.limit_fn = limit_fn
         self.offset_fn = offset_fn
 
@@ -530,16 +611,31 @@ class SetOp(Operator):
         yield from _slices(current)
 
 
+def _key_rows(fns: list[RowFn], rows: list[tuple],
+              outer_rows: Rows) -> list[tuple]:
+    """The generic key extractor: per row, the values *fns* evaluate to."""
+    return [tuple([fn(context) for fn in fns])
+            for context in [outer_rows + (row,) for row in rows]]
+
+
 class Join(Operator):
-    """INNER / LEFT / CROSS join, row-at-a-time inside, in left order.
+    """INNER / LEFT / CROSS join, batch by batch, in left order with
+    each left row's matches in right-input order.
 
     The strategy is the node's ``kind``: ``hash-join`` builds buckets
-    over the right input's ``right_keys`` and probes them with
-    ``left_keys``; ``index-join`` asks the right child — an
-    :class:`IndexProbe` whose keys read the current left row — and never
-    scans it; ``nested-loop`` / ``cross-join`` pair every left row with
-    the materialized right input.  ``check`` (the residual ON predicate,
-    or all of it for a nested loop) runs on each combined row.
+    over the right input's keys and probes them with a left batch's;
+    ``index-join`` asks the right child — an :class:`IndexProbe` — for
+    the rows matching each key of the batch and never scans it;
+    ``nested-loop`` / ``cross-join`` pair every left row with the
+    materialized right input.  ``check`` (the residual ON predicate, or
+    all of it for a nested loop) runs on each combined row.
+
+    ``key_positions`` — ``(left positions, right positions)`` — is set
+    when every hash key pair is a plain typed column of one comparison
+    family on both sides: the raw values of those columns then hash and
+    compare as ``values_equal`` does, so whole key columns are the
+    keys.  Otherwise ``left_keys`` / ``right_keys`` evaluate the keys
+    per row and ``norm_tuple`` keeps the families apart.
     """
 
     preserves_rows = False
@@ -547,57 +643,78 @@ class Join(Operator):
     def __init__(self, kind: str, label: str, left: Operator,
                  right: Operator, left_join: bool,
                  left_keys: list[RowFn], right_keys: list[RowFn],
-                 check, est_rows: float | None = None) -> None:
+                 check, est_rows: float | None = None,
+                 key_positions: tuple[list[int], list[int]] | None = None,
+                 hooks=None) -> None:
         super().__init__(kind, label, left.schema.extended(right.schema),
-                         [left, right], est_rows)
+                         [left, right], est_rows, hooks=hooks)
         self.left_join = left_join
-        self.left_keys = left_keys
-        self.right_keys = right_keys
+        self.key_fns = (left_keys, right_keys)
         self.check = check
+        self.key_positions = key_positions
+        self.vectorized = key_positions is not None
 
-    def _candidates(self, outer_rows: Rows) -> Callable[[tuple], Any]:
-        """The function giving one left row's candidate right rows."""
-        right = self.children[1]
-        if self.kind == "index-join":
-            return lambda left_row: right.lookup(outer_rows + (left_row,))
-        if self.kind != "hash-join":
-            right_rows = right.run(outer_rows)
-            return lambda left_row: right_rows
-        buckets: dict[tuple, list[tuple]] = {}
-        right_keys, left_keys = self.right_keys, self.left_keys
-        for right_row in right.rows(outer_rows):
-            context = outer_rows + (right_row,)
-            values = [fn(context) for fn in right_keys]
-            if None not in values:  # NULL never matches in an equi-join
-                buckets.setdefault(norm_tuple(values), []).append(right_row)
-
-        def probe(left_row: tuple):
-            context = outer_rows + (left_row,)
-            values = [fn(context) for fn in left_keys]
-            if None in values:
-                return ()
-            return buckets.get(norm_tuple(values), ())
-        return probe
+    def _hash_keys(self, batch: Batch, side: int,
+                   outer_rows: Rows) -> Iterable:
+        """One hashable key per row of *batch* (``side`` 0 is the left
+        input); ``None`` where a key value is NULL, which matches
+        nothing in an equi-join."""
+        if self.key_positions is not None:
+            columns = [batch.column(position)
+                       for position in self.key_positions[side]]
+            if len(columns) == 1:
+                return columns[0]
+            return [None if None in key else key for key in zip(*columns)]
+        return [None if None in key else norm_tuple(key) for key in
+                _key_rows(self.key_fns[side], batch.rows, outer_rows)]
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
-        candidates = self._candidates(outer_rows)
+        left, right = self.children
+        kind = self.kind
+        if kind == "hash-join":
+            buckets: dict = defaultdict(list)
+            for batch in right.chunks(outer_rows):
+                for key, right_row in zip(
+                        self._hash_keys(batch, 1, outer_rows), batch.rows):
+                    if key is not None:
+                        buckets[key].append(right_row)
+        elif kind != "index-join":
+            right_rows = right.run(outer_rows)
         check, left_join = self.check, self.left_join
-        pad = (None,) * len(self.children[1].schema)
+        pad = (None,) * len(right.schema)
         size = _batch.BATCH_SIZE
         out: list[tuple] = []
-        for batch in self.children[0].chunks(outer_rows):
-            for left_row in batch.rows:
+        for batch in left.chunks(outer_rows):
+            # Per left row, the right rows it may pair with.
+            if kind == "hash-join":
+                self._observe(len(batch))
+                candidates = list(map(
+                    buckets.get, self._hash_keys(batch, 0, outer_rows),
+                    repeat(())))
+            elif kind == "index-join":
+                candidates = list(map(right.lookup, _key_rows(
+                    right.key_fns, batch.rows, outer_rows)))
+            else:
+                candidates = [right_rows] * len(batch)
+            if not left_join and not all(candidates):
+                # A left row without candidates cannot reach the output:
+                # drop it in whichever view the batch has, before the
+                # row view is derived.
+                batch = batch.select(candidates)
+                candidates = filter(None, candidates)
+            for left_row, found in zip(batch.rows, candidates):
                 matched = False
-                for right_row in candidates(left_row):
+                for right_row in found:
                     combined = left_row + right_row
                     if check is None or check(outer_rows + (combined,)):
                         matched = True
                         out.append(combined)
-                if left_join and not matched:
+                if matched:
+                    if len(out) >= size:
+                        yield Batch(rows=out)
+                        out = []
+                elif left_join:
                     out.append(left_row + pad)
-                if len(out) >= size:
-                    yield Batch(rows=out)
-                    out = []
             if out:
                 yield Batch(rows=out)
                 out = []

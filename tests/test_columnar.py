@@ -154,6 +154,15 @@ class TestVectorizedExecution:
         assert len(result.rows) == 49
         # Storage is columnar either way; nothing above the scan is.
         assert result.plan.vectorized_ops == {"scan"}
+        join_sort = ("SELECT a.k, COUNT(*) FROM t a JOIN t b ON a.id = b.id "
+                     "GROUP BY a.k ORDER BY a.k DESC")
+        assert db.query(join_sort).plan.vectorized_ops \
+            >= {"hash-join", "sort"}
+        with generic_kernels():
+            result = db.query(join_sort)
+        assert {"hash-join", "sort"} <= {
+            node.kind for node in result.plan.walk()}
+        assert result.plan.vectorized_ops == {"scan"}
 
     def test_results_match_generic_kernels(self, generic_kernels):
         db = make_db()
@@ -179,13 +188,19 @@ class TestVectorizedExecution:
         assert "scan" in result.plan.vectorized_ops
         assert "filter" not in result.plan.vectorized_ops
 
-    def test_join_runs_rows_inside_a_batch_pipeline(self):
+    def test_join_probes_key_columns_inside_a_batch_pipeline(self):
         db = make_db()
         db.execute("CREATE TABLE s (id INTEGER, w REAL)")
         db.insert_rows("s", ({"id": i, "w": float(i)} for i in range(50)))
-        rows = db.query("SELECT t.id, s.w FROM t JOIN s ON t.id = s.id "
-                        "WHERE t.id < 3 AND s.id < 90").rows
-        assert sorted(rows) == [(0, 0.0), (1, 1.0), (2, 2.0)]
+        result = db.query("SELECT t.id, s.w FROM t JOIN s ON t.id = s.id "
+                          "WHERE t.id < 3 AND s.id < 90")
+        assert sorted(result.rows) == [(0, 0.0), (1, 1.0), (2, 2.0)]
+        assert "hash-join" in result.plan.vectorized_ops
+        # An expression key keeps the generic key extractor.
+        result = db.query("SELECT t.id, s.w FROM t JOIN s "
+                          "ON t.id + 0 = s.id WHERE t.id < 3")
+        assert sorted(result.rows) == [(0, 0.0), (1, 1.0), (2, 2.0)]
+        assert "hash-join" not in result.plan.vectorized_ops
 
     def test_subquery_predicate_stays_correct(self):
         # The outer IN-subquery predicate cannot kernelize, but the
@@ -275,6 +290,39 @@ class TestExplainMarking:
         model = CostModel()
         assert model.scan_cost(1000, vectorized=True) \
             < model.scan_cost(1000)
+
+
+# -- the benchmark's claim rests on these kernels -----------------------------
+
+
+def test_benchmark_sql_templates_sort_and_join_on_column_kernels(
+        monkeypatch):
+    """``sql_analytic``'s gain comes from the sort and hash-join column
+    kernels: a change that untypes a column those templates join or
+    order on would silently send them back to the comparator path."""
+    import importlib
+    import os
+    import random
+
+    from repro.workloads import scaled_databank
+
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    workloads = importlib.import_module("benchmarks.e2e.workloads")
+
+    db = scaled_databank(1200, seed=3)
+    db.execute("ANALYZE")
+    rng = random.Random(3)
+    plans = {}
+    for template in workloads.sql_templates(len(db.table("landfill"))):
+        plan = db.query(template.inline(template.draw(rng))).plan
+        plans[template.key] = plan
+        for node in plan.walk():
+            if node.kind in ("sort", "hash-join"):
+                assert node.vectorized, (template.key, plan.format())
+    for key in ("topk", "join2", "join3"):
+        assert "sort" in plans[key].vectorized_ops, key
+    assert "hash-join" in plans["join3"].vectorized_ops
 
 
 # -- telemetry ----------------------------------------------------------------

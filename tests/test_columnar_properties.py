@@ -3,9 +3,13 @@
 Random tables (mixed column types, NULLs, deletes interleaved with the
 inserts) crossed with random SELECT shapes: the engine's specialised
 column kernels must return byte-identical results to a twin database
-queried under the ``generic_kernels`` fixture (every filter, projection
-and aggregate on its compiled row expression) — same column headers,
-same rows, same order for ORDER BY queries, same multiset otherwise.
+queried under the ``generic_kernels`` fixture (every filter, projection,
+aggregate, hash join and sort on its compiled row expression) — same
+column headers, same rows, same order for ORDER BY queries, same
+multiset otherwise.  Join and ORDER BY shapes are compared row for row
+*and in order* (a join emits in left order with matches in right-input
+order; a sort is stable), and must fail with the same error when the
+reference does.
 
 NaN is deliberately excluded from the generated data: SQL comparison
 semantics over NaN are pinned by the deterministic kernel tests, while
@@ -16,11 +20,14 @@ from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.relational import Database
-from repro.relational.operators import Aggregate, Filter, Project
+from repro.relational.errors import RelationalError
+from repro.relational.operators import (Aggregate, Filter, Join, Project,
+                                        Sort)
 
 int_values = st.one_of(st.none(), st.integers(-3, 6))
 real_values = st.one_of(st.none(), st.integers(-2, 4).map(float),
@@ -136,3 +143,133 @@ def test_vectorized_matches_row_path(generic_kernels, rows, mask, query):
     # no operator that chooses its kernel chose a column kernel.
     assert [node.kind for node in expected.plan.walk() if node.vectorized
             and isinstance(node, (Filter, Project, Aggregate))] == []
+
+
+# -- joins and ORDER BY: compared in order, errors included -------------------
+
+
+def outcome(db: Database, sql: str):
+    """What running *sql* gives: the plan plus either columns and rows
+    (in order) or the error's type and message."""
+    try:
+        result = db.query(sql)
+    except RelationalError as exc:
+        return None, (type(exc), str(exc))
+    return result.plan, (result.columns, result.rows)
+
+
+#: Few distinct values per column, so keys collide across tables and
+#: families (``1`` / ``1.0`` / ``'1'`` / ``TRUE``) and sorts have ties.
+colliding_rows = st.lists(
+    st.tuples(st.one_of(st.none(), st.integers(0, 2)),
+              st.one_of(st.none(), st.sampled_from([0.0, 1.0, 2.0, 0.5])),
+              st.one_of(st.none(), st.sampled_from(["0", "1", "a"])),
+              bool_values),
+    min_size=2, max_size=12)
+
+
+def build_pair(left_rows, right_rows) -> Database:
+    db = Database()
+    for name, rows in (("a", left_rows), ("b", right_rows)):
+        db.execute(f"CREATE TABLE {name} "
+                   "(i INTEGER, r REAL, t TEXT, b BOOLEAN)")
+        db.insert_rows(name, (dict(zip(("i", "r", "t", "b"), row))
+                              for row in rows))
+    return db
+
+
+def assert_same_as_generic(generic_kernels, make_db, sql: str) -> None:
+    plan, got = outcome(make_db(), sql)
+    with generic_kernels():
+        reference, expected = outcome(make_db(), sql)
+    assert got == expected, sql
+    if reference is not None:
+        assert [node.kind for node in reference.walk() if node.vectorized
+                and isinstance(node, (Filter, Project, Aggregate, Join,
+                                      Sort))] == []
+        # Same tree either way: only the kernels differ.
+        assert [node.kind for node in plan.walk()] \
+            == [node.kind for node in reference.walk()]
+
+
+#: ``left = right`` key pairs: same family (raw-key kernel), INTEGER
+#: against REAL (one numeric family), BOOLEAN against INTEGER (never
+#: equal in SQL, equal in Python: must stay on normalised keys), TEXT
+#: against INTEGER, and an expression key.
+KEY_PAIRS = ["a.i = b.i", "a.t = b.t", "a.b = b.b", "a.r = b.r",
+             "a.i = b.r", "b.r = a.i", "a.b = b.i", "a.t = b.i",
+             "a.i + 1 = b.i"]
+
+
+@st.composite
+def join_queries(draw, first_pair: str) -> str:
+    join = draw(st.sampled_from(["JOIN", "LEFT JOIN"]))
+    on = first_pair
+    if draw(st.booleans()):
+        on += " AND " + draw(st.sampled_from(
+            [pair for pair in KEY_PAIRS if pair != first_pair]))
+    if draw(st.booleans()):
+        on += " AND a.i > b.i"
+    right = draw(st.sampled_from([
+        "b", "(SELECT i, r, t, b FROM b WHERE i IS NOT NULL) AS b",
+        "(SELECT i, r, t, b FROM b UNION ALL SELECT r, i, t, b FROM b) "
+        "AS b"]))
+    return f"SELECT * FROM a {join} {right} ON {on}"
+
+
+@pytest.mark.parametrize("first_pair", KEY_PAIRS)
+@given(left=colliding_rows, right=colliding_rows, data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_joins_match_generic_keys_in_order(generic_kernels, first_pair,
+                                           left, right, data):
+    assert_same_as_generic(generic_kernels,
+                           lambda: build_pair(left, right),
+                           data.draw(join_queries(first_pair)))
+
+
+sort_keys = st.sampled_from([
+    "i", "r", "t", "b", "i + 1", "r * -1.0", "t || 'x'",
+    "COALESCE(i, 0)", "i = 2"])
+order_items = st.lists(
+    st.tuples(sort_keys, st.sampled_from(["", " ASC", " DESC"])),
+    min_size=1, max_size=3).map(
+        lambda items: ", ".join(key + direction
+                                for key, direction in items))
+grouped_keys = st.lists(
+    st.tuples(st.sampled_from(["t", "n", "s", "m", "n + 1"]),
+              st.sampled_from(["", " DESC"])),
+    min_size=1, max_size=3).map(
+        lambda items: ", ".join(key + direction
+                                for key, direction in items))
+#: Second operand of a UNION ALL under ``SELECT i AS x``: the same
+#: family, the other numeric type, and two families ORDER BY must
+#: refuse to compare with integers.
+union_operands = st.sampled_from(["i", "r", "t", "b"])
+
+
+@st.composite
+def ordered_queries(draw, shape: str) -> str:
+    if shape == "plain":
+        sql = f"SELECT * FROM t ORDER BY {draw(order_items)}"
+    elif shape == "grouped":
+        sql = ("SELECT t, COUNT(*) AS n, SUM(i) AS s, MAX(r) AS m FROM t "
+               f"GROUP BY t ORDER BY {draw(grouped_keys)}")
+    else:
+        direction = draw(st.sampled_from(["", " DESC"]))
+        sql = (f"SELECT i AS x FROM t UNION ALL "
+               f"SELECT {draw(union_operands)} FROM t "
+               f"ORDER BY x{direction}")
+    if draw(st.booleans()):
+        sql += f" LIMIT {draw(st.integers(0, 10))}"
+        if draw(st.booleans()):
+            sql += f" OFFSET {draw(st.integers(0, 5))}"
+    return sql
+
+
+@pytest.mark.parametrize("shape", ["plain", "grouped", "union"])
+@given(rows=colliding_rows, mask=delete_mask, data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_order_by_matches_comparator_in_order(generic_kernels, shape, rows,
+                                              mask, data):
+    assert_same_as_generic(generic_kernels, lambda: build(rows, mask),
+                           data.draw(ordered_queries(shape)))

@@ -1,5 +1,7 @@
 """End-to-end SELECT execution: filters, joins, grouping, set ops, NULLs."""
 
+import re
+
 import pytest
 
 from repro.relational import (AmbiguousColumnError, Database, ExecutionError,
@@ -360,6 +362,13 @@ SHAPES = [
     "LEFT JOIN note ON note.tag_id = tag.id WHERE big.id < 60",
     "SELECT grp FROM big WHERE id < 20 UNION SELECT name FROM tag",
     "SELECT id FROM big WHERE tag_id IN (SELECT id FROM tag WHERE id > 6)",
+    "SELECT big.id, note.body FROM big JOIN note "
+    "ON big.tag_id = note.tag_id AND big.id > note.tag_id * 30",
+    "SELECT big.id, note.body FROM big LEFT JOIN note "
+    "ON big.tag_id + 0 = note.tag_id WHERE big.id < 90",
+    "SELECT grp, tag_id, v, id FROM big "
+    "ORDER BY grp DESC, tag_id, v * -1.0, id DESC",
+    "SELECT grp, COUNT(*) AS n FROM big GROUP BY grp ORDER BY n DESC, grp",
 ]
 
 
@@ -413,3 +422,143 @@ def test_explain_analyze_counts_match_independent_counts(shapes_db):
         ("hash-join", "to tag"): len(first),
         ("scan", "big"): len(big), ("scan", "tag"): len(tags),
         ("scan", "note"): len(notes)}
+
+
+# -- the hash join's raw-key kernel and the sort's native keys ----------------
+
+
+@pytest.fixture
+def keys_db(db):
+    """One row per interesting key value, in four typed columns."""
+    db.execute_script("""
+        CREATE TABLE l (tag TEXT, i INTEGER, r REAL, t TEXT, b BOOLEAN);
+        CREATE TABLE r (tag TEXT, i INTEGER, r REAL, t TEXT, b BOOLEAN);
+    """)
+    big = 2 ** 53
+    db.insert_rows("l", [
+        {"tag": "one", "i": 1, "r": 1.0, "t": "1", "b": True},
+        {"tag": "big", "i": big + 1, "r": float(big), "t": "x", "b": False},
+        {"tag": "null", "i": None, "r": None, "t": None, "b": None}])
+    db.insert_rows("r", [
+        {"tag": "one", "i": 1, "r": 1.0, "t": "1", "b": True},
+        {"tag": "one again", "i": 1, "r": 1.0, "t": "1", "b": True},
+        {"tag": "big", "i": big + 1, "r": float(big), "t": "x", "b": False},
+        {"tag": "null", "i": None, "r": None, "t": None, "b": None}])
+    return db
+
+
+def _join(db, on, join="JOIN"):
+    result = db.query(f"SELECT l.tag, r.tag FROM l {join} r ON {on}")
+    hash_join = [node for node in result.plan.walk()
+                 if node.kind == "hash-join"]
+    assert len(hash_join) == 1
+    return result.rows, hash_join[0].vectorized
+
+
+def test_raw_key_join_equates_integer_and_real_exactly(keys_db):
+    # 1 = 1.0 joins (both duplicates); 2**53 + 1 is not float(2**53),
+    # which coercing the keys to float would make it.
+    rows, vectorized = _join(keys_db, "l.i = r.r")
+    assert vectorized
+    assert rows == [("one", "one"), ("one", "one again")]
+    rows, vectorized = _join(keys_db, "l.i = r.i")
+    assert vectorized
+    assert rows == [("one", "one"), ("one", "one again"), ("big", "big")]
+
+
+def test_join_keys_of_different_families_never_match(keys_db):
+    # TRUE = 1 and '1' = 1 are false in SQL though Python's dict would
+    # equate True and 1: such pairs stay on normalised keys.
+    for on in ("l.b = r.i", "l.i = r.b", "l.t = r.i", "l.i = r.t"):
+        rows, vectorized = _join(keys_db, on)
+        assert not vectorized, on
+        assert rows == [], on
+    rows, vectorized = _join(keys_db, "l.b = r.b")
+    assert vectorized
+    assert rows == [("one", "one"), ("one", "one again"), ("big", "big")]
+
+
+def test_null_join_keys_match_nothing_and_left_pad(keys_db):
+    for on in ("l.i = r.i", "l.i = r.i AND l.t = r.t", "l.i + 0 = r.i"):
+        rows, _vectorized = _join(keys_db, on, "LEFT JOIN")
+        assert rows == [("one", "one"), ("one", "one again"),
+                        ("big", "big"), ("null", None)], on
+
+
+def test_boolean_stored_in_integer_column_is_an_integer(keys_db):
+    # coerce_value admits no bool into an INTEGER column, so the raw-key
+    # dict of an INTEGER join never holds one: TRUE is stored as 1 and
+    # joins 1 like any other integer.
+    keys_db.execute("INSERT INTO l VALUES ('coerced', TRUE, 0.0, '', FALSE)")
+    stored = keys_db.query("SELECT i FROM l WHERE tag = 'coerced'").rows
+    assert stored == [(1,)] and type(stored[0][0]) is int
+    rows, vectorized = _join(keys_db, "l.i = r.i")
+    assert vectorized
+    assert ("coerced", "one") in rows
+
+
+def test_nan_sort_key_falls_back_to_the_comparator(db, generic_kernels):
+    db.execute("CREATE TABLE t (id INTEGER, v REAL)")
+    db.insert_rows("t", [{"id": 1, "v": 2.0}, {"id": 2, "v": float("nan")},
+                         {"id": 3, "v": 1.0}, {"id": 4, "v": None}])
+    result = db.query("SELECT id FROM t ORDER BY v, id")
+    sort = next(node for node in result.plan.walk() if node.kind == "sort")
+    assert not sort.vectorized      # decided on the values, at run time
+    with generic_kernels():
+        assert db.query("SELECT id FROM t ORDER BY v, id").rows \
+            == result.rows
+    clean = db.query("SELECT id FROM t WHERE id <> 2 ORDER BY v DESC, id")
+    assert clean.rows == [(4,), (1,), (3,)]
+    assert next(node for node in clean.plan.walk()
+                if node.kind == "sort").vectorized
+
+
+def test_explain_marks_join_and_sort_kernels(keys_db, generic_kernels):
+    sql = "SELECT l.tag FROM l JOIN r ON l.i = r.i ORDER BY l.r DESC, l.tag"
+    planned = keys_db.explain(sql)
+    marked = {node.kind for node in planned.root.walk() if node.vectorized}
+    assert {"sort", "hash-join"} <= marked
+    text = planned.format()
+    assert re.search(r"hash-join to \w+  \(est=[^)]*, vectorized\)", text)
+    assert re.search(r"sort l\.r DESC, l\.tag  \([^)]*vectorized\)", text)
+    assert {"sort", "hash-join"} <= keys_db.query(sql).plan.vectorized_ops
+    with generic_kernels():
+        assert keys_db.explain(sql).root.vectorized_ops == {"scan"}
+        assert keys_db.query(sql).plan.vectorized_ops == {"scan"}
+
+
+def test_limit_and_point_probe_estimates(db):
+    """LIMIT caps the estimate it passes up; a WHERE point probe is
+    estimated from the statistics catalog, not as the whole table."""
+    from repro.telemetry import Telemetry, TelemetryOptions
+    db.execute("CREATE TABLE e (name TEXT, amount REAL)")
+    db.insert_rows("e", ({"name": f"m{i % 20}", "amount": float(i)}
+                         for i in range(1000)))
+    db.execute("CREATE INDEX idx_e_name ON e (name)")
+    top = "SELECT name, amount FROM e WHERE name = 'm3' " \
+          "ORDER BY amount DESC LIMIT 10"
+    # Not ANALYZEd: the probe's estimate is unset, the LIMIT still caps.
+    text = db.explain(top, analyze=True).format()
+    assert "limit 10  (est=10, actual=10)" in text
+    assert "scan e  (actual=50, index idx_e_name)" in text
+    db.execute("ANALYZE")
+    text = db.explain(top, analyze=True).format()
+    assert "limit 10  (est=10, actual=10)" in text
+    assert "scan e  (est=50, actual=50, index idx_e_name)" in text
+    assert "est=1000" not in text
+    # A bound only known at run time leaves the estimate unset.
+    text = db.explain(top.replace("10", "5 + 5")).format()
+    assert "limit (5 + 5)\n" in text
+    # A LIMIT larger than its input passes the input's estimate on.
+    text = db.explain(top.replace("10", "500")).format()
+    assert "limit 500  (est=50)" in text
+
+    telemetry = Telemetry(TelemetryOptions())
+    db.attach_telemetry(telemetry)
+    db.query(top)
+    db.query("SELECT amount FROM e WHERE name = 'm7'")
+    series = telemetry.metrics.to_dict()[
+        "repro_planner_estimate_ratio"]["series"][0]
+    assert series["count"] == 2
+    # (10 + 1) / (10 + 1) and (50 + 1) / (50 + 1): both exact.
+    assert series["sum"] == pytest.approx(2.0)
