@@ -1,10 +1,11 @@
 """``python -m repro.analysis`` — lint SQL / SESQL query files.
 
-Each input file is split into ``;``-separated statements (quotes and
-``--`` comments respected); statements containing an ``ENRICH`` clause
-go through the Semantic Query Parser and the SESQL analyzer, everything
-else through the plain SQL analyzer.  With no schema the analyzer runs
-catalog-less (name resolution is suppressed, everything else applies);
+Each input file is split into ``;``-separated statements (strings,
+quoted identifiers and comments respected); statements containing an
+``ENRICH`` clause go through the Semantic Query Parser and the SESQL
+analyzer, everything else through the plain SQL analyzer.  With no
+schema the analyzer runs catalog-less (name resolution is suppressed,
+everything else applies);
 ``--smartground`` lints against the SmartGround schema and also runs
 the built-in paper workload, and ``--schema FILE`` executes a DDL
 script into a scratch database first.
@@ -26,48 +27,34 @@ import json
 import sys
 from pathlib import Path
 
+from ..relational.lexer import RULES as SQL_RULES
+from ..scanner import Scanner
 from .diagnostics import AnalysisReport, CODES
 from .query import analyze_enriched, analyze_sql
 
 
+#: SQL token spans, with any character SQL does not know (SESQL's
+#: ``${``, a stray quote) let through: splitting never fails (OTHER
+#: matches anything, so no error factory), the analyzer reports what
+#: is malformed.
+_spans = Scanner([*SQL_RULES, ("OTHER", r"(?s:.)", None)], None).scan
+
+
 def split_statements(text: str) -> list[str]:
-    """Split a script on ``;`` outside quotes and ``--`` comments."""
+    """Split a script on ``;`` outside strings, quoted identifiers and
+    comments; pieces that hold nothing but comments are dropped."""
     statements: list[str] = []
-    current: list[str] = []
-    quote: str | None = None
-    comment = False
-    for ch in text:
-        if comment:
-            current.append(ch)
-            if ch == "\n":
-                comment = False
-            continue
-        if quote is not None:
-            current.append(ch)
-            if ch == quote:
-                quote = None
-            continue
-        if ch in ("'", '"'):
-            quote = ch
-            current.append(ch)
-            continue
-        if ch == "-" and current and current[-1] == "-":
-            comment = True
-            current.append(ch)
-            continue
-        if ch == ";":
-            statements.append("".join(current))
-            current = []
-            continue
-        current.append(ch)
-    statements.append("".join(current))
-    return [s.strip() for s in statements if s.strip()
-            and not _comment_only(s)]
-
-
-def _comment_only(statement: str) -> bool:
-    return all(line.strip().startswith("--") or not line.strip()
-               for line in statement.splitlines())
+    begin, empty = 0, True
+    for kind, value, start, end in _spans(text):
+        if kind == "OP" and value == ";":
+            if not empty:
+                statements.append(text[begin:start].strip())
+            begin, empty = end, True
+        else:
+            empty = False
+    if not empty:
+        statements.append(text[begin:].strip())
+    return statements
 
 
 def _is_sesql(statement: str) -> bool:

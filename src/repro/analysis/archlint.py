@@ -6,7 +6,7 @@ The codebase keeps a strict layering DAG — the storage engines
 (``telemetry``, ``durability``, ``cluster``) integrate through
 duck-typed hook attributes rather than imports.  Nothing in the
 *runtime* enforces that; this module does, by walking every file's
-``ast`` and checking three rule families:
+``ast`` and checking four rule families:
 
 ``layering``
     A module-level import may only target packages listed for the
@@ -34,6 +34,15 @@ duck-typed hook attributes rather than imports.  Nothing in the
     ``shipped`` scope in ``federation/mediator.py`` — a second copy of
     either sequence elsewhere fails here.
 
+``dead-public``
+    A public top-level function or class, or public method of a
+    top-level class, whose name occurs nowhere else under the package
+    or the ``reference-roots`` beside it (tests, examples, benchmarks)
+    is API nobody calls: delete it, or give it the test that shows why
+    it exists.  The search is by word over the file text, so a mention
+    anywhere — another definition's call, a string, a docstring — keeps
+    a name alive; the rule finds orphans, it does not prove use.
+
 Defaults live in :data:`DEFAULT_CONFIG`; a ``[tool.repro.archlint]``
 table in ``pyproject.toml`` overrides them key by key.  Run as
 ``python -m repro.analysis.archlint [src/repro]``; exit status 1 when
@@ -44,7 +53,9 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,14 +66,15 @@ DEFAULT_CONFIG: dict = {
     "exempt": ["__init__.py"],           # repro/__init__.py re-exports
     "layers": {
         "rwlock": [],
+        "scanner": [],
         "telemetry": [],
-        "relational": ["rwlock"],
-        "rdf": ["rwlock"],
-        "sparql": ["rdf"],
+        "relational": ["rwlock", "scanner"],
+        "rdf": ["rwlock", "scanner"],
+        "sparql": ["rdf", "scanner"],
         "planner": ["relational"],
         "smartground": ["relational", "rdf"],
-        "analysis": ["relational"],
-        "core": ["relational", "rdf", "sparql"],
+        "analysis": ["relational", "scanner"],
+        "core": ["relational", "rdf", "scanner", "sparql"],
         "api": ["analysis", "core", "relational"],
         "crosse": ["api", "core", "rdf", "relational"],
         "federation": ["analysis", "api", "core", "crosse", "planner",
@@ -93,6 +105,9 @@ DEFAULT_CONFIG: dict = {
         "_ship_parsed": ["federation/mediator.py"],
         "ship": ["federation/mediator.py"],
     },
+    # Where else a public name may be referenced, relative to the root.
+    "reference-roots": ["../../tests", "../../examples",
+                        "../../benchmarks"],
 }
 
 
@@ -102,7 +117,8 @@ class Violation:
 
     file: str
     line: int
-    rule: str      # 'layering' | 'layering-cycle' | 'hooks' | 'choke-points'
+    rule: str      # 'layering' | 'layering-cycle' | 'hooks' |
+                   # 'choke-points' | 'dead-public'
     message: str
 
     def format(self) -> str:
@@ -203,6 +219,20 @@ def _find_cycle(graph: dict) -> list[str] | None:
     return None
 
 
+def _definitions(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(name, qualified name, line) of each top-level function and
+    class and each method of a top-level class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for node in tree.body:
+        if isinstance(node, kinds):
+            found.append((node.name, node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            found.extend((sub.name, f"{node.name}.{sub.name}", sub.lineno)
+                         for sub in node.body if isinstance(sub, kinds[:2]))
+    return found
+
+
 def check_tree(root: Path, config: dict | None = None) -> list[Violation]:
     """Lint every ``.py`` file under *root* (the ``repro`` package)."""
     config = config or load_config()
@@ -213,6 +243,7 @@ def check_tree(root: Path, config: dict | None = None) -> list[Violation]:
     hook_modules = set(config["hook-modules"])
     hook_importers = set(config["hook-importers"])
     choke_points = config["choke-points"]
+    definitions: list[tuple[str, str, str, int]] = []
 
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root).as_posix()
@@ -222,6 +253,8 @@ def check_tree(root: Path, config: dict | None = None) -> list[Violation]:
         if package.endswith(".py"):       # top-level module (rwlock.py)
             package = package[:-3]
         tree = ast.parse(path.read_text(), filename=str(path))
+        definitions.extend((name, qualified, relative, line)
+                           for name, qualified, line in _definitions(tree))
 
         allowed = set(layers.get(package, ()))
         allowed_lazy = allowed | set(lazy_layers.get(package, ()))
@@ -258,6 +291,20 @@ def check_tree(root: Path, config: dict | None = None) -> list[Violation]:
         violations.append(Violation(
             str(root), 0, "layering-cycle",
             "module-level import cycle: " + " -> ".join(cycle)))
+
+    words: Counter = Counter()
+    for base in [root, *(root / extra
+                         for extra in config["reference-roots"])]:
+        for path in base.rglob("*.py") if base.is_dir() else ():
+            words.update(re.findall(r"\w+", path.read_text()))
+    defined = Counter(name for name, *_ in definitions)
+    for name, qualified, relative, line in definitions:
+        if not name.startswith("_") and words[name] <= defined[name]:
+            violations.append(Violation(
+                relative, line, "dead-public",
+                f"'{qualified}' is public but its name occurs nowhere "
+                f"else in the package, tests, examples or benchmarks; "
+                f"delete it or test it"))
     violations.sort(key=lambda v: (v.file, v.line))
     return violations
 

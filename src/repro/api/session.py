@@ -272,7 +272,7 @@ class Session:
                include_original: bool | None = None,
                join_strategy: str | None = None, **extra):
         """Call one of the engine's three drains of the pipeline run on
-        a bound (hence private: ``reuse_ast``) statement.  Per-call >
+        a bound (hence private) statement.  Per-call >
         session options > engine defaults (None = defer)."""
         if include_original is None:
             include_original = self.options.include_original
@@ -280,7 +280,7 @@ class Session:
                      include_original=include_original,
                      join_strategy=(join_strategy
                                     or self.options.join_strategy),
-                     reuse_ast=True, **extra)
+                     **extra)
 
     @contextmanager
     def _root_span(self, name: str, backend: str, prepared: PreparedQuery):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from ..relational.parser import parse_expr
 from .ast import TaggedCondition
 from .errors import SesqlSyntaxError
+from .parser import sesql_spans
 
 
 @dataclass
@@ -30,81 +31,53 @@ def scan_condition_tags(text: str) -> ScanResult:
     """Extract ``${condition:id}`` tags and return the cleaned SQL."""
     pieces: list[str] = []
     conditions: dict[str, TaggedCondition] = {}
-    position = 0
-    length = len(text)
-    while position < length:
-        char = text[position]
-        if char == "'":
-            end = _skip_string(text, position)
-            pieces.append(text[position:end])
-            position = end
+    copied = 0                      # text[:copied] is already in pieces
+    spans = sesql_spans(text)
+    for kind, value, start, _end in spans:
+        if kind != "MARK" or value != "${":
             continue
-        if char == "$" and position + 1 < length \
-                and text[position + 1] == "{":
-            condition_text, cond_id, end = _read_tag(text, position)
-            if cond_id in conditions:
-                raise SesqlSyntaxError(
-                    f"duplicate condition tag {cond_id!r}", position)
-            try:
-                expr = parse_expr(condition_text)
-            except Exception as exc:
-                raise SesqlSyntaxError(
-                    f"cannot parse tagged condition {condition_text!r}: "
-                    f"{exc}", position) from exc
-            conditions[cond_id] = TaggedCondition(
-                cond_id, condition_text.strip(), expr)
-            pieces.append(condition_text)
-            position = end
-            continue
-        pieces.append(char)
-        position += 1
+        condition_text, cond_id, end = _read_tag(text, start, spans)
+        if cond_id in conditions:
+            raise SesqlSyntaxError(
+                f"duplicate condition tag {cond_id!r}", start)
+        try:
+            expr = parse_expr(condition_text)
+        except Exception as exc:
+            raise SesqlSyntaxError(
+                f"cannot parse tagged condition {condition_text!r}: "
+                f"{exc}", start) from exc
+        conditions[cond_id] = TaggedCondition(
+            cond_id, condition_text.strip(), expr)
+        pieces += (text[copied:start], condition_text)
+        copied = end
+    pieces.append(text[copied:])
     return ScanResult("".join(pieces), conditions)
 
 
-def _skip_string(text: str, start: int) -> int:
-    """Return the index just past a single-quoted SQL string."""
-    position = start + 1
-    while position < len(text):
-        if text[position] == "'":
-            if position + 1 < len(text) and text[position + 1] == "'":
-                position += 2
-                continue
-            return position + 1
-        position += 1
-    raise SesqlSyntaxError("unterminated string literal", start)
-
-
-def _read_tag(text: str, start: int) -> tuple[str, str, int]:
-    """Parse ``${ condition : id }`` starting at *start*.
+def _read_tag(text: str, start: int, spans) -> tuple[str, str, int]:
+    """Read ``${ condition : id }`` whose ``${`` *spans* just yielded.
 
     The condition may itself contain parentheses and strings; the
     separating ``:`` is the last colon at nesting depth zero before the
     closing ``}``.
     """
-    position = start + 2  # past '${'
     depth = 0
     last_colon = -1
-    while position < len(text):
-        char = text[position]
-        if char == "'":
-            position = _skip_string(text, position)
+    for kind, value, position, end in spans:
+        if kind == "OP":
+            depth += (value == "(") - (value == ")")
+        elif kind != "MARK" or depth != 0:
             continue
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        elif char == ":" and depth == 0:
+        elif value == ":":
             last_colon = position
-        elif char == "}" and depth == 0:
+        elif value == "}":
             if last_colon < 0:
                 raise SesqlSyntaxError(
                     "condition tag is missing ':id'", start)
-            condition_text = text[start + 2:last_colon]
             cond_id = text[last_colon + 1:position].strip()
             if not cond_id or not all(c.isalnum() or c == "_"
                                       for c in cond_id):
                 raise SesqlSyntaxError(
                     f"invalid condition identifier {cond_id!r}", start)
-            return condition_text, cond_id, position + 1
-        position += 1
+            return text[start + 2:last_colon], cond_id, end
     raise SesqlSyntaxError("unterminated condition tag", start)

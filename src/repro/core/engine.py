@@ -48,7 +48,7 @@ from .errors import EnrichmentError
 from .join_manager import JoinManager
 from .mapping import ResourceMapping
 from .sqm import Extraction, SemanticQueryModule
-from .sqp import SemanticQueryParser, clone_enriched
+from .sqp import SemanticQueryParser
 from .stored_queries import StoredQueryRegistry
 
 #: Shared no-op context for disabled-telemetry span sites.
@@ -295,22 +295,21 @@ class SESQLEngine:
     def _run(self, enriched: EnrichedQuery,
              knowledge_base: TripleStore | None,
              include_original: bool | None, join_strategy: str | None,
-             reuse_ast: bool, databank, combine) -> _PipelineRun:
+             databank, combine) -> _PipelineRun:
         """The Fig. 6 stage sequence; the callers are its drains.
 
         *databank* maps the rewritten query AST to the base outcome (a
         ``ResultSet``, a ``Cursor`` or a plan); *combine* maps ``(run,
-        select_plan, final_sqls)`` to the drain's outcome.  Unless
-        ``reuse_ast`` is set, *enriched* is deep-copied first: the WHERE
-        rewrite mutates the AST, and a prepared template must survive.
-        On any error the run is released before the error propagates.
+        select_plan, final_sqls)`` to the drain's outcome.  The WHERE
+        rewrite mutates *enriched* in place, so it must be private to
+        this call: freshly parsed or freshly bound, never a prepared
+        template.  On any error the run is released before the error
+        propagates.
         """
         kb = knowledge_base if knowledge_base is not None \
             else self.knowledge_base
         include = (self.include_original if include_original is None
                    else include_original)
-        if not reuse_ast:
-            enriched = clone_enriched(enriched)
         run = _PipelineRun(enriched, join_strategy or self.join_strategy)
         tel = self.telemetry
         started = time.perf_counter()
@@ -369,23 +368,21 @@ class SESQLEngine:
         started = time.perf_counter()
         enriched = self.sqp.parse(text)
         parse_time = time.perf_counter() - started
-        # The freshly parsed AST is private to this call, so the rewrite
-        # stage may mutate it directly (reuse_ast=True).
         return self.execute_parsed(
             enriched, knowledge_base=knowledge_base,
             include_original=include_original, join_strategy=join_strategy,
-            reuse_ast=True, parse_time=parse_time)
+            parse_time=parse_time)
 
     def execute_parsed(self, enriched: EnrichedQuery,
                        knowledge_base: TripleStore | None = None,
                        include_original: bool | None = None,
                        join_strategy: str | None = None,
-                       reuse_ast: bool = False,
                        parse_time: float = 0.0) -> SESQLResult:
-        """Run the pipeline on an already-parsed (e.g. prepared) query
-        and materialize: the databank executes the rewritten SQL and the
-        JoinManager folds the SELECT enrichments in under the configured
-        strategy."""
+        """Run the pipeline on an already-parsed query the caller owns
+        (it is rewritten in place: pass a bound copy of a prepared
+        template, never the template) and materialize: the databank
+        executes the rewritten SQL and the JoinManager folds the SELECT
+        enrichments in under the configured strategy."""
         def combine(run, select_plan, final_sqls):
             if not isinstance(run.base, ResultSet):  # pragma: no cover
                 raise EnrichmentError("the SQL part did not produce rows")
@@ -393,8 +390,7 @@ class SESQLEngine:
                                             run.strategy, final_sqls)
 
         run = self._run(enriched, knowledge_base, include_original,
-                        join_strategy, reuse_ast,
-                        self.databank.execute_ast, combine)
+                        join_strategy, self.databank.execute_ast, combine)
         sql_at = [stage.name for stage in run.stages].index("sql")
         timings = {
             "parse": parse_time,
@@ -444,13 +440,12 @@ class SESQLEngine:
         return self.stream_parsed(
             enriched, knowledge_base=knowledge_base,
             include_original=include_original, join_strategy=join_strategy,
-            reuse_ast=True, page_size=page_size)
+            page_size=page_size)
 
     def stream_parsed(self, enriched: EnrichedQuery,
                       knowledge_base: TripleStore | None = None,
                       include_original: bool | None = None,
                       join_strategy: str | None = None,
-                      reuse_ast: bool = False,
                       page_size: int = 256) -> Cursor:
         """Streaming counterpart of :meth:`execute_parsed`.
 
@@ -482,8 +477,7 @@ class SESQLEngine:
             return combiners, probe.columns
 
         run = self._run(enriched, knowledge_base, include_original,
-                        join_strategy, reuse_ast,
-                        self.databank.stream_ast, prepare)
+                        join_strategy, self.databank.stream_ast, prepare)
         base_cursor = run.base
         base_columns = list(base_cursor.columns)
         combiners, out_columns = run.outcome
@@ -509,7 +503,6 @@ class SESQLEngine:
                        knowledge_base: TripleStore | None = None,
                        include_original: bool | None = None,
                        join_strategy: str | None = None,
-                       reuse_ast: bool = False,
                        analyze: bool = False) -> _PipelineRun:
         """Run the pipeline with ``databank.explain`` in place of
         execution and no combine; returns the run, whose ``stages`` are
@@ -522,7 +515,6 @@ class SESQLEngine:
         explain = getattr(self.databank, "explain", None)
         return self._run(
             enriched, knowledge_base, include_original, join_strategy,
-            reuse_ast,
             lambda query: (explain(query, analyze=analyze)
                            if explain is not None else None),
             lambda run, select_plan, final_sqls: None)

@@ -148,13 +148,3 @@ class ResourceMapping:
                 element.get("datatype", "text"),
             )
         return mapping
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_xml())
-
-    @classmethod
-    def load(cls, path: str,
-             namespaces: NamespaceManager | None = None) -> "ResourceMapping":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_xml(handle.read(), namespaces)

@@ -10,6 +10,9 @@ nodes.  Both the concatenated (``SCHEMAEXTENSION``) and the spaced
 
 from __future__ import annotations
 
+from ..relational.lexer import (RULES as SQL_RULES, STRING_RULE,
+                                fault as sql_fault)
+from ..scanner import Scanner
 from .ast import (BoolSchemaExtension, BoolSchemaReplacement, Enrichment,
                   ReplaceConstant, ReplaceVariable, SchemaExtension,
                   SchemaReplacement)
@@ -36,88 +39,59 @@ _SPACED = {
 }
 
 
+def _span_error(text: str, offset: int) -> SesqlSyntaxError:
+    return SesqlSyntaxError(sql_fault(text, offset)[0], offset)
+
+
+#: SESQL text as SQL token spans: the SQL table, then the markers SQL
+#: does not know (``?``, ``${`` … ``:`` … ``}``), then any other
+#: character.  Every pre-pass that looks for a marker "outside strings,
+#: quoted identifiers and comments" walks these spans, so that phrase
+#: means what the SQL lexer means by it.
+sesql_spans = Scanner(
+    [*SQL_RULES, ("MARK", r"\$\{|[?:}]", None), ("OTHER", r"[^'\"/]", None)],
+    _span_error).scan
+
+
 def split_sesql(text: str) -> tuple[str, str | None]:
     """Split SESQL text into (sql_part, enrich_part or None).
 
-    The split point is the first ``ENRICH`` keyword outside string
-    literals and condition tags.
+    The split point is the first bare ``ENRICH`` word outside string
+    literals, quoted identifiers and comments.
     """
-    position = 0
-    length = len(text)
-    while position < length:
-        char = text[position]
-        if char == "'":
-            position = _skip_string(text, position)
-            continue
-        if char in "eE" and _word_at(text, position, "ENRICH"):
-            return text[:position], text[position + len("ENRICH"):]
-        position += 1
+    for kind, value, start, end in sesql_spans(text):
+        if kind == "WORD" and value.upper() == "ENRICH":
+            return text[:start], text[end:]
     return text, None
-
-
-def _word_at(text: str, position: int, word: str) -> bool:
-    end = position + len(word)
-    if text[position:end].upper() != word:
-        return False
-    if position > 0 and (text[position - 1].isalnum()
-                         or text[position - 1] == "_"):
-        return False
-    if end < len(text) and (text[end].isalnum() or text[end] == "_"):
-        return False
-    return True
-
-
-def _skip_string(text: str, start: int) -> int:
-    position = start + 1
-    while position < len(text):
-        if text[position] == "'":
-            if position + 1 < len(text) and text[position + 1] == "'":
-                position += 2
-                continue
-            return position + 1
-        position += 1
-    raise SesqlSyntaxError("unterminated string literal", start)
 
 
 # ---------------------------------------------------------------------------
 # Enrichment specification tokenizer + parser
 # ---------------------------------------------------------------------------
 
+def _spec_error(text: str, offset: int) -> SesqlSyntaxError:
+    if text[offset] == "'":
+        return SesqlSyntaxError("unterminated string literal", offset)
+    return SesqlSyntaxError(
+        f"unexpected character {text[offset]!r} in ENRICH clause", offset)
+
+
+#: ``^`` ``/`` ``|`` are SPARQL property-path operators, allowed inside
+#: property arguments (extension, see SQM._property_path_n3); a word
+#: does not end in a dot.
+_SPEC = Scanner([
+    (None, r"[ \t\r\n]+|--[^\n]*", None),
+    ("punct", r"[(),]", None),
+    STRING_RULE,
+    ("word", r"[\w^](?:[\w.:\-^/|]*[\w:\-^/|])?", None),
+], _spec_error)
+
+
 def _tokenize_spec(text: str) -> list[tuple[str, str, int]]:
-    """Tokens: ('word', value) | ('string', value) | ('punct', '(' ')' ',')."""
-    tokens: list[tuple[str, str, int]] = []
-    position = 0
-    length = len(text)
-    while position < length:
-        char = text[position]
-        if char in " \t\r\n":
-            position += 1
-        elif char == "-" and text[position:position + 2] == "--":
-            while position < length and text[position] != "\n":
-                position += 1
-        elif char in "(),":
-            tokens.append(("punct", char, position))
-            position += 1
-        elif char == "'":
-            end = _skip_string(text, position)
-            tokens.append(("string",
-                           text[position + 1:end - 1].replace("''", "'"),
-                           position))
-            position = end
-        elif char.isalnum() or char in "_^":
-            # ^ / | are SPARQL property-path operators, allowed inside
-            # property arguments (extension, see SQM._property_path_n3).
-            start = position
-            while position < length and (text[position].isalnum()
-                                         or text[position] in "_.:-^/|"):
-                position += 1
-            word = text[start:position].rstrip(".")
-            position = start + len(word)
-            tokens.append(("word", word, start))
-        else:
-            raise SesqlSyntaxError(
-                f"unexpected character {char!r} in ENRICH clause", position)
-    tokens.append(("eof", "", length))
+    """Tokens: ('word' | 'STRING' | 'punct' | 'eof', value, position)."""
+    tokens = [(kind, value, start)
+              for kind, value, start, _end in _SPEC.scan(text)]
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -175,7 +149,7 @@ def _parse_args(tokens, advance, peek) -> list[str]:
     args: list[str] = []
     while True:
         kind, value, position = advance()
-        if kind in ("word", "string"):
+        if kind in ("word", "STRING"):
             args.append(value)
         else:
             raise SesqlSyntaxError(

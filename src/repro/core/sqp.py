@@ -22,9 +22,9 @@ from ..relational import ast as sql_ast
 from ..relational.render import render_query
 from ..relational.parser import parse_sql
 from .ast import EnrichedQuery, ReplaceConstant, ReplaceVariable
-from .condtags import _skip_string, scan_condition_tags
+from .condtags import scan_condition_tags
 from .errors import EnrichmentError, ParameterError, SesqlSyntaxError
-from .parser import parse_enrichments, split_sesql
+from .parser import parse_enrichments, sesql_spans, split_sesql
 
 
 class SemanticQueryParser:
@@ -88,7 +88,8 @@ _BINDABLE = (bool, int, float, str)
 
 
 def expand_placeholders(text: str) -> tuple[str, int]:
-    """Replace each ``?`` outside string literals with a sentinel literal.
+    """Replace each ``?`` outside string literals, quoted identifiers and
+    comments with a sentinel literal.
 
     Returns the rewritten text and the number of placeholders found.
     The sentinel parses as an ordinary string literal, so the template
@@ -106,42 +107,15 @@ def expand_placeholders(text: str) -> tuple[str, int]:
             f"query text contains the reserved prepared-parameter "
             f"sentinel {_PARAM_PREFIX!r}; use ? placeholders instead")
     pieces: list[str] = []
-    position = 0
+    copied = 0                      # text[:copied] is already in pieces
     count = 0
-    while position < len(text):
-        char = text[position]
-        if char == "'":
-            end = _skip_string(text, position)
-            pieces.append(text[position:end])
-            position = end
-            continue
-        if char == '"':
-            end = text.find('"', position + 1)
-            end = len(text) if end < 0 else end + 1
-            pieces.append(text[position:end])
-            position = end
-            continue
-        # The lexer strips -- and /* */ comments, so a ? inside one is
-        # commentary, not a parameter slot.
-        if char == "-" and text.startswith("--", position):
-            end = text.find("\n", position)
-            end = len(text) if end < 0 else end
-            pieces.append(text[position:end])
-            position = end
-            continue
-        if char == "/" and text.startswith("/*", position):
-            end = text.find("*/", position + 2)
-            end = len(text) if end < 0 else end + 2
-            pieces.append(text[position:end])
-            position = end
-            continue
-        if char == "?":
-            pieces.append("'" + _PARAM_SENTINEL.format(index=count) + "'")
+    for kind, value, start, end in sesql_spans(text):
+        if kind == "MARK" and value == "?":
+            pieces += (text[copied:start],
+                       "'" + _PARAM_SENTINEL.format(index=count) + "'")
+            copied = end
             count += 1
-            position += 1
-            continue
-        pieces.append(char)
-        position += 1
+    pieces.append(text[copied:])
     return "".join(pieces), count
 
 

@@ -53,9 +53,6 @@ class TempTable:
     display_columns: list[str]
     internal_columns: list[str]
 
-    def internal_for(self, display_index: int) -> str:
-        return self.internal_columns[display_index]
-
 
 def materialize(db: Database, name_hint: str, display_columns: Sequence[str],
                 rows: Sequence[tuple]) -> TempTable:

@@ -21,7 +21,7 @@ from ..relational.engine import Database
 from .context import ContextTracker
 from .kb import KnowledgeBaseStore, Reference, StatementRecord
 from .preview import Document, preview as build_preview
-from .ranking import rank_documents, rank_result
+from .ranking import rank_documents
 from .recommend import PeerRecommender
 from .tagging import SemanticTaggingModule
 from .users import User, UserRegistry
@@ -319,8 +319,3 @@ class CrossePlatform:
     def preview_document(self, username: str, doc_id: str) -> dict:
         profile = self.context.profile(username)
         return build_preview(profile, self.documents[doc_id])
-
-    def rank_result_for(self, username: str, result,
-                        concept_columns: list[str] | None = None):
-        profile = self.context.profile(username)
-        return rank_result(profile, result, concept_columns)

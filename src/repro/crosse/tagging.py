@@ -88,8 +88,3 @@ class SemanticTaggingModule:
             records = [record for record in records
                        if record.author == author]
         return records
-
-    def import_annotation(self, username: str,
-                          statement_id: int) -> StatementRecord:
-        """Accept a peer's statement into one's own knowledge base."""
-        return self.statements.accept(username, statement_id)

@@ -262,11 +262,6 @@ class DurabilityManager:
         entries.sort()
         return entries
 
-    def has_prior_state(self) -> bool:
-        """True when the directory holds any snapshot or WAL segment."""
-        return bool(self._list_numbered("snap-", ".snap")
-                    or self._list_numbered("wal-", ".log"))
-
     # -- recovery ------------------------------------------------------------
 
     def recover(self, foreign_sources: Any = None) -> RecoveryReport:

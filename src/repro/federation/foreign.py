@@ -102,11 +102,6 @@ class CsvSource(ForeignSource):
         self._header = header
         self._rows = parsed
 
-    @classmethod
-    def from_file(cls, path: str, name: str | None = None) -> "CsvSource":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls(handle.read(), name or path)
-
     def schema(self) -> TableSchema:
         columns = []
         for index, column_name in enumerate(self._header):

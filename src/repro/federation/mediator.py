@@ -131,9 +131,6 @@ class Mediator:
         except KeyError:
             raise MediationError(f"unknown source {name!r}") from None
 
-    def source_names(self) -> list[str]:
-        return sorted(self._sources)
-
     def define_view(self, name: str,
                     fragments: list[tuple[str, str]],
                     reconciliation: str = "union_all",

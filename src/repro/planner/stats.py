@@ -171,10 +171,6 @@ class StatisticsCatalog:
         self._stats[schema.name.lower()] = stats
         return stats
 
-    def analyze_all(self, tables: Iterable, buckets: int = 32) -> None:
-        for table in tables:
-            self.analyze(table, buckets)
-
     # -- incremental maintenance on DML ------------------------------------
 
     def note_inserted(self, table_name: str,

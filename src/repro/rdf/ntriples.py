@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from typing import Iterator
 
+from ..scanner import unescape
 from .errors import RdfParseError
 from .store import Triple, TripleStore
 from .terms import BNode, IRI, Literal
@@ -20,19 +21,6 @@ _LINE_RE = re.compile(
     rf"\s+{_IRI_RE}"
     rf"\s+(?:{_IRI_RE}|{_BNODE_RE}|{_LITERAL_RE})"
     rf"\s*\.\s*$")
-
-_UNESCAPE = {
-    "n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\",
-}
-
-_ESCAPE_RE = re.compile(r"\\(.)")
-
-
-def _unescape(text: str) -> str:
-    # Single-pass: sequential str.replace would corrupt inputs like
-    # '\\\\r' (an escaped backslash followed by a literal 'r').
-    return _ESCAPE_RE.sub(
-        lambda match: _UNESCAPE.get(match.group(1), match.group(0)), text)
 
 
 def parse_ntriples_lines(text: str) -> Iterator[Triple]:
@@ -52,7 +40,7 @@ def parse_ntriples_lines(text: str) -> Iterator[Triple]:
         elif o_bnode is not None:
             obj = BNode(o_bnode)
         else:
-            lexical = _unescape(o_literal)
+            lexical = unescape(o_literal)
             if o_lang:
                 obj = Literal(lexical, lang=o_lang)
             elif o_dtype:

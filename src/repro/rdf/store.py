@@ -146,18 +146,6 @@ class StoreStatistics:
     def distinct_objects(self) -> int:
         return len(self._store._o_counts)
 
-    def subject_count(self, s_id: int) -> int:
-        """Triples with this subject id."""
-        return self._store._s_counts.get(s_id, 0)
-
-    def predicate_count(self, p_id: int) -> int:
-        """Triples with this predicate id."""
-        return self._store._p_counts.get(p_id, 0)
-
-    def object_count(self, o_id: int) -> int:
-        """Triples with this object id."""
-        return self._store._o_counts.get(o_id, 0)
-
     def count_ids(self, s: int | None = None, p: int | None = None,
                   o: int | None = None) -> int:
         """Exact matches of an id pattern, from index sizes alone.

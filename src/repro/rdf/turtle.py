@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from ..scanner import (Rule, Scanner, escaped_string_fault,
+                       escaped_string_rules, line_column)
 from .errors import RdfParseError
 from .namespace import RDF_TYPE, NamespaceManager
 from .store import Triple, TripleStore
@@ -18,168 +20,35 @@ from .terms import (XSD_BOOLEAN, XSD_DOUBLE, XSD_INTEGER, XSD_STRING, BNode,
                     IRI, Literal, Term)
 
 
-class _TurtleLexer:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.position = 0
-        self.line = 1
+#: The Turtle token table.  Trailing dots of a name are the statement
+#: terminator, not part of the name.
+_RULES: list[Rule] = [
+    (None, r"[ \t\r\n]+|#[^\n]*", None),
+    ("iri", r"<[^>\n]*>", lambda lexeme: lexeme[1:-1]),
+    *escaped_string_rules("string", long=True),
+    ("punct", r"[.;,\[\]()]", None),
+    ("at", r"@[\w\-]*", lambda lexeme: lexeme[1:]),
+    ("dtype", r"\^\^", None),
+    ("number", r"[+-]?(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?", None),
+    ("bnode", r"_:[\w\-]*", lambda lexeme: lexeme[2:]),
+    ("word", r"[\w\-.:]*[\w\-:]", None),
+]
 
-    def error(self, message: str) -> RdfParseError:
-        return RdfParseError(message, self.line)
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.position + offset
-        return self.text[index] if index < len(self.text) else ""
+def _fault(text: str, offset: int) -> RdfParseError:
+    if text[offset] in "\"'":
+        message, offset = escaped_string_fault(text, offset, long=True)
+    elif text[offset] == "<":
+        offset = text.find("\n", offset)
+        message = "newline inside IRI"
+        if offset < 0:
+            message, offset = "unterminated IRI", len(text)
+    else:
+        message = f"unexpected character {text[offset]!r}"
+    return RdfParseError(message, line_column(text, offset)[0])
 
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.position < len(self.text):
-                if self.text[self.position] == "\n":
-                    self.line += 1
-                self.position += 1
 
-    def skip_ws(self) -> None:
-        while self.position < len(self.text):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "#":
-                while self.position < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.position >= len(self.text)
-
-    def next_token(self) -> tuple[str, str]:
-        """Returns (kind, text); kinds: iri, pname, var?, literal parts..."""
-        self.skip_ws()
-        if self.position >= len(self.text):
-            return ("eof", "")
-        char = self._peek()
-        if char == "<":
-            return ("iri", self._read_iri())
-        if char in "\"'":
-            return ("string", self._read_string())
-        if char in ".;,[]()":
-            self._advance()
-            return ("punct", char)
-        if char == "@":
-            self._advance()
-            word = self._read_word()
-            return ("at", word)
-        if char == "^" and self._peek(1) == "^":
-            self._advance(2)
-            return ("dtype", "^^")
-        if char.isdigit() or (char in "+-" and (self._peek(1).isdigit()
-                                                or self._peek(1) == ".")):
-            return ("number", self._read_number())
-        if char == "_" and self._peek(1) == ":":
-            self._advance(2)
-            return ("bnode", self._read_word())
-        word_or_pname = self._read_pname_or_word()
-        if word_or_pname is None:
-            raise self.error(f"unexpected character {char!r}")
-        return word_or_pname
-
-    def _read_iri(self) -> str:
-        self._advance()
-        start = self.position
-        while self.position < len(self.text) and self._peek() != ">":
-            if self._peek() == "\n":
-                raise self.error("newline inside IRI")
-            self._advance()
-        if self.position >= len(self.text):
-            raise self.error("unterminated IRI")
-        value = self.text[start:self.position]
-        self._advance()
-        return value
-
-    def _read_string(self) -> str:
-        quote = self._peek()
-        long_quote = (self._peek(1) == quote and self._peek(2) == quote)
-        self._advance(3 if long_quote else 1)
-        pieces: list[str] = []
-        while True:
-            if self.position >= len(self.text):
-                raise self.error("unterminated string literal")
-            char = self._peek()
-            if char == "\\":
-                escape = self._peek(1)
-                mapping = {"n": "\n", "t": "\t", "r": "\r", '"': '"',
-                           "'": "'", "\\": "\\"}
-                if escape in mapping:
-                    pieces.append(mapping[escape])
-                    self._advance(2)
-                    continue
-                raise self.error(f"unknown escape \\{escape}")
-            if long_quote:
-                if (char == quote and self._peek(1) == quote
-                        and self._peek(2) == quote):
-                    self._advance(3)
-                    return "".join(pieces)
-            elif char == quote:
-                self._advance()
-                return "".join(pieces)
-            elif char == "\n":
-                raise self.error("newline in short string literal")
-            pieces.append(char)
-            self._advance()
-
-    def _read_number(self) -> str:
-        start = self.position
-        if self._peek() in "+-":
-            self._advance()
-        saw_dot = saw_exp = False
-        while self.position < len(self.text):
-            char = self._peek()
-            if char.isdigit():
-                self._advance()
-            elif char == "." and not saw_dot and not saw_exp \
-                    and self._peek(1).isdigit():
-                saw_dot = True
-                self._advance()
-            elif char in "eE" and not saw_exp:
-                saw_exp = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-            else:
-                break
-        return self.text[start:self.position]
-
-    def _read_word(self) -> str:
-        start = self.position
-        while self.position < len(self.text):
-            char = self._peek()
-            if char.isalnum() or char in "_-":
-                self._advance()
-            else:
-                break
-        return self.text[start:self.position]
-
-    def _read_pname_or_word(self) -> tuple[str, str] | None:
-        start = self.position
-        while self.position < len(self.text):
-            char = self._peek()
-            if char.isalnum() or char in "_-.":
-                self._advance()
-            elif char == ":":
-                self._advance()
-            else:
-                break
-        text = self.text[start:self.position]
-        if not text:
-            return None
-        # Trailing '.' is the statement terminator, not part of the name.
-        while text.endswith("."):
-            text = text[:-1]
-            self.position -= 1
-        if ":" in text:
-            return ("pname", text)
-        return ("word", text)
+_SCANNER = Scanner(_RULES, _fault)
 
 
 class TurtleParser:
@@ -187,16 +56,28 @@ class TurtleParser:
 
     def __init__(self, text: str,
                  namespaces: NamespaceManager | None = None) -> None:
-        self.lexer = _TurtleLexer(text)
+        self.text = text
+        self._tokens = _SCANNER.scan(text)
+        self._offset = 0          # end of the last token scanned
         self.namespaces = namespaces or NamespaceManager()
         self._pushed: tuple[str, str] | None = None
         self._bnodes: dict[str, BNode] = {}
 
+    def _error(self, message: str) -> RdfParseError:
+        return RdfParseError(message,
+                             line_column(self.text, self._offset)[0])
+
     def _next(self) -> tuple[str, str]:
+        """(kind, text); kinds: iri, string, punct, at, dtype, number,
+        bnode, pname, word, eof."""
         if self._pushed is not None:
             token, self._pushed = self._pushed, None
             return token
-        return self.lexer.next_token()
+        kind, value, _start, self._offset = next(
+            self._tokens, ("eof", "", 0, len(self.text)))
+        if kind == "word" and ":" in value:
+            kind = "pname"
+        return kind, value
 
     def _push(self, token: tuple[str, str]) -> None:
         self._pushed = token
@@ -216,34 +97,34 @@ class TurtleParser:
             yield from self._predicate_object_list(subject)
             kind, text = self._next()
             if kind != "punct" or text != ".":
-                raise self.lexer.error(
+                raise self._error(
                     f"expected '.' after statement, found {text!r}")
 
     def _directive(self, name: str, sparql_style: bool = False) -> None:
         if name == "prefix":
             kind, text = self._next()
             if kind != "pname" or not text.endswith(":"):
-                raise self.lexer.error("expected prefix declaration")
+                raise self._error("expected prefix declaration")
             prefix = text[:-1]
             kind, iri = self._next()
             if kind != "iri":
-                raise self.lexer.error("expected IRI in @prefix")
+                raise self._error("expected IRI in @prefix")
             self.namespaces.bind(prefix, iri)
             if not sparql_style:
                 kind, text = self._next()
                 if kind != "punct" or text != ".":
-                    raise self.lexer.error("expected '.' after @prefix")
+                    raise self._error("expected '.' after @prefix")
             return
         if name == "base":
             kind, _iri = self._next()
             if kind != "iri":
-                raise self.lexer.error("expected IRI in @base")
+                raise self._error("expected IRI in @base")
             if not sparql_style:
                 kind, text = self._next()
                 if kind != "punct" or text != ".":
-                    raise self.lexer.error("expected '.' after @base")
+                    raise self._error("expected '.' after @base")
             return
-        raise self.lexer.error(f"unknown directive @{name}")
+        raise self._error(f"unknown directive @{name}")
 
     def _predicate_object_list(self, subject: Term) -> Iterator[Triple]:
         while True:
@@ -275,7 +156,7 @@ class TurtleParser:
             return IRI(text)
         if kind == "pname":
             return self.namespaces.expand(text)
-        raise self.lexer.error(f"expected predicate, found {text!r}")
+        raise self._error(f"expected predicate, found {text!r}")
 
     def _term_from(self, kind: str, text: str, role: str) -> Term:
         if kind == "iri":
@@ -294,7 +175,7 @@ class TurtleParser:
             return Literal(text == "true")
         if kind == "string":
             return self._string_literal(text)
-        raise self.lexer.error(f"expected {role}, found {text!r}")
+        raise self._error(f"expected {role}, found {text!r}")
 
     def _string_literal(self, text: str) -> Literal:
         kind, next_text = self._next()
@@ -307,7 +188,7 @@ class TurtleParser:
             elif kind == "pname":
                 datatype = self.namespaces.expand(dtype_text).value
             else:
-                raise self.lexer.error("expected datatype IRI after ^^")
+                raise self._error("expected datatype IRI after ^^")
             return _typed_literal(text, datatype)
         self._push((kind, next_text))
         return Literal(text)

@@ -160,14 +160,6 @@ def load_csv(db: Database, table_name: str, text: str,
         table_name, (dict(zip(header, row)) for row in rows))
 
 
-def load_csv_file(db: Database, table_name: str, path: str,
-                  create: bool = True, *,
-                  null_marker: str | None = None) -> int:
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_csv(db, table_name, handle.read(), create,
-                        null_marker=null_marker)
-
-
 def _format_cell(value: Any, null_marker: str | None = None) -> str:
     if value is None:
         return null_marker if null_marker is not None else ""
@@ -239,11 +231,3 @@ def rows_to_csv(columns: list[str], rows, *,
         writer.writerow([_format_cell(value, null_marker)
                          for value in row])
     return buffer.getvalue()
-
-
-def dump_csv_file(source: Database | ResultSet, path: str,
-                  table_or_sql: str | None = None, *,
-                  null_marker: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dump_csv(source, table_or_sql,
-                              null_marker=null_marker))

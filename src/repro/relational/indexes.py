@@ -86,10 +86,6 @@ class HashIndex:
             return set()
         return set(self._buckets.get(key, ()))
 
-    def contains_key(self, values: tuple) -> bool:
-        key = self._key(values)
-        return key is not None and key in self._buckets
-
     def clear(self) -> None:
         """Drop every entry (the index definition stays)."""
         self._buckets.clear()

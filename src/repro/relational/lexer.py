@@ -1,4 +1,4 @@
-"""SQL tokenizer.
+"""SQL tokenizer: a token table over :class:`repro.scanner.Scanner`.
 
 Produces a flat token stream for the recursive-descent parser.  Keywords
 are recognised case-insensitively; double-quoted identifiers preserve
@@ -7,8 +7,9 @@ case; single-quoted strings use ``''`` as the escape for a quote.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from ..scanner import NUMBER, Rule, Scanner, line_column, number
 from .errors import SqlSyntaxError
 
 KEYWORDS = frozenset("""
@@ -19,9 +20,47 @@ KEYWORDS = frozenset("""
     PRIMARY KEY DEFAULT IF TRUE FALSE ASC DESC USING ANALYZE
 """.split())
 
-# Longest-match first.
-_OPERATORS = ("||", "<>", "!=", "<=", ">=", "<", ">", "=", "+", "-", "*",
-              "/", "%", "(", ")", ",", ".", ";")
+
+#: ``'…'`` with ``''`` for a quote; a closing quote is one not followed
+#: by a second quote.  The ENRICH-clause table reuses this row.
+STRING_RULE: Rule = ("STRING", r"'(?:[^']|'')*'(?!')",
+                     lambda lexeme: lexeme[1:-1].replace("''", "'"))
+
+#: The SQL token table.  What a string, a quoted identifier and a
+#: comment are is decided here and nowhere else: the SESQL pre-passes
+#: (``repro.core.parser.sesql_spans``) and the lint CLI's statement
+#: splitter extend this table rather than re-deciding it.  ``WORD`` is
+#: a bare word, keyword or identifier.
+RULES: list[Rule] = [
+    (None, r"[ \t\r\n]+|--[^\n]*|/\*(?s:.*?)\*/", None),
+    STRING_RULE,
+    ("IDENT", r'"(?:[^"]|"")+"(?!")',
+     lambda lexeme: lexeme[1:-1].replace('""', '"')),
+    ("NUMBER", NUMBER, number),
+    ("WORD", r"[^\W\d]\w*", None),
+    ("OP", r"\|\||<>|!=|<=|>=|/(?!\*)|[<>=+\-*%(),.;]",
+     lambda lexeme: "<>" if lexeme == "!=" else lexeme),
+]
+
+
+def fault(text: str, offset: int) -> tuple[str, int]:
+    """What fails to scan at *offset*, and the offset to report it at."""
+    if text.startswith('""', offset) and not text.startswith('"""', offset):
+        return "empty quoted identifier", offset + 2
+    for opener, what in (("'", "string literal"),
+                         ('"', "quoted identifier"),
+                         ("/*", "block comment")):
+        if text.startswith(opener, offset):
+            return f"unterminated {what}", len(text)
+    return f"unexpected character {text[offset]!r}", offset
+
+
+def _error(text: str, offset: int) -> SqlSyntaxError:
+    message, position = fault(text, offset)
+    return SqlSyntaxError(message, position, *line_column(text, position))
+
+
+_SCANNER = Scanner(RULES, _error)
 
 
 @dataclass
@@ -29,8 +68,15 @@ class Token:
     type: str  # 'KEYWORD', 'IDENT', 'NUMBER', 'STRING', 'OP', 'EOF'
     value: object
     position: int
-    line: int
-    column: int
+    source: str = field(default="", repr=False, compare=False)
+
+    @property
+    def line(self) -> int:
+        return line_column(self.source, self.position)[0]
+
+    @property
+    def column(self) -> int:
+        return line_column(self.source, self.position)[1]
 
     def is_keyword(self, *names: str) -> bool:
         return self.type == "KEYWORD" and self.value in names
@@ -44,178 +90,14 @@ class Token:
         return repr(self.value)
 
 
-class SqlLexer:
-    """Single-pass tokenizer over a SQL string."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.position = 0
-        self.line = 1
-        self.column = 1
-
-    def _error(self, message: str) -> SqlSyntaxError:
-        return SqlSyntaxError(message, self.position, self.line, self.column)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.position < len(self.text):
-                if self.text[self.position] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.position += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.position + offset
-        if index < len(self.text):
-            return self.text[index]
-        return ""
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.position < len(self.text):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "-" and self._peek(1) == "-":
-                while self.position < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.position < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise self._error("unterminated block comment")
-            else:
-                return
-
-    def _make(self, token_type: str, value: object,
-              position: int, line: int, column: int) -> Token:
-        return Token(token_type, value, position, line, column)
-
-    def tokens(self) -> list[Token]:
-        """Tokenize the whole input, ending with an EOF token."""
-        result: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            start, line, column = self.position, self.line, self.column
-            if self.position >= len(self.text):
-                result.append(self._make("EOF", None, start, line, column))
-                return result
-            char = self._peek()
-            if char == "'":
-                result.append(self._string(start, line, column))
-            elif char == '"':
-                result.append(self._quoted_identifier(start, line, column))
-            elif char.isdigit() or (char == "." and self._peek(1).isdigit()):
-                result.append(self._number(start, line, column))
-            elif char.isalpha() or char == "_":
-                result.append(self._word(start, line, column))
-            else:
-                op = self._operator()
-                if op is None:
-                    raise self._error(f"unexpected character {char!r}")
-                result.append(self._make("OP", op, start, line, column))
-
-    def _string(self, start: int, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        pieces: list[str] = []
-        while True:
-            if self.position >= len(self.text):
-                raise self._error("unterminated string literal")
-            char = self._peek()
-            if char == "'":
-                if self._peek(1) == "'":
-                    pieces.append("'")
-                    self._advance(2)
-                else:
-                    self._advance()
-                    break
-            else:
-                pieces.append(char)
-                self._advance()
-        return self._make("STRING", "".join(pieces), start, line, column)
-
-    def _quoted_identifier(self, start: int, line: int, column: int) -> Token:
-        self._advance()
-        pieces: list[str] = []
-        while True:
-            if self.position >= len(self.text):
-                raise self._error("unterminated quoted identifier")
-            char = self._peek()
-            if char == '"':
-                if self._peek(1) == '"':
-                    pieces.append('"')
-                    self._advance(2)
-                else:
-                    self._advance()
-                    break
-            else:
-                pieces.append(char)
-                self._advance()
-        if not pieces:
-            raise self._error("empty quoted identifier")
-        return self._make("IDENT", "".join(pieces), start, line, column)
-
-    def _number(self, start: int, line: int, column: int) -> Token:
-        text_start = self.position
-        saw_dot = False
-        saw_exp = False
-        while self.position < len(self.text):
-            char = self._peek()
-            if char.isdigit():
-                self._advance()
-            elif char == "." and not saw_dot and not saw_exp:
-                # A trailing '.' followed by a non-digit belongs to the
-                # parser (qualified stars like "t.*" never reach here since
-                # identifiers take the word path).
-                if not self._peek(1).isdigit():
-                    break
-                saw_dot = True
-                self._advance()
-            elif char in "eE" and not saw_exp:
-                lookahead = self._peek(1)
-                if lookahead.isdigit() or (lookahead in "+-"
-                                           and self._peek(2).isdigit()):
-                    saw_exp = True
-                    self._advance(2 if lookahead in "+-" else 1)
-                else:
-                    break
-            else:
-                break
-        text = self.text[text_start:self.position]
-        value: object
-        if saw_dot or saw_exp:
-            value = float(text)
-        else:
-            value = int(text)
-        return self._make("NUMBER", value, start, line, column)
-
-    def _word(self, start: int, line: int, column: int) -> Token:
-        text_start = self.position
-        while self.position < len(self.text):
-            char = self._peek()
-            if char.isalnum() or char == "_":
-                self._advance()
-            else:
-                break
-        word = self.text[text_start:self.position]
-        upper = word.upper()
-        if upper in KEYWORDS:
-            return self._make("KEYWORD", upper, start, line, column)
-        return self._make("IDENT", word, start, line, column)
-
-    def _operator(self) -> str | None:
-        for op in _OPERATORS:
-            if self.text.startswith(op, self.position):
-                self._advance(len(op))
-                return "<>" if op == "!=" else op
-        return None
-
-
 def tokenize(text: str) -> list[Token]:
-    """Convenience wrapper: tokenize *text* into a list ending with EOF."""
-    return SqlLexer(text).tokens()
+    """Tokenize *text* into a list ending with an EOF token."""
+    tokens: list[Token] = []
+    for kind, value, start, _end in _SCANNER.scan(text):
+        if kind == "WORD":
+            upper = value.upper()
+            kind, value = (("KEYWORD", upper) if upper in KEYWORDS
+                           else ("IDENT", value))
+        tokens.append(Token(kind, value, start, text))
+    tokens.append(Token("EOF", None, len(text), text))
+    return tokens

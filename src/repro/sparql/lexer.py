@@ -1,15 +1,12 @@
-"""SPARQL tokenizer."""
+"""SPARQL tokenizer: a token table over :class:`repro.scanner.Scanner`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..scanner import (NUMBER, Rule, Scanner, escaped_string_fault,
+                       escaped_string_rules, number)
 from .errors import SparqlSyntaxError
-
-_PUNCT = "{}().;,"
-# Longest first.
-_OPERATORS = ("&&", "||", "^^", "!=", "<=", ">=", "=", "<", ">", "!",
-              "+", "-", "*", "/", "^", "|", "?")
 
 
 @dataclass
@@ -34,177 +31,36 @@ class Token:
         return repr(self.value)
 
 
-class SparqlLexer:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.position = 0
-
-    def _error(self, message: str) -> SparqlSyntaxError:
-        return SparqlSyntaxError(message, self.position)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.position + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def _skip_ws(self) -> None:
-        while self.position < len(self.text):
-            char = self._peek()
-            if char in " \t\r\n":
-                self.position += 1
-            elif char == "#":
-                while self.position < len(self.text) \
-                        and self._peek() != "\n":
-                    self.position += 1
-            else:
-                return
-
-    def tokens(self) -> list[Token]:
-        result: list[Token] = []
-        while True:
-            self._skip_ws()
-            start = self.position
-            if self.position >= len(self.text):
-                result.append(Token("eof", None, start))
-                return result
-            char = self._peek()
-            if char in "?$" and (self._peek(1).isalnum()
-                                 or self._peek(1) == "_"):
-                self.position += 1
-                result.append(Token("var", self._read_word(), start))
-            elif char == "<":
-                # '<' begins an IRI only when it looks like one; otherwise
-                # it is the less-than operator.
-                iri = self._try_read_iri()
-                if iri is not None:
-                    result.append(Token("iri", iri, start))
-                else:
-                    if self._peek(1) == "=":
-                        self.position += 2
-                        result.append(Token("op", "<=", start))
-                    else:
-                        self.position += 1
-                        result.append(Token("op", "<", start))
-            elif char in "\"'":
-                result.append(Token("string", self._read_string(), start))
-            elif char.isdigit() or (char == "." and self._peek(1).isdigit()):
-                result.append(Token("number", self._read_number(), start))
-            elif char in _PUNCT:
-                self.position += 1
-                result.append(Token("punct", char, start))
-            elif char == "_" and self._peek(1) == ":":
-                self.position += 2
-                result.append(Token("bnode", self._read_word(), start))
-            elif char.isalpha() or char == "_":
-                word = self._read_pname_or_word()
-                result.append(word_token(word, start))
-            else:
-                op = self._read_operator()
-                if op is None:
-                    raise self._error(f"unexpected character {char!r}")
-                result.append(Token("op", op, start))
-
-    def _try_read_iri(self) -> str | None:
-        end = self.position + 1
-        while end < len(self.text):
-            char = self.text[end]
-            if char == ">":
-                value = self.text[self.position + 1:end]
-                if any(c in value for c in ' "{}|\\^`\n'):
-                    return None
-                self.position = end + 1
-                return value
-            if char in " \t\n":
-                return None
-            end += 1
-        return None
-
-    def _read_string(self) -> str:
-        quote = self._peek()
-        self.position += 1
-        pieces: list[str] = []
-        while True:
-            if self.position >= len(self.text):
-                raise self._error("unterminated string literal")
-            char = self._peek()
-            if char == "\\":
-                escape = self._peek(1)
-                mapping = {"n": "\n", "t": "\t", "r": "\r", '"': '"',
-                           "'": "'", "\\": "\\"}
-                if escape not in mapping:
-                    raise self._error(f"unknown escape \\{escape}")
-                pieces.append(mapping[escape])
-                self.position += 2
-            elif char == quote:
-                self.position += 1
-                return "".join(pieces)
-            elif char == "\n":
-                raise self._error("newline in string literal")
-            else:
-                pieces.append(char)
-                self.position += 1
-
-    def _read_number(self) -> int | float:
-        start = self.position
-        saw_dot = saw_exp = False
-        while self.position < len(self.text):
-            char = self._peek()
-            if char.isdigit():
-                self.position += 1
-            elif char == "." and not saw_dot and self._peek(1).isdigit():
-                saw_dot = True
-                self.position += 1
-            elif char in "eE" and not saw_exp \
-                    and (self._peek(1).isdigit()
-                         or (self._peek(1) in "+-"
-                             and self._peek(2).isdigit())):
-                saw_exp = True
-                self.position += 2 if self._peek(1) in "+-" else 1
-            else:
-                break
-        text = self.text[start:self.position]
-        return float(text) if (saw_dot or saw_exp) else int(text)
-
-    def _read_word(self) -> str:
-        start = self.position
-        while self.position < len(self.text):
-            char = self._peek()
-            if char.isalnum() or char == "_":
-                self.position += 1
-            else:
-                break
-        return self.text[start:self.position]
-
-    def _read_pname_or_word(self) -> str:
-        start = self.position
-        while self.position < len(self.text):
-            char = self._peek()
-            if char.isalnum() or char in "_-":
-                self.position += 1
-            elif char == ":" and (self._peek(1).isalnum()
-                                  or self._peek(1) in "_"
-                                  or True):
-                self.position += 1
-            elif char == "." and (self._peek(1).isalnum()
-                                  or self._peek(1) == "_"):
-                # dots are allowed inside local names but not at the end
-                self.position += 1
-            else:
-                break
-        return self.text[start:self.position]
-
-    def _read_operator(self) -> str | None:
-        for op in _OPERATORS:
-            if self.text.startswith(op, self.position):
-                self.position += len(op)
-                return op
-        return None
+#: Row order is the disambiguation: ``?x`` is a variable before ``?``
+#: is an operator, ``<…>`` an IRI (when it looks like one) before ``<``
+#: is less-than, ``.5`` a number before ``.`` is punctuation.  Dots are
+#: allowed inside a name but not at its end.
+_RULES: list[Rule] = [
+    (None, r"[ \t\r\n]+|#[^\n]*", None),
+    ("var", r"[?$]\w+", lambda lexeme: lexeme[1:]),
+    ("iri", r'<[^> \t\n"{}|\\^`]*>', lambda lexeme: lexeme[1:-1]),
+    *escaped_string_rules("string"),
+    ("number", NUMBER, number),
+    ("punct", r"[{}().;,]", None),
+    ("bnode", r"_:\w*", lambda lexeme: lexeme[2:]),
+    ("word", r"[^\W\d](?:[\w\-:]|\.(?=\w))*", None),
+    ("op", r"&&|\|\||\^\^|!=|<=|>=|[=<>!+\-*/^|?]", None),
+]
 
 
-def word_token(word: str, start: int) -> Token:
-    if ":" in word:
-        return Token("pname", word, start)
-    return Token("word", word, start)
+def _error(text: str, offset: int) -> SparqlSyntaxError:
+    if text[offset] in "\"'":
+        return SparqlSyntaxError(*escaped_string_fault(text, offset))
+    return SparqlSyntaxError(
+        f"unexpected character {text[offset]!r}", offset)
+
+
+_SCANNER = Scanner(_RULES, _error)
 
 
 def tokenize(text: str) -> list[Token]:
-    return SparqlLexer(text).tokens()
+    tokens = [Token("pname" if kind == "word" and ":" in value else kind,
+                    value, start)
+              for kind, value, start, _end in _SCANNER.scan(text)]
+    tokens.append(Token("eof", None, len(text)))
+    return tokens

@@ -513,6 +513,9 @@ class TestCli:
             "SELECT 2;\n-- only a comment\n")
         assert len(parts) == 2
         assert parts[0].startswith("SELECT 'a;b'")
+        assert split_statements(
+            'SELECT /* one; statement */ "a;b" FROM t;\n/* only; a comment */'
+        ) == ['SELECT /* one; statement */ "a;b" FROM t']
 
     def test_cli_reports_and_exit_codes(self, tmp_path, capsys):
         clean = tmp_path / "clean.sql"
@@ -588,7 +591,7 @@ class TestArchlint:
     def test_lazy_import_of_allowed_backedge_passes(self, tmp_path):
         root = self.seed(
             tmp_path, "api/bad.py",
-            "def connect():\n"
+            "def _connect():\n"
             "    from ..cluster.coordinator import C\n"
             "    return C\n")
         assert check_tree(root) == []
@@ -632,6 +635,26 @@ class TestArchlint:
         root = self.seed(tmp_path, relative, f"def f(*a):\n    {call}\n")
         assert [v.line for v in check_tree(root)
                 if v.rule == "choke-points"] == [2]
+
+    def test_dead_public_rule(self, tmp_path):
+        root = self.seed(
+            tmp_path, "pkg/core/api.py",
+            "def used():\n    return 1\n\n\n"
+            "def orphan():\n    return used()\n\n\n"
+            "def _private():\n    return 2\n\n\n"
+            "class Thing:\n"
+            "    def method(self):\n        return 3\n\n"
+            "    def called(self):\n        return 4\n\n"
+            "    def tested(self):\n        return 5\n") / "pkg"
+        self.seed(tmp_path, "pkg/core/user.py",
+                  "from .api import Thing\nThing().called()\n")
+        self.seed(tmp_path, "tests/test_api.py", "x.tested()\n")
+        config = {**load_config(), "reference-roots": ["../tests"]}
+        dead = [(v.file, v.line, v.message.split("'")[1])
+                for v in check_tree(root, config)
+                if v.rule == "dead-public"]
+        assert dead == [("core/api.py", 5, "orphan"),
+                        ("core/api.py", 14, "Thing.method")]
 
     def test_cycle_detection(self, tmp_path):
         config = {**load_config(), "layers": {

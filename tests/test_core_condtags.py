@@ -41,10 +41,23 @@ def test_colon_inside_parens_not_a_separator():
     assert set(scan.conditions) == {"c9"}
 
 
-def test_dollar_inside_string_ignored():
-    scan = scan_condition_tags("SELECT '${not a tag:x}' FROM t")
+@pytest.mark.parametrize("text", [
+    "SELECT '${not a tag:x}' FROM t",
+    "SELECT a /* ${x = 1:c1} */ FROM t",
+    "SELECT a FROM t -- ${x = 1:c1}\nWHERE a = 1",
+    'SELECT "${x = 1:c1}" FROM t',
+])
+def test_dollar_inside_string_comment_or_quoted_name_ignored(text):
+    scan = scan_condition_tags(text)
     assert scan.conditions == {}
-    assert "${" in scan.clean_text
+    assert scan.clean_text == text
+
+
+def test_tag_in_a_comment_is_not_a_duplicate():
+    scan = scan_condition_tags(
+        "SELECT a FROM t /* ${x = 1:c1} */ WHERE ${a = 1:c1}")
+    assert set(scan.conditions) == {"c1"}
+    assert scan.clean_text == "SELECT a FROM t /* ${x = 1:c1} */ WHERE a = 1"
 
 
 def test_string_inside_condition_preserved():

@@ -15,9 +15,23 @@ def test_split_at_top_level_enrich():
     assert enrich.strip() == "SCHEMAEXTENSION(a, p)"
 
 
-def test_split_ignores_enrich_in_strings():
-    sql, enrich = split_sesql("SELECT 'ENRICH' FROM t")
-    assert enrich is None
+@pytest.mark.parametrize("text", [
+    "SELECT 'ENRICH' FROM t",
+    "SELECT a FROM t -- enrich me later\nWHERE a = 1",
+    "SELECT a /* enrich? */ FROM t",
+    'SELECT "enrich" FROM t',
+])
+def test_split_ignores_enrich_in_strings_comments_and_quoted_names(text):
+    sql, enrich = split_sesql(text)
+    assert (sql, enrich) == (text, None)
+    parse_sesql(text)
+
+
+def test_apostrophe_in_a_comment_opens_no_string():
+    enriched = parse_sesql(
+        "SELECT elem_name /* it's */ FROM elem_contained -- one more\n"
+        "ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)")
+    assert [e.kind for e in enriched.enrichments] == ["SCHEMAEXTENSION"]
 
 
 def test_split_ignores_identifier_containing_enrich():

@@ -115,6 +115,17 @@ def test_independent_annotation_is_free(platform):
     assert record.public
 
 
+def test_exploration_note_is_private_and_in_the_authors_context(platform):
+    # Section III-A, annotation kind (ii): a note on the exploration.
+    record = platform.tagging.annotate_note(
+        "giulia", SMG.Mercury, "check the 2014 survey again")
+    assert not record.public
+    assert record.triple.predicate == SMG.note
+    assert record.statement_id not in {
+        r.statement_id for r in platform.explore_annotations("marco")}
+    assert record.triple in set(platform.effective_kb("giulia").triples())
+
+
 def test_crowdsourced_explore_and_import(platform):
     record = platform.annotate_free(
         "giulia", SMG.Mercury, SMG.isA, SMG.HazardousWaste)
