@@ -19,6 +19,13 @@ expression row by row.  Six shapes are measured:
 * **order by**: two keys, mixed direction — C comparisons on the native
   key columns instead of ``compare_values`` per comparison.
 
+A seventh shape has its own, smaller tables and gate
+(``test_e17_semi_join_wins``): ``tag [NOT] IN (SELECT tag FROM ...)``
+over 20k rows against an 8-key and a 2k-key build side — the WHERE-side
+rewrite of the paper's Examples 4.5 / 4.6 — as a semi / anti join
+probing a key set with the whole column, against the compiled closure
+testing the (same, once-built) set row by row.
+
 The assertion test is the acceptance gate: identical results from both
 kernel sets, ``explain()`` marking the specialised operators, and at
 full scale a ≥5x speedup on the scan and GROUP BY shapes and ≥3x on the
@@ -191,3 +198,64 @@ def test_e17_vectorized_wins(db, generic_kernels):
         assert ratio >= bar, (
             f"vectorized {name} speedup {ratio:.2f}x below the {bar:.0f}x "
             "bar")
+
+
+# -- IN (subquery) as a semi / anti join ------------------------------------------
+
+PROBE_ROWS = scaled(20_000, floor=2_000)
+TAGS = PROBE_ROWS // 5
+BUILD_SIDES = {"few": 8, "many": TAGS // 2}
+
+
+@pytest.fixture(scope="module")
+def semi_db():
+    db = Database()
+    db.execute("CREATE TABLE probe (id INTEGER, tag TEXT)")
+    db.insert_rows("probe", ({"id": i, "tag": f"t{(i * 7919) % TAGS}"}
+                             for i in range(PROBE_ROWS)))
+    for name, keys in BUILD_SIDES.items():
+        db.execute(f"CREATE TABLE {name} (tag TEXT)")
+        db.insert_rows(name, ({"tag": f"t{i * 2}"} for i in range(keys)))
+    return db
+
+
+def _semi_sql(build: str, negated: bool) -> str:
+    return (f"SELECT id FROM probe WHERE tag {'NOT ' * negated}IN "
+            f"(SELECT tag FROM {build})")
+
+
+def test_e17_semi_join_wins(semi_db, generic_kernels):
+    """Same rows in the same order, the semi / anti join in the plan,
+    absolute times for both, and ≥5x on the 8-key build side."""
+    def generic(query):
+        with generic_kernels():
+            return semi_db.query(query)
+
+    timings = {}
+    for build, keys in BUILD_SIDES.items():
+        for negated in (False, True):
+            sql = _semi_sql(build, negated)
+            result = semi_db.query(sql)
+            assert result.rows == generic(sql).rows
+            hits = PROBE_ROWS // TAGS * keys
+            assert len(result.rows) == (PROBE_ROWS - hits if negated
+                                        else hits)
+            assert ("anti-join" if negated else "semi-join") \
+                in result.plan.vectorized_ops
+            vector_s = _best_of(lambda: semi_db.query(sql), 5)
+            row_s = _best_of(lambda: generic(sql), 5)
+            timings[f"{keys}-key {'NOT IN' if negated else 'IN'}"] = (
+                vector_s, row_s, row_s / vector_s)
+    print("\nE17 semi-join: " + "  ".join(
+        f"{name} default={vector_s * 1000:.2f}ms "
+        f"generic={row_s * 1000:.2f}ms ({ratio:.1f}x)"
+        for name, (vector_s, row_s, ratio) in timings.items()))
+    for name, (vector_s, row_s, _ratio) in timings.items():
+        assert vector_s <= row_s * 1.5, (
+            f"semi-join {name} slower than the closure even directionally")
+    if SMOKE:
+        return
+    ratio = timings["8-key IN"][2]
+    assert ratio >= 5.0, (
+        f"semi-join speedup {ratio:.2f}x on the 8-key build side is below "
+        "the 5x bar")

@@ -12,8 +12,11 @@ matching once.  Each slope has the scan of the varied side (measured on
 its own) subtracted, and the result is printed in the cost model's unit
 next to the constant it checks.  The unit is fixed by the scan, which
 this does not re-measure: one materialised row of a columnar scan is
-``SCAN_COST_PER_ROW * VECTORIZED_SCAN_FACTOR``.  Not a test: the numbers
-go in the comment above the constants.
+``SCAN_COST_PER_ROW * VECTORIZED_SCAN_FACTOR``.  The semi join (``l.k IN
+(SELECT k FROM r)``) is measured the same way beside the hash join whose
+constants price it; its inputs stay columns (keys into a set, survivors
+through a mask), so no scan is subtracted from its slopes.  Not a test:
+the numbers go in the comment above the constants.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from repro.relational.parser import parse_sql
 
 SMALL, LARGE = 10_000, 20_000
 JOIN = "SELECT COUNT(*) FROM l JOIN r ON l.k = r.k"
+SEMI_JOIN = "SELECT COUNT(*) FROM l WHERE l.k IN (SELECT k FROM r)"
 
 
 def database(left: range, right: range) -> Database:
@@ -77,6 +81,10 @@ def main() -> None:
                 (range(LARGE), range(LARGE))) - 2 * scan - build - probe
     fetch = slope("index-join", JOIN, (range(SMALL), range(LARGE)),
                   (range(LARGE), range(LARGE))) - scan - lookup
+    semi_build = slope(None, SEMI_JOIN, (none, range(SMALL)),
+                       (none, range(LARGE)))
+    semi_probe = slope(None, SEMI_JOIN, (range(SMALL), none),
+                       (range(LARGE), none))
 
     unit = scan / (cost.SCAN_COST_PER_ROW * cost.VECTORIZED_SCAN_FACTOR)
     print(f"{'cost':<28}{'ns/row':>8}{'units':>8}{'constant':>10}")
@@ -87,7 +95,9 @@ def main() -> None:
             ("HASH_PROBE_PER_ROW", probe, cost.HASH_PROBE_PER_ROW),
             ("INDEX_PROBE_PER_LOOKUP", lookup, cost.INDEX_PROBE_PER_LOOKUP),
             ("OUTPUT_COST_PER_ROW", out, cost.OUTPUT_COST_PER_ROW),
-            ("index fetch + output", fetch, 1.0 + cost.OUTPUT_COST_PER_ROW)):
+            ("index fetch + output", fetch, 1.0 + cost.OUTPUT_COST_PER_ROW),
+            ("semi-join build", semi_build, cost.HASH_BUILD_PER_ROW),
+            ("semi-join probe", semi_probe, cost.HASH_PROBE_PER_ROW)):
         print(f"{name:<28}{value * 1e9:>8.0f}{value / unit:>8.2f}"
               f"{constant:>10.2f}")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..relational import ast
 from ..relational.render import render_expr
 from ..relational.table import Table
-from ..relational.vectors import fallback_reason
+from ..relational.vectors import fallback_reason, semi_join_conjunct
 from .scopes import Scope, is_param_sentinel, resolve
 
 _COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
@@ -78,15 +78,22 @@ def lint_vectorization(core: ast.SelectCore, env,
 
     Fires only for a single-table FROM over columnar storage that no
     index probe replaces, and names both the exact conjunct and the
-    reason the kernel compiler gives up on it.  Conjuncts containing ``?`` parameters are skipped:
-    the bound value decides vectorizability at execute time.
+    reason the kernel compiler gives up on it — or, for an ``IN
+    (subquery)`` / ``EXISTS`` conjunct, the semi-join selector.
+    Conjuncts containing ``?`` parameters are skipped: the bound value
+    decides vectorizability at execute time.
     """
     if env.databank is None:
         return
     table = scanned_table(core, env)
     if table is None or core.where is None:
         return
-    conjunct_list = list(ast.conjuncts(core.where))
+    # Of an EXISTS that runs as a semi join, only the conjuncts over
+    # the inner table alone stay in this filter: the others are its keys
+    # and its residual.
+    body_of = env.semi_joins.get(id(core))
+    conjunct_list = ast.conjuncts(core.where) if body_of is None \
+        else body_of.inner_only
     if _index_probe_applies(conjunct_list, table, scopes):
         return  # point probe beats the batch path; nothing "fell back"
     schema = table.schema
@@ -101,7 +108,12 @@ def lint_vectorization(core: ast.SelectCore, env,
         if _contains_sentinel(conjunct) \
                 or _contains_unresolved(conjunct, scopes):
             continue
-        reason = fallback_reason(conjunct, resolve_ref)
+        # An EXISTS of the right shape that is not on record has no
+        # equality the selector can use.
+        node, _negated = semi_join_conjunct(conjunct)
+        reason = fallback_reason(
+            conjunct, resolve_ref, declined=isinstance(node, ast.Exists)
+            and id(node.query.core) not in env.semi_joins)
         if reason is not None:
             env.report.add(
                 "W-VEC-FALLBACK",

@@ -22,15 +22,19 @@ data-dependent hazards and performance cliffs.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..relational import ast
-from ..relational.aggregates import AGGREGATE_NAMES
+from ..relational.aggregates import contains_aggregate
 from ..relational.errors import RelationalError, TypeMismatchError
 from ..relational.parser import parse_script, parse_sql
 from ..relational.render import render_expr, render_statement
 from ..relational.types import parse_type_name
+from ..relational.vectors import SemiJoin, semi_join
 from . import lints
 from .diagnostics import (AnalysisOptions, AnalysisReport, DEFAULT_OPTIONS)
-from .scopes import FAMILY, Scope, ScopeColumn, is_param_sentinel
+from .scopes import (FAMILY, Scope, ScopeColumn, is_param_sentinel,
+                     resolve)
 from .typecheck import check_expr, check_predicate, infer_family
 
 
@@ -66,6 +70,10 @@ class _Env:
         self.options = options
         self.report = _FilteredReport(report, options)
         self.excused = set(excused)
+        #: Per EXISTS subquery (by the id of its core) that runs as a
+        #: semi join, how: filled in where the conjunct is met, read
+        #: where the walk of that predicate reaches the subquery.
+        self.semi_joins: dict[int, SemiJoin] = {}
 
     def is_parameter(self, literal: ast.Literal) -> bool:
         return is_param_sentinel(literal.value)
@@ -75,24 +83,42 @@ class _Env:
         return _analyze_query(query, self, outer_scopes, top_level=False)
 
 
-def _contains_aggregate(expr: ast.Expr | None) -> bool:
-    if expr is None:
-        return False
-    for node in ast.walk_expr(expr):
-        if isinstance(node, ast.FunctionCall) \
-                and node.name.upper() in AGGREGATE_NAMES:
-            return True
-    return False
-
-
 def _is_aggregate_core(core: ast.SelectCore) -> bool:
     return bool(core.group_by) or core.having is not None \
-        or any(_contains_aggregate(item.expr) for item in core.items)
+        or any(contains_aggregate(item.expr) for item in core.items)
 
 
 # ---------------------------------------------------------------------------
 # FROM clause: bindings and visible columns
 # ---------------------------------------------------------------------------
+
+def _table_columns(table_ref: ast.TableRef,
+                   env: _Env) -> list[ScopeColumn] | None:
+    """The columns *table_ref* makes visible; ``None`` when the table
+    (or the catalog) is not there to ask."""
+    catalog = getattr(env.databank, "catalog", None)
+    if catalog is None or not catalog.has_table(table_ref.name):
+        return None
+    return [ScopeColumn(column.name, table_ref.binding,
+                        FAMILY.get(column.data_type))
+            for column in catalog.table(table_ref.name).schema.columns]
+
+
+def _level_of(env: _Env, scopes: list[Scope], source: ast.TableRef):
+    """:data:`repro.relational.vectors.InnerScope` over the analyzer's
+    scopes: where a reference in the WHERE of an ``EXISTS`` subquery
+    over *source*, met in a predicate over *scopes*, resolves."""
+    columns = _table_columns(source, env)
+    chain = scopes + [Scope(columns or [], open=columns is None)]
+
+    def level_of(ref: ast.ColumnRef) -> int | None:
+        if resolve(ref, chain).status != "ok":
+            return None
+        for level, scope in enumerate(reversed(chain)):
+            if scope.find(ref.name, ref.qualifier):
+                return level
+    return level_of
+
 
 def _collect_from(table_expr: ast.TableExpr, env: _Env,
                   outer_scopes: list[Scope], from_scope: Scope,
@@ -103,20 +129,14 @@ def _collect_from(table_expr: ast.TableExpr, env: _Env,
             env.report.add("E-DUPLICATE-ALIAS",
                            f"duplicate table alias {binding!r}")
         seen.add(binding.lower())
-        catalog = getattr(env.databank, "catalog", None) \
-            if env.databank is not None else None
-        if catalog is None:
-            from_scope.open = True
+        columns = _table_columns(table_expr, env)
+        if columns is not None:
+            from_scope.columns.extend(columns)
             return
-        if not catalog.has_table(table_expr.name):
+        from_scope.open = True
+        if getattr(env.databank, "catalog", None) is not None:
             env.report.add("E-UNKNOWN-TABLE",
                            f"no such table: {table_expr.name!r}")
-            from_scope.open = True
-            return
-        table = catalog.table(table_expr.name)
-        for column in table.schema.columns:
-            from_scope.columns.append(ScopeColumn(
-                column.name, binding, FAMILY.get(column.data_type)))
         return
     if isinstance(table_expr, ast.SubqueryRef):
         if table_expr.alias.lower() in seen:
@@ -198,6 +218,10 @@ def _analyze_core(core: ast.SelectCore, env: _Env,
     scopes = list(outer_scopes) + [from_scope]
 
     if core.where is not None:
+        for conjunct in ast.conjuncts(core.where):
+            found = semi_join(conjunct, partial(_level_of, env, scopes))
+            if found is not None and isinstance(found.node, ast.Exists):
+                env.semi_joins[id(found.node.query.core)] = found
         check_predicate(core.where, scopes, env, aggregates_ok=False,
                         clause="WHERE")
     for condition in on_conditions:
@@ -205,7 +229,7 @@ def _analyze_core(core: ast.SelectCore, env: _Env,
                         clause="ON")
 
     has_aggregate = _is_aggregate_core(core) \
-        or any(_contains_aggregate(item.expr) for item in order_by)
+        or any(contains_aggregate(item.expr) for item in order_by)
 
     for item in core.items:
         if item.is_star:
@@ -232,8 +256,8 @@ def _analyze_core(core: ast.SelectCore, env: _Env,
     if core.having is not None:
         check_predicate(core.having, scopes, env, aggregates_ok=True,
                         clause="HAVING")
-        if not core.group_by and not _contains_aggregate(core.having) \
-                and not any(_contains_aggregate(item.expr)
+        if not core.group_by and not contains_aggregate(core.having) \
+                and not any(contains_aggregate(item.expr)
                             for item in core.items):
             env.report.add(
                 "W-HAVING-NO-AGG",

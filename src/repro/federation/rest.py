@@ -229,19 +229,19 @@ class CrosseRestService:
         return {"statement_id": record.statement_id,
                 "author": record.author}
 
-    def _annotation_dicts(self, username: str) -> list[dict]:
-        records = self.platform.explore_annotations(username)
-        return [
-            {"statement_id": record.statement_id,
-             "author": record.author,
-             "subject": str(record.triple.subject),
-             "property": str(record.triple.predicate),
-             "object": str(record.triple.object),
-             "accepted_by": sorted(record.accepted_by)}
-            for record in records]
+    @staticmethod
+    def _annotation_dict(record) -> dict:
+        return {"statement_id": record.statement_id,
+                "author": record.author,
+                "subject": str(record.triple.subject),
+                "property": str(record.triple.predicate),
+                "object": str(record.triple.object),
+                "accepted_by": sorted(record.accepted_by)}
 
     def _list_annotations(self, params: dict, _body: dict) -> dict:
-        return {"annotations": self._annotation_dicts(params["username"])}
+        return {"annotations": [
+            self._annotation_dict(record) for record in
+            self.platform.explore_annotations(params["username"])]}
 
     def _accept_statement(self, params: dict, body: dict) -> dict:
         record = self.platform.accept_statement(
@@ -283,9 +283,15 @@ class CrosseRestService:
                                "users", params, body)
 
     def _list_annotations_v1(self, params: dict, body: dict) -> dict:
+        # Page the records (the platform lists them in one order, which
+        # the signature-bound token indexes), project only the page.
         username = params["username"]
-        return self._paginated(self._annotation_dicts(username),
-                               "annotations", params, body, username)
+        payload = self._paginated(
+            self.platform.explore_annotations(username), "annotations",
+            params, body, username)
+        payload["annotations"] = [self._annotation_dict(record)
+                                  for record in payload["annotations"]]
+        return payload
 
     def _peer_recommendations_v1(self, params: dict, body: dict) -> dict:
         # count=None: the full ranking — pagination, not the

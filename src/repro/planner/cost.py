@@ -26,6 +26,8 @@ VECTORIZED_SCAN_FACTOR = 0.3
 #: in ns), output -0.1-0.6 (a difference of three slopes: noise around
 #: 0.2).  A constant moved only where it was off by more than 2x: the
 #: probe (1.0 -> 0.25) and the index lookup (3.0 -> 9.0).
+#: (The script also prints a semi join's build and probe; no rule costs
+#: that node yet, so it has no constant.)
 HASH_BUILD_PER_ROW = 1.6
 HASH_PROBE_PER_ROW = 0.25
 INDEX_PROBE_PER_LOOKUP = 9.0

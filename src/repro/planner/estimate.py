@@ -172,6 +172,18 @@ def join_selectivity(left: ColumnStats | None,
     return _clamp(1.0 / max(distincts))
 
 
+def semi_join_selectivity(operand: ColumnStats | None,
+                          build_distinct: float | None) -> float:
+    """Fraction of rows with a witness on the build side of a semi
+    join (``x IN (subquery)``, ``EXISTS (... inner = x)``): the share
+    ``build_distinct / distinct(x)`` of x's values that occur there, of
+    the rows where x is not NULL; the anti join keeps the rest."""
+    if operand is None or not operand.distinct or build_distinct is None:
+        return DEFAULT_SELECTIVITY
+    return _clamp(min(1.0, build_distinct / operand.distinct)
+                  * (1.0 - operand.null_fraction))
+
+
 def _column_vs_literal(
         expr: ast.BinaryOp) -> tuple[ast.ColumnRef | None, Any]:
     for column_side, value_side in ((expr.left, expr.right),

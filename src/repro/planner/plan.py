@@ -2,7 +2,7 @@
 :class:`PlannedStatement` — a rewritten (private) AST and the operator
 tree built from it, which is both what EXPLAIN renders and what runs.
 
-The planner decides on the AST: it rewrites its deep copy (folding,
+The planner decides on the AST: it rewrites its own copy (folding,
 pushdown wrappers, pruned projections, the chosen join order), leaves
 each physical decision on the node it concerns as a
 :class:`~repro.relational.ast.PlanHint`, and hands the AST to the one
@@ -15,19 +15,19 @@ in the query itself surface from the build, as with the planner off.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from ..relational import ast
 from ..relational.ast import PlanHint
 from ..relational.executor import build_select
 from ..relational.operators import Result
+from ..relational.vectors import semi_join
 from .cost import CostModel
-from .estimate import predicate_selectivity
+from .estimate import predicate_selectivity, semi_join_selectivity
 from .joins import (BaseRelation, JoinPredicate, build_join_tree,
-                    classify_equi, flatten_inner_joins, join_selectivity,
-                    make_resolver, order_joins, _column_stats, _leaf_stats,
-                    _relation_raw_rows)
+                    classify_equi, estimate_query_rows, flatten_inner_joins,
+                    join_selectivity, make_resolver, order_joins,
+                    _column_stats, _leaf_stats, _relation_raw_rows)
 from .options import PlannerOptions
 from .rewrite import (binding_of, expand_star_items, fold_expr, from_leaves,
                       needed_columns, null_safe_bindings, output_columns,
@@ -78,7 +78,7 @@ def plan_select(query: ast.SelectQuery, catalog,
     written."""
     planned = PlannedStatement(query=query)
     if options.enabled:
-        planned.query = copy.deepcopy(query)
+        planned.query = ast.clone_query(query)
         try:
             _plan_query(planned.query, catalog, stats, options, planned)
         except Exception as exc:
@@ -203,6 +203,14 @@ def _plan_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
         leaf.hint = PlanHint(est_rows=_relation_raw_rows(leaf, catalog,
                                                          stats))
     _pushdown_in_place(core, binding_columns)
+    if len(leaves) == 1 and core.where is not None:
+        rows, joins = _estimate_where(
+            core, leaves[0].hint.est_rows,
+            make_resolver({bindings[0]: _leaf_stats(leaves[0], stats)},
+                          binding_columns),
+            binding_columns, catalog, stats)
+        if joins:
+            core.hint = PlanHint(est_rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +278,67 @@ def _reorder_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
             "join order: " + " -> ".join(relations[i].binding
                                          for i in order))
     if core.where is not None:
-        core.hint = PlanHint(est_rows=(steps[-1].est_rows or 1.0) * max(
-            predicate_selectivity(core.where, resolve), 0.0005))
+        core.hint = PlanHint(est_rows=_estimate_where(
+            core, steps[-1].est_rows or 1.0, resolve, binding_columns,
+            catalog, stats)[0])
+
+
+def _estimate_where(core: ast.SelectCore, rows: float, resolve,
+                    binding_columns: dict, catalog, stats
+                    ) -> tuple[float, bool]:
+    """Estimate *core*'s WHERE over *rows* input rows the way the
+    builder runs it: the filter first, then one semi / anti join per
+    ``[NOT] IN (subquery)`` / ``[NOT] EXISTS`` conjunct that
+    :func:`~repro.relational.vectors.semi_join` takes, in WHERE order —
+    each node's hint is the estimate of the rows leaving it.  Returns
+    the rows leaving the filter and whether there is any such join.
+    (The builder declines an ``IN`` whose subquery reads the row being
+    filtered; its hint is then not read.)"""
+
+    def inner_scope(source: ast.TableRef):
+        own = {binding_of(source): output_columns(source, catalog)}
+
+        def level_of(ref: ast.ColumnRef) -> int | None:
+            if referenced_bindings(ref, own):
+                return 0
+            return 1 if referenced_bindings(ref, binding_columns) else None
+        return level_of
+
+    parts = ast.conjuncts(core.where)
+    joins = [semi_join(part, inner_scope) for part in parts]
+    rows *= max(predicate_selectivity(ast.conjoin(
+        [part for part, join in zip(parts, joins) if join is None])
+        or ast.Literal(True), resolve), 0.0005)
+    left = rows
+    for join in filter(None, joins):
+        outer, inner = join.pairs[0]
+        items = join.node.query.core.items
+        if isinstance(join.node, ast.InSubquery) and len(items) == 1:
+            inner = items[0].expr
+        fraction = semi_join_selectivity(
+            resolve(outer) if isinstance(outer, ast.ColumnRef) else None,
+            _build_distinct(join.node.query, inner, catalog, stats))
+        left *= 1.0 - fraction if join.negated else fraction
+        join.node.hint = PlanHint(est_rows=left)
+    return rows, any(joins)
+
+
+def _build_distinct(query: ast.SelectQuery, key: ast.Expr, catalog,
+                    stats) -> float | None:
+    """Distinct values of a semi-join's build-side *key*: the ANALYZEd
+    count when it is a plain column and the subquery reads one table,
+    capped by the subquery's estimated rows; ``None`` when nothing is
+    known."""
+    source = query.core.from_clause
+    if query.is_compound or not isinstance(source, ast.TableRef) \
+            or not catalog.has_table(source.name):
+        return None
+    rows = estimate_query_rows(query, catalog, stats)
+    analyzed = _column_stats(stats.get(source.name), key.name.lower()) \
+        if isinstance(key, ast.ColumnRef) else None
+    if analyzed is None or not analyzed.distinct:
+        return rows
+    return min(float(analyzed.distinct), rows)
 
 
 def _build_relation(leaf, catalog, stats, resolve,

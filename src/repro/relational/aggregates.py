@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from . import ast
 from .errors import ExecutionError, TypeMismatchError
 from .types import compare_values
 
@@ -185,3 +186,11 @@ def make_aggregate(name: str, star: bool, arg_count: int) -> Aggregate:
 
 AGGREGATE_NAMES = frozenset(
     {"COUNT", "SUM", "AVG", "MIN", "MAX", "GROUP_CONCAT"})
+
+
+def contains_aggregate(expr: ast.Expr | None) -> bool:
+    """Whether *expr* calls an aggregate (outside any subquery)."""
+    return expr is not None and any(
+        isinstance(node, ast.FunctionCall)
+        and node.name.upper() in AGGREGATE_NAMES
+        for node in ast.walk_expr(expr))

@@ -12,7 +12,7 @@ uses to match GROUP BY expressions against SELECT expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Union
 
 
@@ -91,12 +91,18 @@ class InSubquery(Expr):
     operand: Expr
     query: "SelectQuery" = None
     negated: bool = False
+    #: The planner's estimate for the semi/anti join a top-level WHERE
+    #: conjunct of this shape runs as.
+    hint: Optional["PlanHint"] = field(default=None, compare=False,
+                                       repr=False)
 
 
 @dataclass
 class Exists(Expr):
     query: "SelectQuery"
     negated: bool = False
+    hint: Optional["PlanHint"] = field(default=None, compare=False,
+                                       repr=False)
 
 
 @dataclass
@@ -438,6 +444,70 @@ def rebuild_expr(expr: Expr, recurse) -> Expr:
     if isinstance(expr, Cast):
         return Cast(recurse(expr.operand), expr.type_name)
     return expr
+
+
+# ---------------------------------------------------------------------------
+# Structural copy
+# ---------------------------------------------------------------------------
+#
+# What the planner needs before it rewrites a statement in place: every
+# node it may assign to (queries, cores, select/order items, FROM nodes,
+# interior expressions, hints) is new; ``Literal`` / ``ColumnRef`` /
+# ``Star`` / ``SlotRef`` leaves, which nothing mutates, are shared.
+
+def _clone_hint(hint: Optional[PlanHint]) -> Optional[PlanHint]:
+    return None if hint is None else replace(hint)
+
+
+def _clone_expr(expr: Optional[Expr]) -> Optional[Expr]:
+    if isinstance(expr, InSubquery):
+        return InSubquery(_clone_expr(expr.operand), clone_query(expr.query),
+                          expr.negated, _clone_hint(expr.hint))
+    if isinstance(expr, Exists):
+        return Exists(clone_query(expr.query), expr.negated,
+                      _clone_hint(expr.hint))
+    if isinstance(expr, ScalarSubquery):
+        return ScalarSubquery(clone_query(expr.query))
+    return rebuild_expr(expr, _clone_expr)
+
+
+def _clone_table_expr(table_expr: Optional[TableExpr]
+                      ) -> Optional[TableExpr]:
+    hint = _clone_hint(getattr(table_expr, "hint", None))
+    if isinstance(table_expr, TableRef):
+        return TableRef(table_expr.name, table_expr.alias, hint)
+    if isinstance(table_expr, SubqueryRef):
+        return SubqueryRef(clone_query(table_expr.query), table_expr.alias,
+                           hint)
+    if isinstance(table_expr, Join):
+        return Join(table_expr.join_type,
+                    _clone_table_expr(table_expr.left),
+                    _clone_table_expr(table_expr.right),
+                    _clone_expr(table_expr.condition), hint)
+    return table_expr
+
+
+def _clone_core(core: SelectCore) -> SelectCore:
+    return SelectCore(
+        [SelectItem(_clone_expr(item.expr), item.alias)
+         for item in core.items],
+        core.distinct, _clone_table_expr(core.from_clause),
+        _clone_expr(core.where), [_clone_expr(expr) for expr in core.group_by],
+        _clone_expr(core.having), _clone_hint(core.hint))
+
+
+def clone_query(query: Optional["SelectQuery"]) -> Optional["SelectQuery"]:
+    """A structural copy of *query* (``clone_query(q) == q``) that the
+    planner may rewrite without the original noticing."""
+    if query is None:
+        return None
+    return SelectQuery(
+        _clone_core(query.core),
+        [(operation, _clone_core(core))
+         for operation, core in query.compounds],
+        [OrderItem(_clone_expr(item.expr), item.descending)
+         for item in query.order_by],
+        _clone_expr(query.limit), _clone_expr(query.offset))
 
 
 def walk_expr(node: Expr):

@@ -37,14 +37,16 @@ class SubPlanLike(Protocol):
 
     def exists(self, outer_rows: Rows) -> bool: ...
 
-    def column_values(self, outer_rows: Rows) -> list[Any]: ...
+    def membership(self, value: Any, outer_rows: Rows) -> bool | None: ...
 
 
 class CompileContext:
     """Build state shared across a query tree.
 
-    ``subplan_factory(query, scopes, ctx)`` is injected by the executor
-    (it owns query building); the compiler only knows :class:`SubPlanLike`.
+    ``subplan_factory(query, scopes, ctx[, single_column])`` is injected
+    by the executor (it owns query building, and rejects a subquery of
+    the wrong width while doing so); the compiler only knows
+    :class:`SubPlanLike`.
     """
 
     def __init__(self, subplan_factory: Callable[..., SubPlanLike],
@@ -303,10 +305,10 @@ def compile_expr(expr: ast.Expr, scopes: list[RowSchema],
 
     if isinstance(expr, ast.InSubquery):
         operand = compile_expr(expr.operand, scopes, ctx)
-        plan = ctx.subplan_factory(expr.query, scopes, ctx)
+        plan = ctx.subplan_factory(expr.query, scopes, ctx, "IN subquery")
 
         def in_subquery(rows: Rows) -> bool | None:
-            return membership(operand(rows), plan.column_values(rows))
+            return plan.membership(operand(rows), rows)
         if expr.negated:
             return lambda rows: not3(in_subquery(rows))
         return in_subquery
@@ -318,7 +320,8 @@ def compile_expr(expr: ast.Expr, scopes: list[RowSchema],
         return lambda rows: plan.exists(rows)
 
     if isinstance(expr, ast.ScalarSubquery):
-        plan = ctx.subplan_factory(expr.query, scopes, ctx)
+        plan = ctx.subplan_factory(expr.query, scopes, ctx,
+                                   "scalar subquery")
         return lambda rows: plan.scalar(rows)
 
     if isinstance(expr, ast.FunctionCall):

@@ -2,9 +2,11 @@
 
 ``build_select`` turns a SELECT AST into a tree of
 :mod:`repro.relational.operators` rooted at a ``Result``; running the
-root produces the rows.  Building happens once per execution; correlated
-subqueries re-run their subtree per outer row, uncorrelated ones are
-cached after their first run.
+root produces the rows.  Building happens once per execution; a
+top-level WHERE ``[NOT] IN (subquery)`` / ``[NOT] EXISTS`` that can be
+one becomes a semi / anti join; of the other subqueries, correlated
+ones re-run their subtree per outer row, uncorrelated ones are cached
+(rows, and the key set ``IN`` tests) after their first run.
 
 There is one builder.  The planner rewrites its private AST copy, leaves
 its physical decisions on the nodes as :class:`~repro.relational.ast.
@@ -21,13 +23,14 @@ from functools import partial
 from typing import Any, Callable
 
 from . import ast, vectors
-from .aggregates import AGGREGATE_NAMES, make_aggregate
-from .batch import ColumnFold, GenericFold
+from .aggregates import (AGGREGATE_NAMES, contains_aggregate,
+                         make_aggregate)
+from .batch import ColumnFold, GenericFold, norm_tuple
 from .catalog import Catalog
 from .compiler import (CompileContext, compile_expr, compile_predicate,
-                       resolve_column)
-from .errors import (ExecutionError, NotSupportedError, SchemaError,
-                     UnknownColumnError)
+                       membership, resolve_column)
+from .errors import (AmbiguousColumnError, ExecutionError,
+                     NotSupportedError, SchemaError, UnknownColumnError)
 from .operators import (Aggregate, Distinct, Filter, IndexProbe, Join,
                         Limit, Operator, Project, Result, RowFn, Rows, Scan,
                         SetOp, Sort, Values)
@@ -42,22 +45,38 @@ from .types import DataType
 INDEX_PROBE_THRESHOLD = 64
 
 
+#: ``norm_tuple`` of a one-column row holding NULL.
+_NULL_ROW = norm_tuple((None,))
+
+
 class SubPlan:
-    """A built subquery usable from WHERE/SELECT expressions."""
+    """A built subquery usable from WHERE/SELECT expressions.
+
+    *single_column* names the construct (``IN subquery``, ``scalar
+    subquery``) whose subquery must return exactly one column — checked
+    here, at build time, whatever the outer rows turn out to be.
+    """
 
     def __init__(self, catalog: Catalog, query: ast.SelectQuery,
-                 scopes: list[RowSchema], ctx: CompileContext) -> None:
+                 scopes: list[RowSchema], ctx: CompileContext,
+                 single_column: str | None = None) -> None:
         watcher = ctx.push_watcher()
         try:
             top = build_query(query, catalog, scopes, ctx)
         finally:
             ctx.pop_watcher()
-        self.correlated = any(depth < len(scopes) for depth in watcher)
+        #: The enclosing scopes the subquery reads.
+        self.outer_depths = {depth for depth in watcher
+                             if depth < len(scopes)}
+        self.correlated = bool(self.outer_depths)
         self.root = Operator(
             "subquery", "correlated" if self.correlated else "uncorrelated",
             top.schema, [top])
+        if single_column is not None:
+            self._single_column(single_column)
         ctx.subplans.append(self.root)
         self._cache: list[tuple] | None = None
+        self._members: set[tuple] | None = None
 
     def rows(self, outer_rows: Rows) -> list[tuple]:
         if self.correlated:
@@ -71,7 +90,6 @@ class SubPlan:
             raise ExecutionError(f"{what} must return exactly one column")
 
     def scalar(self, outer_rows: Rows) -> Any:
-        self._single_column("scalar subquery")
         rows = self.rows(outer_rows)
         if not rows:
             return None
@@ -82,9 +100,24 @@ class SubPlan:
     def exists(self, outer_rows: Rows) -> bool:
         return bool(self.rows(outer_rows))
 
-    def column_values(self, outer_rows: Rows) -> list[Any]:
-        self._single_column("IN subquery")
-        return [row[0] for row in self.rows(outer_rows)]
+    def membership(self, value: Any, outer_rows: Rows) -> bool | None:
+        """3VL ``value IN (this subquery)``.  An uncorrelated subquery
+        normalises its column into a key set once; a correlated one is
+        re-run and scanned per call."""
+        if self.correlated:
+            return membership(value,
+                              [row[0] for row in self.rows(outer_rows)])
+        members = self._members
+        if members is None:
+            members = self._members = set(
+                map(norm_tuple, self.rows(outer_rows)))
+        if not members:
+            return False
+        if value is None:
+            return None
+        if norm_tuple((value,)) in members:
+            return True
+        return None if _NULL_ROW in members else False
 
 
 def make_context(catalog: Catalog, exec_hooks=None,
@@ -104,8 +137,9 @@ def build_select(query: ast.SelectQuery, catalog: Catalog,
 # ---------------------------------------------------------------------------
 #
 # ``vectors.compile_filter_kernel`` is the fifth one (mask kernels, per
-# WHERE conjunct).  Each answers from what the builder can observe; the
-# generic compiled expression is always the alternative.
+# WHERE conjunct) and ``select_semi_joins``, further down with the WHERE
+# clause it reads, the sixth.  Each answers from what the builder can
+# observe; the generic compiled expression is always the alternative.
 
 def _innermost_position(expr: ast.Expr | None,
                         scopes: list[RowSchema]) -> int | None:
@@ -129,7 +163,7 @@ def _typed_column(expr: ast.Expr | None, scopes: list[RowSchema]
     column, so they belong to one type family, and raw ``<`` / ``==`` /
     hashing agree with ``compare_values`` / ``values_equal``."""
     position = _innermost_position(expr, scopes)
-    if position is None or isinstance(expr, ast.SlotRef):
+    if position is None:
         return None
     data_type = scopes[-1].columns[position].data_type
     return None if data_type is None else (position, data_type)
@@ -391,6 +425,149 @@ def _point_probe(scan: Scan, where: ast.Expr, scopes: list[RowSchema],
     return scan, where
 
 
+def select_semi_joins(conjuncts: list[ast.Expr],
+                      outer_scopes: list[RowSchema], schema: RowSchema,
+                      catalog: Catalog, ctx: CompileContext
+                      ) -> list[Callable[[Operator], Join] | None]:
+    """The sixth kernel selector: per WHERE conjunct over rows of
+    *schema*, how to stack it over them as a semi / anti :class:`Join`
+    — "has a witness in the other relation" is a join — when it is
+    ``expr [NOT] IN (subquery that does not read this row)`` or ``[NOT]
+    EXISTS (SELECT ... FROM one table WHERE inner = outer [AND rest])``
+    (:func:`vectors.semi_join` says which), else ``None``: the conjunct
+    stays in the filter, on the compiled closure, which is the
+    reference."""
+    scopes = outer_scopes + [schema]
+
+    def inner_scope(source: ast.TableRef):
+        chain = scopes + [RowSchema.for_table(
+            catalog.table(source.name).schema, source.binding)]
+
+        def level_of(ref: ast.ColumnRef) -> int | None:
+            try:
+                return len(chain) - 1 - resolve_column(ref, chain)[0]
+            except (UnknownColumnError, AmbiguousColumnError):
+                return None
+        return level_of
+
+    stack: list[Callable[[Operator], Join] | None] = []
+    for conjunct in conjuncts:
+        found = vectors.semi_join(conjunct, inner_scope)
+        stack.append(found and (
+            _in_semi_join if isinstance(found.node, ast.InSubquery)
+            else _exists_semi_join)(found, scopes, catalog, ctx))
+    return stack
+
+
+def _semi_join(found: vectors.SemiJoin, right: Operator, label: str, check,
+               scopes: list[RowSchema], ctx: CompileContext,
+               build_once: bool, in_predicate: bool = False
+               ) -> Callable[[Operator], Join]:
+    """The inner side and *check* live one scope below the left row,
+    like the subquery they come from."""
+    inner_scopes = scopes + [right.schema]
+    kind = "anti-join" if found.negated else "semi-join"
+    left_keys = [compile_expr(outer, scopes, ctx)
+                 for outer, _inner in found.pairs]
+    right_keys = [compile_expr(inner, inner_scopes, ctx)
+                  for _outer, inner in found.pairs]
+    key_positions = select_join_keys(found.pairs, scopes, inner_scopes)
+    est_rows = (found.node.hint or _NO_HINT).est_rows
+    return lambda left: Join(
+        kind, label, left, right, False, left_keys, right_keys, check,
+        est_rows, key_positions, ctx.exec_hooks, in_predicate, build_once)
+
+
+def _in_semi_join(found: vectors.SemiJoin, scopes: list[RowSchema],
+                  catalog: Catalog, ctx: CompileContext
+                  ) -> Callable[[Operator], Join] | None:
+    conjunct = found.node
+    built = len(ctx.subplans)
+    plan = SubPlan(catalog, conjunct.query, scopes, ctx, "IN subquery")
+    if len(scopes) - 1 in plan.outer_depths:
+        # It reads the row being filtered: the closure builds its own.
+        del ctx.subplans[built:]
+        return None
+    ctx.subplans.pop()  # the join shows it, as its build side
+    return _semi_join(
+        found, plan.root,
+        render_expr(conjunct.operand) + (" NOT IN" if found.negated
+                                         else " IN"),
+        None, scopes, ctx, not plan.correlated, in_predicate=True)
+
+
+def _exists_semi_join(found: vectors.SemiJoin, scopes: list[RowSchema],
+                      catalog: Catalog, ctx: CompileContext
+                      ) -> Callable[[Operator], Join]:
+    core = found.node.query.core
+    source: ast.TableRef = core.from_clause
+    # The inner-only conjuncts stay in the subquery; the equalities are
+    # the keys; what else reads this row is checked per candidate pair.
+    watcher = ctx.push_watcher()
+    try:
+        build = build_core(ast.SelectCore(
+            items=[ast.SelectItem(ast.Star())], from_clause=source,
+            where=ast.conjoin(found.inner_only)), catalog, scopes, ctx)
+    finally:
+        ctx.pop_watcher()
+    right = Operator("subquery", "decorrelated", build.schema, [build])
+    chain = scopes + [right.schema]
+    # The select list is never evaluated, but its names must resolve.
+    for expr in _plain_items(core.items, right.schema, chain)[0]:
+        compile_expr(expr, chain, ctx)
+    check = (compile_predicate(ast.conjoin(found.mixed), chain, ctx)
+             if found.mixed else None)
+    return _semi_join(
+        found, right,
+        ("NOT EXISTS " if found.negated else "EXISTS ") + source.binding,
+        check, scopes, ctx,
+        not any(depth < len(scopes) for depth in watcher))
+
+
+def _build_where(op: Operator, where: ast.Expr,
+                 outer_scopes: list[RowSchema], catalog: Catalog,
+                 ctx: CompileContext, est_rows: float | None) -> Operator:
+    """The WHERE clause over *op*: its conjuncts in the order a filter
+    runs them — those with a mask kernel, then the others as written —
+    each run of conjuncts a :class:`Filter`, each one the selector
+    takes a semi / anti join at its place.  A conjunct that guards a
+    later one (``b <> 0 AND a / b IN (...)``) so guards it here too, and
+    a subquery no row reaches is not run."""
+    scopes = outer_scopes + [op.schema]
+    parts = ast.conjuncts(where)
+    stack = select_semi_joins(parts, outer_scopes, op.schema, catalog, ctx)
+    if not any(stack):
+        return build_filter(op, "WHERE", where, scopes, ctx, est_rows)
+    # The planner estimates the whole filter first, the joins over it.
+    pending: list[ast.Expr] = []
+    for index in sorted(range(len(parts)), key=lambda index: not _masked(
+            parts[index], scopes)):
+        if stack[index] is None:
+            pending.append(parts[index])
+            continue
+        if pending:
+            op = build_filter(op, "WHERE", ast.conjoin(pending), scopes, ctx,
+                              est_rows)
+            pending = []
+        op = stack[index](op)
+        est_rows = op.est_rows
+    if pending:
+        op = build_filter(op, "WHERE", ast.conjoin(pending), scopes, ctx,
+                          est_rows)
+    return op
+
+
+def _masked(conjunct: ast.Expr, scopes: list[RowSchema]) -> bool:
+    """Whether a filter over ``scopes[-1]`` runs *conjunct* as a mask
+    kernel (over typed columns only: an unresolved ref sends it to the
+    generic predicate, whose compile reports unknown columns and marks
+    outer references)."""
+    return any(column.data_type is not None
+               for column in scopes[-1].columns) \
+        and vectors.compile_filter_kernel(
+            conjunct, partial(_typed_column, scopes=scopes)) is not None
+
+
 def build_filter(child: Operator, label: str, predicate: ast.Expr,
                  scopes: list[RowSchema], ctx: CompileContext,
                  est_rows: float | None = None) -> Filter:
@@ -398,23 +575,21 @@ def build_filter(child: Operator, label: str, predicate: ast.Expr,
     compiles to a mask kernel runs as one, the rest stay on the generic
     predicate — a hybrid plan, not an error."""
     typed = any(column.data_type is not None
-                for column in child.schema.columns)
-
-    # An unresolved ref sends the conjunct to the generic predicate,
-    # whose compile reports unknown columns and marks outer references.
+                for column in scopes[-1].columns)
     resolve = partial(_typed_column, scopes=scopes)
     masked: list[ast.Expr] = []
     residual: list[ast.Expr] = []
     fallbacks: list[tuple[str, str]] = []
     for conjunct in ast.conjuncts(predicate):
-        if typed and vectors.compile_filter_kernel(conjunct,
-                                                   resolve) is not None:
+        if _masked(conjunct, scopes):
             masked.append(conjunct)
             continue
         residual.append(conjunct)
         if typed:
-            fallbacks.append((render_expr(conjunct),
-                              vectors.fallback_reason(conjunct, resolve)))
+            # What is of semi-join shape and still here, the selector
+            # declined.
+            fallbacks.append((render_expr(conjunct), vectors.fallback_reason(
+                conjunct, resolve, declined=True)))
     # AND is itself a kernel: one mask function for all of them.
     mask_fn = (vectors.compile_filter_kernel(ast.conjoin(masked), resolve)
                if masked else None)
@@ -464,14 +639,6 @@ class _AggregateRewriter:
         # through correlation, which we conservatively do not rewrite
         # (rebuild_expr returns them, like every other leaf, unchanged).
         return ast.rebuild_expr(expr, self.rewrite)
-
-
-def _contains_aggregate(expr: ast.Expr | None) -> bool:
-    if expr is None:
-        return False
-    return any(isinstance(node, ast.FunctionCall)
-               and node.name.upper() in AGGREGATE_NAMES
-               for node in ast.walk_expr(expr))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +750,7 @@ def build_core(core: ast.SelectCore, catalog: Catalog,
     if where is not None and isinstance(op, Scan):
         op, where = _point_probe(op, where, scopes, ctx.stats)
     if where is not None:
-        op = build_filter(op, "WHERE", where, scopes, ctx,
+        op = _build_where(op, where, outer_scopes, catalog, ctx,
                           (core.hint or _NO_HINT).est_rows)
 
     order_exprs = _substitute_order_targets(
@@ -592,8 +759,8 @@ def build_core(core: ast.SelectCore, catalog: Catalog,
     # everything else sorts the projection's input.
     sort_output = False
     if bool(core.group_by) or core.having is not None \
-            or any(_contains_aggregate(item.expr) for item in core.items) \
-            or any(_contains_aggregate(item.expr) for item in order_by):
+            or any(contains_aggregate(item.expr) for item in core.items) \
+            or any(contains_aggregate(item.expr) for item in order_by):
         op, scopes, exprs = _build_aggregate(
             core, op, scopes, order_by, order_exprs, ctx)
         out_schema = RowSchema([

@@ -19,7 +19,10 @@ whose key pairs are plain typed columns of one comparison family on
 both sides hashes the raw values of whole key columns (build and
 probe); any other key — an expression, ``BOOLEAN = INTEGER``, an untyped
 set-operation column — is evaluated per row and normalised with
-``norm_tuple``, still batch by batch.  A sort gathers or evaluates each
+``norm_tuple``, still batch by batch.  The same loop, with the same two
+key extractors, runs a WHERE-side ``[NOT] IN (subquery)`` / ``[NOT]
+EXISTS`` as a semi / anti join: the left row comes out when it has a /
+no witness on the build side.  A sort gathers or evaluates each
 ORDER BY key once per row into a key column and, when every key column
 turns out to hold one family of values (checked at run time: slot rows
 and set-operation outputs are untyped at build time) and no NaN, sorts
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import repeat
-from operator import ne
+from operator import ne, not_
 from typing import Any, Callable, Iterable, Iterator
 
 from . import batch as _batch
@@ -619,8 +622,8 @@ def _key_rows(fns: list[RowFn], rows: list[tuple],
 
 
 class Join(Operator):
-    """INNER / LEFT / CROSS join, batch by batch, in left order with
-    each left row's matches in right-input order.
+    """INNER / LEFT / CROSS / SEMI / ANTI join, batch by batch, in left
+    order with each left row's matches in right-input order.
 
     The strategy is the node's ``kind``: ``hash-join`` builds buckets
     over the right input's keys and probes them with a left batch's;
@@ -629,6 +632,26 @@ class Join(Operator):
     ``nested-loop`` / ``cross-join`` pair every left row with the
     materialized right input.  ``check`` (the residual ON predicate, or
     all of it for a nested loop) runs on each combined row.
+
+    ``semi-join`` / ``anti-join`` are the hash join of a WHERE-side
+    ``[NOT] IN (subquery)`` / ``[NOT] EXISTS``: the schema is the left
+    one and each left row comes out at most once — when some / no right
+    row has its key and passes ``check``.  The right input is the
+    subquery, so it lives one scope *below* the left row: it runs, and
+    its keys and ``check`` are evaluated, under ``outer_rows + (left
+    row,)`` (a placeholder where no left row is at hand — the selector
+    only moves what never reads it).  Like that subquery it is not run
+    before a left row needs it, and with ``build_once`` — it reads no
+    enclosing row either — one build serves every run of the statement
+    (the join may sit in a subtree that is re-run per outer row).
+    Without a ``check`` the build side
+    is a plain key set and the survivors leave through a selection mask:
+    no row tuple is built.  ``in_predicate`` says the join is an ``x [NOT]
+    IN (subquery)``: x is evaluated for every left row (an ``EXISTS``
+    compares nothing when its subquery is empty), and ``NOT IN`` is
+    ``null_aware`` — a NULL on the build side rejects every row, a NULL
+    x passes only an empty one (``NOT EXISTS`` is the plain anti join: a
+    NULL key has no match).
 
     ``key_positions`` — ``(left positions, right positions)`` — is set
     when every hash key pair is a plain typed column of one comparison
@@ -645,13 +668,24 @@ class Join(Operator):
                  left_keys: list[RowFn], right_keys: list[RowFn],
                  check, est_rows: float | None = None,
                  key_positions: tuple[list[int], list[int]] | None = None,
-                 hooks=None) -> None:
-        super().__init__(kind, label, left.schema.extended(right.schema),
-                         [left, right], est_rows, hooks=hooks)
+                 hooks=None, in_predicate: bool = False,
+                 build_once: bool = False) -> None:
+        self.semi = kind in ("semi-join", "anti-join")
+        self.in_predicate = in_predicate
+        self.null_aware = in_predicate and kind == "anti-join"
+        schema = left.schema if self.semi \
+            else left.schema.extended(right.schema)
+        detail = ", ".join(
+            ["null-aware"] * self.null_aware
+            + ["residual"] * (self.semi and check is not None))
+        super().__init__(kind, label, schema, [left, right], est_rows,
+                         detail, hooks)
         self.left_join = left_join
         self.key_fns = (left_keys, right_keys)
         self.check = check
         self.key_positions = key_positions
+        self.build_once = build_once
+        self._built: tuple[Any, bool, bool] | None = None
         self.vectorized = key_positions is not None
 
     def _hash_keys(self, batch: Batch, side: int,
@@ -668,41 +702,100 @@ class Join(Operator):
         return [None if None in key else norm_tuple(key) for key in
                 _key_rows(self.key_fns[side], batch.rows, outer_rows)]
 
+    def _build(self, outer_rows: Rows) -> tuple[Any, bool, bool]:
+        """The hashed right input — the key set of a semi / anti join
+        without a residual, else the right rows bucketed by key —,
+        whether it had no row at all, and whether a ``NOT IN`` found a
+        NULL in it."""
+        right = self.children[1]
+        empty = True
+        if self.semi and self.check is None:
+            members: set = set()
+            for batch in right.chunks(outer_rows):
+                empty = False
+                members.update(self._hash_keys(batch, 1, outer_rows))
+            if not self.null_aware:
+                members.discard(None)
+                return members, empty, False
+            has_null = None in members
+            if members:
+                members.add(None)  # the NULL key: rejected, like a match
+            return members, empty, has_null
+        buckets: dict = defaultdict(list)
+        for batch in right.chunks(outer_rows):
+            empty = False
+            for key, right_row in zip(
+                    self._hash_keys(batch, 1, outer_rows), batch.rows):
+                if key is not None:
+                    buckets[key].append(right_row)
+        return buckets, empty, False
+
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
         left, right = self.children
-        kind = self.kind
-        if kind == "hash-join":
-            buckets: dict = defaultdict(list)
-            for batch in right.chunks(outer_rows):
-                for key, right_row in zip(
-                        self._hash_keys(batch, 1, outer_rows), batch.rows):
-                    if key is not None:
-                        buckets[key].append(right_row)
-        elif kind != "index-join":
-            right_rows = right.run(outer_rows)
+        kind, semi = self.kind, self.semi
+        anti = kind == "anti-join"
+        hashed = semi or kind == "hash-join"
         check, left_join = self.check, self.left_join
+        # A semi / anti join's right side is a subquery: it runs when
+        # the first left row asks for it — once per statement when it
+        # reads no enclosing row.
+        built = self._built if semi else None
+        if kind == "hash-join":
+            built = self._build(outer_rows)
+        elif not hashed and kind != "index-join":
+            right_rows = right.run(outer_rows)
         pad = (None,) * len(right.schema)
         size = _batch.BATCH_SIZE
         out: list[tuple] = []
         for batch in left.chunks(outer_rows):
             # Per left row, the right rows it may pair with.
-            if kind == "hash-join":
+            if hashed:
+                if built is None:
+                    built = self._build(outer_rows + (None,))
+                    if self.build_once:
+                        self._built = built
+                table, empty, has_null = built
+                if empty and semi and not self.in_predicate:
+                    # An EXISTS over nothing: no key is compared.
+                    if anti:
+                        yield batch
+                    continue
                 self._observe(len(batch))
-                candidates = list(map(
-                    buckets.get, self._hash_keys(batch, 0, outer_rows),
-                    repeat(())))
+                keys = self._hash_keys(batch, 0, outer_rows)
+                if check is None and semi:
+                    if has_null:
+                        continue  # NOT IN (... NULL ...): true of no x
+                    mask = list(map(table.__contains__, keys))
+                    if anti:
+                        mask = list(map(not_, mask))
+                    kept = sum(mask)
+                    if kept:
+                        yield batch if kept == len(mask) \
+                            else batch.select(mask)
+                    continue
+                candidates = list(map(table.get, keys, repeat(())))
             elif kind == "index-join":
                 candidates = list(map(right.lookup, _key_rows(
                     right.key_fns, batch.rows, outer_rows)))
             else:
                 candidates = [right_rows] * len(batch)
-            if not left_join and not all(candidates):
+            if not (left_join or anti) and not all(candidates):
                 # A left row without candidates cannot reach the output:
                 # drop it in whichever view the batch has, before the
                 # row view is derived.
                 batch = batch.select(candidates)
                 candidates = filter(None, candidates)
             for left_row, found in zip(batch.rows, candidates):
+                if semi:
+                    context = outer_rows + (left_row,)
+                    witness = False
+                    for right_row in found:
+                        if check(context + (right_row,)):
+                            witness = True
+                            break
+                    if witness != anti:
+                        out.append(left_row)
+                    continue
                 matched = False
                 for right_row in found:
                     combined = left_row + right_row

@@ -33,9 +33,10 @@ execution path:
 from __future__ import annotations
 
 from itertools import compress
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import ast
+from .aggregates import contains_aggregate
 from .compiler import like_match
 from .types import DataType
 
@@ -324,8 +325,146 @@ def _like_kernel(expr: ast.Like, resolve: Resolver) -> Kernel | None:
                          for v in cols[p]]
 
 
-def fallback_reason(expr: ast.Expr, resolve: Resolver) -> str | None:
-    """Why *expr* has no vector kernel, or ``None`` when it compiles.
+def semi_join_conjunct(expr: ast.Expr
+                       ) -> tuple[ast.InSubquery | ast.Exists | None, bool]:
+    """``(node, negated)`` when the WHERE conjunct *expr* is a ``[NOT]
+    IN (subquery)`` / ``[NOT] EXISTS`` — also written ``NOT (x IN ...)``
+    / ``NOT EXISTS ...``, which the parser wraps in a NOT: the same
+    predicate under three-valued logic — else ``(None, False)``."""
+    negated = False
+    while isinstance(expr, ast.UnaryOp) and expr.op.upper() == "NOT":
+        expr, negated = expr.operand, not negated
+    if isinstance(expr, (ast.InSubquery, ast.Exists)):
+        return expr, negated != expr.negated
+    return None, False
+
+
+def semi_join_shape(expr: ast.InSubquery | ast.Exists) -> str | None:
+    """Why a ``[NOT] IN (subquery)`` / ``[NOT] EXISTS`` conjunct cannot
+    leave the filter for a semi / anti join, judged on its shape alone
+    (``None``: it can, names permitting — see :func:`semi_join`).  Any
+    ``IN`` subquery will do — it runs once — but an ``EXISTS`` is taken
+    apart, so it must be one plain block over one table with an equality
+    to hash on."""
+    if isinstance(expr, ast.InSubquery):
+        return None
+    query = expr.query
+    core = query.core
+    if query.is_compound:
+        return "subquery is a set operation"
+    if query.limit is not None or query.offset is not None:
+        return "subquery has LIMIT"
+    if query.order_by:
+        return "subquery has ORDER BY"
+    if core.group_by or core.having is not None \
+            or any(contains_aggregate(item.expr) for item in core.items):
+        return "subquery aggregates"
+    if not isinstance(core.from_clause, ast.TableRef):
+        return "subquery does not read exactly one table"
+    if not any(isinstance(part, ast.BinaryOp) and part.op == "="
+               for part in ast.conjuncts(core.where)):
+        return "correlated without an equality"
+    return None
+
+
+class SemiJoin(NamedTuple):
+    """A WHERE conjunct taken apart for a semi / anti join."""
+
+    node: ast.InSubquery | ast.Exists
+    negated: bool
+    #: ``(outer, inner)`` key expressions; the inner side of an ``IN``
+    #: is its subquery's one output column.
+    pairs: list[tuple[ast.Expr, ast.Expr]]
+    #: Of an ``EXISTS``: the conjuncts that do not read the row being
+    #: filtered — they stay in the subquery, the build side.
+    inner_only: list[ast.Expr]
+    #: Of an ``EXISTS``: what else reads that row — checked on each
+    #: (row, candidate) pair, as an ON residual is.
+    mixed: list[ast.Expr]
+
+
+#: Given an ``EXISTS`` subquery's table, where a column reference in the
+#: subquery's WHERE resolves: 0 that table, 1 the row being filtered,
+#: 2.. the enclosing queries' rows; ``None`` when it does not resolve.
+InnerScope = Callable[[ast.TableRef],
+                      Callable[[ast.ColumnRef], Optional[int]]]
+
+
+def semi_join(expr: ast.Expr, inner_scope: InnerScope) -> SemiJoin | None:
+    """The WHERE conjunct *expr* as a semi / anti join, or ``None`` when
+    it is to stay in the filter.  The one place that decides: the
+    executor's selector builds what this returns (declining only an
+    ``IN`` whose subquery turns out, once built, to read the row being
+    filtered), the planner estimates it and the analyzer reports it —
+    each with its own name resolution behind *inner_scope*.
+
+    Of an ``EXISTS``, every ``inner = outer`` equality — one side reads
+    the subquery's table and nothing else, the other the row being
+    filtered and not that table — is a key pair.  Keys are evaluated before the residual, so
+    behind a conjunct that may be guarding it (one that reads that row
+    and is no key pair) only an equality of plain columns is one."""
+    node, negated = semi_join_conjunct(expr)
+    if node is None or semi_join_shape(node) is not None:
+        return None
+    if isinstance(node, ast.InSubquery):
+        return SemiJoin(node, negated, [(node.operand, ast.SlotRef(0))],
+                        [], [])
+    core = node.query.core
+    level_of = inner_scope(core.from_clause)
+
+    def levels(part: ast.Expr) -> set[int] | None:
+        """Where *part*'s columns resolve; ``None`` when that cannot be
+        told without compiling it (an embedded subquery, a name that
+        does not resolve)."""
+        found: set[int] = set()
+        for sub in ast.walk_expr(part):
+            if isinstance(sub, (ast.InSubquery, ast.Exists,
+                                ast.ScalarSubquery)):
+                return None
+            if isinstance(sub, ast.ColumnRef):
+                level = level_of(sub)
+                if level is None:
+                    return None
+                found.add(level)
+        return found
+
+    def key_pair(part: ast.Expr) -> tuple[ast.Expr, ast.Expr] | None:
+        if not (isinstance(part, ast.BinaryOp) and part.op == "="):
+            return None
+        sides = [(side, levels(side)) for side in (part.left, part.right)]
+        for (outer, outer_at), (inner, inner_at) in (sides, sides[::-1]):
+            if inner_at == {0} and outer_at is not None \
+                    and 1 in outer_at and 0 not in outer_at:
+                return outer, inner
+        return None
+
+    found = SemiJoin(node, negated, [], [], [])
+    for part in ast.conjuncts(core.where):
+        read = levels(part)
+        if read is not None and 1 not in read:
+            found.inner_only.append(part)
+            continue
+        pair = key_pair(part)
+        if pair is not None and (not found.mixed or all(
+                isinstance(side, ast.ColumnRef) for side in pair)):
+            found.pairs.append(pair)
+        else:
+            found.mixed.append(part)
+    return found if found.pairs else None
+
+
+#: Why ``select_semi_joins`` declines a conjunct of the right shape,
+#: once it has resolved its names.
+_DECLINED_ON_NAMES = {ast.InSubquery: "correlated IN subquery",
+                      ast.Exists: "correlated without an equality"}
+
+
+def fallback_reason(expr: ast.Expr, resolve: Resolver,
+                    declined: bool = False) -> str | None:
+    """Why the WHERE conjunct *expr* runs on the generic predicate, or
+    ``None`` when it does not: it compiles to a vector kernel, or it has
+    the shape of a semi / anti join (:func:`semi_join_shape`) — unless
+    *declined* says the selector has been and left it there.
 
     The single source of truth for "would this conjunct vectorize":
     the answer is literally :func:`compile_filter_kernel`'s, so the
@@ -335,7 +474,14 @@ def fallback_reason(expr: ast.Expr, resolve: Resolver) -> str | None:
     """
     if compile_filter_kernel(expr, resolve) is not None:
         return None
+    node, _negated = semi_join_conjunct(expr)
+    if node is not None:
+        return semi_join_shape(node) or (
+            _DECLINED_ON_NAMES[type(node)] if declined else None)
     return _describe_fallback(expr, resolve)
+
+
+_SUBQUERY_PREDICATE = "subquery predicate"
 
 
 def _describe_fallback(expr: ast.Expr, resolve: Resolver) -> str:
@@ -357,7 +503,10 @@ def _describe_fallback(expr: ast.Expr, resolve: Resolver) -> str:
         if op in ("AND", "OR"):
             for side in (expr.left, expr.right):
                 if compile_filter_kernel(side, resolve) is None:
-                    return _describe_fallback(side, resolve)
+                    reason = _describe_fallback(side, resolve)
+                    if op == "OR" and reason == _SUBQUERY_PREDICATE:
+                        reason += " under OR"
+                    return reason
             return generic  # pragma: no cover - both sides compiled
         if expr.op in _COMPARISONS:
             left_ref = _resolved(expr.left, resolve)
@@ -406,8 +555,11 @@ def _describe_fallback(expr: ast.Expr, resolve: Resolver) -> str:
         return "bare predicate over a non-boolean column"
     if isinstance(expr, ast.FunctionCall):
         return f"function call {expr.name.upper()} has no vector kernel"
-    if isinstance(expr, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
-        return "subquery predicates run on the row path"
+    if isinstance(expr, (ast.InSubquery, ast.Exists)):
+        # Only a top-level conjunct can be a semi-join.
+        return _SUBQUERY_PREDICATE
+    if isinstance(expr, ast.ScalarSubquery):
+        return "scalar subqueries run on the row path"
     if isinstance(expr, ast.CaseExpr):
         return "CASE expressions run on the row path"
     if isinstance(expr, ast.Cast):

@@ -13,29 +13,32 @@ from repro.relational import Database, executor, vectors
 def _generic_kernels():
     saved = (vectors.compile_filter_kernel, executor.select_gather,
              executor.select_folds, executor.select_join_keys,
-             executor.select_sort_keys)
+             executor.select_sort_keys, executor.select_semi_joins)
     vectors.compile_filter_kernel = lambda expr, resolve: None
     executor.select_gather = lambda exprs, scopes: [None] * len(exprs)
     executor.select_folds = lambda group_exprs, calls, scopes: (
         None, [None] * len(calls))
     executor.select_join_keys = lambda pairs, left, right: None
     executor.select_sort_keys = lambda exprs, scopes: None
+    executor.select_semi_joins = lambda conjuncts, *build: (
+        [None] * len(conjuncts))
     try:
         yield
     finally:
         (vectors.compile_filter_kernel, executor.select_gather,
          executor.select_folds, executor.select_join_keys,
-         executor.select_sort_keys) = saved
+         executor.select_sort_keys, executor.select_semi_joins) = saved
 
 
 @pytest.fixture(scope="session")
 def generic_kernels():
     """The row-semantics reference, as a test seam: ``with
-    generic_kernels():`` makes the five kernel selectors decline, so
+    generic_kernels():`` makes the six kernel selectors decline, so
     every filter, projection, aggregate, hash join and sort built
     inside the block evaluates its compiled expressions row by row
     (joins normalise every key, sorts compare through
-    ``compare_values``).  The equivalence
+    ``compare_values``, ``IN (subquery)`` / ``EXISTS`` conjuncts stay
+    on the filter's compiled closure).  The equivalence
     suites and E17 compare the default engine against it.  (Session
     scoped because hypothesis tests switch it per example.)"""
     return _generic_kernels

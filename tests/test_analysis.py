@@ -181,6 +181,38 @@ class TestWarningCodes:
             "SELECT name FROM landfill WHERE area_m2 > 1.0", db)
         assert "W-VEC-FALLBACK" not in codes_of(report)
 
+    def test_semi_join_shapes_are_no_fallback(self, db):
+        """The WHERE-side rewrite of Examples 4.5 / 4.6 runs as a semi
+        join; only a shape the selector declines is reported, with why."""
+        semi_joins = [
+            "elem_name IN (SELECT name FROM landfill)",
+            "elem_name NOT IN (SELECT name FROM landfill)",
+            "NOT EXISTS (SELECT 1 FROM landfill l "
+            "WHERE l.name = elem_contained.landfill_name AND l.id <> 3)"]
+        for predicate in semi_joins:
+            report = analyze_sql(
+                f"SELECT amount FROM elem_contained WHERE {predicate}", db)
+            assert "W-VEC-FALLBACK" not in codes_of(report), predicate
+        declined = {
+            "amount > 1.0 OR elem_name IN (SELECT name FROM landfill)":
+                "subquery predicate under OR",
+            "EXISTS (SELECT 1 FROM landfill l WHERE l.name = "
+            "elem_contained.landfill_name LIMIT 1)": "subquery has LIMIT",
+            "EXISTS (SELECT 1 FROM landfill l WHERE l.name < "
+            "elem_contained.landfill_name)":
+                "correlated without an equality",
+            # An equality, but of the inner table with itself: the names
+            # decide, as they do for the executor's selector.
+            "EXISTS (SELECT 1 FROM landfill l WHERE l.name = l.city "
+            "AND l.id <> elem_contained.amount)":
+                "correlated without an equality"}
+        for predicate, reason in declined.items():
+            report = self.run_and_expect(
+                db, f"SELECT amount FROM elem_contained WHERE {predicate}",
+                "W-VEC-FALLBACK")
+            assert any(reason in d.message for d in report
+                       if d.code == "W-VEC-FALLBACK"), report.format()
+
     def test_nonsargable_function_over_indexed_column(self, db):
         self.run_and_expect(
             db, "SELECT landfill_name FROM elem_contained "

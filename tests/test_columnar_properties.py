@@ -273,3 +273,70 @@ def test_order_by_matches_comparator_in_order(generic_kernels, shape, rows,
                                               mask, data):
     assert_same_as_generic(generic_kernels, lambda: build(rows, mask),
                            data.draw(ordered_queries(shape)))
+
+
+# -- WHERE-side subquery predicates: semi / anti joins vs the closure -------------
+
+#: What is tested for membership: plain columns of each family and
+#: expressions (which take the normalised-key path).
+SEMI_OPERANDS = ["a.i", "a.r", "a.t", "a.b", "a.i + 1", "COALESCE(a.t, '1')",
+                 "2 / a.i"]
+#: Conjuncts written before the predicate: they guard it (the last two
+#: keep ``2 / a.i`` from dividing by zero — one has a mask kernel, one
+#: runs on the generic predicate).  Unguarded, an IN must raise with
+#: both engines; an EXISTS is always guarded, because whether its key is
+#: ever evaluated depends on the mask kernels the reference lacks.
+GUARDS = ["", "", "a.i >= 0 AND ", "a.i <> 0 AND ", "a.i + 0 <> 0 AND "]
+#: What the subquery offers: each family (so ``TEXT IN (SELECT integer)``
+#: and ``BOOLEAN IN (SELECT integer)`` occur), and an expression.
+BUILD_COLUMNS = ["i", "r", "t", "b", "i + 1"]
+#: The build side as it is, NULL-free, all-NULL in INTEGER, and empty.
+BUILD_FILTERS = ["TRUE", "i IS NOT NULL AND r IS NOT NULL AND "
+                 "t IS NOT NULL AND b IS NOT NULL", "i IS NULL", "r > 100.0"]
+
+
+@st.composite
+def subquery_predicates(draw) -> str:
+    operand = draw(st.sampled_from(SEMI_OPERANDS))
+    column = draw(st.sampled_from(BUILD_COLUMNS))
+    keep = draw(st.sampled_from(BUILD_FILTERS))
+    negated = draw(st.sampled_from(["", "NOT "]))
+    guards = GUARDS
+    if draw(st.booleans()):
+        where = f"{operand} {negated}IN " \
+                f"(SELECT {column} FROM b WHERE {keep})"
+    else:
+        if operand == "2 / a.i":
+            guards = GUARDS[-2:]
+        inner = column.replace("i", "b.i") if column == "i + 1" \
+            else f"b.{column}"
+        residual = draw(st.sampled_from(
+            ["", " AND b.i <> a.i", " AND (b.t = a.t OR a.b)"]))
+        where = f"{negated}EXISTS (SELECT 1 FROM b WHERE {inner} = " \
+                f"{operand} AND {keep}{residual})"
+    where = draw(st.sampled_from(guards)) + where
+    if draw(st.booleans()):
+        where += " AND a.i >= 0"
+    return f"SELECT * FROM a WHERE {where}"
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 2048])
+@given(left=colliding_rows, right=colliding_rows, data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_subquery_predicates_match_the_closure_in_order(
+        generic_kernels, batch_size, left, right, data):
+    from repro.relational import batch
+    sql = data.draw(subquery_predicates())
+    saved, batch.BATCH_SIZE = batch.BATCH_SIZE, batch_size
+    try:
+        plan, got = outcome(build_pair(left, right), sql)
+        with generic_kernels():
+            reference, expected = outcome(build_pair(left, right), sql)
+    finally:
+        batch.BATCH_SIZE = saved
+    assert got == expected, sql
+    if reference is not None:
+        assert not {"semi-join", "anti-join"} \
+            & {node.kind for node in reference.walk()}
+        assert {"semi-join", "anti-join"} \
+            & {node.kind for node in plan.walk()}, sql

@@ -365,3 +365,121 @@ def test_unplanned_results_carry_a_tree_without_estimates():
     # Same operator classes either way: the written order, built as is.
     assert [node.kind for node in unplanned.walk()].count("hash-join") \
         + [node.kind for node in unplanned.walk()].count("index-join") == 2
+
+
+# -- the planner's private copy is a structural clone ------------------------------
+
+
+def _select_corpus() -> list:
+    """Every SELECT (plain or the SQL part of a SESQL statement) that
+    appears as a string literal in ``tests/`` or ships with
+    ``repro.smartground``."""
+    import ast as python_ast
+    from pathlib import Path
+
+    from repro.core import SemanticQueryParser
+    from repro.relational import ast
+    from repro.smartground import SQL_BASELINES, WORKLOAD
+
+    texts = list(SQL_BASELINES.values()) + [q.sesql for q in WORKLOAD]
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        texts += [node.value
+                  for node in python_ast.walk(
+                      python_ast.parse(path.read_text()))
+                  if isinstance(node, python_ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.lstrip().upper().startswith("SELECT")]
+    queries = []
+    for text in dict.fromkeys(texts):
+        for parse in (parse_sql,
+                      lambda text: SemanticQueryParser().parse(text).query):
+            try:
+                query = parse(text)
+            except Exception:
+                continue  # a fragment, or deliberately malformed
+            if isinstance(query, ast.SelectQuery):
+                queries.append(query)
+            break
+    return queries
+
+
+def _mutable_parts(node, found: dict) -> dict:
+    """id -> object for everything under *node* a rewrite may assign
+    to: dataclass nodes (but not the shared leaves), lists, hints."""
+    import dataclasses
+
+    from repro.relational import ast
+    if isinstance(node, (list, tuple)):
+        if isinstance(node, list):
+            found[id(node)] = node
+        for item in node:
+            _mutable_parts(item, found)
+    elif dataclasses.is_dataclass(node) and not isinstance(
+            node, (ast.Literal, ast.ColumnRef, ast.Star, ast.SlotRef)):
+        found[id(node)] = node
+        for field in dataclasses.fields(node):
+            _mutable_parts(getattr(node, field.name), found)
+    return found
+
+
+def test_clone_query_is_equal_and_shares_no_mutable_node():
+    from repro.relational.ast import clone_query
+    corpus = _select_corpus()
+    assert len(corpus) > 300
+    subqueries = 0
+    for query in corpus:
+        clone = clone_query(query)
+        assert clone == query and clone is not query
+        assert render_query(clone) == render_query(query)
+        mine, theirs = _mutable_parts(query, {}), _mutable_parts(clone, {})
+        assert len(mine) == len(theirs) and not set(mine) & set(theirs)
+        subqueries += "(SELECT" in render_query(query)
+    assert subqueries > 30
+
+
+def test_clone_query_copies_the_planners_hints():
+    """Hints do not take part in ``==``: compare them one by one."""
+    from repro.relational.ast import PlanHint, clone_query
+    db = Database()
+    db.execute("CREATE TABLE e (z INTEGER, t TEXT)")
+    db.execute("CREATE TABLE b (y INTEGER, f TEXT)")
+    planned = db.explain(
+        "SELECT e.z FROM e JOIN b ON e.z = b.y WHERE e.t = 'a' AND e.z IN "
+        "(SELECT y FROM b) AND NOT EXISTS (SELECT 1 FROM b WHERE b.y = e.z)")
+    clone = clone_query(planned.query)
+    hints = [[part for part in _mutable_parts(query, {}).values()
+              if isinstance(part, PlanHint)]
+             for query in (planned.query, clone)]
+    assert len(hints[0]) >= 5 and hints[0] == hints[1]
+    assert all(a is not b for a, b in zip(*hints))
+
+
+def test_semi_joins_are_estimated_where_the_selector_takes_them():
+    """One classifier (``vectors.semi_join``) for the builder and the
+    planner: a hint sits on what becomes a join — unqualified names
+    included — and on nothing the selector's shape test declines; the
+    filter is estimated first, the joins over it."""
+    from repro.relational import ast
+    from repro.relational.vectors import semi_join_conjunct
+    db = Database()
+    db.execute_script("""
+        CREATE TABLE e (z INTEGER, t TEXT);
+        CREATE TABLE b (y INTEGER, f TEXT);
+        INSERT INTO e VALUES (1, 'a'), (2, 'b'), (NULL, 'c'), (4, 'd');
+        INSERT INTO b VALUES (1, 'x'), (4, 'd'), (5, NULL);
+        ANALYZE;
+    """)
+    planned = db.explain(
+        "SELECT z FROM e WHERE z IN (SELECT y FROM b) AND t <> 'a' "
+        "AND EXISTS (SELECT 1 FROM b WHERE b.y = e.z LIMIT 1) "
+        "AND EXISTS (SELECT 1 FROM b WHERE y = z)")
+    hinted = [semi_join_conjunct(part)[0].hint is not None
+              for part in ast.conjuncts(planned.query.core.where)
+              if semi_join_conjunct(part)[0] is not None]
+    assert hinted == [True, False, True]
+    chain = [(node.kind, node.est_rows) for node in planned.root.walk()
+             if node.kind in ("filter", "semi-join")][:4]
+    assert [kind for kind, _est in chain] \
+        == ["semi-join", "filter", "semi-join", "filter"]
+    estimates = [est for _kind, est in chain]
+    assert None not in estimates and estimates == sorted(estimates)

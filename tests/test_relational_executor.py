@@ -562,3 +562,279 @@ def test_limit_and_point_probe_estimates(db):
     assert series["count"] == 2
     # (10 + 1) / (10 + 1) and (50 + 1) / (50 + 1): both exact.
     assert series["sum"] == pytest.approx(2.0)
+
+
+# -- WHERE-side subquery predicates as semi / anti joins -------------------------
+
+
+@pytest.fixture
+def witness_db(db):
+    db.execute_script("""
+        CREATE TABLE e (z INTEGER, t TEXT);
+        CREATE TABLE b (y INTEGER, f TEXT);
+        INSERT INTO e VALUES (1, 'a'), (2, 'b'), (NULL, 'c'), (4, 'd');
+        INSERT INTO b VALUES (1, 'x'), (4, 'd'), (5, NULL);
+    """)
+    return db
+
+
+def _join_kinds(plan):
+    return [node.kind for node in plan.walk()
+            if node.kind in ("semi-join", "anti-join")]
+
+
+def _both_paths(db, generic_kernels, sql):
+    """The rows of *sql*, which the semi-join and the closure path must
+    agree on, and the semi / anti joins the default engine ran."""
+    result = db.query(sql)
+    with generic_kernels():
+        reference = db.query(sql)
+        assert _join_kinds(reference.plan) == []
+    assert result.rows == reference.rows, sql
+    return result.rows, _join_kinds(result.plan)
+
+
+def test_in_subquery_arity_is_checked_at_build_time(db, generic_kernels):
+    """Used to be checked per outer row — so never over an empty table."""
+    db.execute("CREATE TABLE e (z INTEGER)")
+    db.execute("CREATE TABLE b (y INTEGER, f TEXT)")
+    db.execute("INSERT INTO b VALUES (1, 'x')")
+    for sql, message in [
+            ("SELECT z FROM e WHERE z IN (SELECT y, f FROM b)",
+             "IN subquery must return exactly one column"),
+            ("SELECT z FROM e WHERE z = 1 OR z IN (SELECT y, f FROM b)",
+             "IN subquery must return exactly one column"),
+            ("SELECT z FROM e WHERE z = (SELECT y, f FROM b)",
+             "scalar subquery must return exactly one column")]:
+        with pytest.raises(ExecutionError, match=message):
+            db.query(sql)
+        with generic_kernels(), pytest.raises(ExecutionError, match=message):
+            db.query(sql)
+
+
+def test_not_in_is_null_aware_on_both_paths(witness_db, generic_kernels):
+    check = lambda sql: _both_paths(witness_db, generic_kernels, sql)  # noqa
+    # A NULL on the build side rejects every row ...
+    assert check("SELECT z FROM e WHERE t NOT IN (SELECT f FROM b)") \
+        == ([], ["anti-join"])
+    # ... an empty build side passes every row, NULL z included ...
+    assert check("SELECT z FROM e WHERE z NOT IN "
+                 "(SELECT y FROM b WHERE y > 100)") \
+        == ([(1,), (2,), (None,), (4,)], ["anti-join"])
+    # ... and against values, a NULL z is unknown.
+    assert check("SELECT z FROM e WHERE z NOT IN (SELECT y FROM b)") \
+        == ([(2,)], ["anti-join"])
+    assert check("SELECT z FROM e WHERE NOT (z IN (SELECT y FROM b))") \
+        == ([(2,)], ["anti-join"])
+    # x IN (empty) is false, not unknown, also for a NULL x.
+    assert check("SELECT t FROM e WHERE NOT (z IN "
+                 "(SELECT y FROM b WHERE y > 100)) ORDER BY t") \
+        == ([("a",), ("b",), ("c",), ("d",)], ["anti-join"])
+    # NOT EXISTS is the plain anti join: a NULL key has no match.
+    assert check("SELECT z FROM e WHERE NOT EXISTS "
+                 "(SELECT 1 FROM b WHERE b.y = e.z)") \
+        == ([(2,), (None,)], ["anti-join"])
+    # Families never mix: no TEXT is IN a set of integers.
+    assert check("SELECT z FROM e WHERE t IN (SELECT y FROM b)") \
+        == ([], ["semi-join"])
+    assert check("SELECT z FROM e WHERE t NOT IN (SELECT y FROM b)") \
+        == ([(1,), (2,), (None,), (4,)], ["anti-join"])
+
+
+def test_exists_resolves_names_as_the_subquery_does(witness_db,
+                                                    generic_kernels):
+    check = lambda sql: _both_paths(witness_db, generic_kernels, sql)  # noqa
+    # The inner alias shadows the outer table of the same name: e.z =
+    # e.z is inner-only, so there is no key and the closure keeps it.
+    assert check("SELECT z FROM e WHERE EXISTS "
+                 "(SELECT 1 FROM b e WHERE e.y = e.y)") \
+        == ([(1,), (2,), (None,), (4,)], [])
+    # Unqualified names: y and f are the inner table's, z and t outer.
+    assert check("SELECT z FROM e WHERE EXISTS "
+                 "(SELECT 1 FROM b WHERE y = z AND f <> t)") \
+        == ([(1,)], ["semi-join"])
+    # A second table of the outer query under the inner table's name.
+    assert check("SELECT e.z FROM e JOIN b ON e.z = b.y WHERE EXISTS "
+                 "(SELECT 1 FROM b WHERE b.y = e.z AND b.f = e.t)") \
+        == ([(4,)], ["semi-join"])
+    # Inner-only conjuncts stay in the subquery, outer-only ones become
+    # the residual.
+    rows_, kinds = check(
+        "SELECT z FROM e WHERE EXISTS (SELECT 1 FROM b WHERE b.y = e.z "
+        "AND b.f IS NOT NULL AND e.t <> 'a')")
+    assert (rows_, kinds) == ([(4,)], ["semi-join"])
+
+
+def test_what_the_selector_declines_stays_on_the_closure(witness_db,
+                                                         generic_kernels):
+    declined = {
+        "z = 2 OR z IN (SELECT y FROM b)": "subquery predicate under OR",
+        "z IN (SELECT y FROM b WHERE b.f = e.t)": "correlated IN subquery",
+        "EXISTS (SELECT 1 FROM b WHERE b.y < e.z)":
+            "correlated without an equality",
+        "EXISTS (SELECT 1 FROM b WHERE b.y = e.z LIMIT 1)":
+            "subquery has LIMIT",
+        "EXISTS (SELECT MAX(y) FROM b WHERE b.y = e.z)":
+            "subquery aggregates",
+        "EXISTS (SELECT 1 FROM b JOIN b c ON b.y = c.y WHERE b.y = e.z)":
+            "subquery does not read exactly one table",
+    }
+    for predicate, reason in declined.items():
+        sql = f"SELECT z FROM e WHERE {predicate}"
+        _rows, kinds = _both_paths(witness_db, generic_kernels, sql)
+        assert kinds == [], sql
+        fallbacks = witness_db.query(sql).plan.vectorized_fallbacks
+        assert reason in [why for _expr, why in fallbacks], sql
+    # Neither the select list nor HAVING is the selector's business.
+    for sql in ["SELECT z IN (SELECT y FROM b) FROM e",
+                "SELECT t, COUNT(*) FROM e GROUP BY t "
+                "HAVING 1 IN (SELECT y FROM b)"]:
+        assert _both_paths(witness_db, generic_kernels, sql)[1] == []
+    # The paper's own rewrite is no fallback.
+    sql = "SELECT z FROM e WHERE z IN (SELECT y FROM b) AND t <> 'q'"
+    assert witness_db.query(sql).plan.vectorized_fallbacks == []
+
+
+@pytest.fixture
+def guarded_db(db):
+    db.execute_script("""
+        CREATE TABLE e (id INTEGER, a INTEGER, b INTEGER, t TEXT);
+        CREATE TABLE s (x INTEGER);
+        INSERT INTO e VALUES (1, 4, 2, '1'), (2, 6, 3, '2'), (3, 5, 0, 'x');
+        INSERT INTO s VALUES (2), (1);
+    """)
+    return db
+
+
+@pytest.mark.parametrize("where, expected", [
+    # A conjunct keeps guarding the one it guarded in the filter.
+    ("b <> 0 AND a / b IN (SELECT x FROM s)", [(1,), (2,)]),
+    ("b + 0 <> 0 AND a / b IN (SELECT x FROM s)", [(1,), (2,)]),
+    ("t <> 'x' AND CAST(t AS INTEGER) IN (SELECT x FROM s)", [(1,), (2,)]),
+    ("b <> 0 AND a / b NOT IN (SELECT x + 5 FROM s)", [(1,), (2,)]),
+    ("b <> 0 AND EXISTS (SELECT 1 FROM s WHERE s.x = e.a / e.b)",
+     [(1,), (2,)]),
+    # ... and the semi join guards what is written after it.
+    ("t IN (SELECT CAST(x AS TEXT) FROM s) AND CAST(t AS INTEGER) + 0 > 0",
+     [(1,), (2,)]),
+    ("id NOT IN (SELECT x + 2 FROM s) AND 10 / b > 1", [(1,), (2,)]),
+    # A guard inside the EXISTS: the key behind it stays in the residual.
+    ("EXISTS (SELECT 1 FROM s WHERE e.b <> 0 AND s.x = e.a / e.b)",
+     [(1,), (2,)]),
+    # A subquery no row reaches is not run.
+    ("id = 99 AND a IN (SELECT 1 / 0 FROM s)", []),
+    ("id = 99 AND a NOT IN (SELECT 1 / 0 FROM s)", []),
+    ("id = 99 AND EXISTS (SELECT 1 FROM s WHERE s.x = e.a AND 1 / 0 > s.x)",
+     []),
+    # An EXISTS over nothing compares nothing; an IN still evaluates x.
+    ("EXISTS (SELECT 1 FROM s WHERE s.x > 9 AND s.x = e.a / e.b)", []),
+    ("NOT EXISTS (SELECT 1 FROM s WHERE s.x > 9 AND s.x = e.a / e.b)",
+     [(1,), (2,), (3,)]),
+    ("a / b IN (SELECT x FROM s WHERE x > 9)", "division by zero"),
+    ("a / b NOT IN (SELECT x FROM s WHERE x > 9)", "division by zero"),
+    ("a / b NOT IN (SELECT NULL FROM s)", "division by zero"),
+])
+def test_guards_keep_guarding_a_semi_join(guarded_db, generic_kernels,
+                                          where, expected):
+    """The rows — or the error — of the filter the conjunct came from."""
+    sql = f"SELECT id FROM e WHERE {where}"
+    if isinstance(expected, str):
+        for _path in range(2):
+            with pytest.raises(ExecutionError, match=expected):
+                guarded_db.query(sql)
+            with generic_kernels(), \
+                    pytest.raises(ExecutionError, match=expected):
+                guarded_db.query(sql)
+        return
+    rows_, kinds = _both_paths(guarded_db, generic_kernels, sql)
+    assert rows_ == expected
+    assert kinds or "e.b <> 0 AND s.x" in where
+
+
+def test_semi_joins_sit_where_their_conjunct_ran(guarded_db):
+    kinds = lambda where: [  # noqa: E731
+        node.kind for node in guarded_db.explain(
+            f"SELECT id FROM e WHERE {where}").root.walk()
+        if node.kind in ("filter", "semi-join", "anti-join")]
+    # Over the mask kernels, wherever those are written (a filter runs
+    # them first: b <> 0 guards the division here, as it did there) ...
+    assert kinds("a / b IN (SELECT x FROM s) AND b <> 0") \
+        == ["semi-join", "filter"]
+    assert guarded_db.query("SELECT id FROM e WHERE a / b IN "
+                            "(SELECT x FROM s) AND b <> 0").rows \
+        == [(1,), (2,)]
+    # ... and between the generic conjuncts before and after it.
+    assert kinds("a + 0 > 0 AND a IN (SELECT x FROM s) AND b + 0 > 0 "
+                 "AND id NOT IN (SELECT x FROM s) AND b <> 0") \
+        == ["anti-join", "filter", "semi-join", "filter"]
+
+
+def test_exists_select_list_names_resolve_on_both_paths(guarded_db,
+                                                        generic_kernels):
+    for items, error in [("q.*", "no table named 'q'"),
+                         ("s.nope", "no such column"),
+                         ("e.nope", "no such column")]:
+        sql = (f"SELECT id FROM e WHERE EXISTS "
+               f"(SELECT {items} FROM s WHERE s.x = e.a)")
+        with pytest.raises(UnknownColumnError, match=error):
+            guarded_db.query(sql)
+        with generic_kernels(), \
+                pytest.raises(UnknownColumnError, match=error):
+            guarded_db.query(sql)
+    assert _both_paths(
+        guarded_db, generic_kernels, "SELECT id FROM e WHERE EXISTS "
+        "(SELECT s.*, e.id FROM s WHERE s.x = e.b)") \
+        == ([(1,)], ["semi-join"])
+
+
+def test_an_uncorrelated_build_side_is_built_once_per_statement(
+        guarded_db, generic_kernels):
+    """A semi join inside a subtree that is re-run per outer row (here a
+    declined EXISTS) keeps its key set, as the closure keeps its rows;
+    one that reads the enclosing row is rebuilt per run."""
+    def build_sides(sql):
+        rows_, _kinds = _both_paths(guarded_db, generic_kernels, sql)
+        plan = guarded_db.query(sql).plan
+        return rows_, [node.children[1].actual_rows for node in plan.walk()
+                       if node.kind == "semi-join"]
+
+    sql = ("SELECT id FROM e o WHERE EXISTS (SELECT 1 FROM e i "
+           "WHERE i.id >= o.id AND i.b IN (SELECT x FROM s{}))")
+    assert build_sides(sql.format("")) == ([(1,)], [2])
+    assert build_sides(sql.format(" WHERE s.x <> o.id")) == ([(1,)], [4])
+
+
+def test_in_subquery_reading_only_an_enclosing_query_is_a_semi_join(
+        witness_db, generic_kernels):
+    """Inside a correlated subquery, an IN whose subquery reads the
+    *enclosing* row (constant per run) but not the row being filtered."""
+    sql = ("SELECT z FROM e WHERE 0 < (SELECT COUNT(*) FROM b WHERE b.y IN "
+           "(SELECT c.y FROM b c WHERE c.y = e.z))")
+    rows_, _kinds = _both_paths(witness_db, generic_kernels, sql)
+    assert rows_ == [(1,), (4,)]
+    assert "semi-join" in witness_db.explain(sql).format()
+
+
+def test_explain_analyze_of_stacked_semi_joins(witness_db):
+    sql = ("SELECT z FROM e WHERE z IN (SELECT y FROM b) "
+           "AND t NOT IN (SELECT f FROM b WHERE f IS NOT NULL)")
+    assert witness_db.explain(sql, analyze=True).format() == """\
+result select  (est=0.8, actual=1)
+  project z  (est=0.8, actual=1, vectorized)
+    anti-join t NOT IN  (est=0.8, actual=1, vectorized, null-aware)
+      semi-join z IN  (est=1, actual=2, vectorized)
+        scan e  (est=4, actual=4, vectorized)
+        subquery uncorrelated  (est=3, actual=3)
+          project y  (est=3, actual=3, vectorized)
+            scan b  (est=3, actual=3, vectorized)
+      subquery uncorrelated  (actual=2)
+        project f  (actual=2, vectorized)
+          filter WHERE  (actual=2, vectorized)
+            scan b  (est=3, actual=3, vectorized)
+note: vectorized: anti-join, filter, project, scan, semi-join"""
+    # ANALYZE replaces the default fraction: 3 of z's 3 values occur in
+    # b.y, a quarter of the rows have no z.
+    witness_db.execute("ANALYZE")
+    text = witness_db.explain(sql).format()
+    assert "semi-join z IN  (est=3, vectorized)" in text
+    assert "anti-join t NOT IN  (est=1.5, vectorized, null-aware)" in text

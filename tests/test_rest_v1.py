@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.cursor import paginate_sequence, request_signature
 from repro.crosse.platform import CrossePlatform
 from repro.federation import CrosseRestService, RestError
 from repro.federation.rest import RestRouter
@@ -180,6 +181,37 @@ def test_annotation_listing_paginates(service):
     assert response.status == 200
     assert len(response.payload["annotations"]) == 2
     assert response.payload["next_token"] is not None
+
+
+def test_annotation_listing_projects_only_its_page(service, monkeypatch):
+    """The records are paged, then projected: a 50-row page of a
+    500-statement platform builds 50 dicts, and pages and tokens are
+    what paginating the full projection (the legacy listing) gives."""
+    _register_users(service, ["anna", "bob"])
+    for index in range(500):
+        service.request("POST", "/api/v1/annotations", {
+            "username": "anna", "subject": f"Elem{index}",
+            "property": "dangerLevel", "object": "high"})
+    everything = service.request(
+        "GET", "/api/annotations/bob").payload["annotations"]
+    assert len(everything) == 500
+
+    built = []
+    project = CrosseRestService._annotation_dict
+    monkeypatch.setattr(
+        CrosseRestService, "_annotation_dict",
+        staticmethod(lambda record: built.append(1) or project(record)))
+    signature = request_signature("annotations", "bob")
+    token = None
+    for _page in range(3):
+        response = service.request(
+            "GET", "/api/v1/annotations/bob",
+            {"limit": 50, "next_token": token})
+        expected = paginate_sequence(everything, 50, token, signature)
+        assert response.payload["annotations"] == expected.items
+        assert response.payload["next_token"] == expected.next_token
+        token = expected.next_token
+    assert token is not None and len(built) == 150
 
 
 # -- batch ----------------------------------------------------------------------

@@ -160,6 +160,29 @@ def test_three_drains_agree(connect, dataset, text, federated, strategy,
             for node in again.db_plan.walk()]
 
 
+WHERE_SIDE = [param for param in STATEMENTS
+              if "REPLACECONSTANT(" in param.values[1]
+              or "REPLACEVARIABLE(" in param.values[1]]
+
+
+@pytest.mark.parametrize("strategy", ["tempdb", "direct"])
+@pytest.mark.parametrize("federated", [False, True],
+                         ids=["plain", "federated"])
+@pytest.mark.parametrize("dataset, text", WHERE_SIDE)
+def test_the_where_side_rewrite_runs_as_a_semi_join(connect, dataset, text,
+                                                    federated, strategy):
+    """Examples 4.5 / 4.6: the rewritten predicate over the extraction
+    temp table is an operator of the explained tree, not a fallback."""
+    assert len(WHERE_SIDE) >= 5
+    session = connect(dataset, federated, strategy)
+    analyzed = session.explain(text, analyze=True)
+    kinds = [node.kind for node in analyzed.db_plan.root.walk()]
+    assert "semi-join" in kinds
+    assert "subquery predicate" not in analyzed.db_plan.format()
+    executed = session.execute(text)
+    assert "semi-join" in [node.kind for node in executed.db_plan.walk()]
+
+
 # -- the run owns cleanup, whichever drain fails ----------------------------------
 
 BAD_ATTRIBUTE = "SELECT name FROM landfill ENRICH SCHEMAEXTENSION(nope, p)"
