@@ -72,8 +72,7 @@ def main() -> None:
     integrated.execute("""CREATE TABLE eu_landfill (
         site_name TEXT, town TEXT, main_material TEXT, tonnes REAL)""")
     view_rows, _ = mediator.query("SELECT * FROM eu_landfill")
-    for row in view_rows.rows:
-        integrated.table("eu_landfill").insert_tuple(row)
+    integrated.insert_rows("eu_landfill", view_rows.to_dicts())
 
     knowledge = parse_turtle("""
         @prefix smg: <http://smartground.eu/ns#> .

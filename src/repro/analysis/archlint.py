@@ -25,9 +25,12 @@ duck-typed hook attributes rather than imports.  Nothing in the
 
 ``choke-points``
     One table, method name → the only files allowed to call it.
-    ``Table.insert_row`` / ``update_row`` / ``delete_row`` assume the
-    caller holds the databank's write lock (``relational/engine.py``,
-    ``relational/table.py``); the SESQL pipeline's stage methods
+    ``Table.insert_row`` / ``append_rows`` / ``update_row`` /
+    ``delete_row`` assume the caller holds the databank's write lock
+    (``relational/engine.py``, ``relational/table.py``) — and a table
+    is built from rows in one place, ``table_from_rows``, so a
+    hand-rolled load loop elsewhere fails here; the SESQL pipeline's
+    stage methods
     (``extraction_for`` / ``apply_where_rewrites`` /
     ``combine_enrichments``) are driven by the one run in
     ``core/engine.py``, and the mediator's ship step by the one
@@ -97,6 +100,8 @@ DEFAULT_CONFIG: dict = {
     "hook-importers": ["cluster", "telemetry", "durability"],
     "choke-points": {
         "insert_row": ["relational/engine.py", "relational/table.py"],
+        "append_rows": ["relational/engine.py", "relational/table.py"],
+        "_append_columns": ["relational/table.py"],
         "update_row": ["relational/engine.py", "relational/table.py"],
         "delete_row": ["relational/engine.py", "relational/table.py"],
         "extraction_for": ["core/engine.py"],

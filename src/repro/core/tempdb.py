@@ -11,38 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from ..relational.engine import Database
-from ..relational.schema import Column
-from ..relational.types import DataType
 
 _counter = itertools.count()
-
-
-def infer_column_type(values: Iterable[Any]) -> DataType:
-    """Pick the narrowest DataType that holds every non-NULL value."""
-    saw_int = saw_float = saw_bool = saw_text = False
-    for value in values:
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            saw_bool = True
-        elif isinstance(value, int):
-            saw_int = True
-        elif isinstance(value, float):
-            saw_float = True
-        else:
-            saw_text = True
-    if saw_text:
-        return DataType.TEXT
-    if saw_bool and not (saw_int or saw_float):
-        return DataType.BOOLEAN
-    if saw_float:
-        return DataType.REAL
-    if saw_int or saw_bool:
-        return DataType.INTEGER
-    return DataType.TEXT
 
 
 @dataclass
@@ -58,31 +31,14 @@ def materialize(db: Database, name_hint: str, display_columns: Sequence[str],
                 rows: Sequence[tuple]) -> TempTable:
     """Create a temp table in *db* holding *rows*; returns its handle.
 
-    Injected via ``create_temp_table`` — a lock-free namespace
-    operation — so enriched reads never contend on (or deadlock
-    against) the databank's writer lock.
+    Built in one bulk load and published via ``create_temp_table`` — a
+    lock-free namespace operation — so enriched reads never contend on
+    (or deadlock against) the databank's writer lock.
     """
     name = f"__sesql_{name_hint}_{next(_counter)}"
     internal = [f"c{i}" for i in range(len(display_columns))]
-    columns = []
-    for index, internal_name in enumerate(internal):
-        values = (row[index] for row in rows)
-        columns.append(Column(internal_name, infer_column_type(values)))
-    table = db.create_temp_table(name, columns)
-    for row in rows:
-        table.insert_tuple(_coerce_row(row))
+    db.create_temp_table(name, internal, rows)
     return TempTable(name, list(display_columns), internal)
-
-
-def _coerce_row(row: tuple) -> tuple:
-    """Ensure values fit the engine's storage model (no exotic objects)."""
-    coerced = []
-    for value in row:
-        if value is None or isinstance(value, (bool, int, float, str)):
-            coerced.append(value)
-        else:
-            coerced.append(str(value))
-    return tuple(coerced)
 
 
 class TemporarySupportDatabase:
@@ -100,16 +56,12 @@ class TemporarySupportDatabase:
 
     def store_pairs(self, pairs: Sequence[tuple[Any, Any]],
                     hint: str = "map") -> TempTable:
-        table = materialize(self.db, hint, ["subject", "object"], pairs)
-        self._tables.append(table.name)
-        return table
+        return self.store_result(["subject", "object"], pairs, hint)
 
     def store_values(self, values: Sequence[Any],
                      hint: str = "vals") -> TempTable:
-        rows = [(value,) for value in values]
-        table = materialize(self.db, hint, ["value"], rows)
-        self._tables.append(table.name)
-        return table
+        return self.store_result(
+            ["value"], [(value,) for value in values], hint)
 
     def cleanup(self) -> None:
         for name in self._tables:

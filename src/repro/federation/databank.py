@@ -74,9 +74,12 @@ class MediatedDatabank(Database):
             return tie(super().stream_ast(query))
 
     def explain(self, target, analyze: bool = False):
+        """Plan *target* over exactly what ``execute`` would ship for it
+        (same pushdown, partials dropped on the way out) — nothing at
+        all for a statement that is not a SELECT."""
         from ..relational.parser import parse_sql
         stmt = parse_sql(target) if isinstance(target, str) else target
-        with self.session.shipped(
-                stmt if isinstance(stmt, sql_ast.SelectQuery) else None,
-                pushdown=False) as (self.last_report, _tie):
+        if not isinstance(stmt, sql_ast.SelectQuery):
+            return super().explain(stmt, analyze)    # refuses it
+        with self.session.shipped(stmt) as (self.last_report, _tie):
             return super().explain(stmt, analyze)

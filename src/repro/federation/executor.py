@@ -33,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from ..api.cache import LRUCache
+from ..relational.ast import SelectQuery
 from ..relational.engine import Database
 from ..relational.result import ResultSet
 from .errors import MediationError
@@ -140,6 +141,9 @@ class FragmentJob:
     sql: str
     #: Safe for the generation-keyed cache (no foreign tables etc.).
     cacheable: bool = False
+    #: The parse of ``sql`` where the mediator holds one (an unfiltered
+    #: fragment's): the source then runs it without parsing again.
+    statement: SelectQuery | None = None
 
 
 @dataclass
@@ -364,7 +368,8 @@ class FederationExecutor:
             key = (job.source, job.sql, job.database.generation)
         policy = self.options.policy_for(job.source)
         outcome = run_with_policy(
-            lambda: job.database.query(job.sql), policy=policy,
+            lambda: job.database.query(job.statement or job.sql),
+            policy=policy,
             max_retries=self.options.max_retries,
             backoff_s=self.options.backoff_s,
             backoff_cap_s=self.options.backoff_cap_s)

@@ -18,12 +18,13 @@ from __future__ import annotations
 import csv
 import io
 import time
-from typing import Any, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from ..core.tempdb import infer_column_type
+from ..relational.csv_io import parse_cell
 from ..relational.engine import Database
-from ..relational.schema import Column, TableSchema
-from ..relational.types import DataType, coerce_value
+from ..relational.schema import TableSchema
+from ..relational.table import table_from_rows
+from ..relational.types import coerce_value
 from .errors import ForeignTableError
 
 
@@ -68,11 +69,8 @@ class QuerySource(ForeignSource):
         # on every schema consultation.
         if self._schema is None:
             result = self.database.query(self.sql)
-            columns = []
-            for index, column_name in enumerate(result.columns):
-                values = [row[index] for row in result.rows]
-                columns.append(Column(column_name, _infer(values)))
-            self._schema = TableSchema(self.name, columns)
+            self._schema = table_from_rows(
+                self.name, result.columns, result.rows).schema
         return self._schema
 
     def rows(self) -> Iterable[tuple]:
@@ -98,16 +96,12 @@ class CsvSource(ForeignSource):
             if len(raw) != len(header):
                 raise ForeignTableError(
                     f"CSV row has {len(raw)} fields, expected {len(header)}")
-            parsed.append(tuple(_parse_csv_value(value) for value in raw))
+            parsed.append(tuple(parse_cell(value) for value in raw))
         self._header = header
         self._rows = parsed
 
     def schema(self) -> TableSchema:
-        columns = []
-        for index, column_name in enumerate(self._header):
-            values = [row[index] for row in self._rows]
-            columns.append(Column(column_name, _infer(values)))
-        return TableSchema(self.name, columns)
+        return table_from_rows(self.name, self._header, self._rows).schema
 
     def rows(self) -> Iterable[tuple]:
         return list(self._rows)
@@ -126,34 +120,6 @@ class CallableSource(ForeignSource):
 
     def rows(self) -> Iterable[tuple]:
         return self._supplier()
-
-
-def _parse_csv_value(text: str) -> Any:
-    if text == "":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
-
-
-def _infer(values: list) -> DataType:
-    """The narrowest DataType holding *every* non-null value.
-
-    Widened across the whole column — a mixed ``1`` / ``2.5`` column is
-    REAL, not the INTEGER its first value suggests (which would make
-    every scan raise on the ``2.5``); any non-numeric value forces
-    TEXT.  Delegates to the SESQL temp-table inference so there is one
-    widening ladder to maintain.
-    """
-    return infer_column_type(values)
 
 
 class ForeignTable:
@@ -228,7 +194,7 @@ class ForeignTable:
     # UPDATE/DELETE scan via rows_with_ids before mutating, so guard it too.
     rows_with_ids = _read_only
     insert_row = _read_only
-    insert_tuple = _read_only
+    append_rows = _read_only
     update_row = _read_only
     delete_row = _read_only
     truncate = _read_only

@@ -113,10 +113,12 @@ class Mediator:
         self.fragment_cache = FragmentCache(self.options.fragment_cache_size)
         self.executor = FederationExecutor(self.options,
                                            self.fragment_cache)
-        #: Memo of each base fragment SQL's referenced tables (None =
-        #: unparseable), so cacheability checks don't re-parse per
-        #: query; bounded by the fragments ever defined.
-        self._fragment_refs: dict[tuple[str, str], list[str] | None] = {}
+        #: Memo of each base fragment SQL's parse (None = not a
+        #: parseable SELECT): cost ranking, cacheability and pushdown
+        #: consult it per query.  Holds the fragments of the views
+        #: currently defined.
+        self._fragment_statements: dict[
+            str, sql_ast.SelectQuery | None] = {}
 
     # -- registration ----------------------------------------------------------
 
@@ -147,6 +149,9 @@ class Mediator:
                                  "fragment")
         for source_name, _sql in fragments:
             self.source(source_name)
+        if name in self._views:
+            for fragment in self._views[name].fragments:
+                self._fragment_statements.pop(fragment.sql, None)
         view = GlobalView(
             name,
             [ViewFragment(source_name, sql)
@@ -195,15 +200,20 @@ class Mediator:
         """Estimated cost of materializing *view*: per-fragment row
         estimates from each source's planner statistics, plus a heavy
         penalty per simulated remote hop (foreign-table latency)."""
-        total = 0.0
-        for fragment in view.fragments:
-            total += self._fragment_cost(self.source(fragment.source),
-                                         fragment.sql)
-        return total
+        return sum(self._fragment_cost(
+            self.source(fragment.source),
+            self._fragment_statement(fragment.sql))
+            for fragment in view.fragments)
+
+    def _fragment_statement(self, sql: str) -> sql_ast.SelectQuery | None:
+        """The (memoised, read-only) parse of a base fragment's SQL."""
+        if sql not in self._fragment_statements:
+            self._fragment_statements[sql] = Mediator._try_parse(sql)
+        return self._fragment_statements[sql]
 
     @staticmethod
-    def _fragment_cost(database: Database, sql: str) -> float:
-        statement = Mediator._try_parse(sql)
+    def _fragment_cost(database: Database,
+                       statement: sql_ast.SelectQuery | None) -> float:
         if statement is None:
             return 1000.0
         cost = estimate_query_rows(statement, database.catalog,
@@ -269,39 +279,33 @@ class Mediator:
             # Cacheability is decided from the *base* fragment SQL: a
             # pushed-down filter only wraps it in an outer WHERE, so it
             # references the same tables and inherits the verdict.
-            cacheable = self._fragment_cacheable(
-                fragment.source, database, fragment.sql)
+            statement = self._fragment_statement(fragment.sql)
+            cacheable = self._fragment_cacheable(database, statement)
             if filter_sql is not None:
+                statement = None
                 fragment_sql = (
                     f"SELECT * FROM ({fragment.sql}) AS "
                     f"{quote_identifier(view.name)} WHERE {filter_sql}")
             jobs.append(FragmentJob(
                 view.name, index, fragment.source, database, fragment_sql,
-                cacheable=cacheable))
+                cacheable=cacheable, statement=statement))
         return jobs
 
-    def _fragment_cacheable(self, source_name: str, database: Database,
-                            sql: str) -> bool:
+    @staticmethod
+    def _fragment_cacheable(database: Database,
+                            statement: sql_ast.SelectQuery | None) -> bool:
         """Whether the generation stamp fully covers the fragment.
 
         Every referenced table must be a regular heap table of the
         source: a foreign table's remote content can change without
         moving the local stamp, so such fragments always re-execute.
-        The parse is memoized per (source, SQL) — only the (cheap)
-        catalog type checks rerun per query, since DDL can swap a heap
-        table for a foreign one between ships.
+        Only the parse is memoized — the (cheap) catalog type checks
+        rerun per query, since DDL can swap a heap table for a foreign
+        one between ships.
         """
-        key = (source_name, sql)
-        try:
-            referenced = self._fragment_refs[key]
-        except KeyError:
-            statement = Mediator._try_parse(sql)
-            referenced = (None if statement is None
-                          else sorted(sql_ast.referenced_tables(statement)))
-            self._fragment_refs[key] = referenced
-        if referenced is None:
+        if statement is None:
             return False
-        for name in referenced:
+        for name in sql_ast.referenced_tables(statement):
             if not database.catalog.has_table(name):
                 return False
             if not isinstance(database.catalog.table(name), Table):
@@ -408,21 +412,6 @@ class Mediator:
                 seen_keys.add(key)
                 merged.append(row)
         return merged
-
-    @staticmethod
-    def _store(scratch: Database, name: str, columns: list[str],
-               rows: list[tuple]) -> None:
-        from ..core.tempdb import infer_column_type
-        from ..relational.schema import Column
-
-        table_columns = []
-        for index, column_name in enumerate(columns):
-            values = (row[index] for row in rows)
-            table_columns.append(
-                Column(column_name, infer_column_type(values)))
-        table = scratch.create_table(name, table_columns)
-        for row in rows:
-            table.insert_tuple(row)
 
 
 @dataclass
@@ -658,7 +647,7 @@ class MediatorSession:
             warn_start = len(report.warnings)
             rows, columns = self.mediator._assemble_view(
                 view, results, report)
-            Mediator._store(self._scratch, view_name, columns, rows)
+            self._scratch.store_table(view_name, columns, rows)
             self.misses += 1
             filter_sql = plan.pushable.get(view_name)
             if filter_sql is not None \
@@ -822,7 +811,7 @@ def _view_columns(mediator: Mediator,
                   view: GlobalView) -> list[str] | None:
     """The view's output columns, derived from its first fragment."""
     fragment = view.fragments[0]
-    statement = Mediator._try_parse(fragment.sql)
+    statement = mediator._fragment_statement(fragment.sql)
     if statement is None:
         return None
     database = mediator.source(fragment.source)

@@ -16,7 +16,8 @@ from .engine import Database
 from .errors import RelationalError
 from .result import ResultSet
 from .schema import Column
-from .types import DataType, infer_type
+from .table import infer_column_type
+from .types import DataType
 
 
 def _infer_value(text: str) -> Any:
@@ -34,7 +35,9 @@ def _infer_value(text: str) -> Any:
     return text
 
 
-def _parse_cell(text: str) -> Any:
+def parse_cell(text: str) -> Any:
+    """One CSV cell as a value: empty = NULL, else int > float > bool >
+    text (shared with the foreign-table CSV source)."""
     if text == "":
         return None
     return _infer_value(text)
@@ -87,22 +90,6 @@ def _typed_value(text: str, data_type: DataType | None) -> Any:
     return _infer_value(text)
 
 
-def _infer_column(values: list[Any]) -> DataType:
-    chosen: DataType | None = None
-    for value in values:
-        if value is None:
-            continue
-        inferred = infer_type(value)
-        if chosen is None:
-            chosen = inferred
-        elif chosen is not inferred:
-            if {chosen, inferred} == {DataType.INTEGER, DataType.REAL}:
-                chosen = DataType.REAL
-            else:
-                return DataType.TEXT
-    return chosen or DataType.TEXT
-
-
 def load_csv(db: Database, table_name: str, text: str,
              create: bool = True, *,
              null_marker: str | None = None) -> int:
@@ -149,11 +136,9 @@ def load_csv(db: Database, table_name: str, text: str,
                 row.append(_infer_value(decoded))
         rows.append(row)
     if create:
-        columns = []
-        for index, name in enumerate(header):
-            values = [row[index] for row in rows]
-            columns.append(Column(name, _infer_column(values)))
-        db.create_table(table_name, columns)
+        db.create_table(table_name, [
+            Column(name, infer_column_type(row[index] for row in rows))
+            for index, name in enumerate(header)])
     # Through the bulk helper: write-locked, stats maintained, and the
     # mutation generation bumped so fragment caches see the append.
     return db.insert_rows(

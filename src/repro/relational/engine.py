@@ -29,7 +29,7 @@ from .parser import parse_script, parse_sql
 from .render import render_statement
 from .result import Cursor, ResultSet
 from .schema import Column, TableSchema
-from .table import Table
+from .table import Table, table_from_rows
 from .types import DataType, parse_type_name
 
 #: Shared no-op context for disabled-telemetry span sites.
@@ -199,9 +199,11 @@ class Database:
         """Execute a semicolon-separated script, returning all results."""
         return [self.execute_ast(stmt) for stmt in parse_script(sql)]
 
-    def query(self, sql: str) -> ResultSet:
-        """Execute a statement that must produce rows."""
-        result = self.execute(sql)
+    def query(self, target: "str | ast.SelectQuery") -> ResultSet:
+        """Execute a statement — SQL text, or one already parsed — that
+        must produce rows."""
+        result = (self.execute(target) if isinstance(target, str)
+                  else self.execute_ast(target))
         if not isinstance(result, ResultSet):
             raise ExecutionError("statement did not produce rows")
         return result
@@ -432,11 +434,11 @@ class Database:
                 raise ExecutionError(
                     f"INSERT ... SELECT expects {len(columns)} columns, "
                     f"got {len(root.schema)}")
-            for row in root.run():
-                row_id = table.insert_row(dict(zip(columns, row)))
-                if track:
-                    inserted.append(table.row(row_id))
-                count += 1
+            before = len(table)
+            table.append_rows(root.run(), columns)
+            count = len(table) - before
+            if track:
+                inserted = table.last_rows(count)
         if inserted:
             self.stats.note_inserted(table.name, inserted, table.schema)
         return count
@@ -557,9 +559,25 @@ class Database:
                     "drop_table", {"name": name, "if_exists": if_exists},
                     generation=self._generation)
 
-    def create_temp_table(self, name: str,
-                          columns: list[Column]) -> Table:
-        """Inject a caller-private temp table *without* the write lock.
+    def store_table(self, name: str, column_names: list[str],
+                    rows: Iterable[tuple]) -> Table:
+        """Materialise result *rows* as a new table (types inferred).
+
+        The table is built in full first and only then published, under
+        the write lock, so no reader ever sees it half loaded.  Not
+        journaled: this is how scratch state (a mediated view) lands,
+        and its owner re-ships it rather than recovering it.
+        """
+        table = table_from_rows(name, column_names, rows)
+        with self.rwlock.write_locked():
+            self.catalog.register_table(table)
+            self._generation += 1
+        return table
+
+    def create_temp_table(self, name: str, column_names: list[str],
+                          rows: Iterable[tuple]) -> Table:
+        """:meth:`store_table` for a caller-private temp table, published
+        *without* the write lock (and without moving the generation).
 
         Used by the SESQL WHERE rewrite (and tempdb combine): the name
         is unique per call and no other session ever references it, so
@@ -568,7 +586,9 @@ class Database:
         open cursor (and deadlock a session that already holds the read
         side).  Single dict insert: atomic under the GIL.
         """
-        return self.catalog.create_table(TableSchema(name, columns), False)
+        table = table_from_rows(name, column_names, rows)
+        self.catalog.register_table(table)
+        return table
 
     def drop_temp_table(self, name: str) -> None:
         """Drop a :meth:`create_temp_table` table (no write lock)."""
@@ -577,37 +597,30 @@ class Database:
 
     def insert_rows(self, table_name: str,
                     rows: Iterable[dict[str, Any]]) -> int:
-        """Bulk-insert dictionaries (used by data generators)."""
+        """Bulk-insert dictionaries (data generators, CSV import and
+        the WAL's ``rows`` replay): one :meth:`Table.append_rows`."""
         with self.rwlock.write_locked():
             table = self.catalog.table(table_name)
-            track = self.stats.get(table.name) is not None
-            journal = self.durability_journal
-            inserted: list[tuple] = []
-            # Journal the *coerced* stored tuples, not the caller's
-            # dicts: the input may be a generator (consumed here) and
-            # replay must reproduce storage state, not re-run coercion
-            # on arbitrary caller objects.
-            logged: list[tuple] | None = [] if journal is not None else None
-            count = 0
+            before = len(table)
             try:
-                for row in rows:
-                    row_id = table.insert_row(row)
-                    if track:
-                        inserted.append(table.row(row_id))
-                    if logged is not None:
-                        logged.append(table.row(row_id))
-                    count += 1
+                table.append_rows(_positional(table.schema, rows))
             finally:
-                if inserted:
-                    self.stats.note_inserted(table.name, inserted,
+                # Also when a row fails: the rows before it are stored.
+                count = len(table) - before
+                stored = table.last_rows(count) if count else []
+                if stored and self.stats.get(table.name) is not None:
+                    self.stats.note_inserted(table.name, stored,
                                              table.schema)
                 self._generation += 1
-                if logged:
-                    journal.log(
+                if stored and self.durability_journal is not None:
+                    # The *coerced* stored tuples, not the caller's
+                    # dicts: replay must reproduce storage state, not
+                    # re-run coercion on arbitrary caller objects.
+                    self.durability_journal.log(
                         "rows",
                         {"table": table.name,
                          "columns": table.schema.column_names(),
-                         "rows": logged},
+                         "rows": stored},
                         generation=self._generation)
             return count
 
@@ -616,6 +629,25 @@ class Database:
 
     def table_names(self) -> list[str]:
         return self.catalog.table_names()
+
+
+def _positional(schema: TableSchema,
+                rows: Iterable[dict[str, Any]]) -> Iterator[tuple]:
+    """Insert dicts as full positional rows, the way ``insert_row``
+    reads one: an omitted column takes its default (else NULL) and an
+    unknown key is a ``SchemaError`` — raised when that row is reached.
+    """
+    names = schema.column_names()
+    known = set(names)
+    defaults = [column.default if column.has_default else None
+                for column in schema.columns]
+    for row in rows:
+        if not row.keys() <= known:
+            for key in row:
+                if not schema.has_column(key):
+                    raise SchemaError(
+                        f"table {schema.name!r} has no column {key!r}")
+        yield tuple(map(row.get, names, defaults))
 
 
 def column(name: str, type_name: str, nullable: bool = True,

@@ -15,25 +15,69 @@ their exact shapes, so snapshots, ANALYZE fallbacks, replicas and every
 other consumer are unaffected.  The scan operator reads
 ``iter_batches`` (column-slice batches); ANALYZE reads
 ``column_values`` (one live column).
+
+Writes are columnar too: ``append_rows`` transposes a batch once and
+coerces, constraint-checks, indexes and appends it a column at a time
+(``insert_row`` is the same tail over a batch of one), and
+``table_from_rows`` — types inferred from the same pass — is the one way
+a result set becomes a table.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import compress
+from itertools import compress, repeat
 from operator import not_
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
-from .errors import ConstraintViolation, SchemaError
+from .errors import ConstraintViolation, SchemaError, TypeMismatchError
 from .indexes import HashIndex, IndexType, build_index
-from .schema import TableSchema
-from .types import coerce_value
+from .schema import Column, TableSchema
+from .types import DataType, coerce_value
 from .vectors import ColumnVector
 
 #: Compaction triggers when both hold: enough dead slots to be worth a
 #: rebuild, and dead slots outnumbering a quarter of the heap.
 COMPACT_MIN_DELETED = 64
 COMPACT_DEAD_FRACTION = 4  # dead * 4 > total  <=>  >25% dead
+
+_NULL = type(None)
+#: The exact Python types a column stores as they are: a value list
+#: whose ``set(map(type, ...))`` fits needs no ``coerce_value``.
+_STORED_AS_IS = {DataType.INTEGER: {int, _NULL}, DataType.REAL: {float, _NULL},
+                 DataType.TEXT: {str, _NULL}, DataType.BOOLEAN: {bool, _NULL}}
+
+
+def _narrowest(kinds: set[type]) -> DataType:
+    """The narrowest DataType holding values of every type in *kinds*
+    (subclasses count as ``isinstance`` would have them)."""
+    kinds = kinds - {_NULL}
+    if not kinds \
+            or not all(issubclass(kind, (int, float)) for kind in kinds):
+        return DataType.TEXT
+    if any(issubclass(kind, float) for kind in kinds):
+        return DataType.REAL
+    return DataType.BOOLEAN if all(
+        issubclass(kind, bool) for kind in kinds) else DataType.INTEGER
+
+
+def infer_column_type(values: Iterable[Any]) -> DataType:
+    """Pick the narrowest DataType that holds every non-NULL value."""
+    return _narrowest(set(map(type, values)))
+
+
+def _transposed(name: str, batch: list, width: int
+                ) -> tuple[list, int, SchemaError | None]:
+    """One value tuple per column over the longest prefix of *batch*
+    whose rows all have *width* values; the prefix's length; and the
+    arity error of the row that ended it, if one did."""
+    error = None
+    if set(map(len, batch)) - {width}:
+        bad = next(i for i, row in enumerate(batch) if len(row) != width)
+        error = SchemaError(f"table {name!r} expects {width} values, "
+                            f"got {len(batch[bad])}")
+        batch = batch[:bad]
+    return (list(zip(*batch)) if batch else [()] * width), len(batch), error
 
 
 class Table:
@@ -95,6 +139,12 @@ class Table:
         slot = self._slots[row_id]
         return tuple(column.values[slot] for column in self._columns)
 
+    def last_rows(self, count: int) -> list[tuple]:
+        """The *count* most recently appended rows, as stored."""
+        start = len(self._row_ids) - count
+        return list(zip(*(column.values[start:]
+                          for column in self._columns)))
+
     # -- batch scan surface --------------------------------------------------
 
     def iter_batches(self, size: int) -> Iterator[list]:
@@ -149,20 +199,12 @@ class Table:
             row.append(value)
         return tuple(row)
 
-    def _constraint_indexes(self) -> list[HashIndex]:
+    def _all_indexes(self) -> list[IndexType]:
+        """UNIQUE indexes, the PRIMARY KEY's, then the secondary ones."""
         constraint_indexes = list(self._unique_indexes)
         if self._pk_index is not None:
             constraint_indexes.append(self._pk_index)
-        return constraint_indexes
-
-    def _all_indexes(self) -> list[IndexType]:
-        return self._constraint_indexes() + list(self.indexes.values())
-
-    def _pk_values_present(self, row: tuple) -> None:
-        for name in self.schema.primary_key:
-            if row[self.schema.position_of(name)] is None:
-                raise ConstraintViolation(
-                    f"primary key column {name!r} may not be NULL")
+        return constraint_indexes + list(self.indexes.values())
 
     # -- mutation ------------------------------------------------------------
 
@@ -173,36 +215,100 @@ class Table:
             raise SchemaError(
                 f"table {self.name!r} has no column {unknown[0]!r}")
         row = self._check_and_prepare(values)
-        if self._pk_index is not None:
-            self._pk_values_present(row)
-        row_id = self._next_row_id
-        inserted: list[tuple[IndexType, tuple]] = []
-        try:
-            for index in self._all_indexes():
-                key = self._key_values(row, index.column_names)
-                index.insert(row_id, key)
-                inserted.append((index, key))
-        except ConstraintViolation:
-            for index, key in inserted:
-                index.delete(row_id, key)
-            raise
-        self._slots[row_id] = len(self._row_ids)
-        self._row_ids.append(row_id)
-        self._deleted.append(0)
-        for column, value in zip(self._columns, row):
-            column.append(value)
-        self._next_row_id += 1
-        return row_id
+        self._store([(value,) for value in row], 1)
+        return self._next_row_id - 1
 
-    def insert_tuple(self, row: Iterable[Any]) -> int:
-        """Insert a positional row (must cover every column)."""
-        row = list(row)
-        if len(row) != len(self.schema):
-            raise SchemaError(
-                f"table {self.name!r} expects {len(self.schema)} values, "
-                f"got {len(row)}")
-        values = dict(zip(self.schema.column_names(), row))
-        return self.insert_row(values)
+    def append_rows(self, rows: Iterable[Sequence],
+                    names: Sequence[str] | None = None) -> None:
+        """Bulk append — every multi-row producer's way in.
+
+        *rows* are positional over *names* (default: every column, in
+        schema order); a column left out takes its default, else NULL.
+        Observably ``for row in rows: insert_row(...)``: same stored
+        values, row ids and index entries, and when row *k* fails (wrong
+        arity, ``TypeMismatchError``, ``ConstraintViolation``, or *rows*
+        itself raising) rows ``0..k-1`` are stored before its error
+        propagates.  The work, though, is per column.
+        """
+        batch: list[Sequence] = []
+        error = None
+        try:
+            batch.extend(rows)
+        except Exception as exc:  # re-raised once the rows before it are in
+            error = exc
+        given, count, arity_error = _transposed(
+            self.name, batch,
+            len(self.schema) if names is None else len(names))
+        if names is not None:
+            by_position = {self.schema.position_of(name): column
+                           for name, column in zip(names, given)}
+            given = [by_position.get(position)
+                     for position in range(len(self.schema))]
+        self._append_columns(
+            given, [None if column is None else set(map(type, column))
+                    for column in given], count, arity_error or error)
+
+    def _append_columns(self, given: list, kinds: list, count: int,
+                        error: Exception | None = None) -> None:
+        """Store *count* rows handed over as one value sequence per
+        schema column (``None``: left out) plus each sequence's type
+        set; then raise *error* — row *count*'s — if there is one."""
+        prepared = []
+        for column, values, kind in zip(self.schema.columns, given, kinds):
+            if values is None:
+                default = column.default if column.has_default else None
+                values, kind = (default,) * count, {type(default)}
+            if not kind <= _STORED_AS_IS[column.data_type]:
+                coerced: list = []
+                try:
+                    coerced.extend(map(coerce_value, values,
+                                       repeat(column.data_type)))
+                except TypeMismatchError as exc:
+                    if len(coerced) < count:
+                        count, error = len(coerced), exc
+                values = coerced
+            if not column.nullable and _NULL in kind \
+                    and None in values[:count]:
+                count = values.index(None)
+                error = ConstraintViolation(
+                    f"column {column.name!r} of table {self.name!r} "
+                    f"is NOT NULL")
+            prepared.append(values)
+        self._store(prepared, count, error)
+
+    def _store(self, prepared: list, count: int,
+               error: Exception | None = None) -> None:
+        """Index and append the first *count* values of each (coerced,
+        constraint-checked) column of *prepared* — stopping short of the
+        first row an index refuses — then raise the pending error."""
+        first = self._next_row_id
+        indexed = []
+        for index in self._all_indexes():
+            keys = [prepared[self.schema.position_of(name)]
+                    for name in index.column_names]
+            done = 0
+            try:
+                for row_id, key in zip(range(first, first + count),
+                                       zip(*keys)):
+                    index.insert(row_id, key)
+                    done += 1
+            except ConstraintViolation as exc:
+                count, error = done, exc
+            indexed.append((index, keys, done))
+        for index, keys, done in indexed:
+            for offset in range(count, done):  # rows past the failing one
+                index.delete(first + offset,
+                             tuple(column[offset] for column in keys))
+        slot = len(self._row_ids)
+        self._slots.update(zip(range(first, first + count),
+                               range(slot, slot + count)))
+        self._row_ids.extend(range(first, first + count))
+        self._deleted.extend(bytes(count))
+        for vector, values in zip(self._columns, prepared):
+            vector.extend(values[:count])
+        self._next_row_id += count
+        if error is not None:
+            raise error
 
     def delete_row(self, row_id: int) -> None:
         slot = self._slots[row_id]
@@ -239,8 +345,6 @@ class Table:
                     f"table {self.name!r} has no column {name!r}")
             values[name] = value
         new_row = self._check_and_prepare(values)
-        if self._pk_index is not None:
-            self._pk_values_present(new_row)
         # Remove old index entries, then insert new ones; roll back on failure.
         for index in self._all_indexes():
             index.delete(row_id, self._key_values(old_row, index.column_names))
@@ -298,6 +402,34 @@ class Table:
             if [c.lower() for c in index.column_names] == wanted:
                 return index
         return None
+
+
+def table_from_rows(name: str, column_names: Sequence[str],
+                    rows: Iterable[Sequence]) -> Table:
+    """A fully loaded table of result *rows* — the one materialiser
+    under mediated views and SESQL temp tables.  Column types are
+    inferred from the data; values the storage model does not know (RDF
+    terms, say) are stored as their ``str``.  The caller publishes the
+    table, so nobody ever sees it half loaded.
+    """
+    given, count, error = _transposed(
+        name, rows if isinstance(rows, list) else list(rows),
+        len(column_names))
+    if error is not None:
+        raise error
+    kinds = [set(map(type, column)) for column in given]
+    for position, kind in enumerate(kinds):
+        if not all(issubclass(k, (int, float, str, _NULL)) for k in kind):
+            given[position] = [
+                value if value is None
+                or isinstance(value, (int, float, str)) else str(value)
+                for value in given[position]]
+            kinds[position] = set(map(type, given[position]))
+    table = Table(TableSchema(name, [
+        Column(column_name, _narrowest(kind))
+        for column_name, kind in zip(column_names, kinds)]))
+    table._append_columns(given, kinds, count)
+    return table
 
 
 def find_probe_index(table, column_names: list[str]

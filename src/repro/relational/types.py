@@ -120,21 +120,6 @@ def coerce_value(value: Any, data_type: DataType) -> Any:
     raise TypeMismatchError(f"unsupported data type {data_type}")
 
 
-def infer_type(value: Any) -> DataType | None:
-    """Infer a DataType from a Python value; ``None`` for NULL."""
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return DataType.BOOLEAN
-    if isinstance(value, int):
-        return DataType.INTEGER
-    if isinstance(value, float):
-        return DataType.REAL
-    if isinstance(value, str):
-        return DataType.TEXT
-    raise TypeMismatchError(f"unsupported Python value {value!r}")
-
-
 def format_value(value: Any) -> str:
     """Render a value the way result printers and TEXT casts display it."""
     if value is None:

@@ -32,8 +32,9 @@ execution path:
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Any, Callable, NamedTuple, Optional
+from itertools import compress, repeat
+from operator import is_
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import ast
 from .aggregates import contains_aggregate
@@ -70,13 +71,13 @@ class ColumnVector:
     def __len__(self) -> int:
         return len(self.values)
 
-    def append(self, value: Any) -> None:
-        self.values.append(value)
-        if value is None:
-            self.nulls.append(1)
-            self.null_count += 1
-        else:
-            self.nulls.append(0)
+    def extend(self, values: Sequence) -> None:
+        """Append a run of (already coerced) values at once."""
+        self.values.extend(values)
+        nulls = values.count(None)
+        self.nulls.extend(map(is_, values, repeat(None)) if nulls
+                          else bytes(len(values)))
+        self.null_count += nulls
 
     def set(self, slot: int, value: Any) -> None:
         """Overwrite one slot (UPDATE), keeping the bitmap consistent."""

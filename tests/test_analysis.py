@@ -661,6 +661,8 @@ class TestArchlint:
         ("crosse/bad.py", "engine.combine_enrichments(base, [], 's', [])"),
         ("federation/databank.py", "self.session._ship_parsed(plan, r, p)"),
         ("federation/databank.py", "executor.ship(jobs)"),
+        ("federation/mediator.py", "table.append_rows(rows)"),
+        ("core/tempdb.py", "table._append_columns(given, kinds, 3)"),
     ])
     def test_pipeline_copy_outside_its_choke_point_fails(
             self, tmp_path, relative, call):

@@ -46,8 +46,8 @@ def make_db() -> Database:
 class TestColumnarStorage:
     def test_column_vector_tracks_nulls(self):
         vector = ColumnVector(DataType.INTEGER)
-        for value in (1, None, 3, None):
-            vector.append(value)
+        vector.extend((1, None))
+        vector.extend([3, None])
         assert vector.values == [1, None, 3, None]
         assert vector.null_count == 2
         vector.set(1, 7)

@@ -6,10 +6,11 @@ from repro.core import SESQLEngine, TemporarySupportDatabase
 from repro.core.enrichment import (replace_condition, transform_expr)
 from repro.core.sqm import SemanticQueryModule
 from repro.core.mapping import ResourceMapping
-from repro.core.tempdb import infer_column_type, materialize
+from repro.core.tempdb import materialize
 from repro.rdf import parse_turtle
 from repro.relational import Database, DataType, parse_expr
 from repro.relational.ast import BinaryOp, ColumnRef, Literal, node_key
+from repro.relational.table import infer_column_type
 
 
 # -- type inference -----------------------------------------------------

@@ -346,8 +346,7 @@ def test_temp_tables_are_never_journaled_or_snapshotted(tmp_path):
     manager.recover()
     populate(db)
     seq_before = db.durability_journal.seq
-    db.create_temp_table("__sesql_scratch_1",
-                         [Column("elem_name", DataType.TEXT)])
+    db.create_temp_table("__sesql_scratch_1", ["elem_name"], [("Hg",)])
     assert db.durability_journal.seq == seq_before
     path = manager.snapshot()
     payload = load_snapshot_file(path)

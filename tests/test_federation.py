@@ -353,6 +353,86 @@ def test_mediator_session_explain_shows_pruning_and_cache(sources):
     assert warm.cache_hits == 1
 
 
+def two_views(rows: int = 1000) -> Mediator:
+    source = Database("s")
+    source.execute("CREATE TABLE t (x INTEGER)")
+    source.insert_rows("t", ({"x": i} for i in range(rows)))
+    mediator = Mediator()
+    mediator.register_source("s", source)
+    mediator.define_view("v", [("s", "SELECT x FROM t"),
+                               ("s", "SELECT x + 1000 AS x FROM t")])
+    mediator.define_view("w", [("s", "SELECT x FROM t")])
+    return mediator
+
+
+def test_databank_explain_of_a_non_select_ships_nothing():
+    """Regression: the non-SELECT was rejected only after *every* view
+    of the mediator (3 000 rows here) had been shipped for it."""
+    bank = two_views().as_databank()
+    bank.execute("CREATE TABLE local (x INTEGER)")
+    with pytest.raises(Exception, match="requires a SELECT"):
+        bank.explain("INSERT INTO local VALUES (1)")
+    assert bank.session._view_rows == {} and bank.session.misses == 0
+    assert sorted(bank.table_names()) == ["local"]
+
+
+def test_databank_explain_ships_what_execute_ships():
+    """Regression: ``explain`` shipped the view unfiltered and left it
+    cached, so the ``execute`` after it found the view local where a
+    cold one pushes the filter down and ships two rows."""
+    sql = "SELECT x FROM v WHERE x = 3"
+    cold = two_views().as_databank()
+    cold.execute(sql)
+    assert cold.last_report.pushed_filters == {"v": "((v.x = 3))"}
+    assert cold.last_report.view_rows == {"v": 1}
+
+    bank = two_views().as_databank()
+    planned = bank.explain(sql, analyze=True)
+    assert planned.root.actual_rows == 1
+    assert bank.last_report.pushed_filters == cold.last_report.pushed_filters
+    assert bank.last_report.view_rows == cold.last_report.view_rows
+    assert bank.session._view_rows == {}            # as explain found it
+    assert not bank.catalog.has_table("v")          # the partial is gone
+    assert bank.execute(sql).rows == [(3,)]
+    assert bank.last_report.sub_queries == cold.last_report.sub_queries
+    # An unfiltered statement caches its view under either entry point.
+    bank.explain("SELECT COUNT(*) FROM w")
+    assert bank.session._view_rows == {"w": 1000}
+
+
+def test_fragments_are_parsed_once_not_once_per_query(monkeypatch):
+    from repro.federation import mediator as module
+    mediator = two_views(10)
+    session = mediator.connect()
+    session.execute("SELECT COUNT(*) FROM v WHERE x > 3")   # warms the memo
+    parsed: list[str] = []
+    parse = module.parse_sql
+    monkeypatch.setattr(
+        module, "parse_sql", lambda sql: parsed.append(sql) or parse(sql))
+    for sql in ("SELECT COUNT(*) FROM v WHERE x > 3",
+                "SELECT COUNT(*) FROM v, w"):
+        session.refresh()
+        session.execute(sql)
+        assert parsed == [sql]          # the statement; no fragment
+        parsed.clear()
+    # Unfiltered fragments run at the source from the memoised parse.
+    source_parses: list[str] = []
+    from repro.relational import engine
+    source_parse = engine.parse_sql
+    monkeypatch.setattr(engine, "parse_sql", lambda sql: (
+        source_parses.append(sql) or source_parse(sql)))
+    session.refresh()
+    assert session.execute("SELECT COUNT(*) FROM v")[0].scalar() == 20
+    assert source_parses == []
+    # Redefining a view evicts the fragments it no longer has.
+    assert "SELECT x + 1000 AS x FROM t" in mediator._fragment_statements
+    mediator.define_view("v", [("s", "SELECT x FROM t WHERE x < 5")])
+    assert "SELECT x + 1000 AS x FROM t" \
+        not in mediator._fragment_statements
+    session.refresh()
+    assert session.execute("SELECT COUNT(*) FROM v")[0].scalar() == 5
+
+
 def test_stored_query_always_carries_parsed_form():
     from repro.core import StoredQueryRegistry
     registry = StoredQueryRegistry()

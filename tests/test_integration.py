@@ -38,8 +38,7 @@ def test_mediated_sources_feed_enriched_queries():
 
     integrated = Database("integrated")
     integrated.execute("CREATE TABLE eu_sites (site TEXT, material TEXT)")
-    for row in view.rows:
-        integrated.table("eu_sites").insert_tuple(row)
+    integrated.insert_rows("eu_sites", view.to_dicts())
 
     kb = parse_turtle("""
         @prefix smg: <http://smartground.eu/ns#> .

@@ -149,7 +149,7 @@ def test_three_drains_agree(connect, dataset, text, federated, strategy,
     # Operator row counts are compared in the same view-cache state: a
     # cold federated execute ships *filtered* views (pushdown) and scans
     # fewer rows than any query after the streams above cached the full
-    # views — MediatedDatabank.explain itself ships unfiltered.
+    # views (MediatedDatabank.explain ships exactly as execute does).
     analyzed = session.explain(text, analyze=True)
     assert_nothing_left_behind(databank)
     again = session.execute(text)
