@@ -11,10 +11,9 @@ comparison cannot drift as the production code evolves:
   solution-at-a-time interpreter).  Gate: **≥5x**, asserted at smoke
   scale too (the ratio is scale-robust, unlike absolute times).
 * **bulk load** — load a parsed graph into a fresh store, the shape of
-  every effective-KB build and ``copy``/``union``/``update`` on the
-  platform.  The production path shares the source's term dictionary
-  and moves raw id structures under one write-lock acquisition with
-  one generation bump; the pinned baseline (``_SeedTripleStore`` below,
+  ``copy``/``union``/``update``.  The production path shares the
+  source's term dictionary and moves raw id structures under one
+  write-lock acquisition with one generation bump; the pinned baseline (``_SeedTripleStore`` below,
   a faithful replica of the seed's hot path — ``update`` *was*
   ``add_all(other.triples())``) materializes every triple and re-hashes
   full terms into its indexes, re-entering the lock and bumping the

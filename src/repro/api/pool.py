@@ -9,7 +9,7 @@ checked out per request and returned afterwards.
 
 * Over a :class:`~repro.crosse.CrossePlatform`, each slot is an
   independent :class:`~repro.api.PlatformSession` (registered with the
-  platform, so KB/registry invalidation reaches pooled engines too) and
+  platform, so registry invalidation reaches pooled engines too) and
   ``checkout(username)`` yields that slot's per-user session.
 * Over a plain :class:`~repro.relational.Database` or
   :class:`~repro.core.SESQLEngine`, each slot is a plain
@@ -120,7 +120,7 @@ class SessionPool:
         if self._is_platform:
             # A non-None options object forces an independent
             # PlatformSession (the shared default one is single-slot);
-            # the platform registers it for KB/registry invalidation.
+            # the platform registers it for registry invalidation.
             return self._source.connect(self._options or QueryOptions())
         from .session import Session, connect
         if isinstance(self._source, Session):

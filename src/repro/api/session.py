@@ -64,8 +64,7 @@ class Session:
 
     def __init__(self, engine: SESQLEngine,
                  options: QueryOptions | None = None,
-                 kb_provider=None, on_result=None,
-                 engine_factory=None) -> None:
+                 on_result=None, engine_factory=None) -> None:
         self.engine = engine
         self.options = options or QueryOptions()
         self.plan_cache = PlanCache(self.options.plan_cache_size)
@@ -75,10 +74,6 @@ class Session:
         if self._owns_extraction_cache:
             engine.sqm.cache = ExtractionCache(
                 self.options.extraction_cache_size)
-        #: Optional callable returning the KB to evaluate against; used
-        #: by platform sessions so the *effective* KB (own + accepted
-        #: statements) is re-resolved on every call.
-        self._kb_provider = kb_provider
         #: Optional observer fed every SESQLResult (context tracking).
         self._on_result = on_result
         #: Optional zero-arg engine rebuilder; ``invalidate_engine``
@@ -142,11 +137,6 @@ class Session:
     def invalidate_engine(self) -> None:
         """Mark the engine stale; the next query rebuilds it lazily."""
         self._engine_stale = True
-
-    def _current_kb(self):
-        if self._kb_provider is not None:
-            return self._kb_provider()
-        return self.engine.knowledge_base
 
     def close(self) -> None:
         """Release cached plans; further queries raise SessionError.
@@ -276,8 +266,7 @@ class Session:
         session options > engine defaults (None = defer)."""
         if include_original is None:
             include_original = self.options.include_original
-        return drain(enriched, knowledge_base=self._current_kb(),
-                     include_original=include_original,
+        return drain(enriched, include_original=include_original,
                      join_strategy=(join_strategy
                                     or self.options.join_strategy),
                      **extra)
@@ -410,8 +399,10 @@ class PlatformSession:
     """Session factory over a :class:`~repro.crosse.CrossePlatform`.
 
     ``as_user`` hands out one cached :class:`Session` (hence one cached
-    engine) per user, instead of the historical engine-per-call;
-    statement acceptance and annotation invalidate the user's entry.
+    engine) per user, instead of the historical engine-per-call.  The
+    engine's knowledge base is the user's stable context view, so
+    annotation and acceptance reach it without a rebuild; only a
+    stored-query registration or a telemetry switch makes it stale.
     """
 
     def __init__(self, platform, options: QueryOptions | None = None) -> None:
@@ -462,7 +453,6 @@ class PlatformSession:
         platform = self.platform
         session = Session(
             self._build_engine(username), self.options,
-            kb_provider=lambda: platform.statements.effective_kb(username),
             on_result=lambda outcome: platform._feed_context(username,
                                                              outcome),
             engine_factory=lambda: self._build_engine(username))

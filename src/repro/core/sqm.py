@@ -94,8 +94,7 @@ class SemanticQueryModule:
         stored = self.stored_queries.get(args[0])
         # Generations are per-store counters, so the key pairs them
         # with the store's process-unique identity: two stores both at
-        # generation 3 (e.g. successive effective-KB rebuilds) must not
-        # collide.
+        # generation 3 (e.g. two users' context views) must not collide.
         key = (kind, getattr(kb, "store_id", id(kb)), generation, args,
                stored.text if stored is not None else None)
         extraction = self.cache.get(key)

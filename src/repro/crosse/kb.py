@@ -7,13 +7,16 @@ user's *effective* knowledge base — the context her SESQL queries run in
 (Section III-A) — is the union of her own statements and those she has
 accepted from peers.
 
-The effective KB is the paper's personal evaluation context: every
-SE-SQL extraction a user issues runs against it, so builds are batch
-loads through one platform-wide term dictionary (interned statement
-terms are reused across users) and cache invalidation is stamp-based —
-insert/retract/accept/reject advance exactly the affected users'
-stamps, and an untouched user keeps her store (and its extraction-cache
-``generation``) across other users' activity.
+That context is a view, not a copy: every live statement's triple sits
+once in one platform-wide id-encoded :class:`~repro.rdf.TripleStore`
+(kept while at least one statement asserts it), and each user has one
+stable :class:`~repro.rdf.TripleView` holding only the id-triples
+visible to her, maintained in O(1) by insert / accept / reject /
+retract.  The invalidation rule follows: a user's view ``generation``
+moves exactly when *her* visible set does, so her engine and its
+extraction cache survive every write — her own included — and another
+user's activity evicts nothing of hers.  Registries, shared store and
+views are guarded by the shared store's one ``RWLock``.
 
 ``to_rdf_graph`` exports the whole book-keeping as reified RDF exactly
 in the Fig. 4 vocabulary (``smg:Statement``, ``rdf:subject/predicate/
@@ -24,13 +27,12 @@ queryable with SPARQL.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..rdf.namespace import RDF, SMG
-from ..rdf.store import TermDictionary, Triple, TripleStore
-from ..rdf.terms import IRI, Literal, Term, term_from_python
+from ..rdf.store import Triple, TripleStore, TripleView
+from ..rdf.terms import Literal, term_from_python
 from .errors import StatementError
 
 
@@ -53,6 +55,9 @@ class StatementRecord:
     public: bool = True
     accepted_by: set[str] = field(default_factory=set)
     reference: Reference | None = None
+    #: The triple's ids in the platform dictionary — what the shared
+    #: store and the views hold (one tuple object for all of them).
+    key: tuple[int, int, int] = field(default=(), repr=False)
 
 
 class KnowledgeBaseStore:
@@ -61,24 +66,23 @@ class KnowledgeBaseStore:
     There is deliberately **no** consistency checking across users
     (Section III-A: "there is no centralized control on the correctness
     and/or consistency of the crowdsourced knowledge").
+
+    Thread safety: readers of the registries take the read side of
+    :attr:`rwlock` (the shared store's), every mutator its write side
+    once per logical mutation — journal record included, so the WAL
+    orders statements as the registries saw them.
     """
 
     def __init__(self) -> None:
         self._statements: dict[int, StatementRecord] = {}
-        self._by_author: dict[str, list[int]] = {}
-        #: One dictionary for the whole platform: statement terms are
-        #: interned on insert, and every per-user effective KB is built
-        #: through it — rebuilding a user's context never re-hashes a
-        #: term another context already interned, and extraction joins
-        #: across users' KBs run on comparable ids.
-        self.dictionary = TermDictionary()
-        #: username → (stamp-at-build, effective store).  Stamps come
-        #: from ``_clock``; every mutation touching a user advances her
-        #: stamp, so a cached store is valid iff its stamp is current —
-        #: the KB-level analogue of the triple store's ``generation``.
-        self._effective_cache: dict[str, tuple[int, TripleStore]] = {}
-        self._user_stamp: dict[str, int] = {}
-        self._clock = itertools.count(1)
+        #: Every live statement's triple, once, for the whole platform.
+        self.store = TripleStore()
+        self.dictionary = self.store.dictionary
+        self.rwlock = self.store.rwlock
+        #: id-triple → ids of the statements asserting it: the shared
+        #: store keeps a triple while this set is non-empty.
+        self._support: dict[tuple[int, int, int], set[int]] = {}
+        self._views: dict[str, TripleView] = {}
         #: Per-instance statement-id counter (not a module global): a
         #: recovered store must hand out exactly the ids the pre-crash
         #: process did, independent of any other store in the process.
@@ -87,11 +91,22 @@ class KnowledgeBaseStore:
         #: :class:`repro.durability.DurabilityManager`.
         self.durability_journal = None
 
-    def _touch(self, *usernames: str) -> None:
-        """Advance the mutation stamp of every affected user."""
-        stamp = next(self._clock)
-        for username in usernames:
-            self._user_stamp[username] = stamp
+    def _key(self, triple: Triple) -> tuple[int, int, int]:
+        return tuple(map(self.dictionary.intern, triple))
+
+    def _admit(self, record: StatementRecord) -> None:
+        """Register *record*, publish its triple and show it to its
+        author and acceptors.  Caller holds the write side."""
+        key = record.key
+        self._statements[record.statement_id] = record
+        supporters = self._support.get(key)
+        if supporters is None:
+            self._support[key] = {record.statement_id}
+            self.store.add(record.triple)
+        else:
+            supporters.add(record.statement_id)
+        for username in (record.author, *record.accepted_by):
+            self._view(username).show(key)
 
     # -- insertion ------------------------------------------------------------
 
@@ -100,67 +115,74 @@ class KnowledgeBaseStore:
                reference: Reference | None = None) -> StatementRecord:
         triple = Triple(term_from_python(subject), predicate,
                         term_from_python(obj))
-        # Intern eagerly: effective-KB builds then copy known ids.
-        intern = self.dictionary.intern
-        intern(triple.subject)
-        intern(triple.predicate)
-        intern(triple.object)
-        statement_id = self._next_statement_id
-        self._next_statement_id += 1
-        record = StatementRecord(statement_id, triple, author,
-                                 public, reference=reference)
-        self._statements[record.statement_id] = record
-        self._by_author.setdefault(author, []).append(record.statement_id)
-        self._touch(author)
-        if self.durability_journal is not None:
-            ref = record.reference
-            self.durability_journal.log(
-                "stmt_insert",
-                {"id": statement_id, "author": author,
-                 "triple": list(triple), "public": public,
-                 "reference": ([ref.title, ref.author, ref.link]
-                               if ref is not None else None)})
+        key = self._key(triple)
+        with self.rwlock.write_locked():
+            statement_id = self._next_statement_id
+            self._next_statement_id += 1
+            record = StatementRecord(statement_id, triple, author,
+                                     public, reference=reference, key=key)
+            self._admit(record)
+            if self.durability_journal is not None:
+                ref = record.reference
+                self.durability_journal.log(
+                    "stmt_insert",
+                    {"id": statement_id, "author": author,
+                     "triple": list(triple), "public": public,
+                     "reference": ([ref.title, ref.author, ref.link]
+                                   if ref is not None else None)})
         return record
 
     def retract(self, author: str, statement_id: int) -> None:
         """Remove one's own statement — also from the effective context
         of every user who had accepted it."""
-        record = self.get(statement_id)
-        if record.author != author:
-            raise StatementError(
-                f"statement {statement_id} belongs to {record.author!r}, "
-                f"not {author!r}")
-        del self._statements[statement_id]
-        self._by_author[author].remove(statement_id)
-        self._touch(author, *record.accepted_by)
-        if self.durability_journal is not None:
-            self.durability_journal.log(
-                "stmt_retract", {"id": statement_id, "author": author})
+        with self.rwlock.write_locked():
+            record = self._record(statement_id)
+            if record.author != author:
+                raise StatementError(
+                    f"statement {statement_id} belongs to "
+                    f"{record.author!r}, not {author!r}")
+            del self._statements[statement_id]
+            supporters = self._support[record.key]
+            supporters.remove(statement_id)
+            if not supporters:
+                del self._support[record.key]
+                self.store.remove(record.triple)
+            for username in (author, *record.accepted_by):
+                self._views[username].hide(record.key)
+            if self.durability_journal is not None:
+                self.durability_journal.log(
+                    "stmt_retract", {"id": statement_id, "author": author})
 
     # -- acceptance (the crowdsourced scenario) ------------------------------------
 
     def accept(self, username: str, statement_id: int) -> StatementRecord:
         """Import a peer's public statement into one's own context."""
-        record = self.get(statement_id)
-        if record.author == username:
-            raise StatementError("cannot accept one's own statement")
-        if not record.public:
-            raise StatementError(
-                f"statement {statement_id} is not public")
-        record.accepted_by.add(username)
-        self._touch(username)
-        if self.durability_journal is not None:
-            self.durability_journal.log(
-                "stmt_accept", {"id": statement_id, "username": username})
+        with self.rwlock.write_locked():
+            record = self._record(statement_id)
+            if record.author == username:
+                raise StatementError("cannot accept one's own statement")
+            if not record.public:
+                raise StatementError(
+                    f"statement {statement_id} is not public")
+            if username not in record.accepted_by:
+                record.accepted_by.add(username)
+                self._view(username).show(record.key)
+            if self.durability_journal is not None:
+                self.durability_journal.log(
+                    "stmt_accept",
+                    {"id": statement_id, "username": username})
         return record
 
     def reject(self, username: str, statement_id: int) -> None:
-        record = self.get(statement_id)
-        record.accepted_by.discard(username)
-        self._touch(username)
-        if self.durability_journal is not None:
-            self.durability_journal.log(
-                "stmt_reject", {"id": statement_id, "username": username})
+        with self.rwlock.write_locked():
+            record = self._record(statement_id)
+            if username in record.accepted_by:
+                record.accepted_by.remove(username)
+                self._views[username].hide(record.key)
+            if self.durability_journal is not None:
+                self.durability_journal.log(
+                    "stmt_reject",
+                    {"id": statement_id, "username": username})
 
     # -- crash recovery -------------------------------------------------------
 
@@ -173,102 +195,91 @@ class KnowledgeBaseStore:
         Used by snapshot load and WAL replay; idempotent on id so a
         snapshot/WAL overlap never duplicates provenance.
         """
-        if statement_id in self._statements:
-            return
-        intern = self.dictionary.intern
-        intern(triple.subject)
-        intern(triple.predicate)
-        intern(triple.object)
-        record = StatementRecord(statement_id, triple, author, public,
-                                 set(accepted_by), reference)
-        self._statements[statement_id] = record
-        self._by_author.setdefault(author, []).append(statement_id)
-        self._next_statement_id = max(self._next_statement_id,
-                                      statement_id + 1)
-        self._touch(author, *record.accepted_by)
+        key = self._key(triple)
+        with self.rwlock.write_locked():
+            if statement_id in self._statements:
+                return
+            self._admit(StatementRecord(statement_id, triple, author,
+                                        public, set(accepted_by),
+                                        reference, key))
+            self._next_statement_id = max(self._next_statement_id,
+                                          statement_id + 1)
 
     # -- lookup --------------------------------------------------------------------
 
-    def get(self, statement_id: int) -> StatementRecord:
+    def _record(self, statement_id: int) -> StatementRecord:
         try:
             return self._statements[statement_id]
         except KeyError:
             raise StatementError(
                 f"no statement with id {statement_id}") from None
 
-    def statements_of(self, author: str) -> list[StatementRecord]:
-        return [self._statements[sid]
-                for sid in self._by_author.get(author, [])]
+    def get(self, statement_id: int) -> StatementRecord:
+        with self.rwlock.read_locked():
+            return self._record(statement_id)
 
     def public_statements(self,
                           exclude_author: str | None = None
                           ) -> list[StatementRecord]:
         """Annotations visible to other registered users (Section III-A)."""
-        return [record for record in self._statements.values()
-                if record.public and record.author != exclude_author]
-
-    def accepted_by(self, username: str) -> list[StatementRecord]:
-        return [record for record in self._statements.values()
-                if username in record.accepted_by]
+        with self.rwlock.read_locked():
+            return [record for record in self._statements.values()
+                    if record.public and record.author != exclude_author]
 
     def __len__(self) -> int:
         return len(self._statements)
 
     # -- effective context -------------------------------------------------------------
 
-    def effective_kb(self, username: str) -> TripleStore:
-        """Own statements + accepted statements, as a plain triple store.
+    def effective_kb(self, username: str) -> TripleView:
+        """Own statements + accepted statements, as a read-only view.
 
         This is the personal knowledge base "that will constitute the
-        context in which a user's query will be evaluated".  Cached per
-        user with stamp-based invalidation: any insert/retract/accept/
-        reject touching the user makes the next call rebuild (a fresh
-        store generation, so downstream extraction caches miss exactly
-        when the context actually changed).  The store is built through
-        the platform's shared :class:`~repro.rdf.TermDictionary` as one
-        batch load — interned terms are reused, one generation stamp.
+        context in which a user's query will be evaluated": one stable
+        object per user, O(1) to obtain, whose ``generation`` moves
+        when (and only when) her visible set does.
         """
-        stamp = self._user_stamp.get(username, 0)
-        cached = self._effective_cache.get(username)
-        if cached is not None and cached[0] == stamp:
-            return cached[1]
-        store = TripleStore(dictionary=self.dictionary)
-        store.add_all(record.triple
-                      for record in itertools.chain(
-                          self.statements_of(username),
-                          self.accepted_by(username)))
-        self._effective_cache[username] = (stamp, store)
-        return store
+        return self._view(username)
+
+    def _view(self, username: str) -> TripleView:
+        # What the mutators call: ``effective_kb`` is the queries' entry
+        # point, and is counted (and traced) as such.
+        view = self._views.get(username)
+        if view is None:
+            # setdefault is atomic: racing first calls agree on one view.
+            view = self._views.setdefault(username, TripleView(self.store))
+        return view
 
     # -- Fig. 4 reified export ------------------------------------------------------------
 
     def to_rdf_graph(self) -> TripleStore:
         """Export statements + provenance in the Fig. 4 RDF schema."""
         graph = TripleStore(dictionary=self.dictionary)
-        for record in self._statements.values():
-            node = SMG[f"statement_{record.statement_id}"]
-            graph.add(node, RDF.type, SMG.Statement)
-            graph.add(node, RDF.subject, record.triple.subject)
-            graph.add(node, RDF.predicate, record.triple.predicate)
-            graph.add(node, RDF.object, record.triple.object)
-            author = SMG[f"user_{record.author}"]
-            graph.add(author, RDF.type, SMG.User)
-            graph.add(author, SMG.userStatement, node)
-            for username in record.accepted_by:
-                believer = SMG[f"user_{username}"]
-                graph.add(believer, RDF.type, SMG.User)
-                graph.add(believer, SMG.userBelief, node)
-            if record.reference is not None:
-                ref_node = SMG[f"reference_{record.statement_id}"]
-                graph.add(node, SMG.stmReference, ref_node)
-                graph.add(ref_node, RDF.type, SMG.Reference)
-                if record.reference.title:
-                    graph.add(ref_node, SMG.refTitle,
-                              Literal(record.reference.title))
-                if record.reference.author:
-                    graph.add(ref_node, SMG.refAuthor,
-                              Literal(record.reference.author))
-                if record.reference.link:
-                    graph.add(ref_node, SMG.refLink,
-                              Literal(record.reference.link))
+        with self.rwlock.read_locked():
+            for record in self._statements.values():
+                node = SMG[f"statement_{record.statement_id}"]
+                graph.add(node, RDF.type, SMG.Statement)
+                graph.add(node, RDF.subject, record.triple.subject)
+                graph.add(node, RDF.predicate, record.triple.predicate)
+                graph.add(node, RDF.object, record.triple.object)
+                author = SMG[f"user_{record.author}"]
+                graph.add(author, RDF.type, SMG.User)
+                graph.add(author, SMG.userStatement, node)
+                for username in record.accepted_by:
+                    believer = SMG[f"user_{username}"]
+                    graph.add(believer, RDF.type, SMG.User)
+                    graph.add(believer, SMG.userBelief, node)
+                if record.reference is not None:
+                    ref_node = SMG[f"reference_{record.statement_id}"]
+                    graph.add(node, SMG.stmReference, ref_node)
+                    graph.add(ref_node, RDF.type, SMG.Reference)
+                    if record.reference.title:
+                        graph.add(ref_node, SMG.refTitle,
+                                  Literal(record.reference.title))
+                    if record.reference.author:
+                        graph.add(ref_node, SMG.refAuthor,
+                                  Literal(record.reference.author))
+                    if record.reference.link:
+                        graph.add(ref_node, SMG.refLink,
+                                  Literal(record.reference.link))
         return graph

@@ -56,13 +56,13 @@ class CrossePlatform:
         self.documents: dict[str, Document] = {}
         self._session: PlatformSession | None = None
         #: Every live session handed out (shared + custom-options ones),
-        #: so KB/registry invalidation reaches all cached user engines.
+        #: so registry invalidation reaches all cached user engines.
         #: Weak references: an abandoned custom-options session is
         #: garbage-collected instead of accumulating forever.  Guarded
         #: by ``_sessions_lock``: a pool thread building a slot
         #: (``connect`` appends) races the invalidation rebuild
         #: otherwise, and a lost weakref means a session that never
-        #: sees KB invalidations again.
+        #: sees invalidations again.
         self._sessions: list[weakref.ref[PlatformSession]] = []
         self._sessions_lock = threading.Lock()
         if telemetry is not None:
@@ -172,9 +172,10 @@ class CrossePlatform:
 
         With no *options* the shared default session is returned; with
         options a new, independent session is created.  Either way one
-        engine per user is cached across calls, and KB mutations
-        (acceptance, annotation) and stored-query registration
-        invalidate the affected entries in every session handed out.
+        engine per user is cached across calls; stored-query
+        registration invalidates the affected entries in every session
+        handed out (KB mutations need not: an engine reads the user's
+        live context view).
         """
         with self._sessions_lock:
             if options is None:
@@ -232,17 +233,14 @@ class CrossePlatform:
         record = self.tagging.annotate_concept(
             username, table, column, value, prop, obj, reference)
         self.context.record_concepts(username, [value], event="annotate")
-        self._invalidate_sessions(username)
         return record
 
     def annotate_free(self, username: str, subject, prop, obj,
                       reference: Reference | None = None
                       ) -> StatementRecord:
         self.users.get(username)
-        record = self.tagging.annotate_free(
+        return self.tagging.annotate_free(
             username, subject, prop, obj, reference)
-        self._invalidate_sessions(username)
-        return record
 
     def explore_annotations(self, username: str, **filters):
         self.users.get(username)
@@ -251,29 +249,21 @@ class CrossePlatform:
     def accept_statement(self, username: str,
                          statement_id: int) -> StatementRecord:
         self.users.get(username)
-        record = self.statements.accept(username, statement_id)
-        self._invalidate_sessions(username)
-        return record
+        return self.statements.accept(username, statement_id)
 
     def retract_statement(self, username: str, statement_id: int) -> None:
         """Withdraw one's own statement platform-wide.
 
         The statement leaves the author's context *and* the effective
-        KB of every user who had accepted it, so all their cached
-        engines are invalidated too.
+        KB of every user who had accepted it.
         """
         self.users.get(username)
-        record = self.statements.get(statement_id)
-        affected = {record.author, *record.accepted_by}
         self.statements.retract(username, statement_id)
-        for affected_user in affected:
-            self._invalidate_sessions(affected_user)
 
     def reject_statement(self, username: str, statement_id: int) -> None:
         """Drop a previously accepted peer statement from one's context."""
         self.users.get(username)
         self.statements.reject(username, statement_id)
-        self._invalidate_sessions(username)
 
     def effective_kb(self, username: str):
         return self.statements.effective_kb(username)

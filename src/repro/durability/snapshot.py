@@ -237,14 +237,8 @@ def serialize_platform(platform, seq: int) -> dict:
     """Users, statements, context, stored queries and documents."""
     statements = platform.statements
     context = platform.context
-    return {
-        "kind": "platform", "seq": seq,
-        "users": [{"username": user.username,
-                   "display_name": user.display_name,
-                   "affiliation": user.affiliation,
-                   "interests": list(user.declared_interests)}
-                  for user in platform.users.users()],
-        "statements": [
+    with statements.rwlock.read_locked():
+        statement_entries = [
             {"id": record.statement_id,
              "triple": list(record.triple),
              "author": record.author,
@@ -254,7 +248,15 @@ def serialize_platform(platform, seq: int) -> dict:
                             record.reference.author,
                             record.reference.link]
                            if record.reference is not None else None)}
-            for record in statements._statements.values()],
+            for record in statements._statements.values()]
+    return {
+        "kind": "platform", "seq": seq,
+        "users": [{"username": user.username,
+                   "display_name": user.display_name,
+                   "affiliation": user.affiliation,
+                   "interests": list(user.declared_interests)}
+                  for user in platform.users.users()],
+        "statements": statement_entries,
         "next_statement_id": statements._next_statement_id,
         "stored_queries": _registry_spec(platform.stored_queries),
         "user_queries": {username: _registry_spec(registry)

@@ -58,17 +58,19 @@ def store_state(store: TripleStore) -> dict:
 def platform_state(platform) -> dict:
     statements = platform.statements
     context = platform.context
-    return {
-        "users": [[user.username, user.display_name, user.affiliation,
-                   list(user.declared_interests)]
-                  for user in platform.users.users()],
-        "statements": sorted(
+    with statements.rwlock.read_locked():
+        statement_rows = sorted(
             [record.statement_id, record.triple.n3(), record.author,
              record.public, sorted(record.accepted_by),
              ([record.reference.title, record.reference.author,
                record.reference.link]
               if record.reference is not None else None)]
-            for record in statements._statements.values()),
+            for record in statements._statements.values())
+    return {
+        "users": [[user.username, user.display_name, user.affiliation,
+                   list(user.declared_interests)]
+                  for user in platform.users.users()],
+        "statements": statement_rows,
         "next_statement_id": statements._next_statement_id,
         "stored_queries": sorted(
             [name, platform.stored_queries.get(name).text,

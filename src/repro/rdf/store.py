@@ -16,9 +16,10 @@ ablation.  :class:`StoreStatistics` exposes O(1) per-pattern
 cardinalities (maintained alongside the indexes) that the SPARQL BGP
 planner (:mod:`repro.sparql.planner`) uses for join ordering.
 
-Several stores may share one dictionary (``TripleStore(dictionary=d)``)
-— the CroSSE platform builds every per-user *effective* KB through the
-platform-wide dictionary so accepted statements are never re-interned.
+Several stores may share one dictionary (``TripleStore(dictionary=d)``).
+A :class:`TripleView` is a read-only subset of one store — the CroSSE
+platform keeps every statement's triple once in a platform-wide store
+and gives each user a view holding only the id-triples visible to her.
 """
 
 from __future__ import annotations
@@ -195,7 +196,110 @@ class StoreStatistics:
         return self.count_ids(*ids)
 
 
-class TripleStore:
+class _PatternReader:
+    """The term-level read protocol, written once over ``_match_ids``.
+
+    A subclass supplies ``dictionary``, ``rwlock`` and the id-level
+    matcher ``_match_ids(s, p, o)``; :class:`TripleStore` and
+    :class:`TripleView` both read through these methods.
+    """
+
+    # -- encoding helpers ----------------------------------------------------
+
+    def _encode_pattern(self, subject: TriplePatternArg,
+                        predicate: TriplePatternArg,
+                        obj: TriplePatternArg
+                        ) -> tuple[int | None, int | None, int | None] | None:
+        """Encode a term pattern to ids; None when a bound term is
+        absent from the dictionary (no triple can match)."""
+        lookup = self.dictionary.lookup
+        s = p = o = None
+        if subject is not None:
+            if not is_term(subject):
+                subject = term_from_python(subject)
+            s = lookup(subject)
+            if s is None:
+                return None
+        if predicate is not None:
+            p = lookup(predicate)
+            if p is None:
+                return None
+        if obj is not None:
+            if not is_term(obj):
+                obj = term_from_python(obj)
+            o = lookup(obj)
+            if o is None:
+                return None
+        return (s, p, o)
+
+    # -- lookup ------------------------------------------------------------------
+
+    def __iter__(self) -> Iterator[Triple]:
+        return self.triples()
+
+    def triples(self, subject: TriplePatternArg = None,
+                predicate: TriplePatternArg = None,
+                obj: TriplePatternArg = None) -> Iterator[Triple]:
+        """All triples matching the pattern (None = wildcard).
+
+        The returned generator holds the store's read lock while
+        active, so writers wait until it is exhausted or dropped.
+        Terms are materialized from the dictionary on the way out.
+        """
+        ids = self._encode_pattern(subject, predicate, obj)
+        if ids is None:
+            return
+        terms = self.dictionary.terms
+        with self.rwlock.read_locked():
+            for s, p, o in self._match_ids(*ids):
+                yield Triple(terms[s], terms[p], terms[o])
+
+    def id_triples(self, s: int | None = None, p: int | None = None,
+                   o: int | None = None) -> Iterator[tuple[int, int, int]]:
+        """Id-level pattern matching (the SPARQL evaluator's hot path).
+
+        Yields ``(s, p, o)`` id tuples; the caller decodes through
+        :attr:`dictionary` only at result-materialization time.  Holds
+        the read lock while active, like :meth:`triples`.
+        """
+        with self.rwlock.read_locked():
+            yield from self._match_ids(s, p, o)
+
+    # -- convenience views --------------------------------------------------------
+
+    def subjects(self, predicate: TriplePatternArg = None,
+                 obj: TriplePatternArg = None) -> Iterator[Term]:
+        seen: set[Term] = set()
+        for triple in self.triples(None, predicate, obj):
+            if triple.subject not in seen:
+                seen.add(triple.subject)
+                yield triple.subject
+
+    def objects(self, subject: TriplePatternArg = None,
+                predicate: TriplePatternArg = None) -> Iterator[Term]:
+        seen: set[Term] = set()
+        for triple in self.triples(subject, predicate, None):
+            if triple.object not in seen:
+                seen.add(triple.object)
+                yield triple.object
+
+    def predicates(self, subject: TriplePatternArg = None,
+                   obj: TriplePatternArg = None) -> Iterator[IRI]:
+        seen: set[IRI] = set()
+        for triple in self.triples(subject, None, obj):
+            if triple.predicate not in seen:
+                seen.add(triple.predicate)
+                yield triple.predicate
+
+    def value(self, subject: TriplePatternArg = None,
+              predicate: TriplePatternArg = None) -> Term | None:
+        """The single object of (subject, predicate), or None."""
+        for triple in self.triples(subject, predicate, None):
+            return triple.object
+        return None
+
+
+class TripleStore(_PatternReader):
     """A set of triples with id-keyed hash indexes on each access pattern.
 
     Thread safety: a reader-writer lock lets any number of threads
@@ -237,34 +341,6 @@ class TripleStore:
         self._o_counts: dict[int, int] = {}
         self._size = 0
         self.stats = StoreStatistics(self)
-
-    # -- encoding helpers ----------------------------------------------------
-
-    def _encode_pattern(self, subject: TriplePatternArg,
-                        predicate: TriplePatternArg,
-                        obj: TriplePatternArg
-                        ) -> tuple[int | None, int | None, int | None] | None:
-        """Encode a term pattern to ids; None when a bound term is
-        absent from the dictionary (no triple can match)."""
-        lookup = self.dictionary.lookup
-        s = p = o = None
-        if subject is not None:
-            if not is_term(subject):
-                subject = term_from_python(subject)
-            s = lookup(subject)
-            if s is None:
-                return None
-        if predicate is not None:
-            p = lookup(predicate)
-            if p is None:
-                return None
-        if obj is not None:
-            if not is_term(obj):
-                obj = term_from_python(obj)
-            o = lookup(obj)
-            if o is None:
-                return None
-        return (s, p, o)
 
     # -- mutation -----------------------------------------------------------
 
@@ -612,37 +688,6 @@ class TripleStore:
         s, p, o = ids
         return o in self._spo.get(s, {}).get(p, ())
 
-    def __iter__(self) -> Iterator[Triple]:
-        return self.triples()
-
-    def triples(self, subject: TriplePatternArg = None,
-                predicate: TriplePatternArg = None,
-                obj: TriplePatternArg = None) -> Iterator[Triple]:
-        """All triples matching the pattern (None = wildcard).
-
-        The returned generator holds the store's read lock while
-        active, so writers wait until it is exhausted or dropped.
-        Terms are materialized from the dictionary on the way out.
-        """
-        ids = self._encode_pattern(subject, predicate, obj)
-        if ids is None:
-            return
-        terms = self.dictionary.terms
-        with self.rwlock.read_locked():
-            for s, p, o in self._match_ids(*ids):
-                yield Triple(terms[s], terms[p], terms[o])
-
-    def id_triples(self, s: int | None = None, p: int | None = None,
-                   o: int | None = None) -> Iterator[tuple[int, int, int]]:
-        """Id-level pattern matching (the SPARQL evaluator's hot path).
-
-        Yields ``(s, p, o)`` id tuples; the caller decodes through
-        :attr:`dictionary` only at result-materialization time.  Holds
-        the read lock while active, like :meth:`triples`.
-        """
-        with self.rwlock.read_locked():
-            yield from self._match_ids(s, p, o)
-
     def _match_ids(self, s: int | None, p: int | None,
                    o: int | None) -> Iterator[tuple[int, int, int]]:
         if s is not None:
@@ -703,39 +748,6 @@ class TripleStore:
                         continue
                     yield (s_id, p_id, o_id)
 
-    # -- convenience views --------------------------------------------------------
-
-    def subjects(self, predicate: TriplePatternArg = None,
-                 obj: TriplePatternArg = None) -> Iterator[Term]:
-        seen: set[Term] = set()
-        for triple in self.triples(None, predicate, obj):
-            if triple.subject not in seen:
-                seen.add(triple.subject)
-                yield triple.subject
-
-    def objects(self, subject: TriplePatternArg = None,
-                predicate: TriplePatternArg = None) -> Iterator[Term]:
-        seen: set[Term] = set()
-        for triple in self.triples(subject, predicate, None):
-            if triple.object not in seen:
-                seen.add(triple.object)
-                yield triple.object
-
-    def predicates(self, subject: TriplePatternArg = None,
-                   obj: TriplePatternArg = None) -> Iterator[IRI]:
-        seen: set[IRI] = set()
-        for triple in self.triples(subject, None, obj):
-            if triple.predicate not in seen:
-                seen.add(triple.predicate)
-                yield triple.predicate
-
-    def value(self, subject: TriplePatternArg = None,
-              predicate: TriplePatternArg = None) -> Term | None:
-        """The single object of (subject, predicate), or None."""
-        for triple in self.triples(subject, predicate, None):
-            return triple.object
-        return None
-
     def count(self, subject: TriplePatternArg = None,
               predicate: TriplePatternArg = None,
               obj: TriplePatternArg = None) -> int:
@@ -773,7 +785,7 @@ class TripleStore:
         return clone
 
     def union(self, other: "TripleStore") -> "TripleStore":
-        """A new store holding both graphs (used for effective user KBs)."""
+        """A new store holding both graphs."""
         merged = self.copy()
         merged.update(other)
         return merged
@@ -820,3 +832,73 @@ class TripleStore:
                                 generation=self.generation)
             return count
         return self.add_all(other.triples())
+
+
+class TripleView(_PatternReader):
+    """A read-only subset of one :class:`TripleStore`: its visible id-triples.
+
+    The view holds no index of its own — only the set of ``(s, p, o)``
+    id tuples it shows (memory O(visible)).  A pattern is answered by
+    enumerating candidates from the base store's indexes and keeping
+    those that pass one hash probe into the visible set, or, when no
+    subject is bound and the visible set is smaller than the base's
+    match count, by scanning the visible set itself.  It shares the
+    base's ``dictionary``, ``rwlock`` and (global, upper-bound)
+    ``stats``, and has its own ``store_id`` and a ``generation`` that
+    moves exactly when its visible *set* does — so generation-keyed
+    caches over one view are untouched by writes to any other.
+
+    Visibility is counted: a triple shown for two reasons stays
+    visible until it was hidden twice.  :meth:`show` and :meth:`hide`
+    expect the caller to hold the shared lock's write side.
+    """
+
+    def __init__(self, base: TripleStore) -> None:
+        self._base = base
+        self.dictionary = base.dictionary
+        self.stats = base.stats
+        self.rwlock = base.rwlock
+        self.store_id = next(_STORE_IDS)
+        self.generation = 0
+        self._visible: dict[tuple[int, int, int], int] = {}
+
+    def show(self, key: tuple[int, int, int]) -> None:
+        """Count one more reason the base's id-triple *key* is visible."""
+        count = self._visible.get(key, 0)
+        self._visible[key] = count + 1
+        if not count:
+            self.generation += 1
+
+    def hide(self, key: tuple[int, int, int]) -> None:
+        """Drop one reason; the triple leaves with its last one."""
+        count = self._visible[key] - 1
+        if count:
+            self._visible[key] = count
+        else:
+            del self._visible[key]
+            self.generation += 1
+
+    def __len__(self) -> int:
+        return len(self._visible)
+
+    def __contains__(self, triple: Triple) -> bool:
+        return self._encode_pattern(*triple) in self._visible
+
+    def _match_ids(self, s: int | None, p: int | None,
+                   o: int | None) -> Iterator[tuple[int, int, int]]:
+        visible = self._visible
+        if s is None and len(visible) < self.stats.count_ids(None, p, o):
+            for key in visible:
+                if (p is None or key[1] == p) and (o is None or key[2] == o):
+                    yield key
+            return
+        for key in self._base._match_ids(s, p, o):
+            if key in visible:
+                yield key
+
+    def count(self, subject: TriplePatternArg = None,
+              predicate: TriplePatternArg = None,
+              obj: TriplePatternArg = None) -> int:
+        """Exact pattern cardinality within the view (a filtered scan)."""
+        ids = self._encode_pattern(subject, predicate, obj)
+        return 0 if ids is None else sum(1 for _ in self.id_triples(*ids))

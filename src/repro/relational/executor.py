@@ -635,10 +635,29 @@ class _AggregateRewriter:
             raise ExecutionError(
                 f"column {expr.display()!r} must appear in GROUP BY "
                 "or be used in an aggregate")
-        # Subqueries in grouped context may only reference group slots
-        # through correlation, which we conservatively do not rewrite
-        # (rebuild_expr returns them, like every other leaf, unchanged).
+        if isinstance(expr, ast.InSubquery):
+            return ast.InSubquery(self.rewrite(expr.operand), expr.query,
+                                  expr.negated, expr.hint)
+        # A subquery's own text is not rewritten (rebuild_expr returns
+        # it, like every other leaf, unchanged): it reaches the group
+        # keys by name through the slot scope (see ``slot_columns``).
         return ast.rebuild_expr(expr, self.rewrite)
+
+    def slot_columns(self, group_exprs: list[ast.Expr]
+                     ) -> list[ResultColumn]:
+        """The slot schema: a group key that is a plain column keeps its
+        name, so a correlated subquery in HAVING / the select list
+        resolves its outer references to group keys (and to nothing
+        else of the grouped table) like any outer column."""
+        source = self.scopes[-1].columns
+        columns = [ResultColumn(f"?slot{index}", None) for index in range(
+            len(group_exprs) + len(self.aggregates))]
+        for index, expr in enumerate(group_exprs):
+            position = _innermost_position(expr, self.scopes)
+            if position is not None:
+                columns[index] = ResultColumn(source[position].name,
+                                              source[position].qualifier)
+        return columns
 
 
 # ---------------------------------------------------------------------------
@@ -820,9 +839,7 @@ def _build_aggregate(core: ast.SelectCore, source: Operator,
     vectorized = any(spec is not None for spec in specs) \
         or bool(group_exprs) and key_positions is not None
 
-    slot_schema = RowSchema([
-        ResultColumn(f"?slot{i}", None)
-        for i in range(len(group_exprs) + len(folds))])
+    slot_schema = RowSchema(rewriter.slot_columns(group_exprs))
     slot_scopes = scopes[:-1] + [slot_schema]
     op: Operator = Aggregate(
         source, "group by" if core.group_by else "", slot_schema,

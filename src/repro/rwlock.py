@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 
 
 class _ThreadDepth:
@@ -51,7 +50,8 @@ class _ThreadDepth:
 
 class ReadHold:
     """One read acquisition; ``release()`` is idempotent and may be
-    called from any thread."""
+    called from any thread.  As a context manager (``with
+    lock.read_locked():``) it releases on exit."""
 
     __slots__ = ("_lock", "_state", "_piggyback", "_released")
 
@@ -68,13 +68,44 @@ class ReadHold:
         self._released = True
         self._lock._release_unit(self._state, self._piggyback)
 
+    def __enter__(self) -> "RWLock":
+        return self._lock
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+
+class _WriteGuard:
+    """The ``with`` form of the write side; stateless (the lock counts
+    the depth), so one instance per lock serves every block.  A plain
+    class, like :class:`ReadHold`: these sit on per-statement write
+    paths, where ``@contextmanager``'s generator cost more than the
+    uncontended lock itself."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self, lock: "RWLock") -> None:
+        self._lock = lock
+
+    def __enter__(self) -> "RWLock":
+        self._lock.acquire_write()
+        return self._lock
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release_write()
+
 
 class RWLock:
     """Reentrant, writer-preferring readers-writer lock."""
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        #: The condition's own mutex, entered directly on the paths
+        #: that never wait (its ``with`` is C code; the condition's is
+        #: a Python wrapper around it).
+        self._mutex = threading.RLock()
+        self._cond = threading.Condition(self._mutex)
         self._active_readers = 0        # outstanding read units
+        self._waiting_readers = 0       # blocked in read_hold
         self._waiting_writers = 0
         self._writer: int | None = None  # ident of the write holder
         self._write_depth = 0
@@ -84,6 +115,7 @@ class RWLock:
         #: acquisitions never touch the registry.
         self.telemetry = None
         self._read_wait = self._write_wait = None
+        self._write_guard = _WriteGuard(self)
 
     def attach_telemetry(self, telemetry) -> None:
         self.telemetry = telemetry
@@ -130,17 +162,21 @@ class RWLock:
         me = threading.get_ident()
         state = self._state()
         if self._writer == me:
-            with self._cond:
+            with self._mutex:
                 state.depth += 1
             return ReadHold(self, state, piggyback=True)
-        with self._cond:
+        with self._mutex:
             if state.depth == 0 and (self._writer is not None
                                      or self._waiting_writers):
                 started = time.perf_counter() \
                     if self.telemetry is not None else None
-                while state.depth == 0 and (self._writer is not None
-                                            or self._waiting_writers):
-                    self._cond.wait()
+                self._waiting_readers += 1
+                try:
+                    while state.depth == 0 and (self._writer is not None
+                                                or self._waiting_writers):
+                        self._cond.wait()
+                finally:
+                    self._waiting_readers -= 1
                 if started is not None:
                     self._read_wait.observe(time.perf_counter() - started)
             self._active_readers += 1
@@ -148,33 +184,17 @@ class RWLock:
         return ReadHold(self, state, piggyback=False)
 
     def _release_unit(self, state: _ThreadDepth, piggyback: bool) -> None:
-        with self._cond:
+        with self._mutex:
             state.depth -= 1
             if not piggyback:
                 self._active_readers -= 1
-                if self._active_readers == 0:
+                # Only writers wait for the readers to drain (a reader
+                # queued behind one stays queued until it has written).
+                if self._active_readers == 0 and self._waiting_writers:
                     self._cond.notify_all()
 
-    def acquire_read(self) -> None:
-        """Same-thread read acquire (released by :meth:`release_read`)."""
-        holds = getattr(self._local, "holds", None)
-        if holds is None:
-            holds = self._local.holds = []
-        holds.append(self.read_hold())
-
-    def release_read(self) -> None:
-        holds = getattr(self._local, "holds", None)
-        if not holds:
-            raise RuntimeError("release_read without acquire_read")
-        holds.pop().release()
-
-    @contextmanager
-    def read_locked(self):
-        hold = self.read_hold()
-        try:
-            yield self
-        finally:
-            hold.release()
+    #: ``with lock.read_locked():`` — one read hold for the block.
+    read_locked = read_hold
 
     # -- write side ----------------------------------------------------------
 
@@ -184,7 +204,7 @@ class RWLock:
             self._write_depth += 1
             return
         state = self._state()
-        with self._cond:
+        with self._mutex:
             if state.depth:
                 # Only this thread adds to its own depth, and it is
                 # here, not reading — so the depth cannot rise while
@@ -213,14 +233,11 @@ class RWLock:
         self._write_depth -= 1
         if self._write_depth:
             return
-        with self._cond:
+        with self._mutex:
             self._writer = None
-            self._cond.notify_all()
+            if self._waiting_readers or self._waiting_writers:
+                self._cond.notify_all()
 
-    @contextmanager
-    def write_locked(self):
-        self.acquire_write()
-        try:
-            yield self
-        finally:
-            self.release_write()
+    def write_locked(self) -> "_WriteGuard":
+        """``with lock.write_locked():`` — the write side for the block."""
+        return self._write_guard

@@ -313,10 +313,11 @@ def test_stored_query_registration_reaches_cached_session(platform):
 
 
 def test_held_session_survives_invalidation(platform):
-    # Accepting a statement refreshes the engine in place; a session
-    # (or prepared query) the caller still holds keeps working and
-    # sees the new knowledge.
+    # Accepting a statement reaches the engine through its live context
+    # view; a session (or prepared query) the caller still holds keeps
+    # working and sees the new knowledge.
     held = platform.session_for("giulia")
+    engine = held.engine
     prepared = held.prepare(PLATFORM_SESQL)
     assert all(row[1] is None for row in prepared.execute().rows)
     value = platform.databank.query(
@@ -326,6 +327,10 @@ def test_held_session_survives_invalidation(platform):
     platform.accept_statement("giulia", record.statement_id)
     assert any(row[1] == "high" for row in prepared.execute().rows)
     assert platform.session_for("giulia") is held
+    # A KB write is not an invalidation: the engine (its registry
+    # snapshot, its extraction cache) is the one built before it.
+    assert held.engine is engine
+    assert engine.knowledge_base is platform.effective_kb("giulia")
 
 
 def test_closed_platform_session_is_replaced(platform):

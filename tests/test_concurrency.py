@@ -315,6 +315,68 @@ def test_platform_readers_with_annotation_writer():
     assert ("Mercury", "high") in rows
 
 
+@pytest.mark.stress
+def test_writer_beside_a_listing_and_a_query_in_its_own_context():
+    """The registry race: one client annotates while a second lists the
+    peers' annotations and a third runs SESQL *in the writer's
+    context* — every walk of the statement registry or of a context
+    view holds the read side of the one lock the writer takes."""
+    import sys
+    from repro.federation.rest import CrosseRestService
+    from repro.rdf.namespace import SMG
+    platform = CrossePlatform(
+        generate_databank(SmartGroundConfig(n_landfills=8, seed=11)))
+    for name in ("curator", "writer", "reader"):
+        platform.register_user(name)
+    for index in range(300):
+        record = platform.annotate_free(
+            "curator", SMG[f"material{index}"], SMG["dangerLevel"], "low")
+        if index % 2:
+            platform.accept_statement("writer", record.statement_id)
+    service = CrosseRestService(platform)
+    refused: list[tuple] = []
+    deadline = time.monotonic() + 1.0
+
+    def client(method: str, path: str, body: dict | None) -> None:
+        serial = 0
+        while time.monotonic() < deadline and not refused:
+            serial += 1
+            if body is not None and "object" in body:
+                body = {**body, "object": f"level-{serial}"}
+            response = service.request(method, path, body)
+            if response.status != 200:
+                refused.append((path, response.status, response.payload))
+
+    threads = [threading.Thread(target=client, args=args) for args in (
+        ("POST", "/api/v1/annotations",
+         {"username": "writer", "subject": "Mercury",
+          "property": "dangerLevel", "object": ""}),
+        ("GET", "/api/v1/annotations/reader?limit=50", None),
+        ("POST", "/api/v1/query", {
+            "username": "writer", "limit": 100,
+            "query": "SELECT DISTINCT elem_name FROM elem_contained "
+                     "ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)"}))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        alive = [thread for thread in threads if thread.is_alive()]
+        service.close()
+    assert not alive
+    assert not refused, refused[0]
+    # Every annotation the writer made is in her context, once each.
+    levels = {triple.object.value for triple in platform.effective_kb(
+        "writer").triples(SMG["Mercury"], SMG["dangerLevel"], None)}
+    written = len(platform.statements) - 300
+    assert written > 0
+    assert levels == {f"level-{serial}" for serial in range(1, written + 1)}
+
+
 # -- pool semantics --------------------------------------------------------------
 
 

@@ -230,21 +230,27 @@ def test_document_search_is_context_ranked(platform):
     assert ranked[0][0].doc_id == "d1"
 
 
-# -- retract / reject invalidation (generation-aware effective KBs) ----------
+# -- retract / reject invalidation (one stable view per user) ----------------
 
 
-def test_effective_kb_cached_until_mutated(platform):
+def test_effective_kb_is_one_stable_view_whose_generation_moves(platform):
     record = platform.annotate_free(
         "giulia", SMG.Mercury, SMG.dangerLevel, "high")
-    first = platform.effective_kb("giulia")
-    assert platform.effective_kb("giulia") is first  # stamp unchanged
+    view = platform.effective_kb("giulia")
+    marco = platform.effective_kb("marco")
+    generation, marco_generation = view.generation, marco.generation
+    assert len(view) == 1
     platform.annotate_free("giulia", SMG.Lead, SMG.dangerLevel, "high")
-    rebuilt = platform.effective_kb("giulia")
-    assert rebuilt is not first and len(rebuilt) == 2
-    # Every user KB is built through the platform-wide dictionary.
-    assert rebuilt.dictionary is platform.statements.dictionary
+    # Identity is stable across writes; the generation and len follow.
+    assert platform.effective_kb("giulia") is view
+    assert view.generation > generation and len(view) == 2
+    # Another user's write moves nothing of marco's.
+    assert marco.generation == marco_generation and len(marco) == 0
+    # Every view reads the platform-wide store through its dictionary.
+    assert view.dictionary is platform.statements.dictionary
+    generation = view.generation
     platform.statements.reject("giulia", record.statement_id)  # no-op
-    assert len(platform.effective_kb("giulia")) == 2
+    assert view.generation == generation and len(view) == 2
 
 
 def test_retracted_statement_stops_influencing_queries(platform):

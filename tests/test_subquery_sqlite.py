@@ -121,3 +121,49 @@ def test_the_pinned_cases_agree_with_sqlite(generic_kernels, sql, expected):
     assert db.query(sql).rows == expected
     with generic_kernels():
         assert db.query(sql).rows == expected
+
+
+@pytest.mark.parametrize("having", [
+    # The operand of a subquery predicate is a HAVING expression like
+    # any other: an aggregate, a group key, an expression over both.
+    "SUM(i) IN (SELECT i FROM b)",
+    "k IN (SELECT i - 2 FROM b)",
+    "SUM(i) + k IN (SELECT i FROM b WHERE i IS NOT NULL)",
+    # NOT IN over a subquery holding a NULL keeps no group ...
+    "SUM(i) NOT IN (SELECT i FROM b)",
+    # ... without it, the groups the subquery misses (a NULL sum never).
+    "SUM(i) NOT IN (SELECT i FROM b WHERE i IS NOT NULL)",
+    "COUNT(*) NOT IN (SELECT i FROM b WHERE i > 9)",
+    # Scalar subqueries compare with aggregates and keys alike.
+    "SUM(i) >= (SELECT MAX(i) FROM b)",
+    "k < (SELECT COUNT(*) FROM b)",
+    # Correlated: the subquery reads the group key as an outer column.
+    "SUM(i) IN (SELECT i FROM b WHERE b.i > a.k)",
+    "EXISTS (SELECT 1 FROM b WHERE b.i = a.k)",
+    "NOT EXISTS (SELECT 1 FROM b WHERE b.i = a.k + 1)",
+    "SUM(i) > (SELECT MIN(i) FROM b WHERE b.i >= a.k)",
+])
+def test_having_subquery_predicates_agree_with_sqlite(generic_kernels,
+                                                      having):
+    db, oracle = load(
+        [(1, 2, None, None, None), (1, 3, None, None, None),
+         (2, 5, None, None, None), (3, 1, None, None, None),
+         (3, None, None, None, None), (4, None, None, None, None)],
+        [(0, 5, None, None, None), (1, 3, None, None, None),
+         (2, 1, None, None, None), (3, None, None, None, None)])
+    sql = f"SELECT k, SUM(i), COUNT(*) FROM a GROUP BY k HAVING {having} " \
+          "ORDER BY k"
+    expected = oracle.execute(sql).fetchall()
+    oracle.close()
+    assert db.query(sql).rows == expected, sql
+    with generic_kernels():
+        assert db.query(sql).rows == expected, sql
+
+
+def test_having_subquery_sees_group_keys_only(generic_kernels):
+    db, oracle = load([(1, 2, None, None, None)], [(0, 2, None, None, None)])
+    oracle.close()
+    from repro.relational.errors import UnknownColumnError
+    with pytest.raises(UnknownColumnError):
+        db.query("SELECT k FROM a GROUP BY k "
+                 "HAVING EXISTS (SELECT 1 FROM b WHERE b.i = a.i)")
