@@ -6,7 +6,11 @@ series):
 * **WAL overhead** — the same bulk DML workload runs bare and under a
   ``fsync="batch"`` WAL.  Group commit amortizes the fsyncs (one per
   64 records / 256 KiB), so journaling must cost **≤1.3x** the bare
-  run.  Measured as best-of-3 on both sides to shave scheduler noise.
+  run.  Timings on a shared runner drift by more than the budget, so
+  the gate uses E15's **minimum paired delta**: every round times a
+  bare and a durable run back-to-back (same drift regime) and the gate
+  reads the best paired round.  Genuine overhead slows every round and
+  still fails; a one-sided scheduler stall cannot fake a regression.
 * **Recovery time** — a 50k-row / 50k-triple durable workload (scaled
   in smoke mode) is closed and recovered from snapshot + WAL tail; the
   cold restart must finish inside a generous wall-clock budget and
@@ -30,6 +34,7 @@ BATCH = 500
 #: tail replay + generation restore) at either scale.
 RECOVERY_BUDGET_S = 30.0
 WAL_OVERHEAD_GATE = 1.3
+ROUNDS = 5
 
 
 def _dml_workload(db: Database) -> None:
@@ -73,17 +78,17 @@ def _durable_run(directory: str) -> float:
 
 
 def test_e14_wal_overhead_on_dml(tmp_path, benchmark):
-    bare = min(_bare_run() for _ in range(3))
-    durable = min(
-        _durable_run(str(tmp_path / f"run{attempt}"))
-        for attempt in range(3))
+    rounds = [(_bare_run(), _durable_run(str(tmp_path / f"run{attempt}")))
+              for attempt in range(ROUNDS)]
+    bare, durable = min(rounds, key=lambda pair: pair[1] / pair[0])
     benchmark(lambda: None)  # series recorded via benchmark.extra_info
     benchmark.extra_info["bare_s"] = bare
     benchmark.extra_info["durable_s"] = durable
     benchmark.extra_info["overhead"] = durable / bare
     assert durable <= bare * WAL_OVERHEAD_GATE, (
         f"WAL overhead {durable / bare:.2f}x exceeds "
-        f"{WAL_OVERHEAD_GATE}x (bare {bare:.3f}s, durable {durable:.3f}s)")
+        f"{WAL_OVERHEAD_GATE}x in its best paired round "
+        f"(bare {bare:.3f}s, durable {durable:.3f}s)")
 
 
 def test_e14_recovery_time(tmp_path, benchmark):

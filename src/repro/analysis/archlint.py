@@ -42,9 +42,13 @@ duck-typed hook attributes rather than imports.  Nothing in the
     top-level class, whose name occurs nowhere else under the package
     or the ``reference-roots`` beside it (tests, examples, benchmarks)
     is API nobody calls: delete it, or give it the test that shows why
-    it exists.  The search is by word over the file text, so a mention
-    anywhere — another definition's call, a string, a docstring — keeps
-    a name alive; the rule finds orphans, it does not prove use.
+    it exists.  The search is by word over each file's *code* — names,
+    attributes, imports, keywords and the words inside string constants
+    (a ``getattr``, a table of traced names) — so any of those keeps a
+    name alive; the rule finds orphans, it does not prove use.  Three
+    kinds of mention are not code and do not count: a docstring (or a
+    comment), and, in a package's own ``__init__``, a relative
+    re-export and an ``__all__`` entry.
 
 Defaults live in :data:`DEFAULT_CONFIG`; a ``[tool.repro.archlint]``
 table in ``pyproject.toml`` overrides them key by key.  Run as
@@ -58,7 +62,6 @@ import argparse
 import ast
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -238,6 +241,35 @@ def _definitions(tree: ast.Module) -> list[tuple[str, str, int]]:
     return found
 
 
+def _mentions(tree: ast.Module, is_init: bool):
+    """The words of *tree* that may reference a definition (see the
+    ``dead-public`` rule); *is_init* marks a package ``__init__``."""
+    skipped: set[ast.AST] = {                         # docstrings
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Constant)}
+    for node in tree.body if is_init else ():
+        if (isinstance(node, ast.ImportFrom) and node.level == 1) or (
+                isinstance(node, ast.Assign)
+                and any(getattr(target, "id", "") == "__all__"
+                        for target in node.targets)):
+            skipped.update(ast.walk(node))
+    for node in ast.walk(tree):
+        if node in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
+            yield from re.findall(r"\w+", node.value)
+
+
 def check_tree(root: Path, config: dict | None = None) -> list[Violation]:
     """Lint every ``.py`` file under *root* (the ``repro`` package)."""
     config = config or load_config()
@@ -297,14 +329,15 @@ def check_tree(root: Path, config: dict | None = None) -> list[Violation]:
             str(root), 0, "layering-cycle",
             "module-level import cycle: " + " -> ".join(cycle)))
 
-    words: Counter = Counter()
+    words: set[str] = set()
     for base in [root, *(root / extra
                          for extra in config["reference-roots"])]:
         for path in base.rglob("*.py") if base.is_dir() else ():
-            words.update(re.findall(r"\w+", path.read_text()))
-    defined = Counter(name for name, *_ in definitions)
+            words.update(_mentions(
+                ast.parse(path.read_text(), filename=str(path)),
+                base is root and path.name == "__init__.py"))
     for name, qualified, relative, line in definitions:
-        if not name.startswith("_") and words[name] <= defined[name]:
+        if not name.startswith("_") and name not in words:
             violations.append(Violation(
                 relative, line, "dead-public",
                 f"'{qualified}' is public but its name occurs nowhere "

@@ -3,10 +3,14 @@
 Two caches sit on the repeated-query hot path:
 
 * :class:`PlanCache` — SESQL text → parsed :class:`EnrichedQuery`
-  template (+ placeholder count).  Parsing is KB-independent, so the
-  key is the raw text alone.
+  template (+ placeholder count + analysis report).  Parsing and
+  analysis read the text and the databank, never the KB or the user,
+  so the key is the raw text alone and one cache serves every user of
+  a platform session.
 * :class:`ExtractionCache` — (kind, KB store id + generation,
-  arguments) → SPARQL :class:`~repro.core.sqm.Extraction`.  Generations
+  arguments, stored-query text) → SPARQL
+  :class:`~repro.core.sqm.Extraction`; one per user engine, because
+  the key is that user's context view.  Generations
   are per-store counters (see :mod:`repro.rdf.store`), so the key pairs
   each with the store's process-unique ``store_id``: a (store,
   generation) pair is never reused for different data, a stale entry

@@ -8,9 +8,13 @@ between: a fixed number of *slots*, each holding a warm session stack,
 checked out per request and returned afterwards.
 
 * Over a :class:`~repro.crosse.CrossePlatform`, each slot is an
-  independent :class:`~repro.api.PlatformSession` (registered with the
-  platform, so registry invalidation reaches pooled engines too) and
-  ``checkout(username)`` yields that slot's per-user session.
+  independent :class:`~repro.api.PlatformSession` — one plan cache
+  shared by the slot's users, one engine and extraction cache per user
+  — and ``checkout(username)`` yields that slot's per-user session.  A
+  slot is leased to one thread at a time, so the shared plan cache is
+  never touched by two threads.  Engines read the user's context and
+  the stored-query registries live; the pool's telemetry follows
+  ``platform.telemetry``.
 * Over a plain :class:`~repro.relational.Database` or
   :class:`~repro.core.SESQLEngine`, each slot is a plain
   :class:`~repro.api.Session` and ``checkout()`` takes no username.
@@ -90,8 +94,12 @@ class SessionPool:
         #: Telemetry hook (duck-typed): checkout wait time, occupancy
         #: and timeout counts fold into the shared registry.
         self.telemetry = None
-        if telemetry is None and self._is_platform:
-            telemetry = getattr(source, "telemetry", None)
+        if self._is_platform:
+            if telemetry is not None:
+                raise SessionError(
+                    "a platform-backed pool follows platform.telemetry; "
+                    "pass telemetry to the CrossePlatform instead")
+            telemetry = source.telemetry
         self.attach_telemetry(telemetry)
 
     def attach_telemetry(self, telemetry) -> None:
@@ -119,8 +127,7 @@ class SessionPool:
     def _build_slot(self) -> Any:
         if self._is_platform:
             # A non-None options object forces an independent
-            # PlatformSession (the shared default one is single-slot);
-            # the platform registers it for registry invalidation.
+            # PlatformSession (the shared default one is single-slot).
             return self._source.connect(self._options or QueryOptions())
         from .session import Session, connect
         if isinstance(self._source, Session):
@@ -143,9 +150,14 @@ class SessionPool:
                 "pass username")
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
-        tel = self.telemetry
-        started = time.perf_counter() if tel is not None else 0.0
+        started = time.perf_counter()
         with self._cond:
+            # The platform's bundle may be switched on (or swapped)
+            # after the pool was built: same check as ``as_user``.
+            if self._is_platform \
+                    and self._source.telemetry is not self.telemetry:
+                self.attach_telemetry(self._source.telemetry)
+            tel = self.telemetry
             exhausted = False
             while True:
                 if self._closed:

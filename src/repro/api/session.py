@@ -5,13 +5,21 @@ being queried — a plain databank, a CroSSE platform user context, or a
 GAV mediator — mirroring how mediator-style systems put a single
 federated query service in front of heterogeneous backends.
 
-A session owns the two hot-path caches:
+Two caches sit on the hot path, each at the level of its key:
 
-* the **plan cache** (SESQL text → parsed template), so repeated and
-  prepared queries skip the SQP entirely;
-* the **extraction cache** (KB generation → SPARQL results), so
-  re-executions against an unchanged knowledge base skip re-running
-  their extractions.
+* the **plan cache** (SESQL text → parsed template + analysis report)
+  lets repeated and prepared queries skip the SQP entirely.  The key is
+  the text alone, so a :class:`PlatformSession` owns one and every
+  ``as_user()`` session of it shares it; a plain session creates its
+  own;
+* the **extraction cache** (KB store + generation → SPARQL results)
+  lets re-executions against an unchanged knowledge base skip their
+  extractions.  The key *is* the user's context view, so there is one
+  per user engine.
+
+What is personal about a platform user is a binding, not a copy: her
+context view, a small engine over it, and a stored-query registry whose
+misses fall through, live, to the platform-wide one.
 
 ``prepare()`` returns a :class:`~repro.api.PreparedQuery` with DB-API
 style ``?`` parameters, ``execute_many()`` batches, and ``explain()``
@@ -42,9 +50,11 @@ from .prepared import PreparedQuery
 class _CachedPlan:
     """Plan-cache entry: a parsed template plus its placeholder count.
 
-    The static-analysis report rides along: analysis runs once per
-    template (on the cache miss), so cache hits — the prepared hot
-    path — pay nothing for diagnostics.
+    The static-analysis report rides along: a clean report is computed
+    once per template (on the cache miss), so cache hits — the prepared
+    hot path — pay nothing for diagnostics.  A report with errors judged
+    a schema that DDL may since have fixed; it is recomputed on every
+    ``prepare`` until it comes back clean.
     """
 
     template: EnrichedQuery
@@ -64,10 +74,16 @@ class Session:
 
     def __init__(self, engine: SESQLEngine,
                  options: QueryOptions | None = None,
-                 on_result=None, engine_factory=None) -> None:
+                 on_result=None, plan_cache: PlanCache | None = None) -> None:
         self.engine = engine
         self.options = options or QueryOptions()
-        self.plan_cache = PlanCache(self.options.plan_cache_size)
+        #: Templates are keyed by text alone, so sessions over the same
+        #: databank and options may share one cache (*plan_cache*: a
+        #: platform session's); only a cache created here is cleared on
+        #: close.
+        self._owns_plan_cache = plan_cache is None
+        self.plan_cache = (PlanCache(self.options.plan_cache_size)
+                           if plan_cache is None else plan_cache)
         self._owns_extraction_cache = (
             engine.sqm.cache is None
             and self.options.extraction_cache_size > 0)
@@ -76,12 +92,6 @@ class Session:
                 self.options.extraction_cache_size)
         #: Optional observer fed every SESQLResult (context tracking).
         self._on_result = on_result
-        #: Optional zero-arg engine rebuilder; ``invalidate_engine``
-        #: marks the current engine stale and the next query swaps in a
-        #: fresh one (platform sessions use this so invalidation is
-        #: O(1) and held sessions pick up registry changes lazily).
-        self._engine_factory = engine_factory
-        self._engine_stale = False
         #: The session-owned :class:`repro.durability.DurabilityManager`
         #: when ``connect(..., durability=...)`` switched durability on
         #: (None otherwise); closed together with the session.
@@ -103,14 +113,6 @@ class Session:
     def _check_open(self) -> None:
         if self._closed:
             raise SessionError("session is closed")
-        self._ensure_engine()
-
-    def _ensure_engine(self) -> None:
-        if self._engine_stale and self._engine_factory is not None:
-            self.engine = self._engine_factory()
-            self._engine_stale = False
-            if self.telemetry is not None:
-                self.engine.attach_telemetry(self.telemetry)
 
     def attach_telemetry(self, telemetry, user: str | None = None) -> None:
         """Switch observability on (or off, with None) for this session.
@@ -134,18 +136,15 @@ class Session:
         starts; the root stays ``open`` until the cursor is drained."""
         return self._last_trace
 
-    def invalidate_engine(self) -> None:
-        """Mark the engine stale; the next query rebuilds it lazily."""
-        self._engine_stale = True
-
     def close(self) -> None:
         """Release cached plans; further queries raise SessionError.
 
-        Only caches this session created are cleared — an extraction
-        cache the wrapped engine already carried (and may share with
-        other callers) is left warm.
+        Only caches this session created are cleared — a plan cache it
+        was handed, or an extraction cache the wrapped engine already
+        carried, is shared with other callers and left warm.
         """
-        self.plan_cache.clear()
+        if self._owns_plan_cache:
+            self.plan_cache.clear()
         if self._owns_extraction_cache:
             self.engine.sqm.cache.clear()
         if self.durability is not None:
@@ -159,7 +158,8 @@ class Session:
         self.close()
 
     def stats(self) -> dict[str, dict[str, int]]:
-        """Hit/miss counters of both session caches."""
+        """Hit/miss counters of both caches (``plan_cache`` is the
+        platform session's, counted across its users, when shared)."""
         extraction = self.engine.sqm.cache
         return {
             "plan_cache": self.plan_cache.stats(),
@@ -179,8 +179,9 @@ class Session:
         ``PreparedQuery.diagnostics``.  Under
         ``QueryOptions(analysis=AnalysisOptions(strict=True))`` a
         report with errors raises :class:`~repro.analysis.AnalysisError`
-        instead.  Analysis runs once per template: plan-cache hits
-        reuse the stored report.
+        instead.  Plan-cache hits reuse a stored clean report; one
+        with errors is recomputed, since DDL may have fixed what it
+        found.
         """
         self._check_open()
         cached = self.plan_cache.get(text)
@@ -194,6 +195,8 @@ class Session:
             cached = _CachedPlan(template, count,
                                  self._analyze_template(template))
             self.plan_cache.put(text, cached)
+        elif cached.analysis is not None and cached.analysis.has_errors:
+            cached.analysis = self._analyze_template(cached.template)
         analysis_options = self.options.analysis or DEFAULT_OPTIONS
         if analysis_options.strict and cached.analysis is not None \
                 and cached.analysis.has_errors:
@@ -399,15 +402,18 @@ class PlatformSession:
     """Session factory over a :class:`~repro.crosse.CrossePlatform`.
 
     ``as_user`` hands out one cached :class:`Session` (hence one cached
-    engine) per user, instead of the historical engine-per-call.  The
-    engine's knowledge base is the user's stable context view, so
-    annotation and acceptance reach it without a rebuild; only a
-    stored-query registration or a telemetry switch makes it stale.
+    engine) per user.  The engine binds what is personal — the user's
+    stable context view and her live stored-query registry — so
+    annotation, acceptance and registration all reach it without a
+    rebuild; parsed templates are shared by every user of this platform
+    session through its one plan cache.  Used by one thread at a time
+    (a :class:`~repro.api.SessionPool` slot is one platform session).
     """
 
     def __init__(self, platform, options: QueryOptions | None = None) -> None:
         self.platform = platform
         self.options = options or QueryOptions()
+        self.plan_cache = PlanCache(self.options.plan_cache_size)
         self._users: dict[str, Session] = {}
         self._closed = False
 
@@ -428,7 +434,6 @@ class PlatformSession:
         if session is None or session._closed:
             session = self._build(username)
             self._users[username] = session
-        session._ensure_engine()
         # Platform telemetry may be switched on (or swapped) after this
         # session was built; keep the cached session in sync.
         telemetry = getattr(self.platform, "telemetry", None)
@@ -436,9 +441,9 @@ class PlatformSession:
             session.attach_telemetry(telemetry, user=username)
         return session
 
-    def _build_engine(self, username: str) -> SESQLEngine:
+    def _build(self, username: str) -> Session:
         platform = self.platform
-        return SESQLEngine(
+        engine = SESQLEngine(
             platform.databank,
             knowledge_base=platform.statements.effective_kb(username),
             mapping=platform.mapping,
@@ -448,42 +453,19 @@ class PlatformSession:
             extraction_cache=ExtractionCache(
                 self.options.extraction_cache_size),
         )
-
-    def _build(self, username: str) -> Session:
-        platform = self.platform
-        session = Session(
-            self._build_engine(username), self.options,
+        return Session(
+            engine, self.options,
             on_result=lambda outcome: platform._feed_context(username,
                                                              outcome),
-            engine_factory=lambda: self._build_engine(username))
-        telemetry = getattr(platform, "telemetry", None)
-        if telemetry is not None:
-            session.attach_telemetry(telemetry, user=username)
-        return session
-
-    def invalidate(self, username: str | None = None) -> None:
-        """Mark cached per-user engines stale (all of them when no name).
-
-        Handed-out :class:`Session` / prepared-query objects stay
-        usable: the engine is rebuilt lazily on the user's next query
-        (fresh stored-query registry snapshot and extraction cache)
-        rather than the session being closed under the caller — and
-        users who never query again cost nothing.
-        """
-        if username is None:
-            for session in self._users.values():
-                session.invalidate_engine()
-            return
-        session = self._users.get(username)
-        if session is not None:
-            session.invalidate_engine()
+            plan_cache=self.plan_cache)
 
     def close(self) -> None:
-        """Close every cached session; the platform stops tracking a
-        closed session (and replaces it, if it was the shared one)."""
+        """Close every cached session and drop the shared templates
+        (the platform replaces a closed default session)."""
         for session in self._users.values():
             session.close()
         self._users.clear()
+        self.plan_cache.clear()
         self._closed = True
 
 

@@ -25,10 +25,9 @@ from .coordinator import (ClusterCoordinator, ClusterOptions,
 from .errors import (ClusterError, ProtocolError, ReplicaGapError,
                      ReplicaStaleError, ShardUnavailableError)
 from .hashring import DEFAULT_VNODES, HashRing
-from .launch import Cluster, make_worker_spec, start_cluster
+from .launch import Cluster, start_cluster
 from .protocol import (connect_socket, format_address, listen_socket,
-                       recv_message, send_message, tcp_address,
-                       unix_address)
+                       recv_message, send_message, unix_address)
 from .replica import ReadReplica, WalTailer
 from .worker import ShardRuntime, ShardServer, resolve_builder, run_worker
 
@@ -52,12 +51,10 @@ __all__ = [
     "connect_socket",
     "format_address",
     "listen_socket",
-    "make_worker_spec",
     "recv_message",
     "resolve_builder",
     "run_worker",
     "send_message",
     "start_cluster",
-    "tcp_address",
     "unix_address",
 ]

@@ -17,7 +17,6 @@ from __future__ import annotations
 import multiprocessing
 import shutil
 import tempfile
-from typing import Any
 
 from .coordinator import ClusterCoordinator, ClusterOptions
 from .hashring import HashRing
@@ -113,15 +112,3 @@ def start_cluster(n_shards: int, builder: str, *,
         cluster.close()
         raise
     return cluster
-
-
-def make_worker_spec(shard_id: int, n_shards: int, address: dict,
-                     builder: str, builder_args: dict | None = None,
-                     pool_capacity: int = 8,
-                     freshness_timeout_s: float = 5.0) -> dict[str, Any]:
-    """A worker spec for callers managing processes themselves."""
-    return {"shard_id": shard_id, "n_shards": n_shards,
-            "address": address, "builder": builder,
-            "builder_args": builder_args or {},
-            "pool_capacity": pool_capacity,
-            "freshness_timeout_s": freshness_timeout_s}

@@ -37,10 +37,6 @@ def unix_address(path: str) -> dict:
     return {"kind": "unix", "path": path}
 
 
-def tcp_address(host: str, port: int) -> dict:
-    return {"kind": "tcp", "host": host, "port": port}
-
-
 def format_address(address: dict) -> str:
     if address.get("kind") == "unix":
         return f"unix:{address['path']}"

@@ -5,6 +5,12 @@ argument of REPLACECONSTANT: a name that "refers to a SPARQL query which
 extracts from the contextual ontology the list of dangerous elements".
 The SQM resolves property arguments against this registry first; on a
 miss it synthesises the plain property-extraction query.
+
+A registry may have a *parent*: ``get`` / ``in`` fall through to it on
+a miss, live, so a platform user's registry (parent = the platform-wide
+one) shadows a global name with her own and sees a global registration
+the moment it happens.  ``names()`` lists the registry's own level
+only — that is what snapshots and state digests serialise.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ class StoredQuery:
 class StoredQueryRegistry:
     """Named SPARQL SELECT queries usable as enrichment properties."""
 
-    def __init__(self) -> None:
+    def __init__(self, parent: StoredQueryRegistry | None = None) -> None:
         self._queries: dict[str, StoredQuery] = {}
+        self._parent = parent
 
     def register(self, name: str, text: str,
                  description: str = "") -> StoredQuery:
@@ -52,15 +59,14 @@ class StoredQueryRegistry:
         del self._queries[name]
 
     def get(self, name: str) -> StoredQuery | None:
-        return self._queries.get(name)
+        stored = self._queries.get(name)
+        if stored is None and self._parent is not None:
+            return self._parent.get(name)
+        return stored
 
     def __contains__(self, name: str) -> bool:
-        return name in self._queries
+        return self.get(name) is not None
 
     def names(self) -> list[str]:
+        """The names registered at this level (the parent's excluded)."""
         return sorted(self._queries)
-
-    def copy(self) -> "StoredQueryRegistry":
-        clone = StoredQueryRegistry()
-        clone._queries = dict(self._queries)
-        return clone

@@ -10,7 +10,6 @@ accepted statements), and automatically feeds her activity profile.
 from __future__ import annotations
 
 import threading
-import weakref
 
 from ..api.options import QueryOptions
 from ..api.session import PlatformSession, Session
@@ -54,17 +53,10 @@ class CrossePlatform:
         self.stored_queries = StoredQueryRegistry()
         self._user_queries: dict[str, StoredQueryRegistry] = {}
         self.documents: dict[str, Document] = {}
+        #: The shared default session, made on first use under the lock
+        #: (two clients' first queries must not each get their own).
         self._session: PlatformSession | None = None
-        #: Every live session handed out (shared + custom-options ones),
-        #: so registry invalidation reaches all cached user engines.
-        #: Weak references: an abandoned custom-options session is
-        #: garbage-collected instead of accumulating forever.  Guarded
-        #: by ``_sessions_lock``: a pool thread building a slot
-        #: (``connect`` appends) races the invalidation rebuild
-        #: otherwise, and a lost weakref means a session that never
-        #: sees invalidations again.
-        self._sessions: list[weakref.ref[PlatformSession]] = []
-        self._sessions_lock = threading.Lock()
+        self._session_lock = threading.Lock()
         if telemetry is not None:
             self.enable_telemetry(telemetry)
         if durability is not None:
@@ -78,10 +70,11 @@ class CrossePlatform:
         *spec* is anything :func:`repro.telemetry.create_telemetry`
         accepts (``True``, :class:`~repro.telemetry.TelemetryOptions`,
         or a shared :class:`~repro.telemetry.Telemetry` bundle).  The
-        bundle is pushed through the databank and every cached per-user
-        engine (existing sessions are invalidated so they pick it up on
-        their next query), and an already-attached durability manager
-        starts metering its WAL and snapshots.  Returns the bundle.
+        bundle is pushed through the databank, an already-attached
+        durability manager starts metering its WAL and snapshots, and a
+        per-user session picks it up the next time it is obtained
+        through ``as_user`` (which compares bundles by identity; the
+        engine is kept).  Returns the bundle.
         """
         from ..telemetry import create_telemetry
         telemetry = create_telemetry(spec)
@@ -91,9 +84,6 @@ class CrossePlatform:
             attach(telemetry)
         if self.durability is not None:
             self.durability.attach_telemetry(telemetry)
-        # Cached per-user sessions hold engines built before the switch;
-        # a lazy rebuild re-attaches through PlatformSession._build.
-        self._invalidate_sessions()
         return telemetry
 
     # -- durability ----------------------------------------------------------
@@ -139,31 +129,29 @@ class CrossePlatform:
     def register_stored_query(self, name: str, sparql: str,
                               username: str | None = None,
                               description: str = "") -> None:
-        """Register a stored query globally or for one user."""
+        """Register a stored query globally or for one user.
+
+        Engines read the registries live, so sessions and prepared
+        queries already handed out resolve the name from their next
+        execution on; a personal registration shadows a global one of
+        the same name for that user only.
+        """
         if username is None:
             self.stored_queries.register(name, sparql, description)
         else:
             self.users.get(username)
-            registry = self._user_queries.setdefault(
-                username, StoredQueryRegistry())
-            registry.register(name, sparql, description)
+            self._registry_for(username).register(name, sparql, description)
         if self.durability_journal is not None:
             self.durability_journal.log(
                 "stored_query", {"name": name, "sparql": sparql,
                                  "username": username,
                                  "description": description})
-        # Cached engines carry a merged registry snapshot; rebuild lazily.
-        self._invalidate_sessions(username)
 
     def _registry_for(self, username: str) -> StoredQueryRegistry:
-        merged = self.stored_queries.copy()
-        personal = self._user_queries.get(username)
-        if personal is not None:
-            for name in personal.names():
-                stored = personal.get(name)
-                merged.register(stored.name, stored.text,
-                                stored.description)
-        return merged
+        """The user's own registry level (made empty on first use);
+        its misses fall through to the platform-wide registry."""
+        return self._user_queries.setdefault(
+            username, StoredQueryRegistry(parent=self.stored_queries))
 
     # -- querying (contextualised) --------------------------------------------------
 
@@ -171,44 +159,31 @@ class CrossePlatform:
         """The platform's session factory (``.as_user(name)``).
 
         With no *options* the shared default session is returned; with
-        options a new, independent session is created.  Either way one
-        engine per user is cached across calls; stored-query
-        registration invalidates the affected entries in every session
-        handed out (KB mutations need not: an engine reads the user's
-        live context view).
+        options a new, independent session is created.  Either way it
+        owns one plan cache and caches one engine per user across
+        calls.  Nothing the platform does later invalidates either: an
+        engine reads the user's live context view and live stored-query
+        registry.
         """
-        with self._sessions_lock:
-            if options is None:
-                if self._session is None or self._session.closed:
-                    self._session = PlatformSession(self)
-                    self._sessions.append(weakref.ref(self._session))
-                return self._session
-            session = PlatformSession(self, options)
-            self._sessions.append(weakref.ref(session))
-            return session
+        if options is not None:
+            return PlatformSession(self, options)
+        with self._session_lock:
+            if self._session is None or self._session.closed:
+                self._session = PlatformSession(self)
+            return self._session
 
     def session_for(self, username: str) -> Session:
         """Shorthand for ``connect().as_user(username)``."""
         return self.connect().as_user(username)
-
-    def _invalidate_sessions(self, username: str | None = None) -> None:
-        with self._sessions_lock:
-            alive: list[weakref.ref[PlatformSession]] = []
-            for ref in self._sessions:
-                session = ref()
-                if session is not None and not session.closed:
-                    session.invalidate(username)
-                    alive.append(ref)
-            self._sessions = alive
 
     def run_sesql(self, username: str, sesql: str,
                   include_original: bool = False,
                   join_strategy: str = "tempdb") -> SESQLResult:
         """Run a SESQL query in the user's personal context.
 
-        Delegates to the cached per-user session, so repeated calls
-        reuse one engine (and its plan/extraction caches) instead of
-        rebuilding the stack per query; context feeding is unchanged.
+        Delegates to the cached per-user session of the shared default
+        platform session, so repeated calls reuse one engine and the
+        caches; context feeding is unchanged.
         """
         return self.session_for(username).execute(
             sesql, include_original=include_original,

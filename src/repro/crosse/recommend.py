@@ -57,12 +57,6 @@ class PeerRecommender:
         scored.sort(key=lambda item: (-item[1], item[0]))
         return scored[:count]
 
-    def communities(self) -> list[set[str]]:
-        """Connected components of the peer network (interest groups)."""
-        return [set(component)
-                for component in nx.connected_components(
-                    self.peer_network())]
-
     # -- data recommendation ------------------------------------------------------
 
     def recommend_resources(self, username: str,

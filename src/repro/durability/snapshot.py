@@ -259,9 +259,12 @@ def serialize_platform(platform, seq: int) -> dict:
         "statements": statement_entries,
         "next_statement_id": statements._next_statement_id,
         "stored_queries": _registry_spec(platform.stored_queries),
+        # list(): a user's first query adds her (empty, hence skipped)
+        # level while the snapshot thread is here.
         "user_queries": {username: _registry_spec(registry)
                          for username, registry
-                         in platform._user_queries.items()},
+                         in list(platform._user_queries.items())
+                         if registry.names()},
         "profiles": [{"username": profile.username,
                       "weights": dict(profile.weights),
                       "history": [list(entry)
@@ -299,8 +302,7 @@ def restore_platform(platform, payload: dict) -> None:
     for name, text, description in payload.get("stored_queries", ()):
         platform.stored_queries.register(name, text, description)
     for username, specs in payload.get("user_queries", {}).items():
-        registry = platform._user_queries.setdefault(
-            username, StoredQueryRegistry())
+        registry = platform._registry_for(username)
         for name, text, description in specs:
             registry.register(name, text, description)
     context = platform.context

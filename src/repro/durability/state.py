@@ -81,7 +81,8 @@ def platform_state(platform) -> dict:
                               registry.get(name).description]
                              for name in registry.names())
             for username, registry in sorted(
-                platform._user_queries.items())},
+                platform._user_queries.items())
+            if registry.names()},
         "profiles": sorted(
             [profile.username,
              sorted(profile.weights.items()),

@@ -433,16 +433,17 @@ class CrosseRestService:
         def is_read_only(entry: dict) -> bool:
             method = entry.get("method", "GET").upper()
             path = entry["path"].partition("?")[0]
-            return method == "GET" or path in ("/api/v1/query",
-                                               "/api/sesql")
+            return method == "GET" or path == "/api/v1/query"
 
         # Wave execution: consecutive read/query sub-requests run
         # concurrently (contending on the session pool and the
         # databank's reader-writer lock like independent top-level
-        # requests); a platform-mutating one (users, annotations,
-        # acceptance) is an in-order barrier — platform registries are
-        # not synchronized for concurrent writers, and a query after a
-        # mutation in the same batch must observe it.
+        # requests); anything else is an in-order barrier — a query
+        # after a mutation (users, annotations, acceptance) in the same
+        # batch must observe it, and legacy ``/api/sesql`` runs on the
+        # platform's one unpooled default session and writes the
+        # user's context profile, neither of which two threads may
+        # share.
         responses: list[Response] = []
         index = 0
         while index < len(requests):

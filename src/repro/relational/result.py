@@ -6,8 +6,8 @@ flavoured handle (``fetchone`` / ``fetchmany`` / ``fetchall``,
 iterable, ``columns``) over a row stream that is only produced as it is
 consumed, so ``LIMIT k`` queries stop after *k* rows instead of
 materializing their full input.  A cursor can always be drained into a
-``ResultSet`` (``to_result_set`` / ``ResultSet.from_cursor``) for
-backwards compatibility.
+``ResultSet`` (``ResultSet.from_cursor``) for backwards
+compatibility.
 """
 
 from __future__ import annotations
@@ -107,12 +107,6 @@ class Cursor:
             self.close()
         except Exception:
             pass
-
-    # -- interop --------------------------------------------------------------
-
-    def to_result_set(self) -> "ResultSet":
-        """Drain the remaining rows into a materialized ResultSet."""
-        return ResultSet(self.columns, self.fetchall(), plan=self.plan)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"

@@ -1,7 +1,5 @@
-"""Shared builders and reporting helpers for the benchmark harness."""
+"""Shared builders for the benchmark harness."""
 
-from .builders import (bench_engine, print_series, scaled_databank,
-                       seeded_tracker)
+from .builders import bench_engine, scaled_databank, seeded_tracker
 
-__all__ = ["scaled_databank", "bench_engine", "seeded_tracker",
-           "print_series"]
+__all__ = ["scaled_databank", "bench_engine", "seeded_tracker"]

@@ -63,19 +63,3 @@ def seeded_tracker(n_users: int, concepts_per_user: int = 20,
         for _ in range(resources_per_user):
             tracker.record_resource(username, rng.choice(resources))
     return tracker
-
-
-def print_series(title: str, headers: list[str],
-                 rows: list[tuple]) -> None:
-    """Aligned text table for EXPERIMENTS.md-style series output."""
-    cells = [[str(value) for value in row] for row in rows]
-    widths = [len(header) for header in headers]
-    for row in cells:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    print(f"\n== {title} ==")
-    print("  ".join(header.ljust(width)
-                    for header, width in zip(headers, widths)))
-    for row in cells:
-        print("  ".join(cell.ljust(width)
-                        for cell, width in zip(row, widths)))

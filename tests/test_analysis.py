@@ -683,12 +683,26 @@ class TestArchlint:
         self.seed(tmp_path, "pkg/core/user.py",
                   "from .api import Thing\nThing().called()\n")
         self.seed(tmp_path, "tests/test_api.py", "x.tested()\n")
+        # Mentions that are not uses: a docstring, a comment, the own
+        # package's re-export and __all__.  Another package's import is.
+        self.seed(tmp_path, "pkg/core/named.py",
+                  "def documented():\n    return 1\n\n\n"
+                  "def exported():\n    return 2\n\n\n"
+                  "def imported():\n    return 3\n")
+        self.seed(tmp_path, "pkg/core/__init__.py",
+                  '"""See documented()."""\n'
+                  "from .named import exported  # and documented\n"
+                  '__all__ = ["exported"]\n')
+        self.seed(tmp_path, "pkg/api/__init__.py",
+                  "from ..core.named import imported\n")
         config = {**load_config(), "reference-roots": ["../tests"]}
         dead = [(v.file, v.line, v.message.split("'")[1])
                 for v in check_tree(root, config)
                 if v.rule == "dead-public"]
         assert dead == [("core/api.py", 5, "orphan"),
-                        ("core/api.py", 14, "Thing.method")]
+                        ("core/api.py", 14, "Thing.method"),
+                        ("core/named.py", 1, "documented"),
+                        ("core/named.py", 5, "exported")]
 
     def test_cycle_detection(self, tmp_path):
         config = {**load_config(), "layers": {

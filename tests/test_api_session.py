@@ -304,15 +304,118 @@ def test_session_queries_still_feed_context(platform):
     assert platform.context.profile("giulia").weight("dangerLevel") > 0
 
 
-def test_stored_query_registration_reaches_cached_session(platform):
-    platform.connect().as_user("giulia")  # warm the cache
+STORED_SESQL = ("SELECT DISTINCT elem_name FROM elem_contained "
+                "ENRICH SCHEMAEXTENSION(elem_name, myLevel)")
+LEVEL_SPARQL = ("SELECT ?s ?o WHERE "
+                "{ ?s <http://smartground.eu/ns#dangerLevel> ?o }")
+
+
+def _levels(outcome):
+    return {row[1] for row in outcome.rows}
+
+
+@pytest.mark.parametrize("scope", ["global", "personal"])
+@pytest.mark.parametrize("kind", ["shared", "custom", "pooled"])
+def test_held_session_resolves_a_later_registration(platform, kind, scope):
+    """Engines read the stored-query registries live: a session and a
+    prepared query obtained *before* a registration resolve the name
+    afterwards, on the engine they already had."""
+    from repro.api import QueryOptions, SessionPool
+    value = platform.databank.query(
+        "SELECT elem_name FROM elem_contained LIMIT 1").scalar()
+    platform.annotate_free("giulia", SMG[value], SMG.dangerLevel, "high")
+    if kind == "shared":
+        held = platform.session_for("giulia")
+    elif kind == "custom":
+        custom = platform.connect(QueryOptions(join_strategy="direct"))
+        assert custom is not platform.connect()   # defaults untouched
+        held = custom.as_user("giulia")
+    else:
+        held = SessionPool(platform, capacity=1).checkout("giulia").session
+    engine = held.engine
+    prepared = held.prepare(STORED_SESQL)
+    assert _levels(prepared.execute()) == {None}  # a plain property
     platform.register_stored_query(
-        "anyPair", "SELECT ?s ?o WHERE { ?s ?p ?o }", username="giulia")
-    engine = platform.connect().as_user("giulia").engine
-    assert "anyPair" in engine.stored_queries
+        "myLevel", LEVEL_SPARQL,
+        username="giulia" if scope == "personal" else None)
+    assert "high" in _levels(prepared.execute())
+    assert "high" in _levels(held.execute(STORED_SESQL))
+    assert held.engine is engine
+    assert "myLevel" in engine.stored_queries
+    assert ("myLevel" in platform.session_for("marco").engine
+            .stored_queries) == (scope == "global")
 
 
-def test_held_session_survives_invalidation(platform):
+def test_users_share_one_parsed_template(platform, monkeypatch):
+    """Templates are keyed by text: the second user's prepare is a
+    plan-cache hit and analysis ran once, yet each user's rows are her
+    own context's (what a fresh per-user engine answers)."""
+    import repro.api.session as session_module
+    analysed = []
+    real = session_module.analyze_enriched
+    monkeypatch.setattr(
+        session_module, "analyze_enriched",
+        lambda *args, **kw: analysed.append(1) or real(*args, **kw))
+    value = platform.databank.query(
+        "SELECT elem_name FROM elem_contained LIMIT 1").scalar()
+    platform.annotate_free("giulia", SMG[value], SMG.dangerLevel, "high")
+    platform.annotate_free("marco", SMG[value], SMG.dangerLevel, "low")
+    shared = platform.connect()
+    first = shared.as_user("giulia").prepare(PLATFORM_SESQL)
+    second = shared.as_user("marco").prepare(PLATFORM_SESQL)
+    assert not first.from_cache and second.from_cache
+    assert len(analysed) == 1
+    assert shared.as_user("marco").stats()["plan_cache"] \
+        == shared.plan_cache.stats()
+    answers = {}
+    for user, prepared in (("giulia", first), ("marco", second)):
+        fresh = SESQLEngine(platform.databank,
+                            knowledge_base=platform.effective_kb(user),
+                            mapping=platform.mapping)
+        outcome = prepared.execute()
+        assert outcome.result.same_rows(
+            fresh.execute(PLATFORM_SESQL).result)
+        answers[user] = _levels(outcome) - {None}
+    assert answers == {"giulia": {"high"}, "marco": {"low"}}
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_error_report_is_not_served_from_the_plan_cache(strict, monkeypatch):
+    """A cached report that found errors judged the schema of its day:
+    DDL may have fixed it, so it is recomputed (the parsed template is
+    kept); a clean report stays cached."""
+    import repro.api.session as session_module
+    from repro.analysis import AnalysisError, AnalysisOptions
+    from repro.api import QueryOptions
+    options = QueryOptions(analysis=AnalysisOptions(strict=strict))
+    database = Database()
+    p = CrossePlatform(database)
+    p.register_user("giulia")
+    p.register_user("marco")
+    plain = repro.connect(database, options)
+    shared = p.connect(options)
+    text = "SELECT a FROM t"
+
+    def has_errors(session):
+        try:
+            return session.prepare(text).diagnostics.has_errors
+        except AnalysisError as exc:
+            assert strict and "E-UNKNOWN-TABLE" in str(exc)
+            return True
+
+    assert has_errors(plain) and has_errors(shared.as_user("giulia"))
+    database.execute("CREATE TABLE t (a INTEGER)")
+    assert not has_errors(plain)
+    assert not has_errors(shared.as_user("marco"))  # giulia's entry
+    assert plain.prepare(text).from_cache
+    analysed = []
+    monkeypatch.setattr(session_module, "analyze_enriched",
+                        lambda *args, **kw: analysed.append(1))
+    assert not has_errors(plain) and not has_errors(shared.as_user("giulia"))
+    assert analysed == []
+
+
+def test_held_session_sees_a_kb_write_on_the_same_engine(platform):
     # Accepting a statement reaches the engine through its live context
     # view; a session (or prepared query) the caller still holds keeps
     # working and sees the new knowledge.
@@ -327,8 +430,8 @@ def test_held_session_survives_invalidation(platform):
     platform.accept_statement("giulia", record.statement_id)
     assert any(row[1] == "high" for row in prepared.execute().rows)
     assert platform.session_for("giulia") is held
-    # A KB write is not an invalidation: the engine (its registry
-    # snapshot, its extraction cache) is the one built before it.
+    # Nothing rebuilds an engine: it (and its extraction cache) is the
+    # one built before the write.
     assert held.engine is engine
     assert engine.knowledge_base is platform.effective_kb("giulia")
 
@@ -349,6 +452,8 @@ def test_closing_user_session_does_not_poison_platform(platform):
     # run_sesql for that user: as_user replaces a closed session.
     with platform.connect().as_user("giulia") as session:
         session.execute(PLATFORM_SESQL)
+    # ... nor empty the plan cache her session shared with the others.
+    assert platform.session_for("marco").prepare(PLATFORM_SESQL).from_cache
     outcome = platform.run_sesql("giulia", PLATFORM_SESQL)
     assert outcome.columns == ["elem_name", "dangerLevel"]
 
@@ -357,29 +462,6 @@ def test_typoed_execute_override_raises(session):
     prepared = session.prepare("SELECT elem_name FROM elem_contained")
     with pytest.raises(TypeError):
         prepared.execute(None, strategy="direct")
-
-
-def test_invalidation_is_lazy(platform):
-    held = platform.session_for("giulia")
-    engine = held.engine
-    platform.register_stored_query(
-        "anyPair", "SELECT ?s ?o WHERE { ?s ?p ?o }")
-    assert held.engine is engine          # nothing rebuilt yet
-    held.execute(PLATFORM_SESQL)          # first query swaps it in
-    assert held.engine is not engine
-    assert "anyPair" in held.engine.stored_queries
-
-
-def test_custom_options_session_is_independent_and_invalidated(platform):
-    from repro.api import QueryOptions
-    shared = platform.connect()
-    custom = platform.connect(QueryOptions(join_strategy="direct"))
-    assert custom is not shared
-    assert platform.connect() is shared  # defaults untouched by custom
-    custom.as_user("giulia")  # warm the custom session's engine
-    platform.register_stored_query(
-        "anyPair", "SELECT ?s ?o WHERE { ?s ?p ?o }", username="giulia")
-    assert "anyPair" in custom.as_user("giulia").engine.stored_queries
 
 
 def test_close_leaves_shared_engine_cache_warm(db, kb):

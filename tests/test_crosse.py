@@ -155,9 +155,39 @@ def test_unknown_user_rejected(platform):
 def test_per_user_stored_queries(platform):
     platform.register_stored_query(
         "myDanger", "SELECT ?e WHERE { ?e ?p ?o }", username="giulia")
-    merged = platform._registry_for("giulia")
-    assert "myDanger" in merged
+    assert "myDanger" in platform._registry_for("giulia")
     assert "myDanger" not in platform._registry_for("marco")
+
+
+def test_personal_stored_query_shadows_the_global_one(platform):
+    """A user's registry is her own level over the live platform-wide
+    one: her name wins for her only, and re-registering a name changes
+    the very next answer (the extraction key carries the query text)."""
+    def sparql(prop):
+        return ("SELECT ?s ?o WHERE "
+                f"{{ ?s <http://smartground.eu/ns#{prop}> ?o }}")
+
+    def levels(user):
+        rows = platform.run_sesql(user, """
+            SELECT DISTINCT elem_name FROM elem_contained
+            ENRICH SCHEMAEXTENSION(elem_name, myLevel)""").rows
+        return {row[1] for row in rows} - {None}
+
+    for user, danger, risk in (("giulia", "high", "R1"),
+                               ("marco", "low", "R2")):
+        platform.annotate_free(user, SMG.Mercury, SMG.dangerLevel, danger)
+        platform.annotate_free(user, SMG.Mercury, SMG.riskClass, risk)
+    platform.register_stored_query("myLevel", sparql("dangerLevel"))
+    assert (levels("giulia"), levels("marco")) == ({"high"}, {"low"})
+    platform.register_stored_query("myLevel", sparql("riskClass"),
+                                   username="giulia")
+    assert (levels("giulia"), levels("marco")) == ({"R1"}, {"low"})
+    platform.register_stored_query("myLevel", sparql("riskClass"))
+    assert levels("marco") == {"R2"}            # no stale extraction
+    assert platform._registry_for("giulia").names() == ["myLevel"]
+    assert platform._registry_for("marco").names() == []   # own level
+    assert platform._registry_for("marco").get("myLevel") \
+        is platform.stored_queries.get("myLevel")
 
 
 # -- context, recommendation, preview ----------------------------------------------

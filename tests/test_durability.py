@@ -586,6 +586,37 @@ def test_platform_constructor_durability_round_trip(tmp_path):
     platform2.durability.close()
 
 
+def test_personal_registry_level_round_trips_through_a_snapshot(tmp_path):
+    """Only a user's *own* level is serialised: not the platform-wide
+    names it falls through to, nor the empty level of a user who has
+    queried but registered nothing."""
+    from repro.durability import platform_state
+    options = DurabilityOptions(directory=str(tmp_path / "dur"),
+                                fsync="never")
+    platform = CrossePlatform(Database(), durability=options)
+    platform.register_user("giulia")
+    platform.register_user("dirk")
+    everyone = "SELECT ?s WHERE { ?s smg:dangerLevel ?o }"
+    mine = "SELECT ?s WHERE { ?s smg:isA ?o }"
+    platform.register_stored_query("danger", everyone)
+    platform.register_stored_query("mine", mine, "giulia")
+    platform.session_for("dirk")         # builds his (empty) level
+    personal = platform._registry_for("giulia")
+    assert personal.names() == ["mine"] and "danger" in personal
+    state = platform_state(platform)
+    assert state["user_queries"] == {"giulia": [["mine", mine, ""]]}
+    platform.durability.snapshot()
+    platform.durability.close()
+
+    platform2 = CrossePlatform(Database(), durability=options)
+    restored = platform_state(platform2)
+    assert restored["user_queries"] == state["user_queries"]
+    assert state_digest(restored) == state_digest(state)
+    assert platform2._registry_for("giulia").get("danger") \
+        is platform2.stored_queries.get("danger")
+    platform2.durability.close()
+
+
 def test_session_close_closes_owned_manager(tmp_path):
     directory = str(tmp_path / "dur")
     db = Database()

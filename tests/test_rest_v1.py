@@ -257,6 +257,35 @@ def test_batch_mutations_are_in_order_barriers(service):
     assert bodies[3]["body"]["users"] == ["anna", "bob"]
 
 
+def test_batch_runs_legacy_sesql_entries_in_order(service):
+    """``/api/sesql`` goes through the platform's one unpooled session
+    and feeds the user's context profile, so it is a barrier, not part
+    of a concurrent read wave: the caller's thread runs each in turn."""
+    import threading
+    _register_users(service, ["anna", "bob"])
+    platform = service.platform
+    ran = []
+    run_sesql = platform.run_sesql
+
+    def recording(username, sesql, *args, **kwargs):
+        ran.append((username, threading.get_ident()))
+        return run_sesql(username, sesql, *args, **kwargs)
+
+    platform.run_sesql = recording
+    query = ("SELECT DISTINCT elem_name FROM elem_contained "
+             "ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)")
+    response = service.request("POST", "/api/v1/batch", {"requests": [
+        {"method": "POST", "path": "/api/sesql",
+         "body": {"username": user, "query": query}}
+        for user in ("anna", "bob")]})
+    assert [entry["status"]
+            for entry in response.payload["responses"]] == [200, 200]
+    here = threading.get_ident()
+    assert ran == [("anna", here), ("bob", here)]
+    for user in ("anna", "bob"):
+        assert platform.context.profile(user).weight("dangerLevel") > 0
+
+
 def test_batch_rejects_nesting_and_bad_entries(service):
     response = service.request("POST", "/api/v1/batch", {"requests": [
         {"method": "POST", "path": "/api/v1/batch", "body": {}}]})

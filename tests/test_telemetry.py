@@ -549,12 +549,33 @@ class TestPlatformTelemetry:
     def test_enable_after_construction_reaches_cached_sessions(self):
         platform = build_platform()
         session = platform.session_for("amy")
+        engine = session.engine
         session.execute("SELECT elem_name FROM elem_contained")
         assert session.last_trace() is None
         platform.enable_telemetry(TelemetryOptions())
         session = platform.session_for("amy")
         session.execute("SELECT elem_name FROM elem_contained")
         assert session.last_trace() is not None
+        assert session.engine is engine       # re-attached, not rebuilt
+
+    @pytest.mark.parametrize("enable_first", [True, False])
+    def test_pool_follows_platform_telemetry(self, enable_first):
+        platform = build_platform()
+        if enable_first:
+            platform.enable_telemetry()
+        service = CrosseRestService(platform)
+        if not enable_first:
+            platform.enable_telemetry()
+        response = service.request(
+            "POST", "/api/v1/query",
+            {"username": "amy",
+             "query": "SELECT elem_name FROM elem_contained"})
+        assert "query_id" in response.payload
+        assert service.pool.telemetry is platform.telemetry
+        metrics = service.request("GET", "/api/v1/metrics").payload[
+            "metrics"]
+        assert metrics["repro_pool_checkouts_total"]["series"][0][
+            "value"] == 1
 
     def test_connect_rejects_platform_telemetry_kwarg(self):
         platform = build_platform()
