@@ -16,7 +16,8 @@ this module gives the mediator a bounded worker pool that dispatches
   ``retry`` (re-dispatch with capped exponential backoff, escalating to
   a failure when the attempts are exhausted);
 * a **fragment-result cache** keyed ``(source, fragment SQL, source
-  data generation)`` — the generation is the source database's cheap
+  data generation)`` — the SQL is what the source runs, rendered (a job
+  ships it parsed), the generation is the source database's cheap
   mutation stamp, so repeated ships of unchanged sources are free and
   any DML/DDL on the source invalidates its entries by construction.
   Fragments touching foreign tables are never cached: their remote
@@ -138,11 +139,11 @@ class FragmentJob:
     index: int               # fragment position within the view
     source: str
     database: Database
-    sql: str
+    sql: str                 # ``statement`` as text: report, cache key
     #: Safe for the generation-keyed cache (no foreign tables etc.).
     cacheable: bool = False
-    #: The parse of ``sql`` where the mediator holds one (an unfiltered
-    #: fragment's): the source then runs it without parsing again.
+    #: What the source runs, unparsed: the fragment's memoised parse or
+    #: the statement a pushed filter was composed into (None: no SELECT).
     statement: SelectQuery | None = None
 
 

@@ -16,6 +16,11 @@ read-only query point of such a system:
   fragment-definition order, materialises the views into a scratch
   database and runs the user query there.
 
+A WHERE conjunct over one view is **composed** into each fragment's
+parsed statement (``planner.rewrite.compose_filter``), so no source
+parses a shipped fragment; one whose constant column contradicts it is
+**eliminated** — answered empty, never shipped.
+
 :class:`~repro.federation.FederationOptions` configures the pool width,
 per-source failure policies (``fail`` / ``skip`` / ``retry``) and the
 generation-keyed fragment-result cache.  ``MediationReport`` exposes the
@@ -30,15 +35,15 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 from ..planner.joins import estimate_query_rows
-from ..planner.rewrite import (binding_of, from_leaves, map_expr,
-                               null_safe_bindings, query_output_columns,
-                               referenced_bindings)
+from ..planner.rewrite import (binding_of, compose_filter, from_leaves,
+                               map_expr, null_safe_bindings,
+                               query_output_columns, referenced_bindings)
 from ..relational import ast as sql_ast
 from ..relational.engine import Database
 from ..relational.errors import ExecutionError
 from ..relational.indexes import _normalize
 from ..relational.parser import parse_sql
-from ..relational.render import quote_identifier, render_expr
+from ..relational.render import render_expr, render_query
 from ..relational.result import Cursor, ResultSet
 from ..relational.table import Table
 from .errors import MediationError
@@ -75,7 +80,12 @@ class GlobalView:
 class MediationReport:
     """What one mediated query did."""
 
+    #: ``(source, SQL)`` per shipped fragment; with a pushed filter the
+    #: SQL is the composed statement the source ran.
     sub_queries: list[tuple[str, str]] = field(default_factory=list)
+    #: ``(view, source)`` per fragment whose composed WHERE folded to a
+    #: literal other than TRUE: never shipped, contributes no rows.
+    eliminated: list[tuple[str, str]] = field(default_factory=list)
     rows_per_source: dict[str, int] = field(default_factory=dict)
     view_rows: dict[str, int] = field(default_factory=dict)
     elapsed_s: float = 0.0
@@ -236,8 +246,9 @@ class Mediator:
         the query is parsed and only the views it references are shipped
         (``referenced_views``) — the report shows what was shipped.
         With *pushdown* (the default), single-view WHERE conjuncts are
-        pushed into the per-source sub-queries so sources filter before
-        shipping (the global query still re-applies them locally).
+        composed into the per-source sub-queries so sources filter
+        before shipping, and fragments they contradict are not shipped
+        at all (the global query still re-applies them locally).
 
         Each call uses a throwaway session, so every referenced view is
         re-shipped (always-fresh snapshot semantics); use ``connect()``
@@ -270,26 +281,35 @@ class Mediator:
     # -- internals ----------------------------------------------------------------------
 
     def _fragment_jobs(self, view: GlobalView,
-                       filter_sql: str | None = None) -> list[FragmentJob]:
-        """The executor jobs materializing *view*, in fragment order."""
-        jobs = []
+                       conjuncts: list[sql_ast.Expr] | None = None
+                       ) -> tuple[list[FragmentJob], list[FragmentResult]]:
+        """The executor jobs materializing *view*, in fragment order,
+        *conjuncts* composed in — and the fragments they eliminate,
+        answered here (no rows) without asking the source."""
+        jobs, eliminated = [], []
+        columns = _view_columns(self, view) if conjuncts else None
         for index, fragment in enumerate(view.fragments):
             database = self.source(fragment.source)
-            fragment_sql = fragment.sql
-            # Cacheability is decided from the *base* fragment SQL: a
-            # pushed-down filter only wraps it in an outer WHERE, so it
-            # references the same tables and inherits the verdict.
+            # Cacheability is decided from the *base* fragment: a pushed
+            # filter reads no other table, so it inherits the verdict.
             statement = self._fragment_statement(fragment.sql)
-            cacheable = self._fragment_cacheable(database, statement)
-            if filter_sql is not None:
-                statement = None
-                fragment_sql = (
-                    f"SELECT * FROM ({fragment.sql}) AS "
-                    f"{quote_identifier(view.name)} WHERE {filter_sql}")
-            jobs.append(FragmentJob(
-                view.name, index, fragment.source, database, fragment_sql,
-                cacheable=cacheable, statement=statement))
-        return jobs
+            job = FragmentJob(
+                view.name, index, fragment.source, database, fragment.sql,
+                cacheable=self._fragment_cacheable(database, statement),
+                statement=statement)
+            composed = (compose_filter(statement, view.name, columns,
+                                       conjuncts, database.catalog)
+                        if statement is not None and conjuncts else None)
+            if composed is not None:
+                job.statement, job.sql = composed, render_query(composed)
+                if isinstance(composed.core.where, sql_ast.Literal):
+                    # Merged, folded to a literal other than TRUE: no row.
+                    eliminated.append(FragmentResult(job, ResultSet(
+                        [item.output_name() for item in composed.core.items],
+                        []), attempts=0))
+                    continue
+            jobs.append(job)
+        return jobs, eliminated
 
     @staticmethod
     def _fragment_cacheable(database: Database,
@@ -423,8 +443,10 @@ class _ShipPlan:
     pushable: dict[str, str]          # view → filter its sources apply
     cached: list[str]                 # cost-ranked, held materialized
     #: Cost-ranked views to ship → their fragment jobs (pushable filter
-    #: wrapped in), in fragment order.
+    #: composed in), in fragment order.
     jobs: dict[str, list[FragmentJob]]
+    #: The fragments of those views the filter eliminated, answered.
+    eliminated: list[FragmentResult]
 
 
 class MediatorSession:
@@ -597,12 +619,20 @@ class MediatorSession:
                                                   wanted.index(name)))
         pushable = (_pushable_filters(statement, wanted, mediator)
                     if pushdown and statement is not None else {})
+        jobs: dict[str, list[FragmentJob]] = {}
+        eliminated: list[FragmentResult] = []
+        for name in ranked:
+            if name not in self._view_rows:
+                jobs[name], dropped = mediator._fragment_jobs(
+                    mediator._views[name], pushable.get(name))
+                eliminated.extend(dropped)
         return _ShipPlan(
-            wanted, costs, pushable,
+            wanted, costs,
+            {name: " AND ".join(f"({render_expr(conjunct)})"
+                                for conjunct in pushable[name])
+             for name in jobs if name in pushable},
             cached=[name for name in ranked if name in self._view_rows],
-            jobs={name: mediator._fragment_jobs(mediator._views[name],
-                                                pushable.get(name))
-                  for name in ranked if name not in self._view_rows})
+            jobs=jobs, eliminated=eliminated)
 
     def _ship_parsed(self, plan: _ShipPlan, report: MediationReport,
                      partial: list[str]) -> None:
@@ -629,7 +659,9 @@ class MediatorSession:
             report.warnings.extend(self._view_warnings.get(view_name, ()))
         jobs = [job for view_jobs in plan.jobs.values() for job in view_jobs]
         report.sub_queries.extend((job.source, job.sql) for job in jobs)
-        if not jobs:
+        report.eliminated.extend((outcome.job.view, outcome.job.source)
+                                 for outcome in plan.eliminated)
+        if not plan.jobs:
             return
 
         # One batch, all views: a failing fragment (under the ``fail``
@@ -642,7 +674,11 @@ class MediatorSession:
             shipped = self._executor.ship(jobs)
         for view_name in plan.jobs:
             view = self.mediator._views[view_name]
-            results = shipped.get(view_name, [])
+            results = sorted(
+                shipped.get(view_name, [])
+                + [outcome for outcome in plan.eliminated
+                   if outcome.job.view == view_name],
+                key=lambda outcome: outcome.job.index)
             Mediator._fold_results(report, results)
             warn_start = len(report.warnings)
             rows, columns = self.mediator._assemble_view(
@@ -687,8 +723,10 @@ class MediatorSession:
         Views still to be shipped appear as **batched** ``materialize``
         stages: all their fragments are dispatched in one concurrent
         batch through the worker pool, so the stage carries the whole
-        batch (every fragment of every missed view) and the pool width.
-        Already-materialized views stay as individual cached stages.
+        batch (every fragment of every missed view, as the statement
+        its source runs) and the pool width.  Already-materialized views
+        stay as individual cached stages; eliminated fragments are
+        listed by an ``eliminate`` stage.
         """
         from ..api.plan import PlanStage, QueryPlan
 
@@ -710,9 +748,8 @@ class MediatorSession:
             if view_name in ship.pushable:
                 label += f", pushdown [{ship.pushable[view_name]}]"
             label += ")"
-            batch.extend(
-                f"{label} <- {job.source}: {view.fragments[job.index].sql}"
-                for job in jobs)
+            batch.extend(f"{label} <- {job.source}: {job.sql}"
+                         for job in jobs)
         if batch:
             workers = min(self.options.max_workers, len(batch))
             stages.append(PlanStage(
@@ -720,6 +757,11 @@ class MediatorSession:
                 f"batch of {len(ship.jobs)} view(s), {len(batch)} "
                 f"fragment(s) shipped in parallel ({workers} worker(s))",
                 batch))
+        if ship.eliminated:
+            stages.append(PlanStage("eliminate", "fragments contradicting "
+                                    "the pushed filter: not shipped", [
+                f"{outcome.job.view!r} <- {outcome.job.source}"
+                for outcome in ship.eliminated]))
         stages.append(PlanStage(
             "sql", "scratch database executes the global query", [sql]))
         plan = QueryPlan(
@@ -738,8 +780,9 @@ class MediatorSession:
 
 
 def _pushable_filters(statement: sql_ast.SelectQuery, wanted: list[str],
-                      mediator: Mediator) -> dict[str, str]:
-    """WHERE conjuncts that can run at the sources, per view.
+                      mediator: Mediator) -> dict[str, list[sql_ast.Expr]]:
+    """WHERE conjuncts that can run at the sources, per view, with every
+    column qualified by the view's name.
 
     A conjunct qualifies when it touches exactly one FROM leaf, that
     leaf is a reference to a *wanted* view appearing once, the view's
@@ -795,16 +838,12 @@ def _pushable_filters(statement: sql_ast.SelectQuery, wanted: list[str],
             continue
         pushes.setdefault(view_name, []).append(conjunct)
 
-    filters: dict[str, str] = {}
-    for view_name, conjunct_list in pushes.items():
-        requalified = [
-            map_expr(conjunct, lambda node, view_name=view_name:
-                     sql_ast.ColumnRef(node.name, view_name)
-                     if isinstance(node, sql_ast.ColumnRef) else node)
-            for conjunct in conjunct_list]
-        filters[view_name] = " AND ".join(
-            f"({render_expr(conjunct)})" for conjunct in requalified)
-    return filters
+    return {view_name: [
+        map_expr(conjunct, lambda node, view_name=view_name:
+                 sql_ast.ColumnRef(node.name, view_name)
+                 if isinstance(node, sql_ast.ColumnRef) else node)
+        for conjunct in conjunct_list]
+        for view_name, conjunct_list in pushes.items()}
 
 
 def _view_columns(mediator: Mediator,

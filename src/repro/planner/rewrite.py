@@ -19,6 +19,7 @@ All rewrites operate on (already deep-copied) AST nodes from
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Iterable, Optional
 
 from ..relational import ast
@@ -190,6 +191,13 @@ def _contains_subquery(expr: ast.Expr) -> bool:
                for node in ast.walk_expr(expr))
 
 
+def _has_aggregate(exprs: list[ast.Expr]) -> bool:
+    from ..relational.aggregates import AGGREGATE_NAMES
+    return any(isinstance(node, ast.FunctionCall)
+               and node.name.upper() in AGGREGATE_NAMES
+               for expr in exprs for node in ast.walk_expr(expr))
+
+
 def referenced_bindings(expr: ast.Expr,
                         binding_columns: dict[str, list[str] | None]
                         ) -> frozenset[str] | None:
@@ -251,6 +259,49 @@ def wrap_with_filter(leaf: ast.TableExpr,
         from_clause=leaf,
         where=ast.conjoin(conjuncts)))
     return ast.SubqueryRef(inner, alias=binding)
+
+
+def compose_filter(query: ast.SelectQuery, binding: str,
+                   columns: list[str], conjuncts: list[ast.Expr],
+                   catalog) -> ast.SelectQuery | None:
+    """*conjuncts* over ``binding``, whose column *i* (``columns[i]``) is
+    *query*'s output column *i*, applied inside *query*.  **Merged**
+    where the shape allows: a copy (stars expanded) whose WHERE is its
+    own AND the conjuncts with each column replaced by its select item,
+    folded — a literal WHERE (never TRUE) admits no row.  A compound,
+    aggregating, grouped or LIMIT/OFFSET query, or a subquery in its
+    select list: ``SELECT * FROM (query) AS binding WHERE ...``, columns
+    renamed positionally.  ``None`` when neither mapping is known."""
+    positions: dict[str, int] = {}
+    for position, name in enumerate(columns):
+        positions.setdefault(name, position)
+
+    def substitute(targets: list) -> list[ast.Expr]:
+        return [map_expr(conjunct, lambda node: targets[
+                    positions[node.name.lower()]]
+                    if isinstance(node, ast.ColumnRef) else node)
+                for conjunct in conjuncts]
+
+    core = query.core
+    items = [item.expr for item in core.items]
+    if not (query.is_compound or core.group_by or core.having is not None
+            or query.limit is not None or query.offset is not None
+            or _has_aggregate(items) or any(map(_contains_subquery, items))):
+        merged = replace(core)
+        if (not any(item.is_star for item in core.items)
+                or expand_star_items(merged, catalog)) \
+                and len(merged.items) == len(columns):
+            pushed = substitute([item.expr for item in merged.items])
+            where = fold_expr(ast.conjoin(ast.conjuncts(core.where) + pushed))
+            merged.where = None if isinstance(where, ast.Literal) \
+                and where.value is True else where
+            return replace(query, core=merged)
+    names = query_output_columns(query, catalog)
+    if names is None or len(set(names)) != len(names) \
+            or len(names) != len(columns):
+        return None
+    renamed = substitute([ast.ColumnRef(name, binding) for name in names])
+    return wrap_with_filter(ast.SubqueryRef(query, binding), renamed).query
 
 
 def needed_columns(query: ast.SelectQuery,
@@ -316,12 +367,8 @@ def prune_derived_projection(derived: ast.SubqueryRef,
         return False  # ordinals / alias targets could shift
     if any(item.is_star for item in core.items):
         return False
-    from ..relational.aggregates import AGGREGATE_NAMES
-    for item in core.items:
-        for node in ast.walk_expr(item.expr):
-            if isinstance(node, ast.FunctionCall) \
-                    and node.name.upper() in AGGREGATE_NAMES:
-                return False  # dropping could toggle aggregation
+    if _has_aggregate([item.expr for item in core.items]):
+        return False  # dropping could toggle aggregation
     kept = [item for item in core.items
             if item.output_name().lower() in needed]
     if not kept or len(kept) == len(core.items):
@@ -356,6 +403,9 @@ def expand_star_items(core: ast.SelectCore, catalog) -> bool:
             columns = output_columns(leaf, catalog)
             if columns is None:
                 return False
+            if isinstance(leaf, ast.TableRef):  # spelled as the star would
+                columns = [column.name for column in
+                           catalog.table(leaf.name).schema.columns]
             matched = True
             # Preserve the original (possibly aliased) qualifier casing.
             qualifier = (leaf.binding if isinstance(leaf, ast.TableRef)

@@ -170,10 +170,12 @@ def _typed_column(expr: ast.Expr | None, scopes: list[RowSchema]
 
 
 def select_gather(exprs: list[ast.Expr], scopes: list[RowSchema]
-                  ) -> list[int | None]:
+                  ) -> list[int | ast.Literal | None]:
     """Per select-list expression, the input position to gather it
-    from, or ``None`` when it needs the expression kernel."""
-    return [_innermost_position(expr, scopes) for expr in exprs]
+    from, the literal to repeat, or ``None`` when it needs the
+    expression kernel."""
+    return [expr if isinstance(expr, ast.Literal)
+            else _innermost_position(expr, scopes) for expr in exprs]
 
 
 def select_folds(group_exprs: list[ast.Expr],
@@ -236,7 +238,7 @@ def select_sort_keys(exprs: list[ast.Expr], scopes: list[RowSchema]
     gather its key column from, or ``None`` when it is an expression to
     evaluate.  Always accepts: whether the key columns sort natively is
     decided on their values, at run time."""
-    return select_gather(exprs, scopes)
+    return [_innermost_position(expr, scopes) for expr in exprs]
 
 
 # ---------------------------------------------------------------------------

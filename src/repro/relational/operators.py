@@ -315,14 +315,14 @@ class Filter(Operator):
 class Project(Operator):
     """Evaluate the select list, one output column at a time.
 
-    ``columns`` holds ``(position, fn)`` per output column: a gathered
-    input column when the selector found a plain column there, else the
-    compiled expression applied over the batch.
+    ``columns`` holds ``(source, fn)`` per output column: a gathered
+    input column when the selector found a plain column there (an
+    ``int`` position), a repeated value for a literal, else (``None``)
+    the compiled expression applied over the batch.
     """
 
     def __init__(self, child: Operator, schema: RowSchema,
-                 columns: list[tuple[int | None, RowFn]],
-                 hooks=None) -> None:
+                 columns: list[tuple[Any, RowFn]], hooks=None) -> None:
         positions = [position for position, _fn in columns]
         #: Every input column, in order: batches pass through untouched.
         identity = positions == list(range(len(child.schema)))
@@ -338,9 +338,10 @@ class Project(Operator):
                 contexts = None if self.vectorized else [
                     outer_rows + (row,) for row in batch.rows]
                 batch = Batch(cols=[
-                    batch.column(position) if position is not None
+                    batch.column(source) if type(source) is int
                     else [fn(context) for context in contexts]
-                    for position, fn in self.columns])
+                    if source is None else [source.value] * len(batch)
+                    for source, fn in self.columns])
             self._observe(len(batch))
             yield batch
 

@@ -274,6 +274,22 @@ class TestExplainMarking:
                           if node.kind == "filter" and node.vectorized]
         assert len(vector_filters) == 2  # both pushed-down wrappers
 
+    def test_a_literal_select_item_keeps_project_on_the_column_path(
+            self, generic_kernels):
+        db = make_db()
+        sql = "SELECT id, 'x' AS tag, NULL AS nothing, 2.5 AS r FROM t"
+        assert "vectorized: project, scan" in db.explain(sql).notes
+        result = db.query(sql)
+        with generic_kernels():
+            expected = db.query(sql)
+        assert "project" not in expected.plan.vectorized_ops
+        assert repr(result.rows) == repr(expected.rows)
+        assert result.rows[0] == (0, "x", None, 2.5)
+        assert [(column.name, column.data_type)
+                for column in result.plan.schema.columns] \
+            == [(column.name, column.data_type)
+                for column in expected.plan.schema.columns]
+
     def test_generic_kernels_show_no_marks_above_the_scan(
             self, generic_kernels):
         db = make_db()

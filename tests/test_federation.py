@@ -612,3 +612,106 @@ def test_pushdown_skips_views_also_referenced_in_subqueries(sources):
     assert report.pushed_filters == {}
     assert sorted(pushed.rows) == sorted(plain.rows)
     assert pushed.rows  # the Milano duplicate satisfies both branches
+
+
+# -- composition: the pushed filter inside each fragment's own statement ------
+
+
+def partitioned(sources) -> Mediator:
+    """A partitioned view: each fragment tags its rows with a constant."""
+    mediator = make_mediator(sources)
+    mediator.define_view("eu", [
+        ("italy", "SELECT name, city, size, 'Italy' AS country "
+                  "FROM landfill"),
+        ("france", "SELECT *, 'France' AS country FROM landfill")])
+    return mediator
+
+
+def test_a_merged_fragment_ships_parsed_without_a_derived_table(
+        sources, monkeypatch):
+    from repro.planner.plan import is_trivial_select
+    from repro.relational import ast, engine
+
+    mediator = partitioned(sources)
+    shipped = []
+    for db in sources:
+        monkeypatch.setattr(db, "query", lambda target, db=db: (
+            shipped.append(target) or Database.query(db, target)))
+    parses: list[str] = []
+    source_parse = engine.parse_sql
+    monkeypatch.setattr(engine, "parse_sql", lambda sql: (
+        parses.append(sql) or source_parse(sql)))
+    sql = "SELECT name FROM eu WHERE size > 8.0 AND city <> 'Roma'"
+    result, report = mediator.query(sql)
+    assert parses == []                       # no source parsed anything
+    assert len(shipped) == 2
+    for statement in shipped:
+        assert isinstance(statement, ast.SelectQuery)
+        assert is_trivial_select(statement)   # the source skips planning
+        assert not any(isinstance(node, ast.SubqueryRef)
+                       for node in ast.iter_query_nodes(statement))
+    # The star was expanded; the filter reads the source's own columns.
+    assert report.sub_queries[1] == ("france", (
+        "SELECT landfill.name, landfill.city, landfill.size, 'France' AS "
+        "country FROM landfill WHERE ((landfill.size > 8.0) AND "
+        "(landfill.city <> 'Roma'))"))
+    assert sorted(result.rows) == [("lf_fr_1",), ("lf_it_1",)]
+    assert result.rows == mediator.query(sql, pushdown=False)[0].rows
+
+
+def test_an_expanded_star_keeps_the_catalog_spelling():
+    source = Database("s")
+    source.execute("CREATE TABLE Landfill (Name TEXT, City TEXT)")
+    source.execute("INSERT INTO Landfill VALUES ('lf_a', 'Pisa')")
+    mediator = Mediator()
+    mediator.register_source("s", source)
+    mediator.define_view("v", [("s", "SELECT * FROM Landfill")])
+    sql = "SELECT * FROM v WHERE city = 'Pisa'"
+    pushed, report = mediator.query(sql)
+    assert "v" in report.pushed_filters
+    assert pushed.columns == mediator.query(sql, pushdown=False)[0].columns \
+        == ["Name", "City"]
+    assert pushed.rows == [("lf_a", "Pisa")]
+
+
+def test_a_contradicted_constant_column_is_never_shipped(sources):
+    mediator = partitioned(sources)
+    sql = "SELECT name, country FROM eu WHERE country = 'France'"
+    result, report = mediator.query(sql)
+    assert sorted(result.rows) == [("lf_fr_1", "France"),
+                                   ("lf_it_2", "France")]
+    assert report.eliminated == [("eu", "italy")]
+    assert [source for source, _sql in report.sub_queries] == ["france"]
+    assert report.rows_per_source == {"italy": 0, "france": 2}
+    assert result.rows == mediator.query(sql, pushdown=False)[0].rows
+
+
+def test_a_view_whose_every_fragment_is_eliminated_is_empty(sources):
+    mediator = partitioned(sources)
+    sql = "SELECT * FROM eu WHERE country IN ('Spain', 'Greece')"
+    result, report = mediator.query(sql)
+    plain = mediator.query(sql, pushdown=False)[0]
+    assert result.rows == plain.rows == []
+    assert result.columns == plain.columns \
+        == ["name", "city", "size", "country"]
+    assert report.sub_queries == []
+    assert report.eliminated == [("eu", "italy"), ("eu", "france")]
+    assert report.view_rows == {"eu": 0}
+    stages = mediator.connect().explain(sql).stages
+    assert [stage.name for stage in stages] == ["prune", "eliminate", "sql"]
+    assert stages[1].queries == ["'eu' <- italy", "'eu' <- france"]
+
+
+def test_writes_to_an_eliminated_source_do_not_change_the_answer(sources):
+    italy, _france = sources
+    session = partitioned(sources).connect()
+    sql = "SELECT name, country FROM eu WHERE country = 'France'"
+    before, first = session.execute(sql)
+    assert italy.execute(
+        "INSERT INTO landfill VALUES ('lf_it_3', 'Bari', 30.0)") == 1
+    after, second = session.execute(sql)
+    assert after.rows == before.rows
+    assert first.eliminated == second.eliminated == [("eu", "italy")]
+    assert second.fragment_cache_hits == 1    # france's entry still holds
+    assert ("lf_it_3",) in session.query(
+        "SELECT name FROM eu WHERE country = 'Italy'").rows

@@ -396,6 +396,30 @@ def test_column_rename_warns_and_first_fragment_wins():
     assert "first fragment wins" in report.warnings[0]
 
 
+@pytest.mark.parametrize("policy", ["fail", "skip", "retry"])
+@pytest.mark.parametrize("tail", ["", " LIMIT 5"], ids=["merged", "wrapped"])
+def test_pushdown_reaches_a_renamed_column_by_position(policy, tail):
+    """Regression: the pushed ``eu.city`` was wrapped around b's
+    fragment, whose column 2 is named ``town`` — no such column, so the
+    whole query failed (and ``skip`` silently lost b's rows)."""
+    mediator = Mediator(FederationOptions(failure_policy=policy,
+                                          backoff_s=0.001))
+    mediator.register_source(
+        "a", _landfill_db(Database, "a", [("lf_a", "Roma", 1.0)]))
+    mediator.register_source(
+        "b", _landfill_db(Database, "b", [("lf_b", "Pisa", 2.0)]))
+    mediator.define_view("eu", [
+        ("a", "SELECT name, city FROM landfill"),
+        ("b", f"SELECT name, city AS town FROM landfill{tail}")])
+    sql = "SELECT name FROM eu WHERE city = 'Pisa'"
+    result, report = mediator.query(sql)
+    assert result.rows == mediator.query(sql, pushdown=False)[0].rows \
+        == [("lf_b",)]
+    assert report.pushed_filters == {"eu": "((eu.city = 'Pisa'))"}
+    assert report.skipped_sources == [] and report.retry_counts == {}
+    assert report.rows_per_source == {"a": 0, "b": 1}
+
+
 def test_arity_error_names_both_column_lists():
     mediator = Mediator()
     mediator.register_source(

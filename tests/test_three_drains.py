@@ -227,49 +227,83 @@ MEDIATED_SQL = list(SQL_BASELINES.values()) + [
 ]
 
 
+def star_fragments(table: str, _columns: list[str]) -> list:
+    return [("north", f"SELECT * FROM {table}"),
+            ("south", f"SELECT * FROM {table} WHERE 1 = 0")]
+
+
+def explicit_fragments(table: str, columns: list[str]) -> list:
+    """A filter merges into north, wraps around the LIMIT of east, and
+    meets south's constant first TEXT column as literals."""
+    listed = ", ".join(columns)
+    constant = ", ".join(f"'lf0001' AS {name}" if index == 0 else name
+                         for index, name in enumerate(columns))
+    return [("north", f"SELECT {listed} FROM {table}"),
+            ("south", f"SELECT {constant} FROM {table}"),
+            ("east", f"SELECT {listed} FROM {table} LIMIT 1000")]
+
+
+def explained(plan) -> tuple[list, list]:
+    """explain's shipped ``(source, SQL)`` and eliminated ``(view,
+    source)`` lists."""
+    shipped, eliminated = [], []
+    for stage in plan.stages:
+        if stage.name == "materialize" and not stage.cached:
+            shipped.extend(tuple(line.split(" <- ", 1)[1].split(": ", 1))
+                           for line in stage.queries)
+        elif stage.name == "eliminate":
+            eliminated.extend(
+                (ast.literal_eval(view), source) for view, source
+                in (line.split(" <- ") for line in stage.queries))
+    return shipped, eliminated
+
+
 @pytest.mark.parametrize("pushdown", [True, False])
 @pytest.mark.parametrize("sql", MEDIATED_SQL)
 def test_mediator_explain_names_what_execute_ships(smartground, sql,
                                                    pushdown):
     databank, _kb, _registry = smartground
-    mediator = Mediator()
-    mediator.register_source("north", databank)
-    mediator.register_source("south", databank)
-    for table in databank.table_names():
-        mediator.define_view(table, [
-            ("north", f"SELECT * FROM {table}"),
-            ("south", f"SELECT * FROM {table} WHERE 1 = 0")], "union")
-    for warm in (False, True):
-        session = mediator.connect()
-        if warm:
-            session.query("SELECT COUNT(*) FROM landfill")
-        plan = session.explain(sql, pushdown=pushdown)
-        _result, report = session.execute(sql, pushdown=pushdown)
+    for fragments in (star_fragments, explicit_fragments):
+        mediator = Mediator()
+        for source in ("north", "south", "east"):
+            mediator.register_source(source, databank)
+        for table in databank.table_names():
+            columns = [column.name for column in sorted(
+                databank.catalog.table(table).schema.columns,
+                key=lambda column: column.data_type.name != "TEXT")]
+            mediator.define_view(table, fragments(table, columns), "union")
+        for warm in (False, True):
+            session = mediator.connect()
+            if warm:
+                session.query("SELECT COUNT(*) FROM landfill")
+            plan = session.explain(sql, pushdown=pushdown)
+            _result, report = session.execute(sql, pushdown=pushdown)
 
-        prune, *materialize, _sql_stage = plan.stages
-        assert prune.queries == [", ".join(report.view_costs) or "(none)"]
-        cached = [stage for stage in materialize if stage.cached]
-        batch = [line for stage in materialize if not stage.cached
-                 for line in stage.queries]
-        shipped_views = {line.split("'")[1] for line in batch}
-        assert plan.cache_hits == len(cached)
-        assert plan.cache_misses == len(shipped_views)
-        assert {stage.description.split("'")[1] for stage in cached} \
-            | shipped_views == set(report.view_rows)
-        # Same sources, same fragments, in the same order.
-        assert len(batch) == len(report.sub_queries)
-        for line, (source, shipped_sql) in zip(batch, report.sub_queries):
-            label, fragment = line.split(" <- ", 1)
-            fragment_source, fragment_sql = fragment.split(": ", 1)
-            assert fragment_source == source
-            assert fragment_sql in shipped_sql
-            view = label.split("'")[1]
-            pushed = report.pushed_filters.get(view)
-            if pushed is None:
-                assert "pushdown [" not in label
-                assert shipped_sql == fragment_sql
-            else:
-                assert f"pushdown [{pushed}]" in label
-                assert shipped_sql.endswith(f"WHERE {pushed}")
-        if not pushdown:
-            assert report.pushed_filters == {}
+            prune, *_materialize, _sql_stage = plan.stages
+            assert prune.queries == [", ".join(report.view_costs) or "(none)"]
+            cached = [stage for stage in plan.stages if stage.cached]
+            assert plan.cache_hits == len(cached)
+            assert plan.cache_misses == len(report.view_rows) - len(cached)
+            # Same sources, same statements, in the same order; the
+            # same fragments eliminated.
+            assert explained(plan) == (report.sub_queries, report.eliminated)
+            shipped = {}
+            for line in [line for stage in plan.stages
+                         if stage.name == "materialize"
+                         for line in stage.queries]:
+                label, fragment = line.split(" <- ", 1)
+                view = label.split("'")[1]
+                source, text = fragment.split(": ", 1)
+                shipped[view, source] = text
+                pushed = report.pushed_filters.get(view)
+                assert (f"pushdown [{pushed}]" in label) == (pushed is not None)
+            if not pushdown:
+                assert report.pushed_filters == {}
+                assert report.eliminated == []
+            elif fragments is explicit_fragments:
+                # The matrix runs merge, non-merge and elimination.
+                for view in report.pushed_filters:
+                    assert "(SELECT" not in shipped[view, "north"]
+                    assert shipped[view, "east"].startswith("SELECT * FROM (")
+                if "landfill_name = 'lf0000'" in sql:
+                    assert report.eliminated == [("elem_contained", "south")]
