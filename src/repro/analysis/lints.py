@@ -15,16 +15,17 @@ from ..relational import ast
 from ..relational.render import render_expr
 from ..relational.table import Table
 from ..relational.vectors import fallback_reason, semi_join_conjunct
-from .scopes import Scope, is_param_sentinel, resolve
+from .scopes import Scope, resolve
 
 _COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 
 
-def _contains_sentinel(expr: ast.Expr) -> bool:
-    for node in ast.walk_expr(expr):
-        if isinstance(node, ast.Literal) and is_param_sentinel(node.value):
-            return True
-    return False
+#: What stands where a bound statement will have a literal.
+_VALUES = (ast.Literal, ast.Param)
+
+
+def _contains_param(expr: ast.Expr) -> bool:
+    return any(isinstance(node, ast.Param) for node in ast.walk_expr(expr))
 
 
 def _contains_unresolved(expr: ast.Expr, scopes: list[Scope]) -> bool:
@@ -65,7 +66,7 @@ def _index_probe_applies(conjunct_list: list[ast.Expr], table: Table,
         for column_side, value_side in ((conjunct.left, conjunct.right),
                                         (conjunct.right, conjunct.left)):
             if isinstance(column_side, ast.ColumnRef) \
-                    and isinstance(value_side, ast.Literal) \
+                    and isinstance(value_side, _VALUES) \
                     and _innermost(column_side, scopes) \
                     and table.find_index_on([column_side.name]) is not None:
                 return True
@@ -105,7 +106,7 @@ def lint_vectorization(core: ast.SelectCore, env,
         return position, schema.columns[position].data_type
 
     for conjunct in conjunct_list:
-        if _contains_sentinel(conjunct) \
+        if _contains_param(conjunct) \
                 or _contains_unresolved(conjunct, scopes):
             continue
         # An EXISTS of the right shape that is not on record has no
@@ -156,7 +157,7 @@ def lint_sargability(core: ast.SelectCore, env,
             continue
         for wrapped_side, other_side in ((conjunct.left, conjunct.right),
                                          (conjunct.right, conjunct.left)):
-            if not isinstance(other_side, ast.Literal):
+            if not isinstance(other_side, _VALUES):
                 continue
             if not isinstance(wrapped_side, (ast.FunctionCall, ast.Cast,
                                              ast.BinaryOp)):

@@ -27,14 +27,13 @@ from functools import partial
 from ..relational import ast
 from ..relational.aggregates import contains_aggregate
 from ..relational.errors import RelationalError, TypeMismatchError
-from ..relational.parser import parse_script, parse_sql
+from ..relational.parser import SqlParser, parse_script, parse_sql
 from ..relational.render import render_expr, render_statement
 from ..relational.types import parse_type_name
 from ..relational.vectors import SemiJoin, semi_join
 from . import lints
 from .diagnostics import (AnalysisOptions, AnalysisReport, DEFAULT_OPTIONS)
-from .scopes import (FAMILY, Scope, ScopeColumn, is_param_sentinel,
-                     resolve)
+from .scopes import FAMILY, Scope, ScopeColumn, resolve
 from .typecheck import check_expr, check_predicate, infer_family
 
 
@@ -60,7 +59,7 @@ class _Env:
     Duck-typed contract used by :mod:`.typecheck` and :mod:`.lints`:
     ``report`` (something with ``add``), ``databank``, ``excused``
     (lower-case unqualified names that must not draw unknown-column
-    errors), ``is_parameter`` and ``analyze_subquery``.
+    errors) and ``analyze_subquery``.
     """
 
     def __init__(self, databank, options: AnalysisOptions,
@@ -74,9 +73,6 @@ class _Env:
         #: semi join, how: filled in where the conjunct is met, read
         #: where the walk of that predicate reaches the subquery.
         self.semi_joins: dict[int, SemiJoin] = {}
-
-    def is_parameter(self, literal: ast.Literal) -> bool:
-        return is_param_sentinel(literal.value)
 
     def analyze_subquery(self, query: ast.SelectQuery,
                          outer_scopes: list[Scope]) -> Scope:
@@ -353,8 +349,7 @@ def _analyze_query(query: ast.SelectQuery, env: _Env,
         if expr is None:
             continue
         check_expr(expr, list(outer_scopes), env, aggregates_ok=False)
-        if isinstance(expr, ast.Literal) and not env.is_parameter(expr) \
-                and expr.value is not None:
+        if isinstance(expr, ast.Literal) and expr.value is not None:
             value = expr.value
             if isinstance(value, bool) or not isinstance(value, int) \
                     or value < 0:
@@ -534,7 +529,7 @@ def analyze_sql(sql_text: str, databank=None, *,
     if not options.enabled:
         return report
     try:
-        stmt = parse_sql(sql_text)
+        stmt = SqlParser(sql_text, first_param=0).parse_statement()
     except RelationalError as exc:
         if options.wants("E-SYNTAX"):
             report.add("E-SYNTAX", str(exc))

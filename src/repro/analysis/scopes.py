@@ -15,7 +15,6 @@ cannot see, and the analyzer must not invent errors.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -29,16 +28,6 @@ FAMILY = {
     DataType.BOOLEAN: "bool",
 }
 
-#: Sentinel literals standing in for ``?`` placeholders in prepared
-#: templates (see :mod:`repro.core.sqp`).  Their eventual type is the
-#: bound parameter's, so the analyzer treats them as family-unknown.
-PARAM_SENTINEL_RE = re.compile(r"\A__sesql_param_\d+__\Z")
-
-
-def is_param_sentinel(value: Any) -> bool:
-    return isinstance(value, str) and bool(PARAM_SENTINEL_RE.match(value))
-
-
 def literal_family(value: Any) -> str | None:
     """The family of a literal: num/str/bool, "null", or None (unknown)."""
     if value is None:
@@ -48,8 +37,6 @@ def literal_family(value: Any) -> str | None:
     if isinstance(value, (int, float)):
         return "num"
     if isinstance(value, str):
-        if is_param_sentinel(value):
-            return None
         return "str"
     return None
 

@@ -88,7 +88,7 @@ def infer_family(expr: ast.Expr, scopes: list[Scope]) -> str | None:
         if len(families) == 1:
             return families.pop()
         return None
-    return None  # Star, SlotRef, ScalarSubquery
+    return None  # Star, SlotRef, ScalarSubquery, Param (a bound value)
 
 
 def _known(family: str | None) -> bool:
@@ -277,10 +277,9 @@ def check_predicate(expr: ast.Expr, scopes: list[Scope], env, *,
     report = env.report
     for conjunct in ast.conjuncts(expr):
         if isinstance(conjunct, ast.Literal):
-            if not env.is_parameter(conjunct):
-                report.add("W-CONST-PREDICATE",
-                           f"{clause} conjunct is a constant",
-                           expression=render_expr(conjunct))
+            report.add("W-CONST-PREDICATE",
+                       f"{clause} conjunct is a constant",
+                       expression=render_expr(conjunct))
             continue
         family = infer_family(conjunct, scopes)
         if family in ("num", "str"):

@@ -3,7 +3,7 @@
 Two caches sit on the repeated-query hot path:
 
 * :class:`PlanCache` — SESQL text → parsed :class:`EnrichedQuery`
-  template (+ placeholder count + analysis report).  Parsing and
+  template (+ analysis report).  Parsing and
   analysis read the text and the databank, never the KB or the user,
   so the key is the raw text alone and one cache serves every user of
   a platform session.

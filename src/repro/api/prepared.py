@@ -1,27 +1,55 @@
-"""Prepared SESQL queries: parse once, bind and execute many times."""
+"""Prepared SESQL queries: parse once, bind and execute many times.
+
+A template's ``?`` placeholders are ``Param`` nodes of its syntax tree,
+and :meth:`PreparedQuery.bind` is the one place values meet them: one
+substitution walk builds the statement an execution runs, and nothing
+ever writes to the template, so it is shared freely.
+"""
 
 from __future__ import annotations
 
-from ..core.ast import EnrichedQuery
+from collections.abc import Iterable, Mapping
+
+from ..core.ast import EnrichedQuery, TaggedCondition
 from ..core.errors import ParameterError
-from ..core.sqp import bind_parameters, clone_enriched
+from ..relational.ast import clone_expr, clone_query
+from ..relational.render import render_query
+
+#: Python types a parameter may carry (preserved end to end).
+_BINDABLE = (bool, int, float, str)
+
+
+def parameter_row(params) -> tuple:
+    """*params* — a sequence of values, or None for none — as a tuple.
+
+    A string, bytes or a mapping is iterable but is not a row of
+    values: binding its characters or its keys would run a query the
+    caller never wrote, so it is rejected like anything not iterable.
+    """
+    if params is None:
+        return ()
+    if isinstance(params, (str, bytes, Mapping)) \
+            or not isinstance(params, Iterable):
+        raise ParameterError(
+            "parameters must be a sequence of values, got "
+            f"{type(params).__name__}")
+    return tuple(params)
 
 
 class PreparedQuery:
     """A SESQL statement parsed once, executable with ``?`` parameters.
 
     Obtained from :meth:`repro.api.Session.prepare`.  The underlying
-    template lives in the session's plan cache; every execution binds a
-    fresh copy, so a prepared query can be reused (and shared) freely.
+    template lives in the session's plan cache and is only ever read,
+    so a prepared query can be reused (and shared) freely.
     """
 
     def __init__(self, session, text: str, template: EnrichedQuery,
-                 parameter_count: int, from_cache: bool = False,
-                 parse_time_s: float = 0.0, diagnostics=None) -> None:
+                 from_cache: bool = False, parse_time_s: float = 0.0,
+                 diagnostics=None) -> None:
         self._session = session
         self.text = text
         self._template = template
-        self.parameter_count = parameter_count
         #: Whether ``prepare`` found the template in the plan cache.
         self.from_cache = from_cache
         #: Wall time the SQP spent parsing (0.0 on plan-cache hits);
@@ -37,18 +65,42 @@ class PreparedQuery:
         return (f"PreparedQuery({self.text!r}, "
                 f"parameters={self.parameter_count})")
 
+    @property
+    def parameter_count(self) -> int:
+        return self._template.parameter_count
+
     # -- binding ------------------------------------------------------------
 
     def bind(self, params=None) -> EnrichedQuery:
-        """A private, parameter-substituted copy of the template."""
-        values = tuple(params) if params is not None else ()
-        if len(values) != self.parameter_count:
+        """The statement one execution runs: the template itself when
+        it has no parameters, else a new statement with each ``?`` the
+        matching value of *params*.  Values are spliced in as
+        ``Literal`` nodes — never interpolated into SQL text — which
+        preserves their Python types (None/bool/int/float/str) and is
+        immune to SQL injection."""
+        values = parameter_row(params)
+        template = self._template
+        if len(values) != template.parameter_count:
             raise ParameterError(
-                f"query expects {self.parameter_count} parameter(s), "
+                f"query expects {template.parameter_count} parameter(s), "
                 f"got {len(values)}")
         if not values:
-            return clone_enriched(self._template)
-        return bind_parameters(self._template, values)
+            return template
+        for value in values:
+            if value is not None and not isinstance(value, _BINDABLE):
+                raise ParameterError(
+                    f"cannot bind parameter of type {type(value).__name__}; "
+                    "supported: None, bool, int, float, str")
+        query = clone_query(template.query, values)
+        return EnrichedQuery(
+            # Re-rendered so observability fields show the bound SQL.
+            sql_text=render_query(query),
+            query=query,
+            enrichments=template.enrichments,
+            conditions={
+                cond_id: TaggedCondition(cond_id, condition.text,
+                                         clone_expr(condition.expr, values))
+                for cond_id, condition in template.conditions.items()})
 
     # -- execution ----------------------------------------------------------
 

@@ -37,7 +37,6 @@ from ..analysis import (AnalysisError, AnalysisReport, DEFAULT_OPTIONS,
                         analyze_enriched)
 from ..core.ast import EnrichedQuery
 from ..core.engine import SESQLEngine, SESQLResult
-from ..core.sqp import expand_placeholders
 from ..relational.result import ResultSet
 from .cache import ExtractionCache, PlanCache
 from .errors import SessionError
@@ -48,7 +47,7 @@ from .prepared import PreparedQuery
 
 @dataclass
 class _CachedPlan:
-    """Plan-cache entry: a parsed template plus its placeholder count.
+    """Plan-cache entry: a parsed template.
 
     The static-analysis report rides along: a clean report is computed
     once per template (on the cache miss), so cache hits — the prepared
@@ -58,7 +57,6 @@ class _CachedPlan:
     """
 
     template: EnrichedQuery
-    parameter_count: int
     analysis: AnalysisReport | None = None
 
 
@@ -189,11 +187,9 @@ class Session:
         parse_time = 0.0
         if cached is None:
             started = time.perf_counter()
-            expanded, count = expand_placeholders(text)
-            template = self.engine.parse(expanded)
+            template = self.engine.parse(text)
             parse_time = time.perf_counter() - started
-            cached = _CachedPlan(template, count,
-                                 self._analyze_template(template))
+            cached = _CachedPlan(template, self._analyze_template(template))
             self.plan_cache.put(text, cached)
         elif cached.analysis is not None and cached.analysis.has_errors:
             cached.analysis = self._analyze_template(cached.template)
@@ -202,8 +198,7 @@ class Session:
                 and cached.analysis.has_errors:
             raise AnalysisError(cached.analysis)
         return PreparedQuery(self, text, cached.template,
-                             cached.parameter_count, from_cache=from_cache,
-                             parse_time_s=parse_time,
+                             from_cache=from_cache, parse_time_s=parse_time,
                              diagnostics=cached.analysis)
 
     def _analyze_template(self, template: EnrichedQuery):
@@ -265,8 +260,8 @@ class Session:
                include_original: bool | None = None,
                join_strategy: str | None = None, **extra):
         """Call one of the engine's three drains of the pipeline run on
-        a bound (hence private) statement.  Per-call >
-        session options > engine defaults (None = defer)."""
+        a bound statement.  Per-call > session options > engine
+        defaults (None = defer)."""
         if include_original is None:
             include_original = self.options.include_original
         return drain(enriched, include_original=include_original,

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..api.cursor import paginate_sequence, request_signature
+from ..api.prepared import parameter_row
 from ..federation.executor import (FAIL, FAILURE_POLICIES, SKIP,
                                    run_with_policy)
 from ..federation.rest import (MAX_PAGE_LIMIT, Response, _page_args,
@@ -676,7 +677,7 @@ class ClusterSession:
         body: dict[str, Any] = {"username": username, "query": text,
                                 "limit": MAX_PAGE_LIMIT}
         if params is not None:
-            body["params"] = list(params)
+            body["params"] = list(parameter_row(params))
         columns: list[str] = []
         rows: list[tuple] = []
         while True:

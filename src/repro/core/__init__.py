@@ -16,8 +16,7 @@ from .join_manager import JoinManager
 from .mapping import AttributeMapping, ResourceMapping
 from .parser import parse_enrichments, split_sesql
 from .sqm import Extraction, SemanticQueryModule
-from .sqp import (SemanticQueryParser, bind_parameters, clone_enriched,
-                  expand_placeholders, parse_sesql)
+from .sqp import SemanticQueryParser, parse_sesql
 from .stored_queries import StoredQuery, StoredQueryRegistry
 from .tempdb import TemporarySupportDatabase
 
@@ -30,7 +29,6 @@ __all__ = [
     "SchemaExtension", "SchemaReplacement", "BoolSchemaExtension",
     "BoolSchemaReplacement", "ReplaceConstant", "ReplaceVariable",
     "scan_condition_tags", "split_sesql", "parse_enrichments",
-    "expand_placeholders", "bind_parameters", "clone_enriched",
     "SesqlError", "SesqlSyntaxError", "EnrichmentError", "MappingError",
     "StoredQueryError", "ParameterError",
 ]

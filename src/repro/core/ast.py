@@ -116,6 +116,9 @@ class EnrichedQuery:
     query: sql_ast.SelectQuery         # parsed cleaned SQL
     enrichments: list[Enrichment] = field(default_factory=list)
     conditions: dict[str, TaggedCondition] = field(default_factory=dict)
+    #: ``?`` placeholders (``Param`` nodes) in the SQL part; a statement
+    #: with any is a prepared template, run only once bound.
+    parameter_count: int = 0
 
     def where_enrichments(self) -> list[Enrichment]:
         return [e for e in self.enrichments if e.affects == "where"]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..relational.parser import parse_expr
+from ..relational.parser import SqlParser
 from .ast import TaggedCondition
 from .errors import SesqlSyntaxError
 from .parser import sesql_spans
@@ -28,12 +28,20 @@ class ScanResult:
 
 
 def scan_condition_tags(text: str) -> ScanResult:
-    """Extract ``${condition:id}`` tags and return the cleaned SQL."""
+    """Extract ``${condition:id}`` tags and return the cleaned SQL.
+
+    A ``?`` inside a tag parses to the ``Param`` index it has in the
+    cleaned SQL, so the tagged expression and its copy in the parsed
+    query share their node keys.
+    """
     pieces: list[str] = []
     conditions: dict[str, TaggedCondition] = {}
     copied = 0                      # text[:copied] is already in pieces
+    params = 0                      # the index the next ``?`` gets
     spans = sesql_spans(text)
     for kind, value, start, _end in spans:
+        if kind == "PARAM":
+            params += 1
         if kind != "MARK" or value != "${":
             continue
         condition_text, cond_id, end = _read_tag(text, start, spans)
@@ -41,7 +49,9 @@ def scan_condition_tags(text: str) -> ScanResult:
             raise SesqlSyntaxError(
                 f"duplicate condition tag {cond_id!r}", start)
         try:
-            expr = parse_expr(condition_text)
+            parser = SqlParser(condition_text, first_param=params)
+            expr = parser.parse_expression()
+            params = parser.next_param
         except Exception as exc:
             raise SesqlSyntaxError(
                 f"cannot parse tagged condition {condition_text!r}: "

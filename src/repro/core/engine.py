@@ -14,12 +14,13 @@
    SQL query that yields the enriched result.
 
 That stage sequence is written **once**, in ``SESQLEngine._run``.  A
-run resolves the per-call defaults, takes a private copy of the AST,
-keeps one statement memo and appends a record per stage as it happens
-(name, SPARQL or SQL texts, cached/deduped, seconds); it alone cleans up
-the rewriter's temp tables and an open databank cursor.  The public
-entry points are three *drains* of that run, differing only in what
-they plug into its databank and combine steps:
+run resolves the per-call defaults, keeps one statement memo and
+appends a record per stage as it happens (name, SPARQL or SQL texts,
+cached/deduped, seconds); it alone cleans up the rewriter's temp tables
+and an open databank cursor.  It reads the statement and never writes
+it: the WHERE rewrite returns a new query, so a cached template runs
+as it is.  The public entry points are three *drains* of that run,
+differing only in what they plug into its databank and combine steps:
 
 * ``execute_parsed`` — ``databank.execute_ast`` + ``combine_enrichments``
   under the configured strategy; the ``SESQLResult`` is read off the
@@ -37,6 +38,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..rdf.store import TripleStore
+from ..relational import ast as sql_ast
 from ..relational.engine import Database
 from ..relational.render import render_query
 from ..relational.result import Cursor, ResultSet
@@ -44,7 +46,7 @@ from .ast import (BoolSchemaExtension, BoolSchemaReplacement, EnrichedQuery,
                   Enrichment, ReplaceConstant, ReplaceVariable,
                   SchemaExtension, SchemaReplacement)
 from .enrichment import WhereRewriter
-from .errors import EnrichmentError
+from .errors import EnrichmentError, ParameterError
 from .join_manager import JoinManager
 from .mapping import ResourceMapping
 from .sqm import Extraction, SemanticQueryModule
@@ -114,7 +116,7 @@ class _PipelineRun:
     """One pass of the stage sequence over one statement: the records,
     what the stages produced, and the resources a pass can leave open."""
 
-    enriched: EnrichedQuery           # private copy, rewritten in place
+    enriched: EnrichedQuery           # the statement run, as given
     strategy: str
     stages: list[_Stage] = field(default_factory=list)
     #: Statement-level dedupe across the WHERE and SELECT stages:
@@ -262,17 +264,19 @@ class SESQLEngine:
 
     def apply_where_rewrites(self, enriched: EnrichedQuery,
                              plan: list[tuple[Enrichment, Extraction]],
-                             rewriter: WhereRewriter) -> None:
-        """Rewrite tagged conditions in place over temp tables that
-        *rewriter* materializes (and its owner, the run, drops)."""
+                             rewriter: WhereRewriter
+                             ) -> sql_ast.SelectQuery:
+        """The query with its tagged conditions rewritten over temp
+        tables that *rewriter* materializes (and its owner, the run,
+        drops); *enriched* itself is not changed."""
+        query = enriched.query
         for enrichment, extraction in plan:
-            condition = enriched.conditions[enrichment.cond]
-            if isinstance(enrichment, ReplaceConstant):
-                rewriter.apply_replace_constant(
-                    enriched.query, enrichment, condition, extraction)
-            else:
-                rewriter.apply_replace_variable(
-                    enriched.query, enrichment, condition, extraction)
+            apply = (rewriter.apply_replace_constant
+                     if isinstance(enrichment, ReplaceConstant)
+                     else rewriter.apply_replace_variable)
+            query = apply(query, enrichment,
+                          enriched.conditions[enrichment.cond], extraction)
+        return query
 
     # -- stage 4: combine ----------------------------------------------------------
 
@@ -300,12 +304,14 @@ class SESQLEngine:
 
         *databank* maps the rewritten query AST to the base outcome (a
         ``ResultSet``, a ``Cursor`` or a plan); *combine* maps ``(run,
-        select_plan, final_sqls)`` to the drain's outcome.  The WHERE
-        rewrite mutates *enriched* in place, so it must be private to
-        this call: freshly parsed or freshly bound, never a prepared
-        template.  On any error the run is released before the error
-        propagates.
+        select_plan, final_sqls)`` to the drain's outcome.  *enriched*
+        is only read, and must have no ``?`` left to bind.  On any error
+        the run is released before the error propagates.
         """
+        if enriched.parameter_count:
+            raise ParameterError(
+                f"statement has {enriched.parameter_count} '?' "
+                "parameter(s); prepare it and bind values to run it")
         kb = knowledge_base if knowledge_base is not None \
             else self.knowledge_base
         include = (self.include_original if include_original is None
@@ -322,16 +328,16 @@ class SESQLEngine:
                 stage = time.perf_counter()
                 run.rewriter = WhereRewriter(self.databank, self.mapping,
                                              include)
-                self.apply_where_rewrites(enriched, where_plan,
-                                          run.rewriter)
-                run.executed_sql = render_query(enriched.query)
+                query = self.apply_where_rewrites(enriched, where_plan,
+                                                  run.rewriter)
+                run.executed_sql = render_query(query)
                 if where_plan:
                     run.stages.append(_Stage(
                         "rewrite", queries=[run.executed_sql],
                         seconds=time.perf_counter() - stage))
             with (tel.span("sesql.sql") if tel is not None else _NOOP):
                 stage = time.perf_counter()
-                run.base = databank(enriched.query)
+                run.base = databank(query)
                 run.stages.append(_Stage(
                     "sql", queries=[run.executed_sql],
                     seconds=time.perf_counter() - stage))
@@ -378,11 +384,10 @@ class SESQLEngine:
                        include_original: bool | None = None,
                        join_strategy: str | None = None,
                        parse_time: float = 0.0) -> SESQLResult:
-        """Run the pipeline on an already-parsed query the caller owns
-        (it is rewritten in place: pass a bound copy of a prepared
-        template, never the template) and materialize: the databank
-        executes the rewritten SQL and the JoinManager folds the SELECT
-        enrichments in under the configured strategy."""
+        """Run the pipeline on an already-parsed (or bound) query and
+        materialize: the databank executes the rewritten SQL and the
+        JoinManager folds the SELECT enrichments in under the
+        configured strategy."""
         def combine(run, select_plan, final_sqls):
             if not isinstance(run.base, ResultSet):  # pragma: no cover
                 raise EnrichmentError("the SQL part did not produce rows")

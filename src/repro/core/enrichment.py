@@ -6,11 +6,14 @@ is rewritten into a correlated predicate over a temporary table holding
 the SPARQL extraction (semantics decision #3 in DESIGN.md — existential
 over the replacement set), and the rewritten query executes once with
 the temp tables injected into the databank, mirroring how PostgreSQL
-temp tables share the session of the original query.
+temp tables share the session of the original query.  A rewrite
+returns a new query; the one it was given, which may be a cached
+template, is left as it was.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 from ..relational import ast as sql_ast
@@ -34,46 +37,8 @@ def transform_expr(expr: sql_ast.Expr,
     replaced = visit(expr)
     if replaced is not None:
         return replaced
-    if isinstance(expr, sql_ast.UnaryOp):
-        return sql_ast.UnaryOp(expr.op, transform_expr(expr.operand, visit))
-    if isinstance(expr, sql_ast.BinaryOp):
-        return sql_ast.BinaryOp(expr.op,
-                                transform_expr(expr.left, visit),
-                                transform_expr(expr.right, visit))
-    if isinstance(expr, sql_ast.IsNull):
-        return sql_ast.IsNull(transform_expr(expr.operand, visit),
-                              expr.negated)
-    if isinstance(expr, sql_ast.Like):
-        return sql_ast.Like(transform_expr(expr.operand, visit),
-                            transform_expr(expr.pattern, visit),
-                            expr.negated)
-    if isinstance(expr, sql_ast.InList):
-        return sql_ast.InList(
-            transform_expr(expr.operand, visit),
-            [transform_expr(item, visit) for item in expr.items],
-            expr.negated)
-    if isinstance(expr, sql_ast.Between):
-        return sql_ast.Between(transform_expr(expr.operand, visit),
-                               transform_expr(expr.low, visit),
-                               transform_expr(expr.high, visit),
-                               expr.negated)
-    if isinstance(expr, sql_ast.FunctionCall):
-        return sql_ast.FunctionCall(
-            expr.name, [transform_expr(arg, visit) for arg in expr.args],
-            expr.distinct, expr.star)
-    if isinstance(expr, sql_ast.CaseExpr):
-        operand = (transform_expr(expr.operand, visit)
-                   if expr.operand is not None else None)
-        whens = [(transform_expr(c, visit), transform_expr(r, visit))
-                 for c, r in expr.whens]
-        else_result = (transform_expr(expr.else_result, visit)
-                       if expr.else_result is not None else None)
-        return sql_ast.CaseExpr(operand, whens, else_result)
-    if isinstance(expr, sql_ast.Cast):
-        return sql_ast.Cast(transform_expr(expr.operand, visit),
-                            expr.type_name)
-    # Literals, column refs, subqueries: returned as-is.
-    return expr
+    return sql_ast.rebuild_expr(
+        expr, lambda child: transform_expr(child, visit))
 
 
 def replace_condition(where: sql_ast.Expr, target_key,
@@ -121,7 +86,7 @@ def _exists_over(temp_table: str, alias: str,
 
 
 class WhereRewriter:
-    """Applies WHERE enrichments by rewriting the query in place."""
+    """Applies WHERE enrichments, each returning the rewritten query."""
 
     def __init__(self, databank: Database, mapping: ResourceMapping,
                  include_original: bool = False) -> None:
@@ -142,7 +107,8 @@ class WhereRewriter:
     def apply_replace_constant(self, query: sql_ast.SelectQuery,
                                enrichment: ReplaceConstant,
                                condition: TaggedCondition,
-                               extraction: Extraction) -> None:
+                               extraction: Extraction
+                               ) -> sql_ast.SelectQuery:
         values = [self.mapping.to_sql_value(term)
                   for term in extraction.values]
         if self.include_original:
@@ -154,7 +120,7 @@ class WhereRewriter:
         cond_expr = condition.expr
         replacement = self._rewrite_constant_condition(
             cond_expr, enrichment.constant, table.name)
-        self._splice(query, condition, replacement, enrichment)
+        return self._splice(query, condition, replacement, enrichment)
 
     def _rewrite_constant_condition(self, cond_expr: sql_ast.Expr,
                                     constant: str,
@@ -192,7 +158,8 @@ class WhereRewriter:
     def apply_replace_variable(self, query: sql_ast.SelectQuery,
                                enrichment: ReplaceVariable,
                                condition: TaggedCondition,
-                               extraction: Extraction) -> None:
+                               extraction: Extraction
+                               ) -> sql_ast.SelectQuery:
         pairs = [(self.mapping.to_sql_value(s), self.mapping.to_sql_value(o))
                  for s, o in extraction.pairs]
         table = materialize(self.databank, "pairs", ["subject", "object"],
@@ -237,13 +204,14 @@ class WhereRewriter:
         if self.include_original:
             replacement = sql_ast.BinaryOp("OR", replacement,
                                            condition.expr)
-        self._splice(query, condition, replacement, enrichment)
+        return self._splice(query, condition, replacement, enrichment)
 
     # -- helpers --------------------------------------------------------------------
 
     @staticmethod
     def _splice(query: sql_ast.SelectQuery, condition: TaggedCondition,
-                replacement: sql_ast.Expr, enrichment) -> None:
+                replacement: sql_ast.Expr,
+                enrichment) -> sql_ast.SelectQuery:
         if query.core.where is None:
             raise EnrichmentError(
                 f"{enrichment.kind} requires a WHERE clause")
@@ -253,4 +221,4 @@ class WhereRewriter:
             raise EnrichmentError(
                 f"tagged condition {condition.cond_id!r} not found in the "
                 "WHERE clause (was it altered by another enrichment?)")
-        query.core.where = rewritten
+        return replace(query, core=replace(query.core, where=rewritten))

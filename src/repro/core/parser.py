@@ -44,12 +44,12 @@ def _span_error(text: str, offset: int) -> SesqlSyntaxError:
 
 
 #: SESQL text as SQL token spans: the SQL table, then the markers SQL
-#: does not know (``?``, ``${`` … ``:`` … ``}``), then any other
-#: character.  Every pre-pass that looks for a marker "outside strings,
-#: quoted identifiers and comments" walks these spans, so that phrase
-#: means what the SQL lexer means by it.
+#: does not know (``${`` … ``:`` … ``}``), then any other character.
+#: Every pre-pass that looks for a marker "outside strings, quoted
+#: identifiers and comments" walks these spans, so that phrase means
+#: what the SQL lexer means by it.
 sesql_spans = Scanner(
-    [*SQL_RULES, ("MARK", r"\$\{|[?:}]", None), ("OTHER", r"[^'\"/]", None)],
+    [*SQL_RULES, ("MARK", r"\$\{|[:}]", None), ("OTHER", r"[^'\"/]", None)],
     _span_error).scan
 
 
@@ -72,6 +72,10 @@ def split_sesql(text: str) -> tuple[str, str | None]:
 def _spec_error(text: str, offset: int) -> SesqlSyntaxError:
     if text[offset] == "'":
         return SesqlSyntaxError("unterminated string literal", offset)
+    if text[offset] == "?":
+        return SesqlSyntaxError(
+            "'?' placeholders are only supported in the SQL part of a "
+            "SESQL query, not the ENRICH clause", offset)
     return SesqlSyntaxError(
         f"unexpected character {text[offset]!r} in ENRICH clause", offset)
 

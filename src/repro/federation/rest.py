@@ -365,6 +365,10 @@ class CrosseRestService:
         username = body["username"]
         text = body["query"]
         query_params = body.get("params")
+        if query_params is not None and not isinstance(query_params, list):
+            raise RestError(
+                "params must be a JSON array of values, got "
+                f"{type(query_params).__name__}", code="invalid_params")
         limit, token = _page_args(params, body)
         signature = request_signature("query", username, text,
                                       query_params)

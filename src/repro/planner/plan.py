@@ -56,7 +56,7 @@ def is_trivial_select(query: ast.SelectQuery) -> bool:
     over at most one base table, with no derived tables and no
     subqueries anywhere.  The executor's own single-table index fast
     path already covers this shape, so the hot path skips the planner
-    (no deep copy, no trace) entirely."""
+    (no structural copy, no trace) entirely."""
     if query.compounds:
         return False
     core = query.core

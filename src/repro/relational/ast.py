@@ -147,6 +147,15 @@ class SlotRef(Expr):
     name: str = "?slot"
 
 
+@dataclass
+class Param(Expr):
+    """A ``?`` placeholder of a prepared statement: the *index*-th value
+    (in text order) bound by ``clone_query(query, values)``.  Only bound
+    statements are planned and run."""
+
+    index: int
+
+
 # ---------------------------------------------------------------------------
 # Table expressions (FROM clause)
 # ---------------------------------------------------------------------------
@@ -351,6 +360,8 @@ def node_key(node: Any) -> Any:
         return ("star", (node.qualifier or "").lower())
     if isinstance(node, SlotRef):
         return ("slot", node.index)
+    if isinstance(node, Param):
+        return ("param", node.index)
     if isinstance(node, UnaryOp):
         return ("un", node.op, node_key(node.operand))
     if isinstance(node, BinaryOp):
@@ -415,8 +426,8 @@ def child_exprs(node: Expr) -> list[Expr]:
 
 def rebuild_expr(expr: Expr, recurse) -> Expr:
     """A copy of *expr* with *recurse* applied to each direct child.
-    Literals, column/slot refs and subquery expressions are leaves and
-    come back unchanged."""
+    Literals, column/slot refs, parameters and subquery expressions are
+    leaves and come back unchanged."""
     if isinstance(expr, UnaryOp):
         return UnaryOp(expr.op, recurse(expr.operand))
     if isinstance(expr, BinaryOp):
@@ -447,67 +458,89 @@ def rebuild_expr(expr: Expr, recurse) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Structural copy
+# Structural copy and parameter binding
 # ---------------------------------------------------------------------------
 #
 # What the planner needs before it rewrites a statement in place: every
 # node it may assign to (queries, cores, select/order items, FROM nodes,
 # interior expressions, hints) is new; ``Literal`` / ``ColumnRef`` /
-# ``Star`` / ``SlotRef`` leaves, which nothing mutates, are shared.
+# ``Star`` / ``SlotRef`` leaves, which nothing mutates, are shared.  The
+# same walk binds a prepared statement: given values, each ``Param(i)``
+# comes back as ``Literal(values[i])``.
 
 def _clone_hint(hint: Optional[PlanHint]) -> Optional[PlanHint]:
     return None if hint is None else replace(hint)
 
 
-def _clone_expr(expr: Optional[Expr]) -> Optional[Expr]:
-    if isinstance(expr, InSubquery):
-        return InSubquery(_clone_expr(expr.operand), clone_query(expr.query),
-                          expr.negated, _clone_hint(expr.hint))
-    if isinstance(expr, Exists):
-        return Exists(clone_query(expr.query), expr.negated,
-                      _clone_hint(expr.hint))
-    if isinstance(expr, ScalarSubquery):
-        return ScalarSubquery(clone_query(expr.query))
-    return rebuild_expr(expr, _clone_expr)
+class _Clone:
+    """One structural copy; *values* (or None) bind the parameters."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: Optional[tuple]) -> None:
+        self.values = values
+
+    def expr(self, expr: Optional[Expr]) -> Optional[Expr]:
+        if isinstance(expr, Param) and self.values is not None:
+            return Literal(self.values[expr.index])
+        if isinstance(expr, InSubquery):
+            return InSubquery(self.expr(expr.operand), self.query(expr.query),
+                              expr.negated, _clone_hint(expr.hint))
+        if isinstance(expr, Exists):
+            return Exists(self.query(expr.query), expr.negated,
+                          _clone_hint(expr.hint))
+        if isinstance(expr, ScalarSubquery):
+            return ScalarSubquery(self.query(expr.query))
+        return rebuild_expr(expr, self.expr)
+
+    def table_expr(self, table_expr: Optional[TableExpr]
+                   ) -> Optional[TableExpr]:
+        hint = _clone_hint(getattr(table_expr, "hint", None))
+        if isinstance(table_expr, TableRef):
+            return TableRef(table_expr.name, table_expr.alias, hint)
+        if isinstance(table_expr, SubqueryRef):
+            return SubqueryRef(self.query(table_expr.query),
+                               table_expr.alias, hint)
+        if isinstance(table_expr, Join):
+            return Join(table_expr.join_type,
+                        self.table_expr(table_expr.left),
+                        self.table_expr(table_expr.right),
+                        self.expr(table_expr.condition), hint)
+        return table_expr
+
+    def core(self, core: SelectCore) -> SelectCore:
+        return SelectCore(
+            [SelectItem(self.expr(item.expr), item.alias)
+             for item in core.items],
+            core.distinct, self.table_expr(core.from_clause),
+            self.expr(core.where), [self.expr(expr) for expr in core.group_by],
+            self.expr(core.having), _clone_hint(core.hint))
+
+    def query(self, query: Optional["SelectQuery"]
+              ) -> Optional["SelectQuery"]:
+        if query is None:
+            return None
+        return SelectQuery(
+            self.core(query.core),
+            [(operation, self.core(core))
+             for operation, core in query.compounds],
+            [OrderItem(self.expr(item.expr), item.descending)
+             for item in query.order_by],
+            self.expr(query.limit), self.expr(query.offset))
 
 
-def _clone_table_expr(table_expr: Optional[TableExpr]
-                      ) -> Optional[TableExpr]:
-    hint = _clone_hint(getattr(table_expr, "hint", None))
-    if isinstance(table_expr, TableRef):
-        return TableRef(table_expr.name, table_expr.alias, hint)
-    if isinstance(table_expr, SubqueryRef):
-        return SubqueryRef(clone_query(table_expr.query), table_expr.alias,
-                           hint)
-    if isinstance(table_expr, Join):
-        return Join(table_expr.join_type,
-                    _clone_table_expr(table_expr.left),
-                    _clone_table_expr(table_expr.right),
-                    _clone_expr(table_expr.condition), hint)
-    return table_expr
-
-
-def _clone_core(core: SelectCore) -> SelectCore:
-    return SelectCore(
-        [SelectItem(_clone_expr(item.expr), item.alias)
-         for item in core.items],
-        core.distinct, _clone_table_expr(core.from_clause),
-        _clone_expr(core.where), [_clone_expr(expr) for expr in core.group_by],
-        _clone_expr(core.having), _clone_hint(core.hint))
-
-
-def clone_query(query: Optional["SelectQuery"]) -> Optional["SelectQuery"]:
+def clone_query(query: Optional["SelectQuery"],
+                values: Optional[tuple] = None) -> Optional["SelectQuery"]:
     """A structural copy of *query* (``clone_query(q) == q``) that the
-    planner may rewrite without the original noticing."""
-    if query is None:
-        return None
-    return SelectQuery(
-        _clone_core(query.core),
-        [(operation, _clone_core(core))
-         for operation, core in query.compounds],
-        [OrderItem(_clone_expr(item.expr), item.descending)
-         for item in query.order_by],
-        _clone_expr(query.limit), _clone_expr(query.offset))
+    planner may rewrite without the original noticing; with *values*,
+    the copy binds each ``Param(i)`` to ``Literal(values[i])``."""
+    return _Clone(values).query(query)
+
+
+def clone_expr(expr: Optional[Expr],
+               values: Optional[tuple] = None) -> Optional[Expr]:
+    """:func:`clone_query` for one expression tree."""
+    return _Clone(values).expr(expr)
 
 
 def walk_expr(node: Expr):
@@ -520,8 +553,8 @@ def walk_expr(node: Expr):
 def iter_query_nodes(query: SelectQuery):
     """Yield every Expr and TableExpr node of *query*, including the
     contents of nested subqueries (IN/EXISTS/scalar subqueries and
-    derived tables).  Used for whole-query analyses such as prepared-
-    statement parameter binding and mediator view pruning."""
+    derived tables).  Used for whole-query analyses such as mediator
+    view pruning."""
     cores = [query.core] + [core for _op, core in query.compounds]
     for core in cores:
         for item in core.items:

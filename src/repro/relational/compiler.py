@@ -363,6 +363,10 @@ def compile_expr(expr: ast.Expr, scopes: list[RowSchema],
     if isinstance(expr, ast.Star):
         raise ExecutionError("'*' is only valid in a SELECT list")
 
+    if isinstance(expr, ast.Param):
+        raise ExecutionError(
+            f"parameter {expr.index + 1} was never bound to a value")
+
     raise NotSupportedError(
         f"cannot compile {type(expr).__name__} expression")
 

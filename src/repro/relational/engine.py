@@ -267,7 +267,7 @@ class Database:
         """The operator tree for *query*: the planner's, or — planner
         off, or nothing for it to improve — the builder's as written."""
         from ..planner.plan import is_trivial_select, plan_select
-        # Trivial selects skip planning (and its deep copy) so point
+        # Trivial selects skip planning (and its copy) so point
         # lookups stay as fast as with the planner off.
         if not self.planner.enabled or is_trivial_select(query):
             return build_select(query, self.catalog, self._exec_hooks,

@@ -30,7 +30,7 @@ STRING_RULE: Rule = ("STRING", r"'(?:[^']|'')*'(?!')",
 #: comment are is decided here and nowhere else: the SESQL pre-passes
 #: (``repro.core.parser.sesql_spans``) and the lint CLI's statement
 #: splitter extend this table rather than re-deciding it.  ``WORD`` is
-#: a bare word, keyword or identifier.
+#: a bare word, keyword or identifier; ``PARAM`` is a ``?`` placeholder.
 RULES: list[Rule] = [
     (None, r"[ \t\r\n]+|--[^\n]*|/\*(?s:.*?)\*/", None),
     STRING_RULE,
@@ -38,6 +38,7 @@ RULES: list[Rule] = [
      lambda lexeme: lexeme[1:-1].replace('""', '"')),
     ("NUMBER", NUMBER, number),
     ("WORD", r"[^\W\d]\w*", None),
+    ("PARAM", r"\?", None),
     ("OP", r"\|\||<>|!=|<=|>=|/(?!\*)|[<>=+\-*%(),.;]",
      lambda lexeme: "<>" if lexeme == "!=" else lexeme),
 ]
@@ -65,7 +66,7 @@ _SCANNER = Scanner(RULES, _error)
 
 @dataclass
 class Token:
-    type: str  # 'KEYWORD', 'IDENT', 'NUMBER', 'STRING', 'OP', 'EOF'
+    type: str  # 'KEYWORD', 'IDENT', 'NUMBER', 'STRING', 'OP', 'PARAM', 'EOF'
     value: object
     position: int
     source: str = field(default="", repr=False, compare=False)

@@ -15,12 +15,19 @@ _COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
 
 class SqlParser:
-    """One-shot parser over a token stream."""
+    """One-shot parser over a token stream.
 
-    def __init__(self, text: str) -> None:
+    *first_param* is the index the first ``?`` placeholder gets (each
+    next one counts up, in text order); ``None`` rejects placeholders,
+    which only a prepared statement has values for.
+    """
+
+    def __init__(self, text: str, first_param: int | None = None) -> None:
         self.text = text
         self.tokens = tokenize(text)
         self.index = 0
+        #: The index the next ``?`` gets: after parsing, one past the last.
+        self.next_param = first_param
 
     # -- token helpers -------------------------------------------------------
 
@@ -537,6 +544,13 @@ class SqlParser:
         if token.is_keyword("FALSE"):
             self._next()
             return ast.Literal(False)
+        if token.type == "PARAM":
+            if self.next_param is None:
+                raise self._error("'?' parameters are only accepted by "
+                                  "prepared statements")
+            self._next()
+            self.next_param += 1
+            return ast.Param(self.next_param - 1)
         if token.is_keyword("CASE"):
             return self._case()
         if token.is_keyword("CAST"):
@@ -621,7 +635,8 @@ class SqlParser:
 
 
 def parse_sql(text: str) -> ast.Statement:
-    """Parse a single SQL statement."""
+    """Parse a single SQL statement (no ``?``: plain text has no values
+    to bind)."""
     return SqlParser(text).parse_statement()
 
 

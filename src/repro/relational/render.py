@@ -102,6 +102,8 @@ def render_expr(expr: ast.Expr) -> str:
         return f"CAST({render_expr(expr.operand)} AS {expr.type_name})"
     if isinstance(expr, ast.ScalarSubquery):
         return f"({render_query(expr.query)})"
+    if isinstance(expr, ast.Param):
+        return "?"
     raise NotSupportedError(f"cannot render {type(expr).__name__}")
 
 

@@ -20,7 +20,8 @@ import repro
 from repro.analysis import (AnalysisError, AnalysisOptions, AnalysisReport,
                             CODES, analyze_federated, analyze_sparql,
                             analyze_sql, analyze_statement)
-from repro.analysis.__main__ import main as cli_main, split_statements
+from repro.analysis.__main__ import (analyze_text, main as cli_main,
+                                     split_statements)
 from repro.analysis.archlint import (DEFAULT_CONFIG, check_tree,
                                      load_config)
 from repro.analysis.archlint import main as archlint_main
@@ -565,6 +566,20 @@ class TestCli:
             "SELECT name, city FROM landfill "
             "ENRICH SCHEMAREPLACEMENT(city, inCountry);\n")
         assert cli_main(["--smartground", str(pack)]) == 0
+
+    @pytest.mark.parametrize("statement", [
+        "SELECT name FROM landfill WHERE opened_year >= ? LIMIT 5",
+        "SELECT landfill_name FROM elem_contained "
+        "WHERE ${elem_name = ? : c1} AND amount > ? LIMIT ? "
+        "ENRICH REPLACEVARIABLE(c1, elem_name, dangerLevel)",
+        "SELECT name FROM landfill WHERE UPPER(name) = ? LIMIT 5",
+    ])
+    def test_cli_and_prepare_agree_on_parameters(self, statement):
+        cli = analyze_text(statement, create_schema())
+        assert "E-SYNTAX" not in cli.codes()
+        prepared = repro.connect(create_schema()).prepare(statement)
+        assert cli.codes() == prepared.diagnostics.codes()
+        assert cli.statement.count("?") == prepared.parameter_count
 
     def test_cli_json_output(self, tmp_path, capsys):
         pack = tmp_path / "q.sql"

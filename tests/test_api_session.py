@@ -1,14 +1,19 @@
 """The unified session API: connect, prepare, bind, explain, caches."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.api import ExtractionCache, LRUCache, SessionError
-from repro.core import ParameterError, SESQLEngine
+from repro.core import ParameterError, SESQLEngine, SesqlSyntaxError
 from repro.crosse import CrossePlatform
 from repro.federation import Mediator
 from repro.rdf import Namespace, TripleStore, parse_turtle
 from repro.relational import Database
+from repro.relational.render import render_literal, render_query
 from repro.smartground import SmartGroundConfig, generate_databank
 
 SMG = Namespace("http://smartground.eu/ns#")
@@ -126,12 +131,11 @@ def test_parameter_count_mismatch_rejected(session):
         prepared.execute([1, 2])
 
 
-def test_sentinel_namespace_is_reserved(session):
-    # A literal spelling the internal parameter sentinel could be
-    # confused with a ? slot; prepare() rejects it outright.
-    with pytest.raises(ParameterError):
-        session.prepare("SELECT elem_name FROM elem_contained "
-                        "WHERE elem_name = '__sesql_param_0__'")
+def test_a_former_sentinel_spelling_is_an_ordinary_string(session):
+    prepared = session.prepare("SELECT elem_name FROM elem_contained "
+                               "WHERE elem_name = '__sesql_param_0__'")
+    assert prepared.parameter_count == 0
+    assert prepared.execute().rows == []
 
 
 def test_unbindable_parameter_type_rejected(session):
@@ -141,15 +145,13 @@ def test_unbindable_parameter_type_rejected(session):
         prepared.execute([object()])
 
 
-def test_placeholder_in_enrich_clause_rejected_at_bind(session):
-    # A ? in the ENRICH clause has no literal to bind to; it must fail
-    # loudly rather than leak the sentinel into the SPARQL extraction.
-    prepared = session.prepare(
-        "SELECT elem_name FROM elem_contained "
-        "ENRICH SCHEMAEXTENSION(elem_name, ?)")
-    assert prepared.parameter_count == 1
-    with pytest.raises(ParameterError, match="no binding site"):
-        prepared.execute(["dangerLevel"])
+def test_placeholder_in_enrich_clause_rejected_at_prepare(session):
+    # A ? in the ENRICH clause has no syntax-tree node to bind: the
+    # spec scanner refuses it before anything is cached or run.
+    with pytest.raises(SesqlSyntaxError, match="not the ENRICH clause"):
+        session.prepare("SELECT elem_name FROM elem_contained "
+                        "ENRICH SCHEMAEXTENSION(elem_name, ?)")
+    assert len(session.plan_cache) == 0
 
 
 def test_parameters_work_inside_tagged_conditions(session):
@@ -169,6 +171,132 @@ def test_prepared_template_survives_execution(session):
     first = prepared.execute([10.0])
     second = prepared.execute([10.0])
     assert first.result.same_rows(second.result)
+
+
+@pytest.mark.parametrize("params", ["ab", b"ab", {"a": 1, "b": 2}, 5])
+def test_bind_rejects_what_is_not_a_row_of_values(session, params):
+    # Two slots: a two-character string, two bytes or a two-key mapping
+    # would otherwise bind as two values nobody wrote.
+    prepared = session.prepare("SELECT elem_name FROM elem_contained "
+                               "WHERE elem_name = ? OR landfill_name = ?")
+    with pytest.raises(ParameterError, match="sequence of values"):
+        prepared.bind(params)
+
+
+def test_a_parameterless_statement_runs_its_template(session):
+    prepared = session.prepare("SELECT elem_name FROM elem_contained")
+    assert prepared.bind() is prepared.bind([]) is prepared._template
+    assert prepared.execute().enriched is prepared._template
+
+
+def test_an_unbound_template_is_refused_before_it_runs(session, db):
+    prepared = session.prepare(ENRICHED)
+    tables = db.table_names()
+    with pytest.raises(ParameterError, match="1 '\\?' parameter"):
+        session.engine.execute_parsed(prepared._template)
+    with pytest.raises(ParameterError):
+        session.engine.execute(ENRICHED)
+    assert db.table_names() == tables
+
+
+def test_plain_sql_paths_refuse_placeholders(db):
+    from repro.relational import SqlSyntaxError
+    mediator = Mediator()
+    mediator.register_source("origin", db)
+    mediator.define_view("elem", [("origin", "SELECT * FROM elem_contained")])
+    session = mediator.connect()
+    text = "SELECT elem_name FROM elem_contained WHERE amount > ?"
+    for run in (lambda: db.execute(text), lambda: db.execute_script(text),
+                lambda: db.stream(text), lambda: db.explain(text),
+                lambda: mediator.query(text.replace("elem_contained", "elem")),
+                lambda: session.query(text.replace("elem_contained", "elem"))):
+        with pytest.raises(SqlSyntaxError, match="prepared statements"):
+            run()
+
+
+# -- ? in every expression position: bound == the literals inlined ---------
+
+_VALUES = (st.none() | st.booleans() | st.integers(0, 10**6)
+           | st.floats(0, 1e6, allow_nan=False, allow_infinity=False)
+           | st.sampled_from(["Mercury", "Iron", "a", "high", "low"])
+           | st.text(alphabet="ab?%_' é", max_size=5))
+
+#: Where only numbers run, half the draws are (the rest must fail alike
+#: on both sides).
+_NUMBERS = st.booleans().flatmap(
+    lambda number: st.integers(0, 200) if number else _VALUES)
+
+#: (statement, SESQL include_original or None, values): every ``?``
+#: position.
+_POSITIONS = [
+    ("SELECT elem_name, ? AS tag FROM elem_contained WHERE amount > ? "
+     "ORDER BY elem_name, amount", None, _VALUES),
+    ("SELECT elem_name FROM elem_contained WHERE elem_name IN (?, ?) "
+     "OR elem_name LIKE ? ORDER BY elem_name, amount", None, _VALUES),
+    ("SELECT landfill_name FROM elem_contained "
+     "WHERE amount BETWEEN ? AND ? ORDER BY landfill_name, amount", None,
+     _NUMBERS),
+    ("SELECT landfill_name, COUNT(*) AS n FROM elem_contained "
+     "GROUP BY landfill_name HAVING COUNT(*) >= ? ORDER BY landfill_name",
+     None, _VALUES),
+    ("SELECT elem_name FROM elem_contained ORDER BY elem_name, amount "
+     "LIMIT ? OFFSET ?", None, _NUMBERS),
+    ("SELECT d.e FROM (SELECT elem_name AS e, amount FROM elem_contained "
+     "WHERE amount < ?) AS d ORDER BY d.e, d.amount", None, _VALUES),
+    ("SELECT landfill_name FROM elem_contained WHERE elem_name IN "
+     "(SELECT elem_name FROM elem_contained WHERE amount > ?) "
+     "ORDER BY landfill_name, amount", None, _VALUES),
+    ("SELECT elem_name FROM elem_contained WHERE amount > ? UNION "
+     "SELECT landfill_name FROM elem_contained WHERE elem_name = ? "
+     "ORDER BY 1", None, _VALUES),
+] + [
+    ("SELECT landfill_name, elem_name FROM elem_contained "
+     "WHERE amount > ? AND ${elem_name = ? : c1} "
+     "ORDER BY landfill_name, elem_name "
+     "ENRICH REPLACEVARIABLE(c1, elem_name, dangerLevel)", include, _VALUES)
+    for include in (False, True)]
+
+
+def _outcome(run):
+    """Rows and rewritten SQL of a run, or the error it raised."""
+    try:
+        outcome = run()
+    except Exception as exc:  # the same failure on both sides is fine
+        return type(exc).__name__, str(exc)
+    return outcome.rows, re.sub(r"(__sesql_[a-z]+_)\d+", r"\1N",
+                                outcome.executed_sql)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("text, include, drawn", _POSITIONS)
+def test_bound_parameters_equal_the_literals_inlined(text, include, drawn,
+                                                      data):
+    # Inlined, each value parses back to the Literal binding splices in
+    # (hence no negative numbers: "-5" parses as a negation).
+    database = Database()
+    database.execute_script(
+        "CREATE TABLE elem_contained (landfill_name TEXT, elem_name TEXT, "
+        "amount REAL); INSERT INTO elem_contained VALUES "
+        "('a','Mercury',12.0), ('a','Iron',140.0), ('b','Mercury',7.0), "
+        "('b', NULL, NULL)")
+    session = repro.connect(database, knowledge_base=parse_turtle("""
+        @prefix smg: <http://smartground.eu/ns#> .
+        smg:Mercury smg:dangerLevel "high" .
+        smg:Iron smg:dangerLevel "low" ."""))
+    prepared = session.prepare(text)
+    values = data.draw(st.lists(drawn, min_size=prepared.parameter_count,
+                                max_size=prepared.parameter_count))
+    pieces = text.split("?")
+    inlined = "".join(piece + literal for piece, literal in zip(
+        pieces, [render_literal(value) for value in values] + [""]))
+    bound = _outcome(lambda: prepared.execute(
+        values, include_original=include))
+    assert bound == _outcome(lambda: session.execute(
+        inlined, include_original=include))
+    if isinstance(bound[0], list):
+        assert prepared.execute(values, include_original=include).base_sql \
+            == render_query(session.engine.parse(inlined).query)
 
 
 # -- caching ----------------------------------------------------------------

@@ -345,6 +345,17 @@ def test_cluster_session_drains_pagination():
         assert session.users() == ["alice"]
 
 
+def test_cluster_session_never_binds_a_mapping_as_its_keys():
+    from repro.core import ParameterError
+    with _ThreadCluster(1, seed_rows=5) as tc:
+        session = repro.connect(tc.coordinator)
+        session.register_user("alice")
+        text = "SELECT id FROM readings WHERE id = ?"
+        assert session.execute("alice", text, (3,)).rows == [(3,)]
+        with pytest.raises(ParameterError, match="sequence of values"):
+            session.execute("alice", text, {"3": 3})
+
+
 def test_scatter_query_groups_users_by_owner():
     with _ThreadCluster(2) as tc:
         users = [f"user-{index}" for index in range(8)]

@@ -30,7 +30,7 @@ from repro.federation import Mediator
 from repro.federation.foreign import (CallableSource, CsvSource,
                                       QuerySource, attach_foreign_table)
 from repro.rdf import IRI, Literal, Namespace, TripleStore, parse_turtle
-from repro.relational import Database
+from repro.relational import Database, SqlSyntaxError
 from repro.relational.schema import Column, DataType
 
 SMG = Namespace("http://smartground.eu/ns#")
@@ -334,6 +334,30 @@ def test_analyze_is_not_journaled(tmp_path):
     seq_before = db.durability_journal.seq
     db.analyze()
     db.execute("ANALYZE landfill")
+    assert db.durability_journal.seq == seq_before
+    manager.sync()
+    assert len(wal_frames(directory)) == before
+    manager.close()
+
+
+def test_a_placeholder_fails_at_parse_and_is_never_journaled(tmp_path):
+    directory = str(tmp_path / "dur")
+    manager, db, _store = fresh_manager(directory)
+    manager.recover()
+    populate(db)
+    manager.sync()
+    before = len(wal_frames(directory))
+    seq_before = db.durability_journal.seq
+    generation = db.generation
+    for run in (lambda: db.execute("INSERT INTO landfill VALUES (?)"),
+                lambda: db.execute_script(
+                    "INSERT INTO landfill VALUES (3, 'c', 1.0); "
+                    "DELETE FROM landfill WHERE id = ?"),
+                lambda: db.stream("SELECT name FROM landfill WHERE id = ?")):
+        with pytest.raises(SqlSyntaxError, match="prepared statements"):
+            run()
+    assert db.generation == generation
+    assert db.query("SELECT COUNT(*) FROM landfill").scalar() == 2
     assert db.durability_journal.seq == seq_before
     manager.sync()
     assert len(wal_frames(directory)) == before

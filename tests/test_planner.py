@@ -415,7 +415,8 @@ def _mutable_parts(node, found: dict) -> dict:
         for item in node:
             _mutable_parts(item, found)
     elif dataclasses.is_dataclass(node) and not isinstance(
-            node, (ast.Literal, ast.ColumnRef, ast.Star, ast.SlotRef)):
+            node, (ast.Literal, ast.ColumnRef, ast.Star, ast.SlotRef,
+                   ast.Param)):
         found[id(node)] = node
         for field in dataclasses.fields(node):
             _mutable_parts(getattr(node, field.name), found)

@@ -95,6 +95,39 @@ def test_422_handler_error(service):
     assert response.payload["error"]["code"] == "unprocessable"
 
 
+@pytest.mark.parametrize("params", [{"lf0000": 1}, "lf0000", 5, True])
+def test_400_params_that_are_not_an_array(service, params):
+    # An object used to bind its keys, a string its characters.
+    _register_users(service, ["anna"])
+    response = service.request("POST", "/api/v1/query", {
+        "username": "anna", "params": params,
+        "query": "SELECT name FROM landfill WHERE name = ?"})
+    assert response.status == 400
+    assert response.payload["error"]["code"] == "invalid_params"
+
+
+def test_params_array_binds_and_null_means_none(service):
+    _register_users(service, ["anna"])
+    bound = service.request("POST", "/api/v1/query", {
+        "username": "anna", "params": ["lf0000"],
+        "query": "SELECT name FROM landfill WHERE name = ?"})
+    assert bound.status == 200 and bound.payload["rows"] == [["lf0000"]]
+    unbound = service.request("POST", "/api/v1/query", {
+        "username": "anna", "params": None,
+        "query": "SELECT COUNT(*) FROM landfill"})
+    assert unbound.status == 200 and unbound.payload["rows"] == [[12]]
+
+
+def test_analyze_shows_placeholders_as_written(service):
+    _register_users(service, ["anna"])
+    response = service.request("POST", "/api/v1/analyze", {
+        "username": "anna",
+        "query": "SELECT name FROM landfill WHERE name = ? LIMIT 5"})
+    assert response.status == 200
+    statement = response.payload["report"]["statement"]
+    assert "name = ?" in statement and "__sesql_param" not in statement
+
+
 def test_rest_error_maps_status_and_detail():
     router = RestRouter()
 

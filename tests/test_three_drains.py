@@ -12,6 +12,7 @@ name what a following execute reports.
 """
 
 import ast
+import copy
 import re
 import threading
 from pathlib import Path
@@ -158,6 +159,50 @@ def test_three_drains_agree(connect, dataset, text, federated, strategy,
             for node in analyzed.db_plan.root.walk()] \
         == [(node.kind, node.actual_rows)
             for node in again.db_plan.walk()]
+
+
+PARAMETERISED = [
+    ("SELECT name, city FROM landfill WHERE opened_year >= ? "
+     "ORDER BY name ENRICH SCHEMAREPLACEMENT(city, inCountry)", [1990]),
+    ("SELECT landfill_name, COUNT(*) AS hazards FROM elem_contained "
+     "WHERE ${elem_name = HazardousWaste:cond1} AND amount > ? "
+     "GROUP BY landfill_name ORDER BY hazards DESC, landfill_name "
+     "ENRICH REPLACECONSTANT(cond1, HazardousWaste, dangerQuery)", [1.0]),
+    ("SELECT elem_name, landfill_name FROM elem_contained "
+     "WHERE ${elem_name = ? : c1} ORDER BY elem_name, landfill_name "
+     "ENRICH REPLACEVARIABLE(c1, elem_name, dangerLevel)", ["high"]),
+    ("SELECT name FROM landfill WHERE area_m2 > ? ORDER BY name LIMIT ?",
+     [50000.0, 3]),
+]
+
+
+@pytest.mark.parametrize("federated", [False, True],
+                         ids=["plain", "federated"])
+@pytest.mark.parametrize("dataset, text, params", [
+    pytest.param(*param.values, None, id=param.id) for param in STATEMENTS
+] + [pytest.param("smartground", text, params, id=f"parameterised-{index}")
+     for index, (text, params) in enumerate(PARAMETERISED)])
+def test_the_template_is_never_copied_or_written(connect, dataset, text,
+                                                 params, federated,
+                                                 monkeypatch):
+    """A cached template is read by every drain and written by none:
+    it equals its snapshot from prepare time afterwards, and no drain
+    deep-copies anything to get there."""
+    session = connect(dataset, federated, "tempdb")
+    prepared = session.prepare(text)
+    assert prepared.parameter_count == len(params or ())
+    snapshot = copy.deepcopy(prepared._template)
+    copies = []
+    real_deepcopy = copy.deepcopy
+    monkeypatch.setattr(copy, "deepcopy", lambda *args, **kwargs: (
+        copies.append(args[0]) or real_deepcopy(*args, **kwargs)))
+    executed = prepared.execute(params)
+    assert list(prepared.stream(params)) == executed.rows
+    prepared.explain(params)
+    prepared.explain(params, analyze=True)
+    assert copies == []
+    assert prepared._template == snapshot
+    assert_nothing_left_behind(session.databank)
 
 
 WHERE_SIDE = [param for param in STATEMENTS
