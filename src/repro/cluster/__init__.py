@@ -15,7 +15,11 @@ out of lock bandwidth.  This package shards it:
 * each worker can host a :class:`ReadReplica` of the shared relational
   databank / triple stores, kept fresh by tailing the primary's WAL
   (:class:`WalTailer`) and serving a read **iff** its generation stamp
-  has caught up — stale reads forward to the primary, never lie.
+  has caught up — stale reads forward to the primary, never lie, and a
+  stale shard's users get a ``replica_stale`` error from a scattered
+  query, not rows.  Tailing *is* crash recovery's replay: both drive
+  one :class:`~repro.durability.replay.ReplayCursor`, so a caught-up
+  replica holds exactly what a recovered primary would.
 
 :func:`start_cluster` wires all of it up on one machine.
 """

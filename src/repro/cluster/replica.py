@@ -1,14 +1,14 @@
 """Read replicas kept fresh by tailing the primary's WAL.
 
-The durability manager (PR 6) already journals every committed mutation
-of the shared relational databank / triple store as checksummed frames
-in numbered WAL segments, with compacted snapshots at epoch boundaries.
-A :class:`WalTailer` reads that same directory **read-only** from
-another process: bootstrap from the newest valid snapshot, then poll
-the segment tail, applying frames through the exact replay functions
-recovery uses (:func:`~repro.durability.apply_database_record` /
-:func:`~repro.durability.apply_store_record`) and pinning the replica's
-generation stamps to the primary's recorded values.
+The durability manager journals every committed mutation of the shared
+relational databank / triple store as checksummed frames in numbered
+WAL segments, with compacted snapshots at epoch boundaries.  A
+:class:`WalTailer` reads that same directory **read-only** from another
+process, and it reads it the way crash recovery does — through one
+:class:`~repro.durability.replay.ReplayCursor`: the same snapshot load
+(newest valid, one-epoch fallback), the same frame replay and the same
+exact generation pin.  All the tailer adds is its own offset and the
+walk from one segment to its successor.
 
 Freshness is the whole contract: a :class:`ReadReplica` serves a read
 **iff** its ``Database.generation`` / ``TripleStore.generation`` stamp
@@ -21,8 +21,10 @@ Torn tails are expected (the tailer races the primary's group-commit
 writes): the tailer simply keeps its offset at the last valid frame
 boundary and re-reads once more bytes land.  A per-component sequence
 hole, by contrast, means retained history is gone (pruned or corrupt
-segment) — the tailer raises :class:`~repro.cluster.ReplicaGapError`
-instead of fabricating state.
+segment): the cursor quarantines that component at the hole, as
+recovery does, and every poll from then on raises
+:class:`~repro.cluster.ReplicaGapError` instead of serving a replica
+that can never catch up.
 """
 
 from __future__ import annotations
@@ -32,31 +34,12 @@ import threading
 import time
 from typing import Any, Callable
 
-from ..durability import snapshot as snapshot_io
-from ..durability.errors import SnapshotError
-from ..durability.manager import apply_database_record, apply_store_record
-from ..durability.wal import WAL_HEADER_COMPONENT, iter_frames
+from ..durability.replay import (KINDS, SEGMENTS, SNAPSHOTS, Component,
+                                 ReplayCursor, list_numbered)
 from ..relational.engine import Database
 from ..relational.result import ResultSet
 from ..rdf.store import TripleStore
 from .errors import ReplicaGapError, ReplicaStaleError
-
-
-def _list_numbered(directory: str, prefix: str,
-                   suffix: str) -> list[tuple[int, str]]:
-    entries: list[tuple[int, str]] = []
-    try:
-        names = os.listdir(directory)
-    except FileNotFoundError:
-        return []
-    for name in names:
-        if not (name.startswith(prefix) and name.endswith(suffix)):
-            continue
-        middle = name[len(prefix):len(name) - len(suffix)]
-        if middle.isdigit():
-            entries.append((int(middle), os.path.join(directory, name)))
-    entries.sort()
-    return entries
 
 
 class WalTailer:
@@ -72,175 +55,72 @@ class WalTailer:
                  foreign_sources: Any = None) -> None:
         self.directory = directory
         self._lock = threading.Lock()
-        self._components: dict[str, tuple[str, Any]] = {}
+        components: dict[str, Component] = {}
         if database is not None:
-            self._components[f"db:{database.name}"] = ("database", database)
+            components[f"db:{database.name}"] = Component(
+                KINDS["database"], database)
         for name, store in (stores or {}).items():
-            self._components[f"store:{name}"] = ("store", store)
-        self._foreign_sources = foreign_sources
-        #: Per-component replay cursor: next expected seq + last
-        #: recorded generation (the value stamps are pinned to).
-        self._progress = {name: {"next": 1, "gen": 0}
-                          for name in self._components}
+            components[f"store:{name}"] = Component(KINDS["store"], store)
+        self._cursor = ReplayCursor(components, foreign_sources)
+        #: The cursor's list: replay warnings plus this walk's own.
+        self.warnings = self._cursor.warnings
         self._segment: int | None = None   # current segment number
         self._offset = 0                   # valid bytes consumed of it
         self._bootstrapped = False
-        self.frames_applied = 0
-        self.frames_skipped = 0
-        self.warnings: list[str] = []
 
-    # -- bootstrap -------------------------------------------------------------
-
-    def _bootstrap_locked(self) -> None:
-        """Load the newest valid snapshot (if any) and position the
-        tail at the earliest retained segment."""
-        snaps = _list_numbered(self.directory, "snap-", ".snap")
-        wals = _list_numbered(self.directory, "wal-", ".log")
-        if not snaps and not wals:
-            return                       # primary hasn't written yet
-        payload = None
-        for _num, path in reversed(snaps):
-            try:
-                payload = snapshot_io.load_snapshot_file(path)
-            except SnapshotError as exc:
-                # Same fallback recovery uses: the previous epoch's
-                # segment tail is retained exactly for this case.
-                self.warnings.append(str(exc))
-                continue
-            break
-        if payload is not None:
-            for name, component in payload.get("components", {}).items():
-                entry = self._components.get(name)
-                if entry is None:
-                    continue
-                kind, obj = entry
-                if kind == "database":
-                    snapshot_io.restore_database(obj, component,
-                                                 self._foreign_sources)
-                else:
-                    snapshot_io.restore_store(obj, component)
-                state = self._progress[name]
-                state["next"] = component.get("seq", 0) + 1
-                state["gen"] = component.get("generation", 0)
-        # Older retained segments only hold frames below each cut (the
-        # seq filter skips them), so starting at the earliest is safe.
-        self._segment = wals[0][0] if wals else None
-        self._offset = 0
-        self._bootstrapped = True
-        self._pin_generations_locked()
-
-    # -- polling ---------------------------------------------------------------
+    @property
+    def frames_applied(self) -> int:
+        return self._cursor.frames_applied
 
     def poll(self) -> int:
         """Apply every newly visible frame; returns how many."""
         with self._lock:
+            cursor = self._cursor
             if not self._bootstrapped:
-                self._bootstrap_locked()
-                if not self._bootstrapped:
-                    return 0
-            applied = 0
+                snaps = list_numbered(self.directory, *SNAPSHOTS)
+                if not snaps and not list_numbered(self.directory,
+                                                   *SEGMENTS):
+                    return 0             # primary hasn't written yet
+                cursor.load_snapshot(snaps)
+                cursor.pin()
+                self._bootstrapped = True
+            before = cursor.frames_applied
             while True:
+                # List the segments before reading: the primary closes a
+                # segment before creating its successor, so "a successor
+                # existed before this read" proves the read reached the
+                # segment's true end.
+                segments = dict(list_numbered(self.directory, *SEGMENTS))
                 if self._segment is None:
-                    wals = _list_numbered(self.directory, "wal-", ".log")
-                    if not wals:
+                    # Older retained segments only hold frames below
+                    # each cut, so starting at the earliest is safe.
+                    if not segments:
                         break
-                    self._segment = wals[0][0]
-                    self._offset = 0
-                path = os.path.join(self.directory,
-                                    f"wal-{self._segment:06d}.log")
-                # Snapshot the set of *later* segments before reading:
-                # the primary closes a segment before creating its
-                # successor, so "a successor existed before this read"
-                # proves the read reached the segment's true end.
-                later = [num for num, _path in
-                         _list_numbered(self.directory, "wal-", ".log")
-                         if num > self._segment]
-                exists = os.path.exists(path)
-                if exists:
+                    self._segment, self._offset = min(segments), 0
+                later = [num for num in segments if num > self._segment]
+                path = segments.get(self._segment)
+                if path is not None:
                     with open(path, "rb") as handle:
                         handle.seek(self._offset)
-                        data = handle.read()
-                    applied += self._apply_chunk_locked(data)
+                        self._offset += cursor.feed(handle.read())
                 if not later:
                     break
-                if exists and self._offset < os.path.getsize(path):
+                if path is not None and self._offset < os.path.getsize(path):
                     # Torn bytes inside a closed segment: the primary
                     # crashed mid-write and will truncate them on its
                     # own recovery; a seq hole will surface if any
                     # attached component actually lost records.
                     self.warnings.append(
                         f"torn tail inside closed segment "
-                        f"wal-{self._segment:06d}.log")
-                self._segment = min(later)
-                self._offset = 0
+                        f"{os.path.basename(path)}")
+                self._segment, self._offset = min(later), 0
+            applied = cursor.frames_applied - before
             if applied:
-                self._pin_generations_locked()
+                cursor.pin()
+            if cursor.gaps:
+                raise ReplicaGapError(f"{cursor.gaps[0]}; rebuild this "
+                                      f"replica from a snapshot")
             return applied
-
-    def _apply_chunk_locked(self, data: bytes) -> int:
-        applied = 0
-        base = self._offset          # chunk frame offsets are relative
-        for payload, end in iter_frames(data):
-            self._offset = base + end
-            name = payload.get("c")
-            if name == WAL_HEADER_COMPONENT:
-                header = payload.get("d", {}).get("components", {})
-                for comp_name, info in header.items():
-                    state = self._progress.get(comp_name)
-                    if state is not None:
-                        state["gen"] = max(state["gen"],
-                                           info.get("generation", 0))
-            else:
-                state = self._progress.get(name)
-                if state is None:
-                    self.frames_skipped += 1
-                else:
-                    seq = payload.get("q", 0)
-                    if seq < state["next"]:
-                        self.frames_skipped += 1
-                    elif seq > state["next"]:
-                        raise ReplicaGapError(
-                            f"WAL gap for {name!r}: expected record "
-                            f"{state['next']}, found {seq}; rebuild "
-                            f"this replica from a snapshot")
-                    else:
-                        kind, obj = self._components[name]
-                        try:
-                            if kind == "database":
-                                apply_database_record(
-                                    obj, payload.get("t"),
-                                    payload.get("d"),
-                                    self._foreign_sources)
-                            else:
-                                apply_store_record(obj, payload.get("t"),
-                                                   payload.get("d"))
-                        except Exception as exc:
-                            # Mirror recovery: warn and move the cursor
-                            # on, rather than wedging the replica on a
-                            # frame that will never apply differently.
-                            self.warnings.append(
-                                f"replay of {name}#{seq} "
-                                f"({payload.get('t')}) failed: {exc}")
-                        state["next"] = seq + 1
-                        state["gen"] = max(state["gen"],
-                                           payload.get("g", 0))
-                        applied += 1
-                        self.frames_applied += 1
-        return applied
-
-    def _pin_generations_locked(self) -> None:
-        # Exact pins, mirroring recovery: replayed batches bump the
-        # counters through the normal mutation paths, and equality with
-        # the primary's recorded stamp is the freshness predicate.
-        for name, (kind, obj) in self._components.items():
-            generation = self._progress[name]["gen"]
-            if obj.generation != generation:
-                obj.pin_generation(generation)
-
-    def progress(self) -> dict[str, dict]:
-        with self._lock:
-            return {name: dict(state)
-                    for name, state in self._progress.items()}
 
 
 class ReadReplica:

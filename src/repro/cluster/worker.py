@@ -191,6 +191,10 @@ class ShardServer:
         return replica.wait_fresh(expect,
                                   timeout_s=self.freshness_timeout_s)
 
+    def _stale_message(self) -> str:
+        return (f"shard {self.shard_id} replica did not reach the "
+                f"expected generation within {self.freshness_timeout_s}s")
+
     def _handle_rest(self, request: dict) -> dict:
         expect = request.get("expect")
         if not self._wait_fresh(expect):
@@ -200,10 +204,7 @@ class ShardServer:
             replica = self.runtime.replica
             return {"ok": True, "status": 503, "stale": True,
                     "body": error_payload(
-                        "replica_stale",
-                        f"shard {self.shard_id} replica did not reach "
-                        f"the expected generation within "
-                        f"{self.freshness_timeout_s}s",
+                        "replica_stale", self._stale_message(),
                         {"have": replica.generations(),
                          "want": expect})}
         response = self.service.request(request.get("method", "GET"),
@@ -243,11 +244,18 @@ class ShardServer:
                 "rows": [list(row) for row in result.rows]}
 
     def _handle_multi_query(self, request: dict) -> dict:
-        self._wait_fresh(request.get("expect"))
+        usernames = request.get("usernames", ())
+        if not self._wait_fresh(request.get("expect")):
+            # Same refusal as a routed read: no user of a stale shard
+            # gets rows.
+            return {"ok": True, "results": {
+                username: {"error": self._stale_message(),
+                           "code": "replica_stale"}
+                for username in usernames}}
         query = request["query"]
         params = request.get("params")
         results: dict[str, dict] = {}
-        for username in request.get("usernames", ()):
+        for username in usernames:
             try:
                 with self.service.pool.checkout(username) as session:
                     cursor = session.stream(query, params)

@@ -14,8 +14,7 @@ stale entries across the restart.
 
 from .crash import CrashPoint, FaultyFile, FaultyOpener, crash_budgets
 from .errors import DurabilityError, SnapshotError, WalCorruptionError
-from .manager import (ComponentJournal, DurabilityManager, RecoveryReport,
-                      apply_database_record, apply_store_record)
+from .manager import ComponentJournal, DurabilityManager, RecoveryReport
 from .options import DurabilityOptions
 from .state import (database_state, platform_state, state_digest,
                     store_state)
@@ -37,8 +36,6 @@ __all__ = [
     "database_state",
     "encode_frame",
     "iter_frames",
-    "apply_database_record",
-    "apply_store_record",
     "platform_state",
     "read_frames",
     "state_digest",

@@ -14,6 +14,17 @@ corrupt latest snapshot falls back to the previous epoch — same replay
 logic, longer tail.  Retention keeps ``keep_epochs`` snapshots plus
 every segment the oldest of them could need.
 
+The reading — snapshot load, frame replay, the generation pin, the
+per-kind dispatch — is :mod:`repro.durability.replay`, the same code
+the cluster's read replicas tail this directory with.  What only the
+owner of the directory may do stays here: deleting torn snapshot temp
+files, truncating the active segment's torn tail, refusing to recover
+into non-empty components, and arming the writer.  A component whose
+sequence has a hole is quarantined at the hole; its journal resumes
+past the highest sequence the retained log holds for it and recovery
+snapshots at once, so records acknowledged after recovery survive the
+next one.
+
 Components attach *before* ``recover()`` and are identified by stable
 names (``db:<name>``, ``store:<name>``, ``"platform"``) so a restarted
 process re-binds its journals to the recovered history.  Mutation
@@ -37,16 +48,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..crosse.kb import Reference
-from ..federation.foreign import attach_foreign_table
-from ..rdf.store import Triple
 from ..relational.engine import Database
-from ..relational.errors import RelationalError
-from ..relational.schema import Column
 from . import snapshot as snapshot_io
-from .errors import DurabilityError, SnapshotError
+from .errors import DurabilityError
 from .options import DurabilityOptions
-from .wal import WAL_HEADER_COMPONENT, WalWriter, iter_frames
+from .replay import (KINDS, SEGMENTS, SNAPSHOTS, Component, ReplayCursor,
+                     list_numbered)
+from .wal import WAL_HEADER_COMPONENT, WalWriter
 
 
 class ComponentJournal:
@@ -79,17 +87,6 @@ class ComponentJournal:
                                     "d": data})
 
 
-class _Component:
-    __slots__ = ("name", "kind", "obj", "journal")
-
-    def __init__(self, name: str, kind: str, obj: Any,
-                 journal: ComponentJournal) -> None:
-        self.name = name
-        self.kind = kind
-        self.obj = obj
-        self.journal = journal
-
-
 @dataclass
 class RecoveryReport:
     """What ``recover()`` found and did."""
@@ -99,68 +96,10 @@ class RecoveryReport:
     frames_skipped: int = 0
     replay_errors: int = 0
     truncated_bytes: int = 0
+    #: ``recover()`` took a baseline snapshot (see there for when).
     initial_snapshot: bool = False
     components: dict[str, dict] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
-
-
-def apply_database_record(db: Database, record_type: str, data: dict,
-                          foreign_sources: Any = None) -> None:
-    """Replay one WAL ``db:*`` record against *db*.
-
-    Shared by crash recovery and the cluster layer's WAL-tailing read
-    replicas, so both consumers apply primary history through the exact
-    same mutation paths.
-    """
-    if record_type == "sql":
-        try:
-            db.execute(data["sql"])
-        except RelationalError:
-            # The original statement failed identically after its
-            # partial mutation; the log recorded it because the
-            # generation moved.  Same failure, same state.
-            pass
-    elif record_type == "rows":
-        columns = data["columns"]
-        db.insert_rows(data["table"],
-                       (dict(zip(columns, row))
-                        for row in data["rows"]))
-    elif record_type == "create_table":
-        db.create_table(
-            data["name"],
-            [Column.from_spec(spec) for spec in data["columns"]],
-            data["if_not_exists"])
-    elif record_type == "drop_table":
-        db.drop_table(data["name"], data["if_exists"])
-    elif record_type == "bump":
-        db.bump_generation()
-    elif record_type == "attach_foreign":
-        source = snapshot_io.resolve_foreign_source(
-            data["name"], data["source"], foreign_sources)
-        attach_foreign_table(db, data["name"], source,
-                             data["mode"], data["latency_s"])
-    else:
-        raise DurabilityError(
-            f"unknown database record type {record_type!r}")
-
-
-def apply_store_record(store: Any, record_type: str, data: dict) -> None:
-    """Replay one WAL ``store:*`` record against *store* (see
-    :func:`apply_database_record`)."""
-    if record_type == "add":
-        store.add(Triple(*data["triple"]))
-    elif record_type == "add_all":
-        store.add_all(tuple(triple) for triple in data["triples"])
-    elif record_type == "remove":
-        store.remove(Triple(*data["triple"]))
-    elif record_type == "remove_all":
-        store.remove_all(Triple(*triple)
-                         for triple in data["triples"])
-    elif record_type == "clear":
-        store.clear()
-    else:
-        raise DurabilityError(
-            f"unknown store record type {record_type!r}")
 
 
 class DurabilityManager:
@@ -180,7 +119,7 @@ class DurabilityManager:
         self._logging = False
         self._recovered = False
         self._closed = False
-        self._components: dict[str, _Component] = {}
+        self._components: dict[str, Component] = {}
         self._writer: WalWriter | None = None
         self._epoch = 0          # epoch of the effective snapshot
         self._wal_seq = 0        # numeric suffix of the active segment
@@ -238,7 +177,7 @@ class DurabilityManager:
                 raise DurabilityError(
                     f"component {name!r} is already attached")
             journal = ComponentJournal(self, name)
-            self._components[name] = _Component(name, kind, obj, journal)
+            self._components[name] = Component(KINDS[kind], obj, journal)
             return journal
 
     # -- paths ---------------------------------------------------------------
@@ -248,19 +187,6 @@ class DurabilityManager:
 
     def _wal_path(self, seq: int) -> str:
         return os.path.join(self.directory, f"wal-{seq:06d}.log")
-
-    def _list_numbered(self, prefix: str,
-                       suffix: str) -> list[tuple[int, str]]:
-        entries: list[tuple[int, str]] = []
-        for name in os.listdir(self.directory):
-            if not (name.startswith(prefix) and name.endswith(suffix)):
-                continue
-            middle = name[len(prefix):len(name) - len(suffix)]
-            if middle.isdigit():
-                entries.append((int(middle),
-                                os.path.join(self.directory, name)))
-        entries.sort()
-        return entries
 
     # -- recovery ------------------------------------------------------------
 
@@ -276,9 +202,12 @@ class DurabilityManager:
             report = self._recover_locked(foreign_sources)
         self.last_recovery = report
         if report.initial_snapshot:
-            # Durability switched on over an already-populated stack in
-            # a fresh directory: capture the baseline immediately so a
-            # crash before the first explicit snapshot still recovers.
+            # A baseline cut, taken now so a crash before the first
+            # explicit snapshot still recovers: durability switched on
+            # over an already-populated stack in a fresh directory, or a
+            # quarantined component whose journal resumed past its hole
+            # (without a cut there, replay would stop at the hole again
+            # and drop every record logged from here on).
             self.snapshot()
         if self.options.snapshot_every > 0 and self._snap_thread is None:
             self._snap_thread = threading.Thread(
@@ -290,60 +219,53 @@ class DurabilityManager:
     def _recover_locked(self, foreign_sources: Any) -> RecoveryReport:
         if self._recovered:
             raise DurabilityError("recover() already ran")
-        report = RecoveryReport()
         for name in os.listdir(self.directory):
             if name.endswith(".tmp"):  # torn snapshot write, never renamed
                 try:
                     os.remove(os.path.join(self.directory, name))
                 except OSError:  # pragma: no cover
                     pass
-        snaps = self._list_numbered("snap-", ".snap")
-        wals = self._list_numbered("wal-", ".log")
+        snaps = list_numbered(self.directory, *SNAPSHOTS)
+        wals = list_numbered(self.directory, *SEGMENTS)
         self._max_epoch_seen = max(
             [num for num, _ in snaps] + [num for num, _ in wals],
             default=0)
         has_prior = bool(snaps or wals)
         if has_prior:
-            for comp in self._components.values():
-                if not self._component_empty(comp):
-                    raise DurabilityError(
-                        f"component {comp.name!r} must be empty to "
-                        f"recover prior state from {self.directory!r}")
-        chosen_payload = None
-        if snaps:
-            for num, path in reversed(snaps):
-                try:
-                    chosen_payload = snapshot_io.load_snapshot_file(path)
-                except SnapshotError as exc:
-                    # Fall back to the previous epoch: its WAL tail is
-                    # retained exactly for this case.
-                    report.warnings.append(str(exc))
-                    continue
-                self._epoch = num
-                report.snapshot_epoch = num
-                break
-        progress = {name: {"next": 1, "gen": 0, "broken": False}
-                    for name in self._components}
-        if chosen_payload is not None:
-            for name, payload in chosen_payload.get("components",
-                                                    {}).items():
-                comp = self._components.get(name)
-                if comp is None:
-                    report.warnings.append(
-                        f"snapshot holds unattached component {name!r}")
-                    continue
-                self._restore_component(comp, payload, foreign_sources)
-                progress[name]["next"] = payload.get("seq", 0) + 1
-                progress[name]["gen"] = payload.get("generation", 0)
-        self._replay_segments(wals, progress, foreign_sources, report)
-        if has_prior:
             for name, comp in self._components.items():
-                state = progress[name]
-                comp.journal.seq = state["next"] - 1
-                self._force_generation(comp, state["gen"])
+                if not comp.kind.empty(comp.obj):
+                    raise DurabilityError(
+                        f"component {name!r} must be empty to "
+                        f"recover prior state from {self.directory!r}")
+        cursor = ReplayCursor(self._components, foreign_sources)
+        report = RecoveryReport(warnings=cursor.warnings)
+        report.snapshot_epoch = cursor.load_snapshot(snaps)
+        self._epoch = report.snapshot_epoch or 0
+        for _num, path in wals:
+            with open(path, "rb") as handle:
+                data = handle.read()
+            end = cursor.feed(data)
+            if end < len(data):
+                if path == wals[-1][1]:
+                    # Torn tail of the active segment: the standard
+                    # crash shape.  Truncate so appends resume cleanly.
+                    os.truncate(path, end)
+                    report.truncated_bytes += len(data) - end
+                else:
+                    cursor.warnings.append(
+                        f"corrupt frame inside retained segment "
+                        f"{os.path.basename(path)}")
+        report.frames_applied = cursor.frames_applied
+        report.frames_skipped = cursor.frames_skipped
+        report.replay_errors = cursor.replay_errors
+        if has_prior:
+            cursor.pin()
+            for name, comp in self._components.items():
+                position = cursor.positions[name]
+                comp.journal.seq = position.last
                 report.components[name] = {
                     "seq": comp.journal.seq,
-                    "generation": state["gen"]}
+                    "generation": position.gen}
         if wals:
             self._wal_seq = wals[-1][0]
             self._writer = self._open_writer(wals[-1][1])
@@ -355,171 +277,10 @@ class DurabilityManager:
                 self._append_header_locked()
         self._recovered = True
         self._logging = True
-        if not has_prior and any(
-                not self._component_empty(comp)
-                for comp in self._components.values()):
-            report.initial_snapshot = True
+        report.initial_snapshot = bool(cursor.gaps) or (
+            not has_prior and any(not comp.kind.empty(comp.obj)
+                                  for comp in self._components.values()))
         return report
-
-    def _replay_segments(self, wals: list[tuple[int, str]],
-                         progress: dict, foreign_sources: Any,
-                         report: RecoveryReport) -> None:
-        unattached: set[str] = set()
-        for position, (num, path) in enumerate(wals):
-            with open(path, "rb") as handle:
-                data = handle.read()
-            end = 0
-            for payload, end in iter_frames(data):
-                name = payload.get("c")
-                if name == WAL_HEADER_COMPONENT:
-                    header = payload.get("d", {}).get("components", {})
-                    for comp_name, info in header.items():
-                        state = progress.get(comp_name)
-                        if state is not None:
-                            state["gen"] = max(
-                                state["gen"],
-                                info.get("generation", 0))
-                    continue
-                state = progress.get(name)
-                if state is None:
-                    if name not in unattached:
-                        unattached.add(name)
-                        report.warnings.append(
-                            f"WAL holds records for unattached "
-                            f"component {name!r}")
-                    report.frames_skipped += 1
-                    continue
-                seq = payload.get("q", 0)
-                if state["broken"] or seq < state["next"]:
-                    report.frames_skipped += 1
-                    continue
-                if seq > state["next"]:
-                    # A hole (lost segment or mid-file corruption):
-                    # applying later records would fabricate history.
-                    state["broken"] = True
-                    report.warnings.append(
-                        f"WAL gap for {name!r}: expected record "
-                        f"{state['next']}, found {seq}")
-                    report.frames_skipped += 1
-                    continue
-                try:
-                    self._apply_frame(self._components[name],
-                                      payload.get("t"),
-                                      payload.get("d"),
-                                      foreign_sources)
-                except Exception as exc:
-                    report.replay_errors += 1
-                    report.warnings.append(
-                        f"replay of {name}#{seq} "
-                        f"({payload.get('t')}) failed: {exc}")
-                state["next"] = seq + 1
-                state["gen"] = max(state["gen"], payload.get("g", 0))
-                report.frames_applied += 1
-            if end < len(data):
-                if position == len(wals) - 1:
-                    # Torn tail of the active segment: the standard
-                    # crash shape.  Truncate so appends resume cleanly.
-                    os.truncate(path, end)
-                    report.truncated_bytes += len(data) - end
-                else:
-                    report.warnings.append(
-                        f"corrupt frame inside retained segment "
-                        f"{os.path.basename(path)}")
-        return
-
-    def _force_generation(self, comp: _Component, generation: int) -> None:
-        # Exact, not max: snapshot restore drives the normal mutation
-        # paths, whose incidental bumps may overshoot the recorded
-        # counter.  At recovery time the process is fresh (no cache has
-        # observed any (id, generation) pair yet), so pinning to the
-        # pre-crash value both restores monotonicity with the crashed
-        # process and keeps recovered state byte-identical to a
-        # never-crashed reference.
-        if comp.kind in ("database", "store"):
-            comp.obj.pin_generation(generation)
-
-    # -- replay dispatch ------------------------------------------------------
-
-    def _component_empty(self, comp: _Component) -> bool:
-        if comp.kind == "database":
-            return snapshot_io.database_empty(comp.obj)
-        if comp.kind == "store":
-            return snapshot_io.store_empty(comp.obj)
-        return snapshot_io.platform_empty(comp.obj)
-
-    def _serialize_component(self, comp: _Component) -> dict:
-        if comp.kind == "database":
-            return snapshot_io.serialize_database(comp.obj, comp.journal)
-        if comp.kind == "store":
-            return snapshot_io.serialize_store(comp.obj, comp.journal)
-        with self._lock:
-            seq = comp.journal.seq
-        return snapshot_io.serialize_platform(comp.obj, seq)
-
-    def _restore_component(self, comp: _Component, payload: dict,
-                           foreign_sources: Any) -> None:
-        if comp.kind == "database":
-            snapshot_io.restore_database(comp.obj, payload,
-                                         foreign_sources)
-        elif comp.kind == "store":
-            snapshot_io.restore_store(comp.obj, payload)
-        else:
-            snapshot_io.restore_platform(comp.obj, payload)
-
-    def _apply_frame(self, comp: _Component, record_type: str,
-                     data: dict, foreign_sources: Any) -> None:
-        if comp.kind == "database":
-            self._apply_database(comp.obj, record_type, data,
-                                 foreign_sources)
-        elif comp.kind == "store":
-            self._apply_store(comp.obj, record_type, data)
-        else:
-            self._apply_platform(comp.obj, record_type, data)
-
-    def _apply_database(self, db: Database, record_type: str,
-                        data: dict, foreign_sources: Any) -> None:
-        apply_database_record(db, record_type, data, foreign_sources)
-
-    def _apply_store(self, store: Any, record_type: str,
-                     data: dict) -> None:
-        apply_store_record(store, record_type, data)
-
-    def _apply_platform(self, platform: Any, record_type: str,
-                        data: dict) -> None:
-        if record_type == "user":
-            platform.users.register(data["username"],
-                                    data["display_name"],
-                                    data["affiliation"],
-                                    list(data["interests"]))
-        elif record_type == "stored_query":
-            platform.register_stored_query(data["name"], data["sparql"],
-                                           data["username"],
-                                           data["description"])
-        elif record_type == "stmt_insert":
-            reference = (Reference(*data["reference"])
-                         if data["reference"] else None)
-            platform.statements.restore_statement(
-                data["id"], Triple(*data["triple"]), data["author"],
-                data["public"], (), reference)
-        elif record_type == "stmt_accept":
-            platform.statements.accept(data["username"], data["id"])
-        elif record_type == "stmt_reject":
-            platform.statements.reject(data["username"], data["id"])
-        elif record_type == "stmt_retract":
-            platform.statements.retract(data["author"], data["id"])
-        elif record_type == "context":
-            platform.context.record_concepts(data["username"],
-                                             list(data["concepts"]),
-                                             data["event"])
-        elif record_type == "resource":
-            platform.context.record_resource(data["username"],
-                                             data["resource"])
-        elif record_type == "document":
-            platform.add_document(data["doc_id"], data["title"],
-                                  data["text"], list(data["tags"]))
-        else:
-            raise DurabilityError(
-                f"unknown platform record type {record_type!r}")
 
     # -- appending -----------------------------------------------------------
 
@@ -551,18 +312,13 @@ class DurabilityManager:
     def _append_header_locked(self) -> None:
         components = {
             name: {"seq": comp.journal.seq,
-                   "generation": self._generation_of(comp)}
+                   "generation": comp.kind.generation(comp.obj)}
             for name, comp in self._components.items()}
         self._writer.append({"c": WAL_HEADER_COMPONENT, "q": 0, "g": 0,
                              "t": "header",
                              "d": {"epoch": self._wal_seq,
                                    "components": components}})
         self._writer.flush(sync=self.options.fsync != "never")
-
-    def _generation_of(self, comp: _Component) -> int:
-        if comp.kind in ("database", "store"):
-            return comp.obj.generation
-        return 0
 
     def sync(self) -> None:
         """Force buffered records to disk (regardless of fsync policy)."""
@@ -595,7 +351,8 @@ class DurabilityManager:
             epoch = self._max_epoch_seen + 1
             payload = {"format": 1, "epoch": epoch,
                        "components": {
-                           name: self._serialize_component(comp)
+                           name: comp.kind.serialize(comp.obj,
+                                                     comp.journal)
                            for name, comp in self._components.items()}}
             path = snapshot_io.write_snapshot_file(
                 self.directory, self._snap_name(epoch), payload,
@@ -619,13 +376,13 @@ class DurabilityManager:
     def _prune(self, epoch: int) -> None:
         keep_snapshots = epoch - (self.options.keep_epochs - 1)
         keep_wals = epoch - self.options.keep_epochs
-        for num, path in self._list_numbered("snap-", ".snap"):
+        for num, path in list_numbered(self.directory, *SNAPSHOTS):
             if num < keep_snapshots:
                 try:
                     os.remove(path)
                 except OSError:  # pragma: no cover
                     pass
-        for num, path in self._list_numbered("wal-", ".log"):
+        for num, path in list_numbered(self.directory, *SEGMENTS):
             if num < keep_wals:
                 try:
                     os.remove(path)

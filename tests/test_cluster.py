@@ -25,12 +25,14 @@ import pytest
 
 import repro
 from repro.cluster import (ClusterCoordinator, ClusterOptions, HashRing,
-                           ProtocolError, ReadReplica, ReplicaStaleError,
-                           ShardServer, ShardUnavailableError,
-                           recv_message, send_message, start_cluster,
-                           unix_address)
-from repro.cluster.testing import build_platform_shard, seed_readings
-from repro.durability import DurabilityManager, DurabilityOptions
+                           ProtocolError, ReadReplica, ReplicaGapError,
+                           ReplicaStaleError, ShardServer,
+                           ShardUnavailableError, recv_message,
+                           send_message, start_cluster, unix_address)
+from repro.cluster.testing import (build_platform_shard, build_shard,
+                                   seed_readings)
+from repro.durability import (DurabilityManager, DurabilityOptions,
+                              encode_frame)
 from repro.rdf.terms import IRI, Literal
 from repro.relational import Database
 
@@ -240,6 +242,75 @@ def test_stale_replica_forwards_to_primary_never_serves_stale(tmp_path):
     manager.close()
 
 
+def _two_epochs(directory):
+    """A closed primary with snapshots at epochs 1 and 2 and records
+    in wal-000001 and wal-000002; returns its final row count."""
+    primary, manager = _durable_primary(directory)
+    seed_readings(primary, 10)
+    manager.snapshot()
+    primary.execute("INSERT INTO readings VALUES (100, 'a', 1)")
+    primary.execute("INSERT INTO readings VALUES (101, 'b', 2)")
+    manager.snapshot()
+    primary.execute("INSERT INTO readings VALUES (102, 'c', 3)")
+    manager.close()
+    return primary
+
+
+def test_tailer_falls_back_past_a_corrupt_latest_snapshot(tmp_path):
+    primary = _two_epochs(str(tmp_path))
+    with open(tmp_path / "snap-000002.snap", "r+b") as handle:
+        handle.seek(40)
+        handle.write(b"\xff\xff\xff\xff")
+    replica = ReadReplica(str(tmp_path))
+    assert replica.refresh() == 3        # epoch 1 plus both tails
+    assert any("snap-000002" in warning
+               for warning in replica.tailer.warnings)
+    sql = "SELECT id, sensor, value FROM readings ORDER BY id"
+    assert replica.database.query(sql).rows == primary.query(sql).rows
+    assert replica.generations()["db"] == primary.generation
+
+
+def test_tailer_raises_on_a_sequence_hole(tmp_path):
+    _two_epochs(str(tmp_path))
+    # Lose epoch 2's snapshot and the segment between the two cuts:
+    # epoch 1 loads, and the next record it can see is past a hole.
+    os.remove(tmp_path / "snap-000002.snap")
+    os.remove(tmp_path / "wal-000001.log")
+    replica = ReadReplica(str(tmp_path))
+    with pytest.raises(ReplicaGapError, match="expected record"):
+        replica.refresh()
+    # Nothing past the hole was applied, and the replica stays refused.
+    assert replica.database.query(
+        "SELECT COUNT(*) FROM readings").rows == [(10,)]
+    with pytest.raises(ReplicaGapError):
+        replica.refresh()
+
+
+def test_tailer_applies_a_half_written_frame_once_it_lands(tmp_path):
+    primary, manager = _durable_primary(str(tmp_path))
+    seed_readings(primary, 5)
+    manager.close()
+    replica = ReadReplica(str(tmp_path))
+    replica.refresh()
+    applied = replica.tailer.frames_applied
+    frame = encode_frame({
+        "c": "db:main", "q": primary.durability_journal.seq + 1,
+        "g": primary.generation + 1, "t": "sql",
+        "d": {"sql": "INSERT INTO readings VALUES (900, 'x', 5)"}})
+    segment = tmp_path / "wal-000000.log"
+    with open(segment, "ab") as handle:
+        handle.write(frame[:len(frame) // 2])
+    assert replica.refresh() == 0
+    with open(segment, "ab") as handle:
+        handle.write(frame[len(frame) // 2:])
+    assert replica.refresh() == 1
+    assert replica.refresh() == 0
+    assert replica.tailer.frames_applied == applied + 1
+    assert replica.database.query(
+        "SELECT COUNT(*) FROM readings").rows == [(6,)]
+    assert replica.generations()["db"] == primary.generation + 1
+
+
 # -- in-process shard servers + coordinator ------------------------------------
 
 
@@ -370,6 +441,42 @@ def test_scatter_query_groups_users_by_owner():
         assert sorted(results) == sorted(users)
         assert all(entry["rows"] == [[20]]
                    for entry in results.values())
+
+
+def test_scatter_query_never_serves_a_stale_replica(tmp_path):
+    primary, manager = _durable_primary(
+        str(tmp_path), group_commit_records=10_000,
+        group_commit_bytes=1 << 30)
+    seed_readings(primary, 10)
+    manager.sync()
+    runtime = build_shard(0, 1, directory=str(tmp_path))
+    address = unix_address(f"{tempfile.mkdtemp(prefix='repro-st-')}/s.sock")
+    ShardServer(0, address, runtime,
+                freshness_timeout_s=0.2).start_background()
+    coordinator = ClusterCoordinator([address], primary=primary)
+    try:
+        coordinator.request("POST", "/api/v1/users", {"username": "alice"})
+        # An unsynced write: the primary moves, the replica cannot.
+        primary.execute("INSERT INTO readings VALUES (902, 'z', 7)")
+        count = {"query": "SELECT COUNT(*) FROM readings"}
+        routed = coordinator.request("POST", "/api/v1/query",
+                                     {"username": "alice", **count})
+        assert routed.status == 503
+        assert routed.payload["error"]["code"] == "replica_stale"
+        scattered = coordinator.request("POST", "/api/v1/cluster/query",
+                                        count)
+        assert scattered.status == 200
+        entry = scattered.payload["results"]["alice"]
+        assert entry["code"] == "replica_stale" and "rows" not in entry
+
+        manager.sync()
+        scattered = coordinator.request("POST", "/api/v1/cluster/query",
+                                        count)
+        assert scattered.payload["results"]["alice"]["rows"] == [[11]]
+    finally:
+        coordinator.shutdown_shards()
+        coordinator.close()
+        manager.close()
 
 
 def test_skip_policy_absorbs_a_dead_shard():

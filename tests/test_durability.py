@@ -211,6 +211,46 @@ def test_corrupt_latest_snapshot_falls_back(tmp_path):
     manager2.close()
 
 
+def test_a_write_after_a_quarantined_recovery_survives_restart(tmp_path):
+    directory = str(tmp_path / "dur")
+    manager, db, _store = fresh_manager(directory)
+    manager.recover()
+    db.execute("CREATE TABLE t (x INTEGER)")         # db:main #1
+    manager.snapshot()
+    for value in (1, 2, 3):                          # #2-#4, wal-000001
+        db.execute(f"INSERT INTO t VALUES ({value})")
+    manager.snapshot()
+    db.execute("INSERT INTO t VALUES (4)")           # #5, wal-000002
+    manager.close()
+
+    with open(os.path.join(directory, "snap-000002.snap"), "r+b") as handle:
+        handle.seek(40)
+        handle.write(b"\xff\xff\xff\xff")
+    segment = os.path.join(directory, "wal-000001.log")
+    with open(segment, "rb") as handle:
+        data = handle.read()
+    ends = [end for _payload, end in iter_frames(data)]
+    # Frames: header, #2, #3, #4 — flip a payload byte of #3.
+    corrupt = bytearray(data)
+    corrupt[ends[2] - 1] ^= 0xFF
+    with open(segment, "wb") as handle:
+        handle.write(bytes(corrupt))
+
+    manager2, db2, _ = fresh_manager(directory)
+    report = manager2.recover()
+    assert "WAL gap for 'db:main': expected record 3, found 5" \
+        in report.warnings
+    assert report.initial_snapshot   # the new cut covers the hole
+    assert db2.query("SELECT x FROM t").rows == [(1,)]
+    db2.execute("INSERT INTO t VALUES (5)")          # acknowledged
+    manager2.close()
+
+    manager3, db3, _ = fresh_manager(directory)
+    manager3.recover()
+    assert db3.query("SELECT x FROM t ORDER BY x").rows == [(1,), (5,)]
+    manager3.close()
+
+
 def test_all_snapshots_corrupt_is_an_error(tmp_path):
     path = str(tmp_path / "snap-000001.snap")
     with open(path, "wb") as handle:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import WalTailer
 from repro.crosse import CrossePlatform
 from repro.durability import (CrashPoint, DurabilityManager,
                               DurabilityOptions, FaultyOpener,
@@ -113,6 +114,14 @@ def recover_stack(directory: str):
     return manager, db, store, report
 
 
+def tail_digest(directory: str) -> tuple[str, str]:
+    """What a read replica polling the crashed directory holds.  The
+    tailer is read-only, so it sees the torn tail recovery truncates."""
+    db, store = Database(name="main"), TripleStore()
+    WalTailer(directory, database=db, stores={"kb": store}).poll()
+    return stack_digest(db, store)
+
+
 def record_boundaries(tmp_path, snapshots_at=()) -> list[int]:
     opener = FaultyOpener()
     crashed = run_workload(str(tmp_path / "clean"), opener, snapshots_at)
@@ -132,8 +141,11 @@ def test_crash_at_every_wal_boundary(tmp_path, prefix_digests):
         directory = str(tmp_path / f"crash-{budget}")
         crashed = run_workload(directory, FaultyOpener(budget))
         assert crashed or budget == budgets[-1]
+        tailed = tail_digest(directory)
         manager, db, store, report = recover_stack(directory)
         digest = stack_digest(db, store)
+        assert tailed == digest, \
+            f"budget {budget}: a caught-up replica differs from recovery"
         assert digest in prefix_digests, \
             f"budget {budget}: recovered state matches no op prefix"
         assert report.replay_errors == 0
@@ -159,7 +171,10 @@ def test_crash_matrix_with_snapshots(tmp_path, prefix_digests):
     for budget in budgets:
         directory = str(tmp_path / f"crash-{budget}")
         run_workload(directory, FaultyOpener(budget), snapshots_at)
+        tailed = tail_digest(directory)
         manager, db, store, report = recover_stack(directory)
+        assert tailed == stack_digest(db, store), \
+            f"budget {budget}: a caught-up replica differs from recovery"
         assert stack_digest(db, store) in prefix_digests, \
             f"budget {budget}: recovered state matches no op prefix"
         assert report.replay_errors == 0
