@@ -14,8 +14,9 @@ expression row by row.  Six shapes are measured:
   probes whole key columns instead of normalising a key tuple per row.
   Measured twice: with a filter on the 10k side that leaves a tenth of
   the probe rows a match (the shape of the e2e benchmark's joins: the
-  probe is the work), and with every probe row matching (assembling
-  100k combined rows, which both key extractors share, is most of it);
+  probe is the work), and with every probe row matching (100k output
+  rows, emitted as index vectors and gathered column by column — both
+  key extractors share that emission);
 * **order by**: two keys, mixed direction — C comparisons on the native
   key columns instead of ``compare_values`` per comparison.
 
@@ -28,10 +29,11 @@ testing the (same, once-built) set row by row.
 
 The assertion test is the acceptance gate: identical results from both
 kernel sets, ``explain()`` marking the specialised operators, and at
-full scale a ≥5x speedup on the scan and GROUP BY shapes and ≥3x on the
-selective join and ORDER BY shapes; the all-match join is reported and
-held to direction only, like everything in smoke runs (column kernels
-no slower — toy-scale ratios are noise).
+full scale a ≥5x speedup on the scan and GROUP BY shapes and ≥3x on
+both joins and the ORDER BY shape (the all-match join read 33 ms against
+255 ms generic, 7.7x, once the join emitted columns; 3.5x while it
+emitted row tuples).  Smoke runs hold every shape to direction only
+(column kernels no slower — toy-scale ratios are noise).
 """
 
 from __future__ import annotations
@@ -151,8 +153,8 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 def test_e17_vectorized_wins(db, generic_kernels):
     """Acceptance gate: identical rows, specialised operators visible in
-    the plan, ≥5x on scan and GROUP BY and ≥3x on the selective
-    equi-join and ORDER BY against the generic kernels."""
+    the plan, ≥5x on scan and GROUP BY and ≥3x on both equi-joins and
+    ORDER BY against the generic kernels."""
     def generic(query):
         with generic_kernels():
             return db.query(query)
@@ -192,7 +194,7 @@ def test_e17_vectorized_wins(db, generic_kernels):
             f"vectorized {name} slower than generic even directionally")
     if SMOKE:
         return
-    for name, bar in (("scan", 5.0), ("group-by", 5.0),
+    for name, bar in (("scan", 5.0), ("group-by", 5.0), ("join", 3.0),
                       ("join-selective", 3.0), ("order-by", 3.0)):
         ratio = timings[name][2]
         assert ratio >= bar, (

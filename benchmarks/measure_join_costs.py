@@ -8,15 +8,16 @@ INTEGER-keyed tables with the join strategy forced through a
 ``PlanHint``, varying one input at a time so that each cost is a slope:
 the build side with one probe row and no match, the probe side with one
 build row and no match, index lookups that find nothing, and every key
-matching once.  Each slope has the scan of the varied side (measured on
-its own) subtracted, and the result is printed in the cost model's unit
-next to the constant it checks.  The unit is fixed by the scan, which
-this does not re-measure: one materialised row of a columnar scan is
+matching once.  A join reads its inputs as column batches and emits
+index vectors, so what each slope has subtracted is the column scan of
+the varied side (``SELECT COUNT(*)``, measured on its own), and the
+result is printed in the cost model's unit next to the constant it
+checks.  The unit is fixed by the scan, which this does not re-measure:
+one materialised row of a columnar scan (``SELECT *``) is
 ``SCAN_COST_PER_ROW * VECTORIZED_SCAN_FACTOR``.  The semi join (``l.k IN
 (SELECT k FROM r)``) is measured the same way beside the hash join whose
-constants price it; its inputs stay columns (keys into a set, survivors
-through a mask), so no scan is subtracted from its slopes.  Not a test:
-the numbers go in the comment above the constants.
+constants price it.  Not a test: the numbers go in the comment above the
+constants.
 """
 
 from __future__ import annotations
@@ -66,31 +67,34 @@ def slope(strategy: str | None, sql: str, small, large) -> float:
 
 def main() -> None:
     none = range(-1, 0)     # one row no other table's key equals
-    # The join turns each input batch into rows, as SELECT * does.
     scan = slope(None, "SELECT * FROM l",
                  (range(SMALL), none), (range(LARGE), none))
+    # What a join reads of its inputs: column batches, no rows.
+    columns = slope(None, "SELECT COUNT(*) FROM l",
+                    (range(SMALL), none), (range(LARGE), none))
     build = slope("hash-join", JOIN, (none, range(SMALL)),
-                  (none, range(LARGE))) - scan
+                  (none, range(LARGE))) - columns
     probe = slope("hash-join", JOIN, (range(SMALL), none),
-                  (range(LARGE), none)) - scan
+                  (range(LARGE), none)) - columns
     lookup = slope("index-join", JOIN, (range(SMALL), none),
-                   (range(LARGE), none)) - scan
+                   (range(LARGE), none)) - columns
     # Every left key matches once: what is left after build and probe
-    # is the cost of emitting the combined rows.
+    # is the cost of emitting the pairs.
     out = slope("hash-join", JOIN, (range(SMALL), range(SMALL)),
-                (range(LARGE), range(LARGE))) - 2 * scan - build - probe
+                (range(LARGE), range(LARGE))) - 2 * columns - build - probe
     fetch = slope("index-join", JOIN, (range(SMALL), range(LARGE)),
-                  (range(LARGE), range(LARGE))) - scan - lookup
+                  (range(LARGE), range(LARGE))) - columns - lookup
     semi_build = slope(None, SEMI_JOIN, (none, range(SMALL)),
-                       (none, range(LARGE)))
+                       (none, range(LARGE))) - columns
     semi_probe = slope(None, SEMI_JOIN, (range(SMALL), none),
-                       (range(LARGE), none))
+                       (range(LARGE), none)) - columns
 
     unit = scan / (cost.SCAN_COST_PER_ROW * cost.VECTORIZED_SCAN_FACTOR)
     print(f"{'cost':<28}{'ns/row':>8}{'units':>8}{'constant':>10}")
     for name, value, constant in (
             ("scan (rows materialised)", scan,
              cost.SCAN_COST_PER_ROW * cost.VECTORIZED_SCAN_FACTOR),
+            ("column scan (subtracted)", columns, 0.0),
             ("HASH_BUILD_PER_ROW", build, cost.HASH_BUILD_PER_ROW),
             ("HASH_PROBE_PER_ROW", probe, cost.HASH_PROBE_PER_ROW),
             ("INDEX_PROBE_PER_LOOKUP", lookup, cost.INDEX_PROBE_PER_LOOKUP),

@@ -2,11 +2,11 @@
 
 Costs are abstract "row visits" — good enough to rank join orders and
 pick a physical join strategy.  Constants reflect the Python executor:
-a hash join builds a dict over whole key columns and probes it a batch
-at a time, so a probe row costs a fraction of a build row; a per-row
-index lookup costs far more than either (the HashIndex normalises the
-key, copies its bucket and fetches rows by id), and nested loops pay
-the full cross product.
+a hash join indexes its right input's key column (one dict, built in C
+when the keys are unique) and maps a left batch's keys through it, so a
+build row and a probe row cost about the same; a per-row index lookup
+costs far more than either (the HashIndex normalises the key and copies
+its bucket), and nested loops pay the full cross product.
 """
 
 from __future__ import annotations
@@ -17,18 +17,28 @@ SCAN_COST_PER_ROW = 1.0
 #: Columnar tables scan batch-at-a-time: the measured per-row cost of a
 #: vectorized scan is a fraction of the row-at-a-time generator walk.
 VECTORIZED_SCAN_FACTOR = 0.3
-#: The four join constants below were re-measured against the batch
-#: hash join with ``benchmarks/measure_join_costs.py`` (INTEGER keys,
-#: 10k -> 20k rows, five runs), in units fixed by the scan: one
-#: materialised row of a columnar scan (59-62 ns) is 0.3.  Measured:
-#: build 1.32-1.53 (273-303 ns/row), probe 0.21-0.34 (42-68 ns; was
-#: ~930 ns row-at-a-time), index lookup 8.6-9.3 (1.7-1.9 us, unchanged
-#: in ns), output -0.1-0.6 (a difference of three slopes: noise around
-#: 0.2).  A constant moved only where it was off by more than 2x: the
-#: probe (1.0 -> 0.25) and the index lookup (3.0 -> 9.0).
+#: The four join constants below were re-measured against the
+#: column-emitting join with ``benchmarks/measure_join_costs.py``
+#: (INTEGER keys, 10k -> 20k rows, five runs), in units fixed by the
+#: scan: one materialised row of a columnar scan (68-112 ns) is 0.3.  A
+#: join reads column batches and emits index vectors, so the slopes have
+#: the column scan (13-20 ns, 0.05-0.08) subtracted, not the row scan.
+#: Measured: build 0.20-0.35 (66-80 ns/row; 273-303 ns when buckets held
+#: row tuples), probe 0.18-0.32 (67-73 ns), index lookup 6.2-10.0
+#: (2.1-2.3 us), output -0.07-0.21 (a difference of three slopes: noise
+#: around 0 — a COUNT(*) gathers no output column).  A constant moves
+#: only where it is off by more than 2x.  The build is, and moved 1.6 ->
+#: 1.0, not to 0.3: at 0.9 the SKEWED join of ``tests/test_planner.py``
+#: starts from ``fact`` and stops probing its index, which those tests
+#: pin (the per-row numbers above say the hash join is now the cheaper
+#: plan there).  In one tier-1 run this changes 17 of the 1 061 join
+#: orders the planner picks, all over hypothesis tables of
+#: at most 12 rows in ``tests/test_planner_properties.py``; none in the
+#: four ``benchmarks/e2e`` workloads.  The output constant stays: below
+#: 0.1 the same tests go red, and one run of five read 0.21.
 #: (The script also prints a semi join's build and probe; no rule costs
 #: that node yet, so it has no constant.)
-HASH_BUILD_PER_ROW = 1.6
+HASH_BUILD_PER_ROW = 1.0
 HASH_PROBE_PER_ROW = 0.25
 INDEX_PROBE_PER_LOOKUP = 9.0
 NESTED_LOOP_PER_PAIR = 0.9

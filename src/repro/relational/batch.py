@@ -8,6 +8,17 @@ Batches flatten to rows only at the ``Cursor`` / ``ResultSet`` boundary,
 so pagination, LIMIT early-termination and ``rows_yielded`` accounting
 never see a batch edge.
 
+A column may be *pending*: not gathered yet, only the recipe for it — a
+``functools.partial`` reading another batch's column as it is, picked at
+an index vector or where a mask holds, or several batches' columns one
+after the other.  The first ``column(p)`` resolves it and caches the
+result; ``cols`` / ``rows`` resolve every column.  A selection
+(:meth:`Batch.select`), a join's output (:func:`take`), its right input
+(:func:`stack`) and a projection hold their columns pending, so a column
+no operator above reads is never gathered — a mask kernel indexes
+``batch[p]``, an aggregate or a join key reads ``column(p)``, and only
+those columns are copied.
+
 This module holds what is independent of the expression compiler: the
 batch type and size, the telemetry hooks, and the two kernels of one
 aggregate (column fold and generic state machine).
@@ -15,8 +26,9 @@ aggregate (column fold and generic state machine).
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import compress, repeat
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from .indexes import _normalize
 
@@ -32,51 +44,132 @@ def norm_tuple(values: Iterable[Any]) -> tuple:
     return tuple(_normalize(value) for value in values)
 
 
+def _of_rows(rows: list, position: int) -> list:
+    return [row[position] for row in rows]
+
+
+def _take(source: "Batch", position: int, ids: Sequence[int]) -> list:
+    column = source.column(position)
+    return [column[i] for i in ids]
+
+
+def _compress(source: "Batch", position: int, mask: list) -> list:
+    return list(compress(source.column(position), mask))
+
+
+def _stack(batches: list, position: int, null_row: bool) -> Sequence:
+    if len(batches) == 1 and not null_row:
+        return batches[0].column(position)
+    column: list = []
+    for batch in batches:
+        column.extend(batch.column(position))
+    if null_row:
+        column.append(None)
+    return column
+
+
 class Batch:
-    """A non-empty run of rows: ``cols`` (one sequence per column) and
-    ``rows`` (a list of tuples) are two views of the same data.  A batch
-    is built from either; the other is derived on first use and cached.
+    """A run of rows: ``cols`` (one sequence per column) and ``rows`` (a
+    list of tuples) are two views of the same data.  A batch is built
+    from either; the other is derived on first use and cached.  Entries
+    of ``cols`` may be pending (module docstring); a batch built from
+    them is told its *length*.  Operators exchange non-empty batches.
     """
 
-    __slots__ = ("_rows", "_cols")
+    __slots__ = ("_rows", "_cols", "_len")
 
     def __init__(self, rows: Optional[list] = None,
-                 cols: Optional[list] = None) -> None:
+                 cols: Optional[list] = None,
+                 length: Optional[int] = None) -> None:
         self._rows = rows
         self._cols = cols
+        self._len = len(rows) if rows is not None \
+            else len(cols[0]) if length is None else length
 
     def __len__(self) -> int:
-        if self._rows is not None:
-            return len(self._rows)
-        return len(self._cols[0])
+        return self._len
 
     @property
     def rows(self) -> list:
         if self._rows is None:
-            self._rows = list(zip(*self._cols))
+            self._rows = list(zip(*self.cols))
         return self._rows
 
     @property
     def cols(self) -> list:
-        if self._cols is None:
-            self._cols = list(zip(*self._rows))
-        return self._cols
+        """Every column, gathered."""
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = list(zip(*self._rows))
+        else:
+            for position, column in enumerate(cols):
+                if type(column) is partial:
+                    cols[position] = column()
+        return cols
 
     def iter_rows(self):
         """The rows for one pass, without caching the row view."""
-        return self._rows if self._rows is not None else zip(*self._cols)
+        return self._rows if self._rows is not None else zip(*self.cols)
 
-    def column(self, position: int):
-        """One column, without deriving the whole column view."""
-        if self._cols is not None:
-            return self._cols[position]
-        return [row[position] for row in self._rows]
+    def column(self, position: int) -> Sequence:
+        """One column, gathered now if it is pending, without deriving
+        the whole column view."""
+        cols = self._cols
+        if cols is None:
+            rows = self._rows
+            cols = self._cols = [partial(_of_rows, rows, position)
+                                 for position in range(len(rows[0]))]
+        column = cols[position]
+        if type(column) is partial:
+            column = cols[position] = column()
+        return column
 
-    def select(self, mask: list) -> "Batch":
-        """The rows where *mask* is true, in whichever view exists."""
+    #: ``batch[p]`` is ``batch.column(p)``: a mask kernel handed the
+    #: batch reads only the columns it tests.
+    __getitem__ = column
+
+    def ref(self, position: int):
+        """Column *position* for another batch to hold: the column once
+        gathered, else a pending read of it through this batch (which
+        caches it)."""
+        cols = self._cols
+        if cols is not None and type(cols[position]) is not partial:
+            return cols[position]
+        return partial(self.column, position)
+
+    def select(self, mask: list, kept: int) -> "Batch":
+        """The *kept* rows where *mask* is true: a row list when the row
+        view exists, else pending columns."""
         if self._rows is not None:
             return Batch(rows=list(compress(self._rows, mask)))
-        return Batch(cols=[list(compress(col, mask)) for col in self._cols])
+        return Batch(cols=[partial(_compress, self, position, mask)
+                           for position in range(len(self._cols))],
+                     length=kept)
+
+
+def take(sources: Iterable[tuple[Batch, Sequence[int], int]],
+         length: int) -> Batch:
+    """A batch of *length* rows whose columns are, side by side, each
+    ``(source, ids, width)``'s *width* columns picked at *ids* — pending,
+    or *source*'s own where *ids* is all of it in order."""
+    cols: list = []
+    for source, ids, width in sources:
+        if type(ids) is range and ids == range(len(source)):
+            cols.extend(map(source.ref, range(width)))
+        else:
+            cols.extend(partial(_take, source, position, ids)
+                        for position in range(width))
+    return Batch(cols=cols, length=length)
+
+
+def stack(batches: list, width: int, null_row: bool) -> Batch:
+    """*batches* one after the other as one batch of *width* pending
+    columns, plus an all-NULL last row when *null_row* says so (the pad
+    a LEFT join's unmatched rows point at).  A column is concatenated
+    when first read; one batch without the pad is handed on as it is."""
+    return Batch(cols=[partial(_stack, batches, position, null_row)
+                       for position in range(width)],
+                 length=sum(map(len, batches)) + null_row)
 
 
 class ExecHooks:

@@ -11,35 +11,42 @@ same tree, so what it shows is what ran.
 kernel (selection mask, gather, fold) per conjunct / item / aggregate
 where they see plain typed columns, and apply the generic compiled
 expression over the batch's rows otherwise; ``vectorized`` says a column
-kernel is in use.
+kernel is in use.  Selections, projections and joins hand their columns
+on pending (see :mod:`repro.relational.batch`): a column is gathered
+when an operator above reads it, and never if none does.
 
-:class:`Join` and :class:`Sort` have one probe loop and one sort routine
-each, whose only variation is how keys are extracted.  A hash join
-whose key pairs are plain typed columns of one comparison family on
-both sides hashes the raw values of whole key columns (build and
-probe); any other key — an expression, ``BOOLEAN = INTEGER``, an untyped
-set-operation column — is evaluated per row and normalised with
-``norm_tuple``, still batch by batch.  The same loop, with the same two
+:class:`Join` and :class:`Sort` have one emission and one sort routine
+each, whose only variation is how keys are extracted.  Every join mode
+but semi / anti emits two index vectors per left batch — left
+positions, right row ids — and its output batch gathers from both
+inputs' columns; the strategy decides only where the pairs come from.
+A hash join whose key pairs are plain typed columns of one comparison
+family on both sides hashes the raw values of whole key columns (build
+and probe); any other key — an expression, ``BOOLEAN = INTEGER``, an
+untyped set-operation column — is evaluated per row and normalised with
+``norm_tuple``, still batch by batch.  The same build, with the same two
 key extractors, runs a WHERE-side ``[NOT] IN (subquery)`` / ``[NOT]
-EXISTS`` as a semi / anti join: the left row comes out when it has a /
-no witness on the build side.  A sort gathers or evaluates each
-ORDER BY key once per row into a key column and, when every key column
-turns out to hold one family of values (checked at run time: slot rows
-and set-operation outputs are untyped at build time) and no NaN, sorts
-on the native values with C comparisons; otherwise it wraps them in the
-``compare_values`` comparator, which is also what raises
-``TypeMismatchError`` for mixed families.
+EXISTS`` as a semi / anti join: the left row comes out, through a
+selection mask, when it has a / no witness on the build side.  A sort
+gathers or evaluates each ORDER BY key once per row into a key column
+and, when every key column turns out to hold one family of values
+(checked at run time: slot rows and set-operation outputs are untyped at
+build time) and no NaN, sorts on the native values with C comparisons;
+otherwise it wraps them in the ``compare_values`` comparator, which is
+also what raises ``TypeMismatchError`` for mixed families.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from itertools import repeat
-from operator import ne, not_
-from typing import Any, Callable, Iterable, Iterator
+from bisect import bisect_left
+from functools import partial
+from itertools import accumulate, chain, compress, repeat
+from operator import is_not, ne, not_
+from typing import (Any, Callable, Iterable, Iterator, NamedTuple,
+                    Sequence)
 
 from . import batch as _batch
-from .batch import Batch, norm_tuple
+from .batch import Batch, norm_tuple, stack, take
 from .errors import ExecutionError
 from .schema import ResultColumn, RowSchema
 from .table import Table
@@ -239,8 +246,10 @@ class IndexProbe(Operator):
     same normalization as ``values_equal``, so its candidates are exact;
     any other index (``SortedIndex`` coerces keys to float, collapsing
     integers beyond 2**53) only narrows, and every candidate is
-    re-checked here.  ``lookup`` is the primitive the join maps over a
-    batch's keys; only a run through ``chunks`` counts ``actual_rows``.
+    re-checked here.  ``lookup`` (row ids) and ``fetch`` (those rows, as
+    a batch gathering from the table's columns) are the primitives the
+    join maps over a batch's keys; only a run through ``chunks`` counts
+    ``actual_rows``.
     """
 
     preserves_rows = False
@@ -256,27 +265,40 @@ class IndexProbe(Operator):
         self.positions = positions
         self.verify = getattr(index, "kind", None) != "hash"
 
-    def lookup(self, key: tuple) -> list[tuple]:
-        """The rows whose indexed columns equal *key*, in row-id order."""
-        row = self.table.row
-        found = [row(row_id) for row_id in sorted(self.index.lookup(key))]
+    def lookup(self, key: tuple) -> list[int]:
+        """The ids of the rows whose indexed columns equal *key*, in
+        row-id order."""
+        row_ids = sorted(self.index.lookup(key))
         if self.verify:
-            found = [candidate for candidate in found
-                     if all(is_true(values_equal(candidate[position], value))
-                            for position, value in zip(self.positions, key))]
-        return found
+            columns, slots = self.table.slot_columns()
+            row_ids = [row_id for row_id in row_ids if all(
+                is_true(values_equal(columns[position][slots[row_id]], value))
+                for position, value in zip(self.positions, key))]
+        return row_ids
+
+    def fetch(self, row_ids: list[int]) -> Batch:
+        """The rows *row_ids* name, gathered from the table's columns
+        when first read."""
+        columns, slots = self.table.slot_columns()
+        return take([(Batch(cols=columns), list(map(slots.__getitem__,
+                                                    row_ids)),
+                      len(columns))], len(row_ids))
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
-        return _slices(self.lookup(
-            tuple(fn(outer_rows) for fn in self.key_fns)))
+        row_ids = self.lookup(tuple(fn(outer_rows) for fn in self.key_fns))
+        size = _batch.BATCH_SIZE
+        for start in range(0, len(row_ids), size):
+            yield self.fetch(row_ids[start:start + size])
 
 
 class Filter(Operator):
     """Keep the rows a predicate holds for.
 
     ``mask_fn`` is the conjunction of the conjuncts that compiled to
-    mask kernels (``None`` when none did); ``residual_fn`` is the
-    generic predicate for the rest, applied to the surviving rows.
+    mask kernels (``None`` when none did), handed the batch itself so it
+    gathers only the columns it tests; the survivors leave as a pending
+    selection.  ``residual_fn`` is the generic predicate for the rest,
+    applied to the surviving rows.
     """
 
     preserves_rows = False
@@ -295,12 +317,12 @@ class Filter(Operator):
         mask_fn, residual_fn = self.mask_fn, self.residual_fn
         for batch in self.children[0].chunks(outer_rows):
             if mask_fn is not None:
-                mask = mask_fn(batch.cols)
+                mask = mask_fn(batch)
                 kept = sum(mask)
                 if not kept:
                     continue
                 if kept < len(mask):
-                    batch = batch.select(mask)
+                    batch = batch.select(mask, kept)
                 self._observe(kept)
             if residual_fn is not None:
                 rows = [row for row in batch.rows
@@ -315,10 +337,11 @@ class Filter(Operator):
 class Project(Operator):
     """Evaluate the select list, one output column at a time.
 
-    ``columns`` holds ``(source, fn)`` per output column: a gathered
-    input column when the selector found a plain column there (an
-    ``int`` position), a repeated value for a literal, else (``None``)
-    the compiled expression applied over the batch.
+    ``columns`` holds ``(source, fn)`` per output column: the input
+    column — passed on pending, gathered only if read above — when the
+    selector found a plain column there (an ``int`` position), a
+    repeated value for a literal, else (``None``) the compiled
+    expression applied over the batch.
     """
 
     def __init__(self, child: Operator, schema: RowSchema,
@@ -338,10 +361,10 @@ class Project(Operator):
                 contexts = None if self.vectorized else [
                     outer_rows + (row,) for row in batch.rows]
                 batch = Batch(cols=[
-                    batch.column(source) if type(source) is int
+                    batch.ref(source) if type(source) is int
                     else [fn(context) for context in contexts]
                     if source is None else [source.value] * len(batch)
-                    for source, fn in self.columns])
+                    for source, fn in self.columns], length=len(batch))
             self._observe(len(batch))
             yield batch
 
@@ -622,37 +645,90 @@ def _key_rows(fns: list[RowFn], rows: list[tuple],
             for context in [outer_rows + (row,) for row in rows]]
 
 
+class _Built(NamedTuple):
+    """One run's hashed right input."""
+
+    #: The key set of a semi / anti join without a residual; else key ->
+    #: row id when ``unique``, key -> [row ids] in right-input order if
+    #: not.
+    index: Any
+    unique: bool
+    #: The right input's columns, plus the all-NULL pad row of a LEFT
+    #: join (``None`` beside a key set).
+    right: Batch | None
+    #: Whether the right input had no row at all.
+    empty: bool
+    #: Whether a ``NOT IN`` found a NULL in it.
+    has_null: bool
+
+
+def _expand(found: list, left_join: bool, pad: int,
+            size: int) -> Iterator[tuple[list, list]]:
+    """``(left positions, right ids)`` from one run of right ids (empty
+    or ``None`` when there is none) per left position, in left order; a
+    LEFT join pairs a position without any with *pad*.  A chunk ends on
+    the left row whose last pair brings it to *size* pairs or more."""
+    if left_join:
+        positions: Sequence[int] = range(len(found))
+        found = [ids or (pad,) for ids in found]
+    else:
+        positions = list(compress(range(len(found)), found))
+        found = list(filter(None, found))
+    ends = list(accumulate(map(len, found)))
+    first = 0
+    while first < len(found):
+        base = ends[first - 1] if first else 0
+        last = min(bisect_left(ends, base + size, first), len(found) - 1) + 1
+        runs = found[first:last]
+        yield (list(chain.from_iterable(map(repeat, positions[first:last],
+                                            map(len, runs)))),
+               list(chain.from_iterable(runs)))
+        first = last
+
+
 class Join(Operator):
     """INNER / LEFT / CROSS / SEMI / ANTI join, batch by batch, in left
     order with each left row's matches in right-input order.
 
-    The strategy is the node's ``kind``: ``hash-join`` builds buckets
-    over the right input's keys and probes them with a left batch's;
+    Every mode but semi / anti emits columns, not rows.  Per left batch
+    it finds candidate pairs as two index vectors — left positions and
+    right row ids — and the output batch takes the left batch's columns
+    at the one and the right input's at the other, each column pending
+    until an operator above reads it (``batch.take``), at most
+    ``BATCH_SIZE`` rows a batch.  The strategy is the node's ``kind``
+    and decides only where the pairs come from: ``hash-join`` keeps its
+    right input as columns and indexes key -> row id — one dict built
+    in C when every non-NULL key is distinct, which its size tells;
+    else key -> row ids — and maps a left batch's keys through it;
     ``index-join`` asks the right child — an :class:`IndexProbe` — for
-    the rows matching each key of the batch and never scans it;
-    ``nested-loop`` / ``cross-join`` pair every left row with the
-    materialized right input.  ``check`` (the residual ON predicate, or
-    all of it for a nested loop) runs on each combined row.
+    the row ids matching each key of the batch and gathers them from
+    the table's columns, never scanning it; ``nested-loop`` /
+    ``cross-join`` tile the left positions against every right row.  A
+    LEFT join pairs a left row without candidates with a pad id, which
+    points at an all-NULL row appended to the right columns, so padding
+    is a gather like any other.  ``check`` (the residual ON predicate,
+    or all of it for a nested loop) runs over the candidate pairs only,
+    on their combined rows, and keeps a mask; a LEFT join pads a left
+    row none of whose pairs survived, in its place.
 
     ``semi-join`` / ``anti-join`` are the hash join of a WHERE-side
     ``[NOT] IN (subquery)`` / ``[NOT] EXISTS``: the schema is the left
     one and each left row comes out at most once — when some / no right
-    row has its key and passes ``check``.  The right input is the
-    subquery, so it lives one scope *below* the left row: it runs, and
-    its keys and ``check`` are evaluated, under ``outer_rows + (left
-    row,)`` (a placeholder where no left row is at hand — the selector
-    only moves what never reads it).  Like that subquery it is not run
-    before a left row needs it, and with ``build_once`` — it reads no
-    enclosing row either — one build serves every run of the statement
-    (the join may sit in a subtree that is re-run per outer row).
-    Without a ``check`` the build side
-    is a plain key set and the survivors leave through a selection mask:
-    no row tuple is built.  ``in_predicate`` says the join is an ``x [NOT]
-    IN (subquery)``: x is evaluated for every left row (an ``EXISTS``
-    compares nothing when its subquery is empty), and ``NOT IN`` is
-    ``null_aware`` — a NULL on the build side rejects every row, a NULL
-    x passes only an empty one (``NOT EXISTS`` is the plain anti join: a
-    NULL key has no match).
+    row has its key and passes ``check`` — through a selection mask, so
+    the survivors stay columns.  The right input is the subquery, so it
+    lives one scope *below* the left row: it runs, and its keys and
+    ``check`` are evaluated, under ``outer_rows + (left row,)`` (a
+    placeholder where no left row is at hand — the selector only moves
+    what never reads it).  Like that subquery it is not run before a
+    left row needs it, and with ``build_once`` — it reads no enclosing
+    row either — one build serves every run of the statement (the join
+    may sit in a subtree that is re-run per outer row).  Without a
+    ``check`` the build side is a plain key set.  ``in_predicate`` says
+    the join is an ``x [NOT] IN (subquery)``: x is evaluated for every
+    left row (an ``EXISTS`` compares nothing when its subquery is
+    empty), and ``NOT IN`` is ``null_aware`` — a NULL on the build side
+    rejects every row, a NULL x passes only an empty one (``NOT EXISTS``
+    is the plain anti join: a NULL key has no match).
 
     ``key_positions`` — ``(left positions, right positions)`` — is set
     when every hash key pair is a plain typed column of one comparison
@@ -686,7 +762,7 @@ class Join(Operator):
         self.check = check
         self.key_positions = key_positions
         self.build_once = build_once
-        self._built: tuple[Any, bool, bool] | None = None
+        self._built: _Built | None = None
         self.vectorized = key_positions is not None
 
     def _hash_keys(self, batch: Batch, side: int,
@@ -703,112 +779,214 @@ class Join(Operator):
         return [None if None in key else norm_tuple(key) for key in
                 _key_rows(self.key_fns[side], batch.rows, outer_rows)]
 
-    def _build(self, outer_rows: Rows) -> tuple[Any, bool, bool]:
-        """The hashed right input — the key set of a semi / anti join
-        without a residual, else the right rows bucketed by key —,
-        whether it had no row at all, and whether a ``NOT IN`` found a
-        NULL in it."""
+    def _build(self, outer_rows: Rows) -> _Built:
+        """The hashed right input: a semi / anti join without a residual
+        needs its key set only, everything else its columns indexed."""
         right = self.children[1]
-        empty = True
         if self.semi and self.check is None:
             members: set = set()
+            empty = True
             for batch in right.chunks(outer_rows):
                 empty = False
                 members.update(self._hash_keys(batch, 1, outer_rows))
+            has_null = False
             if not self.null_aware:
                 members.discard(None)
-                return members, empty, False
-            has_null = None in members
-            if members:
-                members.add(None)  # the NULL key: rejected, like a match
-            return members, empty, has_null
-        buckets: dict = defaultdict(list)
+            else:
+                has_null = None in members
+                if members:
+                    members.add(None)  # the NULL key: rejected, like a match
+            return _Built(members, False, None, empty, has_null)
+        batches: list[Batch] = []
+        keys: list = []
         for batch in right.chunks(outer_rows):
-            empty = False
-            for key, right_row in zip(
-                    self._hash_keys(batch, 1, outer_rows), batch.rows):
-                if key is not None:
-                    buckets[key].append(right_row)
-        return buckets, empty, False
+            batches.append(batch)
+            keys.extend(self._hash_keys(batch, 1, outer_rows))
+        index: dict = dict(zip(keys, range(len(keys))))
+        nulls = 0
+        if None in index:
+            del index[None]
+            nulls = keys.count(None)
+        unique = len(index) + nulls == len(keys)
+        if not unique:
+            index = {}
+            lookup = index.get
+            for row_id, key in enumerate(keys):
+                ids = lookup(key)
+                if ids is None:
+                    index[key] = [row_id]
+                else:
+                    ids.append(row_id)
+            index.pop(None, None)
+        return _Built(index, unique,
+                      stack(batches, len(right.schema), self.left_join),
+                      not batches, False)
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
+        if self.semi:
+            return self._semi_batches(outer_rows)
+        return self._joined_batches(outer_rows)
+
+    def _joined_batches(self, outer_rows: Rows) -> Iterator[Batch]:
         left, right = self.children
-        kind, semi = self.kind, self.semi
-        anti = kind == "anti-join"
-        hashed = semi or kind == "hash-join"
-        check, left_join = self.check, self.left_join
-        # A semi / anti join's right side is a subquery: it runs when
-        # the first left row asks for it — once per statement when it
-        # reads no enclosing row.
-        built = self._built if semi else None
-        if kind == "hash-join":
-            built = self._build(outer_rows)
-        elif not hashed and kind != "index-join":
-            right_rows = right.run(outer_rows)
-        pad = (None,) * len(right.schema)
+        widths = (len(left.schema), len(right.schema))
         size = _batch.BATCH_SIZE
-        out: list[tuple] = []
+        if self.kind == "hash-join":
+            pairs = partial(self._hashed_pairs, self._build(outer_rows))
+        elif self.kind == "index-join":
+            pairs = self._probed_pairs
+        else:
+            pairs = partial(self._tiled_pairs, stack(
+                list(right.chunks(outer_rows)), widths[1], self.left_join))
         for batch in left.chunks(outer_rows):
-            # Per left row, the right rows it may pair with.
-            if hashed:
-                if built is None:
-                    built = self._build(outer_rows + (None,))
-                    if self.build_once:
-                        self._built = built
-                table, empty, has_null = built
-                if empty and semi and not self.in_predicate:
-                    # An EXISTS over nothing: no key is compared.
-                    if anti:
-                        yield batch
-                    continue
-                self._observe(len(batch))
-                keys = self._hash_keys(batch, 0, outer_rows)
-                if check is None and semi:
-                    if has_null:
-                        continue  # NOT IN (... NULL ...): true of no x
-                    mask = list(map(table.__contains__, keys))
-                    if anti:
-                        mask = list(map(not_, mask))
-                    kept = sum(mask)
-                    if kept:
-                        yield batch if kept == len(mask) \
-                            else batch.select(mask)
-                    continue
-                candidates = list(map(table.get, keys, repeat(())))
-            elif kind == "index-join":
-                candidates = list(map(right.lookup, _key_rows(
-                    right.key_fns, batch.rows, outer_rows)))
+            for lpos, rids, source in pairs(batch, outer_rows, size):
+                if self.check is not None:
+                    lpos, rids = self._residual(batch, lpos, rids, source,
+                                                outer_rows)
+                count = len(rids)
+                for start in range(0, count, size):
+                    stop = start + size
+                    yield take([(batch, lpos[start:stop], widths[0]),
+                                (source, rids[start:stop], widths[1])],
+                               min(size, count - start))
+
+    def _hashed_pairs(self, built: _Built, batch: Batch, outer_rows: Rows,
+                      size: int) -> Iterator[tuple]:
+        self._observe(len(batch))
+        keys = self._hash_keys(batch, 0, outer_rows)
+        right, lookup = built.right, built.index.get
+        pad = len(right) - 1
+        if not built.unique:
+            for lpos, rids in _expand(list(map(lookup, keys)),
+                                      self.left_join, pad, size):
+                yield lpos, rids, right
+        elif self.left_join:
+            yield range(len(batch)), list(map(lookup, keys, repeat(pad))), \
+                right
+        else:
+            found = list(map(lookup, keys))
+            if None not in found:
+                yield range(len(found)), found, right
+                return
+            hit = list(map(is_not, found, repeat(None)))
+            lpos = list(compress(range(len(found)), hit))
+            if lpos:
+                yield lpos, list(compress(found, hit)), right
+
+    def _probed_pairs(self, batch: Batch, outer_rows: Rows,
+                      size: int) -> Iterator[tuple]:
+        """The right rows of one left batch are its index matches, in
+        the order found, gathered from the table into one source."""
+        probe = self.children[1]
+        found = list(map(probe.lookup, _key_rows(
+            probe.key_fns, batch.rows, outer_rows)))
+        matched = list(chain.from_iterable(found))
+        source = stack([probe.fetch(matched)], len(probe.schema),
+                       self.left_join)
+        ends = list(accumulate(map(len, found)))
+        for lpos, rids in _expand(list(map(range, chain((0,), ends), ends)),
+                                  self.left_join, len(matched), size):
+            yield lpos, rids, source
+
+    def _tiled_pairs(self, source: Batch, batch: Batch, outer_rows: Rows,
+                     size: int) -> Iterator[tuple]:
+        """Every left row against every right row, a run of left rows at
+        a time so that a chunk holds about *size* pairs."""
+        count = len(source) - self.left_join
+        rows = len(batch)
+        if not count:
+            if self.left_join:
+                yield range(rows), [count] * rows, source
+            return
+        step = max(1, size // count)
+        for start in range(0, rows, step):
+            positions = range(start, min(rows, start + step))
+            yield (list(chain.from_iterable(map(repeat, positions,
+                                                repeat(count)))),
+                   list(range(count)) * len(positions), source)
+
+    def _residual(self, batch: Batch, lpos, rids, source: Batch,
+                  outer_rows: Rows) -> tuple[list, list]:
+        """The candidate pairs ``check`` holds for, judged on their
+        combined rows; a LEFT join keeps its pad pairs unchecked and pads
+        a left row whose every pair failed, where its pairs were."""
+        left_rows, right_rows = batch.rows, source.rows
+        check = self.check
+        pad = len(source) - 1 if self.left_join else None
+        mask = [rid == pad or check(outer_rows + (
+                    left_rows[position] + right_rows[rid],))
+                for position, rid in zip(lpos, rids)]
+        if pad is None:
+            return list(compress(lpos, mask)), list(compress(rids, mask))
+        survivors = set(compress(lpos, mask))
+        kept_lpos: list = []
+        kept_rids: list = []
+        padded = None
+        for position, rid, keep in zip(lpos, rids, mask):
+            if keep:
+                kept_lpos.append(position)
+                kept_rids.append(rid)
+            elif position not in survivors and position != padded:
+                kept_lpos.append(position)
+                kept_rids.append(pad)
+                padded = position
+        return kept_lpos, kept_rids
+
+    def _semi_batches(self, outer_rows: Rows) -> Iterator[Batch]:
+        anti = self.kind == "anti-join"
+        # The right side is a subquery: it runs when the first left row
+        # asks for it — once per statement when it reads no enclosing
+        # row.
+        built = self._built
+        for batch in self.children[0].chunks(outer_rows):
+            if built is None:
+                built = self._build(outer_rows + (None,))
+                if self.build_once:
+                    self._built = built
+            if built.empty and not self.in_predicate:
+                # An EXISTS over nothing: no key is compared.
+                if anti:
+                    yield batch
+                continue
+            self._observe(len(batch))
+            keys = self._hash_keys(batch, 0, outer_rows)
+            if self.check is None:
+                if built.has_null:
+                    continue  # NOT IN (... NULL ...): true of no x
+                mask = list(map(built.index.__contains__, keys))
             else:
-                candidates = [right_rows] * len(batch)
-            if not (left_join or anti) and not all(candidates):
-                # A left row without candidates cannot reach the output:
-                # drop it in whichever view the batch has, before the
-                # row view is derived.
-                batch = batch.select(candidates)
-                candidates = filter(None, candidates)
-            for left_row, found in zip(batch.rows, candidates):
-                if semi:
-                    context = outer_rows + (left_row,)
-                    witness = False
-                    for right_row in found:
-                        if check(context + (right_row,)):
-                            witness = True
-                            break
-                    if witness != anti:
-                        out.append(left_row)
-                    continue
-                matched = False
-                for right_row in found:
-                    combined = left_row + right_row
-                    if check is None or check(outer_rows + (combined,)):
-                        matched = True
-                        out.append(combined)
-                if matched:
-                    if len(out) >= size:
-                        yield Batch(rows=out)
-                        out = []
-                elif left_join:
-                    out.append(left_row + pad)
-            if out:
-                yield Batch(rows=out)
-                out = []
+                batch, mask = self._witnessed(batch, keys, built, outer_rows,
+                                              anti)
+            if anti:
+                mask = list(map(not_, mask))
+            kept = sum(mask)
+            if kept:
+                yield batch if kept == len(mask) \
+                    else batch.select(mask, kept)
+
+    def _witnessed(self, batch: Batch, keys: Iterable, built: _Built,
+                   outer_rows: Rows, anti: bool) -> tuple[Batch, list]:
+        """Per left row, whether some right row with its key passes
+        ``check``.  A semi join first drops the rows without candidates,
+        so it builds left rows only for those with some."""
+        found = list(map(built.index.get, keys))
+        if not anti and None in found:
+            hit = list(map(is_not, found, repeat(None)))
+            kept = sum(hit)
+            if not kept:
+                return batch, hit
+            batch = batch.select(hit, kept)
+            found = list(compress(found, hit))
+        check, right_rows = self.check, built.right.rows
+        unique = built.unique
+        mask = []
+        for left_row, ids in zip(batch.rows, found):
+            witness = False
+            if ids is not None:
+                context = outer_rows + (left_row,)
+                for rid in (ids,) if unique else ids:
+                    if check(context + (right_rows[rid],)):
+                        witness = True
+                        break
+            mask.append(witness)
+        return batch, mask

@@ -14,7 +14,8 @@ Row-oriented accessors (``rows`` / ``rows_with_ids`` / ``row``) keep
 their exact shapes, so snapshots, ANALYZE fallbacks, replicas and every
 other consumer are unaffected.  The scan operator reads
 ``iter_batches`` (column-slice batches); ANALYZE reads
-``column_values`` (one live column).
+``column_values`` (one live column); an index probe gathers the rows it
+found through ``slot_columns``.
 
 Writes are columnar too: ``append_rows`` transposes a batch once and
 coerces, constraint-checks, indexes and appends it a column at a time
@@ -168,6 +169,11 @@ class Table:
                      for column in columns]
             if batch[0]:
                 yield batch
+
+    def slot_columns(self) -> tuple[list[list], dict[int, int]]:
+        """Every column's value list, dead slots included, and the map
+        from row id to slot: what a gather by row id reads."""
+        return [column.values for column in self._columns], self._slots
 
     def column_values(self, position: int) -> list:
         """Live values of one column, in row order (ANALYZE reads this)."""

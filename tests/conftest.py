@@ -6,7 +6,21 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.relational import Database, executor, vectors
+from repro.relational import Database, batch, executor, vectors
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--batch-size", type=int, default=None, metavar="N",
+        help="run the session with repro.relational.batch.BATCH_SIZE = N, "
+             "so multi-batch builds, split join output and pending "
+             "columns show up on small tables")
+
+
+def pytest_configure(config):
+    size = config.getoption("--batch-size")
+    if size is not None:
+        batch.BATCH_SIZE = size
 
 
 @contextmanager

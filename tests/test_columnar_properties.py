@@ -19,15 +19,20 @@ here float equality would make "byte-identical" ill-defined.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational import Database
+from repro.planner import PlannerOptions
+from repro.relational import Database, batch, executor
+from repro.relational.batch import Batch
 from repro.relational.errors import RelationalError
-from repro.relational.operators import (Aggregate, Filter, Join, Project,
-                                        Sort)
+from repro.relational.executor import build_select
+from repro.relational.operators import (Aggregate, Filter, Join, Operator,
+                                        Project, Scan, Sort)
+from repro.relational.parser import parse_sql
 
 int_values = st.one_of(st.none(), st.integers(-3, 6))
 real_values = st.one_of(st.none(), st.integers(-2, 4).map(float),
@@ -340,3 +345,259 @@ def test_subquery_predicates_match_the_closure_in_order(
             & {node.kind for node in reference.walk()}
         assert {"semi-join", "anti-join"} \
             & {node.kind for node in plan.walk()}, sql
+
+
+# -- the join's one emission: every strategy against a cross join -------------
+#
+# Each table carries its row number ``k``; the reference is the same
+# condition as a WHERE over ``a CROSS JOIN b`` under the generic kernels
+# at the default batch size, turned into the join's answer by hand: per
+# row of ``a`` in order, its matching rows of ``b`` in order — or, for a
+# LEFT join, one NULL-padded row when there are none.
+
+EMISSION_COLUMNS = ("k", "i", "r", "t", "b")
+NO_PLANNER = PlannerOptions(enabled=False)
+
+
+def _distinct_keys(rows: list[tuple]) -> list[tuple]:
+    """*rows* with every repeated non-NULL ``i`` made NULL: a unique
+    build key (NULLs may repeat)."""
+    seen: set = set()
+    unique = []
+    for row in rows:
+        if row[0] is not None and row[0] in seen:
+            row = (None,) + row[1:]
+        seen.add(row[0])
+        unique.append(row)
+    return unique
+
+
+def numbered(rows: list[tuple]) -> list[tuple]:
+    return [(k,) + row for k, row in enumerate(rows)]
+
+
+left_rows = colliding_rows.map(numbered)
+right_rows = st.one_of(colliding_rows, colliding_rows.map(_distinct_keys)
+                       ).map(numbered)
+
+#: Residual ON conjuncts, checked on candidate pairs only.
+RESIDUALS = ["", " AND a.r > b.r", " AND (b.t = a.t OR a.b)",
+             " AND b.k <> a.k"]
+#: ON conditions without an equality to hash on: nested loops.
+LOOP_CONDITIONS = ["a.i < b.i", "a.i = b.i OR a.t = b.t",
+                   "a.r >= b.r AND a.k <> b.k"]
+
+
+def emission_db(left, right, index: bool = False) -> Database:
+    db = Database(planner=NO_PLANNER)
+    for name, rows in (("a", left), ("b", right)):
+        db.execute(f"CREATE TABLE {name} "
+                   "(k INTEGER, i INTEGER, r REAL, t TEXT, b BOOLEAN)")
+        db.insert_rows(name, (dict(zip(EMISSION_COLUMNS, row))
+                              for row in rows))
+    if index:
+        db.execute("CREATE INDEX b_i ON b (i)")
+    return db
+
+
+def reference(generic_kernels, db: Database, left_join: bool,
+              condition: str | None) -> list[tuple]:
+    """The join's rows, from the pairs a filtered cross join finds."""
+    where = f" WHERE {condition}" if condition else ""
+    with generic_kernels():
+        pairs = db.query(f"SELECT a.k, b.k FROM a CROSS JOIN b{where}").rows
+        left = db.query("SELECT * FROM a").rows
+        right = {row[0]: row for row in db.query("SELECT * FROM b").rows}
+    matches: dict = {}
+    for left_k, right_k in pairs:
+        matches.setdefault(left_k, []).append(right_k)
+    expected = []
+    for row in left:
+        found = sorted(matches.get(row[0], []))
+        expected.extend(row + right[k] for k in found)
+        if left_join and not found:
+            expected.append(row + (None,) * len(EMISSION_COLUMNS))
+    return expected
+
+
+@contextmanager
+def batch_size(size: int):
+    saved, batch.BATCH_SIZE = batch.BATCH_SIZE, size
+    try:
+        yield
+    finally:
+        batch.BATCH_SIZE = saved
+
+
+@contextmanager
+def index_probes_everywhere():
+    """Let the executor probe an index on a table of any size."""
+    saved, executor.INDEX_PROBE_THRESHOLD = executor.INDEX_PROBE_THRESHOLD, 0
+    try:
+        yield
+    finally:
+        executor.INDEX_PROBE_THRESHOLD = saved
+
+
+@st.composite
+def emission_queries(draw, kind: str) -> tuple[str, bool, str | None]:
+    """``(sql, left join, condition)`` for a join of strategy *kind*."""
+    if kind == "cross-join":
+        return "SELECT * FROM a CROSS JOIN b", False, None
+    left_join = draw(st.booleans())
+    if kind == "nested-loop":
+        condition = draw(st.sampled_from(LOOP_CONDITIONS))
+    else:
+        condition = "a.i = b.i" + draw(st.sampled_from(RESIDUALS))
+    join = "LEFT JOIN" if left_join else "JOIN"
+    return f"SELECT * FROM a {join} b ON {condition}", left_join, condition
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+@pytest.mark.parametrize("kind", ["hash-join", "index-join", "nested-loop",
+                                  "cross-join"])
+@given(left=left_rows, right=right_rows, data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_join_strategy_emits_the_cross_join_answer_in_order(
+        generic_kernels, size, kind, left, right, data):
+    sql, left_join, condition = data.draw(emission_queries(kind))
+    db = emission_db(left, right, index=kind == "index-join")
+    expected = reference(generic_kernels, db, left_join, condition)
+    with batch_size(size), index_probes_everywhere():
+        result = db.query(sql)
+        with generic_kernels():
+            generic = db.query(sql).rows
+    assert result.rows == expected, sql
+    assert generic == expected, sql
+    assert kind in {node.kind for node in result.plan.walk()}, sql
+
+
+#: A left row whose key matches 20 rows of ``b``: more than a batch.
+FAN_OUT_LEFT = numbered([(1, 0.5, "a", True), (2, 1.0, "b", None),
+                         (None, 2.0, "a", False), (1, None, None, True)])
+FAN_OUT_RIGHT = numbered([(1, float(n % 3), "ab"[n % 2], None)
+                          for n in range(20)] + [(3, 1.0, "a", True)])
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+@pytest.mark.parametrize("sql, kind", [
+    ("SELECT * FROM a JOIN b ON a.i = b.i", "hash-join"),
+    ("SELECT * FROM a LEFT JOIN b ON a.i = b.i AND b.k <> 4", "hash-join"),
+    ("SELECT * FROM a JOIN b ON a.i = b.i", "index-join"),
+    ("SELECT * FROM a LEFT JOIN b ON a.i = b.i AND a.r > b.r", "index-join"),
+    ("SELECT * FROM a LEFT JOIN b ON a.i <= b.i", "nested-loop"),
+    ("SELECT * FROM a CROSS JOIN b", "cross-join"),
+])
+def test_a_fan_out_beyond_a_batch_leaves_in_batches_of_at_most_its_size(
+        generic_kernels, size, sql, kind):
+    db = emission_db(FAN_OUT_LEFT, FAN_OUT_RIGHT, index=kind == "index-join")
+    condition = sql.partition(" ON ")[2] or None
+    expected = reference(generic_kernels, db, "LEFT" in sql, condition)
+    with batch_size(size), index_probes_everywhere():
+        root = build_select(parse_sql(sql), db.catalog)
+        join = next(node for node in root.walk() if isinstance(node, Join))
+        assert join.kind == kind
+        batches = list(join.chunks())
+    assert max(map(len, batches)) == size
+    assert [row for found in batches for row in found.rows] == expected
+
+
+@pytest.mark.parametrize("sql, kind, fan_out", [
+    ("SELECT * FROM a JOIN b ON a.i = b.i AND b.k >= 0", "hash-join", 20),
+    ("SELECT * FROM a JOIN b ON a.i = b.i AND b.k >= 0", "index-join", 20),
+    ("SELECT * FROM a JOIN b ON a.i <= b.i", "nested-loop", 21),
+])
+def test_the_first_output_batch_pairs_only_the_rows_it_needs(sql, kind,
+                                                             fan_out):
+    """Candidate pairs are made a few left rows at a time, so a consumer
+    that stops after one batch (a LIMIT) leaves the rest unpaired: the
+    residual has seen about one batch plus one left row's fan-out."""
+    db = emission_db(numbered([(1, 0.5, "a", True)] * 4), FAN_OUT_RIGHT,
+                     index=kind == "index-join")
+    with batch_size(7), index_probes_everywhere():
+        root = build_select(parse_sql(sql), db.catalog)
+        join = next(node for node in root.walk() if isinstance(node, Join))
+        assert join.kind == kind
+        checked = []
+        check = join.check
+        join.check = lambda rows: checked.append(rows) or check(rows)
+        chunks = join.chunks()
+        assert len(next(chunks)) == 7
+        assert len(checked) <= 7 + fan_out
+        assert sum(map(len, chunks)) == 4 * fan_out - 7
+    assert len(checked) == 4 * fan_out
+
+
+# -- a column nobody reads is never gathered ----------------------------------
+
+
+class CountingColumn(list):
+    """A column that counts the reads of its values."""
+
+    def __init__(self, values) -> None:
+        super().__init__(values)
+        self.reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+class OneBatch(Operator):
+    """A leaf yielding one batch of the given columns."""
+
+    def __init__(self, schema, cols: list) -> None:
+        super().__init__("stub", "", schema)
+        self.cols = cols
+
+    def _batches(self, outer_rows):
+        yield Batch(cols=list(self.cols))
+
+
+def plan_over(db: Database, sql: str, table: str, cols: list):
+    """*sql*'s operator tree with the scan of *table* replaced by one
+    batch of *cols*."""
+    root = build_select(parse_sql(sql), db.catalog)
+    for node in root.walk():
+        for position, child in enumerate(node.children):
+            if isinstance(child, Scan) and child.table.name == table:
+                node.children[position] = OneBatch(child.schema, cols)
+    return root
+
+
+@batch_size(16)  # every input in one batch
+def test_a_column_nobody_reads_is_never_gathered():
+    db = emission_db(numbered([(n, None, f"v{n}", None) for n in range(5)]),
+                     [])
+    weights = CountingColumn([0.5 * n for n in range(6)])
+    right = [list(range(6)), [None] * 6, weights, [None] * 6, [None] * 6]
+
+    # A join's output: both sides pending until read.
+    root = plan_over(db, "SELECT * FROM a JOIN b ON a.k = b.k", "b", right)
+    join = next(node for node in root.walk() if isinstance(node, Join))
+    joined = next(join.chunks())
+    assert list(joined.column(0)) == [0, 1, 2, 3, 4]
+    assert list(joined.column(5)) == [0, 1, 2, 3, 4]
+    assert weights.reads == 0
+    assert list(joined.column(7)) == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert weights.reads > 0
+
+    # A selection: the mask kernel reads the column it tests only.
+    weights.reads = 0
+    root = plan_over(db, "SELECT * FROM b WHERE k > 2", "b", right)
+    where = next(node for node in root.walk() if isinstance(node, Filter))
+    selected = next(where.chunks())
+    assert list(selected.column(0)) == [3, 4, 5]
+    assert weights.reads == 0
+    assert list(selected.column(2)) == [1.5, 2.0, 2.5]
+
+    # End to end: a projection that drops the column never gathers it.
+    weights.reads = 0
+    assert plan_over(db, "SELECT a.t, b.k FROM a JOIN b ON a.k = b.k "
+                     "WHERE b.k > 2", "b", right).run() \
+        == [("v3", 3), ("v4", 4)]
+    assert weights.reads == 0

@@ -167,3 +167,93 @@ def test_having_subquery_sees_group_keys_only(generic_kernels):
     with pytest.raises(UnknownColumnError):
         db.query("SELECT k FROM a GROUP BY k "
                  "HAVING EXISTS (SELECT 1 FROM b WHERE b.i = a.i)")
+
+
+# -- the benchmark's join shapes ----------------------------------------------
+#
+# join2 / join3 of ``benchmarks/e2e``'s sql_analytic in miniature: two
+# joins, GROUP BY, ORDER BY ... LIMIT, and foreign keys that may be NULL
+# or dangle.  NULL group keys are ordered through COALESCE (the two
+# engines place NULLs at opposite ends); concentrations are exact binary
+# fractions, so AVG agrees to the bit whatever order a plan sums in.
+
+LAND_NAMES = ["l0", "l1", "l2", "l3"]
+
+lands = st.lists(st.one_of(st.none(), st.sampled_from(["Lyon", "Torino"])),
+                 min_size=0, max_size=4).map(
+    lambda cities: [(k, LAND_NAMES[k], city)
+                    for k, city in enumerate(cities)])
+samples = st.lists(
+    st.tuples(st.one_of(st.none(), st.sampled_from(LAND_NAMES + ["lx"])),
+              st.integers(2010, 2013)),
+    min_size=0, max_size=8).map(
+        lambda found: [(k,) + row for k, row in enumerate(found)])
+analyses = st.lists(
+    st.tuples(st.one_of(st.none(), st.integers(0, 9)),
+              st.sampled_from(["A", "B"]),
+              st.one_of(st.none(), st.sampled_from([0.5, 1.0, 2.0]))),
+    min_size=0, max_size=16).map(
+        lambda found: [(k,) + row for k, row in enumerate(found)])
+
+JOIN_SHAPES = [
+    # join2
+    "SELECT s.land_name, COUNT(*) AS n, AVG(a.conc) AS c "
+    "FROM anal a JOIN samp s ON a.samp_id = s.id WHERE a.lab = 'A' "
+    "GROUP BY s.land_name ORDER BY n DESC, COALESCE(s.land_name, '') "
+    "LIMIT 3",
+    # join3
+    "SELECT l.city, COUNT(*) AS n, AVG(a.conc) AS c "
+    "FROM anal a JOIN samp s ON a.samp_id = s.id "
+    "JOIN land l ON s.land_name = l.name "
+    "WHERE a.lab = 'B' AND s.year >= 2011 "
+    "GROUP BY l.city ORDER BY COALESCE(l.city, '')",
+    # LEFT joins: the pads are NULL rows, counted by COUNT(*) only
+    "SELECT s.id, COUNT(*) AS n, COUNT(a.id) AS m, MAX(a.conc) AS c "
+    "FROM samp s LEFT JOIN anal a ON a.samp_id = s.id AND a.lab = 'A' "
+    "GROUP BY s.id ORDER BY s.id",
+    "SELECT a.id, s.id, l.city FROM anal a "
+    "LEFT JOIN samp s ON a.samp_id = s.id "
+    "LEFT JOIN land l ON s.land_name = l.name ORDER BY a.id, s.id",
+]
+
+
+def load_smartground(land, samp, anal, analyzed: bool
+                     ) -> tuple[Database, sqlite3.Connection]:
+    db = Database()
+    db.execute_script("""
+        CREATE TABLE land (id INTEGER PRIMARY KEY, name TEXT UNIQUE,
+                           city TEXT);
+        CREATE TABLE samp (id INTEGER PRIMARY KEY, land_name TEXT,
+                           year INTEGER);
+        CREATE TABLE anal (id INTEGER PRIMARY KEY, samp_id INTEGER,
+                           lab TEXT, conc REAL);
+    """)
+    oracle = sqlite3.connect(":memory:")
+    for name, columns, found in (
+            ("land", ("id", "name", "city"), land),
+            ("samp", ("id", "land_name", "year"), samp),
+            ("anal", ("id", "samp_id", "lab", "conc"), anal)):
+        db.insert_rows(name, (dict(zip(columns, row)) for row in found))
+        oracle.execute(f"CREATE TABLE {name} ({', '.join(columns)})")
+        oracle.executemany(
+            f"INSERT INTO {name} VALUES ({', '.join('?' * len(columns))})",
+            found)
+    if analyzed:
+        db.execute("ANALYZE")
+    return db, oracle
+
+
+@pytest.mark.parametrize("sql", JOIN_SHAPES)
+@given(land=lands, samp=samples, anal=analyses, analyzed=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_the_benchmark_join_shapes_agree_with_sqlite(generic_kernels, sql,
+                                                     land, samp, anal,
+                                                     analyzed):
+    db, oracle = load_smartground(land, samp, anal, analyzed)
+    try:
+        expected = oracle.execute(sql).fetchall()
+    finally:
+        oracle.close()
+    assert db.query(sql).rows == expected, sql
+    with generic_kernels():
+        assert db.query(sql).rows == expected, sql
