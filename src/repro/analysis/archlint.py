@@ -28,9 +28,10 @@ duck-typed hook attributes rather than imports.  Nothing in the
     ``Table.insert_row`` / ``append_rows`` / ``update_row`` /
     ``delete_row`` assume the caller holds the databank's write lock
     (``relational/engine.py``, ``relational/table.py``) — and a table
-    is built from rows in one place, ``table_from_rows``, so a
-    hand-rolled load loop elsewhere fails here; the SESQL pipeline's
-    stage methods
+    is built from a result in one place, the column loader
+    ``table_from_columns`` (rows reach it through one transpose,
+    ``table_from_rows``), so a hand-rolled load loop elsewhere fails
+    here; the SESQL pipeline's stage methods
     (``extraction_for`` / ``apply_where_rewrites`` /
     ``combine_enrichments``) are driven by the one run in
     ``core/engine.py``, and the mediator's ship step by the one

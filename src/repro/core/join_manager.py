@@ -244,7 +244,7 @@ class JoinManager:
         attr_index = find_attr_index(base.columns, enrichment.attr)
         tempdb = TemporarySupportDatabase()
         try:
-            t_base = tempdb.store_result(base.columns, base.rows)
+            t_base = tempdb.store_result(base.columns, base)
             t_map = store_map(tempdb)
             columns = output_columns(base.columns, attr_index,
                                      self._new_column_for(enrichment),
@@ -269,6 +269,6 @@ class JoinManager:
                 core=sql_ast.SelectCore(items=items, from_clause=join))
             final_sql = render_query(query)
             result = tempdb.db.execute_ast(query)
-            return CombineOutcome(ResultSet(columns, result.rows), final_sql)
+            return CombineOutcome(result.renamed(columns), final_sql)
         finally:
             tempdb.cleanup()

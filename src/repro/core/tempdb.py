@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..relational.engine import Database
+from ..relational.result import ResultSet
 
 _counter = itertools.count()
 
@@ -28,8 +29,9 @@ class TempTable:
 
 
 def materialize(db: Database, name_hint: str, display_columns: Sequence[str],
-                rows: Sequence[tuple]) -> TempTable:
-    """Create a temp table in *db* holding *rows*; returns its handle.
+                rows: Sequence[tuple] | ResultSet) -> TempTable:
+    """Create a temp table in *db* holding *rows* — a row list, or a
+    result, loaded in the form it has; returns its handle.
 
     Built in one bulk load and published via ``create_temp_table`` — a
     lock-free namespace operation — so enriched reads never contend on
@@ -37,7 +39,9 @@ def materialize(db: Database, name_hint: str, display_columns: Sequence[str],
     """
     name = f"__sesql_{name_hint}_{next(_counter)}"
     internal = [f"c{i}" for i in range(len(display_columns))]
-    db.create_temp_table(name, internal, rows)
+    db.create_temp_table(name, rows.renamed(internal)
+                         if isinstance(rows, ResultSet)
+                         else ResultSet(internal, rows))
     return TempTable(name, list(display_columns), internal)
 
 
@@ -49,7 +53,8 @@ class TemporarySupportDatabase:
         self._tables: list[str] = []
 
     def store_result(self, display_columns: Sequence[str],
-                     rows: Sequence[tuple], hint: str = "base") -> TempTable:
+                     rows: Sequence[tuple] | ResultSet,
+                     hint: str = "base") -> TempTable:
         table = materialize(self.db, hint, display_columns, rows)
         self._tables.append(table.name)
         return table

@@ -182,7 +182,10 @@ class FragmentCache(LRUCache):
     simply never looked up again and age out of the LRU.  The LRU
     itself is the session layer's :class:`~repro.api.cache.LRUCache`;
     this subclass only adds the lock worker threads need to probe and
-    fill it concurrently.
+    fill it concurrently.  An entry is the source's result unchanged —
+    columns, as the source's scan produced them — marked shared
+    (:meth:`ResultSet.share`), so rows a reader derives from it are not
+    kept on it: an entry keeps one form.
     """
 
     def __init__(self, maxsize: int = 128) -> None:
@@ -195,7 +198,7 @@ class FragmentCache(LRUCache):
 
     def put(self, key: tuple, result: ResultSet) -> None:
         with self._lock:
-            super().put(key, result)
+            super().put(key, result.share())
 
     def clear(self) -> None:
         with self._lock:

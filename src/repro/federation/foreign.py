@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator
 from ..relational.csv_io import parse_cell
 from ..relational.engine import Database
 from ..relational.schema import TableSchema
-from ..relational.table import table_from_rows
+from ..relational.table import table_from_columns, table_from_rows
 from ..relational.types import coerce_value
 from .errors import ForeignTableError
 
@@ -69,8 +69,8 @@ class QuerySource(ForeignSource):
         # on every schema consultation.
         if self._schema is None:
             result = self.database.query(self.sql)
-            self._schema = table_from_rows(
-                self.name, result.columns, result.rows).schema
+            self._schema = table_from_columns(
+                self.name, result.columns, result.cols).schema
         return self._schema
 
     def rows(self) -> Iterable[tuple]:

@@ -14,7 +14,10 @@ read-only query point of such a system:
   (``union_all`` / ``union`` dedupe / ``prefer_first`` per-key
   precedence) behind a per-view barrier in the deterministic
   fragment-definition order, materialises the views into a scratch
-  database and runs the user query there.
+  database and runs the user query there.  A fragment's answer travels
+  as columns, from the source's scan through the fragment cache and
+  ``union_all``'s concatenation into the view's table — no row tuple is
+  built on the way.
 
 A WHERE conjunct over one view is **composed** into each fragment's
 parsed statement (``planner.rewrite.compose_filter``), so no source
@@ -39,9 +42,9 @@ from ..planner.rewrite import (binding_of, compose_filter, from_leaves,
                                map_expr, null_safe_bindings,
                                query_output_columns, referenced_bindings)
 from ..relational import ast as sql_ast
+from ..relational.batch import norm_tuple
 from ..relational.engine import Database
 from ..relational.errors import ExecutionError
-from ..relational.indexes import _normalize
 from ..relational.parser import parse_sql
 from ..relational.render import render_expr, render_query
 from ..relational.result import Cursor, ResultSet
@@ -147,7 +150,13 @@ class Mediator:
                     fragments: list[tuple[str, str]],
                     reconciliation: str = "union_all",
                     key_columns: list[str] | None = None) -> GlobalView:
-        """Define a global relation as the union of source queries (GAV)."""
+        """Define a global relation as the union of source queries (GAV).
+
+        *reconciliation* is ``union_all`` (every row), ``union`` (one of
+        each distinct row) or ``prefer_first`` (per *key_columns* value,
+        the row of the earliest fragment that has it; keys compare by
+        the engine's equality, except that NULL is a key value like any
+        other — see :meth:`Mediator._reconcile`)."""
         if reconciliation not in RECONCILIATIONS:
             raise MediationError(
                 f"unknown reconciliation {reconciliation!r}")
@@ -334,8 +343,7 @@ class Mediator:
 
     def _assemble_view(self, view: GlobalView,
                        results: list[FragmentResult],
-                       report: MediationReport
-                       ) -> tuple[list[tuple], list[str]]:
+                       report: MediationReport) -> ResultSet:
         """Validate fragment columns and reconcile the partial results.
 
         Column *arity* must agree across fragments (the error names
@@ -370,8 +378,7 @@ class Mediator:
             raise MediationError(
                 f"view {view.name!r}: every fragment was skipped, no "
                 f"schema to materialize")
-        rows = self._reconcile(view, partials)
-        return rows, columns
+        return self._reconcile(view, columns, partials)
 
     @staticmethod
     def _fold_results(report: MediationReport,
@@ -398,40 +405,48 @@ class Mediator:
                     + len(outcome.result)
 
     @staticmethod
-    def _reconcile(view: GlobalView,
-                   partials: list[tuple[str, ResultSet]]) -> list[tuple]:
+    def _reconcile(view: GlobalView, columns: list[str],
+                   partials: list[tuple[str, ResultSet]]) -> ResultSet:
+        """The view's rows, named *columns*, from its fragments' results
+        in fragment order.
+
+        ``union_all`` concatenates the fragments' columns — one
+        ``list.extend`` per column per fragment, no row tuple — so a
+        view shipped as columns is loaded as columns.  ``union`` and
+        ``prefer_first`` dedupe rows and keep the first of each key,
+        keyed through ``norm_tuple``: by the engine's equality, under
+        which ``1`` and ``1.0`` are one key and ``TRUE`` and ``1`` are
+        two.  ``union``'s key is the whole row; ``prefer_first``'s is
+        the view's key columns — earlier fragments win, the
+        "reconciliation of the results" step of mediated systems — and
+        there NULL is a key value like any other: a later row whose key
+        agrees with an earlier one's, NULLs included, is dropped (under
+        ``=`` a NULL would match nothing).
+        """
         if view.reconciliation == "union_all":
-            merged: list[tuple] = []
+            merged = [[] for _ in columns]
             for _source, partial in partials:
-                merged.extend(partial.rows)
-            return merged
-        if view.reconciliation == "union":
-            seen: set[tuple] = set()
-            merged = []
-            for _source, partial in partials:
-                for row in partial.rows:
-                    key = tuple(_normalize(v) if v is not None else None
-                                for v in row)
-                    if key not in seen:
-                        seen.add(key)
-                        merged.append(row)
-            return merged
-        # prefer_first: earlier fragments win on key collision — the
-        # "reconciliation of the results" step of mediated systems.
+                for column, values in zip(merged, partial.cols):
+                    column.extend(values)
+            return ResultSet(columns, cols=merged)
         key_positions: list[int] | None = None
-        seen_keys: set[tuple] = set()
-        merged = []
+        seen: set[tuple] = set()
+        rows = []
         for _source, partial in partials:
-            if key_positions is None:
-                key_positions = [partial.column_index(column)
-                                 for column in view.key_columns]
-            for row in partial.rows:
-                key = tuple(row[i] for i in key_positions)
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-                merged.append(row)
-        return merged
+            fragment_rows = partial.rows
+            if view.reconciliation == "union":
+                keys = map(norm_tuple, fragment_rows)
+            else:
+                if key_positions is None:
+                    key_positions = [partial.column_index(column)
+                                     for column in view.key_columns]
+                keys = (norm_tuple([row[i] for i in key_positions])
+                        for row in fragment_rows)
+            for row, key in zip(fragment_rows, keys):
+                if key not in seen:
+                    seen.add(key)
+                    rows.append(row)
+        return ResultSet(columns, rows)
 
 
 @dataclass
@@ -681,9 +696,8 @@ class MediatorSession:
                 key=lambda outcome: outcome.job.index)
             Mediator._fold_results(report, results)
             warn_start = len(report.warnings)
-            rows, columns = self.mediator._assemble_view(
-                view, results, report)
-            self._scratch.store_table(view_name, columns, rows)
+            assembled = self.mediator._assemble_view(view, results, report)
+            self._scratch.store_table(view_name, assembled)
             self.misses += 1
             filter_sql = plan.pushable.get(view_name)
             if filter_sql is not None \
@@ -697,10 +711,10 @@ class MediatorSession:
                 if filter_sql is not None:
                     report.pushed_filters[view_name] = filter_sql
             else:
-                self._view_rows[view_name] = len(rows)
+                self._view_rows[view_name] = len(assembled)
                 self._view_warnings[view_name] = \
                     report.warnings[warn_start:]
-            report.view_rows[view_name] = len(rows)
+            report.view_rows[view_name] = len(assembled)
 
     def query(self, sql: str) -> ResultSet:
         """Execute and return just the rows."""

@@ -4,9 +4,10 @@ Operators (:mod:`repro.relational.operators`) pass :class:`Batch` es —
 runs of rows held column-major, row-major, or both — so a column kernel
 (selection mask, column fold, gather) and the generic per-row expression
 kernel can sit in one pipeline without either dictating the layout.
-Batches flatten to rows only at the ``Cursor`` / ``ResultSet`` boundary,
-so pagination, LIMIT early-termination and ``rows_yielded`` accounting
-never see a batch edge.
+Batches flatten to rows only at the ``Cursor`` boundary, so pagination,
+LIMIT early-termination and ``rows_yielded`` accounting never see a
+batch edge.  A whole run becomes one batch through :func:`concat`, in
+the form its batches have, and a ``ResultSet`` keeps that form.
 
 A column may be *pending*: not gathered yet, only the recipe for it — a
 ``functools.partial`` reading another batch's column as it is, picked at
@@ -90,6 +91,11 @@ class Batch:
         return self._len
 
     @property
+    def has_rows(self) -> bool:
+        """Whether the row view exists (built from rows, or derived)."""
+        return self._rows is not None
+
+    @property
     def rows(self) -> list:
         if self._rows is None:
             self._rows = list(zip(*self.cols))
@@ -160,6 +166,30 @@ def take(sources: Iterable[tuple[Batch, Sequence[int], int]],
             cols.extend(partial(_take, source, position, ids)
                         for position in range(width))
     return Batch(cols=cols, length=length)
+
+
+def concat(batches: Iterable[Batch], width: int) -> Batch:
+    """*batches* one after the other as one batch of *width* columns, in
+    the form the first one has: rows when it comes with its row view (a
+    sort, distinct, aggregate or set operation builds rows), else
+    gathered columns — one ``list.extend`` per column per batch and not
+    one row tuple.  A later batch of the other form is converted."""
+    rows: Optional[list] = None
+    cols: Optional[list] = None
+    for batch in batches:
+        if rows is None and cols is None:
+            if batch._rows is not None or not width:
+                rows = []
+            else:
+                cols = [[] for _ in range(width)]
+        if rows is not None:
+            rows.extend(batch.iter_rows())
+        else:
+            for position, column in enumerate(cols):
+                column.extend(batch.column(position))
+    if rows is not None or not width:
+        return Batch(rows=rows or [])
+    return Batch(cols=cols or [[] for _ in range(width)])
 
 
 def stack(batches: list, width: int, null_row: bool) -> Batch:

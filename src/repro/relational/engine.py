@@ -29,7 +29,7 @@ from .parser import parse_script, parse_sql
 from .render import render_statement
 from .result import Cursor, ResultSet
 from .schema import Column, TableSchema
-from .table import Table, table_from_rows
+from .table import Table, table_from_columns
 from .types import DataType, parse_type_name
 
 #: Shared no-op context for disabled-telemetry span sites.
@@ -288,12 +288,15 @@ class Database:
         with (tel.span("db.execute", db=self.name)
               if tel is not None else _NOOP) as span:
             root = self._build(query)
-            rows = root.run()
+            whole = root.collect()
             if span is not None:
-                span.attrs["rows"] = len(rows)
+                span.attrs["rows"] = len(whole)
         if tel is not None:
-            self._note_select(root, len(rows), time.perf_counter() - started)
-        return ResultSet(root.schema.names(), rows, plan=root)
+            self._note_select(root, len(whole),
+                              time.perf_counter() - started)
+        if whole.has_rows:
+            return ResultSet(root.schema.names(), whole.rows, plan=root)
+        return ResultSet(root.schema.names(), cols=whole.cols, plan=root)
 
     # -- streaming SELECT --------------------------------------------------------
 
@@ -398,7 +401,7 @@ class Database:
             planned = plan_select(stmt, self.catalog, self.stats,
                                   self.planner)
             if analyze:
-                planned.root.run()
+                planned.root.collect()
         return planned
 
     # -- DML ----------------------------------------------------------------------
@@ -559,23 +562,24 @@ class Database:
                     "drop_table", {"name": name, "if_exists": if_exists},
                     generation=self._generation)
 
-    def store_table(self, name: str, column_names: list[str],
-                    rows: Iterable[tuple]) -> Table:
-        """Materialise result *rows* as a new table (types inferred).
+    def store_table(self, name: str, result: ResultSet) -> Table:
+        """Materialise *result* as a new table named *name*, with its
+        column names and types inferred from its values — loaded from
+        its columns (``table_from_columns``), so a result held as
+        columns never builds a row.
 
         The table is built in full first and only then published, under
         the write lock, so no reader ever sees it half loaded.  Not
         journaled: this is how scratch state (a mediated view) lands,
         and its owner re-ships it rather than recovering it.
         """
-        table = table_from_rows(name, column_names, rows)
+        table = table_from_columns(name, result.columns, result.cols)
         with self.rwlock.write_locked():
             self.catalog.register_table(table)
             self._generation += 1
         return table
 
-    def create_temp_table(self, name: str, column_names: list[str],
-                          rows: Iterable[tuple]) -> Table:
+    def create_temp_table(self, name: str, result: ResultSet) -> Table:
         """:meth:`store_table` for a caller-private temp table, published
         *without* the write lock (and without moving the generation).
 
@@ -586,7 +590,7 @@ class Database:
         open cursor (and deadlock a session that already holds the read
         side).  Single dict insert: atomic under the GIL.
         """
-        table = table_from_rows(name, column_names, rows)
+        table = table_from_columns(name, result.columns, result.cols)
         self.catalog.register_table(table)
         return table
 

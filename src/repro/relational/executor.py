@@ -542,8 +542,8 @@ def _build_where(op: Operator, where: ast.Expr,
         return build_filter(op, "WHERE", where, scopes, ctx, est_rows)
     # The planner estimates the whole filter first, the joins over it.
     pending: list[ast.Expr] = []
-    for index in sorted(range(len(parts)), key=lambda index: not _masked(
-            parts[index], scopes)):
+    for index in sorted(range(len(parts)), key=lambda index: _mask_kernel(
+            parts[index], scopes) is None):
         if stack[index] is None:
             pending.append(parts[index])
             continue
@@ -559,32 +559,36 @@ def _build_where(op: Operator, where: ast.Expr,
     return op
 
 
-def _masked(conjunct: ast.Expr, scopes: list[RowSchema]) -> bool:
-    """Whether a filter over ``scopes[-1]`` runs *conjunct* as a mask
-    kernel (over typed columns only: an unresolved ref sends it to the
-    generic predicate, whose compile reports unknown columns and marks
-    outer references)."""
-    return any(column.data_type is not None
-               for column in scopes[-1].columns) \
-        and vectors.compile_filter_kernel(
-            conjunct, partial(_typed_column, scopes=scopes)) is not None
+def _mask_kernel(conjunct: ast.Expr, scopes: list[RowSchema]):
+    """The mask kernel a filter over ``scopes[-1]`` runs *conjunct* as,
+    or ``None`` (over typed columns only: an unresolved ref sends it to
+    the generic predicate, whose compile reports unknown columns and
+    marks outer references)."""
+    if not any(column.data_type is not None
+               for column in scopes[-1].columns):
+        return None
+    return vectors.compile_filter_kernel(
+        conjunct, partial(_typed_column, scopes=scopes))
 
 
 def build_filter(child: Operator, label: str, predicate: ast.Expr,
                  scopes: list[RowSchema], ctx: CompileContext,
                  est_rows: float | None = None) -> Filter:
     """A filter over *child*: every conjunct over typed columns that
-    compiles to a mask kernel runs as one, the rest stay on the generic
-    predicate — a hybrid plan, not an error."""
+    compiles to a mask kernel runs as one — one kernel per conjunct, in
+    written order, each narrowing what the one before it kept (an AND
+    nested under OR or NOT stays inside its conjunct's kernel) — the
+    rest stay on the generic predicate: a hybrid plan, not an error."""
     typed = any(column.data_type is not None
                 for column in scopes[-1].columns)
     resolve = partial(_typed_column, scopes=scopes)
-    masked: list[ast.Expr] = []
+    kernels: list = []
     residual: list[ast.Expr] = []
     fallbacks: list[tuple[str, str]] = []
     for conjunct in ast.conjuncts(predicate):
-        if _masked(conjunct, scopes):
-            masked.append(conjunct)
+        kernel = _mask_kernel(conjunct, scopes)
+        if kernel is not None:
+            kernels.append(kernel)
             continue
         residual.append(conjunct)
         if typed:
@@ -592,12 +596,9 @@ def build_filter(child: Operator, label: str, predicate: ast.Expr,
             # declined.
             fallbacks.append((render_expr(conjunct), vectors.fallback_reason(
                 conjunct, resolve, declined=True)))
-    # AND is itself a kernel: one mask function for all of them.
-    mask_fn = (vectors.compile_filter_kernel(ast.conjoin(masked), resolve)
-               if masked else None)
     residual_fn = (compile_predicate(ast.conjoin(residual), scopes, ctx)
                    if residual else None)
-    return Filter(child, label, mask_fn, residual_fn, fallbacks, est_rows,
+    return Filter(child, label, kernels, residual_fn, fallbacks, est_rows,
                   ctx.exec_hooks)
 
 

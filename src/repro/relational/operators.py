@@ -46,7 +46,7 @@ from typing import (Any, Callable, Iterable, Iterator, NamedTuple,
                     Sequence)
 
 from . import batch as _batch
-from .batch import Batch, norm_tuple, stack, take
+from .batch import Batch, concat, norm_tuple, stack, take
 from .errors import ExecutionError
 from .schema import ResultColumn, RowSchema
 from .table import Table
@@ -116,20 +116,24 @@ class Operator:
         for batch in self.chunks(outer_rows):
             yield from batch.iter_rows()
 
-    def run(self, outer_rows: Rows = ()) -> list[tuple]:
-        """One whole run, materialized.  Nothing here is batch-sized: a
-        pass-through hands on its child's list, a scan zips its table."""
+    def collect(self, outer_rows: Rows = ()) -> Batch:
+        """One whole run as one batch, in the form its batches have
+        (:func:`~repro.relational.batch.concat`) — what a SELECT's
+        result holds.  Nothing here is batch-sized: a pass-through hands
+        on its child's run, a scan copies its table's live columns."""
         if self.passes_through:
-            return self._ran(self.children[0].run(outer_rows))
-        rows: list[tuple] = []
-        for batch in self.chunks(outer_rows):
-            rows.extend(batch.iter_rows())
-        return rows
+            return self._ran(self.children[0].collect(outer_rows))
+        return concat(self.chunks(outer_rows), len(self.schema))
 
-    def _ran(self, rows: list[tuple]) -> list[tuple]:
-        self.actual_rows = (self.actual_rows or 0) + len(rows)
-        self._observe(len(rows))
-        return rows
+    def run(self, outer_rows: Rows = ()) -> list[tuple]:
+        """One whole run, as rows (sorts, set operations and subqueries
+        read it so)."""
+        return self.collect(outer_rows).rows
+
+    def _ran(self, whole: Batch) -> Batch:
+        self.actual_rows = (self.actual_rows or 0) + len(whole)
+        self._observe(len(whole))
+        return whole
 
     def _observe(self, rows: int) -> None:
         if self._hooks is not None and self.vectorized:
@@ -210,8 +214,8 @@ class Values(Operator):
 
 class Scan(Operator):
     """Full scan of a catalog table.  A columnar :class:`Table` is read
-    as column slices; any other table (foreign wrappers) as row chunks;
-    a whole ``run`` of either is one zip across the table."""
+    as column slices, and a whole run is a copy of each live column; any
+    other table (foreign wrappers) as rows."""
 
     def __init__(self, table, binding: str, label: str,
                  est_rows: float | None = None, hooks=None) -> None:
@@ -221,8 +225,12 @@ class Scan(Operator):
         self.table = table
         self.vectorized = isinstance(table, Table)
 
-    def run(self, outer_rows: Rows = ()) -> list[tuple]:
-        return self._ran(list(self.table.rows()))
+    def collect(self, outer_rows: Rows = ()) -> Batch:
+        table = self.table
+        if not self.vectorized:
+            return self._ran(Batch(rows=list(table.rows())))
+        return self._ran(Batch(cols=list(map(
+            table.column_values, range(len(self.schema))))))
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
         # Table state is read at run time, never at build time: SELECTs
@@ -291,39 +299,51 @@ class IndexProbe(Operator):
             yield self.fetch(row_ids[start:start + size])
 
 
+def _narrowed(batch: Batch, kernels: list) -> Batch | None:
+    """*batch* cut down by each mask kernel in turn, each handed the
+    selection the ones before it left; ``None`` once no row is left."""
+    for kernel in kernels:
+        mask = kernel(batch)
+        kept = sum(mask)
+        if not kept:
+            return None
+        if kept < len(mask):
+            batch = batch.select(mask, kept)
+    return batch
+
+
 class Filter(Operator):
     """Keep the rows a predicate holds for.
 
-    ``mask_fn`` is the conjunction of the conjuncts that compiled to
-    mask kernels (``None`` when none did), handed the batch itself so it
-    gathers only the columns it tests; the survivors leave as a pending
-    selection.  ``residual_fn`` is the generic predicate for the rest,
-    applied to the surviving rows.
+    ``kernels`` are the mask kernels of the conjuncts that compiled to
+    one, in written order.  They narrow: the first is handed the batch
+    itself, so it gathers only the columns it tests, and each later one
+    the pending selection the ones before it left — it tests only the
+    rows still in, no two masks are ever ANDed, and a batch that empties
+    goes no further.  ``residual_fn`` is the generic predicate for the
+    rest, applied to the surviving rows.
     """
 
     preserves_rows = False
 
-    def __init__(self, child: Operator, label: str, mask_fn, residual_fn,
-                 fallbacks: list[tuple[str, str]],
+    def __init__(self, child: Operator, label: str, kernels: list,
+                 residual_fn, fallbacks: list[tuple[str, str]],
                  est_rows: float | None = None, hooks=None) -> None:
         super().__init__("filter", label, child.schema, [child], est_rows,
                          hooks=hooks)
-        self.mask_fn = mask_fn
+        self.kernels = kernels
         self.residual_fn = residual_fn
         self.fallbacks = fallbacks
-        self.vectorized = mask_fn is not None
+        self.vectorized = bool(kernels)
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
-        mask_fn, residual_fn = self.mask_fn, self.residual_fn
+        kernels, residual_fn = self.kernels, self.residual_fn
         for batch in self.children[0].chunks(outer_rows):
-            if mask_fn is not None:
-                mask = mask_fn(batch)
-                kept = sum(mask)
-                if not kept:
+            if kernels:
+                batch = _narrowed(batch, kernels)
+                if batch is None:
                     continue
-                if kept < len(mask):
-                    batch = batch.select(mask, kept)
-                self._observe(kept)
+                self._observe(len(batch))
             if residual_fn is not None:
                 rows = [row for row in batch.rows
                         if residual_fn(outer_rows + (row,))]
@@ -482,13 +502,15 @@ class Sort(Operator):
         self.vectorized = positions is not None
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
-        rows = self.children[0].run(outer_rows)
+        whole = self.children[0].collect(outer_rows)
+        rows = whole.rows
         contexts = None
         columns = []
         for (fn, _descending), position in zip(
                 self.order_fns, self.positions or repeat(None)):
             if position is not None:
-                columns.append([row[position] for row in rows])
+                # (a batch of no rows has no columns to read)
+                columns.append(whole.column(position) if rows else [])
                 continue
             if contexts is None:
                 contexts = [outer_rows + (row,) for row in rows]

@@ -1,7 +1,9 @@
 """Query results: materialized sets and streaming cursors.
 
 :class:`ResultSet` is the fully-materialized container the engine has
-always returned; :class:`Cursor` is its lazy counterpart — a DB-API
+always returned — held as rows or as columns, whichever the run produced
+(a column result never builds a row tuple unless a consumer reads
+``rows``); :class:`Cursor` is its lazy counterpart — a DB-API
 flavoured handle (``fetchone`` / ``fetchmany`` / ``fetchall``,
 iterable, ``columns``) over a row stream that is only produced as it is
 consumed, so ``LIMIT k`` queries stop after *k* rows instead of
@@ -114,13 +116,32 @@ class Cursor:
 
 
 class ResultSet:
-    """An ordered table of result rows with named columns."""
+    """An ordered table of result rows with named columns.
 
-    def __init__(self, columns: list[str], rows: list[tuple],
-                 plan=None) -> None:
+    The values are held as rows (one tuple each) or as columns (one
+    value list each) — the form their producer had: a SELECT whose
+    batches came as columns hands them on as columns, and a shipped
+    fragment stays so into the table the mediator loads.  The other form
+    (``rows`` / ``cols``) is derived on first read and kept, as a
+    :class:`~repro.relational.batch.Batch` keeps it — except on a result
+    a cache holds (:meth:`share`), which hands a derived form out
+    without keeping it, so the entry keeps one form.  ``len`` and
+    ``bool`` need neither.  Lists are adopted, not copied, both ways:
+    treat what ``rows`` and ``cols`` return as read-only.
+    """
+
+    def __init__(self, columns: list[str], rows: list[tuple] | None = None,
+                 plan=None, *, cols: list[list] | None = None) -> None:
         self.columns = list(columns)
-        #: A list is adopted, not copied: the engine hands over its own.
-        self.rows = rows if isinstance(rows, list) else list(rows)
+        if rows is None and cols is None:
+            rows = []
+        elif rows is not None and not isinstance(rows, list):
+            rows = list(rows)
+        self._len = len(rows) if rows is not None \
+            else len(cols[0]) if cols else 0
+        self._rows = rows
+        self._cols = cols
+        self._shared = False
         #: Root :class:`~repro.relational.operators.Operator` of the
         #: tree that produced the rows (per-operator ``actual_rows``,
         #: ``vectorized_ops``, ``vectorized_fallbacks``), or ``None``
@@ -132,14 +153,49 @@ class ResultSet:
         """Materialize a streaming cursor (drains and closes it)."""
         return cls(cursor.columns, cursor.fetchall(), plan=cursor.plan)
 
+    @property
+    def rows(self) -> list[tuple]:
+        """One tuple per row."""
+        rows = self._rows
+        if rows is None:
+            rows = list(zip(*self._cols))
+            if not self._shared:
+                self._rows = rows
+        return rows
+
+    @property
+    def cols(self) -> list[list]:
+        """One value list per column."""
+        cols = self._cols
+        if cols is None:
+            cols = (list(map(list, zip(*self._rows))) if self._rows
+                    else [[] for _ in self.columns])
+            if not self._shared:
+                self._cols = cols
+        return cols
+
+    def share(self) -> "ResultSet":
+        """Mark this result as held by a cache, and return it: it keeps
+        the one form it has (its columns, when it has both) and from now
+        on hands the other out without keeping it."""
+        if self._cols is not None:
+            self._rows = None
+        self._shared = True
+        return self
+
+    def renamed(self, columns: list[str]) -> "ResultSet":
+        """The same values under other column names, in the form they
+        have (nothing is copied)."""
+        return ResultSet(columns, self._rows, cols=self._cols)
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._len
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)
 
     def __bool__(self) -> bool:
-        return bool(self.rows)
+        return self._len > 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResultSet):
@@ -160,13 +216,13 @@ class ResultSet:
         return [row[index] for row in self.rows]
 
     def first(self) -> tuple | None:
-        return self.rows[0] if self.rows else None
+        return self.rows[0] if self._len else None
 
     def scalar(self) -> Any:
         """The single value of a 1x1 result."""
-        if len(self.rows) != 1 or len(self.columns) != 1:
+        if self._len != 1 or len(self.columns) != 1:
             raise ExecutionError(
-                f"expected a 1x1 result, got {len(self.rows)} rows x "
+                f"expected a 1x1 result, got {self._len} rows x "
                 f"{len(self.columns)} columns")
         return self.rows[0][0]
 
@@ -201,10 +257,9 @@ class ResultSet:
                 f" {cell.ljust(width)} "
                 for cell, width in zip(row, widths)) + "|")
         lines.append(divider)
-        if max_rows is not None and len(self.rows) > max_rows:
-            lines.append(f"... ({len(self.rows) - max_rows} more rows)")
+        if max_rows is not None and self._len > max_rows:
+            lines.append(f"... ({self._len - max_rows} more rows)")
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ResultSet(columns={self.columns!r}, "
-                f"rows={len(self.rows)})")
+        return f"ResultSet(columns={self.columns!r}, rows={self._len})"

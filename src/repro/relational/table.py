@@ -20,8 +20,10 @@ found through ``slot_columns``.
 Writes are columnar too: ``append_rows`` transposes a batch once and
 coerces, constraint-checks, indexes and appends it a column at a time
 (``insert_row`` is the same tail over a batch of one), and
-``table_from_rows`` — types inferred from the same pass — is the one way
-a result set becomes a table.
+``table_from_columns`` — types inferred per column — is the one loader
+that makes a result a table: a result held as columns is loaded as it
+is, and a producer of rows reaches it through one transpose
+(``table_from_rows``).
 """
 
 from __future__ import annotations
@@ -311,7 +313,9 @@ class Table:
         self._row_ids.extend(range(first, first + count))
         self._deleted.extend(bytes(count))
         for vector, values in zip(self._columns, prepared):
-            vector.extend(values[:count])
+            # Copied into the vector's own list, never adopted.
+            vector.extend(values if len(values) == count
+                          else values[:count])
         self._next_row_id += count
         if error is not None:
             raise error
@@ -410,19 +414,25 @@ class Table:
         return None
 
 
-def table_from_rows(name: str, column_names: Sequence[str],
-                    rows: Iterable[Sequence]) -> Table:
-    """A fully loaded table of result *rows* — the one materialiser
-    under mediated views and SESQL temp tables.  Column types are
-    inferred from the data; values the storage model does not know (RDF
-    terms, say) are stored as their ``str``.  The caller publishes the
-    table, so nobody ever sees it half loaded.
+def table_from_columns(name: str, column_names: Sequence[str],
+                       cols: Sequence[Sequence]) -> Table:
+    """A fully loaded table of one value sequence per column — the one
+    loader under mediated views and SESQL temp tables.  Each column's
+    type is inferred from its values; values the storage model does not
+    know (RDF terms, say) are stored as their ``str``; every column must
+    have the same length.  The sequences are read, never adopted — a
+    cached fragment's columns are shared across queries, and a write to
+    the table must not reach them.  The caller publishes the table, so
+    nobody ever sees it half loaded.
     """
-    given, count, error = _transposed(
-        name, rows if isinstance(rows, list) else list(rows),
-        len(column_names))
-    if error is not None:
-        raise error
+    if len(cols) != len(column_names):
+        raise SchemaError(f"table {name!r} expects {len(column_names)} "
+                          f"columns, got {len(cols)}")
+    lengths = set(map(len, cols))
+    if len(lengths) > 1:
+        raise SchemaError(f"table {name!r}: columns of unequal lengths "
+                          f"{sorted(lengths)}")
+    given = list(cols)
     kinds = [set(map(type, column)) for column in given]
     for position, kind in enumerate(kinds):
         if not all(issubclass(k, (int, float, str, _NULL)) for k in kind):
@@ -434,8 +444,21 @@ def table_from_rows(name: str, column_names: Sequence[str],
     table = Table(TableSchema(name, [
         Column(column_name, _narrowest(kind))
         for column_name, kind in zip(column_names, kinds)]))
-    table._append_columns(given, kinds, count)
+    table._append_columns(given, kinds, lengths.pop() if lengths else 0)
     return table
+
+
+def table_from_rows(name: str, column_names: Sequence[str],
+                    rows: Iterable[Sequence]) -> Table:
+    """:func:`table_from_columns` over *rows*, transposed once (a row of
+    the wrong arity is a ``SchemaError``): how a producer that has rows
+    — a CSV foreign source, say — reaches the loader."""
+    given, _count, error = _transposed(
+        name, rows if isinstance(rows, list) else list(rows),
+        len(column_names))
+    if error is not None:
+        raise error
+    return table_from_columns(name, column_names, given)
 
 
 def find_probe_index(table, column_names: list[str]

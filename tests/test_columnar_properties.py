@@ -601,3 +601,83 @@ def test_a_column_nobody_reads_is_never_gathered():
                      "WHERE b.k > 2", "b", right).run() \
         == [("v3", 3), ("v4", 4)]
     assert weights.reads == 0
+
+
+# -- conjunct narrowing: one mask kernel per conjunct, on what is left -------
+#
+# NaN is in the data here: rows are compared by ``repr``, so a NaN that
+# both engines keep compares equal.
+
+narrowing_rows = st.lists(
+    st.tuples(int_values, st.one_of(real_values, st.just(float("nan"))),
+              text_values, bool_values),
+    min_size=0, max_size=25)
+#: A conjunct no row passes: wherever it sits in the chain, the batches
+#: empty there.
+EMPTYING = "i > 99"
+
+
+@st.composite
+def mask_conjuncts(draw) -> list[str]:
+    """2-4 conjuncts that each compile to a mask kernel — comparisons
+    (NaN-sensitive ones on ``r`` included), and ANDs nested under OR or
+    NOT, which keep their kernel — sometimes one of them ``EMPTYING``."""
+    # A negative literal is a unary minus until the planner folds it (a
+    # trivial select is not planned), and NOT cannot be pushed into a
+    # bare BOOLEAN column: neither would be a mask kernel.
+    atom = predicates(depth=0).filter(lambda predicate: "-" not in predicate)
+    negatable = atom.filter(lambda predicate: predicate not in ("b", "NOT b"))
+    conjunct = st.one_of(
+        atom,
+        st.sampled_from(["r >= 0.5", "r <= 2.0", "r <> 0.5",
+                         "r BETWEEN 0.0 AND 2.0", "r IS NOT NULL"]),
+        st.builds("({} OR ({} AND {}))".format, atom, negatable, negatable),
+        st.builds("NOT ({} AND {})".format, negatable, negatable))
+    conjuncts = draw(st.lists(conjunct, min_size=2, max_size=4))
+    if draw(st.booleans()):
+        conjuncts[draw(st.integers(0, len(conjuncts) - 1))] = EMPTYING
+    return conjuncts
+
+
+def shown(rows: list[tuple]) -> list[tuple]:
+    return [tuple(map(repr, row)) for row in rows]
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+@given(rows=narrowing_rows, mask=delete_mask, conjuncts=mask_conjuncts())
+@settings(max_examples=60, deadline=None)
+def test_conjuncts_narrow_to_the_generic_answer(generic_kernels, size, rows,
+                                                mask, conjuncts):
+    sql = f"SELECT * FROM t WHERE {' AND '.join(conjuncts)}"
+    with batch_size(size):
+        got = build(rows, mask).query(sql)
+        # Also as written: the planner may merge range conjuncts.
+        written = build_select(parse_sql(sql), build(rows, mask).catalog)
+        written_rows = written.run()
+        with generic_kernels():
+            expected = build(rows, mask).query(sql)
+    assert shown(got.rows) == shown(expected.rows), sql
+    assert shown(written_rows) == shown(expected.rows), sql
+    planned = next(node for node in got.plan.walk()
+                   if isinstance(node, Filter))
+    assert planned.kernels and planned.residual_fn is None, sql
+    assert planned.actual_rows == len(expected.rows)
+    where = next(node for node in written.walk() if isinstance(node, Filter))
+    assert len(where.kernels) == len(conjuncts), sql
+
+
+def test_a_batch_that_empties_goes_no_further():
+    db = build([(n, float(n), "a", True) for n in range(10)], [False] * 25)
+    root = build_select(parse_sql(
+        "SELECT * FROM t WHERE i > 2 AND i > 99 AND r < 5.0"), db.catalog)
+    where = next(node for node in root.walk() if isinstance(node, Filter))
+    seen = []
+    where.kernels = [
+        lambda batch, kernel=kernel, k=k:
+            seen.append((k, len(batch))) or kernel(batch)
+        for k, kernel in enumerate(where.kernels)]
+    with batch_size(4):
+        assert root.run() == []
+    # Batches of 4, 4 and 2 rows: the first kernel sees each whole, the
+    # second what the first kept, and the third never runs.
+    assert seen == [(0, 4), (1, 1), (0, 4), (1, 4), (0, 2), (1, 2)]

@@ -30,7 +30,7 @@ from repro.federation import Mediator
 from repro.federation.foreign import (CallableSource, CsvSource,
                                       QuerySource, attach_foreign_table)
 from repro.rdf import IRI, Literal, Namespace, TripleStore, parse_turtle
-from repro.relational import Database, SqlSyntaxError
+from repro.relational import Database, ResultSet, SqlSyntaxError
 from repro.relational.schema import Column, DataType
 
 SMG = Namespace("http://smartground.eu/ns#")
@@ -410,7 +410,8 @@ def test_temp_tables_are_never_journaled_or_snapshotted(tmp_path):
     manager.recover()
     populate(db)
     seq_before = db.durability_journal.seq
-    db.create_temp_table("__sesql_scratch_1", ["elem_name"], [("Hg",)])
+    db.create_temp_table("__sesql_scratch_1",
+                         ResultSet(["elem_name"], [("Hg",)]))
     assert db.durability_journal.seq == seq_before
     path = manager.snapshot()
     payload = load_snapshot_file(path)

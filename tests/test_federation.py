@@ -229,6 +229,46 @@ def test_prefer_first_resolves_key_conflicts(sources):
     assert result.scalar() == 7.5  # italy's value wins
 
 
+def keyed_view(reconciliation, a_key, b_key):
+    """View ``pf (k, v)`` over sources a and b, one row each:
+    ``(a_key, 'from-a')`` and ``(b_key, 'from-b')``, each key given as
+    ``(SQL type, literal)``."""
+    mediator = Mediator()
+    for name, (key_type, key) in (("a", a_key), ("b", b_key)):
+        db = Database(name)
+        db.execute(f"CREATE TABLE t (k {key_type}, v TEXT)")
+        db.execute(f"INSERT INTO t VALUES ({key}, 'from-{name}')")
+        mediator.register_source(name, db)
+    mediator.define_view(
+        "pf", [("a", "SELECT k, v FROM t"), ("b", "SELECT k, v FROM t")],
+        reconciliation,
+        key_columns=["k"] if reconciliation == "prefer_first" else None)
+    return mediator
+
+
+def test_prefer_first_keys_rows_by_the_engines_equality():
+    # Regression: prefer_first keyed rows by their raw values, and
+    # Python's True == 1 (equal hashes too) made b's row a duplicate of
+    # a's — though the engine says 1 = TRUE is false, and the same view
+    # under union keeps both.
+    assert Database().query("SELECT 1 = TRUE, 1 = 1.0").rows \
+        == [(False, True)]
+    boolean, integer = ("BOOLEAN", "TRUE"), ("INTEGER", "1")
+    for reconciliation in ("prefer_first", "union"):
+        result, _report = keyed_view(reconciliation, boolean, integer) \
+            .query("SELECT v FROM pf ORDER BY v")
+        assert result.rows == [("from-a",), ("from-b",)], reconciliation
+    # 1 and 1.0 are one key, as the engine's = says: a's row wins.
+    result, _report = keyed_view("prefer_first", integer, ("REAL", "1.0")) \
+        .query("SELECT v FROM pf")
+    assert result.rows == [("from-a",)]
+    # NULL is a key value like any other: the first NULL-keyed row wins.
+    null = ("INTEGER", "NULL")
+    result, _report = keyed_view("prefer_first", null, null) \
+        .query("SELECT v FROM pf")
+    assert result.rows == [("from-a",)]
+
+
 def test_mediated_query_over_view_join(sources):
     mediator = make_mediator(sources)
     mediator.define_view("eu", [
