@@ -41,9 +41,11 @@ class PlanStage:
         return "\n".join(lines)
 
 
-def plan_stages(records, analyze: bool = False) -> list[PlanStage]:
+def plan_stages(records, sql: str,
+                analyze: bool = False) -> list[PlanStage]:
     """The engine's stage records (``extract | rewrite | sql |
-    combine``, as the pipeline run appended them) as plan stages."""
+    combine``, as the pipeline run appended them) as plan stages; the
+    rewrite and SQL stages show *sql*, the SQL put to the databank."""
     describe = {
         "extract": "SQM extraction for {}",
         "rewrite": "tagged conditions rewritten over extraction temp "
@@ -54,7 +56,8 @@ def plan_stages(records, analyze: bool = False) -> list[PlanStage]:
     }
     return [PlanStage(record.name,
                       describe[record.name].format(record.detail),
-                      list(record.queries), cached=record.cached)
+                      [sql] if record.name in ("rewrite", "sql")
+                      else list(record.queries), cached=record.cached)
             for record in records]
 
 

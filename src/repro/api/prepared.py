@@ -1,19 +1,21 @@
 """Prepared SESQL queries: parse once, bind and execute many times.
 
 A template's ``?`` placeholders are ``Param`` nodes of its syntax tree,
-and :meth:`PreparedQuery.bind` is the one place values meet them: one
-substitution walk builds the statement an execution runs, and nothing
-ever writes to the template, so it is shared freely.
+and :meth:`PreparedQuery.bind` checks the values and hands them to the
+pipeline beside the template — nothing is copied and nothing is
+spliced: the databank runs the template's one operator tree with the
+values in its slots.  Only a statement the WHERE rewrite changes (a new
+temp table per run) is bound into a new syntax tree, by the engine
+(``EnrichedQuery.spliced``).  Nothing ever writes to the template, so
+it is shared freely.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from ..core.ast import EnrichedQuery, TaggedCondition
+from ..core.ast import EnrichedQuery
 from ..core.errors import ParameterError
-from ..relational.ast import clone_expr, clone_query
-from ..relational.render import render_query
 
 #: Python types a parameter may carry (preserved end to end).
 _BINDABLE = (bool, int, float, str)
@@ -73,11 +75,10 @@ class PreparedQuery:
 
     def bind(self, params=None) -> EnrichedQuery:
         """The statement one execution runs: the template itself when
-        it has no parameters, else a new statement with each ``?`` the
-        matching value of *params*.  Values are spliced in as
-        ``Literal`` nodes — never interpolated into SQL text — which
-        preserves their Python types (None/bool/int/float/str) and is
-        immune to SQL injection."""
+        it has no parameters, else the template with *params* as its
+        ``values``.  Values reach the databank as values — never
+        interpolated into SQL text — which preserves their Python types
+        (None/bool/int/float/str) and is immune to SQL injection."""
         values = parameter_row(params)
         template = self._template
         if len(values) != template.parameter_count:
@@ -91,16 +92,9 @@ class PreparedQuery:
                 raise ParameterError(
                     f"cannot bind parameter of type {type(value).__name__}; "
                     "supported: None, bool, int, float, str")
-        query = clone_query(template.query, values)
-        return EnrichedQuery(
-            # Re-rendered so observability fields show the bound SQL.
-            sql_text=render_query(query),
-            query=query,
-            enrichments=template.enrichments,
-            conditions={
-                cond_id: TaggedCondition(cond_id, condition.text,
-                                         clone_expr(condition.expr, values))
-                for cond_id, condition in template.conditions.items()})
+        return EnrichedQuery(template.sql_text, template.query,
+                             template.enrichments, template.conditions,
+                             template.parameter_count, values)
 
     # -- execution ----------------------------------------------------------
 

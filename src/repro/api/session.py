@@ -157,12 +157,16 @@ class Session:
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Hit/miss counters of both caches (``plan_cache`` is the
-        platform session's, counted across its users, when shared)."""
+        platform session's, counted across its users, when shared), and
+        the databank's ``operator_trees``: trees built for prepared
+        statements, and runs that re-drove a kept one."""
         extraction = self.engine.sqm.cache
+        trees = getattr(self.databank, "tree_stats", None)
         return {
             "plan_cache": self.plan_cache.stats(),
             "extraction_cache": (extraction.stats()
                                  if extraction is not None else {}),
+            "operator_trees": trees() if trees is not None else {},
         }
 
     # -- the DB-API-flavoured surface ------------------------------------------
@@ -189,6 +193,9 @@ class Session:
             started = time.perf_counter()
             template = self.engine.parse(text)
             parse_time = time.perf_counter() - started
+            if not template.parameter_count:
+                # Runs as it is, and as a template: its tree is kept.
+                template.values = ()
             cached = _CachedPlan(template, self._analyze_template(template))
             self.plan_cache.put(text, cached)
         elif cached.analysis is not None and cached.analysis.has_errors:
@@ -370,17 +377,18 @@ class Session:
         self._check_open()
         run = self._drain(self.engine.explain_parsed,
                           prepared.bind(params), analyze=analyze)
+        base_sql = run.enriched.bound_sql()
         stages = [PlanStage(
             "parse", "SQP: split SESQL, strip tags, parse SQL + enrichments",
-            [run.enriched.sql_text], cached=prepared.from_cache)]
+            [base_sql], cached=prepared.from_cache)]
         if prepared.parameter_count:
             stages.append(PlanStage(
-                "bind", f"splice {prepared.parameter_count} typed "
-                "parameter(s) into the AST"))
-        stages.extend(plan_stages(run.stages, analyze))
+                "bind", f"bind {prepared.parameter_count} typed "
+                "parameter(s) to the template's slots"))
+        stages.extend(plan_stages(run.stages, run.executed_sql, analyze))
         return QueryPlan(
             statement=prepared.text,
-            base_sql=run.enriched.sql_text,
+            base_sql=base_sql,
             rewritten_sql=run.executed_sql,
             join_strategy=run.strategy,
             stages=stages,

@@ -40,10 +40,10 @@ class LatencyDatabase(Database):
             time.sleep(self.latency_s)
         return super().query(sql)
 
-    def stream_ast(self, query):
+    def stream_ast(self, query, params=None):
         if self.latency_s:
             time.sleep(self.latency_s)
-        return super().stream_ast(query)
+        return super().stream_ast(query, params)
 
 
 def _make_database(name: str, latency_s: float) -> Database:

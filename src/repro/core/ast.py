@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..relational import ast as sql_ast
+from ..relational.render import bound_to, render_query
 
 
 @dataclass
@@ -119,6 +120,29 @@ class EnrichedQuery:
     #: ``?`` placeholders (``Param`` nodes) in the SQL part; a statement
     #: with any is a prepared template, run only once bound.
     parameter_count: int = 0
+    #: The values bound to the placeholders, in order — the template's
+    #: own nodes stay as they are — or ``None``: not bound (a statement
+    #: parsed for one run; ``()`` marks a kept template of none).
+    values: tuple | None = None
+
+    def bound_sql(self) -> str:
+        """The SQL part with the bound values in place of its ``?``."""
+        if not self.values:
+            return self.sql_text
+        return render_query(self.query, bound_to(self.values))
+
+    def spliced(self) -> "EnrichedQuery":
+        """A new statement with each ``?`` replaced by its bound value as
+        a literal, in the query and in the tagged conditions — what the
+        WHERE rewrite splices conditions from."""
+        values = self.values
+        return EnrichedQuery(
+            self.sql_text, sql_ast.clone_query(self.query, values),
+            self.enrichments,
+            {cond_id: TaggedCondition(cond_id, condition.text,
+                                      sql_ast.clone_expr(condition.expr,
+                                                         values))
+             for cond_id, condition in self.conditions.items()})
 
     def where_enrichments(self) -> list[Enrichment]:
         return [e for e in self.enrichments if e.affects == "where"]

@@ -18,9 +18,12 @@ run resolves the per-call defaults, keeps one statement memo and
 appends a record per stage as it happens (name, SPARQL or SQL texts,
 cached/deduped, seconds); it alone cleans up the rewriter's temp tables
 and an open databank cursor.  It reads the statement and never writes
-it: the WHERE rewrite returns a new query, so a cached template runs
-as it is.  The public entry points are three *drains* of that run,
-differing only in what they plug into its databank and combine steps:
+it: a bound template reaches the databank as (template, values), whose
+tree keeps them in slots; only the WHERE rewrite builds a new query
+(values spliced in first), so a cached template runs as it is.  SQL
+texts are rendered when read, not per run.  The public entry points are
+three *drains* of that run, differing only in what they plug into its
+databank and combine steps:
 
 * ``execute_parsed`` — ``databank.execute_ast`` + ``combine_enrichments``
   under the configured strategy; the ``SESQLResult`` is read off the
@@ -36,11 +39,12 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..rdf.store import TripleStore
 from ..relational import ast as sql_ast
 from ..relational.engine import Database
-from ..relational.render import render_query
+from ..relational.render import bound_to, render_query
 from ..relational.result import Cursor, ResultSet
 from .ast import (BoolSchemaExtension, BoolSchemaReplacement, EnrichedQuery,
                   Enrichment, ReplaceConstant, ReplaceVariable,
@@ -66,8 +70,9 @@ class SESQLResult:
 
     result: ResultSet
     enriched: EnrichedQuery
-    base_sql: str                 # cleaned SQL as parsed
-    executed_sql: str             # SQL actually run on the databank
+    #: The query the databank ran, and the values its ``?`` took.
+    executed: sql_ast.SelectQuery
+    executed_values: tuple | None = None
     sparql_queries: list[str] = field(default_factory=list)
     final_sqls: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
@@ -93,6 +98,17 @@ class SESQLResult:
     @property
     def columns(self) -> list[str]:
         return self.result.columns
+
+    @cached_property
+    def base_sql(self) -> str:
+        """The cleaned SQL as parsed, with the bound values."""
+        return self.enriched.bound_sql()
+
+    @cached_property
+    def executed_sql(self) -> str:
+        """The SQL actually run on the databank (rendered on first
+        read)."""
+        return render_query(self.executed, bound_to(self.executed_values))
 
 
 @dataclass
@@ -122,7 +138,9 @@ class _PipelineRun:
     #: Statement-level dedupe across the WHERE and SELECT stages:
     #: identical logical extractions execute once.
     memo: dict = field(default_factory=dict)
-    executed_sql: str = ""            # SQL actually put to the databank
+    #: What was put to the databank: a query and its ``?`` values.
+    executed: sql_ast.SelectQuery | None = None
+    values: tuple | None = None
     rewriter: WhereRewriter | None = None
     base: object = None               # ResultSet | Cursor | databank plan
     outcome: object = None            # what the drain's combine returned
@@ -144,6 +162,11 @@ class _PipelineRun:
 
     def total(self, counter: str) -> int:
         return sum(getattr(stage, counter) for stage in self.stages)
+
+    @cached_property
+    def executed_sql(self) -> str:
+        """The SQL put to the databank (rendered on first read)."""
+        return render_query(self.executed, bound_to(self.values))
 
 
 class SESQLEngine:
@@ -302,13 +325,14 @@ class SESQLEngine:
              databank, combine) -> _PipelineRun:
         """The Fig. 6 stage sequence; the callers are its drains.
 
-        *databank* maps the rewritten query AST to the base outcome (a
-        ``ResultSet``, a ``Cursor`` or a plan); *combine* maps ``(run,
-        select_plan, final_sqls)`` to the drain's outcome.  *enriched*
-        is only read, and must have no ``?`` left to bind.  On any error
-        the run is released before the error propagates.
+        *databank* maps the (rewritten) query AST and its ``?`` values
+        to the base outcome (a ``ResultSet``, a ``Cursor`` or a plan);
+        *combine* maps ``(run, select_plan, final_sqls)`` to the drain's
+        outcome.  *enriched* is only read, and must come with a value
+        for every ``?``.  On any error the run is released before the
+        error propagates.
         """
-        if enriched.parameter_count:
+        if enriched.parameter_count and enriched.values is None:
             raise ParameterError(
                 f"statement has {enriched.parameter_count} '?' "
                 "parameter(s); prepare it and bind values to run it")
@@ -328,19 +352,23 @@ class SESQLEngine:
                 stage = time.perf_counter()
                 run.rewriter = WhereRewriter(self.databank, self.mapping,
                                              include)
-                query = self.apply_where_rewrites(enriched, where_plan,
-                                                  run.rewriter)
-                run.executed_sql = render_query(query)
+                run.values = enriched.values
+                if where_plan:
+                    # A new temp table per run, so a new query per run,
+                    # run ad hoc: the values are spliced in first.
+                    if run.values:
+                        enriched = enriched.spliced()
+                    run.values = None
+                run.executed = self.apply_where_rewrites(
+                    enriched, where_plan, run.rewriter)
                 if where_plan:
                     run.stages.append(_Stage(
-                        "rewrite", queries=[run.executed_sql],
-                        seconds=time.perf_counter() - stage))
+                        "rewrite", seconds=time.perf_counter() - stage))
             with (tel.span("sesql.sql") if tel is not None else _NOOP):
                 stage = time.perf_counter()
-                run.base = databank(query)
+                run.base = databank(run.executed, run.values)
                 run.stages.append(_Stage(
-                    "sql", queries=[run.executed_sql],
-                    seconds=time.perf_counter() - stage))
+                    "sql", seconds=time.perf_counter() - stage))
             if not isinstance(run.base, Cursor):
                 # A materialized result or a plan is done with the
                 # extraction temp tables; a live cursor still reads them.
@@ -410,8 +438,8 @@ class SESQLEngine:
         return SESQLResult(
             result=run.outcome,
             enriched=run.enriched,
-            base_sql=run.enriched.sql_text,
-            executed_sql=run.executed_sql,
+            executed=run.executed,
+            executed_values=run.values,
             sparql_queries=run.queries("extract"),
             final_sqls=run.queries("combine"),
             timings=timings,
@@ -520,6 +548,7 @@ class SESQLEngine:
         explain = getattr(self.databank, "explain", None)
         return self._run(
             enriched, knowledge_base, include_original, join_strategy,
-            lambda query: (explain(query, analyze=analyze)
-                           if explain is not None else None),
+            lambda query, values: (
+                explain(query, analyze=analyze, params=values)
+                if explain is not None else None),
             lambda run, select_plan, final_sqls: None)

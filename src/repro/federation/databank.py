@@ -55,25 +55,34 @@ class MediatedDatabank(Database):
         self.session.refresh(views)
 
     # -- query paths: run locally, inside the session's shipped scope ----
+    #
+    # A prepared statement is bound here, into a statement of its own:
+    # its filters are what ships (and is cached) per source, so nothing
+    # of it is kept as a tree.
 
-    def execute_ast(self, stmt: sql_ast.Statement):
+    def execute_ast(self, stmt: sql_ast.Statement,
+                    params: tuple | None = None):
         if not isinstance(stmt, sql_ast.SelectQuery):
             return super().execute_ast(stmt)
+        stmt = _bound(stmt, params)
         with self.session.shipped(stmt) as (self.last_report, _tie):
             return super().execute_ast(stmt)
 
-    def stream_ast(self, query: sql_ast.SelectQuery) -> Cursor:
+    def stream_ast(self, query: sql_ast.SelectQuery,
+                   params: tuple | None = None) -> Cursor:
         # Ship BEFORE opening the stream: materialization stores views
         # under the write lock, which the streaming read hold (taken
         # eagerly by the base class) would deadlock against.  Pushdown
         # is off for the same reason as MediatorSession.stream — a
         # filtered partial must not outlive this cursor under the
         # view's name.
+        query = _bound(query, params)
         with self.session.shipped(query, pushdown=False) \
                 as (self.last_report, tie):
             return tie(super().stream_ast(query))
 
-    def explain(self, target, analyze: bool = False):
+    def explain(self, target, analyze: bool = False,
+                params: tuple | None = None):
         """Plan *target* over exactly what ``execute`` would ship for it
         (same pushdown, partials dropped on the way out) — nothing at
         all for a statement that is not a SELECT."""
@@ -81,5 +90,11 @@ class MediatedDatabank(Database):
         stmt = parse_sql(target) if isinstance(target, str) else target
         if not isinstance(stmt, sql_ast.SelectQuery):
             return super().explain(stmt, analyze)    # refuses it
+        stmt = _bound(stmt, params)
         with self.session.shipped(stmt) as (self.last_report, _tie):
             return super().explain(stmt, analyze)
+
+
+def _bound(query: sql_ast.SelectQuery,
+           params: tuple | None) -> sql_ast.SelectQuery:
+    return sql_ast.clone_query(query, params) if params else query

@@ -6,6 +6,11 @@ selectivities multiplied together, equi-join selectivity of
 when no statistics exist.  Its job is not to be precise — it only has
 to order alternatives correctly often enough for the join orderer to
 avoid catastrophic plans.
+
+A ``?`` placeholder is a constant the estimator knows to be there but
+not its value: a prepared statement is planned once for every binding.
+Equality with it is ``1 / distinct`` of the column (no histogram, no
+range check), a range the fixed ``RANGE_SELECTIVITY``.
 """
 
 from __future__ import annotations
@@ -35,9 +40,15 @@ def _clamp(fraction: float) -> float:
     return min(max(fraction, 0.0005), 1.0)
 
 
+#: The value of a ``?``: a constant, but none the estimator may read.
+_UNBOUND = object()
+
+
 def _literal(expr: ast.Expr) -> tuple[bool, Any]:
     if isinstance(expr, ast.Literal):
         return True, expr.value
+    if isinstance(expr, ast.Param):
+        return True, _UNBOUND
     if isinstance(expr, ast.UnaryOp) and expr.op == "-" \
             and isinstance(expr.operand, ast.Literal) \
             and _is_number(expr.operand.value):
@@ -135,7 +146,8 @@ def predicate_selectivity(expr: ast.Expr, resolve: StatsResolver) -> float:
     if isinstance(expr, ast.Between):
         low_ok, low = _literal(expr.low)
         high_ok, high = _literal(expr.high)
-        if isinstance(expr.operand, ast.ColumnRef) and low_ok and high_ok:
+        if isinstance(expr.operand, ast.ColumnRef) and low_ok and high_ok \
+                and _UNBOUND not in (low, high):
             stats = resolve(expr.operand)
             fraction = _clamp(
                 range_selectivity(stats, "<=", high)

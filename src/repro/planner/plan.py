@@ -11,6 +11,11 @@ operator builder (:func:`repro.relational.executor.build_select`).
 A rewrite error falls back to the query exactly as written (``strict``
 mode, used by the tests, re-raises so planner bugs cannot hide); errors
 in the query itself surface from the build, as with the planner off.
+
+A prepared statement's ``?`` placeholders are opaque here: folding
+leaves them be and the estimates know each as a constant of unknown
+value (:mod:`repro.planner.estimate`), so the plan — built once and
+kept by the database — is the one for every binding.
 """
 
 from __future__ import annotations
@@ -43,9 +48,14 @@ class PlannedStatement:
     query: ast.SelectQuery            # the (rewritten) AST that was built
     #: The executable operator tree (set once the rewrite is done).
     root: Result = None               # type: ignore[assignment]
-    #: Shared with ``root.notes``, so a result's ``plan`` carries them.
-    notes: list[str] = field(default_factory=list)
+    #: What planning found worth saying (``root.remarks``).
+    remarks: list[str] = field(default_factory=list)
     reordered: bool = False
+
+    @property
+    def notes(self) -> list[str]:
+        """The remarks, then what runs vectorized (``root.notes``)."""
+        return self.root.notes
 
     def format(self) -> str:
         return self.root.format()
@@ -84,20 +94,10 @@ def plan_select(query: ast.SelectQuery, catalog,
         except Exception as exc:
             if options.strict:
                 raise
-            planned = PlannedStatement(query=query, notes=[
+            planned = PlannedStatement(query=query, remarks=[
                 f"planning failed, executing as written: {exc!r}"])
-    root = planned.root = build_select(planned.query, catalog, exec_hooks,
-                                       stats)
-    root.notes = planned.notes
-    vectorized = root.vectorized_ops
-    if vectorized:
-        note = "vectorized: " + ", ".join(sorted(vectorized))
-        fallbacks = root.vectorized_fallbacks
-        if fallbacks:
-            note += "; fallback: " + "; ".join(
-                f"{expression} ({reason})"
-                for expression, reason in fallbacks)
-        planned.notes.append(note)
+    planned.root = build_select(planned.query, catalog, exec_hooks, stats)
+    planned.root.plan(planned.remarks)
     return planned
 
 
@@ -274,7 +274,7 @@ def _reorder_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
     core.where = ast.conjoin(residual)
     if order != list(range(len(relations))):
         planned.reordered = True
-        planned.notes.append(
+        planned.remarks.append(
             "join order: " + " -> ".join(relations[i].binding
                                          for i in order))
     if core.where is not None:

@@ -7,7 +7,7 @@ All rewrites operate on (already deep-copied) AST nodes from
 * **constant folding** evaluates literal-only sub-expressions with the
   executor's own operator semantics and simplifies AND/OR/NOT around
   boolean literals (3VL-safely: ``FALSE AND x`` is ``FALSE`` even when
-  ``x`` is unknown);
+  ``x`` is unknown); a ``?`` is not a literal, and stays;
 * **predicate pushdown** relocates a WHERE/ON conjunct that touches a
   single relation below the joins by wrapping that relation in a
   derived table (``t`` becomes ``(SELECT * FROM t WHERE p) AS t``),

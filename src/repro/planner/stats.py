@@ -125,10 +125,15 @@ class TableStats:
 
 
 class StatisticsCatalog:
-    """Registry of :class:`TableStats`, keyed by lower-cased table name."""
+    """Registry of :class:`TableStats`, keyed by lower-cased table name.
+
+    ``version`` moves whenever a table's statistics are collected or
+    forgotten (not on the incremental DML upkeep): a plan built on the
+    old estimates is stale from then on."""
 
     def __init__(self) -> None:
         self._stats: dict[str, TableStats] = {}
+        self.version = 0
 
     def __contains__(self, table_name: str) -> bool:
         return table_name.lower() in self._stats
@@ -140,10 +145,12 @@ class StatisticsCatalog:
         return sorted(stats.table_name for stats in self._stats.values())
 
     def forget(self, table_name: str) -> None:
-        self._stats.pop(table_name.lower(), None)
+        if self._stats.pop(table_name.lower(), None) is not None:
+            self.version += 1
 
     def clear(self) -> None:
         self._stats.clear()
+        self.version += 1
 
     # -- collection ---------------------------------------------------------
 
@@ -169,6 +176,7 @@ class StatisticsCatalog:
             stats.columns[column.name.lower()] = _summarize(
                 column.name, values_of(position), buckets)
         self._stats[schema.name.lower()] = stats
+        self.version += 1
         return stats
 
     # -- incremental maintenance on DML ------------------------------------

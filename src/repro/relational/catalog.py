@@ -42,6 +42,10 @@ class Catalog:
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables
 
+    def get(self, name: str) -> Table | None:
+        """The table registered under *name*, or ``None``."""
+        return self._tables.get(name.lower())
+
     def table(self, name: str) -> Table:
         try:
             return self._tables[name.lower()]

@@ -9,6 +9,11 @@ Correlated subqueries are supported through the scope chain: a column
 that does not resolve in the innermost scope is looked up outwards.  The
 :class:`CompileContext` tracks which scope depths were referenced so the
 executor can detect (and cache) uncorrelated subqueries.
+
+A ``?`` placeholder (``ast.Param``) compiles to a read of its slot: the
+context's :class:`Slots` hold the values one run of the tree binds, so
+a prepared statement's tree is compiled once and re-driven with other
+values (see ``Database`` in :mod:`repro.relational.engine`).
 """
 
 from __future__ import annotations
@@ -40,6 +45,19 @@ class SubPlanLike(Protocol):
     def membership(self, value: Any, outer_rows: Rows) -> bool | None: ...
 
 
+class Slots:
+    """The values a tree's ``?`` placeholders read: ``values[i]`` is
+    the value of ``Param(i)`` for the run in progress (``None`` until a
+    run binds them).  One per tree, shared by every closure and kernel
+    compiled into it; a run binds them before it starts (a tree runs one
+    statement at a time)."""
+
+    __slots__ = ("values",)
+
+    def __init__(self) -> None:
+        self.values: tuple | None = None
+
+
 class CompileContext:
     """Build state shared across a query tree.
 
@@ -52,6 +70,8 @@ class CompileContext:
     def __init__(self, subplan_factory: Callable[..., SubPlanLike],
                  exec_hooks=None, stats=None) -> None:
         self.subplan_factory = subplan_factory
+        #: What the tree's ``?`` placeholders read.
+        self.slots = Slots()
         #: Duck-typed telemetry hooks for vectorized operators (see
         #: :class:`repro.relational.batch.ExecHooks`), or ``None``.
         self.exec_hooks = exec_hooks
@@ -364,8 +384,8 @@ def compile_expr(expr: ast.Expr, scopes: list[RowSchema],
         raise ExecutionError("'*' is only valid in a SELECT list")
 
     if isinstance(expr, ast.Param):
-        raise ExecutionError(
-            f"parameter {expr.index + 1} was never bound to a value")
+        slots, index = ctx.slots, expr.index
+        return lambda rows: slots.values[index]
 
     raise NotSupportedError(
         f"cannot compile {type(expr).__name__} expression")
@@ -384,3 +404,24 @@ def compile_predicate(expr: ast.Expr, scopes: list[RowSchema],
     """Compile a WHERE/ON/HAVING predicate to a strict boolean test."""
     compiled = compile_expr(expr, scopes, ctx)
     return lambda rows: is_true(_truth(compiled(rows)))
+
+
+def conjunction(parts: list[CompiledExpr]) -> Callable[[Rows], bool]:
+    """:func:`compile_predicate` of ``p1 AND p2 AND ...`` from its
+    conjuncts compiled one by one: left to right, each a boolean
+    condition, stopping at the first FALSE — exactly as the compiled
+    ``AND`` chain evaluates (and fails)."""
+    if len(parts) == 1:
+        part = parts[0]
+        return lambda rows: is_true(_truth(part(rows)))
+
+    def test(rows: Rows) -> bool:
+        result: bool | None = True
+        for part in parts:
+            value = _truth(part(rows))
+            if value is False:
+                return False
+            if value is None:
+                result = None
+        return result is True
+    return test

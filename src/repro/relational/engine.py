@@ -11,11 +11,28 @@ before the operator tree is built, ``ANALYZE`` collects the statistics
 the estimates feed on, and ``explain()`` exposes the tree with
 estimated (and, under ``analyze=True``, actual) row counts.  The tree a
 SELECT ran travels with its result (``ResultSet.plan``/``Cursor.plan``).
+
+A SELECT is built by one routine and run by one routine, ad hoc or
+prepared.  An ad-hoc statement's tree is built for its run alone.  A
+prepared statement — a template whose ``?`` placeholders come with
+``params`` — is planned and built once: the database keeps one tree per
+template (:class:`_Template`, for as long as the template object lives
+— the session's plan cache holds it), and a run checks it out under its
+read hold, resets it, binds ``params`` into its slots and runs it, with
+no copy, plan or build.  The tree is free again once no result holds
+the root of its last run (every run hands out its own root, so a
+result's plan is never re-driven; a run that finds it held builds a
+tree of its own), and stays valid while each table it resolved is still
+the catalog's object for that name with the same indexes, ``ANALYZE``
+has not moved the statistics, and the planner options and telemetry
+hooks are the ones it was built with.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+import weakref
 from contextlib import nullcontext
 from typing import Any, Iterable, Iterator
 
@@ -24,7 +41,8 @@ from . import ast
 from .catalog import Catalog
 from .compiler import compile_expr
 from .errors import ExecutionError, RelationalError, SchemaError
-from .executor import build_select, make_context
+from .executor import BindFirst, build_select, make_context
+from .operators import IndexProbe, Operator, Result, Scan
 from .parser import parse_script, parse_sql
 from .render import render_statement
 from .result import Cursor, ResultSet
@@ -47,6 +65,78 @@ _RATIO_BUCKETS = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.25, 2.0, 4.0, 10.0,
 #: Buckets for the rows-per-batch histogram: powers of four up to the
 #: configured BATCH_SIZE, plus headroom for full-column chunks.
 _BATCH_BUCKETS = (1, 4, 16, 64, 256, 1024, 2048, 4096, 16384)
+
+
+class _Tree:
+    """One built operator tree of a template, and what it was built on:
+    each table it resolved, with that table's indexes, and the
+    database's settings then (:meth:`Database._settings`)."""
+
+    __slots__ = ("root", "nodes", "holders", "tables", "settings", "last",
+                 "runs")
+
+    def __init__(self, root: Result, settings: tuple) -> None:
+        #: Never handed out: each run gets ``root.again()``.
+        self.root = root
+        self.nodes = [node for child in root.children
+                      for node in child.walk()]
+        #: The nodes that hold rows after a run.
+        self.holders = [node for node in self.nodes
+                        if type(node).release is not Operator.release]
+        tables = {node.table.name.lower(): node.table
+                  for node in self.nodes
+                  if isinstance(node, (Scan, IndexProbe))}
+        self.tables = [(name, table, dict(table.indexes))
+                       for name, table in tables.items()]
+        self.settings = settings
+        #: The root of the latest run, weakly: while a result holds it,
+        #: the tree is that result's plan.
+        self.last: weakref.ref | None = None
+        self.runs = 0
+
+    def free(self) -> bool:
+        return self.last is None or self.last() is None
+
+    def valid(self, catalog: Catalog, settings: tuple) -> bool:
+        if settings != self.settings:
+            return False
+        for name, table, indexes in self.tables:
+            if catalog.get(name) is not table or table.indexes != indexes:
+                return False
+        return True
+
+    def start(self, values: tuple) -> Result:
+        """Reset the tree, bind *values* to its slots, and return the
+        new run's root."""
+        self.runs += 1
+        root = self.root.again(values, self.nodes)
+        self.last = weakref.ref(root)
+        return root
+
+    def finish(self) -> None:
+        """The run is over: drop the rows it left in the tree."""
+        for node in self.holders:
+            node.release()
+
+
+def _forget_template(database_ref: weakref.ref, key: int) -> None:
+    """A template is gone: so is its tree (its database may be too)."""
+    database = database_ref()
+    if database is not None:
+        database._templates.pop(key, None)
+
+
+class _Template:
+    """What a database keeps for one prepared statement: its tree, and
+    whether its shape needs its values bound first."""
+
+    __slots__ = ("tree", "arity", "bind_first")
+
+    def __init__(self, query: ast.SelectQuery) -> None:
+        self.tree: _Tree | None = None
+        self.arity = 1 + max((node.index for node in ast.iter_query_nodes(
+            query) if isinstance(node, ast.Param)), default=-1)
+        self.bind_first = False
 
 
 class Database:
@@ -87,6 +177,11 @@ class Database:
         #: execution records latency/row metrics and opens spans under
         #: the current query trace.  ``None`` costs one attribute test.
         self.telemetry = None
+        #: Prepared statements' trees, by ``id`` of the template.
+        self._templates: dict[int, _Template] = {}
+        self._trees_lock = threading.Lock()
+        self._trees_built = 0
+        self._trees_reused = 0
 
     def attach_telemetry(self, telemetry) -> None:
         """Wire a telemetry bundle into this database and its lock."""
@@ -208,10 +303,14 @@ class Database:
             raise ExecutionError("statement did not produce rows")
         return result
 
-    def execute_ast(self, stmt: ast.Statement) -> ResultSet | int | None:
+    def execute_ast(self, stmt: ast.Statement,
+                    params: tuple | None = None) -> ResultSet | int | None:
+        """Execute one parsed statement; *params* are the values of a
+        prepared SELECT's ``?`` placeholders (its tree is then kept and
+        re-driven — see the module docstring)."""
         if isinstance(stmt, ast.SelectQuery):
             with self.rwlock.read_locked():
-                return self._run_select(stmt)
+                return self._run_select(stmt, params)
         with self.rwlock.write_locked():
             if isinstance(stmt, ast.AnalyzeStmt):
                 return self._run_mutation(stmt)
@@ -263,7 +362,12 @@ class Database:
 
     # -- SELECT ----------------------------------------------------------------
 
-    def _build(self, query: ast.SelectQuery):
+    def tree_stats(self) -> dict[str, int]:
+        """Operator trees built for prepared statements, and runs that
+        re-drove a kept one instead."""
+        return {"built": self._trees_built, "reused": self._trees_reused}
+
+    def _build(self, query: ast.SelectQuery) -> Result:
         """The operator tree for *query*: the planner's, or — planner
         off, or nothing for it to improve — the builder's as written."""
         from ..planner.plan import is_trivial_select, plan_select
@@ -282,15 +386,74 @@ class Database:
             self._tm_plan_seconds.observe(time.perf_counter() - started)
         return planned.root
 
-    def _run_select(self, query: ast.SelectQuery) -> ResultSet:
+    def _settings(self) -> tuple:
+        """What a tree is built on besides its tables: the statistics
+        version (``ANALYZE`` moves it), the planner options and the
+        execution hooks (telemetry attached or not)."""
+        return self.stats.version, self.planner, self._exec_hooks
+
+    def _checkout(self, query: ast.SelectQuery, params: tuple | None
+                  ) -> tuple[Result, _Tree | None]:
+        """The root one run of *query* drives, and the template's tree
+        under it (``None``: built unprepared or bound).  Ad hoc (no
+        *params*) the statement is built; prepared, the kept tree is
+        re-driven with *params* in its slots when no result holds its
+        last run and it is still valid, else one is built — and kept,
+        unless a result holds the kept one: the runs of one template
+        overlap only where results are kept, and then each needs a tree
+        of its own anyway.  A template whose shape depends on its values
+        is bound and built per run."""
+        if params is None:
+            return self._build(query), None
+        params = tuple(params)
+        settings = self._settings()
+        with self._trees_lock:
+            key = id(query)
+            template = self._templates.get(key)
+            if template is None:
+                template = self._templates[key] = _Template(query)
+                weakref.finalize(query, _forget_template,
+                                 weakref.ref(self), key).atexit = False
+            if len(params) != template.arity:
+                raise ExecutionError(
+                    f"statement expects {template.arity} parameter(s), "
+                    f"got {len(params)}")
+            kept = template.tree
+            if kept is not None and kept.free():
+                if kept.valid(self.catalog, settings):
+                    self._trees_reused += 1
+                    return kept.start(params), kept
+                template.tree = None
+        if not template.bind_first:
+            try:
+                built = self._build(query)
+            except BindFirst:
+                template.bind_first = True
+            else:
+                tree = _Tree(built, settings)
+                with self._trees_lock:
+                    self._trees_built += 1
+                    if template.tree is None:
+                        template.tree = tree
+                    return tree.start(params), tree
+        return self._build(ast.clone_query(query, params)), None
+
+    def _run_select(self, query: ast.SelectQuery,
+                    params: tuple | None = None) -> ResultSet:
         tel = self.telemetry
         started = time.perf_counter()
         with (tel.span("db.execute", db=self.name)
               if tel is not None else _NOOP) as span:
-            root = self._build(query)
-            whole = root.collect()
+            root, tree = self._checkout(query, params)
+            try:
+                whole = root.collect()
+            finally:
+                if tree is not None:
+                    tree.finish()
             if span is not None:
                 span.attrs["rows"] = len(whole)
+                if tree is not None and tree.runs > 1:
+                    span.attrs["reused"] = True
         if tel is not None:
             self._note_select(root, len(whole),
                               time.perf_counter() - started)
@@ -314,8 +477,10 @@ class Database:
             raise ExecutionError("stream() requires a SELECT statement")
         return self.stream_ast(stmt)
 
-    def stream_ast(self, query: ast.SelectQuery) -> Cursor:
-        """Streaming execution of an already-parsed SELECT."""
+    def stream_ast(self, query: ast.SelectQuery,
+                   params: tuple | None = None) -> Cursor:
+        """Streaming execution of an already-parsed SELECT (*params* as
+        for :meth:`execute_ast`)."""
         # The read hold is taken HERE, not on first fetch: the cursor's
         # documented guarantee is writer exclusion from creation to
         # close, with no gap in which a DELETE could slip between
@@ -328,11 +493,18 @@ class Database:
             # Build eagerly so schema errors surface here, not on the
             # first fetch.
             with (tel.span("db.stream", db=self.name)
-                  if tel is not None else _NOOP):
-                root = self._build(query)
+                  if tel is not None else _NOOP) as span:
+                root, tree = self._checkout(query, params)
+                if span is not None and tree is not None and tree.runs > 1:
+                    span.attrs["reused"] = True
         except BaseException:
             hold.release()
             raise
+
+        def release() -> None:
+            hold.release()
+            if tree is not None:
+                tree.finish()
 
         def rows() -> Iterator[tuple]:
             produced = 0
@@ -341,7 +513,7 @@ class Database:
                     produced += 1
                     yield row
             finally:
-                hold.release()
+                release()
                 # The root reports the rows handed out, not the rows of
                 # the batches drawn: they differ on early termination
                 # (close() inside a batch).
@@ -351,7 +523,7 @@ class Database:
                         root, produced,
                         time.perf_counter() - started, streamed=True)
 
-        return Cursor(root.schema.names(), rows(), on_close=hold.release,
+        return Cursor(root.schema.names(), rows(), on_close=release,
                       plan=root)
 
     # -- planner surface --------------------------------------------------------
@@ -385,9 +557,11 @@ class Database:
             return collected
 
     def explain(self, target: "str | ast.SelectQuery",
-                analyze: bool = False):
+                analyze: bool = False, params: tuple | None = None):
         """The plan a SELECT would run (the cost-based one, or with the
-        planner off the query as written), without side effects.
+        planner off the query as written), without side effects.  A
+        prepared statement's (*params* bound) is the plan every binding
+        runs: its ``?`` show as slots, ``$1``, ``$2``...
 
         With ``analyze=True`` the tree is also run, so every operator
         reports estimated *and* actual rows (EXPLAIN ANALYZE).  Returns
@@ -398,8 +572,17 @@ class Database:
         if not isinstance(stmt, ast.SelectQuery):
             raise ExecutionError("explain() requires a SELECT statement")
         with self.rwlock.read_locked():
-            planned = plan_select(stmt, self.catalog, self.stats,
-                                  self.planner)
+            try:
+                planned = plan_select(stmt, self.catalog, self.stats,
+                                      self.planner)
+            except BindFirst:
+                planned = plan_select(ast.clone_query(stmt, params),
+                                      self.catalog, self.stats,
+                                      self.planner)
+            if params is not None:
+                root = planned.root
+                planned.root = root.again(tuple(params),
+                                          list(root.walk()))
             if analyze:
                 planned.root.collect()
         return planned

@@ -2,11 +2,20 @@
 
 ``build_select`` turns a SELECT AST into a tree of
 :mod:`repro.relational.operators` rooted at a ``Result``; running the
-root produces the rows.  Building happens once per execution; a
-top-level WHERE ``[NOT] IN (subquery)`` / ``[NOT] EXISTS`` that can be
-one becomes a semi / anti join; of the other subqueries, correlated
-ones re-run their subtree per outer row, uncorrelated ones are cached
-(rows, and the key set ``IN`` tests) after their first run.
+root produces the rows.  A top-level WHERE ``[NOT] IN (subquery)`` /
+``[NOT] EXISTS`` that can be one becomes a semi / anti join; of the
+other subqueries, correlated ones re-run their subtree per outer row,
+uncorrelated ones are cached (rows, and the key set ``IN`` tests) after
+their first run, until the statement's run ends.
+
+A prepared statement's ``?`` placeholders are slots: the tree is built
+once and every run binds the values its ``Slots`` hold (see
+:mod:`repro.relational.compiler`).  Nothing a run's values decide is
+decided here — a conjunct over a slot picks its mask kernel per run (a
+:class:`~repro.relational.vectors.SlotKernel`), and a constant is read
+from its slot — except where the statement's very shape would depend on
+them (an ORDER BY / GROUP BY term, which a value may turn into a
+position); building such a template raises :class:`BindFirst`.
 
 There is one builder.  The planner rewrites its private AST copy, leaves
 its physical decisions on the nodes as :class:`~repro.relational.ast.
@@ -33,8 +42,8 @@ from .errors import (AmbiguousColumnError, ExecutionError,
                      NotSupportedError, SchemaError, UnknownColumnError)
 from .operators import (Aggregate, Distinct, Filter, IndexProbe, Join,
                         Limit, Operator, Project, Result, RowFn, Rows, Scan,
-                        SetOp, Sort, Values)
-from .render import render_expr
+                        SetOp, Sort, Subquery, Values)
+from .render import as_slot, render_expr
 from .schema import ResultColumn, RowSchema
 from .table import Table, find_probe_index
 from .types import DataType
@@ -47,6 +56,16 @@ INDEX_PROBE_THRESHOLD = 64
 
 #: ``norm_tuple`` of a one-column row holding NULL.
 _NULL_ROW = norm_tuple((None,))
+
+
+class BindFirst(Exception):
+    """The statement's shape depends on the values of its ``?``
+    placeholders, so it cannot be built as slots: bind, then build."""
+
+
+def _label(expr: ast.Expr) -> str:
+    """*expr* as an operator label shows it (a ``?`` as its slot)."""
+    return render_expr(expr, as_slot)
 
 
 class SubPlan:
@@ -69,21 +88,18 @@ class SubPlan:
         self.outer_depths = {depth for depth in watcher
                              if depth < len(scopes)}
         self.correlated = bool(self.outer_depths)
-        self.root = Operator(
-            "subquery", "correlated" if self.correlated else "uncorrelated",
-            top.schema, [top])
+        self.root = Subquery(top, self.correlated)
         if single_column is not None:
             self._single_column(single_column)
         ctx.subplans.append(self.root)
-        self._cache: list[tuple] | None = None
-        self._members: set[tuple] | None = None
 
     def rows(self, outer_rows: Rows) -> list[tuple]:
+        root = self.root
         if self.correlated:
-            return self.root.run(outer_rows)
-        if self._cache is None:
-            self._cache = self.root.run(outer_rows)
-        return self._cache
+            return root.run(outer_rows)
+        if root.cached is None:
+            root.cached = root.run(outer_rows)
+        return root.cached
 
     def _single_column(self, what: str) -> None:
         if len(self.root.schema) != 1:
@@ -107,9 +123,9 @@ class SubPlan:
         if self.correlated:
             return membership(value,
                               [row[0] for row in self.rows(outer_rows)])
-        members = self._members
+        members = self.root.members
         if members is None:
-            members = self._members = set(
+            members = self.root.members = set(
                 map(norm_tuple, self.rows(outer_rows)))
         if not members:
             return False
@@ -129,7 +145,8 @@ def build_select(query: ast.SelectQuery, catalog: Catalog,
                  exec_hooks=None, stats=None) -> Result:
     """The executable tree of one top-level SELECT."""
     ctx = make_context(catalog, exec_hooks, stats)
-    return Result(build_query(query, catalog, [], ctx), ctx.subplans)
+    return Result(build_query(query, catalog, [], ctx), ctx.subplans,
+                  ctx.slots)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +187,11 @@ def _typed_column(expr: ast.Expr | None, scopes: list[RowSchema]
 
 
 def select_gather(exprs: list[ast.Expr], scopes: list[RowSchema]
-                  ) -> list[int | ast.Literal | None]:
+                  ) -> list[int | ast.Literal | ast.Param | None]:
     """Per select-list expression, the input position to gather it
-    from, the literal to repeat, or ``None`` when it needs the
-    expression kernel."""
-    return [expr if isinstance(expr, ast.Literal)
+    from, the constant (literal or ``?``) to repeat, or ``None`` when it
+    needs the expression kernel."""
+    return [expr if isinstance(expr, (ast.Literal, ast.Param))
             else _innermost_position(expr, scopes) for expr in exprs]
 
 
@@ -395,12 +412,13 @@ def _build_join(join: ast.Join, catalog: Catalog,
 # ---------------------------------------------------------------------------
 
 def _point_probe(scan: Scan, where: ast.Expr, scopes: list[RowSchema],
-                 stats) -> tuple[Operator, ast.Expr | None]:
-    """Single-table fast path: the first ``column = literal`` conjunct
-    over an indexed column becomes an index probe, which beats any scan.
-    Returns the (possibly replaced) source and the remaining WHERE.
-    The probe's estimate is ``rows / distinct`` of an ANALYZEd column,
-    and unset (not the table's row count) otherwise."""
+                 ctx: CompileContext) -> tuple[Operator, ast.Expr | None]:
+    """Single-table fast path: the first ``column = constant`` conjunct
+    (a literal or a ``?``) over an indexed column becomes an index
+    probe, which beats any scan.  Returns the (possibly replaced) source
+    and the remaining WHERE.  The probe's estimate is ``rows /
+    distinct`` of an ANALYZEd column, and unset (not the table's row
+    count) otherwise."""
     conjuncts = ast.conjuncts(where)
     for number, conjunct in enumerate(conjuncts):
         if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
@@ -408,18 +426,19 @@ def _point_probe(scan: Scan, where: ast.Expr, scopes: list[RowSchema],
         for column_side, value_side in ((conjunct.left, conjunct.right),
                                         (conjunct.right, conjunct.left)):
             if not (isinstance(column_side, ast.ColumnRef)
-                    and isinstance(value_side, ast.Literal)):
+                    and isinstance(value_side, (ast.Literal, ast.Param))):
                 continue
             position = _innermost_position(column_side, scopes)
             if position is None:
                 continue
             index = scan.table.find_index_on([column_side.name])
             if index is not None:
-                value = value_side.value
+                stats = ctx.stats
                 analyzed = stats and stats.get(scan.table.schema.name)
                 column = analyzed and analyzed.column(column_side.name)
                 probe = IndexProbe(
-                    scan, index, [lambda rows: value], [position],
+                    scan, index, [compile_expr(value_side, scopes, ctx)],
+                    [position],
                     len(scan.table) / column.distinct
                     if column and column.distinct else None)
                 rest = conjuncts[:number] + conjuncts[number + 1:]
@@ -493,8 +512,8 @@ def _in_semi_join(found: vectors.SemiJoin, scopes: list[RowSchema],
     ctx.subplans.pop()  # the join shows it, as its build side
     return _semi_join(
         found, plan.root,
-        render_expr(conjunct.operand) + (" NOT IN" if found.negated
-                                         else " IN"),
+        _label(conjunct.operand) + (" NOT IN" if found.negated
+                                    else " IN"),
         None, scopes, ctx, not plan.correlated, in_predicate=True)
 
 
@@ -540,10 +559,14 @@ def _build_where(op: Operator, where: ast.Expr,
     stack = select_semi_joins(parts, outer_scopes, op.schema, catalog, ctx)
     if not any(stack):
         return build_filter(op, "WHERE", where, scopes, ctx, est_rows)
+    kernels = [_mask_kernel(part, scopes, ctx.slots) for part in parts]
+    if any(isinstance(kernel, vectors.SlotKernel) for kernel in kernels):
+        # Whether it runs before the joins is the bound value's choice.
+        raise BindFirst("a slot conjunct beside a semi-join")
     # The planner estimates the whole filter first, the joins over it.
     pending: list[ast.Expr] = []
-    for index in sorted(range(len(parts)), key=lambda index: _mask_kernel(
-            parts[index], scopes) is None):
+    for index in sorted(range(len(parts)),
+                        key=lambda index: kernels[index] is None):
         if stack[index] is None:
             pending.append(parts[index])
             continue
@@ -559,16 +582,18 @@ def _build_where(op: Operator, where: ast.Expr,
     return op
 
 
-def _mask_kernel(conjunct: ast.Expr, scopes: list[RowSchema]):
-    """The mask kernel a filter over ``scopes[-1]`` runs *conjunct* as,
-    or ``None`` (over typed columns only: an unresolved ref sends it to
-    the generic predicate, whose compile reports unknown columns and
-    marks outer references)."""
+def _mask_kernel(conjunct: ast.Expr, scopes: list[RowSchema], slots):
+    """The mask kernel a filter over ``scopes[-1]`` runs *conjunct* as —
+    a :class:`~repro.relational.vectors.SlotKernel` when its ``?`` slots'
+    values will choose — or ``None`` (over typed columns only: an
+    unresolved ref sends it to the generic predicate, whose compile
+    reports unknown columns and marks outer references)."""
     if not any(column.data_type is not None
                for column in scopes[-1].columns):
         return None
-    return vectors.compile_filter_kernel(
-        conjunct, partial(_typed_column, scopes=scopes))
+    resolve = partial(_typed_column, scopes=scopes)
+    return vectors.compile_filter_kernel(conjunct, resolve) \
+        or vectors.slot_kernel(conjunct, resolve, slots)
 
 
 def build_filter(child: Operator, label: str, predicate: ast.Expr,
@@ -578,27 +603,25 @@ def build_filter(child: Operator, label: str, predicate: ast.Expr,
     compiles to a mask kernel runs as one — one kernel per conjunct, in
     written order, each narrowing what the one before it kept (an AND
     nested under OR or NOT stays inside its conjunct's kernel) — the
-    rest stay on the generic predicate: a hybrid plan, not an error."""
+    rest stay on the generic predicate: a hybrid plan, not an error.  A
+    conjunct whose kernel its ``?`` values choose keeps its generic
+    predicate too, for the runs whose values choose none."""
     typed = any(column.data_type is not None
                 for column in scopes[-1].columns)
     resolve = partial(_typed_column, scopes=scopes)
-    kernels: list = []
-    residual: list[ast.Expr] = []
+    conjuncts: list[tuple] = []
     fallbacks: list[tuple[str, str]] = []
     for conjunct in ast.conjuncts(predicate):
-        kernel = _mask_kernel(conjunct, scopes)
-        if kernel is not None:
-            kernels.append(kernel)
-            continue
-        residual.append(conjunct)
-        if typed:
+        kernel = _mask_kernel(conjunct, scopes, ctx.slots)
+        if kernel is None and typed:
             # What is of semi-join shape and still here, the selector
             # declined.
-            fallbacks.append((render_expr(conjunct), vectors.fallback_reason(
+            fallbacks.append((_label(conjunct), vectors.fallback_reason(
                 conjunct, resolve, declined=True)))
-    residual_fn = (compile_predicate(ast.conjoin(residual), scopes, ctx)
-                   if residual else None)
-    return Filter(child, label, kernels, residual_fn, fallbacks, est_rows,
+        generic = kernel is None or isinstance(kernel, vectors.SlotKernel)
+        conjuncts.append((kernel, compile_expr(conjunct, scopes, ctx)
+                          if generic else None))
+    return Filter(child, label, conjuncts, fallbacks, est_rows,
                   ctx.exec_hooks)
 
 
@@ -670,7 +693,12 @@ class _AggregateRewriter:
 def _substitute_order_targets(exprs: list[ast.Expr],
                               items: list[ast.SelectItem]
                               ) -> list[ast.Expr]:
-    """Resolve ORDER/GROUP BY ordinals and select-list aliases."""
+    """Resolve ORDER/GROUP BY ordinals and select-list aliases.  A
+    ``?`` among them might be a position, or make a term match a select
+    item or group key: its value decides (:class:`BindFirst`)."""
+    if any(isinstance(node, ast.Param)
+           for expr in exprs for node in ast.walk_expr(expr)):
+        raise BindFirst("a ? in ORDER BY or GROUP BY")
     resolved: list[ast.Expr] = []
     for expr in exprs:
         if isinstance(expr, ast.Literal) and isinstance(expr.value, int) \
@@ -700,7 +728,7 @@ def _substitute_order_targets(exprs: list[ast.Expr],
 def _sort(child: Operator, order_by: list[ast.OrderItem],
           exprs: list[ast.Expr], scopes: list[RowSchema],
           ctx: CompileContext) -> Sort:
-    label = ", ".join(render_expr(item.expr)
+    label = ", ".join(_label(item.expr)
                       + (" DESC" if item.descending else "")
                       for item in order_by)
     return Sort(child, label, [
@@ -770,7 +798,7 @@ def build_core(core: ast.SelectCore, catalog: Catalog,
 
     where = core.where
     if where is not None and isinstance(op, Scan):
-        op, where = _point_probe(op, where, scopes, ctx.stats)
+        op, where = _point_probe(op, where, scopes, ctx)
     if where is not None:
         op = _build_where(op, where, outer_scopes, catalog, ctx,
                           (core.hint or _NO_HINT).est_rows)
@@ -867,9 +895,9 @@ def build_query(query: ast.SelectQuery, catalog: Catalog,
         limit_fn, offset_fn = (
             compile_expr(expr, outer_scopes, ctx) if expr is not None
             else None for expr in (query.limit, query.offset))
-        label = "all" if query.limit is None else render_expr(query.limit)
+        label = "all" if query.limit is None else _label(query.limit)
         if query.offset is not None:
-            label += f" offset {render_expr(query.offset)}"
+            label += f" offset {_label(query.offset)}"
 
         bound = query.limit.value \
             if isinstance(query.limit, ast.Literal) else None

@@ -144,40 +144,28 @@ class SortedIndex:
         if position < len(self._entries) and self._entries[position] == entry:
             self._entries.pop(position)
 
+    def _bound(self, value: Any, after: bool) -> int:
+        """The entry position where *value*'s run of entries starts, or
+        (*after*) ends: row ids are non-negative ints, so ``-1`` sorts
+        before any of them and infinity after."""
+        entry = (self._sortable(value), float("inf") if after else -1)
+        return bisect.bisect_left(self._entries, entry)
+
     def lookup(self, values: tuple) -> set[int]:
         value = values[0]
         if value is None:
             return set()
-        key = self._sortable(value)
-        start = bisect.bisect_left(self._entries, (key, -1))
-        found: set[int] = set()
-        for entry_key, row_id in self._entries[start:]:
-            if entry_key != key:
-                break
-            found.add(row_id)
-        return found
+        return {row_id for _key, row_id in self._entries[
+            self._bound(value, False):self._bound(value, True)]}
 
     def range(self, low: Any = None, high: Any = None,
               low_inclusive: bool = True,
               high_inclusive: bool = True) -> Iterator[int]:
         """Yield row ids whose key falls within [low, high]."""
-        if low is None:
-            start = 0
-        else:
-            key = self._sortable(low)
-            if low_inclusive:
-                start = bisect.bisect_left(self._entries, (key, -1))
-            else:
-                start = bisect.bisect_right(
-                    self._entries, (key, float("inf")))
-        for entry_key, row_id in self._entries[start:]:
-            if high is not None:
-                high_key = self._sortable(high)
-                if high_inclusive:
-                    if entry_key > high_key:
-                        break
-                elif entry_key >= high_key:
-                    break
+        start = 0 if low is None else self._bound(low, not low_inclusive)
+        stop = len(self._entries) if high is None \
+            else self._bound(high, high_inclusive)
+        for _key, row_id in self._entries[start:stop]:
             yield row_id
 
     def clear(self) -> None:

@@ -47,10 +47,12 @@ from typing import (Any, Callable, Iterable, Iterator, NamedTuple,
 
 from . import batch as _batch
 from .batch import Batch, concat, norm_tuple, stack, take
+from .compiler import conjunction
 from .errors import ExecutionError
 from .schema import ResultColumn, RowSchema
 from .table import Table
 from .types import is_true, sort_key, values_equal
+from .vectors import SlotKernel
 
 Rows = tuple
 RowFn = Callable[[Rows], Any]
@@ -135,6 +137,17 @@ class Operator:
         self._observe(len(whole))
         return whole
 
+    def reset(self) -> None:
+        """Forget the last run — its counters and whatever it left
+        behind — before the tree runs again."""
+        self.actual_rows = None
+        self.release()
+
+    def release(self) -> None:
+        """Drop the rows a finished run left behind (a hash build, a
+        subquery's cached rows); the counters stay, for the plan of the
+        result that run produced."""
+
     def _observe(self, rows: int) -> None:
         if self._hooks is not None and self.vectorized:
             self._hooks.observe(self.kind, rows)
@@ -150,19 +163,14 @@ class Operator:
     def vectorized_ops(self) -> set[str]:
         """Kinds of the operators below (and including) this one that
         use a specialised column kernel."""
-        return {node.kind for node in self.walk() if node.vectorized}
+        return _vectorized_ops(self.walk())
 
     @property
     def vectorized_fallbacks(self) -> list[tuple[str, str]]:
         """``(expression, reason)`` per WHERE conjunct a filter over
         typed columns evaluates with the generic kernel — the runtime
         counterpart of the analyzer's ``W-VEC-FALLBACK``."""
-        found: list[tuple[str, str]] = []
-        for node in self.walk():
-            for entry in node.fallbacks:
-                if entry not in found:
-                    found.append(entry)
-        return found
+        return _vectorized_fallbacks(self.walk())
 
     def format(self, indent: int = 0) -> str:
         parts = [f"{'  ' * indent}{self.kind} {self.label}".rstrip()]
@@ -181,6 +189,20 @@ class Operator:
         return "\n".join(parts)
 
 
+def _vectorized_ops(nodes: Iterable[Operator]) -> set[str]:
+    return {node.kind for node in nodes if node.vectorized}
+
+
+def _vectorized_fallbacks(nodes: Iterable[Operator]
+                          ) -> list[tuple[str, str]]:
+    found: list[tuple[str, str]] = []
+    for node in nodes:
+        for entry in node.fallbacks:
+            if entry not in found:
+                found.append(entry)
+    return found
+
+
 def _slices(rows: list) -> Iterator[Batch]:
     """Re-batch a materialized row list."""
     size = _batch.BATCH_SIZE
@@ -189,17 +211,80 @@ def _slices(rows: list) -> Iterator[Batch]:
 
 
 class Result(Operator):
-    """The statement root: the top operator's rows, plus the notes the
-    planner left about the statement (join order, degraded planning)."""
+    """The statement root: the top operator's rows, plus its notes and
+    the :class:`~repro.relational.compiler.Slots` its ``?`` placeholders
+    read.
 
-    def __init__(self, top: Operator, subqueries: list[Operator]) -> None:
+    ``remarks`` are what the planner left about the statement (join
+    order, degraded planning), ``None`` when it was built unplanned.
+    The notes of a planned statement are its remarks, then which
+    operators run vectorized and which conjuncts fell back, as the tree
+    is laid out for the run — for a prepared statement, for the values
+    bound (:meth:`again`).
+    """
+
+    def __init__(self, top: Operator, subqueries: list[Operator],
+                 slots=None, remarks: list[str] | None = None) -> None:
         super().__init__("result", "select", top.schema, [top] + subqueries)
+        self.slots = slots
+        self.remarks = remarks
         self.notes: list[str] = []
+
+    def _notes(self, nodes: list[Operator]) -> list[str]:
+        """The notes, from *nodes* — every operator below."""
+        if self.remarks is None:
+            return []
+        notes = list(self.remarks)
+        vectorized = _vectorized_ops(nodes)
+        if vectorized:
+            note = "vectorized: " + ", ".join(sorted(vectorized))
+            fallbacks = _vectorized_fallbacks(nodes)
+            if fallbacks:
+                note += "; fallback: " + "; ".join(
+                    f"{expression} ({reason})"
+                    for expression, reason in fallbacks)
+            notes.append(note)
+        return notes
+
+    def plan(self, remarks: list[str]) -> None:
+        """Mark this statement planned, with the planner's *remarks*."""
+        self.remarks = remarks
+        self.notes = self._notes(list(self.walk()))
+
+    def again(self, values: tuple, nodes: list[Operator]) -> "Result":
+        """One more run of this tree, with *values* in its slots: each
+        of *nodes* — the operators below — is reset (a filter lays its
+        conjuncts out for the values), and the run gets a root of its
+        own, whose notes describe the tree as laid out for it."""
+        self.slots.values = values
+        for node in nodes:
+            node.reset()
+        root = Result(self.children[0], self.children[1:], self.slots,
+                      self.remarks)
+        root.notes = root._notes(nodes)
+        return root
 
     def format(self, indent: int = 0) -> str:
         lines = [super().format(indent)]
         lines.extend(f"note: {note}" for note in self.notes)
         return "\n".join(lines)
+
+
+class Subquery(Operator):
+    """The root of a subquery an expression reads (``IN``, ``EXISTS``,
+    scalar).  An uncorrelated one runs once per statement: its rows —
+    and the key set an ``IN`` tests — are kept here until the
+    statement's run ends."""
+
+    def __init__(self, top: Operator, correlated: bool) -> None:
+        super().__init__("subquery",
+                         "correlated" if correlated else "uncorrelated",
+                         top.schema, [top])
+        self.cached: list[tuple] | None = None
+        self.members: set[tuple] | None = None
+
+    def release(self) -> None:
+        self.cached = self.members = None
 
 
 class Values(Operator):
@@ -315,26 +400,62 @@ def _narrowed(batch: Batch, kernels: list) -> Batch | None:
 class Filter(Operator):
     """Keep the rows a predicate holds for.
 
-    ``kernels`` are the mask kernels of the conjuncts that compiled to
-    one, in written order.  They narrow: the first is handed the batch
-    itself, so it gathers only the columns it tests, and each later one
-    the pending selection the ones before it left — it tests only the
-    rows still in, no two masks are ever ANDed, and a batch that empties
-    goes no further.  ``residual_fn`` is the generic predicate for the
-    rest, applied to the surviving rows.
+    ``conjuncts`` holds ``(kernel, fn)`` per conjunct, in written order:
+    a mask kernel, or ``None`` and ``fn`` the conjunct's generic
+    predicate.  ``kernels`` are the mask kernels of the conjuncts that
+    have one, in written order.  They narrow: the first is handed the
+    batch itself, so it gathers only the columns it tests, and each
+    later one the pending selection the ones before it left — it tests
+    only the rows still in, no two masks are ever ANDed, and a batch
+    that empties goes no further.  ``residual_fn`` is the generic
+    predicate for the rest, applied to the surviving rows in written
+    order.  A conjunct over ``?`` slots has a :class:`SlotKernel` and
+    its ``fn``: each run lays the conjuncts out anew, the kernel the
+    bound values choose among the kernels or, when they choose none,
+    ``fn`` in the residual — where its literal would be.
     """
 
     preserves_rows = False
 
-    def __init__(self, child: Operator, label: str, kernels: list,
-                 residual_fn, fallbacks: list[tuple[str, str]],
+    def __init__(self, child: Operator, label: str,
+                 conjuncts: list[tuple[Any, RowFn | None]],
+                 fallbacks: list[tuple[str, str]],
                  est_rows: float | None = None, hooks=None) -> None:
         super().__init__("filter", label, child.schema, [child], est_rows,
                          hooks=hooks)
+        self.conjuncts = conjuncts
+        self._fallbacks = fallbacks
+        self.slotted = any(isinstance(kernel, SlotKernel)
+                           for kernel, _fn in conjuncts)
+        self._arrange()
+
+    def _arrange(self) -> None:
+        """Lay out ``kernels`` and ``residual_fn`` (and what ``vectorized``
+        and ``fallbacks`` report): each slot conjunct's kernel is the one
+        the values bound in its slots choose — before any are bound, the
+        slot kernel stands for one."""
+        kernels: list = []
+        parts: list = []
+        fallbacks = list(self._fallbacks)
+        for kernel, fn in self.conjuncts:
+            if isinstance(kernel, SlotKernel) \
+                    and kernel.slots.values is not None:
+                slot, kernel = kernel, kernel.choose()
+                if kernel is None:
+                    fallbacks.append(slot.fallback())
+            if kernel is None:
+                parts.append(fn)
+            else:
+                kernels.append(kernel)
         self.kernels = kernels
-        self.residual_fn = residual_fn
+        self.residual_fn = conjunction(parts) if parts else None
         self.fallbacks = fallbacks
         self.vectorized = bool(kernels)
+
+    def reset(self) -> None:
+        super().reset()
+        if self.slotted:
+            self._arrange()
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
         kernels, residual_fn = self.kernels, self.residual_fn
@@ -359,9 +480,9 @@ class Project(Operator):
 
     ``columns`` holds ``(source, fn)`` per output column: the input
     column — passed on pending, gathered only if read above — when the
-    selector found a plain column there (an ``int`` position), a
-    repeated value for a literal, else (``None``) the compiled
-    expression applied over the batch.
+    selector found a plain column there (an ``int`` position), ``fn``'s
+    value repeated for a constant (a literal or a ``?``), else
+    (``None``) the compiled expression applied over the batch.
     """
 
     def __init__(self, child: Operator, schema: RowSchema,
@@ -383,7 +504,7 @@ class Project(Operator):
                 batch = Batch(cols=[
                     batch.ref(source) if type(source) is int
                     else [fn(context) for context in contexts]
-                    if source is None else [source.value] * len(batch)
+                    if source is None else [fn(outer_rows)] * len(batch)
                     for source, fn in self.columns], length=len(batch))
             self._observe(len(batch))
             yield batch
@@ -500,6 +621,10 @@ class Sort(Operator):
         self.order_fns = order_fns
         self.positions = positions
         self.vectorized = positions is not None
+
+    def reset(self) -> None:
+        super().reset()
+        self.vectorized = self.positions is not None
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
         whole = self.children[0].collect(outer_rows)
@@ -786,6 +911,9 @@ class Join(Operator):
         self.build_once = build_once
         self._built: _Built | None = None
         self.vectorized = key_positions is not None
+
+    def release(self) -> None:
+        self._built = None
 
     def _hash_keys(self, batch: Batch, side: int,
                    outer_rows: Rows) -> Iterable:

@@ -4,12 +4,40 @@ The SESQL engine builds the *final query* of the Fig. 6 pipeline as an
 AST and renders it with this module, so the enriched query that runs on
 the temporary support database is observable as plain SQL (useful in
 logs, tests and the EXPERIMENTS harness).
+
+A ``?`` placeholder renders as written unless the caller says how
+(*param*): :func:`bound_to` shows the values an execution bound — the
+SQL that ran, rendered only when someone reads it — and :func:`as_slot`
+the slot a built tree reads (``$1``), which is how operator labels show
+it.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 from . import ast
 from .errors import NotSupportedError
+
+#: How a ``?`` renders: given its node, its text.
+ParamText = Callable[[ast.Param], str]
+
+
+def _as_written(_node: ast.Param) -> str:
+    return "?"
+
+
+def as_slot(node: ast.Param) -> str:
+    """A ``?`` as the slot a built tree reads: ``$1``, ``$2``, ..."""
+    return f"${node.index + 1}"
+
+
+def bound_to(values: Sequence | None) -> ParamText:
+    """Each ``?`` as the literal of its value in *values* (as written
+    when there are none)."""
+    if values is None:
+        return _as_written
+    return lambda node: render_literal(values[node.index])
 
 
 def quote_identifier(name: str) -> str:
@@ -40,7 +68,7 @@ def render_literal(value: object) -> str:
     raise NotSupportedError(f"cannot render literal {value!r}")
 
 
-def render_expr(expr: ast.Expr) -> str:
+def render_expr(expr: ast.Expr, param: ParamText = _as_written) -> str:
     if isinstance(expr, ast.Literal):
         return render_literal(expr.value)
     if isinstance(expr, ast.ColumnRef):
@@ -54,121 +82,126 @@ def render_expr(expr: ast.Expr) -> str:
         return "*"
     if isinstance(expr, ast.UnaryOp):
         if expr.op == "NOT":
-            return f"NOT ({render_expr(expr.operand)})"
-        return f"{expr.op}({render_expr(expr.operand)})"
+            return f"NOT ({render_expr(expr.operand, param)})"
+        return f"{expr.op}({render_expr(expr.operand, param)})"
     if isinstance(expr, ast.BinaryOp):
-        return (f"({render_expr(expr.left)} {expr.op} "
-                f"{render_expr(expr.right)})")
+        return (f"({render_expr(expr.left, param)} {expr.op} "
+                f"{render_expr(expr.right, param)})")
     if isinstance(expr, ast.IsNull):
         keyword = "IS NOT NULL" if expr.negated else "IS NULL"
-        return f"({render_expr(expr.operand)} {keyword})"
+        return f"({render_expr(expr.operand, param)} {keyword})"
     if isinstance(expr, ast.Like):
         keyword = "NOT LIKE" if expr.negated else "LIKE"
-        return (f"({render_expr(expr.operand)} {keyword} "
-                f"{render_expr(expr.pattern)})")
+        return (f"({render_expr(expr.operand, param)} {keyword} "
+                f"{render_expr(expr.pattern, param)})")
     if isinstance(expr, ast.InList):
         keyword = "NOT IN" if expr.negated else "IN"
-        items = ", ".join(render_expr(item) for item in expr.items)
-        return f"({render_expr(expr.operand)} {keyword} ({items}))"
+        items = ", ".join(render_expr(item, param) for item in expr.items)
+        return f"({render_expr(expr.operand, param)} {keyword} ({items}))"
     if isinstance(expr, ast.InSubquery):
         keyword = "NOT IN" if expr.negated else "IN"
-        return (f"({render_expr(expr.operand)} {keyword} "
-                f"({render_query(expr.query)}))")
+        return (f"({render_expr(expr.operand, param)} {keyword} "
+                f"({render_query(expr.query, param)}))")
     if isinstance(expr, ast.Exists):
         keyword = "NOT EXISTS" if expr.negated else "EXISTS"
-        return f"{keyword} ({render_query(expr.query)})"
+        return f"{keyword} ({render_query(expr.query, param)})"
     if isinstance(expr, ast.Between):
         keyword = "NOT BETWEEN" if expr.negated else "BETWEEN"
-        return (f"({render_expr(expr.operand)} {keyword} "
-                f"{render_expr(expr.low)} AND {render_expr(expr.high)})")
+        return (f"({render_expr(expr.operand, param)} {keyword} "
+                f"{render_expr(expr.low, param)} AND "
+                f"{render_expr(expr.high, param)})")
     if isinstance(expr, ast.FunctionCall):
         if expr.star:
             return f"{expr.name.upper()}(*)"
         prefix = "DISTINCT " if expr.distinct else ""
-        args = ", ".join(render_expr(arg) for arg in expr.args)
+        args = ", ".join(render_expr(arg, param) for arg in expr.args)
         return f"{expr.name.upper()}({prefix}{args})"
     if isinstance(expr, ast.CaseExpr):
         pieces = ["CASE"]
         if expr.operand is not None:
-            pieces.append(render_expr(expr.operand))
+            pieces.append(render_expr(expr.operand, param))
         for condition, result in expr.whens:
-            pieces.append(
-                f"WHEN {render_expr(condition)} THEN {render_expr(result)}")
+            pieces.append(f"WHEN {render_expr(condition, param)} "
+                          f"THEN {render_expr(result, param)}")
         if expr.else_result is not None:
-            pieces.append(f"ELSE {render_expr(expr.else_result)}")
+            pieces.append(f"ELSE {render_expr(expr.else_result, param)}")
         pieces.append("END")
         return " ".join(pieces)
     if isinstance(expr, ast.Cast):
-        return f"CAST({render_expr(expr.operand)} AS {expr.type_name})"
+        return (f"CAST({render_expr(expr.operand, param)} "
+                f"AS {expr.type_name})")
     if isinstance(expr, ast.ScalarSubquery):
-        return f"({render_query(expr.query)})"
+        return f"({render_query(expr.query, param)})"
     if isinstance(expr, ast.Param):
-        return "?"
+        return param(expr)
     raise NotSupportedError(f"cannot render {type(expr).__name__}")
 
 
-def render_table_expr(table_expr: ast.TableExpr) -> str:
+def render_table_expr(table_expr: ast.TableExpr,
+                      param: ParamText = _as_written) -> str:
     if isinstance(table_expr, ast.TableRef):
         text = quote_identifier(table_expr.name)
         if table_expr.alias:
             text += f" AS {quote_identifier(table_expr.alias)}"
         return text
     if isinstance(table_expr, ast.SubqueryRef):
-        return (f"({render_query(table_expr.query)}) AS "
+        return (f"({render_query(table_expr.query, param)}) AS "
                 f"{quote_identifier(table_expr.alias)}")
     if isinstance(table_expr, ast.Join):
-        left = render_table_expr(table_expr.left)
-        right = render_table_expr(table_expr.right)
+        left = render_table_expr(table_expr.left, param)
+        right = render_table_expr(table_expr.right, param)
         if table_expr.join_type == "CROSS" or table_expr.condition is None:
             return f"{left} CROSS JOIN {right}"
         keyword = ("LEFT JOIN" if table_expr.join_type == "LEFT"
                    else "JOIN")
         return (f"{left} {keyword} {right} "
-                f"ON {render_expr(table_expr.condition)}")
+                f"ON {render_expr(table_expr.condition, param)}")
     raise NotSupportedError(
         f"cannot render {type(table_expr).__name__} in FROM")
 
 
-def render_core(core: ast.SelectCore) -> str:
+def render_core(core: ast.SelectCore,
+                param: ParamText = _as_written) -> str:
     pieces = ["SELECT"]
     if core.distinct:
         pieces.append("DISTINCT")
     rendered_items = []
     for item in core.items:
-        text = render_expr(item.expr)
+        text = render_expr(item.expr, param)
         if item.alias:
             text += f" AS {quote_identifier(item.alias)}"
         rendered_items.append(text)
     pieces.append(", ".join(rendered_items))
     if core.from_clause is not None:
-        pieces.append("FROM " + render_table_expr(core.from_clause))
+        pieces.append("FROM " + render_table_expr(core.from_clause, param))
     if core.where is not None:
-        pieces.append("WHERE " + render_expr(core.where))
+        pieces.append("WHERE " + render_expr(core.where, param))
     if core.group_by:
-        pieces.append("GROUP BY "
-                      + ", ".join(render_expr(expr) for expr in core.group_by))
+        pieces.append("GROUP BY " + ", ".join(
+            render_expr(expr, param) for expr in core.group_by))
     if core.having is not None:
-        pieces.append("HAVING " + render_expr(core.having))
+        pieces.append("HAVING " + render_expr(core.having, param))
     return " ".join(pieces)
 
 
-def render_query(query: ast.SelectQuery) -> str:
-    pieces = [render_core(query.core)]
+def render_query(query: ast.SelectQuery,
+                 param: ParamText = _as_written) -> str:
+    pieces = [render_core(query.core, param)]
     for operation, core in query.compounds:
         pieces.append(operation)
-        pieces.append(render_core(core))
+        pieces.append(render_core(core, param))
     if query.order_by:
         rendered = []
         for item in query.order_by:
-            text = render_expr(item.expr)
+            text = render_expr(item.expr, param)
             if item.descending:
                 text += " DESC"
             rendered.append(text)
         pieces.append("ORDER BY " + ", ".join(rendered))
     if query.limit is not None:
-        pieces.append("LIMIT " + render_expr(query.limit))
+        pieces.append("LIMIT " + render_expr(query.limit, param))
     if query.offset is not None:
-        pieces.append("OFFSET " + render_expr(query.offset))
+        pieces.append("OFFSET " + render_expr(query.offset, param))
     return " ".join(pieces)
 
 

@@ -27,7 +27,10 @@ execution path:
   and the ``negated`` flags) before compiling, which keeps every leaf
   3VL-exact.  Anything the compiler does not understand returns ``None``
   and the filter operator keeps that conjunct on the generic compiled
-  predicate — a hybrid plan, not an error.
+  predicate — a hybrid plan, not an error.  A ``?`` slot stands where a
+  literal would: a :class:`SlotKernel` picks the conjunct's kernel once
+  per run of a prepared statement's tree, from the values bound, through
+  the same compiler a literal goes through.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 from . import ast
 from .aggregates import contains_aggregate
 from .compiler import like_match
+from .render import as_slot, render_expr
 from .types import DataType
 
 #: A kernel maps the batch's column lists to a strict-true boolean mask.
@@ -128,7 +132,7 @@ def _literal_family(value: Any) -> str | None:
     return None
 
 
-def _negated(expr: ast.Expr) -> ast.Expr | None:
+def _negated(expr: ast.Expr, values=None) -> ast.Expr | None:
     """Push one NOT into *expr*, or ``None`` when that isn't exact."""
     if isinstance(expr, ast.UnaryOp) and expr.op.upper() == "NOT":
         return expr.operand
@@ -137,8 +141,8 @@ def _negated(expr: ast.Expr) -> ast.Expr | None:
         if expr.op in _FLIP:
             return ast.BinaryOp(_FLIP[expr.op], expr.left, expr.right)
         if op in ("AND", "OR"):
-            left = _negated(expr.left)
-            right = _negated(expr.right)
+            left = _negated(expr.left, values)
+            right = _negated(expr.right, values)
             if left is None or right is None:
                 return None
             other = "OR" if op == "AND" else "AND"
@@ -153,15 +157,26 @@ def _negated(expr: ast.Expr) -> ast.Expr | None:
         return ast.InList(expr.operand, expr.items, not expr.negated)
     if isinstance(expr, ast.Like):
         return ast.Like(expr.operand, expr.pattern, not expr.negated)
-    if isinstance(expr, ast.Literal):
-        if expr.value is True:
+    known, value = _constant(expr, values)
+    if known:
+        if value is True:
             return ast.Literal(False)
-        if expr.value is False:
+        if value is False:
             return ast.Literal(True)
-        if expr.value is None:
+        if value is None:
             return ast.Literal(None)
         return None  # non-boolean literal: the row path raises; fall back
     return None
+
+
+def _constant(expr: ast.Expr, values) -> tuple[bool, Any]:
+    """``(True, value)`` when *expr* is a constant: a literal, or a
+    ``?`` that *values* binds; else ``(False, None)``."""
+    if isinstance(expr, ast.Literal):
+        return True, expr.value
+    if values is not None and isinstance(expr, ast.Param):
+        return True, values[expr.index]
+    return False, None
 
 
 def _resolved(expr: ast.Expr, resolve: Resolver) -> tuple | None:
@@ -240,20 +255,25 @@ def _col_col_kernel(op: str, left: tuple, right: tuple) -> Kernel | None:
     return None
 
 
-def _comparison_kernel(expr: ast.BinaryOp, resolve: Resolver) \
-        -> Kernel | None:
+def _comparison_kernel(expr: ast.BinaryOp, resolve: Resolver,
+                       values) -> Kernel | None:
     left_ref = _resolved(expr.left, resolve)
     right_ref = _resolved(expr.right, resolve)
     if left_ref is not None and right_ref is not None:
         return _col_col_kernel(expr.op, left_ref, right_ref)
-    if left_ref is not None and isinstance(expr.right, ast.Literal):
-        return _col_lit_kernel(expr.op, left_ref, expr.right.value)
-    if right_ref is not None and isinstance(expr.left, ast.Literal):
-        return _col_lit_kernel(_SWAP[expr.op], right_ref, expr.left.value)
+    if left_ref is not None:
+        known, value = _constant(expr.right, values)
+        if known:
+            return _col_lit_kernel(expr.op, left_ref, value)
+    if right_ref is not None:
+        known, value = _constant(expr.left, values)
+        if known:
+            return _col_lit_kernel(_SWAP[expr.op], right_ref, value)
     return None
 
 
-def _in_list_kernel(expr: ast.InList, resolve: Resolver) -> Kernel | None:
+def _in_list_kernel(expr: ast.InList, resolve: Resolver,
+                    values) -> Kernel | None:
     ref = _resolved(expr.operand, resolve)
     if ref is None:
         return None
@@ -261,9 +281,10 @@ def _in_list_kernel(expr: ast.InList, resolve: Resolver) -> Kernel | None:
     family = _FAMILY[data_type]
     candidates = set()
     for item in expr.items:
-        if not isinstance(item, ast.Literal):
+        known, value = _constant(item, values)
+        if not known:
             return None
-        item_family = _literal_family(item.value)
+        item_family = _literal_family(value)
         if item_family is None:
             return None
         if item_family == "null":
@@ -276,7 +297,7 @@ def _in_list_kernel(expr: ast.InList, resolve: Resolver) -> Kernel | None:
             # match, and skipping it keeps the set family-pure (so the
             # True == 1 hash collision cannot leak bool/int confusion)
             continue
-        candidates.add(item.value)
+        candidates.add(value)
     p = position
     if expr.negated:
         return lambda cols: [v is not None and v not in candidates
@@ -284,36 +305,39 @@ def _in_list_kernel(expr: ast.InList, resolve: Resolver) -> Kernel | None:
     return lambda cols: [v is not None and v in candidates for v in cols[p]]
 
 
-def _between_kernel(expr: ast.Between, resolve: Resolver) -> Kernel | None:
+def _between_kernel(expr: ast.Between, resolve: Resolver,
+                    values) -> Kernel | None:
     ref = _resolved(expr.operand, resolve)
     if ref is None:
         return None
-    if not isinstance(expr.low, ast.Literal) \
-            or not isinstance(expr.high, ast.Literal):
+    low_known, low_value = _constant(expr.low, values)
+    high_known, high_value = _constant(expr.high, values)
+    if not (low_known and high_known):
         return None
     if expr.negated:
-        low = _col_lit_kernel("<", ref, expr.low.value)
-        high = _col_lit_kernel(">", ref, expr.high.value)
+        low = _col_lit_kernel("<", ref, low_value)
+        high = _col_lit_kernel(">", ref, high_value)
         if low is None or high is None:
             return None
         return lambda cols: [a or b for a, b in zip(low(cols), high(cols))]
-    low = _col_lit_kernel(">=", ref, expr.low.value)
-    high = _col_lit_kernel("<=", ref, expr.high.value)
+    low = _col_lit_kernel(">=", ref, low_value)
+    high = _col_lit_kernel("<=", ref, high_value)
     if low is None or high is None:
         return None
     return lambda cols: [a and b for a, b in zip(low(cols), high(cols))]
 
 
-def _like_kernel(expr: ast.Like, resolve: Resolver) -> Kernel | None:
+def _like_kernel(expr: ast.Like, resolve: Resolver,
+                 values) -> Kernel | None:
     ref = _resolved(expr.operand, resolve)
     if ref is None:
         return None
     position, data_type = ref
     if data_type is not DataType.TEXT:
         return None  # LIKE on non-text raises on the row path
-    if not isinstance(expr.pattern, ast.Literal):
+    known, pattern = _constant(expr.pattern, values)
+    if not known:
         return None
-    pattern = expr.pattern.value
     if pattern is None:
         return _all_false(position)
     if not isinstance(pattern, str):
@@ -568,13 +592,15 @@ def _describe_fallback(expr: ast.Expr, resolve: Resolver) -> str:
     return generic
 
 
-def compile_filter_kernel(expr: ast.Expr, resolve: Resolver) \
-        -> Kernel | None:
+def compile_filter_kernel(expr: ast.Expr, resolve: Resolver,
+                          values=None) -> Kernel | None:
     """Compile *expr* to a strict-true mask kernel, or ``None``.
 
     ``None`` means "not vectorizable" — the caller keeps the conjunct on
     the row path.  It is never an error: every supported construct is
     compiled to match the row path's three-valued semantics exactly.
+    A ``?`` is a constant only where *values* binds it (a run's
+    :class:`SlotKernel` passes them), and then exactly as its literal.
     """
     if isinstance(expr, ast.UnaryOp) and expr.op.upper() == "NOT":
         operand = expr.operand
@@ -586,17 +612,17 @@ def compile_filter_kernel(expr: ast.Expr, resolve: Resolver) \
                 return None
             position = ref[0]
             return lambda cols: [v is False for v in cols[position]]
-        pushed = _negated(operand)
+        pushed = _negated(operand, values)
         if pushed is None:
             return None
-        return compile_filter_kernel(pushed, resolve)
+        return compile_filter_kernel(pushed, resolve, values)
     if isinstance(expr, ast.BinaryOp):
         op = expr.op.upper()
         if op in ("AND", "OR"):
-            left = compile_filter_kernel(expr.left, resolve)
+            left = compile_filter_kernel(expr.left, resolve, values)
             if left is None:
                 return None
-            right = compile_filter_kernel(expr.right, resolve)
+            right = compile_filter_kernel(expr.right, resolve, values)
             if right is None:
                 return None
             if op == "AND":
@@ -605,7 +631,7 @@ def compile_filter_kernel(expr: ast.Expr, resolve: Resolver) \
             return lambda cols: [a or b
                                  for a, b in zip(left(cols), right(cols))]
         if expr.op in _COMPARISONS:
-            return _comparison_kernel(expr, resolve)
+            return _comparison_kernel(expr, resolve, values)
         return None
     if isinstance(expr, ast.IsNull):
         ref = _resolved(expr.operand, resolve)
@@ -616,17 +642,11 @@ def compile_filter_kernel(expr: ast.Expr, resolve: Resolver) \
             return lambda cols: [v is not None for v in cols[position]]
         return lambda cols: [v is None for v in cols[position]]
     if isinstance(expr, ast.Between):
-        return _between_kernel(expr, resolve)
+        return _between_kernel(expr, resolve, values)
     if isinstance(expr, ast.InList):
-        return _in_list_kernel(expr, resolve)
+        return _in_list_kernel(expr, resolve, values)
     if isinstance(expr, ast.Like):
-        return _like_kernel(expr, resolve)
-    if isinstance(expr, ast.Literal):
-        if expr.value is True:
-            return lambda cols: [True] * len(cols[0])
-        if expr.value is False or expr.value is None:
-            return lambda cols: [False] * len(cols[0])
-        return None
+        return _like_kernel(expr, resolve, values)
     if isinstance(expr, ast.ColumnRef):
         # WHERE b over a BOOLEAN column; any other family raises on the
         # row path, so it falls back
@@ -635,4 +655,64 @@ def compile_filter_kernel(expr: ast.Expr, resolve: Resolver) \
             return None
         position = ref[0]
         return lambda cols: [v is True for v in cols[position]]
+    known, value = _constant(expr, values)
+    if known:
+        if value is True:
+            return lambda cols: [True] * len(cols[0])
+        if value is False or value is None:
+            return lambda cols: [False] * len(cols[0])
     return None
+
+
+class _AllNull:
+    """Binds every ``?`` to NULL: the binding under which a conjunct's
+    shape vectorizes if any binding does."""
+
+    def __getitem__(self, _index: int) -> None:
+        return None
+
+
+class SlotKernel:
+    """The mask kernel of a WHERE conjunct that reads ``?`` slots.
+
+    Which kernel — or none — depends on the bound values, exactly as it
+    depends on a literal's (``x > 'a'`` over a REAL column is generic
+    and raises), so it is chosen once per run, by
+    :func:`compile_filter_kernel` under the values *slots* hold, and
+    kept while they are the same.  ``choose()`` is that kernel, or
+    ``None``: the filter then runs the conjunct on its generic
+    predicate, where a literal would have put it.
+    """
+
+    __slots__ = ("expr", "resolve", "slots", "_values", "_kernel")
+
+    def __init__(self, expr: ast.Expr, resolve: Resolver, slots) -> None:
+        self.expr = expr
+        self.resolve = resolve
+        self.slots = slots
+        self._values = self._kernel = None
+
+    def choose(self) -> Kernel | None:
+        values = self.slots.values
+        if values is not self._values:
+            self._kernel = compile_filter_kernel(self.expr, self.resolve,
+                                                 values)
+            self._values = values
+        return self._kernel
+
+    def fallback(self) -> tuple[str, str]:
+        """``(expression, reason)`` of this run's generic evaluation."""
+        return (render_expr(self.expr, as_slot), fallback_reason(
+            ast.clone_expr(self.expr, self._values), self.resolve,
+            declined=True))
+
+
+def slot_kernel(expr: ast.Expr, resolve: Resolver,
+                slots) -> SlotKernel | None:
+    """*expr*'s :class:`SlotKernel` when it reads a ``?`` and some
+    binding vectorizes it (a NULL one does whenever any does), else
+    ``None``: no value can, and it stays on the generic predicate."""
+    if not any(isinstance(node, ast.Param) for node in ast.walk_expr(expr)) \
+            or compile_filter_kernel(expr, resolve, _AllNull()) is None:
+        return None
+    return SlotKernel(expr, resolve, slots)

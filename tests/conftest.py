@@ -28,7 +28,7 @@ def _generic_kernels():
     saved = (vectors.compile_filter_kernel, executor.select_gather,
              executor.select_folds, executor.select_join_keys,
              executor.select_sort_keys, executor.select_semi_joins)
-    vectors.compile_filter_kernel = lambda expr, resolve: None
+    vectors.compile_filter_kernel = lambda expr, resolve, values=None: None
     executor.select_gather = lambda exprs, scopes: [None] * len(exprs)
     executor.select_folds = lambda group_exprs, calls, scopes: (
         None, [None] * len(calls))

@@ -1,9 +1,11 @@
 """DML/DDL behaviour: constraints, defaults, updates, indexes."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.relational import (CatalogError, ConstraintViolation, Database,
                               SchemaError, TypeMismatchError)
+from repro.relational.indexes import SortedIndex
 
 
 def test_create_and_drop_table(db):
@@ -149,6 +151,44 @@ def test_sorted_index_range(db):
     values = sorted(db.table("t").row(rid)[0]
                     for rid in index.range(low=2, high=8))
     assert values == [3, 5]
+
+
+_KEYS = (st.integers(-3, 3) | st.floats(-3, 3, allow_nan=False)
+         | st.booleans() | st.sampled_from(["", "a", "b", "1"]) | st.none())
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.lists(st.tuples(st.integers(0, 40), _KEYS), max_size=40),
+       doomed=st.sets(st.integers(0, 39), max_size=15),
+       probes=st.lists(_KEYS, min_size=1, max_size=4),
+       bounds=st.lists(st.tuples(_KEYS, _KEYS, st.booleans(), st.booleans()),
+                       min_size=1, max_size=4))
+def test_sorted_index_probes_equal_a_scan_of_its_entries(entries, doomed,
+                                                         probes, bounds):
+    """``lookup`` and ``range`` read one run of the sorted entries; a
+    brute-force filter of the live entries, under the index's own key
+    coercion, is the answer."""
+    index = SortedIndex("s", "t", ["k"])
+    live = dict(entries)      # row id -> value (a later one wins)
+    for row_id, value in live.items():
+        index.insert(row_id, (value,))
+    for row_id in doomed & live.keys():
+        index.delete(row_id, (live.pop(row_id),))
+    key = SortedIndex._sortable
+    keyed = [(key(value), row_id) for row_id, value in live.items()
+             if value is not None]
+    for value in probes:
+        assert index.lookup((value,)) == (set() if value is None else {
+            row_id for found, row_id in keyed if found == key(value)})
+    for low, high, low_inclusive, high_inclusive in bounds:
+        def within(found):
+            return (low is None or found > key(low)
+                    or low_inclusive and found == key(low)) \
+                and (high is None or found < key(high)
+                     or high_inclusive and found == key(high))
+        got = list(index.range(low, high, low_inclusive, high_inclusive))
+        assert got == [row_id for found, row_id in sorted(keyed)
+                       if within(found)]
 
 
 def test_drop_index(db):
