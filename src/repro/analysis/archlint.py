@@ -25,8 +25,8 @@ duck-typed hook attributes rather than imports.  Nothing in the
 
 ``choke-points``
     One table, method name → the only files allowed to call it.
-    ``Table.insert_row`` / ``append_rows`` / ``update_row`` /
-    ``delete_row`` assume the caller holds the databank's write lock
+    ``Table.insert_row`` / ``append_rows`` / ``append_columns`` /
+    ``update_row`` / ``delete_row`` assume the caller holds the databank's write lock
     (``relational/engine.py``, ``relational/table.py``) — and a table
     is built from a result in one place, the column loader
     ``table_from_columns`` (rows reach it through one transpose,
@@ -105,6 +105,7 @@ DEFAULT_CONFIG: dict = {
     "choke-points": {
         "insert_row": ["relational/engine.py", "relational/table.py"],
         "append_rows": ["relational/engine.py", "relational/table.py"],
+        "append_columns": ["relational/engine.py", "relational/table.py"],
         "_append_columns": ["relational/table.py"],
         "update_row": ["relational/engine.py", "relational/table.py"],
         "delete_row": ["relational/engine.py", "relational/table.py"],

@@ -1,24 +1,25 @@
 """Batch-at-a-time execution: the unit every operator exchanges.
 
 Operators (:mod:`repro.relational.operators`) pass :class:`Batch` es —
-runs of rows held column-major, row-major, or both — so a column kernel
-(selection mask, column fold, gather) and the generic per-row expression
-kernel can sit in one pipeline without either dictating the layout.
-Batches flatten to rows only at the ``Cursor`` boundary, so pagination,
-LIMIT early-termination and ``rows_yielded`` accounting never see a
-batch edge.  A whole run becomes one batch through :func:`concat`, in
-the form its batches have, and a ``ResultSet`` keeps that form.
+runs of rows held as columns, from the scan to the result.  A row tuple
+is built only where a caller asks for one: a cursor page
+(:meth:`Batch.tuples`), ``ResultSet.rows``, and the generic per-row
+expression kernel's input (:attr:`Batch.rows`), so pagination, LIMIT
+early-termination and ``rows_yielded`` accounting never see a batch
+edge.  A whole run becomes one batch of columns through :func:`concat`,
+and a ``ResultSet`` holds them.
 
 A column may be *pending*: not gathered yet, only the recipe for it — a
 ``functools.partial`` reading another batch's column as it is, picked at
-an index vector or where a mask holds, or several batches' columns one
-after the other.  The first ``column(p)`` resolves it and caches the
-result; ``cols`` / ``rows`` resolve every column.  A selection
-(:meth:`Batch.select`), a join's output (:func:`take`), its right input
-(:func:`stack`) and a projection hold their columns pending, so a column
-no operator above reads is never gathered — a mask kernel indexes
-``batch[p]``, an aggregate or a join key reads ``column(p)``, and only
-those columns are copied.
+an index vector or a range or where a mask holds, or several batches'
+columns one after the other.  The first ``column(p)`` resolves it and
+caches the result; ``cols`` / ``rows`` resolve every column.  A
+selection (:meth:`Batch.select`), a join's, sort's or limit's output
+(:func:`take`, :func:`pieces`), a join's right input (:func:`stack`) and
+a projection hold their columns pending, so a column no operator above
+reads is never gathered — a mask kernel indexes ``batch[p]``, an
+aggregate or a join key reads ``column(p)``, and only those columns are
+copied.
 
 This module holds what is independent of the expression compiler: the
 batch type and size, the telemetry hooks, and the two kernels of one
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import compress, repeat
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .indexes import _normalize
 
@@ -45,12 +46,10 @@ def norm_tuple(values: Iterable[Any]) -> tuple:
     return tuple(_normalize(value) for value in values)
 
 
-def _of_rows(rows: list, position: int) -> list:
-    return [row[position] for row in rows]
-
-
-def _take(source: "Batch", position: int, ids: Sequence[int]) -> list:
+def _take(source: "Batch", position: int, ids: Sequence[int]) -> Sequence:
     column = source.column(position)
+    if type(ids) is range:
+        return column[ids.start:ids.stop:ids.step]
     return [column[i] for i in ids]
 
 
@@ -70,61 +69,51 @@ def _stack(batches: list, position: int, null_row: bool) -> Sequence:
 
 
 class Batch:
-    """A run of rows: ``cols`` (one sequence per column) and ``rows`` (a
-    list of tuples) are two views of the same data.  A batch is built
-    from either; the other is derived on first use and cached.  Entries
-    of ``cols`` may be pending (module docstring); a batch built from
-    them is told its *length*.  Operators exchange non-empty batches.
+    """A run of rows held as ``cols``, one sequence per column, any of
+    them pending (module docstring).  A batch whose first column is
+    pending, or that has no columns (a SELECT without FROM), is told its
+    *length*.  Operators exchange non-empty batches.
     """
 
     __slots__ = ("_rows", "_cols", "_len")
 
-    def __init__(self, rows: Optional[list] = None,
-                 cols: Optional[list] = None,
-                 length: Optional[int] = None) -> None:
-        self._rows = rows
+    def __init__(self, cols: list, length: Optional[int] = None) -> None:
+        self._rows: Optional[list] = None
         self._cols = cols
-        self._len = len(rows) if rows is not None \
-            else len(cols[0]) if length is None else length
+        self._len = len(cols[0]) if length is None else length
 
     def __len__(self) -> int:
         return self._len
 
     @property
-    def has_rows(self) -> bool:
-        """Whether the row view exists (built from rows, or derived)."""
-        return self._rows is not None
-
-    @property
     def rows(self) -> list:
+        """One tuple per row: the generic per-row kernel's input,
+        derived on first read and kept (a join's residual reads its
+        build side's once per left batch)."""
         if self._rows is None:
-            self._rows = list(zip(*self.cols))
+            self._rows = list(self.tuples())
         return self._rows
+
+    def tuples(self) -> Iterator[tuple]:
+        """One tuple per row, for one pass and not kept: a cursor's
+        page.  ``zip`` of no columns yields no row, so a batch of no
+        columns yields its length in empty ones."""
+        cols = self.cols
+        return zip(*cols) if cols else repeat((), self._len)
 
     @property
     def cols(self) -> list:
         """Every column, gathered."""
         cols = self._cols
-        if cols is None:
-            cols = self._cols = list(zip(*self._rows))
-        else:
-            for position, column in enumerate(cols):
-                if type(column) is partial:
-                    cols[position] = column()
+        for position, column in enumerate(cols):
+            if type(column) is partial:
+                cols[position] = column()
         return cols
 
-    def iter_rows(self):
-        """The rows for one pass, without caching the row view."""
-        return self._rows if self._rows is not None else zip(*self.cols)
-
     def column(self, position: int) -> Sequence:
-        """One column, gathered now if it is pending, without deriving
-        the whole column view."""
+        """One column, gathered now if it is pending, without gathering
+        the others."""
         cols = self._cols
-        if cols is None:
-            rows = self._rows
-            cols = self._cols = [partial(_of_rows, rows, position)
-                                 for position in range(len(rows[0]))]
         column = cols[position]
         if type(column) is partial:
             column = cols[position] = column()
@@ -138,26 +127,27 @@ class Batch:
         """Column *position* for another batch to hold: the column once
         gathered, else a pending read of it through this batch (which
         caches it)."""
-        cols = self._cols
-        if cols is not None and type(cols[position]) is not partial:
-            return cols[position]
+        column = self._cols[position]
+        if type(column) is not partial:
+            return column
         return partial(self.column, position)
 
-    def select(self, mask: list, kept: int) -> "Batch":
-        """The *kept* rows where *mask* is true: a row list when the row
-        view exists, else pending columns."""
-        if self._rows is not None:
-            return Batch(rows=list(compress(self._rows, mask)))
-        return Batch(cols=[partial(_compress, self, position, mask)
-                           for position in range(len(self._cols))],
-                     length=kept)
+    def select(self, mask: list) -> "Batch":
+        """The rows where *mask* is true, as pending columns — or this
+        batch, when that is all of them."""
+        kept = sum(mask)
+        if kept == self._len:
+            return self
+        return Batch([partial(_compress, self, position, mask)
+                      for position in range(len(self._cols))], kept)
 
 
 def take(sources: Iterable[tuple[Batch, Sequence[int], int]],
          length: int) -> Batch:
     """A batch of *length* rows whose columns are, side by side, each
-    ``(source, ids, width)``'s *width* columns picked at *ids* — pending,
-    or *source*'s own where *ids* is all of it in order."""
+    ``(source, ids, width)``'s *width* columns picked at *ids* (an index
+    vector or a range) — pending, or *source*'s own where *ids* is all
+    of it in order."""
     cols: list = []
     for source, ids, width in sources:
         if type(ids) is range and ids == range(len(source)):
@@ -168,28 +158,30 @@ def take(sources: Iterable[tuple[Batch, Sequence[int], int]],
     return Batch(cols=cols, length=length)
 
 
+def pieces(whole: Batch, order: Optional[Sequence[int]] = None
+           ) -> Iterator[Batch]:
+    """*whole* — a materialised run — handed on in batches of at most
+    ``BATCH_SIZE`` rows, each column a pending gather from it: of the
+    rows *order* lists, in that order, or of all of them."""
+    ids = range(len(whole)) if order is None else order
+    width = len(whole._cols)
+    size = BATCH_SIZE
+    for start in range(0, len(ids), size):
+        chunk = ids[start:start + size]
+        yield take([(whole, chunk, width)], len(chunk))
+
+
 def concat(batches: Iterable[Batch], width: int) -> Batch:
-    """*batches* one after the other as one batch of *width* columns, in
-    the form the first one has: rows when it comes with its row view (a
-    sort, distinct, aggregate or set operation builds rows), else
-    gathered columns — one ``list.extend`` per column per batch and not
-    one row tuple.  A later batch of the other form is converted."""
-    rows: Optional[list] = None
-    cols: Optional[list] = None
+    """*batches* one after the other as one batch of *width* gathered
+    columns: one ``list.extend`` per column per batch, not one row
+    tuple."""
+    cols: list = [[] for _ in range(width)]
+    length = 0
     for batch in batches:
-        if rows is None and cols is None:
-            if batch._rows is not None or not width:
-                rows = []
-            else:
-                cols = [[] for _ in range(width)]
-        if rows is not None:
-            rows.extend(batch.iter_rows())
-        else:
-            for position, column in enumerate(cols):
-                column.extend(batch.column(position))
-    if rows is not None or not width:
-        return Batch(rows=rows or [])
-    return Batch(cols=cols or [[] for _ in range(width)])
+        length += len(batch)
+        for position, column in enumerate(cols):
+            column.extend(batch.column(position))
+    return Batch(cols, length)
 
 
 def stack(batches: list, width: int, null_row: bool) -> Batch:

@@ -457,9 +457,8 @@ class Database:
         if tel is not None:
             self._note_select(root, len(whole),
                               time.perf_counter() - started)
-        if whole.has_rows:
-            return ResultSet(root.schema.names(), whole.rows, plan=root)
-        return ResultSet(root.schema.names(), cols=whole.cols, plan=root)
+        return ResultSet(root.schema.names(), cols=whole.cols,
+                         length=len(whole), plan=root)
 
     # -- streaming SELECT --------------------------------------------------------
 
@@ -509,9 +508,10 @@ class Database:
         def rows() -> Iterator[tuple]:
             produced = 0
             try:
-                for row in root.rows():
-                    produced += 1
-                    yield row
+                for batch in root.chunks():
+                    for row in batch.tuples():
+                        produced += 1
+                        yield row
             finally:
                 release()
                 # The root reports the rows handed out, not the rows of
@@ -621,7 +621,7 @@ class Database:
                     f"INSERT ... SELECT expects {len(columns)} columns, "
                     f"got {len(root.schema)}")
             before = len(table)
-            table.append_rows(root.run(), columns)
+            table.append_columns(root.collect().cols, columns)
             count = len(table) - before
             if track:
                 inserted = table.last_rows(count)

@@ -5,8 +5,8 @@
 root produces the rows.  A top-level WHERE ``[NOT] IN (subquery)`` /
 ``[NOT] EXISTS`` that can be one becomes a semi / anti join; of the
 other subqueries, correlated ones re-run their subtree per outer row,
-uncorrelated ones are cached (rows, and the key set ``IN`` tests) after
-their first run, until the statement's run ends.
+uncorrelated ones are cached (their run's columns, and the key set
+``IN`` tests) after their first run, until the statement's run ends.
 
 A prepared statement's ``?`` placeholders are slots: the tree is built
 once and every run binds the values its ``Slots`` hold (see
@@ -34,7 +34,7 @@ from typing import Any, Callable
 from . import ast, vectors
 from .aggregates import (AGGREGATE_NAMES, contains_aggregate,
                          make_aggregate)
-from .batch import ColumnFold, GenericFold, norm_tuple
+from .batch import Batch, ColumnFold, GenericFold, norm_tuple
 from .catalog import Catalog
 from .compiler import (CompileContext, compile_expr, compile_predicate,
                        membership, resolve_column)
@@ -93,12 +93,13 @@ class SubPlan:
             self._single_column(single_column)
         ctx.subplans.append(self.root)
 
-    def rows(self, outer_rows: Rows) -> list[tuple]:
+    def _collected(self, outer_rows: Rows) -> Batch:
+        """The subquery's run, as one batch of columns."""
         root = self.root
         if self.correlated:
-            return root.run(outer_rows)
+            return root.collect(outer_rows)
         if root.cached is None:
-            root.cached = root.run(outer_rows)
+            root.cached = root.collect(outer_rows)
         return root.cached
 
     def _single_column(self, what: str) -> None:
@@ -106,27 +107,26 @@ class SubPlan:
             raise ExecutionError(f"{what} must return exactly one column")
 
     def scalar(self, outer_rows: Rows) -> Any:
-        rows = self.rows(outer_rows)
-        if not rows:
+        found = self._collected(outer_rows)
+        if not found:
             return None
-        if len(rows) > 1:
+        if len(found) > 1:
             raise ExecutionError("scalar subquery returned more than one row")
-        return rows[0][0]
+        return found.column(0)[0]
 
     def exists(self, outer_rows: Rows) -> bool:
-        return bool(self.rows(outer_rows))
+        return bool(self._collected(outer_rows))
 
     def membership(self, value: Any, outer_rows: Rows) -> bool | None:
         """3VL ``value IN (this subquery)``.  An uncorrelated subquery
         normalises its column into a key set once; a correlated one is
         re-run and scanned per call."""
         if self.correlated:
-            return membership(value,
-                              [row[0] for row in self.rows(outer_rows)])
+            return membership(value, self._collected(outer_rows).column(0))
         members = self.root.members
         if members is None:
             members = self.root.members = set(
-                map(norm_tuple, self.rows(outer_rows)))
+                map(norm_tuple, zip(self._collected(outer_rows).column(0))))
         if not members:
             return False
         if value is None:

@@ -11,9 +11,10 @@ same tree, so what it shows is what ran.
 kernel (selection mask, gather, fold) per conjunct / item / aggregate
 where they see plain typed columns, and apply the generic compiled
 expression over the batch's rows otherwise; ``vectorized`` says a column
-kernel is in use.  Selections, projections and joins hand their columns
-on pending (see :mod:`repro.relational.batch`): a column is gathered
-when an operator above reads it, and never if none does.
+kernel is in use.  Every operator emits columns; selections,
+projections, joins, sorts and limits hand them on pending (see
+:mod:`repro.relational.batch`): a column is gathered when an operator
+above reads it, and never if none does.
 
 :class:`Join` and :class:`Sort` have one emission and one sort routine
 each, whose only variation is how keys are extracted.  Every join mode
@@ -46,7 +47,7 @@ from typing import (Any, Callable, Iterable, Iterator, NamedTuple,
                     Sequence)
 
 from . import batch as _batch
-from .batch import Batch, concat, norm_tuple, stack, take
+from .batch import Batch, concat, norm_tuple, pieces, stack, take
 from .compiler import conjunction
 from .errors import ExecutionError
 from .schema import ResultColumn, RowSchema
@@ -114,23 +115,14 @@ class Operator:
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
         return self.children[0].chunks(outer_rows)
 
-    def rows(self, outer_rows: Rows = ()) -> Iterator[tuple]:
-        for batch in self.chunks(outer_rows):
-            yield from batch.iter_rows()
-
     def collect(self, outer_rows: Rows = ()) -> Batch:
-        """One whole run as one batch, in the form its batches have
+        """One whole run as one batch of columns
         (:func:`~repro.relational.batch.concat`) — what a SELECT's
         result holds.  Nothing here is batch-sized: a pass-through hands
         on its child's run, a scan copies its table's live columns."""
         if self.passes_through:
             return self._ran(self.children[0].collect(outer_rows))
         return concat(self.chunks(outer_rows), len(self.schema))
-
-    def run(self, outer_rows: Rows = ()) -> list[tuple]:
-        """One whole run, as rows (sorts, set operations and subqueries
-        read it so)."""
-        return self.collect(outer_rows).rows
 
     def _ran(self, whole: Batch) -> Batch:
         self.actual_rows = (self.actual_rows or 0) + len(whole)
@@ -203,13 +195,6 @@ def _vectorized_fallbacks(nodes: Iterable[Operator]
     return found
 
 
-def _slices(rows: list) -> Iterator[Batch]:
-    """Re-batch a materialized row list."""
-    size = _batch.BATCH_SIZE
-    for start in range(0, len(rows), size):
-        yield Batch(rows=rows[start:start + size])
-
-
 class Result(Operator):
     """The statement root: the top operator's rows, plus its notes and
     the :class:`~repro.relational.compiler.Slots` its ``?`` placeholders
@@ -264,6 +249,10 @@ class Result(Operator):
         root.notes = root._notes(nodes)
         return root
 
+    def run(self) -> list[tuple]:
+        """One whole run of the statement, as rows."""
+        return self.collect().rows
+
     def format(self, indent: int = 0) -> str:
         lines = [super().format(indent)]
         lines.extend(f"note: {note}" for note in self.notes)
@@ -272,7 +261,7 @@ class Result(Operator):
 
 class Subquery(Operator):
     """The root of a subquery an expression reads (``IN``, ``EXISTS``,
-    scalar).  An uncorrelated one runs once per statement: its rows —
+    scalar).  An uncorrelated one runs once per statement: its run —
     and the key set an ``IN`` tests — are kept here until the
     statement's run ends."""
 
@@ -280,7 +269,7 @@ class Subquery(Operator):
         super().__init__("subquery",
                          "correlated" if correlated else "uncorrelated",
                          top.schema, [top])
-        self.cached: list[tuple] | None = None
+        self.cached: Batch | None = None
         self.members: set[tuple] | None = None
 
     def release(self) -> None:
@@ -288,19 +277,19 @@ class Subquery(Operator):
 
 
 class Values(Operator):
-    """A SELECT without FROM: one empty input row."""
+    """A SELECT without FROM: one empty row, a batch of no columns."""
 
     def __init__(self) -> None:
         super().__init__("values", "no FROM", RowSchema([]), est_rows=1.0)
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
-        yield Batch(rows=[()])
+        yield Batch([], 1)
 
 
 class Scan(Operator):
     """Full scan of a catalog table.  A columnar :class:`Table` is read
     as column slices, and a whole run is a copy of each live column; any
-    other table (foreign wrappers) as rows."""
+    other table's rows (foreign wrappers) are transposed once, here."""
 
     def __init__(self, table, binding: str, label: str,
                  est_rows: float | None = None, hooks=None) -> None:
@@ -310,19 +299,23 @@ class Scan(Operator):
         self.table = table
         self.vectorized = isinstance(table, Table)
 
-    def collect(self, outer_rows: Rows = ()) -> Batch:
+    def _whole(self) -> Batch:
         table = self.table
         if not self.vectorized:
-            return self._ran(Batch(rows=list(table.rows())))
-        return self._ran(Batch(cols=list(map(
-            table.column_values, range(len(self.schema))))))
+            rows = list(table.rows())
+            cols = [list(column) for column in zip(*rows)]
+            return Batch(cols or [[] for _ in self.schema.columns], len(rows))
+        return Batch(list(map(table.column_values, range(len(self.schema)))))
+
+    def collect(self, outer_rows: Rows = ()) -> Batch:
+        return self._ran(self._whole())
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
         # Table state is read at run time, never at build time: SELECTs
         # hold the database's read lock and INSERT ... SELECT
         # materializes before it mutates.
         if not self.vectorized:
-            yield from _slices(list(self.table.rows()))
+            yield from pieces(self._whole())
             return
         for cols in self.table.iter_batches(_batch.BATCH_SIZE):
             self._observe(len(cols[0]))
@@ -384,17 +377,24 @@ class IndexProbe(Operator):
             yield self.fetch(row_ids[start:start + size])
 
 
-def _narrowed(batch: Batch, kernels: list) -> Batch | None:
+def _narrowed(batch: Batch, kernels: list) -> Batch:
     """*batch* cut down by each mask kernel in turn, each handed the
-    selection the ones before it left; ``None`` once no row is left."""
+    selection the ones before it left, until no row is left."""
     for kernel in kernels:
-        mask = kernel(batch)
-        kept = sum(mask)
-        if not kept:
-            return None
-        if kept < len(mask):
-            batch = batch.select(mask, kept)
+        batch = batch.select(kernel(batch))
+        if not batch:
+            break
     return batch
+
+
+def _first_seen(seen: set, batch: Batch) -> list[bool]:
+    """Per row of *batch*, whether its ``norm_tuple`` key is new to
+    *seen*, which it then joins."""
+    mask = []
+    for key in map(norm_tuple, batch.tuples()):
+        mask.append(key not in seen)
+        seen.add(key)
+    return mask
 
 
 class Filter(Operator):
@@ -458,20 +458,19 @@ class Filter(Operator):
             self._arrange()
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
-        kernels, residual_fn = self.kernels, self.residual_fn
+        kernels, fn = self.kernels, self.residual_fn
+        residual = [lambda batch: [fn(outer_rows + (row,))
+                                   for row in batch.rows]]
         for batch in self.children[0].chunks(outer_rows):
             if kernels:
                 batch = _narrowed(batch, kernels)
-                if batch is None:
+                if not batch:
                     continue
                 self._observe(len(batch))
-            if residual_fn is not None:
-                rows = [row for row in batch.rows
-                        if residual_fn(outer_rows + (row,))]
-                if not rows:
+            if fn is not None:
+                batch = _narrowed(batch, residual)
+                if not batch:
                     continue
-                if len(rows) < len(batch):
-                    batch = Batch(rows=rows)
             yield batch
 
 
@@ -511,15 +510,16 @@ class Project(Operator):
 
 
 class Aggregate(Operator):
-    """Hash aggregation into *slot rows*: group keys first, one slot per
-    aggregate after (HAVING, ORDER BY and the select list are ordinary
-    operators above, compiled against the slots).
+    """Hash aggregation into *slot columns*: group keys first, one slot
+    per aggregate after (HAVING, ORDER BY and the select list are
+    ordinary operators above, compiled against the slots).
 
     Groups come out in first-seen order.  ``key_positions`` is set when
     every GROUP BY key is a plain typed column (raw values hash like the
     normalised ones within one type family); otherwise ``group_fns``
-    evaluate the keys per row.  ``folds`` are factories — one fresh
-    accumulator per aggregate per run.
+    evaluate the keys per row (a single typed key is its own key
+    column; key tuples are transposed at the end).  ``folds`` are
+    factories — one fresh accumulator per aggregate per run.
     """
 
     preserves_rows = False
@@ -540,15 +540,16 @@ class Aggregate(Operator):
         # A pipeline breaker: every input row is seen before any group.
         folds = [make() for make in self.folds]
         groups: dict = {}
-        key_rows: list[tuple] = []
+        group_keys: list = []
         grouped = bool(self.group_fns)
         positions = self.key_positions
+        single = positions is not None and len(positions) == 1
 
-        def new_group(key: tuple) -> int:
-            key_rows.append(key)
+        def new_group(key) -> int:
+            group_keys.append(key)
             for fold in folds:
                 fold.new_group()
-            return len(key_rows) - 1
+            return len(group_keys) - 1
 
         if not grouped:
             # no GROUP BY: always one group, even over zero rows
@@ -561,11 +562,11 @@ class Aggregate(Operator):
             if grouped:
                 gids = []
                 add_gid, lookup = gids.append, groups.get
-                if positions is not None and len(positions) == 1:
+                if single:
                     for key in batch.column(positions[0]):
                         gid = lookup(key)
                         if gid is None:
-                            gid = groups[key] = new_group((key,))
+                            gid = groups[key] = new_group(key)
                         add_gid(gid)
                 else:
                     if positions is not None:
@@ -582,10 +583,10 @@ class Aggregate(Operator):
                         add_gid(gid)
             for fold in folds:
                 fold.step(batch, gids, contexts)
-        if folds:
-            finals = zip(*[fold.finals() for fold in folds])
-            key_rows = [key + slots for key, slots in zip(key_rows, finals)]
-        yield from _slices(key_rows)
+        key_cols = [group_keys] if single else list(zip(*group_keys)) \
+            or [[] for _ in self.group_fns]
+        yield from pieces(Batch(
+            key_cols + [fold.finals() for fold in folds], len(group_keys)))
 
 
 #: The value families ``compare_values`` orders, by exact Python type.
@@ -606,12 +607,14 @@ def _one_family(column: list) -> bool:
 class Sort(Operator):
     """ORDER BY: a pipeline breaker (stable, so ties keep input order).
 
-    Each key is evaluated once per row into a key column — gathered
-    from ``positions[k]`` where the selector found a plain column or
-    slot, else computed by the compiled expression.  ``positions`` is
-    ``None`` when the selector declined the kernel altogether.  Whether
-    the key columns sort natively is only known once they exist, so
-    ``vectorized`` says what the latest run did.
+    Each key is evaluated once per row into a key column — read from
+    ``positions[k]`` of the collected input where the selector found a
+    plain column or slot, else computed by the compiled expression over
+    its rows.  ``positions`` is ``None`` when the selector declined the
+    kernel altogether.  Whether the key columns sort natively is only
+    known once they exist, so ``vectorized`` says what the latest run
+    did.  The sort orders row ids, not rows: the output is pending
+    gathers of the input's columns in that order, as a join's is.
     """
 
     def __init__(self, child: Operator, label: str,
@@ -628,24 +631,22 @@ class Sort(Operator):
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
         whole = self.children[0].collect(outer_rows)
-        rows = whole.rows
         contexts = None
         columns = []
         for (fn, _descending), position in zip(
                 self.order_fns, self.positions or repeat(None)):
             if position is not None:
-                # (a batch of no rows has no columns to read)
-                columns.append(whole.column(position) if rows else [])
+                columns.append(whole.column(position))
                 continue
             if contexts is None:
-                contexts = [outer_rows + (row,) for row in rows]
+                contexts = [outer_rows + (row,) for row in whole.rows]
             columns.append([fn(context) for context in contexts])
         directions = [descending for _fn, descending in self.order_fns]
-        order = list(range(len(rows)))
+        order = list(range(len(whole)))
         self.vectorized = self.positions is not None \
             and all(map(_one_family, columns))
         if self.vectorized:
-            self._observe(len(rows))
+            self._observe(len(whole))
             # Successive stable sorts, last key first; NULLs are
             # partitioned out (LAST for ASC, FIRST for DESC).
             for column, descending in zip(reversed(columns),
@@ -661,11 +662,12 @@ class Sort(Operator):
                 [sort_key(value, descending) for value in column]
                 for column, descending in zip(columns, directions)]))
             order.sort(key=keys.__getitem__)
-        yield from _slices([rows[i] for i in order])
+        yield from pieces(whole, order)
 
 
 class Distinct(Operator):
-    """Streaming de-duplication: each new row is passed on as found."""
+    """Streaming de-duplication: each batch keeps, through a selection
+    mask, the rows whose zipped columns are new."""
 
     preserves_rows = False
 
@@ -673,16 +675,11 @@ class Distinct(Operator):
         super().__init__("distinct", "", child.schema, [child])
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
-        seen: set[tuple] = set()
+        fresh = [partial(_first_seen, set())]
         for batch in self.children[0].chunks(outer_rows):
-            fresh = []
-            for row in batch.rows:
-                key = norm_tuple(row)
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(row)
-            if fresh:
-                yield Batch(rows=fresh)
+            batch = _narrowed(batch, fresh)
+            if batch:
+                yield batch
 
 
 def _bound_value(fn: RowFn | None, outer_rows: Rows,
@@ -728,8 +725,9 @@ class Limit(Operator):
                 skip -= size
                 continue
             if skip or (wanted is not None and size - skip > wanted):
-                stop = None if wanted is None else skip + wanted
-                batch = Batch(rows=batch.rows[skip:stop])
+                stop = size if wanted is None else min(size, skip + wanted)
+                batch = take([(batch, range(skip, stop), len(self.schema))],
+                             stop - skip)
                 skip = 0
             yield batch
             if wanted is not None:
@@ -759,30 +757,24 @@ class SetOp(Operator):
             for operand in self.children:
                 yield from operand.chunks(outer_rows)
             return
-        current = self.children[0].run(outer_rows)
+        width = len(self.schema)
+        current = self.children[0].collect(outer_rows)
         for operation, operand in zip(self.operations, self.children[1:]):
-            other = operand.run(outer_rows)
+            other = operand.collect(outer_rows)
             if operation == "UNION ALL":
-                current = current + other
+                current = concat([current, other], width)
                 continue
             # UNION dedups both sides; INTERSECT / EXCEPT dedup the left
             # side's rows that are / are not among the right side's.
             if operation == "UNION":
-                current, other_keys = current + other, None
+                current = concat([current, other], width)
             else:
-                other_keys = {norm_tuple(row) for row in other}
-            in_other = operation == "INTERSECT"
-            seen: set[tuple] = set()
-            merged = []
-            for row in current:
-                key = norm_tuple(row)
-                if key in seen or (other_keys is not None
-                                   and (key in other_keys) != in_other):
-                    continue
-                seen.add(key)
-                merged.append(row)
-            current = merged
-        yield from _slices(current)
+                keys = set(map(norm_tuple, other.tuples()))
+                current = current.select([
+                    (key in keys) == (operation == "INTERSECT")
+                    for key in map(norm_tuple, current.tuples())])
+            current = current.select(_first_seen(set(), current))
+        yield from pieces(current)
 
 
 def _key_rows(fns: list[RowFn], rows: list[tuple],
@@ -1109,10 +1101,9 @@ class Join(Operator):
                                               anti)
             if anti:
                 mask = list(map(not_, mask))
-            kept = sum(mask)
-            if kept:
-                yield batch if kept == len(mask) \
-                    else batch.select(mask, kept)
+            batch = batch.select(mask)
+            if batch:
+                yield batch
 
     def _witnessed(self, batch: Batch, keys: Iterable, built: _Built,
                    outer_rows: Rows, anti: bool) -> tuple[Batch, list]:
@@ -1122,10 +1113,9 @@ class Join(Operator):
         found = list(map(built.index.get, keys))
         if not anti and None in found:
             hit = list(map(is_not, found, repeat(None)))
-            kept = sum(hit)
-            if not kept:
-                return batch, hit
-            batch = batch.select(hit, kept)
+            batch = batch.select(hit)
+            if not batch:
+                return batch, []
             found = list(compress(found, hit))
         check, right_rows = self.check, built.right.rows
         unique = built.unique

@@ -1,12 +1,12 @@
 """Query results: materialized sets and streaming cursors.
 
 :class:`ResultSet` is the fully-materialized container the engine has
-always returned — held as rows or as columns, whichever the run produced
-(a column result never builds a row tuple unless a consumer reads
-``rows``); :class:`Cursor` is its lazy counterpart — a DB-API
-flavoured handle (``fetchone`` / ``fetchmany`` / ``fetchall``,
-iterable, ``columns``) over a row stream that is only produced as it is
-consumed, so ``LIMIT k`` queries stop after *k* rows instead of
+always returned — a database SELECT's holds the columns its run
+collected, and builds no row tuple unless a consumer reads ``rows``;
+:class:`Cursor` is its lazy counterpart — a DB-API flavoured handle
+(``fetchone`` / ``fetchmany`` / ``fetchall``, iterable, ``columns``)
+over a row stream that is only produced as it is consumed, a batch at
+a time, so ``LIMIT k`` queries stop after *k* rows instead of
 materializing their full input.  A cursor can always be drained into a
 ``ResultSet`` (``ResultSet.from_cursor``) for backwards
 compatibility.
@@ -119,9 +119,10 @@ class ResultSet:
     """An ordered table of result rows with named columns.
 
     The values are held as rows (one tuple each) or as columns (one
-    value list each) — the form their producer had: a SELECT whose
-    batches came as columns hands them on as columns, and a shipped
-    fragment stays so into the table the mediator loads.  The other form
+    value list each) — the form their producer had: a database SELECT
+    hands on its columns (and its *length*: it may have none), and a
+    shipped fragment stays so into the table the mediator loads; a
+    cursor drained, or a ranking, hands rows.  The other form
     (``rows`` / ``cols``) is derived on first read and kept, as a
     :class:`~repro.relational.batch.Batch` keeps it — except on a result
     a cache holds (:meth:`share`), which hands a derived form out
@@ -131,13 +132,15 @@ class ResultSet:
     """
 
     def __init__(self, columns: list[str], rows: list[tuple] | None = None,
-                 plan=None, *, cols: list[list] | None = None) -> None:
+                 plan=None, *, cols: list[list] | None = None,
+                 length: int | None = None) -> None:
         self.columns = list(columns)
         if rows is None and cols is None:
             rows = []
         elif rows is not None and not isinstance(rows, list):
             rows = list(rows)
         self._len = len(rows) if rows is not None \
+            else length if length is not None \
             else len(cols[0]) if cols else 0
         self._rows = rows
         self._cols = cols
@@ -158,7 +161,8 @@ class ResultSet:
         """One tuple per row."""
         rows = self._rows
         if rows is None:
-            rows = list(zip(*self._cols))
+            rows = list(zip(*self._cols)) if self._cols \
+                else [()] * self._len
             if not self._shared:
                 self._rows = rows
         return rows
@@ -186,7 +190,8 @@ class ResultSet:
     def renamed(self, columns: list[str]) -> "ResultSet":
         """The same values under other column names, in the form they
         have (nothing is copied)."""
-        return ResultSet(columns, self._rows, cols=self._cols)
+        return ResultSet(columns, self._rows, cols=self._cols,
+                         length=self._len)
 
     def __len__(self) -> int:
         return self._len
@@ -212,8 +217,7 @@ class ResultSet:
                 f"(columns: {', '.join(self.columns)})") from None
 
     def column_values(self, name: str) -> list[Any]:
-        index = self.column_index(name)
-        return [row[index] for row in self.rows]
+        return list(self.cols[self.column_index(name)])
 
     def first(self) -> tuple | None:
         return self.rows[0] if self._len else None

@@ -19,7 +19,8 @@ found through ``slot_columns``.
 
 Writes are columnar too: ``append_rows`` transposes a batch once and
 coerces, constraint-checks, indexes and appends it a column at a time
-(``insert_row`` is the same tail over a batch of one), and
+(``append_columns`` is the same tail over columns as they come, and
+``insert_row`` over a batch of one), and
 ``table_from_columns`` — types inferred per column — is the one loader
 that makes a result a table: a result held as columns is loaded as it
 is, and a producer of rows reaches it through one transpose
@@ -247,20 +248,31 @@ class Table:
         given, count, arity_error = _transposed(
             self.name, batch,
             len(self.schema) if names is None else len(names))
+        self.append_columns(given, names, count)
+        if arity_error or error:
+            raise arity_error or error
+
+    def append_columns(self, cols: Sequence[Sequence],
+                       names: Sequence[str] | None = None,
+                       length: int | None = None) -> None:
+        """:meth:`append_rows` of the rows *cols* hold, one sequence per
+        name in *names* (*length* of them, if no column tells), with no
+        row tuple built: how ``INSERT ... SELECT`` appends its result."""
+        count = len(cols[0]) if length is None else length
         if names is not None:
             by_position = {self.schema.position_of(name): column
-                           for name, column in zip(names, given)}
-            given = [by_position.get(position)
-                     for position in range(len(self.schema))]
+                           for name, column in zip(names, cols)}
+            cols = [by_position.get(position)
+                    for position in range(len(self.schema))]
         self._append_columns(
-            given, [None if column is None else set(map(type, column))
-                    for column in given], count, arity_error or error)
+            cols, [None if column is None else set(map(type, column))
+                   for column in cols], count)
 
-    def _append_columns(self, given: list, kinds: list, count: int,
-                        error: Exception | None = None) -> None:
+    def _append_columns(self, given: list, kinds: list, count: int) -> None:
         """Store *count* rows handed over as one value sequence per
         schema column (``None``: left out) plus each sequence's type
-        set; then raise *error* — row *count*'s — if there is one."""
+        set — up to the first row that fails, whose error is raised."""
+        error: Exception | None = None
         prepared = []
         for column, values, kind in zip(self.schema.columns, given, kinds):
             if values is None:

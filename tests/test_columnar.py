@@ -341,6 +341,43 @@ def test_benchmark_sql_templates_sort_and_join_on_column_kernels(
     assert "hash-join" in plans["join3"].vectorized_ops
 
 
+@pytest.mark.parametrize("size", [7, 2048])
+@pytest.mark.parametrize("sql", [
+    # group_by, topk and filter_agg of sql_analytic, a DISTINCT, a UNION
+    "SELECT k, COUNT(*) AS n, SUM(v) AS total FROM t WHERE v > 10.0 "
+    "GROUP BY k ORDER BY k",
+    "SELECT k, id, v FROM t WHERE k = 'k3' ORDER BY v DESC, id LIMIT 10",
+    "SELECT COUNT(*) AS n, AVG(v), MAX(id) FROM t WHERE v > 5.0 AND id < 90",
+    "SELECT DISTINCT k, b FROM t WHERE id > 3",
+    "SELECT k FROM t WHERE id < 20 UNION SELECT k FROM t WHERE v > 70.0",
+])
+def test_a_plan_of_column_kernels_builds_no_row_below_the_cursor(
+        monkeypatch, generic_kernels, size, sql):
+    """A row tuple is built where a caller asks for one — the cursor's
+    page, ``ResultSet.rows`` — or where a generic kernel reads rows; a
+    plan made of column kernels derives no batch's row view."""
+    from repro.relational import batch
+    from repro.relational.batch import Batch
+
+    derived = []
+    rows = Batch.rows
+
+    def counted(self):
+        if self._rows is None:
+            derived.append(len(self))
+        return rows.fget(self)
+    monkeypatch.setattr(batch, "BATCH_SIZE", size)
+    monkeypatch.setattr(Batch, "rows", property(counted))
+    db = make_db()
+    with generic_kernels():
+        expected = db.query(sql).rows
+    assert derived, sql   # the count sees the generic kernels' rows
+    del derived[:]
+    assert db.query(sql).rows == expected
+    assert db.stream(sql).fetchall() == expected
+    assert derived == [], sql
+
+
 # -- telemetry ----------------------------------------------------------------
 
 

@@ -86,6 +86,29 @@ def test_insert_select(db):
         (10,), (20,), (30,)]
 
 
+@pytest.mark.parametrize("select, error", [
+    ("SELECT k * 10, k, 'v' FROM src", ConstraintViolation),  # PRIMARY KEY
+    ("SELECT k * 10, k, t FROM src", ConstraintViolation),    # NOT NULL
+    ("SELECT k * 10, n, 'v' FROM src", TypeMismatchError),
+])
+def test_insert_select_stores_the_rows_before_the_failing_one(db, select,
+                                                             error):
+    """The SELECT's third row fails: the two before it are stored, as
+    ``Table.append_rows`` stores them."""
+    db.execute_script("""
+        CREATE TABLE src (k INTEGER, n TEXT, t TEXT);
+        INSERT INTO src VALUES (1, '1', 'a'), (2, '2', 'b'), (3, 'x', NULL),
+                               (4, '4', 'd');
+        CREATE TABLE dst (id INTEGER PRIMARY KEY, n INTEGER NOT NULL,
+                          t TEXT NOT NULL);
+        INSERT INTO dst VALUES (30, 0, 'c');
+    """)
+    with pytest.raises(error):
+        db.execute(f"INSERT INTO dst {select}")
+    assert db.query("SELECT id FROM dst WHERE id <> 30 ORDER BY id").rows \
+        == [(10,), (20,)]
+
+
 def test_update_with_expression(db):
     db.execute("CREATE TABLE t (id INTEGER, v INTEGER)")
     db.execute("INSERT INTO t VALUES (1, 10), (2, 20)")

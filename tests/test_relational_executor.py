@@ -369,6 +369,17 @@ SHAPES = [
     "SELECT grp, tag_id, v, id FROM big "
     "ORDER BY grp DESC, tag_id, v * -1.0, id DESC",
     "SELECT grp, COUNT(*) AS n FROM big GROUP BY grp ORDER BY n DESC, grp",
+    "SELECT 1",
+    "SELECT DISTINCT 1 FROM big",
+    "SELECT 1 FROM big GROUP BY grp",
+    "SELECT 1 FROM big LIMIT 3 OFFSET 2",
+    "SELECT 1 WHERE EXISTS (SELECT 1 FROM tag)",
+    "SELECT grp FROM big WHERE id < 300 INTERSECT SELECT grp FROM big "
+    "WHERE v > 50.0",
+    "SELECT tag_id FROM big EXCEPT SELECT id FROM tag WHERE id < 4",
+    "SELECT grp FROM big WHERE id < 40 UNION SELECT name FROM tag "
+    "UNION SELECT body FROM note",
+    "SELECT id, (SELECT MAX(id) FROM tag) FROM big WHERE id < 30",
 ]
 
 

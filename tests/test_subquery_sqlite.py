@@ -257,3 +257,106 @@ def test_the_benchmark_join_shapes_agree_with_sqlite(generic_kernels, sql,
     assert db.query(sql).rows == expected, sql
     with generic_kernels():
         assert db.query(sql).rows == expected, sql
+
+
+# -- DISTINCT, set operations, GROUP BY ... HAVING, ORDER BY ... LIMIT --------
+#
+# The operators no kernel selector switches: ``generic_kernels`` leaves
+# DISTINCT, set operations and LIMIT as they are, so SQLite is their
+# reference.  Every column holds one type family (and NULLs, never NaN),
+# and a set operation's operands put the same columns side by side, so
+# no column mixes families.  Where SQL leaves the order open, rows are
+# compared as multisets; an ORDER BY names every column, so its order is
+# total, and SQLite is told where this engine puts NULLs (last ascending,
+# first descending).
+
+family_rows = st.lists(
+    st.tuples(st.one_of(st.none(), st.integers(0, 2)),
+              st.one_of(st.none(), st.integers(-1, 2)),
+              st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+              st.one_of(st.none(), st.sampled_from(["", "a", "b"])),
+              st.one_of(st.none(), st.booleans())),
+    min_size=0, max_size=12)
+
+WHERES = ["", " WHERE i IS NOT NULL", " WHERE r > 0.5", " WHERE t <> 'a'",
+          " WHERE b", " WHERE k + 0 > 0"]
+HAVINGS = ["COUNT(*) > 1", "SUM(i) IS NOT NULL", "MIN(t) <> 'a'",
+           "MAX(r) >= 1.0", "COUNT(DISTINCT t) = 1"]
+SET_OPERATIONS = ["UNION", "UNION ALL", "INTERSECT", "EXCEPT"]
+
+
+@st.composite
+def unordered_queries(draw) -> str:
+    """A DISTINCT, a 2-3 operand set-operation chain or a GROUP BY ...
+    HAVING: SQL leaves the order of their rows open."""
+    columns = ", ".join(draw(st.lists(st.sampled_from(COLUMNS), min_size=1,
+                                      max_size=3, unique=True)))
+
+    def operand() -> str:
+        return f"SELECT {columns} FROM {draw(st.sampled_from('ab'))}" \
+               f"{draw(st.sampled_from(WHERES))}"
+    shape = draw(st.sampled_from(["distinct", "set", "group"]))
+    if shape == "distinct":
+        return operand().replace("SELECT", "SELECT DISTINCT", 1)
+    if shape == "set":
+        sql = operand()
+        for _ in range(draw(st.integers(1, 2))):
+            sql += f" {draw(st.sampled_from(SET_OPERATIONS))} {operand()}"
+        return sql
+    keys = ", ".join(draw(st.lists(st.sampled_from(["k", "i", "t", "b"]),
+                                   min_size=1, max_size=2, unique=True)))
+    return f"SELECT {keys}, COUNT(*), SUM(i), MIN(t), MAX(r), AVG(r) " \
+           f"FROM a{draw(st.sampled_from(WHERES))} GROUP BY {keys} " \
+           f"HAVING {draw(st.sampled_from(HAVINGS))}"
+
+
+@st.composite
+def limited_queries(draw) -> tuple[str, str]:
+    """``ORDER BY`` every column, ``LIMIT n [OFFSET m]``: this engine's
+    text, and SQLite's with the NULL placement spelled out."""
+    order = draw(st.permutations(COLUMNS))
+    descending = draw(st.lists(st.booleans(), min_size=len(order),
+                               max_size=len(order)))
+    limit = f" LIMIT {draw(st.integers(0, 6))}"
+    if draw(st.booleans()):
+        limit += f" OFFSET {draw(st.integers(0, 5))}"
+    head = f"SELECT {', '.join(COLUMNS)} FROM a" \
+           f"{draw(st.sampled_from(WHERES))} ORDER BY "
+    ours = ", ".join(column + " DESC" * flag
+                     for column, flag in zip(order, descending))
+    theirs = ", ".join(column + (" DESC NULLS FIRST" if flag
+                                 else " NULLS LAST")
+                       for column, flag in zip(order, descending))
+    return head + ours + limit, head + theirs + limit
+
+
+def as_multiset(found: list[tuple]) -> list[str]:
+    return sorted(map(repr, as_sqlite(found)))
+
+
+@pytest.mark.parametrize("size", [1, 3, 2048])
+@given(left=family_rows, right=family_rows, sql=unordered_queries(),
+       limited=limited_queries())
+@settings(max_examples=80, deadline=None)
+def test_distinct_set_operations_grouping_and_limits_agree_with_sqlite(
+        generic_kernels, size, left, right, sql, limited):
+    from repro.relational import batch
+    db, oracle = load(left, right)
+    try:
+        expected = oracle.execute(sql).fetchall()
+        ours, theirs = limited
+        expected_limited = oracle.execute(theirs).fetchall()
+    finally:
+        oracle.close()
+    saved, batch.BATCH_SIZE = batch.BATCH_SIZE, size
+    try:
+        for engine in (db.query, db.stream):
+            assert as_multiset(list(engine(sql))) == as_multiset(expected), \
+                sql
+            assert as_sqlite(list(engine(ours))) == expected_limited, ours
+        with generic_kernels():
+            assert as_multiset(db.query(sql).rows) == as_multiset(expected), \
+                sql
+            assert as_sqlite(db.query(ours).rows) == expected_limited, ours
+    finally:
+        batch.BATCH_SIZE = saved
