@@ -7,15 +7,15 @@ Two caches sit on the repeated-query hot path:
   analysis read the text and the databank, never the KB or the user,
   so the key is the raw text alone and one cache serves every user of
   a platform session.
-* :class:`ExtractionCache` — (kind, KB store id + generation,
-  arguments, stored-query text) → SPARQL
-  :class:`~repro.core.sqm.Extraction`; one per user engine, because
-  the key is that user's context view.  Generations
-  are per-store counters (see :mod:`repro.rdf.store`), so the key pairs
-  each with the store's process-unique ``store_id``: a (store,
-  generation) pair is never reused for different data, a stale entry
-  can never be observed; it simply stops being requested and ages out
-  of the LRU order.
+* :class:`ExtractionCache` — (kind, KB store id, arguments,
+  stored-query text) → the SPARQL :class:`~repro.core.sqm.Extraction`
+  at the store's current generation; one per user engine, because the
+  key is that user's context view.  Generations are per-store counters
+  (see :mod:`repro.rdf.store`) and the store's ``store_id`` is
+  process-unique, so an entry of another generation is never served:
+  the extraction at the newer one replaces it.  An entry replaced,
+  evicted or cleared is retired — the relation its WHERE enrichments
+  registered in the databank is dropped once no run reads it.
 
 Both expose ``hits`` / ``misses`` counters which ``explain()`` and the
 E9 benchmark read.
@@ -52,13 +52,22 @@ class LRUCache:
     def put(self, key: Hashable, value: Any) -> None:
         if self.maxsize <= 0:
             return
+        old = self._entries.get(key)
         self._entries[key] = value
         self._entries.move_to_end(key)
+        if old is not None and old is not value:
+            self._discard(old)
         while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+            self._discard(self._entries.popitem(last=False)[1])
 
     def clear(self) -> None:
+        entries = list(self._entries.values())
         self._entries.clear()
+        for value in entries:
+            self._discard(value)
+
+    def _discard(self, value: Any) -> None:
+        """*value* was replaced, evicted or cleared."""
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -76,4 +85,20 @@ class PlanCache(LRUCache):
 
 
 class ExtractionCache(LRUCache):
-    """KB-generation-keyed memo for SQM extraction results."""
+    """Memo for SQM extraction results: one entry per extraction key, at
+    the generation it was extracted at."""
+
+    def get(self, key: Hashable, generation: int | None = None):
+        entry = self._entries.get(key)
+        if entry is not None and entry.generation != generation:
+            self.misses += 1
+            return None
+        return super().get(key)
+
+    def put(self, key: Hashable, value: Any) -> None:
+        if self.maxsize > 0:
+            value.keep()
+        super().put(key, value)
+
+    def _discard(self, value: Any) -> None:
+        value.retire()

@@ -4,10 +4,10 @@ A template's ``?`` placeholders are ``Param`` nodes of its syntax tree,
 and :meth:`PreparedQuery.bind` checks the values and hands them to the
 pipeline beside the template — nothing is copied and nothing is
 spliced: the databank runs the template's one operator tree with the
-values in its slots.  Only a statement the WHERE rewrite changes (a new
-temp table per run) is bound into a new syntax tree, by the engine
-(``EnrichedQuery.spliced``).  Nothing ever writes to the template, so
-it is shared freely.
+values in its slots.  A statement the WHERE rewrite changes is
+rewritten once per set of extraction relations, with its ``?`` intact,
+and its tree is kept the same way.  Nothing ever writes to the
+template, so it is shared freely.
 """
 
 from __future__ import annotations

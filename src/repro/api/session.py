@@ -14,8 +14,9 @@ Two caches sit on the hot path, each at the level of its key:
   own;
 * the **extraction cache** (KB store + generation → SPARQL results)
   lets re-executions against an unchanged knowledge base skip their
-  extractions.  The key *is* the user's context view, so there is one
-  per user engine.
+  extractions, and keeps the relation each WHERE enrichment reads in
+  the databank.  The key *is* the user's context view, so there is one
+  per user engine, created — and cleared on close — by its session.
 
 What is personal about a platform user is a binding, not a copy: her
 context view, a small engine over it, and a stored-query registry whose
@@ -135,7 +136,8 @@ class Session:
         return self._last_trace
 
     def close(self) -> None:
-        """Release cached plans; further queries raise SessionError.
+        """Release cached plans and extractions — and so the relations
+        they keep in the databank; further queries raise SessionError.
 
         Only caches this session created are cleared — a plan cache it
         was handed, or an extraction cache the wrapped engine already
@@ -157,15 +159,18 @@ class Session:
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Hit/miss counters of both caches (``plan_cache`` is the
-        platform session's, counted across its users, when shared), and
-        the databank's ``operator_trees``: trees built for prepared
-        statements, and runs that re-drove a kept one."""
+        platform session's, counted across its users, when shared), the
+        engine's ``extraction_relations`` (registered in the databank,
+        retired, and still there) and the databank's
+        ``operator_trees``: trees built for prepared statements, and
+        runs that re-drove a kept one."""
         extraction = self.engine.sqm.cache
         trees = getattr(self.databank, "tree_stats", None)
         return {
             "plan_cache": self.plan_cache.stats(),
             "extraction_cache": (extraction.stats()
                                  if extraction is not None else {}),
+            "extraction_relations": dict(self.engine.relation_counts),
             "operator_trees": trees() if trees is not None else {},
         }
 
@@ -453,8 +458,6 @@ class PlatformSession:
             stored_queries=platform._registry_for(username),
             include_original=bool(self.options.include_original),
             join_strategy=self.options.join_strategy or "tempdb",
-            extraction_cache=ExtractionCache(
-                self.options.extraction_cache_size),
         )
         return Session(
             engine, self.options,
@@ -564,9 +567,7 @@ def connect(source, options: QueryOptions | None = None,
             source, knowledge_base=knowledge_base, mapping=mapping,
             stored_queries=stored_queries,
             include_original=bool(resolved.include_original),
-            join_strategy=resolved.join_strategy or "tempdb",
-            extraction_cache=ExtractionCache(
-                resolved.extraction_cache_size))
+            join_strategy=resolved.join_strategy or "tempdb")
         session = Session(engine, resolved)
         if telemetry is not None:
             session.attach_telemetry(telemetry)

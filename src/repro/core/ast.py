@@ -131,19 +131,6 @@ class EnrichedQuery:
             return self.sql_text
         return render_query(self.query, bound_to(self.values))
 
-    def spliced(self) -> "EnrichedQuery":
-        """A new statement with each ``?`` replaced by its bound value as
-        a literal, in the query and in the tagged conditions — what the
-        WHERE rewrite splices conditions from."""
-        values = self.values
-        return EnrichedQuery(
-            self.sql_text, sql_ast.clone_query(self.query, values),
-            self.enrichments,
-            {cond_id: TaggedCondition(cond_id, condition.text,
-                                      sql_ast.clone_expr(condition.expr,
-                                                         values))
-             for cond_id, condition in self.conditions.items()})
-
     def where_enrichments(self) -> list[Enrichment]:
         return [e for e in self.enrichments if e.affects == "where"]
 

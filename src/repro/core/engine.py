@@ -6,9 +6,10 @@
    the SQL part and the enrichment specification;
 2. the **SQM** builds one SPARQL extraction per enrichment and runs it
    on the (per-user) knowledge base;
-3. WHERE enrichments rewrite the tagged conditions over temp tables
-   injected next to the databank tables, and the (rewritten) SQL query
-   executes on the databank;
+3. WHERE enrichments rewrite the tagged conditions over their
+   extractions' relations — read-only temp tables next to the databank
+   tables, registered once per extraction — and the (rewritten) SQL
+   query executes on the databank;
 4. the **JoinManager** combines the base result with each SELECT
    enrichment through the temporary support database, issuing the final
    SQL query that yields the enriched result.
@@ -16,11 +17,12 @@
 That stage sequence is written **once**, in ``SESQLEngine._run``.  A
 run resolves the per-call defaults, keeps one statement memo and
 appends a record per stage as it happens (name, SPARQL or SQL texts,
-cached/deduped, seconds); it alone cleans up the rewriter's temp tables
-and an open databank cursor.  It reads the statement and never writes
-it: a bound template reaches the databank as (template, values), whose
-tree keeps them in slots; only the WHERE rewrite builds a new query
-(values spliced in first), so a cached template runs as it is.  SQL
+cached/deduped, seconds); it alone returns the relations it leased and
+closes an open databank cursor.  It reads the statement and never
+writes it: a bound template reaches the databank as (statement,
+values), whose tree keeps them in slots.  The WHERE rewrite builds a
+new statement with the ``?`` intact, once per template and set of
+relations, so a rewritten template is re-driven like any other.  SQL
 texts are rendered when read, not per run.  The public entry points are
 three *drains* of that run, differing only in what they plug into its
 databank and combine steps:
@@ -56,6 +58,7 @@ from .mapping import ResourceMapping
 from .sqm import Extraction, SemanticQueryModule
 from .sqp import SemanticQueryParser
 from .stored_queries import StoredQueryRegistry
+from .tempdb import Relation
 
 #: Shared no-op context for disabled-telemetry span sites.
 _NOOP = nullcontext()
@@ -121,7 +124,8 @@ class _Stage:
     queries: list[str] = field(default_factory=list)
     seconds: float = 0.0
     #: extract: served by the statement memo or the extraction cache,
-    #: i.e. no SPARQL query reached the KB for it.
+    #: i.e. no SPARQL query reached the KB for it; rewrite: the
+    #: statement rewritten over the same relations was recalled.
     cached: bool = False
     cache_hits: int = 0       # extraction-cache lookups of this stage
     cache_misses: int = 0
@@ -141,19 +145,21 @@ class _PipelineRun:
     #: What was put to the databank: a query and its ``?`` values.
     executed: sql_ast.SelectQuery | None = None
     values: tuple | None = None
-    rewriter: WhereRewriter | None = None
+    #: The extraction relations the rewritten query reads.
+    leases: list[Relation] = field(default_factory=list)
     base: object = None               # ResultSet | Cursor | databank plan
     outcome: object = None            # what the drain's combine returned
     seconds: float = 0.0
 
     def release(self) -> None:
         """Close an open databank cursor (it holds the read lock, and
-        reads the extraction temp tables), then drop those.  Idempotent."""
-        rewriter, self.rewriter = self.rewriter, None
+        reads the extraction relations), then return their leases — a
+        retired one is dropped with its last.  Idempotent."""
+        leases, self.leases = self.leases, []
         if isinstance(self.base, Cursor):
             self.base.close()
-        if rewriter is not None:
-            rewriter.cleanup()
+        for relation in leases:
+            relation.release()
 
     def queries(self, name: str) -> list[str]:
         """Every text the stages called *name* ran, in order."""
@@ -191,6 +197,9 @@ class SESQLEngine:
         self.sqp = SemanticQueryParser()
         self.sqm = SemanticQueryModule(self.mapping, self.stored_queries,
                                        cache=extraction_cache)
+        #: Extraction relations this engine registered in its databank,
+        #: retired, and still holds there.
+        self.relation_counts = {"registered": 0, "retired": 0, "live": 0}
         #: Telemetry hook (duck-typed): attached by the session layer /
         #: platform, cascaded to the SQM and the databank.
         self.telemetry = None
@@ -287,19 +296,15 @@ class SESQLEngine:
 
     def apply_where_rewrites(self, enriched: EnrichedQuery,
                              plan: list[tuple[Enrichment, Extraction]],
-                             rewriter: WhereRewriter
-                             ) -> sql_ast.SelectQuery:
-        """The query with its tagged conditions rewritten over temp
-        tables that *rewriter* materializes (and its owner, the run,
-        drops); *enriched* itself is not changed."""
-        query = enriched.query
-        for enrichment, extraction in plan:
-            apply = (rewriter.apply_replace_constant
-                     if isinstance(enrichment, ReplaceConstant)
-                     else rewriter.apply_replace_variable)
-            query = apply(query, enrichment,
-                          enriched.conditions[enrichment.cond], extraction)
-        return query
+                             include: bool, run: _PipelineRun
+                             ) -> tuple[sql_ast.SelectQuery, bool]:
+        """The query with its tagged conditions rewritten over the
+        relations of their extractions, which *run* leases (and
+        returns when released), and whether the rewrite was recalled;
+        *enriched* itself is not changed."""
+        rewriter = WhereRewriter(self.databank, self.mapping,
+                                 self.relation_counts)
+        return rewriter.rewrite(enriched, plan, include, run.leases)
 
     # -- stage 4: combine ----------------------------------------------------------
 
@@ -349,21 +354,15 @@ class SESQLEngine:
                 where_plan = [
                     (enrichment, self.extraction_for(enrichment, kb, run))
                     for enrichment in enriched.where_enrichments()]
-                stage = time.perf_counter()
-                run.rewriter = WhereRewriter(self.databank, self.mapping,
-                                             include)
                 run.values = enriched.values
+                run.executed = enriched.query
                 if where_plan:
-                    # A new temp table per run, so a new query per run,
-                    # run ad hoc: the values are spliced in first.
-                    if run.values:
-                        enriched = enriched.spliced()
-                    run.values = None
-                run.executed = self.apply_where_rewrites(
-                    enriched, where_plan, run.rewriter)
-                if where_plan:
+                    stage = time.perf_counter()
+                    run.executed, cached = self.apply_where_rewrites(
+                        enriched, where_plan, include, run)
                     run.stages.append(_Stage(
-                        "rewrite", seconds=time.perf_counter() - stage))
+                        "rewrite", seconds=time.perf_counter() - stage,
+                        cached=cached))
             with (tel.span("sesql.sql") if tel is not None else _NOOP):
                 stage = time.perf_counter()
                 run.base = databank(run.executed, run.values)
@@ -371,7 +370,7 @@ class SESQLEngine:
                     "sql", seconds=time.perf_counter() - stage))
             if not isinstance(run.base, Cursor):
                 # A materialized result or a plan is done with the
-                # extraction temp tables; a live cursor still reads them.
+                # extraction relations; a live cursor still reads them.
                 run.release()
             with (tel.span("sesql.combine", strategy=run.strategy)
                   if tel is not None else _NOOP):
@@ -485,8 +484,8 @@ class SESQLEngine:
         Extraction and the WHERE rewrite still run eagerly — they are
         planning work and must precede the databank query — but the
         databank result is pulled through a cursor and each SELECT
-        enrichment is folded in per *page_size* rows.  The enrichment
-        temp tables live until the returned cursor is exhausted or
+        enrichment is folded in per *page_size* rows.  The cursor holds
+        its leases on the extraction relations until it is exhausted or
         closed; observers (``on_result`` context feeding) are not
         invoked for streamed executions.
         """
@@ -541,9 +540,10 @@ class SESQLEngine:
         execution and no combine; returns the run, whose ``stages`` are
         the records an execution of the same statement would leave and
         whose ``base`` is the databank's plan (``None`` for a databank
-        that cannot explain).  Planned while the extraction temp tables
-        still exist, so enrichment-injected predicates are estimated
-        like any others; ``analyze=True`` also runs the databank stage.
+        that cannot explain).  Planned while the run leases the
+        extraction relations, so enrichment-injected predicates are
+        estimated like any others; ``analyze=True`` also runs the
+        databank stage.
         """
         explain = getattr(self.databank, "explain", None)
         return self._run(

@@ -2,13 +2,15 @@
 
 These two strategies change which rows the relational query returns, so
 they are applied *before* the databank query runs: the tagged condition
-is rewritten into a correlated predicate over a temporary table holding
-the SPARQL extraction (semantics decision #3 in DESIGN.md — existential
-over the replacement set), and the rewritten query executes once with
-the temp tables injected into the databank, mirroring how PostgreSQL
-temp tables share the session of the original query.  A rewrite
-returns a new query; the one it was given, which may be a cached
-template, is left as it was.
+is rewritten into a correlated predicate over the extraction's relation
+— a read-only temp table registered in the databank once per extraction
+(:mod:`repro.core.tempdb`; semantics decision #3 in DESIGN.md —
+existential over the replacement set) — mirroring how PostgreSQL temp
+tables share the session of the original query.  A rewrite returns a
+new query with the template's ``?`` intact; the one it was given, which
+may be a cached template, is left as it was.  The template rewritten
+over the same relations is the same statement, so it is rewritten once
+and kept with them: the databank plans it once and re-drives its tree.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from typing import Callable
 from ..relational import ast as sql_ast
 from ..relational.engine import Database
 from ..relational.parser import parse_expr
-from .ast import ReplaceConstant, ReplaceVariable, TaggedCondition
+from .ast import (EnrichedQuery, Enrichment, ReplaceConstant,
+                  ReplaceVariable, TaggedCondition)
 from .errors import EnrichmentError
 from .mapping import ResourceMapping
 from .sqm import Extraction
-from .tempdb import materialize
+from .tempdb import Relation, memoise, recall
 
 ExprTransform = Callable[[sql_ast.Expr], sql_ast.Expr | None]
 
@@ -86,40 +89,62 @@ def _exists_over(temp_table: str, alias: str,
 
 
 class WhereRewriter:
-    """Applies WHERE enrichments, each returning the rewritten query."""
+    """Rewrites a statement's tagged conditions over the relations of
+    their extractions (:class:`~repro.core.tempdb.Relation`), leasing
+    each for the run."""
 
     def __init__(self, databank: Database, mapping: ResourceMapping,
-                 include_original: bool = False) -> None:
+                 counts: dict[str, int]) -> None:
         self.databank = databank
         self.mapping = mapping
-        self.include_original = include_original
-        self.temp_tables: list[str] = []
+        #: The engine's relation counters (registered / retired / live).
+        self.counts = counts
 
-    def cleanup(self) -> None:
-        for name in self.temp_tables:
-            # Lock-free drop: the table is private to this call (other
-            # sessions' queries never reference its unique name).
-            self.databank.drop_temp_table(name)
-        self.temp_tables.clear()
+    def rewrite(self, enriched: EnrichedQuery,
+                plan: list[tuple[Enrichment, Extraction]], include: bool,
+                leases: list[Relation]
+                ) -> tuple[sql_ast.SelectQuery, bool]:
+        """*enriched*'s query with each tagged condition of *plan*
+        rewritten over its extraction's relation — leased into
+        *leases*, which the run returns — and whether it was recalled:
+        a template rewritten over the same relations is the same
+        statement, built once."""
+        relations = []
+        for enrichment, extraction in plan:
+            if isinstance(enrichment, ReplaceConstant):
+                kind = "vals"
+                extra = (enrichment.constant,) if include else ()
+            else:
+                kind, extra = "pairs", ()
+            relation = extraction.sql(self.mapping).lease(
+                self.databank, kind, extra, self.counts)
+            leases.append(relation)
+            relations.append(relation)
+        key = (include,) + tuple(relation.name for relation in relations)
+        template = enriched.query
+        rewritten = recall(template, relations, key)
+        if rewritten is not None:
+            return rewritten, True
+        rewritten = template
+        for (enrichment, _extraction), relation in zip(plan, relations):
+            condition = enriched.conditions[enrichment.cond]
+            if isinstance(enrichment, ReplaceConstant):
+                rewritten = self.apply_replace_constant(
+                    rewritten, enrichment, condition, relation.name)
+            else:
+                rewritten = self.apply_replace_variable(
+                    rewritten, enrichment, condition, relation.name,
+                    include)
+        return memoise(template, relations, key, rewritten), False
 
     # -- strategies ---------------------------------------------------------
 
     def apply_replace_constant(self, query: sql_ast.SelectQuery,
                                enrichment: ReplaceConstant,
                                condition: TaggedCondition,
-                               extraction: Extraction
-                               ) -> sql_ast.SelectQuery:
-        values = [self.mapping.to_sql_value(term)
-                  for term in extraction.values]
-        if self.include_original:
-            values.append(enrichment.constant)
-        table = materialize(self.databank, "vals", ["value"],
-                            [(value,) for value in values])
-        self.temp_tables.append(table.name)
-
-        cond_expr = condition.expr
+                               table: str) -> sql_ast.SelectQuery:
         replacement = self._rewrite_constant_condition(
-            cond_expr, enrichment.constant, table.name)
+            condition.expr, enrichment.constant, table)
         return self._splice(query, condition, replacement, enrichment)
 
     def _rewrite_constant_condition(self, cond_expr: sql_ast.Expr,
@@ -157,15 +182,8 @@ class WhereRewriter:
 
     def apply_replace_variable(self, query: sql_ast.SelectQuery,
                                enrichment: ReplaceVariable,
-                               condition: TaggedCondition,
-                               extraction: Extraction
-                               ) -> sql_ast.SelectQuery:
-        pairs = [(self.mapping.to_sql_value(s), self.mapping.to_sql_value(o))
-                 for s, o in extraction.pairs]
-        table = materialize(self.databank, "pairs", ["subject", "object"],
-                            pairs)
-        self.temp_tables.append(table.name)
-
+                               condition: TaggedCondition, table: str,
+                               include: bool) -> sql_ast.SelectQuery:
         try:
             attr_expr = parse_expr(enrichment.attr)
         except Exception as exc:
@@ -199,9 +217,8 @@ class WhereRewriter:
             "AND",
             sql_ast.BinaryOp("=", sql_ast.ColumnRef("c0", alias), attr_expr),
             inner)
-        replacement: sql_ast.Expr = _exists_over(table.name, alias,
-                                                 correlated)
-        if self.include_original:
+        replacement: sql_ast.Expr = _exists_over(table, alias, correlated)
+        if include:
             replacement = sql_ast.BinaryOp("OR", replacement,
                                            condition.expr)
         return self._splice(query, condition, replacement, enrichment)

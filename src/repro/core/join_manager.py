@@ -90,25 +90,23 @@ def output_columns(base_columns: list[str], attr_index: int,
 
 
 class PreparedPairCombine:
-    """SCHEMAEXTENSION / SCHEMAREPLACEMENT combine state, built once.
+    """SCHEMAEXTENSION / SCHEMAREPLACEMENT combine state.
 
-    The extraction-side hash buckets are computed at construction and
-    ``combine(page)`` applies them to any number of base pages — the
-    streaming pipeline folds an enrichment into every page of a cursor
-    without rebuilding the mapping table per page.  Row semantics (and
-    match order) are identical to the tempdb final-SQL LEFT JOIN.
+    The extraction-side hash buckets are built once per extraction
+    (:attr:`SqlExtraction.buckets <repro.core.tempdb.SqlExtraction.
+    buckets>`) and ``combine(page)`` applies them to any number of base
+    pages — the streaming pipeline folds an enrichment into every page
+    of a cursor without rebuilding the mapping table per page.  Row
+    semantics (and match order) are identical to the tempdb final-SQL
+    LEFT JOIN.
     """
 
     def __init__(self, attr: str, new_column: str, replace: bool,
-                 pairs: list[tuple]) -> None:
+                 buckets: dict[object, list[object]]) -> None:
         self.attr = attr
         self.new_column = new_column
         self.replace = replace
-        self.buckets: dict[object, list[object]] = {}
-        for subject, obj in pairs:
-            if subject is None:
-                continue
-            self.buckets.setdefault(_normalize(subject), []).append(obj)
+        self.buckets = buckets
 
     def combine(self, base: ResultSet) -> ResultSet:
         attr_index = find_attr_index(base.columns, self.attr)
@@ -129,15 +127,15 @@ class PreparedPairCombine:
 
 
 class PreparedFlagCombine:
-    """BOOLSCHEMAEXTENSION / -REPLACEMENT combine state, built once."""
+    """BOOLSCHEMAEXTENSION / -REPLACEMENT combine state: the
+    extraction's key set, built once per extraction."""
 
     def __init__(self, attr: str, new_column: str, replace: bool,
-                 subjects: set) -> None:
+                 keys: set) -> None:
         self.attr = attr
         self.new_column = new_column
         self.replace = replace
-        self.keys = {_normalize(subject) for subject in subjects
-                     if subject is not None}
+        self.keys = keys
 
     def combine(self, base: ResultSet) -> ResultSet:
         attr_index = find_attr_index(base.columns, self.attr)
@@ -165,16 +163,6 @@ class JoinManager:
         self.mapping = mapping
         self.strategy = strategy
 
-    # -- extraction conversion (the single source of truth) ------------------
-
-    def _pair_values(self, extraction: Extraction) -> list[tuple]:
-        return [(self.mapping.to_sql_value(s), self.mapping.to_sql_value(o))
-                for s, o in extraction.pairs]
-
-    def _subject_values(self, extraction: Extraction) -> set:
-        return {self.mapping.to_sql_value(term)
-                for term in extraction.subjects}
-
     @staticmethod
     def _new_column_for(enrichment: Enrichment) -> str:
         if isinstance(enrichment, (BoolSchemaExtension,
@@ -186,24 +174,21 @@ class JoinManager:
     # -- public API ----------------------------------------------------------
 
     def prepare(self, enrichment: Enrichment, extraction: Extraction):
-        """The extraction-side combine state, computed once.
-
-        Returns a prepared combiner whose ``combine(page)`` folds the
-        enrichment into any number of base pages — the streaming
-        pipeline prepares each enrichment once per cursor instead of
-        rebuilding the mapping structures page after page.
-        """
+        """A prepared combiner whose ``combine(page)`` folds the
+        enrichment into any number of base pages, over the extraction's
+        SQL side — converted and hashed once per extraction, so a
+        cursor over a cached extraction builds nothing."""
         if isinstance(enrichment, (SchemaExtension, SchemaReplacement)):
             return PreparedPairCombine(
                 enrichment.attr, self._new_column_for(enrichment),
                 isinstance(enrichment, SchemaReplacement),
-                self._pair_values(extraction))
+                extraction.sql(self.mapping).buckets)
         if isinstance(enrichment, (BoolSchemaExtension,
                                    BoolSchemaReplacement)):
             return PreparedFlagCombine(
                 enrichment.attr, self._new_column_for(enrichment),
                 isinstance(enrichment, BoolSchemaReplacement),
-                self._subject_values(extraction))
+                extraction.sql(self.mapping).keys)
         raise EnrichmentError(
             f"{enrichment.kind} is not a SELECT-clause enrichment")
 
@@ -212,16 +197,16 @@ class JoinManager:
         if self.strategy == "direct":
             prepared = self.prepare(enrichment, extraction)
             return CombineOutcome(prepared.combine(base), None)
+        side = extraction.sql(self.mapping)
         if isinstance(enrichment, (SchemaExtension, SchemaReplacement)):
-            pairs = self._pair_values(extraction)
+            pairs = side.pairs
             return self._tempdb_join(
                 base, enrichment, isinstance(enrichment, SchemaReplacement),
                 lambda tempdb: tempdb.store_pairs(pairs),
                 sql_ast.ColumnRef("c1", "m"))
         if isinstance(enrichment, (BoolSchemaExtension,
                                    BoolSchemaReplacement)):
-            subjects = sorted((subject for subject
-                               in self._subject_values(extraction)
+            subjects = sorted((subject for subject in side.subjects
                                if subject is not None), key=str)
             return self._tempdb_join(
                 base, enrichment,

@@ -6,11 +6,11 @@ Property arguments are resolved against the stored-query registry first
 (Example 4.5's ``dangerQuery``); otherwise the module synthesises the
 plain property-extraction pattern ``SELECT ?s ?o WHERE { ?s <prop> ?o }``.
 
-An optional extraction *cache* (any mapping-like object with ``get``/
-``put``, e.g. :class:`repro.api.ExtractionCache`) memoizes extraction
-results keyed on the knowledge base's mutation ``generation``, so a
-prepared query re-executed against an unchanged KB skips re-running its
-SPARQL entirely.  Within one statement the engine additionally dedupes
+An optional extraction *cache* (:class:`repro.api.ExtractionCache`)
+memoizes extraction results: one entry per extraction at the knowledge
+base's current mutation ``generation``, so a prepared query re-executed
+against an unchanged KB skips re-running its SPARQL entirely, and an
+entry a newer generation replaces is retired with its SQL side.  Within one statement the engine additionally dedupes
 identical logical extractions across tagged conditions and stages (see
 :meth:`repro.core.SESQLEngine.extraction_for`);
 :meth:`SemanticQueryModule.sparql_execution_count` counts the queries
@@ -20,6 +20,7 @@ that actually reached the KB.
 from __future__ import annotations
 
 import re
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -30,6 +31,7 @@ from ..sparql.parser import parse_sparql
 from .errors import StoredQueryError
 from .mapping import ResourceMapping
 from .stored_queries import StoredQueryRegistry
+from .tempdb import SqlExtraction
 
 
 @dataclass
@@ -40,6 +42,37 @@ class Extraction:
     pairs: list[tuple[Term, Term]] = field(default_factory=list)
     values: list[Term] = field(default_factory=list)
     subjects: set[Term] = field(default_factory=set)
+    #: The KB generation it was extracted at (``None``: not memoized).
+    generation: int | None = field(default=None, compare=False)
+    #: Whether an extraction cache holds it (:meth:`keep`, :meth:`retire`).
+    kept: bool = field(default=False, init=False, compare=False, repr=False)
+    _sql: SqlExtraction | None = field(default=None, init=False,
+                                       compare=False, repr=False)
+
+    def sql(self, mapping: ResourceMapping) -> SqlExtraction:
+        """Its SQL side, converted with *mapping* on first use."""
+        side = self._sql
+        if side is None:
+            with _SQL_LOCK:
+                if self._sql is None:
+                    self._sql = SqlExtraction(self, mapping, self.kept)
+                side = self._sql
+        return side
+
+    def keep(self) -> None:
+        self.kept = True
+
+    def retire(self) -> None:
+        """No cache holds it any more: nor does the databank hold its
+        relations once the runs reading them are done."""
+        with _SQL_LOCK:
+            self.kept = False
+            side = self._sql
+        if side is not None:
+            side.retire()
+
+
+_SQL_LOCK = threading.Lock()
 
 
 class SemanticQueryModule:
@@ -92,17 +125,18 @@ class SemanticQueryModule:
         if self.cache is None or generation is None:
             return compute()
         stored = self.stored_queries.get(args[0])
-        # Generations are per-store counters, so the key pairs them
-        # with the store's process-unique identity: two stores both at
+        # Generations are per-store counters, so the key names the
+        # store by its process-unique identity: two stores both at
         # generation 3 (e.g. two users' context views) must not collide.
-        key = (kind, getattr(kb, "store_id", id(kb)), generation, args,
+        key = (kind, getattr(kb, "store_id", id(kb)), args,
                stored.text if stored is not None else None)
-        extraction = self.cache.get(key)
+        extraction = self.cache.get(key, generation)
         tel = self.telemetry
         if extraction is None:
             if tel is not None:
                 self._tm_cache_miss.inc()
             extraction = compute()
+            extraction.generation = generation
             self.cache.put(key, extraction)
         elif tel is not None:
             self._tm_cache_hit.inc()

@@ -50,12 +50,21 @@ class Slots:
     the value of ``Param(i)`` for the run in progress (``None`` until a
     run binds them).  One per tree, shared by every closure and kernel
     compiled into it; a run binds them before it starts (a tree runs one
-    statement at a time)."""
+    statement at a time).
 
-    __slots__ = ("values",)
+    ``pinned`` are the slot kernels the tree was laid out for as if
+    their values chose a kernel (a WHERE conjunct ahead of a semi join):
+    the tree runs only values that :meth:`admits`."""
+
+    __slots__ = ("values", "pinned")
 
     def __init__(self) -> None:
         self.values: tuple | None = None
+        self.pinned: list = []
+
+    def admits(self, values: tuple) -> bool:
+        """Does each pinned slot kernel choose a kernel under *values*?"""
+        return all(kernel.admits(values) for kernel in self.pinned)
 
 
 class CompileContext:

@@ -402,11 +402,13 @@ class Database:
         unless a result holds the kept one: the runs of one template
         overlap only where results are kept, and then each needs a tree
         of its own anyway.  A template whose shape depends on its values
-        is bound and built per run."""
+        is bound and built per run, and so is a run whose values the
+        tree was not laid out for (``Slots.admits``)."""
         if params is None:
             return self._build(query), None
         params = tuple(params)
         settings = self._settings()
+        declined = False
         with self._trees_lock:
             key = id(query)
             template = self._templates.get(key)
@@ -420,11 +422,14 @@ class Database:
                     f"got {len(params)}")
             kept = template.tree
             if kept is not None and kept.free():
-                if kept.valid(self.catalog, settings):
+                if not kept.valid(self.catalog, settings):
+                    template.tree = None
+                elif kept.root.slots.admits(params):
                     self._trees_reused += 1
                     return kept.start(params), kept
-                template.tree = None
-        if not template.bind_first:
+                else:
+                    declined = True
+        if not (template.bind_first or declined):
             try:
                 built = self._build(query)
             except BindFirst:
@@ -435,7 +440,8 @@ class Database:
                     self._trees_built += 1
                     if template.tree is None:
                         template.tree = tree
-                    return tree.start(params), tree
+                    if built.slots.admits(params):
+                        return tree.start(params), tree
         return self._build(ast.clone_query(query, params)), None
 
     def _run_select(self, query: ast.SelectQuery,
@@ -571,18 +577,21 @@ class Database:
         stmt = parse_sql(target) if isinstance(target, str) else target
         if not isinstance(stmt, ast.SelectQuery):
             raise ExecutionError("explain() requires a SELECT statement")
+        values = tuple(params) if params is not None else None
         with self.rwlock.read_locked():
             try:
                 planned = plan_select(stmt, self.catalog, self.stats,
                                       self.planner)
+                if values is not None \
+                        and not planned.root.slots.admits(values):
+                    raise BindFirst("not laid out for these values")
             except BindFirst:
-                planned = plan_select(ast.clone_query(stmt, params),
+                planned = plan_select(ast.clone_query(stmt, values),
                                       self.catalog, self.stats,
                                       self.planner)
-            if params is not None:
+            if values is not None:
                 root = planned.root
-                planned.root = root.again(tuple(params),
-                                          list(root.walk()))
+                planned.root = root.again(values, list(root.walk()))
             if analyze:
                 planned.root.collect()
         return planned
@@ -766,12 +775,14 @@ class Database:
         """:meth:`store_table` for a caller-private temp table, published
         *without* the write lock (and without moving the generation).
 
-        Used by the SESQL WHERE rewrite (and tempdb combine): the name
-        is unique per call and no other session ever references it, so
-        this is a namespace operation, not a data mutation — taking the
-        write lock here would serialize enriched *reads* behind every
-        open cursor (and deadlock a session that already holds the read
-        side).  Single dict insert: atomic under the GIL.
+        Used for an extraction's relation (registered once, read by the
+        statements rewritten over it until it is dropped) and by the
+        tempdb combine: the name is unique and nothing else ever
+        references it, so this is a namespace operation, not a data
+        mutation — taking the write lock here would serialize enriched
+        *reads* behind every open cursor (and deadlock a session that
+        already holds the read side).  Single dict insert: atomic under
+        the GIL.
         """
         table = table_from_columns(name, result.columns, result.cols)
         self.catalog.register_table(table)

@@ -15,7 +15,10 @@ decided here — a conjunct over a slot picks its mask kernel per run (a
 :class:`~repro.relational.vectors.SlotKernel`), and a constant is read
 from its slot — except where the statement's very shape would depend on
 them (an ORDER BY / GROUP BY term, which a value may turn into a
-position); building such a template raises :class:`BindFirst`.
+position); building such a template raises :class:`BindFirst`.  A slot
+conjunct beside a semi join is laid out ahead of it, where its
+literal's kernel would run, and the tree is re-driven only for values
+under which it does (``Slots.admits``).
 
 There is one builder.  The planner rewrites its private AST copy, leaves
 its physical decisions on the nodes as :class:`~repro.relational.ast.
@@ -560,9 +563,18 @@ def _build_where(op: Operator, where: ast.Expr,
     if not any(stack):
         return build_filter(op, "WHERE", where, scopes, ctx, est_rows)
     kernels = [_mask_kernel(part, scopes, ctx.slots) for part in parts]
-    if any(isinstance(kernel, vectors.SlotKernel) for kernel in kernels):
-        # Whether it runs before the joins is the bound value's choice.
-        raise BindFirst("a slot conjunct beside a semi-join")
+
+    def filter_over(op: Operator, pending: list[ast.Expr]) -> Filter:
+        # A slot conjunct runs ahead of the joins, where its literal's
+        # kernel would: the tree is re-driven only for values that
+        # choose one (Slots.admits), any other run is bound and built.
+        built = build_filter(op, "WHERE", ast.conjoin(pending), scopes, ctx,
+                             est_rows)
+        ctx.slots.pinned.extend(
+            kernel for kernel, _fn in built.conjuncts
+            if isinstance(kernel, vectors.SlotKernel))
+        return built
+
     # The planner estimates the whole filter first, the joins over it.
     pending: list[ast.Expr] = []
     for index in sorted(range(len(parts)),
@@ -571,14 +583,12 @@ def _build_where(op: Operator, where: ast.Expr,
             pending.append(parts[index])
             continue
         if pending:
-            op = build_filter(op, "WHERE", ast.conjoin(pending), scopes, ctx,
-                              est_rows)
+            op = filter_over(op, pending)
             pending = []
         op = stack[index](op)
         est_rows = op.est_rows
     if pending:
-        op = build_filter(op, "WHERE", ast.conjoin(pending), scopes, ctx,
-                          est_rows)
+        op = filter_over(op, pending)
     return op
 
 

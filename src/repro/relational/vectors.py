@@ -693,12 +693,17 @@ class SlotKernel:
         self._values = self._kernel = None
 
     def choose(self) -> Kernel | None:
-        values = self.slots.values
+        self.admits(self.slots.values)
+        return self._kernel
+
+    def admits(self, values) -> bool:
+        """Do *values* choose a kernel?  (The choice is kept for the run
+        that binds them.)"""
         if values is not self._values:
             self._kernel = compile_filter_kernel(self.expr, self.resolve,
                                                  values)
             self._values = values
-        return self._kernel
+        return self._kernel is not None
 
     def fallback(self) -> tuple[str, str]:
         """``(expression, reason)`` of this run's generic evaluation."""

@@ -419,11 +419,30 @@ def test_temp_tables_are_never_journaled_or_snapshotted(tmp_path):
     assert "__sesql_scratch_1" not in names
     db.drop_temp_table("__sesql_scratch_1")
     assert db.durability_journal.seq == seq_before
+    # An extraction's relation stays registered across runs: it is
+    # published, kept and dropped outside durable history too.
+    session = repro.connect(db, knowledge_base=parse_turtle("""
+        @prefix smg: <http://smartground.eu/ns#> .
+        smg:Mercury smg:dangerLevel "high" ."""))
+    enriched = ("SELECT landfill_name FROM elem_contained "
+                "WHERE ${elem_name = 'high' : c1} "
+                "ENRICH REPLACEVARIABLE(c1, elem_name, dangerLevel)")
+    assert session.query(enriched).rows == [("a",)]
+    [relation] = [name for name in db.table_names()
+                  if name.startswith("__sesql_")]
+    path = manager.snapshot()
+    payload = load_snapshot_file(path)
+    assert relation not in [
+        t["name"] for t in payload["components"]["db:main"]["tables"]]
+    session.close()
+    assert relation not in db.table_names()
+    assert db.durability_journal.seq == seq_before
     manager.close()
 
     manager2, db2, _ = fresh_manager(directory)
     manager2.recover()
-    assert "__sesql_scratch_1" not in db2.table_names()
+    assert not [name for name in db2.table_names()
+                if name.startswith("__sesql_")]
     manager2.close()
 
 

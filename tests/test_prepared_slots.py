@@ -145,6 +145,59 @@ def test_a_run_of_the_kept_tree_equals_its_values_inlined(matrix, text, data):
             >= 4 * len(runs) - 1 - (after["built"] - before["built"])
 
 
+#: A slot conjunct beside a semi / anti join, written before and after
+#: it: the kept tree runs the conjunct ahead of the join, where its
+#: literal's kernel would, and is re-driven only for values that choose
+#: one; a run whose values choose none is bound and built for itself.
+BESIDE_A_SEMI_JOIN = [
+    f"SELECT i, s FROM t WHERE {first} AND {second} ORDER BY i"
+    for slot in ("r > ?", "s = ?", "i BETWEEN ? AND ?")
+    for subquery in ("i IN (SELECT x FROM u WHERE y <> 'zz')",
+                     "i IN (SELECT x FROM u WHERE y = 'zz')",
+                     "EXISTS (SELECT 1 FROM u WHERE u.x = t.i)",
+                     "NOT EXISTS (SELECT 1 FROM u WHERE u.x = t.i "
+                     "AND u.y = 'a')")
+    for first, second in ((slot, subquery), (subquery, slot))]
+
+#: Values that choose no kernel for some slot above: NULL, a string
+#: against the REAL column, an int against the TEXT one.
+DECLINING = [(None, None), ("a", "b"), (3, 4), ("ab", 2.5)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("text", BESIDE_A_SEMI_JOIN)
+def test_a_slot_beside_a_semi_join_equals_its_values_inlined(matrix, text,
+                                                             data):
+    db, session = matrix
+    prepared = session.prepare(text)
+    width = prepared.parameter_count
+    drawn = data.draw(st.lists(st.tuples(*[VALUES] * width),
+                               min_size=2, max_size=4))
+    runs = [values[:width] for values in DECLINING] + drawn
+    before = db.tree_stats()
+    for values in runs + runs[::-1]:
+        expected = outcome(lambda: db.query(inline(text, values)))
+        assert outcome(lambda: prepared.execute(values).result) \
+            == expected, values
+        assert outcome(lambda: ResultSet.from_cursor(
+            prepared.stream(values))) == expected, values
+    assert db.tree_stats()["built"] - before["built"] <= 1
+
+
+def test_a_slot_beside_a_semi_join_keeps_its_tree(counted):
+    db, session, calls = counted
+    text = ("SELECT i FROM t WHERE i IN (SELECT x FROM u) AND r > ? "
+            "ORDER BY i")
+    prepared = session.prepare(text)
+    for values in ([1.0], [5.0], ["a"], [None], [0.5], [2]):
+        assert outcome(lambda: prepared.execute(values).result) \
+            == outcome(lambda: db.query(inline(text, values))), values
+    # "a" declines the kernel: bound and built for its run alone.
+    assert db.tree_stats() == {"built": 1, "reused": 4}
+    assert "semi-join" in prepared.execute([1.0]).db_plan.format()
+
+
 # -- every sql_analytic template against sqlite3 --------------------------------
 
 

@@ -14,6 +14,7 @@ import repro
 from repro.api import CursorTokenError, Page, decode_token, encode_token
 from repro.api.cursor import (paginate_cursor, paginate_sequence,
                               request_signature)
+from repro.core.tempdb import live_relations
 from repro.rdf import parse_turtle
 from repro.relational import Cursor, Database, ExecutionError, ResultSet
 
@@ -209,13 +210,15 @@ def test_stream_where_enrichment_cleans_temp_tables(elems_db):
              "WHERE ${elem_name = Hazard:c1} "
              "ENRICH REPLACECONSTANT(c1, Hazard, dangerLevel)")
     cursor = session.stream(sesql)
-    assert any(name.startswith("__sesql")
-               for name in elems_db.table_names())
+    [relation] = live_relations(elems_db)
+    assert relation.leases == 1           # the open cursor reads it
     cursor.close()                        # closed before any fetch
-    assert not any(name.startswith("__sesql")
-                   for name in elems_db.table_names())
+    assert relation.leases == 0
     cursor = session.stream(sesql)
     cursor.fetchall()                     # drained to exhaustion
+    assert live_relations(elems_db) == [relation]
+    assert relation.leases == 0
+    session.close()                       # the session keeps it till here
     assert not any(name.startswith("__sesql")
                    for name in elems_db.table_names())
 

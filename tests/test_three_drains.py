@@ -21,6 +21,7 @@ import pytest
 
 import repro
 from repro.core import EnrichmentError, StoredQueryRegistry
+from repro.core.tempdb import live_relations
 from repro.federation import Mediator
 from repro.smartground import (DANGER_QUERY_SPARQL, SQL_BASELINES,
                                SmartGroundConfig, WORKLOAD,
@@ -92,8 +93,15 @@ def unnumbered(sql: str) -> str:
 
 
 def assert_nothing_left_behind(databank) -> None:
-    assert [name for name in databank.table_names()
-            if name.startswith("__sesql_")] == []
+    """No drain holds a lease or the read lock: what is left is one
+    relation per live extraction of an open session (none once its
+    session is closed), each the table of a kept, unretired one."""
+    live = live_relations(databank)
+    assert sorted(name for name in databank.table_names()
+                  if name.startswith("__sesql_")) \
+        == sorted(relation.name for relation in live)
+    assert [(relation.leases, relation.retired) for relation in live] \
+        == [(0, False)] * len(live)
     assert_writer_can_acquire(databank)
 
 
