@@ -61,7 +61,7 @@ def kb_20k():
 
 def _prepared(databank_150, kb_20k, telemetry=None):
     session = repro.connect(
-        bench_engine(databank_150, kb_20k, join_strategy="direct"),
+        bench_engine(databank_150, kb_20k),
         telemetry=telemetry)
     prepared = session.prepare(SESQL)
     prepared.execute()          # warm plan + extraction caches

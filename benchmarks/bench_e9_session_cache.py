@@ -14,8 +14,8 @@ share of the per-call cost):
 
 Expected shape: prepared < engine ≈ cold, with the gap growing with KB
 size and enrichment count, since parse + extraction are exactly the
-per-call costs the session API amortises.  The ``direct`` join strategy
-is used so the (identical) combine step does not drown the signal.
+per-call costs the session API amortises; the combine step is the same
+prepared hash probe on all three.
 """
 
 from __future__ import annotations
@@ -44,20 +44,20 @@ def kb_20k():
 
 @pytest.fixture(scope="module")
 def engine_e9(databank_150, kb_20k):
-    return bench_engine(databank_150, kb_20k, join_strategy="direct")
+    return bench_engine(databank_150, kb_20k)
 
 
 @pytest.fixture(scope="module")
 def session_e9(databank_150, kb_20k):
     return repro.connect(
-        bench_engine(databank_150, kb_20k, join_strategy="direct"))
+        bench_engine(databank_150, kb_20k))
 
 
 def test_e9_cold_engine_per_call(benchmark, databank_150, kb_20k):
     # The KB is shared (as the platform's statement store would be) so
     # the measured cost is engine construction + parse + extractions.
     result = benchmark(lambda: bench_engine(
-        databank_150, kb_20k, join_strategy="direct").execute(SESQL))
+        databank_150, kb_20k).execute(SESQL))
     assert result.columns
 
 

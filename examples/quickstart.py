@@ -7,6 +7,7 @@ paper's Example 4.1 — extending a relational result with the user's own
 Run:  python examples/quickstart.py
 """
 
+import repro
 from repro.core import SESQLEngine
 from repro.rdf import parse_turtle
 from repro.relational import Database
@@ -35,18 +36,20 @@ def main() -> None:
 
     # 3. A SESQL query: SQL + ENRICH (paper Example 4.1).
     engine = SESQLEngine(databank, knowledge)
-    outcome = engine.execute("""
+    query = """
         SELECT elem_name, landfill_name
         FROM elem_contained
         WHERE landfill_name = 'a'
         ENRICH
         SCHEMAEXTENSION( elem_name, dangerLevel)
-    """)
+    """
+    outcome = engine.execute(query)
 
     print("Enriched result:")
     print(outcome.result.format_table())
     print("\nSPARQL the SQM generated: ", outcome.sparql_queries[0])
-    print("Final SQL the JoinManager issued:", outcome.final_sqls[0])
+    plan = repro.connect(engine).explain(query)
+    print("JoinManager stage:", plan.stages[-1].format())
 
 
 if __name__ == "__main__":

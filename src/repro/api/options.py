@@ -12,16 +12,14 @@ from ..analysis.diagnostics import AnalysisOptions
 class QueryOptions:
     """Session-wide defaults; ``execute`` accepts per-call overrides.
 
-    ``include_original`` and ``join_strategy`` default to ``None`` =
-    *defer to the engine* — important when a session wraps an engine
-    that was already configured (e.g. ``repro.connect(engine)``).
+    ``include_original`` defaults to ``None`` = *defer to the engine* —
+    important when a session wraps an engine that was already
+    configured (e.g. ``repro.connect(engine)``).
     """
 
     #: Keep the original constant/condition alongside the enrichment
     #: (the "include original" semantics toggle of DESIGN.md).
     include_original: bool | None = None
-    #: JoinManager strategy: "tempdb" (paper-faithful) or "direct".
-    join_strategy: str | None = None
     #: Entries in the SESQL-text → parsed-template LRU (0 disables).
     plan_cache_size: int = 128
     #: Entries in the SPARQL-extraction memo LRU (0 disables).

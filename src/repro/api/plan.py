@@ -68,7 +68,6 @@ class QueryPlan:
     statement: str            # the SESQL text as given (placeholders intact)
     base_sql: str             # cleaned SQL part
     rewritten_sql: str        # SQL after the WHERE-enrichment rewrite
-    join_strategy: str
     stages: list[PlanStage] = field(default_factory=list)
     sparql_queries: list[str] = field(default_factory=list)
     cache_hits: int = 0       # extractions recalled from the memo

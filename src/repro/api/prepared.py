@@ -98,23 +98,22 @@ class PreparedQuery:
 
     # -- execution ----------------------------------------------------------
 
-    def execute(self, params=None, *, include_original=None,
-                join_strategy=None):
+    def execute(self, params=None, *, include_original=None):
         """Run the query; skips re-parsing and re-runs only stale SPARQL."""
-        return self._session._execute_prepared(
-            self, params, include_original, join_strategy)
+        return self._session._execute_prepared(self, params,
+                                               include_original)
 
     def execute_many(self, param_rows) -> list:
         """Execute once per parameter row, reusing the parsed template."""
         return [self.execute(row) for row in param_rows]
 
     def stream(self, params=None, *, include_original=None,
-               join_strategy=None, page_size: int = 256):
+               page_size: int = 256):
         """Run lazily: a :class:`~repro.relational.Cursor` whose rows
         are produced as fetched, with SELECT enrichments combined one
         page at a time (see :meth:`repro.api.Session.stream`)."""
         return self._session._stream_prepared(
-            self, params, include_original, join_strategy, page_size)
+            self, params, include_original, page_size)
 
     def explain(self, params=None, *, analyze: bool = False):
         """The :class:`~repro.api.QueryPlan`; by default nothing is

@@ -226,12 +226,10 @@ class Session:
             return None
 
     def execute(self, text: str, params=None,
-                include_original: bool | None = None,
-                join_strategy: str | None = None) -> SESQLResult:
+                include_original: bool | None = None) -> SESQLResult:
         """Run one SESQL query (goes through the plan cache)."""
         return self.prepare(text).execute(
-            params, include_original=include_original,
-            join_strategy=join_strategy)
+            params, include_original=include_original)
 
     def query(self, text: str, params=None) -> ResultSet:
         """Execute and return just the enriched result rows."""
@@ -239,7 +237,6 @@ class Session:
 
     def stream(self, text: str, params=None, *,
                include_original: bool | None = None,
-               join_strategy: str | None = None,
                page_size: int = 256):
         """Run one SESQL query lazily, returning a streaming
         :class:`~repro.relational.Cursor`.
@@ -252,7 +249,7 @@ class Session:
         """
         return self.prepare(text).stream(
             params, include_original=include_original,
-            join_strategy=join_strategy, page_size=page_size)
+            page_size=page_size)
 
     def execute_many(self, text: str, param_rows) -> list[SESQLResult]:
         """Execute the statement once per parameter row (single parse)."""
@@ -269,17 +266,13 @@ class Session:
     # -- prepared-query internals ------------------------------------------------
 
     def _drain(self, drain, enriched: EnrichedQuery,
-               include_original: bool | None = None,
-               join_strategy: str | None = None, **extra):
+               include_original: bool | None = None, **extra):
         """Call one of the engine's three drains of the pipeline run on
         a bound statement.  Per-call > session options > engine
         defaults (None = defer)."""
         if include_original is None:
             include_original = self.options.include_original
-        return drain(enriched, include_original=include_original,
-                     join_strategy=(join_strategy
-                                    or self.options.join_strategy),
-                     **extra)
+        return drain(enriched, include_original=include_original, **extra)
 
     @contextmanager
     def _root_span(self, name: str, backend: str, prepared: PreparedQuery):
@@ -314,13 +307,12 @@ class Session:
                          user=self._telemetry_user, rows=rows)
 
     def _execute_prepared(self, prepared: PreparedQuery, params,
-                          include_original=None,
-                          join_strategy=None) -> SESQLResult:
+                          include_original=None) -> SESQLResult:
         self._check_open()
         enriched = prepared.bind(params)
         with self._root_span("sesql.query", "sesql", prepared) as root:
             outcome = self._drain(self.engine.execute_parsed, enriched,
-                                  include_original, join_strategy)
+                                  include_original)
             # Observer runs inside the root span: a context-feed's
             # journaled writes (and any snapshot they trigger) are
             # attributed to the query that caused them.
@@ -332,8 +324,7 @@ class Session:
         return outcome
 
     def _stream_prepared(self, prepared: PreparedQuery, params,
-                         include_original=None, join_strategy=None,
-                         page_size: int = 256):
+                         include_original=None, page_size: int = 256):
         self._check_open()
         enriched = prepared.bind(params)
         # Streamed executions bypass the on_result observer: the result
@@ -341,8 +332,7 @@ class Session:
         with self._root_span("sesql.stream", "sesql-stream",
                              prepared) as root:
             inner = self._drain(self.engine.stream_parsed, enriched,
-                                include_original, join_strategy,
-                                page_size=page_size)
+                                include_original, page_size=page_size)
         if root is None:
             return inner
         return self._traced_cursor(root, prepared.text, inner)
@@ -395,7 +385,6 @@ class Session:
             statement=prepared.text,
             base_sql=base_sql,
             rewritten_sql=run.executed_sql,
-            join_strategy=run.strategy,
             stages=stages,
             sparql_queries=run.queries("extract"),
             cache_hits=run.total("cache_hits"),
@@ -457,7 +446,6 @@ class PlatformSession:
             mapping=platform.mapping,
             stored_queries=platform._registry_for(username),
             include_original=bool(self.options.include_original),
-            join_strategy=self.options.join_strategy or "tempdb",
         )
         return Session(
             engine, self.options,
@@ -537,7 +525,7 @@ def connect(source, options: QueryOptions | None = None,
     ``session.telemetry``.  For a CroSSE platform, pass telemetry to
     the :class:`~repro.crosse.CrossePlatform` constructor instead.
 
-    Keyword overrides (``join_strategy="direct"``, ...) build a
+    Keyword overrides (``include_original=True``, ...) build a
     :class:`QueryOptions` on the fly.
     """
     if option_overrides:
@@ -566,8 +554,7 @@ def connect(source, options: QueryOptions | None = None,
         engine = SESQLEngine(
             source, knowledge_base=knowledge_base, mapping=mapping,
             stored_queries=stored_queries,
-            include_original=bool(resolved.include_original),
-            join_strategy=resolved.join_strategy or "tempdb")
+            include_original=bool(resolved.include_original))
         session = Session(engine, resolved)
         if telemetry is not None:
             session.attach_telemetry(telemetry)

@@ -2,7 +2,7 @@
 
 The Semantically Enriched SQL language (Section IV of the paper) and its
 processing architecture (Fig. 6): condition-tag scanner, SQP, SQM,
-JoinManager, temporary support database and the engine facade.
+JoinManager, the extraction relations and the engine facade.
 """
 
 from .ast import (BoolSchemaExtension, BoolSchemaReplacement, EnrichedQuery,
@@ -18,12 +18,11 @@ from .parser import parse_enrichments, split_sesql
 from .sqm import Extraction, SemanticQueryModule
 from .sqp import SemanticQueryParser, parse_sesql
 from .stored_queries import StoredQuery, StoredQueryRegistry
-from .tempdb import TemporarySupportDatabase
 
 __all__ = [
     "SESQLEngine", "SESQLResult", "SemanticQueryParser", "parse_sesql",
     "SemanticQueryModule", "Extraction", "JoinManager",
-    "TemporarySupportDatabase", "ResourceMapping", "AttributeMapping",
+    "ResourceMapping", "AttributeMapping",
     "StoredQueryRegistry", "StoredQuery",
     "EnrichedQuery", "Enrichment", "TaggedCondition",
     "SchemaExtension", "SchemaReplacement", "BoolSchemaExtension",

@@ -10,9 +10,10 @@
    extractions' relations — read-only temp tables next to the databank
    tables, registered once per extraction — and the (rewritten) SQL
    query executes on the databank;
-4. the **JoinManager** combines the base result with each SELECT
-   enrichment through the temporary support database, issuing the final
-   SQL query that yields the enriched result.
+4. the **JoinManager** folds each SELECT enrichment into the base
+   result through a prepared combiner — the paper's final LEFT JOIN as
+   a hash probe over the extraction's SQL side, built once per
+   extraction — which yields the enriched result.
 
 That stage sequence is written **once**, in ``SESQLEngine._run``.  A
 run resolves the per-call defaults, keeps one statement memo and
@@ -28,10 +29,10 @@ three *drains* of that run, differing only in what they plug into its
 databank and combine steps:
 
 * ``execute_parsed`` — ``databank.execute_ast`` + ``combine_enrichments``
-  under the configured strategy; the ``SESQLResult`` is read off the
-  records;
-* ``stream_parsed`` — ``databank.stream_ast`` + page-wise prepared
-  combiners, behind a ``Cursor`` that releases the run when it closes;
+  over the whole result; the ``SESQLResult`` is read off the records;
+* ``stream_parsed`` — ``databank.stream_ast`` + the same prepared
+  combiners page by page, behind a ``Cursor`` that releases the run
+  when it closes;
 * ``explain_parsed`` — ``databank.explain`` and no combine; the session
   layer (:mod:`repro.api`) renders the same records as plan stages.
 """
@@ -77,7 +78,6 @@ class SESQLResult:
     executed: sql_ast.SelectQuery
     executed_values: tuple | None = None
     sparql_queries: list[str] = field(default_factory=list)
-    final_sqls: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
     cache_hits: int = 0           # memoized SPARQL extractions reused
     cache_misses: int = 0
@@ -137,7 +137,6 @@ class _PipelineRun:
     what the stages produced, and the resources a pass can leave open."""
 
     enriched: EnrichedQuery           # the statement run, as given
-    strategy: str
     stages: list[_Stage] = field(default_factory=list)
     #: Statement-level dedupe across the WHERE and SELECT stages:
     #: identical logical extractions execute once.
@@ -183,7 +182,6 @@ class SESQLEngine:
                  mapping: ResourceMapping | None = None,
                  stored_queries: StoredQueryRegistry | None = None,
                  include_original: bool = False,
-                 join_strategy: str = "tempdb",
                  extraction_cache=None) -> None:
         self.databank = databank
         # Explicit None check: an *empty* TripleStore is falsy but must be
@@ -193,7 +191,6 @@ class SESQLEngine:
         self.mapping = mapping or ResourceMapping()
         self.stored_queries = stored_queries or StoredQueryRegistry()
         self.include_original = include_original
-        self.join_strategy = join_strategy
         self.sqp = SemanticQueryParser()
         self.sqm = SemanticQueryModule(self.mapping, self.stored_queries,
                                        cache=extraction_cache)
@@ -308,32 +305,37 @@ class SESQLEngine:
 
     # -- stage 4: combine ----------------------------------------------------------
 
+    def _combiners(self, plan: list[tuple[Enrichment, Extraction]]) -> list:
+        """The prepared combiner of each SELECT enrichment, in order."""
+        join_manager = JoinManager(self.mapping)
+        return [join_manager.prepare(enrichment, extraction)
+                for enrichment, extraction in plan]
+
+    @staticmethod
+    def _fold(combiners: list, result: ResultSet) -> ResultSet:
+        """*result* with every combiner applied, in order."""
+        for combiner in combiners:
+            result = combiner.combine(result)
+        return result
+
     def combine_enrichments(self, base: ResultSet,
-                            plan: list[tuple[Enrichment, Extraction]],
-                            join_strategy: str,
-                            final_sqls: list[str]) -> ResultSet:
+                            plan: list[tuple[Enrichment, Extraction]]
+                            ) -> ResultSet:
         """JoinManager pass: fold each SELECT enrichment into the result."""
-        join_manager = JoinManager(self.mapping, join_strategy)
-        current = base
-        for enrichment, extraction in plan:
-            outcome = join_manager.combine(current, enrichment, extraction)
-            current = outcome.result
-            if outcome.final_sql is not None:
-                final_sqls.append(outcome.final_sql)
-        return current
+        return self._fold(self._combiners(plan), base)
 
     # -- the pipeline, written once ------------------------------------------------
 
     def _run(self, enriched: EnrichedQuery,
              knowledge_base: TripleStore | None,
-             include_original: bool | None, join_strategy: str | None,
+             include_original: bool | None,
              databank, combine) -> _PipelineRun:
         """The Fig. 6 stage sequence; the callers are its drains.
 
         *databank* maps the (rewritten) query AST and its ``?`` values
         to the base outcome (a ``ResultSet``, a ``Cursor`` or a plan);
-        *combine* maps ``(run, select_plan, final_sqls)`` to the drain's
-        outcome.  *enriched* is only read, and must come with a value
+        *combine* maps ``(run, select_plan)`` to the drain's outcome.
+        *enriched* is only read, and must come with a value
         for every ``?``.  On any error the run is released before the
         error propagates.
         """
@@ -345,7 +347,7 @@ class SESQLEngine:
             else self.knowledge_base
         include = (self.include_original if include_original is None
                    else include_original)
-        run = _PipelineRun(enriched, join_strategy or self.join_strategy)
+        run = _PipelineRun(enriched)
         tel = self.telemetry
         started = time.perf_counter()
         try:
@@ -372,19 +374,17 @@ class SESQLEngine:
                 # A materialized result or a plan is done with the
                 # extraction relations; a live cursor still reads them.
                 run.release()
-            with (tel.span("sesql.combine", strategy=run.strategy)
-                  if tel is not None else _NOOP):
+            with (tel.span("sesql.combine") if tel is not None else _NOOP):
                 select_plan = [
                     (enrichment, self.extraction_for(enrichment, kb, run))
                     for enrichment in enriched.select_enrichments()]
                 stage = time.perf_counter()
-                final_sqls: list[str] = []
-                run.outcome = combine(run, select_plan, final_sqls)
+                run.outcome = combine(run, select_plan)
                 if select_plan:
                     run.stages.append(_Stage(
-                        "combine", f"{len(select_plan)} SELECT "
-                        f"enrichment(s) [{run.strategy} strategy]",
-                        final_sqls, time.perf_counter() - stage))
+                        "combine",
+                        f"{len(select_plan)} SELECT enrichment(s)",
+                        seconds=time.perf_counter() - stage))
         except BaseException:
             run.release()
             raise
@@ -395,34 +395,29 @@ class SESQLEngine:
 
     def execute(self, text: str,
                 knowledge_base: TripleStore | None = None,
-                include_original: bool | None = None,
-                join_strategy: str | None = None) -> SESQLResult:
+                include_original: bool | None = None) -> SESQLResult:
         """Run a SESQL query; per-call arguments override engine defaults."""
         started = time.perf_counter()
         enriched = self.sqp.parse(text)
         parse_time = time.perf_counter() - started
         return self.execute_parsed(
             enriched, knowledge_base=knowledge_base,
-            include_original=include_original, join_strategy=join_strategy,
-            parse_time=parse_time)
+            include_original=include_original, parse_time=parse_time)
 
     def execute_parsed(self, enriched: EnrichedQuery,
                        knowledge_base: TripleStore | None = None,
                        include_original: bool | None = None,
-                       join_strategy: str | None = None,
                        parse_time: float = 0.0) -> SESQLResult:
         """Run the pipeline on an already-parsed (or bound) query and
         materialize: the databank executes the rewritten SQL and the
-        JoinManager folds the SELECT enrichments in under the
-        configured strategy."""
-        def combine(run, select_plan, final_sqls):
+        JoinManager folds the SELECT enrichments into its result."""
+        def combine(run, select_plan):
             if not isinstance(run.base, ResultSet):  # pragma: no cover
                 raise EnrichmentError("the SQL part did not produce rows")
-            return self.combine_enrichments(run.base, select_plan,
-                                            run.strategy, final_sqls)
+            return self.combine_enrichments(run.base, select_plan)
 
         run = self._run(enriched, knowledge_base, include_original,
-                        join_strategy, self.databank.execute_ast, combine)
+                        self.databank.execute_ast, combine)
         sql_at = [stage.name for stage in run.stages].index("sql")
         timings = {
             "parse": parse_time,
@@ -440,7 +435,6 @@ class SESQLEngine:
             executed=run.executed,
             executed_values=run.values,
             sparql_queries=run.queries("extract"),
-            final_sqls=run.queries("combine"),
             timings=timings,
             cache_hits=run.total("cache_hits"),
             cache_misses=run.total("cache_misses"),
@@ -459,7 +453,6 @@ class SESQLEngine:
     def stream(self, text: str,
                knowledge_base: TripleStore | None = None,
                include_original: bool | None = None,
-               join_strategy: str | None = None,
                page_size: int = 256) -> Cursor:
         """Run a SESQL query lazily, returning a :class:`Cursor`.
 
@@ -471,13 +464,11 @@ class SESQLEngine:
         enriched = self.sqp.parse(text)
         return self.stream_parsed(
             enriched, knowledge_base=knowledge_base,
-            include_original=include_original, join_strategy=join_strategy,
-            page_size=page_size)
+            include_original=include_original, page_size=page_size)
 
     def stream_parsed(self, enriched: EnrichedQuery,
                       knowledge_base: TripleStore | None = None,
                       include_original: bool | None = None,
-                      join_strategy: str | None = None,
                       page_size: int = 256) -> Cursor:
         """Streaming counterpart of :meth:`execute_parsed`.
 
@@ -493,23 +484,17 @@ class SESQLEngine:
             raise EnrichmentError(
                 f"page_size must be positive, got {page_size}")
 
-        def prepare(run, select_plan, _final_sqls):
-            # Extraction-side combine structures are built ONCE per
-            # cursor and applied page after page (hash-probe semantics
-            # identical to the tempdb final-SQL LEFT JOIN, whatever the
-            # configured strategy).
-            join_manager = JoinManager(self.mapping, run.strategy)
-            combiners = [join_manager.prepare(enrichment, extraction)
-                         for enrichment, extraction in select_plan]
-            # Combining an empty page derives the enriched column list
-            # (and validates the enrichment attributes) up front.
+        def prepare(run, select_plan):
+            # The combiners are prepared once per cursor and applied
+            # page after page.  Combining an empty page derives the
+            # enriched column list (and validates the enrichment
+            # attributes) up front.
+            combiners = self._combiners(select_plan)
             probe = ResultSet(list(run.base.columns), [])
-            for combiner in combiners:
-                probe = combiner.combine(probe)
-            return combiners, probe.columns
+            return combiners, self._fold(combiners, probe).columns
 
         run = self._run(enriched, knowledge_base, include_original,
-                        join_strategy, self.databank.stream_ast, prepare)
+                        self.databank.stream_ast, prepare)
         base_cursor = run.base
         base_columns = list(base_cursor.columns)
         combiners, out_columns = run.outcome
@@ -520,10 +505,8 @@ class SESQLEngine:
                     page = base_cursor.fetchmany(page_size)
                     if not page:
                         break
-                    current = ResultSet(base_columns, page)
-                    for combiner in combiners:
-                        current = combiner.combine(current)
-                    yield from current.rows
+                    yield from self._fold(
+                        combiners, ResultSet(base_columns, page)).rows
             finally:
                 run.release()
 
@@ -534,7 +517,6 @@ class SESQLEngine:
     def explain_parsed(self, enriched: EnrichedQuery,
                        knowledge_base: TripleStore | None = None,
                        include_original: bool | None = None,
-                       join_strategy: str | None = None,
                        analyze: bool = False) -> _PipelineRun:
         """Run the pipeline with ``databank.explain`` in place of
         execution and no combine; returns the run, whose ``stages`` are
@@ -547,8 +529,8 @@ class SESQLEngine:
         """
         explain = getattr(self.databank, "explain", None)
         return self._run(
-            enriched, knowledge_base, include_original, join_strategy,
+            enriched, knowledge_base, include_original,
             lambda query, values: (
                 explain(query, analyze=analyze, params=values)
                 if explain is not None else None),
-            lambda run, select_plan, final_sqls: None)
+            lambda run, select_plan: None)

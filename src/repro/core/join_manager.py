@@ -1,43 +1,29 @@
 """The JoinManager of Fig. 6: combines relational and ontological partials.
 
 For the four SELECT-affecting enrichments, the base SQL result and the
-SPARQL extraction are combined into the enriched result.  Two strategies
-are provided:
+SPARQL extraction are combined into the enriched result — the paper's
+final LEFT JOIN, run as a hash probe over the extraction's SQL side
+(:class:`~repro.core.tempdb.SqlExtraction`), whose buckets and key set
+are built once per extraction.  :meth:`JoinManager.prepare` returns the
+prepared combiner; every drain folds its SELECT enrichments through it,
+the whole result at once or a cursor's pages one after another.
 
-* ``tempdb`` (paper-faithful): both partials are materialised as
-  temporary tables in the temporary support database and a *final SQL
-  query* — LEFT JOIN shaped — produces the result.  The generated SQL is
-  returned for observability.
-* ``direct`` (ablation, used by benchmark E6): a Python-side hash join
-  that skips materialisation.
-
-Both strategies implement the same semantics: one output row per
-(input row, matching object) pair, with NULL/false padding when the
-knowledge base has nothing to say (so enrichment never drops rows).
+The semantics are the final SQL's: one output row per (input row,
+matching object) pair, in extraction order, with NULL/false padding
+when the knowledge base has nothing to say (so enrichment never drops
+rows).  ``tests/test_properties.py`` checks them against stdlib
+``sqlite3`` running that SQL.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..relational import ast as sql_ast
 from ..relational.indexes import _normalize
-from ..relational.render import render_query
 from ..relational.result import ResultSet
 from .ast import (BoolSchemaExtension, BoolSchemaReplacement, Enrichment,
                   SchemaExtension, SchemaReplacement)
 from .errors import EnrichmentError
 from .mapping import ResourceMapping
 from .sqm import Extraction
-from .tempdb import TemporarySupportDatabase
-
-STRATEGIES = ("tempdb", "direct")
-
-
-@dataclass
-class CombineOutcome:
-    result: ResultSet
-    final_sql: str | None  # None for the direct strategy
 
 
 def clean_name(raw: str) -> str:
@@ -97,8 +83,7 @@ class PreparedPairCombine:
     buckets>`) and ``combine(page)`` applies them to any number of base
     pages — the streaming pipeline folds an enrichment into every page
     of a cursor without rebuilding the mapping table per page.  Row
-    semantics (and match order) are identical to the tempdb final-SQL
-    LEFT JOIN.
+    semantics (and match order) are the final SQL's LEFT JOIN.
     """
 
     def __init__(self, attr: str, new_column: str, replace: bool,
@@ -156,12 +141,8 @@ class PreparedFlagCombine:
 class JoinManager:
     """Combines base results with extractions per enrichment clause."""
 
-    def __init__(self, mapping: ResourceMapping,
-                 strategy: str = "tempdb") -> None:
-        if strategy not in STRATEGIES:
-            raise EnrichmentError(f"unknown join strategy {strategy!r}")
+    def __init__(self, mapping: ResourceMapping) -> None:
         self.mapping = mapping
-        self.strategy = strategy
 
     @staticmethod
     def _new_column_for(enrichment: Enrichment) -> str:
@@ -193,67 +174,6 @@ class JoinManager:
             f"{enrichment.kind} is not a SELECT-clause enrichment")
 
     def combine(self, base: ResultSet, enrichment: Enrichment,
-                extraction: Extraction) -> CombineOutcome:
-        if self.strategy == "direct":
-            prepared = self.prepare(enrichment, extraction)
-            return CombineOutcome(prepared.combine(base), None)
-        side = extraction.sql(self.mapping)
-        if isinstance(enrichment, (SchemaExtension, SchemaReplacement)):
-            pairs = side.pairs
-            return self._tempdb_join(
-                base, enrichment, isinstance(enrichment, SchemaReplacement),
-                lambda tempdb: tempdb.store_pairs(pairs),
-                sql_ast.ColumnRef("c1", "m"))
-        if isinstance(enrichment, (BoolSchemaExtension,
-                                   BoolSchemaReplacement)):
-            subjects = sorted((subject for subject in side.subjects
-                               if subject is not None), key=str)
-            return self._tempdb_join(
-                base, enrichment,
-                isinstance(enrichment, BoolSchemaReplacement),
-                lambda tempdb: tempdb.store_values(subjects, hint="flags"),
-                sql_ast.IsNull(sql_ast.ColumnRef("c0", "m"), negated=True))
-        raise EnrichmentError(
-            f"{enrichment.kind} is not a SELECT-clause enrichment")
-
-    # -- tempdb strategy (paper-faithful final SQL) ------------------------------
-
-    def _tempdb_join(self, base: ResultSet, enrichment: Enrichment,
-                     replace: bool, store_map,
-                     value: sql_ast.Expr) -> CombineOutcome:
-        """Both partials as temp tables and the final SQL over them:
-        the base ``b`` LEFT JOINed to the extraction's map table ``m``
-        (stored by *store_map*) on the enrichment attribute, with
-        *value* — an expression over ``m`` — replacing or extending
-        that attribute's column."""
-        attr_index = find_attr_index(base.columns, enrichment.attr)
-        tempdb = TemporarySupportDatabase()
-        try:
-            t_base = tempdb.store_result(base.columns, base)
-            t_map = store_map(tempdb)
-            columns = output_columns(base.columns, attr_index,
-                                     self._new_column_for(enrichment),
-                                     replace)
-            items = [sql_ast.SelectItem(
-                value if replace and index == attr_index
-                else sql_ast.ColumnRef(internal, "b"),
-                alias=columns[index])
-                for index, internal in enumerate(t_base.internal_columns)]
-            if not replace:
-                items.append(sql_ast.SelectItem(value, alias=columns[-1]))
-            join = sql_ast.Join(
-                "LEFT",
-                sql_ast.TableRef(t_base.name, "b"),
-                sql_ast.TableRef(t_map.name, "m"),
-                sql_ast.BinaryOp(
-                    "=",
-                    sql_ast.ColumnRef(
-                        t_base.internal_columns[attr_index], "b"),
-                    sql_ast.ColumnRef("c0", "m")))
-            query = sql_ast.SelectQuery(
-                core=sql_ast.SelectCore(items=items, from_clause=join))
-            final_sql = render_query(query)
-            result = tempdb.db.execute_ast(query)
-            return CombineOutcome(result.renamed(columns), final_sql)
-        finally:
-            tempdb.cleanup()
+                extraction: Extraction) -> ResultSet:
+        """*base* with one enrichment folded in."""
+        return self.prepare(enrichment, extraction).combine(base)

@@ -177,8 +177,7 @@ class CrossePlatform:
         return self.connect().as_user(username)
 
     def run_sesql(self, username: str, sesql: str,
-                  include_original: bool = False,
-                  join_strategy: str = "tempdb") -> SESQLResult:
+                  include_original: bool = False) -> SESQLResult:
         """Run a SESQL query in the user's personal context.
 
         Delegates to the cached per-user session of the shared default
@@ -186,8 +185,7 @@ class CrossePlatform:
         caches; context feeding is unchanged.
         """
         return self.session_for(username).execute(
-            sesql, include_original=include_original,
-            join_strategy=join_strategy)
+            sesql, include_original=include_original)
 
     def _feed_context(self, username: str, outcome: SESQLResult) -> None:
         concepts = []

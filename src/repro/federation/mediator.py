@@ -780,7 +780,7 @@ class MediatorSession:
             "sql", "scratch database executes the global query", [sql]))
         plan = QueryPlan(
             statement=sql, base_sql=sql, rewritten_sql=sql,
-            join_strategy="mediation", stages=stages,
+            stages=stages,
             cache_hits=len(ship.cached), cache_misses=len(ship.jobs))
         if statement is not None:
             try:

@@ -255,7 +255,6 @@ class CrosseRestService:
             "columns": outcome.columns,
             "rows": [list(row) for row in outcome.rows],
             "sparql_queries": outcome.sparql_queries,
-            "final_sqls": outcome.final_sqls,
         }
 
     def _peer_recommendations(self, params: dict, _body: dict) -> dict:

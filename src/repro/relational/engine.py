@@ -776,10 +776,10 @@ class Database:
         *without* the write lock (and without moving the generation).
 
         Used for an extraction's relation (registered once, read by the
-        statements rewritten over it until it is dropped) and by the
-        tempdb combine: the name is unique and nothing else ever
-        references it, so this is a namespace operation, not a data
-        mutation — taking the write lock here would serialize enriched
+        statements rewritten over it until it is dropped): the name is
+        unique and nothing else ever references it, so this is a
+        namespace operation, not a data mutation — taking the write
+        lock here would serialize enriched
         *reads* behind every open cursor (and deadlock a session that
         already holds the read side).  Single dict insert: atomic under
         the GIL.

@@ -1,9 +1,8 @@
 """Render AST nodes back to SQL text.
 
-The SESQL engine builds the *final query* of the Fig. 6 pipeline as an
-AST and renders it with this module, so the enriched query that runs on
-the temporary support database is observable as plain SQL (useful in
-logs, tests and the EXPERIMENTS harness).
+The SESQL engine rewrites a statement's tagged conditions as an AST and
+renders it with this module, so the query that runs on the databank is
+observable as plain SQL (useful in logs, tests and ``explain()``).
 
 A ``?`` placeholder renders as written unless the caller says how
 (*param*): :func:`bound_to` shows the values an execution bound — the

@@ -31,14 +31,12 @@ def scaled_databank(target_elem_rows: int, seed: int = 17) -> Database:
     return generate_databank(config)
 
 
-def bench_engine(db: Database, kb: TripleStore | None = None,
-                 join_strategy: str = "tempdb") -> SESQLEngine:
+def bench_engine(db: Database, kb: TripleStore | None = None) -> SESQLEngine:
     """An engine wired like the platform wires it (dangerQuery included)."""
     registry = StoredQueryRegistry()
     registry.register("dangerQuery", DANGER_QUERY_SPARQL)
     return SESQLEngine(db, kb if kb is not None else researcher_kb(),
-                       stored_queries=registry,
-                       join_strategy=join_strategy)
+                       stored_queries=registry)
 
 
 def seeded_tracker(n_users: int, concepts_per_user: int = 20,

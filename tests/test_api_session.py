@@ -69,7 +69,7 @@ def test_connect_rejects_inapplicable_kwargs(db, kb):
         repro.connect(engine, knowledge_base=TripleStore())
     mediator = Mediator()
     with pytest.raises(SessionError):
-        repro.connect(mediator, join_strategy="direct")
+        repro.connect(mediator, include_original=True)
 
 
 def test_connect_matches_direct_engine_execution(session, db, kb):
@@ -373,7 +373,8 @@ def test_explain_reports_stages_without_running(session, db):
     assert len(plan.sparql_queries) == 2
     assert "dangerLevel" in plan.sparql_queries[0]
     assert "IN (SELECT" in plan.rewritten_sql   # the WHERE rewrite fired
-    assert plan.join_strategy == "tempdb"
+    assert plan.stages[-1].description \
+        == "JoinManager folds 1 SELECT enrichment(s)"
     # The extraction's relation stays for the next run, until close.
     assert len(set(db.table_names()) - tables_before) == 1
     assert "plan for:" in plan.format()
@@ -458,7 +459,7 @@ def test_held_session_resolves_a_later_registration(platform, kind, scope):
     if kind == "shared":
         held = platform.session_for("giulia")
     elif kind == "custom":
-        custom = platform.connect(QueryOptions(join_strategy="direct"))
+        custom = platform.connect(QueryOptions(plan_cache_size=8))
         assert custom is not platform.connect()   # defaults untouched
         held = custom.as_user("giulia")
     else:
@@ -593,6 +594,16 @@ def test_typoed_execute_override_raises(session):
     prepared = session.prepare("SELECT elem_name FROM elem_contained")
     with pytest.raises(TypeError):
         prepared.execute(None, strategy="direct")
+    # There is one combine: a ``join_strategy=`` is as unknown.
+    from repro.api import QueryOptions
+    for call in (lambda: prepared.execute(join_strategy="direct"),
+                 lambda: session.stream(prepared.text,
+                                        join_strategy="direct"),
+                 lambda: QueryOptions(join_strategy="direct"),
+                 lambda: repro.connect(session.databank,
+                                       join_strategy="direct")):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_close_leaves_shared_engine_cache_warm(db, kb):

@@ -416,12 +416,13 @@ def test_pool_does_not_leak_slots_on_bad_username():
 def test_analyze_all_skips_concurrent_enrichment_temp_tables():
     """ANALYZE with no table argument must ignore the lock-free
     ``__sesql_*`` scratch tables of in-flight enriched queries."""
-    from repro.core.tempdb import materialize
+    from repro.relational import ResultSet
 
     db = Database()
     db.execute("CREATE TABLE t (id INTEGER)")
     db.insert_rows("t", ({"id": i} for i in range(10)))
-    temp = materialize(db, "vals", ["value"], [(1,), (2,)])
+    temp = db.create_temp_table("__sesql_vals_0",
+                                ResultSet(["c0"], [(1,), (2,)]))
     stats = db.analyze()
     assert len(stats) == 1                # only t, not the temp table
     assert db.stats.get(temp.name) is None

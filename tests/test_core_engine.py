@@ -6,7 +6,7 @@ from repro.core import (EnrichmentError, JoinManager, ResourceMapping,
                         SESQLEngine)
 from repro.core.sqm import Extraction
 from repro.core.ast import SchemaExtension
-from repro.rdf import Namespace, TripleStore, parse_turtle
+from repro.rdf import Literal, Namespace, TripleStore, parse_turtle
 from repro.relational import Database, ResultSet
 
 SMG = Namespace("http://smartground.eu/ns#")
@@ -46,24 +46,6 @@ def test_empty_kb_pads_with_nulls(engine):
         knowledge_base=TripleStore())
     assert all(row[1] is None for row in result.rows)
     assert len(result.rows) == 3  # enrichment never drops rows
-
-
-def test_direct_and_tempdb_strategies_agree(engine):
-    sesql = """
-        SELECT elem_name, amount FROM elem_contained
-        ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)"""
-    via_tempdb = engine.query(sesql, join_strategy="tempdb")
-    via_direct = engine.query(sesql, join_strategy="direct")
-    assert via_tempdb.columns == via_direct.columns
-    assert via_tempdb.same_rows(via_direct)
-
-
-def test_direct_strategy_produces_no_final_sql(engine):
-    outcome = engine.execute("""
-        SELECT elem_name FROM elem_contained
-        ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)""",
-        join_strategy="direct")
-    assert outcome.final_sqls == []
 
 
 def test_multiple_select_enrichments_compose(engine):
@@ -129,11 +111,6 @@ def test_enrich_with_order_by_and_limit(engine):
     assert [row[0] for row in result.rows] == ["Iron", "Mercury", "Mercury"]
 
 
-def test_join_manager_rejects_bad_strategy():
-    with pytest.raises(EnrichmentError):
-        JoinManager(ResourceMapping(), strategy="quantum")
-
-
 def test_join_manager_rejects_where_enrichment():
     from repro.core.ast import ReplaceConstant
     manager = JoinManager(ResourceMapping())
@@ -145,10 +122,25 @@ def test_join_manager_rejects_where_enrichment():
 def test_combine_on_empty_base_result():
     manager = JoinManager(ResourceMapping())
     base = ResultSet(["elem"], [])
-    outcome = manager.combine(base, SchemaExtension("elem", "p"),
-                              Extraction("", pairs=[]))
-    assert outcome.result.rows == []
-    assert outcome.result.columns == ["elem", "p"]
+    result = manager.combine(base, SchemaExtension("elem", "p"),
+                             Extraction("", pairs=[]))
+    assert result.rows == []
+    assert result.columns == ["elem", "p"]
+
+
+@pytest.mark.parametrize("kind", ["BOOLSCHEMAEXTENSION",
+                                  "BOOLSCHEMAREPLACEMENT"])
+def test_boolean_keys_keep_true_and_one_apart(kind, monkeypatch):
+    """``TRUE`` and ``1`` are different SQL values (``1 = TRUE`` is
+    false), so a KB naming both as subjects flags both base rows."""
+    engine = SESQLEngine(Database())
+    extraction = Extraction("", subjects={Literal(True), Literal(1)})
+    monkeypatch.setattr(engine.sqm, "subjects_for",
+                        lambda _kb, _prop, _concept: extraction)
+    sesql = f"SELECT TRUE AS k UNION ALL SELECT 1 ENRICH {kind}(k, p, c)"
+    flags = [row[-1] for row in engine.execute(sesql).rows]
+    assert flags == [True, True]
+    assert [row[-1] for row in engine.stream(sesql)] == flags
 
 
 def test_replacevariable_requires_column_attr(engine):

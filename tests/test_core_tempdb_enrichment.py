@@ -1,12 +1,11 @@
-"""Temporary support database, WHERE rewriting and the path extension."""
+"""Type inference, WHERE rewriting and the path extension."""
 
 import pytest
 
-from repro.core import SESQLEngine, TemporarySupportDatabase
+from repro.core import SESQLEngine
 from repro.core.enrichment import (replace_condition, transform_expr)
 from repro.core.sqm import SemanticQueryModule
 from repro.core.mapping import ResourceMapping
-from repro.core.tempdb import materialize
 from repro.rdf import parse_turtle
 from repro.relational import Database, DataType, parse_expr
 from repro.relational.ast import BinaryOp, ColumnRef, Literal, node_key
@@ -28,44 +27,6 @@ from repro.relational.table import infer_column_type
 ])
 def test_infer_column_type(values, expected):
     assert infer_column_type(values) is expected
-
-
-# -- materialisation -------------------------------------------------------
-
-
-def test_materialize_handles_duplicate_display_names():
-    db = Database()
-    table = materialize(db, "base", ["name", "name"],
-                        [("a", "b"), ("c", "d")])
-    assert table.internal_columns == ["c0", "c1"]
-    assert db.query(f"SELECT c0, c1 FROM {table.name}").rows == [
-        ("a", "b"), ("c", "d")]
-
-
-def test_materialize_coerces_exotic_values():
-    db = Database()
-    class Odd:
-        def __str__(self):
-            return "odd!"
-    table = materialize(db, "x", ["v"], [(Odd(),)])
-    assert db.query(f"SELECT c0 FROM {table.name}").rows == [("odd!",)]
-
-
-def test_tempdb_cleanup_drops_everything():
-    tempdb = TemporarySupportDatabase()
-    tempdb.store_result(["a"], [(1,)])
-    tempdb.store_pairs([("x", "y")])
-    tempdb.store_values(["v"])
-    assert len(tempdb.db.table_names()) == 3
-    tempdb.cleanup()
-    assert tempdb.db.table_names() == []
-
-
-def test_temp_names_are_unique():
-    tempdb = TemporarySupportDatabase()
-    first = tempdb.store_result(["a"], [])
-    second = tempdb.store_result(["a"], [])
-    assert first.name != second.name
 
 
 # -- expression transformation helpers -----------------------------------------

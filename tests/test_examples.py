@@ -30,7 +30,8 @@ def test_quickstart(capsys):
     out = run_example("quickstart", capsys)
     assert "dangerLevel" in out
     assert "NULL" in out                     # Iron has no knowledge
-    assert "LEFT JOIN" in out                # the final SQL is shown
+    # The JoinManager's combine stage is shown.
+    assert "combine: JoinManager folds 1 SELECT enrichment(s)" in out
 
 
 def test_pollution_personas(capsys):

@@ -177,9 +177,12 @@ def test_where_and_select_enrichments_compose_in_one_query():
         SCHEMAEXTENSION(elem_name, dangerLevel)""")
     assert sorted(outcome.rows) == [
         ("a", "Mercury", "high"), ("b", "Lead", "high")]
-    # One SPARQL per enrichment, one final SQL for the SELECT strategy.
+    # One SPARQL per enrichment, one combine stage for the SELECT one.
     assert len(outcome.sparql_queries) == 2
-    assert len(outcome.final_sqls) == 1
+    stages = engine.explain_parsed(outcome.enriched).stages
+    assert [(stage.name, stage.detail) for stage in stages
+            if stage.name == "combine"] == [
+        ("combine", "1 SELECT enrichment(s)")]
 
 
 def test_replace_constant_via_property_uses_constant_as_subject():

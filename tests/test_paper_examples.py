@@ -156,6 +156,9 @@ def test_pipeline_observability(engine):
         ENRICH SCHEMAEXTENSION(city, inCountry)""")
     assert len(result.sparql_queries) == 1
     assert "inCountry" in result.sparql_queries[0]
-    assert len(result.final_sqls) == 1
-    assert "LEFT JOIN" in result.final_sqls[0]
+    assert result.timings["combine"] > 0
     assert result.timings["total"] > 0
+    # The run's last record is the JoinManager's combine stage.
+    combine = engine.explain_parsed(result.enriched).stages[-1]
+    assert (combine.name, combine.detail) == (
+        "combine", "1 SELECT enrichment(s)")

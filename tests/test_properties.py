@@ -3,17 +3,19 @@
 Covers: 3-valued logic laws, value comparison consistency, LIKE vs a
 regex model, SQL engine vs a naive Python evaluator, expression
 render/parse round-trips, triple-store index coherence, Turtle and
-N-Triples round-trips, condition-tag scanning, and enrichment row-count
-invariants.
+N-Triples round-trips, condition-tag scanning, and the JoinManager's
+combine against stdlib ``sqlite3`` running the paper's final SQL.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ResourceMapping, JoinManager, scan_condition_tags
-from repro.core.ast import SchemaExtension, BoolSchemaExtension
+from repro.core.ast import (BoolSchemaExtension, BoolSchemaReplacement,
+                            SchemaExtension, SchemaReplacement)
 from repro.core.sqm import Extraction
 from repro.rdf import (IRI, Literal, Triple, TripleStore, parse_ntriples,
                        parse_turtle, serialize_ntriples, serialize_turtle)
@@ -268,48 +270,128 @@ def test_scan_extracts_every_tag(ids):
     parse_sql(scan.clean_text)  # cleaned text is valid SQL
 
 
-# -- enrichment invariants --------------------------------------------------------------------------
+# -- the combine against the paper's final SQL, in sqlite --------------------------------------
 
-subjects = st.lists(st.sampled_from(["Hg", "Pb", "Fe", "Cu", "Zn"]),
-                    min_size=0, max_size=25)
-pair_lists = st.lists(
-    st.tuples(st.sampled_from(["Hg", "Pb", "Fe"]),
-              st.sampled_from(["low", "high"])),
-    max_size=10)
+#: Base keys and subjects: integers, floats that equal some of them,
+#: strings (``"1"`` is not ``1``) and NULL, few enough to repeat.
+sql_keys = st.sampled_from([1, 2, -3, 1.0, 2.5, "Hg", "Pb", "1", None])
+extracted = st.sampled_from([1, 2, -3, 1.0, 2.5, "Hg", "Pb", "1"])
+objects = st.sampled_from(["low", "high", 7, 2.5])
 
 
-@given(subjects, pair_lists, st.sampled_from(["tempdb", "direct"]))
-@settings(max_examples=30, deadline=None)
-def test_extension_row_count_invariant(values, pairs, strategy):
-    """Each base row yields max(1, matches) output rows; none are lost."""
-    base = ResultSet(["elem"], [(value,) for value in values])
+def typed(rows) -> list[list[tuple]]:
+    """Rows with each value's type beside it (``1 == 1.0 == True``)."""
+    return [[(type(value).__name__, value) for value in row]
+            for row in rows]
+
+
+def final_sql(base_keys: list, table: str, rows: list[tuple],
+              query: str) -> list[tuple]:
+    """*query* over the base ``b(k, n)`` and the extraction table
+    *table*, in sqlite with untyped columns (no affinity: integer ``1``
+    never equals text ``'1'``)."""
+    import sqlite3
+    connection = sqlite3.connect(":memory:")
+    try:
+        connection.execute("CREATE TABLE b (k, n)")
+        connection.executemany("INSERT INTO b VALUES (?, ?)",
+                               [(key, index)
+                                for index, key in enumerate(base_keys)])
+        width = len(rows[0]) if rows else 2
+        connection.execute(
+            f"CREATE TABLE {table} (s{', o' if width == 2 else ''})")
+        if rows:
+            marks = ", ".join("?" * width)
+            connection.executemany(
+                f"INSERT INTO {table} VALUES ({marks})", rows)
+        return connection.execute(query).fetchall()
+    finally:
+        connection.close()
+
+
+def check_pair_combine(keys: list, pairs: list[tuple],
+                       replace: bool) -> None:
+    """SCHEMAEXTENSION / -REPLACEMENT: a row per (base row, matching
+    object) in extraction order, a NULL-padded one for a row with none."""
     mapping = ResourceMapping()
     extraction = Extraction("", pairs=[
-        (mapping.to_term("elem", s), Literal(o)) for s, o in pairs])
-    manager = JoinManager(mapping, strategy)
-    outcome = manager.combine(base, SchemaExtension("elem", "p"),
-                              extraction)
-    match_counts = {}
-    for s, _o in pairs:
-        match_counts[s] = match_counts.get(s, 0) + 1
-    expected = sum(max(1, match_counts.get(value, 0)) for value in values)
-    assert len(outcome.result.rows) == expected
-    produced_subjects = [row[0] for row in outcome.result.rows]
-    assert set(produced_subjects) == set(values)
+        (mapping.to_term("elem", subject), Literal(obj))
+        for subject, obj in pairs])
+    enrichment = (SchemaReplacement if replace else SchemaExtension)(
+        "elem", "p")
+    base = ResultSet(["elem", "n"], [(key, index)
+                                     for index, key in enumerate(keys)])
+    got = JoinManager(mapping).combine(base, enrichment, extraction)
+    items = "m.o, b.n" if replace else "b.k, b.n, m.o"
+    expected = final_sql(
+        keys, "m", pairs,
+        f"SELECT {items} FROM b LEFT JOIN m ON b.k = m.s "
+        "ORDER BY b.rowid, m.rowid")
+    assert got.columns == (["p", "n"] if replace else ["elem", "n", "p"])
+    assert typed(got.rows) == typed(expected)
 
 
-@given(subjects, st.sets(st.sampled_from(["Hg", "Pb", "Fe"])),
-       st.sampled_from(["tempdb", "direct"]))
-@settings(max_examples=30, deadline=None)
-def test_boolean_extension_preserves_rows_exactly(values, flagged,
-                                                  strategy):
-    base = ResultSet(["elem"], [(value,) for value in values])
+def check_flag_combine(keys: list, subjects: list, replace: bool) -> None:
+    """BOOLSCHEMAEXTENSION / -REPLACEMENT: each base row once, flagged
+    whether its key is among the extraction's subjects."""
     mapping = ResourceMapping()
     extraction = Extraction("", subjects={
-        mapping.to_term("elem", s) for s in flagged})
-    manager = JoinManager(mapping, strategy)
-    outcome = manager.combine(
-        base, BoolSchemaExtension("elem", "isA", "Hazard"), extraction)
-    assert len(outcome.result.rows) == len(values)
-    for value, row in zip(values, outcome.result.rows):
-        assert row[-1] == (value in flagged)
+        mapping.to_term("elem", subject) for subject in subjects})
+    enrichment = (BoolSchemaReplacement if replace
+                  else BoolSchemaExtension)("elem", "isA", "Hazard")
+    base = ResultSet(["elem", "n"], [(key, index)
+                                     for index, key in enumerate(keys)])
+    got = JoinManager(mapping).combine(base, enrichment, extraction)
+    flag = "EXISTS (SELECT 1 FROM f WHERE f.s = b.k)"
+    items = f"{flag}, b.n" if replace else f"b.k, b.n, {flag}"
+    at = 0 if replace else 2        # sqlite answers 0/1: read as bool
+    expected = [row[:at] + (bool(row[at]),) + row[at + 1:]
+                for row in final_sql(
+                    keys, "f", [(subject,) for subject in subjects],
+                    f"SELECT {items} FROM b ORDER BY b.rowid")]
+    assert got.columns == (["isA_Hazard", "n"] if replace
+                           else ["elem", "n", "isA_Hazard"])
+    assert typed(got.rows) == typed(expected)
+
+
+@given(st.lists(sql_keys, max_size=12),
+       st.lists(st.tuples(extracted, objects), max_size=10), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_pair_combine_is_the_final_sql_left_join(keys, pairs, replace):
+    check_pair_combine(keys, pairs, replace)
+
+
+@given(st.lists(sql_keys, max_size=12), st.lists(extracted, max_size=6),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_flag_combine_is_the_final_sql_exists(keys, subjects, replace):
+    check_flag_combine(keys, subjects, replace)
+
+
+#: Inputs a draw meets only by luck, run every time: base keys and
+#: ``(subject, object)`` pairs; the flag kinds read the pairs' subjects.
+EDGES = [
+    pytest.param([], [(1, "low")], id="empty-base"),
+    pytest.param([1, None, "Hg"], [], id="empty-extraction"),
+    pytest.param([None, None], [(1, "low"), ("Hg", 7)], id="null-keys"),
+    pytest.param([1, 1.0, 2.5, 2], [(1.0, "low"), (2.5, "high"), (2, 7)],
+                 id="int-equals-float"),
+    pytest.param(["1", 1, 1.0], [("1", "low")], id="text-one-is-not-one"),
+    pytest.param([1, "Hg", 1, "Pb"],
+                 [(1, "low"), ("Hg", 7), (1, "high"), (1, "low")],
+                 id="repeated-subjects"),
+]
+KINDS = pytest.mark.parametrize("replace", [False, True],
+                                ids=["extension", "replacement"])
+
+
+@KINDS
+@pytest.mark.parametrize("keys, pairs", EDGES)
+def test_pair_combine_edges_are_the_final_sql(keys, pairs, replace):
+    check_pair_combine(keys, pairs, replace)
+
+
+@KINDS
+@pytest.mark.parametrize("keys, pairs", EDGES)
+def test_flag_combine_edges_are_the_final_sql(keys, pairs, replace):
+    check_flag_combine(keys, [subject for subject, _obj in pairs], replace)
