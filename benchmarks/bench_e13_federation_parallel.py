@@ -48,9 +48,9 @@ class LatencySource(Database):
         super().__init__(name)
         self.latency_s = latency_s
 
-    def query(self, sql):
+    def query(self, sql, params=None):
         time.sleep(self.latency_s)
-        return super().query(sql)
+        return super().query(sql, params)
 
 
 def _mediator(options: FederationOptions) -> Mediator:

@@ -56,17 +56,18 @@ class MediatedDatabank(Database):
 
     # -- query paths: run locally, inside the session's shipped scope ----
     #
-    # A prepared statement is bound here, into a statement of its own:
-    # its filters are what ships (and is cached) per source, so nothing
-    # of it is kept as a tree.
+    # A prepared statement runs as it is, its values beside it: what it
+    # ships is derived once per template (the session's ship template),
+    # and the local statement re-drives the tree this database keeps
+    # for it whenever the views it reads are held materializations.
 
     def execute_ast(self, stmt: sql_ast.Statement,
                     params: tuple | None = None):
         if not isinstance(stmt, sql_ast.SelectQuery):
             return super().execute_ast(stmt)
-        stmt = _bound(stmt, params)
-        with self.session.shipped(stmt) as (self.last_report, _tie):
-            return super().execute_ast(stmt)
+        with self.session.shipped(stmt, params=params) \
+                as (self.last_report, _tie):
+            return super().execute_ast(stmt, params)
 
     def stream_ast(self, query: sql_ast.SelectQuery,
                    params: tuple | None = None) -> Cursor:
@@ -76,10 +77,9 @@ class MediatedDatabank(Database):
         # is off for the same reason as MediatorSession.stream — a
         # filtered partial must not outlive this cursor under the
         # view's name.
-        query = _bound(query, params)
-        with self.session.shipped(query, pushdown=False) \
+        with self.session.shipped(query, pushdown=False, params=params) \
                 as (self.last_report, tie):
-            return tie(super().stream_ast(query))
+            return tie(super().stream_ast(query, params))
 
     def explain(self, target, analyze: bool = False,
                 params: tuple | None = None):
@@ -90,11 +90,6 @@ class MediatedDatabank(Database):
         stmt = parse_sql(target) if isinstance(target, str) else target
         if not isinstance(stmt, sql_ast.SelectQuery):
             return super().explain(stmt, analyze)    # refuses it
-        stmt = _bound(stmt, params)
-        with self.session.shipped(stmt) as (self.last_report, _tie):
-            return super().explain(stmt, analyze)
-
-
-def _bound(query: sql_ast.SelectQuery,
-           params: tuple | None) -> sql_ast.SelectQuery:
-    return sql_ast.clone_query(query, params) if params else query
+        with self.session.shipped(stmt, params=params) \
+                as (self.last_report, _tie):
+            return super().explain(stmt, analyze, params)

@@ -15,13 +15,16 @@ this module gives the mediator a bounded worker pool that dispatches
   is recorded in the :class:`~repro.federation.MediationReport`) and
   ``retry`` (re-dispatch with capped exponential backoff, escalating to
   a failure when the attempts are exhausted);
-* a **fragment-result cache** keyed ``(source, fragment SQL, source
-  data generation)`` — the SQL is what the source runs, rendered (a job
-  ships it parsed), the generation is the source database's cheap
-  mutation stamp, so repeated ships of unchanged sources are free and
-  any DML/DDL on the source invalidates its entries by construction.
-  Fragments touching foreign tables are never cached: their remote
-  content can change without moving the local stamp.
+* a **fragment-result cache** keyed ``(source, fragment SQL, values,
+  source data generation)`` — the SQL is the statement the source runs
+  rendered with its ``?`` as written (a job ships it parsed, with the
+  values), the values are the ones its ``?`` read, in text order and
+  type-tagged (``1``, ``1.0`` and ``TRUE`` are three keys), the
+  generation is the source database's cheap mutation stamp, so
+  repeated ships of unchanged sources are free and any DML/DDL on the
+  source invalidates its entries by construction.  Fragments touching
+  foreign tables are never cached: their remote content can change
+  without moving the local stamp.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 from ..api.cache import LRUCache
 from ..relational.ast import SelectQuery
 from ..relational.engine import Database
+from ..relational.render import bound_to, render_query
 from ..relational.result import ResultSet
 from .errors import MediationError
 
@@ -139,12 +143,29 @@ class FragmentJob:
     index: int               # fragment position within the view
     source: str
     database: Database
-    sql: str                 # ``statement`` as text: report, cache key
+    #: ``statement`` as text, its ``?`` as written: the cache key's.
+    sql: str
     #: Safe for the generation-keyed cache (no foreign tables etc.).
     cacheable: bool = False
     #: What the source runs, unparsed: the fragment's memoised parse or
-    #: the statement a pushed filter was composed into (None: no SELECT).
+    #: the statement a pushed filter was composed into, once per
+    #: template (None: no SELECT).
     statement: SelectQuery | None = None
+    #: The values ``statement``'s ``?`` read (``()``: none — the source
+    #: still keeps its tree); None with no statement.
+    values: tuple | None = None
+    #: What the cache keys on for ``values``: the ones the ``?`` read,
+    #: in text order, each with its type.
+    tags: tuple = ()
+    _text: str | None = field(default=None, init=False, repr=False)
+
+    def rendered(self) -> str:
+        """The SQL the source ran: ``sql`` with the values bound."""
+        if self._text is None:
+            self._text = (render_query(self.statement,
+                                       bound_to(self.values))
+                          if self.values else self.sql)
+        return self._text
 
 
 @dataclass
@@ -177,15 +198,16 @@ class _FragmentFailed(Exception):
 class FragmentCache(LRUCache):
     """Thread-safe LRU of fragment results.
 
-    Keys are ``(source name, fragment SQL, source generation)``: a
-    mutated source carries a new generation, so its stale entries are
-    simply never looked up again and age out of the LRU.  The LRU
-    itself is the session layer's :class:`~repro.api.cache.LRUCache`;
-    this subclass only adds the lock worker threads need to probe and
-    fill it concurrently.  An entry is the source's result unchanged —
+    Keys are ``(source name, fragment SQL, values, source
+    generation)``: a mutated source carries a new generation, so its
+    stale entries are simply never looked up again and age out of the
+    LRU.  The LRU itself is the session layer's
+    :class:`~repro.api.cache.LRUCache`; this subclass only adds the lock
+    worker threads need to probe and fill it concurrently.  An entry is the source's result unchanged —
     columns, as the source's scan produced them — marked shared
     (:meth:`ResultSet.share`), so rows a reader derives from it are not
-    kept on it: an entry keeps one form.
+    kept on it (an entry keeps one form), and without its plan: an
+    entry never holds the source's operator tree.
     """
 
     def __init__(self, maxsize: int = 128) -> None:
@@ -324,8 +346,7 @@ class FederationExecutor:
         if not (job.cacheable and self.options.fragment_cache_size > 0):
             return None
         started = time.perf_counter()
-        cached = self.cache.get(
-            (job.source, job.sql, job.database.generation))
+        cached = self.cache.get(_cache_key(job))
         if cached is None:
             return None
         return FragmentResult(
@@ -369,10 +390,11 @@ class FederationExecutor:
         started = time.perf_counter()
         use_cache = job.cacheable and self.options.fragment_cache_size > 0
         if use_cache:
-            key = (job.source, job.sql, job.database.generation)
+            key = _cache_key(job)
+        target = job.sql if job.statement is None else job.statement
         policy = self.options.policy_for(job.source)
         outcome = run_with_policy(
-            lambda: job.database.query(job.statement or job.sql),
+            lambda: job.database.query(target, job.values),
             policy=policy,
             max_retries=self.options.max_retries,
             backoff_s=self.options.backoff_s,
@@ -391,3 +413,7 @@ class FederationExecutor:
         return FragmentResult(
             job, result, attempts=outcome.attempts,
             elapsed_s=time.perf_counter() - started)
+
+
+def _cache_key(job: FragmentJob) -> tuple:
+    return job.source, job.sql, job.tags, job.database.generation

@@ -24,6 +24,17 @@ parsed statement (``planner.rewrite.compose_filter``), so no source
 parses a shipped fragment; one whose constant column contradicts it is
 **eliminated** — answered empty, never shipped.
 
+A statement is a template: what it ships is derived once
+(:class:`_ShipTemplate`, kept for as long as the statement object
+lives) — the views it wants, the conjuncts its sources can apply with
+their ``?`` kept, each fragment composed with them.  A run binds only
+what depends on its values: the column-free conjuncts of each composed
+fragment (its *guards*, such as ``'Italy' = ?``) are folded to tell
+which fragments are eliminated, and each job ships the composed
+statement with the values it reads, so the source re-drives the tree it
+keeps for it.  An ad hoc statement is a template run once, with no
+values.
+
 :class:`~repro.federation.FederationOptions` configures the pool width,
 per-source failure policies (``fail`` / ``skip`` / ``retry``) and the
 generation-keyed fragment-result cache.  ``MediationReport`` exposes the
@@ -33,20 +44,26 @@ tests and benchmarks can check who was asked for what and what it cost.
 
 from __future__ import annotations
 
+import threading
 import time
+import weakref
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from ..planner.joins import estimate_query_rows
-from ..planner.rewrite import (binding_of, compose_filter, from_leaves,
-                               map_expr, null_safe_bindings,
-                               query_output_columns, referenced_bindings)
+from ..planner.rewrite import (binding_of, compose_filter,
+                               constant_once_bound, fold_expr,
+                               folds_when_bound, from_leaves, map_expr,
+                               null_safe_bindings, query_output_columns,
+                               referenced_bindings)
 from ..relational import ast as sql_ast
 from ..relational.batch import norm_tuple
+from ..relational.compiler import CompileContext, compile_expr
 from ..relational.engine import Database
 from ..relational.errors import ExecutionError
 from ..relational.parser import parse_sql
-from ..relational.render import render_expr, render_query
+from ..relational.render import bound_to, render_expr, render_query
 from ..relational.result import Cursor, ResultSet
 from ..relational.table import Table
 from .errors import MediationError
@@ -83,9 +100,8 @@ class GlobalView:
 class MediationReport:
     """What one mediated query did."""
 
-    #: ``(source, SQL)`` per shipped fragment; with a pushed filter the
-    #: SQL is the composed statement the source ran.
-    sub_queries: list[tuple[str, str]] = field(default_factory=list)
+    #: The shipped fragments' jobs, in shipping order.
+    jobs: list[FragmentJob] = field(default_factory=list, repr=False)
     #: ``(view, source)`` per fragment whose composed WHERE folded to a
     #: literal other than TRUE: never shipped, contributes no rows.
     eliminated: list[tuple[str, str]] = field(default_factory=list)
@@ -112,6 +128,13 @@ class MediationReport:
     #: Warn-level notes (e.g. fragment column renames).
     warnings: list[str] = field(default_factory=list)
 
+    @property
+    def sub_queries(self) -> list[tuple[str, str]]:
+        """``(source, SQL)`` per shipped fragment; with a pushed filter
+        the SQL is the composed statement the source ran, its values
+        bound — rendered when read."""
+        return [(job.source, job.rendered()) for job in self.jobs]
+
 
 class Mediator:
     """The global query processor over registered sources."""
@@ -128,10 +151,15 @@ class Mediator:
                                            self.fragment_cache)
         #: Memo of each base fragment SQL's parse (None = not a
         #: parseable SELECT): cost ranking, cacheability and pushdown
-        #: consult it per query.  Holds the fragments of the views
-        #: currently defined.
+        #: consult it.  Holds the fragments of the views currently
+        #: defined.
         self._fragment_statements: dict[
             str, sql_ast.SelectQuery | None] = {}
+        #: Moves on every define_view: part of :meth:`_stamp`.
+        self._views_version = 0
+        #: ``estimate_view_cost`` per view name: (view, sources' stamps,
+        #: cost).
+        self._view_costs: dict[str, tuple] = {}
 
     # -- registration ----------------------------------------------------------
 
@@ -171,6 +199,8 @@ class Mediator:
         if name in self._views:
             for fragment in self._views[name].fragments:
                 self._fragment_statements.pop(fragment.sql, None)
+        self._views_version += 1
+        self._view_costs.pop(name, None)
         view = GlobalView(
             name,
             [ViewFragment(source_name, sql)
@@ -218,11 +248,21 @@ class Mediator:
     def estimate_view_cost(self, view: GlobalView) -> float:
         """Estimated cost of materializing *view*: per-fragment row
         estimates from each source's planner statistics, plus a heavy
-        penalty per simulated remote hop (foreign-table latency)."""
-        return sum(self._fragment_cost(
-            self.source(fragment.source),
-            self._fragment_statement(fragment.sql))
-            for fragment in view.fragments)
+        penalty per simulated remote hop (foreign-table latency).
+        Memoised while each source's generation (its data and tables)
+        and statistics version stay put."""
+        sources = [self.source(fragment.source)
+                   for fragment in view.fragments]
+        stamp = [(database.generation, database.stats.version)
+                 for database in sources]
+        memo = self._view_costs.get(view.name)
+        if memo is not None and memo[0] is view and memo[1] == stamp:
+            return memo[2]
+        cost = sum(self._fragment_cost(
+            database, self._fragment_statement(fragment.sql))
+            for database, fragment in zip(sources, view.fragments))
+        self._view_costs[view.name] = (view, stamp, cost)
+        return cost
 
     def _fragment_statement(self, sql: str) -> sql_ast.SelectQuery | None:
         """The (memoised, read-only) parse of a base fragment's SQL."""
@@ -289,36 +329,34 @@ class Mediator:
 
     # -- internals ----------------------------------------------------------------------
 
-    def _fragment_jobs(self, view: GlobalView,
-                       conjuncts: list[sql_ast.Expr] | None = None
-                       ) -> tuple[list[FragmentJob], list[FragmentResult]]:
-        """The executor jobs materializing *view*, in fragment order,
-        *conjuncts* composed in — and the fragments they eliminate,
-        answered here (no rows) without asking the source."""
-        jobs, eliminated = [], []
+    def _stamp(self) -> tuple:
+        """What a ship template is derived from besides its statement:
+        the view definitions and each source's catalog (a star expands
+        to its table's columns, a foreign table is never cached)."""
+        return (self._views_version,
+                *(database.catalog.version
+                  for database in self._sources.values()))
+
+    def _prepare_fragments(self, view: GlobalView,
+                           conjuncts: list[sql_ast.Expr] | None
+                           ) -> list[_Fragment]:
+        """*view*'s fragments, in fragment order, *conjuncts* (their
+        ``?`` kept) composed in."""
         columns = _view_columns(self, view) if conjuncts else None
+        fragments = []
         for index, fragment in enumerate(view.fragments):
             database = self.source(fragment.source)
             # Cacheability is decided from the *base* fragment: a pushed
             # filter reads no other table, so it inherits the verdict.
             statement = self._fragment_statement(fragment.sql)
-            job = FragmentJob(
-                view.name, index, fragment.source, database, fragment.sql,
-                cacheable=self._fragment_cacheable(database, statement),
-                statement=statement)
             composed = (compose_filter(statement, view.name, columns,
                                        conjuncts, database.catalog)
                         if statement is not None and conjuncts else None)
-            if composed is not None:
-                job.statement, job.sql = composed, render_query(composed)
-                if isinstance(composed.core.where, sql_ast.Literal):
-                    # Merged, folded to a literal other than TRUE: no row.
-                    eliminated.append(FragmentResult(job, ResultSet(
-                        [item.output_name() for item in composed.core.items],
-                        []), attempts=0))
-                    continue
-            jobs.append(job)
-        return jobs, eliminated
+            fragments.append(_Fragment(
+                index, fragment, database,
+                self._fragment_cacheable(database, statement),
+                statement, composed))
+        return fragments
 
     @staticmethod
     def _fragment_cacheable(database: Database,
@@ -328,9 +366,9 @@ class Mediator:
         Every referenced table must be a regular heap table of the
         source: a foreign table's remote content can change without
         moving the local stamp, so such fragments always re-execute.
-        Only the parse is memoized — the (cheap) catalog type checks
-        rerun per query, since DDL can swap a heap table for a foreign
-        one between ships.
+        Decided when the fragment is prepared, which is again after any
+        DDL on the source (:meth:`_stamp`): DDL can swap a heap table
+        for a foreign one between ships.
         """
         if statement is None:
             return False
@@ -449,9 +487,201 @@ class Mediator:
         return ResultSet(columns, rows)
 
 
+class _Variant(NamedTuple):
+    """A statement a fragment ships, and what a run needs of it: its
+    text with the ``?`` as written (the cache key's), which values its
+    ``?`` read — by index, in text order — and how many values its
+    source's template takes.  Not *prepared*: it is this run's alone
+    (its values bound) or no SELECT, and ships with no values."""
+
+    statement: sql_ast.SelectQuery | None
+    sql: str
+    order: tuple[int, ...]
+    arity: int
+    prepared: bool = True
+
+
+def _variant(statement: sql_ast.SelectQuery, sql: str | None = None,
+             prepared: bool = True) -> _Variant:
+    """*statement* as a :class:`_Variant`, rendered unless *sql* (its
+    text as defined) is given and it has no ``?``."""
+    order: list[int] = []
+    if sql is None or any(isinstance(node, sql_ast.Param)
+                          for node in sql_ast.iter_query_nodes(statement)):
+        sql = render_query(statement,
+                           lambda node: order.append(node.index) or "?")
+    return _Variant(statement, sql, tuple(order),
+                    max(order) + 1 if order else 0, prepared)
+
+
+class _Guard:
+    """A conjunct of a composed fragment's WHERE that reads no column
+    but a ``?`` — ``'Italy' = ?`` — compiled once, so a run evaluates
+    it with its values."""
+
+    __slots__ = ("_slots", "_fn", "_lock")
+
+    def __init__(self, expr: sql_ast.Expr) -> None:
+        context = CompileContext(subplan_factory=None)
+        self._slots = context.slots
+        try:
+            self._fn = compile_expr(expr, [], context)
+        except Exception:
+            self._fn = None
+        #: Held while a run's values are in the slots the guard reads.
+        self._lock = threading.Lock()
+
+    def holds(self, values: tuple) -> bool | None:
+        """TRUE or FALSE, as ``fold_expr`` folds the conjunct with
+        *values* bound; None: anything else (NULL, a failure)."""
+        if self._fn is None:
+            return None
+        with self._lock:
+            self._slots.values = values
+            try:
+                value = self._fn(())
+            except Exception:
+                return None
+        return value if isinstance(value, bool) else None
+
+
+class _Fragment:
+    """One fragment of a view as every run of a template ships it: its
+    statement, composed once with the pushed conjuncts' ``?`` kept, and
+    the guards a run evaluates with its values.
+
+    A fragment is eliminated exactly when its composed WHERE, the
+    values bound, folds to a literal other than TRUE.  A guard that
+    holds is left out of what ships (*lean*); one that fails eliminates
+    the fragment.  Any other outcome — a guard neither TRUE nor FALSE,
+    a conjunct that reads a column and folds once bound (``'Italy' = ?
+    OR n = ?``), or nothing left to ship but literals — is rare, and
+    the run composes as an ad hoc statement would: its values bound
+    and folded into a statement of its own."""
+
+    __slots__ = ("index", "source", "database", "cacheable", "columns",
+                 "void", "lean", "guards", "binds", "composed")
+
+    def __init__(self, index: int, fragment: ViewFragment,
+                 database: Database, cacheable: bool,
+                 statement: sql_ast.SelectQuery | None,
+                 composed: sql_ast.SelectQuery | None) -> None:
+        self.index = index
+        self.source = fragment.source
+        self.database = database
+        self.cacheable = cacheable
+        self.columns: list[str] = []
+        #: Eliminated whatever the values: the WHERE folded already.
+        self.void = False
+        self.guards: list[_Guard] = []
+        #: Every run binds its values (see the class docstring).
+        self.binds = False
+        self.composed = composed
+        if statement is None:
+            self.lean = _Variant(None, fragment.sql, (), 0, prepared=False)
+            return
+        if composed is None:
+            self.lean = _variant(statement, fragment.sql)
+            return
+        self.columns = [item.output_name() for item in composed.core.items]
+        where = composed.core.where
+        self.void = isinstance(where, sql_ast.Literal)
+        # Merged (not wrapped): the WHERE was folded, and a run's values
+        # fold it further.
+        if composed.core.from_clause is statement.core.from_clause \
+                and where is not None and not self.void:
+            parts = sql_ast.conjuncts(where)
+            pure = [constant_once_bound(part) and folds_when_bound(part)
+                    for part in parts]
+            kept = [part for part, guard in zip(parts, pure) if not guard]
+            self.guards = [_Guard(part)
+                           for part, guard in zip(parts, pure) if guard]
+            self.binds = bool(kept) and all(
+                isinstance(part, sql_ast.Literal) for part in kept) or any(
+                folds_when_bound(part) for part in kept)
+            if self.guards or self.binds:
+                composed = replace(composed, core=replace(
+                    composed.core, where=sql_ast.conjoin(kept)))
+        self.lean = _variant(composed)
+
+    def job(self, view_name: str, values: tuple) -> tuple[FragmentJob, bool]:
+        """This run's job, and whether it ships (False: eliminated)."""
+        variant = self.lean
+        ships = not self.void
+        if ships and (self.guards or self.binds):
+            judged = self._judge(values)
+            ships = judged is not None
+            variant = judged or variant
+        return FragmentJob(
+            view_name, self.index, self.source, self.database, variant.sql,
+            cacheable=self.cacheable, statement=variant.statement,
+            values=values[:variant.arity] if variant.prepared else None,
+            tags=tuple((type(values[index]), values[index])
+                       for index in variant.order)), ships
+
+    def _judge(self, values: tuple) -> _Variant | None:
+        """The variant that ships under *values*; None: eliminated."""
+        binds = self.binds
+        for guard in self.guards:
+            holds = guard.holds(values)
+            if holds is False:
+                return None
+            binds = binds or holds is None
+        if not binds:
+            return self.lean
+        bound = sql_ast.clone_query(self.composed, values)
+        where = fold_expr(bound.core.where)
+        if isinstance(where, sql_ast.Literal):
+            if where.value is not True:
+                return None
+            where = None
+        bound.core.where = where
+        return _variant(bound, prepared=False)
+
+
+class _ShipTemplate:
+    """What a statement ships, derived once: the views it wants, the
+    conjuncts its sources can apply per view (their ``?`` kept), and
+    each wanted view's fragments composed with them."""
+
+    __slots__ = ("wanted", "pushable", "arity", "_fragments")
+
+    def __init__(self, wanted: list[str],
+                 pushable: dict[str, list[sql_ast.Expr]],
+                 arity: int) -> None:
+        self.wanted = wanted
+        self.pushable = pushable
+        #: Values a run binds: one per ``?`` of the statement.
+        self.arity = arity
+        self._fragments: dict[str, list[_Fragment]] = {}
+
+    def fragments(self, mediator: Mediator,
+                  view_name: str) -> list[_Fragment]:
+        """*view_name*'s fragments as this template ships them."""
+        fragments = self._fragments.get(view_name)
+        if fragments is None:
+            fragments = self._fragments[view_name] = \
+                mediator._prepare_fragments(mediator._views[view_name],
+                                            self.pushable.get(view_name))
+        return fragments
+
+    def filter_text(self, view_name: str, values: tuple) -> str:
+        """The filter pushed into *view_name*'s sources, as it ran."""
+        return " AND ".join(
+            f"({render_expr(conjunct, bound_to(values))})"
+            for conjunct in self.pushable[view_name])
+
+
+def _forget_ship_template(session_ref: weakref.ref, key: int) -> None:
+    """A statement is gone: so are its ship templates."""
+    session = session_ref()
+    if session is not None:
+        session._ship_templates.pop(key, None)
+
+
 @dataclass
 class _ShipPlan:
-    """What one statement needs shipped, derived once per query."""
+    """What one run of a statement ships, from its template."""
 
     wanted: list[str]                 # pruned views, as referenced
     costs: dict[str, float]           # 0.0 = already local
@@ -504,6 +734,12 @@ class MediatorSession:
         self._view_warnings: dict[str, list[str]] = {}
         self.hits = 0      # views served from the local materialization
         self.misses = 0    # views shipped to the sources
+        #: Ship templates by ``id`` of their statement, then by
+        #: (pushdown, views, the mediator's stamp); each statement's are
+        #: dropped when it is collected, and all of them when the stamp
+        #: moves (``define_view``, DDL on a source).
+        self._ship_templates: dict[int, dict[tuple, _ShipTemplate]] = {}
+        self._templates_stamp: tuple | None = None
         #: Telemetry hook (duck-typed): attached by the session layer.
         self.telemetry = None
 
@@ -569,11 +805,13 @@ class MediatorSession:
 
     @contextmanager
     def shipped(self, statement: sql_ast.SelectQuery | None,
-                pushdown: bool = True, views: list[str] | None = None):
+                pushdown: bool = True, views: list[str] | None = None,
+                params: tuple | None = None):
         """The scope of one query over shipped views: ship what
-        *statement* needs, yield ``(report, tie)``, and on exit — normal
-        or not — drop the partial materializations (filtered or
-        ``skip``-reduced views, usable for this query only).
+        *statement* — its ``?`` bound to *params* — needs, yield
+        ``(report, tie)``, and on exit — normal or not — drop the
+        partial materializations (filtered or ``skip``-reduced views,
+        usable for this query only).
 
         A streaming caller passes its cursor through ``tie`` inside the
         scope: the partials then live until the returned cursor closes
@@ -601,20 +839,42 @@ class MediatorSession:
                           plan=cursor.plan)
 
         try:
-            self._ship_parsed(self._plan_ship(statement, views, pushdown),
-                              report, partial)
+            self._ship_parsed(
+                self._plan_ship(statement, views, pushdown, params),
+                report, partial)
             yield report, tie
         finally:
             drop(partial)
 
-    def _plan_ship(self, statement: sql_ast.SelectQuery | None,
-                   views: list[str] | None, pushdown: bool) -> _ShipPlan:
-        """Derive what *statement* needs shipped: prune to the wanted
-        views (an unparseable statement, ``None``, wants them all),
-        cost-rank them (already-local ones are free), find the pushable
-        filters, and split the ranking into cached views and fragment
-        jobs.  ``_ship_parsed`` executes the plan, ``explain`` renders it.
-        """
+    def _ship_template(self, statement: sql_ast.SelectQuery | None,
+                       views: list[str] | None, pushdown: bool,
+                       stamp: tuple) -> _ShipTemplate:
+        """*statement*'s ship template: kept for as long as the
+        statement lives (and the mediator's *stamp* holds), derived
+        afresh for an unparseable one (``None``)."""
+        if statement is None:
+            return self._derive_template(None, views, pushdown)
+        if stamp != self._templates_stamp:
+            self._ship_templates.clear()
+            self._templates_stamp = stamp
+        key = id(statement)
+        variants = self._ship_templates.get(key)
+        if variants is None:
+            variants = self._ship_templates[key] = {}
+            weakref.finalize(statement, _forget_ship_template,
+                             weakref.ref(self), key).atexit = False
+        variant = (pushdown, None if views is None else tuple(views), stamp)
+        template = variants.get(variant)
+        if template is None:
+            template = variants[variant] = self._derive_template(
+                statement, views, pushdown)
+        return template
+
+    def _derive_template(self, statement: sql_ast.SelectQuery | None,
+                         views: list[str] | None,
+                         pushdown: bool) -> _ShipTemplate:
+        """Prune to the wanted views (an unparseable statement,
+        ``None``, wants them all) and find the pushable filters."""
         mediator = self.mediator
         if views is not None:
             # Dedupe (order-preserving): a repeated name is one view.
@@ -626,26 +886,55 @@ class MediatorSession:
         for view_name in wanted:
             if view_name not in mediator._views:
                 raise MediationError(f"unknown view {view_name!r}")
+        pushable = (_pushable_filters(statement, wanted, mediator)
+                    if pushdown and statement is not None else {})
+        arity = 1 + max((node.index for node in sql_ast.iter_query_nodes(
+            statement) if isinstance(node, sql_ast.Param)), default=-1) \
+            if statement is not None else 0
+        return _ShipTemplate(wanted, pushable, arity)
+
+    def _plan_ship(self, statement: sql_ast.SelectQuery | None,
+                   views: list[str] | None, pushdown: bool,
+                   params: tuple | None = None) -> _ShipPlan:
+        """What this run of *statement* ships, from its template:
+        cost-rank the wanted views (already-local ones are free), split
+        the ranking into cached views and fragment jobs, and bind
+        *params* into the jobs — eliminating the fragments they
+        contradict.  ``_ship_parsed`` executes the plan, ``explain``
+        renders it.
+        """
+        mediator = self.mediator
+        template = self._ship_template(statement, views, pushdown,
+                                       mediator._stamp())
+        values = () if params is None else tuple(params)
+        if len(values) != template.arity:
+            raise ExecutionError(
+                f"statement expects {template.arity} parameter(s), "
+                f"got {len(values)}")
+        wanted = template.wanted
         costs = {name: (0.0 if name in self._view_rows
                         else mediator.estimate_view_cost(
                             mediator._views[name]))
                  for name in wanted}
         ranked = sorted(wanted, key=lambda name: (costs[name],
                                                   wanted.index(name)))
-        pushable = (_pushable_filters(statement, wanted, mediator)
-                    if pushdown and statement is not None else {})
         jobs: dict[str, list[FragmentJob]] = {}
         eliminated: list[FragmentResult] = []
         for name in ranked:
-            if name not in self._view_rows:
-                jobs[name], dropped = mediator._fragment_jobs(
-                    mediator._views[name], pushable.get(name))
-                eliminated.extend(dropped)
+            if name in self._view_rows:
+                continue
+            jobs[name] = shipping = []
+            for fragment in template.fragments(mediator, name):
+                job, ships = fragment.job(name, values)
+                if ships:
+                    shipping.append(job)
+                else:
+                    eliminated.append(FragmentResult(
+                        job, ResultSet(fragment.columns, []), attempts=0))
         return _ShipPlan(
             wanted, costs,
-            {name: " AND ".join(f"({render_expr(conjunct)})"
-                                for conjunct in pushable[name])
-             for name in jobs if name in pushable},
+            {name: template.filter_text(name, values)
+             for name in jobs if name in template.pushable},
             cached=[name for name in ranked if name in self._view_rows],
             jobs=jobs, eliminated=eliminated)
 
@@ -673,7 +962,7 @@ class MediatorSession:
             # carry the same caveats.
             report.warnings.extend(self._view_warnings.get(view_name, ()))
         jobs = [job for view_jobs in plan.jobs.values() for job in view_jobs]
-        report.sub_queries.extend((job.source, job.sql) for job in jobs)
+        report.jobs.extend(jobs)
         report.eliminated.extend((outcome.job.view, outcome.job.source)
                                  for outcome in plan.eliminated)
         if not plan.jobs:
@@ -762,7 +1051,7 @@ class MediatorSession:
             if view_name in ship.pushable:
                 label += f", pushdown [{ship.pushable[view_name]}]"
             label += ")"
-            batch.extend(f"{label} <- {job.source}: {job.sql}"
+            batch.extend(f"{label} <- {job.source}: {job.rendered()}"
                          for job in jobs)
         if batch:
             workers = min(self.options.max_workers, len(batch))

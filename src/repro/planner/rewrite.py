@@ -48,17 +48,47 @@ _FOLDABLE = (ast.Literal, ast.UnaryOp, ast.BinaryOp, ast.IsNull, ast.Like,
 _fold_ctx = CompileContext(subplan_factory=None)  # type: ignore[arg-type]
 
 
-def _is_literal_only(expr: ast.Expr) -> bool:
-    if not isinstance(expr, _FOLDABLE):
+def _is_literal_only(expr: ast.Expr, bound: bool = False) -> bool:
+    foldable = _FOLDABLE + (ast.Param,) if bound else _FOLDABLE
+    if not isinstance(expr, foldable):
         return False
     from ..relational.aggregates import AGGREGATE_NAMES
     for node in ast.walk_expr(expr):
-        if not isinstance(node, _FOLDABLE):
+        if not isinstance(node, foldable):
             return False
         if isinstance(node, ast.FunctionCall) \
                 and node.name.upper() in AGGREGATE_NAMES:
             return False
     return True
+
+
+def constant_once_bound(expr: ast.Expr) -> bool:
+    """Whether *expr* is literal-only once its ``?`` are bound: what
+    :func:`fold_expr` folds to a literal then."""
+    return _is_literal_only(expr, bound=True)
+
+
+def folds_when_bound(expr: ast.Expr) -> bool:
+    """Whether :func:`fold_expr` may fold *expr* further once its ``?``
+    are bound: some subtree of it reads a ``?`` and is literal-only
+    then — other than a bare ``?``, which bound is just the literal it
+    reads — or a ``?`` is an operand of AND / OR / NOT, which fold on a
+    boolean literal."""
+    for node in ast.walk_expr(expr):
+        if isinstance(node, ast.Param):
+            if node is expr:
+                return True
+            continue
+        if (isinstance(node, ast.BinaryOp) and node.op in ("AND", "OR")
+                or isinstance(node, ast.UnaryOp) and node.op == "NOT") \
+                and any(isinstance(child, ast.Param)
+                        for child in ast.child_exprs(node)):
+            return True
+        if constant_once_bound(node) and any(
+                isinstance(inner, ast.Param)
+                for inner in ast.walk_expr(node)):
+            return True
+    return False
 
 
 def _bool_literal(expr: ast.Expr) -> Optional[bool]:

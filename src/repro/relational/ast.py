@@ -150,8 +150,9 @@ class SlotRef(Expr):
 @dataclass
 class Param(Expr):
     """A ``?`` placeholder of a prepared statement: the *index*-th value
-    (in text order) bound by ``clone_query(query, values)``.  Only bound
-    statements are planned and run."""
+    (in text order) of a run.  A built tree reads it from its slot
+    (``compiler.Slots``); ``clone_query(query, values)`` binds it to a
+    literal instead."""
 
     index: int
 

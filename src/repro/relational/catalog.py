@@ -12,6 +12,10 @@ class Catalog:
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
+        #: Moves whenever a table is created, registered or dropped: what
+        #: was derived from the namespace (an expanded star, a table's
+        #: kind) holds while it stays put.
+        self.version = 0
 
     def create_table(self, schema: TableSchema,
                      if_not_exists: bool = False) -> Table | None:
@@ -22,6 +26,7 @@ class Catalog:
             raise CatalogError(f"table {schema.name!r} already exists")
         table = Table(schema)
         self._tables[key] = table
+        self.version += 1
         return table
 
     def register_table(self, table: Table) -> None:
@@ -30,6 +35,7 @@ class Catalog:
         if key in self._tables:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[key] = table
+        self.version += 1
 
     def drop_table(self, name: str, if_exists: bool = False) -> None:
         key = name.lower()
@@ -38,6 +44,7 @@ class Catalog:
                 return
             raise CatalogError(f"table {name!r} does not exist")
         del self._tables[key]
+        self.version += 1
 
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables

@@ -294,11 +294,12 @@ class Database:
         """Execute a semicolon-separated script, returning all results."""
         return [self.execute_ast(stmt) for stmt in parse_script(sql)]
 
-    def query(self, target: "str | ast.SelectQuery") -> ResultSet:
-        """Execute a statement — SQL text, or one already parsed — that
-        must produce rows."""
+    def query(self, target: "str | ast.SelectQuery",
+              params: tuple | None = None) -> ResultSet:
+        """Execute a statement — SQL text, or one already parsed, with
+        *params* as for :meth:`execute_ast` — that must produce rows."""
         result = (self.execute(target) if isinstance(target, str)
-                  else self.execute_ast(target))
+                  else self.execute_ast(target, params))
         if not isinstance(result, ResultSet):
             raise ExecutionError("statement did not produce rows")
         return result
@@ -776,7 +777,10 @@ class Database:
         *without* the write lock (and without moving the generation).
 
         Used for an extraction's relation (registered once, read by the
-        statements rewritten over it until it is dropped): the name is
+        statements rewritten over it until it is dropped), so its values
+        are stored as given, never coerced to the one type inferred for
+        their column: an extraction mixing ``5`` and ``'Mercury'`` must
+        still match ``k = 5``.  The name is
         unique and nothing else ever references it, so this is a
         namespace operation, not a data mutation — taking the write
         lock here would serialize enriched
@@ -784,7 +788,8 @@ class Database:
         already holds the read side).  Single dict insert: atomic under
         the GIL.
         """
-        table = table_from_columns(name, result.columns, result.cols)
+        table = table_from_columns(name, result.columns, result.cols,
+                                   coerce=False)
         self.catalog.register_table(table)
         return table
 

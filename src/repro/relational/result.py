@@ -181,10 +181,13 @@ class ResultSet:
     def share(self) -> "ResultSet":
         """Mark this result as held by a cache, and return it: it keeps
         the one form it has (its columns, when it has both) and from now
-        on hands the other out without keeping it."""
+        on hands the other out without keeping it.  It drops its
+        ``plan``: a kept tree is free to re-drive only once no result
+        holds the root of its last run."""
         if self._cols is not None:
             self._rows = None
         self._shared = True
+        self.plan = None
         return self
 
     def renamed(self, columns: list[str]) -> "ResultSet":

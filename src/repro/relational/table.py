@@ -427,12 +427,16 @@ class Table:
 
 
 def table_from_columns(name: str, column_names: Sequence[str],
-                       cols: Sequence[Sequence]) -> Table:
+                       cols: Sequence[Sequence],
+                       coerce: bool = True) -> Table:
     """A fully loaded table of one value sequence per column — the one
     loader under mediated views and SESQL temp tables.  Each column's
     type is inferred from its values; values the storage model does not
     know (RDF terms, say) are stored as their ``str``; every column must
-    have the same length.  The sequences are read, never adopted — a
+    have the same length.  With *coerce* off the values are stored as
+    given rather than coerced to their column's type (a column mixing
+    ``5`` and ``'x'`` keeps the ``5``).  The sequences are read, never
+    adopted — a
     cached fragment's columns are shared across queries, and a write to
     the table must not reach them.  The caller publishes the table, so
     nobody ever sees it half loaded.
@@ -456,7 +460,11 @@ def table_from_columns(name: str, column_names: Sequence[str],
     table = Table(TableSchema(name, [
         Column(column_name, _narrowest(kind))
         for column_name, kind in zip(column_names, kinds)]))
-    table._append_columns(given, kinds, lengths.pop() if lengths else 0)
+    count = lengths.pop() if lengths else 0
+    if coerce:
+        table._append_columns(given, kinds, count)
+    else:
+        table._store(given, count)
     return table
 
 

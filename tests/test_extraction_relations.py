@@ -305,3 +305,20 @@ def test_the_rewrite_stage_says_when_it_was_recalled(databank, registry):
                  if stage.name == "rewrite"]
     assert rewrite.cached and "[cached]" in rewrite.format()
     assert session.stats()["extraction_relations"]["registered"] == 1
+
+
+def test_a_relation_keeps_its_values_types():
+    """An extraction mixing ``5`` and an IRI is loaded as given: the
+    relation still matches ``k = 5``, as the inlined IN-list does."""
+    from repro.rdf import Literal, TripleStore
+    db = Database()
+    db.execute("CREATE TABLE t (k INTEGER, n TEXT)")
+    db.execute("INSERT INTO t VALUES (5, 'five'), (6, 'six')")
+    kb = TripleStore()
+    kb.add(SMG.X, SMG.p, Literal(5))
+    kb.add(SMG.X, SMG.p, SMG.Mercury)
+    session = repro.connect(db, knowledge_base=kb)
+    enriched = session.execute(
+        "SELECT n FROM t WHERE ${k = X:c1} ENRICH REPLACECONSTANT(c1, X, p)")
+    inlined = session.execute("SELECT n FROM t WHERE k IN (5, 'Mercury')")
+    assert enriched.rows == inlined.rows == [("five",)]

@@ -675,8 +675,8 @@ def test_a_merged_fragment_ships_parsed_without_a_derived_table(
     mediator = partitioned(sources)
     shipped = []
     for db in sources:
-        monkeypatch.setattr(db, "query", lambda target, db=db: (
-            shipped.append(target) or Database.query(db, target)))
+        monkeypatch.setattr(db, "query", lambda target, params, db=db: (
+            shipped.append(target) or Database.query(db, target, params)))
     parses: list[str] = []
     source_parse = engine.parse_sql
     monkeypatch.setattr(engine, "parse_sql", lambda sql: (

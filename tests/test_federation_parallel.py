@@ -21,11 +21,11 @@ class FlakyDatabase(Database):
         self.failures = failures
         self.calls = 0
 
-    def query(self, sql):
+    def query(self, sql, params=None):
         self.calls += 1
         if self.failures is None or self.calls <= self.failures:
             raise RuntimeError("source offline")
-        return super().query(sql)
+        return super().query(sql, params)
 
 
 def _landfill_db(cls, name, rows):
@@ -464,9 +464,9 @@ def test_stream_sees_only_fully_shipped_views():
 
 def test_parallel_shipping_overlaps_source_latency():
     class SlowDatabase(Database):
-        def query(self, sql):
+        def query(self, sql, params=None):
             time.sleep(0.03)
-            return super().query(sql)
+            return super().query(sql, params)
 
     def build(options):
         mediator = Mediator(options)

@@ -156,8 +156,8 @@ class TermSource(Database):
     """Answers with an RDF term wherever ``s`` holds text: a value the
     storage model does not know."""
 
-    def query(self, target):
-        result = super().query(target)
+    def query(self, target, params=None):
+        result = super().query(target, params)
         cols = [list(column) for column in result.cols]
         cols[2] = [None if value is None
                    else IRI(f"http://example.org/{value}")
@@ -168,15 +168,15 @@ class TermSource(Database):
 class RowSource(Database):
     """Answers in rows, the form a sort or an aggregate leaves."""
 
-    def query(self, target):
-        result = super().query(target)
+    def query(self, target, params=None):
+        result = super().query(target, params)
         return ResultSet(result.columns, list(result.rows))
 
 
 class DownSource(Database):
     """Never answers: the skip policy drops its fragment."""
 
-    def query(self, target):
+    def query(self, target, params=None):
         raise ConnectionError("source is down")
 
 
