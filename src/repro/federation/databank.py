@@ -4,9 +4,11 @@
 whose tables are the mediator's global views: before executing any
 SELECT it ships the views the statement references (through its
 embedded :class:`~repro.federation.MediatorSession`, with
-materialization reuse), then runs the statement locally.  That makes
-federated sources composable with every layer built on the Database
-protocol — most importantly the SESQL engine::
+materialization reuse), then runs the statement locally with those
+views bound to the run — a view is a leaf of the statement's operator
+tree, never a table of this database.  That makes federated sources
+composable with every layer built on the Database protocol — most
+importantly the SESQL engine::
 
     session = repro.connect(mediator.as_databank(), knowledge_base=kb,
                             telemetry=TelemetryOptions())
@@ -32,9 +34,9 @@ class MediatedDatabank(Database):
                  options: FederationOptions | None = None,
                  name: str = "mediated") -> None:
         super().__init__(name)
-        #: The embedded session: owns view materialization state and
-        #: uses *this* database as its scratch store, so mediated views
-        #: live next to any local/temp tables callers create here.
+        #: The embedded session: owns the held views and runs its
+        #: statements in *this* database, so they read any local/temp
+        #: tables callers create here beside the views.
         self.session = MediatorSession(mediator, options, scratch=self)
         #: The :class:`MediationReport` of the most recent shipping
         #: pass (view pruning, per-source timings, warnings).
@@ -51,45 +53,41 @@ class MediatedDatabank(Database):
         self.session.attach_telemetry(telemetry)
 
     def refresh(self, views: list[str] | None = None) -> None:
-        """Drop cached view materializations (see MediatorSession)."""
+        """Drop held view materializations (see MediatorSession)."""
         self.session.refresh(views)
 
-    # -- query paths: run locally, inside the session's shipped scope ----
+    # -- query paths: ship, then run locally with the views bound --------
     #
     # A prepared statement runs as it is, its values beside it: what it
     # ships is derived once per template (the session's ship template),
     # and the local statement re-drives the tree this database keeps
-    # for it whenever the views it reads are held materializations.
+    # for it with each run's values and views.
 
     def execute_ast(self, stmt: sql_ast.Statement,
                     params: tuple | None = None):
         if not isinstance(stmt, sql_ast.SelectQuery):
             return super().execute_ast(stmt)
         with self.session.shipped(stmt, params=params) \
-                as (self.last_report, _tie):
-            return super().execute_ast(stmt, params)
+                as (self.last_report, views):
+            return super().execute_ast(stmt, params, views)
 
     def stream_ast(self, query: sql_ast.SelectQuery,
                    params: tuple | None = None) -> Cursor:
-        # Ship BEFORE opening the stream: materialization stores views
-        # under the write lock, which the streaming read hold (taken
-        # eagerly by the base class) would deadlock against.  Pushdown
-        # is off for the same reason as MediatorSession.stream — a
-        # filtered partial must not outlive this cursor under the
-        # view's name.
+        # Pushdown is off, as for MediatorSession.stream: what a stream
+        # ships is held for the queries after it.
         with self.session.shipped(query, pushdown=False, params=params) \
-                as (self.last_report, tie):
-            return tie(super().stream_ast(query, params))
+                as (self.last_report, views):
+            return super().stream_ast(query, params, views)
 
     def explain(self, target, analyze: bool = False,
                 params: tuple | None = None):
         """Plan *target* over exactly what ``execute`` would ship for it
-        (same pushdown, partials dropped on the way out) — nothing at
-        all for a statement that is not a SELECT."""
+        (same pushdown) — nothing at all for a statement that is not a
+        SELECT."""
         from ..relational.parser import parse_sql
         stmt = parse_sql(target) if isinstance(target, str) else target
         if not isinstance(stmt, sql_ast.SelectQuery):
             return super().explain(stmt, analyze)    # refuses it
         with self.session.shipped(stmt, params=params) \
-                as (self.last_report, _tie):
-            return super().explain(stmt, analyze, params)
+                as (self.last_report, views):
+            return super().explain(stmt, analyze, params, views)

@@ -13,11 +13,15 @@ read-only query point of such a system:
   pays one round-trip, not *k*), reconciles the partial results
   (``union_all`` / ``union`` dedupe / ``prefer_first`` per-key
   precedence) behind a per-view barrier in the deterministic
-  fragment-definition order, materialises the views into a scratch
-  database and runs the user query there.  A fragment's answer travels
-  as columns, from the source's scan through the fragment cache and
-  ``union_all``'s concatenation into the view's table — no row tuple is
-  built on the way.
+  fragment-definition order, and runs the user query in a local
+  database with each view bound to that run as it binds its ``?``
+  values: a view is a leaf of the local operator tree
+  (:class:`~repro.relational.operators.ViewScan`), never a stored
+  table, so the tree the local database keeps for a statement is
+  re-driven with each run's views.  A fragment's answer travels as
+  columns, from the source's scan through the fragment cache and
+  ``union_all``'s concatenation into the scan — no row tuple is built,
+  and no column is coerced unless its values' types are mixed.
 
 A WHERE conjunct over one view is **composed** into each fragment's
 parsed statement (``planner.rewrite.compose_filter``), so no source
@@ -64,8 +68,9 @@ from ..relational.engine import Database
 from ..relational.errors import ExecutionError
 from ..relational.parser import parse_sql
 from ..relational.render import bound_to, render_expr, render_query
-from ..relational.result import Cursor, ResultSet
-from ..relational.table import Table
+from ..relational.result import ResultSet
+from ..relational.schema import Column, TableSchema
+from ..relational.table import BoundView, Table
 from .errors import MediationError
 from .executor import (FederationExecutor, FederationOptions, FragmentCache,
                        FragmentJob, FragmentResult)
@@ -218,8 +223,9 @@ class Mediator:
 
         This is the mediator's pruning step: only views the query can
         actually touch are decomposed and shipped to the sources.  On a
-        parse failure every view is returned (the scratch database will
-        report the real syntax error when it runs the query).
+        parse failure every view is returned, as text that does not
+        parse may name any of them; a session ships nothing for such
+        text, it raises the parse error.
         """
         statement = self._try_parse(sql)
         if statement is None:
@@ -269,6 +275,19 @@ class Mediator:
         if sql not in self._fragment_statements:
             self._fragment_statements[sql] = Mediator._try_parse(sql)
         return self._fragment_statements[sql]
+
+    def _view_shape(self, view: GlobalView, cost: float) -> BoundView | None:
+        """*view* as a plan sees it before it ships: the columns of its
+        first fragment as its source plans it, sized *cost*; ``None``
+        when that fragment is no SELECT."""
+        fragment = view.fragments[0]
+        statement = self._fragment_statement(fragment.sql)
+        if statement is None:
+            return None
+        schema = self.source(fragment.source).explain(statement).root.schema
+        return BoundView(TableSchema(view.name, [
+            Column(column.name, column.data_type)
+            for column in schema.columns]), None, cost)
 
     @staticmethod
     def _fragment_cost(database: Database,
@@ -381,8 +400,9 @@ class Mediator:
 
     def _assemble_view(self, view: GlobalView,
                        results: list[FragmentResult],
-                       report: MediationReport) -> ResultSet:
-        """Validate fragment columns and reconcile the partial results.
+                       report: MediationReport) -> BoundView:
+        """Validate fragment columns and reconcile the partial results
+        into the view a run binds.
 
         Column *arity* must agree across fragments (the error names
         both column lists); column *names* are validated positionally —
@@ -444,13 +464,16 @@ class Mediator:
 
     @staticmethod
     def _reconcile(view: GlobalView, columns: list[str],
-                   partials: list[tuple[str, ResultSet]]) -> ResultSet:
+                   partials: list[tuple[str, ResultSet]]) -> BoundView:
         """The view's rows, named *columns*, from its fragments' results
-        in fragment order.
+        in fragment order, typed as a table loaded from them would be
+        (:meth:`BoundView.of`).
 
         ``union_all`` concatenates the fragments' columns — one
-        ``list.extend`` per column per fragment, no row tuple — so a
-        view shipped as columns is loaded as columns.  ``union`` and
+        ``list.extend`` per column per fragment, no row tuple; one
+        fragment's are bound as they are — and types them from each
+        fragment's type sets, which a cached fragment keeps
+        (``ResultSet.value_types``).  ``union`` and
         ``prefer_first`` dedupe rows and keep the first of each key,
         keyed through ``norm_tuple``: by the engine's equality, under
         which ``1`` and ``1.0`` are one key and ``TRUE`` and ``1`` are
@@ -462,11 +485,16 @@ class Mediator:
         ``=`` a NULL would match nothing).
         """
         if view.reconciliation == "union_all":
-            merged = [[] for _ in columns]
-            for _source, partial in partials:
-                for column, values in zip(merged, partial.cols):
-                    column.extend(values)
-            return ResultSet(columns, cols=merged)
+            if len(partials) == 1:
+                merged = partials[0][1].cols
+            else:
+                merged = [[] for _ in columns]
+                for _source, partial in partials:
+                    for column, values in zip(merged, partial.cols):
+                        column.extend(values)
+            kinds = [set().union(*column) for column in zip(
+                *(partial.value_types() for _source, partial in partials))]
+            return BoundView.of(view.name, columns, merged, kinds)
         key_positions: list[int] | None = None
         seen: set[tuple] = set()
         rows = []
@@ -484,7 +512,9 @@ class Mediator:
                 if key not in seen:
                     seen.add(key)
                     rows.append(row)
-        return ResultSet(columns, rows)
+        result = ResultSet(columns, rows)
+        return BoundView.of(view.name, columns, result.cols,
+                            result.value_types())
 
 
 class _Variant(NamedTuple):
@@ -697,12 +727,18 @@ class _ShipPlan:
 class MediatorSession:
     """A stateful query session over a mediator's global schema.
 
-    Where :meth:`Mediator.query` rebuilds its scratch database per call
-    (always-fresh snapshot semantics), a session keeps one scratch
-    database alive and reuses already-materialized views across queries:
-    the first query touching view V ships V's sub-queries, later ones
-    hit the local copy.  ``refresh()`` drops materializations to pick up
-    source-side changes (or redefined views).
+    Where :meth:`Mediator.query` starts afresh per call (always-fresh
+    snapshot semantics), a session holds each view it shipped in full
+    and binds the held copy into later queries: the first query touching
+    view V ships V's sub-queries, later ones read the held copy.
+    ``refresh()`` drops them to pick up source-side changes (or
+    redefined views).  A view shipped with a filter pushed into it, or
+    with a source skipped, is partial: it is bound to its own run only.
+
+    The statements run in a local database — the session's own, or the
+    :class:`~repro.federation.MediatedDatabank` it serves — with the
+    views bound per run (``execute_ast(statement, params, views)``):
+    none is ever a table of that database.
     """
 
     def __init__(self, mediator: Mediator,
@@ -722,17 +758,18 @@ class MediatorSession:
             if options.fragment_cache_size > 0 and cache.maxsize <= 0:
                 cache = FragmentCache(options.fragment_cache_size)
             self._executor = FederationExecutor(options, cache)
-        #: The local database views materialize into.  Callers (e.g.
+        #: The local database statements run in.  Callers (e.g.
         #: :class:`~repro.federation.MediatedDatabank`) may supply one
-        #: so mediated views live next to their other tables.
+        #: so statements read their other tables beside the views.
         self._scratch = scratch if scratch is not None \
             else Database("mediator-session")
-        self._view_rows: dict[str, int] = {}
+        #: The views shipped in full, held for later queries.
+        self._materialized: dict[str, BoundView] = {}
         #: Warn-level notes recorded at each view's first
         #: materialization, re-emitted on every cached hit — a consumer
         #: seeing the warm path still learns about fragment renames.
         self._view_warnings: dict[str, list[str]] = {}
-        self.hits = 0      # views served from the local materialization
+        self.hits = 0      # views served from a held materialization
         self.misses = 0    # views shipped to the sources
         #: Ship templates by ``id`` of their statement, then by
         #: (pushdown, views, the mediator's stamp); each statement's are
@@ -755,105 +792,58 @@ class MediatorSession:
     def execute(self, sql: str, views: list[str] | None = None,
                 pushdown: bool = True
                 ) -> tuple[ResultSet, MediationReport]:
-        """Run *sql* on the global schema, materializing views lazily.
+        """Run *sql* on the global schema, shipping views lazily.
 
         The statement is parsed once: the same AST drives view pruning,
-        filter pushdown and the final scratch-database execution.  An
-        unparseable statement falls back to materializing every view
-        and letting the scratch database report the real error.
+        filter pushdown and the local execution.  Text that does not
+        parse, or is not a SELECT, raises before anything ships.
         """
         started = time.perf_counter()
-        statement = Mediator._try_parse(sql)
-        with self.shipped(statement, pushdown, views) as (report, _tie):
-            if statement is not None:
-                result = self._scratch.execute_ast(statement)
-                if not isinstance(result, ResultSet):
-                    raise ExecutionError("statement did not produce rows")
-            else:
-                result = self._scratch.query(sql)
+        statement = _parse_select(sql, "statement did not produce rows")
+        with self.shipped(statement, pushdown, views) as (report, bound):
+            result = self._scratch.execute_ast(statement, None, bound)
         report.elapsed_s = time.perf_counter() - started
         return result, report
 
     def stream(self, sql: str, views: list[str] | None = None):
         """Run *sql* on the global schema, streaming the final result.
 
-        Fragment shipping feeds the stream incrementally: each
-        referenced view is materialized (cheapest first) exactly as in
-        :meth:`execute`, but the scratch-database execution is a lazy
-        cursor — the first row is available as soon as the last view
-        lands, and ``LIMIT k`` global queries stop after *k* rows
-        instead of materializing the reconciled result.
+        Each referenced view is shipped (cheapest first) exactly as in
+        :meth:`execute`, but the local execution is a lazy cursor — the
+        first row is available as soon as the last view lands, and
+        ``LIMIT k`` global queries stop after *k* rows instead of
+        materializing the reconciled result.
 
-        Unlike :meth:`execute`, streams ship views *unfiltered*: a
-        pushed-down filter would leave a partial materialization alive
-        under the view's name for the cursor's whole lifetime, where
-        any interleaved query on the session would collide with (or
-        read) it.  Full materializations are cached instead, so
-        follow-up queries get local hits.  A ``skip``-reduced view is
-        still partial, though: it stays alive for this cursor only and
-        is dropped when the cursor closes.  Returns
+        Unlike :meth:`execute`, streams ship views *unfiltered*, so the
+        views they ship are held for follow-up queries.  Returns
         ``(cursor, report)``.
         """
         started = time.perf_counter()
-        statement = Mediator._try_parse(sql)
-        with self.shipped(statement, False, views) as (report, tie):
-            cursor = tie(self._scratch.stream_ast(statement)
-                         if statement is not None
-                         else self._scratch.stream(sql))
+        statement = _parse_select(sql, "stream() requires a SELECT "
+                                  "statement")
+        with self.shipped(statement, False, views) as (report, bound):
+            cursor = self._scratch.stream_ast(statement, None, bound)
         report.elapsed_s = time.perf_counter() - started
         return cursor, report
 
     @contextmanager
-    def shipped(self, statement: sql_ast.SelectQuery | None,
+    def shipped(self, statement: sql_ast.SelectQuery,
                 pushdown: bool = True, views: list[str] | None = None,
                 params: tuple | None = None):
         """The scope of one query over shipped views: ship what
-        *statement* — its ``?`` bound to *params* — needs, yield
-        ``(report, tie)``, and on exit — normal or not — drop the
-        partial materializations (filtered or ``skip``-reduced views,
-        usable for this query only).
-
-        A streaming caller passes its cursor through ``tie`` inside the
-        scope: the partials then live until the returned cursor closes
-        (the inner stream is closed first — it holds the scratch read
-        lock the drop needs) instead of until scope exit.
-        """
+        *statement* — its ``?`` bound to *params* — needs, and yield
+        ``(report, views)``, *views* the run's views by name, which the
+        local database binds into that run
+        (``execute_ast(statement, params, views)``)."""
         report = MediationReport()
-        partial: list[str] = []
+        yield report, self._ship_parsed(
+            self._plan_ship(statement, views, pushdown, params), report)
 
-        def drop(names: list[str]) -> None:
-            for view_name in names:
-                self._scratch.drop_table(view_name, if_exists=True)
-
-        def tie(cursor: Cursor) -> Cursor:
-            if not partial:
-                return cursor
-            tied = partial[:]
-            partial.clear()
-
-            def cleanup() -> None:
-                cursor.close()
-                drop(tied)
-
-            return Cursor(cursor.columns, cursor, on_close=cleanup,
-                          plan=cursor.plan)
-
-        try:
-            self._ship_parsed(
-                self._plan_ship(statement, views, pushdown, params),
-                report, partial)
-            yield report, tie
-        finally:
-            drop(partial)
-
-    def _ship_template(self, statement: sql_ast.SelectQuery | None,
+    def _ship_template(self, statement: sql_ast.SelectQuery,
                        views: list[str] | None, pushdown: bool,
                        stamp: tuple) -> _ShipTemplate:
         """*statement*'s ship template: kept for as long as the
-        statement lives (and the mediator's *stamp* holds), derived
-        afresh for an unparseable one (``None``)."""
-        if statement is None:
-            return self._derive_template(None, views, pushdown)
+        statement lives (and the mediator's *stamp* holds)."""
         if stamp != self._templates_stamp:
             self._ship_templates.clear()
             self._templates_stamp = stamp
@@ -870,38 +860,33 @@ class MediatorSession:
                 statement, views, pushdown)
         return template
 
-    def _derive_template(self, statement: sql_ast.SelectQuery | None,
+    def _derive_template(self, statement: sql_ast.SelectQuery,
                          views: list[str] | None,
                          pushdown: bool) -> _ShipTemplate:
-        """Prune to the wanted views (an unparseable statement,
-        ``None``, wants them all) and find the pushable filters."""
+        """Prune to the wanted views and find the pushable filters."""
         mediator = self.mediator
         if views is not None:
             # Dedupe (order-preserving): a repeated name is one view.
             wanted = list(dict.fromkeys(views))
-        elif statement is not None:
-            wanted = mediator.referenced_views_in(statement)
         else:
-            wanted = mediator.view_names()
+            wanted = mediator.referenced_views_in(statement)
         for view_name in wanted:
             if view_name not in mediator._views:
                 raise MediationError(f"unknown view {view_name!r}")
         pushable = (_pushable_filters(statement, wanted, mediator)
-                    if pushdown and statement is not None else {})
+                    if pushdown else {})
         arity = 1 + max((node.index for node in sql_ast.iter_query_nodes(
-            statement) if isinstance(node, sql_ast.Param)), default=-1) \
-            if statement is not None else 0
+            statement) if isinstance(node, sql_ast.Param)), default=-1)
         return _ShipTemplate(wanted, pushable, arity)
 
-    def _plan_ship(self, statement: sql_ast.SelectQuery | None,
+    def _plan_ship(self, statement: sql_ast.SelectQuery,
                    views: list[str] | None, pushdown: bool,
                    params: tuple | None = None) -> _ShipPlan:
         """What this run of *statement* ships, from its template:
-        cost-rank the wanted views (already-local ones are free), split
-        the ranking into cached views and fragment jobs, and bind
-        *params* into the jobs — eliminating the fragments they
-        contradict.  ``_ship_parsed`` executes the plan, ``explain``
-        renders it.
+        cost-rank the wanted views (held ones are free), split the
+        ranking into held views and fragment jobs, and bind *params*
+        into the jobs — eliminating the fragments they contradict.
+        ``_ship_parsed`` executes the plan, ``explain`` renders it.
         """
         mediator = self.mediator
         template = self._ship_template(statement, views, pushdown,
@@ -912,7 +897,8 @@ class MediatorSession:
                 f"statement expects {template.arity} parameter(s), "
                 f"got {len(values)}")
         wanted = template.wanted
-        costs = {name: (0.0 if name in self._view_rows
+        held = self._materialized
+        costs = {name: (0.0 if name in held
                         else mediator.estimate_view_cost(
                             mediator._views[name]))
                  for name in wanted}
@@ -921,7 +907,7 @@ class MediatorSession:
         jobs: dict[str, list[FragmentJob]] = {}
         eliminated: list[FragmentResult] = []
         for name in ranked:
-            if name in self._view_rows:
+            if name in held:
                 continue
             jobs[name] = shipping = []
             for fragment in template.fragments(mediator, name):
@@ -935,28 +921,29 @@ class MediatorSession:
             wanted, costs,
             {name: template.filter_text(name, values)
              for name in jobs if name in template.pushable},
-            cached=[name for name in ranked if name in self._view_rows],
+            cached=[name for name in ranked if name in held],
             jobs=jobs, eliminated=eliminated)
 
-    def _ship_parsed(self, plan: _ShipPlan, report: MediationReport,
-                     partial: list[str]) -> None:
-        """Execute a ship plan, filling *report*.
+    def _ship_parsed(self, plan: _ShipPlan, report: MediationReport
+                     ) -> dict[str, BoundView]:
+        """Execute a ship plan, filling *report*; the run's views, held
+        and shipped.
 
         All fragments of all missed views are dispatched to the sources
         in **one concurrent batch** (the executor's worker pool); the
         per-view reconciliation barrier then assembles each view from
-        its fragments in definition order, and the views are stored in
-        the cost ranking — so the report reads exactly as the serial
-        shipping of earlier revisions, only faster.
-
-        Appends to *partial* the name of every partial materialization
-        it stores — the caller drops them when the query is done, or
-        when shipping fails half-way (see :meth:`shipped`).
+        its fragments in definition order, in the cost ranking — so the
+        report reads exactly as the serial shipping of earlier
+        revisions, only faster.  A view shipped in full is held for
+        later queries; a partial one (a pushed filter, a skipped source)
+        is this run's alone.
         """
         report.view_costs.update(plan.costs)
+        bound: dict[str, BoundView] = {}
         for view_name in plan.cached:
             self.hits += 1
-            report.view_rows[view_name] = self._view_rows[view_name]
+            bound[view_name] = self._materialized[view_name]
+            report.view_rows[view_name] = len(bound[view_name])
             # Re-emit the first-materialization warnings: a cached hit
             # serves the same (renamed-column) data, so the report must
             # carry the same caveats.
@@ -966,11 +953,10 @@ class MediatorSession:
         report.eliminated.extend((outcome.job.view, outcome.job.source)
                                  for outcome in plan.eliminated)
         if not plan.jobs:
-            return
+            return bound
 
         # One batch, all views: a failing fragment (under the ``fail``
-        # policy) aborts here, before anything is stored — no view of
-        # this batch is ever observable partially shipped.
+        # policy) aborts here, before any view is assembled.
         tel = self.telemetry
         with (tel.span("federation.ship", views=",".join(plan.jobs),
                        fragments=len(jobs))
@@ -985,55 +971,53 @@ class MediatorSession:
                 key=lambda outcome: outcome.job.index)
             Mediator._fold_results(report, results)
             warn_start = len(report.warnings)
-            assembled = self.mediator._assemble_view(view, results, report)
-            self._scratch.store_table(view_name, assembled)
+            bound[view_name] = assembled = self.mediator._assemble_view(
+                view, results, report)
             self.misses += 1
             filter_sql = plan.pushable.get(view_name)
-            if filter_sql is not None \
-                    or any(outcome.result is None for outcome in results):
-                # A filtered materialization is partial: usable for
-                # this query only, never cached for later ones.  Ditto
-                # a skip-reduced one — caching it would keep serving
-                # the dropped source's absence (with clean reports)
-                # long after the source recovered.
-                partial.append(view_name)
-                if filter_sql is not None:
-                    report.pushed_filters[view_name] = filter_sql
-            else:
-                self._view_rows[view_name] = len(assembled)
+            if filter_sql is not None:
+                report.pushed_filters[view_name] = filter_sql
+            elif all(outcome.result is not None for outcome in results):
+                # Only a full view is held: a skip-reduced one would
+                # keep serving the dropped source's absence (with clean
+                # reports) long after the source recovered.
+                self._materialized[view_name] = assembled
                 self._view_warnings[view_name] = \
                     report.warnings[warn_start:]
             report.view_rows[view_name] = len(assembled)
+        return bound
 
     def query(self, sql: str) -> ResultSet:
         """Execute and return just the rows."""
         return self.execute(sql)[0]
 
     def refresh(self, views: list[str] | None = None) -> None:
-        """Drop cached materializations (all views when none given)."""
-        doomed = list(self._view_rows) if views is None else views
+        """Drop held materializations (all views when none given)."""
+        doomed = list(self._materialized) if views is None else views
         for view_name in doomed:
-            if self._view_rows.pop(view_name, None) is not None:
+            if self._materialized.pop(view_name, None) is not None:
                 self._view_warnings.pop(view_name, None)
-                self._scratch.drop_table(view_name, if_exists=True)
 
     def explain(self, sql: str, pushdown: bool = True) -> "QueryPlan":
         """The mediation plan — pruned views, cost-ranked per-source
         sub-queries, pushed filters and materialization cache state —
         without shipping anything: a rendering of the same ship plan
-        ``execute`` would carry out.
+        ``execute`` would carry out, and the local plan over its views
+        (a view still to ship as its source plans its first fragment,
+        sized by :meth:`Mediator.estimate_view_cost`).
 
         Views still to be shipped appear as **batched** ``materialize``
         stages: all their fragments are dispatched in one concurrent
         batch through the worker pool, so the stage carries the whole
         batch (every fragment of every missed view, as the statement
-        its source runs) and the pool width.  Already-materialized views
-        stay as individual cached stages; eliminated fragments are
-        listed by an ``eliminate`` stage.
+        its source runs) and the pool width.  Held views stay as
+        individual cached stages; eliminated fragments are listed by an
+        ``eliminate`` stage.
         """
         from ..api.plan import PlanStage, QueryPlan
 
-        statement = Mediator._try_parse(sql)
+        statement = _parse_select(sql, "explain() requires a SELECT "
+                                  "statement")
         ship = self._plan_ship(statement, None, pushdown)
         stages = [PlanStage(
             "prune", f"query references {len(ship.wanted)} of "
@@ -1071,15 +1055,25 @@ class MediatorSession:
             statement=sql, base_sql=sql, rewritten_sql=sql,
             stages=stages,
             cache_hits=len(ship.cached), cache_misses=len(ship.jobs))
-        if statement is not None:
-            try:
-                plan.db_plan = self._scratch.explain(statement)
-            except Exception:
-                plan.db_plan = None  # views not materialized yet
+        bound = {name: self._materialized[name] for name in ship.cached}
+        for name in ship.jobs:
+            bound[name] = self.mediator._view_shape(
+                self.mediator._views[name], ship.costs[name])
+        if None not in bound.values():
+            plan.db_plan = self._scratch.explain(statement, views=bound)
         return plan
 
     def close(self) -> None:
         self.refresh()
+
+
+def _parse_select(sql: str, refusal: str) -> sql_ast.SelectQuery:
+    """*sql* parsed — its syntax error raised as it is — if a SELECT;
+    else ``ExecutionError(refusal)``."""
+    statement = parse_sql(sql)
+    if not isinstance(statement, sql_ast.SelectQuery):
+        raise ExecutionError(refusal)
+    return statement
 
 
 def _pushable_filters(statement: sql_ast.SelectQuery, wanted: list[str],

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ..relational import ast
-from ..relational.table import Table, find_probe_index
+from ..relational.table import BoundView, Table, find_probe_index
 from .cost import CostModel
 from .estimate import join_selectivity, predicate_selectivity
 from .stats import StatisticsCatalog, TableStats
@@ -31,7 +31,7 @@ class BaseRelation:
 
     expr: ast.TableExpr          # possibly a pushdown wrapper
     binding: str                 # lower-cased
-    table: Table | None          # underlying heap table, if a bare scan
+    table: Table | BoundView | None  # columnar relation, if a bare scan
     raw_rows: float              # before any pushed filter
     est_rows: float              # after pushed filters
     filtered: bool
@@ -124,7 +124,7 @@ def classify_equi(expr: ast.Expr,
 
 
 def table_rows(table, stats: TableStats | None) -> float:
-    if isinstance(table, Table):
+    if isinstance(table, (Table, BoundView)):
         return float(len(table))
     if stats is not None:
         return float(stats.row_count)

@@ -344,7 +344,7 @@ def _build_distinct(query: ast.SelectQuery, key: ast.Expr, catalog,
 def _build_relation(leaf, catalog, stats, resolve,
                     pushed: list[ast.Expr], binding_columns,
                     needed_by_binding) -> BaseRelation:
-    from ..relational.table import Table
+    from ..relational.table import BoundView, Table
 
     binding = binding_of(leaf)
     raw_rows = _relation_raw_rows(leaf, catalog, stats)
@@ -352,7 +352,7 @@ def _build_relation(leaf, catalog, stats, resolve,
     table = None
     if isinstance(leaf, ast.TableRef) and catalog.has_table(leaf.name):
         candidate = catalog.table(leaf.name)
-        if isinstance(candidate, Table):
+        if isinstance(candidate, (Table, BoundView)):
             table = candidate
 
     if not pushed:

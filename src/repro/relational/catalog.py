@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .errors import CatalogError
 from .schema import TableSchema
-from .table import Table
+from .table import BoundView, Table
 
 
 class Catalog:
@@ -71,3 +71,26 @@ class Catalog:
             if index_name in table.indexes:
                 return table, index_name
         return None
+
+
+class ViewCatalog:
+    """A catalog as one run of a statement sees it: the views bound for
+    the run (:class:`~repro.relational.table.BoundView`, by lower-cased
+    name) in front of the tables — what the planner and the builder
+    resolve a statement's names in."""
+
+    def __init__(self, catalog: Catalog,
+                 views: dict[str, BoundView]) -> None:
+        self.catalog = catalog
+        self.views = views
+
+    def has_table(self, name: str) -> bool:
+        return name.lower() in self.views or self.catalog.has_table(name)
+
+    def get(self, name: str) -> Table | BoundView | None:
+        view = self.views.get(name.lower())
+        return view if view is not None else self.catalog.get(name)
+
+    def table(self, name: str) -> Table | BoundView:
+        view = self.views.get(name.lower())
+        return view if view is not None else self.catalog.table(name)

@@ -54,13 +54,17 @@ class Slots:
 
     ``pinned`` are the slot kernels the tree was laid out for as if
     their values chose a kernel (a WHERE conjunct ahead of a semi join):
-    the tree runs only values that :meth:`admits`."""
+    the tree runs only values that :meth:`admits`.
 
-    __slots__ = ("values", "pinned")
+    ``views`` are the relations bound for the run the same way, by
+    lower-cased name: what each ``ViewScan`` of the tree reads."""
+
+    __slots__ = ("values", "pinned", "views")
 
     def __init__(self) -> None:
         self.values: tuple | None = None
         self.pinned: list = []
+        self.views: dict | None = None
 
     def admits(self, values: tuple) -> bool:
         """Does each pinned slot kernel choose a kernel under *values*?"""

@@ -23,9 +23,17 @@ no copy, plan or build.  The tree is free again once no result holds
 the root of its last run (every run hands out its own root, so a
 result's plan is never re-driven; a run that finds it held builds a
 tree of its own), and stays valid while each table it resolved is still
-the catalog's object for that name with the same indexes, ``ANALYZE``
+the catalog's object for that name with the same indexes, each view it
+reads is bound again with the same column names and types, ``ANALYZE``
 has not moved the statistics, and the planner options and telemetry
 hooks are the ones it was built with.
+
+A view — a mediated view's shipped rows, a
+:class:`~repro.relational.table.BoundView` — is bound per run like the
+values are (``execute_ast(stmt, params, views)``): the statement
+resolves its name to the view ahead of the catalog's tables, the tree
+reads it through a :class:`~repro.relational.operators.ViewScan`, and
+it is never a catalog table.
 """
 
 from __future__ import annotations
@@ -38,16 +46,16 @@ from typing import Any, Iterable, Iterator
 
 from ..rwlock import RWLock
 from . import ast
-from .catalog import Catalog
+from .catalog import Catalog, ViewCatalog
 from .compiler import compile_expr
 from .errors import ExecutionError, RelationalError, SchemaError
 from .executor import BindFirst, build_select, make_context
-from .operators import IndexProbe, Operator, Result, Scan
+from .operators import IndexProbe, Operator, Result, Scan, ViewScan
 from .parser import parse_script, parse_sql
 from .render import render_statement
 from .result import Cursor, ResultSet
 from .schema import Column, TableSchema
-from .table import Table, table_from_columns
+from .table import BoundView, Table, table_from_columns
 from .types import DataType, parse_type_name
 
 #: Shared no-op context for disabled-telemetry span sites.
@@ -69,11 +77,12 @@ _BATCH_BUCKETS = (1, 4, 16, 64, 256, 1024, 2048, 4096, 16384)
 
 class _Tree:
     """One built operator tree of a template, and what it was built on:
-    each table it resolved, with that table's indexes, and the
-    database's settings then (:meth:`Database._settings`)."""
+    each table it resolved, with that table's indexes, each view's
+    column names and types, and the database's settings then
+    (:meth:`Database._settings`)."""
 
-    __slots__ = ("root", "nodes", "holders", "tables", "settings", "last",
-                 "runs")
+    __slots__ = ("root", "nodes", "holders", "tables", "views", "settings",
+                 "last", "runs")
 
     def __init__(self, root: Result, settings: tuple) -> None:
         #: Never handed out: each run gets ``root.again()``.
@@ -88,6 +97,8 @@ class _Tree:
                   if isinstance(node, (Scan, IndexProbe))}
         self.tables = [(name, table, dict(table.indexes))
                        for name, table in tables.items()]
+        self.views = {node.name: node.signature for node in self.nodes
+                      if isinstance(node, ViewScan)}
         self.settings = settings
         #: The root of the latest run, weakly: while a result holds it,
         #: the tree is that result's plan.
@@ -97,26 +108,33 @@ class _Tree:
     def free(self) -> bool:
         return self.last is None or self.last() is None
 
-    def valid(self, catalog: Catalog, settings: tuple) -> bool:
+    def valid(self, catalog: Catalog | ViewCatalog, settings: tuple) -> bool:
         if settings != self.settings:
             return False
+        for name, signature in self.views.items():
+            view = catalog.get(name)
+            if not isinstance(view, BoundView) or view.signature != signature:
+                return False
         for name, table, indexes in self.tables:
             if catalog.get(name) is not table or table.indexes != indexes:
                 return False
         return True
 
-    def start(self, values: tuple) -> Result:
-        """Reset the tree, bind *values* to its slots, and return the
-        new run's root."""
+    def start(self, values: tuple, views: dict | None) -> Result:
+        """Reset the tree, bind *values* and *views* to its slots, and
+        return the new run's root."""
         self.runs += 1
         root = self.root.again(values, self.nodes)
+        root.slots.views = views
         self.last = weakref.ref(root)
         return root
 
     def finish(self) -> None:
-        """The run is over: drop the rows it left in the tree."""
+        """The run is over: drop the rows it left in the tree, and the
+        views it read."""
         for node in self.holders:
             node.release()
+        self.root.slots.views = None
 
 
 def _forget_template(database_ref: weakref.ref, key: int) -> None:
@@ -305,13 +323,16 @@ class Database:
         return result
 
     def execute_ast(self, stmt: ast.Statement,
-                    params: tuple | None = None) -> ResultSet | int | None:
+                    params: tuple | None = None,
+                    views: dict[str, BoundView] | None = None
+                    ) -> ResultSet | int | None:
         """Execute one parsed statement; *params* are the values of a
         prepared SELECT's ``?`` placeholders (its tree is then kept and
-        re-driven — see the module docstring)."""
+        re-driven — see the module docstring), and *views* the relations
+        a SELECT reads under their names for this run."""
         if isinstance(stmt, ast.SelectQuery):
             with self.rwlock.read_locked():
-                return self._run_select(stmt, params)
+                return self._run_select(stmt, params, views)
         with self.rwlock.write_locked():
             if isinstance(stmt, ast.AnalyzeStmt):
                 return self._run_mutation(stmt)
@@ -368,20 +389,22 @@ class Database:
         re-drove a kept one instead."""
         return {"built": self._trees_built, "reused": self._trees_reused}
 
-    def _build(self, query: ast.SelectQuery) -> Result:
-        """The operator tree for *query*: the planner's, or — planner
-        off, or nothing for it to improve — the builder's as written."""
+    def _build(self, query: ast.SelectQuery,
+               catalog: Catalog | ViewCatalog) -> Result:
+        """The operator tree for *query* over *catalog*: the planner's,
+        or — planner off, or nothing for it to improve — the builder's
+        as written."""
         from ..planner.plan import is_trivial_select, plan_select
         # Trivial selects skip planning (and its copy) so point
         # lookups stay as fast as with the planner off.
         if not self.planner.enabled or is_trivial_select(query):
-            return build_select(query, self.catalog, self._exec_hooks,
+            return build_select(query, catalog, self._exec_hooks,
                                 self.stats)
         tel = self.telemetry
         started = time.perf_counter()
         with (tel.span("db.plan", db=self.name)
               if tel is not None else _NOOP):
-            planned = plan_select(query, self.catalog, self.stats,
+            planned = plan_select(query, catalog, self.stats,
                                   self.planner, self._exec_hooks)
         if tel is not None:
             self._tm_plan_seconds.observe(time.perf_counter() - started)
@@ -393,20 +416,33 @@ class Database:
         execution hooks (telemetry attached or not)."""
         return self.stats.version, self.planner, self._exec_hooks
 
-    def _checkout(self, query: ast.SelectQuery, params: tuple | None
+    def _catalog(self, views: dict[str, BoundView] | None
+                 ) -> tuple[Catalog | ViewCatalog, dict | None]:
+        """What a run's names resolve in — *views* ahead of the tables —
+        and the views by lower-cased name, as its slots hold them."""
+        if not views:
+            return self.catalog, None
+        bound = {name.lower(): view for name, view in views.items()}
+        return ViewCatalog(self.catalog, bound), bound
+
+    def _checkout(self, query: ast.SelectQuery, params: tuple | None,
+                  views: dict[str, BoundView] | None = None
                   ) -> tuple[Result, _Tree | None]:
         """The root one run of *query* drives, and the template's tree
         under it (``None``: built unprepared or bound).  Ad hoc (no
         *params*) the statement is built; prepared, the kept tree is
-        re-driven with *params* in its slots when no result holds its
-        last run and it is still valid, else one is built — and kept,
-        unless a result holds the kept one: the runs of one template
-        overlap only where results are kept, and then each needs a tree
-        of its own anyway.  A template whose shape depends on its values
-        is bound and built per run, and so is a run whose values the
-        tree was not laid out for (``Slots.admits``)."""
+        re-driven with *params* and *views* in its slots when no result
+        holds its last run and it is still valid, else one is built —
+        and kept, unless a result holds the kept one: the runs of one
+        template overlap only where results are kept, and then each
+        needs a tree of its own anyway.  A template whose shape depends
+        on its values is bound and built per run, and so is a run whose
+        values the tree was not laid out for (``Slots.admits``)."""
+        catalog, bound = self._catalog(views)
         if params is None:
-            return self._build(query), None
+            root = self._build(query, catalog)
+            root.slots.views = bound
+            return root, None
         params = tuple(params)
         settings = self._settings()
         declined = False
@@ -423,16 +459,16 @@ class Database:
                     f"got {len(params)}")
             kept = template.tree
             if kept is not None and kept.free():
-                if not kept.valid(self.catalog, settings):
+                if not kept.valid(catalog, settings):
                     template.tree = None
                 elif kept.root.slots.admits(params):
                     self._trees_reused += 1
-                    return kept.start(params), kept
+                    return kept.start(params, bound), kept
                 else:
                     declined = True
         if not (template.bind_first or declined):
             try:
-                built = self._build(query)
+                built = self._build(query, catalog)
             except BindFirst:
                 template.bind_first = True
             else:
@@ -442,16 +478,20 @@ class Database:
                     if template.tree is None:
                         template.tree = tree
                     if built.slots.admits(params):
-                        return tree.start(params), tree
-        return self._build(ast.clone_query(query, params)), None
+                        return tree.start(params, bound), tree
+        root = self._build(ast.clone_query(query, params), catalog)
+        root.slots.views = bound
+        return root, None
 
     def _run_select(self, query: ast.SelectQuery,
-                    params: tuple | None = None) -> ResultSet:
+                    params: tuple | None = None,
+                    views: dict[str, BoundView] | None = None
+                    ) -> ResultSet:
         tel = self.telemetry
         started = time.perf_counter()
         with (tel.span("db.execute", db=self.name)
               if tel is not None else _NOOP) as span:
-            root, tree = self._checkout(query, params)
+            root, tree = self._checkout(query, params, views)
             try:
                 whole = root.collect()
             finally:
@@ -484,9 +524,10 @@ class Database:
         return self.stream_ast(stmt)
 
     def stream_ast(self, query: ast.SelectQuery,
-                   params: tuple | None = None) -> Cursor:
-        """Streaming execution of an already-parsed SELECT (*params* as
-        for :meth:`execute_ast`)."""
+                   params: tuple | None = None,
+                   views: dict[str, BoundView] | None = None) -> Cursor:
+        """Streaming execution of an already-parsed SELECT (*params* and
+        *views* as for :meth:`execute_ast`)."""
         # The read hold is taken HERE, not on first fetch: the cursor's
         # documented guarantee is writer exclusion from creation to
         # close, with no gap in which a DELETE could slip between
@@ -500,7 +541,7 @@ class Database:
             # first fetch.
             with (tel.span("db.stream", db=self.name)
                   if tel is not None else _NOOP) as span:
-                root, tree = self._checkout(query, params)
+                root, tree = self._checkout(query, params, views)
                 if span is not None and tree is not None and tree.runs > 1:
                     span.attrs["reused"] = True
         except BaseException:
@@ -564,11 +605,14 @@ class Database:
             return collected
 
     def explain(self, target: "str | ast.SelectQuery",
-                analyze: bool = False, params: tuple | None = None):
+                analyze: bool = False, params: tuple | None = None,
+                views: dict[str, BoundView] | None = None):
         """The plan a SELECT would run (the cost-based one, or with the
         planner off the query as written), without side effects.  A
         prepared statement's (*params* bound) is the plan every binding
-        runs: its ``?`` show as slots, ``$1``, ``$2``...
+        runs: its ``?`` show as slots, ``$1``, ``$2``...  *views* are
+        bound as for :meth:`execute_ast`; one with no columns is planned
+        from its estimated size, and cannot be run.
 
         With ``analyze=True`` the tree is also run, so every operator
         reports estimated *and* actual rows (EXPLAIN ANALYZE).  Returns
@@ -579,20 +623,21 @@ class Database:
         if not isinstance(stmt, ast.SelectQuery):
             raise ExecutionError("explain() requires a SELECT statement")
         values = tuple(params) if params is not None else None
+        catalog, bound = self._catalog(views)
         with self.rwlock.read_locked():
             try:
-                planned = plan_select(stmt, self.catalog, self.stats,
+                planned = plan_select(stmt, catalog, self.stats,
                                       self.planner)
                 if values is not None \
                         and not planned.root.slots.admits(values):
                     raise BindFirst("not laid out for these values")
             except BindFirst:
                 planned = plan_select(ast.clone_query(stmt, values),
-                                      self.catalog, self.stats,
-                                      self.planner)
+                                      catalog, self.stats, self.planner)
             if values is not None:
                 root = planned.root
                 planned.root = root.again(values, list(root.walk()))
+            planned.root.slots.views = bound
             if analyze:
                 planned.root.collect()
         return planned
@@ -755,26 +800,11 @@ class Database:
                     "drop_table", {"name": name, "if_exists": if_exists},
                     generation=self._generation)
 
-    def store_table(self, name: str, result: ResultSet) -> Table:
-        """Materialise *result* as a new table named *name*, with its
-        column names and types inferred from its values — loaded from
-        its columns (``table_from_columns``), so a result held as
-        columns never builds a row.
-
-        The table is built in full first and only then published, under
-        the write lock, so no reader ever sees it half loaded.  Not
-        journaled: this is how scratch state (a mediated view) lands,
-        and its owner re-ships it rather than recovering it.
-        """
-        table = table_from_columns(name, result.columns, result.cols)
-        with self.rwlock.write_locked():
-            self.catalog.register_table(table)
-            self._generation += 1
-        return table
-
     def create_temp_table(self, name: str, result: ResultSet) -> Table:
-        """:meth:`store_table` for a caller-private temp table, published
-        *without* the write lock (and without moving the generation).
+        """Materialise *result* as a caller-private temp table named
+        *name*, its column names and types inferred from its values
+        (``table_from_columns``), published *without* the write lock
+        (and without moving the generation).
 
         Used for an extraction's relation (registered once, read by the
         statements rewritten over it until it is dropped), so its values

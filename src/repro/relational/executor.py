@@ -45,10 +45,10 @@ from .errors import (AmbiguousColumnError, ExecutionError,
                      NotSupportedError, SchemaError, UnknownColumnError)
 from .operators import (Aggregate, Distinct, Filter, IndexProbe, Join,
                         Limit, Operator, Project, Result, RowFn, Rows, Scan,
-                        SetOp, Sort, Subquery, Values)
+                        SetOp, Sort, Subquery, Values, ViewScan)
 from .render import as_slot, render_expr
 from .schema import ResultColumn, RowSchema
-from .table import Table, find_probe_index
+from .table import BoundView, Table, find_probe_index
 from .types import DataType
 
 #: Without a cost-based decision, equi-joins probe an index on the
@@ -288,8 +288,12 @@ def build_table_expr(table_expr: ast.TableExpr, catalog: Catalog,
         label = table_expr.name
         if table_expr.alias and table_expr.alias.lower() != label.lower():
             label = f"{label} as {table_expr.alias}"
-        return Scan(catalog.table(table_expr.name), table_expr.binding,
-                    label, hint.est_rows, ctx.exec_hooks)
+        table = catalog.table(table_expr.name)
+        if isinstance(table, BoundView):
+            return ViewScan(table, ctx.slots, table_expr.binding, label,
+                            hint.est_rows, ctx.exec_hooks)
+        return Scan(table, table_expr.binding, label, hint.est_rows,
+                    ctx.exec_hooks)
     if isinstance(table_expr, ast.SubqueryRef):
         # A derived table is its query's rows under the alias's schema.
         query = build_query(table_expr.query, catalog, outer_scopes, ctx)

@@ -287,7 +287,8 @@ class Values(Operator):
 
 
 class Scan(Operator):
-    """Full scan of a catalog table.  A columnar :class:`Table` is read
+    """Full scan of a catalog table (a mediated view is a
+    :class:`ViewScan`).  A columnar :class:`Table` is read
     as column slices, and a whole run is a copy of each live column; any
     other table's rows (foreign wrappers) are transposed once, here."""
 
@@ -320,6 +321,39 @@ class Scan(Operator):
         for cols in self.table.iter_batches(_batch.BATCH_SIZE):
             self._observe(len(cols[0]))
             yield Batch(cols=cols)
+
+
+class ViewScan(Operator):
+    """Full scan of a relation bound per run — a mediated view, a
+    :class:`~repro.relational.table.BoundView` — the way a ``?`` is: the
+    tree is built over the view's schema and size, and each run reads
+    the columns its slots hold under the view's name when it starts,
+    chunked at ``BATCH_SIZE``.  The bound lists are never written (a
+    cached fragment's columns are shared); a whole run is a copy."""
+
+    def __init__(self, view, slots, binding: str, label: str,
+                 est_rows: float | None = None, hooks=None) -> None:
+        super().__init__("scan", label,
+                         RowSchema.for_table(view.schema, binding),
+                         est_rows=est_rows, hooks=hooks)
+        self.name = view.name.lower()
+        self.signature = view.signature
+        self.slots = slots
+        self.vectorized = True
+
+    def _bound(self) -> list[list]:
+        return self.slots.views[self.name].cols
+
+    def collect(self, outer_rows: Rows = ()) -> Batch:
+        return self._ran(Batch(list(map(list, self._bound()))))
+
+    def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
+        cols = self._bound()
+        size = _batch.BATCH_SIZE
+        for start in range(0, len(cols[0]), size):
+            chunk = [column[start:start + size] for column in cols]
+            self._observe(len(chunk[0]))
+            yield Batch(cols=chunk)
 
 
 class IndexProbe(Operator):

@@ -145,6 +145,7 @@ class ResultSet:
         self._rows = rows
         self._cols = cols
         self._shared = False
+        self._types: list[set[type]] | None = None
         #: Root :class:`~repro.relational.operators.Operator` of the
         #: tree that produced the rows (per-operator ``actual_rows``,
         #: ``vectorized_ops``, ``vectorized_fallbacks``), or ``None``
@@ -189,6 +190,13 @@ class ResultSet:
         self._shared = True
         self.plan = None
         return self
+
+    def value_types(self) -> list[set[type]]:
+        """Per column, the set of its values' types — computed once and
+        kept, so a cached fragment's are computed once per entry."""
+        if self._types is None:
+            self._types = [set(map(type, column)) for column in self.cols]
+        return self._types
 
     def renamed(self, columns: list[str]) -> "ResultSet":
         """The same values under other column names, in the form they

@@ -429,18 +429,33 @@ class Table:
 def table_from_columns(name: str, column_names: Sequence[str],
                        cols: Sequence[Sequence],
                        coerce: bool = True) -> Table:
-    """A fully loaded table of one value sequence per column — the one
-    loader under mediated views and SESQL temp tables.  Each column's
+    """A fully loaded table of one value sequence per column — the
+    loader under SESQL temp tables, and what types a foreign source's
+    rows.  Each column's
     type is inferred from its values; values the storage model does not
     know (RDF terms, say) are stored as their ``str``; every column must
     have the same length.  With *coerce* off the values are stored as
     given rather than coerced to their column's type (a column mixing
     ``5`` and ``'x'`` keeps the ``5``).  The sequences are read, never
-    adopted — a
-    cached fragment's columns are shared across queries, and a write to
-    the table must not reach them.  The caller publishes the table, so
-    nobody ever sees it half loaded.
+    adopted: a write to the table must not reach them.  The caller
+    publishes the table, so nobody ever sees it half loaded.
     """
+    count = _column_count(name, column_names, cols)
+    given, kinds = _storable(cols, [set(map(type, column))
+                                    for column in cols])
+    table = Table(TableSchema(name, [
+        Column(column_name, _narrowest(kind))
+        for column_name, kind in zip(column_names, kinds)]))
+    if coerce:
+        table._append_columns(given, kinds, count)
+    else:
+        table._store(given, count)
+    return table
+
+
+def _column_count(name: str, column_names: Sequence[str],
+                  cols: Sequence[Sequence]) -> int:
+    """The common length of *cols*, one per name of *column_names*."""
     if len(cols) != len(column_names):
         raise SchemaError(f"table {name!r} expects {len(column_names)} "
                           f"columns, got {len(cols)}")
@@ -448,8 +463,15 @@ def table_from_columns(name: str, column_names: Sequence[str],
     if len(lengths) > 1:
         raise SchemaError(f"table {name!r}: columns of unequal lengths "
                           f"{sorted(lengths)}")
-    given = list(cols)
-    kinds = [set(map(type, column)) for column in given]
+    return lengths.pop() if lengths else 0
+
+
+def _storable(cols: Sequence[Sequence], kinds: list[set[type]]
+              ) -> tuple[list, list[set[type]]]:
+    """*cols* with every value the storage model does not know replaced
+    by its ``str``, and each column's type set after that: a column of
+    known types is handed on as it is, never copied."""
+    given, kinds = list(cols), list(kinds)
     for position, kind in enumerate(kinds):
         if not all(issubclass(k, (int, float, str, _NULL)) for k in kind):
             given[position] = [
@@ -457,15 +479,56 @@ def table_from_columns(name: str, column_names: Sequence[str],
                 or isinstance(value, (int, float, str)) else str(value)
                 for value in given[position]]
             kinds[position] = set(map(type, given[position]))
-    table = Table(TableSchema(name, [
-        Column(column_name, _narrowest(kind))
-        for column_name, kind in zip(column_names, kinds)]))
-    count = lengths.pop() if lengths else 0
-    if coerce:
-        table._append_columns(given, kinds, count)
-    else:
-        table._store(given, count)
-    return table
+    return given, kinds
+
+
+class BoundView:
+    """A relation a statement reads under a name bound per run, as ``?``
+    values are (a mediated view's shipped rows): a read-only, index-free
+    stand-in for a table that the planner sizes and a
+    :class:`~repro.relational.operators.ViewScan` reads.
+
+    :meth:`of` types it as :func:`table_from_columns` types a table —
+    each column the narrowest type of its values, a column of mixed
+    types coerced to it, unknown objects as their ``str`` — from each
+    column's type set (*kinds*), and holds the columns it was given
+    wherever they need no change: it never
+    writes them, so they may be shared (a cached fragment's).  ``cols``
+    is ``None`` for a view planned but never run (an explain's unshipped
+    view), sized by an estimate.
+    """
+
+    __slots__ = ("name", "schema", "cols", "length")
+
+    def __init__(self, schema: TableSchema, cols: list[list] | None,
+                 length: float) -> None:
+        self.name = schema.name
+        self.schema = schema
+        self.cols = cols
+        self.length = length
+
+    @classmethod
+    def of(cls, name: str, column_names: Sequence[str],
+           cols: Sequence[Sequence], kinds: list[set[type]]) -> "BoundView":
+        count = _column_count(name, column_names, cols)
+        given, kinds = _storable(cols, kinds)
+        types = [_narrowest(kind) for kind in kinds]
+        for position, (kind, data_type) in enumerate(zip(kinds, types)):
+            if not kind <= _STORED_AS_IS[data_type]:
+                given[position] = list(map(coerce_value, given[position],
+                                           repeat(data_type)))
+        return cls(TableSchema(name, list(map(Column, column_names,
+                                              types))), given, count)
+
+    @property
+    def signature(self) -> tuple:
+        """What a tree built over this view relies on: its column names
+        and types."""
+        return tuple((column.name, column.data_type)
+                     for column in self.schema.columns)
+
+    def __len__(self) -> int:
+        return int(self.length)
 
 
 def table_from_rows(name: str, column_names: Sequence[str],

@@ -1,6 +1,6 @@
 """``Table.append_rows`` ≡ the row loop it replaced.
 
-Every multi-row producer (mediated views, SESQL temp tables,
+Every multi-row producer (SESQL temp tables,
 ``Database.insert_rows``, ``INSERT … SELECT``, CSV import, the WAL's
 ``rows`` replay) lands through one columnar bulk append.  The loop it
 replaced — the positional insert per row, itself a ``dict(zip(...))`` plus
@@ -25,7 +25,7 @@ from repro.relational import Database
 from repro.relational.errors import (ConstraintViolation, RelationalError,
                                      SchemaError, TypeMismatchError)
 from repro.relational.schema import Column, TableSchema
-from repro.relational.table import (Table, infer_column_type,
+from repro.relational.table import (BoundView, Table, infer_column_type,
                                     table_from_rows)
 from repro.relational.types import DataType
 
@@ -433,39 +433,30 @@ def federation(rows: int = 2000) -> tuple[Mediator, Database]:
     return mediator, source
 
 
-def test_a_view_lands_in_one_bulk_load_and_is_published_complete(
-        monkeypatch):
+def test_a_view_is_bound_to_its_run_never_loaded_into_a_table(monkeypatch):
     mediator, _source = federation()
     bank = mediator.as_databank()
-    seen: list[bool] = []
-    load = Table._append_columns
-
-    def watched(table, *args):
-        seen.append(bank.catalog.has_table(table.name))
-        load(table, *args)
-        seen.append(bank.catalog.has_table(table.name))
-
-    monkeypatch.setattr(Table, "_append_columns", watched)
-    monkeypatch.setattr(Table, "insert_row", None)      # zero calls
+    monkeypatch.setattr(Table, "_append_columns", None)   # zero calls
+    monkeypatch.setattr(Table, "insert_row", None)        # zero calls
     assert bank.query("SELECT COUNT(*), SUM(x) FROM v").rows \
         == [(2000, 1999000)]
-    assert seen == [False, False]
-    assert bank.catalog.has_table("v")
+    assert not bank.catalog.has_table("v")
+    assert len(bank.session._materialized["v"]) == 2000
 
 
-def test_a_view_whose_load_raises_is_never_published(monkeypatch):
+def test_a_view_whose_assembly_raises_is_never_held(monkeypatch):
     mediator, _source = federation(50)
     bank = mediator.as_databank()
 
-    def broken(table, *args):
-        raise MemoryError("load failed half-way")
+    def broken(*args):
+        raise MemoryError("assembly failed half-way")
 
     with monkeypatch.context() as patch:
-        patch.setattr(Table, "_append_columns", broken)
+        patch.setattr(BoundView, "of", broken)
         with pytest.raises(MemoryError):
             bank.query("SELECT COUNT(*) FROM v")
     assert not bank.catalog.has_table("v")
-    assert bank.session._view_rows == {}
+    assert bank.session._materialized == {}
     assert bank.query("SELECT COUNT(*) FROM v").scalar() == 50
 
 

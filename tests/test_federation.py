@@ -7,6 +7,7 @@ from repro.federation import (CsvSource, ForeignTableError, MediationError,
                               Mediator, QuerySource, RemoteTableSource,
                               CrosseRestService, attach_foreign_table)
 from repro.relational import Database
+from repro.relational.errors import ExecutionError, UnknownColumnError
 from repro.smartground import SmartGroundConfig, generate_databank
 
 
@@ -393,6 +394,27 @@ def test_mediator_session_explain_shows_pruning_and_cache(sources):
     assert warm.cache_hits == 1
 
 
+def test_session_explain_plans_the_statement_over_unshipped_views(sources):
+    """Regression: the local plan was dropped (a bare ``except``) until
+    the views had been shipped, and so were its real errors."""
+    mediator = make_mediator(sources)
+    mediator.define_view("eu", [
+        ("italy", "SELECT name, city, size FROM landfill"),
+        ("france", "SELECT name, city, size FROM landfill")])
+    session = mediator.connect()
+    sql = "SELECT name FROM eu WHERE size > 8.0"
+    cold = session.explain(sql)
+    scans = [node for node in cold.db_plan.root.walk()
+             if node.kind == "scan"]
+    assert [(node.label, node.est_rows) for node in scans] == [("eu", 4)]
+    assert session.misses == 0                      # nothing shipped
+    with pytest.raises(UnknownColumnError):
+        session.explain("SELECT nope FROM eu")
+    session.query("SELECT * FROM eu")
+    warm = session.explain(sql)
+    assert warm.db_plan.root.format() == cold.db_plan.root.format()
+
+
 def two_views(rows: int = 1000) -> Mediator:
     source = Database("s")
     source.execute("CREATE TABLE t (x INTEGER)")
@@ -412,7 +434,7 @@ def test_databank_explain_of_a_non_select_ships_nothing():
     bank.execute("CREATE TABLE local (x INTEGER)")
     with pytest.raises(Exception, match="requires a SELECT"):
         bank.explain("INSERT INTO local VALUES (1)")
-    assert bank.session._view_rows == {} and bank.session.misses == 0
+    assert bank.session._materialized == {} and bank.session.misses == 0
     assert sorted(bank.table_names()) == ["local"]
 
 
@@ -431,13 +453,14 @@ def test_databank_explain_ships_what_execute_ships():
     assert planned.root.actual_rows == 1
     assert bank.last_report.pushed_filters == cold.last_report.pushed_filters
     assert bank.last_report.view_rows == cold.last_report.view_rows
-    assert bank.session._view_rows == {}            # as explain found it
+    assert bank.session._materialized == {}         # as explain found it
     assert not bank.catalog.has_table("v")          # the partial is gone
     assert bank.execute(sql).rows == [(3,)]
     assert bank.last_report.sub_queries == cold.last_report.sub_queries
     # An unfiltered statement caches its view under either entry point.
     bank.explain("SELECT COUNT(*) FROM w")
-    assert bank.session._view_rows == {"w": 1000}
+    assert {name: len(view) for name, view
+            in bank.session._materialized.items()} == {"w": 1000}
 
 
 def test_fragments_are_parsed_once_not_once_per_query(monkeypatch):
@@ -547,22 +570,24 @@ def test_rest_handler_error_becomes_422(service):
 # -- planner-era mediation: AST reuse, pushdown, cost ranking ---------------
 
 
-def test_session_falls_back_to_all_views_on_parse_failure(sources):
+def test_session_refuses_unparseable_or_non_select_text_before_shipping(
+        sources):
     from repro.relational.errors import SqlSyntaxError
 
     mediator = make_mediator(sources)
     mediator.define_view("eu", [
         ("italy", "SELECT name, city, size FROM landfill")])
     session = mediator.connect()
-    with pytest.raises(SqlSyntaxError):
-        session.execute("THIS IS NOT SQL")
-    # The unparseable text fell back to materializing every view before
-    # the scratch database reported the real syntax error.
-    assert session.misses == 1
-    # ... and a later good query reuses that materialization.
+    for drain in (session.execute, session.stream, session.explain):
+        with pytest.raises(SqlSyntaxError):
+            drain("THIS IS NOT SQL")
+        with pytest.raises(ExecutionError):
+            drain("CREATE TABLE eu (x INTEGER)")
+    # Nothing shipped, and nothing ran locally.
+    assert session.misses == 0 and session.hits == 0
+    assert session._scratch.table_names() == []
     _result, report = session.execute("SELECT COUNT(*) FROM eu")
-    assert report.sub_queries == []
-    assert session.hits == 1
+    assert len(report.sub_queries) == 1 and session.misses == 1
 
 
 def test_filter_pushdown_ships_filtered_fragments(sources):

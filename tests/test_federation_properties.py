@@ -5,11 +5,12 @@ stars and carry constant discriminator columns — a mediated query
 returns the same rows and columns with pushdown on as with it off,
 whatever the pool width and with the fragment cache on or off.
 
-And fragments travel as columns: a view loaded from its fragments'
-columns is the table the row loader builds from the reconciled rows —
-over every reconciliation, column-answering and row-answering sources,
-skipped and eliminated fragments — a ``union_all`` ship never builds a
-row, and a write to the loaded view never reaches a cached fragment.
+And fragments travel as columns: a view bound from its fragments'
+columns reads as the table the row loader builds from the reconciled
+rows — over every reconciliation, column-answering and row-answering
+sources, skipped and eliminated fragments — a ``union_all`` ship never
+builds a row, and a view is read-only: no run over it reaches a cached
+fragment.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from hypothesis import strategies as st
 
 from repro.federation import FederationOptions, Mediator
 from repro.rdf import IRI
-from repro.relational import Database, ExecutionError, ResultSet
+from repro.relational import (CatalogError, Database, ExecutionError,
+                              ResultSet)
 from repro.relational.batch import norm_tuple
 from repro.relational.parser import parse_sql
 from repro.relational.schema import Column, TableSchema
@@ -263,8 +265,8 @@ def test_a_view_loaded_from_columns_is_the_row_loaders_table(
     databank = mediator.as_databank()
     statement = parse_sql(f"SELECT k, n, s, origin FROM v{where}")
     for _again in range(2):                  # the second may hit the cache
-        with databank.session.shipped(statement) as (report, _tie):
-            stored = databank.table("v")
+        with databank.session.shipped(statement) as (report, views):
+            stored = views["v"]
             expected = rows_loaded("v", VIEW_COLUMNS,
                                    reconciled(mediator, reconciliation,
                                               report))
@@ -272,7 +274,7 @@ def test_a_view_loaded_from_columns_is_the_row_loaders_table(
                     for column in stored.schema.columns] \
                 == [(column.name, column.data_type)
                     for column in expected.schema.columns]
-            assert list(stored.rows()) == list(expected.rows())
+            assert list(zip(*stored.cols)) == list(expected.rows())
             assert report.view_rows["v"] == len(expected)
         databank.refresh()
 
@@ -350,7 +352,7 @@ def test_a_union_all_ship_never_derives_a_row_view(monkeypatch):
 
 
 @pytest.mark.parametrize("sources", [SHIPPED[:1], SHIPPED])
-def test_writing_to_a_stored_view_leaves_the_cached_fragments_alone(
+def test_a_view_is_read_only_and_its_runs_leave_the_cached_fragments_alone(
         sources):
     mediator = shipping_mediator(sources, "union_all",
                                  FederationOptions(max_workers=1))
@@ -364,9 +366,15 @@ def test_writing_to_a_stored_view_leaves_the_cached_fragments_alone(
                 for result in cached]
 
     snapshot = held()
-    databank.execute("UPDATE v SET n = 9, s = 'x'")
-    databank.execute("INSERT INTO v VALUES (7, 7, 'y', 'zz')")
-    databank.execute("DELETE FROM v WHERE k = 1")
+    for statement in ("UPDATE v SET n = 9, s = 'x'",
+                      "INSERT INTO v VALUES (7, 7, 'y', 'zz')",
+                      "DELETE FROM v WHERE k = 1"):
+        with pytest.raises(CatalogError, match="does not exist"):
+            databank.execute(statement)
+    for query in ("SELECT * FROM v ORDER BY s DESC, k",
+                  "SELECT k, COUNT(*) FROM v GROUP BY k",
+                  "SELECT * FROM v WHERE k >= 1", "SELECT * FROM v"):
+        databank.query(query)
     assert held() == snapshot
     databank.refresh()
     assert databank.query("SELECT * FROM v").rows == before
