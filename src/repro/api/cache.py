@@ -13,9 +13,9 @@ Two caches sit on the repeated-query hot path:
   key is that user's context view.  Generations are per-store counters
   (see :mod:`repro.rdf.store`) and the store's ``store_id`` is
   process-unique, so an entry of another generation is never served:
-  the extraction at the newer one replaces it.  An entry replaced,
-  evicted or cleared is retired — the relation its WHERE enrichments
-  registered in the databank is dropped once no run reads it.
+  the extraction at the newer one replaces it.  An entry keeps its SQL
+  side, and with it the relations its WHERE enrichments bind to a run
+  (never catalog tables), so nothing is to be released when it goes.
 
 Both expose ``hits`` / ``misses`` counters which ``explain()`` and the
 E9 benchmark read.
@@ -52,22 +52,13 @@ class LRUCache:
     def put(self, key: Hashable, value: Any) -> None:
         if self.maxsize <= 0:
             return
-        old = self._entries.get(key)
         self._entries[key] = value
         self._entries.move_to_end(key)
-        if old is not None and old is not value:
-            self._discard(old)
         while len(self._entries) > self.maxsize:
-            self._discard(self._entries.popitem(last=False)[1])
+            self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        entries = list(self._entries.values())
         self._entries.clear()
-        for value in entries:
-            self._discard(value)
-
-    def _discard(self, value: Any) -> None:
-        """*value* was replaced, evicted or cleared."""
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -94,11 +85,3 @@ class ExtractionCache(LRUCache):
             self.misses += 1
             return None
         return super().get(key)
-
-    def put(self, key: Hashable, value: Any) -> None:
-        if self.maxsize > 0:
-            value.keep()
-        super().put(key, value)
-
-    def _discard(self, value: Any) -> None:
-        value.retire()

@@ -14,8 +14,8 @@ Two caches sit on the hot path, each at the level of its key:
   own;
 * the **extraction cache** (KB store + generation → SPARQL results)
   lets re-executions against an unchanged knowledge base skip their
-  extractions, and keeps the relation each WHERE enrichment reads in
-  the databank.  The key *is* the user's context view, so there is one
+  extractions, and keeps with each the relation its WHERE enrichments
+  bind to a run.  The key *is* the user's context view, so there is one
   per user engine, created — and cleared on close — by its session.
 
 What is personal about a platform user is a binding, not a copy: her
@@ -136,8 +136,8 @@ class Session:
         return self._last_trace
 
     def close(self) -> None:
-        """Release cached plans and extractions — and so the relations
-        they keep in the databank; further queries raise SessionError.
+        """Release cached plans and extractions; further queries raise
+        SessionError.
 
         Only caches this session created are cleared — a plan cache it
         was handed, or an extraction cache the wrapped engine already
@@ -159,18 +159,15 @@ class Session:
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Hit/miss counters of both caches (``plan_cache`` is the
-        platform session's, counted across its users, when shared), the
-        engine's ``extraction_relations`` (registered in the databank,
-        retired, and still there) and the databank's
-        ``operator_trees``: trees built for prepared statements, and
-        runs that re-drove a kept one."""
+        platform session's, counted across its users, when shared) and
+        the databank's ``operator_trees``: trees built for prepared
+        statements, and runs that re-drove a kept one."""
         extraction = self.engine.sqm.cache
         trees = getattr(self.databank, "tree_stats", None)
         return {
             "plan_cache": self.plan_cache.stats(),
             "extraction_cache": (extraction.stats()
                                  if extraction is not None else {}),
-            "extraction_relations": dict(self.engine.relation_counts),
             "operator_trees": trees() if trees is not None else {},
         }
 

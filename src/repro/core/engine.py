@@ -7,9 +7,9 @@
 2. the **SQM** builds one SPARQL extraction per enrichment and runs it
    on the (per-user) knowledge base;
 3. WHERE enrichments rewrite the tagged conditions over their
-   extractions' relations — read-only temp tables next to the databank
-   tables, registered once per extraction — and the (rewritten) SQL
-   query executes on the databank;
+   extractions' relations — bound to the run beside its ``?`` values,
+   never catalog tables — and the (rewritten) SQL query executes on the
+   databank;
 4. the **JoinManager** folds each SELECT enrichment into the base
    result through a prepared combiner — the paper's final LEFT JOIN as
    a hash probe over the extraction's SQL side, built once per
@@ -18,21 +18,22 @@
 That stage sequence is written **once**, in ``SESQLEngine._run``.  A
 run resolves the per-call defaults, keeps one statement memo and
 appends a record per stage as it happens (name, SPARQL or SQL texts,
-cached/deduped, seconds); it alone returns the relations it leased and
-closes an open databank cursor.  It reads the statement and never
-writes it: a bound template reaches the databank as (statement,
-values), whose tree keeps them in slots.  The WHERE rewrite builds a
-new statement with the ``?`` intact, once per template and set of
-relations, so a rewritten template is re-driven like any other.  SQL
-texts are rendered when read, not per run.  The public entry points are
-three *drains* of that run, differing only in what they plug into its
-databank and combine steps:
+cached/deduped, seconds); it alone closes an open databank cursor.  It
+reads the statement and never writes it: a bound template reaches the
+databank as (statement, values, views), whose tree keeps the values and
+the extractions' relations in slots.  The WHERE rewrite builds a new
+statement with the ``?`` intact, once per template, over relations
+named by position, so a rewritten template is re-driven like any other
+— whichever user's extraction, at whichever KB generation, feeds it.
+SQL texts are rendered when read, not per run.  The public entry points
+are three *drains* of that run, differing only in what they plug into
+its databank and combine steps:
 
 * ``execute_parsed`` — ``databank.execute_ast`` + ``combine_enrichments``
   over the whole result; the ``SESQLResult`` is read off the records;
 * ``stream_parsed`` — ``databank.stream_ast`` + the same prepared
-  combiners page by page, behind a ``Cursor`` that releases the run
-  when it closes;
+  combiners page by page, behind a ``Cursor`` that closes the run's
+  databank cursor when it closes;
 * ``explain_parsed`` — ``databank.explain`` and no combine; the session
   layer (:mod:`repro.api`) renders the same records as plan stages.
 """
@@ -59,7 +60,6 @@ from .mapping import ResourceMapping
 from .sqm import Extraction, SemanticQueryModule
 from .sqp import SemanticQueryParser
 from .stored_queries import StoredQueryRegistry
-from .tempdb import Relation
 
 #: Shared no-op context for disabled-telemetry span sites.
 _NOOP = nullcontext()
@@ -125,7 +125,7 @@ class _Stage:
     seconds: float = 0.0
     #: extract: served by the statement memo or the extraction cache,
     #: i.e. no SPARQL query reached the KB for it; rewrite: the
-    #: statement rewritten over the same relations was recalled.
+    #: template's rewritten statement was recalled.
     cached: bool = False
     cache_hits: int = 0       # extraction-cache lookups of this stage
     cache_misses: int = 0
@@ -134,31 +134,27 @@ class _Stage:
 @dataclass
 class _PipelineRun:
     """One pass of the stage sequence over one statement: the records,
-    what the stages produced, and the resources a pass can leave open."""
+    what the stages produced, and the cursor a pass can leave open."""
 
     enriched: EnrichedQuery           # the statement run, as given
     stages: list[_Stage] = field(default_factory=list)
     #: Statement-level dedupe across the WHERE and SELECT stages:
     #: identical logical extractions execute once.
     memo: dict = field(default_factory=dict)
-    #: What was put to the databank: a query and its ``?`` values.
+    #: What was put to the databank: a query, its ``?`` values and the
+    #: extractions' relations it reads, by name.
     executed: sql_ast.SelectQuery | None = None
     values: tuple | None = None
-    #: The extraction relations the rewritten query reads.
-    leases: list[Relation] = field(default_factory=list)
+    views: dict | None = None
     base: object = None               # ResultSet | Cursor | databank plan
     outcome: object = None            # what the drain's combine returned
     seconds: float = 0.0
 
     def release(self) -> None:
-        """Close an open databank cursor (it holds the read lock, and
-        reads the extraction relations), then return their leases — a
-        retired one is dropped with its last.  Idempotent."""
-        leases, self.leases = self.leases, []
+        """Close an open databank cursor: it holds the read lock.
+        Idempotent."""
         if isinstance(self.base, Cursor):
             self.base.close()
-        for relation in leases:
-            relation.release()
 
     def queries(self, name: str) -> list[str]:
         """Every text the stages called *name* ran, in order."""
@@ -194,9 +190,6 @@ class SESQLEngine:
         self.sqp = SemanticQueryParser()
         self.sqm = SemanticQueryModule(self.mapping, self.stored_queries,
                                        cache=extraction_cache)
-        #: Extraction relations this engine registered in its databank,
-        #: retired, and still holds there.
-        self.relation_counts = {"registered": 0, "retired": 0, "live": 0}
         #: Telemetry hook (duck-typed): attached by the session layer /
         #: platform, cascaded to the SQM and the databank.
         self.telemetry = None
@@ -296,12 +289,11 @@ class SESQLEngine:
                              include: bool, run: _PipelineRun
                              ) -> tuple[sql_ast.SelectQuery, bool]:
         """The query with its tagged conditions rewritten over the
-        relations of their extractions, which *run* leases (and
-        returns when released), and whether the rewrite was recalled;
-        *enriched* itself is not changed."""
-        rewriter = WhereRewriter(self.databank, self.mapping,
-                                 self.relation_counts)
-        return rewriter.rewrite(enriched, plan, include, run.leases)
+        relations of their extractions, which *run* binds, and whether
+        the rewrite was recalled; *enriched* itself is not changed."""
+        rewritten, run.views, recalled = WhereRewriter(
+            self.mapping).rewrite(enriched, plan, include)
+        return rewritten, recalled
 
     # -- stage 4: combine ----------------------------------------------------------
 
@@ -332,8 +324,9 @@ class SESQLEngine:
              databank, combine) -> _PipelineRun:
         """The Fig. 6 stage sequence; the callers are its drains.
 
-        *databank* maps the (rewritten) query AST and its ``?`` values
-        to the base outcome (a ``ResultSet``, a ``Cursor`` or a plan);
+        *databank* maps the (rewritten) query AST, its ``?`` values and
+        the relations it reads (``None``: none) to the base outcome (a
+        ``ResultSet``, a ``Cursor`` or a plan);
         *combine* maps ``(run, select_plan)`` to the drain's outcome.
         *enriched* is only read, and must come with a value
         for every ``?``.  On any error the run is released before the
@@ -367,13 +360,9 @@ class SESQLEngine:
                         cached=cached))
             with (tel.span("sesql.sql") if tel is not None else _NOOP):
                 stage = time.perf_counter()
-                run.base = databank(run.executed, run.values)
+                run.base = databank(run.executed, run.values, run.views)
                 run.stages.append(_Stage(
                     "sql", seconds=time.perf_counter() - stage))
-            if not isinstance(run.base, Cursor):
-                # A materialized result or a plan is done with the
-                # extraction relations; a live cursor still reads them.
-                run.release()
             with (tel.span("sesql.combine") if tel is not None else _NOOP):
                 select_plan = [
                     (enrichment, self.extraction_for(enrichment, kb, run))
@@ -476,9 +465,9 @@ class SESQLEngine:
         planning work and must precede the databank query — but the
         databank result is pulled through a cursor and each SELECT
         enrichment is folded in per *page_size* rows.  The cursor holds
-        its leases on the extraction relations until it is exhausted or
-        closed; observers (``on_result`` context feeding) are not
-        invoked for streamed executions.
+        the databank's read lock until it is exhausted or closed;
+        observers (``on_result`` context feeding) are not invoked for
+        streamed executions.
         """
         if page_size < 1:
             raise EnrichmentError(
@@ -522,15 +511,14 @@ class SESQLEngine:
         execution and no combine; returns the run, whose ``stages`` are
         the records an execution of the same statement would leave and
         whose ``base`` is the databank's plan (``None`` for a databank
-        that cannot explain).  Planned while the run leases the
-        extraction relations, so enrichment-injected predicates are
-        estimated like any others; ``analyze=True`` also runs the
-        databank stage.
+        that cannot explain).  Planned with the extractions' relations
+        bound, so enrichment-injected predicates are estimated like any
+        others; ``analyze=True`` also runs the databank stage.
         """
         explain = getattr(self.databank, "explain", None)
         return self._run(
             enriched, knowledge_base, include_original,
-            lambda query, values: (
-                explain(query, analyze=analyze, params=values)
+            lambda query, values, views: (
+                explain(query, analyze=analyze, params=values, views=views)
                 if explain is not None else None),
             lambda run, select_plan: None)

@@ -3,30 +3,34 @@
 These two strategies change which rows the relational query returns, so
 they are applied *before* the databank query runs: the tagged condition
 is rewritten into a correlated predicate over the extraction's relation
-— a read-only temp table registered in the databank once per extraction
-(:mod:`repro.core.tempdb`; semantics decision #3 in DESIGN.md —
-existential over the replacement set) — mirroring how PostgreSQL temp
-tables share the session of the original query.  A rewrite returns a
-new query with the template's ``?`` intact; the one it was given, which
-may be a cached template, is left as it was.  The template rewritten
-over the same relations is the same statement, so it is rewritten once
-and kept with them: the databank plans it once and re-drives its tree.
+(semantics decision #3 in DESIGN.md — existential over the replacement
+set).  The relation is named by the enrichment's position,
+``__sesql_<kind>_<i>``, and bound to each run as a ``?`` value is
+(:meth:`SqlExtraction.view <repro.core.tempdb.SqlExtraction.view>`):
+the paper's temporary support database is that binding, never a catalog
+table.  A rewrite returns a new query with the template's ``?`` intact;
+the one it was given, which may be a cached template, is left as it
+was.  Whatever extraction feeds it, the rewritten statement is the same,
+so it is rewritten once per (template, ``include``) and kept as long as
+the template: the databank plans it once and re-drives its tree for
+every user and every KB generation.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import replace
 from typing import Callable
 
 from ..relational import ast as sql_ast
-from ..relational.engine import Database
 from ..relational.parser import parse_expr
+from ..relational.table import BoundView
 from .ast import (EnrichedQuery, Enrichment, ReplaceConstant,
                   ReplaceVariable, TaggedCondition)
 from .errors import EnrichmentError
 from .mapping import ResourceMapping
 from .sqm import Extraction
-from .tempdb import Relation, memoise, recall
 
 ExprTransform = Callable[[sql_ast.Expr], sql_ast.Expr | None]
 
@@ -80,62 +84,64 @@ def _is_constant_ref(node: sql_ast.Expr, constant: str) -> bool:
     return False
 
 
-def _exists_over(temp_table: str, alias: str,
+def _exists_over(relation: str, alias: str,
                  where: sql_ast.Expr) -> sql_ast.Exists:
     return sql_ast.Exists(sql_ast.SelectQuery(core=sql_ast.SelectCore(
         items=[sql_ast.SelectItem(sql_ast.Literal(1))],
-        from_clause=sql_ast.TableRef(temp_table, alias),
+        from_clause=sql_ast.TableRef(relation, alias),
         where=where)))
+
+
+#: Each template's rewritten statements by ``include``, kept for as long
+#: as the template lives (by ``id``: a template is not hashable).
+_REWRITES: dict[int, dict[bool, sql_ast.SelectQuery]] = {}
+_REWRITES_LOCK = threading.Lock()
 
 
 class WhereRewriter:
     """Rewrites a statement's tagged conditions over the relations of
-    their extractions (:class:`~repro.core.tempdb.Relation`), leasing
-    each for the run."""
+    their extractions, and binds those relations for the run."""
 
-    def __init__(self, databank: Database, mapping: ResourceMapping,
-                 counts: dict[str, int]) -> None:
-        self.databank = databank
+    def __init__(self, mapping: ResourceMapping) -> None:
         self.mapping = mapping
-        #: The engine's relation counters (registered / retired / live).
-        self.counts = counts
 
     def rewrite(self, enriched: EnrichedQuery,
-                plan: list[tuple[Enrichment, Extraction]], include: bool,
-                leases: list[Relation]
-                ) -> tuple[sql_ast.SelectQuery, bool]:
+                plan: list[tuple[Enrichment, Extraction]], include: bool
+                ) -> tuple[sql_ast.SelectQuery, dict[str, BoundView], bool]:
         """*enriched*'s query with each tagged condition of *plan*
-        rewritten over its extraction's relation — leased into
-        *leases*, which the run returns — and whether it was recalled:
-        a template rewritten over the same relations is the same
-        statement, built once."""
-        relations = []
-        for enrichment, extraction in plan:
+        rewritten over the relation ``__sesql_<kind>_<i>``, the relation
+        of each extraction by that name, and whether the statement was
+        recalled: a template is rewritten once per *include*."""
+        views = {}
+        for position, (enrichment, extraction) in enumerate(plan):
             if isinstance(enrichment, ReplaceConstant):
                 kind = "vals"
                 extra = (enrichment.constant,) if include else ()
             else:
                 kind, extra = "pairs", ()
-            relation = extraction.sql(self.mapping).lease(
-                self.databank, kind, extra, self.counts)
-            leases.append(relation)
-            relations.append(relation)
-        key = (include,) + tuple(relation.name for relation in relations)
+            views[f"__sesql_{kind}_{position}"] = extraction.sql(
+                self.mapping).view(kind, extra)
         template = enriched.query
-        rewritten = recall(template, relations, key)
+        key = id(template)
+        rewritten = _REWRITES.get(key, {}).get(include)
         if rewritten is not None:
-            return rewritten, True
+            return rewritten, views, True
         rewritten = template
-        for (enrichment, _extraction), relation in zip(plan, relations):
+        for (enrichment, _extraction), name in zip(plan, views):
             condition = enriched.conditions[enrichment.cond]
             if isinstance(enrichment, ReplaceConstant):
                 rewritten = self.apply_replace_constant(
-                    rewritten, enrichment, condition, relation.name)
+                    rewritten, enrichment, condition, name)
             else:
                 rewritten = self.apply_replace_variable(
-                    rewritten, enrichment, condition, relation.name,
-                    include)
-        return memoise(template, relations, key, rewritten), False
+                    rewritten, enrichment, condition, name, include)
+        with _REWRITES_LOCK:
+            variants = _REWRITES.get(key)
+            if variants is None:
+                variants = _REWRITES[key] = {}
+                weakref.finalize(template, _REWRITES.pop, key,
+                                 None).atexit = False
+            return variants.setdefault(include, rewritten), views, False
 
     # -- strategies ---------------------------------------------------------
 

@@ -10,7 +10,8 @@ An optional extraction *cache* (:class:`repro.api.ExtractionCache`)
 memoizes extraction results: one entry per extraction at the knowledge
 base's current mutation ``generation``, so a prepared query re-executed
 against an unchanged KB skips re-running its SPARQL entirely, and an
-entry a newer generation replaces is retired with its SQL side.  Within one statement the engine additionally dedupes
+entry of an older generation is replaced, its SQL side with it.  Within
+one statement the engine additionally dedupes
 identical logical extractions across tagged conditions and stages (see
 :meth:`repro.core.SESQLEngine.extraction_for`);
 :meth:`SemanticQueryModule.sparql_execution_count` counts the queries
@@ -44,8 +45,6 @@ class Extraction:
     subjects: set[Term] = field(default_factory=set)
     #: The KB generation it was extracted at (``None``: not memoized).
     generation: int | None = field(default=None, compare=False)
-    #: Whether an extraction cache holds it (:meth:`keep`, :meth:`retire`).
-    kept: bool = field(default=False, init=False, compare=False, repr=False)
     _sql: SqlExtraction | None = field(default=None, init=False,
                                        compare=False, repr=False)
 
@@ -55,21 +54,9 @@ class Extraction:
         if side is None:
             with _SQL_LOCK:
                 if self._sql is None:
-                    self._sql = SqlExtraction(self, mapping, self.kept)
+                    self._sql = SqlExtraction(self, mapping)
                 side = self._sql
         return side
-
-    def keep(self) -> None:
-        self.kept = True
-
-    def retire(self) -> None:
-        """No cache holds it any more: nor does the databank hold its
-        relations once the runs reading them are done."""
-        with _SQL_LOCK:
-            self.kept = False
-            side = self._sql
-        if side is not None:
-            side.retire()
 
 
 _SQL_LOCK = threading.Lock()

@@ -32,6 +32,7 @@ from ..crosse.kb import Reference
 from ..federation.foreign import (CsvSource, ForeignTable,
                                   attach_foreign_table, describe_source)
 from ..rdf.store import Triple, TripleStore
+from ..relational.catalog import RESERVED_PREFIX
 from ..relational.csv_io import load_csv, rows_to_csv
 from ..relational.engine import Database
 from ..relational.schema import Column
@@ -43,10 +44,6 @@ SNAPSHOT_MAGIC = b"REPROSNAP1"
 #: The CSV NULL marker snapshots always use, so a NULL column value and
 #: an empty string survive the round-trip distinctly.
 NULL_MARKER = "\\N"
-
-#: SESQL WHERE-rewrite temp tables are session-private scratch space;
-#: they are never journaled and never snapshotted.
-TEMP_TABLE_PREFIX = "__sesql_"
 
 
 # -- file format -------------------------------------------------------------
@@ -122,7 +119,7 @@ def serialize_database(db: Database, journal) -> dict:
     with db.rwlock.read_locked():
         tables: list[dict] = []
         for name in db.table_names():
-            if name.startswith(TEMP_TABLE_PREFIX):
+            if name.startswith(RESERVED_PREFIX):
                 continue
             table = db.table(name)
             if isinstance(table, ForeignTable):
@@ -168,7 +165,7 @@ def restore_database(db: Database, payload: dict,
 
 
 def database_empty(db: Database) -> bool:
-    return not any(not name.startswith(TEMP_TABLE_PREFIX)
+    return not any(not name.startswith(RESERVED_PREFIX)
                    for name in db.table_names())
 
 

@@ -23,16 +23,16 @@ from typing import Any
 from ..federation.foreign import ForeignTable, describe_source
 from ..rdf.ntriples import serialize_ntriples
 from ..rdf.store import TripleStore
+from ..relational.catalog import RESERVED_PREFIX
 from ..relational.engine import Database
 from .records import json_default
-from .snapshot import TEMP_TABLE_PREFIX
 
 
 def database_state(db: Database) -> dict:
     with db.rwlock.read_locked():
         tables: dict[str, Any] = {}
         for name in db.table_names():
-            if name.startswith(TEMP_TABLE_PREFIX):
+            if name.startswith(RESERVED_PREFIX):
                 continue
             table = db.table(name)
             if isinstance(table, ForeignTable):

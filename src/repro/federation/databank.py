@@ -5,7 +5,8 @@ whose tables are the mediator's global views: before executing any
 SELECT it ships the views the statement references (through its
 embedded :class:`~repro.federation.MediatorSession`, with
 materialization reuse), then runs the statement locally with those
-views bound to the run — a view is a leaf of the statement's operator
+views bound to the run, beside any relations its caller binds (a SESQL
+run's extractions) — a view is a leaf of the statement's operator
 tree, never a table of this database.  That makes federated sources
 composable with every layer built on the Database protocol — most
 importantly the SESQL engine::
@@ -23,6 +24,7 @@ from __future__ import annotations
 from ..relational import ast as sql_ast
 from ..relational.engine import Database
 from ..relational.result import Cursor
+from ..relational.table import BoundView
 from .executor import FederationOptions
 from .mediator import MediationReport, Mediator, MediatorSession
 
@@ -64,23 +66,28 @@ class MediatedDatabank(Database):
     # for it with each run's values and views.
 
     def execute_ast(self, stmt: sql_ast.Statement,
-                    params: tuple | None = None):
+                    params: tuple | None = None,
+                    views: dict[str, BoundView] | None = None):
         if not isinstance(stmt, sql_ast.SelectQuery):
             return super().execute_ast(stmt)
         with self.session.shipped(stmt, params=params) \
-                as (self.last_report, views):
-            return super().execute_ast(stmt, params, views)
+                as (self.last_report, shipped):
+            return super().execute_ast(stmt, params,
+                                       _beside(shipped, views))
 
     def stream_ast(self, query: sql_ast.SelectQuery,
-                   params: tuple | None = None) -> Cursor:
+                   params: tuple | None = None,
+                   views: dict[str, BoundView] | None = None) -> Cursor:
         # Pushdown is off, as for MediatorSession.stream: what a stream
         # ships is held for the queries after it.
         with self.session.shipped(query, pushdown=False, params=params) \
-                as (self.last_report, views):
-            return super().stream_ast(query, params, views)
+                as (self.last_report, shipped):
+            return super().stream_ast(query, params,
+                                      _beside(shipped, views))
 
     def explain(self, target, analyze: bool = False,
-                params: tuple | None = None):
+                params: tuple | None = None,
+                views: dict[str, BoundView] | None = None):
         """Plan *target* over exactly what ``execute`` would ship for it
         (same pushdown) — nothing at all for a statement that is not a
         SELECT."""
@@ -89,5 +96,13 @@ class MediatedDatabank(Database):
         if not isinstance(stmt, sql_ast.SelectQuery):
             return super().explain(stmt, analyze)    # refuses it
         with self.session.shipped(stmt, params=params) \
-                as (self.last_report, views):
-            return super().explain(stmt, analyze, params, views)
+                as (self.last_report, shipped):
+            return super().explain(stmt, analyze, params,
+                                   _beside(shipped, views))
+
+
+def _beside(shipped: dict[str, BoundView],
+            bound: dict[str, BoundView] | None) -> dict[str, BoundView]:
+    """The run's shipped views and the relations its caller bound (a
+    SESQL run's extractions, whose names are never views)."""
+    return {**shipped, **bound} if bound else shipped

@@ -20,6 +20,7 @@ import io
 import time
 from typing import Callable, Iterable, Iterator
 
+from ..relational.catalog import check_table_name
 from ..relational.csv_io import parse_cell
 from ..relational.engine import Database
 from ..relational.schema import TableSchema
@@ -223,6 +224,7 @@ def attach_foreign_table(db: Database, name: str, source: ForeignSource,
                          mode: str = "live",
                          latency_s: float = 0.0) -> ForeignTable:
     """Register a foreign table in *db*'s catalog under *name*."""
+    check_table_name(name)
     table = ForeignTable(name, source, mode, latency_s)
     with db.rwlock.write_locked():
         db.catalog.register_table(table)  # duck-typed Table

@@ -63,6 +63,7 @@ from ..planner.rewrite import (binding_of, compose_filter,
                                referenced_bindings)
 from ..relational import ast as sql_ast
 from ..relational.batch import norm_tuple
+from ..relational.catalog import check_table_name
 from ..relational.compiler import CompileContext, compile_expr
 from ..relational.engine import Database
 from ..relational.errors import ExecutionError
@@ -199,6 +200,8 @@ class Mediator:
         if not fragments:
             raise MediationError(f"view {name!r} needs at least one "
                                  "fragment")
+        # A name the SESQL engine binds per run is never a view to ship.
+        check_table_name(name)
         for source_name, _sql in fragments:
             self.source(source_name)
         if name in self._views:

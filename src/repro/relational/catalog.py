@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
-from .errors import CatalogError
+from .errors import CatalogError, SchemaError
 from .schema import TableSchema
 from .table import BoundView, Table
+
+#: Names the SESQL engine binds its extractions under, per run: no table
+#: may take one (a statement would read the extraction in its place).
+RESERVED_PREFIX = "__sesql_"
+
+
+def check_table_name(name: str) -> None:
+    """Refuse a table name under :data:`RESERVED_PREFIX`."""
+    if name.lower().startswith(RESERVED_PREFIX):
+        raise SchemaError(f"table name {name!r} is reserved: names "
+                          f"starting {RESERVED_PREFIX!r} are SESQL's")
 
 
 class Catalog:
@@ -19,6 +30,7 @@ class Catalog:
 
     def create_table(self, schema: TableSchema,
                      if_not_exists: bool = False) -> Table | None:
+        check_table_name(schema.name)
         key = schema.name.lower()
         if key in self._tables:
             if if_not_exists:
@@ -60,10 +72,9 @@ class Catalog:
             raise CatalogError(f"table {name!r} does not exist") from None
 
     def table_names(self) -> list[str]:
-        # list() first: a single atomic snapshot, safe against the
-        # lock-free temp-table injection of the SESQL WHERE rewrite
-        # (a plain comprehension over .values() could observe a resize
-        # mid-iteration).
+        # list() first: a single atomic snapshot, safe against a
+        # lock-free temp-table registration (a plain comprehension over
+        # .values() could observe a resize mid-iteration).
         return [table.name for table in list(self._tables.values())]
 
     def find_index(self, index_name: str) -> tuple[Table, str] | None:

@@ -1,8 +1,9 @@
 """The :class:`Database` facade: parse, plan and execute SQL statements.
 
 This is the component that stands in for PostgreSQL in the CroSSE
-architecture: both the SmartGround databank and the temporary support
-database of the SESQL pipeline (Fig. 6) are instances of it.
+architecture: the SmartGround databank is an instance of it, and the
+temporary support database of the SESQL pipeline (Fig. 6) is the
+extractions it binds to one run (see below).
 
 Every database owns a cost-based planner (:mod:`repro.planner`, on by
 default): SELECTs are rewritten — constant folding, predicate pushdown,
@@ -28,7 +29,7 @@ reads is bound again with the same column names and types, ``ANALYZE``
 has not moved the statistics, and the planner options and telemetry
 hooks are the ones it was built with.
 
-A view — a mediated view's shipped rows, a
+A view — a mediated view's shipped rows or a SESQL extraction, a
 :class:`~repro.relational.table.BoundView` — is bound per run like the
 values are (``execute_ast(stmt, params, views)``): the statement
 resolves its name to the view ahead of the catalog's tables, the tree
@@ -46,7 +47,7 @@ from typing import Any, Iterable, Iterator
 
 from ..rwlock import RWLock
 from . import ast
-from .catalog import Catalog, ViewCatalog
+from .catalog import RESERVED_PREFIX, Catalog, ViewCatalog
 from .compiler import compile_expr
 from .errors import ExecutionError, RelationalError, SchemaError
 from .executor import BindFirst, build_select, make_context
@@ -588,11 +589,11 @@ class Database:
             if table_name is not None:
                 names = [table_name]
             else:
-                # Skip SESQL temp tables: they are per-call scratch
-                # injected/dropped without the write lock, so they may
-                # vanish mid-loop and their stats would leak.
+                # Skip temp tables under the reserved prefix: they are
+                # registered and dropped without the write lock, so
+                # they may vanish mid-loop and their stats would leak.
                 names = [name for name in self.catalog.table_names()
-                         if not name.startswith("__sesql_")]
+                         if not name.startswith(RESERVED_PREFIX)]
             collected = []
             for name in names:
                 try:
@@ -806,17 +807,15 @@ class Database:
         (``table_from_columns``), published *without* the write lock
         (and without moving the generation).
 
-        Used for an extraction's relation (registered once, read by the
-        statements rewritten over it until it is dropped), so its values
-        are stored as given, never coerced to the one type inferred for
-        their column: an extraction mixing ``5`` and ``'Mercury'`` must
-        still match ``k = 5``.  The name is
-        unique and nothing else ever references it, so this is a
-        namespace operation, not a data mutation — taking the write
-        lock here would serialize enriched
-        *reads* behind every open cursor (and deadlock a session that
-        already holds the read side).  Single dict insert: atomic under
-        the GIL.
+        Its values are stored as given, never coerced to the one type
+        inferred for their column.  The library itself no longer calls
+        it — a SESQL extraction is bound to the run that reads it, as a
+        :class:`~repro.relational.table.BoundView` — but the end-to-end
+        benchmark's trace still counts its calls.  The name is unique
+        and nothing else ever references it, so this is a namespace
+        operation, not a data mutation — taking the write lock here
+        would serialize reads behind every open cursor.  Single dict
+        insert: atomic under the GIL.
         """
         table = table_from_columns(name, result.columns, result.cols,
                                    coerce=False)

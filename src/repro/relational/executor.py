@@ -290,8 +290,9 @@ def build_table_expr(table_expr: ast.TableExpr, catalog: Catalog,
             label = f"{label} as {table_expr.alias}"
         table = catalog.table(table_expr.name)
         if isinstance(table, BoundView):
-            return ViewScan(table, ctx.slots, table_expr.binding, label,
-                            hint.est_rows, ctx.exec_hooks)
+            return ViewScan(table, ctx.slots, table_expr.name,
+                            table_expr.binding, label, hint.est_rows,
+                            ctx.exec_hooks)
         return Scan(table, table_expr.binding, label, hint.est_rows,
                     ctx.exec_hooks)
     if isinstance(table_expr, ast.SubqueryRef):

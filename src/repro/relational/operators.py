@@ -324,19 +324,20 @@ class Scan(Operator):
 
 
 class ViewScan(Operator):
-    """Full scan of a relation bound per run — a mediated view, a
-    :class:`~repro.relational.table.BoundView` — the way a ``?`` is: the
-    tree is built over the view's schema and size, and each run reads
-    the columns its slots hold under the view's name when it starts,
-    chunked at ``BATCH_SIZE``.  The bound lists are never written (a
-    cached fragment's columns are shared); a whole run is a copy."""
+    """Full scan of a relation bound per run — a mediated view or an
+    extraction, a :class:`~repro.relational.table.BoundView` — the way a
+    ``?`` is: the tree is built over the view's schema and size, and
+    each run reads the columns its slots hold under the *name* the
+    statement reads it by when it starts, chunked at ``BATCH_SIZE``.
+    The bound lists are never written (a cached fragment's columns are
+    shared); a whole run is a copy."""
 
-    def __init__(self, view, slots, binding: str, label: str,
+    def __init__(self, view, slots, name: str, binding: str, label: str,
                  est_rows: float | None = None, hooks=None) -> None:
         super().__init__("scan", label,
                          RowSchema.for_table(view.schema, binding),
                          est_rows=est_rows, hooks=hooks)
-        self.name = view.name.lower()
+        self.name = name.lower()
         self.signature = view.signature
         self.slots = slots
         self.vectorized = True

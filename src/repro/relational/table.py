@@ -430,8 +430,8 @@ def table_from_columns(name: str, column_names: Sequence[str],
                        cols: Sequence[Sequence],
                        coerce: bool = True) -> Table:
     """A fully loaded table of one value sequence per column — the
-    loader under SESQL temp tables, and what types a foreign source's
-    rows.  Each column's
+    loader under temp tables, and what types a foreign source's rows.
+    Each column's
     type is inferred from its values; values the storage model does not
     know (RDF terms, say) are stored as their ``str``; every column must
     have the same length.  With *coerce* off the values are stored as
@@ -490,9 +490,9 @@ class BoundView:
 
     :meth:`of` types it as :func:`table_from_columns` types a table —
     each column the narrowest type of its values, a column of mixed
-    types coerced to it, unknown objects as their ``str`` — from each
-    column's type set (*kinds*), and holds the columns it was given
-    wherever they need no change: it never
+    types coerced to it unless *coerce* is off, unknown objects as their
+    ``str`` — from each column's type set (*kinds*), and holds the
+    columns it was given wherever they need no change: it never
     writes them, so they may be shared (a cached fragment's).  ``cols``
     is ``None`` for a view planned but never run (an explain's unshipped
     view), sized by an estimate.
@@ -509,12 +509,13 @@ class BoundView:
 
     @classmethod
     def of(cls, name: str, column_names: Sequence[str],
-           cols: Sequence[Sequence], kinds: list[set[type]]) -> "BoundView":
+           cols: Sequence[Sequence], kinds: list[set[type]],
+           coerce: bool = True) -> "BoundView":
         count = _column_count(name, column_names, cols)
         given, kinds = _storable(cols, kinds)
         types = [_narrowest(kind) for kind in kinds]
         for position, (kind, data_type) in enumerate(zip(kinds, types)):
-            if not kind <= _STORED_AS_IS[data_type]:
+            if coerce and not kind <= _STORED_AS_IS[data_type]:
                 given[position] = list(map(coerce_value, given[position],
                                            repeat(data_type)))
         return cls(TableSchema(name, list(map(Column, column_names,

@@ -30,7 +30,8 @@ from repro.federation import Mediator
 from repro.federation.foreign import (CallableSource, CsvSource,
                                       QuerySource, attach_foreign_table)
 from repro.rdf import IRI, Literal, Namespace, TripleStore, parse_turtle
-from repro.relational import Database, ResultSet, SqlSyntaxError
+from repro.relational import (Database, ResultSet, SchemaError,
+                              SqlSyntaxError)
 from repro.relational.schema import Column, DataType
 
 SMG = Namespace("http://smartground.eu/ns#")
@@ -419,8 +420,8 @@ def test_temp_tables_are_never_journaled_or_snapshotted(tmp_path):
     assert "__sesql_scratch_1" not in names
     db.drop_temp_table("__sesql_scratch_1")
     assert db.durability_journal.seq == seq_before
-    # An extraction's relation stays registered across runs: it is
-    # published, kept and dropped outside durable history too.
+    # An extraction is bound to the run that reads it: never a table,
+    # so never part of durable history either.
     session = repro.connect(db, knowledge_base=parse_turtle("""
         @prefix smg: <http://smartground.eu/ns#> .
         smg:Mercury smg:dangerLevel "high" ."""))
@@ -428,14 +429,9 @@ def test_temp_tables_are_never_journaled_or_snapshotted(tmp_path):
                 "WHERE ${elem_name = 'high' : c1} "
                 "ENRICH REPLACEVARIABLE(c1, elem_name, dangerLevel)")
     assert session.query(enriched).rows == [("a",)]
-    [relation] = [name for name in db.table_names()
-                  if name.startswith("__sesql_")]
-    path = manager.snapshot()
-    payload = load_snapshot_file(path)
-    assert relation not in [
-        t["name"] for t in payload["components"]["db:main"]["tables"]]
+    assert not [name for name in db.table_names()
+                if name.startswith("__sesql_")]
     session.close()
-    assert relation not in db.table_names()
     assert db.durability_journal.seq == seq_before
     manager.close()
 
@@ -443,6 +439,39 @@ def test_temp_tables_are_never_journaled_or_snapshotted(tmp_path):
     manager2.recover()
     assert not [name for name in db2.table_names()
                 if name.startswith("__sesql_")]
+    manager2.close()
+
+
+def test_a_table_under_the_reserved_prefix_is_refused(tmp_path):
+    """Snapshots, ``database_state`` and ``ANALYZE`` skip the names SESQL
+    reserves, so a user table under them would be lost at recovery
+    without a word: every way of making one is refused instead."""
+    directory = str(tmp_path / "dur")
+    manager, db, _store = fresh_manager(directory)
+    manager.recover()
+    with pytest.raises(SchemaError, match="reserved"):
+        db.execute("CREATE TABLE __sesql_notes (note TEXT)")
+    with pytest.raises(SchemaError, match="reserved"):
+        db.create_table("__SESQL_notes", [Column("note", DataType.TEXT)])
+    with pytest.raises(SchemaError, match="reserved"):
+        attach_foreign_table(db, "__sesql_csv", CsvSource("note\nx\n"))
+    mediator = Mediator()
+    mediator.register_source("origin", db)
+    with pytest.raises(SchemaError, match="reserved"):
+        mediator.define_view("__sesql_vals_0",
+                             [("origin", "SELECT 1 AS c0")])
+    assert db.table_names() == []
+    db.execute("CREATE TABLE notes (note TEXT)")
+    db.execute("INSERT INTO notes VALUES ('snapshotted')")
+    manager.snapshot()
+    db.execute("INSERT INTO notes VALUES ('logged')")
+    manager.close()
+
+    manager2, db2, _ = fresh_manager(directory)
+    manager2.recover()
+    assert db2.table_names() == ["notes"]
+    assert db2.query("SELECT note FROM notes ORDER BY note").rows \
+        == [("logged",), ("snapshotted",)]
     manager2.close()
 
 

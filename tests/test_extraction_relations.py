@@ -1,29 +1,26 @@
-"""An extraction is a relation with a stable name.
+"""An extraction is a relation bound to the run that reads it.
 
-A WHERE enrichment reads its extraction as a read-only temp table that
-the databank registers once per extraction-cache entry, and the
-statement rewritten over it — the template's ``?`` intact — is kept
-with it, so the databank plans it once and re-drives its tree.  What
-must hold:
+A WHERE enrichment reads its extraction as a relation the databank binds
+to the run, as it binds the ``?`` values, under a name given by the
+enrichment's position (``__sesql_vals_0``).  The statement rewritten
+over it — the template's ``?`` intact — is the same statement whichever
+user's extraction, at whichever KB generation, feeds it, so the databank
+plans it once and re-drives its tree.  What must hold:
 
-* N runs of a rewritten template register one relation and plan once;
-* a KB change that moves the user's generation gives a new relation
-  and a new plan, drops the old relation, and never a stale answer;
-* a relation is dropped when it is retired and its last lease is back,
-  never earlier: an open cursor keeps it;
-* an engine with no extraction cache keeps nothing: each run's release
-  drops its relation;
-* concurrent users register one relation each;
+* N runs of a rewritten template plan once;
+* users with different contexts, and KB writes between their runs,
+  share that one tree, and never see a stale answer;
+* no extraction is ever a catalog table;
+* an open cursor keeps reading the extraction its run was bound to,
+  after a KB change has given later runs a new one;
 * a session owns the extraction cache of an engine it built, so closing
-  it drops the relations — and leaves a caller's engine alone — and a
-  session dropped unclosed takes them with it when it is collected;
-* the rewrite stage says when it was recalled, and ``Session.stats``
-  counts relations.
+  it empties that cache — and leaves a caller's engine alone;
+* the rewrite stage says when it was recalled;
+* an extraction's values keep their types.
 """
 
 from __future__ import annotations
 
-import gc
 import threading
 
 import pytest
@@ -31,7 +28,6 @@ import pytest
 import repro
 from repro.api import ExtractionCache, QueryOptions
 from repro.core import SESQLEngine, StoredQueryRegistry
-from repro.core.tempdb import live_relations
 from repro.crosse import CrossePlatform
 from repro.rdf import SMG
 from repro.relational import Database
@@ -77,23 +73,17 @@ def registry() -> StoredQueryRegistry:
 
 
 @pytest.fixture
-def counted(monkeypatch):
-    """The relations registered in any databank, and the planner runs."""
+def planned(monkeypatch):
+    """The planner runs."""
     import repro.planner.plan as plan_module
-    created: list[str] = []
-    planned: list = []
-    create, plan = Database.create_temp_table, plan_module.plan_select
-
-    def create_temp_table(self, name, result):
-        created.append(name)
-        return create(self, name, result)
+    calls: list = []
+    plan = plan_module.plan_select
 
     def plan_select(*args, **kwargs):
-        planned.append(args[0])
+        calls.append(args[0])
         return plan(*args, **kwargs)
-    monkeypatch.setattr(Database, "create_temp_table", create_temp_table)
     monkeypatch.setattr(plan_module, "plan_select", plan_select)
-    return created, planned
+    return calls
 
 
 def reference(databank, kb, registry, text: str, values) -> list[tuple]:
@@ -102,61 +92,54 @@ def reference(databank, kb, registry, text: str, values) -> list[tuple]:
     return engine.execute(inline(text, values)).rows
 
 
-def test_n_runs_register_one_relation_and_plan_once(databank, registry,
-                                                    counted):
-    created, planned = counted
+def test_n_runs_plan_once(databank, registry, planned):
     kb = researcher_kb()
     expected = {amount: reference(databank, kb, registry, HOTSPOTS, [amount])
                 for amount in AMOUNTS}
     assert len(set(map(tuple, expected.values()))) > 1
-    del created[:], planned[:]
+    del planned[:]
     session = repro.connect(databank, knowledge_base=kb,
                             stored_queries=registry)
     for amount in AMOUNTS:
         assert session.execute(HOTSPOTS, [amount]).rows == expected[amount]
         assert list(session.stream(HOTSPOTS, [amount])) == expected[amount]
-    assert len(created) == 1 and len(planned) == 1
+    assert len(planned) == 1
     assert databank.tree_stats() == {"built": 1, "reused": 19}
-    assert session.stats()["extraction_relations"] == {
-        "registered": 1, "retired": 0, "live": 1}
-    assert sesql_tables(databank) == created
-    session.close()
-    assert sesql_tables(databank) == [] and live_relations(databank) == []
-    assert session.stats()["extraction_relations"] == {
-        "registered": 1, "retired": 1, "live": 0}
+    assert sesql_tables(databank) == []
 
 
-def test_a_moved_generation_gives_a_new_relation_and_plan(databank,
-                                                          registry):
+def test_one_tree_serves_every_user_and_generation(databank, registry):
     """test_context_view's setting: a user's context is a view over the
     platform's one store, and accepting a statement moves its
-    generation."""
+    generation.  Two users of one platform session, with a KB write
+    between runs, re-drive one tree."""
     platform = CrossePlatform(databank)
     platform.register_stored_query("dangerQuery", DANGER_QUERY_SPARQL)
-    platform.register_user("curator")
-    platform.register_user("ada")
+    for username in ("curator", "ada", "bo"):
+        platform.register_user(username)
     hazards = [platform.annotate_free("curator", *triple).statement_id
                for triple in researcher_kb().triples(
                    None, SMG.isA, SMG.HazardousWaste)]
     assert len(hazards) >= 3
-    session = platform.session_for("ada")
-    view = platform.effective_kb("ada")
-    names: list[str] = []
-    for step, statement_id in enumerate(hazards[:3]):
-        generation = view.generation
+    platform.accept_statement("bo", hazards[-1])
+    shared = platform.connect()
+    users = {username: (shared.as_user(username),
+                        platform.effective_kb(username))
+             for username in ("ada", "bo")}
+    answers = set()
+    for statement_id, amount in zip(hazards, AMOUNTS):
+        generation = users["ada"][1].generation
         platform.accept_statement("ada", statement_id)
-        assert view.generation != generation
-        for amount in (1.0, 12.5):
-            assert session.execute(HOTSPOTS, [amount]).rows \
-                == reference(databank, view, registry, HOTSPOTS, [amount])
-        [relation] = live_relations(databank)
-        assert relation.name not in names
-        names.append(relation.name)
-        assert sesql_tables(databank) == [relation.name]
-        assert databank.tree_stats() == {"built": step + 1,
-                                         "reused": step + 1}
-    assert session.stats()["extraction_relations"] == {
-        "registered": 3, "retired": 2, "live": 1}
+        assert users["ada"][1].generation != generation
+        for session, view in users.values():
+            expected = reference(databank, view, registry, HOTSPOTS,
+                                 [amount])
+            assert session.execute(HOTSPOTS, [amount]).rows == expected
+            assert list(session.stream(HOTSPOTS, [amount])) == expected
+            answers.add(tuple(expected))
+            assert sesql_tables(databank) == []
+    assert len(answers) > 2
+    assert databank.tree_stats()["built"] == 1
 
 
 def test_an_open_cursor_keeps_a_retired_relation(databank, registry):
@@ -166,35 +149,31 @@ def test_an_open_cursor_keeps_a_retired_relation(databank, registry):
     old = reference(databank, kb, registry, HAZARDS, [1.0])
     cursor = session.stream(HAZARDS, [1.0], page_size=1)
     first = next(cursor)
-    [relation] = live_relations(databank)
     kb.add(SMG.Iron, SMG.isA, SMG.HazardousWaste)
     new = session.execute(HAZARDS, [1.0]).rows
     assert len(new) > len(old)
-    assert relation.retired and relation.leases == 1
-    assert relation.name in databank.table_names()
+    assert new == reference(databank, kb, registry, HAZARDS, [1.0])
     assert [first] + list(cursor) == old
-    assert relation.name not in databank.table_names()
-    assert len(live_relations(databank)) == 1
+    assert sesql_tables(databank) == []
 
 
 def test_an_engine_with_no_extraction_cache_keeps_nothing(databank,
                                                           registry):
     engine = SESQLEngine(databank, researcher_kb(), stored_queries=registry)
+    assert engine.sqm.cache is None
     text = inline(HOTSPOTS, [1.0])
     expected = engine.execute(text).rows
     assert sesql_tables(databank) == []
     cursor = engine.stream(text)
-    assert len(sesql_tables(databank)) == 1
-    assert list(cursor) == expected
     assert sesql_tables(databank) == []
+    assert list(cursor) == expected
     engine.explain_parsed(engine.parse(text), analyze=True)
     assert sesql_tables(databank) == []
-    assert engine.relation_counts == {"registered": 3, "retired": 3,
-                                      "live": 0}
+    assert engine.sqm.cache is None
 
 
-def test_two_users_on_two_threads_register_one_relation_each(databank,
-                                                             registry):
+def test_two_users_on_two_threads_agree_with_the_reference(databank,
+                                                          registry):
     kbs = {"researcher": researcher_kb(), "planner": city_planner_kb()}
     expected = {(name, amount): reference(databank, kb, registry, HOTSPOTS,
                                           [amount])
@@ -221,12 +200,6 @@ def test_two_users_on_two_threads_register_one_relation_each(databank,
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    for session in sessions.values():
-        assert session.stats()["extraction_relations"] == {
-            "registered": 1, "retired": 0, "live": 1}
-    assert len(sesql_tables(databank)) == 2
-    for session in sessions.values():
-        session.close()
     assert sesql_tables(databank) == []
 
 
@@ -238,8 +211,10 @@ def test_closing_a_connected_session_drops_its_relations(databank,
     session = repro.connect(databank, knowledge_base=researcher_kb(),
                             stored_queries=registry)
     session.execute(HOTSPOTS, [1.0])
-    assert len(sesql_tables(databank)) == 1
+    cache = session.engine.sqm.cache
+    assert len(cache) == 1
     session.close()
+    assert len(cache) == 0
     assert sesql_tables(databank) == []
 
 
@@ -256,22 +231,16 @@ def test_closing_a_platform_session_drops_its_users_relations(databank):
                 platform.register_user(username)
             platform.accept_statement(username, statement_id)
     shared = platform.connect(QueryOptions())
+    caches = []
     for username in ("ada", "bo"):
-        shared.as_user(username).execute(HOTSPOTS, [1.0])
-    assert len(sesql_tables(databank)) == 2
+        session = shared.as_user(username)
+        session.execute(HOTSPOTS, [1.0])
+        caches.append(session.engine.sqm.cache)
+    assert caches[0] is not caches[1]
+    assert [len(cache) for cache in caches] == [1, 1]
     shared.close()
+    assert [len(cache) for cache in caches] == [0, 0]
     assert sesql_tables(databank) == []
-
-
-def test_a_session_dropped_unclosed_takes_its_relations(databank,
-                                                        registry):
-    session = repro.connect(databank, knowledge_base=researcher_kb(),
-                            stored_queries=registry)
-    session.execute(HOTSPOTS, [1.0])
-    assert len(sesql_tables(databank)) == 1
-    del session
-    gc.collect()
-    assert sesql_tables(databank) == [] and live_relations(databank) == []
 
 
 def test_a_wrapped_engine_keeps_its_own_cache_and_relations(databank,
@@ -281,10 +250,10 @@ def test_a_wrapped_engine_keeps_its_own_cache_and_relations(databank,
                          extraction_cache=cache)
     with repro.connect(engine) as session:
         session.execute(HOTSPOTS, [1.0])
-    [name] = sesql_tables(databank)
+    assert engine.sqm.cache is cache and len(cache) == 1
     assert engine.execute(inline(HOTSPOTS, [5.0])).cache_hits == 1
-    assert sesql_tables(databank) == [name]
     cache.clear()
+    assert len(cache) == 0
     assert sesql_tables(databank) == []
 
 
@@ -304,7 +273,7 @@ def test_the_rewrite_stage_says_when_it_was_recalled(databank, registry):
     [rewrite] = [stage for stage in session.explain(HOTSPOTS, [1.0]).stages
                  if stage.name == "rewrite"]
     assert rewrite.cached and "[cached]" in rewrite.format()
-    assert session.stats()["extraction_relations"]["registered"] == 1
+    assert "__sesql_vals_0" in session.explain(HOTSPOTS, [1.0]).rewritten_sql
 
 
 def test_a_relation_keeps_its_values_types():

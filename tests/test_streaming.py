@@ -14,7 +14,6 @@ import repro
 from repro.api import CursorTokenError, Page, decode_token, encode_token
 from repro.api.cursor import (paginate_cursor, paginate_sequence,
                               request_signature)
-from repro.core.tempdb import live_relations
 from repro.rdf import parse_turtle
 from repro.relational import Cursor, Database, ExecutionError, ResultSet
 
@@ -204,23 +203,26 @@ def test_prepared_stream_binds_parameters(elems_db):
 
 
 def test_stream_where_enrichment_cleans_temp_tables(elems_db):
+    """An open cursor reads its extraction as a relation bound to the
+    run, not a table: there is none while it is open, and closing it —
+    before any fetch, or at exhaustion — lets a writer in."""
     kb = parse_turtle(KB)
     session = repro.connect(elems_db, knowledge_base=kb)
     sesql = ("SELECT landfill_name FROM elem_contained "
              "WHERE ${elem_name = Hazard:c1} "
              "ENRICH REPLACECONSTANT(c1, Hazard, dangerLevel)")
-    cursor = session.stream(sesql)
-    [relation] = live_relations(elems_db)
-    assert relation.leases == 1           # the open cursor reads it
-    cursor.close()                        # closed before any fetch
-    assert relation.leases == 0
-    cursor = session.stream(sesql)
-    cursor.fetchall()                     # drained to exhaustion
-    assert live_relations(elems_db) == [relation]
-    assert relation.leases == 0
-    session.close()                       # the session keeps it till here
-    assert not any(name.startswith("__sesql")
-                   for name in elems_db.table_names())
+    expected = session.execute(sesql).rows
+    for drain in ("close", "fetchall"):
+        cursor = session.stream(sesql)
+        assert not any(name.startswith("__sesql")
+                       for name in elems_db.table_names())
+        assert elems_db.rwlock.active_readers == 1
+        if drain == "close":
+            cursor.close()                # closed before any fetch
+        else:
+            assert cursor.fetchall() == expected
+        assert elems_db.rwlock.active_readers == 0
+    session.close()
 
 
 def test_session_stream_limit_stops_early(elems_db):
