@@ -60,12 +60,27 @@ class _Env:
     ``report`` (something with ``add``), ``databank``, ``excused``
     (lower-case unqualified names that must not draw unknown-column
     errors) and ``analyze_subquery``.
+
+    Names resolve as a run resolves them: a *mediator*'s views (the
+    databank's, when it is a mediated one) ahead of the databank's
+    catalog tables.
     """
 
     def __init__(self, databank, options: AnalysisOptions,
                  report: AnalysisReport,
-                 excused: frozenset[str] = frozenset()) -> None:
+                 excused: frozenset[str] = frozenset(),
+                 mediator=None) -> None:
         self.databank = databank
+        self.catalog = getattr(databank, "catalog", None)
+        self.mediator = mediator if mediator is not None \
+            else getattr(databank, "mediator", None)
+        self.views = frozenset(
+            name.lower() for name in self.mediator.view_names()) \
+            if self.mediator is not None else frozenset()
+        #: Is there anything to resolve a name in (else every FROM
+        #: name is an open scope, never an unknown table)?
+        self.knows_names = self.catalog is not None \
+            or self.mediator is not None
         self.options = options
         self.report = _FilteredReport(report, options)
         self.excused = set(excused)
@@ -77,6 +92,21 @@ class _Env:
     def analyze_subquery(self, query: ast.SelectQuery,
                          outer_scopes: list[Scope]) -> Scope:
         return _analyze_query(query, self, outer_scopes, top_level=False)
+
+    def relation(self, name: str):
+        """The schema a statement reads under *name*: a view's as
+        ``explain`` plans it before it ships, else a catalog table's;
+        ``None`` when unknown — :meth:`is_relation` tells a name that
+        is not there from a view whose columns cannot be planned."""
+        if name.lower() in self.views:
+            return self.mediator.view_schema(name)
+        if self.catalog is not None and self.catalog.has_table(name):
+            return self.catalog.table(name).schema
+        return None
+
+    def is_relation(self, name: str) -> bool:
+        return name.lower() in self.views or (
+            self.catalog is not None and self.catalog.has_table(name))
 
 
 def _is_aggregate_core(core: ast.SelectCore) -> bool:
@@ -92,12 +122,12 @@ def _table_columns(table_ref: ast.TableRef,
                    env: _Env) -> list[ScopeColumn] | None:
     """The columns *table_ref* makes visible; ``None`` when the table
     (or the catalog) is not there to ask."""
-    catalog = getattr(env.databank, "catalog", None)
-    if catalog is None or not catalog.has_table(table_ref.name):
+    schema = env.relation(table_ref.name)
+    if schema is None:
         return None
     return [ScopeColumn(column.name, table_ref.binding,
                         FAMILY.get(column.data_type))
-            for column in catalog.table(table_ref.name).schema.columns]
+            for column in schema.columns]
 
 
 def _level_of(env: _Env, scopes: list[Scope], source: ast.TableRef):
@@ -130,7 +160,7 @@ def _collect_from(table_expr: ast.TableExpr, env: _Env,
             from_scope.columns.extend(columns)
             return
         from_scope.open = True
-        if getattr(env.databank, "catalog", None) is not None:
+        if env.knows_names and not env.is_relation(table_expr.name):
             env.report.add("E-UNKNOWN-TABLE",
                            f"no such table: {table_expr.name!r}")
         return
@@ -380,8 +410,7 @@ def _analyze_query(query: ast.SelectQuery, env: _Env,
 def _catalog_table(name: str, env: _Env):
     """The catalog table, reporting E-UNKNOWN-TABLE; None if unknown
     (or if there is no catalog to ask)."""
-    catalog = getattr(env.databank, "catalog", None) \
-        if env.databank is not None else None
+    catalog = env.catalog
     if catalog is None:
         return None
     if not catalog.has_table(name):
@@ -627,8 +656,9 @@ def analyze_federated(sql_text: str, mediator, *,
                       options: AnalysisOptions | None = None
                       ) -> AnalysisReport:
     """Analyze a global query against a mediator: the usual SQL pass
-    over the scratch catalog, plus ``W-FED-UNPUSHABLE`` for WHERE
-    conjuncts that must run entirely at the mediator."""
+    over its views (each with the columns ``explain`` plans it by),
+    plus ``W-FED-UNPUSHABLE`` for WHERE conjuncts that must run
+    entirely at the mediator."""
     # Lazy: federation imports api, which imports this package.
     from ..federation.mediator import _pushable_filters
 
@@ -642,7 +672,7 @@ def analyze_federated(sql_text: str, mediator, *,
         if options.wants("E-SYNTAX"):
             report.add("E-SYNTAX", str(exc))
         return report
-    env = _Env(getattr(mediator, "_scratch", None), options, report)
+    env = _Env(None, options, report, mediator=mediator)
     _analyze_statement_node(stmt, env)
     if not isinstance(stmt, ast.SelectQuery) or stmt.is_compound \
             or stmt.core.where is None:

@@ -50,15 +50,30 @@ from .prepared import PreparedQuery
 class _CachedPlan:
     """Plan-cache entry: a parsed template.
 
-    The static-analysis report rides along: a clean report is computed
-    once per template (on the cache miss), so cache hits — the prepared
-    hot path — pay nothing for diagnostics.  A report with errors judged
-    a schema that DDL may since have fixed; it is recomputed on every
-    ``prepare`` until it comes back clean.
+    The static-analysis report rides along: it is computed once per
+    template (on the cache miss), so cache hits — the prepared hot path
+    — pay nothing for diagnostics.  A report with errors judged a
+    schema that DDL may since have fixed: it is recomputed once the
+    names it resolved in have moved (``stamp``, see
+    :func:`_schema_stamp`).
     """
 
     template: EnrichedQuery
     analysis: AnalysisReport | None = None
+    stamp: tuple | None = None
+
+
+def _schema_stamp(databank) -> tuple | None:
+    """What an analysis report resolved names in: the databank's
+    catalog version and, over a mediated databank, the mediator's
+    stamp (view definitions and the sources' catalogs); ``None`` —
+    never equal to a report's, so it is recomputed — when the databank
+    has no catalog to version."""
+    version = getattr(getattr(databank, "catalog", None), "version", None)
+    if version is None:
+        return None
+    mediator = getattr(databank, "mediator", None)
+    return version, mediator._stamp() if mediator is not None else None
 
 
 class Session:
@@ -183,8 +198,9 @@ class Session:
         ``PreparedQuery.diagnostics``.  Under
         ``QueryOptions(analysis=AnalysisOptions(strict=True))`` a
         report with errors raises :class:`~repro.analysis.AnalysisError`
-        instead.  Plan-cache hits reuse a stored clean report; one
-        with errors is recomputed, since DDL may have fixed what it
+        instead.  Plan-cache hits reuse the stored report; one with
+        errors is recomputed once DDL (or a view definition) has moved
+        what it resolved names in, since that may have fixed what it
         found.
         """
         self._check_open()
@@ -198,10 +214,13 @@ class Session:
             if not template.parameter_count:
                 # Runs as it is, and as a template: its tree is kept.
                 template.values = ()
-            cached = _CachedPlan(template, self._analyze_template(template))
+            cached = _CachedPlan(template, *self._analyze_template(template))
             self.plan_cache.put(text, cached)
-        elif cached.analysis is not None and cached.analysis.has_errors:
-            cached.analysis = self._analyze_template(cached.template)
+        elif cached.analysis is not None and cached.analysis.has_errors \
+                and (cached.stamp is None
+                     or cached.stamp != _schema_stamp(self.engine.databank)):
+            cached.analysis, cached.stamp = \
+                self._analyze_template(cached.template)
         analysis_options = self.options.analysis or DEFAULT_OPTIONS
         if analysis_options.strict and cached.analysis is not None \
                 and cached.analysis.has_errors:
@@ -210,17 +229,21 @@ class Session:
                              from_cache=from_cache, parse_time_s=parse_time,
                              diagnostics=cached.analysis)
 
-    def _analyze_template(self, template: EnrichedQuery):
+    def _analyze_template(self, template: EnrichedQuery
+                          ) -> tuple[AnalysisReport | None, tuple | None]:
+        """*template*'s report, and the stamp of what it resolved."""
         options = self.options.analysis or DEFAULT_OPTIONS
         if not options.enabled:
-            return None
+            return None, None
+        databank = self.engine.databank
+        stamp = _schema_stamp(databank)
         try:
-            return analyze_enriched(template, self.engine.databank,
-                                    options=options)
+            return analyze_enriched(template, databank,
+                                    options=options), stamp
         except Exception:
             # Analysis is advisory: a crash in it must never take down
             # prepare() for a statement the engine would accept.
-            return None
+            return None, None
 
     def execute(self, text: str, params=None,
                 include_original: bool | None = None) -> SESQLResult:

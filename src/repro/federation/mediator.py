@@ -66,7 +66,7 @@ from ..relational.batch import norm_tuple
 from ..relational.catalog import check_table_name
 from ..relational.compiler import CompileContext, compile_expr
 from ..relational.engine import Database
-from ..relational.errors import ExecutionError
+from ..relational.errors import ExecutionError, RelationalError
 from ..relational.parser import parse_sql
 from ..relational.render import bound_to, render_expr, render_query
 from ..relational.result import ResultSet
@@ -291,6 +291,20 @@ class Mediator:
         return BoundView(TableSchema(view.name, [
             Column(column.name, column.data_type)
             for column in schema.columns]), None, cost)
+
+    def view_schema(self, name: str) -> TableSchema | None:
+        """The columns a statement reads under view *name* (matched
+        case-insensitively) before it ships: the shape ``explain`` plans
+        it by (:meth:`_view_shape`).  ``None`` when *name* is no view,
+        or its first fragment no SELECT its source can plan."""
+        for view_name, view in self._views.items():
+            if view_name.lower() == name.lower():
+                try:
+                    shape = self._view_shape(view, 0.0)
+                except RelationalError:
+                    return None
+                return shape.schema if shape is not None else None
+        return None
 
     @staticmethod
     def _fragment_cost(database: Database,
@@ -737,6 +751,8 @@ class MediatorSession:
     ``refresh()`` drops them to pick up source-side changes (or
     redefined views).  A view shipped with a filter pushed into it, or
     with a source skipped, is partial: it is bound to its own run only.
+    A held view is probed: a ``col = ?`` over it reads a lookup built
+    once per view and column (``BoundView.hold``), dropped with it.
 
     The statements run in a local database — the session's own, or the
     :class:`~repro.federation.MediatedDatabank` it serves — with the
@@ -983,7 +999,9 @@ class MediatorSession:
             elif all(outcome.result is not None for outcome in results):
                 # Only a full view is held: a skip-reduced one would
                 # keep serving the dropped source's absence (with clean
-                # reports) long after the source recovered.
+                # reports) long after the source recovered.  A held
+                # view is probed (its lookups live as long as it does).
+                assembled.hold()
                 self._materialized[view_name] = assembled
                 self._view_warnings[view_name] = \
                     report.warnings[warn_start:]

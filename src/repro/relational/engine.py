@@ -125,8 +125,8 @@ class _Tree:
         """Reset the tree, bind *values* and *views* to its slots, and
         return the new run's root."""
         self.runs += 1
+        self.root.slots.views = views
         root = self.root.again(values, self.nodes)
-        root.slots.views = views
         self.last = weakref.ref(root)
         return root
 
@@ -635,10 +635,11 @@ class Database:
             except BindFirst:
                 planned = plan_select(ast.clone_query(stmt, values),
                                       catalog, self.stats, self.planner)
-            if values is not None:
-                root = planned.root
-                planned.root = root.again(values, list(root.walk()))
-            planned.root.slots.views = bound
+            # Laid out for the values and views, as a run is: a view
+            # scan shows its probe when the view bound is held.
+            root = planned.root
+            root.slots.views = bound
+            planned.root = root.again(values, list(root.walk()))
             if analyze:
                 planned.root.collect()
         return planned

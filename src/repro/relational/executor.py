@@ -419,14 +419,18 @@ def _build_join(join: ast.Join, catalog: Catalog,
 # WHERE / HAVING
 # ---------------------------------------------------------------------------
 
-def _point_probe(scan: Scan, where: ast.Expr, scopes: list[RowSchema],
-                 ctx: CompileContext) -> tuple[Operator, ast.Expr | None]:
+def _point_probe(scan: Scan | ViewScan, where: ast.Expr,
+                 scopes: list[RowSchema], ctx: CompileContext
+                 ) -> tuple[Operator, ast.Expr | None]:
     """Single-table fast path: the first ``column = constant`` conjunct
     (a literal or a ``?``) over an indexed column becomes an index
     probe, which beats any scan.  Returns the (possibly replaced) source
     and the remaining WHERE.  The probe's estimate is ``rows /
     distinct`` of an ANALYZEd column, and unset (not the table's row
-    count) otherwise."""
+    count) otherwise.  Over a view, the first such conjunct over any of
+    its columns becomes the scan's ``probe``, and the WHERE stays whole
+    above it: whether a run probes is the bound view's to say
+    (:class:`ViewScan`)."""
     conjuncts = ast.conjuncts(where)
     for number, conjunct in enumerate(conjuncts):
         if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
@@ -439,6 +443,11 @@ def _point_probe(scan: Scan, where: ast.Expr, scopes: list[RowSchema],
             position = _innermost_position(column_side, scopes)
             if position is None:
                 continue
+            if isinstance(scan, ViewScan):
+                scan.probe = (position,
+                              compile_expr(value_side, scopes, ctx),
+                              column_side.name)
+                return scan, where
             index = scan.table.find_index_on([column_side.name])
             if index is not None:
                 stats = ctx.stats
@@ -812,7 +821,7 @@ def build_core(core: ast.SelectCore, catalog: Catalog,
     scopes = outer_scopes + [op.schema]
 
     where = core.where
-    if where is not None and isinstance(op, Scan):
+    if where is not None and isinstance(op, (Scan, ViewScan)):
         op, where = _point_probe(op, where, scopes, ctx)
     if where is not None:
         op = _build_where(op, where, outer_scopes, catalog, ctx,

@@ -236,7 +236,8 @@ class Result(Operator):
         self.remarks = remarks
         self.notes = self._notes(list(self.walk()))
 
-    def again(self, values: tuple, nodes: list[Operator]) -> "Result":
+    def again(self, values: tuple | None, nodes: list[Operator]
+              ) -> "Result":
         """One more run of this tree, with *values* in its slots: each
         of *nodes* — the operators below — is reset (a filter lays its
         conjuncts out for the values), and the run gets a root of its
@@ -330,7 +331,17 @@ class ViewScan(Operator):
     each run reads the columns its slots hold under the *name* the
     statement reads it by when it starts, chunked at ``BATCH_SIZE``.
     The bound lists are never written (a cached fragment's columns are
-    shared); a whole run is a copy."""
+    shared); a whole run is a copy.
+
+    ``probe`` is the first ``col = literal`` / ``col = ?`` conjunct of
+    the WHERE above, as ``(position, key_fn, column name)``.  A run over
+    a held view (``BoundView.hold``) reads only the rows the view's
+    lookup lists for the key, in row order, as pending gathers; a run
+    over any other view scans.  Either way the WHERE filters what comes
+    up, so the probe need only find every row it keeps.  Which one a
+    run takes shows in ``detail``, laid out as the run's views are
+    bound.
+    """
 
     def __init__(self, view, slots, name: str, binding: str, label: str,
                  est_rows: float | None = None, hooks=None) -> None:
@@ -341,15 +352,47 @@ class ViewScan(Operator):
         self.signature = view.signature
         self.slots = slots
         self.vectorized = True
+        self.probe: tuple[int, RowFn, str] | None = None
 
     def _bound(self) -> list[list]:
         return self.slots.views[self.name].cols
 
+    def _probed(self, outer_rows: Rows) -> list[int] | None:
+        """The ids of the rows this run probes, or ``None``: it scans."""
+        row_ids = None
+        views = self.slots.views
+        view = views.get(self.name) if views else None
+        if self.probe is not None and view is not None:
+            position, key_fn, column = self.probe
+            lookup = view.lookup(position)
+            if lookup is not None:
+                try:
+                    row_ids = lookup.get(key_fn(outer_rows), ())
+                except TypeError:       # an unhashable key: scan
+                    pass
+        self.detail = "" if row_ids is None else f"probe {column}"
+        return row_ids
+
+    def reset(self) -> None:
+        super().reset()
+        self._probed(())
+
     def collect(self, outer_rows: Rows = ()) -> Batch:
-        return self._ran(Batch(list(map(list, self._bound()))))
+        cols = self._bound()
+        row_ids = self._probed(outer_rows)
+        if row_ids is None:
+            return self._ran(Batch(list(map(list, cols))))
+        return self._ran(take([(Batch(list(cols)), row_ids, len(cols))],
+                              len(row_ids)))
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
         cols = self._bound()
+        row_ids = self._probed(outer_rows)
+        if row_ids is not None:
+            for batch in pieces(Batch(list(cols)), row_ids):
+                self._observe(len(batch))
+                yield batch
+            return
         size = _batch.BATCH_SIZE
         for start in range(0, len(cols[0]), size):
             chunk = [column[start:start + size] for column in cols]

@@ -30,6 +30,7 @@ is, and a producer of rows reaches it through one transpose
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from itertools import compress, repeat
 from operator import not_
 from typing import Any, Iterable, Iterator, Sequence
@@ -496,9 +497,14 @@ class BoundView:
     writes them, so they may be shared (a cached fragment's).  ``cols``
     is ``None`` for a view planned but never run (an explain's unshipped
     view), sized by an estimate.
+
+    A view bound to more runs than one (a mediated view its session
+    holds, :meth:`hold`) keeps, per column a run probes, a lookup from
+    value to the ascending ids of the rows holding it (:meth:`lookup`),
+    built on the first such run and dropped with the view.
     """
 
-    __slots__ = ("name", "schema", "cols", "length")
+    __slots__ = ("name", "schema", "cols", "length", "_lookups")
 
     def __init__(self, schema: TableSchema, cols: list[list] | None,
                  length: float) -> None:
@@ -506,6 +512,9 @@ class BoundView:
         self.schema = schema
         self.cols = cols
         self.length = length
+        #: Lookups by column position; ``None`` while the view is bound
+        #: to one run only.
+        self._lookups: dict[int, dict] | None = None
 
     @classmethod
     def of(cls, name: str, column_names: Sequence[str],
@@ -530,6 +539,30 @@ class BoundView:
 
     def __len__(self) -> int:
         return int(self.length)
+
+    def hold(self) -> None:
+        """This view will be bound to many runs: let them probe it."""
+        if self._lookups is None:
+            self._lookups = {}
+
+    def lookup(self, position: int) -> dict | None:
+        """Column *position*'s lookup — each non-NULL value, as stored,
+        to the ascending ids of its rows — or ``None`` when the view is
+        not held.  Keys are raw values, so a probe finds every row its
+        ``=`` can hold for (``1`` finds ``1.0``, and may find ``TRUE``):
+        a superset, which the WHERE above the scan filters."""
+        lookups = self._lookups
+        if lookups is None:
+            return None
+        found = lookups.get(position)
+        if found is None:
+            # Runs racing here each build an equal lookup; one is kept.
+            rows = defaultdict(list)
+            for row_id, value in enumerate(self.cols[position]):
+                rows[value].append(row_id)
+            rows.pop(None, None)
+            found = lookups[position] = dict(rows)
+        return found
 
 
 def table_from_rows(name: str, column_names: Sequence[str],

@@ -501,6 +501,62 @@ class TestOtherFrontEnds:
             "SELECT name FROM eu WHERE size > 10", mediator)
         assert "W-FED-UNPUSHABLE" not in codes_of(report)
 
+    def test_federated_names_resolve_to_the_views_columns(self, mediator):
+        clean = analyze_federated(
+            "SELECT name, size FROM eu WHERE city = 'Turin' LIMIT 5",
+            mediator)
+        assert not clean.has_errors, clean.codes()
+        assert "E-UNKNOWN-COLUMN" in codes_of(
+            analyze_federated("SELECT nope FROM eu", mediator))
+        assert "E-UNKNOWN-TABLE" in codes_of(
+            analyze_federated("SELECT name FROM nowhere", mediator))
+
+    def test_a_strict_session_runs_over_a_mediated_databank(self, mediator):
+        session = repro.connect(mediator.as_databank(), options=QueryOptions(
+            analysis=AnalysisOptions(strict=True)))
+        prepared = session.prepare(
+            "SELECT name, city FROM eu WHERE size > ? ORDER BY name")
+        assert not prepared.diagnostics.has_errors
+        assert prepared.execute([1.0]).rows == []
+        with pytest.raises(AnalysisError) as excinfo:
+            session.prepare("SELECT nope FROM eu")
+        assert "E-UNKNOWN-COLUMN" in str(excinfo.value)
+        with pytest.raises(AnalysisError) as excinfo:
+            session.prepare("SELECT name FROM nowhere")
+        assert "E-UNKNOWN-TABLE" in str(excinfo.value)
+
+    def test_a_cached_report_is_analysed_once_until_names_move(
+            self, mediator, monkeypatch):
+        import repro.api.session as session_module
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].sql_text)
+            return analyze_enriched(*args, **kwargs)
+        monkeypatch.setattr(session_module, "analyze_enriched", counted)
+        bank = mediator.as_databank()
+        session = repro.connect(bank)
+        for _run in range(5):
+            session.execute("SELECT name FROM eu WHERE size > ?", [1.0])
+        broken = "SELECT name FROM eu JOIN local_notes ON note = name"
+        for _run in range(5):
+            assert session.prepare(broken).diagnostics.has_errors
+        assert len(calls) == 2
+        # DDL at the databank, or a view defined, moves what a report
+        # resolved names in, so it is judged again.
+        bank.execute("CREATE TABLE local_notes (note TEXT)")
+        assert not session.prepare(broken).diagnostics.has_errors
+        assert len(calls) == 3
+        unknown = "SELECT name FROM later"
+        for _run in range(3):
+            assert session.prepare(unknown).diagnostics.has_errors
+        assert len(calls) == 4
+        mediator.define_view("later", [
+            ("italy", "SELECT name, city, size FROM landfill")])
+        assert not session.prepare(unknown).diagnostics.has_errors
+        session.prepare(unknown)
+        assert len(calls) == 5      # a clean report is kept
+
 
 # ---------------------------------------------------------------------------
 # REST endpoint

@@ -62,6 +62,10 @@ TEMPLATES = (
      (st.sampled_from([0, 1.0]),)),
     ("SELECT DISTINCT s, origin FROM w WHERE k >= ?", (st.integers(0, 3),)),
     ("SELECT * FROM w", ()),
+    ("SELECT k, n, origin FROM v WHERE s = ?",
+     (st.sampled_from(["a", "b", "c"]),)),
+    ("SELECT k, s, origin FROM w WHERE n = ? AND k >= ?",
+     (st.sampled_from([0, 1, 2, 0.5, 1.5, 2.0]), st.integers(0, 3))),
 )
 
 
