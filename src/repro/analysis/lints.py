@@ -55,30 +55,13 @@ def scanned_table(core: ast.SelectCore, env) -> Table | None:
     return table if isinstance(table, Table) else None
 
 
-def _index_probe_applies(conjunct_list: list[ast.Expr], table: Table,
-                         scopes: list[Scope]) -> bool:
-    """Mirror build_core's fast path: the first ``col = literal``
-    equality over an indexed column of the scanned table becomes a
-    point probe, which replaces the scan entirely."""
-    for conjunct in conjunct_list:
-        if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
-            continue
-        for column_side, value_side in ((conjunct.left, conjunct.right),
-                                        (conjunct.right, conjunct.left)):
-            if isinstance(column_side, ast.ColumnRef) \
-                    and isinstance(value_side, _VALUES) \
-                    and _innermost(column_side, scopes) \
-                    and table.find_index_on([column_side.name]) is not None:
-                return True
-    return False
-
-
 def lint_vectorization(core: ast.SelectCore, env,
                        scopes: list[Scope]) -> None:
     """``W-VEC-FALLBACK``: WHERE conjuncts the kernel compiler rejects.
 
-    Fires only for a single-table FROM over columnar storage that no
-    index probe replaces, and names both the exact conjunct and the
+    Fires only for a single-table FROM over columnar storage (an access
+    path only narrows what the filter reads: the WHERE stays whole), and
+    names both the exact conjunct and the
     reason the kernel compiler gives up on it — or, for an ``IN
     (subquery)`` / ``EXISTS`` conjunct, the semi-join selector.
     Conjuncts containing ``?`` parameters are skipped: the bound value
@@ -95,8 +78,6 @@ def lint_vectorization(core: ast.SelectCore, env,
     body_of = env.semi_joins.get(id(core))
     conjunct_list = ast.conjuncts(core.where) if body_of is None \
         else body_of.inner_only
-    if _index_probe_applies(conjunct_list, table, scopes):
-        return  # point probe beats the batch path; nothing "fell back"
     schema = table.schema
 
     def resolve_ref(ref: ast.ColumnRef):

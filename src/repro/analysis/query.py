@@ -29,11 +29,11 @@ from ..relational.aggregates import contains_aggregate
 from ..relational.errors import RelationalError, TypeMismatchError
 from ..relational.parser import SqlParser, parse_script, parse_sql
 from ..relational.render import render_expr, render_statement
-from ..relational.types import parse_type_name
+from ..relational.types import FAMILY, parse_type_name
 from ..relational.vectors import SemiJoin, semi_join
 from . import lints
 from .diagnostics import (AnalysisOptions, AnalysisReport, DEFAULT_OPTIONS)
-from .scopes import FAMILY, Scope, ScopeColumn, resolve
+from .scopes import Scope, ScopeColumn, resolve
 from .typecheck import check_expr, check_predicate, infer_family
 
 

@@ -16,29 +16,6 @@ cannot see, and the analyzer must not invent errors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
-
-from ..relational.types import DataType
-
-#: DataType → comparison family, as the vector kernels partition types.
-FAMILY = {
-    DataType.INTEGER: "num",
-    DataType.REAL: "num",
-    DataType.TEXT: "str",
-    DataType.BOOLEAN: "bool",
-}
-
-def literal_family(value: Any) -> str | None:
-    """The family of a literal: num/str/bool, "null", or None (unknown)."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, (int, float)):
-        return "num"
-    if isinstance(value, str):
-        return "str"
-    return None
 
 
 @dataclass

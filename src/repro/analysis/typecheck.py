@@ -19,8 +19,8 @@ from ..relational.aggregates import AGGREGATE_NAMES
 from ..relational.errors import ExecutionError, TypeMismatchError
 from ..relational.functions import SCALAR_FUNCTIONS, lookup_function
 from ..relational.render import render_expr
-from ..relational.types import parse_type_name
-from .scopes import FAMILY, Scope, literal_family, resolve
+from ..relational.types import FAMILY, literal_family, parse_type_name
+from .scopes import Scope, resolve
 
 _COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 _ORDERED = frozenset({"<", "<=", ">", ">="})

@@ -751,8 +751,9 @@ class MediatorSession:
     ``refresh()`` drops them to pick up source-side changes (or
     redefined views).  A view shipped with a filter pushed into it, or
     with a source skipped, is partial: it is bound to its own run only.
-    A held view is probed: a ``col = ?`` over it reads a lookup built
-    once per view and column (``BoundView.hold``), dropped with it.
+    A held view is probed: a ``col = ?`` or ``col IN (subquery)`` over
+    it reads a lookup built once per view and column
+    (``BoundView.hold``), dropped with it.
 
     The statements run in a local database — the session's own, or the
     :class:`~repro.federation.MediatedDatabank` it serves — with the

@@ -635,8 +635,8 @@ class Database:
             except BindFirst:
                 planned = plan_select(ast.clone_query(stmt, values),
                                       catalog, self.stats, self.planner)
-            # Laid out for the values and views, as a run is: a view
-            # scan shows its probe when the view bound is held.
+            # Laid out for the values and views, as a run is: a scan
+            # shows the access path they choose.
             root = planned.root
             root.slots.views = bound
             planned.root = root.again(values, list(root.walk()))

@@ -43,13 +43,13 @@ from .compiler import (CompileContext, compile_expr, compile_predicate,
                        membership, resolve_column)
 from .errors import (AmbiguousColumnError, ExecutionError,
                      NotSupportedError, SchemaError, UnknownColumnError)
-from .operators import (Aggregate, Distinct, Filter, IndexProbe, Join,
-                        Limit, Operator, Project, Result, RowFn, Rows, Scan,
-                        SetOp, Sort, Subquery, Values, ViewScan)
+from .operators import (RANGES, Aggregate, Distinct, Filter, IndexProbe,
+                        Join, Limit, Operator, Path, Project, Result, RowFn,
+                        Rows, Scan, SetOp, Sort, Subquery, Values, ViewScan)
 from .render import as_slot, render_expr
 from .schema import ResultColumn, RowSchema
 from .table import BoundView, Table, find_probe_index
-from .types import DataType
+from .types import FAMILY, DataType
 
 #: Without a cost-based decision, equi-joins probe an index on the
 #: inner table only when it is at least this large — below that, an
@@ -160,6 +160,8 @@ def build_select(query: ast.SelectQuery, catalog: Catalog,
 # WHERE conjunct) and ``select_semi_joins``, further down with the WHERE
 # clause it reads, the sixth.  Each answers from what the builder can
 # observe; the generic compiled expression is always the alternative.
+# Beside them, ``select_access_paths`` finds what a scan may read
+# instead of all its rows; the alternative to a path is the scan.
 
 def _innermost_position(expr: ast.Expr | None,
                         scopes: list[RowSchema]) -> int | None:
@@ -226,13 +228,6 @@ def select_folds(group_exprs: list[ast.Expr],
     return (None if None in keys else [key[0] for key in keys]), specs
 
 
-#: Column types whose raw values hash and compare as ``values_equal``
-#: does: within one family only (``TRUE = 1`` is false in SQL, true in
-#: Python).
-_KEY_FAMILY = {DataType.INTEGER: "n", DataType.REAL: "n",
-               DataType.TEXT: "s", DataType.BOOLEAN: "b"}
-
-
 def select_join_keys(pairs: list[tuple[ast.Expr, ast.Expr]],
                      left_scopes: list[RowSchema],
                      right_scopes: list[RowSchema]
@@ -245,7 +240,7 @@ def select_join_keys(pairs: list[tuple[ast.Expr, ast.Expr]],
         left = _typed_column(left_expr, left_scopes)
         right = _typed_column(right_expr, right_scopes)
         if left is None or right is None \
-                or _KEY_FAMILY[left[1]] != _KEY_FAMILY[right[1]]:
+                or FAMILY[left[1]] != FAMILY[right[1]]:
             return None
         positions[0].append(left[0])
         positions[1].append(right[0])
@@ -419,48 +414,71 @@ def _build_join(join: ast.Join, catalog: Catalog,
 # WHERE / HAVING
 # ---------------------------------------------------------------------------
 
-def _point_probe(scan: Scan | ViewScan, where: ast.Expr,
-                 scopes: list[RowSchema], ctx: CompileContext
-                 ) -> tuple[Operator, ast.Expr | None]:
-    """Single-table fast path: the first ``column = constant`` conjunct
-    (a literal or a ``?``) over an indexed column becomes an index
-    probe, which beats any scan.  Returns the (possibly replaced) source
-    and the remaining WHERE.  The probe's estimate is ``rows /
-    distinct`` of an ANALYZEd column, and unset (not the table's row
-    count) otherwise.  Over a view, the first such conjunct over any of
-    its columns becomes the scan's ``probe``, and the WHERE stays whole
-    above it: whether a run probes is the bound view's to say
-    (:class:`ViewScan`)."""
-    conjuncts = ast.conjuncts(where)
+def select_access_paths(scan: Scan | ViewScan, conjuncts: list[ast.Expr],
+                        joins: dict[int, Join], scopes: list[RowSchema],
+                        ctx: CompileContext) -> list[Path]:
+    """The access paths of *scan* (:class:`~.operators.Path`), one per
+    WHERE conjunct that is ``col = v`` or ``col <, <=, >, >= v`` (either
+    way round, *v* a literal or a ``?``), or ``col IN (subquery)`` run
+    as a semi join built once per run (*joins*, by conjunct), over a
+    typed column the relation answers it on: a table, ``=`` and ``IN``
+    through a hash index on the column and ranges through its sorted
+    path; a view, ``=`` and ``IN`` through its lookup.  Which one a run
+    reads, if any, the scan decides."""
+    table = getattr(scan, "table", None)
+    if isinstance(scan, Scan) and not isinstance(table, Table):
+        return []  # a foreign table is only scanned
+    paths: list[Path] = []
     for number, conjunct in enumerate(conjuncts):
-        if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
+        join = joins.get(number)
+        if join is not None:
+            if not (join.kind == "semi-join" and join.in_predicate
+                    and join.build_once and join.check is None):
+                continue
+            sides = [(vectors.semi_join_conjunct(conjunct)[0].operand,
+                      "in", join.members)]
+        elif isinstance(conjunct, ast.BinaryOp) and conjunct.op in _SWAPPED:
+            sides = [(conjunct.left, conjunct.op, conjunct.right),
+                     (conjunct.right, _SWAPPED[conjunct.op], conjunct.left)]
+        else:
             continue
-        for column_side, value_side in ((conjunct.left, conjunct.right),
-                                        (conjunct.right, conjunct.left)):
-            if not (isinstance(column_side, ast.ColumnRef)
-                    and isinstance(value_side, (ast.Literal, ast.Param))):
+        for column_side, op, value_side in sides:
+            typed = _typed_column(column_side, scopes)
+            if not isinstance(column_side, ast.ColumnRef) or typed is None:
                 continue
-            position = _innermost_position(column_side, scopes)
-            if position is None:
+            if op == "in":
+                keys = value_side
+            elif isinstance(value_side, (ast.Literal, ast.Param)):
+                keys = compile_expr(value_side, scopes, ctx)
+            else:
                 continue
-            if isinstance(scan, ViewScan):
-                scan.probe = (position,
-                              compile_expr(value_side, scopes, ctx),
-                              column_side.name)
-                return scan, where
-            index = scan.table.find_index_on([column_side.name])
-            if index is not None:
-                stats = ctx.stats
-                analyzed = stats and stats.get(scan.table.schema.name)
-                column = analyzed and analyzed.column(column_side.name)
-                probe = IndexProbe(
-                    scan, index, [compile_expr(value_side, scopes, ctx)],
-                    [position],
-                    len(scan.table) / column.distinct
-                    if column and column.distinct else None)
-                rest = conjuncts[:number] + conjuncts[number + 1:]
-                return probe, ast.conjoin(rest)
-    return scan, where
+            index = None
+            if op in RANGES:
+                if table is None:
+                    continue  # a view has no range path
+            elif table is not None:
+                index = table.find_index_on([column_side.name], "hash")
+                if index is None:
+                    continue
+            paths.append(Path(op, typed[0], column_side.name, keys, index))
+            break
+    return paths
+
+
+def _probe_estimate(scan: Scan | ViewScan, ctx: CompileContext
+                    ) -> float | None:
+    """What a WHERE the planner left unestimated keeps of a table with
+    an index ``=`` path: ``rows / distinct`` of its ANALYZEd column."""
+    path = next((path for path in scan.paths if path.op == "="
+                 and path.index is not None), None)
+    analyzed = path and ctx.stats and ctx.stats.get(scan.table.schema.name)
+    column = analyzed and analyzed.column(path.column)
+    return len(scan.table) / column.distinct \
+        if column and column.distinct else None
+
+
+#: A comparison read the other way round.
+_SWAPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def select_semi_joins(conjuncts: list[ast.Expr],
@@ -564,18 +582,20 @@ def _exists_semi_join(found: vectors.SemiJoin, scopes: list[RowSchema],
 
 def _build_where(op: Operator, where: ast.Expr,
                  outer_scopes: list[RowSchema], catalog: Catalog,
-                 ctx: CompileContext, est_rows: float | None) -> Operator:
+                 ctx: CompileContext, est_rows: float | None
+                 ) -> tuple[Operator, dict[int, Join]]:
     """The WHERE clause over *op*: its conjuncts in the order a filter
     runs them — those with a mask kernel, then the others as written —
     each run of conjuncts a :class:`Filter`, each one the selector
-    takes a semi / anti join at its place.  A conjunct that guards a
-    later one (``b <> 0 AND a / b IN (...)``) so guards it here too, and
-    a subquery no row reaches is not run."""
+    takes a semi / anti join at its place; and those joins, by
+    conjunct.  A conjunct that guards a later one (``b <> 0 AND a / b IN
+    (...)``) so guards it here too, and a subquery no row reaches is not
+    run — but for an ``IN`` a scan below probes by its keys."""
     scopes = outer_scopes + [op.schema]
     parts = ast.conjuncts(where)
     stack = select_semi_joins(parts, outer_scopes, op.schema, catalog, ctx)
     if not any(stack):
-        return build_filter(op, "WHERE", where, scopes, ctx, est_rows)
+        return build_filter(op, "WHERE", where, scopes, ctx, est_rows), {}
     kernels = [_mask_kernel(part, scopes, ctx.slots) for part in parts]
 
     def filter_over(op: Operator, pending: list[ast.Expr]) -> Filter:
@@ -591,6 +611,7 @@ def _build_where(op: Operator, where: ast.Expr,
 
     # The planner estimates the whole filter first, the joins over it.
     pending: list[ast.Expr] = []
+    joins: dict[int, Join] = {}
     for index in sorted(range(len(parts)),
                         key=lambda index: kernels[index] is None):
         if stack[index] is None:
@@ -599,11 +620,11 @@ def _build_where(op: Operator, where: ast.Expr,
         if pending:
             op = filter_over(op, pending)
             pending = []
-        op = stack[index](op)
+        op = joins[index] = stack[index](op)
         est_rows = op.est_rows
     if pending:
         op = filter_over(op, pending)
-    return op
+    return op, joins
 
 
 def _mask_kernel(conjunct: ast.Expr, scopes: list[RowSchema], slots):
@@ -821,11 +842,15 @@ def build_core(core: ast.SelectCore, catalog: Catalog,
     scopes = outer_scopes + [op.schema]
 
     where = core.where
-    if where is not None and isinstance(op, (Scan, ViewScan)):
-        op, where = _point_probe(op, where, scopes, ctx)
     if where is not None:
-        op = _build_where(op, where, outer_scopes, catalog, ctx,
-                          (core.hint or _NO_HINT).est_rows)
+        scan = op
+        op, joins = _build_where(op, where, outer_scopes, catalog, ctx,
+                                 (core.hint or _NO_HINT).est_rows)
+        if isinstance(scan, (Scan, ViewScan)):
+            scan.paths = select_access_paths(
+                scan, ast.conjuncts(where), joins, scopes, ctx)
+            if op.est_rows is None:
+                op.est_rows = _probe_estimate(scan, ctx)
 
     order_exprs = _substitute_order_targets(
         [item.expr for item in order_by], core.items)

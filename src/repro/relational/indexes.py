@@ -7,14 +7,15 @@ Two index kinds are provided:
 * :class:`SortedIndex` — range lookups via a sorted key list kept in sync
   with bisection (a stand-in for a B-tree; adequate at in-memory scale).
 
-Both map *key tuples* to sets of row ids; NULL-containing keys are never
-indexed (SQL indexes skip NULL keys for uniqueness purposes).
+Both map *key tuples* to the ascending ids of their rows; NULL-containing
+keys are never indexed (SQL indexes skip NULL keys for uniqueness
+purposes).
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import ConstraintViolation
 
@@ -53,22 +54,31 @@ class HashIndex:
         self.table_name = table_name
         self.column_names = list(column_names)
         self.unique = unique
-        self._buckets: dict[tuple, set[int]] = {}
+        #: Key -> the ascending ids of its rows.
+        self._buckets: dict[tuple, list[int]] = {}
 
     def _key(self, values: tuple) -> tuple | None:
-        if any(value is None for value in values):
+        if None in values:
             return None
-        return tuple(_normalize(value) for value in values)
+        return tuple(map(_normalize, values))
 
     def insert(self, row_id: int, values: tuple) -> None:
         key = self._key(values)
         if key is None:
             return
-        bucket = self._buckets.setdefault(key, set())
-        if self.unique and bucket:
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = [row_id]
+            return
+        if self.unique:
             raise ConstraintViolation(
                 f"UNIQUE index {self.name!r} violated by key {values!r}")
-        bucket.add(row_id)
+        if bucket[-1] < row_id:
+            bucket.append(row_id)   # an append: ids only grow
+            return
+        position = bisect.bisect_left(bucket, row_id)
+        if bucket[position] != row_id:
+            bucket.insert(position, row_id)
 
     def delete(self, row_id: int, values: tuple) -> None:
         key = self._key(values)
@@ -76,15 +86,19 @@ class HashIndex:
             return
         bucket = self._buckets.get(key)
         if bucket is not None:
-            bucket.discard(row_id)
+            position = bisect.bisect_left(bucket, row_id)
+            if position < len(bucket) and bucket[position] == row_id:
+                del bucket[position]
             if not bucket:
                 del self._buckets[key]
 
-    def lookup(self, values: tuple) -> set[int]:
+    def lookup(self, values: tuple) -> Sequence[int]:
+        """The ascending ids of the rows whose key equals *values* — the
+        index's own bucket, not a copy: read it, never write it."""
         key = self._key(values)
         if key is None:
-            return set()
-        return set(self._buckets.get(key, ()))
+            return ()
+        return self._buckets.get(key, ())
 
     def clear(self) -> None:
         """Drop every entry (the index definition stays)."""
@@ -151,12 +165,14 @@ class SortedIndex:
         entry = (self._sortable(value), float("inf") if after else -1)
         return bisect.bisect_left(self._entries, entry)
 
-    def lookup(self, values: tuple) -> set[int]:
+    def lookup(self, values: tuple) -> Sequence[int]:
+        """The ascending ids of the rows whose key sorts as *values*
+        does (a superset of the equal ones: keys compare as floats)."""
         value = values[0]
         if value is None:
-            return set()
-        return {row_id for _key, row_id in self._entries[
-            self._bound(value, False):self._bound(value, True)]}
+            return ()
+        return [row_id for _key, row_id in self._entries[
+            self._bound(value, False):self._bound(value, True)]]
 
     def range(self, low: Any = None, high: Any = None,
               low_inclusive: bool = True,

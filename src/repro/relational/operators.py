@@ -42,17 +42,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import partial
 from itertools import accumulate, chain, compress, repeat
-from operator import is_not, ne, not_
+from operator import is_not, not_
 from typing import (Any, Callable, Iterable, Iterator, NamedTuple,
                     Sequence)
 
 from . import batch as _batch
 from .batch import Batch, concat, norm_tuple, pieces, stack, take
 from .compiler import conjunction
-from .errors import ExecutionError
+from .errors import ExecutionError, RelationalError
 from .schema import ResultColumn, RowSchema
 from .table import Table
-from .types import is_true, sort_key, values_equal
+from .types import (FAMILY, is_true, literal_family, one_family, sort_key,
+                    values_equal)
 from .vectors import SlotKernel
 
 Rows = tuple
@@ -287,19 +288,166 @@ class Values(Operator):
         yield Batch([], 1)
 
 
-class Scan(Operator):
-    """Full scan of a catalog table (a mediated view is a
-    :class:`ViewScan`).  A columnar :class:`Table` is read
-    as column slices, and a whole run is a copy of each live column; any
-    other table's rows (foreign wrappers) are transposed once, here."""
+#: The range operators an access path answers by a bisected span.
+RANGES = frozenset(("<", "<=", ">", ">="))
+
+
+class Path(NamedTuple):
+    """One access path a scan may read instead of all its rows: a WHERE
+    conjunct ``column op key`` over the scanned relation — ``op`` is
+    ``=``, ``in`` or a range (:data:`RANGES`), with the column on the
+    left — whose keys a run reads by ``keys(outer_rows)`` (the one key;
+    for ``in`` the set of keys, or ``None`` to decline) and, over a
+    table, the hash index that answers ``=`` and ``in``."""
+
+    op: str
+    position: int
+    column: str
+    keys: Callable[[Rows], Any]
+    index: Any = None
+
+
+def _bucketed(find: Callable[[Any], Sequence[int]], keys, limit: int
+              ) -> tuple[int, Callable[[], Sequence[int]]] | None:
+    """How many ids *find* lists for *keys* — ascending runs, disjoint
+    across keys — and a thunk of all of them ascending; ``None`` once
+    they reach *limit*."""
+    count = 0
+    buckets = []
+    for key in keys:
+        bucket = find(key)
+        if bucket:
+            count += len(bucket)
+            if count >= limit:
+                return None
+            buckets.append(bucket)
+    if len(buckets) == 1:
+        return count, lambda: buckets[0]
+    return count, lambda: sorted(chain.from_iterable(buckets))
+
+
+class _Access(Operator):
+    """What a scan shares: the access paths the builder found in the
+    WHERE above it (``paths``), and the choice among them, made per run.
+
+    A run counts exactly how many rows each path names — the bucket
+    lengths of an ``=`` or ``in``, the bisected span of a range — and
+    reads only those of the narrowest, in row order, when it names at
+    most half the rows; otherwise it scans.  The WHERE stays whole above
+    the scan, so a path need only name every row the WHERE keeps; it
+    declines NULL and NaN keys and a key of another family than its
+    column's (:meth:`_named` may decline too).  The choice shows in
+    ``detail`` — ``probe <col>``, ``probe <col> IN``, ``range <col>`` —
+    laid out when a run's values are bound; the keys of an ``in`` come
+    with the run (its semi join's build), so a run chooses again then.
+    """
+
+    def __init__(self, label: str, schema: RowSchema,
+                 est_rows: float | None, hooks) -> None:
+        super().__init__("scan", label, schema, est_rows=est_rows,
+                         hooks=hooks)
+        self.paths: list[Path] = []
+        self._families = [FAMILY.get(column.data_type)
+                          for column in schema.columns]
+        #: The chosen path's row-id thunk; whether the choice is final.
+        self._pick: Callable[[], Sequence[int]] | None = None
+        self._chosen = False
+
+    def reset(self) -> None:
+        super().reset()
+        if self.paths:
+            self._pick = self._choose((), False)
+            self._chosen = all(path.op != "in" for path in self.paths)
+
+    def _row_ids(self, outer_rows: Rows) -> Sequence[int] | None:
+        """The ids of the rows this run reads, or ``None``: it scans."""
+        if not self.paths:
+            return None
+        if not self._chosen:
+            self._pick = self._choose(outer_rows, True)
+            self._chosen = True
+        return self._pick and self._pick()
+
+    def _choose(self, outer_rows: Rows, run: bool
+                ) -> Callable[[], Sequence[int]] | None:
+        self.detail = ""
+        total = self._size()
+        if not total:
+            return None
+        limit = total // 2 + 1          # names at most half the rows
+        best = None
+        for path in self.paths:
+            if path.op != "in":
+                keys = (path.keys(outer_rows),)
+            elif not run:
+                continue
+            else:
+                keys = path.keys(outer_rows)
+                if keys is None or len(keys) > total:
+                    continue
+            family = self._families[path.position]
+            if not all(literal_family(key) == family and key == key
+                       for key in keys):
+                continue
+            named = self._named(path, keys, limit)
+            if named is not None:
+                limit, best = named[0], (path, named[1])
+        if best is None:
+            return None
+        path, ids = best
+        self.detail = (f"range {path.column}" if path.op in RANGES else
+                       f"probe {path.column}" + " IN" * (path.op == "in"))
+        return ids
+
+    def _size(self) -> int:
+        raise NotImplementedError
+
+    def _named(self, path: Path, keys, limit: int
+               ) -> tuple[int, Callable[[], Sequence[int]]] | None:
+        """How many rows *path* names for *keys* and a thunk of their
+        ids in row order, or ``None`` when it cannot say or they are
+        *limit* rows or more."""
+        raise NotImplementedError
+
+
+class Scan(_Access):
+    """Scan of a catalog table (a mediated view is a :class:`ViewScan`).
+    A columnar :class:`Table` is read as column slices, and a whole run
+    is a copy of each live column; any other table's rows (foreign
+    wrappers) are transposed once, here.  A table answers ``=`` and
+    ``in`` paths through a hash index on the column, and ranges through
+    the column's sorted path (``Table.sorted_column``); a run through
+    one gathers the slots it names, pending."""
 
     def __init__(self, table, binding: str, label: str,
                  est_rows: float | None = None, hooks=None) -> None:
-        super().__init__("scan", label,
-                         RowSchema.for_table(table.schema, binding),
-                         est_rows=est_rows, hooks=hooks)
+        super().__init__(label, RowSchema.for_table(table.schema, binding),
+                         est_rows, hooks)
         self.table = table
         self.vectorized = isinstance(table, Table)
+
+    def _size(self) -> int:
+        return len(self.table)
+
+    def _named(self, path: Path, keys, limit: int
+               ) -> tuple[int, Callable[[], Sequence[int]]] | None:
+        if path.index is not None:
+            named = _bucketed(lambda key: path.index.lookup((key,)), keys,
+                              limit)
+            if named is None:
+                return None
+            count, row_ids = named
+            slots = self.table.slot_columns()[1]
+            # Slots run in row-id order.
+            return count, lambda: list(map(slots.__getitem__, row_ids()))
+        found = self.table.sorted_column(path.position)
+        if found is None \
+                or found.family not in (None, self._families[path.position]):
+            return None
+        start, stop = found.span(path.op, keys[0])
+        if stop - start >= limit:
+            return None
+        return stop - start, lambda: sorted(found.slots[start:stop])
 
     def _whole(self) -> Batch:
         table = self.table
@@ -310,7 +458,13 @@ class Scan(Operator):
         return Batch(list(map(table.column_values, range(len(self.schema)))))
 
     def collect(self, outer_rows: Rows = ()) -> Batch:
-        return self._ran(self._whole())
+        slots = self._row_ids(outer_rows)
+        if slots is None:
+            return self._ran(self._whole())
+        # Gathered now: a result outlives the read lock.
+        columns = self.table.slot_columns()[0]
+        return self._ran(Batch([list(map(column.__getitem__, slots))
+                                for column in columns], len(slots)))
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
         # Table state is read at run time, never at build time: SELECTs
@@ -319,13 +473,21 @@ class Scan(Operator):
         if not self.vectorized:
             yield from pieces(self._whole())
             return
+        slots = self._row_ids(outer_rows)
+        if slots is not None:
+            columns = self.table.slot_columns()[0]
+            for batch in pieces(Batch(list(columns), len(columns[0])),
+                                slots):
+                self._observe(len(batch))
+                yield batch
+            return
         for cols in self.table.iter_batches(_batch.BATCH_SIZE):
             self._observe(len(cols[0]))
             yield Batch(cols=cols)
 
 
-class ViewScan(Operator):
-    """Full scan of a relation bound per run — a mediated view or an
+class ViewScan(_Access):
+    """Scan of a relation bound per run — a mediated view or an
     extraction, a :class:`~repro.relational.table.BoundView` — the way a
     ``?`` is: the tree is built over the view's schema and size, and
     each run reads the columns its slots hold under the *name* the
@@ -333,53 +495,40 @@ class ViewScan(Operator):
     The bound lists are never written (a cached fragment's columns are
     shared); a whole run is a copy.
 
-    ``probe`` is the first ``col = literal`` / ``col = ?`` conjunct of
-    the WHERE above, as ``(position, key_fn, column name)``.  A run over
-    a held view (``BoundView.hold``) reads only the rows the view's
-    lookup lists for the key, in row order, as pending gathers; a run
-    over any other view scans.  Either way the WHERE filters what comes
-    up, so the probe need only find every row it keeps.  Which one a
-    run takes shows in ``detail``, laid out as the run's views are
-    bound.
+    A view held for many runs (``BoundView.hold``) answers ``=`` and
+    ``in`` paths through its lookup of the column (the union of the
+    keys' lists, for ``in``), and no range; a view bound to one run
+    answers none.
     """
 
     def __init__(self, view, slots, name: str, binding: str, label: str,
                  est_rows: float | None = None, hooks=None) -> None:
-        super().__init__("scan", label,
-                         RowSchema.for_table(view.schema, binding),
-                         est_rows=est_rows, hooks=hooks)
+        super().__init__(label, RowSchema.for_table(view.schema, binding),
+                         est_rows, hooks)
         self.name = name.lower()
         self.signature = view.signature
         self.slots = slots
         self.vectorized = True
-        self.probe: tuple[int, RowFn, str] | None = None
 
     def _bound(self) -> list[list]:
         return self.slots.views[self.name].cols
 
-    def _probed(self, outer_rows: Rows) -> list[int] | None:
-        """The ids of the rows this run probes, or ``None``: it scans."""
-        row_ids = None
+    def _view(self):
         views = self.slots.views
-        view = views.get(self.name) if views else None
-        if self.probe is not None and view is not None:
-            position, key_fn, column = self.probe
-            lookup = view.lookup(position)
-            if lookup is not None:
-                try:
-                    row_ids = lookup.get(key_fn(outer_rows), ())
-                except TypeError:       # an unhashable key: scan
-                    pass
-        self.detail = "" if row_ids is None else f"probe {column}"
-        return row_ids
+        return views.get(self.name) if views else None
 
-    def reset(self) -> None:
-        super().reset()
-        self._probed(())
+    def _size(self) -> int:
+        view = self._view()
+        return 0 if view is None or view.cols is None else len(view)
+
+    def _named(self, path: Path, keys, limit: int
+               ) -> tuple[int, Callable[[], Sequence[int]]] | None:
+        lookup = self._view().lookup(path.position)
+        return None if lookup is None else _bucketed(lookup.get, keys, limit)
 
     def collect(self, outer_rows: Rows = ()) -> Batch:
         cols = self._bound()
-        row_ids = self._probed(outer_rows)
+        row_ids = self._row_ids(outer_rows)
         if row_ids is None:
             return self._ran(Batch(list(map(list, cols))))
         return self._ran(take([(Batch(list(cols)), row_ids, len(cols))],
@@ -387,7 +536,7 @@ class ViewScan(Operator):
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
         cols = self._bound()
-        row_ids = self._probed(outer_rows)
+        row_ids = self._row_ids(outer_rows)
         if row_ids is not None:
             for batch in pieces(Batch(list(cols)), row_ids):
                 self._observe(len(batch))
@@ -401,19 +550,17 @@ class ViewScan(Operator):
 
 
 class IndexProbe(Operator):
-    """Point lookup through an index: the rows of *table* whose indexed
-    columns equal the key the ``key_fns`` evaluate to.
+    """The inner side of an index join: the rows of *table* whose
+    indexed columns equal the key the ``key_fns`` evaluate on the
+    current outer row, which the join appends to ``outer_rows``.
 
-    Serves both ``WHERE col = literal`` (keys are constants) and the
-    inner side of an index join (keys read the current outer row, which
-    the join appends to ``outer_rows``).  A hash index buckets by the
-    same normalization as ``values_equal``, so its candidates are exact;
-    any other index (``SortedIndex`` coerces keys to float, collapsing
-    integers beyond 2**53) only narrows, and every candidate is
-    re-checked here.  ``lookup`` (row ids) and ``fetch`` (those rows, as
-    a batch gathering from the table's columns) are the primitives the
-    join maps over a batch's keys; only a run through ``chunks`` counts
-    ``actual_rows``.
+    A hash index buckets by the same normalization as ``values_equal``,
+    so its candidates are exact; any other index (``SortedIndex``
+    coerces keys to float, collapsing integers beyond 2**53) only
+    narrows, and every candidate is re-checked here.  ``lookup`` (row
+    ids) and ``fetch`` (those rows, as a batch gathering from the
+    table's columns) are the primitives the join maps over a batch's
+    keys; the node never runs on its own.
     """
 
     preserves_rows = False
@@ -429,10 +576,10 @@ class IndexProbe(Operator):
         self.positions = positions
         self.verify = getattr(index, "kind", None) != "hash"
 
-    def lookup(self, key: tuple) -> list[int]:
+    def lookup(self, key: tuple) -> Sequence[int]:
         """The ids of the rows whose indexed columns equal *key*, in
-        row-id order."""
-        row_ids = sorted(self.index.lookup(key))
+        row-id order (the index's own, when it is exact)."""
+        row_ids = self.index.lookup(key)
         if self.verify:
             columns, slots = self.table.slot_columns()
             row_ids = [row_id for row_id in row_ids if all(
@@ -447,12 +594,6 @@ class IndexProbe(Operator):
         return take([(Batch(cols=columns), list(map(slots.__getitem__,
                                                     row_ids)),
                       len(columns))], len(row_ids))
-
-    def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
-        row_ids = self.lookup(tuple(fn(outer_rows) for fn in self.key_fns))
-        size = _batch.BATCH_SIZE
-        for start in range(0, len(row_ids), size):
-            yield self.fetch(row_ids[start:start + size])
 
 
 def _narrowed(batch: Batch, kernels: list) -> Batch:
@@ -667,21 +808,6 @@ class Aggregate(Operator):
             key_cols + [fold.finals() for fold in folds], len(group_keys)))
 
 
-#: The value families ``compare_values`` orders, by exact Python type.
-_NATIVE_FAMILIES = ({str}, {int, float}, {bool})
-
-
-def _one_family(column: list) -> bool:
-    """Whether raw ``<`` orders *column*'s non-NULL values exactly as
-    ``compare_values`` does: one family, and no NaN (which the
-    comparator treats as equal to everything)."""
-    kinds = set(map(type, column))
-    kinds.discard(type(None))
-    if float in kinds and any(map(ne, column, column)):
-        return False
-    return any(kinds <= family for family in _NATIVE_FAMILIES)
-
-
 class Sort(Operator):
     """ORDER BY: a pipeline breaker (stable, so ties keep input order).
 
@@ -722,7 +848,7 @@ class Sort(Operator):
         directions = [descending for _fn, descending in self.order_fns]
         order = list(range(len(whole)))
         self.vectorized = self.positions is not None \
-            and all(map(_one_family, columns))
+            and all(map(one_family, columns))
         if self.vectorized:
             self._observe(len(whole))
             # Successive stable sorts, last key first; NULLs are
@@ -1042,6 +1168,22 @@ class Join(Operator):
                       stack(batches, len(right.schema), self.left_join),
                       not batches, False)
 
+    def members(self, outer_rows: Rows) -> Iterable | None:
+        """The keys, as values, of an uncorrelated ``x IN (subquery)``:
+        the build its first left row would make, made now and kept for
+        the run — what an ``in`` access path of the scan below reads.
+        ``None`` when the build fails: the join fails as it would have,
+        when a row reaches it."""
+        built = self._built
+        if built is None:
+            try:
+                built = self._built = self._build(outer_rows + (None,))
+            except RelationalError:
+                return None
+        if self.key_positions is not None:
+            return built.index
+        return [key[0][1] for key in built.index]   # norm_tuple's (tag, value)
+
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
         if self.semi:
             return self._semi_batches(outer_rows)
@@ -1157,8 +1299,11 @@ class Join(Operator):
         # The right side is a subquery: it runs when the first left row
         # asks for it — once per statement when it reads no enclosing
         # row.
-        built = self._built
+        built = None
         for batch in self.children[0].chunks(outer_rows):
+            if built is None:
+                # The scan below may have built it (``members``).
+                built = self._built
             if built is None:
                 built = self._build(outer_rows + (None,))
                 if self.build_once:

@@ -15,7 +15,9 @@ their exact shapes, so snapshots, ANALYZE fallbacks, replicas and every
 other consumer are unaffected.  The scan operator reads
 ``iter_batches`` (column-slice batches); ANALYZE reads
 ``column_values`` (one live column); an index probe gathers the rows it
-found through ``slot_columns``.
+found through ``slot_columns``, and a range access path the slots it
+bisected in ``sorted_column`` (built on first use, merged into by an
+append, dropped by any other write; never journaled).
 
 Writes are columnar too: ``append_rows`` transposes a batch once and
 coerces, constraint-checks, indexes and appends it a column at a time
@@ -30,21 +32,25 @@ is, and a producer of rows reaches it through one transpose
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import compress, repeat
-from operator import not_
+from itertools import chain, compress, repeat
+from operator import not_, or_
 from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import ConstraintViolation, SchemaError, TypeMismatchError
 from .indexes import HashIndex, IndexType, build_index
 from .schema import Column, TableSchema
-from .types import DataType, coerce_value
+from .types import DataType, coerce_value, literal_family, one_family
 from .vectors import ColumnVector
 
 #: Compaction triggers when both hold: enough dead slots to be worth a
 #: rebuild, and dead slots outnumbering a quarter of the heap.
 COMPACT_MIN_DELETED = 64
 COMPACT_DEAD_FRACTION = 4  # dead * 4 > total  <=>  >25% dead
+#: Up to this many appended values go into a sorted path one by one;
+#: more are merged in by one sort of the two runs.
+_MERGE_ONE_BY_ONE = 16
 
 _NULL = type(None)
 #: The exact Python types a column stores as they are: a value list
@@ -66,6 +72,13 @@ def _narrowest(kinds: set[type]) -> DataType:
         issubclass(kind, bool) for kind in kinds) else DataType.INTEGER
 
 
+def _family(kind: type) -> str:
+    """The comparison family of a storable value type."""
+    if issubclass(kind, bool):
+        return "bool"
+    return "num" if issubclass(kind, (int, float)) else "str"
+
+
 def infer_column_type(values: Iterable[Any]) -> DataType:
     """Pick the narrowest DataType that holds every non-NULL value."""
     return _narrowest(set(map(type, values)))
@@ -83,6 +96,57 @@ def _transposed(name: str, batch: list, width: int
                             f"got {len(batch[bad])}")
         batch = batch[:bad]
     return (list(zip(*batch)) if batch else [()] * width), len(batch), error
+
+
+class SortedColumn:
+    """One table column's live non-NULL values in ascending order
+    (``keys``), beside the slot each sits at (``slots``): what a range
+    conjunct bisects.  Only a column of one ``family`` without NaN has
+    one — its raw ``<`` then orders as ``compare_values`` does."""
+
+    __slots__ = ("keys", "slots", "family")
+
+    def __init__(self, keys: list, slots: array) -> None:
+        self.keys = keys
+        self.slots = slots
+        self.family = literal_family(keys[0]) if keys else None
+
+    def span(self, op: str, key: Any) -> tuple[int, int]:
+        """The ``[start, stop)`` of the keys ``key_column op key`` holds
+        for (*op* one of ``<``, ``<=``, ``>``, ``>=``)."""
+        keys = self.keys
+        if op == ">":
+            return bisect_right(keys, key), len(keys)
+        if op == ">=":
+            return bisect_left(keys, key), len(keys)
+        if op == "<":
+            return 0, bisect_left(keys, key)
+        return 0, bisect_right(keys, key)
+
+    def merge(self, values: list, first: int) -> bool:
+        """Take in the slots of the column's *values* from *first* on,
+        just appended: whether they keep it one family without NaN."""
+        added = [slot for slot in range(first, len(values))
+                 if values[slot] is not None]
+        if not added:
+            return True
+        if not one_family(self.keys[:1] + list(map(values.__getitem__,
+                                                    added))):
+            return False
+        if len(added) > _MERGE_ONE_BY_ONE:
+            # Two sorted runs: the sort merges them (stable: the new
+            # slots, the highest, go after their equals).
+            self.slots = array("q", sorted(chain(self.slots, added),
+                                           key=values.__getitem__))
+            self.keys = list(map(values.__getitem__, self.slots))
+        else:
+            keys, slots = self.keys, self.slots
+            for slot in added:
+                position = bisect_right(keys, values[slot])
+                keys.insert(position, values[slot])
+                slots.insert(position, slot)
+        self.family = literal_family(self.keys[0])
+        return True
 
 
 class Table:
@@ -104,6 +168,10 @@ class Table:
         self._slots: dict[int, int] = {}   # row_id -> slot, live rows only
         self._next_row_id = 0
         self.indexes: dict[str, IndexType] = {}
+        #: Column position -> its sorted path, built by the first range
+        #: run over it (``None``: the column cannot have one); merged on
+        #: append, dropped by any other write, never journaled.
+        self._sorted: dict[int, SortedColumn | None] = {}
         self._pk_index: HashIndex | None = None
         if schema.primary_key:
             self._pk_index = HashIndex(
@@ -185,6 +253,28 @@ class Table:
         if self._deleted_count == 0:
             return list(values)
         return list(compress(values, map(not_, self._deleted)))
+
+    def sorted_column(self, position: int) -> SortedColumn | None:
+        """Column *position*'s :class:`SortedColumn`, built on first use
+        — a sort of its live non-NULL slots by value — or ``None`` when
+        their values span more than one family or hold NaN.  Readers
+        racing here each build an equal one; one is kept."""
+        found = self._sorted.get(position, False)
+        if found is not False:
+            return found
+        vector = self._columns[position]
+        values = vector.values
+        slots: Iterable[int] = range(len(values))
+        if self._deleted_count or vector.null_count:
+            slots = list(compress(slots, map(not_, map(
+                or_, self._deleted, vector.nulls))))
+        found = None
+        if one_family(list(map(values.__getitem__, slots))
+                      if self._deleted_count else values):
+            slots = array("q", sorted(slots, key=values.__getitem__))
+            found = SortedColumn(list(map(values.__getitem__, slots)), slots)
+        self._sorted[position] = found
+        return found
 
     # -- constraint helpers --------------------------------------------------
 
@@ -329,6 +419,10 @@ class Table:
             # Copied into the vector's own list, never adopted.
             vector.extend(values if len(values) == count
                           else values[:count])
+        for position, path in list(self._sorted.items()):
+            if path is not None and not path.merge(
+                    self._columns[position].values, slot):
+                self._sorted[position] = None
         self._next_row_id += count
         if error is not None:
             raise error
@@ -339,6 +433,7 @@ class Table:
         for index in self._all_indexes():
             index.delete(row_id, self._key_values(row, index.column_names))
         del self._slots[row_id]
+        self._sorted.clear()
         self._deleted[slot] = 1
         self._deleted_count += 1
         if self._deleted_count > COMPACT_MIN_DELETED and \
@@ -386,6 +481,7 @@ class Table:
             raise
         for column, value in zip(self._columns, new_row):
             column.set(slot, value)
+        self._sorted.clear()
 
     def truncate(self) -> None:
         for column in self._columns:
@@ -394,6 +490,7 @@ class Table:
         self._deleted = bytearray()
         self._deleted_count = 0
         self._slots.clear()
+        self._sorted.clear()
         for index in self._all_indexes():
             index.clear()
 
@@ -418,11 +515,14 @@ class Table:
             raise SchemaError(f"index {name!r} does not exist")
         del self.indexes[name]
 
-    def find_index_on(self, column_names: list[str]) -> IndexType | None:
-        """Find any index (incl. PK/unique) covering exactly these columns."""
+    def find_index_on(self, column_names: list[str],
+                      kind: str | None = None) -> IndexType | None:
+        """Find any index (incl. PK/unique) — of *kind*, if given —
+        covering exactly these columns."""
         wanted = [name.lower() for name in column_names]
         for index in self._all_indexes():
-            if [c.lower() for c in index.column_names] == wanted:
+            if [c.lower() for c in index.column_names] == wanted \
+                    and kind in (None, index.kind):
                 return index
         return None
 
@@ -492,7 +592,11 @@ class BoundView:
     :meth:`of` types it as :func:`table_from_columns` types a table —
     each column the narrowest type of its values, a column of mixed
     types coerced to it unless *coerce* is off, unknown objects as their
-    ``str`` — from each column's type set (*kinds*), and holds the
+    ``str`` — from each column's type set (*kinds*); with *coerce* off,
+    a column whose values span two families (``TRUE`` beside ``1``,
+    ``5`` beside ``'x'``) has no type, since its raw values neither hash
+    nor order as ``values_equal`` / ``compare_values`` do, so every
+    kernel over it takes the generic path.  It holds the
     columns it was given wherever they need no change: it never
     writes them, so they may be shared (a cached fragment's).  ``cols``
     is ``None`` for a view planned but never run (an explain's unshipped
@@ -524,9 +628,13 @@ class BoundView:
         given, kinds = _storable(cols, kinds)
         types = [_narrowest(kind) for kind in kinds]
         for position, (kind, data_type) in enumerate(zip(kinds, types)):
-            if coerce and not kind <= _STORED_AS_IS[data_type]:
+            if kind <= _STORED_AS_IS[data_type]:
+                continue
+            if coerce:
                 given[position] = list(map(coerce_value, given[position],
                                            repeat(data_type)))
+            elif len(set(map(_family, kind - {_NULL}))) > 1:
+                types[position] = None
         return cls(TableSchema(name, list(map(Column, column_names,
                                               types))), given, count)
 

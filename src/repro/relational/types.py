@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+from operator import ne
 from typing import Any
 
 from .errors import TypeMismatchError
@@ -204,6 +205,44 @@ def compare_values(left: Any, right: Any) -> int | None:
         return (left > right) - (left < right)
     raise TypeMismatchError(
         f"cannot compare {type(left).__name__} with {type(right).__name__}")
+
+
+#: Each column type's comparison family: values compare and hash as
+#: ``compare_values`` / ``values_equal`` do only within one (``TRUE = 1``
+#: is false in SQL, true in Python).
+FAMILY = {
+    DataType.INTEGER: "num",
+    DataType.REAL: "num",
+    DataType.TEXT: "str",
+    DataType.BOOLEAN: "bool",
+}
+
+#: The families by exact Python type.
+_NATIVE_FAMILIES = ({str}, {int, float}, {bool})
+
+
+def literal_family(value: Any) -> str | None:
+    """The family of a value: num/str/bool, "null", or None (unknown)."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "num"
+    if isinstance(value, str):
+        return "str"
+    return None
+
+
+def one_family(values: list) -> bool:
+    """Whether raw ``<`` orders *values*' non-NULL members exactly as
+    ``compare_values`` does: one family, and no NaN (which the
+    comparator treats as equal to everything)."""
+    kinds = set(map(type, values))
+    kinds.discard(type(None))
+    if float in kinds and any(map(ne, values, values)):
+        return False
+    return any(kinds <= family for family in _NATIVE_FAMILIES)
 
 
 def values_equal(left: Any, right: Any) -> bool | None:

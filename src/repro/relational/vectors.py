@@ -43,7 +43,7 @@ from . import ast
 from .aggregates import contains_aggregate
 from .compiler import like_match
 from .render import as_slot, render_expr
-from .types import DataType
+from .types import FAMILY, DataType, literal_family
 
 #: A kernel maps the batch's column lists to a strict-true boolean mask.
 Kernel = Callable[[list], list]
@@ -112,25 +112,6 @@ _FLIP = {"=": "<>", "<>": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 _SWAP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _COMPARISONS = frozenset(_FLIP)
 
-_FAMILY = {
-    DataType.INTEGER: "num",
-    DataType.REAL: "num",
-    DataType.TEXT: "str",
-    DataType.BOOLEAN: "bool",
-}
-
-
-def _literal_family(value: Any) -> str | None:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, (int, float)):
-        return "num"
-    if isinstance(value, str):
-        return "str"
-    return None
-
 
 def _negated(expr: ast.Expr, values=None) -> ast.Expr | None:
     """Push one NOT into *expr*, or ``None`` when that isn't exact."""
@@ -191,14 +172,14 @@ def _all_false(position: int) -> Kernel:
 
 def _col_lit_kernel(op: str, ref: tuple, literal: Any) -> Kernel | None:
     position, data_type = ref
-    family = _FAMILY[data_type]
-    literal_family = _literal_family(literal)
-    if literal_family is None:
+    family = FAMILY[data_type]
+    value_family = literal_family(literal)
+    if value_family is None:
         return None
-    if literal_family == "null":
+    if value_family == "null":
         # comparison with NULL is never definitely true
         return _all_false(position)
-    if literal_family != family:
+    if value_family != family:
         # values_equal across type families is plain False
         if op == "=":
             return _all_false(position)
@@ -227,7 +208,7 @@ def _col_lit_kernel(op: str, ref: tuple, literal: Any) -> Kernel | None:
 def _col_col_kernel(op: str, left: tuple, right: tuple) -> Kernel | None:
     p1, t1 = left
     p2, t2 = right
-    if _FAMILY[t1] != _FAMILY[t2]:
+    if FAMILY[t1] != FAMILY[t2]:
         if op == "=":
             return _all_false(p1)
         if op == "<>":
@@ -278,13 +259,13 @@ def _in_list_kernel(expr: ast.InList, resolve: Resolver,
     if ref is None:
         return None
     position, data_type = ref
-    family = _FAMILY[data_type]
+    family = FAMILY[data_type]
     candidates = set()
     for item in expr.items:
         known, value = _constant(item, values)
         if not known:
             return None
-        item_family = _literal_family(value)
+        item_family = literal_family(value)
         if item_family is None:
             return None
         if item_family == "null":
@@ -543,7 +524,7 @@ def _describe_fallback(expr: ast.Expr, resolve: Resolver) -> str:
                                (right_ref, expr.left)):
                 if ref is not None:
                     if isinstance(other, ast.Literal):
-                        if _literal_family(other.value) is None:
+                        if literal_family(other.value) is None:
                             return "comparison with a non-SQL literal"
                         return ("ordered comparison across type "
                                 "families (raises on the row path)")
@@ -608,7 +589,7 @@ def compile_filter_kernel(expr: ast.Expr, resolve: Resolver,
             # NOT b over a BOOLEAN column (non-boolean raises on the
             # row path, so only that family vectorizes)
             ref = resolve(operand)
-            if ref is None or _FAMILY[ref[1]] != "bool":
+            if ref is None or FAMILY[ref[1]] != "bool":
                 return None
             position = ref[0]
             return lambda cols: [v is False for v in cols[position]]
@@ -651,7 +632,7 @@ def compile_filter_kernel(expr: ast.Expr, resolve: Resolver,
         # WHERE b over a BOOLEAN column; any other family raises on the
         # row path, so it falls back
         ref = resolve(expr)
-        if ref is None or _FAMILY[ref[1]] != "bool":
+        if ref is None or FAMILY[ref[1]] != "bool":
             return None
         position = ref[0]
         return lambda cols: [v is True for v in cols[position]]

@@ -1,0 +1,270 @@
+"""Every access path answers as a forced scan: probe ≡ scan.
+
+A scan reads, per run, only the rows the narrowest of its access paths
+names (``executor.select_access_paths``: ``=``, ``IN (subquery)`` and
+ranges over a table — through a hash index, and the table's sorted path
+— ``=`` and ``IN`` over a held view) when that is at most half of them;
+the WHERE stays whole above it.  What must hold, for every drain
+(execute, a partly drained stream, EXPLAIN ANALYZE), over tables with
+and without an index, over held and run-only views and over an
+extraction mixing families (values as given): the rows are
+those of the same statement over a forced scan, in the same order —
+errors too — and one kept tree serves every run.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from repro.relational import Database, executor
+from repro.relational.errors import RelationalError
+from repro.relational.parser import SqlParser
+from repro.relational.render import render_literal
+from repro.relational.table import BoundView
+
+NAN = float("nan")
+BIG = 2 ** 53
+
+#: Per declared type, the values the relation's column ``k`` draws.
+POOLS = {
+    "INTEGER": [None, 0, 1, 2, -3, BIG, BIG + 1],
+    "REAL": [None, 0.0, -0.0, 1.0, 2.5, NAN, float(BIG)],
+    "TEXT": [None, "", "1", "a", "b"],
+    "BOOLEAN": [None, True, False],
+    # Values as given, over an extraction only: two families, no type.
+    "mixed": [None, 1, 1.0, True, "1", "a", NAN],
+}
+#: What a key or an ``IN`` member can be: every family, NULL, NaN.
+KEYS = [None, 0, 1, 1.0, -0.0, 2, 2.5, NAN, BIG, BIG + 1, float(BIG),
+        True, False, "", "1", "a", 7]
+
+#: Template -> SQL over ``r`` (``k``, row number ``p``) and extraction
+#: ``w`` (``c0``); every ``?`` takes the drawn key.
+TEMPLATES = {
+    "k = ?": "SELECT p FROM r WHERE k = ?",
+    "? = k": "SELECT p FROM r WHERE ? = k AND p >= 0",
+    "k < ?": "SELECT p FROM r WHERE k < ?",
+    "k <= ?": "SELECT p, k FROM r WHERE k <= ?",
+    "k > ?": "SELECT p FROM r WHERE k > ?",
+    "? > k": "SELECT p FROM r WHERE ? > k",
+    "? <= k": "SELECT p FROM r WHERE ? <= k ORDER BY p DESC",
+    "k >= literal": "SELECT p FROM r WHERE k >= {literal}",
+    "k IN": "SELECT p FROM r WHERE k IN (SELECT c0 FROM w)",
+    "k NOT IN": "SELECT p FROM r WHERE k NOT IN (SELECT c0 FROM w)",
+    "k IN, range": "SELECT p FROM r WHERE k IN (SELECT c0 FROM w) "
+                   "AND k >= ?",
+    "k = ?, range": "SELECT p FROM r WHERE k = ? AND ? < k",
+}
+SOURCES = ["table", "indexed table", "held view", "run-only view",
+           "extraction"]
+
+
+@contextmanager
+def forced_scan():
+    """Builds inside the block find no access path: every scan scans."""
+    saved = executor.select_access_paths
+    executor.select_access_paths = lambda *args: []
+    try:
+        yield
+    finally:
+        executor.select_access_paths = saved
+
+
+def relation(source: str, data_type: str, keys: list, members: list
+             ) -> tuple[Database, dict]:
+    """A database whose ``r`` is *keys* (``k``) and their row numbers,
+    as *source* holds them, and the views a run binds (the extraction
+    ``w`` of *members*, values as given, and ``r`` when a view)."""
+    db = Database()
+    cols = [list(keys), list(range(len(keys)))]
+    views = {"w": BoundView.of("w", ["c0"], [list(members)],
+                               [set(map(type, members))], coerce=False)}
+    if source.endswith("table"):
+        db.execute(f"CREATE TABLE r (k {data_type}, p INTEGER)")
+        db.insert_rows("r", ({"k": key, "p": number}
+                             for number, key in enumerate(keys)))
+        if source == "indexed table":
+            db.execute("CREATE INDEX rk ON r (k)")
+    else:
+        view = BoundView.of("r", ["k", "p"], cols,
+                            [set(map(type, column)) for column in cols],
+                            coerce=source != "extraction")
+        if source == "held view":
+            view.hold()
+        views["r"] = view
+    return db, views
+
+
+def parsed(sql: str):
+    return SqlParser(sql, first_param=0).parse_statement()
+
+
+def outcome(run):
+    try:
+        return run()
+    except RelationalError as exc:
+        return type(exc).__name__
+
+
+def drains(db: Database, statement, values: tuple, views: dict,
+           take: int) -> list:
+    """Each drain's rows (or error), and the scan's row count."""
+    def streamed():
+        cursor = db.stream_ast(statement, values, views)
+        try:
+            return cursor.fetchmany(take)
+        finally:
+            cursor.close()
+
+    def analyzed():
+        root = db.explain(statement, analyze=True, params=values,
+                          views=views).root
+        scan = next(node for node in root.walk() if node.kind == "scan")
+        return root.actual_rows, scan
+
+    found = [outcome(lambda: db.execute_ast(statement, values, views).rows),
+             outcome(streamed), outcome(analyzed)]
+    assert db.rwlock.active_readers == 0
+    return found
+
+
+def check(source: str, data_type: str, keys: list, members: list,
+          sql: str, key, take: int) -> str:
+    """The drains' outcomes over a forced scan and over the paths agree;
+    returns the path the scan read (``error`` when the drains raise)."""
+    values = (key,) * sql.count("?")
+    db, views = relation(source, data_type, keys, members)
+    statement = parsed(sql)
+    with forced_scan():
+        scan_db, scan_views = relation(source, data_type, keys, members)
+        expected = drains(scan_db, parsed(sql), values, scan_views, take)
+    detail = "error"
+    for _round in range(2):
+        got = drains(db, statement, values, views, take)
+        if isinstance(expected[0], str):
+            assert got == expected
+            continue
+        assert got[0] == expected[0]
+        assert got[1] == expected[0][:take]
+        (actual, scan), (scanned_actual, scanned) = got[2], expected[2]
+        assert actual == scanned_actual == len(expected[0])
+        assert scanned.detail == ""
+        detail = scan.detail or "scan"
+        if scan.detail:
+            assert 2 * scan.actual_rows <= len(keys)
+            assert source not in ("run-only view", "extraction")
+            assert source != "held view" or "range" not in scan.detail
+        assert db.tree_stats()["built"] == 1
+    return detail
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), source=st.sampled_from(SOURCES),
+       data_type=st.sampled_from(sorted(POOLS)),
+       template=st.sampled_from(sorted(TEMPLATES)), take=st.integers(0, 4))
+def test_a_probed_scan_answers_as_a_forced_scan(data, source, data_type,
+                                                template, take):
+    if data_type == "mixed":
+        source = "extraction"
+    pool = POOLS[data_type]
+    keys = data.draw(st.lists(st.sampled_from(pool), max_size=12),
+                     label="keys")
+    # Keys of the column's own values too, so that paths get taken.
+    drawn = st.sampled_from(KEYS) | st.sampled_from(pool)
+    key = data.draw(drawn, label="key")
+    members = data.draw(st.lists(drawn, max_size=4), label="members")
+    sql = TEMPLATES[template].format(literal=render_literal(key))
+    event(check(source, data_type, keys, members, sql, key, take))
+
+
+def test_mixed_families_and_nan_scan_or_raise_as_the_scan_does():
+    # A key of another family: `=` is false, a range raises; NaN in the
+    # column or as the key: the scan, whose kernels decide.
+    check("table", "INTEGER", [1, 2, 3, 4], [], "SELECT p FROM r WHERE k > ?",
+          "a", 2)
+    check("table", "REAL", [1.0, NAN, 3.0, 4.0], [],
+          "SELECT p FROM r WHERE k >= ?", 3.0, 2)
+    check("indexed table", "INTEGER", [1, 0, 3, 4], [],
+          "SELECT p FROM r WHERE k = ?", True, 2)
+    check("held view", "INTEGER", [1, 2, 3, 4], [True, 1, None, "1"],
+          "SELECT p FROM r WHERE k IN (SELECT c0 FROM w)", None, 2)
+
+
+def shown(source: str, sql: str, values: tuple, keys: list,
+          members: list = ()) -> str:
+    """The path the scan reads, once its rows are a forced scan's."""
+    key = values[0] if values else None
+    assert check(source, "INTEGER", keys, members, sql, key,
+                 len(keys)) != "error"
+    db, views = relation(source, "INTEGER", keys, members)
+    root = db.explain(parsed(sql), analyze=True, params=values,
+                      views=views).root
+    return next(node for node in root.walk() if node.kind == "scan").detail
+
+
+@pytest.mark.parametrize("source, sql, values, members, detail", [
+    ("indexed table", "SELECT p FROM r WHERE k = ?", (3,), (), "probe k"),
+    ("table", "SELECT p FROM r WHERE k = ?", (3,), (), ""),
+    ("table", "SELECT p FROM r WHERE 7 <= k", (), (), "range k"),
+    ("table", "SELECT p FROM r WHERE k > ?", (1,), (), ""),
+    ("indexed table", "SELECT p FROM r WHERE k IN (SELECT c0 FROM w)",
+     (), (2, 5, None), "probe k IN"),
+    ("indexed table", "SELECT p FROM r WHERE k IN (SELECT c0 FROM w)",
+     (), (2, 5), "probe k IN"),
+    ("indexed table", "SELECT p FROM r WHERE k NOT IN (SELECT c0 FROM w)",
+     (), (2, 5), ""),
+    ("held view", "SELECT p FROM r WHERE k IN (SELECT c0 FROM w) "
+     "AND k > ?", (8,), (2, 5), "probe k IN"),
+    ("held view", "SELECT p FROM r WHERE k IN (SELECT c0 FROM w) "
+     "AND k > ?", (8,), (2, 3, 4, 5, 6, 7), ""),
+    ("run-only view", "SELECT p FROM r WHERE k = ?", (3,), (), ""),
+    ("indexed table", "SELECT p FROM r WHERE k IN (SELECT c0 FROM w) "
+     "AND k > ?", (8,), (2, 5, 7), "range k"),
+])
+def test_a_run_reads_the_narrowest_path_naming_at_most_half(
+        source, sql, values, members, detail):
+    """k = 0..9: `k = 3` names 1 row, `7 <= k` 3, `k > 1` 8 (more than
+    half), `IN (2, 5)` 2, `IN (2, 5, 7)` 3 and `k > 8` 1.  A NULL member
+    matches nothing, so the other keys still name the rows; `NOT IN`
+    has no path."""
+    assert shown(source, sql, values, list(range(10)), list(members)) \
+        == detail
+
+
+def test_the_sorted_path_merges_appends_and_goes_with_other_writes():
+    db = Database()
+    db.execute("CREATE TABLE r (k INTEGER, p INTEGER)")
+    db.insert_rows("r", ({"k": n % 7, "p": n} for n in range(40)))
+    query = parsed("SELECT p FROM r WHERE k >= ? ORDER BY p")
+    table = db.table("r")
+
+    def answer(low):
+        result = db.execute_ast(query, (low,))
+        with forced_scan():
+            expected = db.query(f"SELECT p FROM r WHERE k >= {low} "
+                                "ORDER BY p").rows
+        assert result.rows == expected
+        return next(node for node in result.plan.walk()
+                    if node.kind == "scan").detail
+
+    assert answer(5) == "range k"
+    built = table.sorted_column(0)
+    db.execute("INSERT INTO r VALUES (6, 40), (NULL, 41)")
+    assert table.sorted_column(0) is built       # merged, not rebuilt
+    assert built.keys == sorted(built.keys) and len(built.keys) == 41
+    db.insert_rows("r", ({"k": 9, "p": 42 + n} for n in range(20)))
+    assert table.sorted_column(0) is built and len(built.keys) == 61
+    assert answer(9) == "range k"
+    db.execute("DELETE FROM r WHERE p = 0")
+    assert 0 not in table._sorted
+    assert answer(6) == "range k"
+    db.execute("UPDATE r SET k = 8 WHERE p = 1")
+    assert 0 not in table._sorted
+    assert answer(8) == "range k"
+    db.execute("INSERT INTO r VALUES (NULL, 99)")
+    db.execute("DELETE FROM r")
+    assert answer(0) == ""

@@ -313,7 +313,7 @@ def test_violation_at_row_k_leaves_exactly_the_prefix():
                                            (1, (2, "b", 2.0))]
     # Row 2's entries are gone from the indexes checked before the
     # failing one, and its id was not spent.
-    assert table.find_index_on(["id"]).lookup((3,)) == set()
+    assert table.find_index_on(["id"]).lookup((3,)) == ()
     assert len(table.indexes["by_n"]) == 2
     with pytest.raises(ConstraintViolation, match="is NOT NULL"):
         table.append_rows([(3, "c", 3), (4, "d", None), (3, "e", 5)])

@@ -110,7 +110,7 @@ class TestColumnarStorage:
         hash_index.insert(10, (1,))
         hash_index.insert(11, (2,))
         hash_index.clear()
-        assert hash_index.lookup((1,)) == set()
+        assert hash_index.lookup((1,)) == ()
         assert len(hash_index) == 0
         sorted_index = SortedIndex("s", "t", ["k"])
         sorted_index.insert(10, (1,))
@@ -220,8 +220,9 @@ class TestVectorizedExecution:
         db.execute("CREATE INDEX idx_id ON t (id)")
         result = db.query("SELECT k FROM t WHERE id = 7")
         assert result.rows == [("k2",)]
-        assert "scan" not in result.plan.vectorized_ops
-        assert "index idx_id" in result.plan.format()
+        scan = next(node for node in result.plan.walk()
+                    if node.kind == "scan")
+        assert scan.detail == "probe id" and scan.actual_rows == 1
 
     def test_type_mismatch_still_raises_through_fallback(self):
         db = make_db()
@@ -386,7 +387,8 @@ class TestBatchTelemetry:
         telemetry = Telemetry(TelemetryOptions())
         db = make_db()
         db.attach_telemetry(telemetry)
-        db.query("SELECT * FROM t WHERE v > 50.0")
+        # A mask kernel no access path serves: the scan reads every row.
+        db.query("SELECT * FROM t WHERE NOT (v <= 50.0)")
         db.query("SELECT k, COUNT(*) FROM t GROUP BY k")
         metrics = telemetry.metrics.to_dict()
         histogram = metrics["repro_exec_batch_rows"]["series"][0]
@@ -394,9 +396,22 @@ class TestBatchTelemetry:
         ops = {series["labels"]["op"]: series["value"]
                for series in
                metrics["repro_exec_vectorized_total"]["series"]}
-        assert ops["scan"] >= 200.0      # both queries scanned 100 rows
+        assert ops["scan"] == 200.0      # both queries scanned 100 rows
         assert ops["filter"] == 49.0     # rows surviving the mask
         assert ops["aggregate"] == 100.0
+
+    def test_batch_metrics_of_a_probed_scan(self):
+        telemetry = Telemetry(TelemetryOptions())
+        db = make_db()
+        db.attach_telemetry(telemetry)
+        result = db.query("SELECT * FROM t WHERE v > 50.0")
+        assert "range v" in result.plan.format()
+        ops = {series["labels"]["op"]: series["value"]
+               for series in telemetry.metrics.to_dict()[
+                   "repro_exec_vectorized_total"]["series"]}
+        # The sorted path names the 49 rows; the mask keeps them all.
+        assert ops["scan"] == 49.0
+        assert ops["filter"] == 49.0
 
     def test_generic_kernels_record_only_the_scan(self, generic_kernels):
         telemetry = Telemetry(TelemetryOptions())

@@ -668,8 +668,10 @@ def test_conjuncts_narrow_to_the_generic_answer(generic_kernels, size, rows,
 
 def test_a_batch_that_empties_goes_no_further():
     db = build([(n, float(n), "a", True) for n in range(10)], [False] * 25)
+    # Mask kernels no access path serves: the scan reads every row.
     root = build_select(parse_sql(
-        "SELECT * FROM t WHERE i > 2 AND i > 99 AND r < 5.0"), db.catalog)
+        "SELECT * FROM t WHERE NOT (i <= 2) AND NOT (i <= 99) "
+        "AND NOT (r >= 5.0)"), db.catalog)
     where = next(node for node in root.walk() if isinstance(node, Filter))
     seen = []
     where.kernels = [
@@ -681,3 +683,22 @@ def test_a_batch_that_empties_goes_no_further():
     # Batches of 4, 4 and 2 rows: the first kernel sees each whole, the
     # second what the first kept, and the third never runs.
     assert seen == [(0, 4), (1, 1), (0, 4), (1, 4), (0, 2), (1, 2)]
+
+
+def test_a_probed_scan_hands_the_kernels_only_the_rows_it_names():
+    db = build([(n, float(n), "a", True) for n in range(10)], [False] * 25)
+    root = build_select(parse_sql(
+        "SELECT * FROM t WHERE i > 2 AND r < 5.0 AND i > 6"), db.catalog)
+    where = next(node for node in root.walk() if isinstance(node, Filter))
+    seen = []
+    where.kernels = [
+        lambda batch, kernel=kernel, k=k:
+            seen.append((k, len(batch))) or kernel(batch)
+        for k, kernel in enumerate(where.kernels)]
+    with batch_size(2):
+        assert [row[0] for row in root.run()] == []
+    # `i > 6` names 3 of the 10 rows, the narrowest path: batches of 2
+    # and 1 rows, the second kernel empties each, the third never runs.
+    scan = next(node for node in root.walk() if node.kind == "scan")
+    assert (scan.detail, scan.actual_rows) == ("range i", 3)
+    assert seen == [(0, 2), (1, 2), (0, 1), (1, 1)]

@@ -291,3 +291,28 @@ def test_a_relation_keeps_its_values_types():
         "SELECT n FROM t WHERE ${k = X:c1} ENRICH REPLACECONSTANT(c1, X, p)")
     inlined = session.execute("SELECT n FROM t WHERE k IN (5, 'Mercury')")
     assert enriched.rows == inlined.rows == [("five",)]
+
+
+@pytest.mark.parametrize("negated, expected", [
+    (False, [(50,)]), (True, [(0,), (10,), (20,)])])
+def test_a_relation_mixing_true_and_1_matches_as_the_generic_path(
+        negated, expected, generic_kernels):
+    """A relation (values as given) holding ``TRUE`` and ``5`` spans two
+    families: ``TRUE = 1`` is false, so ``k IN`` it keeps ``k = 5``
+    only, as the generic path and ``k = TRUE`` say — its raw keys would
+    hash ``TRUE`` with ``1``."""
+    from repro.relational.parser import SqlParser
+    from repro.relational.table import BoundView
+    db = Database()
+    db.execute("CREATE TABLE t (k INTEGER, n INTEGER)")
+    db.execute("INSERT INTO t VALUES (1, 10), (5, 50), (0, 0), (2, 20)")
+    relation = BoundView.of("rel", ["c0"], [[True, 5]], [{bool, int}],
+                            coerce=False)
+    sql = ("SELECT n FROM t WHERE k " + "NOT " * negated
+           + "IN (SELECT c0 FROM rel) ORDER BY n")
+    assert db.execute_ast(SqlParser(sql).parse_statement(), None,
+                          {"rel": relation}).rows == expected
+    with generic_kernels():
+        assert db.execute_ast(SqlParser(sql).parse_statement(), None,
+                              {"rel": relation}).rows == expected
+    assert db.query("SELECT n FROM t WHERE k = TRUE").rows == []

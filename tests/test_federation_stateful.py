@@ -66,6 +66,12 @@ TEMPLATES = (
      (st.sampled_from(["a", "b", "c"]),)),
     ("SELECT k, s, origin FROM w WHERE n = ? AND k >= ?",
      (st.sampled_from([0, 1, 2, 0.5, 1.5, 2.0]), st.integers(0, 3))),
+    # A held view answers an IN through its lookup; a source's range
+    # reads the sorted path its INSERT merges into.
+    ("SELECT k, n, origin FROM v WHERE ? < n "
+     "AND k IN (SELECT k FROM w WHERE s = ?)",
+     (st.sampled_from([0, 0.5, 1.5]), st.sampled_from(["a", "b"]))),
+    ("SELECT k, s FROM w WHERE ? >= k", (st.integers(0, 3),)),
 )
 
 

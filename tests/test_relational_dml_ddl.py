@@ -201,8 +201,8 @@ def test_sorted_index_probes_equal_a_scan_of_its_entries(entries, doomed,
     keyed = [(key(value), row_id) for row_id, value in live.items()
              if value is not None]
     for value in probes:
-        assert index.lookup((value,)) == (set() if value is None else {
-            row_id for found, row_id in keyed if found == key(value)})
+        assert index.lookup((value,)) == (() if value is None else sorted(
+            row_id for found, row_id in keyed if found == key(value)))
     for low, high, low_inclusive, high_inclusive in bounds:
         def within(found):
             return (low is None or found > key(low)

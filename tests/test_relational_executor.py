@@ -280,16 +280,26 @@ def test_duplicate_alias_rejected(landfill_db):
 # -- the operator tree ---------------------------------------------------------
 
 
-def test_sorted_index_point_probe_rechecks_float_collapsed_keys(db):
+def test_float_collapsed_keys_are_told_apart_by_every_path(db):
     # SortedIndex keys are floats, which collapse integers beyond 2**53:
-    # the WHERE probe must verify its candidates like the join probe.
+    # it answers no WHERE.  The table's own sorted path and a hash index
+    # keep the keys exact, and the WHERE above the scan decides anyway.
     db.execute_script("""
         CREATE TABLE t (k INTEGER, v TEXT);
-        INSERT INTO t VALUES (9007199254740992,'a'),(9007199254740993,'b');
+        INSERT INTO t VALUES (9007199254740992,'a'),(9007199254740993,'b'),
+                             (1, 'c'), (2, 'd'), (3, 'e');
         CREATE INDEX ix ON t (k) USING sorted;
     """)
-    result = db.query("SELECT v FROM t WHERE k = 9007199254740993")
-    assert "index ix" in result.plan.format()
+    point = "SELECT v FROM t WHERE k = 9007199254740993"
+    result = db.query(point)
+    assert "probe" not in result.plan.format()
+    assert result.rows == [("b",)]
+    result = db.query("SELECT v FROM t WHERE k >= 9007199254740993")
+    assert "range k" in result.plan.format()
+    assert result.rows == [("b",)]
+    db.execute("CREATE INDEX hx ON t (k)")
+    result = db.query(point)
+    assert "probe k" in result.plan.format()
     assert result.rows == [("b",)]
 
 
@@ -548,15 +558,16 @@ def test_limit_and_point_probe_estimates(db):
     db.execute("CREATE INDEX idx_e_name ON e (name)")
     top = "SELECT name, amount FROM e WHERE name = 'm3' " \
           "ORDER BY amount DESC LIMIT 10"
-    # Not ANALYZEd: the probe's estimate is unset, the LIMIT still caps.
+    # Not ANALYZEd: the WHERE's estimate is unset, the LIMIT still caps.
     text = db.explain(top, analyze=True).format()
     assert "limit 10  (est=10, actual=10)" in text
-    assert "scan e  (actual=50, index idx_e_name)" in text
+    assert "filter WHERE  (actual=50, vectorized)" in text
+    assert "scan e  (est=1000, actual=50, vectorized, probe name)" in text
     db.execute("ANALYZE")
     text = db.explain(top, analyze=True).format()
     assert "limit 10  (est=10, actual=10)" in text
-    assert "scan e  (est=50, actual=50, index idx_e_name)" in text
-    assert "est=1000" not in text
+    assert "filter WHERE  (est=50, actual=50, vectorized)" in text
+    assert "scan e  (est=1000, actual=50, vectorized, probe name)" in text
     # A bound only known at run time leaves the estimate unset.
     text = db.explain(top.replace("10", "5 + 5")).format()
     assert "limit (5 + 5)\n" in text

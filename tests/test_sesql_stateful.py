@@ -71,6 +71,13 @@ TEMPLATES = (
      "GROUP BY name "
      "ENRICH REPLACECONSTANT(c1, Hazard, covers) "
      "SCHEMAEXTENSION(name, level)", ()),
+    # Ranges read the table's sorted path, which INSERT merges into and
+    # DELETE drops; an IN beside a range takes the narrower.
+    ("SELECT k, name, amount FROM t WHERE ? < amount "
+     "AND ${k = Hazard:c1} ENRICH REPLACECONSTANT(c1, Hazard, covers)",
+     (st.sampled_from([0, 1.0, 5.0, 7.5]),)),
+    ("SELECT k, name FROM t WHERE ${name = Hazard:c1} AND k <= ? "
+     "ENRICH REPLACECONSTANT(c1, Hazard, covers)", (st.integers(0, 3),)),
 )
 
 

@@ -1,16 +1,19 @@
 """A held view is probed, not scanned: probe ≡ scan.
 
 A ``col = literal`` / ``col = ?`` conjunct over a
-:class:`~repro.relational.table.BoundView` becomes its
-:class:`~repro.relational.operators.ViewScan`'s probe.  A run over a
-view held for many runs (``BoundView.hold``, what a mediator session
-does with a view it shipped in full) reads only the rows the view's
-lookup lists for the key; a run over any other view scans.  The WHERE
+:class:`~repro.relational.table.BoundView` is an access path of its
+:class:`~repro.relational.operators.ViewScan`.  A run over a view held
+for many runs (``BoundView.hold``, what a mediator session does with a
+view it shipped in full) reads only the rows the view's lookup lists for
+the key — when the key is of the column's family, not NULL or NaN, and
+lists at most half the rows; a run over any other view scans.  The WHERE
 stays whole above the scan, so the vector kernels still decide ``=``.
 
 What must hold, for every drain (execute, a partly drained stream,
 EXPLAIN ANALYZE): the rows of a held view are those of the same view
 bound for one run, in the same order, and one kept tree serves both.
+(``tests/test_access_paths.py`` checks every path against a forced
+scan, over tables too.)
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.relational import Database
 from repro.relational.parser import SqlParser
 from repro.relational.render import render_literal
 from repro.relational.table import BoundView
-from repro.relational.types import values_equal
+from repro.relational.types import FAMILY, literal_family, values_equal
 
 NAN = float("nan")
 
@@ -93,8 +96,19 @@ def matches(value, key) -> bool:
     return values_equal(value, key) is True
 
 
+def probes(view: BoundView, key) -> bool:
+    """Whether a run over *view* held reads ``k``'s lookup for *key*:
+    a key of the column's family, not NaN, listing at most half the
+    rows."""
+    family = FAMILY.get(view.schema.columns[0].data_type)
+    if literal_family(key) != family or key != key or not len(view):
+        return False
+    return 2 * sum(value == key for value in view.cols[0]
+                   if value is not None) <= len(view)
+
+
 def check_probe_is_scan(sql: str, values: tuple, cols: list[list],
-                        take: int, keep) -> None:
+                        take: int, keep, key) -> None:
     db = Database()
     statement = parsed(sql)
     held, once = bound(cols, True), bound(cols, False)
@@ -107,7 +121,7 @@ def check_probe_is_scan(sql: str, values: tuple, cols: list[list],
         assert rows == outcomes[1][0]
         assert taken == rows[:take]
         assert actual == len(rows)
-        assert ("probe k" in scan) == (view is held)
+        assert ("probe k" in scan) == (view is held and probes(held, key))
     # The kernels' `=` is the reference, and the view is typed as its
     # columns were shipped.
     expected = [number for value, number in zip(*held.cols)
@@ -125,7 +139,7 @@ def test_a_probed_held_view_answers_as_a_scanned_one(cols, key, template,
     values = (key,) if arity == 1 else (key, low)
     check_probe_is_scan(sql, values, cols, take,
                         lambda value, number: matches(value, key)
-                        and (arity == 1 or number >= low))
+                        and (arity == 1 or number >= low), key)
     if arity == 2:
         return
     # NaN is never equal, even to itself.
@@ -139,7 +153,8 @@ def test_a_probed_held_view_answers_as_a_scanned_one(cols, key, template,
 def test_a_literal_probes_as_a_value_does(cols, literal, take):
     sql = f"SELECT p, k FROM v WHERE k = {render_literal(literal)}"
     check_probe_is_scan(sql, (), cols, take,
-                        lambda value, _number: matches(value, literal))
+                        lambda value, _number: matches(value, literal),
+                        literal)
 
 
 def test_a_probe_over_a_view_that_is_not_held_builds_no_lookup():
