@@ -105,20 +105,22 @@ def paginate_cursor(cursor: Cursor, limit: int,
                     token: str | None, signature: str) -> Page:
     """Offset-paginate a streaming cursor.
 
-    Pulls ``offset + limit + 1`` rows at most — the one-row lookahead
-    decides whether a ``next_token`` is warranted — then closes the
-    cursor, *whatever happens*: the cursor may hold a database read
-    lock, so even a malformed token must not leak it.
+    One pull, a demand the cursor forwards to its producer: a page, its
+    one-row lookahead — which decides whether a ``next_token`` is
+    warranted — and, for a continuation, the ``offset`` rows it skips,
+    so a SESQL page folds each enrichment in once.  The cursor is
+    closed *whatever happens*: it may hold a database read lock, so
+    even a malformed token must not leak it.
     """
     try:
         offset = token_offset(token, signature)
-        for _ in range(offset):
-            if cursor.fetchone() is None:
-                return Page([], None)
-        rows = cursor.fetchmany(limit)
-        more = cursor.fetchone() is not None
+        rows = cursor.fetchmany(offset + limit + 1)
     finally:
         cursor.close()
-    next_token = (encode_token({"offset": offset + limit, "sig": signature})
-                  if more else None)
+    del rows[:offset]
+    next_token = None
+    if len(rows) > limit:
+        del rows[limit:]
+        next_token = encode_token({"offset": offset + limit,
+                                   "sig": signature})
     return Page(rows, next_token)

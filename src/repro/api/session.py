@@ -31,6 +31,7 @@ query.
 from __future__ import annotations
 
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -263,9 +264,11 @@ class Session:
 
         The SQL stage pulls from the databank on demand (``LIMIT k``
         stops after *k* rows) and SELECT enrichments are combined one
-        page at a time.  The cursor holds the databank's read lock
-        until exhausted or closed — drain it (or use ``with``) before
-        mutating the databank from the same thread.
+        page at a time: ``fetchmany(n)`` pulls *n* rows, iteration and
+        ``fetchall`` *page_size* a pull.  The cursor holds the
+        databank's read lock until exhausted or closed — drain it (or
+        use ``with``) before mutating the databank from the same
+        thread.
         """
         return self.prepare(text).stream(
             params, include_original=include_original,
@@ -355,37 +358,40 @@ class Session:
                                 include_original, page_size=page_size)
         if root is None:
             return inner
-        return self._traced_cursor(root, prepared.text, inner)
+        return self._traced_cursor(root, prepared.text, inner, page_size)
 
-    def _traced_cursor(self, root, statement: str, inner):
+    def _traced_cursor(self, root, statement: str, inner, page_size: int):
         """Wrap a streaming cursor so lazy execution stays in the trace.
 
-        The root span is re-activated around every row pull (a plain
-        ``with activate(...)`` spanning the generator's whole life would
-        leak the context var into the consumer between pulls), and is
-        finished — feeding the slow-query log with the true end-to-end
-        drain time — when the stream is exhausted or closed.
+        Each pull forwards the consumer's demand to *inner* (a
+        *page_size* page for what is at hand) with the root span
+        activated around it — once per page, not per row, and never
+        across the consumer's code between pulls — and the root is
+        finished, feeding the slow-query log with the true end-to-end
+        drain time and the rows handed out, when the stream is
+        exhausted or closed.
         """
         from ..relational.result import Cursor
         tel = self.telemetry
 
-        def rows():
-            source = iter(inner)
-            try:
-                while True:
-                    with tel.tracer.activate(root):
-                        try:
-                            row = next(source)
-                        except StopIteration:
-                            return
-                    yield row
-            finally:
-                if root.open:
-                    self._finish_root(tel, root, "sesql-stream",
-                                      statement, inner.rows_yielded)
+        def pull(n: int | None) -> list[tuple]:
+            with tel.tracer.activate(root):
+                return inner.fetchmany(page_size if n is None else n)
 
-        return Cursor(inner.columns, rows(), on_close=inner.close,
-                      plan=inner.plan)
+        def close() -> None:
+            inner.close()
+            if root.open:
+                # The wrapper may hold rows it pulled and never handed
+                # out; a weak reference keeps it collectable on drop.
+                handed = outer()
+                self._finish_root(
+                    tel, root, "sesql-stream", statement,
+                    inner.rows_yielded if handed is None
+                    else handed.rows_yielded)
+
+        cursor = Cursor(inner.columns, pull, on_close=close, plan=inner.plan)
+        outer = weakref.ref(cursor)
+        return cursor
 
     def _explain_prepared(self, prepared: PreparedQuery, params,
                           analyze: bool = False) -> QueryPlan:

@@ -463,8 +463,10 @@ class SESQLEngine:
 
         Extraction and the WHERE rewrite still run eagerly — they are
         planning work and must precede the databank query — but the
-        databank result is pulled through a cursor and each SELECT
-        enrichment is folded in per *page_size* rows.  The cursor holds
+        databank result is pulled through a cursor, as many rows as the
+        consumer asks for (``fetchmany(n)`` pulls *n*; iteration and
+        ``fetchall`` pull *page_size* at a time), and each SELECT
+        enrichment is folded in over that page.  The cursor holds
         the databank's read lock until it is exhausted or closed;
         observers (``on_result`` context feeding) are not invoked for
         streamed executions.
@@ -475,12 +477,13 @@ class SESQLEngine:
 
         def prepare(run, select_plan):
             # The combiners are prepared once per cursor and applied
-            # page after page.  Combining an empty page derives the
-            # enriched column list (and validates the enrichment
-            # attributes) up front.
+            # page after page; the enriched column list (and a check of
+            # the enrichment attributes) comes up front.
             combiners = self._combiners(select_plan)
-            probe = ResultSet(list(run.base.columns), [])
-            return combiners, self._fold(combiners, probe).columns
+            columns = list(run.base.columns)
+            for combiner in combiners:
+                columns = combiner.columns(columns)
+            return combiners, columns
 
         run = self._run(enriched, knowledge_base, include_original,
                         self.databank.stream_ast, prepare)
@@ -488,18 +491,17 @@ class SESQLEngine:
         base_columns = list(base_cursor.columns)
         combiners, out_columns = run.outcome
 
-        def pages():
-            try:
-                while True:
-                    page = base_cursor.fetchmany(page_size)
-                    if not page:
-                        break
-                    yield from self._fold(
-                        combiners, ResultSet(base_columns, page)).rows
-            finally:
-                run.release()
+        def pull(n: int | None) -> list[tuple]:
+            # The demand goes to the databank cursor as it is (a page
+            # when the consumer asks for what is at hand), and the
+            # combiners fold over exactly that page — never dropping a
+            # row, so only an empty page ends the stream.
+            page = base_cursor.fetchmany(page_size if n is None else n)
+            if not page:
+                return []
+            return self._fold(combiners, ResultSet(base_columns, page)).rows
 
-        return Cursor(out_columns, pages(), on_close=run.release)
+        return Cursor(out_columns, pull, on_close=run.release)
 
     # -- drain 3: explain ----------------------------------------------------------
 

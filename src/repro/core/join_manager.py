@@ -75,7 +75,25 @@ def output_columns(base_columns: list[str], attr_index: int,
     return columns
 
 
-class PreparedPairCombine:
+class _PreparedCombine:
+    """What a prepared combiner knows before any page: the attribute it
+    reads and the column it adds (or replaces it with)."""
+
+    def __init__(self, attr: str, new_column: str, replace: bool) -> None:
+        self.attr = attr
+        self.new_column = new_column
+        self.replace = replace
+
+    def columns(self, base_columns: list[str]) -> list[str]:
+        """The enriched column list over *base_columns*, or an
+        :class:`EnrichmentError` when the attribute is not among them —
+        what ``combine`` of an empty page would answer."""
+        return output_columns(base_columns,
+                              find_attr_index(base_columns, self.attr),
+                              self.new_column, self.replace)
+
+
+class PreparedPairCombine(_PreparedCombine):
     """SCHEMAEXTENSION / SCHEMAREPLACEMENT combine state.
 
     The extraction-side hash buckets are built once per extraction
@@ -88,9 +106,7 @@ class PreparedPairCombine:
 
     def __init__(self, attr: str, new_column: str, replace: bool,
                  buckets: dict[object, list[object]]) -> None:
-        self.attr = attr
-        self.new_column = new_column
-        self.replace = replace
+        super().__init__(attr, new_column, replace)
         self.buckets = buckets
 
     def combine(self, base: ResultSet) -> ResultSet:
@@ -111,15 +127,13 @@ class PreparedPairCombine:
                          rows)
 
 
-class PreparedFlagCombine:
+class PreparedFlagCombine(_PreparedCombine):
     """BOOLSCHEMAEXTENSION / -REPLACEMENT combine state: the
     extraction's key set, built once per extraction."""
 
     def __init__(self, attr: str, new_column: str, replace: bool,
                  keys: set) -> None:
-        self.attr = attr
-        self.new_column = new_column
-        self.replace = replace
+        super().__init__(attr, new_column, replace)
         self.keys = keys
 
     def combine(self, base: ResultSet) -> ResultSet:

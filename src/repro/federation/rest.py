@@ -129,6 +129,10 @@ def _page_args(params: dict, body: dict) -> tuple[int, str | None]:
     """Validated ``limit`` / ``next_token`` from query string or body."""
     raw_limit = params.get("limit", body.get("limit", DEFAULT_PAGE_LIMIT))
     try:
+        # A JSON bool is an int and 2.7 truncates: neither is a count.
+        if isinstance(raw_limit, bool) or (
+                isinstance(raw_limit, float) and not raw_limit.is_integer()):
+            raise TypeError
         limit = int(raw_limit)
     except (TypeError, ValueError):
         raise RestError(f"limit must be an integer, got {raw_limit!r}",

@@ -2,12 +2,13 @@
 
 Operators (:mod:`repro.relational.operators`) pass :class:`Batch` es —
 runs of rows held as columns, from the scan to the result.  A row tuple
-is built only where a caller asks for one: a cursor page
-(:meth:`Batch.tuples`), ``ResultSet.rows``, and the generic per-row
-expression kernel's input (:attr:`Batch.rows`), so pagination, LIMIT
-early-termination and ``rows_yielded`` accounting never see a batch
-edge.  A whole run becomes one batch of columns through :func:`concat`,
-and a ``ResultSet`` holds them.
+is built only where a caller asks for one: a cursor page (the
+:meth:`Batch.tuples` of a :meth:`Batch.window` as long as the page),
+``ResultSet.rows``, and the generic per-row expression kernel's input
+(:attr:`Batch.rows`), so pagination, LIMIT early-termination and
+``rows_yielded`` accounting never see a batch edge.  A whole run
+becomes one batch of columns through :func:`concat`, and a
+``ResultSet`` holds them.
 
 A column may be *pending*: not gathered yet, only the recipe for it — a
 ``functools.partial`` reading another batch's column as it is, picked at
@@ -19,7 +20,8 @@ selection (:meth:`Batch.select`), a join's, sort's or limit's output
 a projection hold their columns pending, so a column no operator above
 reads is never gathered — a mask kernel indexes ``batch[p]``, an
 aggregate or a join key reads ``column(p)``, and only those columns are
-copied.
+copied.  A window of rows (a cursor's page, a LIMIT's slice) slices the
+ids of a pending gather, so only the rows it hands out are copied.
 
 This module holds what is independent of the expression compiler: the
 batch type and size, the telemetry hooks, and the two kernels of one
@@ -51,6 +53,25 @@ def _take(source: "Batch", position: int, ids: Sequence[int]) -> Sequence:
     if type(ids) is range:
         return column[ids.start:ids.stop:ids.step]
     return [column[i] for i in ids]
+
+
+def _slice(source: "Batch", position: int, start: int, stop: int
+           ) -> Sequence:
+    """Column *position* of *source*'s rows *start*:*stop*: a pending
+    gather (``_take``) — reached directly or through the ``ref`` s that
+    hand it on — stays pending over its own ids' slice, so it gathers
+    only those rows; a gathered column is sliced now; anything else is
+    read whole when the slice is, as :func:`take` reads it."""
+    column = source._cols[position]
+    while type(column) is partial:
+        fn, args = column.func, column.args
+        if fn is _take:
+            origin, at, ids = args
+            return partial(_take, origin, at, ids[start:stop])
+        if getattr(fn, "__func__", None) is not Batch.column:
+            return partial(_take, source, position, range(start, stop))
+        column = fn.__self__._cols[args[0]]
+    return column[start:stop]
 
 
 def _compress(source: "Batch", position: int, mask: list) -> list:
@@ -132,6 +153,17 @@ class Batch:
             return column
         return partial(self.column, position)
 
+    def window(self, start: int, stop: int) -> "Batch":
+        """Rows *start*:*stop*, each column composed with its pending
+        gather (:func:`_slice`): reading the window gathers its own
+        rows, not the batch's — a cursor's page, or ``LIMIT k`` over a
+        sort (:func:`take`).  The whole batch is this batch."""
+        if start == 0 and stop == self._len:
+            return self
+        return Batch([_slice(self, position, start, stop)
+                      for position in range(len(self._cols))],
+                     stop - start)
+
     def select(self, mask: list) -> "Batch":
         """The rows where *mask* is true, as pending columns — or this
         batch, when that is all of them."""
@@ -147,11 +179,15 @@ def take(sources: Iterable[tuple[Batch, Sequence[int], int]],
     """A batch of *length* rows whose columns are, side by side, each
     ``(source, ids, width)``'s *width* columns picked at *ids* (an index
     vector or a range) — pending, or *source*'s own where *ids* is all
-    of it in order."""
+    of it in order.  A step-1 range is *source*'s :meth:`Batch.window`
+    columns: a pending gather below gathers only those rows."""
     cols: list = []
     for source, ids, width in sources:
         if type(ids) is range and ids == range(len(source)):
             cols.extend(map(source.ref, range(width)))
+        elif type(ids) is range and ids.step == 1:
+            cols.extend(_slice(source, position, ids.start, ids.stop)
+                        for position in range(width))
         else:
             cols.extend(partial(_take, source, position, ids)
                         for position in range(width))
@@ -161,8 +197,8 @@ def take(sources: Iterable[tuple[Batch, Sequence[int], int]],
 def pieces(whole: Batch, order: Optional[Sequence[int]] = None
            ) -> Iterator[Batch]:
     """*whole* — a materialised run — handed on in batches of at most
-    ``BATCH_SIZE`` rows, each column a pending gather from it: of the
-    rows *order* lists, in that order, or of all of them."""
+    ``BATCH_SIZE`` rows: each column a pending gather from it of the
+    rows *order* lists, in that order, or a slice of it (:func:`take`)."""
     ids = range(len(whole)) if order is None else order
     width = len(whole._cols)
     size = BATCH_SIZE

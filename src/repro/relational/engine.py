@@ -532,8 +532,8 @@ class Database:
         # The read hold is taken HERE, not on first fetch: the cursor's
         # documented guarantee is writer exclusion from creation to
         # close, with no gap in which a DELETE could slip between
-        # open and first row.  The hold transfers to the generator and
-        # is released (idempotently) on exhaustion, close() or GC.
+        # open and first row.  The hold transfers to the cursor and is
+        # released on exhaustion, close() or GC.
         hold = self.rwlock.read_hold()
         tel = self.telemetry
         started = time.perf_counter() if tel is not None else 0.0
@@ -549,31 +549,36 @@ class Database:
             hold.release()
             raise
 
-        def release() -> None:
+        chunks = root.chunks()
+        batch, start = None, 0
+
+        def pull(n: int | None) -> list[tuple]:
+            # A window of the current batch — its rest when *n* is None —
+            # gathered here, under the read lock: a pending gather below
+            # (a sort's, a join's) reads only the window's rows.
+            nonlocal batch, start
+            while batch is None or start == len(batch):
+                batch, start = next(chunks, None), 0
+                if batch is None:
+                    return []
+            stop = len(batch) if n is None else min(len(batch), start + n)
+            rows = list(batch.window(start, stop).tuples())
+            start = stop
+            return rows
+
+        def finish() -> None:
+            # On exhaustion, close() or GC, once: the cursor has set the
+            # root's actual_rows to the rows it handed out.
+            chunks.close()
             hold.release()
             if tree is not None:
                 tree.finish()
+            if tel is not None:
+                self._note_select(root, root.actual_rows,
+                                  time.perf_counter() - started,
+                                  streamed=True)
 
-        def rows() -> Iterator[tuple]:
-            produced = 0
-            try:
-                for batch in root.chunks():
-                    for row in batch.tuples():
-                        produced += 1
-                        yield row
-            finally:
-                release()
-                # The root reports the rows handed out, not the rows of
-                # the batches drawn: they differ on early termination
-                # (close() inside a batch).
-                root.actual_rows = produced
-                if tel is not None:
-                    self._note_select(
-                        root, produced,
-                        time.perf_counter() - started, streamed=True)
-
-        return Cursor(root.schema.names(), rows(), on_close=release,
-                      plan=root)
+        return Cursor(root.schema.names(), pull, on_close=finish, plan=root)
 
     # -- planner surface --------------------------------------------------------
 

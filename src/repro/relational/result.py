@@ -5,48 +5,102 @@ always returned — a database SELECT's holds the columns its run
 collected, and builds no row tuple unless a consumer reads ``rows``;
 :class:`Cursor` is its lazy counterpart — a DB-API flavoured handle
 (``fetchone`` / ``fetchmany`` / ``fetchall``, iterable, ``columns``)
-over a row stream that is only produced as it is consumed, a batch at
-a time, so ``LIMIT k`` queries stop after *k* rows instead of
-materializing their full input.  A cursor can always be drained into a
-``ResultSet`` (``ResultSet.from_cursor``) for backwards
-compatibility.
+whose rows are produced as they are asked for: ``fetchmany(n)`` asks
+its producer for *n* rows, so a page reads a page and ``LIMIT k``
+queries stop after *k* rows instead of materializing their full input.
+A cursor can always be drained into a ``ResultSet``
+(``ResultSet.from_cursor``) for backwards compatibility.
 """
 
 from __future__ import annotations
 
-import itertools
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ExecutionError
 from .types import format_value
 
+#: Rows a plain row iterable hands per pull when its consumer asks for
+#: what is at hand (iteration, ``fetchall``).
+_AT_HAND = 256
+
 
 class Cursor:
     """A streaming query result.
 
-    Wraps a lazy row iterator plus its column names.  Closing the
-    cursor (explicitly, via ``with``, or on exhaustion) closes the
-    underlying generator — releasing any read lock and temporary
-    resources the producer tied to it — and fires ``on_close`` hooks,
-    which must be idempotent.
+    Rows come from a *producer*, ``pull(n)``: the next rows for a demand
+    of *n*, or for ``None`` what is at hand — the rest of the current
+    batch for a database SELECT, a page for a SESQL stream — and ``[]``
+    once exhausted.  ``fetchmany(n)`` asks for *n*, ``fetchone`` for 1,
+    iteration and ``fetchall`` for what is at hand.  A producer may hand
+    back fewer rows (the cursor asks again) or more (a multi-valued
+    enrichment emits one or more rows per base row): the cursor keeps
+    the excess for the next fetch.  A plain row iterable is adapted
+    through ``islice``.
+
+    Closing the cursor (explicitly, via ``with``, on exhaustion, when a
+    pull raises, or on GC) closes a plain iterable that has ``close`` (a
+    generator) and fires ``on_close`` once — releasing any read lock and
+    temporary resources the producer holds.
     """
 
-    def __init__(self, columns: list[str], rows: Iterable[tuple],
+    def __init__(self, columns: list[str],
+                 rows: Callable[[int | None], list] | Iterable[tuple],
                  on_close: Callable[[], None] | None = None,
                  plan=None) -> None:
         self.columns = list(columns)
         #: Root :class:`~repro.relational.operators.Operator` of the
         #: tree producing the rows (``None`` for cursors over anything
-        #: but a database SELECT).  Its counters move as rows are drawn.
+        #: but a database SELECT).  Its counters move as rows are drawn,
+        #: and on close its ``actual_rows`` are the rows handed out.
         self.plan = plan
-        self._rows = iter(rows)
+        self._closer = None
+        if callable(rows):
+            self._pull = rows
+        else:
+            source = iter(rows)
+            self._closer = getattr(source, "close", None)
+            self._pull = lambda n: list(islice(source, n or _AT_HAND))
         self._on_close = on_close
         self._closed = False
+        #: Rows pulled and not handed out yet: ``_held[_at:]``.
+        self._held: list = []
+        self._at = 0
         #: Rows this cursor has handed to its consumer so far.  Unlike
         #: DB-API ``rowcount`` it is exact for partially-drained
         #: streams (early LIMIT, explicit close), which is what trace
         #: spans and pagination accounting need.
         self.rows_yielded = 0
+
+    # -- the one fetch path ----------------------------------------------------
+
+    def _refill(self, demand: int | None) -> bool:
+        """Pull for *demand* into the held rows; ``False`` (and the
+        cursor closed) once the producer is exhausted."""
+        if self._closed:
+            return False
+        try:
+            rows = self._pull(demand)
+        except BaseException:
+            self.close()
+            raise
+        if not rows:
+            self.close()
+            return False
+        self._held, self._at = rows, 0
+        return True
+
+    def _hand(self, n: int | None) -> list:
+        """Up to *n* rows (``None``: every row held), pulling for *n*
+        first when none are held; ``[]`` once exhausted."""
+        if (self._closed or self._at == len(self._held)) \
+                and not self._refill(n):
+            return []
+        held, at = self._held, self._at
+        stop = len(held) if n is None else min(len(held), at + n)
+        self.rows_yielded += stop - at
+        self._at = stop
+        return held if at == 0 and stop == len(held) else held[at:stop]
 
     # -- iteration -----------------------------------------------------------
 
@@ -54,32 +108,41 @@ class Cursor:
         return self
 
     def __next__(self) -> tuple:
-        if self._closed:
+        if (self._closed or self._at == len(self._held)) \
+                and not self._refill(None):
             raise StopIteration
-        try:
-            row = next(self._rows)
-        except StopIteration:
-            self.close()
-            raise
+        at = self._at
+        self._at = at + 1
         self.rows_yielded += 1
-        return row
+        return self._held[at]
 
     # -- DB-API-style fetches -------------------------------------------------
 
     def fetchone(self) -> tuple | None:
         """The next row, or ``None`` when the stream is exhausted."""
-        return next(self, None)
+        rows = self._hand(1)
+        return rows[0] if rows else None
 
     def fetchmany(self, size: int = 256) -> list[tuple]:
-        """Up to *size* rows (an empty list means exhausted)."""
+        """Up to *size* rows (an empty list means exhausted): the
+        producer is asked for *size*."""
         if size < 0:
             raise ExecutionError(
                 f"fetchmany size must be non-negative, got {size}")
-        return list(itertools.islice(self, size))
+        rows: list = []
+        while len(rows) < size:
+            page = self._hand(size - len(rows))
+            if not page:
+                break
+            rows += page
+        return rows
 
     def fetchall(self) -> list[tuple]:
         """Every remaining row (closes the cursor)."""
-        return list(self)
+        rows: list = []
+        while page := self._hand(None):
+            rows += page
+        return rows
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -92,9 +155,11 @@ class Cursor:
         if self._closed:
             return
         self._closed = True
-        closer = getattr(self._rows, "close", None)
-        if closer is not None:
-            closer()
+        self._held, self._at = [], 0
+        if self.plan is not None:
+            self.plan.actual_rows = self.rows_yielded
+        if self._closer is not None:
+            self._closer()
         if self._on_close is not None:
             self._on_close()
 

@@ -87,6 +87,26 @@ def test_400_bad_limit(service):
         assert response.payload["error"]["code"] == "invalid_limit"
 
 
+def test_400_limit_that_is_no_count(service):
+    """A JSON bool is an int and 2.7 truncates to 2: the limit is the
+    engine's demand, so neither may pass for one.  Query-string digits
+    and an integral JSON number still do."""
+    _register_users(service, ["anna"])
+    query = {"username": "anna", "query": "SELECT name FROM landfill"}
+    for bad in (True, False, 2.7, float("inf"), "2.7", [3]):
+        response = service.request("POST", "/api/v1/query",
+                                   {**query, "limit": bad})
+        assert response.status == 400, bad
+        assert response.payload["error"]["code"] == "invalid_limit"
+    for good in (3, 3.0, "3"):
+        response = service.request("POST", "/api/v1/query",
+                                   {**query, "limit": good})
+        assert response.status == 200
+        assert len(response.payload["rows"]) == 3
+    response = service.request("GET", "/api/v1/users?limit=3")
+    assert response.status == 200
+
+
 def test_422_handler_error(service):
     _register_users(service, ["anna"])
     response = service.request("POST", "/api/v1/query", {
@@ -162,27 +182,41 @@ def test_user_listing_paginates_round_trip(service):
     assert seen == sorted(names)
 
 
-def test_query_pagination_round_trip_matches_single_shot(service):
+@pytest.mark.parametrize("query", [
+    "SELECT name FROM landfill ORDER BY name",
+    # A multi-valued SCHEMAEXTENSION emits more rows than the page of
+    # base rows it combined: a page edge may fall inside one base row.
+    "SELECT landfill_name, elem_name FROM elem_contained "
+    "ORDER BY landfill_name, elem_name "
+    "ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)",
+], ids=["plain", "enriched"])
+def test_query_pagination_round_trip_matches_single_shot(service, query):
     _register_users(service, ["anna"])
-    query = "SELECT name FROM landfill ORDER BY name"
+    for subject, level in (("Mercury", "high"), ("Mercury", "extreme"),
+                           ("Lead", "medium")):
+        service.request("POST", "/api/v1/annotations", {
+            "username": "anna", "subject": subject,
+            "property": "dangerLevel", "object": level})
     single = service.request("POST", "/api/v1/query", {
-        "username": "anna", "query": query, "limit": 100})
+        "username": "anna", "query": query, "limit": 1000})
     assert single.status == 200
     assert single.payload["next_token"] is None
 
-    paged, token = [], None
-    for _ in range(20):
-        body = {"username": "anna", "query": query, "limit": 5}
-        if token:
-            body["next_token"] = token
-        response = service.request("POST", "/api/v1/query", body)
-        assert response.status == 200
-        assert response.payload["columns"] == single.payload["columns"]
-        paged.extend(response.payload["rows"])
-        token = response.payload["next_token"]
-        if token is None:
-            break
-    assert paged == single.payload["rows"]
+    for limit in (1, 5, 100):
+        paged, token = [], None
+        for _ in range(200):
+            body = {"username": "anna", "query": query, "limit": limit}
+            if token:
+                body["next_token"] = token
+            response = service.request("POST", "/api/v1/query", body)
+            assert response.status == 200
+            assert response.payload["columns"] == single.payload["columns"]
+            assert len(response.payload["rows"]) <= limit
+            paged.extend(response.payload["rows"])
+            token = response.payload["next_token"]
+            if token is None:
+                break
+        assert paged == single.payload["rows"]
 
 
 def test_query_token_bound_to_request(service):
