@@ -5,8 +5,9 @@ pick a physical join strategy.  Constants reflect the Python executor:
 a hash join indexes its right input's key column (one dict, built in C
 when the keys are unique) and maps a left batch's keys through it, so a
 build row and a probe row cost about the same; a per-row index lookup
-costs far more than either (the HashIndex normalises the key and copies
-its bucket), and nested loops pay the full cross product.
+costs far more than either (each key is evaluated and normalised per
+row, in Python, before its bucket is read), and nested loops pay the
+full cross product.
 """
 
 from __future__ import annotations

@@ -324,7 +324,7 @@ class CreateIndexStmt(Node):
     table: str
     columns: list[str] = field(default_factory=list)
     unique: bool = False
-    kind: str = "hash"  # CREATE INDEX ... USING SORTED for range indexes
+    kind: str = "hash"  # USING hash | sorted: a label; both are hash indexes
 
 
 @dataclass

@@ -43,7 +43,7 @@ from .compiler import (CompileContext, compile_expr, compile_predicate,
                        membership, resolve_column)
 from .errors import (AmbiguousColumnError, ExecutionError,
                      NotSupportedError, SchemaError, UnknownColumnError)
-from .operators import (RANGES, Aggregate, Distinct, Filter, IndexProbe,
+from .operators import (Aggregate, Distinct, Filter, IndexProbe,
                         Join, Limit, Operator, Path, Project, Result, RowFn,
                         Rows, Scan, SetOp, Sort, Subquery, Values, ViewScan)
 from .render import as_slot, render_expr
@@ -397,7 +397,7 @@ def _build_join(join: ast.Join, catalog: Catalog,
         index, covered = probe
         kind = "index-join"
         right = IndexProbe(right, index, [equi[i][1] for i in covered],
-                           [equi[i][3] for i in covered], right.est_rows)
+                           right.est_rows)
         residual = [pair[0] for i, pair in enumerate(equi)
                     if i not in covered] + residual
     else:
@@ -421,13 +421,8 @@ def select_access_paths(scan: Scan | ViewScan, conjuncts: list[ast.Expr],
     WHERE conjunct that is ``col = v`` or ``col <, <=, >, >= v`` (either
     way round, *v* a literal or a ``?``), or ``col IN (subquery)`` run
     as a semi join built once per run (*joins*, by conjunct), over a
-    typed column the relation answers it on: a table, ``=`` and ``IN``
-    through a hash index on the column and ranges through its sorted
-    path; a view, ``=`` and ``IN`` through its lookup.  Which one a run
-    reads, if any, the scan decides."""
-    table = getattr(scan, "table", None)
-    if isinstance(scan, Scan) and not isinstance(table, Table):
-        return []  # a foreign table is only scanned
+    typed column the relation offers a path on (``scan.offers``).  Which
+    one a run reads, if any, the scan decides."""
     paths: list[Path] = []
     for number, conjunct in enumerate(conjuncts):
         join = joins.get(number)
@@ -452,16 +447,9 @@ def select_access_paths(scan: Scan | ViewScan, conjuncts: list[ast.Expr],
                 keys = compile_expr(value_side, scopes, ctx)
             else:
                 continue
-            index = None
-            if op in RANGES:
-                if table is None:
-                    continue  # a view has no range path
-            elif table is not None:
-                index = table.find_index_on([column_side.name], "hash")
-                if index is None:
-                    continue
-            paths.append(Path(op, typed[0], column_side.name, keys, index))
-            break
+            if scan.offers(op, typed[0]):
+                paths.append(Path(op, typed[0], column_side.name, keys))
+                break
     return paths
 
 
@@ -469,8 +457,8 @@ def _probe_estimate(scan: Scan | ViewScan, ctx: CompileContext
                     ) -> float | None:
     """What a WHERE the planner left unestimated keeps of a table with
     an index ``=`` path: ``rows / distinct`` of its ANALYZEd column."""
-    path = next((path for path in scan.paths if path.op == "="
-                 and path.index is not None), None)
+    path = isinstance(scan, Scan) and next(
+        (path for path in scan.paths if path.op == "="), None)
     analyzed = path and ctx.stats and ctx.stats.get(scan.table.schema.name)
     column = analyzed and analyzed.column(path.column)
     return len(scan.table) / column.distinct \

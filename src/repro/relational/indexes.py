@@ -1,23 +1,44 @@
-"""Secondary index structures for heap tables.
+"""Column paths: how a relation names the rows holding a value.
 
-Two index kinds are provided:
+A :class:`~repro.relational.table.Table` and a held
+:class:`~repro.relational.table.BoundView` each own one
+:class:`ColumnPaths`, and only it answers "the rows ``column op keys``
+names, or decline" for a scan's access path, and a key's rows for an
+index join.  It holds three kinds of path:
 
-* :class:`HashIndex` — equality lookups (the workhorse for enrichment
-  joins and foreign-key style probes);
-* :class:`SortedIndex` — range lookups via a sorted key list kept in sync
-  with bisection (a stand-in for a B-tree; adequate at in-memory scale).
+* **declared hash indexes** (:class:`HashIndex`) — a table's PRIMARY
+  KEY, UNIQUE columns and ``CREATE INDEX`` es — kept up by every write:
+  :func:`_normalize` d key tuples to the ascending ids of their rows
+  (NULL-containing keys never), so they are exact and enforce UNIQUE.
+  The kind, ``hash`` or ``sorted``, is a label the DDL, journal and
+  snapshot carry; ``sorted`` allows one column and answers no WHERE;
+* **a table column's sorted path** (:class:`SortedColumn`), built by
+  the first range read over it, merged into by an append and dropped by
+  any other write;
+* **a held view column's lookup**, raw value to row ids, built by the
+  first ``=`` / ``IN`` read over it in one pass (no :func:`_normalize`).
 
-Both map *key tuples* to the ascending ids of their rows; NULL-containing
-keys are never indexed (SQL indexes skip NULL keys for uniqueness
-purposes).
+On-demand paths are never journaled; readers racing to build one each
+build an equal path, and one is kept.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterable, Iterator, Sequence
+from array import array
+from collections import defaultdict
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .errors import ConstraintViolation
+from .errors import ConstraintViolation, SchemaError
+from .schema import TableSchema
+from .types import literal_family, one_family
+
+#: The range operators a sorted path answers by a bisected span.
+RANGES = frozenset(("<", "<=", ">", ">="))
+#: Up to this many appended values go into a sorted path one by one;
+#: more are merged in by one sort of the two runs.
+_MERGE_ONE_BY_ONE = 16
 
 
 def _normalize(value: Any) -> Any:
@@ -44,16 +65,15 @@ def _normalize(value: Any) -> Any:
 
 
 class HashIndex:
-    """Equality index over one or more columns of a table."""
-
-    kind = "hash"
+    """A declared equality index over one or more columns of a table."""
 
     def __init__(self, name: str, table_name: str, column_names: list[str],
-                 unique: bool = False) -> None:
+                 unique: bool = False, kind: str = "hash") -> None:
         self.name = name
         self.table_name = table_name
         self.column_names = list(column_names)
         self.unique = unique
+        self.kind = kind
         #: Key -> the ascending ids of its rows.
         self._buckets: dict[tuple, list[int]] = {}
 
@@ -108,99 +128,295 @@ class HashIndex:
         return sum(len(bucket) for bucket in self._buckets.values())
 
 
-class SortedIndex:
-    """Ordered index supporting range scans over a single column."""
+class SortedColumn:
+    """One table column's live non-NULL values in ascending order
+    (``keys``), beside the slot each sits at (``slots``): what a range
+    conjunct bisects.  Only a column of one ``family`` without NaN has
+    one — its raw ``<`` then orders as ``compare_values`` does."""
 
-    kind = "sorted"
+    __slots__ = ("keys", "slots", "family")
 
-    def __init__(self, name: str, table_name: str, column_names: list[str],
-                 unique: bool = False) -> None:
-        if len(column_names) != 1:
-            raise ConstraintViolation(
-                "sorted indexes support exactly one column")
-        self.name = name
-        self.table_name = table_name
-        self.column_names = list(column_names)
-        self.unique = unique
-        # Parallel arrays of (key, row_id) kept sorted by key then row id.
-        self._entries: list[tuple[Any, int]] = []
+    def __init__(self, keys: list, slots: array) -> None:
+        self.keys = keys
+        self.slots = slots
+        self.family = literal_family(keys[0]) if keys else None
 
-    @staticmethod
-    def _sortable(value: Any) -> Any:
-        if isinstance(value, bool):
-            return (0, int(value))
-        if isinstance(value, (int, float)):
-            return (1, float(value))
-        return (2, str(value))
+    def span(self, op: str, key: Any) -> tuple[int, int]:
+        """The ``[start, stop)`` of the keys ``key_column op key`` holds
+        for (*op* one of :data:`RANGES`)."""
+        keys = self.keys
+        if op == ">":
+            return bisect.bisect_right(keys, key), len(keys)
+        if op == ">=":
+            return bisect.bisect_left(keys, key), len(keys)
+        if op == "<":
+            return 0, bisect.bisect_left(keys, key)
+        return 0, bisect.bisect_right(keys, key)
 
-    def insert(self, row_id: int, values: tuple) -> None:
-        value = values[0]
-        if value is None:
+    def merge(self, values: list, first: int) -> bool:
+        """Take in the slots of the column's *values* from *first* on,
+        just appended: whether they keep it one family without NaN."""
+        added = [slot for slot in range(first, len(values))
+                 if values[slot] is not None]
+        if not added:
+            return True
+        if not one_family(self.keys[:1] + list(map(values.__getitem__,
+                                                    added))):
+            return False
+        if len(added) > _MERGE_ONE_BY_ONE:
+            # Two sorted runs: the sort merges them (stable: the new
+            # slots, the highest, go after their equals).
+            self.slots = array("q", sorted(chain(self.slots, added),
+                                           key=values.__getitem__))
+            self.keys = list(map(values.__getitem__, self.slots))
+        else:
+            keys, slots = self.keys, self.slots
+            for slot in added:
+                position = bisect.bisect_right(keys, values[slot])
+                keys.insert(position, values[slot])
+                slots.insert(position, slot)
+        self.family = literal_family(self.keys[0])
+        return True
+
+
+def _sorted(table, position: int) -> SortedColumn | None:
+    """Column *position*'s sorted path — a sort of its live non-NULL
+    slots by value — or ``None`` when their values span more than one
+    family or hold NaN."""
+    columns, live = table.slot_columns()
+    values = columns[position]
+    slots = [slot for slot in live.values() if values[slot] is not None]
+    if not one_family(list(map(values.__getitem__, slots))):
+        return None
+    slots = array("q", sorted(slots, key=values.__getitem__))
+    return SortedColumn(list(map(values.__getitem__, slots)), slots)
+
+
+def _lookup(view, position: int) -> dict:
+    """Column *position*'s lookup: each non-NULL value, as stored, to the
+    ascending ids of its rows.  Keys are raw values, so a probe finds
+    every row its ``=`` can hold for (``1`` finds ``1.0``, and may find
+    ``TRUE``): a superset, which the WHERE above the scan filters."""
+    rows = defaultdict(list)
+    for row_id, value in enumerate(view.cols[position]):
+        rows[value].append(row_id)
+    rows.pop(None, None)
+    return dict(rows)
+
+
+def _bucketed(find: Callable[[Any], Sequence[int]], keys, limit: int
+              ) -> tuple[int, Callable[[], Sequence[int]]] | None:
+    """How many ids *find* lists for *keys* — ascending runs, disjoint
+    across keys — and a thunk of all of them ascending; ``None`` once
+    they reach *limit*."""
+    count = 0
+    buckets = []
+    for key in keys:
+        bucket = find(key)
+        if bucket:
+            count += len(bucket)
+            if count >= limit:
+                return None
+            buckets.append(bucket)
+    if len(buckets) == 1:
+        return count, lambda: buckets[0]
+    return count, lambda: sorted(chain.from_iterable(buckets))
+
+
+class ColumnPaths:
+    """One relation's column paths.  A table's store (*schema* given)
+    answers ``=`` / ``in`` through a declared ``hash`` index and ranges
+    through the sorted path, and is told of every write; a view's
+    answers ``=`` / ``in`` through the lookup once :meth:`hold` is
+    called, and nothing before.  A read is handed the relation (its
+    value lists), which the store never keeps."""
+
+    __slots__ = ("schema", "declared", "created", "_built")
+
+    def __init__(self, schema: TableSchema | None = None) -> None:
+        self.schema = schema
+        #: Every declared index — the UNIQUE columns', the PRIMARY
+        #: KEY's, then each ``CREATE INDEX``'s — and the last by name.
+        self.declared: list[HashIndex] = []
+        self.created: dict[str, HashIndex] = {}
+        #: Column position -> its on-demand path (``None``: the column
+        #: cannot have one); ``None`` while a view is bound to one run.
+        self._built: dict[int, Any] | None = None
+        if schema is None:
             return
-        entry = (self._sortable(value), row_id)
-        position = bisect.bisect_left(self._entries, entry)
-        if self.unique:
-            key = entry[0]
-            if position < len(self._entries) and self._entries[position][0] == key:
-                raise ConstraintViolation(
-                    f"UNIQUE index {self.name!r} violated by key {value!r}")
-            if position > 0 and self._entries[position - 1][0] == key:
-                raise ConstraintViolation(
-                    f"UNIQUE index {self.name!r} violated by key {value!r}")
-        self._entries.insert(position, entry)
+        self._built = {}
+        self.declared = [
+            HashIndex(f"__uq_{schema.name}_{column.name}", schema.name,
+                      [column.name], unique=True)
+            for column in schema.columns
+            if column.unique and not column.primary_key]
+        if schema.primary_key:
+            self.declared.append(HashIndex(
+                f"__pk_{schema.name}", schema.name,
+                list(schema.primary_key), unique=True))
 
-    def delete(self, row_id: int, values: tuple) -> None:
-        value = values[0]
-        if value is None:
-            return
-        entry = (self._sortable(value), row_id)
-        position = bisect.bisect_left(self._entries, entry)
-        if position < len(self._entries) and self._entries[position] == entry:
-            self._entries.pop(position)
+    # -- reads -----------------------------------------------------------------
 
-    def _bound(self, value: Any, after: bool) -> int:
-        """The entry position where *value*'s run of entries starts, or
-        (*after*) ends: row ids are non-negative ints, so ``-1`` sorts
-        before any of them and infinity after."""
-        entry = (self._sortable(value), float("inf") if after else -1)
-        return bisect.bisect_left(self._entries, entry)
+    def offers(self, op: str, position: int) -> bool:
+        """Whether a table's :meth:`named` may answer ``column op`` on
+        column *position* (a run may still decline).  A view's answers
+        ``=`` and ``in``, once held, and no range."""
+        return op in RANGES or self._probed(position) is not None
 
-    def lookup(self, values: tuple) -> Sequence[int]:
-        """The ascending ids of the rows whose key sorts as *values*
-        does (a superset of the equal ones: keys compare as floats)."""
-        value = values[0]
-        if value is None:
-            return ()
-        return [row_id for _key, row_id in self._entries[
-            self._bound(value, False):self._bound(value, True)]]
+    def named(self, relation, op: str, position: int, keys: Sequence,
+              limit: int) -> tuple[int, Callable[[], Sequence[int]]] | None:
+        """How many rows of *relation* ``column op key`` holds for, over
+        *keys* (one key; for ``in`` any of them, each of the column's
+        family and not NaN), and a thunk of their slots ascending — or
+        ``None`` when no path answers, or they are *limit* or more."""
+        if op in RANGES:
+            found = self.path(relation, position)
+            if found is None \
+                    or found.family not in (None, literal_family(keys[0])):
+                return None
+            start, stop = found.span(op, keys[0])
+            if stop - start >= limit:
+                return None
+            return stop - start, lambda: sorted(found.slots[start:stop])
+        if self.schema is None:
+            lookup = self.path(relation, position)
+            return None if lookup is None \
+                else _bucketed(lookup.get, keys, limit)
+        index = self._probed(position)
+        named = None if index is None else _bucketed(
+            lambda key: index.lookup((key,)), keys, limit)
+        if named is None:
+            return None
+        count, row_ids = named
+        slots = relation.slot_columns()[1]
+        # Slots run in row-id order.
+        return count, lambda: list(map(slots.__getitem__, row_ids()))
 
-    def range(self, low: Any = None, high: Any = None,
-              low_inclusive: bool = True,
-              high_inclusive: bool = True) -> Iterator[int]:
-        """Yield row ids whose key falls within [low, high]."""
-        start = 0 if low is None else self._bound(low, not low_inclusive)
-        stop = len(self._entries) if high is None \
-            else self._bound(high, high_inclusive)
-        for _key, row_id in self._entries[start:stop]:
-            yield row_id
+    def path(self, relation, position: int) -> Any:
+        """Column *position*'s on-demand path over *relation*, built on
+        first use: a table's sorted path (``None`` when the column's
+        values span families or hold NaN), a held view's lookup
+        (``None`` while the view is not held)."""
+        built = self._built
+        if built is None:
+            return None
+        found = built.get(position, False)
+        if found is False:
+            found = built[position] = (
+                _lookup if self.schema is None else _sorted)(relation,
+                                                             position)
+        return found
+
+    def hold(self) -> None:
+        """Many runs will read this view: let them probe it."""
+        if self._built is None:
+            self._built = {}
+
+    def find(self, column_names: Iterable[str]) -> HashIndex | None:
+        """The first declared index over exactly these columns."""
+        return next(self._over(column_names), None)
+
+    def _probed(self, position: int) -> HashIndex | None:
+        """The first declared ``hash`` index over column *position*
+        alone, which answers its ``=`` and ``in``."""
+        return next((index for index in self._over(
+            [self.schema.columns[position].name]) if index.kind == "hash"),
+            None)
+
+    def _over(self, column_names: Iterable[str]) -> Iterator[HashIndex]:
+        wanted = [name.lower() for name in column_names]
+        return (index for index in self.declared
+                if [name.lower() for name in index.column_names] == wanted)
+
+    # -- writes ----------------------------------------------------------------
+
+    def _key(self, index: HashIndex, row: Sequence) -> tuple:
+        return tuple(row[self.schema.position_of(name)]
+                     for name in index.column_names)
+
+    def insert(self, first: int, cols: Sequence[Sequence], count: int
+               ) -> tuple[int, ConstraintViolation | None]:
+        """Index the rows *cols* holds (one value sequence per column)
+        under ids *first* on, up to the first of the *count* an index
+        refuses: how many went in, and the refusal."""
+        refused = None
+        indexed = []
+        for index in self.declared:
+            keys = [cols[self.schema.position_of(name)]
+                    for name in index.column_names]
+            done = 0
+            try:
+                for row_id, key in zip(range(first, first + count),
+                                       zip(*keys)):
+                    index.insert(row_id, key)
+                    done += 1
+            except ConstraintViolation as exc:
+                count, refused = done, exc
+            indexed.append((index, keys, done))
+        for index, keys, done in indexed:
+            for offset in range(count, done):  # rows past the refused one
+                index.delete(first + offset,
+                             tuple(column[offset] for column in keys))
+        return count, refused
+
+    def merge(self, cols: list[list], first: int) -> None:
+        """The slots from *first* on were just appended to *cols*."""
+        for position, path in list(self._built.items()):
+            if path is not None and not path.merge(cols[position], first):
+                self._built[position] = None
+
+    def delete(self, row_id: int, row: tuple) -> None:
+        for index in self.declared:
+            index.delete(row_id, self._key(index, row))
+        self._built.clear()
+
+    def update(self, row_id: int, old_row: tuple, new_row: tuple) -> None:
+        """Re-key row *row_id*; on a refusal, put its old keys back and
+        raise it."""
+        for index in self.declared:
+            index.delete(row_id, self._key(index, old_row))
+        inserted: list[tuple[HashIndex, tuple]] = []
+        try:
+            for index in self.declared:
+                key = self._key(index, new_row)
+                index.insert(row_id, key)
+                inserted.append((index, key))
+        except ConstraintViolation:
+            for index, key in inserted:
+                index.delete(row_id, key)
+            for index in self.declared:
+                index.insert(row_id, self._key(index, old_row))
+            raise
+        self._built.clear()
 
     def clear(self) -> None:
-        """Drop every entry (the index definition stays)."""
-        self._entries.clear()
+        for index in self.declared:
+            index.clear()
+        self._built.clear()
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def declare(self, name: str, column_names: list[str], unique: bool,
+                kind: str, rows: Iterable[tuple[int, tuple]]) -> HashIndex:
+        """``CREATE [UNIQUE] INDEX name ... USING kind`` over *rows*
+        (``(row id, row)`` pairs)."""
+        if name in self.created:
+            raise SchemaError(f"index {name!r} already exists")
+        for column_name in column_names:
+            if not self.schema.has_column(column_name):
+                raise SchemaError(f"table {self.schema.name!r} has no "
+                                  f"column {column_name!r}")
+        if kind not in ("hash", "sorted"):
+            raise ConstraintViolation(f"unknown index kind {kind!r}")
+        if kind == "sorted" and len(column_names) != 1:
+            raise ConstraintViolation(
+                "sorted indexes support exactly one column")
+        index = HashIndex(name, self.schema.name, column_names, unique, kind)
+        for row_id, row in rows:
+            index.insert(row_id, self._key(index, row))
+        self.created[name] = index
+        self.declared.append(index)
+        return index
 
-
-IndexType = HashIndex | SortedIndex
-
-
-def build_index(kind: str, name: str, table_name: str,
-                column_names: Iterable[str], unique: bool = False) -> IndexType:
-    """Index factory used by DDL execution."""
-    columns = list(column_names)
-    if kind == "hash":
-        return HashIndex(name, table_name, columns, unique)
-    if kind == "sorted":
-        return SortedIndex(name, table_name, columns, unique)
-    raise ConstraintViolation(f"unknown index kind {kind!r}")
+    def drop(self, name: str) -> None:
+        if name not in self.created:
+            raise SchemaError(f"index {name!r} does not exist")
+        self.declared.remove(self.created.pop(name))

@@ -50,10 +50,10 @@ from . import batch as _batch
 from .batch import Batch, concat, norm_tuple, pieces, stack, take
 from .compiler import conjunction
 from .errors import ExecutionError, RelationalError
+from .indexes import RANGES
 from .schema import ResultColumn, RowSchema
 from .table import Table
-from .types import (FAMILY, is_true, literal_family, one_family, sort_key,
-                    values_equal)
+from .types import FAMILY, literal_family, one_family, sort_key
 from .vectors import SlotKernel
 
 Rows = tuple
@@ -288,42 +288,18 @@ class Values(Operator):
         yield Batch([], 1)
 
 
-#: The range operators an access path answers by a bisected span.
-RANGES = frozenset(("<", "<=", ">", ">="))
-
-
 class Path(NamedTuple):
     """One access path a scan may read instead of all its rows: a WHERE
     conjunct ``column op key`` over the scanned relation — ``op`` is
     ``=``, ``in`` or a range (:data:`RANGES`), with the column on the
     left — whose keys a run reads by ``keys(outer_rows)`` (the one key;
-    for ``in`` the set of keys, or ``None`` to decline) and, over a
-    table, the hash index that answers ``=`` and ``in``."""
+    for ``in`` the set of keys, or ``None`` to decline) and the
+    relation's column-path store answers."""
 
     op: str
     position: int
     column: str
     keys: Callable[[Rows], Any]
-    index: Any = None
-
-
-def _bucketed(find: Callable[[Any], Sequence[int]], keys, limit: int
-              ) -> tuple[int, Callable[[], Sequence[int]]] | None:
-    """How many ids *find* lists for *keys* — ascending runs, disjoint
-    across keys — and a thunk of all of them ascending; ``None`` once
-    they reach *limit*."""
-    count = 0
-    buckets = []
-    for key in keys:
-        bucket = find(key)
-        if bucket:
-            count += len(bucket)
-            if count >= limit:
-                return None
-            buckets.append(bucket)
-    if len(buckets) == 1:
-        return count, lambda: buckets[0]
-    return count, lambda: sorted(chain.from_iterable(buckets))
 
 
 class _Access(Operator):
@@ -336,7 +312,9 @@ class _Access(Operator):
     most half the rows; otherwise it scans.  The WHERE stays whole above
     the scan, so a path need only name every row the WHERE keeps; it
     declines NULL and NaN keys and a key of another family than its
-    column's (:meth:`_named` may decline too).  The choice shows in
+    column's (the relation's column-path store,
+    :class:`~repro.relational.indexes.ColumnPaths`, may decline too:
+    a scan only asks it).  The choice shows in
     ``detail`` — ``probe <col>``, ``probe <col> IN``, ``range <col>`` —
     laid out when a run's values are bound; the keys of an ``in`` come
     with the run (its semi join's build), so a run chooses again then.
@@ -375,6 +353,7 @@ class _Access(Operator):
         if not total:
             return None
         limit = total // 2 + 1          # names at most half the rows
+        relation = self._relation()
         best = None
         for path in self.paths:
             if path.op != "in":
@@ -389,7 +368,8 @@ class _Access(Operator):
             if not all(literal_family(key) == family and key == key
                        for key in keys):
                 continue
-            named = self._named(path, keys, limit)
+            named = relation.paths.named(relation, path.op, path.position,
+                                         keys, limit)
             if named is not None:
                 limit, best = named[0], (path, named[1])
         if best is None:
@@ -402,11 +382,13 @@ class _Access(Operator):
     def _size(self) -> int:
         raise NotImplementedError
 
-    def _named(self, path: Path, keys, limit: int
-               ) -> tuple[int, Callable[[], Sequence[int]]] | None:
-        """How many rows *path* names for *keys* and a thunk of their
-        ids in row order, or ``None`` when it cannot say or they are
-        *limit* rows or more."""
+    def _relation(self):
+        """The relation this run reads."""
+        raise NotImplementedError
+
+    def offers(self, op: str, position: int) -> bool:
+        """Whether the relation may answer ``column op`` on column
+        *position* by a path (the builder asks)."""
         raise NotImplementedError
 
 
@@ -414,10 +396,8 @@ class Scan(_Access):
     """Scan of a catalog table (a mediated view is a :class:`ViewScan`).
     A columnar :class:`Table` is read as column slices, and a whole run
     is a copy of each live column; any other table's rows (foreign
-    wrappers) are transposed once, here.  A table answers ``=`` and
-    ``in`` paths through a hash index on the column, and ranges through
-    the column's sorted path (``Table.sorted_column``); a run through
-    one gathers the slots it names, pending."""
+    wrappers) are transposed once, here, and offer no path.  A run
+    through a path gathers the slots the table's store names, pending."""
 
     def __init__(self, table, binding: str, label: str,
                  est_rows: float | None = None, hooks=None) -> None:
@@ -429,25 +409,12 @@ class Scan(_Access):
     def _size(self) -> int:
         return len(self.table)
 
-    def _named(self, path: Path, keys, limit: int
-               ) -> tuple[int, Callable[[], Sequence[int]]] | None:
-        if path.index is not None:
-            named = _bucketed(lambda key: path.index.lookup((key,)), keys,
-                              limit)
-            if named is None:
-                return None
-            count, row_ids = named
-            slots = self.table.slot_columns()[1]
-            # Slots run in row-id order.
-            return count, lambda: list(map(slots.__getitem__, row_ids()))
-        found = self.table.sorted_column(path.position)
-        if found is None \
-                or found.family not in (None, self._families[path.position]):
-            return None
-        start, stop = found.span(path.op, keys[0])
-        if stop - start >= limit:
-            return None
-        return stop - start, lambda: sorted(found.slots[start:stop])
+    def _relation(self):
+        return self.table
+
+    def offers(self, op: str, position: int) -> bool:
+        paths = getattr(self.table, "paths", None)
+        return paths is not None and paths.offers(op, position)
 
     def _whole(self) -> Batch:
         table = self.table
@@ -495,10 +462,9 @@ class ViewScan(_Access):
     The bound lists are never written (a cached fragment's columns are
     shared); a whole run is a copy.
 
-    A view held for many runs (``BoundView.hold``) answers ``=`` and
-    ``in`` paths through its lookup of the column (the union of the
-    keys' lists, for ``in``), and no range; a view bound to one run
-    answers none.
+    Whichever view a run binds, its column-path store answers ``=`` and
+    ``in`` paths once the view is held for many runs
+    (``BoundView.hold``), and no range.
     """
 
     def __init__(self, view, slots, name: str, binding: str, label: str,
@@ -521,10 +487,10 @@ class ViewScan(_Access):
         view = self._view()
         return 0 if view is None or view.cols is None else len(view)
 
-    def _named(self, path: Path, keys, limit: int
-               ) -> tuple[int, Callable[[], Sequence[int]]] | None:
-        lookup = self._view().lookup(path.position)
-        return None if lookup is None else _bucketed(lookup.get, keys, limit)
+    _relation = _view
+
+    def offers(self, op: str, position: int) -> bool:
+        return op not in RANGES
 
     def collect(self, outer_rows: Rows = ()) -> Batch:
         cols = self._bound()
@@ -554,38 +520,22 @@ class IndexProbe(Operator):
     indexed columns equal the key the ``key_fns`` evaluate on the
     current outer row, which the join appends to ``outer_rows``.
 
-    A hash index buckets by the same normalization as ``values_equal``,
-    so its candidates are exact; any other index (``SortedIndex``
-    coerces keys to float, collapsing integers beyond 2**53) only
-    narrows, and every candidate is re-checked here.  ``lookup`` (row
-    ids) and ``fetch`` (those rows, as a batch gathering from the
-    table's columns) are the primitives the join maps over a batch's
-    keys; the node never runs on its own.
+    The index is one of the table's declared indexes, which buckets by
+    the same normalization as ``values_equal``, so its ``lookup`` is
+    exact.  That and ``fetch`` (the rows of some ids, as a batch
+    gathering from the table's columns) are the primitives the join maps
+    over a batch's keys; the node never runs on its own.
     """
 
     preserves_rows = False
 
     def __init__(self, scan: Scan, index, key_fns: list[RowFn],
-                 positions: list[int],
                  est_rows: float | None = None) -> None:
         super().__init__("scan", scan.label, scan.schema,
                          est_rows=est_rows, detail=f"index {index.name}")
         self.table = scan.table
         self.index = index
         self.key_fns = key_fns
-        self.positions = positions
-        self.verify = getattr(index, "kind", None) != "hash"
-
-    def lookup(self, key: tuple) -> Sequence[int]:
-        """The ids of the rows whose indexed columns equal *key*, in
-        row-id order (the index's own, when it is exact)."""
-        row_ids = self.index.lookup(key)
-        if self.verify:
-            columns, slots = self.table.slot_columns()
-            row_ids = [row_id for row_id in row_ids if all(
-                is_true(values_equal(columns[position][slots[row_id]], value))
-                for position, value in zip(self.positions, key))]
-        return row_ids
 
     def fetch(self, row_ids: list[int]) -> Batch:
         """The rows *row_ids* name, gathered from the table's columns
@@ -1240,7 +1190,7 @@ class Join(Operator):
         """The right rows of one left batch are its index matches, in
         the order found, gathered from the table into one source."""
         probe = self.children[1]
-        found = list(map(probe.lookup, _key_rows(
+        found = list(map(probe.index.lookup, _key_rows(
             probe.key_fns, batch.rows, outer_rows)))
         matched = list(chain.from_iterable(found))
         source = stack([probe.fetch(matched)], len(probe.schema),

@@ -1,4 +1,4 @@
-"""Columnar table storage with constraint enforcement and index maintenance.
+"""Columnar table storage with constraint enforcement.
 
 Hot storage is one :class:`~repro.relational.vectors.ColumnVector` per
 column — a typed value list plus a null bitmap — instead of the old
@@ -7,17 +7,19 @@ DML and the WAL rely on is preserved: every live row keeps the id it was
 inserted with, deletes flip a bit in a deleted bitmap instead of
 shifting slots, and a slot map translates ids to positions.  When more
 than a quarter of the slots are dead the table compacts in place
-(row ids survive, slots are renumbered — nothing outside this class ever
-sees a slot).
+(row ids survive, slots are renumbered — the only slots kept outside
+this class are the sorted paths', which the delete has already dropped).
 
 Row-oriented accessors (``rows`` / ``rows_with_ids`` / ``row``) keep
 their exact shapes, so snapshots, ANALYZE fallbacks, replicas and every
 other consumer are unaffected.  The scan operator reads
 ``iter_batches`` (column-slice batches); ANALYZE reads
-``column_values`` (one live column); an index probe gathers the rows it
-found through ``slot_columns``, and a range access path the slots it
-bisected in ``sorted_column`` (built on first use, merged into by an
-append, dropped by any other write; never journaled).
+``column_values`` (one live column); an access path or an index join
+gathers the slots its table's column-path store
+(:class:`~repro.relational.indexes.ColumnPaths`, ``paths``) names
+through ``slot_columns``.  Every write tells the store, which keeps the
+declared indexes (PRIMARY KEY and UNIQUE included) and the columns'
+sorted paths up; the table itself builds no path.
 
 Writes are columnar too: ``append_rows`` transposes a batch once and
 coerces, constraint-checks, indexes and appends it a column at a time
@@ -32,25 +34,20 @@ is, and a producer of rows reaches it through one transpose
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
-from collections import defaultdict
-from itertools import chain, compress, repeat
-from operator import not_, or_
+from itertools import compress, repeat
+from operator import not_
 from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import ConstraintViolation, SchemaError, TypeMismatchError
-from .indexes import HashIndex, IndexType, build_index
+from .indexes import ColumnPaths, HashIndex
 from .schema import Column, TableSchema
-from .types import DataType, coerce_value, literal_family, one_family
+from .types import DataType, coerce_value
 from .vectors import ColumnVector
 
 #: Compaction triggers when both hold: enough dead slots to be worth a
 #: rebuild, and dead slots outnumbering a quarter of the heap.
 COMPACT_MIN_DELETED = 64
 COMPACT_DEAD_FRACTION = 4  # dead * 4 > total  <=>  >25% dead
-#: Up to this many appended values go into a sorted path one by one;
-#: more are merged in by one sort of the two runs.
-_MERGE_ONE_BY_ONE = 16
 
 _NULL = type(None)
 #: The exact Python types a column stores as they are: a value list
@@ -98,59 +95,8 @@ def _transposed(name: str, batch: list, width: int
     return (list(zip(*batch)) if batch else [()] * width), len(batch), error
 
 
-class SortedColumn:
-    """One table column's live non-NULL values in ascending order
-    (``keys``), beside the slot each sits at (``slots``): what a range
-    conjunct bisects.  Only a column of one ``family`` without NaN has
-    one — its raw ``<`` then orders as ``compare_values`` does."""
-
-    __slots__ = ("keys", "slots", "family")
-
-    def __init__(self, keys: list, slots: array) -> None:
-        self.keys = keys
-        self.slots = slots
-        self.family = literal_family(keys[0]) if keys else None
-
-    def span(self, op: str, key: Any) -> tuple[int, int]:
-        """The ``[start, stop)`` of the keys ``key_column op key`` holds
-        for (*op* one of ``<``, ``<=``, ``>``, ``>=``)."""
-        keys = self.keys
-        if op == ">":
-            return bisect_right(keys, key), len(keys)
-        if op == ">=":
-            return bisect_left(keys, key), len(keys)
-        if op == "<":
-            return 0, bisect_left(keys, key)
-        return 0, bisect_right(keys, key)
-
-    def merge(self, values: list, first: int) -> bool:
-        """Take in the slots of the column's *values* from *first* on,
-        just appended: whether they keep it one family without NaN."""
-        added = [slot for slot in range(first, len(values))
-                 if values[slot] is not None]
-        if not added:
-            return True
-        if not one_family(self.keys[:1] + list(map(values.__getitem__,
-                                                    added))):
-            return False
-        if len(added) > _MERGE_ONE_BY_ONE:
-            # Two sorted runs: the sort merges them (stable: the new
-            # slots, the highest, go after their equals).
-            self.slots = array("q", sorted(chain(self.slots, added),
-                                           key=values.__getitem__))
-            self.keys = list(map(values.__getitem__, self.slots))
-        else:
-            keys, slots = self.keys, self.slots
-            for slot in added:
-                position = bisect_right(keys, values[slot])
-                keys.insert(position, values[slot])
-                slots.insert(position, slot)
-        self.family = literal_family(self.keys[0])
-        return True
-
-
 class Table:
-    """An in-memory columnar table plus the indexes defined over it.
+    """An in-memory columnar table plus the column paths over it.
 
     Values live in per-column vectors addressed by *slot*; a parallel
     ``row_id`` array and deleted bitmap give every row a stable id for
@@ -167,22 +113,10 @@ class Table:
         self._deleted_count = 0
         self._slots: dict[int, int] = {}   # row_id -> slot, live rows only
         self._next_row_id = 0
-        self.indexes: dict[str, IndexType] = {}
-        #: Column position -> its sorted path, built by the first range
-        #: run over it (``None``: the column cannot have one); merged on
-        #: append, dropped by any other write, never journaled.
-        self._sorted: dict[int, SortedColumn | None] = {}
-        self._pk_index: HashIndex | None = None
-        if schema.primary_key:
-            self._pk_index = HashIndex(
-                f"__pk_{schema.name}", schema.name,
-                list(schema.primary_key), unique=True)
-        self._unique_indexes: list[HashIndex] = []
-        for column in schema.columns:
-            if column.unique and not column.primary_key:
-                self._unique_indexes.append(HashIndex(
-                    f"__uq_{schema.name}_{column.name}", schema.name,
-                    [column.name], unique=True))
+        #: The column-path store: declared indexes and sorted paths.
+        self.paths = ColumnPaths(schema)
+        #: The ``CREATE INDEX`` indexes by name (the store's).
+        self.indexes: dict[str, HashIndex] = self.paths.created
 
     # -- basic accessors ---------------------------------------------------
 
@@ -244,7 +178,8 @@ class Table:
 
     def slot_columns(self) -> tuple[list[list], dict[int, int]]:
         """Every column's value list, dead slots included, and the map
-        from row id to slot: what a gather by row id reads."""
+        from row id to slot (live rows only, slots ascending): what a
+        gather by row id reads."""
         return [column.values for column in self._columns], self._slots
 
     def column_values(self, position: int) -> list:
@@ -254,33 +189,7 @@ class Table:
             return list(values)
         return list(compress(values, map(not_, self._deleted)))
 
-    def sorted_column(self, position: int) -> SortedColumn | None:
-        """Column *position*'s :class:`SortedColumn`, built on first use
-        — a sort of its live non-NULL slots by value — or ``None`` when
-        their values span more than one family or hold NaN.  Readers
-        racing here each build an equal one; one is kept."""
-        found = self._sorted.get(position, False)
-        if found is not False:
-            return found
-        vector = self._columns[position]
-        values = vector.values
-        slots: Iterable[int] = range(len(values))
-        if self._deleted_count or vector.null_count:
-            slots = list(compress(slots, map(not_, map(
-                or_, self._deleted, vector.nulls))))
-        found = None
-        if one_family(list(map(values.__getitem__, slots))
-                      if self._deleted_count else values):
-            slots = array("q", sorted(slots, key=values.__getitem__))
-            found = SortedColumn(list(map(values.__getitem__, slots)), slots)
-        self._sorted[position] = found
-        return found
-
     # -- constraint helpers --------------------------------------------------
-
-    def _key_values(self, row: tuple, column_names: Iterable[str]) -> tuple:
-        return tuple(row[self.schema.position_of(name)]
-                     for name in column_names)
 
     def _check_and_prepare(self, values: dict[str, Any]) -> tuple:
         """Coerce an insert dict to a full row tuple, enforcing NOT NULL."""
@@ -298,13 +207,6 @@ class Table:
                     f"is NOT NULL")
             row.append(value)
         return tuple(row)
-
-    def _all_indexes(self) -> list[IndexType]:
-        """UNIQUE indexes, the PRIMARY KEY's, then the secondary ones."""
-        constraint_indexes = list(self._unique_indexes)
-        if self._pk_index is not None:
-            constraint_indexes.append(self._pk_index)
-        return constraint_indexes + list(self.indexes.values())
 
     # -- mutation ------------------------------------------------------------
 
@@ -393,23 +295,8 @@ class Table:
         constraint-checked) column of *prepared* — stopping short of the
         first row an index refuses — then raise the pending error."""
         first = self._next_row_id
-        indexed = []
-        for index in self._all_indexes():
-            keys = [prepared[self.schema.position_of(name)]
-                    for name in index.column_names]
-            done = 0
-            try:
-                for row_id, key in zip(range(first, first + count),
-                                       zip(*keys)):
-                    index.insert(row_id, key)
-                    done += 1
-            except ConstraintViolation as exc:
-                count, error = done, exc
-            indexed.append((index, keys, done))
-        for index, keys, done in indexed:
-            for offset in range(count, done):  # rows past the failing one
-                index.delete(first + offset,
-                             tuple(column[offset] for column in keys))
+        count, refused = self.paths.insert(first, prepared, count)
+        error = refused or error
         slot = len(self._row_ids)
         self._slots.update(zip(range(first, first + count),
                                range(slot, slot + count)))
@@ -419,21 +306,16 @@ class Table:
             # Copied into the vector's own list, never adopted.
             vector.extend(values if len(values) == count
                           else values[:count])
-        for position, path in list(self._sorted.items()):
-            if path is not None and not path.merge(
-                    self._columns[position].values, slot):
-                self._sorted[position] = None
+        self.paths.merge(self.slot_columns()[0], slot)
         self._next_row_id += count
         if error is not None:
             raise error
 
     def delete_row(self, row_id: int) -> None:
         slot = self._slots[row_id]
-        row = tuple(column.values[slot] for column in self._columns)
-        for index in self._all_indexes():
-            index.delete(row_id, self._key_values(row, index.column_names))
+        self.paths.delete(row_id, tuple(column.values[slot]
+                                        for column in self._columns))
         del self._slots[row_id]
-        self._sorted.clear()
         self._deleted[slot] = 1
         self._deleted_count += 1
         if self._deleted_count > COMPACT_MIN_DELETED and \
@@ -463,25 +345,9 @@ class Table:
                     f"table {self.name!r} has no column {name!r}")
             values[name] = value
         new_row = self._check_and_prepare(values)
-        # Remove old index entries, then insert new ones; roll back on failure.
-        for index in self._all_indexes():
-            index.delete(row_id, self._key_values(old_row, index.column_names))
-        inserted: list[tuple[IndexType, tuple]] = []
-        try:
-            for index in self._all_indexes():
-                key = self._key_values(new_row, index.column_names)
-                index.insert(row_id, key)
-                inserted.append((index, key))
-        except ConstraintViolation:
-            for index, key in inserted:
-                index.delete(row_id, key)
-            for index in self._all_indexes():
-                index.insert(
-                    row_id, self._key_values(old_row, index.column_names))
-            raise
+        self.paths.update(row_id, old_row, new_row)
         for column, value in zip(self._columns, new_row):
             column.set(slot, value)
-        self._sorted.clear()
 
     def truncate(self) -> None:
         for column in self._columns:
@@ -490,41 +356,22 @@ class Table:
         self._deleted = bytearray()
         self._deleted_count = 0
         self._slots.clear()
-        self._sorted.clear()
-        for index in self._all_indexes():
-            index.clear()
+        self.paths.clear()
 
     # -- secondary index management -------------------------------------------
 
     def create_index(self, name: str, column_names: list[str],
-                     unique: bool = False, kind: str = "hash") -> IndexType:
-        if name in self.indexes:
-            raise SchemaError(f"index {name!r} already exists")
-        for column_name in column_names:
-            if not self.schema.has_column(column_name):
-                raise SchemaError(
-                    f"table {self.name!r} has no column {column_name!r}")
-        index = build_index(kind, name, self.name, column_names, unique)
-        for row_id, row in self.rows_with_ids():
-            index.insert(row_id, self._key_values(row, column_names))
-        self.indexes[name] = index
-        return index
+                     unique: bool = False, kind: str = "hash") -> HashIndex:
+        return self.paths.declare(name, column_names, unique, kind,
+                                  self.rows_with_ids())
 
     def drop_index(self, name: str) -> None:
-        if name not in self.indexes:
-            raise SchemaError(f"index {name!r} does not exist")
-        del self.indexes[name]
+        self.paths.drop(name)
 
-    def find_index_on(self, column_names: list[str],
-                      kind: str | None = None) -> IndexType | None:
-        """Find any index (incl. PK/unique) — of *kind*, if given —
-        covering exactly these columns."""
-        wanted = [name.lower() for name in column_names]
-        for index in self._all_indexes():
-            if [c.lower() for c in index.column_names] == wanted \
-                    and kind in (None, index.kind):
-                return index
-        return None
+    def find_index_on(self, column_names: list[str]) -> HashIndex | None:
+        """The first declared index (PK and UNIQUE ones included) over
+        exactly these columns."""
+        return self.paths.find(column_names)
 
 
 def table_from_columns(name: str, column_names: Sequence[str],
@@ -602,13 +449,13 @@ class BoundView:
     is ``None`` for a view planned but never run (an explain's unshipped
     view), sized by an estimate.
 
-    A view bound to more runs than one (a mediated view its session
-    holds, :meth:`hold`) keeps, per column a run probes, a lookup from
-    value to the ascending ids of the rows holding it (:meth:`lookup`),
-    built on the first such run and dropped with the view.
+    Its column-path store (``paths``) answers nothing until the view is
+    bound to more runs than one (a mediated view its session holds,
+    :meth:`hold`); then, per column a run probes, it keeps a lookup from
+    value to the ids of the rows holding it, dropped with the view.
     """
 
-    __slots__ = ("name", "schema", "cols", "length", "_lookups")
+    __slots__ = ("name", "schema", "cols", "length", "paths")
 
     def __init__(self, schema: TableSchema, cols: list[list] | None,
                  length: float) -> None:
@@ -616,9 +463,7 @@ class BoundView:
         self.schema = schema
         self.cols = cols
         self.length = length
-        #: Lookups by column position; ``None`` while the view is bound
-        #: to one run only.
-        self._lookups: dict[int, dict] | None = None
+        self.paths = ColumnPaths()
 
     @classmethod
     def of(cls, name: str, column_names: Sequence[str],
@@ -650,27 +495,7 @@ class BoundView:
 
     def hold(self) -> None:
         """This view will be bound to many runs: let them probe it."""
-        if self._lookups is None:
-            self._lookups = {}
-
-    def lookup(self, position: int) -> dict | None:
-        """Column *position*'s lookup — each non-NULL value, as stored,
-        to the ascending ids of its rows — or ``None`` when the view is
-        not held.  Keys are raw values, so a probe finds every row its
-        ``=`` can hold for (``1`` finds ``1.0``, and may find ``TRUE``):
-        a superset, which the WHERE above the scan filters."""
-        lookups = self._lookups
-        if lookups is None:
-            return None
-        found = lookups.get(position)
-        if found is None:
-            # Runs racing here each build an equal lookup; one is kept.
-            rows = defaultdict(list)
-            for row_id, value in enumerate(self.cols[position]):
-                rows[value].append(row_id)
-            rows.pop(None, None)
-            found = lookups[position] = dict(rows)
-        return found
+        self.paths.hold()
 
 
 def table_from_rows(name: str, column_names: Sequence[str],
@@ -687,7 +512,7 @@ def table_from_rows(name: str, column_names: Sequence[str],
 
 
 def find_probe_index(table, column_names: list[str]
-                     ) -> tuple[IndexType, list[int]] | None:
+                     ) -> tuple[HashIndex, list[int]] | None:
     """The index (plus covered key positions) an equi-join probe can use
     on the inner table *table*: the full key list when an index covers
     it exactly, otherwise any single key column (the remaining keys are

@@ -2,8 +2,9 @@
 
 A scan reads, per run, only the rows the narrowest of its access paths
 names (``executor.select_access_paths``: ``=``, ``IN (subquery)`` and
-ranges over a table — through a hash index, and the table's sorted path
-— ``=`` and ``IN`` over a held view) when that is at most half of them;
+ranges over a table — through a declared ``hash`` index, and the
+table's sorted path — ``=`` and ``IN`` over a held view; the table's or
+view's column-path store answers each) when that is at most half of them;
 the WHERE stays whole above it.  What must hold, for every drain
 (execute, a partly drained stream, EXPLAIN ANALYZE), over tables with
 and without an index, over held and run-only views and over an
@@ -59,8 +60,8 @@ TEMPLATES = {
                    "AND k >= ?",
     "k = ?, range": "SELECT p FROM r WHERE k = ? AND ? < k",
 }
-SOURCES = ["table", "indexed table", "held view", "run-only view",
-           "extraction"]
+SOURCES = ["table", "indexed table", "sorted-indexed table", "held view",
+           "run-only view", "extraction"]
 
 
 @contextmanager
@@ -89,6 +90,8 @@ def relation(source: str, data_type: str, keys: list, members: list
                              for number, key in enumerate(keys)))
         if source == "indexed table":
             db.execute("CREATE INDEX rk ON r (k)")
+        elif source == "sorted-indexed table":
+            db.execute("CREATE INDEX rs ON r (k) USING sorted")
     else:
         view = BoundView.of("r", ["k", "p"], cols,
                             [set(map(type, column)) for column in cols],
@@ -236,35 +239,58 @@ def test_a_run_reads_the_narrowest_path_naming_at_most_half(
 
 
 def test_the_sorted_path_merges_appends_and_goes_with_other_writes():
+    """Through a compaction, an UPDATE and a truncate, each followed by
+    an append, every read through the store (a range and a hash-indexed
+    ``=``) answers as the forced scan does; an append merges into the
+    sorted path, and any other write drops it."""
     db = Database()
     db.execute("CREATE TABLE r (k INTEGER, p INTEGER)")
-    db.insert_rows("r", ({"k": n % 7, "p": n} for n in range(40)))
-    query = parsed("SELECT p FROM r WHERE k >= ? ORDER BY p")
+    db.execute("CREATE INDEX rk ON r (k)")
+    db.insert_rows("r", ({"k": n % 7, "p": n} for n in range(200)))
     table = db.table("r")
+    reads = {op: parsed(f"SELECT p FROM r WHERE k {op} ? ORDER BY p")
+             for op in ("=", ">=")}
 
-    def answer(low):
-        result = db.execute_ast(query, (low,))
+    def answer(op, key):
+        result = db.execute_ast(reads[op], (key,))
         with forced_scan():
-            expected = db.query(f"SELECT p FROM r WHERE k >= {low} "
+            expected = db.query(f"SELECT p FROM r WHERE k {op} {key} "
                                 "ORDER BY p").rows
         assert result.rows == expected
         return next(node for node in result.plan.walk()
                     if node.kind == "scan").detail
 
-    assert answer(5) == "range k"
-    built = table.sorted_column(0)
-    db.execute("INSERT INTO r VALUES (6, 40), (NULL, 41)")
-    assert table.sorted_column(0) is built       # merged, not rebuilt
-    assert built.keys == sorted(built.keys) and len(built.keys) == 41
-    db.insert_rows("r", ({"k": 9, "p": 42 + n} for n in range(20)))
-    assert table.sorted_column(0) is built and len(built.keys) == 61
-    assert answer(9) == "range k"
-    db.execute("DELETE FROM r WHERE p = 0")
-    assert 0 not in table._sorted
-    assert answer(6) == "range k"
-    db.execute("UPDATE r SET k = 8 WHERE p = 1")
-    assert 0 not in table._sorted
-    assert answer(8) == "range k"
-    db.execute("INSERT INTO r VALUES (NULL, 99)")
+    def read_all():
+        assert [answer("=", key) for key in (3, 9)] == ["probe k"] * 2
+        assert answer(">=", 6) == "range k"
+        return table.paths.path(table, 0)
+
+    def append(*ks):
+        db.insert_rows("r", ({"k": k, "p": 1000 + n}
+                             for n, k in enumerate(ks)))
+
+    built = read_all()
+    db.execute("INSERT INTO r VALUES (6, 400), (NULL, 401)")
+    assert table.paths.path(table, 0) is built   # merged, not rebuilt
+    assert built.keys == sorted(built.keys) and len(built.keys) == 201
+    append(*[9] * 20)
+    assert read_all() is built and len(built.keys) == 221
+    # A compaction: over COMPACT_MIN_DELETED dead rows and a quarter of
+    # the slots.  Slots are renumbered; row ids survive.
+    last = max(table.slot_columns()[1])
+    db.execute("DELETE FROM r WHERE p < 70")
+    assert table.slot_columns()[1][last] < last
+    read_all()
+    append(6, 9, None)
+    assert read_all() is not built
+    built = table.paths.path(table, 0)
+    db.execute("UPDATE r SET k = 8 WHERE p = 71")
+    read_all()
+    append(8, 3)
+    assert read_all() is not built
+    table.truncate()
+    assert answer("=", 3) == answer(">=", 6) == ""
+    append(3, 6, 1, 9)
+    read_all()
     db.execute("DELETE FROM r")
-    assert answer(0) == ""
+    assert answer(">=", 0) == ""

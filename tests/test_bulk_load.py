@@ -45,8 +45,9 @@ def insert_row(table: Table, values: dict) -> int:
     row_id = table._next_row_id
     inserted = []
     try:
-        for index in table._all_indexes():
-            key = table._key_values(row, index.column_names)
+        for index in table.paths.declared:
+            key = tuple(row[table.schema.position_of(name)]
+                        for name in index.column_names)
             index.insert(row_id, key)
             inserted.append((index, key))
     except ConstraintViolation:
@@ -94,9 +95,8 @@ def state(table: Table) -> dict:
     """Everything observable about a table, and the internals the
     executor reads (vectors, bitmaps, slot map, index contents)."""
     indexes = {}
-    for index in table._all_indexes():
-        entries = (index._buckets if index.kind == "hash"
-                   else list(index._entries))
+    for index in table.paths.declared:
+        entries = index._buckets
         lookups = {key: index.lookup(key) for key in {
             tuple(row[table.schema.position_of(name)]
                   for name in index.column_names)

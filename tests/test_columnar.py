@@ -24,7 +24,7 @@ from repro.durability import (DurabilityManager, DurabilityOptions,
 from repro.planner import PlannerOptions
 from repro.relational import Database
 from repro.relational.errors import TypeMismatchError
-from repro.relational.indexes import HashIndex, SortedIndex
+from repro.relational.indexes import HashIndex
 from repro.relational.table import (COMPACT_MIN_DELETED, Table)
 from repro.relational.vectors import ColumnVector
 from repro.relational.schema import DataType
@@ -112,13 +112,20 @@ class TestColumnarStorage:
         hash_index.clear()
         assert hash_index.lookup((1,)) == ()
         assert len(hash_index) == 0
-        sorted_index = SortedIndex("s", "t", ["k"])
-        sorted_index.insert(10, (1,))
-        sorted_index.clear()
-        assert len(sorted_index) == 0
-        # The definition survives: the cleared index accepts new entries.
-        sorted_index.insert(12, (2,))
-        assert list(sorted_index.range()) == [12]
+        # A `USING sorted` index is the same declared path: a truncate
+        # clears it, and the definition survives to take new entries.
+        db = Database()
+        db.execute_script("""
+            CREATE TABLE t (k INTEGER);
+            CREATE INDEX s ON t (k) USING sorted;
+            INSERT INTO t VALUES (1);
+        """)
+        table = db.table("t")
+        table.truncate()
+        sorted_index = table.indexes["s"]
+        assert len(sorted_index) == 0 and sorted_index.kind == "sorted"
+        db.execute("INSERT INTO t VALUES (2)")
+        assert sorted_index.lookup((2,)) == [1]
 
     def test_iter_batches_skips_deleted(self):
         db = Database()

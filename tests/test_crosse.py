@@ -7,8 +7,8 @@ from repro.crosse import (AnnotationError, CrossePlatform, Document,
                           UnknownUserError, extract_snippet,
                           highlight_concepts, rank_result)
 from repro.crosse.context import ContextProfile
-from repro.rdf import SMG
-from repro.relational import ResultSet
+from repro.rdf import SMG, Literal
+from repro.relational import Database, ResultSet
 from repro.smartground import SmartGroundConfig, generate_databank
 
 
@@ -107,6 +107,25 @@ def test_integrated_annotation_on_real_value(platform):
         "giulia", "elem_contained", "elem_name", value,
         SMG.dangerLevel, "high")
     assert record.triple.subject == SMG[value]
+
+
+@pytest.mark.parametrize("kind", [None, "hash", "sorted"])
+def test_integrated_annotation_needs_the_exact_value(kind):
+    # 2**53 + 1 is no float: a key compared as one would match 2**53.
+    databank = Database()
+    databank.execute_script(f"""
+        CREATE TABLE t (k INTEGER);
+        INSERT INTO t VALUES ({2 ** 53});
+    """)
+    if kind is not None:
+        databank.execute(f"CREATE INDEX tk ON t (k) USING {kind}")
+    tagging = CrossePlatform(databank).tagging
+    with pytest.raises(AnnotationError):
+        tagging.annotate_concept("giulia", "t", "k", 2 ** 53 + 1,
+                                 SMG.dangerLevel, "high")
+    record = tagging.annotate_concept("giulia", "t", "k", 2 ** 53,
+                                      SMG.dangerLevel, "high")
+    assert record.triple.subject == Literal(2 ** 53)
 
 
 def test_independent_annotation_is_free(platform):

@@ -335,9 +335,9 @@ def test_parse_sql_supports_analyze_statement():
     assert parse_sql("ANALYZE") == AnalyzeStmt(None)
 
 
-def test_sorted_index_probe_reverifies_float_collapsed_keys():
-    # SortedIndex coerces keys to float, collapsing ints beyond 2**53;
-    # the probe join must re-verify candidates with exact equality.
+def test_an_index_join_over_a_sorted_index_tells_integers_beyond_2_53_apart():
+    # Float keys would collapse ints beyond 2**53: the index join must
+    # return only the exactly equal row.
     db = Database(planner=STRICT)
     db.execute_script("""
         CREATE TABLE t (id INTEGER);
@@ -350,8 +350,9 @@ def test_sorted_index_probe_reverifies_float_collapsed_keys():
     db.table("t").insert_row({"id": big})
     db.table("t").insert_row({"id": big + 1})
     db.table("u").insert_row({"id": big + 1})
-    rows = db.query("SELECT t.id FROM u JOIN t ON u.id = t.id").rows
-    assert rows == [(big + 1,)]
+    result = db.query("SELECT t.id FROM u JOIN t ON u.id = t.id")
+    assert "index ix_t" in result.plan.format()
+    assert result.rows == [(big + 1,)]
 
 
 def test_unplanned_results_carry_a_tree_without_estimates():

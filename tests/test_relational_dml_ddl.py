@@ -1,11 +1,10 @@
 """DML/DDL behaviour: constraints, defaults, updates, indexes."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.relational import (CatalogError, ConstraintViolation, Database,
                               SchemaError, TypeMismatchError)
-from repro.relational.indexes import SortedIndex
+from repro.durability import DurabilityManager, DurabilityOptions
 
 
 def test_create_and_drop_table(db):
@@ -166,52 +165,61 @@ def test_create_unique_index_on_existing_duplicates_fails(db):
         db.execute("CREATE UNIQUE INDEX uk ON t (k)")
 
 
-def test_sorted_index_range(db):
-    db.execute("CREATE TABLE t (k INTEGER)")
-    db.execute("INSERT INTO t VALUES (5), (1), (9), (3)")
+def test_a_sorted_index_is_accepted_and_ranges_read_the_sorted_path(db):
+    db.execute("CREATE TABLE t (k INTEGER, j INTEGER)")
+    db.execute("INSERT INTO t VALUES (5, 0), (1, 1), (9, 2), (3, 3)")
     db.execute("CREATE INDEX sk ON t (k) USING sorted")
-    index = db.table("t").indexes["sk"]
-    values = sorted(db.table("t").row(rid)[0]
-                    for rid in index.range(low=2, high=8))
-    assert values == [3, 5]
+    assert db.table("t").indexes["sk"].kind == "sorted"
+    result = db.query("SELECT k FROM t WHERE k < 6 AND k > 4")
+    assert result.rows == [(5,)]
+    assert "range k" in result.plan.format()
+    with pytest.raises(ConstraintViolation, match="exactly one column"):
+        db.execute("CREATE INDEX sjk ON t (j, k) USING sorted")
+    assert "sjk" not in db.table("t").indexes
+    db.execute("DROP INDEX sk")
+    assert db.table("t").indexes == {}
+    db.execute("CREATE UNIQUE INDEX sk ON t (k) USING sorted")
+    with pytest.raises(ConstraintViolation):
+        db.execute("INSERT INTO t VALUES (9, 4)")
 
 
-_KEYS = (st.integers(-3, 3) | st.floats(-3, 3, allow_nan=False)
-         | st.booleans() | st.sampled_from(["", "a", "b", "1"]) | st.none())
+def test_a_sorted_index_kind_survives_snapshot_and_wal_restore(tmp_path):
+    """One index rides the snapshot, the other the WAL tail: both come
+    back with their kind and uniqueness."""
+    def manager_over(db):
+        manager = DurabilityManager(DurabilityOptions(
+            directory=str(tmp_path), fsync="never"))
+        manager.attach_database(db, name="main")
+        manager.recover()
+        return manager
+
+    db = Database()
+    manager = manager_over(db)
+    db.execute("CREATE TABLE t (k INTEGER, v TEXT)")
+    db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+    db.execute("CREATE UNIQUE INDEX us ON t (k) USING sorted")
+    manager.snapshot()
+    db.execute("CREATE INDEX vs ON t (v) USING sorted")
+    manager.close()
+    restored = Database()
+    manager_over(restored).close()
+    indexes = restored.table("t").indexes
+    assert {name: (index.kind, index.unique, index.column_names)
+            for name, index in indexes.items()} \
+        == {"us": ("sorted", True, ["k"]), "vs": ("sorted", False, ["v"])}
+    with pytest.raises(ConstraintViolation):
+        restored.execute("INSERT INTO t VALUES (2, 'c')")
 
 
-@settings(max_examples=150, deadline=None)
-@given(entries=st.lists(st.tuples(st.integers(0, 40), _KEYS), max_size=40),
-       doomed=st.sets(st.integers(0, 39), max_size=15),
-       probes=st.lists(_KEYS, min_size=1, max_size=4),
-       bounds=st.lists(st.tuples(_KEYS, _KEYS, st.booleans(), st.booleans()),
-                       min_size=1, max_size=4))
-def test_sorted_index_probes_equal_a_scan_of_its_entries(entries, doomed,
-                                                         probes, bounds):
-    """``lookup`` and ``range`` read one run of the sorted entries; a
-    brute-force filter of the live entries, under the index's own key
-    coercion, is the answer."""
-    index = SortedIndex("s", "t", ["k"])
-    live = dict(entries)      # row id -> value (a later one wins)
-    for row_id, value in live.items():
-        index.insert(row_id, (value,))
-    for row_id in doomed & live.keys():
-        index.delete(row_id, (live.pop(row_id),))
-    key = SortedIndex._sortable
-    keyed = [(key(value), row_id) for row_id, value in live.items()
-             if value is not None]
-    for value in probes:
-        assert index.lookup((value,)) == (() if value is None else sorted(
-            row_id for found, row_id in keyed if found == key(value)))
-    for low, high, low_inclusive, high_inclusive in bounds:
-        def within(found):
-            return (low is None or found > key(low)
-                    or low_inclusive and found == key(low)) \
-                and (high is None or found < key(high)
-                     or high_inclusive and found == key(high))
-        got = list(index.range(low, high, low_inclusive, high_inclusive))
-        assert got == [row_id for found, row_id in sorted(keyed)
-                       if within(found)]
+@pytest.mark.parametrize("kind", ["hash", "sorted"])
+def test_a_unique_index_tells_integers_beyond_2_53_apart(db, kind):
+    db.execute("CREATE TABLE t (k INTEGER)")
+    db.execute(f"CREATE UNIQUE INDEX u ON t (k) USING {kind}")
+    db.execute(f"INSERT INTO t VALUES ({2 ** 53})")
+    db.execute(f"INSERT INTO t VALUES ({2 ** 53 + 1})")
+    with pytest.raises(ConstraintViolation):
+        db.execute(f"INSERT INTO t VALUES ({2 ** 53})")
+    assert db.query("SELECT COUNT(*) FROM t").scalar() == 2
 
 
 def test_drop_index(db):

@@ -281,9 +281,9 @@ def test_duplicate_alias_rejected(landfill_db):
 
 
 def test_float_collapsed_keys_are_told_apart_by_every_path(db):
-    # SortedIndex keys are floats, which collapse integers beyond 2**53:
-    # it answers no WHERE.  The table's own sorted path and a hash index
-    # keep the keys exact, and the WHERE above the scan decides anyway.
+    # Float keys would collapse integers beyond 2**53.  A `USING sorted`
+    # index answers no WHERE `=`; the table's own sorted path and a hash
+    # index keep the keys exact, and the WHERE above the scan decides.
     db.execute_script("""
         CREATE TABLE t (k INTEGER, v TEXT);
         INSERT INTO t VALUES (9007199254740992,'a'),(9007199254740993,'b'),

@@ -168,12 +168,12 @@ def test_a_probe_over_a_view_that_is_not_held_builds_no_lookup():
     for view in (once, extraction):
         assert db.execute_ast(statement, (1,), {"v": view}).rows \
             == [(0,), (2,)]
-        assert view.lookup(0) is None
+        assert view.paths.path(view, 0) is None
     held = bound(cols, True)
     assert db.execute_ast(statement, (1,), {"v": held}).rows \
         == [(0,), (2,)]
-    assert held.lookup(0) == {1: [0, 2], 2: [1]}
-    assert held.lookup(0) is held.lookup(0)
+    assert held.paths.path(held, 0) == {1: [0, 2], 2: [1]}
+    assert held.paths.path(held, 0) is held.paths.path(held, 0)
 
 
 def mediated():
@@ -198,10 +198,10 @@ def test_a_held_view_keeps_its_lookups_until_refresh():
     # The whole view ships and is held; the next run probes it.
     assert len(bank.execute_ast(whole, ()).rows) == 4
     held = bank.session._materialized["v"]
-    assert held._lookups == {}
+    assert held.paths._built == {}
     assert bank.execute_ast(probe, (1,)).rows == [("a",), ("c",)]
     assert bank.last_report.pushed_filters == {}
-    assert held._lookups == {0: {1: [0, 2], 2: [1]}}
+    assert held.paths._built == {0: {1: [0, 2], 2: [1]}}
     assert "probe k" in bank.explain(probe, params=(2,)).format()
     source.execute("INSERT INTO t VALUES (2, 'e')")
     # Held: the snapshot answers until refresh drops it with its lookup.
@@ -255,6 +255,6 @@ def test_threads_racing_to_build_a_lookup_agree():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert held.lookup(0) == {key: [number for number, value
-                                    in enumerate(keys) if value == key]
-                              for key in range(7)}
+    assert held.paths.path(held, 0) == {
+        key: [number for number, value in enumerate(keys) if value == key]
+        for key in range(7)}
