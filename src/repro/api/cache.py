@@ -2,11 +2,12 @@
 
 Two caches sit on the repeated-query hot path:
 
-* :class:`PlanCache` — SESQL text → parsed :class:`EnrichedQuery`
-  template (+ analysis report).  Parsing and
-  analysis read the text and the databank, never the KB or the user,
-  so the key is the raw text alone and one cache serves every user of
-  a platform session.
+* :class:`PlanCache` — SESQL text, or the shape of an inlined
+  statement (:func:`repro.core.parser.lift_literals`), → parsed
+  :class:`EnrichedQuery` template (+ analysis report).  Parsing and
+  analysis read the statement and the databank, never the KB or the
+  user, so the key is the statement alone and one cache serves every
+  user of a platform session.
 * :class:`ExtractionCache` — (kind, KB store id, arguments,
   stored-query text) → the SPARQL :class:`~repro.core.sqm.Extraction`
   at the store's current generation; one per user engine, because the
@@ -41,12 +42,18 @@ class LRUCache:
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
 
     def get(self, key: Hashable) -> Any | None:
-        entry = self._entries.get(key)
+        entry = self.probe(key)
         if entry is None:
             self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
+        return entry
+
+    def probe(self, key: Hashable) -> Any | None:
+        """:meth:`get` that leaves a miss uncounted: for a caller that
+        looks again under another key, where the miss is counted."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self.hits += 1
         return entry
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -72,7 +79,7 @@ class LRUCache:
 
 
 class PlanCache(LRUCache):
-    """SESQL text → prepared plan template."""
+    """SESQL text or statement shape → prepared plan template."""
 
 
 class ExtractionCache(LRUCache):

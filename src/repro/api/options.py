@@ -20,7 +20,8 @@ class QueryOptions:
     #: Keep the original constant/condition alongside the enrichment
     #: (the "include original" semantics toggle of DESIGN.md).
     include_original: bool | None = None
-    #: Entries in the SESQL-text → parsed-template LRU (0 disables).
+    #: Entries in the SESQL-text (or statement-shape) → parsed-template
+    #: LRU (0 disables it, and with it literal lifting).
     plan_cache_size: int = 128
     #: Entries in the SPARQL-extraction memo LRU (0 disables).
     extraction_cache_size: int = 512

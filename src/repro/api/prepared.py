@@ -13,6 +13,8 @@ template, so it is shared freely.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from dataclasses import replace
+from functools import cached_property
 
 from ..core.ast import EnrichedQuery
 from ..core.errors import ParameterError
@@ -58,14 +60,24 @@ class PreparedQuery:
         #: traced executions report it as a synthetic ``sesql.parse``
         #: span so the tree covers the whole pipeline.
         self.parse_time_s = parse_time_s
-        #: The static-analysis :class:`~repro.analysis.AnalysisReport`
-        #: for the template (computed once per template, shared across
-        #: plan-cache hits), or ``None`` when analysis is disabled.
-        self.diagnostics = diagnostics
+        self._report = diagnostics
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"PreparedQuery({self.text!r}, "
                 f"parameters={self.parameter_count})")
+
+    @cached_property
+    def diagnostics(self):
+        """The static-analysis :class:`~repro.analysis.AnalysisReport`
+        for the template (computed once per template, shared across
+        plan-cache hits), or ``None`` when analysis is disabled.  An
+        inlined statement may be handed its shape's report: it is
+        restated for this statement's text on first read."""
+        report, sql_text = self._report, self._template.sql_text
+        if report is None or report.statement == sql_text:
+            return report
+        return replace(report, statement=sql_text,
+                       diagnostics=list(report.diagnostics))
 
     @property
     def parameter_count(self) -> int:

@@ -8,10 +8,12 @@ federated query service in front of heterogeneous backends.
 Two caches sit on the hot path, each at the level of its key:
 
 * the **plan cache** (SESQL text → parsed template + analysis report)
-  lets repeated and prepared queries skip the SQP entirely.  The key is
-  the text alone, so a :class:`PlatformSession` owns one and every
-  ``as_user()`` session of it shares it; a plain session creates its
-  own;
+  lets repeated and prepared queries skip the SQP entirely.  A
+  statement with its values inlined is kept under its shape — its
+  literals lifted into slots — so one that differs only by a literal
+  skips it too.  The key is the statement alone, so a
+  :class:`PlatformSession` owns one and every ``as_user()`` session of
+  it shares it; a plain session creates its own;
 * the **extraction cache** (KB store + generation → SPARQL results)
   lets re-executions against an unchanged knowledge base skip their
   extractions, and keeps with each the relation its WHERE enrichments
@@ -39,6 +41,8 @@ from ..analysis import (AnalysisError, AnalysisReport, DEFAULT_OPTIONS,
                         analyze_enriched)
 from ..core.ast import EnrichedQuery
 from ..core.engine import SESQLEngine, SESQLResult
+from ..core.parser import lift_literals
+from ..relational.ast import clone_query
 from ..relational.result import ResultSet
 from .cache import ExtractionCache, PlanCache
 from .errors import SessionError
@@ -49,11 +53,13 @@ from .prepared import PreparedQuery
 
 @dataclass
 class _CachedPlan:
-    """Plan-cache entry: a parsed template.
+    """Plan-cache entry: a parsed template (under a shape, the one its
+    slotted text parses to).
 
     The static-analysis report rides along: it is computed once per
-    template (on the cache miss), so cache hits — the prepared hot path
-    — pay nothing for diagnostics.  A report with errors judged a
+    template (on the cache miss; under a shape, for the statement that
+    missed), so cache hits — the prepared hot path — pay nothing for
+    diagnostics.  A report with errors judged a
     schema that DDL may since have fixed: it is recomputed once the
     names it resolved in have moved (``stamp``, see
     :func:`_schema_stamp`).
@@ -62,6 +68,15 @@ class _CachedPlan:
     template: EnrichedQuery
     analysis: AnalysisReport | None = None
     stamp: tuple | None = None
+
+
+def _inlined(template: EnrichedQuery, lifted) -> EnrichedQuery:
+    """The statement *lifted* parses to, built from its shape's
+    *template* without the SQP: the template with the lifted values as
+    its literals."""
+    return EnrichedQuery(lifted.sql_text,
+                         clone_query(template.query, lifted.values),
+                         template.enrichments, template.conditions)
 
 
 def _schema_stamp(databank) -> tuple | None:
@@ -92,10 +107,10 @@ class Session:
                  on_result=None, plan_cache: PlanCache | None = None) -> None:
         self.engine = engine
         self.options = options or QueryOptions()
-        #: Templates are keyed by text alone, so sessions over the same
-        #: databank and options may share one cache (*plan_cache*: a
-        #: platform session's); only a cache created here is cleared on
-        #: close.
+        #: Templates are keyed by statement alone, so sessions over the
+        #: same databank and options may share one cache (*plan_cache*:
+        #: a platform session's); only a cache created here is cleared
+        #: on close.
         self._owns_plan_cache = plan_cache is None
         self.plan_cache = (PlanCache(self.options.plan_cache_size)
                            if plan_cache is None else plan_cache)
@@ -193,6 +208,15 @@ class Session:
         """Parse once (or recall from the plan cache) and return a
         reusable prepared query with ``?`` parameter slots.
 
+        A text the cache does not hold whose SQL literals lift
+        (:func:`~repro.core.parser.lift_literals`) is looked up — and
+        kept — under its shape instead: the first statement of a shape
+        is parsed as written (its errors are its own), then its slotted
+        text once into the shape's template; every statement of the
+        shape runs that template with its own literals in the slots, so
+        it reuses the template's WHERE rewrite and operator tree.  It
+        still takes no parameters and reports its own text.
+
         The parsed template is also statically analyzed (name/scope
         resolution, type families, performance lints — see
         :mod:`repro.analysis`); the report is attached as
@@ -202,33 +226,56 @@ class Session:
         instead.  Plan-cache hits reuse the stored report; one with
         errors is recomputed once DDL (or a view definition) has moved
         what it resolved names in, since that may have fixed what it
-        found.
+        found.  A shape's report is its first statement's, and serves
+        the others as long as none of its findings quotes an
+        expression — the only place a literal shows; otherwise each
+        statement's own is computed.
         """
         self._check_open()
-        cached = self.plan_cache.get(text)
+        cache = self.plan_cache
+        cached = cache.probe(text)
+        lifted = None
+        if cached is None:
+            if cache.maxsize > 0:
+                lifted = lift_literals(text)
+            key = text if lifted is None else lifted.shape
+            cached = cache.get(key)
         from_cache = cached is not None
         parse_time = 0.0
         if cached is None:
             started = time.perf_counter()
-            template = self.engine.parse(text)
+            own = template = self.engine.parse(text)
+            if lifted is not None:
+                template = self.engine.parse(lifted.slotted())
             parse_time = time.perf_counter() - started
             if not template.parameter_count:
                 # Runs as it is, and as a template: its tree is kept.
                 template.values = ()
-            cached = _CachedPlan(template, *self._analyze_template(template))
-            self.plan_cache.put(text, cached)
+            cached = _CachedPlan(template, *self._analyze_template(own))
+            cache.put(key, cached)
         elif cached.analysis is not None and cached.analysis.has_errors \
                 and (cached.stamp is None
                      or cached.stamp != _schema_stamp(self.engine.databank)):
-            cached.analysis, cached.stamp = \
-                self._analyze_template(cached.template)
+            cached.analysis, cached.stamp = self._analyze_template(
+                cached.template if lifted is None
+                else _inlined(cached.template, lifted))
+        statement, report = cached.template, cached.analysis
+        if lifted is not None:
+            statement = EnrichedQuery(
+                lifted.sql_text, statement.query, statement.enrichments,
+                statement.conditions, values=lifted.values)
+            if report is not None and report.statement != lifted.sql_text \
+                    and any(finding.expression is not None
+                            for finding in report):
+                report, _stamp = self._analyze_template(
+                    _inlined(cached.template, lifted))
+        prepared = PreparedQuery(self, text, statement, from_cache=from_cache,
+                                 parse_time_s=parse_time, diagnostics=report)
         analysis_options = self.options.analysis or DEFAULT_OPTIONS
-        if analysis_options.strict and cached.analysis is not None \
-                and cached.analysis.has_errors:
-            raise AnalysisError(cached.analysis)
-        return PreparedQuery(self, text, cached.template,
-                             from_cache=from_cache, parse_time_s=parse_time,
-                             diagnostics=cached.analysis)
+        if analysis_options.strict and report is not None \
+                and report.has_errors:
+            raise AnalysisError(prepared.diagnostics)
+        return prepared
 
     def _analyze_template(self, template: EnrichedQuery
                           ) -> tuple[AnalysisReport | None, tuple | None]:

@@ -117,17 +117,19 @@ class EnrichedQuery:
     query: sql_ast.SelectQuery         # parsed cleaned SQL
     enrichments: list[Enrichment] = field(default_factory=list)
     conditions: dict[str, TaggedCondition] = field(default_factory=dict)
-    #: ``?`` placeholders (``Param`` nodes) in the SQL part; a statement
-    #: with any is a prepared template, run only once bound.
+    #: ``?`` placeholders in ``sql_text``; a statement with any is a
+    #: prepared template, run only once bound.
     parameter_count: int = 0
-    #: The values bound to the placeholders, in order — the template's
-    #: own nodes stay as they are — or ``None``: not bound (a statement
-    #: parsed for one run; ``()`` marks a kept template of none).
+    #: The values bound to the query's ``Param`` nodes, in order — the
+    #: template's own nodes stay as they are — or ``None``: not bound (a
+    #: statement parsed for one run; ``()`` marks a kept template of
+    #: none).  An inlined statement run on its shape's template has
+    #: ``Param`` nodes but no ``?``: its literals are these values.
     values: tuple | None = None
 
     def bound_sql(self) -> str:
         """The SQL part with the bound values in place of its ``?``."""
-        if not self.values:
+        if not (self.parameter_count and self.values):
             return self.sql_text
         return render_query(self.query, bound_to(self.values))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from ..relational.parser import SqlParser
 from .ast import TaggedCondition
 from .errors import SesqlSyntaxError
-from .parser import sesql_spans
+from .parser import read_tag, sesql_spans
 
 
 @dataclass
@@ -44,7 +44,7 @@ def scan_condition_tags(text: str) -> ScanResult:
             params += 1
         if kind != "MARK" or value != "${":
             continue
-        condition_text, cond_id, end = _read_tag(text, start, spans)
+        condition_text, cond_id, end = read_tag(text, start, spans)
         if cond_id in conditions:
             raise SesqlSyntaxError(
                 f"duplicate condition tag {cond_id!r}", start)
@@ -63,31 +63,3 @@ def scan_condition_tags(text: str) -> ScanResult:
     pieces.append(text[copied:])
     return ScanResult("".join(pieces), conditions)
 
-
-def _read_tag(text: str, start: int, spans) -> tuple[str, str, int]:
-    """Read ``${ condition : id }`` whose ``${`` *spans* just yielded.
-
-    The condition may itself contain parentheses and strings; the
-    separating ``:`` is the last colon at nesting depth zero before the
-    closing ``}``.
-    """
-    depth = 0
-    last_colon = -1
-    for kind, value, position, end in spans:
-        if kind == "OP":
-            depth += (value == "(") - (value == ")")
-        elif kind != "MARK" or depth != 0:
-            continue
-        elif value == ":":
-            last_colon = position
-        elif value == "}":
-            if last_colon < 0:
-                raise SesqlSyntaxError(
-                    "condition tag is missing ':id'", start)
-            cond_id = text[last_colon + 1:position].strip()
-            if not cond_id or not all(c.isalnum() or c == "_"
-                                      for c in cond_id):
-                raise SesqlSyntaxError(
-                    f"invalid condition identifier {cond_id!r}", start)
-            return text[start + 2:last_colon], cond_id, end
-    raise SesqlSyntaxError("unterminated condition tag", start)

@@ -1,14 +1,21 @@
-"""Parser for the ENRICH clause (the Fig. 5 grammar) and the SESQL
-query splitter.
+"""Parser for the ENRICH clause (the Fig. 5 grammar), the SESQL query
+splitter and the literal lifter.
 
 ``split_sesql`` finds the top-level ``ENRICH`` keyword that separates
 the SQL part from the enrichment specification;
 ``parse_enrichments`` parses the specification into enrichment AST
 nodes.  Both the concatenated (``SCHEMAEXTENSION``) and the spaced
 (``SCHEMA EXTENSION``) spellings from the paper are accepted.
+
+``lift_literals`` reads an inlined statement as its *shape* — the
+statement with its SQL literals as ``?`` slots — and the values they
+held, so that statements differing only by a literal share one parsed
+template (forced parameterisation).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from ..relational.lexer import (RULES as SQL_RULES, STRING_RULE,
                                 fault as sql_fault)
@@ -63,6 +70,169 @@ def split_sesql(text: str) -> tuple[str, str | None]:
         if kind == "WORD" and value.upper() == "ENRICH":
             return text[:start], text[end:]
     return text, None
+
+
+def read_tag(text: str, start: int, spans) -> tuple[str, str, int]:
+    """Read ``${ condition : id }`` whose ``${`` *spans* just yielded:
+    the condition text, its id and the offset past the ``}``.
+
+    The condition may itself contain parentheses and strings; the
+    separating ``:`` is the last colon at nesting depth zero before the
+    closing ``}``.  The ``ENRICH`` word ends the SQL part, so a tag open
+    there is unterminated.
+    """
+    depth = 0
+    last_colon = -1
+    for kind, value, position, end in spans:
+        if kind == "OP":
+            depth += (value == "(") - (value == ")")
+        elif kind == "WORD" and value.upper() == "ENRICH":
+            break
+        elif kind != "MARK" or depth != 0:
+            continue
+        elif value == ":":
+            last_colon = position
+        elif value == "}":
+            if last_colon < 0:
+                raise SesqlSyntaxError(
+                    "condition tag is missing ':id'", start)
+            cond_id = text[last_colon + 1:position].strip()
+            if not cond_id or not all(c.isalnum() or c == "_"
+                                      for c in cond_id):
+                raise SesqlSyntaxError(
+                    f"invalid condition identifier {cond_id!r}", start)
+            return text[start + 2:last_colon], cond_id, end
+    raise SesqlSyntaxError("unterminated condition tag", start)
+
+
+# ---------------------------------------------------------------------------
+# Literal lifting (forced parameterisation)
+# ---------------------------------------------------------------------------
+
+#: Words after which a literal is no value of the statement but part of
+#: its shape: a LIKE pattern (lints and kernels read it) and a CAST
+#: target.
+_KEEP_AFTER = frozenset({"LIKE", "AS"})
+#: Words that close an open ORDER BY / GROUP BY list at their depth.
+_LIST_ENDS = frozenset({"HAVING", "ORDER", "LIMIT", "OFFSET", "UNION",
+                        "INTERSECT", "EXCEPT"})
+
+
+@dataclass(frozen=True)
+class LiftedStatement:
+    """An inlined SESQL statement read as its shape and its values.
+
+    ``shape`` is the statement's SQL tokens with each lifted literal
+    replaced by its type (``1``, ``1.0`` and ``'1'`` are three shapes),
+    each condition tag as written, and the ENRICH clause as written;
+    two statements of one shape parse to one syntax tree but for the
+    values in its slots.  ``sql_text`` is this statement's own cleaned
+    SQL part (condition tags stripped), ``values`` the lifted literals
+    in text order and ``spans`` where they stand.
+    """
+
+    text: str
+    shape: tuple
+    sql_text: str
+    values: tuple
+    spans: tuple
+
+    def slotted(self) -> str:
+        """The statement with a ``?`` in place of each lifted literal."""
+        pieces, copied = [], 0
+        for start, end in self.spans:
+            pieces += (self.text[copied:start], "?")
+            copied = end
+        pieces.append(self.text[copied:])
+        return "".join(pieces)
+
+
+def lift_literals(text: str) -> LiftedStatement | None:
+    """*text* with the SQL literals of its SQL part lifted into slots,
+    or ``None`` when there is nothing to lift: no literal, a ``?``
+    already, or a text the SQP would reject (which it then does, as it
+    would have).
+
+    One pass over :data:`sesql_spans` finds the split point, the cleaned
+    SQL and the shape.  Literals that stay in the shape: ``NULL``,
+    ``TRUE`` and ``FALSE`` (words, not literals), LIMIT / OFFSET
+    operands, bare integers in an ORDER BY / GROUP BY list (ordinals),
+    LIKE patterns, CAST targets, and everything inside a condition tag
+    and the ENRICH clause — knowledge-base terms, not SQL values.  A tag
+    must stand apart from its neighbours: stripping it joins its
+    condition to them.
+    """
+    shape: list = []
+    values: list = []
+    lifted: list[tuple[int, int]] = []
+    pieces: list[str] = []
+    copied = 0                  # text[:copied] is already in pieces
+    split = len(text)
+    depth = 0
+    keep_from: int | None = None    # depth of an open LIMIT / OFFSET
+    lists: set[int] = set()         # depths of open ORDER / GROUP BY
+    previous = None                 # the word or operator just read
+    previous_end = -1
+    tag_end = -1                    # offset just past the last tag
+    spans = sesql_spans(text)
+    try:
+        for kind, value, start, end in spans:
+            if start == tag_end:
+                return None
+            if kind == "WORD":
+                word = value.upper()
+                if word == "ENRICH":
+                    split = start
+                    break
+                if word in ("LIMIT", "OFFSET") and (
+                        keep_from is None or depth < keep_from):
+                    keep_from = depth
+                if word == "BY":
+                    lists.add(depth)
+                elif word in _LIST_ENDS:
+                    lists.discard(depth)
+            elif kind == "PARAM":
+                return None
+            elif kind == "MARK" and value == "${":
+                if start == previous_end:
+                    return None
+                condition, _cond_id, tag_end = read_tag(text, start, spans)
+                pieces += (text[copied:start], condition)
+                copied = previous_end = tag_end
+                shape.append(text[start:tag_end])
+                previous = None
+                continue
+            elif kind == "OP":
+                word = value
+                if value == "(":
+                    depth += 1
+                elif value == ")":
+                    lists.discard(depth)
+                    depth -= 1
+                    if keep_from is not None and depth < keep_from:
+                        keep_from = None
+            else:
+                word = None
+            if kind in ("NUMBER", "STRING") and keep_from is None \
+                    and previous not in _KEEP_AFTER \
+                    and not (type(value) is int and (
+                        previous == "BY"
+                        or previous == "," and depth in lists)):
+                shape.append(type(value))
+                values.append(value)
+                lifted.append((start, end))
+            else:
+                shape.append(text[start:end])
+            previous, previous_end = word, end
+    except SesqlSyntaxError:
+        return None
+    if not values:
+        return None
+    pieces.append(text[copied:split])
+    enrich = text[split:] if split < len(text) else None
+    return LiftedStatement(text, (tuple(shape), enrich),
+                           "".join(pieces).strip(), tuple(values),
+                           tuple(lifted))
 
 
 # ---------------------------------------------------------------------------

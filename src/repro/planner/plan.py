@@ -110,6 +110,8 @@ def _plan_query(query: ast.SelectQuery, catalog, stats, options,
                 planned: PlannedStatement) -> None:
     for core in [query.core] + [core for _op, core in query.compounds]:
         _plan_core(core, query, catalog, stats, options, planned)
+    for item in query.order_by:
+        item.expr = _fold_term(item.expr)
 
 
 def _plan_core(core: ast.SelectCore, query: ast.SelectQuery, catalog,
@@ -134,6 +136,15 @@ def _fold_core(core: ast.SelectCore) -> None:
     for item in core.items:
         if not item.is_star:
             item.expr = fold_expr(item.expr)
+    core.group_by = [_fold_term(expr) for expr in core.group_by]
+
+
+def _fold_term(expr: ast.Expr) -> ast.Expr:
+    """A GROUP BY / ORDER BY term folded as the select items it is
+    matched with are — but one that would fold to a literal stays as
+    written: a literal term is an ordinal there."""
+    folded = fold_expr(expr)
+    return expr if isinstance(folded, ast.Literal) else folded
 
 
 def _plan_expression_subqueries(core: ast.SelectCore, catalog, stats,

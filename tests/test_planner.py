@@ -149,6 +149,23 @@ def test_constant_folding_simplifies_literal_math_and_booleans():
     assert render_expr(fold_expr(parse_expr("1 / 0"))) == "(1 / 0)"
 
 
+@pytest.mark.parametrize("query", [
+    "SELECT x + -3, COUNT(*) FROM t GROUP BY x + -3 ORDER BY x + -3",
+    "SELECT x * (1 + 1) AS y FROM t GROUP BY x * (1 + 1) ORDER BY 1",
+    "SELECT x FROM t GROUP BY x, 1 + 0 ORDER BY 2 - 1",
+])
+def test_group_and_order_terms_fold_as_the_select_items_do(query):
+    """The planner folds the select list; a GROUP BY / ORDER BY term
+    that matches an item must fold with it, and one that folds to a
+    literal stays as written (a literal term is an ordinal)."""
+    db = Database()
+    db.execute("CREATE TABLE t (x INTEGER)")
+    db.execute("INSERT INTO t VALUES (1), (2), (2)")
+    planned = db.explain(query)
+    assert list(planned.root.collect().tuples()) \
+        == db.execute_ast(parse_sql(query)).rows
+
+
 def test_predicate_pushdown_moves_filter_below_join():
     db = make_db()
     db.analyze()

@@ -7,9 +7,10 @@ platform session share it.  Rows are inserted and deleted, indexes
 created and dropped, statistics collected, and triples added to and
 removed from the KB (each move of its generation is a new extraction);
 a template drawn from :data:`TEMPLATES` is then prepared by a drawn user
-and run with drawn values — executed, streamed, partly streamed and
-closed, or explained — with the WHERE rewrite keeping the original
-condition or not.  The templates cover REPLACECONSTANT in its ``IN`` and
+and run with drawn values — bound, or inlined into the text, where they
+are lifted into the template of the statement's shape; executed,
+streamed, partly streamed and closed, or explained — with the WHERE
+rewrite keeping the original condition or not.  The templates cover REPLACECONSTANT in its ``IN`` and
 ``EXISTS`` forms (over a text and an integer column, where an extraction
 mixing IRIs and numbers must keep each value's type), REPLACEVARIABLE,
 and a WHERE enrichment beside a SELECT one.
@@ -176,14 +177,19 @@ class SesqlModel(RuleBasedStateMachine):
 
     @rule(data=st.data(), user=st.integers(0, 1), include=st.booleans(),
           drain=st.sampled_from(["execute", "stream", "partly",
-                                 "explain"]))
-    def run(self, data, user, include, drain):
+                                 "explain"]),
+          inline=st.booleans())
+    def run(self, data, user, include, drain, inline):
         text, strategies = data.draw(st.sampled_from(TEMPLATES))
         values = tuple(data.draw(strategy) for strategy in strategies)
-        prepared = self.users[user].prepare(text)
+        # Inlined, the statement runs its shape's template: its values
+        # are the literals lifted out of the text.
+        prepared = self.users[user].prepare(
+            inlined(text, values) if inline else text)
+        params = () if inline else values
         if drain == "explain":
             # An explain reads the session's include_original (off).
-            plan = prepared.explain(values, analyze=True)
+            plan = prepared.explain(params, analyze=True)
             assert [stage.name for stage in plan.stages
                     if stage.name == "rewrite"] == ["rewrite"]
             if "SCHEMAEXTENSION" not in text:
@@ -192,15 +198,15 @@ class SesqlModel(RuleBasedStateMachine):
             return
         expected = self._expected(text, values, include)
         if drain == "execute":
-            rows = prepared.execute(values, include_original=include).rows
+            rows = prepared.execute(params, include_original=include).rows
             assert canonical(rows) == expected
         elif drain == "stream":
-            cursor = prepared.stream(values, include_original=include,
+            cursor = prepared.stream(params, include_original=include,
                                      page_size=data.draw(
                                          st.integers(1, 3)))
             assert canonical(cursor) == expected
         else:
-            cursor = prepared.stream(values, include_original=include,
+            cursor = prepared.stream(params, include_original=include,
                                      page_size=1)
             taken = cursor.fetchmany(data.draw(st.integers(0, 3)))
             cursor.close()
