@@ -456,7 +456,7 @@ def select_access_paths(scan: Scan | ViewScan, conjuncts: list[ast.Expr],
 def _probe_estimate(scan: Scan | ViewScan, ctx: CompileContext
                     ) -> float | None:
     """What a WHERE the planner left unestimated keeps of a table with
-    an index ``=`` path: ``rows / distinct`` of its ANALYZEd column."""
+    an ``=`` path: ``rows / distinct`` of its ANALYZEd column."""
     path = isinstance(scan, Scan) and next(
         (path for path in scan.paths if path.op == "="), None)
     analyzed = path and ctx.stats and ctx.stats.get(scan.table.schema.name)

@@ -11,15 +11,21 @@ index join.  It holds three kinds of path:
   :func:`_normalize` d key tuples to the ascending ids of their rows
   (NULL-containing keys never), so they are exact and enforce UNIQUE.
   The kind, ``hash`` or ``sorted``, is a label the DDL, journal and
-  snapshot carry; ``sorted`` allows one column and answers no WHERE;
+  snapshot carry; ``sorted`` allows one column.  A ``hash`` index over
+  one column answers that column's ``=`` and ``IN``: it pins its path;
+* **a column's lookup** (:func:`_lookup`), raw value to the ascending
+  slots holding it, built by the first ``=`` / ``IN`` read over a
+  column no ``hash`` index pins — any table column, a held view's
+  column.  A table's is kept up by every write: an append adds its new
+  slots, a DELETE takes one slot out of its bucket and an UPDATE moves
+  it to its new value's bucket (both by bisect); a compaction, which
+  renumbers the slots, and a truncate drop it;
 * **a table column's sorted path** (:class:`SortedColumn`), built by
   the first range read over it, merged into by an append and dropped by
-  any other write;
-* **a held view column's lookup**, raw value to row ids, built by the
-  first ``=`` / ``IN`` read over it in one pass (no :func:`_normalize`).
+  any other write.
 
-On-demand paths are never journaled; readers racing to build one each
-build an equal path, and one is kept.
+On-demand paths are never journaled or snapshotted; readers racing to
+build one each build an equal path, and one is kept.
 """
 
 from __future__ import annotations
@@ -192,16 +198,28 @@ def _sorted(table, position: int) -> SortedColumn | None:
     return SortedColumn(list(map(values.__getitem__, slots)), slots)
 
 
-def _lookup(view, position: int) -> dict:
-    """Column *position*'s lookup: each non-NULL value, as stored, to the
-    ascending ids of its rows.  Keys are raw values, so a probe finds
-    every row its ``=`` can hold for (``1`` finds ``1.0``, and may find
-    ``TRUE``): a superset, which the WHERE above the scan filters."""
-    rows = defaultdict(list)
-    for row_id, value in enumerate(view.cols[position]):
-        rows[value].append(row_id)
+def _lookup(values: Sequence, slots: Iterable[int],
+            into: defaultdict | None = None) -> defaultdict:
+    """The lookup of *values* at *slots* (ascending): each non-NULL
+    value, as stored, to the ascending slots holding it — added *into*
+    a lookup whose slots all come before them, when given.  Keys are
+    raw values, so a probe finds every row its ``=`` can hold for (``1``
+    finds ``1.0``, and may find ``TRUE``): a superset, which the WHERE
+    above the scan filters."""
+    rows = defaultdict(list) if into is None else into
+    for slot in slots:
+        rows[values[slot]].append(slot)
     rows.pop(None, None)
-    return dict(rows)
+    return rows
+
+
+def _leave(lookup: defaultdict, value: Any, slot: int) -> None:
+    """Take *slot*, which holds *value*, out of *lookup*."""
+    if value is not None:
+        bucket = lookup[value]
+        del bucket[bisect.bisect_left(bucket, slot)]
+        if not bucket:
+            del lookup[value]
 
 
 def _bucketed(find: Callable[[Any], Sequence[int]], keys, limit: int
@@ -225,13 +243,14 @@ def _bucketed(find: Callable[[Any], Sequence[int]], keys, limit: int
 
 class ColumnPaths:
     """One relation's column paths.  A table's store (*schema* given)
-    answers ``=`` / ``in`` through a declared ``hash`` index and ranges
-    through the sorted path, and is told of every write; a view's
-    answers ``=`` / ``in`` through the lookup once :meth:`hold` is
-    called, and nothing before.  A read is handed the relation (its
-    value lists), which the store never keeps."""
+    answers ``=`` / ``in`` on any column — through a declared ``hash``
+    index over it, else the column's lookup — and ranges through the
+    sorted path, and is told of every write; a view's answers ``=`` /
+    ``in`` through the lookup once :meth:`hold` is called, and nothing
+    before.  A read is handed the relation (its value lists), which the
+    store never keeps."""
 
-    __slots__ = ("schema", "declared", "created", "_built")
+    __slots__ = ("schema", "declared", "created", "_lookups", "_sorted")
 
     def __init__(self, schema: TableSchema | None = None) -> None:
         self.schema = schema
@@ -239,12 +258,15 @@ class ColumnPaths:
         #: KEY's, then each ``CREATE INDEX``'s — and the last by name.
         self.declared: list[HashIndex] = []
         self.created: dict[str, HashIndex] = {}
-        #: Column position -> its on-demand path (``None``: the column
-        #: cannot have one); ``None`` while a view is bound to one run.
-        self._built: dict[int, Any] | None = None
+        #: Column position -> its on-demand lookup; ``None`` while a
+        #: view is bound to one run.
+        self._lookups: dict[int, defaultdict] | None = None
+        #: Column position -> its sorted path (``None``: the column
+        #: cannot have one).
+        self._sorted: dict[int, SortedColumn | None] = {}
         if schema is None:
             return
-        self._built = {}
+        self._lookups = {}
         self.declared = [
             HashIndex(f"__uq_{schema.name}_{column.name}", schema.name,
                       [column.name], unique=True)
@@ -258,10 +280,10 @@ class ColumnPaths:
     # -- reads -----------------------------------------------------------------
 
     def offers(self, op: str, position: int) -> bool:
-        """Whether a table's :meth:`named` may answer ``column op`` on
-        column *position* (a run may still decline).  A view's answers
-        ``=`` and ``in``, once held, and no range."""
-        return op in RANGES or self._probed(position) is not None
+        """Whether :meth:`named` may answer ``column op`` on column
+        *position* (a run may still decline): a table's any, a view's
+        ``=`` and ``in`` (once held), and no range."""
+        return self.schema is not None or op not in RANGES
 
     def named(self, relation, op: str, position: int, keys: Sequence,
               limit: int) -> tuple[int, Callable[[], Sequence[int]]] | None:
@@ -270,7 +292,7 @@ class ColumnPaths:
         family and not NaN), and a thunk of their slots ascending — or
         ``None`` when no path answers, or they are *limit* or more."""
         if op in RANGES:
-            found = self.path(relation, position)
+            found = self.path(relation, position, op)
             if found is None \
                     or found.family not in (None, literal_family(keys[0])):
                 return None
@@ -278,13 +300,12 @@ class ColumnPaths:
             if stop - start >= limit:
                 return None
             return stop - start, lambda: sorted(found.slots[start:stop])
-        if self.schema is None:
-            lookup = self.path(relation, position)
+        index = self._probed(position)
+        if index is None:
+            lookup = self.path(relation, position, op)
             return None if lookup is None \
                 else _bucketed(lookup.get, keys, limit)
-        index = self._probed(position)
-        named = None if index is None else _bucketed(
-            lambda key: index.lookup((key,)), keys, limit)
+        named = _bucketed(lambda key: index.lookup((key,)), keys, limit)
         if named is None:
             return None
         count, row_ids = named
@@ -292,25 +313,32 @@ class ColumnPaths:
         # Slots run in row-id order.
         return count, lambda: list(map(slots.__getitem__, row_ids()))
 
-    def path(self, relation, position: int) -> Any:
-        """Column *position*'s on-demand path over *relation*, built on
-        first use: a table's sorted path (``None`` when the column's
-        values span families or hold NaN), a held view's lookup
-        (``None`` while the view is not held)."""
-        built = self._built
+    def path(self, relation, position: int, op: str = "=") -> Any:
+        """Column *position*'s on-demand path for *op* over *relation*,
+        built on first use: for ``=`` / ``in`` its lookup (``None``
+        while a view is not held), for a range a table's sorted path
+        (``None`` when the column's values span families or hold
+        NaN)."""
+        built = self._sorted if op in RANGES else self._lookups
         if built is None:
             return None
         found = built.get(position, False)
         if found is False:
-            found = built[position] = (
-                _lookup if self.schema is None else _sorted)(relation,
-                                                             position)
+            if op in RANGES:
+                found = _sorted(relation, position)
+            elif self.schema is None:
+                values = relation.cols[position]
+                found = _lookup(values, range(len(values)))
+            else:
+                columns, live = relation.slot_columns()
+                found = _lookup(columns[position], live.values())
+            built[position] = found
         return found
 
     def hold(self) -> None:
         """Many runs will read this view: let them probe it."""
-        if self._built is None:
-            self._built = {}
+        if self._lookups is None:
+            self._lookups = {}
 
     def find(self, column_names: Iterable[str]) -> HashIndex | None:
         """The first declared index over exactly these columns."""
@@ -319,6 +347,8 @@ class ColumnPaths:
     def _probed(self, position: int) -> HashIndex | None:
         """The first declared ``hash`` index over column *position*
         alone, which answers its ``=`` and ``in``."""
+        if self.schema is None:
+            return None
         return next((index for index in self._over(
             [self.schema.columns[position].name]) if index.kind == "hash"),
             None)
@@ -361,18 +391,25 @@ class ColumnPaths:
 
     def merge(self, cols: list[list], first: int) -> None:
         """The slots from *first* on were just appended to *cols*."""
-        for position, path in list(self._built.items()):
+        for position, lookup in self._lookups.items():
+            _lookup(cols[position], range(first, len(cols[position])),
+                    lookup)
+        for position, path in list(self._sorted.items()):
             if path is not None and not path.merge(cols[position], first):
-                self._built[position] = None
+                self._sorted[position] = None
 
-    def delete(self, row_id: int, row: tuple) -> None:
+    def delete(self, row_id: int, slot: int, row: tuple) -> None:
+        """Row *row_id*, at *slot*, is deleted."""
         for index in self.declared:
             index.delete(row_id, self._key(index, row))
-        self._built.clear()
+        for position, lookup in self._lookups.items():
+            _leave(lookup, row[position], slot)
+        self._sorted.clear()
 
-    def update(self, row_id: int, old_row: tuple, new_row: tuple) -> None:
-        """Re-key row *row_id*; on a refusal, put its old keys back and
-        raise it."""
+    def update(self, row_id: int, slot: int, old_row: tuple,
+               new_row: tuple) -> None:
+        """Re-key row *row_id*, at *slot*; on a refusal, put its old
+        keys back and raise it."""
         for index in self.declared:
             index.delete(row_id, self._key(index, old_row))
         inserted: list[tuple[HashIndex, tuple]] = []
@@ -387,12 +424,23 @@ class ColumnPaths:
             for index in self.declared:
                 index.insert(row_id, self._key(index, old_row))
             raise
-        self._built.clear()
+        for position, lookup in self._lookups.items():
+            old, new = old_row[position], new_row[position]
+            if old != new:
+                _leave(lookup, old, slot)
+                if new is not None:
+                    bisect.insort(lookup[new], slot)
+        self._sorted.clear()
+
+    def forget(self) -> None:
+        """The slots were renumbered: drop every on-demand path."""
+        self._lookups.clear()
+        self._sorted.clear()
 
     def clear(self) -> None:
         for index in self.declared:
             index.clear()
-        self._built.clear()
+        self.forget()
 
     def declare(self, name: str, column_names: list[str], unique: bool,
                 kind: str, rows: Iterable[tuple[int, tuple]]) -> HashIndex:
@@ -414,6 +462,10 @@ class ColumnPaths:
             index.insert(row_id, self._key(index, row))
         self.created[name] = index
         self.declared.append(index)
+        if kind == "hash" and len(column_names) == 1:
+            # The index pins the column's path: its lookup is not read.
+            self._lookups.pop(self.schema.position_of(column_names[0]),
+                              None)
         return index
 
     def drop(self, name: str) -> None:

@@ -8,7 +8,7 @@ inserted with, deletes flip a bit in a deleted bitmap instead of
 shifting slots, and a slot map translates ids to positions.  When more
 than a quarter of the slots are dead the table compacts in place
 (row ids survive, slots are renumbered — the only slots kept outside
-this class are the sorted paths', which the delete has already dropped).
+this class are the column paths', which the compaction drops).
 
 Row-oriented accessors (``rows`` / ``rows_with_ids`` / ``row``) keep
 their exact shapes, so snapshots, ANALYZE fallbacks, replicas and every
@@ -19,7 +19,9 @@ gathers the slots its table's column-path store
 (:class:`~repro.relational.indexes.ColumnPaths`, ``paths``) names
 through ``slot_columns``.  Every write tells the store, which keeps the
 declared indexes (PRIMARY KEY and UNIQUE included) and the columns'
-sorted paths up; the table itself builds no path.
+lookups — the ``=`` / ``IN`` path of every column no hash index pins —
+up, slot by slot, and merges an append into the sorted paths or drops
+them; the table itself builds no path.
 
 Writes are columnar too: ``append_rows`` transposes a batch once and
 coerces, constraint-checks, indexes and appends it a column at a time
@@ -113,7 +115,8 @@ class Table:
         self._deleted_count = 0
         self._slots: dict[int, int] = {}   # row_id -> slot, live rows only
         self._next_row_id = 0
-        #: The column-path store: declared indexes and sorted paths.
+        #: The column-path store: declared indexes, the columns'
+        #: lookups and sorted paths.
         self.paths = ColumnPaths(schema)
         #: The ``CREATE INDEX`` indexes by name (the store's).
         self.indexes: dict[str, HashIndex] = self.paths.created
@@ -313,8 +316,8 @@ class Table:
 
     def delete_row(self, row_id: int) -> None:
         slot = self._slots[row_id]
-        self.paths.delete(row_id, tuple(column.values[slot]
-                                        for column in self._columns))
+        self.paths.delete(row_id, slot, tuple(column.values[slot]
+                                              for column in self._columns))
         del self._slots[row_id]
         self._deleted[slot] = 1
         self._deleted_count += 1
@@ -333,6 +336,7 @@ class Table:
         self._deleted_count = 0
         self._slots = {row_id: slot
                        for slot, row_id in enumerate(self._row_ids)}
+        self.paths.forget()
 
     def update_row(self, row_id: int, changes: dict[str, Any]) -> None:
         """Apply column changes to one row, re-checking constraints."""
@@ -345,7 +349,7 @@ class Table:
                     f"table {self.name!r} has no column {name!r}")
             values[name] = value
         new_row = self._check_and_prepare(values)
-        self.paths.update(row_id, old_row, new_row)
+        self.paths.update(row_id, slot, old_row, new_row)
         for column, value in zip(self._columns, new_row):
             column.set(slot, value)
 

@@ -2,9 +2,10 @@
 
 A scan reads, per run, only the rows the narrowest of its access paths
 names (``executor.select_access_paths``: ``=``, ``IN (subquery)`` and
-ranges over a table — through a declared ``hash`` index, and the
-table's sorted path — ``=`` and ``IN`` over a held view; the table's or
-view's column-path store answers each) when that is at most half of them;
+ranges over a table — through a declared ``hash`` index or else the
+column's lookup, and the table's sorted path — ``=`` and ``IN`` over a
+held view; the table's or view's column-path store answers each) when
+that is at most half of them;
 the WHERE stays whole above it.  What must hold, for every drain
 (execute, a partly drained stream, EXPLAIN ANALYZE), over tables with
 and without an index, over held and run-only views and over an
@@ -211,7 +212,7 @@ def shown(source: str, sql: str, values: tuple, keys: list,
 
 @pytest.mark.parametrize("source, sql, values, members, detail", [
     ("indexed table", "SELECT p FROM r WHERE k = ?", (3,), (), "probe k"),
-    ("table", "SELECT p FROM r WHERE k = ?", (3,), (), ""),
+    ("table", "SELECT p FROM r WHERE k = ?", (3,), (), "probe k"),
     ("table", "SELECT p FROM r WHERE 7 <= k", (), (), "range k"),
     ("table", "SELECT p FROM r WHERE k > ?", (1,), (), ""),
     ("indexed table", "SELECT p FROM r WHERE k IN (SELECT c0 FROM w)",
@@ -263,7 +264,7 @@ def test_the_sorted_path_merges_appends_and_goes_with_other_writes():
     def read_all():
         assert [answer("=", key) for key in (3, 9)] == ["probe k"] * 2
         assert answer(">=", 6) == "range k"
-        return table.paths.path(table, 0)
+        return table.paths.path(table, 0, ">=")
 
     def append(*ks):
         db.insert_rows("r", ({"k": k, "p": 1000 + n}
@@ -271,7 +272,7 @@ def test_the_sorted_path_merges_appends_and_goes_with_other_writes():
 
     built = read_all()
     db.execute("INSERT INTO r VALUES (6, 400), (NULL, 401)")
-    assert table.paths.path(table, 0) is built   # merged, not rebuilt
+    assert table.paths.path(table, 0, ">=") is built   # merged, not rebuilt
     assert built.keys == sorted(built.keys) and len(built.keys) == 201
     append(*[9] * 20)
     assert read_all() is built and len(built.keys) == 221
@@ -283,7 +284,7 @@ def test_the_sorted_path_merges_appends_and_goes_with_other_writes():
     read_all()
     append(6, 9, None)
     assert read_all() is not built
-    built = table.paths.path(table, 0)
+    built = table.paths.path(table, 0, ">=")
     db.execute("UPDATE r SET k = 8 WHERE p = 71")
     read_all()
     append(8, 3)
@@ -294,3 +295,53 @@ def test_the_sorted_path_merges_appends_and_goes_with_other_writes():
     read_all()
     db.execute("DELETE FROM r")
     assert answer(">=", 0) == ""
+
+
+def test_a_lookup_is_kept_up_by_an_update_or_delete_without_a_rebuild(
+        monkeypatch):
+    """An UPDATE moves a slot between buckets (or out, for NULL) and a
+    DELETE that does not compact takes one out: the next probe reads the
+    same lookup, never rebuilt, and answers as the forced scan does.  A
+    compaction renumbers the slots and drops it."""
+    from repro.relational import indexes
+    builds = []
+    real = indexes._lookup
+
+    def lookup(values, slots, into=None):
+        builds.append(into is None)
+        return real(values, slots, into)
+    monkeypatch.setattr(indexes, "_lookup", lookup)
+    db = Database()
+    db.execute("CREATE TABLE r (k INTEGER, p INTEGER)")
+    db.insert_rows("r", ({"k": n % 7, "p": n} for n in range(200)))
+    table = db.table("r")
+    read = parsed("SELECT p FROM r WHERE k = ? ORDER BY p")
+
+    def answer(key):
+        result = db.execute_ast(read, (key,))
+        with forced_scan():
+            expected = db.query(f"SELECT p FROM r WHERE k = {key} "
+                                "ORDER BY p").rows
+        assert result.rows == expected
+        assert next(node for node in result.plan.walk()
+                    if node.kind == "scan").detail == "probe k"
+
+    answer(3)
+    built = table.paths.path(table, 0)
+    db.execute("UPDATE r SET k = 3 WHERE p = 5")
+    db.execute("UPDATE r SET k = 9 WHERE p = 10")
+    db.execute("UPDATE r SET k = NULL WHERE p = 17")
+    db.execute("UPDATE r SET k = 5 WHERE p = 40")
+    db.execute("UPDATE r SET p = -1 WHERE p = 24")
+    db.execute("DELETE FROM r WHERE p < 30 AND p <> 5")
+    assert table._deleted_count == 29       # no compaction yet
+    for key in (3, 9, 5, 0):
+        answer(key)
+    assert table.paths.path(table, 0) is built and builds == [True]
+    columns, live = table.slot_columns()
+    assert built == real(columns[0], live.values())
+    db.execute("DELETE FROM r WHERE p < 120")
+    assert len(table.slot_columns()[0][0]) < 200    # compacted
+    answer(3)
+    assert table.paths.path(table, 0) is not built
+    assert builds == [True, True]

@@ -282,8 +282,9 @@ def test_duplicate_alias_rejected(landfill_db):
 
 def test_float_collapsed_keys_are_told_apart_by_every_path(db):
     # Float keys would collapse integers beyond 2**53.  A `USING sorted`
-    # index answers no WHERE `=`; the table's own sorted path and a hash
-    # index keep the keys exact, and the WHERE above the scan decides.
+    # index pins no `=` path, so the column's lookup answers it; the
+    # lookup, the table's own sorted path and a hash index keep the keys
+    # exact, and the WHERE above the scan decides.
     db.execute_script("""
         CREATE TABLE t (k INTEGER, v TEXT);
         INSERT INTO t VALUES (9007199254740992,'a'),(9007199254740993,'b'),
@@ -292,7 +293,7 @@ def test_float_collapsed_keys_are_told_apart_by_every_path(db):
     """)
     point = "SELECT v FROM t WHERE k = 9007199254740993"
     result = db.query(point)
-    assert "probe" not in result.plan.format()
+    assert "probe k" in result.plan.format()
     assert result.rows == [("b",)]
     result = db.query("SELECT v FROM t WHERE k >= 9007199254740993")
     assert "range k" in result.plan.format()
@@ -845,7 +846,7 @@ result select  (est=0.8, actual=1)
   project z  (est=0.8, actual=1, vectorized)
     anti-join t NOT IN  (est=0.8, actual=1, vectorized, null-aware)
       semi-join z IN  (est=1, actual=2, vectorized)
-        scan e  (est=4, actual=4, vectorized)
+        scan e  (est=4, actual=2, vectorized, probe z IN)
         subquery uncorrelated  (est=3, actual=3)
           project y  (est=3, actual=3, vectorized)
             scan b  (est=3, actual=3, vectorized)

@@ -1,0 +1,293 @@
+"""A stateful model of plain SQL over one table, checked against sqlite3.
+
+A :class:`hypothesis.stateful.RuleBasedStateMachine` drives one
+:class:`~repro.relational.Database` holding ``t (id, i INTEGER, r REAL,
+s TEXT, b BOOLEAN)`` and a key table ``u``: rows are inserted one at a
+time and many at once, updated (the column a read probes, or another),
+deleted a few at a time or past the compaction threshold (more than
+``COMPACT_MIN_DELETED`` dead slots and over a quarter of the table),
+truncated; hash, ``USING sorted`` and ``UNIQUE`` indexes are created and
+dropped, and the table is dropped and created again.  Between writes a
+template drawn from :data:`READS` — ``=``, ``IN (list)``, ``IN
+(subquery)`` and ranges, either way round — is prepared once and run
+with drawn values through its kept operator tree.  The values hold
+integers beyond 2**53 in the INTEGER and the REAL column, ``-0.0`` and
+``0.0``, NaN, NULL, TRUE / FALSE and strings.
+
+The model is stdlib sqlite3 holding the same rows.  sqlite has no NaN:
+it holds NULL there, beside a flag (``rnan``).  ``=`` and ``IN`` never
+hold for NaN, as for NULL; the comparator orders NaN equal to every
+number (``types.compare_values``), so ``<=`` and ``>=`` hold for it, and
+the model's query says so.
+
+What must hold: every read is the model's answer (as a multiset) and,
+row for row, the answer of the same template over a forced scan (no
+access path); a column's lookup is read, kept up by the writes between
+runs, and dropped by compaction, truncate and DROP TABLE.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+import sqlite3
+
+from hypothesis import event, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, rule)
+
+from repro.relational import Database
+from repro.relational.parser import SqlParser
+from repro.relational.render import render_literal
+from test_access_paths import forced_scan
+
+NAN = float("nan")
+BIG = 2 ** 53
+
+#: Per column of ``t``: what a write stores there.
+POOLS = {
+    "i": [None, 0, 1, -1, 5, BIG, BIG + 1],
+    "r": [None, 0.0, -0.0, 1.0, 2.5, float(BIG), BIG + 1, NAN],
+    "s": [None, "", "a", "b", "1", "ab"],
+    "b": [None, True, False],
+}
+#: Per column of ``t``: what a read's key is (of the column's family:
+#: sqlite holds ``1 = TRUE``, the engine does not).
+KEYS = {
+    "i": [None, 0, 1, 5, 1.0, BIG, BIG + 1, float(BIG)],
+    "r": [None, 0, 0.0, -0.0, 1, 2.5, BIG, BIG + 1, float(BIG)],
+    "s": [None, "", "a", "b", "1"],
+    "b": [None, True, False],
+}
+KEYS["id"] = [0, 1, 3, 7, 20]
+COLUMNS = ("id", "i", "r", "s", "b")
+#: The column of ``u`` an ``IN (subquery)`` over a column of ``t`` reads.
+MEMBERS = {"id": "x", "i": "x", "r": "y", "s": "z", "b": "w"}
+DDL = "(id INTEGER, i INTEGER, r REAL, s TEXT, b BOOLEAN)"
+
+#: Template -> (its SQL over ``t`` with ``{c}`` the column, how many
+#: keys it binds).  A range's SQL is written as sqlite reads it; the
+#: model adds NaN's rows to ``<=`` / ``>=`` (see the module docstring).
+READS = {
+    "=": ("SELECT id FROM t WHERE {c} = ?", 1),
+    "= swapped": ("SELECT id, s FROM t WHERE ? = {c}", 1),
+    "IN list": ("SELECT id FROM t WHERE {c} IN (?, ?, ?)", 3),
+    "IN subquery": ("SELECT id FROM t WHERE {c} IN (SELECT {m} FROM u)",
+                    0),
+    "IN subquery, range": ("SELECT id FROM t WHERE {c} IN "
+                           "(SELECT {m} FROM u) AND id >= ?", 1),
+    "<": ("SELECT id FROM t WHERE {c} < ?", 1),
+    "<=": ("SELECT id, i FROM t WHERE {c} <= ?", 1),
+    ">": ("SELECT id FROM t WHERE ? < {c}", 1),
+    ">=": ("SELECT id FROM t WHERE {c} >= ?", 1),
+    "= and range": ("SELECT id FROM t WHERE {c} = ? AND id > ?", 2),
+}
+
+
+def literal(value) -> str:
+    """*value* as SQL text; NaN has no literal, so it is a CAST."""
+    if isinstance(value, float) and math.isnan(value):
+        return "CAST('nan' AS REAL)"
+    return render_literal(value)
+
+
+def parsed(sql: str):
+    return SqlParser(sql, first_param=0).parse_statement()
+
+
+class PlainSqlModel(RuleBasedStateMachine):
+
+    @initialize(data=st.data())
+    def set_up(self, data):
+        self.db = Database()
+        self.model = sqlite3.connect(":memory:")
+        self.db.execute(f"CREATE TABLE t {DDL}")
+        self.model.execute(f"CREATE TABLE t {DDL[:-1]}, rnan INTEGER)")
+        ddl = "(x INTEGER, y REAL, z TEXT, w BOOLEAN)"
+        self.db.execute(f"CREATE TABLE u {ddl}")
+        self.model.execute(f"CREATE TABLE u {ddl}")
+        self.next_id = 0
+        self.indexes: list[str] = []
+        #: (template, column) -> (its statement, its forced-scan twin).
+        self.statements: dict[tuple[str, str], tuple] = {}
+        self._members(data)
+        self._insert(data, 140)
+
+    # -- writes ---------------------------------------------------------
+
+    def _rows(self, data, count: int) -> list[tuple]:
+        """*count* new rows, their values drawn from one seed."""
+        rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+        first, self.next_id = self.next_id, self.next_id + count
+        return [(row_id, *(rng.choice(POOLS[column])
+                           for column in COLUMNS[1:]))
+                for row_id in range(first, self.next_id)]
+
+    def _insert(self, data, count: int) -> None:
+        rows = self._rows(data, count)
+        if rows:
+            self.db.execute("INSERT INTO t VALUES " + ", ".join(
+                "(" + ", ".join(map(literal, row)) + ")" for row in rows))
+        self.model.executemany(
+            "INSERT INTO t VALUES (?, ?, ?, ?, ?, ?)",
+            [(*row, isinstance(row[2], float) and math.isnan(row[2]))
+             for row in rows])
+
+    def _members(self, data) -> None:
+        """``u``'s rows afresh: each column's keys, no NaN."""
+        rows = data.draw(st.lists(st.tuples(*(
+            st.sampled_from([value for value in POOLS[column]
+                             if value == value])
+            for column in ("i", "r", "s", "b"))), max_size=5))
+        for database in (self.db, self.model):
+            database.execute("DELETE FROM u")
+        for row in rows:
+            self.db.execute(
+                f"INSERT INTO u VALUES ({', '.join(map(literal, row))})")
+            self.model.execute("INSERT INTO u VALUES (?, ?, ?, ?)", row)
+
+    def _where(self, data) -> tuple[str, str, tuple]:
+        """A write's WHERE: the engine's text, sqlite's, its values."""
+        column = data.draw(st.sampled_from(["id", "i", "s", "b"]))
+        if column == "id":
+            modulus = data.draw(st.integers(1, 4))
+            residue = data.draw(st.integers(0, modulus - 1))
+            text = f"id % {modulus} = {residue}"
+            return text, text, ()
+        key = data.draw(st.sampled_from(POOLS[column][1:]))
+        return f"{column} = {literal(key)}", f"{column} = ?", (key,)
+
+    @rule(data=st.data())
+    def insert_one(self, data):
+        self._insert(data, 1)
+
+    @rule(data=st.data(), count=st.integers(2, 120))
+    def insert_many(self, data, count):
+        self._insert(data, count)
+
+    @rule(data=st.data(), column=st.sampled_from(COLUMNS[1:]))
+    def update(self, data, column):
+        """An UPDATE between two reads of the value it writes: the rows
+        it moves into that value's bucket are read back."""
+        value = data.draw(st.sampled_from(POOLS[column]))
+        where, model_where, values = self._where(data)
+        self._check("=", column, (value,))
+        self.db.execute(f"UPDATE t SET {column} = {literal(value)} "
+                        f"WHERE {where}")
+        nan = isinstance(value, float) and math.isnan(value)
+        self.model.execute(
+            f"UPDATE t SET {column} = ?"
+            + (", rnan = ?" if column == "r" else "")
+            + f" WHERE {model_where}",
+            (value, nan, *values) if column == "r" else (value, *values))
+        self._check("=", column, (value,))
+
+    @rule(data=st.data())
+    def delete(self, data):
+        """A DELETE between two reads of each column: what a compaction
+        renumbers is read back."""
+        where, model_where, values = self._where(data)
+        keys = {column: data.draw(st.sampled_from(KEYS[column]))
+                for column in COLUMNS}
+        for column, key in keys.items():
+            self._check("=", column, (key,))
+        table = self.db.table("t")
+        dead = table._deleted_count
+        deleted = self.db.execute(f"DELETE FROM t WHERE {where}")
+        self.model.execute(f"DELETE FROM t WHERE {model_where}", values)
+        if table._deleted_count != dead + deleted:
+            event("compacted")
+        for column, key in keys.items():
+            self._check("=", column, (key,))
+
+    @rule()
+    def truncate(self):
+        with self.db.rwlock.write_locked():
+            self.db.table("t").truncate()
+        self.model.execute("DELETE FROM t")
+
+    @rule(data=st.data())
+    def refill_members(self, data):
+        self._members(data)
+
+    @rule(column=st.sampled_from(COLUMNS),
+          kind=st.sampled_from(["hash", "sorted", "unique"]))
+    def create_index(self, column, kind):
+        if kind == "unique":
+            column = "id"   # the one column whose values never repeat
+        name = f"{kind}_{column}"
+        if name in self.indexes:
+            return
+        self.db.execute(
+            f"CREATE {'UNIQUE ' * (kind == 'unique')}INDEX {name} "
+            f"ON t ({column}){' USING sorted' * (kind == 'sorted')}")
+        self.indexes.append(name)
+
+    @rule(data=st.data())
+    def drop_index(self, data):
+        if self.indexes:
+            name = data.draw(st.sampled_from(self.indexes))
+            self.db.execute(f"DROP INDEX {name}")
+            self.indexes.remove(name)
+
+    @rule(data=st.data())
+    def drop_and_create(self, data):
+        for database in (self.db, self.model):
+            database.execute("DROP TABLE t")
+        self.db.execute(f"CREATE TABLE t {DDL}")
+        self.model.execute(f"CREATE TABLE t {DDL[:-1]}, rnan INTEGER)")
+        self.indexes.clear()
+        self._insert(data, data.draw(st.integers(0, 40)))
+
+    # -- reads ----------------------------------------------------------
+
+    def _expected(self, template: str, column: str, values: tuple) -> list:
+        sql = READS[template][0].format(c=column, m=MEMBERS[column])
+        if column == "r" and template in ("<=", ">="):
+            sql += " OR (rnan AND ? IS NOT NULL)"
+            values += values
+        return self.model.execute(sql, values).fetchall()
+
+    @rule(data=st.data(), template=st.sampled_from(sorted(READS)))
+    def read(self, data, template):
+        """*template* over each column in turn, with drawn keys."""
+        for column in COLUMNS:
+            keys = st.sampled_from(KEYS[column])
+            values = tuple(data.draw(keys)
+                           for _ in range(READS[template][1]))
+            if template.endswith("range"):
+                values = values[:-1] + (
+                    data.draw(st.sampled_from(KEYS["id"])),)
+            self._check(template, column, values)
+
+    def _check(self, template: str, column: str, values: tuple) -> None:
+        sql = READS[template][0]
+        pair = self.statements.get((template, column))
+        if pair is None:
+            text = sql.format(c=column, m=MEMBERS[column])
+            pair = self.statements[template, column] = (parsed(text),
+                                                         parsed(text))
+        result = self.db.execute_ast(pair[0], values)
+        with forced_scan():
+            scanned = self.db.execute_ast(pair[1], values).rows
+        assert result.rows == scanned
+        assert sorted(result.rows) == sorted(
+            self._expected(template, column, values))
+        detail = next(node.detail for node in result.plan.walk()
+                      if node.kind == "scan" and node.label == "t")
+        event(detail.split(" ")[0] or "scan")
+
+    @invariant()
+    def no_reader_is_left(self):
+        if hasattr(self, "db"):
+            assert self.db.rwlock.active_readers == 0
+
+    def teardown(self):
+        if hasattr(self, "model"):
+            self.model.close()
+
+
+PlainSqlModel.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None)
+test_plain_sql_matches_sqlite = PlainSqlModel.TestCase

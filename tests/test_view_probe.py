@@ -198,10 +198,10 @@ def test_a_held_view_keeps_its_lookups_until_refresh():
     # The whole view ships and is held; the next run probes it.
     assert len(bank.execute_ast(whole, ()).rows) == 4
     held = bank.session._materialized["v"]
-    assert held.paths._built == {}
+    assert held.paths._lookups == {}
     assert bank.execute_ast(probe, (1,)).rows == [("a",), ("c",)]
     assert bank.last_report.pushed_filters == {}
-    assert held.paths._built == {0: {1: [0, 2], 2: [1]}}
+    assert held.paths._lookups == {0: {1: [0, 2], 2: [1]}}
     assert "probe k" in bank.explain(probe, params=(2,)).format()
     source.execute("INSERT INTO t VALUES (2, 'e')")
     # Held: the snapshot answers until refresh drops it with its lookup.
