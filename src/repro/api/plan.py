@@ -4,8 +4,10 @@
 :mod:`repro.core.engine`): the same stage sequence an execution goes
 through — SPARQL extraction, WHERE rewrite, databank, extraction again —
 with ``databank.explain`` in place of the databank query and no combine
-join, so by default it is safe to call on expensive queries.  The
-session prepends the parse (or plan-cache recall) and bind stages and
+join.  By default the databank plans the statement without running it;
+the rest is not free: the extractions run, and a
+:class:`~repro.federation.MediatedDatabank` ships the views the
+statement reads as ``execute`` would ship them.  The session prepends the parse (or plan-cache recall) and bind stages and
 :func:`plan_stages` renders the run's stage records; the stage list,
 every SPARQL text, the rewritten SQL and the cache counters are
 therefore what an execution records, by construction.  The databank's

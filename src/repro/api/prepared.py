@@ -128,8 +128,11 @@ class PreparedQuery:
             self, params, include_original, page_size)
 
     def explain(self, params=None, *, analyze: bool = False):
-        """The :class:`~repro.api.QueryPlan`; by default nothing is
-        executed.  ``analyze=True`` runs the databank stage so the
-        operator tree reports actual rows alongside the estimates."""
+        """The :class:`~repro.api.QueryPlan`: the run up to the
+        databank, extractions included, whose statement the databank
+        plans but by default does not run — a mediated databank still
+        ships the views it reads, as ``execute`` would.
+        ``analyze=True`` runs the databank stage so the operator tree
+        reports actual rows alongside the estimates."""
         return self._session._explain_prepared(self, params,
                                                analyze=analyze)

@@ -328,8 +328,10 @@ class Session:
     def explain(self, text: str, params=None,
                 analyze: bool = False) -> QueryPlan:
         """Plan the query — stages, SPARQL, rewritten SQL and the
-        databank operator tree with estimated rows.  ``analyze=True``
-        also runs the databank stage so every operator reports actual
+        databank operator tree with estimated rows.  The extractions
+        run, and a mediated databank ships the views the statement
+        reads as ``execute`` would; the databank statement itself runs
+        only with ``analyze=True``, so every operator reports actual
         rows next to its estimate."""
         return self.prepare(text).explain(params, analyze=analyze)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from ..core.mapping import ResourceMapping
 from ..rdf.terms import Term
+from ..relational import ast
 from ..relational.engine import Database
 from .errors import AnnotationError
 from .kb import KnowledgeBaseStore, Reference, StatementRecord
@@ -31,6 +32,9 @@ class SemanticTaggingModule:
         self.databank = databank
         self.statements = statements
         self.mapping = mapping or ResourceMapping()
+        #: (table, column) -> its value check, kept so that the
+        #: databank re-drives one tree per column.
+        self._exists: dict[tuple[str, str], ast.SelectQuery] = {}
 
     # -- integrated scenario --------------------------------------------------
 
@@ -50,12 +54,20 @@ class SemanticTaggingModule:
 
     def _value_exists(self, table_name: str, column: str,
                       value: str) -> bool:
-        table = self.databank.table(table_name)
-        position = table.schema.position_of(column)
-        index = table.find_index_on([column])
-        if index is not None:
-            return bool(index.lookup((value,)))
-        return any(row[position] == value for row in table.rows())
+        """Whether SQL ``column = value`` holds for a row of the table,
+        asked of the databank like any query (its read lock, its paths)."""
+        query = self._exists.get((table_name, column))
+        if query is None:
+            # SELECT 1 FROM table WHERE column = ? LIMIT 1, over the names
+            # the schema resolves: nothing is spliced into SQL text.
+            schema = self.databank.table(table_name).schema
+            where = ast.BinaryOp("=", ast.ColumnRef(
+                schema.column(column).name), ast.Param(0))
+            query = self._exists[table_name, column] = ast.SelectQuery(
+                ast.SelectCore([ast.SelectItem(ast.Literal(1))],
+                               from_clause=ast.TableRef(schema.name),
+                               where=where), limit=ast.Literal(1))
+        return len(self.databank.execute_ast(query, (value,))) > 0
 
     # -- independent scenario ---------------------------------------------------
 

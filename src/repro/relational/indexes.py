@@ -4,25 +4,25 @@ A :class:`~repro.relational.table.Table` and a held
 :class:`~repro.relational.table.BoundView` each own one
 :class:`ColumnPaths`, and only it answers "the rows ``column op keys``
 names, or decline" for a scan's access path, and a key's rows for an
-index join.  It holds three kinds of path:
+index join.  It holds three kinds of path, one role each:
 
-* **declared hash indexes** (:class:`HashIndex`) — a table's PRIMARY
-  KEY, UNIQUE columns and ``CREATE INDEX`` es — kept up by every write:
-  :func:`_normalize` d key tuples to the ascending ids of their rows
-  (NULL-containing keys never), so they are exact and enforce UNIQUE.
-  The kind, ``hash`` or ``sorted``, is a label the DDL, journal and
-  snapshot carry; ``sorted`` allows one column.  A ``hash`` index over
-  one column answers that column's ``=`` and ``IN``: it pins its path;
+* **declared indexes** (:class:`HashIndex`) — a table's PRIMARY KEY,
+  UNIQUE columns and ``CREATE INDEX`` es — enforce UNIQUE and serve
+  index joins, and nothing else: no scan reads one.  Kept up by every
+  write, they map :func:`_normalize` d key tuples to the ascending ids
+  of their rows (NULL-containing keys never), so they are exact.  The
+  kind, ``hash`` or ``sorted``, is a label the DDL, journal and
+  snapshot carry; ``sorted`` allows one column;
 * **a column's lookup** (:func:`_lookup`), raw value to the ascending
-  slots holding it, built by the first ``=`` / ``IN`` read over a
-  column no ``hash`` index pins — any table column, a held view's
-  column.  A table's is kept up by every write: an append adds its new
-  slots, a DELETE takes one slot out of its bucket and an UPDATE moves
-  it to its new value's bucket (both by bisect); a compaction, which
-  renumbers the slots, and a truncate drop it;
-* **a table column's sorted path** (:class:`SortedColumn`), built by
-  the first range read over it, merged into by an append and dropped by
-  any other write.
+  slots holding it, answers every column's ``=`` and ``IN`` — any table
+  column, declared index or not, and a held view's column — built by
+  the first such read.  A table's is kept up by every write: an append
+  adds its new slots, a DELETE takes one slot out of its bucket and an
+  UPDATE moves it to its new value's bucket (both by bisect); a
+  compaction, which renumbers the slots, and a truncate drop it;
+* **a table column's sorted path** (:class:`SortedColumn`) answers its
+  ranges: built by the first range read over it, merged into by an
+  append and dropped by any other write.
 
 On-demand paths are never journaled or snapshotted; readers racing to
 build one each build an equal path, and one is kept.
@@ -34,7 +34,7 @@ import bisect
 from array import array
 from collections import defaultdict
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import ConstraintViolation, SchemaError
 from .schema import TableSchema
@@ -71,7 +71,8 @@ def _normalize(value: Any) -> Any:
 
 
 class HashIndex:
-    """A declared equality index over one or more columns of a table."""
+    """A declared equality index over one or more columns of a table:
+    it enforces UNIQUE and serves index joins."""
 
     def __init__(self, name: str, table_name: str, column_names: list[str],
                  unique: bool = False, kind: str = "hash") -> None:
@@ -222,33 +223,14 @@ def _leave(lookup: defaultdict, value: Any, slot: int) -> None:
             del lookup[value]
 
 
-def _bucketed(find: Callable[[Any], Sequence[int]], keys, limit: int
-              ) -> tuple[int, Callable[[], Sequence[int]]] | None:
-    """How many ids *find* lists for *keys* — ascending runs, disjoint
-    across keys — and a thunk of all of them ascending; ``None`` once
-    they reach *limit*."""
-    count = 0
-    buckets = []
-    for key in keys:
-        bucket = find(key)
-        if bucket:
-            count += len(bucket)
-            if count >= limit:
-                return None
-            buckets.append(bucket)
-    if len(buckets) == 1:
-        return count, lambda: buckets[0]
-    return count, lambda: sorted(chain.from_iterable(buckets))
-
-
 class ColumnPaths:
     """One relation's column paths.  A table's store (*schema* given)
-    answers ``=`` / ``in`` on any column — through a declared ``hash``
-    index over it, else the column's lookup — and ranges through the
-    sorted path, and is told of every write; a view's answers ``=`` /
-    ``in`` through the lookup once :meth:`hold` is called, and nothing
-    before.  A read is handed the relation (its value lists), which the
-    store never keeps."""
+    answers ``=`` / ``in`` on any column through the column's lookup and
+    ranges through the sorted path, keeps the declared indexes that
+    enforce UNIQUE and serve index joins, and is told of every write; a
+    view's answers ``=`` / ``in`` through the lookup once :meth:`hold`
+    is called, and nothing before.  A read is handed the relation (its
+    value lists), which the store never keeps."""
 
     __slots__ = ("schema", "declared", "created", "_lookups", "_sorted")
 
@@ -300,18 +282,19 @@ class ColumnPaths:
             if stop - start >= limit:
                 return None
             return stop - start, lambda: sorted(found.slots[start:stop])
-        index = self._probed(position)
-        if index is None:
-            lookup = self.path(relation, position, op)
-            return None if lookup is None \
-                else _bucketed(lookup.get, keys, limit)
-        named = _bucketed(lambda key: index.lookup((key,)), keys, limit)
-        if named is None:
+        lookup = self.path(relation, position, op)
+        if lookup is None:
             return None
-        count, row_ids = named
-        slots = relation.slot_columns()[1]
-        # Slots run in row-id order.
-        return count, lambda: list(map(slots.__getitem__, row_ids()))
+        # Each key's slots are an ascending run, disjoint from the others.
+        count, buckets = 0, []
+        for bucket in filter(None, map(lookup.get, keys)):
+            count += len(bucket)
+            if count >= limit:
+                return None
+            buckets.append(bucket)
+        if len(buckets) == 1:
+            return count, lambda: buckets[0]
+        return count, lambda: sorted(chain.from_iterable(buckets))
 
     def path(self, relation, position: int, op: str = "=") -> Any:
         """Column *position*'s on-demand path for *op* over *relation*,
@@ -342,21 +325,10 @@ class ColumnPaths:
 
     def find(self, column_names: Iterable[str]) -> HashIndex | None:
         """The first declared index over exactly these columns."""
-        return next(self._over(column_names), None)
-
-    def _probed(self, position: int) -> HashIndex | None:
-        """The first declared ``hash`` index over column *position*
-        alone, which answers its ``=`` and ``in``."""
-        if self.schema is None:
-            return None
-        return next((index for index in self._over(
-            [self.schema.columns[position].name]) if index.kind == "hash"),
-            None)
-
-    def _over(self, column_names: Iterable[str]) -> Iterator[HashIndex]:
         wanted = [name.lower() for name in column_names]
-        return (index for index in self.declared
-                if [name.lower() for name in index.column_names] == wanted)
+        return next((index for index in self.declared
+                     if [name.lower() for name in index.column_names]
+                     == wanted), None)
 
     # -- writes ----------------------------------------------------------------
 
@@ -462,10 +434,6 @@ class ColumnPaths:
             index.insert(row_id, self._key(index, row))
         self.created[name] = index
         self.declared.append(index)
-        if kind == "hash" and len(column_names) == 1:
-            # The index pins the column's path: its lookup is not read.
-            self._lookups.pop(self.schema.position_of(column_names[0]),
-                              None)
         return index
 
     def drop(self, name: str) -> None:

@@ -17,11 +17,13 @@ other consumer are unaffected.  The scan operator reads
 ``column_values`` (one live column); an access path or an index join
 gathers the slots its table's column-path store
 (:class:`~repro.relational.indexes.ColumnPaths`, ``paths``) names
-through ``slot_columns``.  Every write tells the store, which keeps the
-declared indexes (PRIMARY KEY and UNIQUE included) and the columns'
-lookups — the ``=`` / ``IN`` path of every column no hash index pins —
-up, slot by slot, and merges an append into the sorted paths or drops
-them; the table itself builds no path.
+through ``slot_columns``.  The store's paths have three roles: the
+declared indexes (PRIMARY KEY and UNIQUE included) enforce constraints
+and serve index joins, a column's lookup answers every column's ``=`` /
+``IN``, and a column's sorted path answers its ranges.  Every write
+tells the store, which keeps the declared indexes and the lookups up,
+slot by slot, and merges an append into the sorted paths or drops them;
+the table itself builds no path.
 
 Writes are columnar too: ``append_rows`` transposes a batch once and
 coerces, constraint-checks, indexes and appends it a column at a time

@@ -2,10 +2,10 @@
 
 A scan reads, per run, only the rows the narrowest of its access paths
 names (``executor.select_access_paths``: ``=``, ``IN (subquery)`` and
-ranges over a table — through a declared ``hash`` index or else the
-column's lookup, and the table's sorted path — ``=`` and ``IN`` over a
-held view; the table's or view's column-path store answers each) when
-that is at most half of them;
+ranges over a table — through the column's lookup, declared index or
+not, and the table's sorted path — ``=`` and ``IN`` over a held view;
+the table's or view's column-path store answers each) when that is at
+most half of them;
 the WHERE stays whole above it.  What must hold, for every drain
 (execute, a partly drained stream, EXPLAIN ANALYZE), over tables with
 and without an index, over held and run-only views and over an
@@ -297,12 +297,15 @@ def test_the_sorted_path_merges_appends_and_goes_with_other_writes():
     assert answer(">=", 0) == ""
 
 
+@pytest.mark.parametrize("index", [None, "CREATE INDEX rk ON r (k)"],
+                         ids=["unindexed", "indexed"])
 def test_a_lookup_is_kept_up_by_an_update_or_delete_without_a_rebuild(
-        monkeypatch):
+        monkeypatch, index):
     """An UPDATE moves a slot between buckets (or out, for NULL) and a
     DELETE that does not compact takes one out: the next probe reads the
     same lookup, never rebuilt, and answers as the forced scan does.  A
-    compaction renumbers the slots and drops it."""
+    compaction renumbers the slots and drops it.  A declared index over
+    the column changes none of that."""
     from repro.relational import indexes
     builds = []
     real = indexes._lookup
@@ -314,6 +317,8 @@ def test_a_lookup_is_kept_up_by_an_update_or_delete_without_a_rebuild(
     db = Database()
     db.execute("CREATE TABLE r (k INTEGER, p INTEGER)")
     db.insert_rows("r", ({"k": n % 7, "p": n} for n in range(200)))
+    if index is not None:
+        db.execute(index)
     table = db.table("r")
     read = parsed("SELECT p FROM r WHERE k = ? ORDER BY p")
 
@@ -327,6 +332,7 @@ def test_a_lookup_is_kept_up_by_an_update_or_delete_without_a_rebuild(
                     if node.kind == "scan").detail == "probe k"
 
     answer(3)
+    assert builds == [True]                 # the read built the lookup
     built = table.paths.path(table, 0)
     db.execute("UPDATE r SET k = 3 WHERE p = 5")
     db.execute("UPDATE r SET k = 9 WHERE p = 10")
@@ -345,3 +351,49 @@ def test_a_lookup_is_kept_up_by_an_update_or_delete_without_a_rebuild(
     answer(3)
     assert table.paths.path(table, 0) is not built
     assert builds == [True, True]
+
+
+@pytest.mark.parametrize("column", ["k", "u", "id"])
+def test_no_scan_reads_a_declared_index_only_an_index_join_does(
+        monkeypatch, column):
+    """A ``CREATE INDEX`` column (``k``), a UNIQUE one (``u``) and the
+    PRIMARY KEY (``id``) answer ``=`` and ``IN (subquery)`` through the
+    column's lookup under every drain: no scan calls
+    ``HashIndex.lookup``, and each answers as the forced scan does.  An
+    index join over the same table still calls it."""
+    from repro.relational.indexes import HashIndex
+    calls = []
+    real = HashIndex.lookup
+
+    def lookup(index, values):
+        calls.append(index.name)
+        return real(index, values)
+    monkeypatch.setattr(HashIndex, "lookup", lookup)
+    db = Database()
+    db.execute("CREATE TABLE r (id INTEGER PRIMARY KEY, u INTEGER UNIQUE, "
+               "k INTEGER, p INTEGER)")
+    db.insert_rows("r", ({"id": n, "u": -n, "k": n % 50, "p": n}
+                         for n in range(200)))
+    db.execute("CREATE INDEX rk ON r (k)")
+    db.execute("CREATE TABLE s (x INTEGER)")
+    db.insert_rows("s", ({"x": x} for x in (3, -4, 7)))
+    key = {"k": 3, "u": -4, "id": 7}[column]
+    views = {"w": BoundView.of("w", ["c0"], [[3, -4, 7, 3]], [{int}])}
+    for sql, detail in (
+            (f"SELECT p FROM r WHERE {column} = ? ORDER BY p",
+             f"probe {column}"),
+            (f"SELECT p FROM r WHERE {column} IN (SELECT c0 FROM w) "
+             "ORDER BY p", f"probe {column} IN")):
+        values = (key,) * sql.count("?")
+        with forced_scan():
+            expected = drains(db, parsed(sql), values, views, 2)
+        got = drains(db, parsed(sql), values, views, 2)
+        assert got[0] == expected[0] and got[0]
+        assert got[1] == expected[1]
+        assert got[2][0] == expected[2][0]
+        assert got[2][1].detail == detail
+    assert calls == []
+    joined = db.explain(f"SELECT s.x, r.p FROM s JOIN r ON r.{column} = s.x "
+                        "ORDER BY r.p", analyze=True)
+    assert "index-join" in {node.kind for node in joined.root.walk()}
+    assert calls

@@ -111,21 +111,30 @@ def test_integrated_annotation_on_real_value(platform):
 
 @pytest.mark.parametrize("kind", [None, "hash", "sorted"])
 def test_integrated_annotation_needs_the_exact_value(kind):
-    # 2**53 + 1 is no float: a key compared as one would match 2**53.
+    # The value must hold for SQL ``=``, whatever the index: 2**53 + 1
+    # is no float (a key compared as one would match 2**53), ``TRUE``
+    # is not ``1`` and ``NULL`` equals nothing — but ``1.0`` is ``1``.
     databank = Database()
     databank.execute_script(f"""
         CREATE TABLE t (k INTEGER);
         INSERT INTO t VALUES ({2 ** 53});
+        INSERT INTO t VALUES (1);
+        INSERT INTO t VALUES (NULL);
     """)
     if kind is not None:
         databank.execute(f"CREATE INDEX tk ON t (k) USING {kind}")
+    for literal in ("TRUE", "NULL"):
+        assert databank.query(f"SELECT 1 FROM t WHERE k = {literal}"
+                              ).rows == []
     tagging = CrossePlatform(databank).tagging
-    with pytest.raises(AnnotationError):
-        tagging.annotate_concept("giulia", "t", "k", 2 ** 53 + 1,
-                                 SMG.dangerLevel, "high")
-    record = tagging.annotate_concept("giulia", "t", "k", 2 ** 53,
-                                      SMG.dangerLevel, "high")
-    assert record.triple.subject == Literal(2 ** 53)
+    for value in (2 ** 53 + 1, True, None):
+        with pytest.raises(AnnotationError):
+            tagging.annotate_concept("giulia", "t", "k", value,
+                                     SMG.dangerLevel, "high")
+    for value in (2 ** 53, 1.0):
+        record = tagging.annotate_concept("giulia", "t", "k", value,
+                                          SMG.dangerLevel, "high")
+        assert record.triple.subject == Literal(value)
 
 
 def test_independent_annotation_is_free(platform):

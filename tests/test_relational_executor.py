@@ -281,10 +281,10 @@ def test_duplicate_alias_rejected(landfill_db):
 
 
 def test_float_collapsed_keys_are_told_apart_by_every_path(db):
-    # Float keys would collapse integers beyond 2**53.  A `USING sorted`
-    # index pins no `=` path, so the column's lookup answers it; the
-    # lookup, the table's own sorted path and a hash index keep the keys
-    # exact, and the WHERE above the scan decides.
+    # Float keys would collapse integers beyond 2**53.  The column's
+    # lookup answers `=` whatever index covers it; the lookup, the
+    # table's own sorted path and a declared index keep the keys exact,
+    # and the WHERE above the scan decides.
     db.execute_script("""
         CREATE TABLE t (k INTEGER, v TEXT);
         INSERT INTO t VALUES (9007199254740992,'a'),(9007199254740993,'b'),
