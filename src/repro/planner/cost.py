@@ -4,10 +4,10 @@ Costs are abstract "row visits" — good enough to rank join orders and
 pick a physical join strategy.  Constants reflect the Python executor:
 a hash join indexes its right input's key column (one dict, built in C
 when the keys are unique) and maps a left batch's keys through it, so a
-build row and a probe row cost about the same; a per-row index lookup
-costs far more than either (each key is evaluated and normalised per
-row, in Python, before its bucket is read), and nested loops pay the
-full cross product.
+build row and a probe row cost about the same; a per-row index-join
+probe costs far more than either (each key is evaluated and its family
+checked per row, in Python, before its bucket in the inner column's
+lookup is read), and nested loops pay the full cross product.
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ class CostModel:
     def index_join_cost(self, left_rows: float,
                         out_rows: float) -> float:
         # The inner side is never scanned or built: each outer row pays
-        # one index lookup plus the matches it yields.
+        # one probe of the inner column's lookup plus the matches it
+        # yields.
         return (left_rows * INDEX_PROBE_PER_LOOKUP
                 + out_rows * (1.0 + OUTPUT_COST_PER_ROW))
 

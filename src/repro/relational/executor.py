@@ -314,11 +314,12 @@ def _try_compile(expr: ast.Expr, scopes: list[RowSchema],
 
 def _choose_probe(right: Operator, strategy: str | None,
                   right_positions: list[int | None]
-                  ) -> tuple[Any, list[int]] | None:
-    """Whether an equi-join probes an index on its inner table instead
-    of building a hash table: ``(index, covered pair indices)`` or
-    ``None``.  The planner's strategy wins when the join carries one;
-    otherwise a matching index on a large enough table is used.
+                  ) -> tuple[Any, int] | None:
+    """Whether an equi-join probes its inner table instead of building a
+    hash table: ``(index, pair)`` — the declared index that licenses it
+    and the equi pair whose inner column the probe reads — or ``None``.
+    The planner's strategy wins when the join carries one; otherwise a
+    matching index on a large enough table is used.
     """
     if not isinstance(right, Scan) or not isinstance(right.table, Table):
         return None  # derived inputs and foreign tables have no index
@@ -337,7 +338,7 @@ def _choose_probe(right: Operator, strategy: str | None,
     if strategy != "index-join" and len(table) < INDEX_PROBE_THRESHOLD:
         return None
     index, covered = found
-    return index, [candidates[i][0] for i in covered]
+    return index, candidates[covered[0]][0]
 
 
 def _build_join(join: ast.Join, catalog: Catalog,
@@ -391,15 +392,15 @@ def _build_join(join: ast.Join, catalog: Catalog,
     probe = _choose_probe(right, hint.strategy,
                           [position for *_rest, position in equi])
     if probe is not None:
-        # The index answers the covered pairs (the probe holds their
-        # left keys); the others are checked on each candidate row,
-        # ahead of the residual.
-        index, covered = probe
+        # The lookup answers one pair (the probe holds its left key);
+        # the others are checked on each candidate row, ahead of the
+        # residual.
+        index, probed = probe
         kind = "index-join"
-        right = IndexProbe(right, index, [equi[i][1] for i in covered],
+        right = IndexProbe(right, index, equi[probed][3], equi[probed][1],
                            right.est_rows)
         residual = [pair[0] for i, pair in enumerate(equi)
-                    if i not in covered] + residual
+                    if i != probed] + residual
     else:
         key_positions = select_join_keys(pairs, left_scopes, right_scopes)
     residual_expr = ast.conjoin(residual)

@@ -3,26 +3,29 @@
 A :class:`~repro.relational.table.Table` and a held
 :class:`~repro.relational.table.BoundView` each own one
 :class:`ColumnPaths`, and only it answers "the rows ``column op keys``
-names, or decline" for a scan's access path, and a key's rows for an
-index join.  It holds three kinds of path, one role each:
+names, or decline" for a scan's access path and for an index join's
+probe.  It holds two kinds of path, built on demand, beside the
+declared indexes:
 
-* **declared indexes** (:class:`HashIndex`) — a table's PRIMARY KEY,
-  UNIQUE columns and ``CREATE INDEX`` es — enforce UNIQUE and serve
-  index joins, and nothing else: no scan reads one.  Kept up by every
-  write, they map :func:`_normalize` d key tuples to the ascending ids
-  of their rows (NULL-containing keys never), so they are exact.  The
-  kind, ``hash`` or ``sorted``, is a label the DDL, journal and
-  snapshot carry; ``sorted`` allows one column;
 * **a column's lookup** (:func:`_lookup`), raw value to the ascending
-  slots holding it, answers every column's ``=`` and ``IN`` — any table
-  column, declared index or not, and a held view's column — built by
-  the first such read.  A table's is kept up by every write: an append
-  adds its new slots, a DELETE takes one slot out of its bucket and an
-  UPDATE moves it to its new value's bucket (both by bisect); a
-  compaction, which renumbers the slots, and a truncate drop it;
+  slots holding it, answers every column's ``=`` and ``IN`` and every
+  index join's probe — any table column, declared index or not, and a
+  held view's column — built by the first such read.  A table's is kept
+  up by every write: an append adds its new slots, a DELETE takes one
+  slot out of its bucket and an UPDATE moves it to its new value's
+  bucket (both by bisect); a compaction, which renumbers the slots, and
+  a truncate drop it;
 * **a table column's sorted path** (:class:`SortedColumn`) answers its
   ranges: built by the first range read over it, merged into by an
   append and dropped by any other write.
+
+A **declared index** (:class:`HashIndex`) — a table's PRIMARY KEY,
+UNIQUE columns and ``CREATE INDEX`` es — is a constraint, not a path:
+a UNIQUE one enforces its key, and any one licenses an index join on
+its columns (which then reads the first column's lookup).  Only a
+UNIQUE index stores anything: the set of its live keys.  The kind,
+``hash`` or ``sorted``, is a label the DDL, journal and snapshot carry;
+``sorted`` allows one column.
 
 On-demand paths are never journaled or snapshotted; readers racing to
 build one each build an equal path, and one is kept.
@@ -33,7 +36,7 @@ from __future__ import annotations
 import bisect
 from array import array
 from collections import defaultdict
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import ConstraintViolation, SchemaError
@@ -71,8 +74,10 @@ def _normalize(value: Any) -> Any:
 
 
 class HashIndex:
-    """A declared equality index over one or more columns of a table:
-    it enforces UNIQUE and serves index joins."""
+    """A declared index over one or more columns of a table.  A UNIQUE
+    one (the PRIMARY KEY's included) keeps the set of its live keys,
+    each :func:`_normalize` d (a key holding NULL never), and refuses a
+    second row with one; any other keeps nothing."""
 
     def __init__(self, name: str, table_name: str, column_names: list[str],
                  unique: bool = False, kind: str = "hash") -> None:
@@ -81,58 +86,28 @@ class HashIndex:
         self.column_names = list(column_names)
         self.unique = unique
         self.kind = kind
-        #: Key -> the ascending ids of its rows.
-        self._buckets: dict[tuple, list[int]] = {}
+        self.keys: set[tuple] = set()
 
     def _key(self, values: tuple) -> tuple | None:
         if None in values:
             return None
         return tuple(map(_normalize, values))
 
-    def insert(self, row_id: int, values: tuple) -> None:
+    def insert(self, values: tuple) -> None:
         key = self._key(values)
         if key is None:
             return
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = [row_id]
-            return
-        if self.unique:
+        if key in self.keys:
             raise ConstraintViolation(
                 f"UNIQUE index {self.name!r} violated by key {values!r}")
-        if bucket[-1] < row_id:
-            bucket.append(row_id)   # an append: ids only grow
-            return
-        position = bisect.bisect_left(bucket, row_id)
-        if bucket[position] != row_id:
-            bucket.insert(position, row_id)
+        self.keys.add(key)
 
-    def delete(self, row_id: int, values: tuple) -> None:
-        key = self._key(values)
-        if key is None:
-            return
-        bucket = self._buckets.get(key)
-        if bucket is not None:
-            position = bisect.bisect_left(bucket, row_id)
-            if position < len(bucket) and bucket[position] == row_id:
-                del bucket[position]
-            if not bucket:
-                del self._buckets[key]
-
-    def lookup(self, values: tuple) -> Sequence[int]:
-        """The ascending ids of the rows whose key equals *values* — the
-        index's own bucket, not a copy: read it, never write it."""
-        key = self._key(values)
-        if key is None:
-            return ()
-        return self._buckets.get(key, ())
+    def delete(self, values: tuple) -> None:
+        self.keys.discard(self._key(values))
 
     def clear(self) -> None:
-        """Drop every entry (the index definition stays)."""
-        self._buckets.clear()
-
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
+        """Drop every key (the index definition stays)."""
+        self.keys.clear()
 
 
 class SortedColumn:
@@ -226,8 +201,8 @@ def _leave(lookup: defaultdict, value: Any, slot: int) -> None:
 class ColumnPaths:
     """One relation's column paths.  A table's store (*schema* given)
     answers ``=`` / ``in`` on any column through the column's lookup and
-    ranges through the sorted path, keeps the declared indexes that
-    enforce UNIQUE and serve index joins, and is told of every write; a
+    ranges through the sorted path, keeps the declared indexes (the
+    UNIQUE ones' keys up to date) and is told of every write; a
     view's answers ``=`` / ``in`` through the lookup once :meth:`hold`
     is called, and nothing before.  A read is handed the relation (its
     value lists), which the store never keeps."""
@@ -332,33 +307,34 @@ class ColumnPaths:
 
     # -- writes ----------------------------------------------------------------
 
+    def _unique(self) -> list[HashIndex]:
+        return [index for index in self.declared if index.unique]
+
     def _key(self, index: HashIndex, row: Sequence) -> tuple:
         return tuple(row[self.schema.position_of(name)]
                      for name in index.column_names)
 
-    def insert(self, first: int, cols: Sequence[Sequence], count: int
+    def insert(self, cols: Sequence[Sequence], count: int
                ) -> tuple[int, ConstraintViolation | None]:
-        """Index the rows *cols* holds (one value sequence per column)
-        under ids *first* on, up to the first of the *count* an index
-        refuses: how many went in, and the refusal."""
+        """Enter the keys of the rows *cols* holds (one value sequence
+        per column) in the UNIQUE indexes, up to the first of the
+        *count* one refuses: how many went in, and the refusal."""
         refused = None
-        indexed = []
-        for index in self.declared:
+        entered = []
+        for index in self._unique():
             keys = [cols[self.schema.position_of(name)]
                     for name in index.column_names]
             done = 0
             try:
-                for row_id, key in zip(range(first, first + count),
-                                       zip(*keys)):
-                    index.insert(row_id, key)
+                for key in islice(zip(*keys), count):
+                    index.insert(key)
                     done += 1
             except ConstraintViolation as exc:
                 count, refused = done, exc
-            indexed.append((index, keys, done))
-        for index, keys, done in indexed:
+            entered.append((index, keys, done))
+        for index, keys, done in entered:
             for offset in range(count, done):  # rows past the refused one
-                index.delete(first + offset,
-                             tuple(column[offset] for column in keys))
+                index.delete(tuple(column[offset] for column in keys))
         return count, refused
 
     def merge(self, cols: list[list], first: int) -> None:
@@ -370,31 +346,31 @@ class ColumnPaths:
             if path is not None and not path.merge(cols[position], first):
                 self._sorted[position] = None
 
-    def delete(self, row_id: int, slot: int, row: tuple) -> None:
-        """Row *row_id*, at *slot*, is deleted."""
-        for index in self.declared:
-            index.delete(row_id, self._key(index, row))
+    def delete(self, slot: int, row: tuple) -> None:
+        """The row at *slot* is deleted."""
+        for index in self._unique():
+            index.delete(self._key(index, row))
         for position, lookup in self._lookups.items():
             _leave(lookup, row[position], slot)
         self._sorted.clear()
 
-    def update(self, row_id: int, slot: int, old_row: tuple,
-               new_row: tuple) -> None:
-        """Re-key row *row_id*, at *slot*; on a refusal, put its old
-        keys back and raise it."""
-        for index in self.declared:
-            index.delete(row_id, self._key(index, old_row))
+    def update(self, slot: int, old_row: tuple, new_row: tuple) -> None:
+        """Re-key the row at *slot*; on a refusal, put its old keys back
+        and raise it."""
+        unique = self._unique()
+        for index in unique:
+            index.delete(self._key(index, old_row))
         inserted: list[tuple[HashIndex, tuple]] = []
         try:
-            for index in self.declared:
+            for index in unique:
                 key = self._key(index, new_row)
-                index.insert(row_id, key)
+                index.insert(key)
                 inserted.append((index, key))
         except ConstraintViolation:
             for index, key in inserted:
-                index.delete(row_id, key)
-            for index in self.declared:
-                index.insert(row_id, self._key(index, old_row))
+                index.delete(key)
+            for index in unique:
+                index.insert(self._key(index, old_row))
             raise
         for position, lookup in self._lookups.items():
             old, new = old_row[position], new_row[position]
@@ -415,9 +391,9 @@ class ColumnPaths:
         self.forget()
 
     def declare(self, name: str, column_names: list[str], unique: bool,
-                kind: str, rows: Iterable[tuple[int, tuple]]) -> HashIndex:
-        """``CREATE [UNIQUE] INDEX name ... USING kind`` over *rows*
-        (``(row id, row)`` pairs)."""
+                kind: str, rows: Iterable[tuple]) -> HashIndex:
+        """``CREATE [UNIQUE] INDEX name ... USING kind``: a UNIQUE one
+        enters the keys of *rows*, any other reads none."""
         if name in self.created:
             raise SchemaError(f"index {name!r} already exists")
         for column_name in column_names:
@@ -430,8 +406,8 @@ class ColumnPaths:
             raise ConstraintViolation(
                 "sorted indexes support exactly one column")
         index = HashIndex(name, self.schema.name, column_names, unique, kind)
-        for row_id, row in rows:
-            index.insert(row_id, self._key(index, row))
+        for row in rows if unique else ():
+            index.insert(self._key(index, row))
         self.created[name] = index
         self.declared.append(index)
         return index

@@ -516,34 +516,42 @@ class ViewScan(_Access):
 
 
 class IndexProbe(Operator):
-    """The inner side of an index join: the rows of *table* whose
-    indexed columns equal the key the ``key_fns`` evaluate on the
-    current outer row, which the join appends to ``outer_rows``.
-
-    The index is one of the table's declared indexes, which buckets by
-    the same normalization as ``values_equal``, so its ``lookup`` is
-    exact.  That and ``fetch`` (the rows of some ids, as a batch
-    gathering from the table's columns) are the primitives the join maps
-    over a batch's keys; the node never runs on its own.
+    """The inner side of an index join, licensed by a declared index
+    (``detail`` names it): the rows of *table* whose column *position*
+    equals the key ``key_fn`` evaluates on the current outer row, which
+    the join appends to ``outer_rows``.  The column's lookup answers,
+    read afresh per batch (a compaction replaces it); under its raw
+    keys ``1`` finds ``TRUE`` too, so only a key of the column's family
+    finds anything, and NULL nothing.  ``slots`` and ``fetch`` are the
+    primitives the join maps over a batch's keys; the node never runs
+    on its own.
     """
 
     preserves_rows = False
 
-    def __init__(self, scan: Scan, index, key_fns: list[RowFn],
+    def __init__(self, scan: Scan, index, position: int, key_fn: RowFn,
                  est_rows: float | None = None) -> None:
         super().__init__("scan", scan.label, scan.schema,
                          est_rows=est_rows, detail=f"index {index.name}")
         self.table = scan.table
-        self.index = index
-        self.key_fns = key_fns
+        self.position = position
+        self.family = FAMILY[self.table.schema.columns[position].data_type]
+        self.key_fn = key_fn
 
-    def fetch(self, row_ids: list[int]) -> Batch:
-        """The rows *row_ids* name, gathered from the table's columns
-        when first read."""
-        columns, slots = self.table.slot_columns()
-        return take([(Batch(cols=columns), list(map(slots.__getitem__,
-                                                    row_ids)),
-                      len(columns))], len(row_ids))
+    def slots(self, keys: Iterable) -> list[Sequence[int]]:
+        """Per key, the ascending slots of its matches — the lookup's own
+        bucket, not a copy: read it, never write it."""
+        found = self.table.paths.path(self.table, self.position).get
+        family = self.family
+        return [found(key, ()) if literal_family(key) == family else ()
+                for key in keys]
+
+    def fetch(self, slots: list[int]) -> Batch:
+        """The rows at *slots*, gathered from the table's columns when
+        first read."""
+        columns = self.table.slot_columns()[0]
+        return take([(Batch(cols=columns), slots, len(columns))],
+                    len(slots))
 
 
 def _narrowed(batch: Batch, kernels: list) -> Batch:
@@ -994,12 +1002,12 @@ class Join(Operator):
     in C when every non-NULL key is distinct, which its size tells;
     else key -> row ids — and maps a left batch's keys through it;
     ``index-join`` asks the right child — an :class:`IndexProbe` — for
-    the row ids matching each key of the batch and gathers them from
-    the table's columns, never scanning it; ``nested-loop`` /
-    ``cross-join`` tile the left positions against every right row.  A
-    LEFT join pairs a left row without candidates with a pad id, which
-    points at an all-NULL row appended to the right columns, so padding
-    is a gather like any other.  ``check`` (the residual ON predicate,
+    the slots its column's lookup holds for each key of the batch and
+    gathers them from the table's columns, never scanning it;
+    ``nested-loop`` / ``cross-join`` tile the left positions against
+    every right row.  A LEFT join pairs a left row without candidates
+    with a pad id, which points at an all-NULL row appended to the right
+    columns, so padding is a gather like any other.  ``check`` (the residual ON predicate,
     or all of it for a nested loop) runs over the candidate pairs only,
     on their combined rows, and keeps a mask; a LEFT join pads a left
     row none of whose pairs survived, in its place.
@@ -1187,11 +1195,11 @@ class Join(Operator):
 
     def _probed_pairs(self, batch: Batch, outer_rows: Rows,
                       size: int) -> Iterator[tuple]:
-        """The right rows of one left batch are its index matches, in
+        """The right rows of one left batch are its lookup matches, in
         the order found, gathered from the table into one source."""
         probe = self.children[1]
-        found = list(map(probe.index.lookup, _key_rows(
-            probe.key_fns, batch.rows, outer_rows)))
+        found = probe.slots([probe.key_fn(outer_rows + (row,))
+                             for row in batch.rows])
         matched = list(chain.from_iterable(found))
         source = stack([probe.fetch(matched)], len(probe.schema),
                        self.left_join)

@@ -2,8 +2,8 @@
 
 Hot storage is one :class:`~repro.relational.vectors.ColumnVector` per
 column — a typed value list plus a null bitmap — instead of the old
-``dict[row_id, tuple]`` heap.  The stable-row-id contract that indexes,
-DML and the WAL rely on is preserved: every live row keeps the id it was
+``dict[row_id, tuple]`` heap.  The stable-row-id contract that DML and
+the WAL rely on is preserved: every live row keeps the id it was
 inserted with, deletes flip a bit in a deleted bitmap instead of
 shifting slots, and a slot map translates ids to positions.  When more
 than a quarter of the slots are dead the table compacts in place
@@ -17,13 +17,13 @@ other consumer are unaffected.  The scan operator reads
 ``column_values`` (one live column); an access path or an index join
 gathers the slots its table's column-path store
 (:class:`~repro.relational.indexes.ColumnPaths`, ``paths``) names
-through ``slot_columns``.  The store's paths have three roles: the
-declared indexes (PRIMARY KEY and UNIQUE included) enforce constraints
-and serve index joins, a column's lookup answers every column's ``=`` /
-``IN``, and a column's sorted path answers its ranges.  Every write
-tells the store, which keeps the declared indexes and the lookups up,
-slot by slot, and merges an append into the sorted paths or drops them;
-the table itself builds no path.
+through ``slot_columns``.  A column's lookup answers every ``=`` /
+``IN`` and every index join's probe, and a column's sorted path its
+ranges; the declared indexes (PRIMARY KEY and UNIQUE included) are
+constraints, and only a UNIQUE one stores its keys.  Every write tells
+the store, which keeps the UNIQUE keys and the lookups up, slot by
+slot, and merges an append into the sorted paths or drops them; the
+table itself builds no path.
 
 Writes are columnar too: ``append_rows`` transposes a batch once and
 coerces, constraint-checks, indexes and appends it a column at a time
@@ -104,8 +104,7 @@ class Table:
 
     Values live in per-column vectors addressed by *slot*; a parallel
     ``row_id`` array and deleted bitmap give every row a stable id for
-    the life of the table, so deletes never shift other rows and indexes
-    can reference rows stably.
+    the life of the table, so deletes never shift other rows.
     """
 
     def __init__(self, schema: TableSchema) -> None:
@@ -232,7 +231,7 @@ class Table:
         *rows* are positional over *names* (default: every column, in
         schema order); a column left out takes its default, else NULL.
         Observably ``for row in rows: insert_row(...)``: same stored
-        values, row ids and index entries, and when row *k* fails (wrong
+        values, row ids and UNIQUE keys, and when row *k* fails (wrong
         arity, ``TypeMismatchError``, ``ConstraintViolation``, or *rows*
         itself raising) rows ``0..k-1`` are stored before its error
         propagates.  The work, though, is per column.
@@ -296,11 +295,12 @@ class Table:
 
     def _store(self, prepared: list, count: int,
                error: Exception | None = None) -> None:
-        """Index and append the first *count* values of each (coerced,
-        constraint-checked) column of *prepared* — stopping short of the
-        first row an index refuses — then raise the pending error."""
+        """Enter the UNIQUE keys of, and append, the first *count* values
+        of each (coerced, constraint-checked) column of *prepared* —
+        stopping short of the first row an index refuses — then raise
+        the pending error."""
         first = self._next_row_id
-        count, refused = self.paths.insert(first, prepared, count)
+        count, refused = self.paths.insert(prepared, count)
         error = refused or error
         slot = len(self._row_ids)
         self._slots.update(zip(range(first, first + count),
@@ -318,8 +318,8 @@ class Table:
 
     def delete_row(self, row_id: int) -> None:
         slot = self._slots[row_id]
-        self.paths.delete(row_id, slot, tuple(column.values[slot]
-                                              for column in self._columns))
+        self.paths.delete(slot, tuple(column.values[slot]
+                                      for column in self._columns))
         del self._slots[row_id]
         self._deleted[slot] = 1
         self._deleted_count += 1
@@ -351,7 +351,7 @@ class Table:
                     f"table {self.name!r} has no column {name!r}")
             values[name] = value
         new_row = self._check_and_prepare(values)
-        self.paths.update(row_id, slot, old_row, new_row)
+        self.paths.update(slot, old_row, new_row)
         for column, value in zip(self._columns, new_row):
             column.set(slot, value)
 
@@ -369,7 +369,7 @@ class Table:
     def create_index(self, name: str, column_names: list[str],
                      unique: bool = False, kind: str = "hash") -> HashIndex:
         return self.paths.declare(name, column_names, unique, kind,
-                                  self.rows_with_ids())
+                                  self.rows())
 
     def drop_index(self, name: str) -> None:
         self.paths.drop(name)
@@ -519,10 +519,11 @@ def table_from_rows(name: str, column_names: Sequence[str],
 
 def find_probe_index(table, column_names: list[str]
                      ) -> tuple[HashIndex, list[int]] | None:
-    """The index (plus covered key positions) an equi-join probe can use
-    on the inner table *table*: the full key list when an index covers
-    it exactly, otherwise any single key column (the remaining keys are
-    then checked per candidate row).  Shared by the executor's join
+    """The declared index (plus covered key positions) that licenses an
+    equi-join probe of the inner table *table*: the full key list when
+    an index covers it exactly, otherwise any single key column.  The
+    probe reads the first covered column's lookup, and the other keys
+    are checked per candidate row.  Shared by the executor's join
     compilation and the planner's cost model so both agree on whether a
     probe is possible."""
     finder = getattr(table, "find_index_on", None)

@@ -354,21 +354,23 @@ def test_a_lookup_is_kept_up_by_an_update_or_delete_without_a_rebuild(
 
 
 @pytest.mark.parametrize("column", ["k", "u", "id"])
-def test_no_scan_reads_a_declared_index_only_an_index_join_does(
+def test_scans_and_index_joins_read_only_the_columns_lookup(
         monkeypatch, column):
     """A ``CREATE INDEX`` column (``k``), a UNIQUE one (``u``) and the
     PRIMARY KEY (``id``) answer ``=`` and ``IN (subquery)`` through the
-    column's lookup under every drain: no scan calls
-    ``HashIndex.lookup``, and each answers as the forced scan does.  An
-    index join over the same table still calls it."""
-    from repro.relational.indexes import HashIndex
+    column's lookup under every drain, each as the forced scan does;
+    an index join over the same table probes the same lookup.  A
+    declared index has nothing to read: only a UNIQUE one stores its
+    keys."""
+    from repro.relational.indexes import ColumnPaths, HashIndex
+    assert not hasattr(HashIndex, "lookup")
     calls = []
-    real = HashIndex.lookup
+    real = ColumnPaths.path
 
-    def lookup(index, values):
-        calls.append(index.name)
-        return real(index, values)
-    monkeypatch.setattr(HashIndex, "lookup", lookup)
+    def path(store, relation, position, op="="):
+        calls.append((relation.name, position, op))
+        return real(store, relation, position, op)
+    monkeypatch.setattr(ColumnPaths, "path", path)
     db = Database()
     db.execute("CREATE TABLE r (id INTEGER PRIMARY KEY, u INTEGER UNIQUE, "
                "k INTEGER, p INTEGER)")
@@ -392,8 +394,94 @@ def test_no_scan_reads_a_declared_index_only_an_index_join_does(
         assert got[1] == expected[1]
         assert got[2][0] == expected[2][0]
         assert got[2][1].detail == detail
-    assert calls == []
-    joined = db.explain(f"SELECT s.x, r.p FROM s JOIN r ON r.{column} = s.x "
-                        "ORDER BY r.p", analyze=True)
+    position = ["id", "u", "k"].index(column)
+    assert calls and set(calls) <= {("r", position, "="),
+                                    ("r", position, "in")}
+    assert db.table("r").indexes["rk"].keys == set()
+    del calls[:]
+    sql = f"SELECT s.x, r.p FROM s JOIN r ON r.{column} = s.x ORDER BY r.p"
+    joined = db.explain(sql, analyze=True)
     assert "index-join" in {node.kind for node in joined.root.walk()}
-    assert calls
+    assert calls and set(calls) == {("r", position, "=")}
+    assert [p for _x, p in db.query(sql).rows] == [
+        n for n in range(200)
+        if {"k": n % 50, "u": -n, "id": n}[column] in (3, -4, 7)]
+
+
+#: ``(inner column, outer column)`` pairs an index join probes with keys
+#: of another family, or numbers that only look equal: ``t.i`` holds
+#: ``1``, ``t.r`` ``2**53`` and ``t.b`` ``TRUE``; ``o`` holds ``TRUE``,
+#: ``1.0``, ``'1'``, ``1``, ``2**53 + 1``, ``2**53`` and NULLs.
+HOSTILE = [("i", "b"), ("i", "f"), ("i", "s"), ("i", "n"), ("r", "big"),
+           ("r", "n"), ("b", "n"), ("b", "b")]
+
+
+def test_index_join_answers_as_the_hash_join_over_hostile_keys():
+    """An index join reads its inner column's lookup, whose raw keys
+    find ``TRUE`` under ``1``: it answers as the hash join over the same
+    tables without an index does — for keys of another family, NULL,
+    ``2**53 + 1`` against a REAL ``2**53``, LEFT-join padding and a
+    composite index — before and after writes that move a row into and
+    out of a bucket, delete, compact and truncate."""
+    from repro.planner import PlannerOptions
+    big = 2 ** 53
+    rows = ", ".join(f"({n}, {n % 10}, {big if n % 10 == 1 else n / 4}, "
+                     f"{'TRUE' if n % 2 else 'FALSE'}, '{n % 10}')"
+                     for n in range(200))
+    setup = f"""
+        CREATE TABLE t (id INTEGER, i INTEGER, r REAL, b BOOLEAN, s TEXT);
+        INSERT INTO t VALUES {rows};
+        CREATE TABLE o (tag INTEGER, n INTEGER, f REAL, s TEXT, b BOOLEAN,
+                        big INTEGER);
+        INSERT INTO o VALUES (0, 1, 1.0, '1', TRUE, {big + 1}),
+                             (1, NULL, NULL, NULL, NULL, {big});
+    """
+    indexed, plain = (Database(planner=PlannerOptions(strict=True))
+                      for _ in range(2))
+    for db in (indexed, plain):
+        db.execute_script(setup)
+    indexed.execute_script("""
+        CREATE INDEX ti ON t (i);
+        CREATE INDEX tr ON t (r) USING sorted;
+        CREATE INDEX tb ON t (b);
+        CREATE INDEX tis ON t (i, s);
+    """)
+    queries = {
+        f"SELECT o.tag, t.id FROM o {join} t ON {on} ORDER BY o.tag, t.id":
+        index
+        for join in ("JOIN", "LEFT JOIN")
+        for on, index in [(f"t.{inner} = o.{outer}", f"t{inner}")
+                          for inner, outer in HOSTILE]
+        + [("t.i = o.n AND t.s = o.s", "tis")]}
+    kept = {sql: (parsed(sql), parsed(sql)) for sql in queries}
+
+    def check(step: str) -> None:
+        strategy = len(indexed.table("t")) >= executor.INDEX_PROBE_THRESHOLD
+        for sql, index in queries.items():
+            probed, hashed = kept[sql]
+            got = indexed.execute_ast(probed, ())
+            expected = plain.execute_ast(hashed, ()).rows
+            assert got.rows == expected, (step, sql)
+            assert "index-join" in {node.kind for node in got.plan.walk()}
+            if strategy:
+                explained = indexed.explain(sql).root
+                assert f"index {index}" in {node.detail
+                                            for node in explained.walk()}
+                assert "hash-join" in {node.kind for node in
+                                       plain.explain(sql).root.walk()}
+
+    check("loaded")
+    table = indexed.table("t")
+    for step in ("UPDATE t SET i = 1, r = 9007199254740992, b = TRUE, "
+                 "s = '1' WHERE id = 7",
+                 "UPDATE t SET i = 5, r = 0.5, b = FALSE, s = 'x' "
+                 "WHERE id = 11",
+                 "DELETE FROM t WHERE id = 21",
+                 "DELETE FROM t WHERE id >= 110",
+                 "DELETE FROM t",
+                 f"INSERT INTO t VALUES {rows}"):
+        for db in (indexed, plain):
+            db.execute(step)
+        check(step)
+        if step == "DELETE FROM t WHERE id >= 110":
+            assert len(table.slot_columns()[0][0]) < 200    # compacted

@@ -35,8 +35,9 @@ from repro.relational.types import DataType
 
 def insert_row(table: Table, values: dict) -> int:
     """``Table.insert_row`` as it stood before the bulk append: coerce
-    and check one row, enter it in every index (undoing the entries made
-    when a later index refuses it), append one value per vector."""
+    and check one row, enter its keys in every UNIQUE index (undoing
+    the entries made when a later index refuses it), append one value
+    per vector."""
     unknown = [key for key in values if not table.schema.has_column(key)]
     if unknown:
         raise SchemaError(
@@ -46,13 +47,15 @@ def insert_row(table: Table, values: dict) -> int:
     inserted = []
     try:
         for index in table.paths.declared:
+            if not index.unique:
+                continue
             key = tuple(row[table.schema.position_of(name)]
                         for name in index.column_names)
-            index.insert(row_id, key)
+            index.insert(key)
             inserted.append((index, key))
     except ConstraintViolation:
         for index, key in inserted:
-            index.delete(row_id, key)
+            index.delete(key)
         raise
     table._slots[row_id] = len(table._row_ids)
     table._row_ids.append(row_id)
@@ -93,15 +96,10 @@ def outcome(action) -> tuple[str, str] | None:
 
 def state(table: Table) -> dict:
     """Everything observable about a table, and the internals the
-    executor reads (vectors, bitmaps, slot map, index contents)."""
-    indexes = {}
-    for index in table.paths.declared:
-        entries = index._buckets
-        lookups = {key: index.lookup(key) for key in {
-            tuple(row[table.schema.position_of(name)]
-                  for name in index.column_names)
-            for row in table.rows()}}
-        indexes[index.name] = (entries, lookups, len(index))
+    executor reads (vectors, bitmaps, slot map, index contents: a
+    UNIQUE index's key set, and any other's, which stays empty)."""
+    indexes = {index.name: (index.unique, set(index.keys))
+               for index in table.paths.declared}
     return {
         "rows": list(table.rows()),
         "rows_with_ids": list(table.rows_with_ids()),
@@ -311,12 +309,12 @@ def test_violation_at_row_k_leaves_exactly_the_prefix():
                            (4, "c", None), (1, "d", 5)])
     assert list(table.rows_with_ids()) == [(0, (1, "a", 1.0)),
                                            (1, (2, "b", 2.0))]
-    # Row 2's entries are gone from the indexes checked before the
-    # failing one, and its id was not spent.
-    assert table.find_index_on(["id"]).lookup((3,)) == ()
-    assert len(table.indexes["by_n"]) == 2
+    # Row 2's keys are in no index, and its id was not spent: its
+    # PRIMARY KEY goes in again, under id 2 (the first row below).
+    assert table.indexes["by_n"].keys == set()
     with pytest.raises(ConstraintViolation, match="is NOT NULL"):
         table.append_rows([(3, "c", 3), (4, "d", None), (3, "e", 5)])
+    assert list(table.rows_with_ids())[2] == (2, (3, "c", 3.0))
     assert [row_id for row_id, _row in table.rows_with_ids()] == [0, 1, 2]
     with pytest.raises(TypeMismatchError):
         table.append_rows([(5, "x", 1), ("six", "y", 2)])

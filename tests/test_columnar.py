@@ -23,7 +23,7 @@ from repro.durability import (DurabilityManager, DurabilityOptions,
                               database_state, state_digest)
 from repro.planner import PlannerOptions
 from repro.relational import Database
-from repro.relational.errors import TypeMismatchError
+from repro.relational.errors import ConstraintViolation, TypeMismatchError
 from repro.relational.indexes import HashIndex
 from repro.relational.table import (COMPACT_MIN_DELETED, Table)
 from repro.relational.vectors import ColumnVector
@@ -106,26 +106,34 @@ class TestColumnarStorage:
         assert db.query("SELECT v FROM t WHERE id = 1").rows == [(2.0,)]
 
     def test_index_clear_is_public(self):
-        hash_index = HashIndex("h", "t", ["k"])
-        hash_index.insert(10, (1,))
-        hash_index.insert(11, (2,))
+        hash_index = HashIndex("h", "t", ["k"], unique=True)
+        hash_index.insert((1,))
+        hash_index.insert((2,))
         hash_index.clear()
-        assert hash_index.lookup((1,)) == ()
-        assert len(hash_index) == 0
-        # A `USING sorted` index is the same declared path: a truncate
-        # clears it, and the definition survives to take new entries.
+        hash_index.insert((1,))     # the key is free again
+        with pytest.raises(ConstraintViolation):
+            hash_index.insert((1,))
+        # A truncate clears every declared index: the same PRIMARY KEY
+        # and UNIQUE values go in again, and a `USING sorted` definition
+        # survives it.
         db = Database()
         db.execute_script("""
-            CREATE TABLE t (k INTEGER);
+            CREATE TABLE t (id INTEGER PRIMARY KEY, u TEXT UNIQUE,
+                            k INTEGER);
             CREATE INDEX s ON t (k) USING sorted;
-            INSERT INTO t VALUES (1);
+            INSERT INTO t VALUES (1, 'a', 1);
         """)
         table = db.table("t")
-        table.truncate()
         sorted_index = table.indexes["s"]
-        assert len(sorted_index) == 0 and sorted_index.kind == "sorted"
-        db.execute("INSERT INTO t VALUES (2)")
-        assert sorted_index.lookup((2,)) == [1]
+        table.truncate()
+        db.execute("INSERT INTO t VALUES (1, 'a', 2)")
+        assert table.indexes["s"] is sorted_index
+        assert sorted_index.kind == "sorted"
+        assert table.find_index_on(["k"]) is sorted_index
+        assert db.query("SELECT id FROM t WHERE k = 2").rows == [(1,)]
+        for row in ("(1, 'b', 3)", "(2, 'a', 3)"):
+            with pytest.raises(ConstraintViolation):
+                db.execute(f"INSERT INTO t VALUES {row}")
 
     def test_iter_batches_skips_deleted(self):
         db = Database()

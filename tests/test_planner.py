@@ -9,7 +9,7 @@ from repro.planner import (PlannerOptions, StatisticsCatalog, plan_select)
 from repro.planner.estimate import (equality_selectivity,
                                     range_selectivity)
 from repro.planner.rewrite import fold_expr
-from repro.relational import Database
+from repro.relational import Database, executor
 from repro.relational.ast import Literal
 from repro.relational.indexes import _normalize
 from repro.relational.parser import parse_expr, parse_sql
@@ -76,14 +76,23 @@ def test_index_lookup_agrees_with_equality_for_big_integers():
         == [("b",)]
 
 
-def test_index_skips_null_keys_and_mixed_numerics():
+def test_index_skips_null_keys_and_mixed_numerics(monkeypatch):
+    """An index join over a REAL column finds its ``1.0`` under the
+    outer keys ``1`` and ``1.0``, and nothing under NULL."""
+    monkeypatch.setattr(executor, "INDEX_PROBE_THRESHOLD", 0)
     db = Database(planner=OFF)
-    db.execute("CREATE TABLE t (k REAL, v TEXT)")
-    db.execute("CREATE INDEX idx_k ON t (k)")
-    db.execute("INSERT INTO t VALUES (1.0, 'one'), (NULL, 'null')")
-    index = db.table("t").indexes["idx_k"]
-    assert index.lookup((1,)) == index.lookup((1.0,)) == [0]
-    assert index.lookup((None,)) == ()
+    db.execute_script("""
+        CREATE TABLE t (k REAL, v TEXT);
+        CREATE INDEX idx_k ON t (k);
+        INSERT INTO t VALUES (1.0, 'one'), (NULL, 'null');
+        CREATE TABLE o (i INTEGER, r REAL);
+        INSERT INTO o VALUES (1, 1.0), (NULL, NULL);
+    """)
+    for key in ("i", "r"):
+        sql = f"SELECT o.{key}, t.v FROM o LEFT JOIN t ON t.k = o.{key}"
+        kinds = {node.kind for node in db.explain(sql).root.walk()}
+        assert "index-join" in kinds
+        assert db.query(sql).rows == [(1, "one"), (None, None)]
     assert db.query("SELECT v FROM t WHERE k = 1").rows == [("one",)]
 
 

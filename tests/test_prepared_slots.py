@@ -34,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.relational import Database
-from repro.relational.indexes import ColumnPaths, HashIndex
+from repro.relational.indexes import ColumnPaths
 from repro.relational.operators import Join, Subquery
 from repro.relational.parser import SqlParser
 from repro.relational.render import render_literal
@@ -381,21 +381,15 @@ def test_a_list_of_values_changed_in_place_is_bound_anew(counted):
 
 def shown(plan_of) -> str:
     """The plan *plan_of* returns, formatted, each ``probe <col>``
-    followed by what answered it: ``via <index>``, a declared index
-    whose buckets the run read, or ``via lookup``, the column's own."""
+    followed by what answered it: ``via lookup``, the column's own."""
     read = set()
-    real_lookup, real_path = HashIndex.lookup, ColumnPaths.path
-
-    def lookup(index, values):
-        read.add(index.name)
-        return real_lookup(index, values)
+    real_path = ColumnPaths.path
 
     def path(store, relation, position, op="="):
         if op in ("=", "in"):
             read.add("lookup")
         return real_path(store, relation, position, op)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(HashIndex, "lookup", lookup)
         patch.setattr(ColumnPaths, "path", path)
         text = plan_of().format()
     via = " via " + ", ".join(sorted(read))

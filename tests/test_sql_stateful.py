@@ -9,10 +9,11 @@ deleted a few at a time or past the compaction threshold (more than
 truncated; hash, ``USING sorted`` and ``UNIQUE`` indexes are created and
 dropped, and the table is dropped and created again.  Between writes a
 template drawn from :data:`READS` — ``=``, ``IN (list)``, ``IN
-(subquery)`` and ranges, either way round — is prepared once and run
-with drawn values through its kept operator tree.  The values hold
-integers beyond 2**53 in the INTEGER and the REAL column, ``-0.0`` and
-``0.0``, NaN, NULL, TRUE / FALSE and strings.
+(subquery)``, ranges, either way round, and ``u JOIN t`` on the
+column — is prepared once and run with drawn values through its kept
+operator tree.  The values hold integers beyond 2**53 in the INTEGER
+and the REAL column, ``-0.0`` and ``0.0``, NaN, NULL, TRUE / FALSE and
+strings.
 
 The model is stdlib sqlite3 holding the same rows.  sqlite has no NaN:
 it holds NULL there, beside a flag (``rnan``).  ``=`` and ``IN`` never
@@ -22,8 +23,11 @@ the model's query says so.
 
 What must hold: every read is the model's answer (as a multiset) and,
 row for row, the answer of the same template over a forced scan (no
-access path); a column's lookup is read, kept up by the writes between
-runs, and dropped by compaction, truncate and DROP TABLE.
+access path); a column's lookup is read, by a scan or an index join,
+kept up by the writes between runs, and dropped by compaction, truncate
+and DROP TABLE.  Where a declared index covers the column, ``t`` has
+reached ``executor.INDEX_PROBE_THRESHOLD`` rows and ``u`` at most
+:data:`PROBED_MEMBERS`, the join is an index join.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
 
-from repro.relational import Database
+from repro.relational import Database, executor
 from repro.relational.parser import SqlParser
 from repro.relational.render import render_literal
 from test_access_paths import forced_scan
@@ -82,7 +86,11 @@ READS = {
     ">": ("SELECT id FROM t WHERE ? < {c}", 1),
     ">=": ("SELECT id FROM t WHERE {c} >= ?", 1),
     "= and range": ("SELECT id FROM t WHERE {c} = ? AND id > ?", 2),
+    "join": ("SELECT t.id, u.{m} FROM u JOIN t ON t.{c} = u.{m}", 0),
 }
+#: Up to this many rows of ``u``, the cost model joins ``t`` by its
+#: index once ``t`` has ``executor.INDEX_PROBE_THRESHOLD`` rows.
+PROBED_MEMBERS = 2
 
 
 def literal(value) -> str:
@@ -168,11 +176,13 @@ class PlainSqlModel(RuleBasedStateMachine):
 
     @rule(data=st.data(), column=st.sampled_from(COLUMNS[1:]))
     def update(self, data, column):
-        """An UPDATE between two reads of the value it writes: the rows
-        it moves into that value's bucket are read back."""
+        """An UPDATE between two reads of the value it writes, and of
+        the join on its column: the rows it moves into and out of a
+        bucket are read back."""
         value = data.draw(st.sampled_from(POOLS[column]))
         where, model_where, values = self._where(data)
         self._check("=", column, (value,))
+        self._check("join", column, ())
         self.db.execute(f"UPDATE t SET {column} = {literal(value)} "
                         f"WHERE {where}")
         nan = isinstance(value, float) and math.isnan(value)
@@ -182,16 +192,18 @@ class PlainSqlModel(RuleBasedStateMachine):
             + f" WHERE {model_where}",
             (value, nan, *values) if column == "r" else (value, *values))
         self._check("=", column, (value,))
+        self._check("join", column, ())
 
     @rule(data=st.data())
     def delete(self, data):
-        """A DELETE between two reads of each column: what a compaction
-        renumbers is read back."""
+        """A DELETE between two reads of each column and of the join on
+        it: what a compaction renumbers is read back."""
         where, model_where, values = self._where(data)
         keys = {column: data.draw(st.sampled_from(KEYS[column]))
                 for column in COLUMNS}
         for column, key in keys.items():
             self._check("=", column, (key,))
+            self._check("join", column, ())
         table = self.db.table("t")
         dead = table._deleted_count
         deleted = self.db.execute(f"DELETE FROM t WHERE {where}")
@@ -200,6 +212,7 @@ class PlainSqlModel(RuleBasedStateMachine):
             event("compacted")
         for column, key in keys.items():
             self._check("=", column, (key,))
+            self._check("join", column, ())
 
     @rule()
     def truncate(self):
@@ -223,6 +236,7 @@ class PlainSqlModel(RuleBasedStateMachine):
             f"CREATE {'UNIQUE ' * (kind == 'unique')}INDEX {name} "
             f"ON t ({column}){' USING sorted' * (kind == 'sorted')}")
         self.indexes.append(name)
+        self._check("join", column, ())
 
     @rule(data=st.data())
     def drop_index(self, data):
@@ -277,6 +291,19 @@ class PlainSqlModel(RuleBasedStateMachine):
         detail = next(node.detail for node in result.plan.walk()
                       if node.kind == "scan" and node.label == "t")
         event(detail.split(" ")[0] or "scan")
+        if template == "join":
+            self._check_join_strategy(column)
+
+    def _check_join_strategy(self, column: str) -> None:
+        text = READS["join"][0].format(c=column, m=MEMBERS[column])
+        kinds = {node.kind for node in self.db.explain(text).root.walk()}
+        if any(name.split("_", 1)[1] == column for name in self.indexes) \
+                and len(self.db.table("t")) \
+                >= executor.INDEX_PROBE_THRESHOLD \
+                and len(self.db.table("u")) <= PROBED_MEMBERS:
+            assert "index-join" in kinds
+        event("join: " + ("index-join" if "index-join" in kinds
+                          else "hash-join"))
 
     @invariant()
     def no_reader_is_left(self):
