@@ -17,8 +17,8 @@ rows).  ``tests/test_properties.py`` checks them against stdlib
 
 from __future__ import annotations
 
-from ..relational.indexes import _normalize
 from ..relational.result import ResultSet
+from ..relational.types import sql_key
 from .ast import (BoolSchemaExtension, BoolSchemaReplacement, Enrichment,
                   SchemaExtension, SchemaReplacement)
 from .errors import EnrichmentError
@@ -114,7 +114,7 @@ class PreparedPairCombine(_PreparedCombine):
         rows: list[tuple] = []
         for row in base.rows:
             key = row[attr_index]
-            matches = (self.buckets.get(_normalize(key), [None])
+            matches = (self.buckets.get(sql_key(key), [None])
                        if key is not None else [None])
             for obj in matches:
                 if self.replace:
@@ -141,7 +141,7 @@ class PreparedFlagCombine(_PreparedCombine):
         rows: list[tuple] = []
         for row in base.rows:
             value = row[attr_index]
-            flag = value is not None and _normalize(value) in self.keys
+            flag = value is not None and sql_key(value) in self.keys
             if self.replace:
                 rows.append(row[:attr_index] + (flag,)
                             + row[attr_index + 1:])

@@ -97,13 +97,15 @@ class ResourceMapping:
     # -- RDF term -> SQL value ---------------------------------------------------
 
     def to_sql_value(self, term: Term | None) -> object:
-        """Convert an RDF term to the SQL value used for joining/output."""
+        """Convert an RDF term to the SQL value used for joining/output
+        (a NaN literal is NULL, as the engine stores it)."""
         if term is None:
             return None
         if isinstance(term, IRI):
             return term.local_name()
         if isinstance(term, Literal):
-            return term.value
+            value = term.value
+            return None if value != value else value
         if isinstance(term, BNode):
             return term.n3()
         raise MappingError(f"cannot convert {term!r} to a SQL value")

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ..relational.indexes import _normalize
 from ..relational.table import BoundView
+from ..relational.types import sql_key
 
 
 class SqlExtraction:
@@ -29,20 +29,20 @@ class SqlExtraction:
         self.values = [convert(term) for term in extraction.values]
         self.pairs = [(convert(subject), convert(obj))
                       for subject, obj in extraction.pairs]
-        #: The normalised subjects: the boolean enrichments' key set,
-        #: built from the terms so ``TRUE`` and ``1`` stay two keys.
-        self.keys = {_normalize(value) for value in map(
+        #: The subjects' ``sql_key`` s: the boolean enrichments' key
+        #: set, in which ``TRUE`` and ``1`` stay two keys.
+        self.keys = {sql_key(value) for value in map(
             convert, extraction.subjects) if value is not None}
         self._views: dict[tuple, BoundView] = {}
 
     @cached_property
     def buckets(self) -> dict[object, list[object]]:
-        """Objects by normalised subject, in extraction order: the
+        """Objects by subject ``sql_key``, in extraction order: the
         SCHEMAEXTENSION / -REPLACEMENT hash side."""
         buckets: dict[object, list[object]] = {}
         for subject, obj in self.pairs:
             if subject is not None:
-                buckets.setdefault(_normalize(subject), []).append(obj)
+                buckets.setdefault(sql_key(subject), []).append(obj)
         return buckets
 
     def view(self, kind: str, extra: tuple) -> BoundView:

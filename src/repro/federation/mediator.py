@@ -62,7 +62,6 @@ from ..planner.rewrite import (binding_of, compose_filter,
                                null_safe_bindings, query_output_columns,
                                referenced_bindings)
 from ..relational import ast as sql_ast
-from ..relational.batch import norm_tuple
 from ..relational.catalog import check_table_name
 from ..relational.compiler import CompileContext, compile_expr
 from ..relational.engine import Database
@@ -72,6 +71,7 @@ from ..relational.render import bound_to, render_expr, render_query
 from ..relational.result import ResultSet
 from ..relational.schema import Column, TableSchema
 from ..relational.table import BoundView, Table
+from ..relational.types import sql_keys
 from .errors import MediationError
 from .executor import (FederationExecutor, FederationOptions, FragmentCache,
                        FragmentJob, FragmentResult)
@@ -492,10 +492,11 @@ class Mediator:
         fragment's type sets, which a cached fragment keeps
         (``ResultSet.value_types``).  ``union`` and
         ``prefer_first`` dedupe rows and keep the first of each key,
-        keyed through ``norm_tuple``: by the engine's equality, under
-        which ``1`` and ``1.0`` are one key and ``TRUE`` and ``1`` are
-        two.  ``union``'s key is the whole row; ``prefer_first``'s is
-        the view's key columns — earlier fragments win, the
+        keyed through ``types.sql_keys``: by the engine's equality,
+        under which ``1`` and ``1.0`` are one key and ``TRUE`` and ``1``
+        are two (a source's result holds no NaN: it is NULL).
+        ``union``'s key is the whole row; ``prefer_first``'s is the
+        view's key columns — earlier fragments win, the
         "reconciliation of the results" step of mediated systems — and
         there NULL is a key value like any other: a later row whose key
         agrees with an earlier one's, NULLs included, is dropped (under
@@ -518,12 +519,12 @@ class Mediator:
         for _source, partial in partials:
             fragment_rows = partial.rows
             if view.reconciliation == "union":
-                keys = map(norm_tuple, fragment_rows)
+                keys = map(sql_keys, fragment_rows)
             else:
                 if key_positions is None:
                     key_positions = [partial.column_index(column)
                                      for column in view.key_columns]
-                keys = (norm_tuple([row[i] for i in key_positions])
+                keys = (sql_keys([row[i] for i in key_positions])
                         for row in fragment_rows)
             for row, key in zip(fragment_rows, keys):
                 if key not in seen:

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from ..relational.types import sql_key
+
 _NUMERIC = (int, float)
 
 
@@ -220,7 +222,7 @@ class StatisticsCatalog:
 
 def _summarize(name: str, values: list[Any], buckets: int) -> ColumnStats:
     non_null = [value for value in values if value is not None]
-    distinct = len({_distinct_key(value) for value in non_null})
+    distinct = len(set(map(sql_key, non_null)))
     stats = ColumnStats(
         name=name,
         non_null=len(non_null),
@@ -240,11 +242,3 @@ def _summarize(name: str, values: list[Any], buckets: int) -> ColumnStats:
         stats.min_value = min(non_null)
         stats.max_value = max(non_null)
     return stats
-
-
-def _distinct_key(value: Any) -> Any:
-    if isinstance(value, bool):
-        return ("b", value)
-    if _is_number(value):
-        return ("n", value)
-    return ("v", value)

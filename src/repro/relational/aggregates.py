@@ -76,7 +76,7 @@ class Sum(Aggregate):
         return state + value
 
     def final(self, state: Any) -> Any:
-        return state
+        return None if state != state else state   # NaN is NULL
 
 
 class Avg(Aggregate):
@@ -99,7 +99,8 @@ class Avg(Aggregate):
         total, count = state
         if count == 0:
             return None
-        return total / count
+        mean = total / count
+        return None if mean != mean else mean   # NaN is NULL
 
 
 class Min(Aggregate):

@@ -32,20 +32,15 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import compress, repeat
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .indexes import _normalize
+from .types import null_nans, sql_keys
 
 #: Rows per batch.  Large enough to amortize per-batch Python overhead
 #: (generator resumption, kernel dispatch), small enough that LIMIT
 #: early-termination and pagination stay responsive.  Operators read it
 #: at run time, so patching this one name resizes every batch.
 BATCH_SIZE = 2048
-
-
-def norm_tuple(values: Iterable[Any]) -> tuple:
-    """Hashable, type-normalised key for grouping / distinct / set ops."""
-    return tuple(_normalize(value) for value in values)
 
 
 def _take(source: "Batch", position: int, ids: Sequence[int]) -> Sequence:
@@ -272,9 +267,10 @@ class ColumnFold:
     arrive in row order), so float results are bit-identical: SUM folds
     ``state + value`` left to right from a ``None`` start, AVG
     accumulates ``total + float(value)`` with a separate count, MIN/MAX
-    keep the first of ties.  The selector only picks a fold for a typed
-    column, whose values belong to one type family, so DISTINCT set
-    membership agrees with ``values_equal``.
+    keep the first of ties; a NaN SUM or AVG is NULL.  The selector only
+    picks a fold for a typed column, whose values (one family) are their
+    own ``sql_key`` s: DISTINCT keeps them in a set, one ``set.update``
+    per batch for an ungrouped COUNT.
     """
 
     def __init__(self, kind: str, position: Optional[int],
@@ -313,8 +309,14 @@ class ColumnFold:
                 for gid in gids:
                     acc[gid] += 1
             return
-        pairs = zip(repeat(0) if gids is None else gids,
-                    batch.column(self.position))
+        column = batch.column(self.position)
+        if self.seen is not None and gids is None and kind == "count":
+            seen = self.seen[0]
+            seen.update(column)
+            seen.discard(None)
+            acc[0] = len(seen)
+            return
+        pairs = zip(repeat(0) if gids is None else gids, column)
         if self.seen is not None:
             pairs = self._fresh(pairs)
         if kind == "count":
@@ -347,9 +349,10 @@ class ColumnFold:
 
     def finals(self) -> list:
         if self.kind == "avg":
-            return [total / count if count else None
-                    for total, count in zip(self.acc, self.counts)]
-        return self.acc
+            return null_nans([total / count if count else None
+                              for total, count in zip(self.acc,
+                                                      self.counts)])
+        return null_nans(self.acc) if self.kind == "sum" else self.acc
 
 
 class GenericFold:
@@ -375,7 +378,7 @@ class GenericFold:
                                 contexts):
             args = tuple(fn(context) for fn in arg_fns)
             if seen is not None:
-                marker = norm_tuple(args)
+                marker = sql_keys(args)
                 if marker in seen[gid]:
                     continue
                 seen[gid].add(marker)

@@ -141,7 +141,8 @@ def _numeric(op: str, value: Any) -> Any:
 
 
 def arithmetic(op: str, left: Any, right: Any) -> Any:
-    """NULL-propagating SQL arithmetic with PostgreSQL-style division."""
+    """NULL-propagating SQL arithmetic with PostgreSQL-style division; a
+    NaN result (``inf - inf``) is NULL, as in sqlite."""
     if left is None or right is None:
         return None
     if op == "||":
@@ -151,25 +152,26 @@ def arithmetic(op: str, left: Any, right: Any) -> Any:
     _numeric(op, left)
     _numeric(op, right)
     if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
+        result = left + right
+    elif op == "-":
+        result = left - right
+    elif op == "*":
+        result = left * right
+    elif op == "/":
         if right == 0:
             raise ExecutionError("division by zero")
         if isinstance(left, int) and isinstance(right, int):
             return int(left / right)  # truncate toward zero, like PostgreSQL
-        return left / right
-    if op == "%":
+        result = left / right
+    elif op == "%":
         if right == 0:
             raise ExecutionError("modulo by zero")
         result = math.fmod(left, right)
         if isinstance(left, int) and isinstance(right, int):
             return int(result)
-        return result
-    raise NotSupportedError(f"unknown arithmetic operator {op!r}")
+    else:
+        raise NotSupportedError(f"unknown arithmetic operator {op!r}")
+    return None if result != result else result
 
 
 def comparison(op: str, left: Any, right: Any) -> bool | None:

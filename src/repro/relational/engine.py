@@ -57,7 +57,7 @@ from .render import render_statement
 from .result import Cursor, ResultSet
 from .schema import Column, TableSchema
 from .table import BoundView, Table, table_from_columns
-from .types import DataType, parse_type_name
+from .types import DataType, null_nans, parse_type_name
 
 #: Shared no-op context for disabled-telemetry span sites.
 _NOOP = nullcontext()
@@ -444,7 +444,7 @@ class Database:
             root = self._build(query, catalog)
             root.slots.views = bound
             return root, None
-        params = tuple(params)
+        params = tuple(null_nans(tuple(params)))   # a bound NaN is NULL
         settings = self._settings()
         declined = False
         with self._trees_lock:
@@ -628,7 +628,8 @@ class Database:
         stmt = parse_sql(target) if isinstance(target, str) else target
         if not isinstance(stmt, ast.SelectQuery):
             raise ExecutionError("explain() requires a SELECT statement")
-        values = tuple(params) if params is not None else None
+        values = (tuple(null_nans(tuple(params))) if params is not None
+                  else None)
         catalog, bound = self._catalog(views)
         with self.rwlock.read_locked():
             try:

@@ -37,7 +37,7 @@ from typing import Any, Callable
 from . import ast, vectors
 from .aggregates import (AGGREGATE_NAMES, contains_aggregate,
                          make_aggregate)
-from .batch import Batch, ColumnFold, GenericFold, norm_tuple
+from .batch import Batch, ColumnFold, GenericFold
 from .catalog import Catalog
 from .compiler import (CompileContext, compile_expr, compile_predicate,
                        membership, resolve_column)
@@ -49,16 +49,12 @@ from .operators import (Aggregate, Distinct, Filter, IndexProbe,
 from .render import as_slot, render_expr
 from .schema import ResultColumn, RowSchema
 from .table import BoundView, Table, find_probe_index
-from .types import FAMILY, DataType
+from .types import FAMILY, DataType, sql_key
 
 #: Without a cost-based decision, equi-joins probe an index on the
 #: inner table only when it is at least this large — below that, an
 #: in-memory hash build is as fast and has no per-lookup overhead.
 INDEX_PROBE_THRESHOLD = 64
-
-
-#: ``norm_tuple`` of a one-column row holding NULL.
-_NULL_ROW = norm_tuple((None,))
 
 
 class BindFirst(Exception):
@@ -122,21 +118,21 @@ class SubPlan:
 
     def membership(self, value: Any, outer_rows: Rows) -> bool | None:
         """3VL ``value IN (this subquery)``.  An uncorrelated subquery
-        normalises its column into a key set once; a correlated one is
-        re-run and scanned per call."""
+        keys its column into a set (``sql_key``) once; a correlated one
+        is re-run and scanned per call."""
         if self.correlated:
             return membership(value, self._collected(outer_rows).column(0))
         members = self.root.members
         if members is None:
             members = self.root.members = set(
-                map(norm_tuple, zip(self._collected(outer_rows).column(0))))
+                map(sql_key, self._collected(outer_rows).column(0)))
         if not members:
             return False
         if value is None:
             return None
-        if norm_tuple((value,)) in members:
+        if sql_key(value) in members:
             return True
-        return None if _NULL_ROW in members else False
+        return None if None in members else False
 
 
 def make_context(catalog: Catalog, exec_hooks=None,

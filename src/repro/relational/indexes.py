@@ -41,7 +41,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .errors import ConstraintViolation, SchemaError
 from .schema import TableSchema
-from .types import literal_family, one_family
+from .types import literal_family, one_family, sql_keys
 
 #: The range operators a sorted path answers by a bisected span.
 RANGES = frozenset(("<", "<=", ">", ">="))
@@ -50,34 +50,12 @@ RANGES = frozenset(("<", "<=", ">", ">="))
 _MERGE_ONE_BY_ONE = 16
 
 
-def _normalize(value: Any) -> Any:
-    """Normalise values so index keys agree with executor equality.
-
-    The tuple tag keeps the SQL type families apart (``1 = TRUE`` is
-    false, so booleans must not share a bucket with numbers).  Numbers
-    are kept *exact*: Python already hashes ``1`` and ``1.0`` to the
-    same bucket, while coercing through ``float`` — as an earlier
-    version did — collapses integers beyond 2**53 and makes an index
-    probe return rows the executor's ``=`` would reject.  ``None`` maps
-    to a dedicated marker so composite keys round-trip NULLs distinctly
-    from any storable value (indexes still never *index* NULL keys).
-    """
-    if value is None:
-        return ("null",)
-    if isinstance(value, bool):
-        return ("b", value)
-    if isinstance(value, (int, float)):
-        return ("n", value)
-    if isinstance(value, str):
-        return ("s", value)
-    return ("o", value)
-
-
 class HashIndex:
     """A declared index over one or more columns of a table.  A UNIQUE
     one (the PRIMARY KEY's included) keeps the set of its live keys,
-    each :func:`_normalize` d (a key holding NULL never), and refuses a
-    second row with one; any other keeps nothing."""
+    each the :func:`~repro.relational.types.sql_keys` of its values (a
+    key holding NULL never), and refuses a second row with one; any
+    other keeps nothing."""
 
     def __init__(self, name: str, table_name: str, column_names: list[str],
                  unique: bool = False, kind: str = "hash") -> None:
@@ -91,7 +69,7 @@ class HashIndex:
     def _key(self, values: tuple) -> tuple | None:
         if None in values:
             return None
-        return tuple(map(_normalize, values))
+        return sql_keys(values)
 
     def insert(self, values: tuple) -> None:
         key = self._key(values)
@@ -113,8 +91,8 @@ class HashIndex:
 class SortedColumn:
     """One table column's live non-NULL values in ascending order
     (``keys``), beside the slot each sits at (``slots``): what a range
-    conjunct bisects.  Only a column of one ``family`` without NaN has
-    one — its raw ``<`` then orders as ``compare_values`` does."""
+    conjunct bisects.  Only a column of one ``family`` has one — its raw
+    ``<`` then orders as ``compare_values`` does."""
 
     __slots__ = ("keys", "slots", "family")
 
@@ -137,7 +115,7 @@ class SortedColumn:
 
     def merge(self, values: list, first: int) -> bool:
         """Take in the slots of the column's *values* from *first* on,
-        just appended: whether they keep it one family without NaN."""
+        just appended: whether they keep it one family."""
         added = [slot for slot in range(first, len(values))
                  if values[slot] is not None]
         if not added:
@@ -164,7 +142,7 @@ class SortedColumn:
 def _sorted(table, position: int) -> SortedColumn | None:
     """Column *position*'s sorted path — a sort of its live non-NULL
     slots by value — or ``None`` when their values span more than one
-    family or hold NaN."""
+    family."""
     columns, live = table.slot_columns()
     values = columns[position]
     slots = [slot for slot in live.values() if values[slot] is not None]
@@ -179,8 +157,9 @@ def _lookup(values: Sequence, slots: Iterable[int],
     """The lookup of *values* at *slots* (ascending): each non-NULL
     value, as stored, to the ascending slots holding it — added *into*
     a lookup whose slots all come before them, when given.  Keys are
-    raw values, so a probe finds every row its ``=`` can hold for (``1``
-    finds ``1.0``, and may find ``TRUE``): a superset, which the WHERE
+    raw values — within one family their own ``sql_key`` s — so a probe
+    finds every row its ``=`` can hold for (``1`` finds ``1.0``, and in
+    a column mixing families ``TRUE``): a superset, which the WHERE
     above the scan filters."""
     rows = defaultdict(list) if into is None else into
     for slot in slots:
@@ -246,7 +225,7 @@ class ColumnPaths:
               limit: int) -> tuple[int, Callable[[], Sequence[int]]] | None:
         """How many rows of *relation* ``column op key`` holds for, over
         *keys* (one key; for ``in`` any of them, each of the column's
-        family and not NaN), and a thunk of their slots ascending — or
+        family), and a thunk of their slots ascending — or
         ``None`` when no path answers, or they are *limit* or more."""
         if op in RANGES:
             found = self.path(relation, position, op)
@@ -275,8 +254,7 @@ class ColumnPaths:
         """Column *position*'s on-demand path for *op* over *relation*,
         built on first use: for ``=`` / ``in`` its lookup (``None``
         while a view is not held), for a range a table's sorted path
-        (``None`` when the column's values span families or hold
-        NaN)."""
+        (``None`` when the column's values span families)."""
         built = self._sorted if op in RANGES else self._lookups
         if built is None:
             return None

@@ -24,15 +24,15 @@ inputs' columns; the strategy decides only where the pairs come from.
 A hash join whose key pairs are plain typed columns of one comparison
 family on both sides hashes the raw values of whole key columns (build
 and probe); any other key — an expression, ``BOOLEAN = INTEGER``, an
-untyped set-operation column — is evaluated per row and normalised with
-``norm_tuple``, still batch by batch.  The same build, with the same two
+untyped set-operation column — is evaluated per row and keyed with
+``types.sql_key``, still batch by batch.  The same build, with the same two
 key extractors, runs a WHERE-side ``[NOT] IN (subquery)`` / ``[NOT]
 EXISTS`` as a semi / anti join: the left row comes out, through a
 selection mask, when it has a / no witness on the build side.  A sort
 gathers or evaluates each ORDER BY key once per row into a key column
 and, when every key column turns out to hold one family of values
 (checked at run time: slot rows and set-operation outputs are untyped at
-build time) and no NaN, sorts on the native values with C comparisons;
+build time), sorts on the native values with C comparisons;
 otherwise it wraps them in the ``compare_values`` comparator, which is
 also what raises ``TypeMismatchError`` for mixed families.
 """
@@ -47,13 +47,14 @@ from typing import (Any, Callable, Iterable, Iterator, NamedTuple,
                     Sequence)
 
 from . import batch as _batch
-from .batch import Batch, concat, norm_tuple, pieces, stack, take
+from .batch import Batch, concat, pieces, stack, take
 from .compiler import conjunction
 from .errors import ExecutionError, RelationalError
 from .indexes import RANGES
 from .schema import ResultColumn, RowSchema
 from .table import Table
-from .types import FAMILY, literal_family, one_family, sort_key
+from .types import (FAMILY, literal_family, one_family, sort_key, sql_key,
+                    sql_keys)
 from .vectors import SlotKernel
 
 Rows = tuple
@@ -272,7 +273,7 @@ class Subquery(Operator):
                          "correlated" if correlated else "uncorrelated",
                          top.schema, [top])
         self.cached: Batch | None = None
-        self.members: set[tuple] | None = None
+        self.members: set | None = None
 
     def release(self) -> None:
         self.cached = self.members = None
@@ -311,7 +312,7 @@ class _Access(Operator):
     reads only those of the narrowest, in row order, when it names at
     most half the rows; otherwise it scans.  The WHERE stays whole above
     the scan, so a path need only name every row the WHERE keeps; it
-    declines NULL and NaN keys and a key of another family than its
+    declines NULL keys and a key of another family than its
     column's (the relation's column-path store,
     :class:`~repro.relational.indexes.ColumnPaths`, may decline too:
     a scan only asks it).  The choice shows in
@@ -365,8 +366,7 @@ class _Access(Operator):
                 if keys is None or len(keys) > total:
                     continue
             family = self._families[path.position]
-            if not all(literal_family(key) == family and key == key
-                       for key in keys):
+            if not all(literal_family(key) == family for key in keys):
                 continue
             named = relation.paths.named(relation, path.op, path.position,
                                          keys, limit)
@@ -565,10 +565,10 @@ def _narrowed(batch: Batch, kernels: list) -> Batch:
 
 
 def _first_seen(seen: set, batch: Batch) -> list[bool]:
-    """Per row of *batch*, whether its ``norm_tuple`` key is new to
+    """Per row of *batch*, whether its ``sql_keys`` key is new to
     *seen*, which it then joins."""
     mask = []
-    for key in map(norm_tuple, batch.tuples()):
+    for key in map(sql_keys, batch.tuples()):
         mask.append(key not in seen)
         seen.add(key)
     return mask
@@ -752,7 +752,7 @@ class Aggregate(Operator):
                     else:
                         keys = [tuple(fn(context) for fn in self.group_fns)
                                 for context in contexts]
-                        hashed = map(norm_tuple, keys)
+                        hashed = map(sql_keys, keys)
                     for key, marker in zip(keys, hashed):
                         gid = lookup(marker)
                         if gid is None:
@@ -931,19 +931,12 @@ class SetOp(Operator):
             if operation == "UNION":
                 current = concat([current, other], width)
             else:
-                keys = set(map(norm_tuple, other.tuples()))
+                keys = set(map(sql_keys, other.tuples()))
                 current = current.select([
                     (key in keys) == (operation == "INTERSECT")
-                    for key in map(norm_tuple, current.tuples())])
+                    for key in map(sql_keys, current.tuples())])
             current = current.select(_first_seen(set(), current))
         yield from pieces(current)
-
-
-def _key_rows(fns: list[RowFn], rows: list[tuple],
-              outer_rows: Rows) -> list[tuple]:
-    """The generic key extractor: per row, the values *fns* evaluate to."""
-    return [tuple([fn(context) for fn in fns])
-            for context in [outer_rows + (row,) for row in rows]]
 
 
 class _Built(NamedTuple):
@@ -1033,10 +1026,10 @@ class Join(Operator):
 
     ``key_positions`` — ``(left positions, right positions)`` — is set
     when every hash key pair is a plain typed column of one comparison
-    family on both sides: the raw values of those columns then hash and
-    compare as ``values_equal`` does, so whole key columns are the
-    keys.  Otherwise ``left_keys`` / ``right_keys`` evaluate the keys
-    per row and ``norm_tuple`` keeps the families apart.
+    family on both sides: the raw values of those columns are then their
+    own ``sql_key`` s, so whole key columns are the keys.  Otherwise
+    ``left_keys`` / ``right_keys`` evaluate the keys per row and
+    ``sql_key`` keeps the families apart.
     """
 
     preserves_rows = False
@@ -1072,16 +1065,19 @@ class Join(Operator):
     def _hash_keys(self, batch: Batch, side: int,
                    outer_rows: Rows) -> Iterable:
         """One hashable key per row of *batch* (``side`` 0 is the left
-        input); ``None`` where a key value is NULL, which matches
+        input): a key column's raw values, or each key expression's
+        ``sql_key`` s; ``None`` where a key value is NULL, which matches
         nothing in an equi-join."""
         if self.key_positions is not None:
             columns = [batch.column(position)
                        for position in self.key_positions[side]]
-            if len(columns) == 1:
-                return columns[0]
-            return [None if None in key else key for key in zip(*columns)]
-        return [None if None in key else norm_tuple(key) for key in
-                _key_rows(self.key_fns[side], batch.rows, outer_rows)]
+        else:
+            contexts = [outer_rows + (row,) for row in batch.rows]
+            columns = [list(map(sql_key, map(fn, contexts)))
+                       for fn in self.key_fns[side]]
+        if len(columns) == 1:
+            return columns[0]
+        return [None if None in key else key for key in zip(*columns)]
 
     def _build(self, outer_rows: Rows) -> _Built:
         """The hashed right input: a semi / anti join without a residual
@@ -1127,9 +1123,10 @@ class Join(Operator):
                       not batches, False)
 
     def members(self, outer_rows: Rows) -> Iterable | None:
-        """The keys, as values, of an uncorrelated ``x IN (subquery)``:
-        the build its first left row would make, made now and kept for
-        the run — what an ``in`` access path of the scan below reads.
+        """The keys of an uncorrelated ``x IN (subquery)`` (a tagged
+        boolean is of no family: no path reads it): the build its first
+        left row would make, made now and kept for the run — what an
+        ``in`` access path of the scan below reads.
         ``None`` when the build fails: the join fails as it would have,
         when a row reaches it."""
         built = self._built
@@ -1138,9 +1135,7 @@ class Join(Operator):
                 built = self._built = self._build(outer_rows + (None,))
             except RelationalError:
                 return None
-        if self.key_positions is not None:
-            return built.index
-        return [key[0][1] for key in built.index]   # norm_tuple's (tag, value)
+        return built.index
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
         if self.semi:

@@ -45,7 +45,7 @@ from typing import Any, Iterable, Iterator, Sequence
 from .errors import ConstraintViolation, SchemaError, TypeMismatchError
 from .indexes import ColumnPaths, HashIndex
 from .schema import Column, TableSchema
-from .types import DataType, coerce_value
+from .types import DataType, coerce_value, null_nans
 from .vectors import ColumnVector
 
 #: Compaction triggers when both hold: enough dead slots to be worth a
@@ -284,7 +284,10 @@ class Table:
                     if len(coerced) < count:
                         count, error = len(coerced), exc
                 values = coerced
-            if not column.nullable and _NULL in kind \
+            elif float in kind:
+                values = null_nans(values)
+            if not column.nullable and (
+                    _NULL in kind or column.data_type is DataType.REAL) \
                     and None in values[:count]:
                 count = values.index(None)
                 error = ConstraintViolation(
@@ -449,7 +452,9 @@ class BoundView:
     a column whose values span two families (``TRUE`` beside ``1``,
     ``5`` beside ``'x'``) has no type, since its raw values neither hash
     nor order as ``values_equal`` / ``compare_values`` do, so every
-    kernel over it takes the generic path.  It holds the
+    kernel over it takes the generic path.  Its values hold no NaN: they
+    are a source's result or an extraction's ``to_sql_value`` s, where a
+    NaN is already NULL.  It holds the
     columns it was given wherever they need no change: it never
     writes them, so they may be shared (a cached fragment's).  ``cols``
     is ``None`` for a view planned but never run (an explain's unshipped

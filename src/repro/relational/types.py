@@ -1,4 +1,5 @@
-"""SQL value model: data types, coercion rules and three-valued logic.
+"""SQL value model: data types, coercion rules, equality keys and
+three-valued logic.
 
 The engine stores values as plain Python objects:
 
@@ -7,6 +8,16 @@ The engine stores values as plain Python objects:
 * ``REAL``         -> ``float``
 * ``TEXT``         -> ``str``
 * ``BOOLEAN``      -> ``bool``
+
+**NaN is NULL**, as in sqlite, wherever it enters or is made
+(:func:`coerce_value`, :func:`null_nans`, arithmetic, SUM / AVG).
+**One equality key**: every hash structure keys a value by
+:func:`sql_key` — the value itself, but a boolean tagged apart from the
+numbers (``TRUE = 1`` is false in SQL, true in Python) — and a row by
+:func:`sql_keys`.  So Python ``==`` / ``hash`` over keys is SQL ``=``
+(``1`` and ``1.0`` one key, ``1`` and ``'1'`` two, integers beyond 2**53
+exact, NULL its own key), and raw values of one :data:`FAMILY` are
+their own keys: a path over one typed column hashes them as they are.
 
 Boolean *expressions* evaluate in three-valued logic (3VL): ``True``,
 ``False`` and *unknown*, where unknown is represented by ``None``.  The
@@ -18,9 +29,8 @@ tables; WHERE clauses keep a row only when the predicate is exactly
 from __future__ import annotations
 
 import enum
-import math
 from operator import ne
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from .errors import TypeMismatchError
 
@@ -70,7 +80,7 @@ def parse_type_name(name: str) -> DataType:
 def coerce_value(value: Any, data_type: DataType) -> Any:
     """Coerce a Python value to the storage representation of *data_type*.
 
-    ``None`` passes through (NULL is typeless).  Raises
+    ``None`` passes through (NULL is typeless), and a NaN becomes it.  Raises
     :class:`TypeMismatchError` when no faithful conversion exists, e.g.
     ``coerce_value('abc', INTEGER)``.
     """
@@ -89,36 +99,33 @@ def coerce_value(value: Any, data_type: DataType) -> Any:
             except ValueError as exc:
                 raise TypeMismatchError(
                     f"cannot store {value!r} in INTEGER column") from exc
-        raise TypeMismatchError(f"cannot store {value!r} in INTEGER column")
-    if data_type is DataType.REAL:
-        if isinstance(value, bool):
-            return float(value)
-        if isinstance(value, (int, float)):
-            return float(value)
-        if isinstance(value, str):
+    elif data_type is DataType.REAL:
+        if isinstance(value, (int, float, str)):
             try:
-                return float(value)
+                value = float(value)
             except ValueError as exc:
                 raise TypeMismatchError(
                     f"cannot store {value!r} in REAL column") from exc
-        raise TypeMismatchError(f"cannot store {value!r} in REAL column")
-    if data_type is DataType.TEXT:
+            return None if value != value else value
+    elif data_type is DataType.TEXT:
         if isinstance(value, str):
             return value
         if isinstance(value, bool):
             return "true" if value else "false"
-        if isinstance(value, (int, float)):
+        if isinstance(value, (int, float)) and value == value:
             return format_value(value)
-        raise TypeMismatchError(f"cannot store {value!r} in TEXT column")
-    if data_type is DataType.BOOLEAN:
+    elif data_type is DataType.BOOLEAN:
         if isinstance(value, bool):
             return value
         if isinstance(value, int) and value in (0, 1):
             return bool(value)
         if isinstance(value, str) and value.lower() in ("true", "false", "t", "f"):
             return value.lower() in ("true", "t")
-        raise TypeMismatchError(f"cannot store {value!r} in BOOLEAN column")
-    raise TypeMismatchError(f"unsupported data type {data_type}")
+    else:
+        raise TypeMismatchError(f"unsupported data type {data_type}")
+    if isinstance(value, float) and value != value:
+        return None
+    raise TypeMismatchError(f"cannot store {value!r} in {data_type} column")
 
 
 def format_value(value: Any) -> str:
@@ -128,8 +135,6 @@ def format_value(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value) or math.isnan(value):
-            return str(value)
         if value.is_integer():
             return f"{value:.1f}"
         return repr(value)
@@ -207,9 +212,9 @@ def compare_values(left: Any, right: Any) -> int | None:
         f"cannot compare {type(left).__name__} with {type(right).__name__}")
 
 
-#: Each column type's comparison family: values compare and hash as
-#: ``compare_values`` / ``values_equal`` do only within one (``TRUE = 1``
-#: is false in SQL, true in Python).
+#: Each column type's comparison family: within one, raw values order
+#: as ``compare_values`` does and are their own :func:`sql_key` s
+#: (``TRUE = 1`` is false in SQL, true in Python).
 FAMILY = {
     DataType.INTEGER: "num",
     DataType.REAL: "num",
@@ -236,36 +241,41 @@ def literal_family(value: Any) -> str | None:
 
 def one_family(values: list) -> bool:
     """Whether raw ``<`` orders *values*' non-NULL members exactly as
-    ``compare_values`` does: one family, and no NaN (which the
-    comparator treats as equal to everything)."""
+    ``compare_values`` does: they are of one family."""
     kinds = set(map(type, values))
     kinds.discard(type(None))
-    if float in kinds and any(map(ne, values, values)):
-        return False
     return any(kinds <= family for family in _NATIVE_FAMILIES)
 
 
-def values_equal(left: Any, right: Any) -> bool | None:
-    """SQL equality: NULL-propagating, type-lenient.
+def null_nans(values: Sequence) -> Sequence:
+    """*values* with each NaN NULL (*values* itself when it holds none):
+    stored REAL columns, bound ``?`` values and the SUM / AVG folds."""
+    if any(map(ne, values, values)):
+        return [None if value != value else value for value in values]
+    return values
 
-    Unlike ordered comparison, equality between *incompatible* types is
-    simply ``False`` (e.g. ``1 = 'a'``); this keeps enrichment joins robust
-    when RDF literals and SQL values disagree on type.
-    """
+
+#: A boolean's key: tagged apart from every number.
+_BOOL_KEYS = (("bool", False), ("bool", True))
+
+
+def sql_key(value: Any) -> Any:
+    """The key *value* hashes and compares by under SQL ``=`` (see the
+    module docstring)."""
+    return _BOOL_KEYS[value] if value.__class__ is bool else value
+
+
+def sql_keys(values: Iterable[Any]) -> tuple:
+    """A row's key: the :func:`sql_key` of each of *values*."""
+    return tuple(map(sql_key, values))
+
+
+def values_equal(left: Any, right: Any) -> bool | None:
+    """SQL equality: NULL when either side is NULL, else whether the
+    :func:`sql_key` s agree (``1 = 'a'`` is simply ``False``)."""
     if left is None or right is None:
         return None
-    if _is_numeric(left) and _is_numeric(right):
-        # Plain == is exact across int/float (unlike coercing both to
-        # float, which collapses distinct integers beyond 2**53) and so
-        # agrees with compare_values and with index bucketing.
-        return left == right
-    if isinstance(left, bool) or isinstance(right, bool):
-        if isinstance(left, bool) and isinstance(right, bool):
-            return left == right
-        return False
-    if type(left) is type(right):
-        return left == right
-    return False
+    return sql_key(left) == sql_key(right)
 
 
 class _NullsOrderKey:

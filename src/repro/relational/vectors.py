@@ -195,13 +195,10 @@ def _col_lit_kernel(op: str, ref: tuple, literal: Any) -> Kernel | None:
         return lambda cols: [v is not None and v < lit for v in cols[p]]
     if op == ">":
         return lambda cols: [v is not None and v > lit for v in cols[p]]
-    # <= / >= are phrased as negated strict comparisons so that NaN —
-    # which compare_values treats as equal to everything — stays TRUE
-    # here exactly like on the row path.
     if op == "<=":
-        return lambda cols: [v is not None and not v > lit for v in cols[p]]
+        return lambda cols: [v is not None and v <= lit for v in cols[p]]
     if op == ">=":
-        return lambda cols: [v is not None and not v < lit for v in cols[p]]
+        return lambda cols: [v is not None and v >= lit for v in cols[p]]
     return None
 
 
@@ -228,10 +225,10 @@ def _col_col_kernel(op: str, left: tuple, right: tuple) -> Kernel | None:
         return lambda cols: [a is not None and b is not None and a > b
                              for a, b in zip(cols[p1], cols[p2])]
     if op == "<=":
-        return lambda cols: [a is not None and b is not None and not a > b
+        return lambda cols: [a is not None and b is not None and a <= b
                              for a, b in zip(cols[p1], cols[p2])]
     if op == ">=":
-        return lambda cols: [a is not None and b is not None and not a < b
+        return lambda cols: [a is not None and b is not None and a >= b
                              for a, b in zip(cols[p1], cols[p2])]
     return None
 

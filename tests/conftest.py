@@ -50,7 +50,7 @@ def generic_kernels():
     generic_kernels():`` makes the six kernel selectors decline, so
     every filter, projection, aggregate, hash join and sort built
     inside the block evaluates its compiled expressions row by row
-    (joins normalise every key, sorts compare through
+    (joins key every key through ``sql_key``, sorts compare through
     ``compare_values``, ``IN (subquery)`` / ``EXISTS`` conjuncts stay
     on the filter's compiled closure).  The equivalence
     suites and E17 compare the default engine against it.  (Session

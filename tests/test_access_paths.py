@@ -27,6 +27,7 @@ from repro.relational.errors import RelationalError
 from repro.relational.parser import SqlParser
 from repro.relational.render import render_literal
 from repro.relational.table import BoundView
+from repro.relational.types import null_nans
 
 NAN = float("nan")
 BIG = 2 ** 53
@@ -40,7 +41,8 @@ POOLS = {
     # Values as given, over an extraction only: two families, no type.
     "mixed": [None, 1, 1.0, True, "1", "a", NAN],
 }
-#: What a key or an ``IN`` member can be: every family, NULL, NaN.
+#: What a key or an ``IN`` member can be: every family, NULL, NaN (which
+#: is NULL: bound, stored, or in a view's source).
 KEYS = [None, 0, 1, 1.0, -0.0, 2, 2.5, NAN, BIG, BIG + 1, float(BIG),
         True, False, "", "1", "a", 7]
 
@@ -82,7 +84,10 @@ def relation(source: str, data_type: str, keys: list, members: list
     as *source* holds them, and the views a run binds (the extraction
     ``w`` of *members*, values as given, and ``r`` when a view)."""
     db = Database()
-    cols = [list(keys), list(range(len(keys)))]
+    # A view's columns are a source's result, where a NaN is NULL; a
+    # table stores one as NULL.
+    members = null_nans(members)
+    cols = [list(null_nans(keys)), list(range(len(keys)))]
     views = {"w": BoundView.of("w", ["c0"], [list(members)],
                                [set(map(type, members))], coerce=False)}
     if source.endswith("table"):
@@ -186,12 +191,16 @@ def test_a_probed_scan_answers_as_a_forced_scan(data, source, data_type,
 
 
 def test_mixed_families_and_nan_scan_or_raise_as_the_scan_does():
-    # A key of another family: `=` is false, a range raises; NaN in the
-    # column or as the key: the scan, whose kernels decide.
+    # A key of another family: `=` is false, a range raises.  NaN is
+    # NULL: in the column it is stored so, and as the key it is bound so.
     check("table", "INTEGER", [1, 2, 3, 4], [], "SELECT p FROM r WHERE k > ?",
           "a", 2)
-    check("table", "REAL", [1.0, NAN, 3.0, 4.0], [],
-          "SELECT p FROM r WHERE k >= ?", 3.0, 2)
+    assert check("table", "REAL", [1.0, NAN, 3.0, 4.0, 5.0], [],
+                 "SELECT p FROM r WHERE k >= ?", 4.0, 2) == "range k"
+    assert check("held view", "REAL", [1.0, NAN, 3.0, NAN], [],
+                 "SELECT p FROM r WHERE k = ?", NAN, 2) == "scan"
+    db, views = relation("table", "REAL", [1.0, NAN, None], [])
+    assert db.query("SELECT p FROM r WHERE k IS NULL").rows == [(1,), (2,)]
     check("indexed table", "INTEGER", [1, 0, 3, 4], [],
           "SELECT p FROM r WHERE k = ?", True, 2)
     check("held view", "INTEGER", [1, 2, 3, 4], [True, 1, None, "1"],

@@ -11,9 +11,8 @@ multiset otherwise.  Join and ORDER BY shapes are compared row for row
 order; a sort is stable), and must fail with the same error when the
 reference does.
 
-NaN is deliberately excluded from the generated data: SQL comparison
-semantics over NaN are pinned by the deterministic kernel tests, while
-here float equality would make "byte-identical" ill-defined.
+Only the conjunct-narrowing rows draw NaN: a stored NaN is NULL
+(``relational/types.py``), so elsewhere the NULLs drawn cover it.
 """
 
 from __future__ import annotations
@@ -605,8 +604,7 @@ def test_a_column_nobody_reads_is_never_gathered():
 
 # -- conjunct narrowing: one mask kernel per conjunct, on what is left -------
 #
-# NaN is in the data here: rows are compared by ``repr``, so a NaN that
-# both engines keep compares equal.
+# NaN is in the data here, stored as NULL on both sides.
 
 narrowing_rows = st.lists(
     st.tuples(int_values, st.one_of(real_values, st.just(float("nan"))),
@@ -620,7 +618,7 @@ EMPTYING = "i > 99"
 @st.composite
 def mask_conjuncts(draw) -> list[str]:
     """2-4 conjuncts that each compile to a mask kernel — comparisons
-    (NaN-sensitive ones on ``r`` included), and ANDs nested under OR or
+    (``<=`` / ``>=`` on ``r`` included), and ANDs nested under OR or
     NOT, which keep their kernel — sometimes one of them ``EMPTYING``."""
     # A negative literal is a unary minus until the planner folds it (a
     # trivial select is not planned), and NOT cannot be pushed into a

@@ -25,10 +25,10 @@ from repro.federation import FederationOptions, Mediator
 from repro.rdf import IRI
 from repro.relational import (CatalogError, Database, ExecutionError,
                               ResultSet)
-from repro.relational.batch import norm_tuple
 from repro.relational.parser import parse_sql
 from repro.relational.schema import Column, TableSchema
 from repro.relational.table import Table, _narrowest, _transposed
+from repro.relational.types import sql_keys
 
 ORIGINS = ("it", "fr", "de")
 
@@ -239,7 +239,7 @@ def reconciled(mediator: Mediator, reconciliation: str, report) -> list:
     kept = []
     for rows in partials:
         for row in rows:
-            key = norm_tuple(row if reconciliation == "union" else row[:1])
+            key = sql_keys(row if reconciliation == "union" else row[:1])
             if key not in seen:
                 seen.add(key)
                 kept.append(row)

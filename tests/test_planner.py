@@ -1,5 +1,5 @@
 """Cost-based planner: statistics, estimation, rewrites, join ordering,
-EXPLAIN (ANALYZE) and the index/NULL normalization regressions."""
+EXPLAIN (ANALYZE) and the index/NULL equality-key regressions."""
 
 from __future__ import annotations
 
@@ -11,10 +11,9 @@ from repro.planner.estimate import (equality_selectivity,
 from repro.planner.rewrite import fold_expr
 from repro.relational import Database, executor
 from repro.relational.ast import Literal
-from repro.relational.indexes import _normalize
 from repro.relational.parser import parse_expr, parse_sql
 from repro.relational.render import render_expr, render_query
-from repro.relational.types import values_equal
+from repro.relational.types import sql_key, values_equal
 
 STRICT = PlannerOptions(strict=True)
 OFF = PlannerOptions(enabled=False)
@@ -46,22 +45,22 @@ SKEWED = ("SELECT fact.id FROM fact "
           "WHERE dim.kind = 'rare'")
 
 
-# -- normalization regressions (index vs executor semantics) ----------------
+# -- equality-key regressions (index vs executor semantics) -----------------
 
 
-def test_normalize_is_exact_beyond_float_precision():
+def test_sql_key_is_exact_beyond_float_precision():
     big = 2 ** 53
-    assert _normalize(big) != _normalize(big + 1)
+    assert sql_key(big) != sql_key(big + 1)
     assert values_equal(big, big + 1) is False
     assert values_equal(big, float(big)) is True
-    assert _normalize(big) == _normalize(float(big))
+    assert sql_key(big) == sql_key(float(big))
 
 
-def test_normalize_null_and_type_families():
-    assert _normalize(None) == ("null",)
-    assert _normalize(None) != _normalize(0)
-    assert _normalize(True) != _normalize(1)   # 1 = TRUE is false in SQL
-    assert _normalize(1) == _normalize(1.0)
+def test_sql_key_null_and_type_families():
+    assert sql_key(None) is None            # NULL is its own key
+    assert sql_key(None) != sql_key(0)
+    assert sql_key(True) != sql_key(1)      # 1 = TRUE is false in SQL
+    assert sql_key(1) == sql_key(1.0)
 
 
 def test_index_lookup_agrees_with_equality_for_big_integers():

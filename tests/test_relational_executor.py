@@ -519,20 +519,22 @@ def test_boolean_stored_in_integer_column_is_an_integer(keys_db):
     assert ("coerced", "one") in rows
 
 
-def test_nan_sort_key_falls_back_to_the_comparator(db, generic_kernels):
+def test_a_stored_nan_reads_back_null_and_sorts_natively(db, generic_kernels):
+    # NaN is NULL, as in sqlite: the REAL column stores NULL, so its
+    # key column is one family and the sort stays on native values.
     db.execute("CREATE TABLE t (id INTEGER, v REAL)")
     db.insert_rows("t", [{"id": 1, "v": 2.0}, {"id": 2, "v": float("nan")},
                          {"id": 3, "v": 1.0}, {"id": 4, "v": None}])
+    db.table("t").append_rows([(5, float("nan"))])
+    assert db.query("SELECT id FROM t WHERE v IS NULL").rows \
+        == [(2,), (4,), (5,)]
     result = db.query("SELECT id FROM t ORDER BY v, id")
+    assert result.rows == [(3,), (1,), (2,), (4,), (5,)]
     sort = next(node for node in result.plan.walk() if node.kind == "sort")
-    assert not sort.vectorized      # decided on the values, at run time
+    assert sort.vectorized
     with generic_kernels():
         assert db.query("SELECT id FROM t ORDER BY v, id").rows \
             == result.rows
-    clean = db.query("SELECT id FROM t WHERE id <> 2 ORDER BY v DESC, id")
-    assert clean.rows == [(4,), (1,), (3,)]
-    assert next(node for node in clean.plan.walk()
-                if node.kind == "sort").vectorized
 
 
 def test_explain_marks_join_and_sort_kernels(keys_db, generic_kernels):

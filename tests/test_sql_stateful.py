@@ -15,11 +15,10 @@ operator tree.  The values hold integers beyond 2**53 in the INTEGER
 and the REAL column, ``-0.0`` and ``0.0``, NaN, NULL, TRUE / FALSE and
 strings.
 
-The model is stdlib sqlite3 holding the same rows.  sqlite has no NaN:
-it holds NULL there, beside a flag (``rnan``).  ``=`` and ``IN`` never
-hold for NaN, as for NULL; the comparator orders NaN equal to every
-number (``types.compare_values``), so ``<=`` and ``>=`` hold for it, and
-the model's query says so.
+The model is stdlib sqlite3 holding the same rows.  A NaN is NULL on
+both sides: the engine stores the NaN a write's ``CAST('nan' AS REAL)``
+makes, and binds a read's NaN key, as NULL; sqlite stores and binds a
+bound NaN as NULL.
 
 What must hold: every read is the model's answer (as a multiset) and,
 row for row, the answer of the same template over a forced scan (no
@@ -60,7 +59,7 @@ POOLS = {
 #: sqlite holds ``1 = TRUE``, the engine does not).
 KEYS = {
     "i": [None, 0, 1, 5, 1.0, BIG, BIG + 1, float(BIG)],
-    "r": [None, 0, 0.0, -0.0, 1, 2.5, BIG, BIG + 1, float(BIG)],
+    "r": [None, 0, 0.0, -0.0, 1, 2.5, BIG, BIG + 1, float(BIG), NAN],
     "s": [None, "", "a", "b", "1"],
     "b": [None, True, False],
 }
@@ -71,8 +70,7 @@ MEMBERS = {"id": "x", "i": "x", "r": "y", "s": "z", "b": "w"}
 DDL = "(id INTEGER, i INTEGER, r REAL, s TEXT, b BOOLEAN)"
 
 #: Template -> (its SQL over ``t`` with ``{c}`` the column, how many
-#: keys it binds).  A range's SQL is written as sqlite reads it; the
-#: model adds NaN's rows to ``<=`` / ``>=`` (see the module docstring).
+#: keys it binds).
 READS = {
     "=": ("SELECT id FROM t WHERE {c} = ?", 1),
     "= swapped": ("SELECT id, s FROM t WHERE ? = {c}", 1),
@@ -111,7 +109,7 @@ class PlainSqlModel(RuleBasedStateMachine):
         self.db = Database()
         self.model = sqlite3.connect(":memory:")
         self.db.execute(f"CREATE TABLE t {DDL}")
-        self.model.execute(f"CREATE TABLE t {DDL[:-1]}, rnan INTEGER)")
+        self.model.execute(f"CREATE TABLE t {DDL}")
         ddl = "(x INTEGER, y REAL, z TEXT, w BOOLEAN)"
         self.db.execute(f"CREATE TABLE u {ddl}")
         self.model.execute(f"CREATE TABLE u {ddl}")
@@ -137,16 +135,12 @@ class PlainSqlModel(RuleBasedStateMachine):
         if rows:
             self.db.execute("INSERT INTO t VALUES " + ", ".join(
                 "(" + ", ".join(map(literal, row)) + ")" for row in rows))
-        self.model.executemany(
-            "INSERT INTO t VALUES (?, ?, ?, ?, ?, ?)",
-            [(*row, isinstance(row[2], float) and math.isnan(row[2]))
-             for row in rows])
+        self.model.executemany("INSERT INTO t VALUES (?, ?, ?, ?, ?)", rows)
 
     def _members(self, data) -> None:
-        """``u``'s rows afresh: each column's keys, no NaN."""
+        """``u``'s rows afresh: each column's keys."""
         rows = data.draw(st.lists(st.tuples(*(
-            st.sampled_from([value for value in POOLS[column]
-                             if value == value])
+            st.sampled_from(POOLS[column])
             for column in ("i", "r", "s", "b"))), max_size=5))
         for database in (self.db, self.model):
             database.execute("DELETE FROM u")
@@ -185,12 +179,8 @@ class PlainSqlModel(RuleBasedStateMachine):
         self._check("join", column, ())
         self.db.execute(f"UPDATE t SET {column} = {literal(value)} "
                         f"WHERE {where}")
-        nan = isinstance(value, float) and math.isnan(value)
-        self.model.execute(
-            f"UPDATE t SET {column} = ?"
-            + (", rnan = ?" if column == "r" else "")
-            + f" WHERE {model_where}",
-            (value, nan, *values) if column == "r" else (value, *values))
+        self.model.execute(f"UPDATE t SET {column} = ? WHERE {model_where}",
+                           (value, *values))
         self._check("=", column, (value,))
         self._check("join", column, ())
 
@@ -249,8 +239,8 @@ class PlainSqlModel(RuleBasedStateMachine):
     def drop_and_create(self, data):
         for database in (self.db, self.model):
             database.execute("DROP TABLE t")
-        self.db.execute(f"CREATE TABLE t {DDL}")
-        self.model.execute(f"CREATE TABLE t {DDL[:-1]}, rnan INTEGER)")
+        for database in (self.db, self.model):
+            database.execute(f"CREATE TABLE t {DDL}")
         self.indexes.clear()
         self._insert(data, data.draw(st.integers(0, 40)))
 
@@ -258,9 +248,6 @@ class PlainSqlModel(RuleBasedStateMachine):
 
     def _expected(self, template: str, column: str, values: tuple) -> list:
         sql = READS[template][0].format(c=column, m=MEMBERS[column])
-        if column == "r" and template in ("<=", ">="):
-            sql += " OR (rnan AND ? IS NOT NULL)"
-            values += values
         return self.model.execute(sql, values).fetchall()
 
     @rule(data=st.data(), template=st.sampled_from(sorted(READS)))

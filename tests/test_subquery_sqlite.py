@@ -263,7 +263,7 @@ def test_the_benchmark_join_shapes_agree_with_sqlite(generic_kernels, sql,
 #
 # The operators no kernel selector switches: ``generic_kernels`` leaves
 # DISTINCT, set operations and LIMIT as they are, so SQLite is their
-# reference.  Every column holds one type family (and NULLs, never NaN),
+# reference.  Every column holds one type family (and NULLs),
 # and a set operation's operands put the same columns side by side, so
 # no column mixes families.  Where SQL leaves the order open, rows are
 # compared as multisets; an ORDER BY names every column, so its order is

@@ -5,8 +5,9 @@ A ``col = literal`` / ``col = ?`` conjunct over a
 :class:`~repro.relational.operators.ViewScan`.  A run over a view held
 for many runs (``BoundView.hold``, what a mediator session does with a
 view it shipped in full) reads only the rows the view's lookup lists for
-the key — when the key is of the column's family, not NULL or NaN, and
-lists at most half the rows; a run over any other view scans.  The WHERE
+the key — when the key is of the column's family and not NULL (a NaN,
+in the view's source or bound as the key, is NULL), and lists at most
+half the rows; a run over any other view scans.  The WHERE
 stays whole above the scan, so the vector kernels still decide ``=``.
 
 What must hold, for every drain (execute, a partly drained stream,
@@ -30,7 +31,8 @@ from repro.relational import Database
 from repro.relational.parser import SqlParser
 from repro.relational.render import render_literal
 from repro.relational.table import BoundView
-from repro.relational.types import FAMILY, literal_family, values_equal
+from repro.relational.types import (FAMILY, literal_family, null_nans,
+                                    values_equal)
 
 NAN = float("nan")
 
@@ -65,6 +67,8 @@ def columns(draw) -> list[list]:
 
 
 def bound(cols: list[list], held: bool) -> BoundView:
+    # A view's columns are a source's result, where a NaN is NULL.
+    cols = [null_nans(column) for column in cols]
     view = BoundView.of("v", ["k", "p"], cols,
                         [set(map(type, column)) for column in cols])
     if held:
@@ -98,10 +102,12 @@ def matches(value, key) -> bool:
 
 def probes(view: BoundView, key) -> bool:
     """Whether a run over *view* held reads ``k``'s lookup for *key*:
-    a key of the column's family, not NaN, listing at most half the
-    rows."""
+    a key of the column's family (a NaN key is NULL), listing at most
+    half the rows."""
     family = FAMILY.get(view.schema.columns[0].data_type)
-    if literal_family(key) != family or key != key or not len(view):
+    if key != key:
+        key = None
+    if literal_family(key) != family or not len(view):
         return False
     return 2 * sum(value == key for value in view.cols[0]
                    if value is not None) <= len(view)
@@ -142,9 +148,9 @@ def test_a_probed_held_view_answers_as_a_scanned_one(cols, key, template,
                         and (arity == 1 or number >= low), key)
     if arity == 2:
         return
-    # NaN is never equal, even to itself.
-    assert not any(isinstance(key, float) and math.isnan(key)
-                   and matches(value, key) for value in cols[0])
+    # A NaN key is NULL: it matches nothing.
+    assert not (isinstance(key, float) and math.isnan(key)
+                and any(matches(value, key) for value in cols[0]))
 
 
 @settings(max_examples=60, deadline=None)
