@@ -53,8 +53,8 @@ from .errors import ExecutionError, RelationalError
 from .indexes import RANGES
 from .schema import ResultColumn, RowSchema
 from .table import Table
-from .types import (FAMILY, literal_family, one_family, sort_key, sql_key,
-                    sql_keys)
+from .types import (FAMILY, key_value, literal_family, one_family, sort_key,
+                    sql_key, sql_keys)
 from .vectors import SlotKernel
 
 Rows = tuple
@@ -1123,10 +1123,9 @@ class Join(Operator):
                       not batches, False)
 
     def members(self, outer_rows: Rows) -> Iterable | None:
-        """The keys of an uncorrelated ``x IN (subquery)`` (a tagged
-        boolean is of no family: no path reads it): the build its first
-        left row would make, made now and kept for the run — what an
-        ``in`` access path of the scan below reads.
+        """The keys, as values, of an uncorrelated ``x IN (subquery)``:
+        the build its first left row would make, made now and kept for
+        the run — what an ``in`` access path of the scan below reads.
         ``None`` when the build fails: the join fails as it would have,
         when a row reaches it."""
         built = self._built
@@ -1135,7 +1134,9 @@ class Join(Operator):
                 built = self._built = self._build(outer_rows + (None,))
             except RelationalError:
                 return None
-        return built.index
+        if self.key_positions is not None:
+            return built.index
+        return list(map(key_value, built.index))
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
         if self.semi:

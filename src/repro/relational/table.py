@@ -275,6 +275,7 @@ class Table:
             if values is None:
                 default = column.default if column.has_default else None
                 values, kind = (default,) * count, {type(default)}
+            given_values = values
             if not kind <= _STORED_AS_IS[column.data_type]:
                 coerced: list = []
                 try:
@@ -286,8 +287,9 @@ class Table:
                 values = coerced
             elif float in kind:
                 values = null_nans(values)
+            # A NULL is given, or made of a NaN by coercion or null_nans.
             if not column.nullable and (
-                    _NULL in kind or column.data_type is DataType.REAL) \
+                    _NULL in kind or values is not given_values) \
                     and None in values[:count]:
                 count = values.index(None)
                 error = ConstraintViolation(

@@ -265,6 +265,11 @@ def sql_key(value: Any) -> Any:
     return _BOOL_KEYS[value] if value.__class__ is bool else value
 
 
+def key_value(key: Any) -> Any:
+    """The value whose :func:`sql_key` *key* is."""
+    return key[1] if key.__class__ is tuple else key
+
+
 def sql_keys(values: Iterable[Any]) -> tuple:
     """A row's key: the :func:`sql_key` of each of *values*."""
     return tuple(map(sql_key, values))

@@ -248,6 +248,22 @@ def test_a_run_reads_the_narrowest_path_naming_at_most_half(
         == detail
 
 
+def test_an_in_subquery_of_boolean_expressions_reads_the_lookup():
+    """``NOT x`` keys the build by ``sql_key`` (a boolean tagged apart
+    from the numbers); the members the ``in`` path reads are values."""
+    db = Database()
+    db.execute("CREATE TABLE r (b BOOLEAN, p INTEGER)")
+    db.insert_rows("r", ({"b": n == 4, "p": n} for n in range(10)))
+    db.execute("CREATE TABLE u (x BOOLEAN)")
+    db.insert_rows("u", [{"x": False}])
+    sql = parsed("SELECT p FROM r WHERE b IN (SELECT NOT x FROM u)")
+    with forced_scan():
+        expected = drains(db, sql, (), {}, 2)
+    got = drains(db, sql, (), {}, 2)
+    assert got[0] == expected[0] == [(4,)]
+    assert got[2][1].detail == "probe b IN"
+
+
 def test_the_sorted_path_merges_appends_and_goes_with_other_writes():
     """Through a compaction, an UPDATE and a truncate, each followed by
     an append, every read through the store (a range and a hash-indexed

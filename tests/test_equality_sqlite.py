@@ -295,28 +295,31 @@ def test_a_unique_key_refuses_what_sqlite_refuses(column, data):
     assert ours == theirs
 
 
-@pytest.mark.parametrize("given", [NAN, "nan"])
+@pytest.mark.parametrize("declared, stored, given", [
+    ("REAL", 1.0, NAN), ("REAL", 1.0, "nan"), ("INTEGER", 1, NAN),
+    ("TEXT", "a", NAN), ("BOOLEAN", True, NAN)])
 @pytest.mark.parametrize("bulk", [False, True])
-def test_a_not_null_column_refuses_a_nan_as_sqlite_does(given, bulk):
-    """A NaN given to a REAL column, or made from its text, is NULL, so
-    NOT NULL refuses it — a row at a time, or in a bulk append after the
-    rows before it are stored."""
+def test_a_not_null_column_refuses_a_nan_as_sqlite_does(declared, stored,
+                                                        given, bulk):
+    """A NaN given to a column of any type, or made from text by a REAL
+    column, is NULL, so NOT NULL refuses it — a row at a time, or in a
+    bulk append after the rows before it are stored."""
     oracle = sqlite3.connect(":memory:")
     try:
-        oracle.execute("CREATE TABLE n (v NOT NULL)")
+        oracle.execute(f"CREATE TABLE n (v {declared} NOT NULL)")
         with pytest.raises(sqlite3.IntegrityError):
             oracle.execute("INSERT INTO n VALUES (?)", (NAN,))
     finally:
         oracle.close()
     db = Database()
-    db.execute("CREATE TABLE n (v REAL NOT NULL)")
+    db.execute(f"CREATE TABLE n (v {declared} NOT NULL)")
     table = db.table("n")
     with pytest.raises(ConstraintViolation):
         if bulk:
-            table.append_rows([(1.0,), (given,), (2.0,)])
+            table.append_rows([(stored,), (given,), (stored,)])
         else:
             table.insert_row({"v": given})
-    assert list(table.rows()) == ([(1.0,)] if bulk else [])
+    assert list(table.rows()) == ([(stored,)] if bulk else [])
 
 
 # -- the mediator's reconciliation --------------------------------------------

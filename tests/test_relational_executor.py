@@ -535,6 +535,11 @@ def test_a_stored_nan_reads_back_null_and_sorts_natively(db, generic_kernels):
     with generic_kernels():
         assert db.query("SELECT id FROM t ORDER BY v, id").rows \
             == result.rows
+    clean = db.query("SELECT id FROM t WHERE id < 5 AND id <> 2 "
+                     "ORDER BY v DESC, id")
+    assert clean.rows == [(4,), (1,), (3,)]
+    assert next(node for node in clean.plan.walk()
+                if node.kind == "sort").vectorized
 
 
 def test_explain_marks_join_and_sort_kernels(keys_db, generic_kernels):
