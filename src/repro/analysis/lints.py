@@ -116,7 +116,7 @@ def lint_sargability(core: ast.SelectCore, env,
 
     def indexed_column(ref: ast.Expr) -> str | None:
         if isinstance(ref, ast.ColumnRef) and _innermost(ref, scopes) \
-                and table.find_index_on([ref.name]) is not None:
+                and table.paths.find([ref.name]) is not None:
             return ref.display()
         return None
 

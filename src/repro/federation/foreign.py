@@ -183,9 +183,6 @@ class ForeignTable:
             time.sleep(self.latency_s)
         return sum(1 for _row in self.source.rows())
 
-    def find_index_on(self, column_names) -> None:
-        return None  # remote indexes are not visible locally
-
     # -- read-only guard rails ------------------------------------------------
 
     def _read_only(self, *args, **kwargs):

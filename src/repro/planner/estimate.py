@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..relational import ast
+from ..relational.types import is_number
 from .stats import ColumnStats
 
 # Fallback selectivities when statistics are missing (System-R lore).
@@ -30,10 +31,6 @@ JOIN_SELECTIVITY = 0.1
 #: ``resolve(column_ref) -> ColumnStats | None`` — the caller (which
 #: knows which relation a column belongs to) supplies the lookup.
 StatsResolver = Callable[[ast.ColumnRef], "ColumnStats | None"]
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _clamp(fraction: float) -> float:
@@ -51,7 +48,7 @@ def _literal(expr: ast.Expr) -> tuple[bool, Any]:
         return True, _UNBOUND
     if isinstance(expr, ast.UnaryOp) and expr.op == "-" \
             and isinstance(expr.operand, ast.Literal) \
-            and _is_number(expr.operand.value):
+            and is_number(expr.operand.value):
         return True, -expr.operand.value
     return False, None
 
@@ -60,8 +57,8 @@ def equality_selectivity(stats: ColumnStats | None, value: Any) -> float:
     if stats is None or stats.non_null == 0:
         return EQ_SELECTIVITY
     base = 1.0 / max(stats.distinct, 1)
-    if _is_number(value):
-        if _is_number(stats.min_value) and (value < stats.min_value
+    if is_number(value):
+        if is_number(stats.min_value) and (value < stats.min_value
                                             or value > stats.max_value):
             return 0.0005  # out of the observed range
         if stats.histogram is not None:
@@ -82,9 +79,9 @@ def equality_selectivity(stats: ColumnStats | None, value: Any) -> float:
 
 def range_selectivity(stats: ColumnStats | None, op: str,
                       value: Any) -> float:
-    if stats is None or not _is_number(value) \
-            or not _is_number(stats.min_value) \
-            or not _is_number(stats.max_value):
+    if stats is None or not is_number(value) \
+            or not is_number(stats.min_value) \
+            or not is_number(stats.max_value):
         return RANGE_SELECTIVITY
     low, high = float(stats.min_value), float(stats.max_value)
     if stats.histogram is not None and stats.histogram.total:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ..relational import ast
-from ..relational.table import BoundView, Table, find_probe_index
-from .cost import CostModel
+from ..relational.table import BoundView, Table
+from .cost import CostModel, Inner
 from .estimate import join_selectivity, predicate_selectivity
 from .stats import StatisticsCatalog, TableStats
 
@@ -35,6 +35,7 @@ class BaseRelation:
     raw_rows: float              # before any pushed filter
     est_rows: float              # after pushed filters
     filtered: bool
+    stats: TableStats | None = None  # its table's, when ANALYZEd
 
 
 @dataclass
@@ -118,6 +119,18 @@ def classify_equi(expr: ast.Expr,
     return sides[0][0], sides[0][1], sides[1][0], sides[1][1]
 
 
+def join_predicate(conjunct: ast.Expr, touched: frozenset[str],
+                   binding_columns: dict, resolve) -> JoinPredicate:
+    """*conjunct*, over the bindings *touched*, as a join predicate."""
+    equi = classify_equi(conjunct, binding_columns)
+    if equi is None:
+        selectivity = predicate_selectivity(conjunct, resolve)
+    else:
+        selectivity = join_selectivity(resolve(conjunct.left),
+                                       resolve(conjunct.right))
+    return JoinPredicate(conjunct, touched, selectivity, equi)
+
+
 # ---------------------------------------------------------------------------
 # Row estimation for relations and whole queries
 # ---------------------------------------------------------------------------
@@ -167,13 +180,8 @@ def _estimate_core_rows(core: ast.SelectCore, catalog,
             binding_stats[binding] = _leaf_stats(leaf, stats)
     resolve = make_resolver(binding_stats, binding_columns)
     for conjunct in conditions + list(ast.conjuncts(core.where)):
-        equi = classify_equi(conjunct, binding_columns)
-        if equi is not None:
-            left = _column_stats(binding_stats.get(equi[0]), equi[1])
-            right = _column_stats(binding_stats.get(equi[2]), equi[3])
-            rows *= join_selectivity(left, right)
-        else:
-            rows *= predicate_selectivity(conjunct, resolve)
+        rows *= join_predicate(conjunct, frozenset(), binding_columns,
+                               resolve).selectivity
     has_aggregate = bool(core.group_by) or core.having is not None
     if has_aggregate:
         rows = max(rows * GROUP_FACTOR, 1.0) if core.group_by else 1.0
@@ -201,9 +209,7 @@ def _leaf_stats(leaf: ast.TableExpr,
 
 
 def _column_stats(table_stats: TableStats | None, column: str):
-    if table_stats is None:
-        return None
-    return table_stats.column(column)
+    return None if table_stats is None else table_stats.column(column)
 
 
 def make_resolver(binding_stats: dict[str, TableStats | None],
@@ -268,19 +274,27 @@ def _step_for(acc_bindings: frozenset[str], acc_rows: float,
             inner_equi_columns.append(column_a)
         elif binding_b == relation.binding and binding_a in acc_bindings:
             inner_equi_columns.append(column_b)
-    has_equi = bool(inner_equi_columns)
-    index_available = (
-        has_equi and not relation.filtered
-        and relation.table is not None
-        and find_probe_index(relation.table,
-                             inner_equi_columns) is not None)
-
-    choice = cost_model.choose_join(acc_rows, relation.est_rows, out_rows,
-                                    has_equi, index_available)
-    cost = choice.cost
-    if choice.strategy != "index-join":
-        cost += _access_cost(relation, cost_model)
-    return JoinStep(relation, applicable, choice.strategy, out_rows, cost)
+    keys = lookup = None
+    if inner_equi_columns:
+        # A key repeats in the rows read as ANALYZE counted it over the
+        # table (every row its own key when not analyzed; several
+        # columns' keys count as unique).  An index join probes the
+        # first column, as the executor does.
+        table, column = relation.table, inner_equi_columns[0]
+        analyzed = _column_stats(relation.stats, column)
+        share = min(analyzed.distinct / max(relation.raw_rows, 1.0), 1.0) \
+            if analyzed is not None and analyzed.distinct else 1.0
+        keys = relation.est_rows * (
+            share if len(inner_equi_columns) == 1 else 1.0)
+        if isinstance(table, Table) and not relation.filtered:
+            lookup = (relation.raw_rows, relation.raw_rows * share)
+            if table.paths.built(table.schema.position_of(column)):
+                lookup = (0.0, 0.0)
+    choice = cost_model.choose_join(acc_rows, Inner(
+        relation.est_rows, _access_cost(relation, cost_model), keys,
+        lookup), out_rows)
+    return JoinStep(relation, applicable, choice.strategy, out_rows,
+                    choice.cost)
 
 
 def _order_dp(relations: list[BaseRelation],

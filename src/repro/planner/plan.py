@@ -26,13 +26,14 @@ from ..relational import ast
 from ..relational.ast import PlanHint
 from ..relational.executor import build_select
 from ..relational.operators import Result
+from ..relational.table import BoundView, Table
 from ..relational.vectors import semi_join
 from .cost import CostModel
 from .estimate import predicate_selectivity, semi_join_selectivity
 from .joins import (BaseRelation, JoinPredicate, build_join_tree,
-                    classify_equi, estimate_query_rows, flatten_inner_joins,
-                    join_selectivity, make_resolver, order_joins,
-                    _column_stats, _leaf_stats, _relation_raw_rows)
+                    estimate_query_rows, flatten_inner_joins, join_predicate,
+                    make_resolver, order_joins, _column_stats, _leaf_stats,
+                    _relation_raw_rows, _step_for)
 from .options import PlannerOptions
 from .rewrite import (binding_of, expand_star_items, fold_expr, from_leaves,
                       needed_columns, null_safe_bindings, output_columns,
@@ -209,17 +210,19 @@ def _plan_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
                       flat[0], flat[1], binding_columns)
         return
     # The written shape stays (LEFT joins, single relations, opt-outs):
-    # estimate its leaves, then push what can be pushed below them.
+    # estimate its leaves, push what can be pushed below, cost each join.
     for leaf in leaves:
         leaf.hint = PlanHint(est_rows=_relation_raw_rows(leaf, catalog,
                                                          stats))
+    resolve = make_resolver({binding: _leaf_stats(leaf, stats)
+                             for leaf, binding in zip(leaves, bindings)},
+                            binding_columns)
     _pushdown_in_place(core, binding_columns)
+    _hint_joins(core.from_clause, catalog, stats, resolve, binding_columns)
     if len(leaves) == 1 and core.where is not None:
-        rows, joins = _estimate_where(
-            core, leaves[0].hint.est_rows,
-            make_resolver({bindings[0]: _leaf_stats(leaves[0], stats)},
-                          binding_columns),
-            binding_columns, catalog, stats)
+        rows, joins = _estimate_where(core, leaves[0].hint.est_rows,
+                                      resolve, binding_columns, catalog,
+                                      stats)
         if joins:
             core.hint = PlanHint(est_rows=rows)
 
@@ -251,15 +254,8 @@ def _reorder_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
         elif len(touched) == 1:
             pushes.setdefault(next(iter(touched)), []).append(conjunct)
         else:
-            equi = classify_equi(conjunct, binding_columns)
-            if equi is not None:
-                selectivity = join_selectivity(
-                    _column_stats(binding_stats.get(equi[0]), equi[1]),
-                    _column_stats(binding_stats.get(equi[2]), equi[3]))
-            else:
-                selectivity = predicate_selectivity(conjunct, resolve)
-            join_predicates.append(JoinPredicate(
-                conjunct, touched, selectivity, equi))
+            join_predicates.append(join_predicate(
+                conjunct, touched, binding_columns, resolve))
 
     # Column pruning sets must be computed before wrappers introduce
     # their own SELECT * (which would read as "needs everything").
@@ -352,22 +348,24 @@ def _build_distinct(query: ast.SelectQuery, key: ast.Expr, catalog,
     return min(float(analyzed.distinct), rows)
 
 
+def _local_table(leaf: ast.TableExpr, catalog):
+    """The columnar relation a bare FROM leaf reads, or ``None``."""
+    table = catalog.table(leaf.name) if isinstance(leaf, ast.TableRef) \
+        and catalog.has_table(leaf.name) else None
+    return table if isinstance(table, (Table, BoundView)) else None
+
+
 def _build_relation(leaf, catalog, stats, resolve,
                     pushed: list[ast.Expr], binding_columns,
                     needed_by_binding) -> BaseRelation:
-    from ..relational.table import BoundView, Table
-
     binding = binding_of(leaf)
     raw_rows = _relation_raw_rows(leaf, catalog, stats)
     leaf.hint = PlanHint(est_rows=raw_rows)
-    table = None
-    if isinstance(leaf, ast.TableRef) and catalog.has_table(leaf.name):
-        candidate = catalog.table(leaf.name)
-        if isinstance(candidate, (Table, BoundView)):
-            table = candidate
+    table = _local_table(leaf, catalog)
 
     if not pushed:
-        return BaseRelation(leaf, binding, table, raw_rows, raw_rows, False)
+        return BaseRelation(leaf, binding, table, raw_rows, raw_rows, False,
+                            _leaf_stats(leaf, stats))
 
     selectivity = 1.0
     for conjunct in pushed:
@@ -385,7 +383,8 @@ def _build_relation(leaf, catalog, stats, resolve,
         if keep and len(keep) < len(columns) \
                 and prune_wrapper_projection(wrapper, keep):
             binding_columns[binding] = keep
-    return BaseRelation(wrapper, binding, table, raw_rows, est_rows, True)
+    return BaseRelation(wrapper, binding, table, raw_rows, est_rows, True,
+                        _leaf_stats(leaf, stats))
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +414,35 @@ def _pushdown_in_place(core: ast.SelectCore,
         return
     core.where = ast.conjoin(residual)
     core.from_clause = _wrap_leaves(core.from_clause, pushes)
+
+
+def _hint_joins(table_expr: ast.TableExpr, catalog, stats, resolve,
+                binding_columns: dict) -> float:
+    """Hint every join of a FROM tree kept as written with its estimated
+    rows and strategy, costed as the reordering path costs a step (its
+    right side the inner one); return the tree's estimated rows."""
+    if not isinstance(table_expr, ast.Join):
+        return _relation_raw_rows(table_expr, catalog, stats)
+    left_rows = _hint_joins(table_expr.left, catalog, stats, resolve,
+                            binding_columns)
+    right = table_expr.right
+    right_rows = _hint_joins(right, catalog, stats, resolve,
+                             binding_columns)
+    relation = BaseRelation(right, binding_of(right),
+                            _local_table(right, catalog), right_rows,
+                            right_rows, False, _leaf_stats(right, stats))
+    step = _step_for(
+        frozenset(map(binding_of, from_leaves(table_expr.left))),
+        left_rows, relation,
+        [join_predicate(conjunct, referenced_bindings(
+            conjunct, binding_columns) or frozenset(), binding_columns,
+            resolve) for conjunct in ast.conjuncts(table_expr.condition)],
+        CostModel())
+    rows = step.est_rows
+    if table_expr.join_type == "LEFT":
+        rows = max(rows, left_rows)
+    table_expr.hint = PlanHint(est_rows=rows, strategy=step.strategy)
+    return rows
 
 
 def _wrap_leaves(table_expr: ast.TableExpr,

@@ -15,13 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from ..relational.types import sql_key
-
-_NUMERIC = (int, float)
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, _NUMERIC) and not isinstance(value, bool)
+from ..relational.types import is_number, sql_key
 
 
 @dataclass
@@ -100,11 +94,11 @@ class ColumnStats:
             self.null_count += 1
             return
         self.non_null += 1
-        if _is_number(value):
-            if self.min_value is None or (_is_number(self.min_value)
+        if is_number(value):
+            if self.min_value is None or (is_number(self.min_value)
                                           and value < self.min_value):
                 self.min_value = value
-            if self.max_value is None or (_is_number(self.max_value)
+            if self.max_value is None or (is_number(self.max_value)
                                           and value > self.max_value):
                 self.max_value = value
             if self.histogram is not None:
@@ -210,12 +204,11 @@ class StatisticsCatalog:
         for row in new_rows:
             for column, value in zip(schema.columns, row):
                 column_stats = stats.column(column.name)
-                if column_stats is not None and value is not None \
-                        and _is_number(value):
-                    if _is_number(column_stats.min_value) \
+                if column_stats is not None and is_number(value):
+                    if is_number(column_stats.min_value) \
                             and value < column_stats.min_value:
                         column_stats.min_value = value
-                    if _is_number(column_stats.max_value) \
+                    if is_number(column_stats.max_value) \
                             and value > column_stats.max_value:
                         column_stats.max_value = value
 
@@ -229,7 +222,7 @@ def _summarize(name: str, values: list[Any], buckets: int) -> ColumnStats:
         null_count=len(values) - len(non_null),
         distinct=distinct,
     )
-    numbers = [value for value in non_null if _is_number(value)]
+    numbers = [value for value in non_null if is_number(value)]
     if numbers:
         stats.min_value = min(numbers)
         stats.max_value = max(numbers)

@@ -12,7 +12,7 @@ from typing import Any
 
 from . import ast
 from .errors import ExecutionError, TypeMismatchError
-from .types import compare_values
+from .types import compare_values, is_number
 
 
 class Aggregate:
@@ -68,7 +68,7 @@ class Sum(Aggregate):
         value = args[0]
         if value is None:
             return state
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not is_number(value):
             raise TypeMismatchError(
                 f"SUM expects numbers, got {type(value).__name__}")
         if state is None:
@@ -89,7 +89,7 @@ class Avg(Aggregate):
         value = args[0]
         if value is None:
             return state
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not is_number(value):
             raise TypeMismatchError(
                 f"AVG expects numbers, got {type(value).__name__}")
         total, count = state

@@ -18,18 +18,18 @@ values (see ``Database`` in :mod:`repro.relational.engine`).
 
 from __future__ import annotations
 
-import math
 import re
 from typing import Any, Callable, Protocol
 
 from . import ast
 from .errors import (AmbiguousColumnError, ExecutionError, NotSupportedError,
                      TypeMismatchError, UnknownColumnError)
-from .functions import lookup_function
+from .functions import int_divmod, lookup_function, remainder
 from .aggregates import AGGREGATE_NAMES
 from .schema import RowSchema
-from .types import (and3, coerce_value, compare_values, format_value, is_true,
-                    not3, or3, parse_type_name, values_equal)
+from .types import (and3, coerce_value, compare_values, format_value,
+                    is_number, is_true, not3, or3, parse_type_name,
+                    values_equal)
 
 Rows = tuple
 CompiledExpr = Callable[[Rows], Any]
@@ -129,12 +129,8 @@ def resolve_column(ref: ast.ColumnRef, scopes: list[RowSchema],
 # Operator semantics
 # ---------------------------------------------------------------------------
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _numeric(op: str, value: Any) -> Any:
-    if not _is_number(value):
+    if not is_number(value):
         raise TypeMismatchError(
             f"operator {op} expects numbers, got {type(value).__name__}")
     return value
@@ -161,14 +157,10 @@ def arithmetic(op: str, left: Any, right: Any) -> Any:
         if right == 0:
             raise ExecutionError("division by zero")
         if isinstance(left, int) and isinstance(right, int):
-            return int(left / right)  # truncate toward zero, like PostgreSQL
+            return int_divmod(left, right)[0]
         result = left / right
     elif op == "%":
-        if right == 0:
-            raise ExecutionError("modulo by zero")
-        result = math.fmod(left, right)
-        if isinstance(left, int) and isinstance(right, int):
-            return int(result)
+        return remainder(left, right, "modulo")
     else:
         raise NotSupportedError(f"unknown arithmetic operator {op!r}")
     return None if result != result else result

@@ -24,9 +24,9 @@ There is one builder.  The planner rewrites its private AST copy, leaves
 its physical decisions on the nodes as :class:`~repro.relational.ast.
 PlanHint` s and calls it; planner-off execution, trivial selects,
 subqueries and ``INSERT ... SELECT`` call it on the AST as written, and
-where a node carries no hint it decides locally (hash join on
-equi-conjuncts, index probe into a large enough indexed table, nested
-loop otherwise).
+where a node carries no hint it decides locally: a join hash-joins on
+equi-conjuncts and loops otherwise.  A join probes its inner table's
+column only where the planner's hint says ``index-join``.
 """
 
 from __future__ import annotations
@@ -48,13 +48,8 @@ from .operators import (Aggregate, Distinct, Filter, IndexProbe,
                         Rows, Scan, SetOp, Sort, Subquery, Values, ViewScan)
 from .render import as_slot, render_expr
 from .schema import ResultColumn, RowSchema
-from .table import BoundView, Table, find_probe_index
+from .table import BoundView, Table
 from .types import FAMILY, DataType, sql_key
-
-#: Without a cost-based decision, equi-joins probe an index on the
-#: inner table only when it is at least this large — below that, an
-#: in-memory hash build is as fast and has no per-lookup overhead.
-INDEX_PROBE_THRESHOLD = 64
 
 
 class BindFirst(Exception):
@@ -308,35 +303,6 @@ def _try_compile(expr: ast.Expr, scopes: list[RowSchema],
         return None
 
 
-def _choose_probe(right: Operator, strategy: str | None,
-                  right_positions: list[int | None]
-                  ) -> tuple[Any, int] | None:
-    """Whether an equi-join probes its inner table instead of building a
-    hash table: ``(index, pair)`` — the declared index that licenses it
-    and the equi pair whose inner column the probe reads — or ``None``.
-    The planner's strategy wins when the join carries one; otherwise a
-    matching index on a large enough table is used.
-    """
-    if not isinstance(right, Scan) or not isinstance(right.table, Table):
-        return None  # derived inputs and foreign tables have no index
-    if strategy in ("hash-join", "nested-loop"):
-        return None  # the cost model already rejected a probe
-    candidates = [(pair, position)
-                  for pair, position in enumerate(right_positions)
-                  if position is not None]
-    if not candidates:
-        return None
-    table = right.table
-    found = find_probe_index(table, [table.schema.columns[position].name
-                                     for _pair, position in candidates])
-    if found is None:
-        return None
-    if strategy != "index-join" and len(table) < INDEX_PROBE_THRESHOLD:
-        return None
-    index, covered = found
-    return index, candidates[covered[0]][0]
-
-
 def _build_join(join: ast.Join, catalog: Catalog,
                 outer_scopes: list[RowSchema],
                 ctx: CompileContext) -> Operator:
@@ -385,15 +351,18 @@ def _build_join(join: ast.Join, catalog: Catalog,
 
     kind = "hash-join"
     key_positions = None
-    probe = _choose_probe(right, hint.strategy,
-                          [position for *_rest, position in equi])
-    if probe is not None:
+    probed = None
+    if hint.strategy == "index-join" and isinstance(right, Scan) \
+            and isinstance(right.table, Table):
+        # The planner's choice: probe the first plain inner column.
+        probed = next((pair for pair, (*_rest, position) in enumerate(equi)
+                       if position is not None), None)
+    if probed is not None:
         # The lookup answers one pair (the probe holds its left key);
         # the others are checked on each candidate row, ahead of the
         # residual.
-        index, probed = probe
         kind = "index-join"
-        right = IndexProbe(right, index, equi[probed][3], equi[probed][1],
+        right = IndexProbe(right, equi[probed][3], equi[probed][1],
                            right.est_rows)
         residual = [pair[0] for i, pair in enumerate(equi)
                     if i != probed] + residual

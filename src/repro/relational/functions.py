@@ -10,7 +10,7 @@ import math
 from typing import Any, Callable
 
 from .errors import ExecutionError, TypeMismatchError
-from .types import format_value
+from .types import format_value, is_number
 
 
 def _require_text(value: Any, function_name: str) -> str:
@@ -21,7 +21,7 @@ def _require_text(value: Any, function_name: str) -> str:
 
 
 def _require_number(value: Any, function_name: str) -> float | int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise TypeMismatchError(
             f"{function_name} expects a number, got {type(value).__name__}")
     return value
@@ -60,12 +60,19 @@ def _fn_round(value: Any, digits: Any = 0) -> Any:
     return result
 
 
+def _finite(value: Any, what: str) -> float | int:
+    number = _require_number(value, what)
+    if math.isinf(number):
+        raise ExecutionError(f"{what} of an infinite number")
+    return number
+
+
 def _fn_floor(value: Any) -> Any:
-    return int(math.floor(_require_number(value, "FLOOR")))
+    return int(math.floor(_finite(value, "FLOOR")))
 
 
 def _fn_ceil(value: Any) -> Any:
-    return int(math.ceil(_require_number(value, "CEIL")))
+    return int(math.ceil(_finite(value, "CEIL")))
 
 
 def _fn_sqrt(value: Any) -> Any:
@@ -76,8 +83,11 @@ def _fn_sqrt(value: Any) -> Any:
 
 
 def _fn_power(base: Any, exponent: Any) -> Any:
-    return float(_require_number(base, "POWER")) ** float(
-        _require_number(exponent, "POWER"))
+    try:
+        return math.pow(_require_number(base, "POWER"),
+                        _require_number(exponent, "POWER"))
+    except (ValueError, OverflowError):   # no REAL is the answer
+        raise ExecutionError("POWER has no REAL value there") from None
 
 
 def _fn_sign(value: Any) -> Any:
@@ -89,11 +99,29 @@ def _fn_sign(value: Any) -> Any:
     return 0
 
 
+def int_divmod(left: int, right: int) -> tuple[int, int]:
+    """SQL's exact integer division: the quotient truncated toward zero,
+    the remainder of the dividend's sign."""
+    quotient = abs(left) // abs(right)
+    if (left < 0) != (right < 0):
+        quotient = -quotient
+    return quotient, left - quotient * right
+
+
+def remainder(left: int | float, right: int | float,
+              what: str) -> int | float:
+    """*what* (``%`` or ``MOD``) of two numbers: an INTEGER for two
+    INTEGERs, else ``fmod`` of the dividend's sign."""
+    if right == 0:
+        raise ExecutionError(f"{what} by zero")
+    if isinstance(left, int) and isinstance(right, int):
+        return int_divmod(left, right)[1]
+    return math.fmod(_finite(left, "a remainder"), right)
+
+
 def _fn_mod(left: Any, right: Any) -> Any:
-    divisor = _require_number(right, "MOD")
-    if divisor == 0:
-        raise ExecutionError("MOD by zero")
-    return math.fmod(_require_number(left, "MOD"), divisor)
+    return remainder(_require_number(left, "MOD"),
+                     _require_number(right, "MOD"), "MOD")
 
 
 def _fn_substr(value: Any, start: Any, length: Any = None) -> Any:

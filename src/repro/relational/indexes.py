@@ -7,7 +7,7 @@ names, or decline" for a scan's access path and for an index join's
 probe.  It holds two kinds of path, built on demand, beside the
 declared indexes:
 
-* **a column's lookup** (:func:`_lookup`), raw value to the ascending
+* **a column's lookup** (:func:`build_lookup`), raw value to the ascending
   slots holding it, answers every column's ``=`` and ``IN`` and every
   index join's probe — any table column, declared index or not, and a
   held view's column — built by the first such read.  A table's is kept
@@ -21,11 +21,9 @@ declared indexes:
 
 A **declared index** (:class:`HashIndex`) — a table's PRIMARY KEY,
 UNIQUE columns and ``CREATE INDEX`` es — is a constraint, not a path:
-a UNIQUE one enforces its key, and any one licenses an index join on
-its columns (which then reads the first column's lookup).  Only a
-UNIQUE index stores anything: the set of its live keys.  The kind,
-``hash`` or ``sorted``, is a label the DDL, journal and snapshot carry;
-``sorted`` allows one column.
+a UNIQUE one enforces its key.  Only a UNIQUE index stores anything:
+the set of its live keys.  The kind, ``hash`` or ``sorted``, is a label
+the DDL, journal and snapshot carry; ``sorted`` allows one column.
 
 On-demand paths are never journaled or snapshotted; readers racing to
 build one each build an equal path, and one is kept.
@@ -152,11 +150,12 @@ def _sorted(table, position: int) -> SortedColumn | None:
     return SortedColumn(list(map(values.__getitem__, slots)), slots)
 
 
-def _lookup(values: Sequence, slots: Iterable[int],
-            into: defaultdict | None = None) -> defaultdict:
+def build_lookup(values: Sequence, slots: Iterable[int],
+                 into: defaultdict | None = None) -> defaultdict:
     """The lookup of *values* at *slots* (ascending): each non-NULL
     value, as stored, to the ascending slots holding it — added *into*
-    a lookup whose slots all come before them, when given.  Keys are
+    a lookup whose slots all come before them, when given (a hash
+    join's build lists its repeated keys' row ids so too).  Keys are
     raw values — within one family their own ``sql_key`` s — so a probe
     finds every row its ``=`` can hold for (``1`` finds ``1.0``, and in
     a column mixing families ``TRUE``): a superset, which the WHERE
@@ -264,12 +263,16 @@ class ColumnPaths:
                 found = _sorted(relation, position)
             elif self.schema is None:
                 values = relation.cols[position]
-                found = _lookup(values, range(len(values)))
+                found = build_lookup(values, range(len(values)))
             else:
                 columns, live = relation.slot_columns()
-                found = _lookup(columns[position], live.values())
+                found = build_lookup(columns[position], live.values())
             built[position] = found
         return found
+
+    def built(self, position: int) -> bool:
+        """Whether column *position*'s lookup is built (building none)."""
+        return position in (self._lookups or ())
 
     def hold(self) -> None:
         """Many runs will read this view: let them probe it."""
@@ -318,8 +321,8 @@ class ColumnPaths:
     def merge(self, cols: list[list], first: int) -> None:
         """The slots from *first* on were just appended to *cols*."""
         for position, lookup in self._lookups.items():
-            _lookup(cols[position], range(first, len(cols[position])),
-                    lookup)
+            build_lookup(cols[position],
+                         range(first, len(cols[position])), lookup)
         for position, path in list(self._sorted.items()):
             if path is not None and not path.merge(cols[position], first):
                 self._sorted[position] = None

@@ -50,7 +50,7 @@ from . import batch as _batch
 from .batch import Batch, concat, pieces, stack, take
 from .compiler import conjunction
 from .errors import ExecutionError, RelationalError
-from .indexes import RANGES
+from .indexes import RANGES, build_lookup
 from .schema import ResultColumn, RowSchema
 from .table import Table
 from .types import (FAMILY, key_value, literal_family, one_family, sort_key,
@@ -516,26 +516,26 @@ class ViewScan(_Access):
 
 
 class IndexProbe(Operator):
-    """The inner side of an index join, licensed by a declared index
-    (``detail`` names it): the rows of *table* whose column *position*
-    equals the key ``key_fn`` evaluates on the current outer row, which
-    the join appends to ``outer_rows``.  The column's lookup answers,
-    read afresh per batch (a compaction replaces it); under its raw
-    keys ``1`` finds ``TRUE`` too, so only a key of the column's family
-    finds anything, and NULL nothing.  ``slots`` and ``fetch`` are the
-    primitives the join maps over a batch's keys; the node never runs
-    on its own.
-    """
+    """The inner side of an index join the planner chose (``detail``
+    names the probed column): the rows of *table* whose column
+    *position* equals the key ``key_fn`` evaluates on the current outer
+    row, which the join appends to ``outer_rows``.  The column's lookup
+    answers, read afresh per batch (built by the first read; a
+    compaction replaces it); under its raw keys ``1`` finds ``TRUE``
+    too, so only a key of the column's family finds anything, and NULL
+    nothing.  The join maps ``slots`` and ``fetch`` over a batch's keys;
+    the node never runs on its own."""
 
     preserves_rows = False
 
-    def __init__(self, scan: Scan, index, position: int, key_fn: RowFn,
+    def __init__(self, scan: Scan, position: int, key_fn: RowFn,
                  est_rows: float | None = None) -> None:
+        column = scan.table.schema.columns[position]
         super().__init__("scan", scan.label, scan.schema,
-                         est_rows=est_rows, detail=f"index {index.name}")
+                         est_rows=est_rows, detail=f"probe {column.name}")
         self.table = scan.table
         self.position = position
-        self.family = FAMILY[self.table.schema.columns[position].data_type]
+        self.family = FAMILY[column.data_type]
         self.key_fn = key_fn
 
     def slots(self, keys: Iterable) -> list[Sequence[int]]:
@@ -1108,16 +1108,8 @@ class Join(Operator):
             del index[None]
             nulls = keys.count(None)
         unique = len(index) + nulls == len(keys)
-        if not unique:
-            index = {}
-            lookup = index.get
-            for row_id, key in enumerate(keys):
-                ids = lookup(key)
-                if ids is None:
-                    index[key] = [row_id]
-                else:
-                    ids.append(row_id)
-            index.pop(None, None)
+        if not unique:     # key -> row ids, as a column's lookup lists
+            index = build_lookup(keys, range(len(keys)))
         return _Built(index, unique,
                       stack(batches, len(right.schema), self.left_join),
                       not batches, False)

@@ -379,11 +379,6 @@ class Table:
     def drop_index(self, name: str) -> None:
         self.paths.drop(name)
 
-    def find_index_on(self, column_names: list[str]) -> HashIndex | None:
-        """The first declared index (PK and UNIQUE ones included) over
-        exactly these columns."""
-        return self.paths.find(column_names)
-
 
 def table_from_columns(name: str, column_names: Sequence[str],
                        cols: Sequence[Sequence],
@@ -522,25 +517,3 @@ def table_from_rows(name: str, column_names: Sequence[str],
     if error is not None:
         raise error
     return table_from_columns(name, column_names, given)
-
-
-def find_probe_index(table, column_names: list[str]
-                     ) -> tuple[HashIndex, list[int]] | None:
-    """The declared index (plus covered key positions) that licenses an
-    equi-join probe of the inner table *table*: the full key list when
-    an index covers it exactly, otherwise any single key column.  The
-    probe reads the first covered column's lookup, and the other keys
-    are checked per candidate row.  Shared by the executor's join
-    compilation and the planner's cost model so both agree on whether a
-    probe is possible."""
-    finder = getattr(table, "find_index_on", None)
-    if finder is None:
-        return None
-    index = finder(list(column_names))
-    if index is not None:
-        return index, list(range(len(column_names)))
-    for position, name in enumerate(column_names):
-        index = finder([name])
-        if index is not None:
-            return index, [position]
-    return None

@@ -179,7 +179,8 @@ def is_true(value: bool | None) -> bool:
 # Comparison semantics shared by the evaluator, indexes and sorting.
 # --------------------------------------------------------------------------
 
-def _is_numeric(value: Any) -> bool:
+def is_number(value: Any) -> bool:
+    """An INTEGER or REAL value (a boolean is neither)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
@@ -194,7 +195,7 @@ def compare_values(left: Any, right: Any) -> int | None:
     """
     if left is None or right is None:
         return None
-    if _is_numeric(left) and _is_numeric(right):
+    if is_number(left) and is_number(right):
         if left < right:
             return -1
         if left > right:

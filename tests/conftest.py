@@ -6,7 +6,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.relational import Database, batch, executor, vectors
+from repro.relational import Database, ast, batch, executor, vectors
 
 
 def pytest_addoption(parser):
@@ -56,6 +56,26 @@ def generic_kernels():
     suites and E17 compare the default engine against it.  (Session
     scoped because hypothesis tests switch it per example.)"""
     return _generic_kernels
+
+
+def _forced_joins(query: ast.SelectQuery, strategy: str
+                  ) -> ast.SelectQuery:
+    for node in ast.iter_query_nodes(query):
+        if isinstance(node, ast.Join):
+            node.hint = ast.PlanHint(strategy=strategy)
+    return query
+
+
+@pytest.fixture(scope="session")
+def forced_joins():
+    """``forced_joins(query, strategy)``: the parsed *query* with every
+    join in it hinted *strategy* (``"hash-join"`` or ``"index-join"``).
+    The executor runs the strategy a join's hint names, so over a
+    database with the planner off, or in a tree ``build_select`` builds,
+    this is how a test forces one; an ``index-join`` runs where the
+    inner side is a table's scan with a plain equi column, and
+    hash-joins elsewhere."""
+    return _forced_joins
 
 
 @pytest.fixture

@@ -333,12 +333,12 @@ def test_a_lookup_is_kept_up_by_an_update_or_delete_without_a_rebuild(
     the column changes none of that."""
     from repro.relational import indexes
     builds = []
-    real = indexes._lookup
+    real = indexes.build_lookup
 
     def lookup(values, slots, into=None):
         builds.append(into is None)
         return real(values, slots, into)
-    monkeypatch.setattr(indexes, "_lookup", lookup)
+    monkeypatch.setattr(indexes, "build_lookup", lookup)
     db = Database()
     db.execute("CREATE TABLE r (k INTEGER, p INTEGER)")
     db.insert_rows("r", ({"k": n % 7, "p": n} for n in range(200)))
@@ -441,62 +441,53 @@ HOSTILE = [("i", "b"), ("i", "f"), ("i", "s"), ("i", "n"), ("r", "big"),
            ("r", "n"), ("b", "n"), ("b", "b")]
 
 
-def test_index_join_answers_as_the_hash_join_over_hostile_keys():
+def test_index_join_answers_as_the_hash_join_over_hostile_keys(
+        forced_joins):
     """An index join reads its inner column's lookup, whose raw keys
-    find ``TRUE`` under ``1``: it answers as the hash join over the same
-    tables without an index does — for keys of another family, NULL,
-    ``2**53 + 1`` against a REAL ``2**53``, LEFT-join padding and a
-    composite index — before and after writes that move a row into and
-    out of a bucket, delete, compact and truncate."""
+    find ``TRUE`` under ``1``: forced on one database, it answers as the
+    forced hash join does — for keys of another family, NULL, ``2**53 +
+    1`` against a REAL ``2**53``, LEFT-join padding and a second equi
+    pair checked per candidate — before and after writes that move a
+    row into and out of a bucket, delete, compact and truncate."""
     from repro.planner import PlannerOptions
     big = 2 ** 53
     rows = ", ".join(f"({n}, {n % 10}, {big if n % 10 == 1 else n / 4}, "
                      f"{'TRUE' if n % 2 else 'FALSE'}, '{n % 10}')"
                      for n in range(200))
-    setup = f"""
+    db = Database(planner=PlannerOptions(enabled=False))
+    db.execute_script(f"""
         CREATE TABLE t (id INTEGER, i INTEGER, r REAL, b BOOLEAN, s TEXT);
         INSERT INTO t VALUES {rows};
         CREATE TABLE o (tag INTEGER, n INTEGER, f REAL, s TEXT, b BOOLEAN,
                         big INTEGER);
         INSERT INTO o VALUES (0, 1, 1.0, '1', TRUE, {big + 1}),
                              (1, NULL, NULL, NULL, NULL, {big});
-    """
-    indexed, plain = (Database(planner=PlannerOptions(strict=True))
-                      for _ in range(2))
-    for db in (indexed, plain):
-        db.execute_script(setup)
-    indexed.execute_script("""
-        CREATE INDEX ti ON t (i);
-        CREATE INDEX tr ON t (r) USING sorted;
-        CREATE INDEX tb ON t (b);
-        CREATE INDEX tis ON t (i, s);
     """)
     queries = {
         f"SELECT o.tag, t.id FROM o {join} t ON {on} ORDER BY o.tag, t.id":
-        index
+        inner
         for join in ("JOIN", "LEFT JOIN")
-        for on, index in [(f"t.{inner} = o.{outer}", f"t{inner}")
+        for on, inner in [(f"t.{inner} = o.{outer}", inner)
                           for inner, outer in HOSTILE]
-        + [("t.i = o.n AND t.s = o.s", "tis")]}
-    kept = {sql: (parsed(sql), parsed(sql)) for sql in queries}
+        + [("t.i = o.n AND t.s = o.s", "i")]}
+    kept = {sql: (forced_joins(parsed(sql), "index-join"),
+                  forced_joins(parsed(sql), "hash-join"))
+            for sql in queries}
 
     def check(step: str) -> None:
-        strategy = len(indexed.table("t")) >= executor.INDEX_PROBE_THRESHOLD
-        for sql, index in queries.items():
+        for sql, inner in queries.items():
             probed, hashed = kept[sql]
-            got = indexed.execute_ast(probed, ())
-            expected = plain.execute_ast(hashed, ()).rows
-            assert got.rows == expected, (step, sql)
+            got = db.execute_ast(probed, ())
+            expected = db.execute_ast(hashed, ())
+            assert got.rows == expected.rows, (step, sql)
+            assert f"probe {inner}" in {node.detail
+                                        for node in got.plan.walk()}
             assert "index-join" in {node.kind for node in got.plan.walk()}
-            if strategy:
-                explained = indexed.explain(sql).root
-                assert f"index {index}" in {node.detail
-                                            for node in explained.walk()}
-                assert "hash-join" in {node.kind for node in
-                                       plain.explain(sql).root.walk()}
+            assert "hash-join" in {node.kind
+                                   for node in expected.plan.walk()}
 
     check("loaded")
-    table = indexed.table("t")
+    table = db.table("t")
     for step in ("UPDATE t SET i = 1, r = 9007199254740992, b = TRUE, "
                  "s = '1' WHERE id = 7",
                  "UPDATE t SET i = 5, r = 0.5, b = FALSE, s = 'x' "
@@ -505,8 +496,7 @@ def test_index_join_answers_as_the_hash_join_over_hostile_keys():
                  "DELETE FROM t WHERE id >= 110",
                  "DELETE FROM t",
                  f"INSERT INTO t VALUES {rows}"):
-        for db in (indexed, plain):
-            db.execute(step)
+        db.execute(step)
         check(step)
         if step == "DELETE FROM t WHERE id >= 110":
             assert len(table.slot_columns()[0][0]) < 200    # compacted

@@ -129,7 +129,7 @@ class TestColumnarStorage:
         db.execute("INSERT INTO t VALUES (1, 'a', 2)")
         assert table.indexes["s"] is sorted_index
         assert sorted_index.kind == "sorted"
-        assert table.find_index_on(["k"]) is sorted_index
+        assert table.paths.find(["k"]) is sorted_index
         assert db.query("SELECT id FROM t WHERE k = 2").rows == [(1,)]
         for row in ("(1, 'b', 3)", "(2, 'a', 3)"):
             with pytest.raises(ConstraintViolation):

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.planner import PlannerOptions
-from repro.relational import Database, batch, executor
+from repro.relational import Database, batch
 from repro.relational.batch import Batch
 from repro.relational.errors import RelationalError
 from repro.relational.executor import build_select
@@ -387,15 +387,13 @@ LOOP_CONDITIONS = ["a.i < b.i", "a.i = b.i OR a.t = b.t",
                    "a.r >= b.r AND a.k <> b.k"]
 
 
-def emission_db(left, right, index: bool = False) -> Database:
+def emission_db(left, right) -> Database:
     db = Database(planner=NO_PLANNER)
     for name, rows in (("a", left), ("b", right)):
         db.execute(f"CREATE TABLE {name} "
                    "(k INTEGER, i INTEGER, r REAL, t TEXT, b BOOLEAN)")
         db.insert_rows(name, (dict(zip(EMISSION_COLUMNS, row))
                               for row in rows))
-    if index:
-        db.execute("CREATE INDEX b_i ON b (i)")
     return db
 
 
@@ -428,16 +426,6 @@ def batch_size(size: int):
         batch.BATCH_SIZE = saved
 
 
-@contextmanager
-def index_probes_everywhere():
-    """Let the executor probe an index on a table of any size."""
-    saved, executor.INDEX_PROBE_THRESHOLD = executor.INDEX_PROBE_THRESHOLD, 0
-    try:
-        yield
-    finally:
-        executor.INDEX_PROBE_THRESHOLD = saved
-
-
 @st.composite
 def emission_queries(draw, kind: str) -> tuple[str, bool, str | None]:
     """``(sql, left join, condition)`` for a join of strategy *kind*."""
@@ -458,14 +446,15 @@ def emission_queries(draw, kind: str) -> tuple[str, bool, str | None]:
 @given(left=left_rows, right=right_rows, data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_every_join_strategy_emits_the_cross_join_answer_in_order(
-        generic_kernels, size, kind, left, right, data):
+        generic_kernels, forced_joins, size, kind, left, right, data):
     sql, left_join, condition = data.draw(emission_queries(kind))
-    db = emission_db(left, right, index=kind == "index-join")
+    db = emission_db(left, right)
     expected = reference(generic_kernels, db, left_join, condition)
-    with batch_size(size), index_probes_everywhere():
-        result = db.query(sql)
+    forced = forced_joins(parse_sql(sql), kind)
+    with batch_size(size):
+        result = db.query(forced)
         with generic_kernels():
-            generic = db.query(sql).rows
+            generic = db.query(forced).rows
     assert result.rows == expected, sql
     assert generic == expected, sql
     assert kind in {node.kind for node in result.plan.walk()}, sql
@@ -488,12 +477,12 @@ FAN_OUT_RIGHT = numbered([(1, float(n % 3), "ab"[n % 2], None)
     ("SELECT * FROM a CROSS JOIN b", "cross-join"),
 ])
 def test_a_fan_out_beyond_a_batch_leaves_in_batches_of_at_most_its_size(
-        generic_kernels, size, sql, kind):
-    db = emission_db(FAN_OUT_LEFT, FAN_OUT_RIGHT, index=kind == "index-join")
+        generic_kernels, forced_joins, size, sql, kind):
+    db = emission_db(FAN_OUT_LEFT, FAN_OUT_RIGHT)
     condition = sql.partition(" ON ")[2] or None
     expected = reference(generic_kernels, db, "LEFT" in sql, condition)
-    with batch_size(size), index_probes_everywhere():
-        root = build_select(parse_sql(sql), db.catalog)
+    with batch_size(size):
+        root = build_select(forced_joins(parse_sql(sql), kind), db.catalog)
         join = next(node for node in root.walk() if isinstance(node, Join))
         assert join.kind == kind
         batches = list(join.chunks())
@@ -506,15 +495,14 @@ def test_a_fan_out_beyond_a_batch_leaves_in_batches_of_at_most_its_size(
     ("SELECT * FROM a JOIN b ON a.i = b.i AND b.k >= 0", "index-join", 20),
     ("SELECT * FROM a JOIN b ON a.i <= b.i", "nested-loop", 21),
 ])
-def test_the_first_output_batch_pairs_only_the_rows_it_needs(sql, kind,
-                                                             fan_out):
+def test_the_first_output_batch_pairs_only_the_rows_it_needs(
+        forced_joins, sql, kind, fan_out):
     """Candidate pairs are made a few left rows at a time, so a consumer
     that stops after one batch (a LIMIT) leaves the rest unpaired: the
     residual has seen about one batch plus one left row's fan-out."""
-    db = emission_db(numbered([(1, 0.5, "a", True)] * 4), FAN_OUT_RIGHT,
-                     index=kind == "index-join")
-    with batch_size(7), index_probes_everywhere():
-        root = build_select(parse_sql(sql), db.catalog)
+    db = emission_db(numbered([(1, 0.5, "a", True)] * 4), FAN_OUT_RIGHT)
+    with batch_size(7):
+        root = build_select(forced_joins(parse_sql(sql), kind), db.catalog)
         join = next(node for node in root.walk() if isinstance(node, Join))
         assert join.kind == kind
         checked = []

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import sqlite3
 from collections import Counter
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +36,7 @@ from repro.core.sqm import Extraction
 from repro.federation import Mediator
 from repro.planner import PlannerOptions
 from repro.rdf import Literal
-from repro.relational import Database, ResultSet, executor
+from repro.relational import Database, ResultSet
 from repro.relational.errors import ConstraintViolation
 from repro.relational.parser import SqlParser
 from repro.relational.render import render_literal
@@ -224,23 +223,14 @@ def test_every_equality_path_agrees_with_sqlite(generic_kernels, left,
             == answer, (ours, values)
 
 
-@contextmanager
-def index_probes_everywhere():
-    """Let the executor probe an index on a table of any size."""
-    saved, executor.INDEX_PROBE_THRESHOLD = executor.INDEX_PROBE_THRESHOLD, 0
-    try:
-        yield
-    finally:
-        executor.INDEX_PROBE_THRESHOLD = saved
-
-
 @given(left=rows, right=rows,
        pair=st.sampled_from(PAIRS),
        join=st.sampled_from(["JOIN", "LEFT JOIN"]))
 @settings(max_examples=150, deadline=None)
-def test_the_index_join_agrees_with_sqlite(left, right, pair, join):
-    """Every column of ``b`` indexed, the planner off and any size
-    probed: the join reads ``b``'s column lookup per outer key."""
+def test_the_index_join_agrees_with_sqlite(forced_joins, left, right, pair,
+                                           join):
+    """The planner off and the join forced to probe, on any size: the
+    join reads ``b``'s column lookup per outer key."""
     outer, inner = pair
     db, oracle = load(left, right, PlannerOptions(enabled=False))
     sql = f"SELECT a.k, b.k FROM a {join} b ON {inner} = {outer}"
@@ -248,10 +238,7 @@ def test_the_index_join_agrees_with_sqlite(left, right, pair, join):
         answer = multiset(expected(oracle, sql))
     finally:
         oracle.close()
-    for column in COLUMNS[1:]:
-        db.execute(f"CREATE INDEX b_{column} ON b ({column})")
-    with index_probes_everywhere():
-        result = db.query(sql)
+    result = db.query(forced_joins(parsed(sql), "index-join"))
     assert "index-join" in {node.kind for node in result.plan.walk()}
     assert multiset(result.rows) == answer, sql
 

@@ -6,10 +6,11 @@ from __future__ import annotations
 import pytest
 
 from repro.planner import (PlannerOptions, StatisticsCatalog, plan_select)
+from repro.planner.cost import CostModel, JoinChoice
 from repro.planner.estimate import (equality_selectivity,
                                     range_selectivity)
 from repro.planner.rewrite import fold_expr
-from repro.relational import Database, executor
+from repro.relational import Database
 from repro.relational.ast import Literal
 from repro.relational.parser import parse_expr, parse_sql
 from repro.relational.render import render_expr, render_query
@@ -75,23 +76,22 @@ def test_index_lookup_agrees_with_equality_for_big_integers():
         == [("b",)]
 
 
-def test_index_skips_null_keys_and_mixed_numerics(monkeypatch):
+def test_index_skips_null_keys_and_mixed_numerics(forced_joins):
     """An index join over a REAL column finds its ``1.0`` under the
     outer keys ``1`` and ``1.0``, and nothing under NULL."""
-    monkeypatch.setattr(executor, "INDEX_PROBE_THRESHOLD", 0)
     db = Database(planner=OFF)
     db.execute_script("""
         CREATE TABLE t (k REAL, v TEXT);
-        CREATE INDEX idx_k ON t (k);
         INSERT INTO t VALUES (1.0, 'one'), (NULL, 'null');
         CREATE TABLE o (i INTEGER, r REAL);
         INSERT INTO o VALUES (1, 1.0), (NULL, NULL);
     """)
     for key in ("i", "r"):
         sql = f"SELECT o.{key}, t.v FROM o LEFT JOIN t ON t.k = o.{key}"
-        kinds = {node.kind for node in db.explain(sql).root.walk()}
+        probed = forced_joins(parse_sql(sql), "index-join")
+        kinds = {node.kind for node in db.explain(probed).root.walk()}
         assert "index-join" in kinds
-        assert db.query(sql).rows == [(1, "one"), (None, None)]
+        assert db.query(probed).rows == [(1, "one"), (None, None)]
     assert db.query("SELECT v FROM t WHERE k = 1").rows == [("one",)]
 
 
@@ -250,36 +250,94 @@ def test_equi_join_probes_inner_index():
     # The probed side is never scanned: its scan counter stays unset.
     fact_scan = next(node for node in planned.root.walk()
                      if node.kind == "scan" and "fact" in node.label)
+    assert fact_scan.detail == "probe mid_id"
     assert fact_scan.actual_rows is None
+
+
+def test_an_index_join_pays_for_the_lookup_it_builds():
+    """One ``fact`` row joins the 30 unique ``mid.id`` s: building their
+    lookup (a key each) costs more than hashing ``mid``, so the join
+    hashes until an ``=`` read has built it, and probes after."""
+    db = make_db()
+    db.analyze()
+    sql = ("SELECT fact.amount, mid.dim_id FROM fact "
+           "JOIN mid ON fact.mid_id = mid.id WHERE fact.id = 5")
+
+    def kinds() -> set[str]:
+        return {node.kind for node in db.explain(sql).root.walk()}
+    assert "index-join" not in kinds()
+    assert db.query("SELECT dim_id FROM mid WHERE id = 3").rows == [(3,)]
+    assert "index-join" in kinds()
+    assert db.query(sql).rows == [(5.0, 5)]
 
 
 def test_index_probe_join_matches_hash_join_results():
     with_probe = make_db(STRICT)
     with_probe.analyze()
+    with_probe.query("SELECT id FROM fact WHERE mid_id = 3")
     no_probe = make_db(OFF)
     no_probe.analyze()
     sql = ("SELECT fact.id, mid.dim_id FROM mid "
            "JOIN fact ON fact.mid_id = mid.id WHERE mid.dim_id = 2")
-    assert sorted(with_probe.query(sql).rows) \
-        == sorted(no_probe.query(sql).rows)
+    probed = with_probe.query(sql)
+    assert "index-join" in {node.kind for node in probed.plan.walk()}
+    assert sorted(probed.rows) == sorted(no_probe.query(sql).rows)
 
 
 def test_left_join_with_index_probe_pads_unmatched_rows():
     db = Database(planner=STRICT)
     db.execute_script("""
         CREATE TABLE big (k INTEGER, v INTEGER);
-        CREATE INDEX idx_big_k ON big (k);
         CREATE TABLE probe_left (k INTEGER);
     """)
     for i in range(200):
         db.table("big").insert_row({"k": i % 100, "v": i})
     for k in (1, 2, 999):
         db.table("probe_left").insert_row({"k": k})
-    rows = db.query(
+    db.query("SELECT v FROM big WHERE k = 1")     # builds k's lookup
+    result = db.query(
         "SELECT probe_left.k, big.v FROM probe_left "
-        "LEFT JOIN big ON probe_left.k = big.k").rows
+        "LEFT JOIN big ON probe_left.k = big.k")
+    assert "index-join" in {node.kind for node in result.plan.walk()}
+    rows = result.rows
     assert (999, None) in rows
     assert len([row for row in rows if row[0] == 1]) == 2
+
+
+@pytest.mark.parametrize("join", ["JOIN", "LEFT JOIN"])
+@pytest.mark.parametrize("strategy", ["hash-join", "index-join"])
+def test_every_equi_join_runs_the_strategy_choose_join_picks(
+        monkeypatch, join, strategy):
+    """Reordered (INNER) or kept as written (LEFT), a join runs what
+    ``CostModel.choose_join`` picks, offered a probe of any unfiltered
+    table column — no declared index, no lookup built — and the planner
+    off, it hash-joins."""
+    offered = []
+
+    def choose_join(model, left_rows, inner, out_rows):
+        offered.append(inner.lookup)
+        return JoinChoice(
+            "hash-join" if inner.lookup is None else strategy, 0.0)
+    monkeypatch.setattr(CostModel, "choose_join", choose_join)
+    db = Database(planner=STRICT)
+    db.execute_script("""
+        CREATE TABLE o (x INTEGER);
+        INSERT INTO o VALUES (1), (2), (3);
+        CREATE TABLE t (k INTEGER, v TEXT);
+        INSERT INTO t VALUES (1, 'a'), (3, 'c'), (3, 'd'), (4, 'e');
+    """)
+    sql = f"SELECT o.x, t.v FROM o {join} t ON t.k = o.x ORDER BY o.x, t.v"
+    result = db.query(sql)
+    assert (4.0, 4.0) in offered         # every row and key to build
+    kinds = [node.kind for node in result.plan.walk()]
+    assert strategy in kinds and len([k for k in kinds
+                                      if k.endswith("-join")]) == 1
+    db.planner = OFF
+    unplanned = db.query(sql)
+    assert "hash-join" in [node.kind for node in unplanned.plan.walk()]
+    assert result.rows == unplanned.rows == (
+        [(1, "a"), (2, None), (3, "c"), (3, "d")] if join == "LEFT JOIN"
+        else [(1, "a"), (3, "c"), (3, "d")])
 
 
 # -- EXPLAIN (ANALYZE) -------------------------------------------------------
@@ -360,23 +418,25 @@ def test_parse_sql_supports_analyze_statement():
     assert parse_sql("ANALYZE") == AnalyzeStmt(None)
 
 
-def test_an_index_join_over_a_sorted_index_tells_integers_beyond_2_53_apart():
+def test_an_index_join_over_a_sorted_index_tells_integers_beyond_2_53_apart(
+        forced_joins):
     # Float keys would collapse ints beyond 2**53: the index join must
     # return only the exactly equal row.
-    db = Database(planner=STRICT)
+    db = Database(planner=OFF)
     db.execute_script("""
         CREATE TABLE t (id INTEGER);
         CREATE INDEX ix_t ON t (id) USING sorted;
         CREATE TABLE u (id INTEGER);
     """)
     big = 2 ** 53
-    for i in range(70):          # above INDEX_PROBE_THRESHOLD
+    for i in range(70):
         db.table("t").insert_row({"id": i})
     db.table("t").insert_row({"id": big})
     db.table("t").insert_row({"id": big + 1})
     db.table("u").insert_row({"id": big + 1})
-    result = db.query("SELECT t.id FROM u JOIN t ON u.id = t.id")
-    assert "index ix_t" in result.plan.format()
+    result = db.query(forced_joins(
+        parse_sql("SELECT t.id FROM u JOIN t ON u.id = t.id"), "index-join"))
+    assert "probe id" in result.plan.format()
     assert result.rows == [(big + 1,)]
 
 
@@ -388,9 +448,8 @@ def test_unplanned_results_carry_a_tree_without_estimates():
     db.planner = db.planner.replace(enabled=False)
     unplanned = db.query(SKEWED).plan
     assert all(node.est_rows is None for node in unplanned.walk())
-    # Same operator classes either way: the written order, built as is.
-    assert [node.kind for node in unplanned.walk()].count("hash-join") \
-        + [node.kind for node in unplanned.walk()].count("index-join") == 2
+    # The written order, built as is: with no hint, every join hashes.
+    assert [node.kind for node in unplanned.walk()].count("hash-join") == 2
 
 
 # -- the planner's private copy is a structural clone ------------------------------

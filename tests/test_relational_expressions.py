@@ -73,9 +73,16 @@ def test_sqrt_power_sign_mod(db):
     assert one(db, "MOD(7, 3)") == 1.0
 
 
-def test_sqrt_negative_raises(db):
+@pytest.mark.parametrize("expression", [
+    "SQRT(-1)", "5 % 0", "CAST('inf' AS REAL) % 2",
+    "MOD(CAST('inf' AS REAL), 2)", "FLOOR(CAST('inf' AS REAL))",
+    "CEIL(CAST('inf' AS REAL))", "FLOOR(-CAST('inf' AS REAL))",
+    "CEIL(-CAST('inf' AS REAL))", "POWER(-8.0, 0.5)", "POWER(0.0, -1)"])
+def test_sqrt_negative_raises(db, expression):
+    """A value SQL has no answer for is the engine's error: no bare
+    Python error, and no ``complex``."""
     with pytest.raises(ExecutionError):
-        one(db, "SQRT(-1)")
+        one(db, expression)
 
 
 def test_typeof(db):
@@ -117,6 +124,25 @@ def test_arithmetic_null_propagates(db):
 def test_modulo_sign_follows_dividend(db):
     assert one(db, "-7 % 3") == -1
     assert one(db, "7 % -3") == 1
+
+
+@pytest.mark.parametrize("expression, expected", [
+    ("9007199254740993 % 2", 1),
+    ("9007199254740993 / 1", 9007199254740993),
+    ("9223372036854775807 / 3", 3074457345618258602),
+    ("-9223372036854775807 / 2", -4611686018427387903),
+    ("-9007199254740993 % 2", -1),
+    ("MOD(9007199254740993, 2)", 1),
+    ("MOD(-7, 3)", -1),
+    ("-7 / 2", -3),
+    ("7 / -2", -3)])
+def test_integer_division_and_remainder_are_exact(db, expression,
+                                                  expected):
+    """Two INTEGERs divide and take a remainder as integers, exact
+    beyond 2**53, as sqlite answers: the quotient truncated toward
+    zero, the remainder of the dividend's sign."""
+    value = one(db, expression)
+    assert type(value) is int and value == expected
 
 
 def test_unary_minus_and_plus(db):

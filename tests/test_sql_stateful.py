@@ -24,9 +24,10 @@ What must hold: every read is the model's answer (as a multiset) and,
 row for row, the answer of the same template over a forced scan (no
 access path); a column's lookup is read, by a scan or an index join,
 kept up by the writes between runs, and dropped by compaction, truncate
-and DROP TABLE.  Where a declared index covers the column, ``t`` has
-reached ``executor.INDEX_PROBE_THRESHOLD`` rows and ``u`` at most
-:data:`PROBED_MEMBERS`, the join is an index join.
+and DROP TABLE.  The join is an index join wherever the column's
+lookup is built and ``t`` holds a row and :data:`PROBED_ROWS_PER_MEMBER`
+rows per row of ``u``, declared index or not, and a hash join wherever
+the lookup is not built and ``u`` holds a row.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
 
-from repro.relational import Database, executor
+from repro.relational import Database
 from repro.relational.parser import SqlParser
 from repro.relational.render import render_literal
 from test_access_paths import forced_scan
@@ -86,9 +87,18 @@ READS = {
     "= and range": ("SELECT id FROM t WHERE {c} = ? AND id > ?", 2),
     "join": ("SELECT t.id, u.{m} FROM u JOIN t ON t.{c} = u.{m}", 0),
 }
-#: Up to this many rows of ``u``, the cost model joins ``t`` by its
-#: index once ``t`` has ``executor.INDEX_PROBE_THRESHOLD`` rows.
-PROBED_MEMBERS = 2
+#: From this many rows of ``t`` per row of ``u``, the cost model joins
+#: ``t`` by its column's lookup once that is built.  With no statistics,
+#: each row of ``u`` costs the index join its scan, a probe and a fetch
+#: (0.3 + 1.6 + 1.1, ``planner/cost.py``) and each row of ``t`` costs
+#: nothing; the hash join from ``t`` scans and hashes each row of ``u``
+#: and scans and probes each row of ``t`` (0.55 each), so the index
+#: join is cheaper above 4.5 rows of ``t`` per row of ``u``, for every
+#: ``u`` the machine draws (at most 5 rows) once ``t`` has 30.  Building
+#: the lookup costs as much a row of ``t`` (0.15 + 0.4: each row its
+#: own key) as the hash join does, so unbuilt it hashes, unless ``u`` is
+#: empty (a tie).
+PROBED_ROWS_PER_MEMBER = 6
 
 
 def literal(value) -> str:
@@ -283,14 +293,15 @@ class PlainSqlModel(RuleBasedStateMachine):
 
     def _check_join_strategy(self, column: str) -> None:
         text = READS["join"][0].format(c=column, m=MEMBERS[column])
-        kinds = {node.kind for node in self.db.explain(text).root.walk()}
-        if any(name.split("_", 1)[1] == column for name in self.indexes) \
-                and len(self.db.table("t")) \
-                >= executor.INDEX_PROBE_THRESHOLD \
-                and len(self.db.table("u")) <= PROBED_MEMBERS:
-            assert "index-join" in kinds
-        event("join: " + ("index-join" if "index-join" in kinds
-                          else "hash-join"))
+        probed = ("index-join", "to t") in {
+            (node.kind, node.label)
+            for node in self.db.explain(text).root.walk()}
+        table, members = self.db.table("t"), len(self.db.table("u"))
+        if not table.paths.built(COLUMNS.index(column)):
+            assert not probed or not members
+        elif len(table) >= max(PROBED_ROWS_PER_MEMBER * members, 1):
+            assert probed
+        event("join: " + ("index-join to t" if probed else "other"))
 
     @invariant()
     def no_reader_is_left(self):
