@@ -2,8 +2,8 @@
 
 One entry point — :func:`connect` — covers every backend: a plain
 databank, a per-user CroSSE context, or a federated mediator.  Sessions
-add prepared queries with ``?`` parameters, an LRU plan cache, KB-
-generation-keyed SPARQL extraction memoization, batching and
+add prepared queries with ``?`` parameters, an LRU plan cache, SPARQL
+extraction memoization keyed by per-predicate KB stamps, batching and
 ``explain()`` observability on top of the Fig. 6 pipeline.
 """
 

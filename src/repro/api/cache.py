@@ -9,14 +9,18 @@ Two caches sit on the repeated-query hot path:
   user, so the key is the statement alone and one cache serves every
   user of a platform session.
 * :class:`ExtractionCache` — (kind, KB store id, arguments,
-  stored-query text) → the SPARQL :class:`~repro.core.sqm.Extraction`
-  at the store's current generation; one per user engine, because the
-  key is that user's context view.  Generations are per-store counters
-  (see :mod:`repro.rdf.store`) and the store's ``store_id`` is
-  process-unique, so an entry of another generation is never served:
-  the extraction at the newer one replaces it.  An entry keeps its SQL
-  side, and with it the relations its WHERE enrichments bind to a run
-  (never catalog tables), so nothing is to be released when it goes.
+  stored-query text) → the SPARQL :class:`~repro.core.sqm.Extraction`;
+  one per user engine, because the key is that user's context view.
+  The invalidation rule is per predicate: an entry keeps the ids of the
+  predicates its SPARQL read and the store's stamp of them (see
+  :mod:`repro.rdf.store`), and is served only while that stamp holds.
+  A write to any other predicate leaves it valid; a write to one of its
+  own, or a clear or restored generation of the store, gets it
+  replaced.  Stamps never come back to an earlier value and the
+  ``store_id`` is process-unique, so a stale entry is never served.  An
+  entry keeps its SQL side, and with it the relations its WHERE
+  enrichments bind to a run (never catalog tables), so nothing is to be
+  released when it goes.
 
 Both expose ``hits`` / ``misses`` counters which ``explain()`` and the
 E9 benchmark read.
@@ -83,12 +87,16 @@ class PlanCache(LRUCache):
 
 
 class ExtractionCache(LRUCache):
-    """Memo for SQM extraction results: one entry per extraction key, at
-    the generation it was extracted at."""
+    """Memo for SQM extraction results: one entry per extraction key,
+    valid while the stamp of the predicates it read holds."""
 
-    def get(self, key: Hashable, generation: int | None = None):
+    def get(self, key: Hashable, stamp_of=None):
+        """The entry under *key* if ``stamp_of(entry.reads)`` (the KB's
+        :meth:`~repro.rdf.TripleStore.stamp`) is still the stamp it was
+        extracted at."""
         entry = self._entries.get(key)
-        if entry is not None and entry.generation != generation:
+        if entry is not None and (stamp_of is None
+                                  or entry.stamp != stamp_of(entry.reads)):
             self.misses += 1
             return None
         return super().get(key)

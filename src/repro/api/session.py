@@ -14,9 +14,10 @@ Two caches sit on the hot path, each at the level of its key:
   skips it too.  The key is the statement alone, so a
   :class:`PlatformSession` owns one and every ``as_user()`` session of
   it shares it; a plain session creates its own;
-* the **extraction cache** (KB store + generation → SPARQL results)
-  lets re-executions against an unchanged knowledge base skip their
-  extractions, and keeps with each the relation its WHERE enrichments
+* the **extraction cache** (KB store + extraction → SPARQL results,
+  valid while the predicates it read are unchanged) lets
+  re-executions skip their extractions across writes to other
+  predicates, and keeps with each the relation its WHERE enrichments
   bind to a run.  The key *is* the user's context view, so there is one
   per user engine, created — and cleared on close — by its session.
 

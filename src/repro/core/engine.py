@@ -250,7 +250,7 @@ class SESQLEngine:
         """Run (or recall) the SQM extraction for one clause and append
         its stage record.  The run's memo dedupes identical extractions
         within the statement — each still gets its own record, reported
-        as cached; the SQM's generation-keyed cache dedupes across
+        as cached; the SQM's stamp-keyed cache dedupes across
         statements and re-executions."""
         started = time.perf_counter()
         stage = _Stage("extract", enrichment.kind)

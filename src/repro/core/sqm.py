@@ -7,13 +7,20 @@ Property arguments are resolved against the stored-query registry first
 plain property-extraction pattern ``SELECT ?s ?o WHERE { ?s <prop> ?o }``.
 
 An optional extraction *cache* (:class:`repro.api.ExtractionCache`)
-memoizes extraction results: one entry per extraction at the knowledge
-base's current mutation ``generation``, so a prepared query re-executed
-against an unchanged KB skips re-running its SPARQL entirely, and an
-entry of an older generation is replaced, its SQL side with it.  Within
-one statement the engine additionally dedupes
-identical logical extractions across tagged conditions and stages (see
-:meth:`repro.core.SESQLEngine.extraction_for`);
+memoizes extraction results: one entry per extraction, valid while the
+predicates its SPARQL reads are unchanged in the knowledge base.  Those
+are the IRIs of its property or property path, or the predicates of a
+stored query's triple patterns; the entry keeps their ids and the KB's
+:meth:`~repro.rdf.TripleStore.stamp` of them, which moves exactly when
+one of their triples enters or leaves (or the KB is cleared or its
+generation restored).  So an annotation on ``dangerLevel`` leaves the
+``isA`` and ``inCountry`` extractions of the same user cached, and an
+entry whose predicates moved is replaced, its SQL side with it.  A
+stored query with a variable predicate or a zero-length path reads the
+whole KB: its stamp moves with every write.  Each synthesized text is
+parsed once per process.  Within one statement the engine additionally
+dedupes identical logical extractions across tagged conditions and
+stages (see :meth:`repro.core.SESQLEngine.extraction_for`);
 :meth:`SemanticQueryModule.sparql_execution_count` counts the queries
 that actually reached the KB.
 """
@@ -26,7 +33,8 @@ import time
 from dataclasses import dataclass, field
 
 from ..rdf.store import TripleStore
-from ..rdf.terms import Literal, Term
+from ..rdf.terms import IRI, Literal, Term
+from ..sparql.ast import SelectQuery, group_predicates
 from ..sparql.evaluator import Evaluator, SparqlResults
 from ..sparql.parser import parse_sparql
 from .errors import StoredQueryError
@@ -43,8 +51,12 @@ class Extraction:
     pairs: list[tuple[Term, Term]] = field(default_factory=list)
     values: list[Term] = field(default_factory=list)
     subjects: set[Term] = field(default_factory=set)
-    #: The KB generation it was extracted at (``None``: not memoized).
-    generation: int | None = field(default=None, compare=False)
+    #: The predicates it read (ids, or IRIs the KB had not interned;
+    #: ``None``: the whole KB) and the KB's stamp of them when it was
+    #: extracted (``None``: not memoized).
+    reads: tuple[int | IRI, ...] | None = field(default=None,
+                                                compare=False)
+    stamp: int | None = field(default=None, compare=False)
     _sql: SqlExtraction | None = field(default=None, init=False,
                                        compare=False, repr=False)
 
@@ -60,6 +72,11 @@ class Extraction:
 
 
 _SQL_LOCK = threading.Lock()
+
+#: Each synthesized text's parsed query.  A text names no user or KB,
+#: so every module shares them; cleared when full.
+_PARSED: dict[str, SelectQuery] = {}
+_PARSED_SIZE = 512
 
 
 class SemanticQueryModule:
@@ -108,48 +125,69 @@ class SemanticQueryModule:
 
     def _memoized(self, kind: str, kb: TripleStore, args: tuple,
                   compute) -> Extraction:
-        generation = getattr(kb, "generation", None)
-        if self.cache is None or generation is None:
+        cache = self.cache
+        stamp_of = getattr(kb, "stamp", None)
+        if cache is None or stamp_of is None:
             return compute()
         stored = self.stored_queries.get(args[0])
-        # Generations are per-store counters, so the key names the
-        # store by its process-unique identity: two stores both at
-        # generation 3 (e.g. two users' context views) must not collide.
-        key = (kind, getattr(kb, "store_id", id(kb)), args,
+        # Stamps are per store, so the key names the store by its
+        # process-unique identity: two users' context views must not
+        # share entries.
+        key = (kind, kb.store_id, args,
                stored.text if stored is not None else None)
-        extraction = self.cache.get(key, generation)
+        extraction = cache.get(key, stamp_of)
         tel = self.telemetry
         if extraction is None:
             if tel is not None:
                 self._tm_cache_miss.inc()
+            # Resolved on a miss (a hit reuses the entry's ids), and the
+            # stamp read before evaluating: a write racing the
+            # evaluation leaves a stale stamp behind, never a stale entry.
+            reads = self._predicate_ids(kb, args[0], stored)
+            stamp = stamp_of(reads)
             extraction = compute()
-            extraction.generation = generation
-            self.cache.put(key, extraction)
+            extraction.reads, extraction.stamp = reads, stamp
+            cache.put(key, extraction)
         elif tel is not None:
             self._tm_cache_hit.inc()
         return extraction
+
+    def _predicate_ids(self, kb: TripleStore, prop: str,
+                       stored) -> tuple[int | IRI, ...] | None:
+        """The predicates an extraction of *prop* reads, each by its id
+        in *kb* (by its IRI while *kb* has not interned it), or ``None``
+        for the whole KB: a stored query that may read any predicate."""
+        if stored is None:
+            iris = [token for token in self._path_tokens(prop)
+                    if isinstance(token, IRI)]
+        else:
+            iris = group_predicates(stored.query.where)
+            if iris is None:
+                return None
+        lookup = kb.dictionary.lookup
+        return tuple(iri if (found := lookup(iri)) is None else found
+                     for iri in iris)
 
     # -- helpers ------------------------------------------------------------
 
     _PATH_DELIMITERS = re.compile(r"([\^/|])")
 
-    def _property_path_n3(self, prop: str) -> str:
-        """Render a property argument as a SPARQL predicate or path.
+    def _path_tokens(self, prop: str) -> list[str | IRI]:
+        """A property argument as its path operators and IRIs.
 
         Extension over the paper: the property argument may be a SPARQL
         property path over names, e.g. ``^isA`` (inverse: "the things
         classified as X") or ``inCountry/inContinent`` (composition).
         Plain names keep the paper's exact semantics.
         """
-        if not self._PATH_DELIMITERS.search(prop):
-            return self.mapping.property_to_iri(prop).n3()
-        pieces = []
-        for token in self._PATH_DELIMITERS.split(prop):
-            if token in ("^", "/", "|"):
-                pieces.append(token)
-            elif token:
-                pieces.append(self.mapping.property_to_iri(token).n3())
-        return "".join(pieces)
+        return [token if token in ("^", "/", "|")
+                else self.mapping.property_to_iri(token)
+                for token in self._PATH_DELIMITERS.split(prop) if token]
+
+    def _property_path_n3(self, prop: str) -> str:
+        """Render a property argument as a SPARQL predicate or path."""
+        return "".join(token if isinstance(token, str) else token.n3()
+                       for token in self._path_tokens(prop))
 
     def _evaluate(self, kb: TripleStore, query, text: str) -> SparqlResults:
         self._sparql_executions += 1
@@ -164,7 +202,12 @@ class SemanticQueryModule:
         return results
 
     def _run(self, kb: TripleStore, text: str) -> SparqlResults:
-        return self._evaluate(kb, parse_sparql(text), text)
+        query = _PARSED.get(text)
+        if query is None:
+            if len(_PARSED) >= _PARSED_SIZE:
+                _PARSED.clear()
+            query = _PARSED[text] = parse_sparql(text)
+        return self._evaluate(kb, query, text)
 
     def _run_stored(self, kb: TripleStore, name: str) -> SparqlResults:
         stored = self.stored_queries.get(name)

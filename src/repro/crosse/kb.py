@@ -12,9 +12,12 @@ once in one platform-wide id-encoded :class:`~repro.rdf.TripleStore`
 (kept while at least one statement asserts it), and each user has one
 stable :class:`~repro.rdf.TripleView` holding only the id-triples
 visible to her, maintained in O(1) by insert / accept / reject /
-retract.  The invalidation rule follows: a user's view ``generation``
-moves exactly when *her* visible set does, so her engine and its
-extraction cache survive every write — her own included — and another
+retract.  The invalidation rule follows, per predicate: the view's
+stamp of a predicate moves exactly when a triple of that predicate
+enters or leaves *her* visible set.  Her extractions are cached under the stamps of
+the predicates they read, so her engine and its extraction cache
+survive every write — her own included — a write on ``dangerLevel``
+evicts none of her ``isA`` or ``inCountry`` extractions, and another
 user's activity evicts nothing of hers.  Registries, shared store and
 views are guarded by the shared store's one ``RWLock``.
 
@@ -236,8 +239,8 @@ class KnowledgeBaseStore:
 
         This is the personal knowledge base "that will constitute the
         context in which a user's query will be evaluated": one stable
-        object per user, O(1) to obtain, whose ``generation`` moves
-        when (and only when) her visible set does.
+        object per user, O(1) to obtain, whose stamp of a predicate
+        moves when (and only when) that predicate's part of it does.
         """
         return self._view(username)
 

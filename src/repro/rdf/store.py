@@ -20,6 +20,14 @@ Several stores may share one dictionary (``TripleStore(dictionary=d)``).
 A :class:`TripleView` is a read-only subset of one store — the CroSSE
 platform keeps every statement's triple once in a platform-wide store
 and gives each user a view holding only the id-triples visible to her.
+
+Every store and view keeps a *stamp* per predicate id, moved exactly
+when a triple of that predicate enters or leaves it, and a *floor*,
+moved by a store's ``clear``, ``restore_generation`` and
+``pin_generation``.  :meth:`_PatternReader.stamp` reads them for a set
+of predicates: what an extraction keys on, so a write to one predicate
+leaves the extractions of every other valid.  A store's
+``generation`` is what durability and replicas compare.
 """
 
 from __future__ import annotations
@@ -36,10 +44,14 @@ from .terms import IRI, Term, is_term, term_from_python
 #: plain counter bumped under the write lock), so a recovered store can
 #: restore its counter monotonically from a WAL header without racing
 #: every other store in the process — the durability layer's
-#: requirement.  Cache keys that used to rely on globally-unique
-#: generations (SQM extractions) now pair the generation with this
-#: ``store_id``, which no two live stores ever share.
+#: requirement.  Stamps are per store too, so SQM extraction keys pair
+#: them with this ``store_id``, which no two live stores ever share.
 _STORE_IDS = itertools.count(1)
+
+#: Process-monotonic source of predicate stamps and floors.  Never the
+#: generation: ``pin_generation`` may move a generation back, and a
+#: stamp that came round again would match an entry of older data.
+_STAMPS = itertools.count(1)
 
 
 class Triple(NamedTuple):
@@ -200,9 +212,50 @@ class _PatternReader:
     """The term-level read protocol, written once over ``_match_ids``.
 
     A subclass supplies ``dictionary``, ``rwlock`` and the id-level
-    matcher ``_match_ids(s, p, o)``; :class:`TripleStore` and
-    :class:`TripleView` both read through these methods.
+    matcher ``_match_ids(s, p, o)``, and calls :meth:`_init_stamps`;
+    :class:`TripleStore` and :class:`TripleView` both read through
+    these methods.
     """
+
+    # -- stamps --------------------------------------------------------------
+
+    def _init_stamps(self) -> None:
+        #: predicate id → the stamp its triples last moved at.
+        self._stamps: dict[int, int] = {}
+        #: Moved by a write no predicate stamp describes (``clear``, a
+        #: generation restored or pinned): every key below it is stale.
+        self._floor = 0
+        #: The last stamp handed out here: the whole graph's stamp.
+        self._latest = 0
+
+    def _move(self, predicates: Iterable[int]) -> None:
+        """Give *predicates* one fresh stamp.  Caller holds the write
+        side."""
+        stamp = self._latest = next(_STAMPS)
+        stamps = self._stamps
+        for predicate in predicates:
+            stamps[predicate] = stamp
+
+    def _move_floor(self) -> None:
+        self._floor = self._latest = next(_STAMPS)
+
+    def stamp(self, predicates: Iterable[int | IRI] | None = None) -> int:
+        """The stamp of what a read of *predicates* sees (``None``: the
+        whole graph).  A predicate is its id, or its IRI while it may
+        not be interned yet.  The stamp changes exactly when one of
+        their triples entered or left, or the floor moved, and never
+        comes back to a value it had."""
+        if predicates is None:
+            return self._latest
+        stamps = self._stamps
+        stamp = self._floor
+        for predicate in predicates:
+            if not isinstance(predicate, int):
+                predicate = self.dictionary.lookup(predicate)
+            moved = stamps.get(predicate, 0)
+            if moved > stamp:
+                stamp = moved
+        return stamp
 
     # -- encoding helpers ----------------------------------------------------
 
@@ -320,9 +373,8 @@ class TripleStore(_PatternReader):
         self.indexing = indexing
         self.dictionary = dictionary if dictionary is not None \
             else TermDictionary()
-        #: Process-unique identity; pairs with :attr:`generation` in
-        #: generation-keyed caches (two stores may both be at, say,
-        #: generation 3).
+        #: Process-unique identity; pairs with :meth:`stamp` in
+        #: extraction keys (two stores both hold predicate stamps).
         self.store_id = next(_STORE_IDS)
         #: Per-store mutation stamp: starts at 0, bumped once per
         #: logical mutation batch under the write lock.
@@ -341,6 +393,7 @@ class TripleStore(_PatternReader):
         self._o_counts: dict[int, int] = {}
         self._size = 0
         self.stats = StoreStatistics(self)
+        self._init_stamps()
 
     # -- mutation -----------------------------------------------------------
 
@@ -378,6 +431,7 @@ class TripleStore(_PatternReader):
             if not self._add_ids_locked(s, p, o):
                 return False
             self.generation += 1
+            self._move((p,))
             if self.durability_journal is not None:
                 self.durability_journal.log(
                     "add", {"triple": list(triple)},
@@ -409,6 +463,9 @@ class TripleStore(_PatternReader):
         # rebuilt from the finished indexes in one C-level post-pass
         # instead of three dict updates per triple.
         defer_counts = self._size == 0
+        #: The predicates the batch added to (deferred: all of them).
+        touched: set[int] = set()
+        touched_add = touched.add
         count = 0
         journal = self.durability_journal
         #: Journaled batches record exactly the triples that made it
@@ -441,6 +498,7 @@ class TripleStore(_PatternReader):
                                 o_counts[o] = o_get(o, 0) + 1
             self._size += count
             self.generation += 1
+            self._move(p_counts if defer_counts else touched)
             if added:
                 journal.log("add_all", {"triples": added},
                             generation=self.generation)
@@ -512,6 +570,7 @@ class TripleStore(_PatternReader):
                         s_counts[s] = s_get(s, 0) + 1
                         p_counts[p] = p_get(p, 0) + 1
                         o_counts[o] = o_get(o, 0) + 1
+                        touched_add(p)
                     count += 1
                     if added is not None:
                         added.append((s_term, p_term, o_term))
@@ -534,6 +593,7 @@ class TripleStore(_PatternReader):
             if not self._remove_ids_locked(s, p, o):
                 return False
             self.generation += 1
+            self._move((p,))
             if self.durability_journal is not None:
                 self.durability_journal.log(
                     "remove", {"triple": list(triple)},
@@ -590,6 +650,7 @@ class TripleStore(_PatternReader):
                 self._remove_ids_locked(s, p, o)
             if doomed:
                 self.generation += 1
+                self._move({p for _s, p, _o in doomed})
                 if self.durability_journal is not None:
                     # Record the concrete triples, not the pattern: an
                     # exact replay must not depend on re-evaluating the
@@ -623,13 +684,16 @@ class TripleStore(_PatternReader):
         with self.rwlock.write_locked():
             journal = self.durability_journal
             logged: list | None = [] if journal is not None else None
+            touched = set()
             for s, p, o in encoded:
                 if self._remove_ids_locked(s, p, o):
                     removed += 1
+                    touched.add(p)
                     if logged is not None:
                         logged.append((s, p, o))
             if removed:
                 self.generation += 1
+                self._move(touched)
                 if logged:
                     terms = self.dictionary.terms
                     journal.log(
@@ -649,6 +713,8 @@ class TripleStore(_PatternReader):
             self._o_counts.clear()
             self._size = 0
             self.generation += 1
+            self._stamps.clear()
+            self._move_floor()
             if self.durability_journal is not None:
                 self.durability_journal.log(
                     "clear", {}, generation=self.generation)
@@ -663,6 +729,7 @@ class TripleStore(_PatternReader):
         """
         with self.rwlock.write_locked():
             self.generation = max(self.generation, generation)
+            self._move_floor()
 
     def pin_generation(self, generation: int) -> None:
         """Set the mutation stamp to exactly *generation*.
@@ -675,6 +742,7 @@ class TripleStore(_PatternReader):
         """
         with self.rwlock.write_locked():
             self.generation = generation
+            self._move_floor()
 
     # -- lookup ------------------------------------------------------------------
 
@@ -810,19 +878,23 @@ class TripleStore(_PatternReader):
                         # the source's index structures wholesale.
                         self._adopt_locked(other)
                         count = self._size
+                        touched = self._p_counts
                         if added is not None:
                             added.extend(
                                 self._match_ids(None, None, None))
                     else:
                         add_locked = self._add_ids_locked
+                        touched = set()
                         for s, p, o in list(
                                 other._match_ids(None, None, None)):
                             if add_locked(s, p, o):
                                 count += 1
+                                touched.add(p)
                                 if added is not None:
                                     added.append((s, p, o))
                     if count:
                         self.generation += 1
+                        self._move(touched)
                         if added:
                             terms = self.dictionary.terms
                             journal.log(
@@ -844,9 +916,12 @@ class TripleView(_PatternReader):
     subject is bound and the visible set is smaller than the base's
     match count, by scanning the visible set itself.  It shares the
     base's ``dictionary``, ``rwlock`` and (global, upper-bound)
-    ``stats``, and has its own ``store_id`` and a ``generation`` that
-    moves exactly when its visible *set* does — so generation-keyed
-    caches over one view are untouched by writes to any other.
+    ``stats``, and has its own ``store_id`` and predicate stamps: one
+    moves exactly when a triple of its predicate enters or leaves the
+    visible *set* — so caches keyed by a view's stamps are untouched by
+    writes to any other view, and by writes to other predicates of
+    this one.  It has no ``generation``: :meth:`stamp` with no
+    predicates is the whole set's.
 
     Visibility is counted: a triple shown for two reasons stays
     visible until it was hidden twice.  :meth:`show` and :meth:`hide`
@@ -859,15 +934,15 @@ class TripleView(_PatternReader):
         self.stats = base.stats
         self.rwlock = base.rwlock
         self.store_id = next(_STORE_IDS)
-        self.generation = 0
         self._visible: dict[tuple[int, int, int], int] = {}
+        self._init_stamps()
 
     def show(self, key: tuple[int, int, int]) -> None:
         """Count one more reason the base's id-triple *key* is visible."""
         count = self._visible.get(key, 0)
         self._visible[key] = count + 1
         if not count:
-            self.generation += 1
+            self._move((key[1],))
 
     def hide(self, key: tuple[int, int, int]) -> None:
         """Drop one reason; the triple leaves with its last one."""
@@ -876,7 +951,7 @@ class TripleView(_PatternReader):
             self._visible[key] = count
         else:
             del self._visible[key]
-            self.generation += 1
+            self._move((key[1],))
 
     def __len__(self) -> int:
         return len(self._visible)

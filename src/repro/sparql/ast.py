@@ -203,3 +203,34 @@ def group_variables(group: GroupPattern) -> set[Variable]:
 
     visit(group)
     return found
+
+
+def group_predicates(group: GroupPattern) -> set[IRI] | None:
+    """The predicate IRIs a group's triple patterns read, or ``None``
+    when it may read any predicate: a variable predicate, or a
+    zero-length path (``*`` / ``?``), which matches every node of the
+    graph to itself."""
+    found: set[IRI] = set()
+
+    def visit(element) -> bool:
+        if isinstance(element, TriplePattern):
+            return path(element.predicate)
+        if isinstance(element, GroupPattern):
+            return all(visit(child) for child in element.elements)
+        if isinstance(element, OptionalPattern):
+            return visit(element.group)
+        if isinstance(element, UnionPattern):
+            return all(visit(branch) for branch in element.branches)
+        return True  # Filters and binds read no triple.
+
+    def path(predicate) -> bool:
+        if isinstance(predicate, IRI):
+            found.add(predicate)
+            return True
+        if isinstance(predicate, (InversePath, OneOrMorePath)):
+            return path(predicate.inner)
+        if isinstance(predicate, (SequencePath, AlternativePath)):
+            return all(path(part) for part in predicate.parts)
+        return False  # A variable, or a zero-length path.
+
+    return found if visit(group) else None

@@ -192,17 +192,20 @@ def test_view_equals_materialised_copy(history):
             assert view is platform.effective_kb(username)
             assert_same_graph(view, copy, probe)
             assert_same_answers(view, copy)
-            # Her generation moves iff her visible set did (a restore
-            # hands out new views: nothing to compare with) ...
+            # Her stamp moves iff her visible set did (a restore hands
+            # out new views: nothing to compare with) ...
             visible = frozenset(view.id_triples())
+            danger = frozenset(view.triples(None, SMG.dangerLevel, None))
             hits = cache.hits
             extraction = sqm.pairs_for(view, "dangerLevel")
             if username in seen and platform is before:
                 same_set = seen[username][0] == visible
-                assert same_set == (seen[username][1] == view.generation)
-                # ... so nobody else's write evicts her extractions.
-                assert cache.hits == hits + same_set
-            seen[username] = (visible, view.generation)
+                assert same_set == (seen[username][1] == view.stamp())
+                # ... and her dangerLevel extraction is recomputed iff
+                # her dangerLevel triples moved: no write of anyone
+                # else's, nor of hers to another predicate, evicts it.
+                assert cache.hits == hits + (seen[username][2] == danger)
+            seen[username] = (visible, view.stamp(), danger)
             assert set(extraction.pairs) == {
                 (triple.subject, triple.object)
                 for triple in copy.triples(None, SMG.dangerLevel, None)}
@@ -244,7 +247,7 @@ def test_own_and_accepted_triple_outlives_either_support(kb):
     peer = kb.insert("bo", *TRIPLE)
     kb.accept("ada", peer.statement_id)
     view = kb.effective_kb("ada")
-    generation = view.generation
+    stamp = view.stamp()
     for leave, stay in ((lambda: kb.reject("ada", peer.statement_id),
                          lambda: kb.retract("ada", own.statement_id)),
                         (lambda: kb.retract("bo", peer.statement_id),
@@ -252,16 +255,45 @@ def test_own_and_accepted_triple_outlives_either_support(kb):
                         (lambda: kb.retract("ada", own.statement_id),
                          lambda: kb.reject("ada", peer.statement_id))):
         leave()
-        assert TRIPLE in view and view.generation == generation
+        assert TRIPLE in view and view.stamp() == stamp
         assert TRIPLE in kb.store
         stay()
-        assert TRIPLE not in view and view.generation == generation + 1
+        assert TRIPLE not in view and view.stamp() > stamp
         # Back to the start for the next order.
         own = kb.insert("ada", *TRIPLE)
         if peer.statement_id not in kb._statements:
             peer = kb.insert("bo", *TRIPLE)
         kb.accept("ada", peer.statement_id)
-        generation = view.generation
+        stamp = view.stamp()
+
+
+def view_stamps(view) -> list[int]:
+    """The stamps of ``isA`` and ``dangerLevel`` in *view*."""
+    return [view.stamp((view.dictionary.lookup(predicate),))
+            for predicate in (SMG.isA, SMG.dangerLevel)]
+
+
+def test_a_view_moves_only_the_stamp_of_what_came_or_went(kb):
+    own = kb.insert("ada", *TRIPLE)              # Mercury isA ...
+    danger = kb.insert("bo", *POOL[3])           # Mercury dangerLevel high
+    view = kb.effective_kb("ada")
+    is_a, level = view_stamps(view)
+    # A counted show or hide that leaves the triple visible moves
+    # nothing, and neither does any write outside her view.
+    peer = kb.insert("bo", *TRIPLE)
+    kb.accept("ada", peer.statement_id)
+    kb.insert("cy", *POOL[4])
+    kb.reject("ada", peer.statement_id)
+    assert view_stamps(view) == [is_a, level]
+    # Her accept of a dangerLevel triple moves that stamp alone ...
+    kb.accept("ada", danger.statement_id)
+    moved = view_stamps(view)
+    assert moved[0] == is_a and moved[1] > level
+    # ... and her retract of an isA triple that one alone.
+    kb.retract("ada", own.statement_id)
+    assert view_stamps(view)[1] == moved[1]
+    assert view_stamps(view)[0] > is_a
+    assert view.stamp() == max(view_stamps(view))
 
 
 def test_triple_accepted_from_two_peers_leaves_with_the_last(kb):
@@ -286,22 +318,25 @@ def test_accept_twice_and_reject_unaccepted_are_no_ops(kb):
     record = kb.insert("bo", *TRIPLE)
     view = kb.effective_kb("ada")
     kb.reject("ada", record.statement_id)        # never accepted
-    assert view.generation == 0 and len(view) == 0
+    assert view.stamp() == 0 and len(view) == 0
     kb.accept("ada", record.statement_id)
-    generation = view.generation
+    stamp = view.stamp()
     kb.accept("ada", record.statement_id)        # idempotent: no recount
-    assert view.generation == generation and len(view) == 1
+    assert view.stamp() == stamp and len(view) == 1
     kb.reject("ada", record.statement_id)
     assert TRIPLE not in view                    # one reject undoes both
+    stamp = view.stamp()
     kb.reject("ada", record.statement_id)
-    assert view.generation == generation + 1
+    assert view.stamp() == stamp
 
 
 def test_restore_statement_is_idempotent_on_id(kb):
+    view = kb.effective_kb("ada")
+    stamps = []
     for _overlap in range(2):                    # snapshot, then the WAL tail
         kb.restore_statement(7, TRIPLE, "bo", True, ["ada"])
-    view = kb.effective_kb("ada")
-    assert len(view) == 1 and view.generation == 1
+        stamps.append(view.stamp())
+    assert len(view) == 1 and stamps[0] == stamps[1] > 0
     assert kb._support == {kb.get(7).key: {7}}
     assert kb.insert("cy", *POOL[1]).statement_id == 8
     kb.reject("ada", 7)

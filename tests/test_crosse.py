@@ -291,24 +291,24 @@ def test_document_search_is_context_ranked(platform):
 # -- retract / reject invalidation (one stable view per user) ----------------
 
 
-def test_effective_kb_is_one_stable_view_whose_generation_moves(platform):
+def test_effective_kb_is_one_stable_view_whose_stamp_moves(platform):
     record = platform.annotate_free(
         "giulia", SMG.Mercury, SMG.dangerLevel, "high")
     view = platform.effective_kb("giulia")
     marco = platform.effective_kb("marco")
-    generation, marco_generation = view.generation, marco.generation
+    stamp, marco_stamp = view.stamp(), marco.stamp()
     assert len(view) == 1
     platform.annotate_free("giulia", SMG.Lead, SMG.dangerLevel, "high")
-    # Identity is stable across writes; the generation and len follow.
+    # Identity is stable across writes; the stamp and len follow.
     assert platform.effective_kb("giulia") is view
-    assert view.generation > generation and len(view) == 2
+    assert view.stamp() > stamp and len(view) == 2
     # Another user's write moves nothing of marco's.
-    assert marco.generation == marco_generation and len(marco) == 0
+    assert marco.stamp() == marco_stamp and len(marco) == 0
     # Every view reads the platform-wide store through its dictionary.
     assert view.dictionary is platform.statements.dictionary
-    generation = view.generation
+    stamp = view.stamp()
     platform.statements.reject("giulia", record.statement_id)  # no-op
-    assert view.generation == generation and len(view) == 2
+    assert view.stamp() == stamp and len(view) == 2
 
 
 def test_retracted_statement_stops_influencing_queries(platform):

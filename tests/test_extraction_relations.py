@@ -111,7 +111,7 @@ def test_n_runs_plan_once(databank, registry, planned):
 def test_one_tree_serves_every_user_and_generation(databank, registry):
     """test_context_view's setting: a user's context is a view over the
     platform's one store, and accepting a statement moves its
-    generation.  Two users of one platform session, with a KB write
+    stamp.  Two users of one platform session, with a KB write
     between runs, re-drive one tree."""
     platform = CrossePlatform(databank)
     platform.register_stored_query("dangerQuery", DANGER_QUERY_SPARQL)
@@ -128,9 +128,9 @@ def test_one_tree_serves_every_user_and_generation(databank, registry):
              for username in ("ada", "bo")}
     answers = set()
     for statement_id, amount in zip(hazards, AMOUNTS):
-        generation = users["ada"][1].generation
+        stamp = users["ada"][1].stamp()
         platform.accept_statement("ada", statement_id)
-        assert users["ada"][1].generation != generation
+        assert users["ada"][1].stamp() != stamp
         for session, view in users.values():
             expected = reference(databank, view, registry, HOTSPOTS,
                                  [amount])

@@ -262,3 +262,77 @@ def test_add_all_mid_batch_error_keeps_store_consistent():
     assert store.remove(good) is True
     assert len(store) == 0
     assert store._spo == {} and store._pos == {} and store._osp == {}
+
+
+# -- predicate stamps -------------------------------------------------------
+
+
+def stamps(store):
+    """Each fixture predicate's stamp, and the whole graph's."""
+    ids = [store.dictionary.lookup(p)
+           for p in (SMG.dangerLevel, SMG.isA, SMG.inCountry)]
+    return [store.stamp((p,)) for p in ids] + [store.stamp()]
+
+
+def test_a_write_moves_only_its_predicates_stamp(store):
+    danger, is_a, country, whole = stamps(store)
+    store.add(SMG.Lead, SMG.dangerLevel, Literal("high"))
+    after = stamps(store)
+    assert after[0] > danger and after[1:3] == [is_a, country]
+    assert after[3] == after[0]
+    assert store.add(SMG.Lead, SMG.dangerLevel, Literal("high")) is False
+    assert store.remove(SMG.Lead, SMG.isA, SMG.Metal) is False
+    assert stamps(store) == after              # no-ops move nothing
+    store.remove(SMG.Torino, SMG.inCountry, SMG.Italy)
+    moved = stamps(store)
+    assert moved[:2] == after[:2] and moved[2] > after[2]
+    store.remove_pattern(None, SMG.isA, None)
+    assert stamps(store)[::2] == moved[::2]
+    # A stamp read over several predicates is their latest; an IRI the
+    # store has not interned reads as a predicate with no triples.
+    ids = tuple(store.dictionary.lookup(p)
+                for p in (SMG.dangerLevel, SMG.inCountry))
+    assert store.stamp(ids) == max(moved[0], moved[2])
+    unseen = store.stamp((SMG.neverStated,))
+    store.add(SMG.Lead, SMG.neverStated, SMG.Iron)
+    assert store.stamp((SMG.neverStated,)) > unseen
+
+
+def test_batches_over_two_predicates_move_both(store):
+    danger, is_a, country, _whole = stamps(store)
+    store.add_all([Triple(SMG.Lead, SMG.dangerLevel, Literal("high")),
+                   Triple(SMG.Lead, SMG.isA, SMG.HazardousWaste)])
+    added = stamps(store)
+    assert added[0] == added[1] > max(danger, is_a)
+    assert added[2] == country
+    store.remove_all([Triple(SMG.Lead, SMG.dangerLevel, Literal("high")),
+                      Triple(SMG.Torino, SMG.inCountry, SMG.Italy)])
+    removed = stamps(store)
+    assert removed[0] == removed[2] > added[0] and removed[1] == added[1]
+    other = TripleStore(dictionary=store.dictionary)
+    other.add(SMG.Zinc, SMG.isA, SMG.Metal)
+    other.add(SMG.Zinc, SMG.inCountry, SMG.Italy)
+    store.update(other)
+    merged = stamps(store)
+    assert merged[1] == merged[2] > removed[0] and merged[0] == removed[0]
+    # Loading into an empty store stamps every predicate it brought.
+    empty = TripleStore(dictionary=store.dictionary)
+    empty.add_all(store.triples())
+    assert min(stamps(empty)) > merged[3]
+
+
+def test_clear_restore_and_pin_never_let_an_old_stamp_match(store):
+    """Each moves the floor: every stamp read after it is new, even
+    where the generation goes back (a replica's exact pin)."""
+    seen = set(stamps(store))
+    generation = store.generation
+    for move in (lambda: store.restore_generation(0),
+                 lambda: store.pin_generation(generation),
+                 lambda: store.pin_generation(0),
+                 store.clear,
+                 lambda: store.pin_generation(generation)):
+        move()
+        now = stamps(store)
+        assert not seen & set(now)
+        seen.update(now)
+    assert store.generation == generation      # pinned back to a value it had
