@@ -14,11 +14,11 @@ stable :class:`~repro.rdf.TripleView` holding only the id-triples
 visible to her, maintained in O(1) by insert / accept / reject /
 retract.  The invalidation rule follows, per predicate: the view's
 stamp of a predicate moves exactly when a triple of that predicate
-enters or leaves *her* visible set.  Her extractions are cached under the stamps of
-the predicates they read, so her engine and its extraction cache
-survive every write — her own included — a write on ``dangerLevel``
-evicts none of her ``isA`` or ``inCountry`` extractions, and another
-user's activity evicts nothing of hers.  Registries, shared store and
+enters or leaves *her* visible set, and her extractions are cached
+under the stamps of the predicates they read.  So her engine and its
+extraction cache survive every write — her own included — a write on
+``dangerLevel`` evicts none of her ``isA`` or ``inCountry``
+extractions, and another user's activity evicts nothing of hers.  Registries, shared store and
 views are guarded by the shared store's one ``RWLock``.
 
 ``to_rdf_graph`` exports the whole book-keeping as reified RDF exactly

@@ -942,7 +942,7 @@ class TripleView(_PatternReader):
         count = self._visible.get(key, 0)
         self._visible[key] = count + 1
         if not count:
-            self._move((key[1],))
+            self._stamps[key[1]] = self._latest = next(_STAMPS)
 
     def hide(self, key: tuple[int, int, int]) -> None:
         """Drop one reason; the triple leaves with its last one."""
@@ -951,7 +951,7 @@ class TripleView(_PatternReader):
             self._visible[key] = count
         else:
             del self._visible[key]
-            self._move((key[1],))
+            self._stamps[key[1]] = self._latest = next(_STAMPS)
 
     def __len__(self) -> int:
         return len(self._visible)
