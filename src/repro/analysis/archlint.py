@@ -36,7 +36,11 @@ duck-typed hook attributes rather than imports.  Nothing in the
     ``combine_enrichments``) are driven by the one run in
     ``core/engine.py``, and the mediator's ship step by the one
     ``shipped`` scope in ``federation/mediator.py`` — a second copy of
-    either sequence elsewhere fails here.
+    either sequence elsewhere fails here; and a database write becomes
+    visible and durable in one place, ``Database.commit_write``, made
+    only by the engine and by attaching a foreign table
+    (``federation/foreign.py``) — a write committed anywhere else fails
+    here.
 
 ``dead-public``
     A public top-level function or class, or public method of a
@@ -114,6 +118,7 @@ DEFAULT_CONFIG: dict = {
         "combine_enrichments": ["core/engine.py"],
         "_ship_parsed": ["federation/mediator.py"],
         "ship": ["federation/mediator.py"],
+        "commit_write": ["relational/engine.py", "federation/foreign.py"],
     },
     # Where else a public name may be referenced, relative to the root.
     "reference-roots": ["../../tests", "../../examples",

@@ -23,8 +23,6 @@ class QueryOptions:
     #: Entries in the SESQL-text (or statement-shape) → parsed-template
     #: LRU (0 disables it, and with it literal lifting).
     plan_cache_size: int = 128
-    #: Entries in the SPARQL-extraction memo LRU (0 disables).
-    extraction_cache_size: int = 512
     #: Static-analysis behaviour at ``prepare()`` time: ``None`` means
     #: the defaults (analyze, attach diagnostics, never raise); pass
     #: ``AnalysisOptions(strict=True)`` to reject statements with

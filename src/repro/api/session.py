@@ -51,6 +51,9 @@ from .options import QueryOptions
 from .plan import PlanStage, QueryPlan, plan_stages
 from .prepared import PreparedQuery
 
+#: Entries in a session's SPARQL-extraction memo LRU.
+EXTRACTION_CACHE_SIZE = 512
+
 
 @dataclass
 class _CachedPlan:
@@ -115,12 +118,9 @@ class Session:
         self._owns_plan_cache = plan_cache is None
         self.plan_cache = (PlanCache(self.options.plan_cache_size)
                            if plan_cache is None else plan_cache)
-        self._owns_extraction_cache = (
-            engine.sqm.cache is None
-            and self.options.extraction_cache_size > 0)
+        self._owns_extraction_cache = engine.sqm.cache is None
         if self._owns_extraction_cache:
-            engine.sqm.cache = ExtractionCache(
-                self.options.extraction_cache_size)
+            engine.sqm.cache = ExtractionCache(EXTRACTION_CACHE_SIZE)
         #: Optional observer fed every SESQLResult (context tracking).
         self._on_result = on_result
         #: The session-owned :class:`repro.durability.DurabilityManager`

@@ -31,6 +31,11 @@ process re-binds its journals to the recovered history.  Mutation
 hooks in the relational/rdf/crosse layers are duck-typed — they call
 ``journal.log(...)`` on an attached ``durability_journal`` attribute
 and never import this package, keeping the core layers cycle-free.
+A database and a triple store each log from one commit, one record
+per write: ``sql`` / ``rows`` / ``create_table`` / ``drop_table`` /
+``bump`` / ``attach_foreign`` (``Database.commit_write``), and
+``add_all`` / ``remove_all`` (``TripleStore._commit``) or ``clear``.
+The platform logs its own records (:mod:`repro.durability.replay`).
 
 Locking protocol (deadlock-free by ordering): mutators take their
 component lock first, then the manager's append lock inside

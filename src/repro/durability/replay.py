@@ -8,7 +8,12 @@ read the same on-disk protocol, so they read it through this module:
   ``wal-NNNNNN.log`` files in epoch order;
 * **component kinds** — :data:`KINDS` says, for a database, a triple
   store and the CroSSE platform, how to test for emptiness, serialize,
-  restore, apply one WAL record and read the generation stamp;
+  restore, apply one WAL record and read the generation stamp.  A
+  database writes ``sql``, ``rows``, ``create_table``, ``drop_table``,
+  ``bump`` and ``attach_foreign`` records, a triple store ``add_all``,
+  ``remove_all`` and ``clear`` (each write one record, from its store's
+  one commit); ``add`` and ``remove`` records are no longer written but
+  are still replayed, for logs written before;
 * **replay** — a :class:`ReplayCursor` loads the newest valid snapshot
   (falling back one epoch on a corrupt one), is fed segment bytes, and
   applies every frame past each component's cut, in sequence.  A hole
@@ -99,7 +104,8 @@ def apply_database_record(db: Database, record_type: str, data: dict,
 
 def apply_store_record(store: Any, record_type: str, data: dict,
                        foreign_sources: Any = None) -> None:
-    """Replay one WAL ``store:*`` record against *store*."""
+    """Replay one WAL ``store:*`` record against *store* (``add`` and
+    ``remove``: older logs only)."""
     if record_type == "add":
         store.add(Triple(*data["triple"]))
     elif record_type == "add_all":

@@ -225,18 +225,11 @@ def attach_foreign_table(db: Database, name: str, source: ForeignSource,
     table = ForeignTable(name, source, mode, latency_s)
     with db.rwlock.write_locked():
         db.catalog.register_table(table)  # duck-typed Table
-        # DDL: queries can now observe new data.  Bumped inline (not
-        # bump_generation()) so the WAL carries one "attach_foreign"
-        # record, not a bump + descriptor pair.
-        db._generation += 1
-        journal = getattr(db, "durability_journal", None)
-        if journal is not None:
-            # Recorded as a descriptor, not a data mutation: recovery
-            # re-attaches (CSV text inline, remote sources through the
-            # caller-supplied resolver) instead of replaying fetches.
-            journal.log("attach_foreign",
-                        {"name": name, "mode": mode,
-                         "latency_s": latency_s,
-                         "source": describe_source(source)},
-                        generation=db.generation)
+        # DDL: queries can now observe new data.  Recorded as a
+        # descriptor, not a data mutation: recovery re-attaches (CSV
+        # text inline, remote sources through the caller-supplied
+        # resolver) instead of replaying fetches.
+        db.commit_write("attach_foreign", lambda: {
+            "name": name, "mode": mode, "latency_s": latency_s,
+            "source": describe_source(source)})
     return table

@@ -10,7 +10,8 @@ equivalent plan before compilation:
 * :mod:`repro.planner.rewrite` — logical rewrites (constant folding,
   predicate pushdown, projection pruning);
 * :mod:`repro.planner.joins` — join-order optimization (left-deep DP up
-  to :attr:`PlannerOptions.dp_relation_limit` relations, greedy beyond)
+  to :data:`~repro.planner.joins.DP_RELATION_LIMIT` relations, greedy
+  beyond)
   with a physical strategy — hash, index probe or nested loop — chosen
   per join;
 * :mod:`repro.planner.plan` — the driver producing a

@@ -23,6 +23,9 @@ from .stats import StatisticsCatalog, TableStats
 FOREIGN_ROWS_GUESS = 1000.0
 GROUP_FACTOR = 0.2
 DISTINCT_FACTOR = 0.5
+#: Exhaustive (left-deep DP) ordering up to this many relations; larger
+#: FROM lists fall back to the greedy heuristic.
+DP_RELATION_LIMIT = 6
 
 
 @dataclass
@@ -238,10 +241,9 @@ def make_resolver(binding_stats: dict[str, TableStats | None],
 
 def order_joins(relations: list[BaseRelation],
                 predicates: list[JoinPredicate],
-                cost_model: CostModel,
-                dp_limit: int) -> tuple[list[int], list[JoinStep]]:
+                cost_model: CostModel) -> tuple[list[int], list[JoinStep]]:
     """Choose a left-deep order (as relation indices) and its steps."""
-    if len(relations) <= dp_limit:
+    if len(relations) <= DP_RELATION_LIMIT:
         return _order_dp(relations, predicates, cost_model)
     return _order_greedy(relations, predicates, cost_model)
 

@@ -19,11 +19,6 @@ class PlannerOptions:
     #: folding, predicate pushdown, projection pruning, join re-ordering,
     #: index-probe joins — is skipped).
     enabled: bool = True
-    #: Exhaustive (left-deep DP) ordering up to this many relations;
-    #: larger FROM lists fall back to the greedy heuristic.
-    dp_relation_limit: int = 6
-    #: Equi-width histogram buckets collected per numeric column.
-    histogram_buckets: int = 32
     #: Re-raise planner bugs instead of silently executing the query as
     #: written.  Tests set this; production paths leave it off so a
     #: planning failure can never break a query.

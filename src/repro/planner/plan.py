@@ -91,7 +91,7 @@ def plan_select(query: ast.SelectQuery, catalog,
     if options.enabled:
         planned.query = ast.clone_query(query)
         try:
-            _plan_query(planned.query, catalog, stats, options, planned)
+            _plan_query(planned.query, catalog, stats, planned)
         except Exception as exc:
             if options.strict:
                 raise
@@ -107,21 +107,20 @@ def plan_select(query: ast.SelectQuery, catalog,
 # ---------------------------------------------------------------------------
 
 
-def _plan_query(query: ast.SelectQuery, catalog, stats, options,
+def _plan_query(query: ast.SelectQuery, catalog, stats,
                 planned: PlannedStatement) -> None:
     for core in [query.core] + [core for _op, core in query.compounds]:
-        _plan_core(core, query, catalog, stats, options, planned)
+        _plan_core(core, query, catalog, stats, planned)
     for item in query.order_by:
         item.expr = _fold_term(item.expr)
 
 
 def _plan_core(core: ast.SelectCore, query: ast.SelectQuery, catalog,
-               stats, options: PlannerOptions,
-               planned: PlannedStatement) -> None:
+               stats, planned: PlannedStatement) -> None:
     _fold_core(core)
-    _plan_expression_subqueries(core, catalog, stats, options, planned)
+    _plan_expression_subqueries(core, catalog, stats, planned)
     if core.from_clause is not None:
-        _plan_from(core, query, catalog, stats, options, planned)
+        _plan_from(core, query, catalog, stats, planned)
 
 
 def _fold_core(core: ast.SelectCore) -> None:
@@ -149,7 +148,7 @@ def _fold_term(expr: ast.Expr) -> ast.Expr:
 
 
 def _plan_expression_subqueries(core: ast.SelectCore, catalog, stats,
-                                options, planned) -> None:
+                                planned) -> None:
     """Recursively plan subqueries embedded in expressions (the WHERE
     rewrites of the SESQL pipeline inject exactly these)."""
     roots: list[ast.Expr] = [item.expr for item in core.items
@@ -163,7 +162,7 @@ def _plan_expression_subqueries(core: ast.SelectCore, catalog, stats,
             if isinstance(node, (ast.InSubquery, ast.Exists,
                                  ast.ScalarSubquery)) \
                     and node.query is not None:
-                _plan_query(node.query, catalog, stats, options, planned)
+                _plan_query(node.query, catalog, stats, planned)
 
 
 def _has_ordinals(exprs) -> bool:
@@ -174,8 +173,7 @@ def _has_ordinals(exprs) -> bool:
 
 
 def _plan_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
-               stats, options: PlannerOptions,
-               planned: PlannedStatement) -> None:
+               stats, planned: PlannedStatement) -> None:
     leaves = from_leaves(core.from_clause)
     bindings = [binding_of(leaf) for leaf in leaves]
     if None in bindings or len(set(bindings)) != len(bindings):
@@ -194,7 +192,7 @@ def _plan_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
                                         exclude=leaf.query)
                 if needed is not None:
                     prune_derived_projection(leaf, needed)
-            _plan_query(leaf.query, catalog, stats, options, planned)
+            _plan_query(leaf.query, catalog, stats, planned)
         binding_columns[binding] = output_columns(leaf, catalog)
 
     flat = flatten_inner_joins(core.from_clause)
@@ -206,7 +204,7 @@ def _plan_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
             reorderable = False
 
     if reorderable:
-        _reorder_from(core, query, catalog, stats, options, planned,
+        _reorder_from(core, query, catalog, stats, planned,
                       flat[0], flat[1], binding_columns)
         return
     # The written shape stays (LEFT joins, single relations, opt-outs):
@@ -233,8 +231,7 @@ def _plan_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
 
 
 def _reorder_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
-                  stats, options: PlannerOptions,
-                  planned: PlannedStatement,
+                  stats, planned: PlannedStatement,
                   leaves: list[ast.TableExpr],
                   on_conjuncts: list[ast.Expr],
                   binding_columns: dict) -> None:
@@ -275,8 +272,7 @@ def _reorder_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
             pushes.get(binding_of(leaf), []),
             binding_columns, needed_by_binding))
 
-    order, steps = order_joins(
-        relations, join_predicates, CostModel(), options.dp_relation_limit)
+    order, steps = order_joins(relations, join_predicates, CostModel())
     core.from_clause = build_join_tree(relations, order, steps)
     core.where = ast.conjoin(residual)
     if order != list(range(len(relations))):

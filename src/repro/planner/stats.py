@@ -17,6 +17,9 @@ from typing import Any, Iterable
 
 from ..relational.types import is_number, sql_key
 
+#: Equi-width histogram buckets ANALYZE collects per numeric column.
+HISTOGRAM_BUCKETS = 32
+
 
 @dataclass
 class Histogram:
@@ -150,7 +153,7 @@ class StatisticsCatalog:
 
     # -- collection ---------------------------------------------------------
 
-    def analyze(self, table, buckets: int = 32) -> TableStats:
+    def analyze(self, table) -> TableStats:
         """Scan *table* (anything with ``schema`` and ``rows()``) once.
 
         Columnar tables expose ``column_values``; reading each column
@@ -170,7 +173,7 @@ class StatisticsCatalog:
 
         for position, column in enumerate(schema.columns):
             stats.columns[column.name.lower()] = _summarize(
-                column.name, values_of(position), buckets)
+                column.name, values_of(position))
         self._stats[schema.name.lower()] = stats
         self.version += 1
         return stats
@@ -213,7 +216,7 @@ class StatisticsCatalog:
                         column_stats.max_value = value
 
 
-def _summarize(name: str, values: list[Any], buckets: int) -> ColumnStats:
+def _summarize(name: str, values: list[Any]) -> ColumnStats:
     non_null = [value for value in values if value is not None]
     distinct = len(set(map(sql_key, non_null)))
     stats = ColumnStats(
@@ -227,7 +230,7 @@ def _summarize(name: str, values: list[Any], buckets: int) -> ColumnStats:
         stats.min_value = min(numbers)
         stats.max_value = max(numbers)
         low, high = float(stats.min_value), float(stats.max_value)
-        histogram = Histogram(low, high, [0] * max(buckets, 1))
+        histogram = Histogram(low, high, [0] * HISTOGRAM_BUCKETS)
         for value in numbers:
             histogram.add(float(value))
         stats.histogram = histogram

@@ -28,6 +28,14 @@ moved by a store's ``clear``, ``restore_generation`` and
 of predicates: what an extraction keys on, so a write to one predicate
 leaves the extractions of every other valid.  A store's
 ``generation`` is what durability and replicas compare.
+
+A store has one write path.  Insertions (``add``, ``add_all``,
+``update``) run one insertion core and removals (``remove``,
+``remove_all``, ``remove_pattern``) one removal core over id triples;
+both end in one commit, which bumps the generation once, moves the
+touched predicates' stamps and logs one ``add_all`` or ``remove_all``
+record of the triples the batch changed.  ``clear`` alone bumps the
+generation itself (it moves the floor and logs ``clear``).
 """
 
 from __future__ import annotations
@@ -356,12 +364,12 @@ class TripleStore(_PatternReader):
     """A set of triples with id-keyed hash indexes on each access pattern.
 
     Thread safety: a reader-writer lock lets any number of threads
-    match patterns concurrently while mutators (``add`` / ``remove`` /
-    ``clear`` — the annotation-accept path of the platform) get
-    exclusive access and bump the generation stamp.  Batch mutators
-    (``add_all`` / ``update`` / ``remove_pattern``) take the write lock
-    **once** and bump the generation **once** per logical batch, so
-    generation-keyed caches stay stable across a bulk load.  A
+    match patterns concurrently while a mutator gets exclusive access.
+    Every mutator is one batch under one write-lock acquisition —
+    ``add`` and ``remove`` are batches of one — and a batch that
+    changed the store commits once (:meth:`_commit`), so caches keyed
+    on the generation or on predicate stamps stay stable across a bulk
+    load, and a batch that changed nothing moves nothing.  A
     ``triples()`` generator holds the read side until exhausted or
     dropped.
     """
@@ -377,7 +385,7 @@ class TripleStore(_PatternReader):
         #: extraction keys (two stores both hold predicate stamps).
         self.store_id = next(_STORE_IDS)
         #: Per-store mutation stamp: starts at 0, bumped once per
-        #: logical mutation batch under the write lock.
+        #: batch that changed the store (:meth:`_commit`, ``clear``).
         self.generation = 0
         #: Durability hook (duck-typed): when a
         #: :class:`repro.durability.DurabilityManager` attaches this
@@ -397,56 +405,58 @@ class TripleStore(_PatternReader):
 
     # -- mutation -----------------------------------------------------------
 
-    def _add_ids_locked(self, s: int, p: int, o: int) -> bool:
-        objects = self._spo.setdefault(s, {}).setdefault(p, set())
-        if o in objects:
-            return False
-        objects.add(o)
-        if self.indexing == "full":
-            self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-            self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
-        counts = self._s_counts
-        counts[s] = counts.get(s, 0) + 1
-        counts = self._p_counts
-        counts[p] = counts.get(p, 0) + 1
-        counts = self._o_counts
-        counts[o] = counts.get(o, 0) + 1
-        self._size += 1
-        return True
+    def _commit(self, kind: str, touched: Iterable[int],
+                logged: list | None) -> None:
+        """Make one batch that changed the store visible and durable:
+        bump ``generation`` once, give the predicates it *touched* one
+        fresh stamp, and log one *kind* record of *logged*, the term
+        triples it added or removed (``None``: no journal).  Every
+        mutator but ``clear`` commits here; the caller holds the write
+        side and calls only when the batch changed something."""
+        self.generation += 1
+        self._move(touched)
+        journal = self.durability_journal
+        if journal is not None and logged:
+            journal.log(kind, {"triples": logged},
+                        generation=self.generation)
+
+    def _logged(self, keys: Iterable[tuple[int, int, int]]) -> list | None:
+        """Id triples *keys* as a journal record holds them: terms
+        (``None`` when no journal is attached)."""
+        if self.durability_journal is None:
+            return None
+        terms = self.dictionary.terms
+        return [(terms[s], terms[p], terms[o]) for s, p, o in keys]
 
     def add(self, subject: Any, predicate: Any = None,
             obj: Any = None) -> bool:
         """Add a triple; returns False when it was already present.
 
-        Accepts either ``add(Triple(...))`` or ``add(s, p, o)``.
+        Accepts either ``add(Triple(...))`` or ``add(s, p, o)``; a batch
+        of one through :meth:`add_all`'s insertion core.
         """
-        if isinstance(subject, Triple) and predicate is None:
-            triple = subject
-        else:
-            triple = _as_triple(subject, predicate, obj)
-        intern = self.dictionary.intern
-        s, p, o = (intern(triple.subject), intern(triple.predicate),
-                   intern(triple.object))
-        with self.rwlock.write_locked():
-            if not self._add_ids_locked(s, p, o):
-                return False
-            self.generation += 1
-            self._move((p,))
-            if self.durability_journal is not None:
-                self.durability_journal.log(
-                    "add", {"triple": list(triple)},
-                    generation=self.generation)
-            return True
+        if not (isinstance(subject, Triple) and predicate is None):
+            subject = _as_triple(subject, predicate, obj)
+        return self._insert((subject,)) == 1
 
     def add_all(self, triples: Iterable[Triple]) -> int:
-        """Bulk insert: one write-lock acquisition, one generation bump.
+        """Bulk insert: one write-lock acquisition and, when anything
+        was added, one :meth:`_commit` (one ``add_all`` record).
+
+        Returns the number of triples actually added (duplicates both
+        within the batch and against the store are skipped).
+        """
+        return self._insert(triples)
+
+    def _insert(self, triples: Iterable[Triple]) -> int:
+        """The one insertion core, behind ``add``, ``add_all`` and
+        ``update`` (``add`` calls it directly: a batch of one is no bulk
+        load where ``benchmarks/e2e/trace.py`` counts ``add_all`` calls).
 
         The loop is deliberately inlined — interning and the three
         index inserts run on local aliases with the dictionary's intern
         mutex held once for the whole batch, so a bulk load costs a
-        fraction of N ``add()`` calls (the E12 benchmark gates this).
-        Returns the number of triples actually added (duplicates both
-        within the batch and against the store are skipped).
+        fraction of a per-triple path (the E12 benchmark gates this).
         """
         dictionary = self.dictionary
         ids = dictionary._ids
@@ -459,51 +469,21 @@ class TripleStore(_PatternReader):
                                         self._o_counts)
         s_get, p_get, o_get = s_counts.get, p_counts.get, o_counts.get
         full = self.indexing == "full"
-        # On a load into an empty store the per-position counters are
-        # rebuilt from the finished indexes in one C-level post-pass
-        # instead of three dict updates per triple.
-        defer_counts = self._size == 0
         #: The predicates the batch added to (deferred: all of them).
         touched: set[int] = set()
         touched_add = touched.add
         count = 0
-        journal = self.durability_journal
-        #: Journaled batches record exactly the triples that made it
-        #: into the indexes (not the raw input): an iterable that raises
-        #: mid-batch must replay only its applied prefix.
-        added: list | None = [] if journal is not None else None
-
-        def commit() -> None:
-            # Runs in the finally below so size, the counters and the
-            # generation always cover exactly the triples that made it
-            # into the indexes — even when the iterable raises
-            # mid-batch (e.g. an invalid predicate).  Per-triple
-            # mutation itself is atomic: every raising operation in
-            # the loop precedes that triple's first index insert.
-            if not count:
-                return
-            if defer_counts:
-                for s, by_predicate in spo.items():
-                    s_counts[s] = sum(map(len, by_predicate.values()))
-                if full:
-                    for p, by_object in pos.items():
-                        p_counts[p] = sum(map(len, by_object.values()))
-                    for o, by_subject in osp.items():
-                        o_counts[o] = sum(map(len, by_subject.values()))
-                else:
-                    for by_predicate in spo.values():
-                        for p, objects in by_predicate.items():
-                            p_counts[p] = p_get(p, 0) + len(objects)
-                            for o in objects:
-                                o_counts[o] = o_get(o, 0) + 1
-            self._size += count
-            self.generation += 1
-            self._move(p_counts if defer_counts else touched)
-            if added:
-                journal.log("add_all", {"triples": added},
-                            generation=self.generation)
 
         with self.rwlock.write_locked(), dictionary._lock:
+            # On a load into an empty store the per-position counters
+            # are rebuilt by :meth:`_recount` instead of three dict
+            # updates per triple.
+            defer_counts = self._size == 0
+            #: Journaled batches record exactly the triples that made
+            #: it into the indexes (not the raw input): an iterable that
+            #: raises mid-batch must replay only its applied prefix.
+            added: list | None = ([] if self.durability_journal
+                                  is not None else None)
             try:
                 # Terms are validated/coerced only on their *first*
                 # intern (an already-interned term was checked then),
@@ -575,30 +555,46 @@ class TripleStore(_PatternReader):
                     if added is not None:
                         added.append((s_term, p_term, o_term))
             finally:
-                commit()
+                # Size, the counters and the commit cover exactly the
+                # triples that made it into the indexes — also when
+                # the iterable raises mid-batch (e.g. an invalid
+                # predicate).  Per-triple mutation itself is atomic:
+                # every raising operation in the loop precedes that
+                # triple's first index insert.
+                if count:
+                    if defer_counts:
+                        self._recount()
+                        touched = p_counts
+                    self._size += count
+                    self._commit("add_all", touched, added)
         return count
+
+    def _recount(self) -> None:
+        """Rebuild the per-position counters from the indexes in one
+        C-level pass."""
+        s_counts, p_counts, o_counts = (self._s_counts, self._p_counts,
+                                        self._o_counts)
+        for s, by_predicate in self._spo.items():
+            s_counts[s] = sum(map(len, by_predicate.values()))
+        if self.indexing == "full":
+            for p, by_object in self._pos.items():
+                p_counts[p] = sum(map(len, by_object.values()))
+            for o, by_subject in self._osp.items():
+                o_counts[o] = sum(map(len, by_subject.values()))
+            return
+        for by_predicate in self._spo.values():
+            for p, objects in by_predicate.items():
+                p_counts[p] = p_counts.get(p, 0) + len(objects)
+                for o in objects:
+                    o_counts[o] = o_counts.get(o, 0) + 1
 
     def remove(self, subject: Any, predicate: Any = None,
                obj: Any = None) -> bool:
-        """Remove a triple; returns False when it was absent."""
-        if isinstance(subject, Triple) and predicate is None:
-            triple = subject
-        else:
-            triple = _as_triple(subject, predicate, obj)
-        ids = self._encode_pattern(*triple)
-        if ids is None:
-            return False
-        s, p, o = ids
-        with self.rwlock.write_locked():
-            if not self._remove_ids_locked(s, p, o):
-                return False
-            self.generation += 1
-            self._move((p,))
-            if self.durability_journal is not None:
-                self.durability_journal.log(
-                    "remove", {"triple": list(triple)},
-                    generation=self.generation)
-            return True
+        """Remove a triple; returns False when it was absent.  A batch of
+        one through :meth:`remove_all`."""
+        if not (isinstance(subject, Triple) and predicate is None):
+            subject = _as_triple(subject, predicate, obj)
+        return self.remove_all((subject,)) == 1
 
     def _remove_ids_locked(self, s: int, p: int, o: int) -> bool:
         try:
@@ -633,43 +629,38 @@ class TripleStore(_PatternReader):
         self._size -= 1
         return True
 
+    def _remove(self, doomed: Iterable[tuple[int, int, int]]) -> int:
+        """The one removal core: drop each id triple of *doomed* still
+        present and commit them as one ``remove_all`` record.  Caller
+        holds the write side."""
+        removed = [key for key in doomed if self._remove_ids_locked(*key)]
+        if removed:
+            self._commit("remove_all", {p for _s, p, _o in removed},
+                         self._logged(removed))
+        return len(removed)
+
     def remove_pattern(self, subject: TriplePatternArg = None,
                        predicate: TriplePatternArg = None,
                        obj: TriplePatternArg = None) -> int:
         """Remove every triple matching a pattern; returns the count.
 
-        One write-lock acquisition and one generation bump for the
-        whole batch.
+        One write-lock acquisition and one commit for the whole batch,
+        whose record holds the concrete triples removed, not the
+        pattern: an exact replay must not depend on re-evaluating the
+        match against a possibly different dictionary.
         """
         ids = self._encode_pattern(subject, predicate, obj)
         if ids is None:
             return 0
         with self.rwlock.write_locked():
-            doomed = list(self._match_ids(*ids))
-            for s, p, o in doomed:
-                self._remove_ids_locked(s, p, o)
-            if doomed:
-                self.generation += 1
-                self._move({p for _s, p, _o in doomed})
-                if self.durability_journal is not None:
-                    # Record the concrete triples, not the pattern: an
-                    # exact replay must not depend on re-evaluating the
-                    # match against a possibly different dictionary.
-                    terms = self.dictionary.terms
-                    self.durability_journal.log(
-                        "remove_all",
-                        {"triples": [(terms[s], terms[p], terms[o])
-                                     for s, p, o in doomed]},
-                        generation=self.generation)
-            return len(doomed)
+            return self._remove(list(self._match_ids(*ids)))
 
     def remove_all(self, triples: Iterable[Triple]) -> int:
         """Remove a batch of concrete triples; returns the count removed.
 
-        One write-lock acquisition and one generation bump — the batch
-        analogue of :meth:`remove`, and the replay target for the
-        durability layer's ``remove_all`` records (which hold the
-        concrete triples a :meth:`remove_pattern` actually deleted).
+        One write-lock acquisition and one commit — the batch analogue
+        of :meth:`remove`, and the replay target of every ``remove_all``
+        record.
         """
         encoded = []
         for triple in triples:
@@ -678,30 +669,8 @@ class TripleStore(_PatternReader):
             ids = self._encode_pattern(*triple)
             if ids is not None:
                 encoded.append(ids)
-        if not encoded:
-            return 0
-        removed = 0
         with self.rwlock.write_locked():
-            journal = self.durability_journal
-            logged: list | None = [] if journal is not None else None
-            touched = set()
-            for s, p, o in encoded:
-                if self._remove_ids_locked(s, p, o):
-                    removed += 1
-                    touched.add(p)
-                    if logged is not None:
-                        logged.append((s, p, o))
-            if removed:
-                self.generation += 1
-                self._move(touched)
-                if logged:
-                    terms = self.dictionary.terms
-                    journal.log(
-                        "remove_all",
-                        {"triples": [(terms[s], terms[p], terms[o])
-                                     for s, p, o in logged]},
-                        generation=self.generation)
-        return removed
+            return self._remove(encoded)
 
     def clear(self) -> None:
         with self.rwlock.write_locked():
@@ -859,51 +828,25 @@ class TripleStore(_PatternReader):
         return merged
 
     def update(self, other: "TripleStore") -> int:
-        """Bulk-merge *other* into this store (one lock, one generation).
+        """Bulk-merge *other* into this store: one write-lock
+        acquisition and, when anything was added, one commit (one
+        ``add_all`` record).
 
-        When both stores share one dictionary the merge copies raw id
-        tuples without re-interning a single term.
+        An empty store sharing *other*'s dictionary and indexing adopts
+        its index structures wholesale, re-interning no term; any other
+        merge is a snapshot of *other* through the insertion core.
         """
-        if other.dictionary is self.dictionary:
-            count = 0
-            journal = self.durability_journal
-            added: list | None = [] if journal is not None else None
+        if other.dictionary is self.dictionary \
+                and other.indexing == self.indexing:
             # Write side first: ``store.update(store)`` then piggybacks
             # the read acquisition instead of attempting an upgrade.
-            with self.rwlock.write_locked():
-                with other.rwlock.read_locked():
-                    if self._size == 0 and other._size \
-                            and self.indexing == other.indexing:
-                        # Loading a graph into an empty store adopts
-                        # the source's index structures wholesale.
-                        self._adopt_locked(other)
-                        count = self._size
-                        touched = self._p_counts
-                        if added is not None:
-                            added.extend(
-                                self._match_ids(None, None, None))
-                    else:
-                        add_locked = self._add_ids_locked
-                        touched = set()
-                        for s, p, o in list(
-                                other._match_ids(None, None, None)):
-                            if add_locked(s, p, o):
-                                count += 1
-                                touched.add(p)
-                                if added is not None:
-                                    added.append((s, p, o))
-                    if count:
-                        self.generation += 1
-                        self._move(touched)
-                        if added:
-                            terms = self.dictionary.terms
-                            journal.log(
-                                "add_all",
-                                {"triples": [(terms[s], terms[p], terms[o])
-                                             for s, p, o in added]},
-                                generation=self.generation)
-            return count
-        return self.add_all(other.triples())
+            with self.rwlock.write_locked(), other.rwlock.read_locked():
+                if not self._size and other._size:
+                    self._adopt_locked(other)
+                    self._commit("add_all", self._p_counts, self._logged(
+                        self._match_ids(None, None, None)))
+                    return self._size
+        return self._insert(list(other.triples()))
 
 
 class TripleView(_PatternReader):

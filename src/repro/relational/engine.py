@@ -35,6 +35,13 @@ values are (``execute_ast(stmt, params, views)``): the statement
 resolves its name to the view ahead of the catalog's tables, the tree
 reads it through a :class:`~repro.relational.operators.ViewScan`, and
 it is never a catalog table.
+
+Every write — DML, DDL, :meth:`Database.insert_rows`,
+:meth:`Database.bump_generation`, an attached foreign table — commits in
+one place, :meth:`Database.commit_write`: one generation bump and one
+WAL record.  Rows arrive through one ``Table.append_rows`` per
+statement; an ``INSERT ... VALUES`` evaluates all its rows first, so no
+row sees another of the same statement.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ import threading
 import time
 import weakref
 from contextlib import nullcontext
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from ..rwlock import RWLock
 from . import ast
@@ -56,7 +63,7 @@ from .parser import parse_script, parse_sql
 from .render import render_statement
 from .result import Cursor, ResultSet
 from .schema import Column, TableSchema
-from .table import BoundView, Table, table_from_columns
+from .table import BoundView, Table, positional_rows, table_from_columns
 from .types import DataType, null_nans, parse_type_name
 
 #: Shared no-op context for disabled-telemetry span sites.
@@ -271,15 +278,32 @@ class Database:
         """
         return self._generation
 
+    def commit_write(self, kind: str,
+                     record: Callable[[], dict | None]) -> None:
+        """Make one write visible and durable: bump the generation once
+        and log one *kind* record of ``record()`` (none when it returns
+        ``None``; called only while a journal is attached).
+
+        Every write commits here once — DML, DDL, :meth:`insert_rows`,
+        :meth:`bump_generation`, an attached foreign table — also one
+        that failed part-way: its partial mutation is durable state,
+        and over-invalidating a generation-keyed cache is safe where a
+        missed invalidation would serve stale rows.  The caller holds
+        the write side.
+        """
+        self._generation += 1
+        journal = self.durability_journal
+        if journal is not None:
+            data = record()
+            if data is not None:
+                journal.log(kind, data, generation=self._generation)
+
     def bump_generation(self) -> None:
-        """Advance the mutation stamp for an out-of-band data change
-        (e.g. attaching a foreign table): invalidates every
-        generation-keyed cache entry for this database."""
+        """Advance the mutation stamp for an out-of-band data change:
+        invalidates every generation-keyed cache entry for this
+        database."""
         with self.rwlock.write_locked():
-            self._generation += 1
-            if self.durability_journal is not None:
-                self.durability_journal.log(
-                    "bump", {}, generation=self._generation)
+            self.commit_write("bump", dict)
 
     def restore_generation(self, generation: int) -> None:
         """Advance the mutation stamp to at least *generation* (crash
@@ -340,25 +364,9 @@ class Database:
             try:
                 return self._run_mutation(stmt)
             finally:
-                # Bumped even when the statement fails: a multi-row
-                # INSERT that dies mid-way has already mutated data, so
-                # over-invalidating generation-keyed caches is safe
-                # where a missed invalidation would serve stale rows.
-                self._generation += 1
-                # Logged even when the statement fails, for the same
-                # reason: the partial mutation is part of durable
-                # state, and replay re-raises deterministically.
-                journal = self.durability_journal
-                if journal is not None:
-                    try:
-                        sql = render_statement(stmt)
-                    except RelationalError:
-                        # Unexecutable statement kind: _run_mutation
-                        # raised before touching any data.
-                        sql = None
-                    if sql is not None:
-                        journal.log("sql", {"sql": sql},
-                                    generation=self._generation)
+                # Also when the statement fails: replay re-raises it
+                # deterministically after the same partial mutation.
+                self.commit_write("sql", lambda: _sql_record(stmt))
 
     def _run_mutation(self, stmt: ast.Statement) -> int | None:
         if isinstance(stmt, ast.InsertStmt):
@@ -589,7 +597,6 @@ class Database:
         the moment a remote round-trip is acceptable.
         """
         from .errors import CatalogError
-        buckets = self.planner.histogram_buckets
         with self.rwlock.write_locked():
             if table_name is not None:
                 names = [table_name]
@@ -607,7 +614,7 @@ class Database:
                     if table_name is not None:
                         raise
                     continue  # concurrently dropped temp/scratch table
-                collected.append(self.stats.analyze(table, buckets))
+                collected.append(self.stats.analyze(table))
             return collected
 
     def explain(self, target: "str | ast.SelectQuery",
@@ -659,38 +666,44 @@ class Database:
             if not table.schema.has_column(name):
                 raise SchemaError(
                     f"table {table.name!r} has no column {name!r}")
-        count = 0
-        track = self.stats.get(table.name) is not None
-        inserted: list[tuple] = []
-        if stmt.rows is not None:
-            ctx = make_context(self.catalog)
-            for row_exprs in stmt.rows:
-                if len(row_exprs) != len(columns):
+        before = len(table)
+        try:
+            if stmt.rows is not None:
+                # Every row is evaluated before any is stored, so no
+                # VALUES row sees the rows of its own statement.
+                table.append_rows(self._values(stmt.rows, len(columns)),
+                                  stmt.columns)
+            else:
+                root = build_select(stmt.query, self.catalog)
+                if len(root.schema) != len(columns):
                     raise ExecutionError(
-                        f"INSERT expects {len(columns)} values per row, "
-                        f"got {len(row_exprs)}")
-                values = {}
-                for name, expr in zip(columns, row_exprs):
-                    fn = compile_expr(expr, [], ctx)
-                    values[name] = fn(())
-                row_id = table.insert_row(values)
-                if track:
-                    inserted.append(table.row(row_id))
-                count += 1
-        else:
-            root = build_select(stmt.query, self.catalog)
-            if len(root.schema) != len(columns):
-                raise ExecutionError(
-                    f"INSERT ... SELECT expects {len(columns)} columns, "
-                    f"got {len(root.schema)}")
-            before = len(table)
-            table.append_columns(root.collect().cols, columns)
+                        f"INSERT ... SELECT expects {len(columns)} "
+                        f"columns, got {len(root.schema)}")
+                table.append_columns(root.collect().cols, columns)
+        finally:
+            # Also when a row fails: the rows before it are stored.
             count = len(table) - before
-            if track:
-                inserted = table.last_rows(count)
-        if inserted:
-            self.stats.note_inserted(table.name, inserted, table.schema)
+            self._note_inserted(table, count)
         return count
+
+    def _values(self, rows: list, width: int) -> Iterator[tuple]:
+        """The evaluated rows of an ``INSERT ... VALUES``; a row not
+        *width* wide raises when it is reached."""
+        ctx = make_context(self.catalog)
+        for row_exprs in rows:
+            if len(row_exprs) != width:
+                raise ExecutionError(
+                    f"INSERT expects {width} values per row, "
+                    f"got {len(row_exprs)}")
+            yield tuple(compile_expr(expr, [], ctx)(())
+                        for expr in row_exprs)
+
+    def _note_inserted(self, table: Table, count: int) -> None:
+        """Fold the *count* rows last appended to *table* into its
+        statistics, if ANALYZE collected any."""
+        if count and self.stats.get(table.name) is not None:
+            self.stats.note_inserted(table.name, table.last_rows(count),
+                                     table.schema)
 
     def _run_update(self, stmt: ast.UpdateStmt) -> int:
         table = self.catalog.table(stmt.table)
@@ -786,15 +799,11 @@ class Database:
         with self.rwlock.write_locked():
             table = self.catalog.create_table(
                 TableSchema(name, columns), if_not_exists)
-            self._generation += 1
-            if self.durability_journal is not None:
-                # Logged even when IF NOT EXISTS found the table (the
-                # generation moved); replay hits the same no-op.
-                self.durability_journal.log(
-                    "create_table",
-                    {"name": name, "if_not_exists": if_not_exists,
-                     "columns": [col.to_spec() for col in columns]},
-                    generation=self._generation)
+            # Also when IF NOT EXISTS found the table: replay hits the
+            # same no-op.
+            self.commit_write("create_table", lambda: {
+                "name": name, "if_not_exists": if_not_exists,
+                "columns": [col.to_spec() for col in columns]})
             return table
 
     def drop_table(self, name: str, if_exists: bool = False) -> None:
@@ -802,11 +811,8 @@ class Database:
         with self.rwlock.write_locked():
             self.catalog.drop_table(name, if_exists)
             self.stats.forget(name)
-            self._generation += 1
-            if self.durability_journal is not None:
-                self.durability_journal.log(
-                    "drop_table", {"name": name, "if_exists": if_exists},
-                    generation=self._generation)
+            self.commit_write("drop_table", lambda: {
+                "name": name, "if_exists": if_exists})
 
     def create_temp_table(self, name: str, result: ResultSet) -> Table:
         """Materialise *result* as a caller-private temp table named
@@ -842,25 +848,18 @@ class Database:
             table = self.catalog.table(table_name)
             before = len(table)
             try:
-                table.append_rows(_positional(table.schema, rows))
+                table.append_rows(positional_rows(table.schema, rows))
             finally:
                 # Also when a row fails: the rows before it are stored.
                 count = len(table) - before
-                stored = table.last_rows(count) if count else []
-                if stored and self.stats.get(table.name) is not None:
-                    self.stats.note_inserted(table.name, stored,
-                                             table.schema)
-                self._generation += 1
-                if stored and self.durability_journal is not None:
-                    # The *coerced* stored tuples, not the caller's
-                    # dicts: replay must reproduce storage state, not
-                    # re-run coercion on arbitrary caller objects.
-                    self.durability_journal.log(
-                        "rows",
-                        {"table": table.name,
-                         "columns": table.schema.column_names(),
-                         "rows": stored},
-                        generation=self._generation)
+                self._note_inserted(table, count)
+                # The *coerced* stored tuples, not the caller's dicts:
+                # replay must reproduce storage state, not re-run
+                # coercion on arbitrary caller objects.
+                self.commit_write("rows", lambda: {
+                    "table": table.name,
+                    "columns": table.schema.column_names(),
+                    "rows": table.last_rows(count)} if count else None)
             return count
 
     def table(self, name: str) -> Table:
@@ -870,23 +869,13 @@ class Database:
         return self.catalog.table_names()
 
 
-def _positional(schema: TableSchema,
-                rows: Iterable[dict[str, Any]]) -> Iterator[tuple]:
-    """Insert dicts as full positional rows, the way ``insert_row``
-    reads one: an omitted column takes its default (else NULL) and an
-    unknown key is a ``SchemaError`` — raised when that row is reached.
-    """
-    names = schema.column_names()
-    known = set(names)
-    defaults = [column.default if column.has_default else None
-                for column in schema.columns]
-    for row in rows:
-        if not row.keys() <= known:
-            for key in row:
-                if not schema.has_column(key):
-                    raise SchemaError(
-                        f"table {schema.name!r} has no column {key!r}")
-        yield tuple(map(row.get, names, defaults))
+def _sql_record(stmt: ast.Statement) -> dict | None:
+    """A mutation's ``sql`` record (``None`` for a statement kind that
+    cannot be rendered: it raised before touching any data)."""
+    try:
+        return {"sql": render_statement(stmt)}
+    except RelationalError:
+        return None
 
 
 def column(name: str, type_name: str, nullable: bool = True,

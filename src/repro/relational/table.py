@@ -28,7 +28,7 @@ table itself builds no path.
 Writes are columnar too: ``append_rows`` transposes a batch once and
 coerces, constraint-checks, indexes and appends it a column at a time
 (``append_columns`` is the same tail over columns as they come, and
-``insert_row`` over a batch of one), and
+``insert_row`` is ``append_rows`` over a batch of one), and
 ``table_from_columns`` — types inferred per column — is the one loader
 that makes a result a table: a result held as columns is loaded as it
 is, and a producer of rows reaches it through one transpose
@@ -97,6 +97,24 @@ def _transposed(name: str, batch: list, width: int
                             f"got {len(batch[bad])}")
         batch = batch[:bad]
     return (list(zip(*batch)) if batch else [()] * width), len(batch), error
+
+
+def positional_rows(schema: TableSchema,
+                    rows: Iterable[dict[str, Any]]) -> Iterator[tuple]:
+    """Column-name → value dicts as full positional rows: an omitted
+    column takes its default (else NULL) and an unknown key is a
+    ``SchemaError`` — raised when that row is reached."""
+    names = schema.column_names()
+    known = set(names)
+    defaults = [column.default if column.has_default else None
+                for column in schema.columns]
+    for row in rows:
+        if not row.keys() <= known:
+            for key in row:
+                if not schema.has_column(key):
+                    raise SchemaError(
+                        f"table {schema.name!r} has no column {key!r}")
+        yield tuple(map(row.get, names, defaults))
 
 
 class Table:
@@ -196,7 +214,8 @@ class Table:
     # -- constraint helpers --------------------------------------------------
 
     def _check_and_prepare(self, values: dict[str, Any]) -> tuple:
-        """Coerce an insert dict to a full row tuple, enforcing NOT NULL."""
+        """Coerce a full row's column-name → value dict (an updated
+        row) to a row tuple, enforcing NOT NULL."""
         row = []
         for column in self.schema.columns:
             if column.name in values:
@@ -215,13 +234,9 @@ class Table:
     # -- mutation ------------------------------------------------------------
 
     def insert_row(self, values: dict[str, Any]) -> int:
-        """Insert one row given a column-name -> value mapping."""
-        unknown = [key for key in values if not self.schema.has_column(key)]
-        if unknown:
-            raise SchemaError(
-                f"table {self.name!r} has no column {unknown[0]!r}")
-        row = self._check_and_prepare(values)
-        self._store([(value,) for value in row], 1)
+        """Insert one row given a column-name -> value mapping: a
+        one-row :meth:`append_rows`.  Returns its row id."""
+        self.append_rows(positional_rows(self.schema, (values,)))
         return self._next_row_id - 1
 
     def append_rows(self, rows: Iterable[Sequence],
@@ -230,11 +245,12 @@ class Table:
 
         *rows* are positional over *names* (default: every column, in
         schema order); a column left out takes its default, else NULL.
-        Observably ``for row in rows: insert_row(...)``: same stored
+        Observably the rows stored one at a time, in order: same stored
         values, row ids and UNIQUE keys, and when row *k* fails (wrong
         arity, ``TypeMismatchError``, ``ConstraintViolation``, or *rows*
         itself raising) rows ``0..k-1`` are stored before its error
-        propagates.  The work, though, is per column.
+        propagates.  *rows* is drained before any row is stored.  The
+        work, though, is per column.
         """
         batch: list[Sequence] = []
         error = None

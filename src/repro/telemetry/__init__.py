@@ -52,12 +52,9 @@ class Telemetry:
         self.options = options or TelemetryOptions()
         self.metrics = MetricsRegistry(
             default_buckets=self.options.latency_buckets)
-        self.tracer = Tracer(
-            retention=self.options.trace_retention,
-            max_spans=self.options.max_spans_per_trace)
+        self.tracer = Tracer(retention=self.options.trace_retention)
         self.slow_queries = SlowQueryLog(
-            threshold_s=self.options.slow_query_threshold_s,
-            size=self.options.slow_query_log_size)
+            threshold_s=self.options.slow_query_threshold_s)
         # Pre-created hot-path instruments (unlabelled families resolve
         # to their single child, so these are direct references).
         self._query_seconds = self.metrics.histogram(

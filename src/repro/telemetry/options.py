@@ -31,35 +31,24 @@ class TelemetryOptions:
         Root spans whose wall time exceeds this land in the slow-query
         log (with their full span tree and plan).  ``0`` logs every
         query; ``None`` disables the slow-query log.
-    slow_query_log_size
-        Ring-buffer capacity of the slow-query log.
     trace_retention
         How many recent root spans the tracer keeps addressable by
         ``query_id`` (ring buffer; older traces are dropped).
-    max_spans_per_trace
-        Hard cap on spans recorded under one root — guards memory on
-        pathological queries.  Excess spans are counted but not kept.
     latency_buckets
         Upper bounds (seconds) for every latency histogram.
     """
 
     enabled: bool = True
     slow_query_threshold_s: float | None = 0.25
-    slow_query_log_size: int = 64
     trace_retention: int = 128
-    max_spans_per_trace: int = 512
     latency_buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
 
     def __post_init__(self) -> None:
         if self.slow_query_threshold_s is not None \
                 and self.slow_query_threshold_s < 0:
             raise ValueError("slow_query_threshold_s must be >= 0 or None")
-        if self.slow_query_log_size < 1:
-            raise ValueError("slow_query_log_size must be >= 1")
         if self.trace_retention < 1:
             raise ValueError("trace_retention must be >= 1")
-        if self.max_spans_per_trace < 1:
-            raise ValueError("max_spans_per_trace must be >= 1")
         buckets = tuple(float(b) for b in self.latency_buckets)
         if not buckets:
             raise ValueError("latency_buckets must not be empty")

@@ -7,6 +7,9 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+#: Ring-buffer capacity of the slow-query log.
+SLOW_QUERY_LOG_SIZE = 64
+
 
 @dataclass
 class SlowQueryEntry:
@@ -42,7 +45,7 @@ class SlowQueryLog:
     """
 
     def __init__(self, *, threshold_s: float | None = 0.25,
-                 size: int = 64) -> None:
+                 size: int = SLOW_QUERY_LOG_SIZE) -> None:
         self.threshold_s = threshold_s
         self._entries = deque(maxlen=size)
         self._lock = threading.Lock()

@@ -22,6 +22,10 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 
+#: Hard cap on spans recorded under one root — guards memory on
+#: pathological queries.  Excess spans are counted but not kept.
+MAX_SPANS_PER_TRACE = 512
+
 #: The innermost open span for this context, or None outside any query.
 _CURRENT: ContextVar = ContextVar("repro_telemetry_span", default=None)
 
@@ -147,7 +151,7 @@ class Tracer:
     """Builds span trees and keeps recent roots addressable by query id."""
 
     def __init__(self, *, retention: int = 128,
-                 max_spans: int = 512) -> None:
+                 max_spans: int = MAX_SPANS_PER_TRACE) -> None:
         self._retention = retention
         self._max_spans = max_spans
         self._traces = OrderedDict()        # query_id -> root Span

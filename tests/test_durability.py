@@ -30,7 +30,8 @@ from repro.federation import Mediator
 from repro.federation.foreign import (CallableSource, CsvSource,
                                       QuerySource, attach_foreign_table)
 from repro.rdf import IRI, Literal, Namespace, TripleStore, parse_turtle
-from repro.relational import (Database, ResultSet, SchemaError,
+from repro.relational import (ConstraintViolation, Database,
+                              RelationalError, ResultSet, SchemaError,
                               SqlSyntaxError)
 from repro.relational.schema import Column, DataType
 
@@ -578,6 +579,63 @@ def test_store_generations_are_per_store_not_global():
     second.add(SMG.Lead, SMG.dangerLevel, Literal("high"))
     assert second.generation == 1
     assert first.store_id != second.store_id
+
+
+def test_each_database_write_commits_once(tmp_path):
+    """Every write — DML (a multi-row INSERT failing part-way too), DDL,
+    ``insert_rows``, ``bump_generation``, an attached foreign table —
+    moves the generation by exactly one and logs exactly one record,
+    and the log replays to the same state and generation."""
+    directory = str(tmp_path / "dur")
+    manager, db, store = fresh_manager(directory)
+    manager.recover()
+    populate(db)
+    writes = [
+        ("sql", lambda: db.execute(
+            "INSERT INTO landfill VALUES (3, 'c', 1.0), (4, 'd', 2.0)")),
+        ("sql", lambda: db.execute(
+            "INSERT INTO landfill VALUES (5, 'e', 1.0), (1, 'dup', 0.0), "
+            "(6, 'f', 0.0)")),
+        ("sql", lambda: db.execute("UPDATE landfill SET area = 9.0")),
+        ("sql", lambda: db.execute("DELETE FROM landfill WHERE id = 2")),
+        ("sql", lambda: db.execute("CREATE INDEX by_name ON landfill "
+                                   "(name)")),
+        ("sql", lambda: db.execute("CREATE TABLE tmp (v INTEGER)")),
+        ("sql", lambda: db.execute("DROP TABLE tmp")),
+        ("create_table", lambda: db.create_table(
+            "extra", [Column("v", DataType.INTEGER, nullable=False)])),
+        ("rows", lambda: db.insert_rows("extra", [{"v": 1}, {"v": 2}])),
+        ("rows", lambda: db.insert_rows("extra", [{"v": 3}, {"v": None},
+                                                  {"v": 4}])),
+        ("drop_table", lambda: db.drop_table("extra")),
+        ("bump", db.bump_generation),
+        ("attach_foreign", lambda: attach_foreign_table(
+            db, "levels", CsvSource("elem,level\nIron,1\n", "levels"))),
+    ]
+    for kind, write in writes:
+        manager.sync()
+        frames = len(wal_frames(directory))
+        generation = db.generation
+        try:
+            write()
+        except (RelationalError, ConstraintViolation):
+            pass
+        manager.sync()
+        logged = wal_frames(directory)[frames:]
+        assert db.generation == generation + 1, kind
+        assert [(f["t"], f["g"]) for f in logged] == [(kind, db.generation)]
+    # The failed INSERT stored the row before the duplicate key, and the
+    # failed insert_rows the row before the NULL.
+    assert db.query("SELECT id FROM landfill ORDER BY id").rows == [
+        (1,), (3,), (4,), (5,)]
+    expected, generation = digests(db, store), db.generation
+    manager.close()
+
+    manager2, db2, store2 = fresh_manager(directory)
+    manager2.recover()
+    assert digests(db2, store2) == expected
+    assert db2.generation == generation
+    manager2.close()
 
 
 def test_recovered_generations_match_exactly(tmp_path):

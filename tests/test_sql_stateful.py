@@ -3,7 +3,8 @@
 A :class:`hypothesis.stateful.RuleBasedStateMachine` drives one
 :class:`~repro.relational.Database` holding ``t (id, i INTEGER, r REAL,
 s TEXT, b BOOLEAN)`` and a key table ``u``: rows are inserted one at a
-time and many at once, updated (the column a read probes, or another),
+time and many at once (also by a multi-row ``INSERT ... VALUES`` whose
+rows count the table), updated (the column a read probes, or another),
 deleted a few at a time or past the compaction threshold (more than
 ``COMPACT_MIN_DELETED`` dead slots and over a quarter of the table),
 truncated; hash, ``USING sorted`` and ``UNIQUE`` indexes are created and
@@ -177,6 +178,20 @@ class PlainSqlModel(RuleBasedStateMachine):
     @rule(data=st.data(), count=st.integers(2, 120))
     def insert_many(self, data, count):
         self._insert(data, count)
+
+    @rule(count=st.integers(1, 3))
+    def insert_counting(self, count):
+        """A multi-row INSERT ... VALUES whose rows read the table: each
+        row sees the table as it was before the statement."""
+        first, self.next_id = self.next_id, self.next_id + count
+        sql = "INSERT INTO t (id, i) VALUES " + ", ".join(
+            f"({row_id}, (SELECT COUNT(*) FROM t))"
+            for row_id in range(first, self.next_id))
+        for database in (self.db, self.model):
+            database.execute(sql)
+        read = f"SELECT id, i FROM t WHERE id >= {first}"
+        assert sorted(self.db.query(read).rows) \
+            == sorted(self.model.execute(read).fetchall())
 
     @rule(data=st.data(), column=st.sampled_from(COLUMNS[1:]))
     def update(self, data, column):

@@ -123,6 +123,21 @@ def test_the_pinned_cases_agree_with_sqlite(generic_kernels, sql, expected):
         assert db.query(sql).rows == expected
 
 
+def test_a_values_row_does_not_see_its_own_statement():
+    """Every row of an ``INSERT ... VALUES`` is evaluated before any is
+    stored, so a scalar subquery in a later row reads the table as it
+    was before the statement, as in SQLite."""
+    insert = ("INSERT INTO a (k) VALUES ((SELECT COUNT(*) FROM a)), "
+              "((SELECT COUNT(*) FROM a))")
+    db, oracle = load([], [])
+    oracle.execute(insert)
+    expected = oracle.execute("SELECT k FROM a ORDER BY k").fetchall()
+    oracle.close()
+    assert expected == [(0,), (0,)]
+    db.execute(insert)
+    assert db.query("SELECT k FROM a ORDER BY k").rows == expected
+
+
 @pytest.mark.parametrize("having", [
     # The operand of a subquery predicate is a HAVING expression like
     # any other: an aggregate, a group key, an expression over both.
