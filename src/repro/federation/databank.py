@@ -55,7 +55,7 @@ class MediatedDatabank(Database):
         self.session.attach_telemetry(telemetry)
 
     def refresh(self, views: list[str] | None = None) -> None:
-        """Drop held view materializations (see MediatorSession)."""
+        """Retire held views (see ``MediatorSession.refresh``)."""
         self.session.refresh(views)
 
     # -- query paths: ship, then run locally with the views bound --------

@@ -16,15 +16,22 @@ this module gives the mediator a bounded worker pool that dispatches
   ``retry`` (re-dispatch with capped exponential backoff, escalating to
   a failure when the attempts are exhausted);
 * a **fragment-result cache** keyed ``(source, fragment SQL, values,
-  source data generation)`` — the SQL is the statement the source runs
-  rendered with its ``?`` as written (a job ships it parsed, with the
-  values), the values are the ones its ``?`` read, in text order and
-  type-tagged (``1``, ``1.0`` and ``TRUE`` are three keys), the
-  generation is the source database's cheap mutation stamp, so
-  repeated ships of unchanged sources are free and any DML/DDL on the
-  source invalidates its entries by construction.  Fragments touching
-  foreign tables are never cached: their remote content can change
-  without moving the local stamp.
+  state)`` — the SQL is the statement the source runs rendered with
+  its ``?`` as written (a job ships it parsed, with the values), the
+  values are the ones its ``?`` read, in text order and type-tagged
+  (``1``, ``1.0`` and ``TRUE`` are three keys), and the state is what
+  the fragment reads of the source: the database's floor
+  (``Database.floor``, moved by an out-of-band change) and the state of
+  each table it reads (``Table.state``: a stamp every write but an
+  append moves, a new table a fresh one, and the slot count an append
+  moves).  So repeated ships over unchanged tables are free, any write
+  to a table the fragment reads invalidates its entries by
+  construction, and a write to another table of the source leaves them
+  valid.  Fragments touching foreign tables are never cached: their
+  remote content can change without moving anything local.  A
+  :class:`FragmentResult` carries the state its rows were read at, so
+  a held view can tell that a source only appended since
+  (``MediatorSession.refresh``).
 """
 
 from __future__ import annotations
@@ -145,8 +152,9 @@ class FragmentJob:
     database: Database
     #: ``statement`` as text, its ``?`` as written: the cache key's.
     sql: str
-    #: Safe for the generation-keyed cache (no foreign tables etc.).
-    cacheable: bool = False
+    #: The tables the fragment reads when each is a heap table of the
+    #: source: what the cache keys on (None: never cached).
+    tables: tuple | None = None
     #: What the source runs, unparsed: the fragment's memoised parse or
     #: the statement a pushed filter was composed into, once per
     #: template (None: no SELECT).
@@ -158,6 +166,14 @@ class FragmentJob:
     #: in text order, each with its type.
     tags: tuple = ()
     _text: str | None = field(default=None, init=False, repr=False)
+
+    def state(self) -> tuple | None:
+        """What the fragment reads of the source now: its floor and each
+        table's state (None when it reads a table of another kind)."""
+        if self.tables is None:
+            return None
+        return (self.database.floor,
+                *[table.state for table in self.tables])
 
     def rendered(self) -> str:
         """The SQL the source ran: ``sql`` with the values bound."""
@@ -178,6 +194,8 @@ class FragmentResult:
     attempts: int = 1                 # source executions (0 = cache hit)
     elapsed_s: float = 0.0
     cached: bool = False
+    #: The job's state (:meth:`FragmentJob.state`) the rows were read at.
+    state: tuple | None = None
 
     @property
     def skipped(self) -> bool:
@@ -198,12 +216,12 @@ class _FragmentFailed(Exception):
 class FragmentCache(LRUCache):
     """Thread-safe LRU of fragment results.
 
-    Keys are ``(source name, fragment SQL, values, source
-    generation)``: a mutated source carries a new generation, so its
-    stale entries are simply never looked up again and age out of the
-    LRU.  The LRU itself is the session layer's
-    :class:`~repro.api.cache.LRUCache`; this subclass only adds the lock
-    worker threads need to probe and fill it concurrently.  An entry is the source's result unchanged —
+    Keys are ``(source name, fragment SQL, values, state)``: a write to
+    a table the fragment reads moves the state, so its stale entries
+    are simply never looked up again and age out of the LRU.  The LRU
+    itself is the session layer's :class:`~repro.api.cache.LRUCache`;
+    this subclass only adds the lock worker threads need to probe and
+    fill it concurrently.  An entry is the source's result unchanged —
     columns, as the source's scan produced them — marked shared
     (:meth:`ResultSet.share`), so rows a reader derives from it are not
     kept on it (an entry keeps one form), and without its plan: an
@@ -263,7 +281,7 @@ class FederationExecutor:
             "Fragments skipped under the skip policy", labels=("source",))
         self._tm_cache_hits = metrics.counter(
             "repro_federation_cache_hits_total",
-            "Fragments served from the generation-keyed cache",
+            "Fragments served from the fragment-result cache",
             labels=("source",))
         self._tm_rows = metrics.counter(
             "repro_federation_rows_total",
@@ -343,15 +361,17 @@ class FederationExecutor:
             f"failed after {failed.attempts} attempt(s): {failed.cause}")
 
     def _probe_cache(self, job: FragmentJob) -> FragmentResult | None:
-        if not (job.cacheable and self.options.fragment_cache_size > 0):
+        if job.tables is None or self.options.fragment_cache_size <= 0:
             return None
         started = time.perf_counter()
-        cached = self.cache.get(_cache_key(job))
+        state = job.state()
+        cached = self.cache.get(_cache_key(job, state))
         if cached is None:
             return None
         return FragmentResult(
             job, cached, attempts=0,
-            elapsed_s=time.perf_counter() - started, cached=True)
+            elapsed_s=time.perf_counter() - started, cached=True,
+            state=state)
 
     def _run_job(self, job: FragmentJob) -> FragmentResult:
         """Execute one fragment, instrumented when telemetry is on."""
@@ -382,15 +402,13 @@ class FederationExecutor:
         """Execute one fragment under its source's policy.
 
         The cache was already probed inline by :meth:`ship`; a
-        successful cacheable result is published under the generation
-        read here, *before* executing — a concurrent write moves the
-        stamp forward, so later lookups (always on the current stamp)
-        can never hit a pre-write entry.
+        successful cacheable result is published under the state read
+        here, *before* executing — a concurrent write moves it forward,
+        so later lookups (always on the current state) can never hit a
+        pre-write entry.
         """
         started = time.perf_counter()
-        use_cache = job.cacheable and self.options.fragment_cache_size > 0
-        if use_cache:
-            key = _cache_key(job)
+        state = job.state()
         target = job.sql if job.statement is None else job.statement
         policy = self.options.policy_for(job.source)
         outcome = run_with_policy(
@@ -408,12 +426,12 @@ class FederationExecutor:
             raise _FragmentFailed(job, outcome.exception,
                                   outcome.attempts) from outcome.exception
         result = outcome.result
-        if use_cache:
-            self.cache.put(key, result)
+        if state is not None and self.options.fragment_cache_size > 0:
+            self.cache.put(_cache_key(job, state), result)
         return FragmentResult(
             job, result, attempts=outcome.attempts,
-            elapsed_s=time.perf_counter() - started)
+            elapsed_s=time.perf_counter() - started, state=state)
 
 
-def _cache_key(job: FragmentJob) -> tuple:
-    return job.source, job.sql, job.tags, job.database.generation
+def _cache_key(job: FragmentJob, state: tuple) -> tuple:
+    return job.source, job.sql, job.tags, state

@@ -41,7 +41,8 @@ values.
 
 :class:`~repro.federation.FederationOptions` configures the pool width,
 per-source failure policies (``fail`` / ``skip`` / ``retry``) and the
-generation-keyed fragment-result cache.  ``MediationReport`` exposes the
+fragment-result cache, keyed on the state of the tables each fragment
+reads.  ``MediationReport`` exposes the
 decomposition — including per-source timings, retries and skips — so
 tests and benchmarks can check who was asked for what and what it cost.
 """
@@ -62,6 +63,7 @@ from ..planner.rewrite import (binding_of, compose_filter,
                                null_safe_bindings, query_output_columns,
                                referenced_bindings)
 from ..relational import ast as sql_ast
+from ..relational.aggregates import contains_aggregate
 from ..relational.catalog import check_table_name
 from ..relational.compiler import CompileContext, compile_expr
 from ..relational.engine import Database
@@ -129,7 +131,7 @@ class MediationReport:
     skipped_sources: list[str] = field(default_factory=list)
     #: Last error text per failing source (skip policy).
     source_errors: dict[str, str] = field(default_factory=dict)
-    #: Fragments served from the generation-keyed result cache.
+    #: Fragments served from the fragment-result cache.
     fragment_cache_hits: int = 0
     #: Warn-level notes (e.g. fragment column renames).
     warnings: list[str] = field(default_factory=list)
@@ -151,7 +153,8 @@ class Mediator:
         #: Parallel-shipping configuration, shared by all sessions.
         self.options = options or FederationOptions()
         #: Fragment-result cache, shared across sessions (entries are
-        #: keyed on the source's generation stamp, so sharing is safe).
+        #: keyed on the state of the tables they read, so sharing is
+        #: safe).
         self.fragment_cache = FragmentCache(self.options.fragment_cache_size)
         self.executor = FederationExecutor(self.options,
                                            self.fragment_cache)
@@ -350,7 +353,8 @@ class Mediator:
 
         *options* overrides the mediator-wide shipping configuration
         for this session only (the fragment cache stays shared — its
-        entries are generation-keyed, so they are valid for everyone).
+        entries are keyed on what they read, so they are valid for
+        everyone).
         """
         return MediatorSession(self, options)
 
@@ -390,30 +394,34 @@ class Mediator:
                         if statement is not None and conjuncts else None)
             fragments.append(_Fragment(
                 index, fragment, database,
-                self._fragment_cacheable(database, statement),
+                self._fragment_tables(database, statement),
                 statement, composed))
         return fragments
 
     @staticmethod
-    def _fragment_cacheable(database: Database,
-                            statement: sql_ast.SelectQuery | None) -> bool:
-        """Whether the generation stamp fully covers the fragment.
+    def _fragment_tables(database: Database,
+                         statement: sql_ast.SelectQuery | None
+                         ) -> tuple[Table, ...] | None:
+        """The tables the fragment reads, when their states and the
+        source's floor fully cover it (the cache keys on them); else
+        ``None``.
 
         Every referenced table must be a regular heap table of the
         source: a foreign table's remote content can change without
-        moving the local stamp, so such fragments always re-execute.
-        Decided when the fragment is prepared, which is again after any
-        DDL on the source (:meth:`_stamp`): DDL can swap a heap table
-        for a foreign one between ships.
+        moving anything local, so such fragments always re-execute.
+        Resolved when the fragment is prepared, which is again after any
+        DDL on the source (:meth:`_stamp`): DDL can swap a table for
+        another, or a heap table for a foreign one, between ships.
         """
         if statement is None:
-            return False
-        for name in sql_ast.referenced_tables(statement):
-            if not database.catalog.has_table(name):
-                return False
-            if not isinstance(database.catalog.table(name), Table):
-                return False
-        return True
+            return None
+        tables = []
+        for name in sorted(sql_ast.referenced_tables(statement)):
+            table = database.catalog.get(name)
+            if not isinstance(table, Table):
+                return None
+            tables.append(table)
+        return tuple(tables)
 
     def _assemble_view(self, view: GlobalView,
                        results: list[FragmentResult],
@@ -607,17 +615,17 @@ class _Fragment:
     the run composes as an ad hoc statement would: its values bound
     and folded into a statement of its own."""
 
-    __slots__ = ("index", "source", "database", "cacheable", "columns",
+    __slots__ = ("index", "source", "database", "tables", "columns",
                  "void", "lean", "guards", "binds", "composed")
 
     def __init__(self, index: int, fragment: ViewFragment,
-                 database: Database, cacheable: bool,
+                 database: Database, tables: tuple[Table, ...] | None,
                  statement: sql_ast.SelectQuery | None,
                  composed: sql_ast.SelectQuery | None) -> None:
         self.index = index
         self.source = fragment.source
         self.database = database
-        self.cacheable = cacheable
+        self.tables = tables
         self.columns: list[str] = []
         #: Eliminated whatever the values: the WHERE folded already.
         self.void = False
@@ -662,7 +670,7 @@ class _Fragment:
             variant = judged or variant
         return FragmentJob(
             view_name, self.index, self.source, self.database, variant.sql,
-            cacheable=self.cacheable, statement=variant.statement,
+            tables=self.tables, statement=variant.statement,
             values=values[:variant.arity] if variant.prepared else None,
             tags=tuple((type(values[index]), values[index])
                        for index in variant.order)), ships
@@ -720,6 +728,106 @@ class _ShipTemplate:
             for conjunct in self.pushable[view_name])
 
 
+def _appends_only(statement: sql_ast.SelectQuery | None) -> bool:
+    """Whether *statement* is a projection of one table, with at most a
+    WHERE over that table's own columns: then its rows over the table
+    with rows appended are its rows before, then its rows of the
+    appended rows, in table order."""
+    if statement is None or statement.is_compound or statement.order_by \
+            or statement.limit is not None or statement.offset is not None:
+        return False
+    core = statement.core
+    if core.distinct or core.group_by or core.having is not None \
+            or not isinstance(core.from_clause, sql_ast.TableRef):
+        return False
+    exprs = [item.expr for item in core.items]
+    if core.where is not None:
+        exprs.append(core.where)
+    return not any(
+        contains_aggregate(expr) or any(
+            isinstance(node, (sql_ast.InSubquery, sql_ast.Exists,
+                              sql_ast.ScalarSubquery))
+            for node in sql_ast.walk_expr(expr))
+        for expr in exprs)
+
+
+class _Held(NamedTuple):
+    """A held ``union_all`` view of one-table projections and what it
+    was assembled from, in fragment order: what its next full ship after
+    a ``refresh`` needs to grow it instead of assembling it afresh
+    (:meth:`grown`)."""
+
+    view: BoundView
+    #: The mediator's stamp (view definitions, source catalogs) then.
+    stamp: tuple
+    #: Per fragment: the state its rows were read at, how many rows it
+    #: gave, and their types.
+    states: list[tuple]
+    lengths: list[int]
+    kinds: list[list[set[type]]]
+    #: The report warnings the assembly made.
+    warnings: list[str]
+    #: Whether the view's lists are its own, not a cached fragment's.
+    owned: bool
+
+    @classmethod
+    def of(cls, mediator: Mediator, view: GlobalView, assembled: BoundView,
+           results: list[FragmentResult], stamp: tuple,
+           warnings: list[str]) -> "_Held | None":
+        """The record of *view*, assembled from *results*, or ``None``
+        when no later ship could grow it."""
+        if view.reconciliation != "union_all" \
+                or any(outcome.state is None for outcome in results) \
+                or not all(_appends_only(mediator._fragment_statement(
+                    fragment.sql)) for fragment in view.fragments):
+            return None
+        return cls(assembled, stamp, [outcome.state for outcome in results],
+                   [len(outcome.result) for outcome in results],
+                   [outcome.result.value_types() for outcome in results],
+                   warnings, len(results) > 1)
+
+    def grown(self, stamp: tuple,
+              results: list[FragmentResult]) -> "_Held | None":
+        """The record of this view grown by the rows *results* — a full
+        ship of it under *stamp* — hold past the ones it was assembled
+        from: this view itself when none do.  ``None`` when the ship may
+        hold anything else: a view or catalog changed, a table the
+        fragments read had a write other than an append or the floor
+        moved, or a fragment's rows are of other types.
+
+        The view grows in place: each fragment's new rows, in fragment
+        order, are appended to the view's lists (copied once when they
+        are a cached fragment's) and merged into its lookups
+        (``BoundView.grown``)."""
+        if stamp != self.stamp:
+            return None
+        lengths = []
+        for outcome, state, length, kinds in zip(results, self.states,
+                                                 self.lengths, self.kinds):
+            now = outcome.state
+            if now is None or now[0] != state[0] \
+                    or len(outcome.result) < length \
+                    or any(moved != was or slots < had for (moved, slots),
+                           (was, had) in zip(now[1:], state[1:])) \
+                    or outcome.result.value_types() != kinds:
+                return None
+            lengths.append(len(outcome.result))
+        if lengths == self.lengths:
+            return self
+        view = self.view
+        cols = view.cols if self.owned \
+            else [column[:len(view)] for column in view.cols]
+        more: list[list] = [[] for _ in cols]
+        for outcome, length in zip(results, self.lengths):
+            if len(outcome.result) > length:
+                for column, values in zip(more, outcome.result.cols):
+                    column.extend(values[length:])
+        return self._replace(
+            view=view.grown(cols, more),
+            states=[outcome.state for outcome in results],
+            lengths=lengths, owned=True)
+
+
 def _forget_ship_template(session_ref: weakref.ref, key: int) -> None:
     """A statement is gone: so are its ship templates."""
     session = session_ref()
@@ -749,12 +857,14 @@ class MediatorSession:
     snapshot semantics), a session holds each view it shipped in full
     and binds the held copy into later queries: the first query touching
     view V ships V's sub-queries, later ones read the held copy.
-    ``refresh()`` drops them to pick up source-side changes (or
-    redefined views).  A view shipped with a filter pushed into it, or
+    ``refresh()`` retires them to pick up source-side changes (or
+    redefined views): the queries after it ship afresh, and the next
+    full ship of a retired view may grow it instead of assembling it
+    (:meth:`refresh`).  A view shipped with a filter pushed into it, or
     with a source skipped, is partial: it is bound to its own run only.
     A held view is probed: a ``col = ?`` or ``col IN (subquery)`` over
     it reads a lookup built once per view and column
-    (``BoundView.hold``), dropped with it.
+    (``BoundView.hold``), kept up as the view grows and dropped with it.
 
     The statements run in a local database — the session's own, or the
     :class:`~repro.federation.MediatedDatabank` it serves — with the
@@ -767,7 +877,7 @@ class MediatorSession:
                  scratch: Database | None = None) -> None:
         self.mediator = mediator
         #: Session-level shipping override; the fragment cache stays the
-        #: mediator-wide, generation-keyed one — unless that shared
+        #: mediator-wide, state-keyed one — unless that shared
         #: cache cannot hold entries (mediator configured with caching
         #: off) while this session asks for caching, in which case the
         #: session gets a private cache rather than a silently dead one.
@@ -786,6 +896,10 @@ class MediatorSession:
             else Database("mediator-session")
         #: The views shipped in full, held for later queries.
         self._materialized: dict[str, BoundView] = {}
+        #: What a held view, and a retired one (by ``refresh``, until
+        #: its next full ship), was assembled from, if it can grow.
+        self._held: dict[str, _Held] = {}
+        self._retired: dict[str, _Held] = {}
         #: Warn-level notes recorded at each view's first
         #: materialization, re-emitted on every cached hit — a consumer
         #: seeing the warm path still learns about fragment renames.
@@ -867,6 +981,7 @@ class MediatorSession:
         statement lives (and the mediator's *stamp* holds)."""
         if stamp != self._templates_stamp:
             self._ship_templates.clear()
+            self._retired.clear()
             self._templates_stamp = stamp
         key = id(statement)
         variants = self._ship_templates.get(key)
@@ -957,7 +1072,9 @@ class MediatorSession:
         report reads exactly as the serial shipping of earlier
         revisions, only faster.  A view shipped in full is held for
         later queries; a partial one (a pushed filter, a skipped source)
-        is this run's alone.
+        is this run's alone.  A full ship of a view ``refresh`` retired
+        grows the retired view when its sources only appended
+        (:meth:`_Held.grown`), and assembles it afresh otherwise.
         """
         report.view_costs.update(plan.costs)
         bound: dict[str, BoundView] = {}
@@ -991,22 +1108,37 @@ class MediatorSession:
                    if outcome.job.view == view_name],
                 key=lambda outcome: outcome.job.index)
             Mediator._fold_results(report, results)
-            warn_start = len(report.warnings)
-            bound[view_name] = assembled = self.mediator._assemble_view(
-                view, results, report)
             self.misses += 1
             filter_sql = plan.pushable.get(view_name)
+            # Only a full view is held: a skip-reduced one would keep
+            # serving the dropped source's absence (with clean reports)
+            # long after the source recovered.
+            full = filter_sql is None and all(
+                outcome.result is not None for outcome in results)
+            retired = self._retired.pop(view_name, None) if full else None
+            held = retired and retired.grown(self._templates_stamp, results)
+            if held is not None:
+                assembled, warnings = held.view, held.warnings
+                report.warnings.extend(warnings)
+            else:
+                warn_start = len(report.warnings)
+                assembled = self.mediator._assemble_view(view, results,
+                                                         report)
+                warnings = report.warnings[warn_start:]
+                if full:
+                    held = _Held.of(self.mediator, view, assembled, results,
+                                    self._templates_stamp, warnings)
+            bound[view_name] = assembled
             if filter_sql is not None:
                 report.pushed_filters[view_name] = filter_sql
-            elif all(outcome.result is not None for outcome in results):
-                # Only a full view is held: a skip-reduced one would
-                # keep serving the dropped source's absence (with clean
-                # reports) long after the source recovered.  A held
-                # view is probed (its lookups live as long as it does).
+            elif full:
+                # A held view is probed (its lookups live as long as it
+                # and the views grown from it do).
                 assembled.hold()
                 self._materialized[view_name] = assembled
-                self._view_warnings[view_name] = \
-                    report.warnings[warn_start:]
+                self._view_warnings[view_name] = warnings
+                if held is not None:
+                    self._held[view_name] = held
             report.view_rows[view_name] = len(assembled)
         return bound
 
@@ -1015,11 +1147,31 @@ class MediatorSession:
         return self.execute(sql)[0]
 
     def refresh(self, views: list[str] | None = None) -> None:
-        """Drop held materializations (all views when none given)."""
+        """Retire held materializations (all views when none given): the
+        queries after it ship the views afresh, as if never held.
+
+        A retired view is kept for its next full ship, which grows it
+        instead of assembling it when it is a ``union_all`` of
+        projections of one table each (a WHERE over that table's own
+        columns allowed), each of those tables only had rows appended
+        (same floor, same stamp, more slots: ``Table.state``) and every
+        fragment's rows are of the types they were: each fragment's new
+        rows are appended to the view in fragment order (and to its
+        lookups), or, none being new, the retired view is held again.
+        So a grown view holds each fragment's new rows after all the
+        rows it had, where a fresh ship would put them after that
+        fragment's own rows: the same multiset in another order.  It
+        grows in place; a run over the retired view reads only its own
+        rows (``BoundView.length``).  Anything else assembles afresh.
+        Retired views are dropped once ``define_view`` or DDL on a
+        source moves the mediator's stamp, and by :meth:`close`."""
         doomed = list(self._materialized) if views is None else views
         for view_name in doomed:
             if self._materialized.pop(view_name, None) is not None:
                 self._view_warnings.pop(view_name, None)
+                held = self._held.pop(view_name, None)
+                if held is not None:
+                    self._retired[view_name] = held
 
     def explain(self, sql: str, pushdown: bool = True) -> "QueryPlan":
         """The mediation plan — pruned views, cost-ranked per-source
@@ -1088,6 +1240,7 @@ class MediatorSession:
 
     def close(self) -> None:
         self.refresh()
+        self._retired.clear()
 
 
 def _parse_select(sql: str, refusal: str) -> sql_ast.SelectQuery:

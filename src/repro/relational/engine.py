@@ -63,7 +63,8 @@ from .parser import parse_script, parse_sql
 from .render import render_statement
 from .result import Cursor, ResultSet
 from .schema import Column, TableSchema
-from .table import BoundView, Table, positional_rows, table_from_columns
+from .table import (BoundView, Table, new_stamp, positional_rows,
+                    table_from_columns)
 from .types import DataType, null_nans, parse_type_name
 
 #: Shared no-op context for disabled-telemetry span sites.
@@ -192,6 +193,7 @@ class Database:
         #: are exclusive.
         self.rwlock = RWLock()
         self._generation = 0
+        self._floor = new_stamp()
         #: Durability hook (duck-typed): when a
         #: :class:`repro.durability.DurabilityManager` attaches this
         #: database, every durable mutation is logged here.  ANALYZE
@@ -273,10 +275,23 @@ class Database:
         per bulk helper) under the write lock, so any observable data
         change moves it forward.  ANALYZE and the lock-free SESQL
         temp-table injection leave it unchanged — neither alters what a
-        query against the durable schema can see.  The federation layer
-        keys its fragment-result cache on ``(source, SQL, generation)``.
+        query against the durable schema can see.  The WAL and a
+        replica's consistency check carry it, and the mediator's view
+        cost memo keys on it; the fragment-result cache keys on the
+        :attr:`floor` and the states of the tables a fragment reads
+        instead, so a write to one table leaves the others' entries
+        valid.
         """
         return self._generation
+
+    @property
+    def floor(self) -> int:
+        """The stamp of a change no table's state describes: moved by
+        :meth:`bump_generation`, :meth:`restore_generation` and
+        :meth:`pin_generation`, from the process-wide counter that
+        table stamps draw from — never the generation itself, which a
+        pin may move back — so a value it had never comes back."""
+        return self._floor
 
     def commit_write(self, kind: str,
                      record: Callable[[], dict | None]) -> None:
@@ -299,16 +314,19 @@ class Database:
                 journal.log(kind, data, generation=self._generation)
 
     def bump_generation(self) -> None:
-        """Advance the mutation stamp for an out-of-band data change:
-        invalidates every generation-keyed cache entry for this
-        database."""
+        """Advance the mutation stamp and the :attr:`floor` for an
+        out-of-band data change: invalidates every cache entry keyed on
+        either for this database."""
         with self.rwlock.write_locked():
+            self._floor = new_stamp()
             self.commit_write("bump", dict)
 
     def restore_generation(self, generation: int) -> None:
-        """Advance the mutation stamp to at least *generation* (crash
-        recovery: caches must stay monotonic across a restart)."""
+        """Advance the mutation stamp to at least *generation*, and move
+        the :attr:`floor` (crash recovery: caches must stay monotonic
+        across a restart)."""
         with self.rwlock.write_locked():
+            self._floor = new_stamp()
             self._generation = max(self._generation, generation)
 
     def pin_generation(self, generation: int) -> None:
@@ -318,9 +336,11 @@ class Database:
         tailing the WAL) drives the normal mutation paths, whose
         incidental bumps may overshoot the recorded counter; pinning
         afterwards keeps the stamp byte-identical to the primary's, so
-        generation equality really means "same data".
+        generation equality really means "same data".  The
+        :attr:`floor` moves, as the generation may have moved back.
         """
         with self.rwlock.write_locked():
+            self._floor = new_stamp()
             self._generation = generation
 
     # -- SQL entry points ---------------------------------------------------

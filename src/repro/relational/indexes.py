@@ -14,7 +14,9 @@ declared indexes:
   up by every write: an append adds its new slots, a DELETE takes one
   slot out of its bucket and an UPDATE moves it to its new value's
   bucket (both by bisect); a compaction, which renumbers the slots, and
-  a truncate drop it;
+  a truncate drop it.  A held view's takes the rows of a view grown
+  from it, which shares it, and a probe reads only the slots below its
+  own view's length;
 * **a table column's sorted path** (:class:`SortedColumn`) answers its
   ranges: built by the first range read over it, merged into by an
   append and dropped by any other write.
@@ -239,8 +241,14 @@ class ColumnPaths:
         if lookup is None:
             return None
         # Each key's slots are an ascending run, disjoint from the others.
+        # A view's are cut at its length, and so copied: a view grown
+        # from it shares the lookup and appends to the buckets, before
+        # or while a run reads them.
+        view = self.schema is None
         count, buckets = 0, []
         for bucket in filter(None, map(lookup.get, keys)):
+            if view:
+                bucket = bucket[:bisect.bisect_left(bucket, relation.length)]
             count += len(bucket)
             if count >= limit:
                 return None

@@ -459,12 +459,16 @@ class ViewScan(_Access):
     ``?`` is: the tree is built over the view's schema and size, and
     each run reads the columns its slots hold under the *name* the
     statement reads it by when it starts, chunked at ``BATCH_SIZE``.
-    The bound lists are never written (a cached fragment's columns are
-    shared); a whole run is a copy.
+    It reads only the view's first ``length`` rows: the lists may run on
+    past them, appended to by a view grown from it (``BoundView.grown``)
+    after the run began, and a run never sees those rows.  The bound
+    lists are never written (a cached fragment's columns are shared); a
+    whole run is a copy.
 
     Whichever view a run binds, its column-path store answers ``=`` and
     ``in`` paths once the view is held for many runs
-    (``BoundView.hold``), and no range.
+    (``BoundView.hold``), and no range; a path names only slots below
+    the view's length.
     """
 
     def __init__(self, view, slots, name: str, binding: str, label: str,
@@ -476,8 +480,9 @@ class ViewScan(_Access):
         self.slots = slots
         self.vectorized = True
 
-    def _bound(self) -> list[list]:
-        return self.slots.views[self.name].cols
+    def _bound(self) -> tuple[list[list], int]:
+        view = self.slots.views[self.name]
+        return view.cols, len(view)
 
     def _view(self):
         views = self.slots.views
@@ -493,26 +498,28 @@ class ViewScan(_Access):
         return op not in RANGES
 
     def collect(self, outer_rows: Rows = ()) -> Batch:
-        cols = self._bound()
+        cols, length = self._bound()
         row_ids = self._row_ids(outer_rows)
         if row_ids is None:
-            return self._ran(Batch(list(map(list, cols))))
-        return self._ran(take([(Batch(list(cols)), row_ids, len(cols))],
-                              len(row_ids)))
+            return self._ran(Batch([column[:length] for column in cols],
+                                   length))
+        return self._ran(take([(Batch(list(cols), length), row_ids,
+                                len(cols))], len(row_ids)))
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
-        cols = self._bound()
+        cols, length = self._bound()
         row_ids = self._row_ids(outer_rows)
         if row_ids is not None:
-            for batch in pieces(Batch(list(cols)), row_ids):
+            for batch in pieces(Batch(list(cols), length), row_ids):
                 self._observe(len(batch))
                 yield batch
             return
         size = _batch.BATCH_SIZE
-        for start in range(0, len(cols[0]), size):
-            chunk = [column[start:start + size] for column in cols]
-            self._observe(len(chunk[0]))
-            yield Batch(cols=chunk)
+        for start in range(0, length, size):
+            stop = min(start + size, length)
+            chunk = [column[start:stop] for column in cols]
+            self._observe(stop - start)
+            yield Batch(chunk, stop - start)
 
 
 class IndexProbe(Operator):

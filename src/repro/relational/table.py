@@ -25,6 +25,12 @@ the store, which keeps the UNIQUE keys and the lookups up, slot by
 slot, and merges an append into the sorted paths or drops them; the
 table itself builds no path.
 
+Every write but an append moves the table's ``stamp`` (DELETE,
+UPDATE, truncate, compaction; a new table has a fresh one), from one
+process-wide counter that :class:`~repro.relational.engine.Database`
+floors draw from too, so ``state`` — the stamp and the slot count —
+tells a cache of a read over the table whether it only grew since.
+
 Writes are columnar too: ``append_rows`` transposes a batch once and
 coerces, constraint-checks, indexes and appends it a column at a time
 (``append_columns`` is the same tail over columns as they come, and
@@ -38,7 +44,7 @@ is, and a producer of rows reaches it through one transpose
 from __future__ import annotations
 
 from array import array
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from operator import not_
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -52,6 +58,11 @@ from .vectors import ColumnVector
 #: rebuild, and dead slots outnumbering a quarter of the heap.
 COMPACT_MIN_DELETED = 64
 COMPACT_DEAD_FRACTION = 4  # dead * 4 > total  <=>  >25% dead
+
+#: Process-monotonic source of table stamps and database floors.  Never
+#: a generation: ``pin_generation`` may move one back, and a stamp that
+#: came round again would match a cache entry of older data.
+_STAMPS = count(1)
 
 _NULL = type(None)
 #: The exact Python types a column stores as they are: a value list
@@ -80,6 +91,11 @@ def _family(kind: type) -> str:
     return "num" if issubclass(kind, (int, float)) else "str"
 
 
+def new_stamp() -> int:
+    """A stamp no table or database had before."""
+    return next(_STAMPS)
+
+
 def infer_column_type(values: Iterable[Any]) -> DataType:
     """Pick the narrowest DataType that holds every non-NULL value."""
     return _narrowest(set(map(type, values)))
@@ -102,19 +118,21 @@ def _transposed(name: str, batch: list, width: int
 def positional_rows(schema: TableSchema,
                     rows: Iterable[dict[str, Any]]) -> Iterator[tuple]:
     """Column-name → value dicts as full positional rows: an omitted
-    column takes its default (else NULL) and an unknown key is a
-    ``SchemaError`` — raised when that row is reached."""
+    column takes its default (else NULL), a key names its column as SQL
+    does (case-insensitively) and an unknown key is a ``SchemaError`` —
+    raised when that row is reached."""
     names = schema.column_names()
     known = set(names)
     defaults = [column.default if column.has_default else None
                 for column in schema.columns]
     for row in rows:
-        if not row.keys() <= known:
-            for key in row:
-                if not schema.has_column(key):
-                    raise SchemaError(
-                        f"table {schema.name!r} has no column {key!r}")
-        yield tuple(map(row.get, names, defaults))
+        if row.keys() <= known:
+            yield tuple(map(row.get, names, defaults))
+            continue
+        values = list(defaults)
+        for key, value in row.items():
+            values[schema.position_of(key)] = value
+        yield tuple(values)
 
 
 class Table:
@@ -134,6 +152,8 @@ class Table:
         self._deleted_count = 0
         self._slots: dict[int, int] = {}   # row_id -> slot, live rows only
         self._next_row_id = 0
+        #: Moved by every write but an append (see :attr:`state`).
+        self.stamp = new_stamp()
         #: The column-path store: declared indexes, the columns'
         #: lookups and sorted paths.
         self.paths = ColumnPaths(schema)
@@ -148,6 +168,14 @@ class Table:
 
     def __len__(self) -> int:
         return len(self._slots)
+
+    @property
+    def state(self) -> tuple[int, int]:
+        """What a read of this table saw: its stamp, and its slot count,
+        which an append moves and nothing else does without moving the
+        stamp.  A later state with the same stamp and more slots is this
+        table with rows appended, each after every row it had."""
+        return self.stamp, len(self._row_ids)
 
     def rows(self) -> Iterator[tuple]:
         """Iterate over row tuples (order of insertion)."""
@@ -339,6 +367,7 @@ class Table:
 
     def delete_row(self, row_id: int) -> None:
         slot = self._slots[row_id]
+        self.stamp = new_stamp()
         self.paths.delete(slot, tuple(column.values[slot]
                                       for column in self._columns))
         del self._slots[row_id]
@@ -351,6 +380,7 @@ class Table:
 
     def _compact(self) -> None:
         """Rebuild the vectors without dead slots (row ids survive)."""
+        self.stamp = new_stamp()
         live = [flag == 0 for flag in self._deleted]
         for column in self._columns:
             column.rebuild(live)
@@ -364,6 +394,7 @@ class Table:
     def update_row(self, row_id: int, changes: dict[str, Any]) -> None:
         """Apply column changes to one row, re-checking constraints."""
         slot = self._slots[row_id]
+        self.stamp = new_stamp()
         old_row = tuple(column.values[slot] for column in self._columns)
         values = dict(zip(self.schema.column_names(), old_row))
         for name, value in changes.items():
@@ -377,6 +408,7 @@ class Table:
             column.set(slot, value)
 
     def truncate(self) -> None:
+        self.stamp = new_stamp()
         for column in self._columns:
             column.clear()
         self._row_ids = array("q")
@@ -473,21 +505,29 @@ class BoundView:
     is ``None`` for a view planned but never run (an explain's unshipped
     view), sized by an estimate.
 
+    Its rows are the first ``length`` of each list in ``cols``: the
+    lists may run on past it, and every read stops there (a
+    :class:`~repro.relational.operators.ViewScan`, a lookup probe).
+    That is how a held view grows in place (:meth:`grown`): the grown
+    view appends to the same lists and a reader of this one never sees
+    the new rows.
+
     Its column-path store (``paths``) answers nothing until the view is
     bound to more runs than one (a mediated view its session holds,
     :meth:`hold`); then, per column a run probes, it keeps a lookup from
-    value to the ids of the rows holding it, dropped with the view.
+    value to the ids of the rows holding it, shared with the views grown
+    from it and dropped with the last of them.
     """
 
     __slots__ = ("name", "schema", "cols", "length", "paths")
 
     def __init__(self, schema: TableSchema, cols: list[list] | None,
-                 length: float) -> None:
+                 length: float, paths: ColumnPaths | None = None) -> None:
         self.name = schema.name
         self.schema = schema
         self.cols = cols
         self.length = length
-        self.paths = ColumnPaths()
+        self.paths = ColumnPaths() if paths is None else paths
 
     @classmethod
     def of(cls, name: str, column_names: Sequence[str],
@@ -520,6 +560,26 @@ class BoundView:
     def hold(self) -> None:
         """This view will be bound to many runs: let them probe it."""
         self.paths.hold()
+
+    def grown(self, cols: list[list], more: list[list]) -> "BoundView":
+        """This view's rows, then the rows *more* holds (one value list
+        per column, of types this view's columns were typed from — a
+        coerced view's, coerced as :meth:`of` does): appended to *cols*,
+        which are this view's lists or copies of them, and merged into
+        the lookups, which the grown view shares.  This view still reads
+        only its own rows."""
+        given, kinds = _storable(more, [set(map(type, column))
+                                        for column in more])
+        first = len(self)
+        for column, values, kind, target in zip(self.schema.columns, given,
+                                                kinds, cols):
+            if not kind <= _STORED_AS_IS[column.data_type]:
+                values = map(coerce_value, values,
+                             repeat(column.data_type))
+            target.extend(values)
+        self.paths.merge(cols, first)
+        return BoundView(self.schema, cols, len(cols[0]) if cols else first,
+                         self.paths)
 
 
 def table_from_rows(name: str, column_names: Sequence[str],

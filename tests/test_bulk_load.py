@@ -37,12 +37,16 @@ def insert_row(table: Table, values: dict) -> int:
     """``Table.insert_row`` as it stood before the bulk append: coerce
     and check one row, enter its keys in every UNIQUE index (undoing
     the entries made when a later index refuses it), append one value
-    per vector."""
+    per vector.  A key names its column case-insensitively, as SQL's
+    column names do (the loop it replaced dropped the value of a key
+    that matched its column only so)."""
     unknown = [key for key in values if not table.schema.has_column(key)]
     if unknown:
         raise SchemaError(
             f"table {table.name!r} has no column {unknown[0]!r}")
-    row = table._check_and_prepare(values)
+    row = table._check_and_prepare({
+        table.schema.column(key).name: value
+        for key, value in values.items()})
     row_id = table._next_row_id
     inserted = []
     try:
@@ -259,6 +263,20 @@ def test_insert_rows_equals_the_row_loop(case, data):
     assert db.generation == generation + 1
     if stored:
         assert stored == [len(dicts)]
+
+
+def test_a_key_names_its_column_as_sql_does():
+    """A dict key that matches its column only case-insensitively
+    stores its value, as the same column list in ``INSERT`` does."""
+    db = Database()
+    db.execute("CREATE TABLE t (c0 INTEGER, c1 TEXT)")
+    db.insert_rows("t", [{"C0": 5, "c1": "x"}])
+    db.table("t").insert_row({"c1": "y", "C0": 6})
+    db.execute("INSERT INTO t (C0, c1) VALUES (5, 'x')")
+    assert db.query("SELECT c0, c1 FROM t").rows \
+        == [(5, "x"), (6, "y"), (5, "x")]
+    with pytest.raises(SchemaError, match="has no column 'nope'"):
+        db.insert_rows("t", [{"C0": 7, "nope": 1}])
 
 
 @settings(max_examples=100, deadline=None)

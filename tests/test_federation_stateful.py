@@ -1,10 +1,13 @@
 """A stateful model of mediated querying, checked against stdlib sqlite3.
 
 A :class:`hypothesis.stateful.RuleBasedStateMachine` drives two or three
-sources behind one mediator: rows are inserted and deleted at a source,
-a source table is dropped and created again (its ``n`` column REAL or
-INTEGER), the views ``v`` and ``w`` are redefined over any of the
-sources as ``union_all`` or ``union``, held views are refreshed, and a
+sources behind one mediator: rows are inserted — most often, a few at a
+time, and some right before a refresh — updated, deleted and truncated
+at a source, a source table is dropped and created again (its ``n``
+column REAL or INTEGER), the views ``v`` and ``w`` are redefined over
+any of the sources as ``union_all`` or ``union``, held views are
+refreshed (a refreshed ``union_all`` view grows by what its sources
+appended, when that is all they did, at its next full ship), and a
 template drawn from :data:`TEMPLATES` is prepared once and run with
 drawn values — executed, partly streamed and closed, or explained — on a
 :class:`~repro.federation.MediatedDatabank` and, its values written into
@@ -185,17 +188,55 @@ class MediatedModel(RuleBasedStateMachine):
 
     # -- rules: sources and views -----------------------------------------
 
+    def _after_write(self, data) -> None:
+        """Half the writes are followed by a refresh of both consumers:
+        each held view is retired, and its next full ship grows it or
+        assembles it afresh."""
+        if data.draw(st.booleans()):
+            for consumer in self.held:
+                self.refresh(consumer)
+
     @rule(data=st.data())
     def insert(self, data):
         index = data.draw(st.integers(0, len(self.sources) - 1))
         self._insert(index, data.draw(KS), data.draw(self._numbers(index)),
                      data.draw(TEXTS))
+        self._after_write(data)
+
+    @rule(data=st.data(), count=st.integers(1, 4))
+    def append(self, data, count):
+        """Appends outweigh every other write: a held view grows by
+        them."""
+        index = data.draw(st.integers(0, len(self.sources) - 1))
+        for _row in range(count):
+            self._insert(index, data.draw(KS),
+                         data.draw(self._numbers(index)), data.draw(TEXTS))
+        self._after_write(data)
+
+    @rule(data=st.data(), k=st.integers(0, 3), s=TEXTS)
+    def update(self, data, k, s):
+        index = data.draw(st.integers(0, len(self.sources) - 1))
+        self.sources[index].execute(
+            f"UPDATE t SET s = {render_literal(s)} WHERE k = {k}")
+        self.model.execute(f"UPDATE src{index} SET s = ? WHERE k = ?",
+                           (s, k))
+        self._after_write(data)
+
+    @rule(data=st.data())
+    def truncate(self, data):
+        index = data.draw(st.integers(0, len(self.sources) - 1))
+        source = self.sources[index]
+        with source.rwlock.write_locked():
+            source.table("t").truncate()
+        self.model.execute(f"DELETE FROM src{index}")
+        self._after_write(data)
 
     @rule(data=st.data(), k=st.integers(0, 3))
     def delete(self, data, k):
         index = data.draw(st.integers(0, len(self.sources) - 1))
         self.sources[index].execute(f"DELETE FROM t WHERE k = {k}")
         self.model.execute(f"DELETE FROM src{index} WHERE k = ?", (k,))
+        self._after_write(data)
 
     @rule(data=st.data(), real=st.booleans())
     def drop_and_create(self, data, real):
@@ -235,21 +276,59 @@ class MediatedModel(RuleBasedStateMachine):
         assert rebuilt == expected, (sql, signature, rebuilt)
         self.signatures[sql] = signature
 
-    @rule(data=st.data(), drain=st.sampled_from(["execute", "stream",
-                                                 "explain"]))
-    def run_on_the_databank(self, data, drain):
-        sql, values = self._draw(data)
+    def _execute(self, consumer: str, sql: str, values: tuple) -> None:
+        """Execute *sql* with *values* on *consumer*: the model's
+        answer."""
+        if consumer == "session":
+            result, report = self.session.execute(inlined(sql, values))
+            self._note_ship("session", report)
+            assert canonical(result.rows) \
+                == canonical(self._expected(sql, values, "session"))
+            return
+        built = self.bank.tree_stats()["built"]
+        result = self.bank.execute_ast(self._statement(sql), values)
+        self._note_ship("bank", self.bank.last_report)
+        assert canonical(result.rows) \
+            == canonical(self._expected(sql, values, "bank"))
+        self._note_tree(sql, result.plan, built)
+
+    def _statement(self, sql: str):
+        """*sql* prepared, once per text."""
         statement = self.templates.get(sql)
         if statement is None:
             statement = self.templates[sql] = SqlParser(
                 sql, first_param=0).parse_statement()
+        return statement
+
+    @rule(data=st.data(), consumer=st.sampled_from(["bank", "session"]),
+          view=st.sampled_from(VIEWS),
+          write=st.sampled_from(["append", "append", "update", "delete",
+                                 "truncate"]))
+    def write_between_full_ships(self, data, consumer, view, write):
+        """Ship *view* in full, write at a source, refresh, ship it in
+        full again: the second ship grows the retired view, holds it
+        again or assembles it afresh, and answers as the model does."""
+        sql = f"SELECT * FROM {view}"
+        self._execute(consumer, sql, ())
+        if write == "append":
+            self.append(data, data.draw(st.integers(1, 4)))
+        elif write == "update":
+            self.update(data, data.draw(st.integers(0, 3)), data.draw(TEXTS))
+        elif write == "delete":
+            self.delete(data, data.draw(st.integers(0, 3)))
+        else:
+            self.truncate(data)
+        self.refresh(consumer)
+        self._execute(consumer, sql, ())
+
+    @rule(data=st.data(), drain=st.sampled_from(["execute", "stream",
+                                                 "explain"]))
+    def run_on_the_databank(self, data, drain):
+        sql, values = self._draw(data)
+        statement = self._statement(sql)
         built = self.bank.tree_stats()["built"]
         if drain == "execute":
-            result = self.bank.execute_ast(statement, values)
-            self._note_ship("bank", self.bank.last_report)
-            assert canonical(result.rows) \
-                == canonical(self._expected(sql, values, "bank"))
-            self._note_tree(sql, result.plan, built)
+            self._execute("bank", sql, values)
         elif drain == "stream":
             cursor = self.bank.stream_ast(statement, values)
             self._note_ship("bank", self.bank.last_report)
@@ -269,10 +348,7 @@ class MediatedModel(RuleBasedStateMachine):
         sql, values = self._draw(data)
         text = inlined(sql, values)
         if drain == "execute":
-            result, report = self.session.execute(text)
-            self._note_ship("session", report)
-            assert canonical(result.rows) \
-                == canonical(self._expected(sql, values, "session"))
+            self._execute("session", sql, values)
         elif drain == "stream":
             cursor, report = self.session.stream(text)
             self._note_ship("session", report)
