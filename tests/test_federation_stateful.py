@@ -158,8 +158,12 @@ class MediatedModel(RuleBasedStateMachine):
 
     def _union(self, view: str) -> str:
         reconciliation, chosen, _stars = self.definitions[view]
-        glue = " UNION ALL " if reconciliation == "union_all" else " UNION "
-        return glue.join(f"SELECT k, n, s, 's{index}' AS origin "
+        # A ``union`` view holds each row once, even over one fragment,
+        # where sqlite's UNION has nothing to merge.
+        select, glue = (("SELECT", " UNION ALL ")
+                        if reconciliation == "union_all"
+                        else ("SELECT DISTINCT", " UNION "))
+        return glue.join(f"{select} k, n, s, 's{index}' AS origin "
                          f"FROM src{index}" for index in chosen)
 
     def _expected(self, sql: str, values: tuple, consumer: str) -> list:
