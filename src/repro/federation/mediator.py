@@ -752,53 +752,54 @@ def _appends_only(statement: sql_ast.SelectQuery | None) -> bool:
 
 
 class _Held(NamedTuple):
-    """A held ``union_all`` view of one-table projections and what it
-    was assembled from, in fragment order: what its next full ship after
-    a ``refresh`` needs to grow it instead of assembling it afresh
-    (:meth:`grown`)."""
+    """A view a session holds and the report warnings its assembly
+    made; when a later full ship could grow it (:meth:`grown`) — a
+    ``union_all`` of one-table projections — also what it was assembled
+    from, in fragment order (the growth fields, ``None`` otherwise)."""
 
     view: BoundView
+    warnings: list[str]
     #: The mediator's stamp (view definitions, source catalogs) then.
-    stamp: tuple
+    stamp: tuple | None = None
     #: Per fragment: the state its rows were read at, how many rows it
     #: gave, and their types.
-    states: list[tuple]
-    lengths: list[int]
-    kinds: list[list[set[type]]]
-    #: The report warnings the assembly made.
-    warnings: list[str]
+    states: list[tuple] | None = None
+    lengths: list[int] | None = None
+    kinds: list[list[set[type]]] | None = None
     #: Whether the view's lists are its own, not a cached fragment's.
-    owned: bool
+    owned: bool = False
 
     @classmethod
     def of(cls, mediator: Mediator, view: GlobalView, assembled: BoundView,
            results: list[FragmentResult], stamp: tuple,
-           warnings: list[str]) -> "_Held | None":
-        """The record of *view*, assembled from *results*, or ``None``
-        when no later ship could grow it."""
+           warnings: list[str]) -> "_Held":
+        """*view*, assembled from *results* under the mediator's
+        *stamp*, held."""
         if view.reconciliation != "union_all" \
                 or any(outcome.state is None for outcome in results) \
                 or not all(_appends_only(mediator._fragment_statement(
                     fragment.sql)) for fragment in view.fragments):
-            return None
-        return cls(assembled, stamp, [outcome.state for outcome in results],
+            return cls(assembled, warnings)
+        return cls(assembled, warnings, stamp,
+                   [outcome.state for outcome in results],
                    [len(outcome.result) for outcome in results],
                    [outcome.result.value_types() for outcome in results],
-                   warnings, len(results) > 1)
+                   len(results) > 1)
 
     def grown(self, stamp: tuple,
               results: list[FragmentResult]) -> "_Held | None":
-        """The record of this view grown by the rows *results* — a full
-        ship of it under *stamp* — hold past the ones it was assembled
-        from: this view itself when none do.  ``None`` when the ship may
-        hold anything else: a view or catalog changed, a table the
-        fragments read had a write other than an append or the floor
-        moved, or a fragment's rows are of other types.
+        """This record, one that can grow, grown by the rows *results* —
+        a full ship of it under the mediator's *stamp* — hold past the
+        ones it was assembled from: this record itself when none do.
+        ``None`` when the ship may hold anything else: a view or catalog
+        changed, a table the fragments read had a write other than an
+        append or the floor moved, or a fragment's rows are of other
+        types.
 
         The view grows in place: each fragment's new rows, in fragment
-        order, are appended to the view's lists (copied once when they
-        are a cached fragment's) and merged into its lookups
-        (``BoundView.grown``)."""
+        order, are appended to the view's lists and merged into its
+        lookups — or, the lists being a cached fragment's, appended to
+        copies of them once (``BoundView.grown``)."""
         if stamp != self.stamp:
             return None
         lengths = []
@@ -814,16 +815,13 @@ class _Held(NamedTuple):
             lengths.append(len(outcome.result))
         if lengths == self.lengths:
             return self
-        view = self.view
-        cols = view.cols if self.owned \
-            else [column[:len(view)] for column in view.cols]
-        more: list[list] = [[] for _ in cols]
+        more: list[list] = [[] for _ in self.view.cols]
         for outcome, length in zip(results, self.lengths):
             if len(outcome.result) > length:
                 for column, values in zip(more, outcome.result.cols):
                     column.extend(values[length:])
         return self._replace(
-            view=view.grown(cols, more),
+            view=self.view.grown(more, copy=not self.owned),
             states=[outcome.state for outcome in results],
             lengths=lengths, owned=True)
 
@@ -894,16 +892,14 @@ class MediatorSession:
         #: so statements read their other tables beside the views.
         self._scratch = scratch if scratch is not None \
             else Database("mediator-session")
-        #: The views shipped in full, held for later queries.
-        self._materialized: dict[str, BoundView] = {}
-        #: What a held view, and a retired one (by ``refresh``, until
-        #: its next full ship), was assembled from, if it can grow.
+        #: The views shipped in full, held for later queries, with the
+        #: warn-level notes of their assembly — re-emitted on every
+        #: cached hit, so a consumer seeing the warm path still learns
+        #: about fragment renames.
         self._held: dict[str, _Held] = {}
+        #: The held views ``refresh`` retired that could grow, each
+        #: until its next full ship.
         self._retired: dict[str, _Held] = {}
-        #: Warn-level notes recorded at each view's first
-        #: materialization, re-emitted on every cached hit — a consumer
-        #: seeing the warm path still learns about fragment renames.
-        self._view_warnings: dict[str, list[str]] = {}
         self.hits = 0      # views served from a held materialization
         self.misses = 0    # views shipped to the sources
         #: Ship templates by ``id`` of their statement, then by
@@ -981,7 +977,6 @@ class MediatorSession:
         statement lives (and the mediator's *stamp* holds)."""
         if stamp != self._templates_stamp:
             self._ship_templates.clear()
-            self._retired.clear()
             self._templates_stamp = stamp
         key = id(statement)
         variants = self._ship_templates.get(key)
@@ -1033,7 +1028,7 @@ class MediatorSession:
                 f"statement expects {template.arity} parameter(s), "
                 f"got {len(values)}")
         wanted = template.wanted
-        held = self._materialized
+        held = self._held
         costs = {name: (0.0 if name in held
                         else mediator.estimate_view_cost(
                             mediator._views[name]))
@@ -1080,12 +1075,13 @@ class MediatorSession:
         bound: dict[str, BoundView] = {}
         for view_name in plan.cached:
             self.hits += 1
-            bound[view_name] = self._materialized[view_name]
-            report.view_rows[view_name] = len(bound[view_name])
+            held = self._held[view_name]
+            bound[view_name] = held.view
+            report.view_rows[view_name] = len(held.view)
             # Re-emit the first-materialization warnings: a cached hit
             # serves the same (renamed-column) data, so the report must
             # carry the same caveats.
-            report.warnings.extend(self._view_warnings.get(view_name, ()))
+            report.warnings.extend(held.warnings)
         jobs = [job for view_jobs in plan.jobs.values() for job in view_jobs]
         report.jobs.extend(jobs)
         report.eliminated.extend((outcome.job.view, outcome.job.source)
@@ -1118,27 +1114,24 @@ class MediatorSession:
             retired = self._retired.pop(view_name, None) if full else None
             held = retired and retired.grown(self._templates_stamp, results)
             if held is not None:
-                assembled, warnings = held.view, held.warnings
-                report.warnings.extend(warnings)
+                assembled = held.view
+                report.warnings.extend(held.warnings)
             else:
                 warn_start = len(report.warnings)
                 assembled = self.mediator._assemble_view(view, results,
                                                          report)
-                warnings = report.warnings[warn_start:]
                 if full:
                     held = _Held.of(self.mediator, view, assembled, results,
-                                    self._templates_stamp, warnings)
+                                    self._templates_stamp,
+                                    report.warnings[warn_start:])
             bound[view_name] = assembled
             if filter_sql is not None:
                 report.pushed_filters[view_name] = filter_sql
             elif full:
                 # A held view is probed (its lookups live as long as it
-                # and the views grown from it do).
+                # and the views grown from it in place do).
                 assembled.hold()
-                self._materialized[view_name] = assembled
-                self._view_warnings[view_name] = warnings
-                if held is not None:
-                    self._held[view_name] = held
+                self._held[view_name] = held
             report.view_rows[view_name] = len(assembled)
         return bound
 
@@ -1162,16 +1155,15 @@ class MediatorSession:
         rows it had, where a fresh ship would put them after that
         fragment's own rows: the same multiset in another order.  It
         grows in place; a run over the retired view reads only its own
-        rows (``BoundView.length``).  Anything else assembles afresh.
-        Retired views are dropped once ``define_view`` or DDL on a
-        source moves the mediator's stamp, and by :meth:`close`."""
-        doomed = list(self._materialized) if views is None else views
+        rows (``BoundView.length``).  Anything else assembles afresh,
+        also once ``define_view`` or DDL on a source moved the
+        mediator's stamp.  A retired view is dropped by its next full
+        ship, grown or not, and by :meth:`close`."""
+        doomed = list(self._held) if views is None else views
         for view_name in doomed:
-            if self._materialized.pop(view_name, None) is not None:
-                self._view_warnings.pop(view_name, None)
-                held = self._held.pop(view_name, None)
-                if held is not None:
-                    self._retired[view_name] = held
+            held = self._held.pop(view_name, None)
+            if held is not None and held.states is not None:
+                self._retired[view_name] = held
 
     def explain(self, sql: str, pushdown: bool = True) -> "QueryPlan":
         """The mediation plan — pruned views, cost-ranked per-source
@@ -1230,13 +1222,18 @@ class MediatorSession:
             statement=sql, base_sql=sql, rewritten_sql=sql,
             stages=stages,
             cache_hits=len(ship.cached), cache_misses=len(ship.jobs))
-        bound = {name: self._materialized[name] for name in ship.cached}
+        bound = {name: self._held[name].view for name in ship.cached}
         for name in ship.jobs:
             bound[name] = self.mediator._view_shape(
                 self.mediator._views[name], ship.costs[name])
         if None not in bound.values():
             plan.db_plan = self._scratch.explain(statement, views=bound)
         return plan
+
+    @property
+    def _materialized(self) -> dict[str, BoundView]:
+        """The held views by name."""
+        return {name: held.view for name, held in self._held.items()}
 
     def close(self) -> None:
         self.refresh()

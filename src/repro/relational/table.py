@@ -510,13 +510,15 @@ class BoundView:
     :class:`~repro.relational.operators.ViewScan`, a lookup probe).
     That is how a held view grows in place (:meth:`grown`): the grown
     view appends to the same lists and a reader of this one never sees
-    the new rows.
+    the new rows.  A lookup is built over every row the lists hold, so
+    the views over one set of lists share one column-path store; a view
+    grown into copies of its lists has a store of its own.
 
     Its column-path store (``paths``) answers nothing until the view is
     bound to more runs than one (a mediated view its session holds,
     :meth:`hold`); then, per column a run probes, it keeps a lookup from
     value to the ids of the rows holding it, shared with the views grown
-    from it and dropped with the last of them.
+    from it in place and dropped with the last of them.
     """
 
     __slots__ = ("name", "schema", "cols", "length", "paths")
@@ -561,25 +563,32 @@ class BoundView:
         """This view will be bound to many runs: let them probe it."""
         self.paths.hold()
 
-    def grown(self, cols: list[list], more: list[list]) -> "BoundView":
+    def grown(self, more: list[list], copy: bool = False) -> "BoundView":
         """This view's rows, then the rows *more* holds (one value list
         per column, of types this view's columns were typed from — a
-        coerced view's, coerced as :meth:`of` does): appended to *cols*,
-        which are this view's lists or copies of them, and merged into
-        the lookups, which the grown view shares.  This view still reads
-        only its own rows."""
+        coerced view's, coerced as :meth:`of` does): appended to this
+        view's lists and merged into its lookups, which the grown view
+        shares — or, when *copy* (the lists are others' too: a cached
+        fragment's), appended to copies of them, under lookups of the
+        grown view's own.  This view still reads only its own rows."""
         given, kinds = _storable(more, [set(map(type, column))
                                         for column in more])
         first = len(self)
+        if copy:
+            cols, paths = [column[:first] for column in self.cols], \
+                ColumnPaths()
+        else:
+            cols, paths = self.cols, self.paths
         for column, values, kind, target in zip(self.schema.columns, given,
                                                 kinds, cols):
             if not kind <= _STORED_AS_IS[column.data_type]:
                 values = map(coerce_value, values,
                              repeat(column.data_type))
             target.extend(values)
-        self.paths.merge(cols, first)
+        if not copy:
+            paths.merge(cols, first)
         return BoundView(self.schema, cols, len(cols[0]) if cols else first,
-                         self.paths)
+                         paths)
 
 
 def table_from_rows(name: str, column_names: Sequence[str],

@@ -18,7 +18,9 @@ afresh otherwise.  What must hold:
 * the fragment cache keys on the tables a fragment reads, so a write
   to one table of a source leaves the fragments over its others hits;
 * a one-fragment view, which binds its cached fragment's own lists,
-  copies them before it first grows: the cache entry keeps its length.
+  copies them before it first grows, with lookups of its own: the cache
+  entry keeps its length, and a lookup a run over the view as it was
+  builds on those lists is not the grown view's.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ def grown_bank(workers: int = 1, one: bool = False):
     bank.refresh()
     ship_whole(bank)
     after = held(bank)
-    assert after.paths is before.paths and len(after) > len(before)
+    assert (after.paths is before.paths) != one      # in place, or a copy
+    assert len(after) > len(before)
     return sources, mediator, bank, before
 
 
@@ -159,29 +162,48 @@ def test_an_unchanged_source_holds_the_retired_view_again():
 
 @pytest.mark.parametrize("workers", [1, 8])
 @pytest.mark.parametrize("taken", [0, 1])
-@pytest.mark.parametrize("sql, values", [(WHOLE, ()), (PROBE, (2,))])
+@pytest.mark.parametrize("one", [False, True])
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("sql, values", [
+    (WHOLE, ()), (PROBE, (2,)),
+    ("SELECT k, s FROM v WHERE k IN (SELECT k FROM w)", ())])
 def test_a_cursor_opened_before_refresh_sees_no_grown_row(
-        monkeypatch, workers, taken, sql, values):
+        monkeypatch, workers, taken, one, warm, sql, values):
     """Drained after the view grew — from its first row, or after one
     taken before — at two rows a batch, so it reads on past a batch
-    edge the grown rows could have come through."""
+    edge the grown rows could have come through.  The grown view then
+    probes as a fresh ship answers, also when the cursor's first pull
+    built the lookup (*warm* off): over lists the grown view shares
+    (in place), or over the cached fragment's, which a one-fragment
+    view grows a copy of."""
     monkeypatch.setattr(batch, "BATCH_SIZE", 2)
-    sources, mediator = federation(workers)
+    sources, mediator = federation(workers, one)
     bank = mediator.as_databank()
     ship_whole(bank)
-    assert bank.execute_ast(parsed(PROBE), (2,)).rows
+    if warm:
+        assert bank.execute_ast(parsed(PROBE), (2,)).rows
     expected = fresh(mediator, sql, values)
     cursor = bank.stream_ast(parsed(sql), values)
     rows = cursor.fetchmany(taken)
     before = held(bank)
-    append(sources[0], [(2, 7.5, "d")] * 3)
-    append(sources[1], [(2, 8.5, "v")] * 3)
+    if not (warm or taken or sql == PROBE):
+        # An IN probe builds its lookup at its first pull (an = probe as
+        # the cursor opens): here, once the view grew.
+        assert not before.paths.built(0)
+    append(sources[0], [(2, 7.5, "d"), (1, 6.5, "e")] * 2)
+    append(sources[1], [(2, 8.5, "v"), (1, 5.5, "w")] * 2)
     bank.refresh()
     ship_whole(bank)
-    assert held(bank).cols[0] is before.cols[0]      # grown in place
-    assert len(before.cols[0]) > len(before)
+    grown = held(bank)
+    assert (grown.cols[0] is before.cols[0]) != one    # in place, or a copy
+    assert (len(before.cols[0]) > len(before)) != one
     assert Counter(rows + cursor.fetchall()) == expected
     assert fresh(mediator, sql, values) != expected
+    for key in (1, 2):
+        assert Counter(bank.execute_ast(parsed(PROBE), (key,)).rows) \
+            == fresh(mediator, PROBE, (key,))
+        assert bank.last_report.pushed_filters == {}
+    assert held(bank) is grown and grown.paths.built(0)
 
 
 # -- every other write assembles afresh --------------------------------------
@@ -229,6 +251,26 @@ def test_any_other_change_assembles_afresh(change):
     change(sources[0])
     append(sources[0], [(6, 6.5, "f")])
     bank.refresh()
+    ship_whole(bank)
+    assert held(bank).paths is not before.paths
+    assert Counter(ship_whole(bank)) == fresh(mediator, WHOLE)
+
+
+def test_a_view_redefined_while_held_assembles_afresh():
+    """Redefined while held, then retired after a query over another
+    view already ran under the new definitions: growth is refused when
+    it would grow, by the stamp the view was held under."""
+    sources, mediator = federation()
+    bank = mediator.as_databank()
+    ship_whole(bank)
+    before = held(bank)
+    mediator.define_view("v", [("s0", "SELECT k, n, s, 's0' AS origin "
+                                      "FROM t"),
+                               ("s1", "SELECT k, n, s, 's1' AS origin "
+                                      "FROM t WHERE k <> 2")])
+    assert bank.execute_ast(parsed("SELECT k FROM w"), ()).rows
+    bank.refresh()
+    append(sources[0], [(6, 6.5, "f")])
     ship_whole(bank)
     assert held(bank).paths is not before.paths
     assert Counter(ship_whole(bank)) == fresh(mediator, WHOLE)
@@ -286,7 +328,7 @@ def test_a_one_fragment_views_cache_entry_keeps_its_length():
     append(sources[0], [(2, 7.5, "d")])
     bank.refresh()
     ship_whole(bank)
-    assert held(bank).paths is before.paths
+    assert held(bank).paths is not before.paths
     assert len(held(bank)) == len(before) + 1
     assert [len(column) for column in entries[0].cols] == lengths
     assert len(entries[0]) == lengths[0]
