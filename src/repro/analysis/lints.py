@@ -60,7 +60,8 @@ def lint_vectorization(core: ast.SelectCore, env,
     """``W-VEC-FALLBACK``: WHERE conjuncts the kernel compiler rejects.
 
     Fires only for a single-table FROM over columnar storage (an access
-    path only narrows what the filter reads: the WHERE stays whole), and
+    path answers at most one conjunct a run; the others stay in the
+    filter), and
     names both the exact conjunct and the
     reason the kernel compiler gives up on it — or, for an ``IN
     (subquery)`` / ``EXISTS`` conjunct, the semi-join selector.

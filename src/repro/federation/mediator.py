@@ -166,8 +166,8 @@ class Mediator:
             str, sql_ast.SelectQuery | None] = {}
         #: Moves on every define_view: part of :meth:`_stamp`.
         self._views_version = 0
-        #: ``estimate_view_cost`` per view name: (view, sources' stamps,
-        #: cost).
+        #: ``estimate_view_cost`` per view name: (view, its fragments'
+        #: stamps, cost).
         self._view_costs: dict[str, tuple] = {}
 
     # -- registration ----------------------------------------------------------
@@ -261,12 +261,15 @@ class Mediator:
         """Estimated cost of materializing *view*: per-fragment row
         estimates from each source's planner statistics, plus a heavy
         penalty per simulated remote hop (foreign-table latency).
-        Memoised while each source's generation (its data and tables)
-        and statistics version stay put."""
+        Memoised while what each fragment reads stays put, as the
+        fragment cache keys it: its source's floor, catalog and
+        statistics versions, and the state of each table it reads (its
+        source's generation when one is no heap table) — so a write to
+        one table re-prices only the views with a fragment over it."""
         sources = [self.source(fragment.source)
                    for fragment in view.fragments]
-        stamp = [(database.generation, database.stats.version)
-                 for database in sources]
+        stamp = [self._cost_stamp(database, fragment.sql)
+                 for database, fragment in zip(sources, view.fragments)]
         memo = self._view_costs.get(view.name)
         if memo is not None and memo[0] is view and memo[1] == stamp:
             return memo[2]
@@ -275,6 +278,16 @@ class Mediator:
             for database, fragment in zip(sources, view.fragments))
         self._view_costs[view.name] = (view, stamp, cost)
         return cost
+
+    def _cost_stamp(self, database: Database, sql: str) -> tuple:
+        """What fragment *sql*'s cost over *database* is estimated
+        from (:meth:`estimate_view_cost`)."""
+        tables = self._fragment_tables(database,
+                                       self._fragment_statement(sql))
+        return (database.floor, database.catalog.version,
+                database.stats.version,
+                database.generation if tables is None
+                else [table.state for table in tables])
 
     def _fragment_statement(self, sql: str) -> sql_ast.SelectQuery | None:
         """The (memoised, read-only) parse of a base fragment's SQL."""

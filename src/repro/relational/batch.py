@@ -16,11 +16,11 @@ an index vector or a range or where a mask holds, or several batches'
 columns one after the other.  The first ``column(p)`` resolves it and
 caches the result; ``cols`` / ``rows`` resolve every column.  A
 selection (:meth:`Batch.select`), a join's, sort's or limit's output
-(:func:`take`, :func:`pieces`), a join's right input (:func:`stack`) and
-a projection hold their columns pending, so a column no operator above
-reads is never gathered — a mask kernel indexes ``batch[p]``, an
-aggregate or a join key reads ``column(p)``, and only those columns are
-copied.  A window of rows (a cursor's page, a LIMIT's slice) slices the
+(:func:`take`, :func:`pieces`), a join's right input and a sort's
+input (:func:`stack`) and a projection hold their columns pending, so a
+column no operator above reads is never gathered — a mask kernel
+indexes ``batch[p]``, an aggregate, a join key or a sort key reads
+``column(p)``, and only those columns are copied.  A window of rows (a cursor's page, a LIMIT's slice) slices the
 ids of a pending gather, so only the rows it hands out are copied.
 
 This module holds what is independent of the expression compiler: the
@@ -30,8 +30,10 @@ aggregate (column fold and generic state machine).
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from itertools import compress, repeat
+from operator import is_not, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .types import null_nans, sql_keys
@@ -255,9 +257,18 @@ class ExecHooks:
 # ---------------------------------------------------------------------------
 #
 # Both keep one state per group, indexed by the group id the Aggregate
-# operator assigns, and share a protocol: ``new_group()``, then per batch
-# ``step(batch, gids, contexts)`` (``gids`` is ``None`` when there is no
-# GROUP BY: every row belongs to group 0), then ``finals()``.
+# operator assigns, and share a protocol: per batch, ``grow(count)`` for
+# the groups it found first (ids numbered on from the last; one group
+# before any batch when there is no GROUP BY), then ``step(batch, gids,
+# contexts)`` (``gids`` is ``None`` when there is no GROUP BY: every row
+# belongs to group 0); at the end ``finals()``.  A group's starting
+# state and DISTINCT set are made fresh for it.
+
+
+def _tally(acc: list, gids: Iterable[int]) -> None:
+    """Add to each group's count in *acc* how often *gids* names it."""
+    for gid, seen in Counter(gids).items():
+        acc[gid] += seen
 
 
 class ColumnFold:
@@ -267,10 +278,11 @@ class ColumnFold:
     arrive in row order), so float results are bit-identical: SUM folds
     ``state + value`` left to right from a ``None`` start, AVG
     accumulates ``total + float(value)`` with a separate count, MIN/MAX
-    keep the first of ties; a NaN SUM or AVG is NULL.  The selector only
-    picks a fold for a typed column, whose values (one family) are their
-    own ``sql_key`` s: DISTINCT keeps them in a set, one ``set.update``
-    per batch for an ungrouped COUNT.
+    keep the first of ties; a NaN SUM or AVG is NULL.  Counts are
+    tallied a batch at a time (integers: the order does not matter).
+    The selector only picks a fold for a typed column, whose values (one
+    family) are their own ``sql_key`` s: DISTINCT keeps them in a set,
+    one ``set.update`` per batch for an ungrouped COUNT.
     """
 
     def __init__(self, kind: str, position: Optional[int],
@@ -283,14 +295,15 @@ class ColumnFold:
         self.seen: Optional[list] = (
             [] if distinct and kind in ("count", "sum", "avg") else None)
 
-    def new_group(self) -> None:
+    def grow(self, count: int) -> None:
         if self.kind == "avg":
-            self.acc.append(0.0)
-            self.counts.append(0)
+            self.acc.extend(repeat(0.0, count))
+            self.counts.extend(repeat(0, count))
         else:
-            self.acc.append(0 if self.kind in ("count", "count*") else None)
+            self.acc.extend(repeat(
+                0 if self.kind in ("count", "count*") else None, count))
         if self.seen is not None:
-            self.seen.append(set())
+            self.seen.extend(set() for _ in range(count))
 
     def _fresh(self, pairs):
         """The (gid, value) pairs whose value is new to its group."""
@@ -306,8 +319,7 @@ class ColumnFold:
             if gids is None:
                 acc[0] += len(batch)
             else:
-                for gid in gids:
-                    acc[gid] += 1
+                _tally(acc, gids)
             return
         column = batch.column(self.position)
         if self.seen is not None and gids is None and kind == "count":
@@ -316,13 +328,18 @@ class ColumnFold:
             seen.discard(None)
             acc[0] = len(seen)
             return
+        if kind == "count" and self.seen is None:
+            present = map(is_not, column, repeat(None))
+            if gids is None:
+                acc[0] += sum(present)
+            else:
+                _tally(acc, compress(gids, present))
+            return
         pairs = zip(repeat(0) if gids is None else gids, column)
         if self.seen is not None:
             pairs = self._fresh(pairs)
         if kind == "count":
-            for gid, value in pairs:
-                if value is not None:
-                    acc[gid] += 1
+            _tally(acc, map(itemgetter(0), pairs))
         elif kind == "sum":
             for gid, value in pairs:
                 if value is not None:
@@ -366,10 +383,11 @@ class GenericFold:
         self.states: list = []
         self.seen: Optional[list] = [] if distinct else None
 
-    def new_group(self) -> None:
-        self.states.append(self.aggregate.initial())
+    def grow(self, count: int) -> None:
+        initial = self.aggregate.initial
+        self.states.extend(initial() for _ in range(count))
         if self.seen is not None:
-            self.seen.append(set())
+            self.seen.extend(set() for _ in range(count))
 
     def step(self, batch: Batch, gids: Optional[list], contexts) -> None:
         states, seen = self.states, self.seen

@@ -387,8 +387,11 @@ def select_access_paths(scan: Scan | ViewScan, conjuncts: list[ast.Expr],
     WHERE conjunct that is ``col = v`` or ``col <, <=, >, >= v`` (either
     way round, *v* a literal or a ``?``), or ``col IN (subquery)`` run
     as a semi join built once per run (*joins*, by conjunct), over a
-    typed column the relation offers a path on (``scan.offers``).  Which
-    one a run reads, if any, the scan decides."""
+    typed column the relation offers a path on (``scan.offers``), each
+    with its conjunct's number.  Which one a run reads, if any, the scan
+    decides; the conjunct it answers is not tested again.  A path added
+    here must stay exact: it names the rows where its conjunct is TRUE,
+    no more."""
     paths: list[Path] = []
     for number, conjunct in enumerate(conjuncts):
         join = joins.get(number)
@@ -414,7 +417,8 @@ def select_access_paths(scan: Scan | ViewScan, conjuncts: list[ast.Expr],
             else:
                 continue
             if scan.offers(op, typed[0]):
-                paths.append(Path(op, typed[0], column_side.name, keys))
+                paths.append(Path(op, typed[0], column_side.name, keys,
+                                  number))
                 break
     return paths
 
@@ -544,37 +548,45 @@ def _build_where(op: Operator, where: ast.Expr,
     takes a semi / anti join at its place; and those joins, by
     conjunct.  A conjunct that guards a later one (``b <> 0 AND a / b IN
     (...)``) so guards it here too, and a subquery no row reaches is not
-    run — but for an ``IN`` a scan below probes by its keys."""
+    run — but for an ``IN`` a scan below probes by its keys.  Over a
+    scan, each filter and join knows it (``access``) and its conjuncts'
+    numbers: what the scan's path answered, it does not test again."""
     scopes = outer_scopes + [op.schema]
+    access = op if isinstance(op, (Scan, ViewScan)) else None
     parts = ast.conjuncts(where)
     stack = select_semi_joins(parts, outer_scopes, op.schema, catalog, ctx)
     if not any(stack):
-        return build_filter(op, "WHERE", where, scopes, ctx, est_rows), {}
+        built = build_filter(op, "WHERE", where, scopes, ctx, est_rows)
+        built.access = access
+        return built, {}
     kernels = [_mask_kernel(part, scopes, ctx.slots) for part in parts]
 
-    def filter_over(op: Operator, pending: list[ast.Expr]) -> Filter:
+    def filter_over(op: Operator, pending: list[int]) -> Filter:
         # A slot conjunct runs ahead of the joins, where its literal's
         # kernel would: the tree is re-driven only for values that
         # choose one (Slots.admits), any other run is bound and built.
-        built = build_filter(op, "WHERE", ast.conjoin(pending), scopes, ctx,
-                             est_rows)
+        built = build_filter(op, "WHERE", ast.conjoin(
+            [parts[index] for index in pending]), scopes, ctx, est_rows,
+            pending)
+        built.access = access
         ctx.slots.pinned.extend(
             kernel for kernel, _fn in built.conjuncts
             if isinstance(kernel, vectors.SlotKernel))
         return built
 
     # The planner estimates the whole filter first, the joins over it.
-    pending: list[ast.Expr] = []
+    pending: list[int] = []
     joins: dict[int, Join] = {}
     for index in sorted(range(len(parts)),
                         key=lambda index: kernels[index] is None):
         if stack[index] is None:
-            pending.append(parts[index])
+            pending.append(index)
             continue
         if pending:
             op = filter_over(op, pending)
             pending = []
         op = joins[index] = stack[index](op)
+        op.access, op.number = access, index
         est_rows = op.est_rows
     if pending:
         op = filter_over(op, pending)
@@ -597,14 +609,16 @@ def _mask_kernel(conjunct: ast.Expr, scopes: list[RowSchema], slots):
 
 def build_filter(child: Operator, label: str, predicate: ast.Expr,
                  scopes: list[RowSchema], ctx: CompileContext,
-                 est_rows: float | None = None) -> Filter:
+                 est_rows: float | None = None,
+                 numbers: list[int] | None = None) -> Filter:
     """A filter over *child*: every conjunct over typed columns that
     compiles to a mask kernel runs as one — one kernel per conjunct, in
     written order, each narrowing what the one before it kept (an AND
     nested under OR or NOT stays inside its conjunct's kernel) — the
     rest stay on the generic predicate: a hybrid plan, not an error.  A
     conjunct whose kernel its ``?`` values choose keeps its generic
-    predicate too, for the runs whose values choose none."""
+    predicate too, for the runs whose values choose none.  *numbers*
+    are the conjuncts' places in the WHERE, when not ``0, 1, ...``."""
     typed = any(column.data_type is not None
                 for column in scopes[-1].columns)
     resolve = partial(_typed_column, scopes=scopes)
@@ -621,7 +635,7 @@ def build_filter(child: Operator, label: str, predicate: ast.Expr,
         conjuncts.append((kernel, compile_expr(conjunct, scopes, ctx)
                           if generic else None))
     return Filter(child, label, conjuncts, fallbacks, est_rows,
-                  ctx.exec_hooks)
+                  ctx.exec_hooks, numbers)
 
 
 # ---------------------------------------------------------------------------

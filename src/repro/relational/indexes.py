@@ -159,9 +159,10 @@ def build_lookup(values: Sequence, slots: Iterable[int],
     a lookup whose slots all come before them, when given (a hash
     join's build lists its repeated keys' row ids so too).  Keys are
     raw values — within one family their own ``sql_key`` s — so a probe
-    finds every row its ``=`` can hold for (``1`` finds ``1.0``, and in
-    a column mixing families ``TRUE``): a superset, which the WHERE
-    above the scan filters."""
+    by a key of the column's family finds exactly the rows its ``=``
+    holds for (``1`` finds ``1.0``).  In a column mixing families ``1``
+    would find ``TRUE`` too: such a column has no type, and a scan
+    offers no path over it."""
     rows = defaultdict(list) if into is None else into
     for slot in slots:
         rows[values[slot]].append(slot)

@@ -290,17 +290,19 @@ class Values(Operator):
 
 
 class Path(NamedTuple):
-    """One access path a scan may read instead of all its rows: a WHERE
-    conjunct ``column op key`` over the scanned relation — ``op`` is
-    ``=``, ``in`` or a range (:data:`RANGES`), with the column on the
-    left — whose keys a run reads by ``keys(outer_rows)`` (the one key;
-    for ``in`` the set of keys, or ``None`` to decline) and the
-    relation's column-path store answers."""
+    """One access path a scan may read instead of all its rows: WHERE
+    conjunct *number* (in written order), ``column op key`` over the
+    scanned relation — ``op`` is ``=``, ``in`` or a range
+    (:data:`RANGES`), with the column on the left — whose keys a run
+    reads by ``keys(outer_rows)`` (the one key; for ``in`` the set of
+    keys, or ``None`` to decline) and the relation's column-path store
+    answers."""
 
     op: str
     position: int
     column: str
     keys: Callable[[Rows], Any]
+    number: int
 
 
 class _Access(Operator):
@@ -310,15 +312,20 @@ class _Access(Operator):
     A run counts exactly how many rows each path names — the bucket
     lengths of an ``=`` or ``in``, the bisected span of a range — and
     reads only those of the narrowest, in row order, when it names at
-    most half the rows; otherwise it scans.  The WHERE stays whole above
-    the scan, so a path need only name every row the WHERE keeps; it
-    declines NULL keys and a key of another family than its
-    column's (the relation's column-path store,
-    :class:`~repro.relational.indexes.ColumnPaths`, may decline too:
-    a scan only asks it).  The choice shows in
-    ``detail`` — ``probe <col>``, ``probe <col> IN``, ``range <col>`` —
-    laid out when a run's values are bound; the keys of an ``in`` come
-    with the run (its semi join's build), so a run chooses again then.
+    most half the rows; otherwise it scans.  A chosen path names exactly
+    the rows where its conjunct is TRUE: it declines NULL keys and a key
+    of another family than its column's, a path is only offered over a
+    typed column (one family of values) and never for ``NOT IN`` (the
+    relation's column-path store,
+    :class:`~repro.relational.indexes.ColumnPaths`, may decline too: a
+    scan only asks it).  So ``answered`` — the number of the conjunct
+    the run's path came from, ``None`` while it scans — is not tested
+    again: the filter or semi join above that holds it drops it for the
+    run.  The choice shows in ``detail`` — ``probe <col>``, ``probe
+    <col> IN``, ``range <col>`` — laid out when a run's values are
+    bound; the keys of an ``in`` come with the run (its semi join's
+    build), so a run chooses again then, and what reads ``answered``
+    reads it once the scan has handed on its first batch.
     """
 
     def __init__(self, label: str, schema: RowSchema,
@@ -331,6 +338,8 @@ class _Access(Operator):
         #: The chosen path's row-id thunk; whether the choice is final.
         self._pick: Callable[[], Sequence[int]] | None = None
         self._chosen = False
+        #: The conjunct the chosen path answers, or ``None``.
+        self.answered: int | None = None
 
     def reset(self) -> None:
         super().reset()
@@ -350,6 +359,7 @@ class _Access(Operator):
     def _choose(self, outer_rows: Rows, run: bool
                 ) -> Callable[[], Sequence[int]] | None:
         self.detail = ""
+        self.answered = None
         total = self._size()
         if not total:
             return None
@@ -375,6 +385,7 @@ class _Access(Operator):
         if best is None:
             return None
         path, ids = best
+        self.answered = path.number
         self.detail = (f"range {path.column}" if path.op in RANGES else
                        f"probe {path.column}" + " IN" * (path.op == "in"))
         return ids
@@ -581,22 +592,38 @@ def _first_seen(seen: set, batch: Batch) -> list[bool]:
     return mask
 
 
+def _answered(node: Operator, numbers: Iterable[int]) -> bool:
+    """Whether the run's access path answered one of the WHERE conjuncts
+    *numbers* that *node* — a filter or semi join over the scan
+    ``node.access`` — holds (read once the scan has handed on a batch);
+    if so, ``detail`` says by which path."""
+    access = node.access
+    if access is None or access.answered not in numbers:
+        return False
+    node.detail = "answered by " + access.detail
+    return True
+
+
 class Filter(Operator):
     """Keep the rows a predicate holds for.
 
     ``conjuncts`` holds ``(kernel, fn)`` per conjunct, in written order:
     a mask kernel, or ``None`` and ``fn`` the conjunct's generic
-    predicate.  ``kernels`` are the mask kernels of the conjuncts that
-    have one, in written order.  They narrow: the first is handed the
-    batch itself, so it gathers only the columns it tests, and each
-    later one the pending selection the ones before it left — it tests
-    only the rows still in, no two masks are ever ANDed, and a batch
-    that empties goes no further.  ``residual_fn`` is the generic
-    predicate for the rest, applied to the surviving rows in written
-    order.  A conjunct over ``?`` slots has a :class:`SlotKernel` and
-    its ``fn``: each run lays the conjuncts out anew, the kernel the
-    bound values choose among the kernels or, when they choose none,
-    ``fn`` in the residual — where its literal would be.
+    predicate; ``numbers`` their places among the WHERE's conjuncts.
+    ``kernels`` are the mask kernels of the conjuncts that have one, in
+    written order.  They narrow: the first is handed the batch itself,
+    so it gathers only the columns it tests, and each later one the
+    pending selection the ones before it left — it tests only the rows
+    still in, no two masks are ever ANDed, and a batch that empties goes
+    no further.  ``residual_fn`` is the generic predicate for the rest,
+    applied to the surviving rows in written order.  A conjunct over
+    ``?`` slots has a :class:`SlotKernel` and its ``fn``: each run lays
+    the conjuncts out anew, the kernel the bound values choose among the
+    kernels or, when they choose none, ``fn`` in the residual — where
+    its literal would be.  Over a scan (``access``) whose path for the
+    run answered one of the conjuncts, the run drops that conjunct's
+    kernel, or its part of the residual: every row the scan hands on
+    holds it.
     """
 
     preserves_rows = False
@@ -604,10 +631,15 @@ class Filter(Operator):
     def __init__(self, child: Operator, label: str,
                  conjuncts: list[tuple[Any, RowFn | None]],
                  fallbacks: list[tuple[str, str]],
-                 est_rows: float | None = None, hooks=None) -> None:
+                 est_rows: float | None = None, hooks=None,
+                 numbers: list[int] | None = None) -> None:
         super().__init__("filter", label, child.schema, [child], est_rows,
                          hooks=hooks)
         self.conjuncts = conjuncts
+        self.numbers = (list(range(len(conjuncts))) if numbers is None
+                        else numbers)
+        #: The scan whose access path may answer a conjunct.
+        self.access: _Access | None = None
         self._fallbacks = fallbacks
         self.slotted = any(isinstance(kernel, SlotKernel)
                            for kernel, _fn in conjuncts)
@@ -621,23 +653,37 @@ class Filter(Operator):
         kernels: list = []
         parts: list = []
         fallbacks = list(self._fallbacks)
-        for kernel, fn in self.conjuncts:
+        for number, (kernel, fn) in zip(self.numbers, self.conjuncts):
             if isinstance(kernel, SlotKernel) \
                     and kernel.slots.values is not None:
                 slot, kernel = kernel, kernel.choose()
                 if kernel is None:
                     fallbacks.append(slot.fallback())
             if kernel is None:
-                parts.append(fn)
+                parts.append((number, fn))
             else:
-                kernels.append(kernel)
-        self.kernels = kernels
-        self.residual_fn = conjunction(parts) if parts else None
+                kernels.append((number, kernel))
+        #: Per kernel and per part of the residual, its conjunct number.
+        self._laid = kernels, parts
+        self.kernels = [kernel for _number, kernel in kernels]
+        self.residual_fn = (conjunction([fn for _number, fn in parts])
+                            if parts else None)
         self.fallbacks = fallbacks
         self.vectorized = bool(kernels)
 
+    def _without(self, answered: int) -> tuple[list, RowFn | None]:
+        """``kernels`` and ``residual_fn`` without conjunct *answered*."""
+        kernels, parts = self._laid
+        numbers = [number for number, _kernel in kernels]
+        if answered in numbers:
+            return [kernel for number, kernel in zip(numbers, self.kernels)
+                    if number != answered], self.residual_fn
+        rest = [fn for number, fn in parts if number != answered]
+        return self.kernels, conjunction(rest) if rest else None
+
     def reset(self) -> None:
         super().reset()
+        self.detail = ""
         if self.slotted:
             self._arrange()
 
@@ -645,7 +691,12 @@ class Filter(Operator):
         kernels, fn = self.kernels, self.residual_fn
         residual = [lambda batch: [fn(outer_rows + (row,))
                                    for row in batch.rows]]
+        first = True
         for batch in self.children[0].chunks(outer_rows):
+            if first:
+                first = False
+                if _answered(self, self.numbers):
+                    kernels, fn = self._without(self.access.answered)
             if kernels:
                 batch = _narrowed(batch, kernels)
                 if not batch:
@@ -698,12 +749,17 @@ class Aggregate(Operator):
     per aggregate after (HAVING, ORDER BY and the select list are
     ordinary operators above, compiled against the slots).
 
-    Groups come out in first-seen order.  ``key_positions`` is set when
-    every GROUP BY key is a plain typed column (raw values hash like the
-    normalised ones within one type family); otherwise ``group_fns``
-    evaluate the keys per row (a single typed key is its own key
-    column; key tuples are transposed at the end).  ``folds`` are
-    factories — one fresh accumulator per aggregate per run.
+    Groups come out in first-seen order, and are numbered a batch at a
+    time: the batch's keys not seen before (a set difference, in C), in
+    the order they first appear (``dict.fromkeys``), take the next group
+    ids, each fold grows by that many groups at once, and the rows' ids
+    are one lookup of each key.  ``key_positions`` is set when every GROUP BY key is a
+    plain typed column (raw values hash like the normalised ones within
+    one type family, and each group keeps its first-seen value);
+    otherwise ``group_fns`` evaluate the keys per row, which group by
+    their ``sql_keys`` and keep each group's first-seen key values.
+    ``folds`` are factories — one fresh accumulator per aggregate per
+    run.
     """
 
     preserves_rows = False
@@ -723,50 +779,47 @@ class Aggregate(Operator):
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
         # A pipeline breaker: every input row is seen before any group.
         folds = [make() for make in self.folds]
-        groups: dict = {}
-        group_keys: list = []
+        groups: dict = {}           # key (or its sql_keys) -> group id
+        group_keys: list = []       # per group its first-seen key
         grouped = bool(self.group_fns)
         positions = self.key_positions
         single = positions is not None and len(positions) == 1
-
-        def new_group(key) -> int:
-            group_keys.append(key)
-            for fold in folds:
-                fold.new_group()
-            return len(group_keys) - 1
-
         if not grouped:
             # no GROUP BY: always one group, even over zero rows
-            new_group(())
+            for fold in folds:
+                fold.grow(1)
         for batch in self.children[0].chunks(outer_rows):
             self._observe(len(batch))
             contexts = ([outer_rows + (row,) for row in batch.rows]
                         if self.needs_rows else None)
             gids = None
             if grouped:
-                gids = []
-                add_gid, lookup = gids.append, groups.get
-                if single:
-                    for key in batch.column(positions[0]):
-                        gid = lookup(key)
-                        if gid is None:
-                            gid = groups[key] = new_group(key)
-                        add_gid(gid)
+                if positions is None:
+                    keys = [tuple(fn(context) for fn in self.group_fns)
+                            for context in contexts]
+                    markers = list(map(sql_keys, keys))
+                elif single:
+                    markers = batch.column(positions[0])
                 else:
-                    if positions is not None:
-                        keys = hashed = list(zip(
-                            *[batch.column(p) for p in positions]))
-                    else:
-                        keys = [tuple(fn(context) for fn in self.group_fns)
-                                for context in contexts]
-                        hashed = map(sql_keys, keys)
-                    for key, marker in zip(keys, hashed):
-                        gid = lookup(marker)
-                        if gid is None:
-                            gid = groups[marker] = new_group(key)
-                        add_gid(gid)
+                    markers = list(zip(*map(batch.column, positions)))
+                fresh = set(markers).difference(groups)
+                if fresh:
+                    new = list(filter(fresh.__contains__,
+                                      dict.fromkeys(markers)))
+                    known = len(groups)
+                    groups.update(zip(new, range(known, known + len(new))))
+                    if positions is None:
+                        first = dict(zip(reversed(markers), reversed(keys)))
+                        group_keys.extend(map(first.__getitem__, new))
+                    for fold in folds:
+                        fold.grow(len(new))
+                gids = list(map(groups.__getitem__, markers))
             for fold in folds:
                 fold.step(batch, gids, contexts)
+        if not grouped:
+            group_keys = [()]
+        elif positions is not None:
+            group_keys = list(groups)   # a typed key is its own marker
         key_cols = [group_keys] if single else list(zip(*group_keys)) \
             or [[] for _ in self.group_fns]
         yield from pieces(Batch(
@@ -776,14 +829,17 @@ class Aggregate(Operator):
 class Sort(Operator):
     """ORDER BY: a pipeline breaker (stable, so ties keep input order).
 
-    Each key is evaluated once per row into a key column — read from
-    ``positions[k]`` of the collected input where the selector found a
-    plain column or slot, else computed by the compiled expression over
-    its rows.  ``positions`` is ``None`` when the selector declined the
-    kernel altogether.  Whether the key columns sort natively is only
-    known once they exist, so ``vectorized`` says what the latest run
-    did.  The sort orders row ids, not rows: the output is pending
-    gathers of the input's columns in that order, as a join's is.
+    Its input is held as its batches, each column pending
+    (:func:`~repro.relational.batch.stack`).  Each key is evaluated once
+    per row into a key column — read from ``positions[k]`` of the input
+    where the selector found a plain column or slot, else computed by
+    the compiled expression over its rows.  ``positions`` is ``None``
+    when the selector declined the kernel altogether.  Whether the key
+    columns sort natively is only known once they exist, so
+    ``vectorized`` says what the latest run did.  The sort orders row
+    ids, not rows: the output is pending gathers of the input's columns
+    in that order, as a join's is, so only the key columns and those an
+    operator above reads are ever gathered.
     """
 
     def __init__(self, child: Operator, label: str,
@@ -799,7 +855,8 @@ class Sort(Operator):
         self.vectorized = self.positions is not None
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
-        whole = self.children[0].collect(outer_rows)
+        whole = stack(list(self.children[0].chunks(outer_rows)),
+                      len(self.schema), False)
         contexts = None
         columns = []
         for (fn, _descending), position in zip(
@@ -1029,7 +1086,10 @@ class Join(Operator):
     left row (an ``EXISTS`` compares nothing when its subquery is
     empty), and ``NOT IN`` is ``null_aware`` — a NULL on the build side
     rejects every row, a NULL x passes only an empty one (``NOT EXISTS``
-    is the plain anti join: a NULL key has no match).
+    is the plain anti join: a NULL key has no match).  When the scan
+    below (``access``) read only the rows an ``in`` path named for this
+    join's conjunct (``number``), every row that reaches the join is
+    witnessed, and the run passes its batches through untested.
 
     ``key_positions`` — ``(left positions, right positions)`` — is set
     when every hash key pair is a plain typed column of one comparison
@@ -1058,6 +1118,7 @@ class Join(Operator):
             + ["residual"] * (self.semi and check is not None))
         super().__init__(kind, label, schema, [left, right], est_rows,
                          detail, hooks)
+        self._laid_detail = detail
         self.left_join = left_join
         self.key_fns = (left_keys, right_keys)
         self.check = check
@@ -1065,6 +1126,14 @@ class Join(Operator):
         self.build_once = build_once
         self._built: _Built | None = None
         self.vectorized = key_positions is not None
+        #: The scan below a WHERE-side semi join, and the number of the
+        #: conjunct the join runs: an ``in`` path may answer it.
+        self.access: _Access | None = None
+        self.number: int | None = None
+
+    def reset(self) -> None:
+        super().reset()
+        self.detail = self._laid_detail
 
     def release(self) -> None:
         self._built = None
@@ -1253,8 +1322,14 @@ class Join(Operator):
         # asks for it — once per statement when it reads no enclosing
         # row.
         built = None
-        for batch in self.children[0].chunks(outer_rows):
+        batches = self.children[0].chunks(outer_rows)
+        for batch in batches:
             if built is None:
+                if _answered(self, (self.number,)):
+                    # The scan read exactly the rows whose key is in.
+                    yield batch
+                    yield from batches
+                    return
                 # The scan below may have built it (``members``).
                 built = self._built
             if built is None:

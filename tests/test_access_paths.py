@@ -16,6 +16,7 @@ errors too — and one kept tree serves every run.
 
 from __future__ import annotations
 
+import sqlite3
 from contextlib import contextmanager
 
 import pytest
@@ -500,3 +501,75 @@ def test_index_join_answers_as_the_hash_join_over_hostile_keys(
         check(step)
         if step == "DELETE FROM t WHERE id >= 110":
             assert len(table.slot_columns()[0][0]) < 200    # compacted
+
+
+#: Per declared type, the values of an exactness case: NULLs, and, drawn
+#: with repeats, duplicates, ``1`` beside ``1.0``, ``0.0`` beside
+#: ``-0.0`` and ``''``.
+EXACT_POOLS = {
+    "INTEGER": [None, 0, 1, 2, 5],
+    "REAL": [None, 0.0, -0.0, 1, 1.0, 2.5],
+    "TEXT": [None, "", "a", "b", "1"],
+    "BOOLEAN": [None, True, False],
+}
+#: Every path kind, each operand order, a ``?`` and a literal; and
+#: ``IN (subquery)``.  Each WHERE is the one conjunct a path answers.
+EXACT_TEMPLATES = [
+    f"SELECT p FROM r WHERE {left} {op} {right} ORDER BY p"
+    for op in ("=", "<", "<=", ">", ">=")
+    for value in ("?", "{literal}")
+    for left, right in (("k", value), (value, "k"))
+] + ["SELECT p FROM r WHERE k IN (SELECT c0 FROM w) ORDER BY p"]
+
+
+def oracle_rows(data_type: str, keys: list, members: list, sql: str,
+                values: tuple) -> list:
+    """*sql* as stdlib sqlite3 answers it over ``r`` and ``w`` (the keys
+    are of the column's family, so sqlite compares them as the engine
+    does; a boolean is its integer there)."""
+    oracle = sqlite3.connect(":memory:")
+    oracle.execute(f"CREATE TABLE r (k {data_type}, p INTEGER)")
+    oracle.execute("CREATE TABLE w (c0)")
+    oracle.executemany("INSERT INTO r VALUES (?, ?)",
+                       [(key, number) for number, key in enumerate(keys)])
+    oracle.executemany("INSERT INTO w VALUES (?)",
+                       [(member,) for member in members])
+    return oracle.execute(sql, values).fetchall()
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), source=st.sampled_from(["table", "held view"]),
+       data_type=st.sampled_from(sorted(EXACT_POOLS)),
+       sql=st.sampled_from(EXACT_TEMPLATES))
+def test_a_chosen_path_names_exactly_the_rows_its_conjunct_holds_for(
+        generic_kernels, data, source, data_type, sql):
+    """The conjunct a path answered is not tested again, so a path must
+    name exactly the rows where its conjunct is TRUE.  One NULL row more
+    than there are keys pads the relation — no path names one — so every
+    path names at most half the rows, and a run takes it unless it
+    declines."""
+    pool = EXACT_POOLS[data_type]
+    keys = data.draw(st.lists(st.sampled_from(pool), max_size=10),
+                     label="keys")
+    keys += [None] * (len(keys) + 1)
+    key = data.draw(st.sampled_from(pool), label="key")
+    members = data.draw(st.lists(st.sampled_from(pool), max_size=4),
+                        label="members")
+    sql = sql.format(literal=render_literal(key))
+    values = (key,) * sql.count("?")
+    db, views = relation(source, data_type, keys, members)
+    result = db.execute_ast(parsed(sql), values, views)
+    scan = next(node for node in result.plan.walk() if node.label == "r")
+    with forced_scan(), generic_kernels():
+        reference, reference_views = relation(source, data_type, keys,
+                                              members)
+        holds = reference.execute_ast(parsed(sql), values,
+                                      reference_views).rows
+    assert result.rows == holds == oracle_rows(
+        data_type, keys, members, sql.replace("TRUE", "1")
+        .replace("FALSE", "0"), values)
+    event(scan.detail or "scan")
+    if scan.detail:
+        # Only the filter above tested nothing: what the scan read, the
+        # slots the path named, are the rows where the conjunct holds.
+        assert scan.actual_rows == len(holds)

@@ -294,6 +294,51 @@ def test_fragment_cache_invalidated_by_source_dml():
     assert report.fragment_cache_hits == 3  # only src0 re-shipped
 
 
+def test_a_write_reprices_only_the_views_reading_its_table(monkeypatch):
+    """A view's cost memo keys on what each of its fragments reads (the
+    source's floor, catalog and statistics versions, the states of its
+    tables), as the fragment cache does: an INSERT into ``contenuto``
+    re-prices ``eu_contained`` and leaves ``eu_landfill``'s memo a hit;
+    ANALYZE re-prices both."""
+    mediator = Mediator()
+    for name in ("italy", "france"):
+        db = Database(name)
+        db.execute("CREATE TABLE discarica (nome TEXT, citta TEXT)")
+        db.execute("CREATE TABLE contenuto (discarica TEXT, elemento TEXT)")
+        db.execute("INSERT INTO discarica VALUES ('a', 'Roma')")
+        db.execute("INSERT INTO contenuto VALUES ('a', 'lead')")
+        mediator.register_source(name, db)
+    views = {
+        "eu_landfill": mediator.define_view("eu_landfill", [
+            (name, "SELECT nome, citta FROM discarica")
+            for name in ("italy", "france")]),
+        "eu_contained": mediator.define_view("eu_contained", [
+            (name, "SELECT discarica, elemento FROM contenuto")
+            for name in ("italy", "france")])}
+    priced: list[str] = []
+    cost = Mediator._fragment_cost
+
+    def counted(database, statement):
+        priced.append(database.name)
+        return cost(database, statement)
+    monkeypatch.setattr(Mediator, "_fragment_cost", staticmethod(counted))
+
+    def reprice(name: str) -> int:
+        """How many fragments *name*'s estimate priced afresh."""
+        del priced[:]
+        mediator.estimate_view_cost(views[name])
+        return len(priced)
+
+    assert reprice("eu_landfill") == reprice("eu_contained") == 2
+    assert reprice("eu_landfill") == reprice("eu_contained") == 0
+    mediator.source("italy").execute(
+        "INSERT INTO contenuto VALUES ('a', 'zinc')")
+    assert reprice("eu_landfill") == 0
+    assert reprice("eu_contained") == 2
+    mediator.source("france").execute("ANALYZE")
+    assert reprice("eu_landfill") == reprice("eu_contained") == 2
+
+
 def test_fragment_cache_skips_foreign_table_fragments():
     remote = _landfill_db(Database, "remote", [("lf_r", "Oslo", 4.0)])
     source = Database("source")

@@ -346,7 +346,9 @@ def test_a_planner_or_telemetry_change_between_runs_rebuilds(counted):
     with are part of what it was built on."""
     from repro.telemetry import Telemetry
     db, session, _calls = counted
-    prepared = session.prepare(JOIN)
+    # `u.y = ?` is answered by u's access path, so the filter tests it on
+    # no row; `u.x <> 0`, which no path answers, shows the filter's hook.
+    prepared = session.prepare(JOIN.replace("?", "? AND u.x <> 0"))
 
     def shape(plan) -> list:
         return [(node.kind, node.label) for node in plan.walk()]

@@ -569,12 +569,14 @@ def test_limit_and_point_probe_estimates(db):
     # Not ANALYZEd: the WHERE's estimate is unset, the LIMIT still caps.
     text = db.explain(top, analyze=True).format()
     assert "limit 10  (est=10, actual=10)" in text
-    assert "filter WHERE  (actual=50, vectorized)" in text
+    assert "filter WHERE  (actual=50, vectorized, answered by probe name)" \
+        in text
     assert "scan e  (est=1000, actual=50, vectorized, probe name)" in text
     db.execute("ANALYZE")
     text = db.explain(top, analyze=True).format()
     assert "limit 10  (est=10, actual=10)" in text
-    assert "filter WHERE  (est=50, actual=50, vectorized)" in text
+    assert "filter WHERE  (est=50, actual=50, vectorized, " \
+        "answered by probe name)" in text
     assert "scan e  (est=1000, actual=50, vectorized, probe name)" in text
     # A bound only known at run time leaves the estimate unset.
     text = db.explain(top.replace("10", "5 + 5")).format()
@@ -852,7 +854,7 @@ def test_explain_analyze_of_stacked_semi_joins(witness_db):
 result select  (est=0.8, actual=1)
   project z  (est=0.8, actual=1, vectorized)
     anti-join t NOT IN  (est=0.8, actual=1, vectorized, null-aware)
-      semi-join z IN  (est=1, actual=2, vectorized)
+      semi-join z IN  (est=1, actual=2, vectorized, answered by probe z IN)
         scan e  (est=4, actual=2, vectorized, probe z IN)
         subquery uncorrelated  (est=3, actual=3)
           project y  (est=3, actual=3, vectorized)
