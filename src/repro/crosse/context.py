@@ -9,6 +9,8 @@ peer discovery (:mod:`repro.crosse.recommend`).
 
 from __future__ import annotations
 
+import itertools
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -20,13 +22,32 @@ _EVENT_WEIGHTS = {
 }
 
 
+def _norm(weights: dict[str, float]) -> float:
+    return sum(w * w for w in weights.values()) ** 0.5
+
+
 @dataclass
 class ContextProfile:
-    """A concept -> weight vector describing one user's activity."""
+    """A concept -> weight vector describing one user's activity.
+
+    ``weights`` is written only through :meth:`record`, :meth:`decay`
+    and :meth:`restore`: each keeps :attr:`norm` and, for a tracked
+    profile, its tracker's concept index and stamp.
+    """
 
     username: str
     weights: dict[str, float] = field(default_factory=dict)
     history: list[tuple[str, str]] = field(default_factory=list)
+    #: The Euclidean norm of ``weights``, recomputed by the one
+    #: expression whenever a weight moves (so a cosine over it is the
+    #: same float as one that sums the weights afresh).
+    norm: float = field(init=False, repr=False, compare=False)
+    #: The tracker that indexes this profile (None: a standalone one).
+    tracker: "ContextTracker | None" = field(default=None, repr=False,
+                                             compare=False)
+
+    def __post_init__(self) -> None:
+        self.norm = _norm(self.weights)
 
     def record(self, concept: str, event: str = "explore") -> None:
         if event not in _EVENT_WEIGHTS:
@@ -35,6 +56,7 @@ class ContextProfile:
         self.weights[key] = self.weights.get(key, 0.0) \
             + _EVENT_WEIGHTS[event]
         self.history.append((event, concept))
+        self._moved()
 
     def weight(self, concept: str) -> float:
         return self.weights.get(concept.lower(), 0.0)
@@ -49,37 +71,96 @@ class ContextProfile:
         self.weights = {concept: weight * factor
                         for concept, weight in self.weights.items()
                         if weight * factor > 1e-6}
+        self._moved()
+
+    def restore(self, weights: dict[str, float],
+                history: list[tuple[str, str]]) -> None:
+        """Take back recovered *weights* and *history* (snapshot load)."""
+        self.weights.update(weights)
+        self.history.extend(history)
+        self._moved()
+
+    def _moved(self) -> None:
+        # The norm and the index first, the stamp last: a ranking
+        # memoised under the new stamp must have seen the new weights.
+        self.norm = _norm(self.weights)
+        if self.tracker is not None:
+            self.tracker._reindex(self)
 
     def cosine_similarity(self, other: "ContextProfile") -> float:
-        if not self.weights or not other.weights:
+        # One dict each: decay replaces a profile's dict, record only
+        # adds to it, so a concurrent move cannot pull a shared key.
+        mine, theirs = self.weights, other.weights
+        if not mine or not theirs:
             return 0.0
-        shared = set(self.weights) & set(other.weights)
-        dot = sum(self.weights[c] * other.weights[c] for c in shared)
-        norm_self = sum(w * w for w in self.weights.values()) ** 0.5
-        norm_other = sum(w * w for w in other.weights.values()) ** 0.5
-        if norm_self == 0.0 or norm_other == 0.0:
+        shared = set(mine) & set(theirs)
+        dot = sum(mine[c] * theirs[c] for c in shared)
+        if self.norm == 0.0 or other.norm == 0.0:
             return 0.0
-        return dot / (norm_self * norm_other)
+        return dot / (self.norm * other.norm)
 
 
 class ContextTracker:
-    """Profiles for every user plus resource-access bookkeeping."""
+    """Profiles for every user plus resource-access bookkeeping.
+
+    Peer ranking reads two things kept here: an index from each concept
+    to the users whose profile weighs it (a cosine is 0 between users
+    who share none), and :attr:`stamp`, which moves after every change
+    to any profile's weights.
+    """
 
     def __init__(self) -> None:
         self._profiles: dict[str, ContextProfile] = {}
         # resource -> {username -> access count}; feeds data recommendation.
         self._resource_access: dict[str, dict[str, int]] = defaultdict(dict)
+        #: concept -> users whose profile weighs it.
+        self._users_by_concept: dict[str, set[str]] = {}
+        #: username -> the concepts the index holds for her.
+        self._indexed: dict[str, frozenset[str]] = {}
+        #: Serialises index updates: two users' moves may share a concept.
+        self._index_lock = threading.Lock()
+        self._stamps = itertools.count(1)
+        #: Moves (to a fresh value) after any profile's weights do; a
+        #: new, empty profile ranks no one and moves nothing.
+        self.stamp = 0
         #: Durability hook (duck-typed), set by an attached
         #: :class:`repro.durability.DurabilityManager`.
         self.durability_journal = None
 
     def profile(self, username: str) -> ContextProfile:
-        if username not in self._profiles:
-            self._profiles[username] = ContextProfile(username)
-        return self._profiles[username]
+        profile = self._profiles.get(username)
+        if profile is None:
+            profile = self._profiles.setdefault(
+                username, ContextProfile(username, tracker=self))
+        return profile
 
     def profiles(self) -> list[ContextProfile]:
         return list(self._profiles.values())
+
+    def sharing(self, username: str) -> list[ContextProfile]:
+        """The other users' profiles that weigh a concept *username*'s
+        profile weighs, in no particular order."""
+        users: set[str] = set()
+        for concept in self._indexed.get(username, ()):
+            users |= self._users_by_concept.get(concept, frozenset())
+        users.discard(username)
+        return [self._profiles[name] for name in users]
+
+    def _reindex(self, profile: ContextProfile) -> None:
+        username = profile.username
+        with self._index_lock:
+            concepts = frozenset(profile.weights)
+            indexed = self._indexed.get(username, frozenset())
+            for concept in indexed - concepts:
+                users = self._users_by_concept[concept]
+                users.discard(username)
+                if not users:
+                    del self._users_by_concept[concept]
+            for concept in concepts - indexed:
+                self._users_by_concept.setdefault(concept, set()).add(
+                    username)
+            self._indexed[username] = concepts
+            self.stamp = next(self._stamps)
 
     def record_concepts(self, username: str, concepts: list[str],
                         event: str = "query") -> None:

@@ -30,12 +30,13 @@ queryable with SPARQL.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..rdf.namespace import RDF, SMG
 from ..rdf.store import Triple, TripleStore, TripleView
-from ..rdf.terms import Literal, term_from_python
+from ..rdf.terms import Literal, Term, term_from_python
 from .errors import StatementError
 
 
@@ -56,7 +57,9 @@ class StatementRecord:
     triple: Triple
     author: str
     public: bool = True
-    accepted_by: set[str] = field(default_factory=set)
+    #: Who accepted it, kept sorted by accept / reject: the one order
+    #: every listing and the snapshot read, so none sorts it.
+    accepted_by: list[str] = field(default_factory=list)
     reference: Reference | None = None
     #: The triple's ids in the platform dictionary — what the shared
     #: store and the views hold (one tuple object for all of them).
@@ -167,8 +170,10 @@ class KnowledgeBaseStore:
             if not record.public:
                 raise StatementError(
                     f"statement {statement_id} is not public")
-            if username not in record.accepted_by:
-                record.accepted_by.add(username)
+            acceptors = record.accepted_by
+            at = bisect_left(acceptors, username)
+            if at == len(acceptors) or acceptors[at] != username:
+                acceptors.insert(at, username)
                 self._view(username).show(record.key)
             if self.durability_journal is not None:
                 self.durability_journal.log(
@@ -179,8 +184,10 @@ class KnowledgeBaseStore:
     def reject(self, username: str, statement_id: int) -> None:
         with self.rwlock.write_locked():
             record = self._record(statement_id)
-            if username in record.accepted_by:
-                record.accepted_by.remove(username)
+            acceptors = record.accepted_by
+            at = bisect_left(acceptors, username)
+            if at < len(acceptors) and acceptors[at] == username:
+                del acceptors[at]
                 self._views[username].hide(record.key)
             if self.durability_journal is not None:
                 self.durability_journal.log(
@@ -203,7 +210,7 @@ class KnowledgeBaseStore:
             if statement_id in self._statements:
                 return
             self._admit(StatementRecord(statement_id, triple, author,
-                                        public, set(accepted_by),
+                                        public, sorted(set(accepted_by)),
                                         reference, key))
             self._next_statement_id = max(self._next_statement_id,
                                           statement_id + 1)
@@ -221,13 +228,28 @@ class KnowledgeBaseStore:
         with self.rwlock.read_locked():
             return self._record(statement_id)
 
-    def public_statements(self,
-                          exclude_author: str | None = None
+    def public_statements(self, exclude_author: str | None = None,
+                          predicate: Term | None = None,
+                          author: str | None = None,
+                          limit: int | None = None
                           ) -> list[StatementRecord]:
-        """Annotations visible to other registered users (Section III-A)."""
+        """Annotations visible to other registered users (Section III-A),
+        in the platform's one order (statement registration), optionally
+        only *predicate*'s or *author*'s.  The walk stops at *limit*
+        matches, so a page costs what it lists, not the store."""
+        records = []
+        if limit is not None and limit <= 0:
+            return records
         with self.rwlock.read_locked():
-            return [record for record in self._statements.values()
-                    if record.public and record.author != exclude_author]
+            for record in self._statements.values():
+                if record.public and record.author != exclude_author \
+                        and (predicate is None
+                             or record.triple.predicate == predicate) \
+                        and (author is None or record.author == author):
+                    records.append(record)
+                    if len(records) == limit:
+                        break
+        return records
 
     def __len__(self) -> int:
         return len(self._statements)

@@ -250,7 +250,7 @@ class CrossePlatform:
             self.context.record_concepts(username, concepts,
                                          event="explore")
 
-    def recommend_peers(self, username: str, count: int = 5):
+    def recommend_peers(self, username: str, count: int | None = 5):
         self.users.get(username)
         return self.recommender.recommend_peers(username, count)
 

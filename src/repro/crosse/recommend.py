@@ -1,8 +1,11 @@
 """Peer discovery and peer-driven data recommendation (Section I-B(b)).
 
 * *Peer recommendation*: locate users with similar interests by cosine
-  similarity over context profiles; the peer network is a weighted
-  graph (networkx) thresholded on similarity.
+  similarity over context profiles.  A ranking scores only the users
+  who share a concept with the asker (the tracker's concept index; any
+  other user's cosine is 0), over norms each profile keeps, and is
+  memoised per user until any profile's weights move (the tracker's
+  stamp).
 * *Data recommendation*: resources explored by peers within similar
   contexts, scored by peer similarity x access frequency, excluding
   what the user already knows.
@@ -10,52 +13,52 @@
 
 from __future__ import annotations
 
-import networkx as nx
+from array import array
 
 from .context import ContextTracker
 
 
 class PeerRecommender:
-    """Builds the peer network and answers recommendation queries."""
+    """Answers peer and data recommendation queries."""
 
-    def __init__(self, tracker: ContextTracker,
-                 similarity_threshold: float = 0.1) -> None:
+    def __init__(self, tracker: ContextTracker) -> None:
         self.tracker = tracker
-        self.similarity_threshold = similarity_threshold
+        #: (tracker stamp, {username: (peer names, similarities)}): the
+        #: rankings made since the stamp last moved, each held as a name
+        #: tuple and a float array (16 bytes a peer, not a pair object).
+        self._rankings: tuple[int, dict] = (-1, {})
 
-    # -- peer network ---------------------------------------------------------
+    # -- peer ranking -------------------------------------------------------------
 
     def similarity(self, user_a: str, user_b: str) -> float:
         return self.tracker.profile(user_a).cosine_similarity(
             self.tracker.profile(user_b))
 
-    def peer_network(self) -> nx.Graph:
-        """Weighted similarity graph over all profiled users."""
-        graph = nx.Graph()
-        profiles = self.tracker.profiles()
-        for profile in profiles:
-            graph.add_node(profile.username)
-        for index, left in enumerate(profiles):
-            for right in profiles[index + 1:]:
-                weight = left.cosine_similarity(right)
-                if weight >= self.similarity_threshold:
-                    graph.add_edge(left.username, right.username,
-                                   weight=weight)
-        return graph
+    def recommend_peers(self, username: str, count: int | None = 5
+                        ) -> list[tuple[str, float]]:
+        """The *count* most similar other users (all for ``None``), best
+        first; ties by name."""
+        stamp = self.tracker.stamp
+        ranked_at, rankings = self._rankings
+        if ranked_at != stamp:
+            rankings = {}
+            self._rankings = (stamp, rankings)
+        ranking = rankings.get(username)
+        if ranking is None:
+            ranking = rankings[username] = self._rank(username)
+        peers, similarities = ranking
+        return list(zip(peers[:count], similarities[:count]))
 
-    def recommend_peers(self, username: str,
-                        count: int = 5) -> list[tuple[str, float]]:
-        """The most similar other users, best first."""
+    def _rank(self, username: str) -> tuple[tuple[str, ...], array]:
         me = self.tracker.profile(username)
         scored = []
-        for profile in self.tracker.profiles():
-            if profile.username == username:
-                continue
+        for profile in self.tracker.sharing(username):
             similarity = me.cosine_similarity(profile)
             if similarity > 0.0:
                 scored.append((profile.username, similarity))
         scored.sort(key=lambda item: (-item[1], item[0]))
-        return scored[:count]
+        return (tuple(name for name, _ in scored),
+                array("d", [similarity for _, similarity in scored]))
 
     # -- data recommendation ------------------------------------------------------
 

@@ -89,14 +89,11 @@ class SemanticTaggingModule:
 
     def explore_annotations(self, username: str,
                             prop: Term | None = None,
-                            author: str | None = None
+                            author: str | None = None,
+                            limit: int | None = None
                             ) -> list[StatementRecord]:
-        """Browse peers' public annotations (optionally filtered)."""
-        records = self.statements.public_statements(exclude_author=username)
-        if prop is not None:
-            records = [record for record in records
-                       if record.triple.predicate == prop]
-        if author is not None:
-            records = [record for record in records
-                       if record.author == author]
-        return records
+        """Browse peers' public annotations (optionally filtered): the
+        first *limit* of them in the platform's one order, or all."""
+        return self.statements.public_statements(
+            exclude_author=username, predicate=prop, author=author,
+            limit=limit)

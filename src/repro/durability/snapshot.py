@@ -240,7 +240,7 @@ def serialize_platform(platform, seq: int) -> dict:
              "triple": list(record.triple),
              "author": record.author,
              "public": record.public,
-             "accepted_by": sorted(record.accepted_by),
+             "accepted_by": list(record.accepted_by),
              "reference": ([record.reference.title,
                             record.reference.author,
                             record.reference.link]
@@ -304,9 +304,8 @@ def restore_platform(platform, payload: dict) -> None:
             registry.register(name, text, description)
     context = platform.context
     for spec in payload.get("profiles", ()):
-        profile = context.profile(spec["username"])
-        profile.weights.update(spec["weights"])
-        profile.history.extend(tuple(entry) for entry in spec["history"])
+        context.profile(spec["username"]).restore(
+            spec["weights"], [tuple(entry) for entry in spec["history"]])
     for resource, accesses in payload.get("resources", {}).items():
         context._resource_access[resource].update(accesses)
     for doc_id, title, text, tags in payload.get("documents", ()):

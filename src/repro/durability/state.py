@@ -61,7 +61,7 @@ def platform_state(platform) -> dict:
     with statements.rwlock.read_locked():
         statement_rows = sorted(
             [record.statement_id, record.triple.n3(), record.author,
-             record.public, sorted(record.accepted_by),
+             record.public, list(record.accepted_by),
              ([record.reference.title, record.reference.author,
                record.reference.link]
               if record.reference is not None else None)]

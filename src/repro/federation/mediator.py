@@ -169,6 +169,10 @@ class Mediator:
         #: ``estimate_view_cost`` per view name: (view, its fragments'
         #: stamps, cost).
         self._view_costs: dict[str, tuple] = {}
+        #: (source name, base fragment SQL) -> (the source's catalog
+        #: version, the tables the fragment reads as then resolved):
+        #: a cost stamp re-walks a fragment only after DDL.
+        self._cost_tables: dict[tuple[str, str], tuple] = {}
 
     # -- registration ----------------------------------------------------------
 
@@ -210,6 +214,7 @@ class Mediator:
         if name in self._views:
             for fragment in self._views[name].fragments:
                 self._fragment_statements.pop(fragment.sql, None)
+                self._cost_tables.pop((fragment.source, fragment.sql), None)
         self._views_version += 1
         self._view_costs.pop(name, None)
         view = GlobalView(
@@ -268,7 +273,7 @@ class Mediator:
         one table re-prices only the views with a fragment over it."""
         sources = [self.source(fragment.source)
                    for fragment in view.fragments]
-        stamp = [self._cost_stamp(database, fragment.sql)
+        stamp = [self._cost_stamp(database, fragment)
                  for database, fragment in zip(sources, view.fragments)]
         memo = self._view_costs.get(view.name)
         if memo is not None and memo[0] is view and memo[1] == stamp:
@@ -279,13 +284,20 @@ class Mediator:
         self._view_costs[view.name] = (view, stamp, cost)
         return cost
 
-    def _cost_stamp(self, database: Database, sql: str) -> tuple:
-        """What fragment *sql*'s cost over *database* is estimated
-        from (:meth:`estimate_view_cost`)."""
-        tables = self._fragment_tables(database,
-                                       self._fragment_statement(sql))
-        return (database.floor, database.catalog.version,
-                database.stats.version,
+    def _cost_stamp(self, database: Database,
+                    fragment: ViewFragment) -> tuple:
+        """What *fragment*'s cost over its source *database* is
+        estimated from (:meth:`estimate_view_cost`).  The tables it
+        reads are resolved once per catalog version of the source."""
+        version = database.catalog.version
+        key = (fragment.source, fragment.sql)
+        resolved = self._cost_tables.get(key)
+        if resolved is None or resolved[0] != version:
+            resolved = self._cost_tables[key] = (
+                version, self._fragment_tables(
+                    database, self._fragment_statement(fragment.sql)))
+        tables = resolved[1]
+        return (database.floor, version, database.stats.version,
                 database.generation if tables is None
                 else [table.state for table in tables])
 

@@ -240,7 +240,7 @@ class CrosseRestService:
                 "subject": str(record.triple.subject),
                 "property": str(record.triple.predicate),
                 "object": str(record.triple.object),
-                "accepted_by": sorted(record.accepted_by)}
+                "accepted_by": list(record.accepted_by)}
 
     def _list_annotations(self, params: dict, _body: dict) -> dict:
         return {"annotations": [
@@ -251,7 +251,7 @@ class CrosseRestService:
         record = self.platform.accept_statement(
             body["username"], int(params["statement_id"]))
         return {"statement_id": record.statement_id,
-                "accepted_by": sorted(record.accepted_by)}
+                "accepted_by": list(record.accepted_by)}
 
     def _run_sesql(self, _params: dict, body: dict) -> dict:
         outcome = self.platform.run_sesql(body["username"], body["query"])
@@ -273,10 +273,16 @@ class CrosseRestService:
 
     # -- v1: paginated listings ---------------------------------------------------
 
-    def _paginated(self, items: list, key: str, params: dict,
-                   body: dict, *signature_parts: Any) -> dict:
+    def _paginated(self, items: list | Callable[[int], list], key: str,
+                   params: dict, body: dict, *signature_parts: Any) -> dict:
+        """One page of *items*.  *items* may be a function of a stop:
+        only the first ``offset + limit + 1`` items decide a page and
+        whether a ``next_token`` follows, so it is asked for no more
+        (and a forged token is refused before it is asked)."""
         limit, token = _page_args(params, body)
         signature = request_signature(key, *signature_parts)
+        if callable(items):
+            items = items(token_offset(token, signature) + limit + 1)
         page = paginate_sequence(items, limit, token, signature)
         return {key: page.items, "next_token": page.next_token,
                 "limit": limit}
@@ -286,24 +292,28 @@ class CrosseRestService:
                                "users", params, body)
 
     def _list_annotations_v1(self, params: dict, body: dict) -> dict:
-        # Page the records (the platform lists them in one order, which
-        # the signature-bound token indexes), project only the page.
+        # Walk the records in the platform's one order (which the
+        # signature-bound token indexes) up to the page's end, and
+        # project only the page.
         username = params["username"]
         payload = self._paginated(
-            self.platform.explore_annotations(username), "annotations",
-            params, body, username)
+            lambda stop: self.platform.explore_annotations(
+                username, limit=stop),
+            "annotations", params, body, username)
         payload["annotations"] = [self._annotation_dict(record)
                                   for record in payload["annotations"]]
         return payload
 
     def _peer_recommendations_v1(self, params: dict, body: dict) -> dict:
-        # count=None: the full ranking — pagination, not the
-        # recommender, bounds what one response carries.
+        # Pagination, not a fixed count, bounds what one response
+        # carries; the ranking is paged before it is projected.
         username = params["username"]
-        peers = [{"username": name, "similarity": score}
-                 for name, score in self.platform.recommend_peers(
-                     username, count=None)]
-        return self._paginated(peers, "peers", params, body, username)
+        payload = self._paginated(
+            lambda stop: self.platform.recommend_peers(username, stop),
+            "peers", params, body, username)
+        payload["peers"] = [{"username": name, "similarity": score}
+                            for name, score in payload["peers"]]
+        return payload
 
     def _resource_recommendations_v1(self, params: dict,
                                      body: dict) -> dict:

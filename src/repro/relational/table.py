@@ -396,12 +396,11 @@ class Table:
         slot = self._slots[row_id]
         self.stamp = new_stamp()
         old_row = tuple(column.values[slot] for column in self._columns)
-        values = dict(zip(self.schema.column_names(), old_row))
+        names = self.schema.column_names()
+        values = dict(zip(names, old_row))
         for name, value in changes.items():
-            if not self.schema.has_column(name):
-                raise SchemaError(
-                    f"table {self.name!r} has no column {name!r}")
-            values[name] = value
+            # Stored under the schema's spelling: ``SET C0 = ...`` is c0.
+            values[names[self.schema.position_of(name)]] = value
         new_row = self._check_and_prepare(values)
         self.paths.update(slot, old_row, new_row)
         for column, value in zip(self._columns, new_row):

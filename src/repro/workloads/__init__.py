@@ -1,5 +1,7 @@
 """Shared builders for the benchmark harness."""
 
-from .builders import bench_engine, scaled_databank, seeded_tracker
+from .builders import (bench_engine, peer_network, scaled_databank,
+                       seeded_tracker)
 
-__all__ = ["scaled_databank", "bench_engine", "seeded_tracker"]
+__all__ = ["scaled_databank", "bench_engine", "seeded_tracker",
+           "peer_network"]

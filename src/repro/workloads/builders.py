@@ -61,3 +61,21 @@ def seeded_tracker(n_users: int, concepts_per_user: int = 20,
         for _ in range(resources_per_user):
             tracker.record_resource(username, rng.choice(resources))
     return tracker
+
+
+def peer_network(tracker: ContextTracker, threshold: float = 0.1
+                 ) -> dict[str, dict[str, float]]:
+    """The weighted peer network over every profiled user, as adjacency:
+    user -> {peer: cosine} for each pair whose cosine reaches
+    *threshold* (every user is a key, the isolated ones with no peers).
+    Quadratic in users: what the tests and E8 inspect, not a service."""
+    profiles = tracker.profiles()
+    graph: dict[str, dict[str, float]] = {
+        profile.username: {} for profile in profiles}
+    for index, left in enumerate(profiles):
+        for right in profiles[index + 1:]:
+            weight = left.cosine_similarity(right)
+            if weight >= threshold:
+                graph[left.username][right.username] = weight
+                graph[right.username][left.username] = weight
+    return graph

@@ -12,6 +12,7 @@ enough for the tier-1 suite too.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -375,6 +376,70 @@ def test_writer_beside_a_listing_and_a_query_in_its_own_context():
     written = len(platform.statements) - 300
     assert written > 0
     assert levels == {f"level-{serial}" for serial in range(1, written + 1)}
+
+
+@pytest.mark.stress
+def test_concurrent_profile_moves_keep_the_concept_index():
+    """Eight users move their profiles over one small vocabulary (record
+    and decay, so concepts enter and leave the index) while readers rank
+    peers; afterwards the index holds exactly the concepts each profile
+    weighs, and every ranking is the one a full scan gives."""
+    from repro.crosse.context import ContextTracker
+    from repro.crosse.recommend import PeerRecommender
+    tracker = ContextTracker()
+    recommender = PeerRecommender(tracker)
+    users = [f"u{index}" for index in range(8)]
+    concepts = ["Mercury", "Lead", "Zinc", "Iron"]
+    deadline = time.monotonic() + 1.0
+
+    errors = []
+
+    def mover(username: str) -> None:
+        profile = tracker.profile(username)
+        step = 0
+        try:
+            while time.monotonic() < deadline:
+                step += 1
+                profile.record(concepts[step % len(concepts)])
+                if step % 3 == 0:
+                    profile.decay(1e-7 if step % 9 == 0 else 0.5)
+        except Exception as exc:  # reported below, not lost in a thread
+            errors.append(exc)
+
+    def reader() -> None:
+        try:
+            while time.monotonic() < deadline:
+                for username in users:
+                    recommender.recommend_peers(username, count=None)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=mover, args=(username,))
+               for username in users]
+    threads += [threading.Thread(target=reader) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not [thread for thread in threads if thread.is_alive()]
+    assert not errors, errors[0]
+    for username in users:
+        profile = tracker.profile(username)
+        peers = {other.username for other in tracker.sharing(username)}
+        assert peers == {other for other in users if other != username
+                         and set(tracker.profile(other).weights)
+                         & set(profile.weights)}
+        scan = sorted(((other.username, profile.cosine_similarity(other))
+                       for other in tracker.profiles()
+                       if other.username != username),
+                      key=lambda item: (-item[1], item[0]))
+        assert recommender.recommend_peers(username, count=None) \
+            == [item for item in scan if item[1] > 0.0]
 
 
 # -- pool semantics --------------------------------------------------------------

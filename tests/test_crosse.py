@@ -1,6 +1,14 @@
 """CroSSE platform: provenance, tagging scenarios, context, recommenders."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, precondition, rule)
 
 from repro.crosse import (AnnotationError, CrossePlatform, Document,
                           KnowledgeBaseStore, Reference, StatementError,
@@ -10,6 +18,7 @@ from repro.crosse.context import ContextProfile
 from repro.rdf import SMG, Literal
 from repro.relational import Database, ResultSet
 from repro.smartground import SmartGroundConfig, generate_databank
+from repro.workloads import peer_network
 
 
 @pytest.fixture
@@ -31,7 +40,7 @@ def test_statement_provenance_tracked():
     store = KnowledgeBaseStore()
     record = store.insert("giulia", SMG.Mercury, SMG.dangerLevel, "high")
     assert record.author == "giulia"
-    assert record.accepted_by == set()
+    assert record.accepted_by == []
     store.accept("marco", record.statement_id)
     assert "marco" in record.accepted_by
 
@@ -247,9 +256,148 @@ def test_resource_recommendation_from_peers(platform):
 
 
 def test_peer_network_graph(platform):
-    graph = platform.recommender.peer_network()
-    assert graph.has_node("giulia")
-    assert graph.has_edge("giulia", "eva")
+    graph = peer_network(platform.context)
+    assert "giulia" in graph
+    assert "eva" in graph["giulia"] and "giulia" in graph["eva"]
+
+
+def _brute_force_peers(tracker, username):
+    """Peer ranking as first written: a cosine against every profiled
+    user, both norms summed afresh each time."""
+    def cosine(left, right):
+        if not left.weights or not right.weights:
+            return 0.0
+        shared = set(left.weights) & set(right.weights)
+        dot = sum(left.weights[c] * right.weights[c] for c in shared)
+        norm_left = sum(w * w for w in left.weights.values()) ** 0.5
+        norm_right = sum(w * w for w in right.weights.values()) ** 0.5
+        if norm_left == 0.0 or norm_right == 0.0:
+            return 0.0
+        return dot / (norm_left * norm_right)
+
+    me = tracker.profile(username)
+    scored = [(profile.username, cosine(me, profile))
+              for profile in tracker.profiles()
+              if profile.username != username]
+    scored = [item for item in scored if item[1] > 0.0]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored
+
+
+CONCEPTS = st.sampled_from(["Mercury", "mercury", "Lead", "Zinc", "urban",
+                            "Arsenic", "pollution"])
+
+
+class PeerRankingModel(RuleBasedStateMachine):
+    """Profiles move by every path that moves them — the platform's
+    record / annotate, ``ContextProfile.record`` and ``decay`` called
+    directly, new users — beside statement writes that move none; after
+    each step every user's ranking (indexed, memoised) must be the brute
+    force's: same users, same order, the same floats to the last bit."""
+
+    @initialize()
+    def setup(self):
+        self.platform = CrossePlatform(generate_databank(
+            SmartGroundConfig(n_landfills=6, seed=3)))
+        self.elements = [row[0] for row in self.platform.databank.query(
+            "SELECT DISTINCT elem_name FROM elem_contained "
+            "ORDER BY elem_name LIMIT 4").rows]
+        self.users = []
+        self.statements = []
+        for _ in range(3):
+            self.new_user(interests=["Mercury"])
+
+    def _user(self, data):
+        return data.draw(st.sampled_from(self.users))
+
+    @rule(interests=st.lists(CONCEPTS, max_size=3))
+    def new_user(self, interests):
+        username = f"u{len(self.users)}"
+        self.platform.register_user(username, interests=interests)
+        self.users.append(username)
+
+    @rule(data=st.data(), concepts=st.lists(CONCEPTS, max_size=3),
+          event=st.sampled_from(["query", "explore", "annotate"]))
+    def record(self, data, concepts, event):
+        self.platform.context.record_concepts(self._user(data), concepts,
+                                              event)
+
+    @rule(data=st.data(), concept=CONCEPTS)
+    def record_directly(self, data, concept):
+        self.platform.context.profile(self._user(data)).record(concept)
+
+    @rule(data=st.data(), factor=st.sampled_from([0.5, 0.25, 1e-7, 2.0]))
+    def decay(self, data, factor):
+        self.platform.context.profile(self._user(data)).decay(factor)
+
+    @rule(data=st.data())
+    def annotate(self, data):
+        record = self.platform.annotate_concept(
+            self._user(data), "elem_contained", "elem_name",
+            data.draw(st.sampled_from(self.elements)), SMG.dangerLevel,
+            "high")
+        self.statements.append(record)
+
+    @precondition(lambda self: self.statements)
+    @rule(data=st.data())
+    def accept(self, data):
+        record = data.draw(st.sampled_from(self.statements))
+        username = self._user(data)
+        if username != record.author:
+            self.platform.accept_statement(username, record.statement_id)
+
+    @precondition(lambda self: self.statements)
+    @rule(data=st.data())
+    def retract(self, data):
+        record = data.draw(st.sampled_from(self.statements))
+        self.statements.remove(record)
+        self.platform.retract_statement(record.author, record.statement_id)
+
+    @invariant()
+    def rankings_are_the_brute_force(self):
+        for username in getattr(self, "users", ()):
+            assert self.platform.recommend_peers(username, count=None) \
+                == _brute_force_peers(self.platform.context, username)
+
+
+PeerRankingModel.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None)
+test_peer_ranking_is_the_brute_force = PeerRankingModel.TestCase
+
+
+def test_peer_ranking_scores_only_users_sharing_a_concept(platform,
+                                                         monkeypatch):
+    """marco shares no concept with giulia: his profile is never scored
+    for her, and a repeat ranking is served from the memo."""
+    scored = []
+    cosine = ContextProfile.cosine_similarity
+
+    def counted(self, other):
+        scored.append(other.username)
+        return cosine(self, other)
+    monkeypatch.setattr(ContextProfile, "cosine_similarity", counted)
+    assert [name for name, _ in platform.recommend_peers("giulia")] \
+        == ["eva"]
+    assert scored == ["eva"]
+    platform.recommend_peers("giulia")
+    assert scored == ["eva"]
+
+
+def test_every_module_imports_without_networkx():
+    """The library needs nothing beyond the standard library: with
+    ``networkx`` unimportable, every module under ``repro`` imports."""
+    code = (
+        "import sys, importlib, pkgutil\n"
+        "sys.modules['networkx'] = None\n"
+        "import repro\n"
+        "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    importlib.import_module(module.name)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_rank_result_prefers_context_concepts():

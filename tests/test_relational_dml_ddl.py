@@ -1,5 +1,7 @@
 """DML/DDL behaviour: constraints, defaults, updates, indexes."""
 
+import sqlite3
+
 import pytest
 
 from repro.relational import (CatalogError, ConstraintViolation, Database,
@@ -123,6 +125,29 @@ def test_update_reindexes(db):
     db.execute("UPDATE t SET v = 'z' WHERE id = 1")
     assert db.query("SELECT id FROM t WHERE v = 'z'").rows == [(1,)]
     assert db.query("SELECT id FROM t WHERE v = 'a'").rows == []
+
+
+@pytest.mark.parametrize("statement", [
+    "UPDATE t SET C0 = 5",
+    "UPDATE t SET C0 = C0 + 10, c1 = 'y' WHERE C1 = 'x'",
+    "UPDATE t SET c0 = 7, C0 = 8 WHERE c0 = 1",
+    "UPDATE t SET C1 = UPPER(C1) WHERE C0 IN (1, 3)",
+], ids=["set", "set-where", "twice", "where-in"])
+def test_update_with_recased_names_matches_sqlite(db, statement):
+    """An UPDATE stores each change under the schema's spelling, whatever
+    case the statement names the column in (sqlite3 is the oracle), and
+    the indexes follow."""
+    oracle = sqlite3.connect(":memory:")
+    for con in (db, oracle):
+        con.execute("CREATE TABLE t (c0 INTEGER, c1 TEXT)")
+        con.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'x')")
+    db.execute("CREATE INDEX i1 ON t (c1)")
+    count = db.execute(statement)
+    assert count == oracle.execute(statement).rowcount
+    query = "SELECT c0, c1 FROM t ORDER BY c0, c1"
+    assert db.query(query).rows == oracle.execute(query).fetchall()
+    probe = "SELECT c0 FROM t WHERE c1 = 'x' ORDER BY c0"
+    assert db.query(probe).rows == oracle.execute(probe).fetchall()
 
 
 def test_update_violating_pk_rolls_back(db):

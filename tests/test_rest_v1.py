@@ -9,9 +9,15 @@ session pool.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 precondition, rule)
 
 from repro.api.cursor import paginate_sequence, request_signature
 from repro.crosse.platform import CrossePlatform
+from repro.rdf import SMG
+from repro.relational import Database
 from repro.federation import CrosseRestService, RestError
 from repro.federation.rest import RestRouter
 from repro.smartground.datagen import SmartGroundConfig, generate_databank
@@ -279,6 +285,119 @@ def test_annotation_listing_projects_only_its_page(service, monkeypatch):
         assert response.payload["next_token"] == expected.next_token
         token = expected.next_token
     assert token is not None and len(built) == 150
+
+
+USERS = st.sampled_from(["ann", "bob", "cy"])
+PROPERTIES = st.sampled_from(["dangerLevel", "isA"])
+
+
+class ListingModel(RuleBasedStateMachine):
+    """Statements by random authors, public or not, accepted, rejected
+    and retracted; a listing walks the platform's one order and stops at
+    its page's end.  Every page and ``next_token`` must be what
+    ``paginate_sequence`` makes of the full filtered list, which must be
+    the model's."""
+
+    @initialize()
+    def setup(self):
+        self.platform = CrossePlatform(Database())
+        self.service = CrosseRestService(self.platform, pool_capacity=1)
+        for name in ("ann", "bob", "cy"):
+            self.platform.register_user(name)
+        #: statement id -> [author, public, property, acceptors], in
+        #: the order the statements were made.
+        self.model = {}
+
+    def teardown(self):
+        if hasattr(self, "service"):
+            self.service.close()
+
+    @rule(author=USERS, prop=PROPERTIES, public=st.booleans(),
+          subject=st.integers(0, 3))
+    def annotate(self, author, prop, public, subject):
+        record = self.platform.tagging.annotate_free(
+            author, SMG[f"S{subject}"], SMG[prop], "high", public=public)
+        self.model[record.statement_id] = [author, public, prop, set()]
+
+    def _draw(self, data, condition):
+        ids = [statement_id for statement_id, entry in self.model.items()
+               if condition(*entry)]
+        return data.draw(st.sampled_from(ids)) if ids else None
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), username=USERS)
+    def accept(self, data, username):
+        statement_id = self._draw(
+            data, lambda author, public, _p, _a: public and author != username)
+        if statement_id is not None:
+            self.platform.accept_statement(username, statement_id)
+            self.model[statement_id][3].add(username)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), username=USERS)
+    def reject(self, data, username):
+        statement_id = self._draw(
+            data, lambda _a, _p, _q, acceptors: username in acceptors)
+        if statement_id is not None:
+            self.platform.reject_statement(username, statement_id)
+            self.model[statement_id][3].discard(username)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def retract(self, data):
+        statement_id = data.draw(st.sampled_from(sorted(self.model)))
+        author = self.model.pop(statement_id)[0]
+        self.platform.retract_statement(author, statement_id)
+
+    def _expected(self, username, prop=None, author=None):
+        return [statement_id
+                for statement_id, (by, public, predicate, _acceptors)
+                in self.model.items()
+                if public and by != username
+                and (prop is None or predicate == prop)
+                and (author is None or by == author)]
+
+    @rule(username=USERS, prop=st.none() | PROPERTIES,
+          author=st.none() | USERS, limit=st.integers(0, 5))
+    def walk_stops_at_its_limit(self, username, prop, author, limit):
+        everything = self.platform.explore_annotations(
+            username, prop=None if prop is None else SMG[prop],
+            author=author)
+        expected = self._expected(username, prop, author)
+        assert [record.statement_id for record in everything] == expected
+        walked = self.platform.explore_annotations(
+            username, prop=None if prop is None else SMG[prop],
+            author=author, limit=limit)
+        assert walked == everything[:limit]
+
+    @rule(username=USERS, limit=st.integers(1, 4))
+    def pages_are_the_full_listing_paginated(self, username, limit):
+        everything = self.service.request(
+            "GET", f"/api/annotations/{username}").payload["annotations"]
+        assert [entry["statement_id"] for entry in everything] \
+            == self._expected(username)
+        for entry in everything:
+            assert entry["accepted_by"] == sorted(
+                self.model[entry["statement_id"]][3])
+        signature = request_signature("annotations", username)
+        token = None
+        for _page in range(len(everything) // limit + 2):
+            response = self.service.request(
+                "GET", f"/api/v1/annotations/{username}",
+                {"limit": limit, "next_token": token})
+            expected = paginate_sequence(everything, limit, token,
+                                         signature)
+            assert response.payload["annotations"] == expected.items
+            assert response.payload["next_token"] == expected.next_token
+            token = expected.next_token
+            if token is None:
+                break
+        assert token is None
+
+
+ListingModel.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None)
+test_listing_walk_is_filter_then_paginate = ListingModel.TestCase
 
 
 # -- batch ----------------------------------------------------------------------
