@@ -621,7 +621,7 @@ def analyze_sparql(query, *, options: AnalysisOptions | None = None
                    ) -> AnalysisReport:
     """Analyze a SPARQL SELECT: every projected variable must be bound
     somewhere in the graph pattern (FILTER does not bind)."""
-    from ..sparql.ast import SelectQuery as SparqlSelect, group_variables
+    from ..sparql.ast import group_variables
     from ..sparql.parser import parse_sparql
 
     options = options or DEFAULT_OPTIONS
@@ -639,10 +639,9 @@ def analyze_sparql(query, *, options: AnalysisOptions | None = None
         report = AnalysisReport(statement=str(query))
     if not options.enabled:
         return report
-    if not isinstance(query, SparqlSelect):
-        return report
     bound = group_variables(query.where)
-    for variable in query.variables:
+    # SELECT * projects only what the pattern binds.
+    for variable in query.variables or ():
         if variable not in bound and options.wants("W-SPARQL-UNBOUND"):
             report.add(
                 "W-SPARQL-UNBOUND",

@@ -229,14 +229,11 @@ class SemanticQueryModule:
                 raise StoredQueryError(
                     f"stored query {prop!r} must bind two variables to be "
                     "used as a pair extraction")
-            first, second = results.variables[0], results.variables[1]
-            pairs = [(solution[first], solution[second])
-                     for solution in results
-                     if first in solution and second in solution]
-            return Extraction(sparql=stored.text, pairs=pairs)
-        prop_n3 = self._property_path_n3(prop)
-        text = f"SELECT ?s ?o WHERE {{ ?s {prop_n3} ?o }}"
-        results = self._run(kb, text)
+            text = stored.text
+        else:
+            prop_n3 = self._property_path_n3(prop)
+            text = f"SELECT ?s ?o WHERE {{ ?s {prop_n3} ?o }}"
+            results = self._run(kb, text)
         pairs = [(row[0], row[1]) for row in results.tuples()
                  if row[0] is not None and row[1] is not None]
         return Extraction(sparql=text, pairs=pairs)
@@ -252,22 +249,18 @@ class SemanticQueryModule:
         stored = self.stored_queries.get(prop)
         if stored is not None:
             results = self._run_stored(kb, prop)
-            if len(results.variables) == 1:
-                variable = results.variables[0]
-                values = [solution[variable] for solution in results
-                          if variable in solution]
-                return Extraction(sparql=stored.text, values=values)
-            first, second = results.variables[0], results.variables[1]
+            text = stored.text
+            if len(results.variables) > 1:
+                constant_term = self.mapping.concept_to_term(constant)
+                values = [row[1] for row in results.tuples()
+                          if row[0] == constant_term and row[1] is not None]
+                return Extraction(sparql=text, values=values)
+        else:
             constant_term = self.mapping.concept_to_term(constant)
-            values = [solution[second] for solution in results
-                      if solution.get(first) == constant_term
-                      and second in solution]
-            return Extraction(sparql=stored.text, values=values)
-        constant_term = self.mapping.concept_to_term(constant)
-        prop_n3 = self._property_path_n3(prop)
-        text = (f"SELECT ?o WHERE {{ {constant_term.n3()} "
-                f"{prop_n3} ?o }}")
-        results = self._run(kb, text)
+            prop_n3 = self._property_path_n3(prop)
+            text = (f"SELECT ?o WHERE {{ {constant_term.n3()} "
+                    f"{prop_n3} ?o }}")
+            results = self._run(kb, text)
         values = [row[0] for row in results.tuples() if row[0] is not None]
         return Extraction(sparql=text, values=values)
 
@@ -290,22 +283,18 @@ class SemanticQueryModule:
         stored = self.stored_queries.get(prop)
         if stored is not None:
             results = self._run_stored(kb, prop)
-            if len(results.variables) == 1:
-                variable = results.variables[0]
-                subjects = {solution[variable] for solution in results
-                            if variable in solution}
-                return Extraction(sparql=stored.text, subjects=subjects)
-            first, second = results.variables[0], results.variables[1]
-            subjects = {solution[first] for solution in results
-                        if solution.get(second) in (concept_term,
-                                                    concept_literal)
-                        and first in solution}
-            return Extraction(sparql=stored.text, subjects=subjects)
-        prop_n3 = self._property_path_n3(prop)
-        text = (f"SELECT ?s WHERE {{ "
-                f"{{ ?s {prop_n3} {concept_term.n3()} }} UNION "
-                f"{{ ?s {prop_n3} {concept_literal.n3()} }} }}")
-        results = self._run(kb, text)
+            text = stored.text
+            if len(results.variables) > 1:
+                subjects = {row[0] for row in results.tuples()
+                            if row[1] in (concept_term, concept_literal)
+                            and row[0] is not None}
+                return Extraction(sparql=text, subjects=subjects)
+        else:
+            prop_n3 = self._property_path_n3(prop)
+            text = (f"SELECT ?s WHERE {{ "
+                    f"{{ ?s {prop_n3} {concept_term.n3()} }} UNION "
+                    f"{{ ?s {prop_n3} {concept_literal.n3()} }} }}")
+            results = self._run(kb, text)
         subjects = {row[0] for row in results.tuples()
                     if row[0] is not None}
         return Extraction(sparql=text, subjects=subjects)

@@ -46,9 +46,6 @@ class StoredQueryRegistry:
         except Exception as exc:
             raise StoredQueryError(
                 f"stored query {name!r} does not parse: {exc}") from exc
-        if not isinstance(parsed, SelectQuery):
-            raise StoredQueryError(
-                f"stored query {name!r} must be a SELECT query")
         stored = StoredQuery(name, text, description, parsed)
         self._queries[name] = stored
         return stored

@@ -1,9 +1,11 @@
 """SPARQL subset engine over :class:`repro.rdf.TripleStore`.
 
-Supported forms: SELECT (DISTINCT, ORDER BY, LIMIT/OFFSET), ASK and
-CONSTRUCT, with basic graph patterns, FILTER, OPTIONAL, UNION, BIND and
-property paths.  This is the query language the SESQL Semantic Query
-Module (SQM) generates against per-user knowledge bases.
+Supported forms: SELECT only (DISTINCT, ORDER BY, LIMIT/OFFSET), with
+basic graph patterns, FILTER, OPTIONAL, UNION, BIND and property paths;
+the parser refuses ASK, CONSTRUCT and DESCRIBE.  This is the query the
+SESQL Semantic Query Module (SQM) generates against per-user knowledge
+bases, and a result is one tuple of terms per solution, in projection
+order (:class:`SparqlResults`).
 """
 
 from .ast import Variable

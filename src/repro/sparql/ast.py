@@ -13,9 +13,10 @@ class Variable:
     """A SPARQL variable (``?x`` / ``$x``).
 
     Equality and hashing delegate to the name string — CPython caches a
-    str's hash on the object, so solution dicts keyed by variables (the
-    evaluator's result shape) hash at C speed instead of re-hashing a
-    dataclass field tuple per access.
+    str's hash on the object, so the dicts keyed by variables (the rows
+    a FILTER, BIND or ORDER BY key reads, and the reference evaluator's
+    solutions) re-hash no dataclass field tuple per access.  Results
+    are tuples by slot and key nothing by variable.
     """
 
     name: str
@@ -156,7 +157,7 @@ class CallExpr(Expr):
     args: list[Expr] = field(default_factory=list)
 
 
-# -- queries ---------------------------------------------------------------------------
+# -- the query (SELECT is the only form) ---------------------------------
 
 @dataclass
 class SelectQuery:
@@ -166,20 +167,6 @@ class SelectQuery:
     order_by: list[tuple[Expr, bool]] = field(default_factory=list)
     limit: Optional[int] = None
     offset: Optional[int] = None
-
-
-@dataclass
-class AskQuery:
-    where: GroupPattern
-
-
-@dataclass
-class ConstructQuery:
-    template: list[TriplePattern]
-    where: GroupPattern
-
-
-Query = Union[SelectQuery, AskQuery, ConstructQuery]
 
 
 def group_variables(group: GroupPattern) -> set[Variable]:

@@ -1,20 +1,25 @@
-"""SPARQL query evaluation over a TripleStore.
+"""SPARQL SELECT evaluation over a TripleStore.
 
-Two engines share one semantics:
+The SESQL Semantic Query Module sends the knowledge base one kind of
+query, a SELECT, so SELECT is the only form.  A solution is a tuple of
+terms in projection order, ``None`` for an unbound variable: that is
+what :class:`SparqlResults` holds and what the SQM reads.
+
+Two engines share one semantics and one result shape:
 
 * :class:`Evaluator` — the production engine.  Solutions flow between
   operators as **id-encoded batches** (tuples of dictionary ids, one
-  column per variable), basic graph patterns are joined set-at-a-time
+  slot per variable), basic graph patterns are joined set-at-a-time
   with hash joins on the shared variables, and the join order comes
   from :mod:`repro.sparql.planner`'s selectivity estimates over the
-  store's O(1) statistics.  ``Term`` objects materialize only at the
-  :class:`SparqlResults` boundary (or inside FILTER/BIND expressions),
-  mirroring the late-materialization discipline of column stores — and
-  of the paper's personal-KB evaluation loop, where every enrichment
-  pays this layer's latency.
-* :class:`NaiveEvaluator` — the seed's solution-at-a-time interpreter,
-  kept as the pinned baseline for the equivalence property suite and
-  the E12 benchmark gate.
+  store's O(1) statistics.  ``select`` projects the id rows by slot,
+  dedupes (DISTINCT) and slices (LIMIT / OFFSET) them as ids, and reads
+  a ``Term`` only for the rows it returns.  A row becomes a dict only
+  where an expression reads it — a FILTER, a BIND or an ORDER BY key —
+  and then holds just the variables the expression names.
+* :class:`NaiveEvaluator` — the seed's solution-at-a-time interpreter
+  over dict solutions, kept as the reference for the equivalence
+  property suite and the E12 benchmark gate.
 
 OPTIONAL implements left-join semantics, UNION concatenates branch
 solutions, FILTERs drop solutions whose expression is not (effectively)
@@ -23,8 +28,8 @@ true — in both engines, at the same positions in the group.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Iterable, Iterator
+from operator import itemgetter
+from typing import Iterator
 
 from ..rdf.store import TripleStore
 from ..rdf.terms import Literal, Term, is_term, term_from_python, term_sort_key
@@ -39,60 +44,94 @@ Solution = dict[ast.Variable, Term]
 
 
 class SparqlResults:
-    """SELECT results: ordered variables plus a list of bindings."""
+    """SELECT results: the projected ``variables`` and ``rows``, one
+    tuple of terms per solution in projection order (``None`` for an
+    unbound variable).  Iterating yields each row as a dict of its
+    bound variables."""
+
+    __slots__ = ("variables", "rows")
 
     def __init__(self, variables: list[ast.Variable],
-                 solutions: list[Solution]) -> None:
+                 rows: list[tuple]) -> None:
         self.variables = variables
-        self.solutions = solutions
+        self.rows = rows
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[Solution]:
-        return iter(self.solutions)
+        variables = self.variables
+        for row in self.rows:
+            yield {variable: term for variable, term in zip(variables, row)
+                   if term is not None}
 
     def var_names(self) -> list[str]:
         return [variable.name for variable in self.variables]
 
     def tuples(self) -> list[tuple]:
-        """Rows of terms in variable order (None for unbound)."""
-        return [tuple(solution.get(variable) for variable in self.variables)
-                for solution in self.solutions]
+        """The rows themselves (not a copy)."""
+        return self.rows
 
     def values(self, name: str) -> list[Term | None]:
         variable = ast.Variable(name)
-        return [solution.get(variable) for solution in self.solutions]
+        if variable not in self.variables:
+            return [None] * len(self.rows)
+        slot = self.variables.index(variable)
+        return [row[slot] for row in self.rows]
 
     def python_tuples(self) -> list[tuple]:
         """Rows with literals unwrapped to Python values, IRIs as strings."""
-        def plain(term: Term | None) -> Any:
+        def plain(term: Term | None):
             if term is None:
                 return None
             if isinstance(term, Literal):
                 return term.value
             return str(term)
-        return [tuple(plain(value) for value in row)
-                for row in self.tuples()]
+        return [tuple(map(plain, row)) for row in self.rows]
 
 
-def _substitute(position, solution: Solution):
-    if isinstance(position, ast.Variable):
-        return solution.get(position)
-    return position
+def _projection(query: ast.SelectQuery) -> list[ast.Variable]:
+    if query.variables is None:
+        return sorted(ast.group_variables(query.where),
+                      key=lambda variable: variable.name)
+    return query.variables
 
 
-def _initial_bound(solutions: Iterable[Solution]) -> set[ast.Variable]:
-    """Variables bound anywhere in the incoming solutions.
+def _sliced(rows: list[tuple], query: ast.SelectQuery) -> list[tuple]:
+    start = query.offset or 0
+    end = (start + query.limit) if query.limit is not None else None
+    return rows[start:end] if start or end is not None else rows
 
-    Pattern ordering must see the whole boundness picture: after an
-    OPTIONAL the solutions are heterogeneous, and seeding from the
-    first solution alone (the seed behaviour) mis-orders the join.
-    """
-    bound: set[ast.Variable] = set()
-    for solution in solutions:
-        bound.update(solution.keys())
-    return bound
+
+def _order_key(solution: Solution,
+               order_by: list[tuple[ast.Expr, bool]]) -> tuple:
+    keys = []
+    for expr, descending in order_by:
+        try:
+            value = evaluate(expr, solution)
+        except FilterError:
+            value = None
+        if value is not None and not is_term(value) \
+                and not hasattr(value, "n3"):
+            value = term_from_python(value)
+        key = term_sort_key(value)
+        keys.append(_Reversed(key) if descending else key)
+    return tuple(keys)
+
+
+class _Reversed:
+    """Inverts comparison for DESC sort keys."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key) -> None:
+        self.key = key
+
+    def __lt__(self, other: "_Reversed") -> bool:
+        return other.key < self.key
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Reversed) and self.key == other.key
 
 
 class _RowTag:
@@ -130,49 +169,11 @@ class Evaluator:
         self.dictionary = store.dictionary
         self.stats = store.stats
 
-    # -- public compatibility surface ----------------------------------------
-
-    def eval_group(self, group: ast.GroupPattern,
-                   seeds: Iterable[Solution]) -> list[Solution]:
-        """Evaluate a group over seed solutions (dict-level API)."""
-        return self._decode(self._eval_group(group, self._encode(seeds)))
-
-    # -- encode / decode -----------------------------------------------------
-
-    def _encode(self, seeds: Iterable[Solution]) -> _Batch:
-        solutions = list(seeds)
-        vars_: list = []
-        index: dict = {}
-        for solution in solutions:
-            for variable in solution:
-                if variable not in index:
-                    index[variable] = len(vars_)
-                    vars_.append(variable)
-        intern = self.dictionary.intern
-        rows = [tuple(intern(solution[variable])
-                      if variable in solution else None
-                      for variable in vars_)
-                for solution in solutions]
-        return _Batch(vars_, rows)
-
-    def _decode(self, batch: _Batch) -> list[Solution]:
-        terms = self.dictionary.terms
-        columns = [(i, var) for i, var in enumerate(batch.vars)
-                   if isinstance(var, ast.Variable)]
-        out: list[Solution] = []
-        for row in batch.rows:
-            solution: Solution = {}
-            for i, var in columns:
-                value = row[i]
-                if value is not None:
-                    solution[var] = terms[value]
-            out.append(solution)
-        return out
-
-    def _expr_columns(self, expression: ast.Expr,
-                      batch: _Batch) -> list[tuple[int, ast.Variable]]:
-        """(column, variable) pairs the expression can actually read —
-        FILTER/BIND rows materialize only these, not the whole row."""
+    def _expr_columns(self, batch: _Batch, *expressions: ast.Expr
+                      ) -> list[tuple[int, ast.Variable]]:
+        """(column, variable) pairs the expressions can actually read —
+        FILTER/BIND/ORDER BY rows materialize only these, not the whole
+        row."""
         referenced: set[ast.Variable] = set()
 
         def visit(expr) -> None:
@@ -187,9 +188,17 @@ class Evaluator:
                 for arg in expr.args:
                     visit(arg)
 
-        visit(expression)
+        for expression in expressions:
+            visit(expression)
         return [(batch.index[var], var) for var in referenced
                 if var in batch.index]
+
+    def _bindings(self, row: tuple,
+                  columns: list[tuple[int, ast.Variable]]) -> Solution:
+        """The dict an expression reads: *columns*' bound terms."""
+        terms = self.dictionary.terms
+        return {var: terms[row[i]] for i, var in columns
+                if row[i] is not None}
 
     # -- group evaluation -------------------------------------------------------
 
@@ -229,7 +238,7 @@ class Evaluator:
         if not batch.rows:
             return batch
         # Boundness for ordering comes from the whole batch state, not
-        # the first row (see _initial_bound / planner.order_bgp).
+        # the first row (see planner.order_bgp).
         bound_cols = [False] * len(batch.vars)
         for row in batch.rows:
             for i, value in enumerate(row):
@@ -444,18 +453,10 @@ class Evaluator:
 
     def _filter(self, element: ast.Filter, batch: _Batch) -> _Batch:
         expression = element.expression
-        columns = self._expr_columns(expression, batch)
-        terms = self.dictionary.terms
-        kept = []
-        for row in batch.rows:
-            solution: Solution = {}
-            for i, var in columns:
-                value = row[i]
-                if value is not None:
-                    solution[var] = terms[value]
-            if evaluate_boolean(expression, solution):
-                kept.append(row)
-        return _Batch(batch.vars, kept)
+        columns = self._expr_columns(batch, expression)
+        return _Batch(batch.vars, [
+            row for row in batch.rows
+            if evaluate_boolean(expression, self._bindings(row, columns))])
 
     def _bind(self, bind: ast.Bind, batch: _Batch) -> _Batch:
         variable = bind.variable
@@ -467,8 +468,7 @@ class Evaluator:
             out_vars = list(batch.vars)
             column = existing
         intern = self.dictionary.intern
-        columns = self._expr_columns(bind.expression, batch)
-        terms = self.dictionary.terms
+        columns = self._expr_columns(batch, bind.expression)
         new_rows: list[tuple] = []
         for row in batch.rows:
             if existing is not None and row[existing] is not None:
@@ -476,12 +476,8 @@ class Evaluator:
                     f"BIND would rebind {variable.n3()}")
             value_id = None
             try:
-                solution: Solution = {}
-                for i, var in columns:
-                    value = row[i]
-                    if value is not None:
-                        solution[var] = terms[value]
-                value = evaluate(bind.expression, solution)
+                value = evaluate(bind.expression,
+                                 self._bindings(row, columns))
                 if not (is_term(value) or hasattr(value, "n3")):
                     value = term_from_python(value)
                 value_id = intern(value)
@@ -532,159 +528,67 @@ class Evaluator:
                     for source in mapping))
         return _Batch(out_vars, new_rows)
 
-    # -- query forms ------------------------------------------------------------------
-
-    def _where_batch(self, where: ast.GroupPattern) -> _Batch:
-        return self._eval_group(where, _Batch([], [()]))
+    # -- SELECT ------------------------------------------------------------
 
     def select(self, query: ast.SelectQuery) -> SparqlResults:
-        batch = self._where_batch(query.where)
-        variables = self._select_variables(query)
+        batch = self._eval_group(query.where, _Batch([], [()]))
+        variables = _projection(query)
+        rows = batch.rows
         if query.order_by:
-            # ORDER BY may reference unprojected variables: decode the
-            # full solutions once and sort over them.
-            solutions = self._decode(batch)
-            projected = _order(solutions, _project(solutions, variables),
-                               query.order_by)
+            # The keys may read variables the projection drops.
+            columns = self._expr_columns(
+                batch, *(expr for expr, _descending in query.order_by))
+            rows = sorted(rows, key=lambda row: _order_key(
+                self._bindings(row, columns), query.order_by))
+        width = len(batch.vars)
+        slots = [batch.index.get(variable, width) for variable in variables]
+        if width in slots:
+            # A projected variable no pattern binds: an all-unbound slot.
+            rows = [row + (None,) for row in rows]
+        if slots:
+            ids = list(zip(*[map(itemgetter(slot), rows) for slot in slots]))
         else:
-            # Fused decode + projection: one dict per row, projected
-            # columns only, terms materialized at the last moment.
-            terms = self.dictionary.terms
-            columns = [(batch.index[var], var) for var in variables
-                       if var in batch.index]
-            projected = []
-            for row in batch.rows:
-                solution: Solution = {}
-                for i, var in columns:
-                    value = row[i]
-                    if value is not None:
-                        solution[var] = terms[value]
-                projected.append(solution)
+            ids = [()] * len(rows)
         if query.distinct:
-            projected = _distinct(projected)
-        start = query.offset or 0
-        end = (start + query.limit) if query.limit is not None else None
-        projected = projected[start:end]
-        return SparqlResults(variables, projected)
-
-    def iter_select(self, query: ast.SelectQuery) -> Iterator[Solution]:
-        """Generator-based solution production for SELECT.
-
-        Pattern evaluation itself is set-at-a-time — the id-encoded
-        batch for the WHERE clause is computed up front — but **term
-        materialization and projection are lazy**: dicts of ``Term``
-        objects are built one row at a time as the consumer pulls, and
-        LIMIT/OFFSET bound how many rows ever decode.  That per-row
-        hand-off is what lets ``Session.stream`` fold KB-bound
-        solutions page-at-a-time the way PR 3's cursors fold SQL rows
-        (the enrichment pipeline consumes extractions eagerly either
-        way — they are planning inputs).
-        """
-        if query.order_by or query.distinct:
-            yield from self.select(query).solutions
-            return
-        batch = self._where_batch(query.where)
-        variables = self._select_variables(query)
+            ids = list(dict.fromkeys(ids))  # an interned id is one term
+        ids = _sliced(ids, query)
+        # Terms for the kept rows only, read a column at a time.
         terms = self.dictionary.terms
-        columns = [(batch.index[var], var) for var in variables
-                   if var in batch.index]
-        start = query.offset or 0
-        end = (start + query.limit) if query.limit is not None else None
-        for row in itertools.islice(batch.rows, start, end):
-            solution: Solution = {}
-            for i, var in columns:
-                value = row[i]
-                if value is not None:
-                    solution[var] = terms[value]
-            yield solution
-
-    def _select_variables(self,
-                          query: ast.SelectQuery) -> list[ast.Variable]:
-        if query.variables is None:
-            return sorted(ast.group_variables(query.where),
-                          key=lambda variable: variable.name)
-        return query.variables
-
-    def ask(self, query: ast.AskQuery) -> bool:
-        return bool(self._where_batch(query.where).rows)
-
-    def construct(self, query: ast.ConstructQuery) -> TripleStore:
-        result = TripleStore()
-        for solution in self._decode(self._where_batch(query.where)):
-            for pattern in query.template:
-                subject = _substitute(pattern.subject, solution)
-                predicate = _substitute(pattern.predicate, solution)
-                obj = _substitute(pattern.object, solution)
-                if subject is None or predicate is None or obj is None:
-                    continue  # incomplete instantiation is skipped
-                result.add(subject, predicate, obj)
-        return result
-
-
-# -- shared solution modifiers (both engines) --------------------------------
-
-
-def _project(solutions: list[Solution],
-             variables: list[ast.Variable]) -> list[Solution]:
-    return [
-        {variable: solution[variable]
-         for variable in variables if variable in solution}
-        for solution in solutions
-    ]
-
-
-def _order(solutions: list[Solution], projected: list[Solution],
-           order_by: list[tuple[ast.Expr, bool]]) -> list[Solution]:
-    def order_key(solution: Solution):
-        keys = []
-        for expr, descending in order_by:
-            try:
-                value = evaluate(expr, solution)
-            except FilterError:
-                value = None
-            if value is not None and not is_term(value) \
-                    and not hasattr(value, "n3"):
-                value = term_from_python(value)
-            key = term_sort_key(value)
-            keys.append(_Reversed(key) if descending else key)
-        return tuple(keys)
-    # Order over full solutions so ORDER BY can use any variable.
-    paired = sorted(zip(solutions, projected),
-                    key=lambda pair: order_key(pair[0]))
-    return [projection for _solution, projection in paired]
-
-
-def _distinct(projected: list[Solution]) -> list[Solution]:
-    seen: set[tuple] = set()
-    deduped: list[Solution] = []
-    for solution in projected:
-        key = tuple(sorted(
-            (variable.name, repr(value))
-            for variable, value in solution.items()))
-        if key not in seen:
-            seen.add(key)
-            deduped.append(solution)
-    return deduped
+        decoded = [[None if i is None else terms[i] for i in column]
+                   for column in zip(*ids)]
+        return SparqlResults(variables,
+                             list(zip(*decoded)) if decoded else ids)
 
 
 class NaiveEvaluator:
-    """The seed solution-at-a-time interpreter (pinned baseline).
+    """The seed solution-at-a-time interpreter (the reference).
 
     Basic graph patterns are joined pattern-by-pattern, probing the
-    store once per intermediate solution.  Kept verbatim (modulo the
-    heterogeneous-boundness ordering fix shared with the planner) so
-    the property suite can assert new-path/old-path equivalence and the
-    E12 benchmark can gate the set-at-a-time speedup against it.
+    store once per intermediate solution, and solutions are dicts of
+    terms.  Kept as written (modulo the heterogeneous-boundness
+    ordering fix shared with the planner) so the property suite can
+    assert planned/naive equivalence and the E12 benchmark can gate the
+    set-at-a-time speedup against it.  ``select`` returns the same row
+    shape as :meth:`Evaluator.select`.
     """
 
     def __init__(self, store: TripleStore) -> None:
         self.store = store
 
-    # -- group evaluation -------------------------------------------------------
+    def select(self, query: ast.SelectQuery) -> SparqlResults:
+        solutions = self._eval_group(query.where, [{}])
+        variables = _projection(query)
+        if query.order_by:
+            solutions = sorted(solutions, key=lambda solution: _order_key(
+                solution, query.order_by))
+        rows = [tuple(solution.get(variable) for variable in variables)
+                for solution in solutions]
+        if query.distinct:
+            rows = list(dict.fromkeys(rows))
+        return SparqlResults(variables, _sliced(rows, query))
 
-    def eval_group(self, group: ast.GroupPattern,
-                   seeds: Iterable[Solution]) -> list[Solution]:
-        solutions = list(seeds)
+    def _eval_group(self, group: ast.GroupPattern,
+                    solutions: list[Solution]) -> list[Solution]:
         elements = list(group.elements)
         index = 0
         while index < len(elements):
@@ -710,10 +614,10 @@ class NaiveEvaluator:
             elif isinstance(element, ast.UnionPattern):
                 merged: list[Solution] = []
                 for branch in element.branches:
-                    merged.extend(self.eval_group(branch, solutions))
+                    merged.extend(self._eval_group(branch, solutions))
                 solutions = merged
             elif isinstance(element, ast.GroupPattern):
-                solutions = self.eval_group(element, solutions)
+                solutions = self._eval_group(element, solutions)
             else:  # pragma: no cover - parser prevents this
                 raise SparqlEvalError(
                     f"unknown pattern element {type(element).__name__}")
@@ -723,7 +627,11 @@ class NaiveEvaluator:
     def _eval_bgp(self, patterns: list[ast.TriplePattern],
                   solutions: list[Solution]) -> list[Solution]:
         remaining = list(patterns)
-        bound = _initial_bound(solutions)
+        # Boundness over every solution, not the first: after an
+        # OPTIONAL the solutions are heterogeneous.
+        bound: set[ast.Variable] = set()
+        for solution in solutions:
+            bound.update(solution.keys())
         while remaining:
             remaining.sort(key=lambda pattern: -_pattern_boundness(
                 pattern, bound))
@@ -804,46 +712,18 @@ class NaiveEvaluator:
                        solutions: list[Solution]) -> list[Solution]:
         results: list[Solution] = []
         for solution in solutions:
-            matches = self.eval_group(group, [solution])
+            matches = self._eval_group(group, [solution])
             if matches:
                 results.extend(matches)
             else:
                 results.append(solution)
         return results
 
-    # -- query forms ------------------------------------------------------------------
 
-    def select(self, query: ast.SelectQuery) -> SparqlResults:
-        solutions = self.eval_group(query.where, [{}])
-        if query.variables is None:
-            variables = sorted(ast.group_variables(query.where),
-                               key=lambda variable: variable.name)
-        else:
-            variables = query.variables
-        projected = _project(solutions, variables)
-        if query.order_by:
-            projected = _order(solutions, projected, query.order_by)
-        if query.distinct:
-            projected = _distinct(projected)
-        start = query.offset or 0
-        end = (start + query.limit) if query.limit is not None else None
-        projected = projected[start:end]
-        return SparqlResults(variables, projected)
-
-    def ask(self, query: ast.AskQuery) -> bool:
-        return bool(self.eval_group(query.where, [{}]))
-
-    def construct(self, query: ast.ConstructQuery) -> TripleStore:
-        result = TripleStore()
-        for solution in self.eval_group(query.where, [{}]):
-            for pattern in query.template:
-                subject = _substitute(pattern.subject, solution)
-                predicate = _substitute(pattern.predicate, solution)
-                obj = _substitute(pattern.object, solution)
-                if subject is None or predicate is None or obj is None:
-                    continue  # incomplete instantiation is skipped
-                result.add(subject, predicate, obj)
-        return result
+def _substitute(position, solution: Solution):
+    if isinstance(position, ast.Variable):
+        return solution.get(position)
+    return position
 
 
 def _pattern_boundness(pattern: ast.TriplePattern,
@@ -855,52 +735,17 @@ def _pattern_boundness(pattern: ast.TriplePattern,
     return score
 
 
-class _Reversed:
-    """Inverts comparison for DESC sort keys."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Reversed) and self.key == other.key
-
-
 class SparqlEngine:
-    """Convenience front end binding a store to the parser and the
-    set-at-a-time :class:`Evaluator` (:class:`NaiveEvaluator`, the seed
-    interpreter, is the reference equivalence tests construct directly).
-    """
+    """A SELECT-only front end binding a store to the parser and the
+    set-at-a-time :class:`Evaluator`."""
 
     def __init__(self, store: TripleStore) -> None:
         self.store = store
 
-    def query(self, text: str | ast.Query):
-        """Run a query; returns SparqlResults, bool (ASK) or TripleStore
-        (CONSTRUCT) depending on the query form."""
+    def query(self, text: str | ast.SelectQuery) -> SparqlResults:
         parsed = parse_sparql(text) if isinstance(text, str) else text
-        evaluator = Evaluator(self.store)
-        if isinstance(parsed, ast.SelectQuery):
-            return evaluator.select(parsed)
-        if isinstance(parsed, ast.AskQuery):
-            return evaluator.ask(parsed)
-        if isinstance(parsed, ast.ConstructQuery):
-            return evaluator.construct(parsed)
-        raise SparqlEvalError(
-            f"unsupported query form {type(parsed).__name__}")
+        return Evaluator(self.store).select(parsed)
 
-    def stream(self, text: str | ast.Query) -> Iterator[Solution]:
-        """Generator of SELECT solutions.
-
-        Solutions decode to ``Term`` dicts lazily as the consumer
-        pulls; the underlying pattern evaluation is set-at-a-time (see
-        :meth:`Evaluator.iter_select`).
-        """
-        parsed = parse_sparql(text) if isinstance(text, str) else text
-        if not isinstance(parsed, ast.SelectQuery):
-            raise SparqlEvalError("stream() supports SELECT queries only")
-        return Evaluator(self.store).iter_select(parsed)
+    def stream(self, text: str | ast.SelectQuery) -> Iterator[Solution]:
+        """Generator of :meth:`query`'s rows, one dict per row."""
+        yield from self.query(text)

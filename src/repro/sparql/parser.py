@@ -1,7 +1,9 @@
-"""Recursive-descent SPARQL parser (SELECT / ASK / CONSTRUCT subset).
+"""Recursive-descent SPARQL parser (a SELECT subset).
 
-Grammar coverage: PREFIX declarations, basic graph patterns with ``;``
-and ``,`` abbreviations, FILTER, OPTIONAL, UNION, BIND .. AS, nested
+SELECT is the only query form: anything else — ASK, CONSTRUCT,
+DESCRIBE — is a :class:`SparqlSyntaxError` naming SELECT.  Grammar
+coverage: PREFIX declarations, basic graph patterns with ``;`` and
+``,`` abbreviations, FILTER, OPTIONAL, UNION, BIND .. AS, nested
 groups, property paths (``^ / | * + ?``), DISTINCT, ORDER BY, LIMIT and
 OFFSET.
 """
@@ -73,17 +75,9 @@ class SparqlParser:
 
     # -- entry point --------------------------------------------------------------
 
-    def parse(self) -> ast.Query:
+    def parse(self) -> ast.SelectQuery:
         self._prologue()
-        token = self._peek()
-        if token.is_word("SELECT"):
-            query = self._select()
-        elif token.is_word("ASK"):
-            query = self._ask()
-        elif token.is_word("CONSTRUCT"):
-            query = self._construct()
-        else:
-            raise self._error("expected SELECT, ASK or CONSTRUCT")
+        query = self._select()
         if not self._at_end():
             raise self._error(
                 f"unexpected trailing input {self._peek().describe()}")
@@ -107,7 +101,7 @@ class SparqlParser:
                 if iri.type != "iri":
                     raise self._error("expected IRI in BASE")
 
-    # -- query forms --------------------------------------------------------------
+    # -- SELECT ------------------------------------------------------------
 
     def _select(self) -> ast.SelectQuery:
         self._expect_word("SELECT")
@@ -137,23 +131,6 @@ class SparqlParser:
         return ast.SelectQuery(variables, where, distinct, order_by,
                                limit, offset)
 
-    def _ask(self) -> ast.AskQuery:
-        self._expect_word("ASK")
-        self._accept_word("WHERE")
-        return ast.AskQuery(self._group())
-
-    def _construct(self) -> ast.ConstructQuery:
-        self._expect_word("CONSTRUCT")
-        template_group = self._group(paths_allowed=False)
-        template = [element for element in template_group.elements
-                    if isinstance(element, ast.TriplePattern)]
-        if len(template) != len(template_group.elements):
-            raise self._error(
-                "CONSTRUCT template may only contain triple patterns")
-        self._expect_word("WHERE")
-        where = self._group()
-        return ast.ConstructQuery(template, where)
-
     def _integer(self) -> int:
         token = self._next()
         if token.type != "number" or not isinstance(token.value, int):
@@ -181,18 +158,18 @@ class SparqlParser:
 
     # -- groups ------------------------------------------------------------------------
 
-    def _group(self, paths_allowed: bool = True) -> ast.GroupPattern:
+    def _group(self) -> ast.GroupPattern:
         self._expect_punct("{")
         group = ast.GroupPattern()
         while not self._peek().is_punct("}"):
             token = self._peek()
             if token.is_punct("{"):
-                inner = self._group(paths_allowed)
+                inner = self._group()
                 element: ast.PatternElement = inner
                 if self._peek().is_word("UNION"):
                     branches = [inner]
                     while self._accept_word("UNION"):
-                        branches.append(self._group(paths_allowed))
+                        branches.append(self._group())
                     element = ast.UnionPattern(branches)
                 group.elements.append(element)
             elif token.is_word("FILTER"):
@@ -203,7 +180,7 @@ class SparqlParser:
             elif token.is_word("OPTIONAL"):
                 self._next()
                 group.elements.append(
-                    ast.OptionalPattern(self._group(paths_allowed)))
+                    ast.OptionalPattern(self._group()))
             elif token.is_word("BIND"):
                 self._next()
                 self._expect_punct("(")
@@ -216,17 +193,16 @@ class SparqlParser:
                 group.elements.append(
                     ast.Bind(expr, ast.Variable(str(var_token.value))))
             else:
-                group.elements.extend(self._triples_block(paths_allowed))
+                group.elements.extend(self._triples_block())
             self._accept_punct(".")
         self._expect_punct("}")
         return group
 
-    def _triples_block(self, paths_allowed: bool) -> list[ast.TriplePattern]:
+    def _triples_block(self) -> list[ast.TriplePattern]:
         subject = self._term(role="subject")
         patterns: list[ast.TriplePattern] = []
         while True:
-            predicate = (self._path() if paths_allowed
-                         else self._plain_predicate())
+            predicate = self._path()
             while True:
                 obj = self._term(role="object")
                 patterns.append(ast.TriplePattern(subject, predicate, obj))
@@ -277,18 +253,6 @@ class SparqlParser:
         # Language tags arrive as '@' — our lexer has no '@'; accept 'word'
         # forms like "chat"@en only when the tokenizer produced an op '@'.
         return Literal(text)
-
-    def _plain_predicate(self) -> ast.PatternTerm:
-        token = self._next()
-        if token.type == "var":
-            return ast.Variable(str(token.value))
-        if token.type == "iri":
-            return IRI(str(token.value))
-        if token.type == "pname":
-            return self.namespaces.expand(str(token.value))
-        if token.is_word("A"):
-            return RDF_TYPE
-        raise self._error(f"expected predicate, found {token.describe()}")
 
     # -- property paths --------------------------------------------------------------------
 
@@ -440,6 +404,7 @@ class SparqlParser:
 
 
 def parse_sparql(text: str,
-                 namespaces: NamespaceManager | None = None) -> ast.Query:
-    """Parse a SPARQL query string."""
+                 namespaces: NamespaceManager | None = None
+                 ) -> ast.SelectQuery:
+    """Parse a SPARQL SELECT query string."""
     return SparqlParser(text, namespaces).parse()

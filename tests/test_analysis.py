@@ -466,10 +466,12 @@ class TestOtherFrontEnds:
         report = analyze_sparql(
             "SELECT ?s WHERE { ?s ?p ?o }")
         assert not len(report)
+        assert not len(analyze_sparql("SELECT * WHERE { ?s ?p ?o }"))
 
     def test_sparql_syntax_error(self):
         report = analyze_sparql("SELECT WHERE {{{")
         assert "E-SYNTAX" in codes_of(report)
+        assert "E-SYNTAX" in codes_of(analyze_sparql("ASK { ?s ?p ?o }"))
 
     @pytest.fixture()
     def mediator(self):

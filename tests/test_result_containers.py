@@ -4,8 +4,10 @@ import pytest
 
 from repro.relational import Database, ExecutionError, ResultSet
 from repro.relational.csv_io import dump_csv, load_csv
-from repro.rdf import parse_turtle
-from repro.sparql import SparqlEngine
+from repro.rdf import Literal, Namespace, parse_turtle
+from repro.sparql import SparqlEngine, Variable
+
+SMG = Namespace("http://smartground.eu/ns#")
 
 
 # -- ResultSet ------------------------------------------------------------
@@ -69,6 +71,7 @@ def test_sparql_results_accessors():
         @prefix smg: <http://smartground.eu/ns#> .
         smg:Mercury smg:dangerLevel "high" .
         smg:Iron smg:dangerLevel "low" .
+        smg:Copper smg:atomicNumber 29 .
     """)
     results = SparqlEngine(store).query(
         "PREFIX smg: <http://smartground.eu/ns#> "
@@ -79,6 +82,21 @@ def test_sparql_results_accessors():
         ("http://smartground.eu/ns#Iron", "low"),
         ("http://smartground.eu/ns#Mercury", "high")]
     assert [t.value for t in results.values("o")] == ["low", "high"]
+    # An OPTIONAL that does not match leaves its slot None.
+    results = SparqlEngine(store).query(
+        "PREFIX smg: <http://smartground.eu/ns#> "
+        "SELECT ?s ?o WHERE { ?s ?p ?any "
+        "OPTIONAL { ?s smg:dangerLevel ?o } } ORDER BY ?s")
+    copper, iron, mercury = (SMG.Copper, SMG.Iron, SMG.Mercury)
+    assert results.tuples() == [(copper, None), (iron, Literal("low")),
+                                (mercury, Literal("high"))]
+    assert results.values("o") == [None, Literal("low"), Literal("high")]
+    assert results.values("missing") == [None, None, None]
+    assert results.python_tuples() == [
+        ("http://smartground.eu/ns#Copper", None),
+        ("http://smartground.eu/ns#Iron", "low"),
+        ("http://smartground.eu/ns#Mercury", "high")]
+    assert next(iter(results)) == {Variable("s"): copper}
 
 
 # -- CSV I/O ------------------------------------------------------------------------

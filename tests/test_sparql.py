@@ -1,12 +1,10 @@
-"""SPARQL engine: query forms, patterns, filters, paths, modifiers."""
+"""SPARQL engine: SELECT, patterns, filters, paths, modifiers."""
 
 import pytest
 
-from repro.rdf import Literal, Namespace, parse_turtle
+from repro.rdf import Literal, parse_turtle
 from repro.sparql import (SparqlEngine, SparqlSyntaxError, Variable,
                           parse_sparql)
-
-SMG = Namespace("http://smartground.eu/ns#")
 
 PREFIX = "PREFIX smg: <http://smartground.eu/ns#>\n"
 
@@ -161,21 +159,6 @@ def test_distinct(engine):
     assert len(results) == 1
 
 
-def test_ask(engine):
-    assert engine.query(
-        PREFIX + "ASK { smg:Mercury smg:isA smg:HazardousWaste }") is True
-    assert engine.query(
-        PREFIX + "ASK { smg:Iron smg:isA smg:HazardousWaste }") is False
-
-
-def test_construct(engine):
-    graph = engine.query(PREFIX + """
-        CONSTRUCT { ?s smg:flagged "yes" }
-        WHERE { ?s smg:isA smg:HazardousWaste }""")
-    assert len(graph) == 2
-    assert graph.count(None, SMG.flagged, None) == 2
-
-
 def test_bind(engine):
     results = engine.query(PREFIX + """
         SELECT ?s ?len WHERE {
@@ -190,6 +173,14 @@ def test_variable_predicate(engine):
     results = engine.query(PREFIX + """
         SELECT ?p WHERE { smg:Torino ?p smg:Italy }""")
     assert names(results, "p") == ["inCountry"]
+
+
+def test_only_select_parses():
+    for text in ("ASK { smg:Mercury smg:isA smg:HazardousWaste }",
+                 'CONSTRUCT { ?s smg:flagged "yes" } '
+                 "WHERE { ?s smg:isA smg:HazardousWaste }"):
+        with pytest.raises(SparqlSyntaxError, match="SELECT"):
+            parse_sparql(PREFIX + text)
 
 
 def test_syntax_error_reported():
