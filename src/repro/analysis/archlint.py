@@ -36,11 +36,13 @@ duck-typed hook attributes rather than imports.  Nothing in the
     ``combine_enrichments``) are driven by the one run in
     ``core/engine.py``, and the mediator's ship step by the one
     ``shipped`` scope in ``federation/mediator.py`` — a second copy of
-    either sequence elsewhere fails here; and a database write becomes
+    either sequence elsewhere fails here; a database write becomes
     visible and durable in one place, ``Database.commit_write``, made
     only by the engine and by attaching a foreign table
     (``federation/foreign.py``) — a write committed anywhere else fails
-    here.
+    here; and an identifier is folded in one place,
+    ``relational.schema.fold``: ``str.lower`` and ``str.casefold`` are
+    called only there and where values, not names, are folded.
 
 ``dead-public``
     A public top-level function or class, or public method of a
@@ -69,6 +71,16 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+
+#: The one identifier fold (``relational/schema.py``) and the files
+#: that fold values, not identifiers: ``LOWER``, boolean text, the
+#: index kind keyword, SPARQL's ``LCASE`` and boolean literals, Turtle's
+#: directives, concepts and keyword search.
+_VALUE_FOLDS = ["relational/schema.py", "relational/functions.py",
+                "relational/csv_io.py", "relational/types.py",
+                "relational/parser.py", "sparql/filters.py",
+                "sparql/parser.py", "rdf/turtle.py", "crosse/context.py",
+                "crosse/platform.py"]
 
 #: The shipped architecture contract.  ``layers`` maps each package (or
 #: top-level module) to the packages it may import at module level;
@@ -119,6 +131,8 @@ DEFAULT_CONFIG: dict = {
         "_ship_parsed": ["federation/mediator.py"],
         "ship": ["federation/mediator.py"],
         "commit_write": ["relational/engine.py", "federation/foreign.py"],
+        "lower": _VALUE_FOLDS,
+        "casefold": _VALUE_FOLDS,
     },
     # Where else a public name may be referenced, relative to the root.
     "reference-roots": ["../../tests", "../../examples",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from ..relational import ast
 from ..relational.render import render_expr
+from ..relational.schema import fold
 from ..relational.table import Table
 from ..relational.vectors import fallback_reason, semi_join_conjunct
 from .scopes import Scope, resolve
@@ -160,20 +161,8 @@ def lint_sargability(core: ast.SelectCore, env,
                 break
 
 
-def _leaves(table_expr: ast.TableExpr) -> list[ast.TableExpr]:
-    if isinstance(table_expr, ast.Join):
-        return _leaves(table_expr.left) + _leaves(table_expr.right)
-    return [table_expr]
-
-
 def _side_bindings(table_expr: ast.TableExpr) -> set[str]:
-    out: set[str] = set()
-    for leaf in _leaves(table_expr):
-        if isinstance(leaf, ast.TableRef):
-            out.add(leaf.binding.lower())
-        elif isinstance(leaf, ast.SubqueryRef):
-            out.add(leaf.alias.lower())
-    return out
+    return set(map(ast.binding_of, ast.from_leaves(table_expr))) - {None}
 
 
 def _touched_bindings(expr: ast.Expr, from_scope: Scope) -> set[str]:
@@ -184,10 +173,10 @@ def _touched_bindings(expr: ast.Expr, from_scope: Scope) -> set[str]:
         if not isinstance(node, ast.ColumnRef):
             continue
         if node.qualifier is not None:
-            touched.add(node.qualifier.lower())
+            touched.add(fold(node.qualifier))
             continue
         matches = from_scope.find(node.name, None)
-        qualifiers = {(from_scope.columns[i].qualifier or "").lower()
+        qualifiers = {fold(from_scope.columns[i].qualifier or "")
                       for i in matches}
         if len(qualifiers) == 1:
             touched.add(qualifiers.pop())

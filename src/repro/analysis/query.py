@@ -26,14 +26,17 @@ from functools import partial
 
 from ..relational import ast
 from ..relational.aggregates import contains_aggregate
-from ..relational.errors import RelationalError, TypeMismatchError
+from ..relational.errors import (ExecutionError, RelationalError,
+                                 TypeMismatchError, UnknownColumnError)
+from ..relational.executor import levels, order_target, star_positions
 from ..relational.parser import SqlParser, parse_script, parse_sql
 from ..relational.render import render_expr, render_statement
-from ..relational.types import FAMILY, parse_type_name
+from ..relational.schema import ResultColumn, RowSchema, fold
+from ..relational.types import parse_type_name
 from ..relational.vectors import SemiJoin, semi_join
 from . import lints
 from .diagnostics import (AnalysisOptions, AnalysisReport, DEFAULT_OPTIONS)
-from .scopes import Scope, ScopeColumn, resolve
+from .scopes import Scope, family_type
 from .typecheck import check_expr, check_predicate, infer_family
 
 
@@ -58,8 +61,8 @@ class _Env:
 
     Duck-typed contract used by :mod:`.typecheck` and :mod:`.lints`:
     ``report`` (something with ``add``), ``databank``, ``excused``
-    (lower-case unqualified names that must not draw unknown-column
-    errors) and ``analyze_subquery``.
+    (folded unqualified names that must not draw unknown-column errors)
+    and ``analyze_subquery``.
 
     Names resolve as a run resolves them: a *mediator*'s views (the
     databank's, when it is a mediated one) ahead of the databank's
@@ -74,8 +77,7 @@ class _Env:
         self.catalog = getattr(databank, "catalog", None)
         self.mediator = mediator if mediator is not None \
             else getattr(databank, "mediator", None)
-        self.views = frozenset(
-            name.lower() for name in self.mediator.view_names()) \
+        self.views = frozenset(map(fold, self.mediator.view_names())) \
             if self.mediator is not None else frozenset()
         #: Is there anything to resolve a name in (else every FROM
         #: name is an open scope, never an unknown table)?
@@ -98,14 +100,14 @@ class _Env:
         ``explain`` plans it before it ships, else a catalog table's;
         ``None`` when unknown — :meth:`is_relation` tells a name that
         is not there from a view whose columns cannot be planned."""
-        if name.lower() in self.views:
+        if fold(name) in self.views:
             return self.mediator.view_schema(name)
         if self.catalog is not None and self.catalog.has_table(name):
             return self.catalog.table(name).schema
         return None
 
     def is_relation(self, name: str) -> bool:
-        return name.lower() in self.views or (
+        return fold(name) in self.views or (
             self.catalog is not None and self.catalog.has_table(name))
 
 
@@ -118,65 +120,26 @@ def _is_aggregate_core(core: ast.SelectCore) -> bool:
 # FROM clause: bindings and visible columns
 # ---------------------------------------------------------------------------
 
-def _table_columns(table_ref: ast.TableRef,
-                   env: _Env) -> list[ScopeColumn] | None:
-    """The columns *table_ref* makes visible; ``None`` when the table
-    (or the catalog) is not there to ask."""
-    schema = env.relation(table_ref.name)
+def _table_scope(schema, binding: str) -> Scope:
+    """The columns of a table or view *schema* under *binding*; an open
+    scope when there is no schema to ask (the table, or the catalog, is
+    not there)."""
     if schema is None:
-        return None
-    return [ScopeColumn(column.name, table_ref.binding,
-                        FAMILY.get(column.data_type))
-            for column in schema.columns]
+        return Scope(open=True)
+    return Scope(RowSchema.for_table(schema, binding).columns)
 
 
 def _level_of(env: _Env, scopes: list[Scope], source: ast.TableRef):
     """:data:`repro.relational.vectors.InnerScope` over the analyzer's
     scopes: where a reference in the WHERE of an ``EXISTS`` subquery
     over *source*, met in a predicate over *scopes*, resolves."""
-    columns = _table_columns(source, env)
-    chain = scopes + [Scope(columns or [], open=columns is None)]
-
-    def level_of(ref: ast.ColumnRef) -> int | None:
-        if resolve(ref, chain).status != "ok":
-            return None
-        for level, scope in enumerate(reversed(chain)):
-            if scope.find(ref.name, ref.qualifier):
-                return level
-    return level_of
+    return levels(scopes + [_table_scope(env.relation(source.name),
+                                         source.binding)])
 
 
 def _collect_from(table_expr: ast.TableExpr, env: _Env,
                   outer_scopes: list[Scope], from_scope: Scope,
                   seen: set[str], on_conditions: list[ast.Expr]) -> None:
-    if isinstance(table_expr, ast.TableRef):
-        binding = table_expr.binding
-        if binding.lower() in seen:
-            env.report.add("E-DUPLICATE-ALIAS",
-                           f"duplicate table alias {binding!r}")
-        seen.add(binding.lower())
-        columns = _table_columns(table_expr, env)
-        if columns is not None:
-            from_scope.columns.extend(columns)
-            return
-        from_scope.open = True
-        if env.knows_names and not env.is_relation(table_expr.name):
-            env.report.add("E-UNKNOWN-TABLE",
-                           f"no such table: {table_expr.name!r}")
-        return
-    if isinstance(table_expr, ast.SubqueryRef):
-        if table_expr.alias.lower() in seen:
-            env.report.add("E-DUPLICATE-ALIAS",
-                           f"duplicate table alias {table_expr.alias!r}")
-        seen.add(table_expr.alias.lower())
-        derived = env.analyze_subquery(table_expr.query, outer_scopes)
-        if derived.open:
-            from_scope.open = True
-        for column in derived.columns:
-            # The executor requalifies every derived column to the alias.
-            from_scope.columns.append(ScopeColumn(
-                column.name, table_expr.alias, column.family))
-        return
     if isinstance(table_expr, ast.Join):
         _collect_from(table_expr.left, env, outer_scopes, from_scope,
                       seen, on_conditions)
@@ -184,10 +147,30 @@ def _collect_from(table_expr: ast.TableExpr, env: _Env,
                       seen, on_conditions)
         if table_expr.condition is not None:
             on_conditions.append(table_expr.condition)
+        return
+    if ast.binding_of(table_expr) in seen:
+        env.report.add("E-DUPLICATE-ALIAS",
+                       f"duplicate table alias {table_expr.binding!r}")
+    seen.add(ast.binding_of(table_expr))
+    if isinstance(table_expr, ast.TableRef):
+        scope = _table_scope(env.relation(table_expr.name),
+                             table_expr.binding)
+        if scope.open and env.knows_names \
+                and not env.is_relation(table_expr.name):
+            env.report.add("E-UNKNOWN-TABLE",
+                           f"no such table: {table_expr.name!r}")
+    else:
+        scope = env.analyze_subquery(table_expr.query, outer_scopes)
+    from_scope.open = from_scope.open or scope.open
+    # A derived table's columns are requalified to its alias, as the
+    # executor requalifies them.
+    from_scope.columns.extend(
+        ResultColumn(column.name, table_expr.binding, column.data_type)
+        for column in scope.columns)
 
 
 # ---------------------------------------------------------------------------
-# ORDER BY / GROUP BY target substitution (ordinals, output aliases)
+# ORDER BY / GROUP BY targets (ordinals, output aliases)
 # ---------------------------------------------------------------------------
 
 def _is_ordinal(expr: ast.Expr) -> bool:
@@ -195,36 +178,16 @@ def _is_ordinal(expr: ast.Expr) -> bool:
         and not isinstance(expr.value, bool)
 
 
-def _substitute_targets(exprs: list[ast.Expr],
-                        items: list[ast.SelectItem], env: _Env,
-                        clause: str) -> list[ast.Expr]:
-    """Mirror ``_substitute_order_targets``, reporting instead of
-    raising; unreportable targets are dropped from the result."""
+def _targets(exprs: list[ast.Expr], items: list[ast.SelectItem],
+             env: _Env) -> list[ast.Expr]:
+    """:func:`~repro.relational.executor.order_target` of each term; a
+    term it refuses is reported and dropped."""
     resolved: list[ast.Expr] = []
     for expr in exprs:
-        if _is_ordinal(expr):
-            index = expr.value
-            if index < 1 or index > len(items):
-                env.report.add(
-                    "E-ORDINAL-RANGE",
-                    f"{clause} position {index} is out of range")
-                continue
-            item = items[index - 1]
-            if item.is_star:
-                env.report.add(
-                    "E-ORDINAL-RANGE",
-                    f"{clause} position cannot reference '*'")
-                continue
-            resolved.append(item.expr)
-            continue
-        if isinstance(expr, ast.ColumnRef) and expr.qualifier is None:
-            alias_matches = [item for item in items
-                            if item.alias
-                            and item.alias.lower() == expr.name.lower()]
-            if len(alias_matches) == 1:
-                resolved.append(alias_matches[0].expr)
-                continue
-        resolved.append(expr)
+        try:
+            resolved.append(order_target(expr, items))
+        except ExecutionError as exc:
+            env.report.add("E-ORDINAL-RANGE", str(exc))
     return resolved
 
 
@@ -257,25 +220,22 @@ def _analyze_core(core: ast.SelectCore, env: _Env,
     has_aggregate = _is_aggregate_core(core) \
         or any(contains_aggregate(item.expr) for item in order_by)
 
+    stars: dict[int, list[int]] = {}
     for item in core.items:
         if item.is_star:
             if has_aggregate:
                 env.report.add(
                     "E-STAR-GROUPED",
                     "'*' cannot be used with GROUP BY or aggregates")
-            star: ast.Star = item.expr
-            if star.qualifier is not None and not from_scope.open \
-                    and not any((column.qualifier or "").lower()
-                                == star.qualifier.lower()
-                                for column in from_scope.columns):
-                env.report.add(
-                    "E-UNKNOWN-TABLE",
-                    f"no table named {star.qualifier!r} in FROM")
+            try:
+                stars[id(item)] = [] if from_scope.open \
+                    else star_positions(item.expr, from_scope)
+            except UnknownColumnError as exc:
+                env.report.add("E-UNKNOWN-TABLE", str(exc))
             continue
         check_expr(item.expr, scopes, env, aggregates_ok=True)
 
-    group_exprs = _substitute_targets(core.group_by, core.items, env,
-                                      "GROUP BY")
+    group_exprs = _targets(core.group_by, core.items, env)
     for expr in group_exprs:
         check_expr(expr, scopes, env, aggregates_ok=False)
 
@@ -291,8 +251,8 @@ def _analyze_core(core: ast.SelectCore, env: _Env,
                 "a WHERE could not",
                 expression=render_expr(core.having))
 
-    order_exprs = _substitute_targets(
-        [item.expr for item in order_by], core.items, env, "ORDER BY")
+    order_exprs = _targets([item.expr for item in order_by], core.items,
+                           env)
     for expr in order_exprs:
         check_expr(expr, scopes, env, aggregates_ok=True)
 
@@ -315,30 +275,20 @@ def _analyze_core(core: ast.SelectCore, env: _Env,
             hint="name the columns you need")
 
     out = Scope()
-    if has_aggregate:
-        for item in core.items:
-            if item.is_star:
-                continue
-            out.columns.append(ScopeColumn(
-                item.output_name(), None, infer_family(item.expr, scopes)))
-        return out
     for item in core.items:
         if item.is_star:
-            star = item.expr
-            if from_scope.open:
-                out.open = True
-                continue
-            for column in from_scope.columns:
-                if star.qualifier is None or (column.qualifier or "").lower() \
-                        == star.qualifier.lower():
-                    out.columns.append(ScopeColumn(
-                        column.name, column.qualifier, column.family))
+            if not has_aggregate:
+                out.open = out.open or from_scope.open
+                out.columns.extend(map(from_scope.columns.__getitem__,
+                                       stars.get(id(item), ())))
             continue
         qualifier = None
-        if isinstance(item.expr, ast.ColumnRef) and not item.alias:
+        if isinstance(item.expr, ast.ColumnRef) and not item.alias \
+                and not has_aggregate:
             qualifier = item.expr.qualifier
-        out.columns.append(ScopeColumn(
-            item.output_name(), qualifier, infer_family(item.expr, scopes)))
+        out.columns.append(ResultColumn(
+            item.output_name(), qualifier,
+            family_type(infer_family(item.expr, scopes))))
     return out
 
 
@@ -363,7 +313,8 @@ def _analyze_query(query: ast.SelectQuery, env: _Env,
                 "set operation operands must have the same column "
                 f"count (got {', '.join(str(w) for w in widths)})")
         # Compound ORDER BY resolves against the combined result only
-        # (no aliases, no outer scopes) — mirror compile_query exactly.
+        # (no aliases, no outer scopes; an ordinal is a position), as
+        # build_query resolves it.
         for item in query.order_by:
             expr = item.expr
             if _is_ordinal(expr):
@@ -419,14 +370,6 @@ def _catalog_table(name: str, env: _Env):
     return catalog.table(name)
 
 
-def _table_scope(table, name: str) -> Scope:
-    if table is None:
-        return Scope(open=True)
-    return Scope([ScopeColumn(column.name, name,
-                              FAMILY.get(column.data_type))
-                  for column in table.schema.columns])
-
-
 def _analyze_insert(stmt: ast.InsertStmt, env: _Env) -> None:
     table = _catalog_table(stmt.table, env)
     width = None
@@ -462,7 +405,7 @@ def _analyze_insert(stmt: ast.InsertStmt, env: _Env) -> None:
 
 def _analyze_update(stmt: ast.UpdateStmt, env: _Env) -> None:
     table = _catalog_table(stmt.table, env)
-    scope = _table_scope(table, stmt.table)
+    scope = _table_scope(table and table.schema, stmt.table)
     for column, expr in stmt.assignments:
         if table is not None and not table.schema.has_column(column):
             env.report.add(
@@ -476,18 +419,19 @@ def _analyze_update(stmt: ast.UpdateStmt, env: _Env) -> None:
 def _analyze_delete(stmt: ast.DeleteStmt, env: _Env) -> None:
     table = _catalog_table(stmt.table, env)
     if stmt.where is not None:
-        check_predicate(stmt.where, [_table_scope(table, stmt.table)],
+        check_predicate(stmt.where, [_table_scope(table and table.schema,
+                                                  stmt.table)],
                         env, aggregates_ok=False)
 
 
 def _analyze_create_table(stmt: ast.CreateTableStmt, env: _Env) -> None:
     seen: set[str] = set()
     for definition in stmt.columns:
-        if definition.name.lower() in seen:
+        if fold(definition.name) in seen:
             env.report.add(
                 "E-DUPLICATE-ALIAS",
                 f"duplicate column {definition.name!r} in CREATE TABLE")
-        seen.add(definition.name.lower())
+        seen.add(fold(definition.name))
         try:
             parse_type_name(definition.type_name)
         except TypeMismatchError:
@@ -600,7 +544,7 @@ def analyze_enriched(enriched, databank=None, *,
     if not options.enabled:
         return report
     excused = frozenset(
-        e.constant.lower() for e in enriched.enrichments
+        fold(e.constant) for e in enriched.enrichments
         if getattr(e, "kind", None) == "REPLACECONSTANT")
     env = _Env(databank, options, report, excused)
     result = _analyze_query(enriched.query, env, [], top_level=True)
@@ -676,9 +620,7 @@ def analyze_federated(sql_text: str, mediator, *,
     if not isinstance(stmt, ast.SelectQuery) or stmt.is_compound \
             or stmt.core.where is None:
         return report
-    wanted = [name for name in getattr(mediator, "_views", {})]
-    referenced = {name.lower() for name in ast.referenced_tables(stmt)}
-    wanted = [name for name in wanted if name.lower() in referenced]
+    wanted = mediator.referenced_views_in(stmt)
     if not wanted:
         return report
     for conjunct in ast.conjuncts(stmt.core.where):

@@ -1,55 +1,45 @@
 """Name scopes for the query analyzer.
 
-The executor resolves column references innermost-out over a list of
-:class:`~repro.relational.schema.RowSchema` scopes
-(:func:`repro.relational.compiler.resolve_column`); this module mirrors
-that resolution without compiling anything, and adds the one thing a
-*static* pass needs that the executor does not: an **open** scope.  A
-scope is open when the analyzer cannot enumerate its columns — the FROM
-item names a table that is not in the catalog (already reported as
-``E-UNKNOWN-TABLE``), or a derived table whose own analysis was
-inconclusive.  Resolution against a chain containing an open scope
-never *fails*: a name we cannot find might well live in the table we
-cannot see, and the analyzer must not invent errors.
+A scope is the executor's own :class:`~repro.relational.schema.RowSchema`
+and a reference resolves through the executor's own
+:func:`~repro.relational.compiler.resolve_column` (the reference rule of
+:mod:`repro.relational.schema`).  The one thing a *static* pass adds is
+an **open** scope.  A scope is open when the analyzer cannot enumerate
+its columns — the FROM item names a table that is not in the catalog
+(already reported as ``E-UNKNOWN-TABLE``), or a derived table whose own
+analysis was inconclusive.  Resolution against a chain containing an
+open scope never *fails*: a name we cannot find might well live in the
+table we cannot see, and the analyzer must not invent errors.
+
+A column's ``data_type`` is what the analyzer knows of its family: a
+table column's type, or for a derived column the type standing for the
+family it infers (``None``: unknown).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from ..relational.compiler import resolve_column
+from ..relational.errors import AmbiguousColumnError, UnknownColumnError
+from ..relational.schema import RowSchema
+from ..relational.types import FAMILY, DataType
+
+#: The type standing for each family.
+_TYPE_OF = {family: data_type for data_type, family in FAMILY.items()}
+
+
+def family_type(family: str | None) -> DataType | None:
+    """The type a derived column of *family* is carried as."""
+    return _TYPE_OF.get(family)
 
 
 @dataclass
-class ScopeColumn:
-    """One visible column: display name, binding qualifier, family."""
-
-    name: str
-    qualifier: str | None = None
-    family: str | None = None
-
-    def matches(self, name: str, qualifier: str | None) -> bool:
-        # Mirrors ResultColumn.matches exactly.
-        if name.lower() != self.name.lower():
-            return False
-        if qualifier is None:
-            return True
-        return (self.qualifier or "").lower() == qualifier.lower()
-
-
-@dataclass
-class Scope:
+class Scope(RowSchema):
     """The columns one nesting level makes visible."""
 
-    columns: list[ScopeColumn] = field(default_factory=list)
     #: True when the scope may contain columns we cannot enumerate.
     open: bool = False
-
-    def find(self, name: str, qualifier: str | None) -> list[int]:
-        return [i for i, column in enumerate(self.columns)
-                if column.matches(name, qualifier)]
-
-    def bindings(self) -> set[str]:
-        return {(column.qualifier or "").lower()
-                for column in self.columns if column.qualifier}
 
 
 @dataclass(frozen=True)
@@ -61,23 +51,21 @@ class Resolution:
 
 
 def resolve(ref, scopes: list[Scope]) -> Resolution:
-    """Mirror ``resolve_column``: innermost-out, ambiguity per level.
+    """``resolve_column`` over *scopes*, its failure as a status.
 
     With an open scope anywhere in the chain, a failed lookup returns
     ``open`` (no finding) — the missing name may belong to the table the
     analyzer cannot see, and the executor will have rejected the unknown
     table itself already.
     """
-    any_open = any(scope.open for scope in scopes)
-    for depth in range(len(scopes) - 1, -1, -1):
-        matches = scopes[depth].find(ref.name, ref.qualifier)
-        if len(matches) > 1:
-            if any_open:
-                return Resolution("open")
-            return Resolution("ambiguous")
-        if matches:
-            return Resolution("ok",
-                              scopes[depth].columns[matches[0]].family)
-    if any_open:
-        return Resolution("open")
-    return Resolution("unknown")
+    try:
+        depth, position = resolve_column(ref, scopes)
+    except AmbiguousColumnError:
+        status = "ambiguous"
+    except UnknownColumnError:
+        status = "unknown"
+    else:
+        return Resolution(
+            "ok", FAMILY.get(scopes[depth].columns[position].data_type))
+    return Resolution("open" if any(scope.open for scope in scopes)
+                      else status)

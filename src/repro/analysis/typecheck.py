@@ -19,6 +19,7 @@ from ..relational.aggregates import AGGREGATE_NAMES
 from ..relational.errors import ExecutionError, TypeMismatchError
 from ..relational.functions import SCALAR_FUNCTIONS, lookup_function
 from ..relational.render import render_expr
+from ..relational.schema import fold
 from ..relational.types import FAMILY, literal_family, parse_type_name
 from .scopes import Scope, resolve
 
@@ -176,7 +177,7 @@ def check_expr(expr: ast.Expr, scopes: list[Scope], env, *,
         resolution = resolve(expr, scopes)
         if resolution.status == "unknown" \
                 and expr.qualifier is None \
-                and expr.name.lower() in env.excused:
+                and fold(expr.name) in env.excused:
             return  # a REPLACECONSTANT target: rewritten before execution
         if resolution.status == "unknown":
             report.add("E-UNKNOWN-COLUMN",

@@ -25,6 +25,7 @@ from typing import Callable
 
 from ..relational import ast as sql_ast
 from ..relational.parser import parse_expr
+from ..relational.schema import fold
 from ..relational.table import BoundView
 from .ast import (EnrichedQuery, Enrichment, ReplaceConstant,
                   ReplaceVariable, TaggedCondition)
@@ -76,7 +77,7 @@ def _is_constant_ref(node: sql_ast.Expr, constant: str) -> bool:
     string literal equal to the constant.
     """
     if isinstance(node, sql_ast.ColumnRef) and node.qualifier is None \
-            and node.name.lower() == constant.lower():
+            and fold(node.name) == fold(constant):
         return True
     if isinstance(node, sql_ast.Literal) and isinstance(node.value, str) \
             and node.value == constant:

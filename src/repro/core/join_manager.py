@@ -18,6 +18,7 @@ rows).  ``tests/test_properties.py`` checks them against stdlib
 from __future__ import annotations
 
 from ..relational.result import ResultSet
+from ..relational.schema import fold
 from ..relational.types import sql_key
 from .ast import (BoolSchemaExtension, BoolSchemaReplacement, Enrichment,
                   SchemaExtension, SchemaReplacement)
@@ -36,13 +37,12 @@ def clean_name(raw: str) -> str:
 
 def find_attr_index(columns: list[str], attr: str) -> int:
     """Locate the enrichment attribute in the base result's columns."""
-    target = attr.lower()
-    matches = [i for i, name in enumerate(columns)
-               if name.lower() == target]
+    keys = list(map(fold, columns))
+    target = fold(attr)
+    matches = [i for i, key in enumerate(keys) if key == target]
     if not matches and "." in target:
         bare = target.rsplit(".", 1)[1]
-        matches = [i for i, name in enumerate(columns)
-                   if name.lower() == bare]
+        matches = [i for i, key in enumerate(keys) if key == bare]
     if not matches:
         raise EnrichmentError(
             f"enrichment attribute {attr!r} is not in the query result "
@@ -54,11 +54,11 @@ def find_attr_index(columns: list[str], attr: str) -> int:
 
 
 def unique_name(existing: list[str], wanted: str) -> str:
-    taken = {name.lower() for name in existing}
-    if wanted.lower() not in taken:
+    taken = set(map(fold, existing))
+    if fold(wanted) not in taken:
         return wanted
     suffix = 2
-    while f"{wanted}_{suffix}".lower() in taken:
+    while fold(f"{wanted}_{suffix}") in taken:
         suffix += 1
     return f"{wanted}_{suffix}"
 

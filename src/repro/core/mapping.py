@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from ..rdf.namespace import SMG, NamespaceManager
 from ..rdf.terms import BNode, IRI, Literal, Term
+from ..relational.schema import fold
 from .errors import MappingError
 
 _KINDS = ("iri", "literal", "auto")
@@ -60,11 +61,11 @@ class ResourceMapping:
                       namespace: str | None = None,
                       datatype: str = "text") -> AttributeMapping:
         mapping = AttributeMapping(name, kind, namespace, datatype)
-        self._attributes[name.lower()] = mapping
+        self._attributes[fold(name)] = mapping
         return mapping
 
     def attribute(self, name: str) -> AttributeMapping:
-        found = self._attributes.get(name.lower())
+        found = self._attributes.get(fold(name))
         if found is None:
             return AttributeMapping(name, "auto")
         return found

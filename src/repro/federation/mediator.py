@@ -57,12 +57,12 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from ..planner.joins import estimate_query_rows
-from ..planner.rewrite import (binding_of, compose_filter,
-                               constant_once_bound, fold_expr,
-                               folds_when_bound, from_leaves, map_expr,
+from ..planner.rewrite import (compose_filter, constant_once_bound,
+                               fold_expr, folds_when_bound, map_expr,
                                null_safe_bindings, query_output_columns,
                                referenced_bindings)
 from ..relational import ast as sql_ast
+from ..relational.ast import binding_of, from_leaves
 from ..relational.aggregates import contains_aggregate
 from ..relational.catalog import check_table_name
 from ..relational.compiler import CompileContext, compile_expr
@@ -71,7 +71,7 @@ from ..relational.errors import ExecutionError, RelationalError
 from ..relational.parser import parse_sql
 from ..relational.render import bound_to, render_expr, render_query
 from ..relational.result import ResultSet
-from ..relational.schema import Column, TableSchema
+from ..relational.schema import Column, TableSchema, fold
 from ..relational.table import BoundView, Table
 from ..relational.types import sql_keys
 from .errors import MediationError
@@ -149,6 +149,8 @@ class Mediator:
 
     def __init__(self, options: FederationOptions | None = None) -> None:
         self._sources: dict[str, Database] = {}
+        #: The views by folded name: a view name follows the SQL name
+        #: rule, so a redefinition in any case replaces the view.
         self._views: dict[str, GlobalView] = {}
         #: Parallel-shipping configuration, shared by all sessions.
         self.options = options or FederationOptions()
@@ -211,23 +213,31 @@ class Mediator:
         check_table_name(name)
         for source_name, _sql in fragments:
             self.source(source_name)
-        if name in self._views:
-            for fragment in self._views[name].fragments:
+        old = self._views.get(fold(name))
+        if old is not None:
+            for fragment in old.fragments:
                 self._fragment_statements.pop(fragment.sql, None)
                 self._cost_tables.pop((fragment.source, fragment.sql), None)
+            self._view_costs.pop(old.name, None)
         self._views_version += 1
-        self._view_costs.pop(name, None)
         view = GlobalView(
             name,
             [ViewFragment(source_name, sql)
              for source_name, sql in fragments],
             reconciliation,
             list(key_columns or []))
-        self._views[name] = view
+        self._views[fold(name)] = view
         return view
 
     def view_names(self) -> list[str]:
-        return sorted(self._views)
+        """The views' names, as each was last defined."""
+        return sorted(view.name for view in self._views.values())
+
+    def _view(self, name: str) -> GlobalView:
+        view = self._views.get(fold(name))
+        if view is None:
+            raise MediationError(f"unknown view {name!r}")
+        return view
 
     def referenced_views(self, sql: str) -> list[str]:
         """Views whose names occur as table references in *sql*.
@@ -248,7 +258,7 @@ class Mediator:
         """Pruning over an already-parsed statement (no re-parse)."""
         referenced = sql_ast.referenced_tables(statement)
         return [name for name in self.view_names()
-                if name.lower() in referenced]
+                if fold(name) in referenced]
 
     @staticmethod
     def _try_parse(sql: str) -> sql_ast.SelectQuery | None:
@@ -325,14 +335,14 @@ class Mediator:
         case-insensitively) before it ships: the shape ``explain`` plans
         it by (:meth:`_view_shape`).  ``None`` when *name* is no view,
         or its first fragment no SELECT its source can plan."""
-        for view_name, view in self._views.items():
-            if view_name.lower() == name.lower():
-                try:
-                    shape = self._view_shape(view, 0.0)
-                except RelationalError:
-                    return None
-                return shape.schema if shape is not None else None
-        return None
+        view = self._views.get(fold(name))
+        if view is None:
+            return None
+        try:
+            shape = self._view_shape(view, 0.0)
+        except RelationalError:
+            return None
+        return shape.schema if shape is not None else None
 
     @staticmethod
     def _fragment_cost(database: Database,
@@ -474,8 +484,7 @@ class Mediator:
                     f"{len(partial.columns)} column(s) "
                     f"{list(partial.columns)!r}, expected {len(columns)} "
                     f"{columns!r}")
-            elif [name.lower() for name in partial.columns] \
-                    != [name.lower() for name in columns]:
+            elif list(map(fold, partial.columns)) != list(map(fold, columns)):
                 report.warnings.append(
                     f"view {view.name!r}: fragment from "
                     f"{outcome.job.source!r} names columns "
@@ -742,7 +751,7 @@ class _ShipTemplate:
         fragments = self._fragments.get(view_name)
         if fragments is None:
             fragments = self._fragments[view_name] = \
-                mediator._prepare_fragments(mediator._views[view_name],
+                mediator._prepare_fragments(mediator._view(view_name),
                                             self.pushable.get(view_name))
         return fragments
 
@@ -917,10 +926,10 @@ class MediatorSession:
         #: so statements read their other tables beside the views.
         self._scratch = scratch if scratch is not None \
             else Database("mediator-session")
-        #: The views shipped in full, held for later queries, with the
-        #: warn-level notes of their assembly — re-emitted on every
-        #: cached hit, so a consumer seeing the warm path still learns
-        #: about fragment renames.
+        #: The views shipped in full, held for later queries (by folded
+        #: name), with the warn-level notes of their assembly —
+        #: re-emitted on every cached hit, so a consumer seeing the warm
+        #: path still learns about fragment renames.
         self._held: dict[str, _Held] = {}
         #: The held views ``refresh`` retired that could grow, each
         #: until its next full ship.
@@ -1023,12 +1032,10 @@ class MediatorSession:
         mediator = self.mediator
         if views is not None:
             # Dedupe (order-preserving): a repeated name is one view.
-            wanted = list(dict.fromkeys(views))
+            wanted = list(dict.fromkeys(
+                mediator._view(name).name for name in views))
         else:
             wanted = mediator.referenced_views_in(statement)
-        for view_name in wanted:
-            if view_name not in mediator._views:
-                raise MediationError(f"unknown view {view_name!r}")
         pushable = (_pushable_filters(statement, wanted, mediator)
                     if pushdown else {})
         arity = 1 + max((node.index for node in sql_ast.iter_query_nodes(
@@ -1054,16 +1061,16 @@ class MediatorSession:
                 f"got {len(values)}")
         wanted = template.wanted
         held = self._held
-        costs = {name: (0.0 if name in held
+        costs = {name: (0.0 if fold(name) in held
                         else mediator.estimate_view_cost(
-                            mediator._views[name]))
+                            mediator._view(name)))
                  for name in wanted}
         ranked = sorted(wanted, key=lambda name: (costs[name],
                                                   wanted.index(name)))
         jobs: dict[str, list[FragmentJob]] = {}
         eliminated: list[FragmentResult] = []
         for name in ranked:
-            if name in held:
+            if fold(name) in held:
                 continue
             jobs[name] = shipping = []
             for fragment in template.fragments(mediator, name):
@@ -1077,7 +1084,7 @@ class MediatorSession:
             wanted, costs,
             {name: template.filter_text(name, values)
              for name in jobs if name in template.pushable},
-            cached=[name for name in ranked if name in held],
+            cached=[name for name in ranked if fold(name) in held],
             jobs=jobs, eliminated=eliminated)
 
     def _ship_parsed(self, plan: _ShipPlan, report: MediationReport
@@ -1100,7 +1107,7 @@ class MediatorSession:
         bound: dict[str, BoundView] = {}
         for view_name in plan.cached:
             self.hits += 1
-            held = self._held[view_name]
+            held = self._held[fold(view_name)]
             bound[view_name] = held.view
             report.view_rows[view_name] = len(held.view)
             # Re-emit the first-materialization warnings: a cached hit
@@ -1122,7 +1129,7 @@ class MediatorSession:
               if tel is not None else _NOOP):
             shipped = self._executor.ship(jobs)
         for view_name in plan.jobs:
-            view = self.mediator._views[view_name]
+            view = self.mediator._view(view_name)
             results = sorted(
                 shipped.get(view_name, [])
                 + [outcome for outcome in plan.eliminated
@@ -1136,7 +1143,8 @@ class MediatorSession:
             # long after the source recovered.
             full = filter_sql is None and all(
                 outcome.result is not None for outcome in results)
-            retired = self._retired.pop(view_name, None) if full else None
+            retired = self._retired.pop(fold(view_name), None) \
+                if full else None
             held = retired and retired.grown(self._templates_stamp, results)
             if held is not None:
                 assembled = held.view
@@ -1156,7 +1164,7 @@ class MediatorSession:
                 # A held view is probed (its lookups live as long as it
                 # and the views grown from it in place do).
                 assembled.hold()
-                self._held[view_name] = held
+                self._held[fold(view_name)] = held
             report.view_rows[view_name] = len(assembled)
         return bound
 
@@ -1184,11 +1192,11 @@ class MediatorSession:
         also once ``define_view`` or DDL on a source moved the
         mediator's stamp.  A retired view is dropped by its next full
         ship, grown or not, and by :meth:`close`."""
-        doomed = list(self._held) if views is None else views
-        for view_name in doomed:
-            held = self._held.pop(view_name, None)
+        doomed = list(self._held) if views is None else map(fold, views)
+        for key in doomed:
+            held = self._held.pop(key, None)
             if held is not None and held.states is not None:
-                self._retired[view_name] = held
+                self._retired[key] = held
 
     def explain(self, sql: str, pushdown: bool = True) -> "QueryPlan":
         """The mediation plan — pruned views, cost-ranked per-source
@@ -1221,7 +1229,7 @@ class MediatorSession:
             cached=True) for view_name in ship.cached)
         batch: list[str] = []
         for view_name, jobs in ship.jobs.items():
-            view = self.mediator._views[view_name]
+            view = self.mediator._view(view_name)
             label = (f"{view_name!r} ({view.reconciliation}, "
                      f"cost~{ship.costs[view_name]:.0f}")
             if view_name in ship.pushable:
@@ -1247,18 +1255,18 @@ class MediatorSession:
             statement=sql, base_sql=sql, rewritten_sql=sql,
             stages=stages,
             cache_hits=len(ship.cached), cache_misses=len(ship.jobs))
-        bound = {name: self._held[name].view for name in ship.cached}
+        bound = {name: self._held[fold(name)].view for name in ship.cached}
         for name in ship.jobs:
             bound[name] = self.mediator._view_shape(
-                self.mediator._views[name], ship.costs[name])
+                self.mediator._view(name), ship.costs[name])
         if None not in bound.values():
             plan.db_plan = self._scratch.explain(statement, views=bound)
         return plan
 
     @property
     def _materialized(self) -> dict[str, BoundView]:
-        """The held views by name."""
-        return {name: held.view for name, held in self._held.items()}
+        """The held views by folded name."""
+        return {key: held.view for key, held in self._held.items()}
 
     def close(self) -> None:
         self.refresh()
@@ -1293,7 +1301,7 @@ def _pushable_filters(statement: sql_ast.SelectQuery, wanted: list[str],
     core = statement.core
     if core.from_clause is None or core.where is None:
         return {}
-    wanted_lower = {name.lower(): name for name in wanted}
+    wanted_by_key = {fold(name): name for name in wanted}
     safe = null_safe_bindings(core.from_clause)
     # Occurrences are counted over the WHOLE statement (subqueries
     # included): the scratch database holds one materialization per
@@ -1303,8 +1311,8 @@ def _pushable_filters(statement: sql_ast.SelectQuery, wanted: list[str],
     occurrences: dict[str, int] = {}
     for node in sql_ast.iter_query_nodes(statement):
         if isinstance(node, sql_ast.TableRef) \
-                and node.name.lower() in wanted_lower:
-            view_name = wanted_lower[node.name.lower()]
+                and fold(node.name) in wanted_by_key:
+            view_name = wanted_by_key[fold(node.name)]
             occurrences[view_name] = occurrences.get(view_name, 0) + 1
     view_of_binding: dict[str, str] = {}
     binding_columns: dict[str, list[str] | None] = {}
@@ -1314,9 +1322,9 @@ def _pushable_filters(statement: sql_ast.SelectQuery, wanted: list[str],
             continue
         columns = None
         if isinstance(leaf, sql_ast.TableRef) \
-                and leaf.name.lower() in wanted_lower:
-            view_name = wanted_lower[leaf.name.lower()]
-            view = mediator._views[view_name]
+                and fold(leaf.name) in wanted_by_key:
+            view_name = wanted_by_key[fold(leaf.name)]
+            view = mediator._view(view_name)
             if view.reconciliation != "prefer_first" and binding in safe:
                 columns = _view_columns(mediator, view)
                 view_of_binding[binding] = view_name

@@ -15,9 +15,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ..relational import ast
+from ..relational.ast import binding_of, from_leaves
+from ..relational.schema import fold
 from ..relational.table import BoundView, Table
 from .cost import CostModel, Inner
 from .estimate import join_selectivity, predicate_selectivity
+from .rewrite import output_columns, owner_of
 from .stats import StatisticsCatalog, TableStats
 
 FOREIGN_ROWS_GUESS = 1000.0
@@ -33,7 +36,7 @@ class BaseRelation:
     """One FROM leaf as the optimizer sees it."""
 
     expr: ast.TableExpr          # possibly a pushdown wrapper
-    binding: str                 # lower-cased
+    binding: str                 # folded
     table: Table | BoundView | None  # columnar relation, if a bare scan
     raw_rows: float              # before any pushed filter
     est_rows: float              # after pushed filters
@@ -102,21 +105,11 @@ def classify_equi(expr: ast.Expr,
         return None
     sides = []
     for side in (expr.left, expr.right):
-        if not isinstance(side, ast.ColumnRef):
+        binding = owner_of(side, binding_columns) \
+            if isinstance(side, ast.ColumnRef) else None
+        if binding is None:
             return None
-        if side.qualifier is not None:
-            binding = side.qualifier.lower()
-            columns = binding_columns.get(binding)
-            if columns is None or side.name.lower() not in columns:
-                return None
-        else:
-            owners = [b for b, columns in binding_columns.items()
-                      if columns is not None
-                      and side.name.lower() in columns]
-            if len(owners) != 1:
-                return None
-            binding = owners[0]
-        sides.append((binding, side.name.lower()))
+        sides.append((binding, fold(side.name)))
     if sides[0][0] == sides[1][0]:
         return None
     return sides[0][0], sides[0][1], sides[1][0], sides[1][1]
@@ -165,7 +158,6 @@ def _estimate_core_rows(core: ast.SelectCore, catalog,
                         stats: StatisticsCatalog) -> float:
     if core.from_clause is None:
         return 1.0
-    from .rewrite import binding_of, from_leaves, output_columns
     flat = flatten_inner_joins(core.from_clause)
     if flat is None:
         leaves = from_leaves(core.from_clause)
@@ -221,15 +213,9 @@ def make_resolver(binding_stats: dict[str, TableStats | None],
     selectivity estimator needs."""
 
     def resolve(ref: ast.ColumnRef):
-        if ref.qualifier is not None:
-            return _column_stats(binding_stats.get(ref.qualifier.lower()),
-                                 ref.name.lower())
-        owners = [binding for binding, columns in binding_columns.items()
-                  if columns is not None and ref.name.lower() in columns]
-        if len(owners) == 1:
-            return _column_stats(binding_stats.get(owners[0]),
-                                 ref.name.lower())
-        return None
+        owner = owner_of(ref, binding_columns)
+        return None if owner is None \
+            else _column_stats(binding_stats.get(owner), ref.name)
 
     return resolve
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..relational import ast
-from ..relational.ast import PlanHint
+from ..relational.ast import PlanHint, binding_of, from_leaves
 from ..relational.executor import build_select
 from ..relational.operators import Result
 from ..relational.table import BoundView, Table
@@ -35,8 +35,8 @@ from .joins import (BaseRelation, JoinPredicate, build_join_tree,
                     make_resolver, order_joins, _column_stats, _leaf_stats,
                     _relation_raw_rows, _step_for)
 from .options import PlannerOptions
-from .rewrite import (binding_of, expand_star_items, fold_expr, from_leaves,
-                      needed_columns, null_safe_bindings, output_columns,
+from .rewrite import (expand_star_items, fold_expr, needed_columns,
+                      null_safe_bindings, output_columns,
                       prune_derived_projection, prune_wrapper_projection,
                       referenced_bindings, wrap_with_filter)
 from .stats import StatisticsCatalog
@@ -337,7 +337,7 @@ def _build_distinct(query: ast.SelectQuery, key: ast.Expr, catalog,
             or not catalog.has_table(source.name):
         return None
     rows = estimate_query_rows(query, catalog, stats)
-    analyzed = _column_stats(stats.get(source.name), key.name.lower()) \
+    analyzed = _column_stats(stats.get(source.name), key.name) \
         if isinstance(key, ast.ColumnRef) else None
     if analyzed is None or not analyzed.distinct:
         return rows

@@ -23,7 +23,9 @@ from dataclasses import replace
 from typing import Callable, Iterable, Optional
 
 from ..relational import ast
+from ..relational.ast import binding_of, from_leaves
 from ..relational.compiler import CompileContext, compile_expr
+from ..relational.schema import fold
 
 # ---------------------------------------------------------------------------
 # Generic expression transformation
@@ -145,23 +147,15 @@ def fold_expr(expr: ast.Expr) -> ast.Expr:
 # ---------------------------------------------------------------------------
 
 
-def binding_of(table_expr: ast.TableExpr) -> str | None:
-    if isinstance(table_expr, ast.TableRef):
-        return table_expr.binding.lower()
-    if isinstance(table_expr, ast.SubqueryRef):
-        return table_expr.alias.lower()
-    return None
-
-
 def output_columns(table_expr: ast.TableExpr,
                    catalog) -> list[str] | None:
-    """Lower-cased output column names of a FROM leaf, or ``None`` when
+    """Folded output column names of a FROM leaf, or ``None`` when
     they cannot be determined without compiling."""
     if isinstance(table_expr, ast.TableRef):
         if not catalog.has_table(table_expr.name):
             return None
-        return [column.name.lower()
-                for column in catalog.table(table_expr.name).schema.columns]
+        return list(map(fold, catalog.table(
+            table_expr.name).schema.column_names()))
     if isinstance(table_expr, ast.SubqueryRef):
         return query_output_columns(table_expr.query, catalog)
     return None
@@ -169,45 +163,14 @@ def output_columns(table_expr: ast.TableExpr,
 
 def query_output_columns(query: ast.SelectQuery,
                          catalog) -> list[str] | None:
+    """Folded output column names of *query* (its stars expanded as
+    :func:`expand_star_items` expands them), or ``None``."""
     core = query.core
-    names: list[str] = []
-    for item in core.items:
-        if item.is_star:
-            star: ast.Star = item.expr  # type: ignore[assignment]
-            expanded = _expand_star_names(star, core.from_clause, catalog)
-            if expanded is None:
-                return None
-            names.extend(expanded)
-        else:
-            names.append(item.output_name().lower())
-    return names
-
-
-def _expand_star_names(star: ast.Star,
-                       from_clause: ast.TableExpr | None,
-                       catalog) -> list[str] | None:
-    if from_clause is None:
-        return None
-    leaves = from_leaves(from_clause)
-    names: list[str] = []
-    for leaf in leaves:
-        leaf_binding = binding_of(leaf)
-        if star.qualifier is not None \
-                and leaf_binding != star.qualifier.lower():
-            continue
-        columns = output_columns(leaf, catalog)
-        if columns is None:
+    if any(item.is_star for item in core.items):
+        core = replace(core)
+        if not expand_star_items(core, catalog):
             return None
-        names.extend(columns)
-    return names
-
-
-def from_leaves(table_expr: ast.TableExpr) -> list[ast.TableExpr]:
-    """The base relations of a FROM tree, left to right."""
-    if isinstance(table_expr, ast.Join):
-        return (from_leaves(table_expr.left)
-                + from_leaves(table_expr.right))
-    return [table_expr]
+    return [fold(item.output_name()) for item in core.items]
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +191,22 @@ def _has_aggregate(exprs: list[ast.Expr]) -> bool:
                for expr in exprs for node in ast.walk_expr(expr))
 
 
+def owner_of(ref: ast.ColumnRef,
+             binding_columns: dict[str, list[str] | None]) -> str | None:
+    """The binding among *binding_columns* (folded binding -> its folded
+    column names, ``None`` when unknown) whose column *ref* names —
+    :mod:`repro.relational.schema`'s reference rule over one scope;
+    ``None`` when no known binding has it, or more than one."""
+    name = fold(ref.name)
+    if ref.qualifier is not None:
+        binding = fold(ref.qualifier)
+        columns = binding_columns.get(binding)
+        return binding if columns is not None and name in columns else None
+    owners = [binding for binding, columns in binding_columns.items()
+              if columns is not None and name in columns]
+    return owners[0] if len(owners) == 1 else None
+
+
 def referenced_bindings(expr: ast.Expr,
                         binding_columns: dict[str, list[str] | None]
                         ) -> frozenset[str] | None:
@@ -239,21 +218,11 @@ def referenced_bindings(expr: ast.Expr,
     for node in ast.walk_expr(expr):
         if isinstance(node, ast.Star):
             return None
-        if not isinstance(node, ast.ColumnRef):
-            continue
-        if node.qualifier is not None:
-            binding = node.qualifier.lower()
-            columns = binding_columns.get(binding)
-            if columns is None or node.name.lower() not in columns:
+        if isinstance(node, ast.ColumnRef):
+            owner = owner_of(node, binding_columns)
+            if owner is None:
                 return None
-            touched.add(binding)
-        else:
-            owners = [binding for binding, columns in binding_columns.items()
-                      if columns is not None
-                      and node.name.lower() in columns]
-            if len(owners) != 1:
-                return None
-            touched.add(owners[0])
+            touched.add(owner)
     return frozenset(touched)
 
 
@@ -308,7 +277,7 @@ def compose_filter(query: ast.SelectQuery, binding: str,
 
     def substitute(targets: list) -> list[ast.Expr]:
         return [map_expr(conjunct, lambda node: targets[
-                    positions[node.name.lower()]]
+                    positions[fold(node.name)]]
                     if isinstance(node, ast.ColumnRef) else node)
                 for conjunct in conjuncts]
 
@@ -347,7 +316,7 @@ def needed_columns(query: ast.SelectQuery,
     count as outer reads.
     """
     needed: set[str] = set()
-    column_set = set(columns)
+    own = {binding: columns}
     excluded: set[int] = set()
     if exclude is not None:
         excluded = {id(node) for node in ast.iter_query_nodes(exclude)}
@@ -355,15 +324,12 @@ def needed_columns(query: ast.SelectQuery,
         if id(node) in excluded:
             continue
         if isinstance(node, ast.Star):
-            if node.qualifier is None or node.qualifier.lower() == binding:
+            if node.qualifier is None or fold(node.qualifier) == binding:
                 return None
-        if isinstance(node, ast.ColumnRef):
-            if node.qualifier is not None:
-                if node.qualifier.lower() == binding:
-                    needed.add(node.name.lower())
-            elif node.name.lower() in column_set:
-                # Unqualified: conservatively assume it may be ours.
-                needed.add(node.name.lower())
+        # Unqualified, and in a subquery too: conservatively ours if
+        # the name is one of ours.
+        if isinstance(node, ast.ColumnRef) and owner_of(node, own):
+            needed.add(fold(node.name))
     return needed
 
 
@@ -400,10 +366,10 @@ def prune_derived_projection(derived: ast.SubqueryRef,
     if _has_aggregate([item.expr for item in core.items]):
         return False  # dropping could toggle aggregation
     kept = [item for item in core.items
-            if item.output_name().lower() in needed]
+            if fold(item.output_name()) in needed]
     if not kept or len(kept) == len(core.items):
         return False
-    if {item.output_name().lower() for item in kept} < needed:
+    if {fold(item.output_name()) for item in kept} < needed:
         return False  # something needed is not among the items
     core.items = kept
     return True
@@ -428,7 +394,7 @@ def expand_star_items(core: ast.SelectCore, catalog) -> bool:
             if leaf_binding is None:
                 return False
             if star.qualifier is not None \
-                    and leaf_binding != star.qualifier.lower():
+                    and leaf_binding != fold(star.qualifier):
                 continue
             columns = output_columns(leaf, catalog)
             if columns is None:
@@ -438,9 +404,7 @@ def expand_star_items(core: ast.SelectCore, catalog) -> bool:
                            catalog.table(leaf.name).schema.columns]
             matched = True
             # Preserve the original (possibly aliased) qualifier casing.
-            qualifier = (leaf.binding if isinstance(leaf, ast.TableRef)
-                         else leaf.alias)
-            expanded.extend(ast.SelectItem(ast.ColumnRef(name, qualifier),
+            expanded.extend(ast.SelectItem(ast.ColumnRef(name, leaf.binding),
                                            None)
                             for name in columns)
         if not matched:

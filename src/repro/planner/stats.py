@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from ..relational.schema import fold
 from ..relational.types import is_number, sql_key
 
 #: Equi-width histogram buckets ANALYZE collects per numeric column.
@@ -120,11 +121,11 @@ class TableStats:
     columns: dict[str, ColumnStats] = field(default_factory=dict)
 
     def column(self, name: str) -> ColumnStats | None:
-        return self.columns.get(name.lower())
+        return self.columns.get(fold(name))
 
 
 class StatisticsCatalog:
-    """Registry of :class:`TableStats`, keyed by lower-cased table name.
+    """Registry of :class:`TableStats`, keyed by folded table name.
 
     ``version`` moves whenever a table's statistics are collected or
     forgotten (not on the incremental DML upkeep): a plan built on the
@@ -135,16 +136,16 @@ class StatisticsCatalog:
         self.version = 0
 
     def __contains__(self, table_name: str) -> bool:
-        return table_name.lower() in self._stats
+        return fold(table_name) in self._stats
 
     def get(self, table_name: str) -> TableStats | None:
-        return self._stats.get(table_name.lower())
+        return self._stats.get(fold(table_name))
 
     def table_names(self) -> list[str]:
         return sorted(stats.table_name for stats in self._stats.values())
 
     def forget(self, table_name: str) -> None:
-        if self._stats.pop(table_name.lower(), None) is not None:
+        if self._stats.pop(fold(table_name), None) is not None:
             self.version += 1
 
     def clear(self) -> None:
@@ -172,9 +173,9 @@ class StatisticsCatalog:
                 return [row[position] for row in rows]
 
         for position, column in enumerate(schema.columns):
-            stats.columns[column.name.lower()] = _summarize(
+            stats.columns[fold(column.name)] = _summarize(
                 column.name, values_of(position))
-        self._stats[schema.name.lower()] = stats
+        self._stats[fold(schema.name)] = stats
         self.version += 1
         return stats
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Union
 
+from .schema import fold
+
 
 class Node:
     """Base class for all AST nodes."""
@@ -194,6 +196,10 @@ class SubqueryRef(TableExpr):
     alias: str
     hint: Optional[PlanHint] = field(default=None, compare=False, repr=False)
 
+    @property
+    def binding(self) -> str:
+        return self.alias
+
 
 @dataclass
 class Join(TableExpr):
@@ -226,7 +232,7 @@ class SelectItem(Node):
         if isinstance(self.expr, ColumnRef):
             return self.expr.name
         if isinstance(self.expr, FunctionCall):
-            return self.expr.name.lower()
+            return fold(self.expr.name)
         return "?column?"
 
 
@@ -356,9 +362,9 @@ def node_key(node: Any) -> Any:
     if isinstance(node, Literal):
         return ("lit", repr(node.value))
     if isinstance(node, ColumnRef):
-        return ("col", (node.qualifier or "").lower(), node.name.lower())
+        return ("col", fold(node.qualifier or ""), fold(node.name))
     if isinstance(node, Star):
-        return ("star", (node.qualifier or "").lower())
+        return ("star", fold(node.qualifier or ""))
     if isinstance(node, SlotRef):
         return ("slot", node.index)
     if isinstance(node, Param):
@@ -379,7 +385,7 @@ def node_key(node: Any) -> Any:
         return ("between", node.negated, node_key(node.operand),
                 node_key(node.low), node_key(node.high))
     if isinstance(node, FunctionCall):
-        return ("fn", node.name.lower(), node.distinct, node.star,
+        return ("fn", fold(node.name), node.distinct, node.star,
                 tuple(node_key(arg) for arg in node.args))
     if isinstance(node, CaseExpr):
         return ("case", node_key(node.operand),
@@ -597,9 +603,23 @@ def _iter_table_nodes(table_expr: TableExpr):
             yield from iter_expr_nodes(table_expr.condition)
 
 
+def from_leaves(table_expr: TableExpr) -> list[TableExpr]:
+    """The base relations of a FROM tree, left to right."""
+    if isinstance(table_expr, Join):
+        return (from_leaves(table_expr.left)
+                + from_leaves(table_expr.right))
+    return [table_expr]
+
+
+def binding_of(table_expr: TableExpr) -> str | None:
+    """The folded name a FROM leaf binds its columns under."""
+    return fold(table_expr.binding) \
+        if isinstance(table_expr, (TableRef, SubqueryRef)) else None
+
+
 def referenced_tables(query: SelectQuery) -> set[str]:
-    """Lower-cased names of every table referenced anywhere in *query*."""
-    return {node.name.lower() for node in iter_query_nodes(query)
+    """Folded names of every table referenced anywhere in *query*."""
+    return {fold(node.name) for node in iter_query_nodes(query)
             if isinstance(node, TableRef)}
 
 

@@ -290,18 +290,18 @@ class ColumnFold:
         self.kind = kind
         self.position = position
         self.acc: list = []
-        self.counts: Optional[list] = [] if kind == "avg" else None
+        self.counts: Optional[list] = [] if kind == "AVG" else None
         # DISTINCT MIN/MAX sees the same extrema; skip the dedup
         self.seen: Optional[list] = (
-            [] if distinct and kind in ("count", "sum", "avg") else None)
+            [] if distinct and kind in ("COUNT", "SUM", "AVG") else None)
 
     def grow(self, count: int) -> None:
-        if self.kind == "avg":
+        if self.kind == "AVG":
             self.acc.extend(repeat(0.0, count))
             self.counts.extend(repeat(0, count))
         else:
             self.acc.extend(repeat(
-                0 if self.kind in ("count", "count*") else None, count))
+                0 if self.kind in ("COUNT", "COUNT*") else None, count))
         if self.seen is not None:
             self.seen.extend(set() for _ in range(count))
 
@@ -315,20 +315,20 @@ class ColumnFold:
 
     def step(self, batch: Batch, gids: Optional[list], contexts) -> None:
         acc, kind = self.acc, self.kind
-        if kind == "count*":
+        if kind == "COUNT*":
             if gids is None:
                 acc[0] += len(batch)
             else:
                 _tally(acc, gids)
             return
         column = batch.column(self.position)
-        if self.seen is not None and gids is None and kind == "count":
+        if self.seen is not None and gids is None and kind == "COUNT":
             seen = self.seen[0]
             seen.update(column)
             seen.discard(None)
             acc[0] = len(seen)
             return
-        if kind == "count" and self.seen is None:
+        if kind == "COUNT" and self.seen is None:
             present = map(is_not, column, repeat(None))
             if gids is None:
                 acc[0] += sum(present)
@@ -338,26 +338,26 @@ class ColumnFold:
         pairs = zip(repeat(0) if gids is None else gids, column)
         if self.seen is not None:
             pairs = self._fresh(pairs)
-        if kind == "count":
+        if kind == "COUNT":
             _tally(acc, map(itemgetter(0), pairs))
-        elif kind == "sum":
+        elif kind == "SUM":
             for gid, value in pairs:
                 if value is not None:
                     state = acc[gid]
                     acc[gid] = value if state is None else state + value
-        elif kind == "avg":
+        elif kind == "AVG":
             counts = self.counts
             for gid, value in pairs:
                 if value is not None:
                     acc[gid] += float(value)
                     counts[gid] += 1
-        elif kind == "min":
+        elif kind == "MIN":
             for gid, value in pairs:
                 if value is not None:
                     best = acc[gid]
                     if best is None or value < best:
                         acc[gid] = value
-        else:  # max
+        else:  # MAX
             for gid, value in pairs:
                 if value is not None:
                     best = acc[gid]
@@ -365,11 +365,11 @@ class ColumnFold:
                         acc[gid] = value
 
     def finals(self) -> list:
-        if self.kind == "avg":
+        if self.kind == "AVG":
             return null_nans([total / count if count else None
                               for total, count in zip(self.acc,
                                                       self.counts)])
-        return null_nans(self.acc) if self.kind == "sum" else self.acc
+        return null_nans(self.acc) if self.kind == "SUM" else self.acc
 
 
 class GenericFold:

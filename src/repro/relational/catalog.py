@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import CatalogError, SchemaError
-from .schema import TableSchema
+from .schema import TableSchema, fold
 from .table import BoundView, Table
 
 #: Names the SESQL engine binds its extractions under, per run: no table
@@ -13,7 +13,7 @@ RESERVED_PREFIX = "__sesql_"
 
 def check_table_name(name: str) -> None:
     """Refuse a table name under :data:`RESERVED_PREFIX`."""
-    if name.lower().startswith(RESERVED_PREFIX):
+    if fold(name).startswith(RESERVED_PREFIX):
         raise SchemaError(f"table name {name!r} is reserved: names "
                           f"starting {RESERVED_PREFIX!r} are SESQL's")
 
@@ -31,7 +31,7 @@ class Catalog:
     def create_table(self, schema: TableSchema,
                      if_not_exists: bool = False) -> Table | None:
         check_table_name(schema.name)
-        key = schema.name.lower()
+        key = fold(schema.name)
         if key in self._tables:
             if if_not_exists:
                 return None
@@ -43,14 +43,14 @@ class Catalog:
 
     def register_table(self, table: Table) -> None:
         """Adopt an externally constructed table (used by foreign wrappers)."""
-        key = table.name.lower()
+        key = fold(table.name)
         if key in self._tables:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[key] = table
         self.version += 1
 
     def drop_table(self, name: str, if_exists: bool = False) -> None:
-        key = name.lower()
+        key = fold(name)
         if key not in self._tables:
             if if_exists:
                 return
@@ -59,15 +59,15 @@ class Catalog:
         self.version += 1
 
     def has_table(self, name: str) -> bool:
-        return name.lower() in self._tables
+        return fold(name) in self._tables
 
     def get(self, name: str) -> Table | None:
         """The table registered under *name*, or ``None``."""
-        return self._tables.get(name.lower())
+        return self._tables.get(fold(name))
 
     def table(self, name: str) -> Table:
         try:
-            return self._tables[name.lower()]
+            return self._tables[fold(name)]
         except KeyError:
             raise CatalogError(f"table {name!r} does not exist") from None
 
@@ -77,16 +77,17 @@ class Catalog:
         # .values() could observe a resize mid-iteration).
         return [table.name for table in list(self._tables.values())]
 
-    def find_index(self, index_name: str) -> tuple[Table, str] | None:
-        for table in list(self._tables.values()):
-            if index_name in table.indexes:
-                return table, index_name
-        return None
+    def find_index(self, index_name: str) -> Table | None:
+        """The table holding the index named *index_name*: index names
+        are one namespace per database."""
+        key = fold(index_name)
+        return next((table for table in list(self._tables.values())
+                     if key in table.indexes), None)
 
 
 class ViewCatalog:
     """A catalog as one run of a statement sees it: the views bound for
-    the run (:class:`~repro.relational.table.BoundView`, by lower-cased
+    the run (:class:`~repro.relational.table.BoundView`, by folded
     name) in front of the tables — what the planner and the builder
     resolve a statement's names in."""
 
@@ -96,12 +97,12 @@ class ViewCatalog:
         self.views = views
 
     def has_table(self, name: str) -> bool:
-        return name.lower() in self.views or self.catalog.has_table(name)
+        return fold(name) in self.views or self.catalog.has_table(name)
 
     def get(self, name: str) -> Table | BoundView | None:
-        view = self.views.get(name.lower())
+        view = self.views.get(fold(name))
         return view if view is not None else self.catalog.get(name)
 
     def table(self, name: str) -> Table | BoundView:
-        view = self.views.get(name.lower())
+        view = self.views.get(fold(name))
         return view if view is not None else self.catalog.table(name)

@@ -62,7 +62,7 @@ from .operators import IndexProbe, Operator, Result, Scan, ViewScan
 from .parser import parse_script, parse_sql
 from .render import render_statement
 from .result import Cursor, ResultSet
-from .schema import Column, TableSchema
+from .schema import Column, TableSchema, fold
 from .table import (BoundView, Table, new_stamp, positional_rows,
                     table_from_columns)
 from .types import DataType, null_nans, parse_type_name
@@ -101,7 +101,7 @@ class _Tree:
         #: The nodes that hold rows after a run.
         self.holders = [node for node in self.nodes
                         if type(node).release is not Operator.release]
-        tables = {node.table.name.lower(): node.table
+        tables = {fold(node.table.name): node.table
                   for node in self.nodes
                   if isinstance(node, (Scan, IndexProbe))}
         self.tables = [(name, table, dict(table.indexes))
@@ -448,10 +448,10 @@ class Database:
     def _catalog(self, views: dict[str, BoundView] | None
                  ) -> tuple[Catalog | ViewCatalog, dict | None]:
         """What a run's names resolve in — *views* ahead of the tables —
-        and the views by lower-cased name, as its slots hold them."""
+        and the views by folded name, as its slots hold them."""
         if not views:
             return self.catalog, None
-        bound = {name.lower(): view for name, view in views.items()}
+        bound = {fold(name): view for name, view in views.items()}
         return ViewCatalog(self.catalog, bound), bound
 
     def _checkout(self, query: ast.SelectQuery, params: tuple | None,
@@ -682,10 +682,9 @@ class Database:
     def _run_insert(self, stmt: ast.InsertStmt) -> int:
         table = self.catalog.table(stmt.table)
         columns = stmt.columns or table.schema.column_names()
-        for name in columns:
-            if not table.schema.has_column(name):
-                raise SchemaError(
-                    f"table {table.name!r} has no column {name!r}")
+        if len(set(map(table.schema.position_of, columns))) < len(columns):
+            raise SchemaError(f"INSERT into {table.name!r} names a column "
+                              f"twice: {columns!r}")
         before = len(table)
         try:
             if stmt.rows is not None:
@@ -730,21 +729,18 @@ class Database:
         from .schema import RowSchema
         scope = RowSchema.for_table(table.schema, table.name)
         ctx = make_context(self.catalog)
-        assignment_fns = []
-        for column, expr in stmt.assignments:
-            if not table.schema.has_column(column):
-                raise SchemaError(
-                    f"table {table.name!r} has no column {column!r}")
-            assignment_fns.append((column, compile_expr(expr, [scope], ctx)))
+        assignment_fns = [(table.schema.position_of(column),
+                           compile_expr(expr, [scope], ctx))
+                          for column, expr in stmt.assignments]
         where_fn = None
         if stmt.where is not None:
             from .compiler import compile_predicate
             where_fn = compile_predicate(stmt.where, [scope], ctx)
-        pending: list[tuple[int, dict[str, Any]]] = []
+        pending: list[tuple[int, dict[int, Any]]] = []
         for row_id, row in list(table.rows_with_ids()):
             if where_fn is None or where_fn(((row),)):
-                changes = {column: fn((row,))
-                           for column, fn in assignment_fns}
+                changes = {position: fn((row,))
+                           for position, fn in assignment_fns}
                 pending.append((row_id, changes))
         for row_id, changes in pending:
             table.update_row(row_id, changes)
@@ -798,17 +794,18 @@ class Database:
 
     def _run_create_index(self, stmt: ast.CreateIndexStmt) -> None:
         table = self.catalog.table(stmt.table)
+        if self.catalog.find_index(stmt.name) is not None:
+            raise SchemaError(f"index {stmt.name!r} already exists")
         table.create_index(stmt.name, stmt.columns, stmt.unique, stmt.kind)
         return None
 
     def _run_drop_index(self, stmt: ast.DropIndexStmt) -> None:
-        found = self.catalog.find_index(stmt.name)
-        if found is None:
+        table = self.catalog.find_index(stmt.name)
+        if table is None:
             if stmt.if_exists:
                 return None
             raise SchemaError(f"index {stmt.name!r} does not exist")
-        table, name = found
-        table.drop_index(name)
+        table.drop_index(stmt.name)
         return None
 
     # -- convenience helpers ---------------------------------------------------------

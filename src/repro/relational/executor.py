@@ -47,7 +47,7 @@ from .operators import (Aggregate, Distinct, Filter, IndexProbe,
                         Join, Limit, Operator, Path, Project, Result, RowFn,
                         Rows, Scan, SetOp, Sort, Subquery, Values, ViewScan)
 from .render import as_slot, render_expr
-from .schema import ResultColumn, RowSchema
+from .schema import ResultColumn, RowSchema, fold
 from .table import BoundView, Table
 from .types import FAMILY, DataType, sql_key
 
@@ -207,14 +207,14 @@ def select_folds(group_exprs: list[ast.Expr],
         spec = None
         if call.star:
             if name == "COUNT" and not call.distinct:
-                spec = ("count*", None, False)
+                spec = ("COUNT*", None, False)
         elif name in ("COUNT", "SUM", "AVG", "MIN", "MAX") \
                 and len(call.args) == 1:
             column = _typed_column(call.args[0], scopes)
             if column is not None and (
                     name not in ("SUM", "AVG")
                     or column[1] in (DataType.INTEGER, DataType.REAL)):
-                spec = (name.lower(), column[0], call.distinct)
+                spec = (name, column[0], call.distinct)
         specs.append(spec)
     return (None if None in keys else [key[0] for key in keys]), specs
 
@@ -251,16 +251,14 @@ def select_sort_keys(exprs: list[ast.Expr], scopes: list[RowSchema]
 # FROM clause
 # ---------------------------------------------------------------------------
 
-def _collect_bindings(table_expr: ast.TableExpr, seen: set[str]) -> None:
-    if isinstance(table_expr, ast.Join):
-        _collect_bindings(table_expr.left, seen)
-        _collect_bindings(table_expr.right, seen)
-        return
-    binding = (table_expr.binding if isinstance(table_expr, ast.TableRef)
-               else table_expr.alias)
-    if binding.lower() in seen:
-        raise SchemaError(f"duplicate table alias {binding!r}")
-    seen.add(binding.lower())
+def _check_bindings(table_expr: ast.TableExpr) -> None:
+    """Refuse a FROM clause that binds one name twice."""
+    seen: set[str] = set()
+    for leaf in ast.from_leaves(table_expr):
+        binding = ast.binding_of(leaf)
+        if binding in seen:
+            raise SchemaError(f"duplicate table alias {leaf.binding!r}")
+        seen.add(binding)
 
 
 _NO_HINT = ast.PlanHint()
@@ -272,7 +270,7 @@ def build_table_expr(table_expr: ast.TableExpr, catalog: Catalog,
     hint = table_expr.hint or _NO_HINT
     if isinstance(table_expr, ast.TableRef):
         label = table_expr.name
-        if table_expr.alias and table_expr.alias.lower() != label.lower():
+        if table_expr.alias and fold(table_expr.alias) != fold(label):
             label = f"{label} as {table_expr.alias}"
         table = catalog.table(table_expr.name)
         if isinstance(table, BoundView):
@@ -439,6 +437,18 @@ def _probe_estimate(scan: Scan | ViewScan, ctx: CompileContext
 _SWAPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
+def levels(chain: list[RowSchema]
+           ) -> Callable[[ast.ColumnRef], int | None]:
+    """Where a reference resolves in *chain*, counted outwards from its
+    innermost scope (``None``: nowhere, or ambiguously)."""
+    def level_of(ref: ast.ColumnRef) -> int | None:
+        try:
+            return len(chain) - 1 - resolve_column(ref, chain)[0]
+        except (UnknownColumnError, AmbiguousColumnError):
+            return None
+    return level_of
+
+
 def select_semi_joins(conjuncts: list[ast.Expr],
                       outer_scopes: list[RowSchema], schema: RowSchema,
                       catalog: Catalog, ctx: CompileContext
@@ -454,15 +464,8 @@ def select_semi_joins(conjuncts: list[ast.Expr],
     scopes = outer_scopes + [schema]
 
     def inner_scope(source: ast.TableRef):
-        chain = scopes + [RowSchema.for_table(
-            catalog.table(source.name).schema, source.binding)]
-
-        def level_of(ref: ast.ColumnRef) -> int | None:
-            try:
-                return len(chain) - 1 - resolve_column(ref, chain)[0]
-            except (UnknownColumnError, AmbiguousColumnError):
-                return None
-        return level_of
+        return levels(scopes + [RowSchema.for_table(
+            catalog.table(source.name).schema, source.binding)])
 
     stack: list[Callable[[Operator], Join] | None] = []
     for conjunct in conjuncts:
@@ -703,39 +706,40 @@ class _AggregateRewriter:
 # SELECT core
 # ---------------------------------------------------------------------------
 
+def order_target(expr: ast.Expr, items: list[ast.SelectItem]) -> ast.Expr:
+    """What one ORDER BY / GROUP BY term orders or groups by: an ordinal
+    is the select item at that position, a bare name that is one
+    item's output alias is that item's expression (an output alias
+    shadows input columns, the PostgreSQL rule), anything else itself.
+    A bad ordinal raises."""
+    if isinstance(expr, ast.Literal) and isinstance(expr.value, int) \
+            and not isinstance(expr.value, bool):
+        index = expr.value
+        if index < 1 or index > len(items):
+            raise ExecutionError(
+                f"ORDER/GROUP BY position {index} is out of range")
+        if items[index - 1].is_star:
+            raise ExecutionError(
+                "ORDER/GROUP BY position cannot reference '*'")
+        return items[index - 1].expr
+    if isinstance(expr, ast.ColumnRef) and expr.qualifier is None:
+        aliased = [item.expr for item in items
+                   if item.alias and fold(item.alias) == fold(expr.name)]
+        if len(aliased) == 1:
+            return aliased[0]
+    return expr
+
+
 def _substitute_order_targets(exprs: list[ast.Expr],
                               items: list[ast.SelectItem]
                               ) -> list[ast.Expr]:
-    """Resolve ORDER/GROUP BY ordinals and select-list aliases.  A
-    ``?`` among them might be a position, or make a term match a select
-    item or group key: its value decides (:class:`BindFirst`)."""
+    """:func:`order_target` of each term.  A ``?`` among them might be
+    a position, or make a term match a select item or group key: its
+    value decides (:class:`BindFirst`)."""
     if any(isinstance(node, ast.Param)
            for expr in exprs for node in ast.walk_expr(expr)):
         raise BindFirst("a ? in ORDER BY or GROUP BY")
-    resolved: list[ast.Expr] = []
-    for expr in exprs:
-        if isinstance(expr, ast.Literal) and isinstance(expr.value, int) \
-                and not isinstance(expr.value, bool):
-            index = expr.value
-            if index < 1 or index > len(items):
-                raise ExecutionError(
-                    f"ORDER/GROUP BY position {index} is out of range")
-            item = items[index - 1]
-            if item.is_star:
-                raise ExecutionError(
-                    "ORDER/GROUP BY position cannot reference '*'")
-            resolved.append(item.expr)
-            continue
-        if isinstance(expr, ast.ColumnRef) and expr.qualifier is None:
-            alias_matches = [item for item in items
-                            if item.alias
-                            and item.alias.lower() == expr.name.lower()]
-            if len(alias_matches) == 1:
-                # An output alias shadows input columns (PostgreSQL rule).
-                resolved.append(alias_matches[0].expr)
-                continue
-        resolved.append(expr)
-    return resolved
+    return [order_target(expr, items) for expr in exprs]
 
 
 def _sort(child: Operator, order_by: list[ast.OrderItem],
@@ -748,6 +752,18 @@ def _sort(child: Operator, order_by: list[ast.OrderItem],
         (compile_expr(expr, scopes, ctx), item.descending)
         for expr, item in zip(exprs, order_by)],
         select_sort_keys(exprs, scopes), ctx.exec_hooks)
+
+
+def star_positions(star: ast.Star, source: RowSchema) -> list[int]:
+    """The columns of *source* a ``*`` / ``q.*`` select item stands
+    for; a qualifier no column has raises."""
+    qualifier = star.qualifier
+    positions = [position for position, column in enumerate(source.columns)
+                 if qualifier is None
+                 or fold(column.qualifier or "") == fold(qualifier)]
+    if not positions and qualifier is not None:
+        raise UnknownColumnError(f"no table named {qualifier!r} in FROM")
+    return positions
 
 
 def _plain_items(items: list[ast.SelectItem], source: RowSchema,
@@ -770,13 +786,7 @@ def _plain_items(items: list[ast.SelectItem], source: RowSchema,
                 source.columns[position].data_type
                 if position is not None else None))
             continue
-        qualifier = item.expr.qualifier
-        positions = [
-            position for position, column in enumerate(source.columns)
-            if qualifier is None
-            or (column.qualifier or "").lower() == qualifier.lower()]
-        if not positions and qualifier is not None:
-            raise UnknownColumnError(f"no table named {qualifier!r} in FROM")
+        positions = star_positions(item.expr, source)
         exprs.extend(ast.SlotRef(position) for position in positions)
         columns.extend(
             ResultColumn(column.name, column.qualifier, column.data_type)
@@ -803,7 +813,7 @@ def build_core(core: ast.SelectCore, catalog: Catalog,
     that are returned."""
     order_by = order_by or []
     if core.from_clause is not None:
-        _collect_bindings(core.from_clause, set())
+        _check_bindings(core.from_clause)
         op = build_table_expr(core.from_clause, catalog, outer_scopes, ctx)
     else:
         op = Values()
@@ -936,10 +946,12 @@ def build_query(query: ast.SelectQuery, catalog: Catalog,
                 "set operation operands must have the same column count")
     op: Operator = SetOp(operands, [name for name, _c in query.compounds])
     if query.order_by:
-        names = [ast.SelectItem(ast.ColumnRef(column.name), None)
-                 for column in op.schema.columns]
+        # An ordinal names a result column by position: two columns of
+        # one name are not ambiguous to it.
+        outputs = [ast.SelectItem(ast.SlotRef(position), None)
+                   for position in range(len(op.schema))]
         order_exprs = _substitute_order_targets(
-            [item.expr for item in query.order_by], names)
+            [item.expr for item in query.order_by], outputs)
         op = _sort(op, query.order_by, order_exprs,
                    outer_scopes + [op.schema], ctx)
     return limit(op) if limit is not None else op

@@ -40,7 +40,7 @@ from itertools import chain, islice
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import ConstraintViolation, SchemaError
-from .schema import TableSchema
+from .schema import TableSchema, fold
 from .types import literal_family, one_family, sql_keys
 
 #: The range operators a sorted path answers by a bisected span.
@@ -193,7 +193,8 @@ class ColumnPaths:
     def __init__(self, schema: TableSchema | None = None) -> None:
         self.schema = schema
         #: Every declared index — the UNIQUE columns', the PRIMARY
-        #: KEY's, then each ``CREATE INDEX``'s — and the last by name.
+        #: KEY's, then each ``CREATE INDEX``'s — and the last by folded
+        #: name.
         self.declared: list[HashIndex] = []
         self.created: dict[str, HashIndex] = {}
         #: Column position -> its on-demand lookup; ``None`` while a
@@ -290,10 +291,10 @@ class ColumnPaths:
 
     def find(self, column_names: Iterable[str]) -> HashIndex | None:
         """The first declared index over exactly these columns."""
-        wanted = [name.lower() for name in column_names]
+        wanted = list(map(fold, column_names))
         return next((index for index in self.declared
-                     if [name.lower() for name in index.column_names]
-                     == wanted), None)
+                     if list(map(fold, index.column_names)) == wanted),
+                    None)
 
     # -- writes ----------------------------------------------------------------
 
@@ -384,7 +385,7 @@ class ColumnPaths:
                 kind: str, rows: Iterable[tuple]) -> HashIndex:
         """``CREATE [UNIQUE] INDEX name ... USING kind``: a UNIQUE one
         enters the keys of *rows*, any other reads none."""
-        if name in self.created:
+        if fold(name) in self.created:
             raise SchemaError(f"index {name!r} already exists")
         for column_name in column_names:
             if not self.schema.has_column(column_name):
@@ -398,11 +399,11 @@ class ColumnPaths:
         index = HashIndex(name, self.schema.name, column_names, unique, kind)
         for row in rows if unique else ():
             index.insert(self._key(index, row))
-        self.created[name] = index
+        self.created[fold(name)] = index
         self.declared.append(index)
         return index
 
     def drop(self, name: str) -> None:
-        if name not in self.created:
+        if fold(name) not in self.created:
             raise SchemaError(f"index {name!r} does not exist")
-        self.declared.remove(self.created.pop(name))
+        self.declared.remove(self.created.pop(fold(name)))

@@ -51,7 +51,7 @@ from .batch import Batch, concat, pieces, stack, take
 from .compiler import conjunction
 from .errors import ExecutionError, RelationalError
 from .indexes import RANGES, build_lookup
-from .schema import ResultColumn, RowSchema
+from .schema import ResultColumn, RowSchema, fold
 from .table import Table
 from .types import (FAMILY, key_value, literal_family, one_family, sort_key,
                     sql_key, sql_keys)
@@ -486,7 +486,7 @@ class ViewScan(_Access):
                  est_rows: float | None = None, hooks=None) -> None:
         super().__init__(label, RowSchema.for_table(view.schema, binding),
                          est_rows, hooks)
-        self.name = name.lower()
+        self.name = fold(name)
         self.signature = view.signature
         self.slots = slots
         self.vectorized = True

@@ -18,6 +18,7 @@ from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ExecutionError
+from .schema import fold
 from .types import format_value
 
 #: Rows a plain row iterable hands per pull when its consumer asks for
@@ -284,9 +285,8 @@ class ResultSet:
         return self.columns == other.columns and self.rows == other.rows
 
     def column_index(self, name: str) -> int:
-        lowered = [column.lower() for column in self.columns]
         try:
-            return lowered.index(name.lower())
+            return list(map(fold, self.columns)).index(fold(name))
         except ValueError:
             raise ExecutionError(
                 f"result has no column {name!r} "

@@ -1,4 +1,20 @@
-"""Table schemas: column definitions and name resolution metadata."""
+"""Table schemas, column definitions and the one name rule.
+
+**The name rule.**  An SQL identifier — a table, column, index, alias or
+mediated view name, or an enrichment's attribute — names what it names
+case-insensitively: :func:`fold` is its key, and the only place an
+identifier is folded.  Every registry keyed by a name keys through it,
+at registration or build time.  The spelling a name was declared with is
+kept for display and output.
+
+**The reference rule.**  A column reference ``q.name`` (or bare
+``name``) hits a :class:`ResultColumn` whose name folds alike and, when
+qualified, whose qualifier does (:meth:`ResultColumn.matches`);
+:meth:`RowSchema.find` lists the hits in one scope, and
+:func:`repro.relational.compiler.resolve_column` resolves over a chain of
+scopes innermost-out, ambiguity judged per scope.  The query analyzer
+resolves through the same function.
+"""
 
 from __future__ import annotations
 
@@ -47,6 +63,11 @@ class Column:
                    spec["default"], spec["has_default"])
 
 
+def fold(name: str) -> str:
+    """The key an identifier *name* is known by (see the module)."""
+    return name.lower()
+
+
 class TableSchema:
     """An ordered collection of columns with fast name lookup."""
 
@@ -59,7 +80,7 @@ class TableSchema:
         self.columns = list(columns)
         self._positions: dict[str, int] = {}
         for index, column in enumerate(self.columns):
-            key = column.name.lower()
+            key = fold(column.name)
             if key in self._positions:
                 raise SchemaError(
                     f"duplicate column {column.name!r} in table {name!r}")
@@ -77,11 +98,11 @@ class TableSchema:
         return [column.name for column in self.columns]
 
     def has_column(self, name: str) -> bool:
-        return name.lower() in self._positions
+        return fold(name) in self._positions
 
     def position_of(self, name: str) -> int:
         try:
-            return self._positions[name.lower()]
+            return self._positions[fold(name)]
         except KeyError:
             raise SchemaError(
                 f"table {self.name!r} has no column {name!r}") from None
@@ -104,11 +125,10 @@ class ResultColumn:
 
     def matches(self, name: str, qualifier: str | None) -> bool:
         """Does a reference ``qualifier.name`` (or bare ``name``) hit us?"""
-        if name.lower() != self.name.lower():
+        if fold(name) != fold(self.name):
             return False
-        if qualifier is None:
-            return True
-        return (self.qualifier or "").lower() == qualifier.lower()
+        return qualifier is None \
+            or fold(self.qualifier or "") == fold(qualifier)
 
 
 @dataclass

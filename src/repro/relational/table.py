@@ -115,24 +115,27 @@ def _transposed(name: str, batch: list, width: int
     return (list(zip(*batch)) if batch else [()] * width), len(batch), error
 
 
+#: The key no row holds: a column no key of the row names.
+_ABSENT = object()
+
+
 def positional_rows(schema: TableSchema,
                     rows: Iterable[dict[str, Any]]) -> Iterator[tuple]:
     """Column-name → value dicts as full positional rows: an omitted
     column takes its default (else NULL), a key names its column as SQL
-    does (case-insensitively) and an unknown key is a ``SchemaError`` —
-    raised when that row is reached."""
-    names = schema.column_names()
-    known = set(names)
+    does (:meth:`TableSchema.position_of`; of two keys naming one
+    column the later wins) and an unknown key is a ``SchemaError`` —
+    raised when that row is reached.  The keys are resolved once per
+    run of rows that spell them alike."""
     defaults = [column.default if column.has_default else None
                 for column in schema.columns]
+    keys: tuple | None = None
     for row in rows:
-        if row.keys() <= known:
-            yield tuple(map(row.get, names, defaults))
-            continue
-        values = list(defaults)
-        for key, value in row.items():
-            values[schema.position_of(key)] = value
-        yield tuple(values)
+        if tuple(row) != keys:
+            keys, spelled = tuple(row), [_ABSENT] * len(defaults)
+            for key in keys:
+                spelled[schema.position_of(key)] = key
+        yield tuple(map(row.get, spelled, defaults))
 
 
 class Table:
@@ -157,7 +160,7 @@ class Table:
         #: The column-path store: declared indexes, the columns'
         #: lookups and sorted paths.
         self.paths = ColumnPaths(schema)
-        #: The ``CREATE INDEX`` indexes by name (the store's).
+        #: The ``CREATE INDEX`` indexes by folded name (the store's).
         self.indexes: dict[str, HashIndex] = self.paths.created
 
     # -- basic accessors ---------------------------------------------------
@@ -391,16 +394,16 @@ class Table:
                        for slot, row_id in enumerate(self._row_ids)}
         self.paths.forget()
 
-    def update_row(self, row_id: int, changes: dict[str, Any]) -> None:
-        """Apply column changes to one row, re-checking constraints."""
+    def update_row(self, row_id: int, changes: dict[int, Any]) -> None:
+        """Apply changes, by column position, to one row, re-checking
+        constraints."""
         slot = self._slots[row_id]
         self.stamp = new_stamp()
         old_row = tuple(column.values[slot] for column in self._columns)
         names = self.schema.column_names()
         values = dict(zip(names, old_row))
-        for name, value in changes.items():
-            # Stored under the schema's spelling: ``SET C0 = ...`` is c0.
-            values[names[self.schema.position_of(name)]] = value
+        for position, value in changes.items():
+            values[names[position]] = value
         new_row = self._check_and_prepare(values)
         self.paths.update(slot, old_row, new_row)
         for column, value in zip(self._columns, new_row):

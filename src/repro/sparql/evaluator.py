@@ -161,6 +161,18 @@ class _Batch:
         self.rows = rows
 
 
+def _tuple_getter(positions: list[int]):
+    """A callable reading *positions* of a triple as a tuple (``None``
+    for no positions: no itemgetter reads none).  One position is read
+    as a one-wide slice, since an itemgetter of one index returns the
+    bare value."""
+    if not positions:
+        return None
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
+
+
 class Evaluator:
     """Set-at-a-time SPARQL evaluation (see module docstring)."""
 
@@ -351,6 +363,8 @@ class Evaluator:
         append_pos = [var_positions[var][0] for var in new_vars]
         fill_pairs = [(out_index[var], var_positions[var][0])
                       for var in fill]
+        key_of = _tuple_getter(key_pos)
+        tail_of = _tuple_getter(append_pos)
         match_ids = self.store._match_ids
         pad = (None,) * len(new_vars)
         probe = bvars and len(buckets) < self.stats.count_ids(*const)
@@ -364,12 +378,12 @@ class Evaluator:
                         break
                 if skip:
                     continue
-                rows = bucket if bucket is not None else buckets.get(
-                    tuple(triple[p] for p in key_pos))
+                rows = bucket if bucket is not None \
+                    else buckets.get(key_of(triple))
                 if not rows:
                     continue
                 if fill_pairs:
-                    tail = tuple(triple[p] for p in append_pos)
+                    tail = tail_of(triple) if tail_of is not None else ()
                     for row in rows:
                         new = list(row + pad)
                         for out_i, p in fill_pairs:
@@ -377,8 +391,8 @@ class Evaluator:
                         if tail:
                             new[-len(tail):] = tail
                         new_rows.append(tuple(new))
-                elif append_pos:
-                    tail = tuple(triple[p] for p in append_pos)
+                elif tail_of is not None:
+                    tail = tail_of(triple)
                     for row in rows:
                         new_rows.append(row + tail)
                 else:
@@ -395,6 +409,12 @@ class Evaluator:
                     for p in var_positions[var]:
                         spec[p] = value
                 consume(match_ids(*spec), bucket=rows)
+        elif key_of is None:
+            # No variable shared with the rows: each candidate joins
+            # the one bucket, ``()``.
+            rows = buckets.get(())
+            if rows:
+                consume(match_ids(*const), bucket=rows)
         else:
             consume(match_ids(*const))
 

@@ -319,6 +319,25 @@ def test_query_ships_only_referenced_views(sources):
     assert list(report.view_rows) == ["eu"]
 
 
+def test_a_view_redefined_in_another_case_replaces_it(sources):
+    """A view name follows the SQL name rule: ``BOTH`` redefines
+    ``Both``, as ``Both`` would — one view, the new spelling listed, the
+    new fragments shipped and read under any case."""
+    mediator = make_mediator(sources)
+    mediator.define_view("Both", [
+        ("italy", "SELECT name FROM landfill"),
+        ("france", "SELECT name FROM landfill")])
+    mediator.define_view("BOTH", [("france", "SELECT name FROM landfill")])
+    assert mediator.view_names() == ["BOTH"]
+    result, report = mediator.query("SELECT name FROM both ORDER BY name")
+    assert result.rows == [("lf_fr_1",), ("lf_it_2",)]
+    assert list(report.view_rows) == ["BOTH"]
+    assert [source for source, _sql in report.sub_queries] == ["france"]
+    assert mediator.view_schema("bOtH").column_names() == ["name"]
+    assert mediator.connect().execute(
+        "SELECT COUNT(*) FROM Both", views=["both"])[0].scalar() == 2
+
+
 def test_pruning_sees_views_in_subqueries(sources):
     mediator = make_mediator(sources)
     mediator.define_view("eu", [

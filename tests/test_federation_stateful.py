@@ -11,7 +11,11 @@ appended, when that is all they did, at its next full ship), and a
 template drawn from :data:`TEMPLATES` is prepared once and run with
 drawn values — executed, partly streamed and closed, or explained — on a
 :class:`~repro.federation.MediatedDatabank` and, its values written into
-the text, on a :class:`~repro.federation.MediatorSession`.
+the text, on a :class:`~repro.federation.MediatorSession`.  Each view is
+defined under its name and with its fragments' names randomly re-cased,
+so a redefinition may spell the view otherwise; a re-cased run executes
+a template with its view and column names randomly re-cased, parsed
+afresh, on both consumers.
 
 The model is stdlib sqlite3 holding the same source rows, each view
 written as the ``UNION ALL`` / ``UNION`` of its fragments.  A session
@@ -21,7 +25,8 @@ such a ship, and answers from the snapshot until the refresh.
 
 What must hold:
 
-* every answer is the model's (rows compared as multisets); a partly
+* every answer, re-cased or not, is the model's (rows compared as
+  multisets); a partly
   streamed answer is part of it;
 * a prepared statement's local tree is built on its first run and again
   only when the type signature of the views it reads differs from the
@@ -34,6 +39,7 @@ What must hold:
 from __future__ import annotations
 
 import gc
+import random
 import sqlite3
 
 from hypothesis import settings
@@ -46,6 +52,7 @@ from repro.relational import Database
 from repro.relational.operators import ViewScan
 from repro.relational.parser import SqlParser
 from repro.relational.render import render_literal
+from test_sql_stateful import recased
 
 VIEWS = ("v", "w")
 COLUMNS = ("k", "n", "s", "origin")
@@ -104,6 +111,7 @@ class MediatedModel(RuleBasedStateMachine):
     @initialize(count=st.integers(2, 3), data=st.data())
     def set_up(self, count, data):
         self.model = sqlite3.connect(":memory:")
+        self.rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
         self.mediator = Mediator(FederationOptions(max_workers=1))
         self.sources: list[Database] = []
         self.reals: list[bool] = []
@@ -150,9 +158,11 @@ class MediatedModel(RuleBasedStateMachine):
 
     def _define(self, view: str, reconciliation: str, chosen: list[int],
                 stars: list[bool]) -> None:
-        self.mediator.define_view(view, [
-            (f"s{index}", f"SELECT *, 's{index}' AS origin FROM t"
-             if star else f"SELECT k, n, s, 's{index}' AS origin FROM t")
+        self.mediator.define_view(recased(view, self.rng), [
+            (f"s{index}", recased(
+                f"SELECT *, 's{index}' AS origin FROM t" if star
+                else f"SELECT k, n, s, 's{index}' AS origin FROM t",
+                self.rng))
             for index, star in zip(chosen, stars)], reconciliation)
         self.definitions[view] = (reconciliation, chosen, stars)
 
@@ -186,9 +196,10 @@ class MediatedModel(RuleBasedStateMachine):
         """A view shipped in full is held from now on, as it was."""
         held = self.held[consumer]
         for view in report.view_rows:
-            if view not in held and view not in report.pushed_filters:
-                held[view] = self.model.execute(
-                    self._union(view)).fetchall()
+            if view.lower() not in held \
+                    and view not in report.pushed_filters:
+                held[view.lower()] = self.model.execute(
+                    self._union(view.lower())).fetchall()
 
     # -- rules: sources and views -----------------------------------------
 
@@ -362,6 +373,21 @@ class MediatedModel(RuleBasedStateMachine):
             plan = self.session.explain(text)
             assert plan.db_plan is not None
             assert plan.stages[-1].name == "sql"
+
+    @rule(data=st.data(), consumer=st.sampled_from(["bank", "session"]))
+    def run_recased(self, data, consumer):
+        """A template with its view and column names re-cased, parsed
+        afresh: the model's answer."""
+        sql, values = self._draw(data)
+        text = inlined(recased(sql, self.rng), values)
+        if consumer == "session":
+            result, report = self.session.execute(text)
+        else:
+            result = self.bank.query(text)
+            report = self.bank.last_report
+        self._note_ship(consumer, report)
+        assert canonical(result.rows) \
+            == canonical(self._expected(sql, values, consumer)), text
 
     def _partly(self, cursor, expected: list, data, database) -> None:
         """Draw some of *cursor*'s rows, close it: they are part of the

@@ -256,6 +256,46 @@ def test_drop_index(db):
     db.execute("DROP INDEX IF EXISTS ik")  # no error
 
 
+def test_index_names_are_one_namespace_per_database(db):
+    """An index name is the database's, in any case, as sqlite3's is: a
+    second CREATE INDEX of it (on any table) is refused, and DROP INDEX
+    in another case drops it."""
+    oracle = sqlite3.connect(":memory:")
+    for con in (db, oracle):
+        con.execute("CREATE TABLE t (c0 INTEGER, c1 TEXT)")
+        con.execute("CREATE TABLE u (c0 INTEGER)")
+        con.execute("CREATE INDEX ix ON t (c1)")
+    for statement in ("CREATE INDEX IX ON t (c0)",
+                      "CREATE INDEX ix ON u (c0)"):
+        with pytest.raises(sqlite3.OperationalError, match="already exists"):
+            oracle.execute(statement)
+        with pytest.raises(SchemaError, match="already exists"):
+            db.execute(statement)
+    assert list(db.table("u").indexes) == []
+    db.execute("DROP INDEX IX")
+    assert db.table("t").indexes == {}
+    with pytest.raises(SchemaError, match="does not exist"):
+        db.execute("DROP INDEX Ix")
+    db.execute("CREATE INDEX Ix ON u (c0)")
+    db.execute("DROP INDEX iX")
+    assert db.table("u").indexes == {}
+
+
+@pytest.mark.parametrize("statement", [
+    "INSERT INTO t (c0, C0) VALUES (1, 2)",
+    "INSERT INTO t (c1, c0, c1) VALUES ('a', 1, 'b')",
+    "INSERT INTO t (C0, c0) SELECT c0, c0 FROM t",
+], ids=["values", "values-three", "select"])
+def test_insert_naming_a_column_twice_is_refused(db, statement):
+    """An INSERT column list naming one column twice, in any case, is a
+    SchemaError and stores nothing (PostgreSQL refuses it too)."""
+    db.execute("CREATE TABLE t (c0 INTEGER, c1 TEXT)")
+    db.execute("INSERT INTO t VALUES (7, 'x')")
+    with pytest.raises(SchemaError, match="twice"):
+        db.execute(statement)
+    assert db.query("SELECT c0, c1 FROM t").rows == [(7, "x")]
+
+
 def test_execute_script_multiple_statements(db):
     results = db.execute_script("""
         CREATE TABLE t (x INTEGER);

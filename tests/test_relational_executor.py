@@ -1,6 +1,7 @@
 """End-to-end SELECT execution: filters, joins, grouping, set ops, NULLs."""
 
 import re
+import sqlite3
 
 import pytest
 
@@ -161,6 +162,21 @@ def test_union_dedupes_union_all_keeps(landfill_db):
         SELECT city FROM landfill UNION ALL SELECT city FROM landfill""")
     assert len(union) == 3
     assert len(union_all) == 8
+
+
+@pytest.mark.parametrize("order", ["1", "2 DESC", "1, 2"])
+def test_compound_order_by_ordinal_over_a_repeated_name(order):
+    """A compound's ORDER BY ordinal names a result column by position,
+    also when two result columns share a name (sqlite3 is the oracle)."""
+    sql = ("SELECT t.a, u.a FROM t, u UNION SELECT 5, 0 "
+           f"ORDER BY {order}")
+    db, oracle = Database(), sqlite3.connect(":memory:")
+    for con in (db, oracle):
+        con.execute("CREATE TABLE t (a INTEGER)")
+        con.execute("CREATE TABLE u (a INTEGER)")
+        con.execute("INSERT INTO t VALUES (1), (7)")
+        con.execute("INSERT INTO u VALUES (2), (3)")
+    assert db.query(sql).rows == oracle.execute(sql).fetchall()
 
 
 def test_intersect_and_except(landfill_db):

@@ -8,11 +8,16 @@ rows count the table), updated (the column a read probes, or another),
 deleted a few at a time or past the compaction threshold (more than
 ``COMPACT_MIN_DELETED`` dead slots and over a quarter of the table),
 truncated; hash, ``USING sorted`` and ``UNIQUE`` indexes are created and
-dropped, and the table is dropped and created again.  Between writes a
+dropped, and the table is dropped and created again.  The engine runs
+every write with its identifiers (table, column and index names)
+randomly re-cased — an index is dropped in another case than it was
+created in — while the model runs it as written.  Between writes a
 template drawn from :data:`READS` — ``=``, ``IN (list)``, ``IN
 (subquery)``, ranges, either way round, and ``u JOIN t`` on the
 column — is prepared once and run with drawn values through its kept
-operator tree.  The values hold integers beyond 2**53 in the INTEGER
+operator tree; a re-cased read runs each template once more with its
+identifiers (table, column and alias names) randomly re-cased, parsed
+afresh.  The values hold integers beyond 2**53 in the INTEGER
 and the REAL column, ``-0.0`` and ``0.0``, NaN, NULL, TRUE / FALSE and
 strings.
 
@@ -21,7 +26,8 @@ both sides: the engine stores the NaN a write's ``CAST('nan' AS REAL)``
 makes, and binds a read's NaN key, as NULL; sqlite stores and binds a
 bound NaN as NULL.
 
-What must hold: every read is the model's answer (as a multiset) and,
+What must hold: every read, re-cased or not, is the model's answer (as a
+multiset) and,
 row for row, the answer of the same template over a forced scan (no
 access path); a column's lookup is read, by a scan or an index join,
 kept up by the writes between runs, and dropped by compaction, truncate
@@ -43,6 +49,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
 
 from repro.relational import Database
+from repro.relational.lexer import tokenize
 from repro.relational.parser import SqlParser
 from repro.relational.render import render_literal
 from test_access_paths import forced_scan
@@ -88,6 +95,11 @@ READS = {
     "= and range": ("SELECT id FROM t WHERE {c} = ? AND id > ?", 2),
     "join": ("SELECT t.id, u.{m} FROM u JOIN t ON t.{c} = u.{m}", 0),
 }
+#: Templates only a re-cased read runs: aliased names to re-case.
+ALIASED = {
+    "=": "SELECT a.id FROM t AS a WHERE a.{c} = ?",
+    "join": "SELECT a.id, b.{m} FROM u AS b JOIN t a ON a.{c} = b.{m}",
+}
 #: From this many rows of ``t`` per row of ``u``, the cost model joins
 #: ``t`` by its column's lookup once that is built.  With no statistics,
 #: each row of ``u`` costs the index join its scan, a probe and a fetch
@@ -113,6 +125,19 @@ def parsed(sql: str):
     return SqlParser(sql, first_param=0).parse_statement()
 
 
+def recased(sql: str, rng: random.Random) -> str:
+    """*sql* with each letter of every unquoted identifier in a random
+    case; keywords, string literals and quoted identifiers as written."""
+    parts, at = [], 0
+    for token in tokenize(sql):
+        if token.type == "IDENT" and sql[token.position] != '"':
+            parts.append(sql[at:token.position])
+            parts.extend(rng.choice((char.lower(), char.upper()))
+                         for char in token.value)
+            at = token.position + len(token.value)
+    return "".join(parts) + sql[at:]
+
+
 class PlainSqlModel(RuleBasedStateMachine):
 
     @initialize(data=st.data())
@@ -124,6 +149,7 @@ class PlainSqlModel(RuleBasedStateMachine):
         ddl = "(x INTEGER, y REAL, z TEXT, w BOOLEAN)"
         self.db.execute(f"CREATE TABLE u {ddl}")
         self.model.execute(f"CREATE TABLE u {ddl}")
+        self.rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
         self.next_id = 0
         self.indexes: list[str] = []
         #: (template, column) -> (its statement, its forced-scan twin).
@@ -144,7 +170,7 @@ class PlainSqlModel(RuleBasedStateMachine):
     def _insert(self, data, count: int) -> None:
         rows = self._rows(data, count)
         if rows:
-            self.db.execute("INSERT INTO t VALUES " + ", ".join(
+            self._write("INSERT INTO t VALUES " + ", ".join(
                 "(" + ", ".join(map(literal, row)) + ")" for row in rows))
         self.model.executemany("INSERT INTO t VALUES (?, ?, ?, ?, ?)", rows)
 
@@ -153,12 +179,16 @@ class PlainSqlModel(RuleBasedStateMachine):
         rows = data.draw(st.lists(st.tuples(*(
             st.sampled_from(POOLS[column])
             for column in ("i", "r", "s", "b"))), max_size=5))
-        for database in (self.db, self.model):
-            database.execute("DELETE FROM u")
+        self._write("DELETE FROM u")
+        self.model.execute("DELETE FROM u")
         for row in rows:
-            self.db.execute(
+            self._write(
                 f"INSERT INTO u VALUES ({', '.join(map(literal, row))})")
             self.model.execute("INSERT INTO u VALUES (?, ?, ?, ?)", row)
+
+    def _write(self, sql: str):
+        """Run *sql* on the engine, its identifiers re-cased."""
+        return self.db.execute(recased(sql, self.rng))
 
     def _where(self, data) -> tuple[str, str, tuple]:
         """A write's WHERE: the engine's text, sqlite's, its values."""
@@ -187,8 +217,8 @@ class PlainSqlModel(RuleBasedStateMachine):
         sql = "INSERT INTO t (id, i) VALUES " + ", ".join(
             f"({row_id}, (SELECT COUNT(*) FROM t))"
             for row_id in range(first, self.next_id))
-        for database in (self.db, self.model):
-            database.execute(sql)
+        self._write(sql)
+        self.model.execute(sql)
         read = f"SELECT id, i FROM t WHERE id >= {first}"
         assert sorted(self.db.query(read).rows) \
             == sorted(self.model.execute(read).fetchall())
@@ -202,8 +232,8 @@ class PlainSqlModel(RuleBasedStateMachine):
         where, model_where, values = self._where(data)
         self._check("=", column, (value,))
         self._check("join", column, ())
-        self.db.execute(f"UPDATE t SET {column} = {literal(value)} "
-                        f"WHERE {where}")
+        self._write(f"UPDATE t SET {column} = {literal(value)} "
+                    f"WHERE {where}")
         self.model.execute(f"UPDATE t SET {column} = ? WHERE {model_where}",
                            (value, *values))
         self._check("=", column, (value,))
@@ -221,7 +251,7 @@ class PlainSqlModel(RuleBasedStateMachine):
             self._check("join", column, ())
         table = self.db.table("t")
         dead = table._deleted_count
-        deleted = self.db.execute(f"DELETE FROM t WHERE {where}")
+        deleted = self._write(f"DELETE FROM t WHERE {where}")
         self.model.execute(f"DELETE FROM t WHERE {model_where}", values)
         if table._deleted_count != dead + deleted:
             event("compacted")
@@ -247,7 +277,7 @@ class PlainSqlModel(RuleBasedStateMachine):
         name = f"{kind}_{column}"
         if name in self.indexes:
             return
-        self.db.execute(
+        self._write(
             f"CREATE {'UNIQUE ' * (kind == 'unique')}INDEX {name} "
             f"ON t ({column}){' USING sorted' * (kind == 'sorted')}")
         self.indexes.append(name)
@@ -257,15 +287,14 @@ class PlainSqlModel(RuleBasedStateMachine):
     def drop_index(self, data):
         if self.indexes:
             name = data.draw(st.sampled_from(self.indexes))
-            self.db.execute(f"DROP INDEX {name}")
+            self._write(f"DROP INDEX {name}")
             self.indexes.remove(name)
 
     @rule(data=st.data())
     def drop_and_create(self, data):
-        for database in (self.db, self.model):
-            database.execute("DROP TABLE t")
-        for database in (self.db, self.model):
-            database.execute(f"CREATE TABLE t {DDL}")
+        for sql in ("DROP TABLE t", f"CREATE TABLE t {DDL}"):
+            self._write(sql)
+            self.model.execute(sql)
         self.indexes.clear()
         self._insert(data, data.draw(st.integers(0, 40)))
 
@@ -275,17 +304,36 @@ class PlainSqlModel(RuleBasedStateMachine):
         sql = READS[template][0].format(c=column, m=MEMBERS[column])
         return self.model.execute(sql, values).fetchall()
 
+    def _values(self, data, template: str, column: str) -> tuple:
+        """Drawn keys for one run of *template* over *column*."""
+        keys = st.sampled_from(KEYS[column])
+        values = tuple(data.draw(keys) for _ in range(READS[template][1]))
+        if template.endswith("range"):
+            values = values[:-1] + (data.draw(st.sampled_from(KEYS["id"])),)
+        return values
+
     @rule(data=st.data(), template=st.sampled_from(sorted(READS)))
     def read(self, data, template):
         """*template* over each column in turn, with drawn keys."""
         for column in COLUMNS:
-            keys = st.sampled_from(KEYS[column])
-            values = tuple(data.draw(keys)
-                           for _ in range(READS[template][1]))
-            if template.endswith("range"):
-                values = values[:-1] + (
-                    data.draw(st.sampled_from(KEYS["id"])),)
+            self._check(template, column, self._values(data, template,
+                                                       column))
+
+    @rule(data=st.data(), template=st.sampled_from(sorted(READS)))
+    def read_recased(self, data, template):
+        """*template* over each column in turn, as written and then with
+        its identifiers re-cased (and, where it has one, its aliased
+        form re-cased): every answer is the model's."""
+        for column in COLUMNS:
+            values = self._values(data, template, column)
             self._check(template, column, values)
+            expected = sorted(self._expected(template, column, values))
+            for sql in (READS[template][0], ALIASED.get(template)):
+                if sql is not None:
+                    text = recased(sql.format(c=column, m=MEMBERS[column]),
+                                   self.rng)
+                    assert sorted(self.db.execute_ast(
+                        parsed(text), values).rows) == expected, text
 
     def _check(self, template: str, column: str, values: tuple) -> None:
         sql = READS[template][0]
