@@ -68,14 +68,14 @@ def db_written():
 
 @pytest.fixture(scope="module")
 def db_planned():
-    db = build_db(PlannerOptions(strict=True))
+    db = build_db(PlannerOptions())
     db.execute("ANALYZE")
     return db
 
 
 @pytest.fixture(scope="module")
 def db_cold_stats():
-    return build_db(PlannerOptions(strict=True))
+    return build_db(PlannerOptions())
 
 
 def test_e10_written_order(benchmark, db_written):

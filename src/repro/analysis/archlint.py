@@ -133,6 +133,8 @@ DEFAULT_CONFIG: dict = {
         "commit_write": ["relational/engine.py", "federation/foreign.py"],
         "lower": _VALUE_FOLDS,
         "casefold": _VALUE_FOLDS,
+        "resolve_column": ["relational/bind.py", "relational/compiler.py",
+                           "relational/executor.py"],
     },
     # Where else a public name may be referenced, relative to the root.
     "reference-roots": ["../../tests", "../../examples",
@@ -334,14 +336,14 @@ def check_tree(root: Path, config: dict | None = None) -> list[Violation]:
                     f"import it lazily where the hook is attached"))
 
         for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)):
+            if not isinstance(node, ast.Call):
                 continue
-            allowed = choke_points.get(node.func.attr)
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            allowed = choke_points.get(name)
             if allowed is not None and relative not in allowed:
                 violations.append(Violation(
                     relative, node.lineno, "choke-points",
-                    f".{node.func.attr}() is a choke point; call it "
+                    f"{name}() is a choke point; call it "
                     f"only from {sorted(allowed)}"))
 
     cycle = _find_cycle(observed)

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from ..relational import ast
 from ..relational.render import render_expr
-from ..relational.schema import fold
 from ..relational.table import Table
 from ..relational.vectors import fallback_reason, semi_join_conjunct
-from .scopes import Scope, resolve
 
 _COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 
@@ -27,21 +25,6 @@ _VALUES = (ast.Literal, ast.Param)
 
 def _contains_param(expr: ast.Expr) -> bool:
     return any(isinstance(node, ast.Param) for node in ast.walk_expr(expr))
-
-
-def _contains_unresolved(expr: ast.Expr, scopes: list[Scope]) -> bool:
-    """True when a ref in *expr* already drew a resolution error."""
-    for node in ast.walk_expr(expr):
-        if isinstance(node, ast.ColumnRef) \
-                and resolve(node, scopes).status in ("unknown", "ambiguous"):
-            return True
-    return False
-
-
-def _innermost(ref: ast.ColumnRef, scopes: list[Scope]) -> bool:
-    """Would ``resolve_column`` land *ref* on the scanned table?"""
-    inner = scopes[-1]
-    return not inner.open and len(inner.find(ref.name, ref.qualifier)) == 1
 
 
 def scanned_table(core: ast.SelectCore, env) -> Table | None:
@@ -56,8 +39,7 @@ def scanned_table(core: ast.SelectCore, env) -> Table | None:
     return table if isinstance(table, Table) else None
 
 
-def lint_vectorization(core: ast.SelectCore, env,
-                       scopes: list[Scope]) -> None:
+def lint_vectorization(core: ast.SelectCore, env) -> None:
     """``W-VEC-FALLBACK``: WHERE conjuncts the kernel compiler rejects.
 
     Fires only for a single-table FROM over columnar storage (an access
@@ -80,17 +62,18 @@ def lint_vectorization(core: ast.SelectCore, env,
     body_of = env.semi_joins.get(id(core))
     conjunct_list = ast.conjuncts(core.where) if body_of is None \
         else body_of.inner_only
-    schema = table.schema
+    bound = env.bound
 
     def resolve_ref(ref: ast.ColumnRef):
-        if not _innermost(ref, scopes):
-            return None
-        position = schema.position_of(ref.name)
-        return position, schema.columns[position].data_type
+        found = bound.ref(ref)
+        return None if found is None or found.level else (
+            table.schema.position_of(found.column), found.data_type)
 
     for conjunct in conjunct_list:
-        if _contains_param(conjunct) \
-                or _contains_unresolved(conjunct, scopes):
+        # A name the bind could not resolve drew its error already.
+        if _contains_param(conjunct) or any(
+                isinstance(node, ast.ColumnRef) and bound.ref(node) is None
+                for node in ast.walk_expr(conjunct)):
             continue
         # An EXISTS of the right shape that is not on record has no
         # equality the selector can use.
@@ -105,8 +88,7 @@ def lint_vectorization(core: ast.SelectCore, env,
                 expression=render_expr(conjunct))
 
 
-def lint_sargability(core: ast.SelectCore, env,
-                     scopes: list[Scope]) -> None:
+def lint_sargability(core: ast.SelectCore, env) -> None:
     """``W-NONSARGABLE``: predicates that waste an existing index.
 
     Gated on the index actually existing — a wrapped column without an
@@ -117,7 +99,7 @@ def lint_sargability(core: ast.SelectCore, env,
         return
 
     def indexed_column(ref: ast.Expr) -> str | None:
-        if isinstance(ref, ast.ColumnRef) and _innermost(ref, scopes) \
+        if isinstance(ref, ast.ColumnRef) and env.bound.owner(ref) \
                 and table.paths.find([ref.name]) is not None:
             return ref.display()
         return None
@@ -165,25 +147,7 @@ def _side_bindings(table_expr: ast.TableExpr) -> set[str]:
     return set(map(ast.binding_of, ast.from_leaves(table_expr))) - {None}
 
 
-def _touched_bindings(expr: ast.Expr, from_scope: Scope) -> set[str]:
-    """FROM bindings an expression references, resolving unqualified
-    names through the (single) FROM scope when unambiguous."""
-    touched: set[str] = set()
-    for node in ast.walk_expr(expr):
-        if not isinstance(node, ast.ColumnRef):
-            continue
-        if node.qualifier is not None:
-            touched.add(fold(node.qualifier))
-            continue
-        matches = from_scope.find(node.name, None)
-        qualifiers = {fold(from_scope.columns[i].qualifier or "")
-                      for i in matches}
-        if len(qualifiers) == 1:
-            touched.add(qualifiers.pop())
-    return touched
-
-
-def lint_cartesian(core: ast.SelectCore, env, from_scope: Scope) -> None:
+def lint_cartesian(core: ast.SelectCore, env) -> None:
     """``W-CARTESIAN``: a join whose sides nothing connects.
 
     A comma/CROSS join is excused when some WHERE conjunct touches
@@ -192,8 +156,12 @@ def lint_cartesian(core: ast.SelectCore, env, from_scope: Scope) -> None:
     """
     if core.from_clause is None:
         return
-    where_conjuncts = (list(ast.conjuncts(core.where))
-                       if core.where is not None else [])
+    where_conjuncts = ast.conjuncts(core.where)
+
+    def touched(expr: ast.Expr) -> set[str]:
+        """The FROM bindings whose columns *expr* names."""
+        return {env.bound.owner(node) for node in ast.walk_expr(expr)
+                if isinstance(node, ast.ColumnRef)} - {None}
 
     def visit(node: ast.TableExpr) -> None:
         if not isinstance(node, ast.Join):
@@ -205,16 +173,16 @@ def lint_cartesian(core: ast.SelectCore, env, from_scope: Scope) -> None:
         if not left or not right:
             return
         if node.condition is not None:
-            touched = _touched_bindings(node.condition, from_scope)
-            if not (touched & left and touched & right):
+            names = touched(node.condition)
+            if not (names & left and names & right):
                 env.report.add(
                     "W-CARTESIAN",
                     "join condition does not reference both sides",
                     expression=render_expr(node.condition))
             return
         for conjunct in where_conjuncts:
-            touched = _touched_bindings(conjunct, from_scope)
-            if touched & left and touched & right:
+            names = touched(conjunct)
+            if names & left and names & right:
                 return
         env.report.add(
             "W-CARTESIAN",

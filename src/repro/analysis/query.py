@@ -22,22 +22,18 @@ data-dependent hazards and performance cliffs.
 
 from __future__ import annotations
 
-from functools import partial
-
 from ..relational import ast
 from ..relational.aggregates import contains_aggregate
-from ..relational.errors import (ExecutionError, RelationalError,
-                                 TypeMismatchError, UnknownColumnError)
-from ..relational.executor import levels, order_target, star_positions
+from ..relational.bind import bind, is_ordinal
+from ..relational.errors import RelationalError, TypeMismatchError
 from ..relational.parser import SqlParser, parse_script, parse_sql
 from ..relational.render import render_expr, render_statement
-from ..relational.schema import ResultColumn, RowSchema, fold
+from ..relational.schema import fold
 from ..relational.types import parse_type_name
 from ..relational.vectors import SemiJoin, semi_join
 from . import lints
 from .diagnostics import (AnalysisOptions, AnalysisReport, DEFAULT_OPTIONS)
-from .scopes import Scope, family_type
-from .typecheck import check_expr, check_predicate, infer_family
+from .typecheck import check_expr, check_predicate
 
 
 class _FilteredReport:
@@ -60,11 +56,11 @@ class _Env:
     """Shared analysis state threaded through every check.
 
     Duck-typed contract used by :mod:`.typecheck` and :mod:`.lints`:
-    ``report`` (something with ``add``), ``databank``, ``excused``
-    (folded unqualified names that must not draw unknown-column errors)
-    and ``analyze_subquery``.
+    ``report`` (something with ``add``), ``databank``, ``bound`` (the
+    statement's :class:`~repro.relational.bind.Binding`) and
+    ``analyze_subquery``.
 
-    Names resolve as a run resolves them: a *mediator*'s views (the
+    Names bind as a run resolves them: a *mediator*'s views (the
     databank's, when it is a mediated one) ahead of the databank's
     catalog tables.
     """
@@ -77,38 +73,38 @@ class _Env:
         self.catalog = getattr(databank, "catalog", None)
         self.mediator = mediator if mediator is not None \
             else getattr(databank, "mediator", None)
-        self.views = frozenset(map(fold, self.mediator.view_names())) \
-            if self.mediator is not None else frozenset()
-        #: Is there anything to resolve a name in (else every FROM
-        #: name is an open scope, never an unknown table)?
-        self.knows_names = self.catalog is not None \
-            or self.mediator is not None
         self.options = options
         self.report = _FilteredReport(report, options)
-        self.excused = set(excused)
+        #: Folded unqualified names that draw no unknown-column error.
+        self.excused = excused
+        self.bound = None
         #: Per EXISTS subquery (by the id of its core) that runs as a
         #: semi join, how: filled in where the conjunct is met, read
         #: where the walk of that predicate reaches the subquery.
         self.semi_joins: dict[int, SemiJoin] = {}
 
-    def analyze_subquery(self, query: ast.SelectQuery,
-                         outer_scopes: list[Scope]) -> Scope:
-        return _analyze_query(query, self, outer_scopes, top_level=False)
+    def get(self, name: str):
+        """What a FROM name reads, as :func:`bind` asks a catalog: a
+        view ahead of a catalog table; ``None`` when neither has it."""
+        view = self.mediator.get(name) if self.mediator is not None \
+            else None
+        if view is None and self.catalog is not None:
+            return self.catalog.get(name)
+        return view
 
-    def relation(self, name: str):
-        """The schema a statement reads under *name*: a view's as
-        ``explain`` plans it before it ships, else a catalog table's;
-        ``None`` when unknown — :meth:`is_relation` tells a name that
-        is not there from a view whose columns cannot be planned."""
-        if fold(name) in self.views:
-            return self.mediator.view_schema(name)
-        if self.catalog is not None and self.catalog.has_table(name):
-            return self.catalog.table(name).schema
-        return None
+    def bind(self, query: ast.SelectQuery) -> None:
+        """Bind *query*'s names (with nothing to resolve a FROM name in,
+        each is an open scope) and report what the bind refused."""
+        self.bound = bind(query, self if self.catalog is not None
+                          or self.mediator is not None else None)
+        for code, message, node in self.bound.errors:
+            if code == "E-UNKNOWN-COLUMN" and node.qualifier is None \
+                    and fold(node.name) in self.excused:
+                continue  # a REPLACECONSTANT target, rewritten away
+            self.report.add(code, message)
 
-    def is_relation(self, name: str) -> bool:
-        return fold(name) in self.views or (
-            self.catalog is not None and self.catalog.has_table(name))
+    def analyze_subquery(self, query: ast.SelectQuery) -> None:
+        _analyze_query(query, self, top_level=False)
 
 
 def _is_aggregate_core(core: ast.SelectCore) -> bool:
@@ -116,79 +112,12 @@ def _is_aggregate_core(core: ast.SelectCore) -> bool:
         or any(contains_aggregate(item.expr) for item in core.items)
 
 
-# ---------------------------------------------------------------------------
-# FROM clause: bindings and visible columns
-# ---------------------------------------------------------------------------
-
-def _table_scope(schema, binding: str) -> Scope:
-    """The columns of a table or view *schema* under *binding*; an open
-    scope when there is no schema to ask (the table, or the catalog, is
-    not there)."""
-    if schema is None:
-        return Scope(open=True)
-    return Scope(RowSchema.for_table(schema, binding).columns)
-
-
-def _level_of(env: _Env, scopes: list[Scope], source: ast.TableRef):
-    """:data:`repro.relational.vectors.InnerScope` over the analyzer's
-    scopes: where a reference in the WHERE of an ``EXISTS`` subquery
-    over *source*, met in a predicate over *scopes*, resolves."""
-    return levels(scopes + [_table_scope(env.relation(source.name),
-                                         source.binding)])
-
-
-def _collect_from(table_expr: ast.TableExpr, env: _Env,
-                  outer_scopes: list[Scope], from_scope: Scope,
-                  seen: set[str], on_conditions: list[ast.Expr]) -> None:
+def _on_conditions(table_expr: ast.TableExpr | None):
     if isinstance(table_expr, ast.Join):
-        _collect_from(table_expr.left, env, outer_scopes, from_scope,
-                      seen, on_conditions)
-        _collect_from(table_expr.right, env, outer_scopes, from_scope,
-                      seen, on_conditions)
+        yield from _on_conditions(table_expr.left)
+        yield from _on_conditions(table_expr.right)
         if table_expr.condition is not None:
-            on_conditions.append(table_expr.condition)
-        return
-    if ast.binding_of(table_expr) in seen:
-        env.report.add("E-DUPLICATE-ALIAS",
-                       f"duplicate table alias {table_expr.binding!r}")
-    seen.add(ast.binding_of(table_expr))
-    if isinstance(table_expr, ast.TableRef):
-        scope = _table_scope(env.relation(table_expr.name),
-                             table_expr.binding)
-        if scope.open and env.knows_names \
-                and not env.is_relation(table_expr.name):
-            env.report.add("E-UNKNOWN-TABLE",
-                           f"no such table: {table_expr.name!r}")
-    else:
-        scope = env.analyze_subquery(table_expr.query, outer_scopes)
-    from_scope.open = from_scope.open or scope.open
-    # A derived table's columns are requalified to its alias, as the
-    # executor requalifies them.
-    from_scope.columns.extend(
-        ResultColumn(column.name, table_expr.binding, column.data_type)
-        for column in scope.columns)
-
-
-# ---------------------------------------------------------------------------
-# ORDER BY / GROUP BY targets (ordinals, output aliases)
-# ---------------------------------------------------------------------------
-
-def _is_ordinal(expr: ast.Expr) -> bool:
-    return isinstance(expr, ast.Literal) and isinstance(expr.value, int) \
-        and not isinstance(expr.value, bool)
-
-
-def _targets(exprs: list[ast.Expr], items: list[ast.SelectItem],
-             env: _Env) -> list[ast.Expr]:
-    """:func:`~repro.relational.executor.order_target` of each term; a
-    term it refuses is reported and dropped."""
-    resolved: list[ast.Expr] = []
-    for expr in exprs:
-        try:
-            resolved.append(order_target(expr, items))
-        except ExecutionError as exc:
-            env.report.add("E-ORDINAL-RANGE", str(exc))
-    return resolved
+            yield table_expr.condition
 
 
 # ---------------------------------------------------------------------------
@@ -196,51 +125,41 @@ def _targets(exprs: list[ast.Expr], items: list[ast.SelectItem],
 # ---------------------------------------------------------------------------
 
 def _analyze_core(core: ast.SelectCore, env: _Env,
-                  outer_scopes: list[Scope],
-                  order_by: list[ast.OrderItem],
-                  top_level: bool) -> Scope:
-    from_scope = Scope()
-    on_conditions: list[ast.Expr] = []
-    if core.from_clause is not None:
-        _collect_from(core.from_clause, env, outer_scopes, from_scope,
-                      set(), on_conditions)
-    scopes = list(outer_scopes) + [from_scope]
+                  order_by: list[ast.OrderItem], top_level: bool) -> None:
+    for leaf in ast.from_leaves(core.from_clause) \
+            if core.from_clause is not None else ():
+        if isinstance(leaf, ast.SubqueryRef):
+            env.analyze_subquery(leaf.query)
 
     if core.where is not None:
         for conjunct in ast.conjuncts(core.where):
-            found = semi_join(conjunct, partial(_level_of, env, scopes))
+            found = semi_join(conjunct, lambda _source: env.bound.level)
             if found is not None and isinstance(found.node, ast.Exists):
                 env.semi_joins[id(found.node.query.core)] = found
-        check_predicate(core.where, scopes, env, aggregates_ok=False,
+        check_predicate(core.where, env, aggregates_ok=False,
                         clause="WHERE")
-    for condition in on_conditions:
-        check_predicate(condition, scopes, env, aggregates_ok=False,
-                        clause="ON")
+    for condition in _on_conditions(core.from_clause):
+        check_predicate(condition, env, aggregates_ok=False, clause="ON")
 
     has_aggregate = _is_aggregate_core(core) \
         or any(contains_aggregate(item.expr) for item in order_by)
 
-    stars: dict[int, list[int]] = {}
     for item in core.items:
-        if item.is_star:
-            if has_aggregate:
-                env.report.add(
-                    "E-STAR-GROUPED",
-                    "'*' cannot be used with GROUP BY or aggregates")
-            try:
-                stars[id(item)] = [] if from_scope.open \
-                    else star_positions(item.expr, from_scope)
-            except UnknownColumnError as exc:
-                env.report.add("E-UNKNOWN-TABLE", str(exc))
-            continue
-        check_expr(item.expr, scopes, env, aggregates_ok=True)
+        if not item.is_star:
+            check_expr(item.expr, env, aggregates_ok=True)
+        elif has_aggregate:
+            env.report.add(
+                "E-STAR-GROUPED",
+                "'*' cannot be used with GROUP BY or aggregates")
 
-    group_exprs = _targets(core.group_by, core.items, env)
+    targets = env.bound.targets
+    group_exprs = [targets[id(term)] for term in core.group_by
+                   if id(term) in targets]
     for expr in group_exprs:
-        check_expr(expr, scopes, env, aggregates_ok=False)
+        check_expr(expr, env, aggregates_ok=False)
 
     if core.having is not None:
-        check_predicate(core.having, scopes, env, aggregates_ok=True,
+        check_predicate(core.having, env, aggregates_ok=True,
                         clause="HAVING")
         if not core.group_by and not contains_aggregate(core.having) \
                 and not any(contains_aggregate(item.expr)
@@ -251,10 +170,9 @@ def _analyze_core(core: ast.SelectCore, env: _Env,
                 "a WHERE could not",
                 expression=render_expr(core.having))
 
-    order_exprs = _targets([item.expr for item in order_by], core.items,
-                           env)
-    for expr in order_exprs:
-        check_expr(expr, scopes, env, aggregates_ok=True)
+    for item in order_by:
+        if id(item.expr) in targets:
+            check_expr(targets[id(item.expr)], env, aggregates_ok=True)
 
     if core.distinct and group_exprs:
         item_keys = {ast.node_key(item.expr) for item in core.items
@@ -265,47 +183,26 @@ def _analyze_core(core: ast.SelectCore, env: _Env,
                 "DISTINCT is redundant: every group key is projected, "
                 "so grouped rows are already distinct")
 
-    lints.lint_vectorization(core, env, scopes)
-    lints.lint_sargability(core, env, scopes)
-    lints.lint_cartesian(core, env, from_scope)
+    lints.lint_vectorization(core, env)
+    lints.lint_sargability(core, env)
+    lints.lint_cartesian(core, env)
     if top_level and any(item.is_star for item in core.items):
         env.report.add(
             "W-SELECT-STAR",
             "SELECT * couples the consumer to the table's column layout",
             hint="name the columns you need")
 
-    out = Scope()
-    for item in core.items:
-        if item.is_star:
-            if not has_aggregate:
-                out.open = out.open or from_scope.open
-                out.columns.extend(map(from_scope.columns.__getitem__,
-                                       stars.get(id(item), ())))
-            continue
-        qualifier = None
-        if isinstance(item.expr, ast.ColumnRef) and not item.alias \
-                and not has_aggregate:
-            qualifier = item.expr.qualifier
-        out.columns.append(ResultColumn(
-            item.output_name(), qualifier,
-            family_type(infer_family(item.expr, scopes))))
-    return out
 
-
-def _analyze_query(query: ast.SelectQuery, env: _Env,
-                   outer_scopes: list[Scope], top_level: bool) -> Scope:
-    simple = not query.is_compound
-    out_scopes = [_analyze_core(
-        query.core, env, outer_scopes,
-        order_by=query.order_by if simple else [], top_level=top_level)]
-    for _op, core in query.compounds:
-        out_scopes.append(_analyze_core(core, env, outer_scopes,
-                                        order_by=[], top_level=top_level))
-    result_scope = out_scopes[0]
+def _analyze_query(query: ast.SelectQuery, env: _Env, top_level: bool):
+    """Analyze *query*; returns its output columns as bound."""
+    cores = [query.core] + [core for _op, core in query.compounds]
+    for core in cores:
+        _analyze_core(core, env, query.order_by if core is query.core
+                      and not query.is_compound else [], top_level)
 
     if query.is_compound:
         widths = [None if scope.open else len(scope.columns)
-                  for scope in out_scopes]
+                  for scope in map(env.bound.scope, cores)]
         if all(width is not None for width in widths) \
                 and len(set(widths)) > 1:
             env.report.add(
@@ -316,20 +213,13 @@ def _analyze_query(query: ast.SelectQuery, env: _Env,
         # (no aliases, no outer scopes; an ordinal is a position), as
         # build_query resolves it.
         for item in query.order_by:
-            expr = item.expr
-            if _is_ordinal(expr):
-                if not result_scope.open and not (
-                        1 <= expr.value <= len(result_scope.columns)):
-                    env.report.add(
-                        "E-ORDINAL-RANGE",
-                        f"ORDER BY position {expr.value} is out of range")
-                continue
-            check_expr(expr, [result_scope], env, aggregates_ok=False)
+            if not is_ordinal(item.expr):
+                check_expr(item.expr, env, aggregates_ok=False)
 
     for clause, expr in (("LIMIT", query.limit), ("OFFSET", query.offset)):
         if expr is None:
             continue
-        check_expr(expr, list(outer_scopes), env, aggregates_ok=False)
+        check_expr(expr, env, aggregates_ok=False)
         if isinstance(expr, ast.Literal) and expr.value is not None:
             value = expr.value
             if isinstance(value, bool) or not isinstance(value, int) \
@@ -340,7 +230,6 @@ def _analyze_query(query: ast.SelectQuery, env: _Env,
                     expression=render_expr(expr))
 
     if top_level:
-        cores = [query.core] + [core for _op, core in query.compounds]
         if query.limit is None \
                 and not all(_is_aggregate_core(core) for core in cores):
             env.report.add(
@@ -351,7 +240,7 @@ def _analyze_query(query: ast.SelectQuery, env: _Env,
             env.report.add(
                 "W-OFFSET-NO-ORDER",
                 "OFFSET without ORDER BY yields nondeterministic pages")
-    return result_scope
+    return env.bound.scope(query.core)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +280,9 @@ def _analyze_insert(stmt: ast.InsertStmt, env: _Env) -> None:
                     f"INSERT expects {width} values per row, got "
                     f"{len(row_exprs)}")
             for expr in row_exprs:
-                # VALUES compile with no scopes: any column ref fails.
-                check_expr(expr, [], env, aggregates_ok=False)
+                check_expr(expr, env, aggregates_ok=False)
     if stmt.query is not None:
-        produced = _analyze_query(stmt.query, env, [], top_level=False)
+        produced = _analyze_query(stmt.query, env, top_level=False)
         if width is not None and not produced.open \
                 and len(produced.columns) != width:
             env.report.add(
@@ -405,23 +293,20 @@ def _analyze_insert(stmt: ast.InsertStmt, env: _Env) -> None:
 
 def _analyze_update(stmt: ast.UpdateStmt, env: _Env) -> None:
     table = _catalog_table(stmt.table, env)
-    scope = _table_scope(table and table.schema, stmt.table)
     for column, expr in stmt.assignments:
         if table is not None and not table.schema.has_column(column):
             env.report.add(
                 "E-UNKNOWN-COLUMN",
                 f"table {stmt.table!r} has no column {column!r}")
-        check_expr(expr, [scope], env, aggregates_ok=False)
+        check_expr(expr, env, aggregates_ok=False)
     if stmt.where is not None:
-        check_predicate(stmt.where, [scope], env, aggregates_ok=False)
+        check_predicate(stmt.where, env, aggregates_ok=False)
 
 
 def _analyze_delete(stmt: ast.DeleteStmt, env: _Env) -> None:
-    table = _catalog_table(stmt.table, env)
+    _catalog_table(stmt.table, env)
     if stmt.where is not None:
-        check_predicate(stmt.where, [_table_scope(table and table.schema,
-                                                  stmt.table)],
-                        env, aggregates_ok=False)
+        check_predicate(stmt.where, env, aggregates_ok=False)
 
 
 def _analyze_create_table(stmt: ast.CreateTableStmt, env: _Env) -> None:
@@ -440,7 +325,7 @@ def _analyze_create_table(stmt: ast.CreateTableStmt, env: _Env) -> None:
                 f"unknown SQL type {definition.type_name!r} for column "
                 f"{definition.name!r}")
         if definition.default is not None:
-            check_expr(definition.default, [], env, aggregates_ok=False)
+            check_expr(definition.default, env, aggregates_ok=False)
 
 
 def _analyze_create_index(stmt: ast.CreateIndexStmt, env: _Env) -> None:
@@ -454,9 +339,38 @@ def _analyze_create_index(stmt: ast.CreateIndexStmt, env: _Env) -> None:
                 f"table {stmt.table!r} has no column {name!r}")
 
 
-def _analyze_statement_node(stmt, env: _Env) -> None:
+def _names_of(stmt) -> ast.SelectQuery | None:
+    """What of *stmt* names columns, as one SELECT to bind: an UPDATE's
+    or DELETE's expressions over its table, VALUES rows and column
+    defaults over no table (any column in them is unknown)."""
+    def select(exprs, table=None, where=None) -> ast.SelectQuery:
+        return ast.SelectQuery(core=ast.SelectCore(
+            items=[ast.SelectItem(expr) for expr in exprs],
+            from_clause=None if table is None else ast.TableRef(table),
+            where=where))
+
     if isinstance(stmt, ast.SelectQuery):
-        _analyze_query(stmt, env, [], top_level=True)
+        return stmt
+    if isinstance(stmt, ast.InsertStmt):
+        return stmt.query if stmt.query is not None else select(
+            [expr for row in stmt.rows for expr in row])
+    if isinstance(stmt, ast.UpdateStmt):
+        return select([expr for _column, expr in stmt.assignments],
+                      stmt.table, stmt.where)
+    if isinstance(stmt, ast.DeleteStmt):
+        return select([], stmt.table, stmt.where)
+    if isinstance(stmt, ast.CreateTableStmt):
+        return select([definition.default for definition in stmt.columns
+                       if definition.default is not None])
+    return None
+
+
+def _analyze_statement_node(stmt, env: _Env) -> None:
+    names = _names_of(stmt)
+    if names is not None:
+        env.bind(names)
+    if isinstance(stmt, ast.SelectQuery):
+        _analyze_query(stmt, env, top_level=True)
     elif isinstance(stmt, ast.InsertStmt):
         _analyze_insert(stmt, env)
     elif isinstance(stmt, ast.UpdateStmt):
@@ -547,7 +461,8 @@ def analyze_enriched(enriched, databank=None, *,
         fold(e.constant) for e in enriched.enrichments
         if getattr(e, "kind", None) == "REPLACECONSTANT")
     env = _Env(databank, options, report, excused)
-    result = _analyze_query(enriched.query, env, [], top_level=True)
+    env.bind(enriched.query)
+    result = _analyze_query(enriched.query, env, top_level=True)
     for enrichment in enriched.select_enrichments():
         attr = getattr(enrichment, "attr", None)
         if attr is None or result.open:

@@ -1,10 +1,10 @@
-"""Expression checking: resolution, function arity, 3VL type families.
+"""Expression checking: function arity, CAST targets, 3VL type families.
 
-One recursive pass per expression root does three jobs the executor's
-compiler does at its own compile time — resolve every column reference,
-validate every function call, reject bad CAST targets — and one job the
-executor only does per-row at runtime: family-aware type inference
-under the three-valued comparison rules of
+One recursive pass per expression root, over the names the statement's
+bind (:mod:`repro.relational.bind`) resolved and typed: it validates
+every function call and CAST target as the executor's compiler does,
+and does one job the executor only does per row at run time —
+family-aware checks under the three-valued comparison rules of
 :mod:`repro.relational.types` (``compare_values`` raises across type
 families, ``values_equal`` is plain ``False``, booleans are their own
 family).  Sure compile-time failures surface as ``E-`` codes;
@@ -19,77 +19,11 @@ from ..relational.aggregates import AGGREGATE_NAMES
 from ..relational.errors import ExecutionError, TypeMismatchError
 from ..relational.functions import SCALAR_FUNCTIONS, lookup_function
 from ..relational.render import render_expr
-from ..relational.schema import fold
-from ..relational.types import FAMILY, literal_family, parse_type_name
-from .scopes import Scope, resolve
+from ..relational.types import parse_type_name
 
 _COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 _ORDERED = frozenset({"<", "<=", ">", ">="})
 _ARITHMETIC = frozenset({"+", "-", "*", "/", "%"})
-
-#: Scalar functions by result family (everything else infers unknown).
-_STR_FUNCTIONS = frozenset({
-    "UPPER", "LOWER", "TRIM", "LTRIM", "RTRIM", "REPLACE", "SUBSTR",
-    "SUBSTRING", "CONCAT", "TYPEOF", "GROUP_CONCAT"})
-_NUM_FUNCTIONS = frozenset({
-    "LENGTH", "ABS", "ROUND", "FLOOR", "CEIL", "CEILING", "SQRT",
-    "POWER", "SIGN", "MOD", "INSTR", "COUNT", "SUM", "AVG"})
-_PASSTHROUGH_FUNCTIONS = frozenset({
-    "MIN", "MAX", "COALESCE", "IFNULL", "NULLIF"})
-
-
-def infer_family(expr: ast.Expr, scopes: list[Scope]) -> str | None:
-    """Best-effort family of *expr*: num/str/bool, "null", or None."""
-    if isinstance(expr, ast.Literal):
-        return literal_family(expr.value)
-    if isinstance(expr, ast.ColumnRef):
-        resolution = resolve(expr, scopes)
-        return resolution.family if resolution.status == "ok" else None
-    if isinstance(expr, ast.UnaryOp):
-        if expr.op.upper() == "NOT":
-            return "bool"
-        return "num"
-    if isinstance(expr, ast.BinaryOp):
-        op = expr.op.upper()
-        if op in ("AND", "OR") or expr.op in _COMPARISONS:
-            return "bool"
-        if expr.op == "||":
-            return "str"
-        if expr.op in _ARITHMETIC:
-            return "num"
-        return None
-    if isinstance(expr, (ast.IsNull, ast.Like, ast.InList, ast.Between,
-                         ast.InSubquery, ast.Exists)):
-        return "bool"
-    if isinstance(expr, ast.FunctionCall):
-        upper = expr.name.upper()
-        if upper in _STR_FUNCTIONS:
-            return "str"
-        if upper in _NUM_FUNCTIONS:
-            return "num"
-        if upper in _PASSTHROUGH_FUNCTIONS:
-            families = {infer_family(arg, scopes) for arg in expr.args}
-            families.discard("null")
-            families.discard(None)
-            if len(families) == 1:
-                return families.pop()
-        return None
-    if isinstance(expr, ast.Cast):
-        try:
-            return FAMILY[parse_type_name(expr.type_name)]
-        except TypeMismatchError:
-            return None
-    if isinstance(expr, ast.CaseExpr):
-        results = [result for _cond, result in expr.whens]
-        if expr.else_result is not None:
-            results.append(expr.else_result)
-        families = {infer_family(result, scopes) for result in results}
-        families.discard("null")
-        families.discard(None)
-        if len(families) == 1:
-            return families.pop()
-        return None
-    return None  # Star, SlotRef, ScalarSubquery, Param (a bound value)
 
 
 def _known(family: str | None) -> bool:
@@ -136,11 +70,10 @@ def _check_function(node: ast.FunctionCall, report,
         report.add("E-FUNCTION-ARITY", str(exc), expression=rendered)
 
 
-def _check_comparison(node: ast.BinaryOp, scopes: list[Scope],
-                      report) -> None:
+def _check_comparison(node: ast.BinaryOp, family, report) -> None:
     rendered = render_expr(node)
-    left_family = infer_family(node.left, scopes)
-    right_family = infer_family(node.right, scopes)
+    left_family = family(node.left)
+    right_family = family(node.right)
     for side in (node.left, node.right):
         if isinstance(side, ast.Literal) and side.value is None:
             report.add("W-NULL-COMPARE",
@@ -164,41 +97,25 @@ def _check_comparison(node: ast.BinaryOp, scopes: list[Scope],
                 expression=rendered)
 
 
-def check_expr(expr: ast.Expr, scopes: list[Scope], env, *,
-               aggregates_ok: bool) -> None:
-    """Resolve and type-check one expression tree.
-
-    Subqueries hand off to ``env.analyze_subquery`` with the current
-    scope chain appended (correlated references resolve outward exactly
-    as the executor's ``SubPlan`` sees them).
-    """
+def check_expr(expr: ast.Expr, env, *, aggregates_ok: bool) -> None:
+    """Type-check one expression tree, its names as ``env.bound`` bound
+    them (which reported the ones it could not).  Subqueries hand off
+    to ``env.analyze_subquery``."""
     report = env.report
-    if isinstance(expr, ast.ColumnRef):
-        resolution = resolve(expr, scopes)
-        if resolution.status == "unknown" \
-                and expr.qualifier is None \
-                and fold(expr.name) in env.excused:
-            return  # a REPLACECONSTANT target: rewritten before execution
-        if resolution.status == "unknown":
-            report.add("E-UNKNOWN-COLUMN",
-                       f"no such column: {expr.display()!r}")
-        elif resolution.status == "ambiguous":
-            report.add("E-AMBIGUOUS-COLUMN",
-                       f"column reference {expr.display()!r} is ambiguous")
-        return
-    if isinstance(expr, (ast.Literal, ast.Star, ast.SlotRef)):
+    family = env.bound.family
+    if isinstance(expr, (ast.ColumnRef, ast.Literal, ast.Star,
+                         ast.SlotRef)):
         return
     if isinstance(expr, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
         if isinstance(expr, ast.InSubquery):
-            check_expr(expr.operand, scopes, env,
-                       aggregates_ok=aggregates_ok)
+            check_expr(expr.operand, env, aggregates_ok=aggregates_ok)
         if expr.query is not None:
-            env.analyze_subquery(expr.query, scopes)
+            env.analyze_subquery(expr.query)
         return
     if isinstance(expr, ast.FunctionCall):
         _check_function(expr, report, aggregates_ok)
         for arg in expr.args:
-            check_expr(arg, scopes, env, aggregates_ok=aggregates_ok)
+            check_expr(arg, env, aggregates_ok=aggregates_ok)
         return
     if isinstance(expr, ast.Cast):
         try:
@@ -207,28 +124,28 @@ def check_expr(expr: ast.Expr, scopes: list[Scope], env, *,
             report.add("E-BAD-CAST",
                        f"unknown SQL type {expr.type_name!r}",
                        expression=render_expr(expr))
-        check_expr(expr.operand, scopes, env, aggregates_ok=aggregates_ok)
+        check_expr(expr.operand, env, aggregates_ok=aggregates_ok)
         return
 
     # Generic descent first, then node-specific family checks.
     for child in ast.child_exprs(expr):
-        check_expr(child, scopes, env, aggregates_ok=aggregates_ok)
+        check_expr(child, env, aggregates_ok=aggregates_ok)
 
     if isinstance(expr, ast.BinaryOp):
         if expr.op in _COMPARISONS:
-            _check_comparison(expr, scopes, env.report)
+            _check_comparison(expr, family, env.report)
         elif expr.op in _ARITHMETIC:
             for side in (expr.left, expr.right):
-                family = infer_family(side, scopes)
-                if family in ("str", "bool"):
+                side_family = family(side)
+                if side_family in ("str", "bool"):
                     report.add(
                         "W-TYPE-MISMATCH",
-                        f"arithmetic on a {family} operand raises on "
+                        f"arithmetic on a {side_family} operand raises on "
                         "non-NULL values",
                         expression=render_expr(expr))
     elif isinstance(expr, ast.UnaryOp):
         op = expr.op.upper()
-        operand_family = infer_family(expr.operand, scopes)
+        operand_family = family(expr.operand)
         if op == "NOT" and operand_family in ("num", "str"):
             report.add("W-NONBOOL-WHERE",
                        f"NOT over a {operand_family} operand raises on "
@@ -240,17 +157,17 @@ def check_expr(expr: ast.Expr, scopes: list[Scope], env, *,
                        "raises on non-NULL values",
                        expression=render_expr(expr))
     elif isinstance(expr, ast.Like):
-        operand_family = infer_family(expr.operand, scopes)
-        pattern_family = infer_family(expr.pattern, scopes)
+        operand_family = family(expr.operand)
+        pattern_family = family(expr.pattern)
         if operand_family in ("num", "bool") \
                 or pattern_family in ("num", "bool"):
             report.add("W-LIKE-NONTEXT",
                        "LIKE requires text operands",
                        expression=render_expr(expr))
     elif isinstance(expr, ast.Between):
-        operand_family = infer_family(expr.operand, scopes)
+        operand_family = family(expr.operand)
         for bound in (expr.low, expr.high):
-            bound_family = infer_family(bound, scopes)
+            bound_family = family(bound)
             if _known(operand_family) and _known(bound_family) \
                     and operand_family != bound_family:
                 report.add(
@@ -259,10 +176,10 @@ def check_expr(expr: ast.Expr, scopes: list[Scope], env, *,
                     f"is {operand_family}",
                     expression=render_expr(expr))
     elif isinstance(expr, ast.InList):
-        operand_family = infer_family(expr.operand, scopes)
+        operand_family = family(expr.operand)
         if _known(operand_family):
             for item in expr.items:
-                item_family = infer_family(item, scopes)
+                item_family = family(item)
                 if _known(item_family) and item_family != operand_family:
                     report.add(
                         "W-CROSS-EQ-FALSE",
@@ -271,7 +188,7 @@ def check_expr(expr: ast.Expr, scopes: list[Scope], env, *,
                         expression=render_expr(item))
 
 
-def check_predicate(expr: ast.Expr, scopes: list[Scope], env, *,
+def check_predicate(expr: ast.Expr, env, *,
                     aggregates_ok: bool = False,
                     clause: str = "WHERE") -> None:
     """Checks for boolean contexts: WHERE, HAVING, JOIN ... ON."""
@@ -282,10 +199,10 @@ def check_predicate(expr: ast.Expr, scopes: list[Scope], env, *,
                        f"{clause} conjunct is a constant",
                        expression=render_expr(conjunct))
             continue
-        family = infer_family(conjunct, scopes)
+        family = env.bound.family(conjunct)
         if family in ("num", "str"):
             report.add("W-NONBOOL-WHERE",
                        f"{clause} conjunct is {family}-valued, not "
                        "boolean",
                        expression=render_expr(conjunct))
-    check_expr(expr, scopes, env, aggregates_ok=aggregates_ok)
+    check_expr(expr, env, aggregates_ok=aggregates_ok)

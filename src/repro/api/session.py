@@ -285,14 +285,8 @@ class Session:
         if not options.enabled:
             return None, None
         databank = self.engine.databank
-        stamp = _schema_stamp(databank)
-        try:
-            return analyze_enriched(template, databank,
-                                    options=options), stamp
-        except Exception:
-            # Analysis is advisory: a crash in it must never take down
-            # prepare() for a statement the engine would accept.
-            return None, None
+        return analyze_enriched(template, databank,
+                                options=options), _schema_stamp(databank)
 
     def execute(self, text: str, params=None,
                 include_original: bool | None = None) -> SESQLResult:

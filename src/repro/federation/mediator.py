@@ -59,11 +59,11 @@ from typing import NamedTuple
 from ..planner.joins import estimate_query_rows
 from ..planner.rewrite import (compose_filter, constant_once_bound,
                                fold_expr, folds_when_bound, map_expr,
-                               null_safe_bindings, query_output_columns,
-                               referenced_bindings)
+                               null_safe_bindings, referenced_bindings)
 from ..relational import ast as sql_ast
 from ..relational.ast import binding_of, from_leaves
 from ..relational.aggregates import contains_aggregate
+from ..relational.bind import Relation, bind
 from ..relational.catalog import check_table_name
 from ..relational.compiler import CompileContext, compile_expr
 from ..relational.engine import Database
@@ -344,6 +344,13 @@ class Mediator:
             return None
         return shape.schema if shape is not None else None
 
+    def get(self, name: str) -> Relation | None:
+        """View *name* as a statement's names bind to it
+        (:func:`~repro.relational.bind.bind` asks a catalog by ``get``):
+        its :meth:`view_schema`; ``None`` when no view has that name."""
+        return Relation(self.view_schema(name)) \
+            if fold(name) in self._views else None
+
     @staticmethod
     def _fragment_cost(database: Database,
                        statement: sql_ast.SelectQuery | None) -> float:
@@ -417,7 +424,8 @@ class Mediator:
                            ) -> list[_Fragment]:
         """*view*'s fragments, in fragment order, *conjuncts* (their
         ``?`` kept) composed in."""
-        columns = _view_columns(self, view) if conjuncts else None
+        columns = [fold(name) for name in self.view_schema(
+            view.name).column_names()] if conjuncts else None
         fragments = []
         for index, fragment in enumerate(view.fragments):
             database = self.source(fragment.source)
@@ -1315,24 +1323,18 @@ def _pushable_filters(statement: sql_ast.SelectQuery, wanted: list[str],
             view_name = wanted_by_key[fold(node.name)]
             occurrences[view_name] = occurrences.get(view_name, 0) + 1
     view_of_binding: dict[str, str] = {}
-    binding_columns: dict[str, list[str] | None] = {}
     for leaf in from_leaves(core.from_clause):
         binding = binding_of(leaf)
-        if binding is None:
-            continue
-        columns = None
         if isinstance(leaf, sql_ast.TableRef) \
-                and fold(leaf.name) in wanted_by_key:
+                and fold(leaf.name) in wanted_by_key and binding in safe:
             view_name = wanted_by_key[fold(leaf.name)]
-            view = mediator._view(view_name)
-            if view.reconciliation != "prefer_first" and binding in safe:
-                columns = _view_columns(mediator, view)
+            if mediator._view(view_name).reconciliation != "prefer_first":
                 view_of_binding[binding] = view_name
-        binding_columns[binding] = columns
 
+    bound = bind(statement, mediator)
     pushes: dict[str, list[sql_ast.Expr]] = {}
     for conjunct in sql_ast.conjuncts(core.where):
-        touched = referenced_bindings(conjunct, binding_columns)
+        touched = referenced_bindings(conjunct, bound)
         if touched is None or len(touched) != 1:
             continue
         binding = next(iter(touched))
@@ -1347,14 +1349,3 @@ def _pushable_filters(statement: sql_ast.SelectQuery, wanted: list[str],
                  if isinstance(node, sql_ast.ColumnRef) else node)
         for conjunct in conjunct_list]
         for view_name, conjunct_list in pushes.items()}
-
-
-def _view_columns(mediator: Mediator,
-                  view: GlobalView) -> list[str] | None:
-    """The view's output columns, derived from its first fragment."""
-    fragment = view.fragments[0]
-    statement = mediator._fragment_statement(fragment.sql)
-    if statement is None:
-        return None
-    database = mediator.source(fragment.source)
-    return query_output_columns(statement, database.catalog)

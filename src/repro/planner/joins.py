@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ..relational import ast
-from ..relational.ast import binding_of, from_leaves
+from ..relational.ast import from_leaves
+from ..relational.bind import Binding, bind
 from ..relational.schema import fold
 from ..relational.table import BoundView, Table
 from .cost import CostModel, Inner
 from .estimate import join_selectivity, predicate_selectivity
-from .rewrite import output_columns, owner_of
 from .stats import StatisticsCatalog, TableStats
 
 FOREIGN_ROWS_GUESS = 1000.0
@@ -98,14 +98,13 @@ def flatten_inner_joins(table_expr: ast.TableExpr
 
 
 def classify_equi(expr: ast.Expr,
-                  binding_columns: dict[str, list[str] | None]
-                  ) -> tuple[str, str, str, str] | None:
-    """``a.x = b.y`` across two distinct relations, resolved."""
+                  bound: Binding) -> tuple[str, str, str, str] | None:
+    """``a.x = b.y`` across two distinct relations of its FROM."""
     if not (isinstance(expr, ast.BinaryOp) and expr.op == "="):
         return None
     sides = []
     for side in (expr.left, expr.right):
-        binding = owner_of(side, binding_columns) \
+        binding = bound.owner(side) \
             if isinstance(side, ast.ColumnRef) else None
         if binding is None:
             return None
@@ -116,9 +115,9 @@ def classify_equi(expr: ast.Expr,
 
 
 def join_predicate(conjunct: ast.Expr, touched: frozenset[str],
-                   binding_columns: dict, resolve) -> JoinPredicate:
+                   bound: Binding, resolve) -> JoinPredicate:
     """*conjunct*, over the bindings *touched*, as a join predicate."""
-    equi = classify_equi(conjunct, binding_columns)
+    equi = classify_equi(conjunct, bound)
     if equi is None:
         selectivity = predicate_selectivity(conjunct, resolve)
     else:
@@ -144,10 +143,18 @@ def table_rows(table, stats: TableStats | None) -> float:
 
 
 def estimate_query_rows(query: ast.SelectQuery, catalog,
-                        stats: StatisticsCatalog) -> float:
+                        stats: StatisticsCatalog,
+                        bound: Binding | None = None) -> float:
+    """Estimated rows of *query*.  Only its conditions' names are read,
+    as *bound* binds them; when not given, *query* is bound here over
+    *catalog* — if a condition of its own may name a column."""
+    cores = [query.core] + [core for _op, core in query.compounds]
+    if bound is None and any(core.where is not None or isinstance(
+            core.from_clause, ast.Join) for core in cores):
+        bound = bind(query, catalog)
     total = 0.0
-    for core in [query.core] + [c for _op, c in query.compounds]:
-        total += _estimate_core_rows(core, catalog, stats)
+    for core in cores:
+        total += _estimate_core_rows(core, catalog, stats, bound)
     if query.limit is not None and isinstance(query.limit, ast.Literal) \
             and isinstance(query.limit.value, (int, float)):
         total = min(total, float(query.limit.value))
@@ -155,7 +162,8 @@ def estimate_query_rows(query: ast.SelectQuery, catalog,
 
 
 def _estimate_core_rows(core: ast.SelectCore, catalog,
-                        stats: StatisticsCatalog) -> float:
+                        stats: StatisticsCatalog,
+                        bound: Binding | None) -> float:
     if core.from_clause is None:
         return 1.0
     flat = flatten_inner_joins(core.from_clause)
@@ -165,17 +173,11 @@ def _estimate_core_rows(core: ast.SelectCore, catalog,
     else:
         leaves, conditions = flat
     rows = 1.0
-    binding_columns: dict[str, list[str] | None] = {}
-    binding_stats: dict[str, TableStats | None] = {}
     for leaf in leaves:
-        rows *= _relation_raw_rows(leaf, catalog, stats)
-        binding = binding_of(leaf)
-        if binding is not None:
-            binding_columns[binding] = output_columns(leaf, catalog)
-            binding_stats[binding] = _leaf_stats(leaf, stats)
-    resolve = make_resolver(binding_stats, binding_columns)
-    for conjunct in conditions + list(ast.conjuncts(core.where)):
-        rows *= join_predicate(conjunct, frozenset(), binding_columns,
+        rows *= _relation_raw_rows(leaf, catalog, stats, bound)
+    resolve = make_resolver(leaves, stats, bound)
+    for conjunct in conditions + ast.conjuncts(core.where):
+        rows *= join_predicate(conjunct, frozenset(), bound,
                                resolve).selectivity
     has_aggregate = bool(core.group_by) or core.having is not None
     if has_aggregate:
@@ -186,13 +188,14 @@ def _estimate_core_rows(core: ast.SelectCore, catalog,
 
 
 def _relation_raw_rows(leaf: ast.TableExpr, catalog,
-                       stats: StatisticsCatalog) -> float:
+                       stats: StatisticsCatalog,
+                       bound: Binding | None) -> float:
     if isinstance(leaf, ast.TableRef):
         if not catalog.has_table(leaf.name):
             return FOREIGN_ROWS_GUESS
         return table_rows(catalog.table(leaf.name), stats.get(leaf.name))
     if isinstance(leaf, ast.SubqueryRef):
-        return estimate_query_rows(leaf.query, catalog, stats)
+        return estimate_query_rows(leaf.query, catalog, stats, bound)
     return FOREIGN_ROWS_GUESS
 
 
@@ -207,15 +210,17 @@ def _column_stats(table_stats: TableStats | None, column: str):
     return None if table_stats is None else table_stats.column(column)
 
 
-def make_resolver(binding_stats: dict[str, TableStats | None],
-                  binding_columns: dict[str, list[str] | None]):
+def make_resolver(leaves: list[ast.TableExpr], stats: StatisticsCatalog,
+                  bound: Binding):
     """Build the ``ColumnRef -> ColumnStats | None`` lookup the
-    selectivity estimator needs."""
+    selectivity estimator needs: a column of one of the FROM *leaves*
+    has its table's statistics, when ANALYZEd."""
+    leaf_stats = {id(leaf): _leaf_stats(leaf, stats) for leaf in leaves}
 
     def resolve(ref: ast.ColumnRef):
-        owner = owner_of(ref, binding_columns)
-        return None if owner is None \
-            else _column_stats(binding_stats.get(owner), ref.name)
+        found = bound.ref(ref)
+        return None if found is None \
+            else _column_stats(leaf_stats.get(id(found.leaf)), ref.name)
 
     return resolve
 

@@ -19,10 +19,6 @@ class PlannerOptions:
     #: folding, predicate pushdown, projection pruning, join re-ordering,
     #: index-probe joins — is skipped).
     enabled: bool = True
-    #: Re-raise planner bugs instead of silently executing the query as
-    #: written.  Tests set this; production paths leave it off so a
-    #: planning failure can never break a query.
-    strict: bool = False
 
     def replace(self, **changes) -> "PlannerOptions":
         return replace(self, **changes)

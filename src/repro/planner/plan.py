@@ -8,9 +8,10 @@ each physical decision on the node it concerns as a
 :class:`~repro.relational.ast.PlanHint`, and hands the AST to the one
 operator builder (:func:`repro.relational.executor.build_select`).
 
-A rewrite error falls back to the query exactly as written (``strict``
-mode, used by the tests, re-raises so planner bugs cannot hide); errors
-in the query itself surface from the build, as with the planner off.
+The rewrites read what each name means from one bind of the statement
+(:func:`repro.relational.bind.bind`).  Errors in the query itself
+surface from the build, as with the planner off; an error in a rewrite
+is a planner bug, and raises.
 
 A prepared statement's ``?`` placeholders are opaque here: folding
 leaves them be and the estimates know each as a constant of unknown
@@ -24,8 +25,10 @@ from dataclasses import dataclass, field
 
 from ..relational import ast
 from ..relational.ast import PlanHint, binding_of, from_leaves
+from ..relational.bind import Binding, bind, is_ordinal
 from ..relational.executor import build_select
 from ..relational.operators import Result
+from ..relational.schema import fold
 from ..relational.table import BoundView, Table
 from ..relational.vectors import semi_join
 from .cost import CostModel
@@ -36,9 +39,9 @@ from .joins import (BaseRelation, JoinPredicate, build_join_tree,
                     _relation_raw_rows, _step_for)
 from .options import PlannerOptions
 from .rewrite import (expand_star_items, fold_expr, needed_columns,
-                      null_safe_bindings, output_columns,
-                      prune_derived_projection, prune_wrapper_projection,
-                      referenced_bindings, wrap_with_filter)
+                      null_safe_bindings, prune_derived_projection,
+                      prune_wrapper_projection, referenced_bindings,
+                      wrap_with_filter)
 from .stats import StatisticsCatalog
 
 
@@ -85,18 +88,12 @@ def plan_select(query: ast.SelectQuery, catalog,
                 stats: StatisticsCatalog, options: PlannerOptions,
                 exec_hooks=None) -> PlannedStatement:
     """Plan one SELECT (unless the planner is off) and build its
-    operator tree; when the rewrite fails, degrade to the query as
-    written."""
+    operator tree."""
     planned = PlannedStatement(query=query)
     if options.enabled:
         planned.query = ast.clone_query(query)
-        try:
-            _plan_query(planned.query, catalog, stats, planned)
-        except Exception as exc:
-            if options.strict:
-                raise
-            planned = PlannedStatement(query=query, remarks=[
-                f"planning failed, executing as written: {exc!r}"])
+        _plan_query(planned.query, catalog, stats, planned,
+                    bind(planned.query, catalog))
     planned.root = build_select(planned.query, catalog, exec_hooks, stats)
     planned.root.plan(planned.remarks)
     return planned
@@ -108,19 +105,19 @@ def plan_select(query: ast.SelectQuery, catalog,
 
 
 def _plan_query(query: ast.SelectQuery, catalog, stats,
-                planned: PlannedStatement) -> None:
+                planned: PlannedStatement, bound: Binding) -> None:
     for core in [query.core] + [core for _op, core in query.compounds]:
-        _plan_core(core, query, catalog, stats, planned)
+        _plan_core(core, query, catalog, stats, planned, bound)
     for item in query.order_by:
         item.expr = _fold_term(item.expr)
 
 
 def _plan_core(core: ast.SelectCore, query: ast.SelectQuery, catalog,
-               stats, planned: PlannedStatement) -> None:
+               stats, planned: PlannedStatement, bound: Binding) -> None:
     _fold_core(core)
-    _plan_expression_subqueries(core, catalog, stats, planned)
+    _plan_expression_subqueries(core, catalog, stats, planned, bound)
     if core.from_clause is not None:
-        _plan_from(core, query, catalog, stats, planned)
+        _plan_from(core, query, catalog, stats, planned, bound)
 
 
 def _fold_core(core: ast.SelectCore) -> None:
@@ -148,7 +145,7 @@ def _fold_term(expr: ast.Expr) -> ast.Expr:
 
 
 def _plan_expression_subqueries(core: ast.SelectCore, catalog, stats,
-                                planned) -> None:
+                                planned, bound: Binding) -> None:
     """Recursively plan subqueries embedded in expressions (the WHERE
     rewrites of the SESQL pipeline inject exactly these)."""
     roots: list[ast.Expr] = [item.expr for item in core.items
@@ -162,18 +159,11 @@ def _plan_expression_subqueries(core: ast.SelectCore, catalog, stats,
             if isinstance(node, (ast.InSubquery, ast.Exists,
                                  ast.ScalarSubquery)) \
                     and node.query is not None:
-                _plan_query(node.query, catalog, stats, planned)
-
-
-def _has_ordinals(exprs) -> bool:
-    return any(isinstance(expr, ast.Literal)
-               and isinstance(expr.value, int)
-               and not isinstance(expr.value, bool)
-               for expr in exprs)
+                _plan_query(node.query, catalog, stats, planned, bound)
 
 
 def _plan_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
-               stats, planned: PlannedStatement) -> None:
+               stats, planned: PlannedStatement, bound: Binding) -> None:
     leaves = from_leaves(core.from_clause)
     bindings = [binding_of(leaf) for leaf in leaves]
     if None in bindings or len(set(bindings)) != len(bindings):
@@ -181,46 +171,42 @@ def _plan_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
         # will reject): leave the FROM exactly as written.
         return
 
+    # What the query reads of each leaf, told before the rewrites below
+    # (a wrapper's star, an expanded one) change the tree.
+    needed = {binding: needed_columns(query, core, leaf, bound)
+              for leaf, binding in zip(leaves, bindings)}
     # Plan derived tables from the inside out (their own pushdown and
     # ordering), pruning unread columns first.
-    binding_columns: dict[str, list[str] | None] = {}
     for leaf, binding in zip(leaves, bindings):
         if isinstance(leaf, ast.SubqueryRef):
-            columns = output_columns(leaf, catalog)
-            if columns is not None:
-                needed = needed_columns(query, binding, columns,
-                                        exclude=leaf.query)
-                if needed is not None:
-                    prune_derived_projection(leaf, needed)
-            _plan_query(leaf.query, catalog, stats, planned)
-        binding_columns[binding] = output_columns(leaf, catalog)
+            if needed[binding] is not None \
+                    and prune_derived_projection(leaf, needed[binding]):
+                needed[binding] = None  # it outputs only what is read
+            _plan_query(leaf.query, catalog, stats, planned, bound)
 
     flat = flatten_inner_joins(core.from_clause)
     reorderable = flat is not None and len(leaves) >= 2
     if reorderable and any(item.is_star for item in core.items):
-        ordinals = _has_ordinals(core.group_by) \
-            or _has_ordinals([item.expr for item in query.order_by])
-        if ordinals or not expand_star_items(core, catalog):
+        ordinals = any(map(is_ordinal, core.group_by)) or any(
+            is_ordinal(item.expr) for item in query.order_by)
+        if ordinals or not expand_star_items(core, bound):
             reorderable = False
 
     if reorderable:
-        _reorder_from(core, query, catalog, stats, planned,
-                      flat[0], flat[1], binding_columns)
+        _reorder_from(core, catalog, stats, planned, flat[0], flat[1],
+                      bound, needed)
         return
     # The written shape stays (LEFT joins, single relations, opt-outs):
     # estimate its leaves, push what can be pushed below, cost each join.
     for leaf in leaves:
-        leaf.hint = PlanHint(est_rows=_relation_raw_rows(leaf, catalog,
-                                                         stats))
-    resolve = make_resolver({binding: _leaf_stats(leaf, stats)
-                             for leaf, binding in zip(leaves, bindings)},
-                            binding_columns)
-    _pushdown_in_place(core, binding_columns)
-    _hint_joins(core.from_clause, catalog, stats, resolve, binding_columns)
+        leaf.hint = PlanHint(est_rows=_relation_raw_rows(
+            leaf, catalog, stats, bound))
+    resolve = make_resolver(leaves, stats, bound)
+    _pushdown_in_place(core, bound)
+    _hint_joins(core.from_clause, catalog, stats, resolve, bound)
     if len(leaves) == 1 and core.where is not None:
         rows, joins = _estimate_where(core, leaves[0].hint.est_rows,
-                                      resolve, binding_columns, catalog,
-                                      stats)
+                                      resolve, bound, catalog, stats)
         if joins:
             core.hint = PlanHint(est_rows=rows)
 
@@ -230,14 +216,12 @@ def _plan_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
 # ---------------------------------------------------------------------------
 
 
-def _reorder_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
-                  stats, planned: PlannedStatement,
+def _reorder_from(core: ast.SelectCore, catalog, stats,
+                  planned: PlannedStatement,
                   leaves: list[ast.TableExpr],
-                  on_conjuncts: list[ast.Expr],
-                  binding_columns: dict) -> None:
-    binding_stats = {binding_of(leaf): _leaf_stats(leaf, stats)
-                     for leaf in leaves}
-    resolve = make_resolver(binding_stats, binding_columns)
+                  on_conjuncts: list[ast.Expr], bound: Binding,
+                  needed: dict[str, set[str] | None]) -> None:
+    resolve = make_resolver(leaves, stats, bound)
 
     # Classify every conjunct (ON and WHERE are equivalent here).
     conjunct_pool = on_conjuncts + list(ast.conjuncts(core.where))
@@ -245,32 +229,19 @@ def _reorder_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
     join_predicates: list[JoinPredicate] = []
     residual: list[ast.Expr] = []
     for conjunct in conjunct_pool:
-        touched = referenced_bindings(conjunct, binding_columns)
+        touched = referenced_bindings(conjunct, bound)
         if touched is None or len(touched) == 0:
             residual.append(conjunct)
         elif len(touched) == 1:
             pushes.setdefault(next(iter(touched)), []).append(conjunct)
         else:
             join_predicates.append(join_predicate(
-                conjunct, touched, binding_columns, resolve))
+                conjunct, touched, bound, resolve))
 
-    # Column pruning sets must be computed before wrappers introduce
-    # their own SELECT * (which would read as "needs everything").
-    needed_by_binding: dict[str, set[str] | None] = {}
-    for leaf in leaves:
-        binding = binding_of(leaf)
-        columns = binding_columns.get(binding)
-        exclude = leaf.query if isinstance(leaf, ast.SubqueryRef) else None
-        needed_by_binding[binding] = (
-            needed_columns(query, binding, columns, exclude=exclude)
-            if columns is not None else None)
-
-    relations: list[BaseRelation] = []
-    for leaf in leaves:
-        relations.append(_build_relation(
-            leaf, catalog, stats, resolve,
-            pushes.get(binding_of(leaf), []),
-            binding_columns, needed_by_binding))
+    relations = [_build_relation(leaf, catalog, stats, resolve,
+                                 pushes.get(binding_of(leaf), []), bound,
+                                 needed.get(binding_of(leaf)))
+                 for leaf in leaves]
 
     order, steps = order_joins(relations, join_predicates, CostModel())
     core.from_clause = build_join_tree(relations, order, steps)
@@ -282,13 +253,12 @@ def _reorder_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
                                          for i in order))
     if core.where is not None:
         core.hint = PlanHint(est_rows=_estimate_where(
-            core, steps[-1].est_rows or 1.0, resolve, binding_columns,
-            catalog, stats)[0])
+            core, steps[-1].est_rows or 1.0, resolve, bound, catalog,
+            stats)[0])
 
 
 def _estimate_where(core: ast.SelectCore, rows: float, resolve,
-                    binding_columns: dict, catalog, stats
-                    ) -> tuple[float, bool]:
+                    bound: Binding, catalog, stats) -> tuple[float, bool]:
     """Estimate *core*'s WHERE over *rows* input rows the way the
     builder runs it: the filter first, then one semi / anti join per
     ``[NOT] IN (subquery)`` / ``[NOT] EXISTS`` conjunct that
@@ -297,18 +267,8 @@ def _estimate_where(core: ast.SelectCore, rows: float, resolve,
     the rows leaving the filter and whether there is any such join.
     (The builder declines an ``IN`` whose subquery reads the row being
     filtered; its hint is then not read.)"""
-
-    def inner_scope(source: ast.TableRef):
-        own = {binding_of(source): output_columns(source, catalog)}
-
-        def level_of(ref: ast.ColumnRef) -> int | None:
-            if referenced_bindings(ref, own):
-                return 0
-            return 1 if referenced_bindings(ref, binding_columns) else None
-        return level_of
-
     parts = ast.conjuncts(core.where)
-    joins = [semi_join(part, inner_scope) for part in parts]
+    joins = [semi_join(part, lambda _source: bound.level) for part in parts]
     rows *= max(predicate_selectivity(ast.conjoin(
         [part for part, join in zip(parts, joins) if join is None])
         or ast.Literal(True), resolve), 0.0005)
@@ -320,14 +280,15 @@ def _estimate_where(core: ast.SelectCore, rows: float, resolve,
             inner = items[0].expr
         fraction = semi_join_selectivity(
             resolve(outer) if isinstance(outer, ast.ColumnRef) else None,
-            _build_distinct(join.node.query, inner, catalog, stats))
+            _build_distinct(join.node.query, inner, catalog, stats,
+                            bound))
         left *= 1.0 - fraction if join.negated else fraction
         join.node.hint = PlanHint(est_rows=left)
     return rows, any(joins)
 
 
 def _build_distinct(query: ast.SelectQuery, key: ast.Expr, catalog,
-                    stats) -> float | None:
+                    stats, bound: Binding) -> float | None:
     """Distinct values of a semi-join's build-side *key*: the ANALYZEd
     count when it is a plain column and the subquery reads one table,
     capped by the subquery's estimated rows; ``None`` when nothing is
@@ -336,7 +297,7 @@ def _build_distinct(query: ast.SelectQuery, key: ast.Expr, catalog,
     if query.is_compound or not isinstance(source, ast.TableRef) \
             or not catalog.has_table(source.name):
         return None
-    rows = estimate_query_rows(query, catalog, stats)
+    rows = estimate_query_rows(query, catalog, stats, bound)
     analyzed = _column_stats(stats.get(source.name), key.name) \
         if isinstance(key, ast.ColumnRef) else None
     if analyzed is None or not analyzed.distinct:
@@ -352,10 +313,10 @@ def _local_table(leaf: ast.TableExpr, catalog):
 
 
 def _build_relation(leaf, catalog, stats, resolve,
-                    pushed: list[ast.Expr], binding_columns,
-                    needed_by_binding) -> BaseRelation:
+                    pushed: list[ast.Expr], bound: Binding,
+                    needed: set[str] | None) -> BaseRelation:
     binding = binding_of(leaf)
-    raw_rows = _relation_raw_rows(leaf, catalog, stats)
+    raw_rows = _relation_raw_rows(leaf, catalog, stats, bound)
     leaf.hint = PlanHint(est_rows=raw_rows)
     table = _local_table(leaf, catalog)
 
@@ -370,15 +331,14 @@ def _build_relation(leaf, catalog, stats, resolve,
     wrapper = wrap_with_filter(leaf, pushed)
     wrapper.hint = PlanHint(est_rows=est_rows,
                             detail="pushed-down predicate")
-    needed = needed_by_binding.get(binding)
-    columns = binding_columns.get(binding)
-    if needed is not None and columns is not None:
+    if needed is not None:
+        columns = [fold(column.name)
+                   for column in bound.scope(leaf).columns]
         keep = [name for name in columns if name in needed]
         # Join/residual predicates live above the wrapper and read
         # through it, so their columns are part of "needed" already.
-        if keep and len(keep) < len(columns) \
-                and prune_wrapper_projection(wrapper, keep):
-            binding_columns[binding] = keep
+        if keep and len(keep) < len(columns):
+            prune_wrapper_projection(wrapper, keep)
     return BaseRelation(wrapper, binding, table, raw_rows, est_rows, True,
                         _leaf_stats(leaf, stats))
 
@@ -388,8 +348,7 @@ def _build_relation(leaf, catalog, stats, resolve,
 # ---------------------------------------------------------------------------
 
 
-def _pushdown_in_place(core: ast.SelectCore,
-                       binding_columns: dict) -> None:
+def _pushdown_in_place(core: ast.SelectCore, bound: Binding) -> None:
     """Push WHERE conjuncts into null-safe leaves of a FROM tree whose
     shape is kept (LEFT joins present, or not re-orderable)."""
     if core.where is None:
@@ -400,7 +359,7 @@ def _pushdown_in_place(core: ast.SelectCore,
     pushes: dict[str, list[ast.Expr]] = {}
     residual: list[ast.Expr] = []
     for conjunct in ast.conjuncts(core.where):
-        touched = referenced_bindings(conjunct, binding_columns)
+        touched = referenced_bindings(conjunct, bound)
         if touched is not None and len(touched) == 1 \
                 and next(iter(touched)) in safe:
             pushes.setdefault(next(iter(touched)), []).append(conjunct)
@@ -413,17 +372,15 @@ def _pushdown_in_place(core: ast.SelectCore,
 
 
 def _hint_joins(table_expr: ast.TableExpr, catalog, stats, resolve,
-                binding_columns: dict) -> float:
+                bound: Binding) -> float:
     """Hint every join of a FROM tree kept as written with its estimated
     rows and strategy, costed as the reordering path costs a step (its
     right side the inner one); return the tree's estimated rows."""
     if not isinstance(table_expr, ast.Join):
-        return _relation_raw_rows(table_expr, catalog, stats)
-    left_rows = _hint_joins(table_expr.left, catalog, stats, resolve,
-                            binding_columns)
+        return _relation_raw_rows(table_expr, catalog, stats, bound)
+    left_rows = _hint_joins(table_expr.left, catalog, stats, resolve, bound)
     right = table_expr.right
-    right_rows = _hint_joins(right, catalog, stats, resolve,
-                             binding_columns)
+    right_rows = _hint_joins(right, catalog, stats, resolve, bound)
     relation = BaseRelation(right, binding_of(right),
                             _local_table(right, catalog), right_rows,
                             right_rows, False, _leaf_stats(right, stats))
@@ -431,8 +388,8 @@ def _hint_joins(table_expr: ast.TableExpr, catalog, stats, resolve,
         frozenset(map(binding_of, from_leaves(table_expr.left))),
         left_rows, relation,
         [join_predicate(conjunct, referenced_bindings(
-            conjunct, binding_columns) or frozenset(), binding_columns,
-            resolve) for conjunct in ast.conjuncts(table_expr.condition)],
+            conjunct, bound) or frozenset(), bound, resolve)
+         for conjunct in ast.conjuncts(table_expr.condition)],
         CostModel())
     rows = step.est_rows
     if table_expr.join_type == "LEFT":

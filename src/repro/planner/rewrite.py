@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Optional
 
 from ..relational import ast
 from ..relational.ast import binding_of, from_leaves
+from ..relational.bind import Binding, bind
 from ..relational.compiler import CompileContext, compile_expr
 from ..relational.schema import fold
 
@@ -143,37 +144,6 @@ def fold_expr(expr: ast.Expr) -> ast.Expr:
 
 
 # ---------------------------------------------------------------------------
-# Relation shapes: bindings and output columns
-# ---------------------------------------------------------------------------
-
-
-def output_columns(table_expr: ast.TableExpr,
-                   catalog) -> list[str] | None:
-    """Folded output column names of a FROM leaf, or ``None`` when
-    they cannot be determined without compiling."""
-    if isinstance(table_expr, ast.TableRef):
-        if not catalog.has_table(table_expr.name):
-            return None
-        return list(map(fold, catalog.table(
-            table_expr.name).schema.column_names()))
-    if isinstance(table_expr, ast.SubqueryRef):
-        return query_output_columns(table_expr.query, catalog)
-    return None
-
-
-def query_output_columns(query: ast.SelectQuery,
-                         catalog) -> list[str] | None:
-    """Folded output column names of *query* (its stars expanded as
-    :func:`expand_star_items` expands them), or ``None``."""
-    core = query.core
-    if any(item.is_star for item in core.items):
-        core = replace(core)
-        if not expand_star_items(core, catalog):
-            return None
-    return [fold(item.output_name()) for item in core.items]
-
-
-# ---------------------------------------------------------------------------
 # Conjunct classification
 # ---------------------------------------------------------------------------
 
@@ -191,27 +161,11 @@ def _has_aggregate(exprs: list[ast.Expr]) -> bool:
                for expr in exprs for node in ast.walk_expr(expr))
 
 
-def owner_of(ref: ast.ColumnRef,
-             binding_columns: dict[str, list[str] | None]) -> str | None:
-    """The binding among *binding_columns* (folded binding -> its folded
-    column names, ``None`` when unknown) whose column *ref* names —
-    :mod:`repro.relational.schema`'s reference rule over one scope;
-    ``None`` when no known binding has it, or more than one."""
-    name = fold(ref.name)
-    if ref.qualifier is not None:
-        binding = fold(ref.qualifier)
-        columns = binding_columns.get(binding)
-        return binding if columns is not None and name in columns else None
-    owners = [binding for binding, columns in binding_columns.items()
-              if columns is not None and name in columns]
-    return owners[0] if len(owners) == 1 else None
-
-
 def referenced_bindings(expr: ast.Expr,
-                        binding_columns: dict[str, list[str] | None]
-                        ) -> frozenset[str] | None:
-    """Bindings a conjunct touches; ``None`` = not safely relocatable
-    (unknown/ambiguous column, outer reference or embedded subquery)."""
+                        bound: Binding) -> frozenset[str] | None:
+    """FROM bindings a conjunct touches, as *bound* binds its names;
+    ``None`` = not safely relocatable (unknown/ambiguous column, outer
+    reference or embedded subquery)."""
     if _contains_subquery(expr):
         return None
     touched: set[str] = set()
@@ -219,7 +173,7 @@ def referenced_bindings(expr: ast.Expr,
         if isinstance(node, ast.Star):
             return None
         if isinstance(node, ast.ColumnRef):
-            owner = owner_of(node, binding_columns)
+            owner = bound.owner(node)
             if owner is None:
                 return None
             touched.add(owner)
@@ -270,7 +224,8 @@ def compose_filter(query: ast.SelectQuery, binding: str,
     folded — a literal WHERE (never TRUE) admits no row.  A compound,
     aggregating, grouped or LIMIT/OFFSET query, or a subquery in its
     select list: ``SELECT * FROM (query) AS binding WHERE ...``, columns
-    renamed positionally.  ``None`` when neither mapping is known."""
+    renamed positionally.  ``None`` when neither mapping is known (its
+    names bound over *catalog*)."""
     positions: dict[str, int] = {}
     for position, name in enumerate(columns):
         positions.setdefault(name, position)
@@ -283,53 +238,51 @@ def compose_filter(query: ast.SelectQuery, binding: str,
 
     core = query.core
     items = [item.expr for item in core.items]
+    bound = bind(query, catalog)
     if not (query.is_compound or core.group_by or core.having is not None
             or query.limit is not None or query.offset is not None
             or _has_aggregate(items) or any(map(_contains_subquery, items))):
         merged = replace(core)
         if (not any(item.is_star for item in core.items)
-                or expand_star_items(merged, catalog)) \
+                or expand_star_items(merged, bound)) \
                 and len(merged.items) == len(columns):
             pushed = substitute([item.expr for item in merged.items])
             where = fold_expr(ast.conjoin(ast.conjuncts(core.where) + pushed))
             merged.where = None if isinstance(where, ast.Literal) \
                 and where.value is True else where
             return replace(query, core=merged)
-    names = query_output_columns(query, catalog)
-    if names is None or len(set(names)) != len(names) \
+    output = bound.scope(core)
+    names = [fold(column.name) for column in output.columns]
+    if output.open or len(set(names)) != len(names) \
             or len(names) != len(columns):
         return None
     renamed = substitute([ast.ColumnRef(name, binding) for name in names])
     return wrap_with_filter(ast.SubqueryRef(query, binding), renamed).query
 
 
-def needed_columns(query: ast.SelectQuery,
-                   binding: str,
-                   columns: list[str],
-                   exclude: ast.SelectQuery | None = None
-                   ) -> set[str] | None:
-    """Columns of *binding* the query reads anywhere; ``None`` = all
-    (a star may expand to them, or a reference is ambiguous).
+def needed_columns(query: ast.SelectQuery, core: ast.SelectCore,
+                   leaf: ast.TableExpr, bound: Binding) -> set[str] | None:
+    """Folded names of the columns of *core*'s FROM leaf *leaf* that
+    *query* (of which *core* is a core) reads anywhere; ``None`` = all
+    (a star of the core may expand to them, or they are not known).
 
-    *exclude* names a subtree to ignore — the derived table being
-    pruned references all of its own columns internally, which must not
-    count as outer reads.
-    """
+    A reference the bind could not resolve counts for every leaf with a
+    column it may name: an ON condition sees only its own join's
+    leaves, where a name ambiguous over the whole FROM can be one."""
+    binding = binding_of(leaf)
+    scope = bound.scope(leaf)
+    if scope.open or any(
+            item.is_star and (item.expr.qualifier is None
+                              or fold(item.expr.qualifier) == binding)
+            for item in core.items):
+        return None
     needed: set[str] = set()
-    own = {binding: columns}
-    excluded: set[int] = set()
-    if exclude is not None:
-        excluded = {id(node) for node in ast.iter_query_nodes(exclude)}
     for node in ast.iter_query_nodes(query):
-        if id(node) in excluded:
-            continue
-        if isinstance(node, ast.Star):
-            if node.qualifier is None or fold(node.qualifier) == binding:
-                return None
-        # Unqualified, and in a subquery too: conservatively ours if
-        # the name is one of ours.
-        if isinstance(node, ast.ColumnRef) and owner_of(node, own):
-            needed.add(fold(node.name))
+        if isinstance(node, ast.ColumnRef):
+            found = bound.ref(node)
+            if found is None and scope.find(node.name, node.qualifier) \
+                    or found is not None and found.leaf is leaf:
+                needed.add(fold(node.name))
     return needed
 
 
@@ -375,11 +328,11 @@ def prune_derived_projection(derived: ast.SubqueryRef,
     return True
 
 
-def expand_star_items(core: ast.SelectCore, catalog) -> bool:
+def expand_star_items(core: ast.SelectCore, bound: Binding) -> bool:
     """Replace ``*`` / ``alias.*`` select items with explicit qualified
-    column references (so join re-ordering cannot permute the output).
-    Returns False (leaving the core untouched) when a leaf's columns
-    cannot be determined."""
+    column references (so join re-ordering cannot permute the output),
+    each leaf's columns as *bound* bound them.  Returns False (leaving
+    the core untouched) when a leaf's columns cannot be determined."""
     if core.from_clause is None:
         return False
     expanded: list[ast.SelectItem] = []
@@ -396,17 +349,13 @@ def expand_star_items(core: ast.SelectCore, catalog) -> bool:
             if star.qualifier is not None \
                     and leaf_binding != fold(star.qualifier):
                 continue
-            columns = output_columns(leaf, catalog)
-            if columns is None:
+            scope = bound.scope(leaf)
+            if scope.open:
                 return False
-            if isinstance(leaf, ast.TableRef):  # spelled as the star would
-                columns = [column.name for column in
-                           catalog.table(leaf.name).schema.columns]
             matched = True
             # Preserve the original (possibly aliased) qualifier casing.
-            expanded.extend(ast.SelectItem(ast.ColumnRef(name, leaf.binding),
-                                           None)
-                            for name in columns)
+            expanded.extend(ast.SelectItem(ast.ColumnRef(
+                column.name, leaf.binding), None) for column in scope.columns)
         if not matched:
             return False
     core.items = expanded

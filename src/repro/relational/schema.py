@@ -12,8 +12,9 @@ kept for display and output.
 qualified, whose qualifier does (:meth:`ResultColumn.matches`);
 :meth:`RowSchema.find` lists the hits in one scope, and
 :func:`repro.relational.compiler.resolve_column` resolves over a chain of
-scopes innermost-out, ambiguity judged per scope.  The query analyzer
-resolves through the same function.
+scopes innermost-out, ambiguity judged per scope.  The one bind pass
+(:mod:`repro.relational.bind`), which the analyzer, the planner and the
+mediator read, resolves through the same function.
 """
 
 from __future__ import annotations

@@ -399,7 +399,8 @@ def semi_join(expr: ast.Expr, inner_scope: InnerScope) -> SemiJoin | None:
     executor's selector builds what this returns (declining only an
     ``IN`` whose subquery turns out, once built, to read the row being
     filtered), the planner estimates it and the analyzer reports it —
-    each with its own name resolution behind *inner_scope*.
+    the executor over the scopes it built, the other two over the bind
+    (:meth:`repro.relational.bind.Binding.level`), behind *inner_scope*.
 
     Of an ``EXISTS``, every ``inner = outer`` equality — one side reads
     the subquery's table and nothing else, the other the row being

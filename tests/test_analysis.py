@@ -11,7 +11,9 @@ permitting — runs.
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -301,6 +303,30 @@ class TestStatementTypes:
             "UPDATE lab SET city = 'Rome' WHERE lab_name = 'EnvLab'",
             db)
         assert not len(report)
+
+    def test_dml_over_an_empty_table_sees_its_columns(self, db):
+        db.execute("CREATE TABLE empty_t (a INTEGER, b TEXT)")
+        for text in ("UPDATE empty_t SET a = a + 1 WHERE b = 'x'",
+                     "DELETE FROM empty_t WHERE a > 1"):
+            assert not len(analyze_sql(text, db)), text
+        expect(db, "DELETE FROM empty_t WHERE nope = 1", "E-UNKNOWN-COLUMN")
+
+    def test_a_refused_name_keeps_no_caller_alive(self, db):
+        """An unknown name's error leaves no exception behind whose
+        traceback holds its callers' frames (a session's run, say) until
+        the cycle collector runs."""
+        class Marker:
+            pass
+
+        def caller():
+            marker = Marker()
+            analyze_sql("SELECT nope FROM lab WHERE zz = 1", db)
+            return weakref.ref(marker)
+        gc.disable()
+        try:
+            assert caller()() is None
+        finally:
+            gc.enable()
 
     def test_delete_unknown_table(self, db):
         expect(db, "DELETE FROM missing_table", "E-UNKNOWN-TABLE")
@@ -736,6 +762,8 @@ class TestArchlint:
         ("federation/databank.py", "executor.ship(jobs)"),
         ("federation/mediator.py", "table.append_rows(rows)"),
         ("core/tempdb.py", "table._append_columns(given, kinds, 3)"),
+        ("planner/bad.py", "resolve_column(ref, scopes)"),
+        ("analysis/bad.py", "compiler.resolve_column(ref, scopes)"),
     ])
     def test_pipeline_copy_outside_its_choke_point_fails(
             self, tmp_path, relative, call):

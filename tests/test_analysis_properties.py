@@ -37,7 +37,13 @@ def build_db() -> Database:
 #: Read-only throughout: every generated statement is a SELECT.
 DB = build_db()
 
-COLUMNS = {"t": ["a", "b", "c"], "u": ["a", "d"]}
+COLUMNS = {"t": ["a", "b", "c"], "u": ["a", "d"],
+           "d": ["a", "b"], "e": ["a", "d"]}
+
+#: FROM clauses, each with the binding its columns are under.
+TABLES = {"t": "t", "u": "u", "t, u": "t", "t AS s": "s",
+          "(SELECT a, b FROM t) AS d": "d",
+          "(SELECT * FROM u WHERE a > 0) AS e": "e"}
 
 literals = st.one_of(
     st.integers(-5, 5).map(str),
@@ -47,22 +53,44 @@ operators = st.sampled_from(["=", "<>", "<", ">", "<=", ">="])
 
 
 @st.composite
+def names(draw, pool: list[str], binding: str) -> str:
+    """A column of *pool* as written: maybe re-cased, maybe qualified
+    by *binding* (or by a name nothing binds)."""
+    name = draw(st.sampled_from(pool))
+    if draw(st.booleans()):
+        name = name.upper()
+    qualifier = draw(st.sampled_from(
+        [None, None, binding, binding.upper(), "zz"]))
+    return name if qualifier is None else f"{qualifier}.{name}"
+
+
+@st.composite
 def select_queries(draw) -> str:
     """A SELECT that may or may not be valid — names are sometimes
-    wrong, types sometimes clash, ordinals sometimes out of range."""
-    table = draw(st.sampled_from(["t", "u", "t, u", "t AS s"]))
-    base = "s" if "AS" in table else table.split(",")[0]
+    wrong, types sometimes clash, ordinals sometimes out of range; its
+    FROM may be a derived table, its WHERE a correlated subquery."""
+    table = draw(st.sampled_from(list(TABLES)))
+    binding = TABLES[table]
+    base = "s" if "AS s" in table else binding
     pool = COLUMNS[base if base in COLUMNS else "t"] + ["nope"]
+    column = st.one_of(st.sampled_from(pool), names(pool, binding))
     items = draw(st.one_of(
         st.just("*"),
         st.just("COUNT(*)"),
-        st.lists(st.sampled_from(pool), min_size=1, max_size=3)
-          .map(", ".join),
-        st.sampled_from(pool).map(lambda c: f"UPPER({c})")))
+        st.lists(column, min_size=1, max_size=3).map(", ".join),
+        column.map(lambda c: f"UPPER({c})")))
     sql = f"SELECT {items} FROM {table}"
     if draw(st.booleans()):
-        column = draw(st.sampled_from(pool))
-        sql += (f" WHERE {column} {draw(operators)} {draw(literals)}")
+        outer = draw(column)
+        sql += " WHERE " + draw(st.one_of(
+            st.builds(lambda op, lit: f"{outer} {op} {lit}",
+                      operators, literals),
+            st.sampled_from(["EXISTS", "NOT EXISTS"]).map(
+                lambda how: f"{how} (SELECT 1 FROM u AS i "
+                            f"WHERE i.a = {outer})"),
+            st.sampled_from(["d", "i.d"]).map(
+                lambda inner: f"{outer} IN (SELECT {inner} FROM u AS i "
+                              f"WHERE i.a = {outer})")))
     if draw(st.booleans()):
         sql += f" ORDER BY {draw(st.integers(0, 4))}"
     if draw(st.booleans()):

@@ -544,6 +544,16 @@ def test_error_report_is_not_served_from_the_plan_cache(strict, monkeypatch):
     assert analysed == []
 
 
+def test_analyzer_failure_raises_from_prepare(session, monkeypatch):
+    import repro.api.session as session_module
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected analyzer bug")
+    monkeypatch.setattr(session_module, "analyze_enriched", boom)
+    with pytest.raises(RuntimeError, match="injected analyzer bug"):
+        session.prepare(ENRICHED)
+
+
 def test_held_session_sees_a_kb_write_on_the_same_engine(platform):
     # Accepting a statement reaches the engine through its live context
     # view; a session (or prepared query) the caller still holds keeps

@@ -10,17 +10,17 @@ from repro.planner.cost import CostModel, JoinChoice
 from repro.planner.estimate import (equality_selectivity,
                                     range_selectivity)
 from repro.planner.rewrite import fold_expr
-from repro.relational import Database
+from repro.relational import Database, ast
 from repro.relational.ast import Literal
 from repro.relational.parser import parse_expr, parse_sql
 from repro.relational.render import render_expr, render_query
 from repro.relational.types import sql_key, values_equal
 
-STRICT = PlannerOptions(strict=True)
+ON = PlannerOptions()
 OFF = PlannerOptions(enabled=False)
 
 
-def make_db(planner: PlannerOptions = STRICT) -> Database:
+def make_db(planner: PlannerOptions = ON) -> Database:
     db = Database(planner=planner)
     db.execute_script("""
         CREATE TABLE fact (id INTEGER PRIMARY KEY, mid_id INTEGER,
@@ -198,7 +198,7 @@ def test_join_reorder_starts_from_the_selective_relation():
 
 
 def test_planned_and_unplanned_results_agree_on_the_skewed_join():
-    on = make_db(STRICT)
+    on = make_db(ON)
     on.analyze()
     off = make_db(OFF)
     assert sorted(on.query(SKEWED).rows) == sorted(off.query(SKEWED).rows)
@@ -211,7 +211,7 @@ def test_left_join_is_not_reordered_and_null_side_not_pushed():
            "LEFT JOIN mid ON dim.id = mid.dim_id AND mid.id > 20 "
            "WHERE mid.id IS NULL")
     results = []
-    for options in (STRICT, OFF):
+    for options in (ON, OFF):
         db = make_db(options)
         db.analyze()
         results.append(sorted(db.query(sql).rows))
@@ -219,7 +219,7 @@ def test_left_join_is_not_reordered_and_null_side_not_pushed():
 
 
 def test_star_select_column_order_survives_reordering():
-    on = make_db(STRICT)
+    on = make_db(ON)
     on.analyze()
     off = make_db(OFF)
     sql = ("SELECT * FROM fact JOIN mid ON fact.mid_id = mid.id "
@@ -272,7 +272,7 @@ def test_an_index_join_pays_for_the_lookup_it_builds():
 
 
 def test_index_probe_join_matches_hash_join_results():
-    with_probe = make_db(STRICT)
+    with_probe = make_db(ON)
     with_probe.analyze()
     with_probe.query("SELECT id FROM fact WHERE mid_id = 3")
     no_probe = make_db(OFF)
@@ -285,7 +285,7 @@ def test_index_probe_join_matches_hash_join_results():
 
 
 def test_left_join_with_index_probe_pads_unmatched_rows():
-    db = Database(planner=STRICT)
+    db = Database(planner=ON)
     db.execute_script("""
         CREATE TABLE big (k INTEGER, v INTEGER);
         CREATE TABLE probe_left (k INTEGER);
@@ -319,7 +319,7 @@ def test_every_equi_join_runs_the_strategy_choose_join_picks(
         return JoinChoice(
             "hash-join" if inner.lookup is None else strategy, 0.0)
     monkeypatch.setattr(CostModel, "choose_join", choose_join)
-    db = Database(planner=STRICT)
+    db = Database(planner=ON)
     db.execute_script("""
         CREATE TABLE o (x INTEGER);
         INSERT INTO o VALUES (1), (2), (3);
@@ -382,16 +382,55 @@ def test_explain_requires_a_select():
         db.explain("DELETE FROM dim")
 
 
-def test_planner_failure_degrades_to_as_written(monkeypatch):
-    db = make_db(PlannerOptions())  # strict off: failures must not raise
+def test_planner_failure_raises(monkeypatch):
+    db = make_db()
     import repro.planner.plan as plan_module
 
     def boom(*args, **kwargs):
         raise RuntimeError("injected planner bug")
     monkeypatch.setattr(plan_module, "_plan_query", boom)
-    result = db.query(SKEWED)
-    assert len(result.rows) == 50
-    assert any("planning failed" in note for note in result.plan.notes)
+    with pytest.raises(RuntimeError, match="injected planner bug"):
+        db.query(SKEWED)
+
+
+def test_a_column_node_written_at_two_levels_keeps_each_meaning():
+    """A statement built by program may place one ColumnRef node both
+    in a subquery (correlated, an outer column) and in the outer WHERE:
+    the subquery's join conjunct over it must not be planned as if the
+    node named a column of the subquery's own FROM."""
+    dbs = [make_db(ON), make_db(OFF)]
+    for db in dbs:
+        db.execute_script("""
+            CREATE TABLE ta (x INTEGER, y INTEGER);
+            CREATE TABLE tb (x INTEGER, y INTEGER);
+            CREATE TABLE tc (x INTEGER, y INTEGER);
+            INSERT INTO ta VALUES (1, 1), (2, 2), (3, 5);
+            INSERT INTO tb VALUES (1, 0), (2, 0);
+            INSERT INTO tc VALUES (1, 1), (2, 7);
+        """)
+    shared = ast.ColumnRef("y", "ta")
+    inner = parse_sql("SELECT 1 FROM tb JOIN tc ON tb.x = tc.x")
+    inner.core.where = ast.BinaryOp("=", ast.ColumnRef("y", "tc"), shared)
+    query = parse_sql("SELECT ta.x FROM ta")
+    query.core.where = ast.BinaryOp(
+        "AND", ast.Exists(inner), ast.BinaryOp(">", shared, Literal(0)))
+    assert [db.query(query).rows for db in dbs] == [[(1,)], [(1,)]]
+
+
+def test_star_over_a_derived_table_keeps_its_column_spelling():
+    sql = ("SELECT * FROM (SELECT A, b AS Bee FROM t) AS d "
+           "JOIN u ON d.a = u.a")
+    headers = []
+    for options in (ON, OFF):
+        db = Database(planner=options)
+        db.execute_script("""
+            CREATE TABLE t (a INTEGER, b INTEGER);
+            CREATE TABLE u (a INTEGER);
+            INSERT INTO t VALUES (1, 2);
+            INSERT INTO u VALUES (1);
+        """)
+        headers.append(db.query(sql).columns)
+    assert headers == [["A", "Bee", "a"]] * 2
 
 
 # -- session explain surfaces the databank plan ------------------------------

@@ -2,9 +2,8 @@
 over generated data, the planner-on and planner-off executions must
 return identical row multisets (and identical column headers).
 
-Planner-on runs in *strict* mode, so a silent fall-back to the written
-plan cannot make these tests vacuous: any internal planner error fails
-the test instead of hiding.
+There is no fall-back to the written plan, so these tests cannot pass
+vacuously: any internal planner error raises and fails the test.
 """
 
 from __future__ import annotations
@@ -15,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.planner import PlannerOptions
-from repro.relational import Database
+from repro.relational import Database, ast
 
-STRICT = PlannerOptions(strict=True)
+ON = PlannerOptions()
 OFF = PlannerOptions(enabled=False)
 
 values = st.one_of(st.none(), st.integers(0, 4))
@@ -40,7 +39,7 @@ def build(planner: PlannerOptions, data: dict[str, list],
 
 def equivalent(data: dict[str, list], sql: str,
                indexed: bool = False) -> None:
-    on = build(STRICT, data, indexed)
+    on = build(ON, data, indexed)
     off = build(OFF, data, indexed)
     got = on.query(sql)
     expected = off.query(sql)
@@ -96,3 +95,29 @@ def test_derived_table_equivalence(ta, tb, threshold):
     sql = (f"SELECT s.x FROM (SELECT x, y FROM ta WHERE x <= 4) AS s "
            f"JOIN tb ON s.y = tb.y WHERE tb.x >= {threshold}")
     equivalent({"ta": ta, "tb": tb}, sql)
+
+
+@given(ta=table_rows, tb=table_rows, tc=table_rows, join=join_column,
+       inner=join_column, outer=join_column,
+       operator=st.sampled_from(["=", "<", ">="]),
+       shape=st.sampled_from(["EXISTS", "NOT EXISTS", "IN"]),
+       threshold=st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_correlated_conjunct_equivalence(ta, tb, tc, join, inner, outer,
+                                         operator, shape, threshold):
+    """A subquery's WHERE conjunct that names an outer binding stays in
+    the subquery's WHERE: it is never pushed below the subquery's join."""
+    body = (f"FROM tb JOIN tc ON tb.{join} = tc.{join} "
+            f"WHERE tc.{inner} {operator} ta.{outer} "
+            f"AND tb.y >= {threshold}")
+    where = (f"ta.x IN (SELECT tb.x {body})" if shape == "IN"
+             else f"{shape} (SELECT 1 {body})")
+    sql = f"SELECT ta.x, ta.y FROM ta WHERE {where}"
+    data = {"ta": ta, "tb": tb, "tc": tc}
+    equivalent(data, sql)
+    planned = build(ON, data, False).explain(sql).query
+    for node in ast.iter_query_nodes(planned):
+        if isinstance(node, ast.SubqueryRef):
+            assert not any(
+                isinstance(ref, ast.ColumnRef) and ref.qualifier == "ta"
+                for ref in ast.iter_query_nodes(node.query)), sql
