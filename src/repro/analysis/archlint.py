@@ -133,8 +133,7 @@ DEFAULT_CONFIG: dict = {
         "commit_write": ["relational/engine.py", "federation/foreign.py"],
         "lower": _VALUE_FOLDS,
         "casefold": _VALUE_FOLDS,
-        "resolve_column": ["relational/bind.py", "relational/compiler.py",
-                           "relational/executor.py"],
+        "resolve_column": ["relational/bind.py"],
     },
     # Where else a public name may be referenced, relative to the root.
     "reference-roots": ["../../tests", "../../examples",

@@ -63,12 +63,6 @@ def lint_vectorization(core: ast.SelectCore, env) -> None:
     conjunct_list = ast.conjuncts(core.where) if body_of is None \
         else body_of.inner_only
     bound = env.bound
-
-    def resolve_ref(ref: ast.ColumnRef):
-        found = bound.ref(ref)
-        return None if found is None or found.level else (
-            table.schema.position_of(found.column), found.data_type)
-
     for conjunct in conjunct_list:
         # A name the bind could not resolve drew its error already.
         if _contains_param(conjunct) or any(
@@ -78,8 +72,13 @@ def lint_vectorization(core: ast.SelectCore, env) -> None:
         # An EXISTS of the right shape that is not on record has no
         # equality the selector can use.
         node, _negated = semi_join_conjunct(conjunct)
+        columns = {id(ref): (table.schema.position_of(found.column),
+                             found.data_type)
+                   for ref in ast.walk_expr(conjunct)
+                   if isinstance(ref, ast.ColumnRef)
+                   and not (found := bound.ref(ref)).level}
         reason = fallback_reason(
-            conjunct, resolve_ref, declined=isinstance(node, ast.Exists)
+            conjunct, columns, declined=isinstance(node, ast.Exists)
             and id(node.query.core) not in env.semi_joins)
         if reason is not None:
             env.report.add(

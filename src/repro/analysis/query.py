@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ..relational import ast
 from ..relational.aggregates import contains_aggregate
-from ..relational.bind import bind, is_ordinal
+from ..relational.bind import bind, is_ordinal, names_of
 from ..relational.errors import RelationalError, TypeMismatchError
 from ..relational.parser import SqlParser, parse_script, parse_sql
 from ..relational.render import render_expr, render_statement
@@ -133,7 +133,7 @@ def _analyze_core(core: ast.SelectCore, env: _Env,
 
     if core.where is not None:
         for conjunct in ast.conjuncts(core.where):
-            found = semi_join(conjunct, lambda _source: env.bound.level)
+            found = semi_join(conjunct, env.bound.level)
             if found is not None and isinstance(found.node, ast.Exists):
                 env.semi_joins[id(found.node.query.core)] = found
         check_predicate(core.where, env, aggregates_ok=False,
@@ -209,9 +209,8 @@ def _analyze_query(query: ast.SelectQuery, env: _Env, top_level: bool):
                 "E-SET-OP-ARITY",
                 "set operation operands must have the same column "
                 f"count (got {', '.join(str(w) for w in widths)})")
-        # Compound ORDER BY resolves against the combined result only
-        # (no aliases, no outer scopes; an ordinal is a position), as
-        # build_query resolves it.
+        # Compound ORDER BY binds over the combined result (no aliases;
+        # an ordinal is a position), as build_query reads it.
         for item in query.order_by:
             if not is_ordinal(item.expr):
                 check_expr(item.expr, env, aggregates_ok=False)
@@ -254,7 +253,7 @@ def _catalog_table(name: str, env: _Env):
     if catalog is None:
         return None
     if not catalog.has_table(name):
-        env.report.add("E-UNKNOWN-TABLE", f"no such table: {name!r}")
+        env.report.add("E-UNKNOWN-TABLE", f"table {name!r} does not exist")
         return None
     return catalog.table(name)
 
@@ -339,34 +338,8 @@ def _analyze_create_index(stmt: ast.CreateIndexStmt, env: _Env) -> None:
                 f"table {stmt.table!r} has no column {name!r}")
 
 
-def _names_of(stmt) -> ast.SelectQuery | None:
-    """What of *stmt* names columns, as one SELECT to bind: an UPDATE's
-    or DELETE's expressions over its table, VALUES rows and column
-    defaults over no table (any column in them is unknown)."""
-    def select(exprs, table=None, where=None) -> ast.SelectQuery:
-        return ast.SelectQuery(core=ast.SelectCore(
-            items=[ast.SelectItem(expr) for expr in exprs],
-            from_clause=None if table is None else ast.TableRef(table),
-            where=where))
-
-    if isinstance(stmt, ast.SelectQuery):
-        return stmt
-    if isinstance(stmt, ast.InsertStmt):
-        return stmt.query if stmt.query is not None else select(
-            [expr for row in stmt.rows for expr in row])
-    if isinstance(stmt, ast.UpdateStmt):
-        return select([expr for _column, expr in stmt.assignments],
-                      stmt.table, stmt.where)
-    if isinstance(stmt, ast.DeleteStmt):
-        return select([], stmt.table, stmt.where)
-    if isinstance(stmt, ast.CreateTableStmt):
-        return select([definition.default for definition in stmt.columns
-                       if definition.default is not None])
-    return None
-
-
 def _analyze_statement_node(stmt, env: _Env) -> None:
-    names = _names_of(stmt)
+    names = names_of(stmt)
     if names is not None:
         env.bind(names)
     if isinstance(stmt, ast.SelectQuery):
@@ -467,7 +440,7 @@ def analyze_enriched(enriched, databank=None, *,
         attr = getattr(enrichment, "attr", None)
         if attr is None or result.open:
             continue
-        if not result.find(attr, None):
+        if fold(attr) not in map(fold, result.names()):
             env.report.add(
                 "W-ENRICH-ATTR",
                 f"{enrichment.kind} references attribute {attr!r}, "

@@ -213,6 +213,10 @@ class WhereRewriter:
             if key == attr_key:
                 substituted[0] = True
                 return sql_ast.ColumnRef("c1", alias)
+            if isinstance(node, sql_ast.ColumnRef) and include:
+                # An outer reference in the EXISTS, and beside it in the
+                # OR: each place its own node, for a meaning of its own.
+                return sql_ast.ColumnRef(node.name, node.qualifier)
             return None
 
         inner = transform_expr(condition.expr, visit)

@@ -54,7 +54,7 @@ import time
 import weakref
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from ..planner.joins import estimate_query_rows
 from ..planner.rewrite import (compose_filter, constant_once_bound,
@@ -86,6 +86,9 @@ _NOOP = nullcontext()
 #: Abstract cost units charged per second of simulated source latency
 #: when ranking views/sources (one remote hop ≈ many local row visits).
 LATENCY_COST = 50_000.0
+
+#: What a view's memo entry holds in a place not yet filled in.
+_UNKNOWN = object()
 
 
 @dataclass
@@ -168,9 +171,8 @@ class Mediator:
             str, sql_ast.SelectQuery | None] = {}
         #: Moves on every define_view: part of :meth:`_stamp`.
         self._views_version = 0
-        #: ``estimate_view_cost`` per view name: (view, its fragments'
-        #: stamps, cost).
-        self._view_costs: dict[str, tuple] = {}
+        #: What is kept per view name (:meth:`_kept`).
+        self._view_costs: dict[str, list] = {}
         #: (source name, base fragment SQL) -> (the source's catalog
         #: version, the tables the fragment reads as then resolved):
         #: a cost stamp re-walks a fragment only after DDL.
@@ -281,18 +283,24 @@ class Mediator:
         statistics versions, and the state of each table it reads (its
         source's generation when one is no heap table) — so a write to
         one table re-prices only the views with a fragment over it."""
-        sources = [self.source(fragment.source)
-                   for fragment in view.fragments]
-        stamp = [self._cost_stamp(database, fragment)
-                 for database, fragment in zip(sources, view.fragments)]
+        return self._kept(view, 2, lambda: sum(self._fragment_cost(
+            self.source(fragment.source),
+            self._fragment_statement(fragment.sql))
+            for fragment in view.fragments))
+
+    def _kept(self, view: GlobalView, slot: int, compute: Callable):
+        """Slot *slot* of what is kept of *view* while what each fragment
+        reads stays put — ``[view, stamps, cost, first fragment's
+        schema]`` — *compute*'s answer when first asked for."""
+        stamp = [self._cost_stamp(self.source(fragment.source), fragment)
+                 for fragment in view.fragments]
         memo = self._view_costs.get(view.name)
-        if memo is not None and memo[0] is view and memo[1] == stamp:
-            return memo[2]
-        cost = sum(self._fragment_cost(
-            database, self._fragment_statement(fragment.sql))
-            for database, fragment in zip(sources, view.fragments))
-        self._view_costs[view.name] = (view, stamp, cost)
-        return cost
+        if memo is None or memo[0] is not view or memo[1] != stamp:
+            memo = self._view_costs[view.name] = [view, stamp, _UNKNOWN,
+                                                  _UNKNOWN]
+        if memo[slot] is _UNKNOWN:
+            memo[slot] = compute()
+        return memo[slot]
 
     def _cost_stamp(self, database: Database,
                     fragment: ViewFragment) -> tuple:
@@ -319,16 +327,16 @@ class Mediator:
 
     def _view_shape(self, view: GlobalView, cost: float) -> BoundView | None:
         """*view* as a plan sees it before it ships: the columns of its
-        first fragment as its source plans it, sized *cost*; ``None``
-        when that fragment is no SELECT."""
+        first fragment as its source plans it (kept with its cost), sized
+        *cost*; ``None`` when that fragment is no SELECT."""
         fragment = view.fragments[0]
         statement = self._fragment_statement(fragment.sql)
         if statement is None:
             return None
-        schema = self.source(fragment.source).explain(statement).root.schema
-        return BoundView(TableSchema(view.name, [
-            Column(column.name, column.data_type)
-            for column in schema.columns]), None, cost)
+        return BoundView(self._kept(view, 3, lambda: TableSchema(view.name, [
+            Column(column.name, column.data_type) for column in self.source(
+                fragment.source).explain(statement).root.schema.columns])),
+            None, cost)
 
     def view_schema(self, name: str) -> TableSchema | None:
         """The columns a statement reads under view *name* (matched

@@ -9,9 +9,12 @@ each physical decision on the node it concerns as a
 operator builder (:func:`repro.relational.executor.build_select`).
 
 The rewrites read what each name means from one bind of the statement
-(:func:`repro.relational.bind.bind`).  Errors in the query itself
-surface from the build, as with the planner off; an error in a rewrite
-is a planner bug, and raises.
+(:func:`repro.relational.bind.bind`), made on the copy before any
+rewrite, and hand it to the builder: a rewrite that writes a new column
+reference records its meaning as it makes it
+(:meth:`~repro.relational.bind.Binding.column`).  Errors in the query
+itself surface from the build, as with the planner off; an error in a
+rewrite is a planner bug, and raises.
 
 A prepared statement's ``?`` placeholders are opaque here: folding
 leaves them be and the estimates know each as a constant of unknown
@@ -90,11 +93,13 @@ def plan_select(query: ast.SelectQuery, catalog,
     """Plan one SELECT (unless the planner is off) and build its
     operator tree."""
     planned = PlannedStatement(query=query)
+    bound = None
     if options.enabled:
         planned.query = ast.clone_query(query)
-        _plan_query(planned.query, catalog, stats, planned,
-                    bind(planned.query, catalog))
-    planned.root = build_select(planned.query, catalog, exec_hooks, stats)
+        bound = bind(planned.query, catalog)
+        _plan_query(planned.query, catalog, stats, planned, bound)
+    planned.root = build_select(planned.query, catalog, exec_hooks, stats,
+                                bound)
     planned.root.plan(planned.remarks)
     return planned
 
@@ -268,7 +273,7 @@ def _estimate_where(core: ast.SelectCore, rows: float, resolve,
     (The builder declines an ``IN`` whose subquery reads the row being
     filtered; its hint is then not read.)"""
     parts = ast.conjuncts(core.where)
-    joins = [semi_join(part, lambda _source: bound.level) for part in parts]
+    joins = [semi_join(part, bound.level) for part in parts]
     rows *= max(predicate_selectivity(ast.conjoin(
         [part for part, join in zip(parts, joins) if join is None])
         or ast.Literal(True), resolve), 0.0005)
@@ -332,13 +337,12 @@ def _build_relation(leaf, catalog, stats, resolve,
     wrapper.hint = PlanHint(est_rows=est_rows,
                             detail="pushed-down predicate")
     if needed is not None:
-        columns = [fold(column.name)
-                   for column in bound.scope(leaf).columns]
-        keep = [name for name in columns if name in needed]
+        columns = bound.scope(leaf).columns
+        keep = [column for column in columns if fold(column.name) in needed]
         # Join/residual predicates live above the wrapper and read
         # through it, so their columns are part of "needed" already.
         if keep and len(keep) < len(columns):
-            prune_wrapper_projection(wrapper, keep)
+            prune_wrapper_projection(wrapper, keep, bound)
     return BaseRelation(wrapper, binding, table, raw_rows, est_rows, True,
                         _leaf_stats(leaf, stats))
 

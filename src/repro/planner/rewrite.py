@@ -20,13 +20,13 @@ All rewrites operate on (already deep-copied) AST nodes from
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from ..relational import ast
 from ..relational.ast import binding_of, from_leaves
 from ..relational.bind import Binding, bind
 from ..relational.compiler import CompileContext, compile_expr
-from ..relational.schema import fold
+from ..relational.schema import ResultColumn, fold
 
 # ---------------------------------------------------------------------------
 # Generic expression transformation
@@ -263,12 +263,9 @@ def compose_filter(query: ast.SelectQuery, binding: str,
 def needed_columns(query: ast.SelectQuery, core: ast.SelectCore,
                    leaf: ast.TableExpr, bound: Binding) -> set[str] | None:
     """Folded names of the columns of *core*'s FROM leaf *leaf* that
-    *query* (of which *core* is a core) reads anywhere; ``None`` = all
-    (a star of the core may expand to them, or they are not known).
-
-    A reference the bind could not resolve counts for every leaf with a
-    column it may name: an ON condition sees only its own join's
-    leaves, where a name ambiguous over the whole FROM can be one."""
+    *query* (of which *core* is a core) reads anywhere, as *bound*
+    bound its references; ``None`` = all (a star of the core may expand
+    to them, or they are not known)."""
     binding = binding_of(leaf)
     scope = bound.scope(leaf)
     if scope.open or any(
@@ -280,26 +277,23 @@ def needed_columns(query: ast.SelectQuery, core: ast.SelectCore,
     for node in ast.iter_query_nodes(query):
         if isinstance(node, ast.ColumnRef):
             found = bound.ref(node)
-            if found is None and scope.find(node.name, node.qualifier) \
-                    or found is not None and found.leaf is leaf:
-                needed.add(fold(node.name))
+            if found is not None and found.leaf is leaf:
+                needed.add(found.column)
     return needed
 
 
 def prune_wrapper_projection(wrapper: ast.SubqueryRef,
-                             keep: Iterable[str]) -> bool:
-    """Narrow a planner-generated ``SELECT *`` wrapper to *keep*."""
+                             keep: list[ResultColumn],
+                             bound: Binding) -> bool:
+    """Narrow a planner-generated ``SELECT *`` wrapper to the columns
+    *keep* of its leaf, each new reference bound as *bound* binds it."""
     inner = wrapper.query.core
     leaf = inner.from_clause
-    binding = binding_of(leaf) if leaf is not None else None
-    if binding is None or len(inner.items) != 1 \
-            or not inner.items[0].is_star:
+    if leaf is None or binding_of(leaf) is None or len(inner.items) != 1 \
+            or not inner.items[0].is_star or not keep:
         return False
-    keep_list = list(keep)
-    if not keep_list:
-        return False
-    inner.items = [ast.SelectItem(ast.ColumnRef(name, binding), None)
-                   for name in keep_list]
+    inner.items = [ast.SelectItem(bound.column(leaf, column))
+                   for column in keep]
     return True
 
 
@@ -331,8 +325,9 @@ def prune_derived_projection(derived: ast.SubqueryRef,
 def expand_star_items(core: ast.SelectCore, bound: Binding) -> bool:
     """Replace ``*`` / ``alias.*`` select items with explicit qualified
     column references (so join re-ordering cannot permute the output),
-    each leaf's columns as *bound* bound them.  Returns False (leaving
-    the core untouched) when a leaf's columns cannot be determined."""
+    each leaf's columns as *bound* bound them, and bound there.  Returns
+    False (leaving the core untouched) when a leaf's columns cannot be
+    determined."""
     if core.from_clause is None:
         return False
     expanded: list[ast.SelectItem] = []
@@ -353,9 +348,8 @@ def expand_star_items(core: ast.SelectCore, bound: Binding) -> bool:
             if scope.open:
                 return False
             matched = True
-            # Preserve the original (possibly aliased) qualifier casing.
-            expanded.extend(ast.SelectItem(ast.ColumnRef(
-                column.name, leaf.binding), None) for column in scope.columns)
+            expanded.extend(ast.SelectItem(bound.column(leaf, column))
+                            for column in scope.columns)
         if not matched:
             return False
     core.items = expanded

@@ -2,21 +2,24 @@
 
 :func:`bind` walks a statement once — its FROM leaves, derived tables,
 compounds and expression subqueries — and resolves each column
-reference by the executor's own rule (:func:`~repro.relational.
-compiler.resolve_column` over :class:`~repro.relational.schema.
-RowSchema` scopes, innermost out).  The query analyzer, the planner and
-the mediator's pushdown read the :class:`Binding` instead of resolving
-names themselves.  The executor still resolves when it compiles: it
-compiles the tree the planner rewrote, whose scopes are not these.
+reference (:func:`resolve_column`, the one resolver).  The query
+analyzer, the planner, the mediator's pushdown and the executor read the
+:class:`Binding`; the executor raises its first error
+(:meth:`Binding.check`) and compiles each reference from its
+:class:`Ref`, and a planner rewrite that writes a reference records its
+``Ref`` as it makes it (:meth:`Binding.column`).
 
-Scopes are the analyzer's: ON and WHERE see the whole FROM clause, a
-GROUP BY / ORDER BY term is first matched against the select list
-(:func:`~repro.relational.executor.order_target`), a compound's ORDER
-BY sees its combined result only, and LIMIT / OFFSET the enclosing
-scopes only.  A scope is **open** when its columns cannot be told — a
-FROM name the catalog does not know, or a derived table whose star is
-over one — and a lookup that fails with an open scope in the chain is
-no error: the name may live in the table that cannot be seen.
+Scopes are the executor's: an ON condition sees its own join's leaves,
+WHERE the whole FROM clause, a GROUP BY / ORDER BY term is first matched
+against the select list (:func:`order_target`), the ORDER BY of a
+DISTINCT core sees its output, a compound's ORDER BY its combined result
+(and the enclosing scopes), a subquery outside an aggregate call in a
+grouped core's select list, HAVING or ORDER BY its plain group keys
+only, and LIMIT / OFFSET the enclosing scopes only.  A scope is **open**
+when its columns cannot be told — a FROM name the catalog does not
+know, or a derived table whose star is over one — and a lookup that
+fails with an open scope in the chain is no error: the name may live in
+the table that cannot be seen.
 
 A derived column's type is the one standing for the family its
 expression infers (:meth:`Binding.family`), so family checks see
@@ -29,11 +32,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import ast
-from .aggregates import contains_aggregate
-from .compiler import resolve_column
-from .errors import (AmbiguousColumnError, ExecutionError,
-                     TypeMismatchError, UnknownColumnError)
-from .executor import order_target, star_positions
+from .aggregates import AGGREGATE_NAMES, contains_aggregate
+from .errors import (AmbiguousColumnError, CatalogError, ExecutionError,
+                     SchemaError, TypeMismatchError, UnknownColumnError)
 from .schema import ResultColumn, RowSchema, TableSchema, fold
 from .types import FAMILY, DataType, literal_family, parse_type_name
 
@@ -65,8 +66,8 @@ class Ref(NamedTuple):
     #: The folded name of that column.
     column: str
     data_type: DataType | None
-    #: The FROM leaf of that column; ``None`` for an output column (a
-    #: compound's ORDER BY).
+    #: The FROM leaf of that column; ``None`` for an output column (an
+    #: ORDER BY of a compound or a DISTINCT core).
     leaf: ast.TableExpr | None
 
 
@@ -87,10 +88,53 @@ _PASSTHROUGH_FUNCTIONS = frozenset({
     "MIN", "MAX", "COALESCE", "IFNULL", "NULLIF"})
 
 
+#: The exception the executor raises for each naming error.
+_RAISES = {"E-UNKNOWN-COLUMN": UnknownColumnError,
+           "E-AMBIGUOUS-COLUMN": AmbiguousColumnError,
+           "E-UNKNOWN-TABLE": CatalogError,
+           "E-DUPLICATE-ALIAS": SchemaError,
+           "E-ORDINAL-RANGE": ExecutionError}
+
+
 def is_ordinal(expr: ast.Expr) -> bool:
     """Is *expr* an integer literal (an ordinal where a term is)?"""
     return isinstance(expr, ast.Literal) and isinstance(expr.value, int) \
         and not isinstance(expr.value, bool)
+
+
+def order_target(expr: ast.Expr, items: list[ast.SelectItem]) -> ast.Expr:
+    """What one ORDER BY / GROUP BY term orders or groups by: an ordinal
+    is the select item at that position, a bare name that is one
+    item's output alias is that item's expression (an output alias
+    shadows input columns, the PostgreSQL rule), anything else itself.
+    A bad ordinal raises."""
+    if is_ordinal(expr):
+        index = expr.value
+        if index < 1 or index > len(items):
+            raise ExecutionError(
+                f"ORDER/GROUP BY position {index} is out of range")
+        if items[index - 1].is_star:
+            raise ExecutionError(
+                "ORDER/GROUP BY position cannot reference '*'")
+        return items[index - 1].expr
+    if isinstance(expr, ast.ColumnRef) and expr.qualifier is None:
+        aliased = [item.expr for item in items
+                   if item.alias and fold(item.alias) == fold(expr.name)]
+        if len(aliased) == 1:
+            return aliased[0]
+    return expr
+
+
+def star_positions(star: ast.Star, source: RowSchema) -> list[int]:
+    """The columns of *source* a ``*`` / ``q.*`` select item stands
+    for; a qualifier no column has raises."""
+    qualifier = star.qualifier
+    positions = [position for position, column in enumerate(source.columns)
+                 if qualifier is None
+                 or fold(column.qualifier or "") == fold(qualifier)]
+    if not positions and qualifier is not None:
+        raise UnknownColumnError(f"no table named {qualifier!r} in FROM")
+    return positions
 
 
 def bind(query: ast.SelectQuery, catalog) -> "Binding":
@@ -104,37 +148,75 @@ def bind(query: ast.SelectQuery, catalog) -> "Binding":
     return binding
 
 
+def names_of(stmt) -> ast.SelectQuery | None:
+    """What of *stmt* names columns, as one SELECT to bind: an UPDATE's
+    or DELETE's expressions over its table, VALUES rows and column
+    defaults over no table (any column in them is unknown)."""
+    def select(exprs, table=None, where=None) -> ast.SelectQuery:
+        return ast.SelectQuery(core=ast.SelectCore(
+            items=[ast.SelectItem(expr) for expr in exprs],
+            from_clause=None if table is None else ast.TableRef(table),
+            where=where))
+
+    if isinstance(stmt, ast.SelectQuery):
+        return stmt
+    if isinstance(stmt, ast.InsertStmt):
+        return stmt.query if stmt.query is not None else select(
+            [expr for row in stmt.rows for expr in row])
+    if isinstance(stmt, ast.UpdateStmt):
+        return select([expr for _column, expr in stmt.assignments],
+                      stmt.table, stmt.where)
+    if isinstance(stmt, ast.DeleteStmt):
+        return select([], stmt.table, stmt.where)
+    if isinstance(stmt, ast.CreateTableStmt):
+        return select([definition.default for definition in stmt.columns
+                       if definition.default is not None])
+    return None
+
+
 class Binding:
     """What :func:`bind` found, by node identity."""
 
     def __init__(self, catalog) -> None:
         self._catalog = catalog
-        #: Per resolved ``ColumnRef`` (by id), where it resolves.
-        self.refs: dict[int, Ref] = {}
+        #: Per ``ColumnRef`` (by id), where it resolves (``None``: it
+        #: does not, or one node is written at two places that mean two
+        #: things).
+        self.refs: dict[int, Ref | None] = {}
         #: Per FROM leaf and per SELECT core (by id), its columns — a
         #: core's are its output.
         self.scopes: dict[int, Scope] = {}
         #: Per GROUP BY / ORDER BY term (by id) that is no bad ordinal,
-        #: what it groups or orders by (:func:`~repro.relational.
-        #: executor.order_target`).
+        #: what it groups or orders by (:func:`order_target`).
         self.targets: dict[int, ast.Expr] = {}
+        #: Per query (by id), the scopes around it that a reference in
+        #: it reads, counted outwards (0: the innermost enclosing one).
+        self.reach: dict[int, set[int]] = {}
         #: Each naming error once: ``(code, message, node)``.
         self.errors: list[tuple[str, str, ast.Node]] = []
         self._leaf_of: dict[int, ast.TableExpr] = {}
-        self._met: set[int] = set()
+        #: :attr:`refs` by (id, the scope count a place reads it under).
+        self._places: dict[tuple[int, int], Ref | None] = {}
+        #: Per query being walked, its enclosing scope count and reach.
+        self._walking: list[tuple[int, set[int]]] = []
 
-    def ref(self, node: ast.ColumnRef) -> Ref | None:
+    def ref(self, node: ast.ColumnRef, places: int | None = None
+            ) -> Ref | None:
         """Where *node* resolves; ``None`` when it does not (unknown,
         ambiguous, behind an open scope), was not bound, or is one node
-        written at two places that mean two things."""
-        return self.refs.get(id(node))
+        written at two places that mean two things — unless *places*,
+        the number of scopes it is read under, tells which."""
+        found = self.refs.get(id(node))
+        if found is None and places is not None:
+            found = self._places.get((id(node), places))
+        return found
 
     def scope(self, node: ast.TableExpr | ast.SelectCore) -> Scope:
         return self.scopes[id(node)]
 
     def level(self, node: ast.ColumnRef) -> int | None:
-        """:data:`repro.relational.vectors.InnerScope`'s answer for
-        *node*: its :attr:`Ref.level`."""
+        """:attr:`Ref.level` of *node*, ``None`` when it has no ``Ref``
+        (what :func:`repro.relational.vectors.semi_join` asks)."""
         found = self.refs.get(id(node))
         return None if found is None else found.level
 
@@ -144,6 +226,22 @@ class Binding:
         found = self.refs.get(id(node))
         return found.binding if found is not None and found.level == 0 \
             else None
+
+    def check(self) -> None:
+        """Raise the first naming error, as the executor reports it."""
+        if self.errors:
+            code, message, node = self.errors[0]
+            raise (UnknownColumnError if isinstance(node, ast.Star)
+                   else _RAISES[code])(message)
+
+    def column(self, leaf: ast.TableExpr,
+               column: ResultColumn) -> ast.ColumnRef:
+        """A new reference to *column* of the FROM leaf *leaf*, written
+        over that leaf's clause and bound there (a planner rewrite's)."""
+        node = ast.ColumnRef(column.name, leaf.binding)
+        self.refs[id(node)] = Ref(0, ast.binding_of(leaf), fold(column.name),
+                                  column.data_type, leaf)
+        return node
 
     def family(self, expr: ast.Expr) -> str | None:
         """Best-effort family of *expr*: num/str/bool, "null", or None."""
@@ -194,40 +292,41 @@ class Binding:
         self.errors.append((code, message, node))
 
     def _query(self, query: ast.SelectQuery, outer: list[Scope]) -> Scope:
+        reach: set[int] = set()
+        self._walking.append((len(outer), reach))
         simple = not query.is_compound
         result = self._core(query.core, outer,
                             query.order_by if simple else [])
         for _op, core in query.compounds:
             self._core(core, outer, [])
         if not simple:
-            for item in query.order_by:
-                expr = item.expr
-                if not is_ordinal(expr):
-                    self._expr(expr, [result])
-                elif not result.open \
-                        and not 1 <= expr.value <= len(result.columns):
-                    self._error(
-                        "E-ORDINAL-RANGE",
-                        f"ORDER BY position {expr.value} is out of range",
-                        expr)
+            # An ordinal names a result column by position.
+            self._terms([item.expr for item in query.order_by],
+                        [ast.SelectItem(ast.SlotRef(position)) for position
+                         in range(len(result.columns))],
+                        outer + [result], result.open)
         for expr in (query.limit, query.offset):
             if expr is not None:
                 self._expr(expr, outer)
+        self._walking.pop()
+        self.reach[id(query)] = reach
         return result
 
     def _core(self, core: ast.SelectCore, outer: list[Scope],
               order_by: list[ast.OrderItem]) -> Scope:
-        from_scope = Scope()
-        on: list[ast.Expr] = []
-        if core.from_clause is not None:
-            self._from(core.from_clause, outer, from_scope, set(), on)
+        from_scope = Scope() if core.from_clause is None \
+            else self._from(core.from_clause, outer, set())
         scopes = outer + [from_scope]
-        for expr in on + [core.where, core.having]:
-            if expr is not None:
-                self._expr(expr, scopes)
+        if core.where is not None:
+            self._expr(core.where, scopes)
         aggregate = bool(core.group_by) or core.having is not None \
             or any(contains_aggregate(item.expr)
                    for item in list(core.items) + list(order_by))
+        # A grouped core's subqueries outside an aggregate call read its
+        # grouped rows: they are bound once the group keys are.
+        later: list[ast.SelectQuery] | None = [] if aggregate else None
+        if core.having is not None:
+            self._expr(core.having, scopes, later)
         out = Scope()
         for item in core.items:
             expr = item.expr
@@ -246,33 +345,58 @@ class Binding:
                         for column in map(from_scope.columns.__getitem__,
                                           positions))
                 continue
-            self._expr(expr, scopes)
+            self._expr(expr, scopes, later)
             qualifier = expr.qualifier if isinstance(expr, ast.ColumnRef) \
                 and not item.alias and not aggregate else None
             out.columns.append(ResultColumn(
                 item.output_name(), qualifier,
                 _TYPE_OF.get(self.family(expr))))
-        for term in core.group_by + [item.expr for item in order_by]:
+        self._terms(core.group_by, core.items, scopes)
+        # A DISTINCT core sorts what it outputs.
+        self._terms([item.expr for item in order_by], core.items,
+                    outer + [out] if core.distinct and not aggregate
+                    else scopes, later=later)
+        if later:
+            # Of the FROM clause, the grouped rows hold the plain keys.
+            keys = [self.refs.get(id(self.targets.get(id(term))))
+                    for term in core.group_by]
+            groups = Scope([from_scope.columns[from_scope.position(
+                key.binding, key.column)] for key in keys
+                if key is not None and key.level == 0], from_scope.open)
+            for query in later:
+                self._query(query, outer + [groups])
+        self.scopes[id(core)] = out
+        return out
+
+    def _terms(self, terms: list[ast.Expr], items: list[ast.SelectItem],
+               scopes: list[Scope], open_items: bool = False,
+               later: list[ast.SelectQuery] | None = None) -> None:
+        """Bind GROUP BY / ORDER BY *terms* over the select list *items*
+        (of unknown length when *open_items*) and *scopes*."""
+        for term in terms:
+            if open_items and is_ordinal(term):
+                continue
             try:
-                target = order_target(term, core.items)
+                target = order_target(term, items)
             except ExecutionError as exc:
                 self._error("E-ORDINAL-RANGE", str(exc), term)
                 continue
             self.targets[id(term)] = target
-            if target is term:  # else a select item's, bound above
-                self._expr(term, scopes)
-        self.scopes[id(core)] = out
-        return out
+            if target is term:  # else a select item's, bound already
+                self._expr(term, scopes, later)
 
     def _from(self, table_expr: ast.TableExpr, outer: list[Scope],
-              from_scope: Scope, seen: set[str],
-              on: list[ast.Expr]) -> None:
+              seen: set[str]) -> Scope:
+        """The columns of *table_expr*; its ON conditions bind over its
+        own join's."""
         if isinstance(table_expr, ast.Join):
-            self._from(table_expr.left, outer, from_scope, seen, on)
-            self._from(table_expr.right, outer, from_scope, seen, on)
+            left = self._from(table_expr.left, outer, seen)
+            right = self._from(table_expr.right, outer, seen)
+            scope = Scope(left.columns + right.columns,
+                          left.open or right.open)
             if table_expr.condition is not None:
-                on.append(table_expr.condition)
-            return
+                self._expr(table_expr.condition, outer + [scope])
+            return scope
         binding = ast.binding_of(table_expr)
         if binding in seen:
             self._error("E-DUPLICATE-ALIAS",
@@ -284,7 +408,7 @@ class Binding:
                 else self._catalog.get(table_expr.name)
             if relation is None and self._catalog is not None:
                 self._error("E-UNKNOWN-TABLE",
-                            f"no such table: {table_expr.name!r}",
+                            f"table {table_expr.name!r} does not exist",
                             table_expr)
             scope = Scope(open=True) \
                 if relation is None or relation.schema is None \
@@ -300,17 +424,26 @@ class Binding:
         self.scopes[id(table_expr)] = scope
         for column in scope.columns:
             self._leaf_of[id(column)] = table_expr
-        from_scope.open = from_scope.open or scope.open
-        from_scope.columns.extend(scope.columns)
+        return scope
 
-    def _expr(self, expr: ast.Expr, scopes: list[Scope]) -> None:
-        for node in ast.walk_expr(expr):
-            if isinstance(node, ast.ColumnRef):
-                self._ref(node, scopes)
-            elif isinstance(node, (ast.InSubquery, ast.Exists,
-                                   ast.ScalarSubquery)) \
-                    and node.query is not None:
-                self._query(node.query, scopes)
+    def _expr(self, expr: ast.Expr, scopes: list[Scope],
+              later: list[ast.SelectQuery] | None = None) -> None:
+        """Bind *expr* over *scopes* — but put a subquery outside an
+        aggregate call on *later*, when given."""
+        if isinstance(expr, ast.ColumnRef):
+            self._ref(expr, scopes)
+        elif isinstance(expr, (ast.InSubquery, ast.Exists,
+                               ast.ScalarSubquery)) \
+                and expr.query is not None:
+            if later is None:
+                self._query(expr.query, scopes)
+            else:
+                later.append(expr.query)
+        elif isinstance(expr, ast.FunctionCall) \
+                and expr.name.upper() in AGGREGATE_NAMES:
+            later = None
+        for child in ast.child_exprs(expr):
+            self._expr(child, scopes, later)
 
     def _ref(self, node: ast.ColumnRef, scopes: list[Scope]) -> None:
         found = None
@@ -328,17 +461,42 @@ class Binding:
                         column.qualifier and fold(column.qualifier),
                         fold(column.name), column.data_type,
                         self._leaf_of.get(id(column)))
+            for enclosing, reach in self._walking:
+                if depth < enclosing:
+                    reach.add(enclosing - 1 - depth)
         if found is None and not any(scope.open for scope in scopes):
             self._error(code, message, node)
-        key = id(node)
-        if key not in self._met:
-            self._met.add(key)
-            if found is not None:
-                self.refs[key] = found
-            return
         # One node written at two places (a statement built by program
-        # may share one): it keeps a meaning only if both give it one.
-        kept = self.refs.get(key)
-        if kept is None or found is None or kept[:4] != found[:4] \
-                or kept.leaf is not found.leaf:
-            self.refs.pop(key, None)
+        # may share one) keeps a meaning only if both give it one; a
+        # place the scopes it is read under tell apart keeps its own.
+        key = id(node)
+        for table, slot in ((self.refs, key), (self._places,
+                                               (key, len(scopes)))):
+            kept = table.setdefault(slot, found)
+            if kept is not found and (kept is None or found is None
+                                      or kept[:4] != found[:4]
+                                      or kept.leaf is not found.leaf):
+                table[slot] = None
+
+
+def resolve_column(ref: ast.ColumnRef, scopes: list[RowSchema]
+                   ) -> tuple[int, int]:
+    """Resolve a column reference to (scope depth, position) by the
+    reference rule: ``q.name`` (or bare ``name``) hits a column whose
+    name folds alike and, when qualified, whose qualifier does; the
+    innermost scope with a hit is where it resolves, two hits there are
+    an ambiguity.  The one resolver — archlint's ``resolve_column``
+    choke point keeps its calls to this module."""
+    name, qualifier = fold(ref.name), ref.qualifier and fold(ref.qualifier)
+    for depth in range(len(scopes) - 1, -1, -1):
+        matches = [position for position, column
+                   in enumerate(scopes[depth].columns)
+                   if fold(column.name) == name and (
+                       qualifier is None
+                       or fold(column.qualifier or "") == qualifier)]
+        if len(matches) > 1:
+            raise AmbiguousColumnError(
+                f"column reference {ref.display()!r} is ambiguous")
+        if matches:
+            return depth, matches[0]
+    raise UnknownColumnError(f"no such column: {ref.display()!r}")

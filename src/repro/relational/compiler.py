@@ -5,10 +5,12 @@ list of :class:`~repro.relational.schema.RowSchema` objects, outermost
 first.  The compiled closure receives a parallel tuple of row tuples and
 returns the SQL value, honouring three-valued logic.
 
-Correlated subqueries are supported through the scope chain: a column
-that does not resolve in the innermost scope is looked up outwards.  The
-:class:`CompileContext` tracks which scope depths were referenced so the
-executor can detect (and cache) uncorrelated subqueries.
+A column reference reads where the statement's bind
+(:mod:`repro.relational.bind`, the :class:`CompileContext`'s ``bound``)
+says: the scope its level counts to, outwards from the innermost — an
+outer one for a correlated subquery's reference — at the position of
+its exact ``(binding, column)`` key there (:meth:`CompileContext.
+locate`).  Nothing here resolves a name.
 
 A ``?`` placeholder (``ast.Param``) compiles to a read of its slot: the
 context's :class:`Slots` hold the values one run of the tree binds, so
@@ -22,8 +24,7 @@ import re
 from typing import Any, Callable, Protocol
 
 from . import ast
-from .errors import (AmbiguousColumnError, ExecutionError, NotSupportedError,
-                     TypeMismatchError, UnknownColumnError)
+from .errors import ExecutionError, NotSupportedError, TypeMismatchError
 from .functions import int_divmod, lookup_function, remainder
 from .aggregates import AGGREGATE_NAMES
 from .schema import RowSchema
@@ -77,12 +78,15 @@ class CompileContext:
     ``subplan_factory(query, scopes, ctx[, single_column])`` is injected
     by the executor (it owns query building, and rejects a subquery of
     the wrong width while doing so); the compiler only knows
-    :class:`SubPlanLike`.
+    :class:`SubPlanLike`.  ``bound`` is the bind of the statement being
+    built (a :class:`repro.relational.bind.Binding`), ``None`` where
+    what is compiled names no column.
     """
 
     def __init__(self, subplan_factory: Callable[..., SubPlanLike],
-                 exec_hooks=None, stats=None) -> None:
+                 exec_hooks=None, stats=None, bound=None) -> None:
         self.subplan_factory = subplan_factory
+        self.bound = bound
         #: What the tree's ``?`` placeholders read.
         self.slots = Slots()
         #: Duck-typed telemetry hooks for vectorized operators (see
@@ -95,34 +99,21 @@ class CompileContext:
         #: Root operators of the subqueries built for expressions; the
         #: statement root shows them beside the main tree.
         self.subplans: list = []
-        self._watchers: list[set[int]] = []
 
-    def push_watcher(self) -> set[int]:
-        watcher: set[int] = set()
-        self._watchers.append(watcher)
-        return watcher
-
-    def pop_watcher(self) -> set[int]:
-        return self._watchers.pop()
-
-    def mark_reference(self, depth: int) -> None:
-        for watcher in self._watchers:
-            watcher.add(depth)
-
-
-def resolve_column(ref: ast.ColumnRef, scopes: list[RowSchema],
-                   ctx: CompileContext | None = None) -> tuple[int, int]:
-    """Resolve a column reference to (scope depth, position)."""
-    for depth in range(len(scopes) - 1, -1, -1):
-        matches = scopes[depth].find(ref.name, ref.qualifier)
-        if len(matches) > 1:
-            raise AmbiguousColumnError(
-                f"column reference {ref.display()!r} is ambiguous")
-        if matches:
-            if ctx is not None:
-                ctx.mark_reference(depth)
-            return depth, matches[0]
-    raise UnknownColumnError(f"no such column: {ref.display()!r}")
+    def locate(self, node: ast.ColumnRef,
+               scopes: list[RowSchema]) -> tuple[int, int]:
+        """``(depth, position)`` of the bound reference *node* in
+        *scopes*.  It raises only where the tree and its bind disagree
+        (a rewrite wrote a reference it did not record)."""
+        found = self.bound.ref(node, len(scopes)) \
+            if self.bound is not None else None
+        depth = len(scopes) - 1 - found.level if found is not None else -1
+        position = scopes[depth].position(found.binding, found.column) \
+            if depth >= 0 else None
+        if position is None:
+            raise ExecutionError(
+                f"column reference {node.display()!r} was not bound here")
+        return depth, position
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +229,7 @@ def compile_expr(expr: ast.Expr, scopes: list[RowSchema],
         return lambda rows: value
 
     if isinstance(expr, ast.ColumnRef):
-        depth, position = resolve_column(expr, scopes, ctx)
+        depth, position = ctx.locate(expr, scopes)
         return lambda rows: rows[depth][position]
 
     if isinstance(expr, ast.SlotRef):

@@ -54,15 +54,16 @@ from typing import Any, Callable, Iterable, Iterator
 
 from ..rwlock import RWLock
 from . import ast
+from .bind import bind, names_of
 from .catalog import RESERVED_PREFIX, Catalog, ViewCatalog
-from .compiler import compile_expr
+from .compiler import CompileContext, compile_expr, compile_predicate
 from .errors import ExecutionError, RelationalError, SchemaError
 from .executor import BindFirst, build_select, make_context
 from .operators import IndexProbe, Operator, Result, Scan, ViewScan
 from .parser import parse_script, parse_sql
 from .render import render_statement
 from .result import Cursor, ResultSet
-from .schema import Column, TableSchema, fold
+from .schema import Column, RowSchema, TableSchema, fold
 from .table import (BoundView, Table, new_stamp, positional_rows,
                     table_from_columns)
 from .types import DataType, null_nans, parse_type_name
@@ -690,7 +691,7 @@ class Database:
             if stmt.rows is not None:
                 # Every row is evaluated before any is stored, so no
                 # VALUES row sees the rows of its own statement.
-                table.append_rows(self._values(stmt.rows, len(columns)),
+                table.append_rows(self._values(stmt, len(columns)),
                                   stmt.columns)
             else:
                 root = build_select(stmt.query, self.catalog)
@@ -705,11 +706,18 @@ class Database:
             self._note_inserted(table, count)
         return count
 
-    def _values(self, rows: list, width: int) -> Iterator[tuple]:
+    def _context(self, stmt: ast.Statement) -> CompileContext:
+        """A context to compile *stmt*'s expressions in, their names
+        bound (and the bind's first naming error raised)."""
+        bound = bind(names_of(stmt), self.catalog)
+        bound.check()
+        return make_context(self.catalog, bound=bound)
+
+    def _values(self, stmt: ast.InsertStmt, width: int) -> Iterator[tuple]:
         """The evaluated rows of an ``INSERT ... VALUES``; a row not
         *width* wide raises when it is reached."""
-        ctx = make_context(self.catalog)
-        for row_exprs in rows:
+        ctx = self._context(stmt)
+        for row_exprs in stmt.rows:
             if len(row_exprs) != width:
                 raise ExecutionError(
                     f"INSERT expects {width} values per row, "
@@ -724,24 +732,26 @@ class Database:
             self.stats.note_inserted(table.name, table.last_rows(count),
                                      table.schema)
 
+    def _kept_rows(self, stmt: ast.UpdateStmt | ast.DeleteStmt,
+                   table: Table, ctx: CompileContext) -> Iterator[tuple]:
+        """The ``(row id, row)`` pairs of *table* that *stmt*'s WHERE
+        keeps, each tested as it is reached."""
+        where_fn = stmt.where and compile_predicate(
+            stmt.where, [RowSchema.for_table(table.schema)], ctx)
+        return ((row_id, row) for row_id, row in list(table.rows_with_ids())
+                if where_fn is None or where_fn((row,)))
+
     def _run_update(self, stmt: ast.UpdateStmt) -> int:
         table = self.catalog.table(stmt.table)
-        from .schema import RowSchema
-        scope = RowSchema.for_table(table.schema, table.name)
-        ctx = make_context(self.catalog)
+        scope = RowSchema.for_table(table.schema)
+        ctx = self._context(stmt)
         assignment_fns = [(table.schema.position_of(column),
                            compile_expr(expr, [scope], ctx))
                           for column, expr in stmt.assignments]
-        where_fn = None
-        if stmt.where is not None:
-            from .compiler import compile_predicate
-            where_fn = compile_predicate(stmt.where, [scope], ctx)
-        pending: list[tuple[int, dict[int, Any]]] = []
-        for row_id, row in list(table.rows_with_ids()):
-            if where_fn is None or where_fn(((row),)):
-                changes = {position: fn((row,))
-                           for position, fn in assignment_fns}
-                pending.append((row_id, changes))
+        pending: list[tuple[int, dict[int, Any]]] = [
+            (row_id, {position: fn((row,))
+                      for position, fn in assignment_fns})
+            for row_id, row in self._kept_rows(stmt, table, ctx)]
         for row_id, changes in pending:
             table.update_row(row_id, changes)
         if pending and self.stats.get(table.name) is not None:
@@ -752,15 +762,8 @@ class Database:
 
     def _run_delete(self, stmt: ast.DeleteStmt) -> int:
         table = self.catalog.table(stmt.table)
-        from .schema import RowSchema
-        scope = RowSchema.for_table(table.schema, table.name)
-        ctx = make_context(self.catalog)
-        where_fn = None
-        if stmt.where is not None:
-            from .compiler import compile_predicate
-            where_fn = compile_predicate(stmt.where, [scope], ctx)
-        doomed = [row_id for row_id, row in list(table.rows_with_ids())
-                  if where_fn is None or where_fn((row,))]
+        doomed = [row_id for row_id, _row in self._kept_rows(
+            stmt, table, self._context(stmt))]
         for row_id in doomed:
             table.delete_row(row_id)
         if doomed:
@@ -771,7 +774,7 @@ class Database:
 
     def _run_create_table(self, stmt: ast.CreateTableStmt) -> None:
         columns = []
-        ctx = make_context(self.catalog)
+        ctx = self._context(stmt)
         for definition in stmt.columns:
             data_type = parse_type_name(definition.type_name)
             default_value = None

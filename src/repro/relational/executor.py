@@ -27,6 +27,10 @@ subqueries and ``INSERT ... SELECT`` call it on the AST as written, and
 where a node carries no hint it decides locally: a join hash-joins on
 equi-conjuncts and loops otherwise.  A join probes its inner table's
 column only where the planner's hint says ``index-join``.
+
+The builder resolves no name: it reads each column reference from the
+statement's bind (:mod:`repro.relational.bind`), as it reads which
+subqueries are correlated (their references reach past them).
 """
 
 from __future__ import annotations
@@ -38,11 +42,11 @@ from . import ast, vectors
 from .aggregates import (AGGREGATE_NAMES, contains_aggregate,
                          make_aggregate)
 from .batch import Batch, ColumnFold, GenericFold
+from .bind import Binding, bind, order_target, star_positions
 from .catalog import Catalog
 from .compiler import (CompileContext, compile_expr, compile_predicate,
-                       membership, resolve_column)
-from .errors import (AmbiguousColumnError, ExecutionError,
-                     NotSupportedError, SchemaError, UnknownColumnError)
+                       membership)
+from .errors import ExecutionError, NotSupportedError
 from .operators import (Aggregate, Distinct, Filter, IndexProbe,
                         Join, Limit, Operator, Path, Project, Result, RowFn,
                         Rows, Scan, SetOp, Sort, Subquery, Values, ViewScan)
@@ -73,15 +77,9 @@ class SubPlan:
     def __init__(self, catalog: Catalog, query: ast.SelectQuery,
                  scopes: list[RowSchema], ctx: CompileContext,
                  single_column: str | None = None) -> None:
-        watcher = ctx.push_watcher()
-        try:
-            top = build_query(query, catalog, scopes, ctx)
-        finally:
-            ctx.pop_watcher()
-        #: The enclosing scopes the subquery reads.
-        self.outer_depths = {depth for depth in watcher
-                             if depth < len(scopes)}
-        self.correlated = bool(self.outer_depths)
+        top = build_query(query, catalog, scopes, ctx)
+        # Its references reach past it (Binding.reach).
+        self.correlated = bool(ctx.bound.reach[id(query)])
         self.root = Subquery(top, self.correlated)
         if single_column is not None:
             self._single_column(single_column)
@@ -130,15 +128,23 @@ class SubPlan:
         return None if None in members else False
 
 
-def make_context(catalog: Catalog, exec_hooks=None,
-                 stats=None) -> CompileContext:
-    return CompileContext(partial(SubPlan, catalog), exec_hooks, stats)
+def make_context(catalog: Catalog, exec_hooks=None, stats=None,
+                 bound: Binding | None = None) -> CompileContext:
+    return CompileContext(partial(SubPlan, catalog), exec_hooks, stats,
+                          bound)
 
 
 def build_select(query: ast.SelectQuery, catalog: Catalog,
-                 exec_hooks=None, stats=None) -> Result:
-    """The executable tree of one top-level SELECT."""
-    ctx = make_context(catalog, exec_hooks, stats)
+                 exec_hooks=None, stats=None,
+                 bound: Binding | None = None) -> Result:
+    """The executable tree of one top-level SELECT, its names read from
+    *bound* — the planner's bind of the tree it rewrote — or, when none
+    is given, from a bind of *query* as written.  The bind's first
+    naming error is raised before anything is built."""
+    if bound is None:
+        bound = bind(query, catalog)
+    bound.check()
+    ctx = make_context(catalog, exec_hooks, stats, bound)
     return Result(build_query(query, catalog, [], ctx), ctx.subplans,
                   ctx.slots)
 
@@ -154,45 +160,56 @@ def build_select(query: ast.SelectQuery, catalog: Catalog,
 # Beside them, ``select_access_paths`` finds what a scan may read
 # instead of all its rows; the alternative to a path is the scan.
 
-def _innermost_position(expr: ast.Expr | None,
-                        scopes: list[RowSchema]) -> int | None:
-    """The position *expr* reads when it is a plain reference into the
-    innermost scope (and not, say, a correlated outer column)."""
+def _innermost_position(expr: ast.Expr | None, scopes: list[RowSchema],
+                        bound: Binding, level: int = 0) -> int | None:
+    """The position *expr* reads when it is a slot or a plain bound
+    reference into the scope *level* steps out of the innermost (and
+    not, say, a correlated outer column)."""
     if isinstance(expr, ast.SlotRef):
-        return expr.index
-    if not isinstance(expr, ast.ColumnRef):
+        return expr.index if level == 0 else None
+    found = bound.ref(expr, len(scopes)) \
+        if isinstance(expr, ast.ColumnRef) else None
+    if found is None or found.level != level:
         return None
-    try:
-        depth, position = resolve_column(expr, scopes)
-    except UnknownColumnError:
-        return None  # compiling the expression reports the error
-    return position if depth == len(scopes) - 1 else None
+    return scopes[-1 - level].position(found.binding, found.column)
 
 
-def _typed_column(expr: ast.Expr | None, scopes: list[RowSchema]
+def _typed_column(expr: ast.Expr | None, scopes: list[RowSchema],
+                  bound: Binding, level: int = 0
                   ) -> tuple[int, DataType] | None:
-    """``(position, type)`` when *expr* is a plain innermost column of
-    known type.  Only such a column's values come unchanged from a table
-    column, so they belong to one type family, and raw ``<`` / ``==`` /
-    hashing agree with ``compare_values`` / ``values_equal``."""
-    position = _innermost_position(expr, scopes)
+    """``(position, type)`` when *expr* is a plain column of known type
+    of the scope *level* steps out of the innermost.  Only such a
+    column's values come unchanged from a table column, so they belong
+    to one type family, and raw ``<`` / ``==`` / hashing agree with
+    ``compare_values`` / ``values_equal``."""
+    position = _innermost_position(expr, scopes, bound, level)
     if position is None:
         return None
-    data_type = scopes[-1].columns[position].data_type
+    data_type = scopes[-1 - level].columns[position].data_type
     return None if data_type is None else (position, data_type)
 
 
-def select_gather(exprs: list[ast.Expr], scopes: list[RowSchema]
+def _typed_columns(expr: ast.Expr, scopes: list[RowSchema],
+                   bound: Binding) -> vectors.Columns:
+    """What a mask kernel of *expr* over ``scopes[-1]`` reads its
+    references as (:data:`~repro.relational.vectors.Columns`)."""
+    return {id(node): _typed_column(node, scopes, bound)
+            for node in ast.walk_expr(expr) if isinstance(node, ast.ColumnRef)}
+
+
+def select_gather(exprs: list[ast.Expr], scopes: list[RowSchema],
+                  bound: Binding
                   ) -> list[int | ast.Literal | ast.Param | None]:
     """Per select-list expression, the input position to gather it
     from, the constant (literal or ``?``) to repeat, or ``None`` when it
     needs the expression kernel."""
     return [expr if isinstance(expr, (ast.Literal, ast.Param))
-            else _innermost_position(expr, scopes) for expr in exprs]
+            else _innermost_position(expr, scopes, bound) for expr in exprs]
 
 
 def select_folds(group_exprs: list[ast.Expr],
-                 calls: list[ast.FunctionCall], scopes: list[RowSchema]
+                 calls: list[ast.FunctionCall], scopes: list[RowSchema],
+                 bound: Binding
                  ) -> tuple[list[int] | None, list[tuple | None]]:
     """Column kernels for one aggregation: the GROUP BY key positions
     (``None`` unless every key is a plain typed column) and, per
@@ -200,7 +217,7 @@ def select_folds(group_exprs: list[ast.Expr],
     additionally need a numeric column: anything else must keep raising
     ``TypeMismatchError`` from the generic state machine.
     """
-    keys = [_typed_column(expr, scopes) for expr in group_exprs]
+    keys = [_typed_column(expr, scopes, bound) for expr in group_exprs]
     specs: list[tuple | None] = []
     for call in calls:
         name = call.name.upper()
@@ -210,7 +227,7 @@ def select_folds(group_exprs: list[ast.Expr],
                 spec = ("COUNT*", None, False)
         elif name in ("COUNT", "SUM", "AVG", "MIN", "MAX") \
                 and len(call.args) == 1:
-            column = _typed_column(call.args[0], scopes)
+            column = _typed_column(call.args[0], scopes, bound)
             if column is not None and (
                     name not in ("SUM", "AVG")
                     or column[1] in (DataType.INTEGER, DataType.REAL)):
@@ -221,15 +238,18 @@ def select_folds(group_exprs: list[ast.Expr],
 
 def select_join_keys(pairs: list[tuple[ast.Expr, ast.Expr]],
                      left_scopes: list[RowSchema],
-                     right_scopes: list[RowSchema]
+                     right_scopes: list[RowSchema], bound: Binding,
+                     left_level: int = 0
                      ) -> tuple[list[int], list[int]] | None:
     """The ``(left positions, right positions)`` a hash join may read
     its keys from as raw column values: every ``left = right`` pair must
-    be plain typed columns of one comparison family."""
+    be plain typed columns of one comparison family (the left ones of
+    the scope *left_level* steps out of the innermost of
+    *left_scopes*)."""
     positions: tuple[list[int], list[int]] = ([], [])
     for left_expr, right_expr in pairs:
-        left = _typed_column(left_expr, left_scopes)
-        right = _typed_column(right_expr, right_scopes)
+        left = _typed_column(left_expr, left_scopes, bound, left_level)
+        right = _typed_column(right_expr, right_scopes, bound)
         if left is None or right is None \
                 or FAMILY[left[1]] != FAMILY[right[1]]:
             return None
@@ -238,28 +258,18 @@ def select_join_keys(pairs: list[tuple[ast.Expr, ast.Expr]],
     return positions
 
 
-def select_sort_keys(exprs: list[ast.Expr], scopes: list[RowSchema]
-                     ) -> list[int | None] | None:
+def select_sort_keys(exprs: list[ast.Expr], scopes: list[RowSchema],
+                     bound: Binding) -> list[int | None] | None:
     """Per ORDER BY key, the input position (plain column or slot) to
     gather its key column from, or ``None`` when it is an expression to
     evaluate.  Always accepts: whether the key columns sort natively is
     decided on their values, at run time."""
-    return [_innermost_position(expr, scopes) for expr in exprs]
+    return [_innermost_position(expr, scopes, bound) for expr in exprs]
 
 
 # ---------------------------------------------------------------------------
 # FROM clause
 # ---------------------------------------------------------------------------
-
-def _check_bindings(table_expr: ast.TableExpr) -> None:
-    """Refuse a FROM clause that binds one name twice."""
-    seen: set[str] = set()
-    for leaf in ast.from_leaves(table_expr):
-        binding = ast.binding_of(leaf)
-        if binding in seen:
-            raise SchemaError(f"duplicate table alias {leaf.binding!r}")
-        seen.add(binding)
-
 
 _NO_HINT = ast.PlanHint()
 
@@ -293,12 +303,19 @@ def build_table_expr(table_expr: ast.TableExpr, catalog: Catalog,
         f"cannot compile {type(table_expr).__name__} in FROM")
 
 
-def _try_compile(expr: ast.Expr, scopes: list[RowSchema],
-                 ctx: CompileContext) -> RowFn | None:
-    try:
-        return compile_expr(expr, scopes, ctx)
-    except UnknownColumnError:
-        return None
+def _reads_only(expr: ast.Expr, scopes: list[RowSchema],
+                bound: Binding) -> bool:
+    """Does *expr*, a join key, read of the joined rows only columns of
+    ``scopes[-1]`` (and hold no subquery)?"""
+    for node in ast.walk_expr(expr):
+        if isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
+            return False
+        if isinstance(node, ast.ColumnRef):
+            found = bound.ref(node, len(scopes))
+            if found is None or found.level == 0 and _innermost_position(
+                    node, scopes, bound) is None:
+                return False
+    return True
 
 
 def _build_join(join: ast.Join, catalog: Catalog,
@@ -322,6 +339,7 @@ def _build_join(join: ast.Join, catalog: Catalog,
     # Split the ON condition into hashable equi-conjuncts — (conjunct,
     # left key, right key, inner-table position when the right side is
     # a plain inner column: an index-probe candidate) — and a residual.
+    bound = ctx.bound
     equi: list[tuple[ast.Expr, RowFn, RowFn, int | None]] = []
     pairs: list[tuple[ast.Expr, ast.Expr]] = []
     residual: list[ast.Expr] = []
@@ -329,12 +347,13 @@ def _build_join(join: ast.Join, catalog: Catalog,
         if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
             for left_ast, right_ast in ((conjunct.left, conjunct.right),
                                         (conjunct.right, conjunct.left)):
-                left_fn = _try_compile(left_ast, left_scopes, ctx)
-                right_fn = _try_compile(right_ast, right_scopes, ctx)
-                if left_fn is not None and right_fn is not None:
-                    equi.append((conjunct, left_fn, right_fn,
-                                 _innermost_position(right_ast,
-                                                     right_scopes)))
+                if _reads_only(left_ast, left_scopes, bound) \
+                        and _reads_only(right_ast, right_scopes, bound):
+                    equi.append((
+                        conjunct, compile_expr(left_ast, left_scopes, ctx),
+                        compile_expr(right_ast, right_scopes, ctx),
+                        _innermost_position(right_ast, right_scopes,
+                                            bound)))
                     pairs.append((left_ast, right_ast))
                     break
             else:
@@ -365,7 +384,8 @@ def _build_join(join: ast.Join, catalog: Catalog,
         residual = [pair[0] for i, pair in enumerate(equi)
                     if i != probed] + residual
     else:
-        key_positions = select_join_keys(pairs, left_scopes, right_scopes)
+        key_positions = select_join_keys(pairs, left_scopes, right_scopes,
+                                         bound)
     residual_expr = ast.conjoin(residual)
     check = (compile_predicate(residual_expr, combined_scopes, ctx)
              if residual_expr is not None else None)
@@ -405,7 +425,7 @@ def select_access_paths(scan: Scan | ViewScan, conjuncts: list[ast.Expr],
         else:
             continue
         for column_side, op, value_side in sides:
-            typed = _typed_column(column_side, scopes)
+            typed = _typed_column(column_side, scopes, ctx.bound)
             if not isinstance(column_side, ast.ColumnRef) or typed is None:
                 continue
             if op == "in":
@@ -437,18 +457,6 @@ def _probe_estimate(scan: Scan | ViewScan, ctx: CompileContext
 _SWAPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def levels(chain: list[RowSchema]
-           ) -> Callable[[ast.ColumnRef], int | None]:
-    """Where a reference resolves in *chain*, counted outwards from its
-    innermost scope (``None``: nowhere, or ambiguously)."""
-    def level_of(ref: ast.ColumnRef) -> int | None:
-        try:
-            return len(chain) - 1 - resolve_column(ref, chain)[0]
-        except (UnknownColumnError, AmbiguousColumnError):
-            return None
-    return level_of
-
-
 def select_semi_joins(conjuncts: list[ast.Expr],
                       outer_scopes: list[RowSchema], schema: RowSchema,
                       catalog: Catalog, ctx: CompileContext
@@ -462,14 +470,9 @@ def select_semi_joins(conjuncts: list[ast.Expr],
     stays in the filter, on the compiled closure, which is the
     reference."""
     scopes = outer_scopes + [schema]
-
-    def inner_scope(source: ast.TableRef):
-        return levels(scopes + [RowSchema.for_table(
-            catalog.table(source.name).schema, source.binding)])
-
     stack: list[Callable[[Operator], Join] | None] = []
     for conjunct in conjuncts:
-        found = vectors.semi_join(conjunct, inner_scope)
+        found = vectors.semi_join(conjunct, ctx.bound.level)
         stack.append(found and (
             _in_semi_join if isinstance(found.node, ast.InSubquery)
             else _exists_semi_join)(found, scopes, catalog, ctx))
@@ -481,14 +484,17 @@ def _semi_join(found: vectors.SemiJoin, right: Operator, label: str, check,
                build_once: bool, in_predicate: bool = False
                ) -> Callable[[Operator], Join]:
     """The inner side and *check* live one scope below the left row,
-    like the subquery they come from."""
+    like the subquery they come from — and so do an ``EXISTS``'s outer
+    keys, bound in it: they read the left row one scope out."""
     inner_scopes = scopes + [right.schema]
+    left_scopes, level = (scopes, 0) if in_predicate else (inner_scopes, 1)
     kind = "anti-join" if found.negated else "semi-join"
-    left_keys = [compile_expr(outer, scopes, ctx)
+    left_keys = [compile_expr(outer, left_scopes, ctx)
                  for outer, _inner in found.pairs]
     right_keys = [compile_expr(inner, inner_scopes, ctx)
                   for _outer, inner in found.pairs]
-    key_positions = select_join_keys(found.pairs, scopes, inner_scopes)
+    key_positions = select_join_keys(found.pairs, left_scopes, inner_scopes,
+                                     ctx.bound, level)
     est_rows = (found.node.hint or _NO_HINT).est_rows
     return lambda left: Join(
         kind, label, left, right, False, left_keys, right_keys, check,
@@ -499,12 +505,9 @@ def _in_semi_join(found: vectors.SemiJoin, scopes: list[RowSchema],
                   catalog: Catalog, ctx: CompileContext
                   ) -> Callable[[Operator], Join] | None:
     conjunct = found.node
-    built = len(ctx.subplans)
+    if 0 in ctx.bound.reach[id(conjunct.query)]:
+        return None  # it reads the row being filtered: the closure's
     plan = SubPlan(catalog, conjunct.query, scopes, ctx, "IN subquery")
-    if len(scopes) - 1 in plan.outer_depths:
-        # It reads the row being filtered: the closure builds its own.
-        del ctx.subplans[built:]
-        return None
     ctx.subplans.pop()  # the join shows it, as its build side
     return _semi_join(
         found, plan.root,
@@ -520,25 +523,25 @@ def _exists_semi_join(found: vectors.SemiJoin, scopes: list[RowSchema],
     source: ast.TableRef = core.from_clause
     # The inner-only conjuncts stay in the subquery; the equalities are
     # the keys; what else reads this row is checked per candidate pair.
-    watcher = ctx.push_watcher()
-    try:
-        build = build_core(ast.SelectCore(
-            items=[ast.SelectItem(ast.Star())], from_clause=source,
-            where=ast.conjoin(found.inner_only)), catalog, scopes, ctx)
-    finally:
-        ctx.pop_watcher()
+    build = build_core(ast.SelectCore(
+        items=[ast.SelectItem(ast.Star())], from_clause=source,
+        where=ast.conjoin(found.inner_only)), catalog, scopes, ctx)
     right = Operator("subquery", "decorrelated", build.schema, [build])
     chain = scopes + [right.schema]
-    # The select list is never evaluated, but its names must resolve.
-    for expr in _plain_items(core.items, right.schema, chain)[0]:
+    # The select list is never evaluated, but it must compile.
+    for expr in _plain_items(core.items, right.schema, chain, ctx.bound)[0]:
         compile_expr(expr, chain, ctx)
     check = (compile_predicate(ast.conjoin(found.mixed), chain, ctx)
              if found.mixed else None)
+    # Built once when the inner-only conjuncts read no enclosing row
+    # (they hold no subquery: vectors.semi_join).
+    build_once = not any(
+        ctx.bound.level(node) for part in found.inner_only
+        for node in ast.walk_expr(part) if isinstance(node, ast.ColumnRef))
     return _semi_join(
         found, right,
         ("NOT EXISTS " if found.negated else "EXISTS ") + source.binding,
-        check, scopes, ctx,
-        not any(depth < len(scopes) for depth in watcher))
+        check, scopes, ctx, build_once)
 
 
 def _build_where(op: Operator, where: ast.Expr,
@@ -562,7 +565,7 @@ def _build_where(op: Operator, where: ast.Expr,
         built = build_filter(op, "WHERE", where, scopes, ctx, est_rows)
         built.access = access
         return built, {}
-    kernels = [_mask_kernel(part, scopes, ctx.slots) for part in parts]
+    kernels = [_mask_kernel(part, scopes, ctx) for part in parts]
 
     def filter_over(op: Operator, pending: list[int]) -> Filter:
         # A slot conjunct runs ahead of the joins, where its literal's
@@ -596,18 +599,18 @@ def _build_where(op: Operator, where: ast.Expr,
     return op, joins
 
 
-def _mask_kernel(conjunct: ast.Expr, scopes: list[RowSchema], slots):
+def _mask_kernel(conjunct: ast.Expr, scopes: list[RowSchema],
+                 ctx: CompileContext):
     """The mask kernel a filter over ``scopes[-1]`` runs *conjunct* as —
     a :class:`~repro.relational.vectors.SlotKernel` when its ``?`` slots'
-    values will choose — or ``None`` (over typed columns only: an
-    unresolved ref sends it to the generic predicate, whose compile
-    reports unknown columns and marks outer references)."""
+    values will choose — or ``None`` (over typed columns only: any other
+    reference sends it to the generic predicate)."""
     if not any(column.data_type is not None
                for column in scopes[-1].columns):
         return None
-    resolve = partial(_typed_column, scopes=scopes)
-    return vectors.compile_filter_kernel(conjunct, resolve) \
-        or vectors.slot_kernel(conjunct, resolve, slots)
+    columns = _typed_columns(conjunct, scopes, ctx.bound)
+    return vectors.compile_filter_kernel(conjunct, columns) \
+        or vectors.slot_kernel(conjunct, columns, ctx.slots)
 
 
 def build_filter(child: Operator, label: str, predicate: ast.Expr,
@@ -624,16 +627,16 @@ def build_filter(child: Operator, label: str, predicate: ast.Expr,
     are the conjuncts' places in the WHERE, when not ``0, 1, ...``."""
     typed = any(column.data_type is not None
                 for column in scopes[-1].columns)
-    resolve = partial(_typed_column, scopes=scopes)
     conjuncts: list[tuple] = []
     fallbacks: list[tuple[str, str]] = []
     for conjunct in ast.conjuncts(predicate):
-        kernel = _mask_kernel(conjunct, scopes, ctx.slots)
+        kernel = _mask_kernel(conjunct, scopes, ctx)
         if kernel is None and typed:
             # What is of semi-join shape and still here, the selector
             # declined.
             fallbacks.append((_label(conjunct), vectors.fallback_reason(
-                conjunct, resolve, declined=True)))
+                conjunct, _typed_columns(conjunct, scopes, ctx.bound),
+                declined=True)))
         generic = kernel is None or isinstance(kernel, vectors.SlotKernel)
         conjuncts.append((kernel, compile_expr(conjunct, scopes, ctx)
                           if generic else None))
@@ -652,12 +655,13 @@ class _AggregateRewriter:
     """
 
     def __init__(self, group_exprs: list[ast.Expr],
-                 scopes: list[RowSchema]) -> None:
+                 scopes: list[RowSchema], bound: Binding) -> None:
         self.group_keys = {ast.node_key(expr): index
                            for index, expr in enumerate(group_exprs)}
         self.aggregates: list[ast.FunctionCall] = []
         self._agg_slots: dict[Any, int] = {}
         self.scopes = scopes
+        self.bound = bound
 
     def rewrite(self, expr: ast.Expr) -> ast.Expr:
         key = ast.node_key(expr)
@@ -671,8 +675,7 @@ class _AggregateRewriter:
                 self.aggregates.append(expr)
             return ast.SlotRef(self._agg_slots[key])
         if isinstance(expr, ast.ColumnRef):
-            depth, _position = resolve_column(expr, self.scopes)
-            if depth < len(self.scopes) - 1:
+            if self.bound.ref(expr, len(self.scopes)).level:
                 return expr  # correlated outer reference: constant per run
             raise ExecutionError(
                 f"column {expr.display()!r} must appear in GROUP BY "
@@ -682,20 +685,20 @@ class _AggregateRewriter:
                                   expr.negated, expr.hint)
         # A subquery's own text is not rewritten (rebuild_expr returns
         # it, like every other leaf, unchanged): it reaches the group
-        # keys by name through the slot scope (see ``slot_columns``).
+        # keys by their keys in the slot scope (see ``slot_columns``).
         return ast.rebuild_expr(expr, self.rewrite)
 
     def slot_columns(self, group_exprs: list[ast.Expr]
                      ) -> list[ResultColumn]:
         """The slot schema: a group key that is a plain column keeps its
-        name, so a correlated subquery in HAVING / the select list
-        resolves its outer references to group keys (and to nothing
-        else of the grouped table) like any outer column."""
+        name and qualifier, so a correlated subquery in HAVING / the
+        select list reads its outer references to group keys (and to
+        nothing else of the grouped table) like any outer column."""
         source = self.scopes[-1].columns
         columns = [ResultColumn(f"?slot{index}", None) for index in range(
             len(group_exprs) + len(self.aggregates))]
         for index, expr in enumerate(group_exprs):
-            position = _innermost_position(expr, self.scopes)
+            position = _innermost_position(expr, self.scopes, self.bound)
             if position is not None:
                 columns[index] = ResultColumn(source[position].name,
                                               source[position].qualifier)
@@ -705,30 +708,6 @@ class _AggregateRewriter:
 # ---------------------------------------------------------------------------
 # SELECT core
 # ---------------------------------------------------------------------------
-
-def order_target(expr: ast.Expr, items: list[ast.SelectItem]) -> ast.Expr:
-    """What one ORDER BY / GROUP BY term orders or groups by: an ordinal
-    is the select item at that position, a bare name that is one
-    item's output alias is that item's expression (an output alias
-    shadows input columns, the PostgreSQL rule), anything else itself.
-    A bad ordinal raises."""
-    if isinstance(expr, ast.Literal) and isinstance(expr.value, int) \
-            and not isinstance(expr.value, bool):
-        index = expr.value
-        if index < 1 or index > len(items):
-            raise ExecutionError(
-                f"ORDER/GROUP BY position {index} is out of range")
-        if items[index - 1].is_star:
-            raise ExecutionError(
-                "ORDER/GROUP BY position cannot reference '*'")
-        return items[index - 1].expr
-    if isinstance(expr, ast.ColumnRef) and expr.qualifier is None:
-        aliased = [item.expr for item in items
-                   if item.alias and fold(item.alias) == fold(expr.name)]
-        if len(aliased) == 1:
-            return aliased[0]
-    return expr
-
 
 def _substitute_order_targets(exprs: list[ast.Expr],
                               items: list[ast.SelectItem]
@@ -751,23 +730,11 @@ def _sort(child: Operator, order_by: list[ast.OrderItem],
     return Sort(child, label, [
         (compile_expr(expr, scopes, ctx), item.descending)
         for expr, item in zip(exprs, order_by)],
-        select_sort_keys(exprs, scopes), ctx.exec_hooks)
-
-
-def star_positions(star: ast.Star, source: RowSchema) -> list[int]:
-    """The columns of *source* a ``*`` / ``q.*`` select item stands
-    for; a qualifier no column has raises."""
-    qualifier = star.qualifier
-    positions = [position for position, column in enumerate(source.columns)
-                 if qualifier is None
-                 or fold(column.qualifier or "") == fold(qualifier)]
-    if not positions and qualifier is not None:
-        raise UnknownColumnError(f"no table named {qualifier!r} in FROM")
-    return positions
+        select_sort_keys(exprs, scopes, ctx.bound), ctx.exec_hooks)
 
 
 def _plain_items(items: list[ast.SelectItem], source: RowSchema,
-                 scopes: list[RowSchema]
+                 scopes: list[RowSchema], bound: Binding
                  ) -> tuple[list[ast.Expr], RowSchema]:
     """The select list of a non-aggregate core, stars expanded to one
     positional reference per column, and its output schema."""
@@ -778,7 +745,7 @@ def _plain_items(items: list[ast.SelectItem], source: RowSchema,
             exprs.append(item.expr)
             # A plain column keeps its type, so operators above a
             # derived table can still see that it is one.
-            position = _innermost_position(item.expr, scopes)
+            position = _innermost_position(item.expr, scopes, bound)
             columns.append(ResultColumn(
                 item.output_name(),
                 item.expr.qualifier if isinstance(item.expr, ast.ColumnRef)
@@ -797,7 +764,7 @@ def _plain_items(items: list[ast.SelectItem], source: RowSchema,
 def _project(child: Operator, schema: RowSchema, exprs: list[ast.Expr],
              scopes: list[RowSchema], ctx: CompileContext) -> Project:
     return Project(child, schema, list(zip(
-        select_gather(exprs, scopes),
+        select_gather(exprs, scopes, ctx.bound),
         [compile_expr(expr, scopes, ctx) for expr in exprs])),
         ctx.exec_hooks)
 
@@ -813,7 +780,6 @@ def build_core(core: ast.SelectCore, catalog: Catalog,
     that are returned."""
     order_by = order_by or []
     if core.from_clause is not None:
-        _check_bindings(core.from_clause)
         op = build_table_expr(core.from_clause, catalog, outer_scopes, ctx)
     else:
         op = Values()
@@ -843,7 +809,8 @@ def build_core(core: ast.SelectCore, catalog: Catalog,
         out_schema = RowSchema([
             ResultColumn(item.output_name(), None) for item in core.items])
     else:
-        exprs, out_schema = _plain_items(core.items, op.schema, scopes)
+        exprs, out_schema = _plain_items(core.items, op.schema, scopes,
+                                         ctx.bound)
         sort_output = core.distinct
         if order_by and not sort_output:
             op = _sort(op, order_by, order_exprs, scopes, ctx)
@@ -854,7 +821,11 @@ def build_core(core: ast.SelectCore, catalog: Catalog,
     if core.distinct:
         op = Distinct(op)
         if order_by and sort_output:
-            op = _sort(op, order_by, order_exprs,
+            # A term that is a select item sorts by its output column.
+            outputs = {id(expr): ast.SlotRef(position)
+                       for position, expr in enumerate(exprs)}
+            op = _sort(op, order_by,
+                       [outputs.get(id(expr), expr) for expr in order_exprs],
                        scopes[:-1] + [out_schema], ctx)
         if limit is not None:
             op = limit(op)
@@ -875,14 +846,14 @@ def _build_aggregate(core: ast.SelectCore, source: Operator,
 
     group_exprs = _substitute_order_targets(core.group_by, core.items)
     group_fns = [compile_expr(expr, scopes, ctx) for expr in group_exprs]
-    rewriter = _AggregateRewriter(group_exprs, scopes)
+    rewriter = _AggregateRewriter(group_exprs, scopes, ctx.bound)
     exprs = [rewriter.rewrite(item.expr) for item in core.items]
     having = (rewriter.rewrite(core.having)
               if core.having is not None else None)
     order_exprs = [rewriter.rewrite(expr) for expr in order_exprs]
 
     key_positions, specs = select_folds(group_exprs, rewriter.aggregates,
-                                        scopes)
+                                        scopes, ctx.bound)
     folds = []
     needs_rows = bool(group_exprs) and key_positions is None
     for call, spec in zip(rewriter.aggregates, specs):

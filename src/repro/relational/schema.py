@@ -7,14 +7,10 @@ identifier is folded.  Every registry keyed by a name keys through it,
 at registration or build time.  The spelling a name was declared with is
 kept for display and output.
 
-**The reference rule.**  A column reference ``q.name`` (or bare
-``name``) hits a :class:`ResultColumn` whose name folds alike and, when
-qualified, whose qualifier does (:meth:`ResultColumn.matches`);
-:meth:`RowSchema.find` lists the hits in one scope, and
-:func:`repro.relational.compiler.resolve_column` resolves over a chain of
-scopes innermost-out, ambiguity judged per scope.  The one bind pass
-(:mod:`repro.relational.bind`), which the analyzer, the planner and the
-mediator read, resolves through the same function.
+**The reference rule** is :func:`repro.relational.bind.resolve_column`'s,
+applied once by the bind pass; every other layer reads what it found
+(the executor finds a bound column in its rows by the exact folded
+``(binding, column)`` key, :meth:`RowSchema.position`).
 """
 
 from __future__ import annotations
@@ -124,13 +120,6 @@ class ResultColumn:
     qualifier: str | None = None
     data_type: DataType | None = None
 
-    def matches(self, name: str, qualifier: str | None) -> bool:
-        """Does a reference ``qualifier.name`` (or bare ``name``) hit us?"""
-        if fold(name) != fold(self.name):
-            return False
-        return qualifier is None \
-            or fold(self.qualifier or "") == fold(qualifier)
-
 
 @dataclass
 class RowSchema:
@@ -144,10 +133,14 @@ class RowSchema:
     def names(self) -> list[str]:
         return [column.name for column in self.columns]
 
-    def find(self, name: str, qualifier: str | None) -> list[int]:
-        """All positions matching a column reference (for ambiguity checks)."""
-        return [i for i, column in enumerate(self.columns)
-                if column.matches(name, qualifier)]
+    def position(self, binding: str | None, column: str) -> int | None:
+        """The first column whose folded qualifier is *binding* and
+        folded name *column* (a bound reference's key), or ``None``."""
+        for position, candidate in enumerate(self.columns):
+            if fold(candidate.name) == column \
+                    and fold(candidate.qualifier or "") == (binding or ""):
+                return position
+        return None
 
     def extended(self, other: "RowSchema") -> "RowSchema":
         return RowSchema(self.columns + other.columns)

@@ -48,10 +48,11 @@ from .types import FAMILY, DataType, literal_family
 #: A kernel maps the batch's column lists to a strict-true boolean mask.
 Kernel = Callable[[list], list]
 
-#: Resolves a ColumnRef to ``(position, DataType)`` in the scanned table,
-#: or ``None`` when the ref is not a plain innermost-table column (outer
-#: correlation, unknown name) — which sends the conjunct to the row path.
-Resolver = Callable[[ast.ColumnRef], Optional[tuple]]
+#: Per ColumnRef of a conjunct (by id), its ``(position, DataType)`` when
+#: it is a plain column of the scanned rows of known type; any other
+#: (an outer one, an untyped column: absent or ``None``) sends the
+#: conjunct to the row path.
+Columns = dict[int, tuple]
 
 
 class ColumnVector:
@@ -160,9 +161,9 @@ def _constant(expr: ast.Expr, values) -> tuple[bool, Any]:
     return False, None
 
 
-def _resolved(expr: ast.Expr, resolve: Resolver) -> tuple | None:
+def _resolved(expr: ast.Expr, columns: Columns) -> tuple | None:
     if isinstance(expr, ast.ColumnRef):
-        return resolve(expr)
+        return columns.get(id(expr))
     return None
 
 
@@ -233,10 +234,10 @@ def _col_col_kernel(op: str, left: tuple, right: tuple) -> Kernel | None:
     return None
 
 
-def _comparison_kernel(expr: ast.BinaryOp, resolve: Resolver,
+def _comparison_kernel(expr: ast.BinaryOp, columns: Columns,
                        values) -> Kernel | None:
-    left_ref = _resolved(expr.left, resolve)
-    right_ref = _resolved(expr.right, resolve)
+    left_ref = _resolved(expr.left, columns)
+    right_ref = _resolved(expr.right, columns)
     if left_ref is not None and right_ref is not None:
         return _col_col_kernel(expr.op, left_ref, right_ref)
     if left_ref is not None:
@@ -250,9 +251,9 @@ def _comparison_kernel(expr: ast.BinaryOp, resolve: Resolver,
     return None
 
 
-def _in_list_kernel(expr: ast.InList, resolve: Resolver,
+def _in_list_kernel(expr: ast.InList, columns: Columns,
                     values) -> Kernel | None:
-    ref = _resolved(expr.operand, resolve)
+    ref = _resolved(expr.operand, columns)
     if ref is None:
         return None
     position, data_type = ref
@@ -283,9 +284,9 @@ def _in_list_kernel(expr: ast.InList, resolve: Resolver,
     return lambda cols: [v is not None and v in candidates for v in cols[p]]
 
 
-def _between_kernel(expr: ast.Between, resolve: Resolver,
+def _between_kernel(expr: ast.Between, columns: Columns,
                     values) -> Kernel | None:
-    ref = _resolved(expr.operand, resolve)
+    ref = _resolved(expr.operand, columns)
     if ref is None:
         return None
     low_known, low_value = _constant(expr.low, values)
@@ -305,9 +306,9 @@ def _between_kernel(expr: ast.Between, resolve: Resolver,
     return lambda cols: [a and b for a, b in zip(low(cols), high(cols))]
 
 
-def _like_kernel(expr: ast.Like, resolve: Resolver,
+def _like_kernel(expr: ast.Like, columns: Columns,
                  values) -> Kernel | None:
-    ref = _resolved(expr.operand, resolve)
+    ref = _resolved(expr.operand, columns)
     if ref is None:
         return None
     position, data_type = ref
@@ -386,21 +387,18 @@ class SemiJoin(NamedTuple):
     mixed: list[ast.Expr]
 
 
-#: Given an ``EXISTS`` subquery's table, where a column reference in the
-#: subquery's WHERE resolves: 0 that table, 1 the row being filtered,
-#: 2.. the enclosing queries' rows; ``None`` when it does not resolve.
-InnerScope = Callable[[ast.TableRef],
-                      Callable[[ast.ColumnRef], Optional[int]]]
-
-
-def semi_join(expr: ast.Expr, inner_scope: InnerScope) -> SemiJoin | None:
+def semi_join(expr: ast.Expr,
+              level_of: Callable[[ast.ColumnRef], Optional[int]]
+              ) -> SemiJoin | None:
     """The WHERE conjunct *expr* as a semi / anti join, or ``None`` when
     it is to stay in the filter.  The one place that decides: the
     executor's selector builds what this returns (declining only an
-    ``IN`` whose subquery turns out, once built, to read the row being
-    filtered), the planner estimates it and the analyzer reports it —
-    the executor over the scopes it built, the other two over the bind
-    (:meth:`repro.relational.bind.Binding.level`), behind *inner_scope*.
+    ``IN`` whose subquery reads the row being filtered), the planner
+    estimates it and the analyzer reports it — all three over the bind
+    (:meth:`repro.relational.bind.Binding.level` is *level_of*: where a
+    reference in the ``EXISTS`` subquery's WHERE resolves, 0 its table,
+    1 the row being filtered, 2.. the enclosing queries' rows, ``None``
+    nowhere).
 
     Of an ``EXISTS``, every ``inner = outer`` equality — one side reads
     the subquery's table and nothing else, the other the row being
@@ -414,7 +412,6 @@ def semi_join(expr: ast.Expr, inner_scope: InnerScope) -> SemiJoin | None:
         return SemiJoin(node, negated, [(node.operand, ast.SlotRef(0))],
                         [], [])
     core = node.query.core
-    level_of = inner_scope(core.from_clause)
 
     def levels(part: ast.Expr) -> set[int] | None:
         """Where *part*'s columns resolve; ``None`` when that cannot be
@@ -463,7 +460,7 @@ _DECLINED_ON_NAMES = {ast.InSubquery: "correlated IN subquery",
                       ast.Exists: "correlated without an equality"}
 
 
-def fallback_reason(expr: ast.Expr, resolve: Resolver,
+def fallback_reason(expr: ast.Expr, columns: Columns,
                     declined: bool = False) -> str | None:
     """Why the WHERE conjunct *expr* runs on the generic predicate, or
     ``None`` when it does not: it compiles to a vector kernel, or it has
@@ -476,24 +473,24 @@ def fallback_reason(expr: ast.Expr, resolve: Resolver,
     the static analyzer's ``W-VEC-FALLBACK`` diagnostic can never
     disagree about *whether* — this function only adds the *why*.
     """
-    if compile_filter_kernel(expr, resolve) is not None:
+    if compile_filter_kernel(expr, columns) is not None:
         return None
     node, _negated = semi_join_conjunct(expr)
     if node is not None:
         return semi_join_shape(node) or (
             _DECLINED_ON_NAMES[type(node)] if declined else None)
-    return _describe_fallback(expr, resolve)
+    return _describe_fallback(expr, columns)
 
 
 _SUBQUERY_PREDICATE = "subquery predicate"
 
 
-def _describe_fallback(expr: ast.Expr, resolve: Resolver) -> str:
+def _describe_fallback(expr: ast.Expr, columns: Columns) -> str:
     generic = "unsupported predicate shape"
     if isinstance(expr, ast.UnaryOp) and expr.op.upper() == "NOT":
         operand = expr.operand
         if isinstance(operand, ast.ColumnRef):
-            ref = resolve(operand)
+            ref = columns.get(id(operand))
             if ref is None:
                 return "column is not a plain column of the scanned table"
             return "NOT over a non-boolean column"
@@ -501,20 +498,20 @@ def _describe_fallback(expr: ast.Expr, resolve: Resolver) -> str:
         if pushed is None:
             return ("NOT cannot be pushed into "
                     f"{type(operand).__name__} exactly")
-        return _describe_fallback(pushed, resolve)
+        return _describe_fallback(pushed, columns)
     if isinstance(expr, ast.BinaryOp):
         op = expr.op.upper()
         if op in ("AND", "OR"):
             for side in (expr.left, expr.right):
-                if compile_filter_kernel(side, resolve) is None:
-                    reason = _describe_fallback(side, resolve)
+                if compile_filter_kernel(side, columns) is None:
+                    reason = _describe_fallback(side, columns)
                     if op == "OR" and reason == _SUBQUERY_PREDICATE:
                         reason += " under OR"
                     return reason
             return generic  # pragma: no cover - both sides compiled
         if expr.op in _COMPARISONS:
-            left_ref = _resolved(expr.left, resolve)
-            right_ref = _resolved(expr.right, resolve)
+            left_ref = _resolved(expr.left, columns)
+            right_ref = _resolved(expr.right, columns)
             if left_ref is not None and right_ref is not None:
                 return ("ordered comparison across type families "
                         "(raises on the row path)")
@@ -535,15 +532,15 @@ def _describe_fallback(expr: ast.Expr, resolve: Resolver) -> str:
     if isinstance(expr, ast.IsNull):
         return "IS NULL operand is not a plain column"
     if isinstance(expr, ast.Between):
-        if _resolved(expr.operand, resolve) is None:
+        if _resolved(expr.operand, columns) is None:
             return "BETWEEN operand is not a plain column"
         return "BETWEEN bounds are not literals"
     if isinstance(expr, ast.InList):
-        if _resolved(expr.operand, resolve) is None:
+        if _resolved(expr.operand, columns) is None:
             return "IN operand is not a plain column"
         return "IN list contains non-literal items"
     if isinstance(expr, ast.Like):
-        ref = _resolved(expr.operand, resolve)
+        ref = _resolved(expr.operand, columns)
         if ref is None:
             return "LIKE operand is not a plain column"
         if ref[1] is not DataType.TEXT:
@@ -554,7 +551,7 @@ def _describe_fallback(expr: ast.Expr, resolve: Resolver) -> str:
     if isinstance(expr, ast.Literal):
         return "non-boolean constant predicate (raises on the row path)"
     if isinstance(expr, ast.ColumnRef):
-        if resolve(expr) is None:
+        if columns.get(id(expr)) is None:
             return "column is not a plain column of the scanned table"
         return "bare predicate over a non-boolean column"
     if isinstance(expr, ast.FunctionCall):
@@ -571,7 +568,7 @@ def _describe_fallback(expr: ast.Expr, resolve: Resolver) -> str:
     return generic
 
 
-def compile_filter_kernel(expr: ast.Expr, resolve: Resolver,
+def compile_filter_kernel(expr: ast.Expr, columns: Columns,
                           values=None) -> Kernel | None:
     """Compile *expr* to a strict-true mask kernel, or ``None``.
 
@@ -586,7 +583,7 @@ def compile_filter_kernel(expr: ast.Expr, resolve: Resolver,
         if isinstance(operand, ast.ColumnRef):
             # NOT b over a BOOLEAN column (non-boolean raises on the
             # row path, so only that family vectorizes)
-            ref = resolve(operand)
+            ref = columns.get(id(operand))
             if ref is None or FAMILY[ref[1]] != "bool":
                 return None
             position = ref[0]
@@ -594,14 +591,14 @@ def compile_filter_kernel(expr: ast.Expr, resolve: Resolver,
         pushed = _negated(operand, values)
         if pushed is None:
             return None
-        return compile_filter_kernel(pushed, resolve, values)
+        return compile_filter_kernel(pushed, columns, values)
     if isinstance(expr, ast.BinaryOp):
         op = expr.op.upper()
         if op in ("AND", "OR"):
-            left = compile_filter_kernel(expr.left, resolve, values)
+            left = compile_filter_kernel(expr.left, columns, values)
             if left is None:
                 return None
-            right = compile_filter_kernel(expr.right, resolve, values)
+            right = compile_filter_kernel(expr.right, columns, values)
             if right is None:
                 return None
             if op == "AND":
@@ -610,10 +607,10 @@ def compile_filter_kernel(expr: ast.Expr, resolve: Resolver,
             return lambda cols: [a or b
                                  for a, b in zip(left(cols), right(cols))]
         if expr.op in _COMPARISONS:
-            return _comparison_kernel(expr, resolve, values)
+            return _comparison_kernel(expr, columns, values)
         return None
     if isinstance(expr, ast.IsNull):
-        ref = _resolved(expr.operand, resolve)
+        ref = _resolved(expr.operand, columns)
         if ref is None:
             return None
         position = ref[0]
@@ -621,15 +618,15 @@ def compile_filter_kernel(expr: ast.Expr, resolve: Resolver,
             return lambda cols: [v is not None for v in cols[position]]
         return lambda cols: [v is None for v in cols[position]]
     if isinstance(expr, ast.Between):
-        return _between_kernel(expr, resolve, values)
+        return _between_kernel(expr, columns, values)
     if isinstance(expr, ast.InList):
-        return _in_list_kernel(expr, resolve, values)
+        return _in_list_kernel(expr, columns, values)
     if isinstance(expr, ast.Like):
-        return _like_kernel(expr, resolve, values)
+        return _like_kernel(expr, columns, values)
     if isinstance(expr, ast.ColumnRef):
         # WHERE b over a BOOLEAN column; any other family raises on the
         # row path, so it falls back
-        ref = resolve(expr)
+        ref = columns.get(id(expr))
         if ref is None or FAMILY[ref[1]] != "bool":
             return None
         position = ref[0]
@@ -663,11 +660,11 @@ class SlotKernel:
     predicate, where a literal would have put it.
     """
 
-    __slots__ = ("expr", "resolve", "slots", "_values", "_kernel")
+    __slots__ = ("expr", "columns", "slots", "_values", "_kernel")
 
-    def __init__(self, expr: ast.Expr, resolve: Resolver, slots) -> None:
+    def __init__(self, expr: ast.Expr, columns: Columns, slots) -> None:
         self.expr = expr
-        self.resolve = resolve
+        self.columns = columns
         self.slots = slots
         self._values = self._kernel = None
 
@@ -679,7 +676,7 @@ class SlotKernel:
         """Do *values* choose a kernel?  (The choice is kept for the run
         that binds them.)"""
         if values is not self._values:
-            self._kernel = compile_filter_kernel(self.expr, self.resolve,
+            self._kernel = compile_filter_kernel(self.expr, self.columns,
                                                  values)
             self._values = values
         return self._kernel is not None
@@ -687,16 +684,16 @@ class SlotKernel:
     def fallback(self) -> tuple[str, str]:
         """``(expression, reason)`` of this run's generic evaluation."""
         return (render_expr(self.expr, as_slot), fallback_reason(
-            ast.clone_expr(self.expr, self._values), self.resolve,
+            ast.clone_expr(self.expr, self._values), self.columns,
             declined=True))
 
 
-def slot_kernel(expr: ast.Expr, resolve: Resolver,
+def slot_kernel(expr: ast.Expr, columns: Columns,
                 slots) -> SlotKernel | None:
     """*expr*'s :class:`SlotKernel` when it reads a ``?`` and some
     binding vectorizes it (a NULL one does whenever any does), else
     ``None``: no value can, and it stays on the generic predicate."""
     if not any(isinstance(node, ast.Param) for node in ast.walk_expr(expr)) \
-            or compile_filter_kernel(expr, resolve, _AllNull()) is None:
+            or compile_filter_kernel(expr, columns, _AllNull()) is None:
         return None
-    return SlotKernel(expr, resolve, slots)
+    return SlotKernel(expr, columns, slots)

@@ -29,11 +29,11 @@ def _generic_kernels():
              executor.select_folds, executor.select_join_keys,
              executor.select_sort_keys, executor.select_semi_joins)
     vectors.compile_filter_kernel = lambda expr, resolve, values=None: None
-    executor.select_gather = lambda exprs, scopes: [None] * len(exprs)
-    executor.select_folds = lambda group_exprs, calls, scopes: (
+    executor.select_gather = lambda exprs, *scope: [None] * len(exprs)
+    executor.select_folds = lambda group_exprs, calls, *scope: (
         None, [None] * len(calls))
-    executor.select_join_keys = lambda pairs, left, right: None
-    executor.select_sort_keys = lambda exprs, scopes: None
+    executor.select_join_keys = lambda pairs, *sides: None
+    executor.select_sort_keys = lambda exprs, *scope: None
     executor.select_semi_joins = lambda conjuncts, *build: (
         [None] * len(conjuncts))
     try:

@@ -89,6 +89,11 @@ class TestErrorCodes:
         expect(db, "SELECT city FROM landfill, lab",
                "E-AMBIGUOUS-COLUMN")
 
+    def test_a_grouped_subquery_reads_group_keys_only(self, db):
+        expect(db, "SELECT city FROM landfill GROUP BY city HAVING EXISTS "
+                   "(SELECT 1 FROM lab WHERE lab.lab_name = landfill.name)",
+               "E-UNKNOWN-COLUMN")
+
     def test_unknown_function(self, db):
         expect(db, "SELECT NOSUCHFN(name) FROM landfill",
                "E-UNKNOWN-FUNCTION")
@@ -264,6 +269,26 @@ class TestWarningCodes:
             "SELECT l.name FROM landfill AS l JOIN lab AS b "
             "ON l.city = l.name LIMIT 5", db)
         assert "W-CARTESIAN" in codes_of(report)
+
+    def test_an_on_condition_binds_in_its_own_join(self):
+        """``x`` names a column of ``a`` and one of ``c``, but the first
+        ON sees only ``a`` and ``b``: no ambiguity, and both joins are
+        connected."""
+        database = Database()
+        database.execute_script("""
+            CREATE TABLE a (x INTEGER, i INTEGER);
+            CREATE TABLE b (k INTEGER);
+            CREATE TABLE c (x INTEGER, j INTEGER);
+            INSERT INTO a VALUES (1, 1);
+            INSERT INTO b VALUES (1);
+            INSERT INTO c VALUES (5, 1);
+        """)
+        sql = ("SELECT b.k FROM a JOIN b ON x = b.k "
+               "JOIN c ON c.j = b.k LIMIT 5")
+        report = analyze_sql(sql, database)
+        assert not {"E-AMBIGUOUS-COLUMN", "W-CARTESIAN"} \
+            & codes_of(report), report.format()
+        assert database.query(sql).rows == [(1,)]
 
     def test_distinct_with_group_by(self, db):
         self.run_and_expect(
@@ -764,6 +789,8 @@ class TestArchlint:
         ("core/tempdb.py", "table._append_columns(given, kinds, 3)"),
         ("planner/bad.py", "resolve_column(ref, scopes)"),
         ("analysis/bad.py", "compiler.resolve_column(ref, scopes)"),
+        ("relational/executor.py", "resolve_column(ref, scopes)"),
+        ("relational/compiler.py", "resolve_column(ref, scopes)"),
     ])
     def test_pipeline_copy_outside_its_choke_point_fails(
             self, tmp_path, relative, call):

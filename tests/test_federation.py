@@ -338,6 +338,30 @@ def test_a_view_redefined_in_another_case_replaces_it(sources):
         "SELECT COUNT(*) FROM Both", views=["both"])[0].scalar() == 2
 
 
+def test_view_schema_plans_the_first_fragment_once_per_stamp(
+        sources, monkeypatch):
+    """The first fragment's columns are kept beside the view's cost,
+    under its stamps: asking again plans nothing on the source, and a
+    write to the fragment's table makes the next ask plan it again."""
+    italy, _france = sources
+    mediator = make_mediator(sources)
+    mediator.define_view("eu", [
+        ("italy", "SELECT name, size FROM landfill"),
+        ("france", "SELECT name, size FROM landfill")])
+    explained = []
+    explain = italy.explain
+    monkeypatch.setattr(italy, "explain", lambda *args, **kwargs: (
+        explained.append(args[0]) or explain(*args, **kwargs)))
+    assert mediator.view_schema("eu").column_names() == ["name", "size"]
+    assert len(explained) == 1
+    assert mediator.view_schema("EU").column_names() == ["name", "size"]
+    assert mediator.get("eu").schema.column_names() == ["name", "size"]
+    assert len(explained) == 1
+    italy.execute("DELETE FROM landfill WHERE size > 10")
+    assert mediator.view_schema("eu").column_names() == ["name", "size"]
+    assert len(explained) == 2
+
+
 def test_pruning_sees_views_in_subqueries(sources):
     mediator = make_mediator(sources)
     mediator.define_view("eu", [

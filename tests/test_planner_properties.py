@@ -97,6 +97,18 @@ def test_derived_table_equivalence(ta, tb, threshold):
     equivalent({"ta": ta, "tb": tb}, sql)
 
 
+@given(ta=table_rows, tb=table_rows, tc=table_rows)
+@settings(max_examples=40, deadline=None)
+def test_on_condition_binds_in_its_own_join_equivalence(ta, tb, tc):
+    """``u`` names a column of ``a`` and one of ``c``, but the first ON
+    sees only ``a`` and ``tb``, where it is one — also once the planner
+    pools the ON conjuncts to reorder the joins."""
+    sql = ("SELECT tb.y FROM (SELECT x AS u FROM ta) AS a "
+           "JOIN tb ON u = tb.x "
+           "JOIN (SELECT x AS u, y AS j FROM tc) AS c ON c.j = tb.y")
+    equivalent({"ta": ta, "tb": tb, "tc": tc}, sql)
+
+
 @given(ta=table_rows, tb=table_rows, tc=table_rows, join=join_column,
        inner=join_column, outer=join_column,
        operator=st.sampled_from(["=", "<", ">="]),

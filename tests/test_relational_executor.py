@@ -153,6 +153,10 @@ def test_distinct_rows(landfill_db):
     result = rows(landfill_db,
                   "SELECT DISTINCT city FROM landfill ORDER BY city")
     assert result == [("Lyon",), ("Torino",), (None,)]
+    # A term naming a select item sorts by its output column.
+    for order in ("1", "c"):
+        assert rows(landfill_db, "SELECT DISTINCT city AS c FROM landfill "
+                                 f"ORDER BY {order}") == result
 
 
 def test_union_dedupes_union_all_keeps(landfill_db):

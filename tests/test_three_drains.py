@@ -22,6 +22,9 @@ import pytest
 import repro
 from repro.core import EnrichmentError, StoredQueryRegistry
 from repro.federation import Mediator
+from repro.planner import PlannerOptions
+from repro.relational import ast as sql_ast
+from repro.relational.bind import bind
 from repro.smartground import (DANGER_QUERY_SPARQL, SQL_BASELINES,
                                SmartGroundConfig, WORKLOAD,
                                generate_databank, researcher_kb)
@@ -228,6 +231,34 @@ def test_the_where_side_rewrite_runs_as_a_semi_join(connect, dataset, text,
     assert "subquery predicate" not in analyzed.db_plan.format()
     executed = session.execute(text)
     assert "semi-join" in [node.kind for node in executed.db_plan.walk()]
+
+
+@pytest.mark.parametrize("include_original", [False, True],
+                         ids=["replaced", "original-kept"])
+def test_every_reference_of_a_replaced_variable_is_bound(
+        connect, include_original, monkeypatch):
+    """Example 4.6 with its original predicate kept writes the tagged
+    condition both inside the EXISTS it builds (outer references there)
+    and beside it: each place has nodes of its own, so every reference
+    of the statement the databank runs binds — with the planner off."""
+    (dataset, text), = [param.values for param in STATEMENTS
+                        if param.id == "ex4.6-replace-variable"]
+    session = connect(dataset, False, include_original)
+    databank = session.databank
+    ran = []
+    execute_ast = databank.execute_ast
+    monkeypatch.setattr(databank, "planner", PlannerOptions(enabled=False))
+    monkeypatch.setattr(databank, "execute_ast", lambda stmt, params=None,
+                        views=None: ran.append((stmt, views))
+                        or execute_ast(stmt, params, views))
+    assert session.execute(text).rows
+    (statement, views), = ran
+    bound = bind(statement, databank._catalog(views)[0])
+    references = [node for node in sql_ast.iter_query_nodes(statement)
+                  if isinstance(node, sql_ast.ColumnRef)]
+    assert references and bound.errors == []
+    assert [node.display() for node in references
+            if bound.ref(node) is None] == []
 
 
 # -- the run owns cleanup, whichever drain fails ----------------------------------
