@@ -42,7 +42,9 @@ duck-typed hook attributes rather than imports.  Nothing in the
     (``federation/foreign.py``) — a write committed anywhere else fails
     here; and an identifier is folded in one place,
     ``relational.schema.fold``: ``str.lower`` and ``str.casefold`` are
-    called only there and where values, not names, are folded.
+    called only there and where values, not names, are folded; the bind
+    alone resolves a column and judges a call (``resolve_column``,
+    ``lookup_function`` / ``make_aggregate``: and the code that runs it).
 
 ``dead-public``
     A public top-level function or class, or public method of a
@@ -134,6 +136,8 @@ DEFAULT_CONFIG: dict = {
         "lower": _VALUE_FOLDS,
         "casefold": _VALUE_FOLDS,
         "resolve_column": ["relational/bind.py"],
+        "lookup_function": ["relational/bind.py", "relational/compiler.py"],
+        "make_aggregate": ["relational/bind.py", "relational/executor.py"],
     },
     # Where else a public name may be referenced, relative to the root.
     "reference-roots": ["../../tests", "../../examples",

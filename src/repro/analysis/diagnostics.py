@@ -54,7 +54,8 @@ CODES: dict[str, CodeInfo] = _registry(
     ("E-FUNCTION-ARITY", ERROR,
      "function called with the wrong number of arguments"),
     ("E-AGGREGATE-CONTEXT", ERROR,
-     "aggregate used where aggregates are not allowed (WHERE / ON)"),
+     "aggregate outside a select list, HAVING or ORDER BY, or inside "
+     "another aggregate"),
     ("E-BAD-CAST", ERROR,
      "CAST target is not a known SQL type"),
     ("E-DUPLICATE-ALIAS", ERROR,
@@ -67,6 +68,9 @@ CODES: dict[str, CodeInfo] = _registry(
      "INSERT row width does not match the target column list"),
     ("E-STAR-GROUPED", ERROR,
      "SELECT * cannot be used in a grouped/aggregate query"),
+    ("E-UNGROUPED-COLUMN", ERROR,
+     "a grouped query reads a column outside its group keys and "
+     "aggregates"),
     # -- warnings: data-dependent correctness hazards -----------------------
     ("W-TYPE-MISMATCH", WARNING,
      "ordered comparison across type families raises on non-NULL data"),

@@ -79,7 +79,7 @@ def lint_vectorization(core: ast.SelectCore, env) -> None:
                    and not (found := bound.ref(ref)).level}
         reason = fallback_reason(
             conjunct, columns, declined=isinstance(node, ast.Exists)
-            and id(node.query.core) not in env.semi_joins)
+            and id(node.query.core) not in env.semi_joins, bound=bound)
         if reason is not None:
             env.report.add(
                 "W-VEC-FALLBACK",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ..relational import ast
 from ..relational.aggregates import contains_aggregate
-from ..relational.bind import bind, is_ordinal, names_of
+from ..relational.bind import bind, names_of
 from ..relational.errors import RelationalError, TypeMismatchError
 from ..relational.parser import SqlParser, parse_script, parse_sql
 from ..relational.render import render_expr, render_statement
@@ -93,8 +93,8 @@ class _Env:
         return view
 
     def bind(self, query: ast.SelectQuery) -> None:
-        """Bind *query*'s names (with nothing to resolve a FROM name in,
-        each is an open scope) and report what the bind refused."""
+        """Bind *query* (with nothing to resolve a FROM name in, each is
+        an open scope) and report every error of the bind."""
         self.bound = bind(query, self if self.catalog is not None
                           or self.mediator is not None else None)
         for code, message, node in self.bound.errors:
@@ -105,11 +105,6 @@ class _Env:
 
     def analyze_subquery(self, query: ast.SelectQuery) -> None:
         _analyze_query(query, self, top_level=False)
-
-
-def _is_aggregate_core(core: ast.SelectCore) -> bool:
-    return bool(core.group_by) or core.having is not None \
-        or any(contains_aggregate(item.expr) for item in core.items)
 
 
 def _on_conditions(table_expr: ast.TableExpr | None):
@@ -133,34 +128,26 @@ def _analyze_core(core: ast.SelectCore, env: _Env,
 
     if core.where is not None:
         for conjunct in ast.conjuncts(core.where):
-            found = semi_join(conjunct, env.bound.level)
+            found = semi_join(conjunct, env.bound)
             if found is not None and isinstance(found.node, ast.Exists):
                 env.semi_joins[id(found.node.query.core)] = found
-        check_predicate(core.where, env, aggregates_ok=False,
-                        clause="WHERE")
+        check_predicate(core.where, env, clause="WHERE")
     for condition in _on_conditions(core.from_clause):
-        check_predicate(condition, env, aggregates_ok=False, clause="ON")
-
-    has_aggregate = _is_aggregate_core(core) \
-        or any(contains_aggregate(item.expr) for item in order_by)
+        check_predicate(condition, env, clause="ON")
 
     for item in core.items:
         if not item.is_star:
-            check_expr(item.expr, env, aggregates_ok=True)
-        elif has_aggregate:
-            env.report.add(
-                "E-STAR-GROUPED",
-                "'*' cannot be used with GROUP BY or aggregates")
+            check_expr(item.expr, env)
 
-    targets = env.bound.targets
+    bound = env.bound
+    targets = bound.targets
     group_exprs = [targets[id(term)] for term in core.group_by
                    if id(term) in targets]
     for expr in group_exprs:
-        check_expr(expr, env, aggregates_ok=False)
+        check_expr(expr, env)
 
     if core.having is not None:
-        check_predicate(core.having, env, aggregates_ok=True,
-                        clause="HAVING")
+        check_predicate(core.having, env, clause="HAVING")
         if not core.group_by and not contains_aggregate(core.having) \
                 and not any(contains_aggregate(item.expr)
                             for item in core.items):
@@ -172,12 +159,12 @@ def _analyze_core(core: ast.SelectCore, env: _Env,
 
     for item in order_by:
         if id(item.expr) in targets:
-            check_expr(targets[id(item.expr)], env, aggregates_ok=True)
+            check_expr(targets[id(item.expr)], env)
 
     if core.distinct and group_exprs:
-        item_keys = {ast.node_key(item.expr) for item in core.items
+        item_keys = {bound.key(item.expr) for item in core.items
                      if not item.is_star}
-        if all(ast.node_key(expr) in item_keys for expr in group_exprs):
+        if all(bound.key(expr) in item_keys for expr in group_exprs):
             env.report.add(
                 "W-DISTINCT-GROUPED",
                 "DISTINCT is redundant: every group key is projected, "
@@ -201,24 +188,15 @@ def _analyze_query(query: ast.SelectQuery, env: _Env, top_level: bool):
                       and not query.is_compound else [], top_level)
 
     if query.is_compound:
-        widths = [None if scope.open else len(scope.columns)
-                  for scope in map(env.bound.scope, cores)]
-        if all(width is not None for width in widths) \
-                and len(set(widths)) > 1:
-            env.report.add(
-                "E-SET-OP-ARITY",
-                "set operation operands must have the same column "
-                f"count (got {', '.join(str(w) for w in widths)})")
         # Compound ORDER BY binds over the combined result (no aliases;
         # an ordinal is a position), as build_query reads it.
         for item in query.order_by:
-            if not is_ordinal(item.expr):
-                check_expr(item.expr, env, aggregates_ok=False)
+            check_expr(item.expr, env)
 
     for clause, expr in (("LIMIT", query.limit), ("OFFSET", query.offset)):
         if expr is None:
             continue
-        check_expr(expr, env, aggregates_ok=False)
+        check_expr(expr, env)
         if isinstance(expr, ast.Literal) and expr.value is not None:
             value = expr.value
             if isinstance(value, bool) or not isinstance(value, int) \
@@ -230,7 +208,7 @@ def _analyze_query(query: ast.SelectQuery, env: _Env, top_level: bool):
 
     if top_level:
         if query.limit is None \
-                and not all(_is_aggregate_core(core) for core in cores):
+                and not all(map(env.bound.grouped, cores)):
             env.report.add(
                 "W-NO-LIMIT-STREAM",
                 "unbounded SELECT; streaming clients should page with "
@@ -279,7 +257,7 @@ def _analyze_insert(stmt: ast.InsertStmt, env: _Env) -> None:
                     f"INSERT expects {width} values per row, got "
                     f"{len(row_exprs)}")
             for expr in row_exprs:
-                check_expr(expr, env, aggregates_ok=False)
+                check_expr(expr, env)
     if stmt.query is not None:
         produced = _analyze_query(stmt.query, env, top_level=False)
         if width is not None and not produced.open \
@@ -297,15 +275,15 @@ def _analyze_update(stmt: ast.UpdateStmt, env: _Env) -> None:
             env.report.add(
                 "E-UNKNOWN-COLUMN",
                 f"table {stmt.table!r} has no column {column!r}")
-        check_expr(expr, env, aggregates_ok=False)
+        check_expr(expr, env)
     if stmt.where is not None:
-        check_predicate(stmt.where, env, aggregates_ok=False)
+        check_predicate(stmt.where, env)
 
 
 def _analyze_delete(stmt: ast.DeleteStmt, env: _Env) -> None:
     _catalog_table(stmt.table, env)
     if stmt.where is not None:
-        check_predicate(stmt.where, env, aggregates_ok=False)
+        check_predicate(stmt.where, env)
 
 
 def _analyze_create_table(stmt: ast.CreateTableStmt, env: _Env) -> None:
@@ -324,7 +302,7 @@ def _analyze_create_table(stmt: ast.CreateTableStmt, env: _Env) -> None:
                 f"unknown SQL type {definition.type_name!r} for column "
                 f"{definition.name!r}")
         if definition.default is not None:
-            check_expr(definition.default, env, aggregates_ok=False)
+            check_expr(definition.default, env)
 
 
 def _analyze_create_index(stmt: ast.CreateIndexStmt, env: _Env) -> None:

@@ -1,25 +1,21 @@
-"""Expression checking: function arity, CAST targets, 3VL type families.
+"""Expression checking: 3VL type families only.
 
 One recursive pass per expression root, over the names the statement's
-bind (:mod:`repro.relational.bind`) resolved and typed: it validates
-every function call and CAST target as the executor's compiler does,
-and does one job the executor only does per row at run time —
-family-aware checks under the three-valued comparison rules of
+bind (:mod:`repro.relational.bind`) resolved and typed.  Whether a
+statement is valid at all — its calls, CASTs, grouping — the bind
+decided, and the analyzer reports its errors; this pass does the one
+job the executor only does per row at run time: family-aware checks
+under the three-valued comparison rules of
 :mod:`repro.relational.types` (``compare_values`` raises across type
 families, ``values_equal`` is plain ``False``, booleans are their own
-family).  Sure compile-time failures surface as ``E-`` codes;
-data-dependent hazards (the query still succeeds over all-NULL or empty
-data) surface as ``W-`` codes.
+family).  They are data-dependent hazards (the query still succeeds
+over all-NULL or empty data), so they surface as ``W-`` codes.
 """
 
 from __future__ import annotations
 
 from ..relational import ast
-from ..relational.aggregates import AGGREGATE_NAMES
-from ..relational.errors import ExecutionError, TypeMismatchError
-from ..relational.functions import SCALAR_FUNCTIONS, lookup_function
 from ..relational.render import render_expr
-from ..relational.types import parse_type_name
 
 _COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 _ORDERED = frozenset({"<", "<=", ">", ">="})
@@ -28,46 +24,6 @@ _ARITHMETIC = frozenset({"+", "-", "*", "/", "%"})
 
 def _known(family: str | None) -> bool:
     return family in ("num", "str", "bool")
-
-
-def _check_function(node: ast.FunctionCall, report,
-                    aggregates_ok: bool) -> None:
-    upper = node.name.upper()
-    rendered = render_expr(node)
-    if node.star:
-        if upper != "COUNT":
-            code = ("E-FUNCTION-ARITY" if upper in AGGREGATE_NAMES
-                    or upper in SCALAR_FUNCTIONS else "E-UNKNOWN-FUNCTION")
-            report.add(code, f"{upper}(*) is not a valid call",
-                       expression=rendered)
-        elif not aggregates_ok:
-            report.add("E-AGGREGATE-CONTEXT",
-                       "aggregate COUNT(*) is not allowed here",
-                       expression=rendered)
-        return
-    if upper in AGGREGATE_NAMES:
-        if not aggregates_ok:
-            report.add("E-AGGREGATE-CONTEXT",
-                       f"aggregate {upper} is not allowed here",
-                       expression=rendered)
-        if upper == "GROUP_CONCAT":
-            if len(node.args) not in (1, 2):
-                report.add("E-FUNCTION-ARITY",
-                           "GROUP_CONCAT takes 1 or 2 arguments",
-                           expression=rendered)
-        elif len(node.args) != 1:
-            report.add("E-FUNCTION-ARITY",
-                       f"{upper} takes exactly 1 argument",
-                       expression=rendered)
-        return
-    if upper not in SCALAR_FUNCTIONS:
-        report.add("E-UNKNOWN-FUNCTION",
-                   f"unknown function {node.name!r}", expression=rendered)
-        return
-    try:
-        lookup_function(node.name, len(node.args))
-    except ExecutionError as exc:
-        report.add("E-FUNCTION-ARITY", str(exc), expression=rendered)
 
 
 def _check_comparison(node: ast.BinaryOp, family, report) -> None:
@@ -97,41 +53,20 @@ def _check_comparison(node: ast.BinaryOp, family, report) -> None:
                 expression=rendered)
 
 
-def check_expr(expr: ast.Expr, env, *, aggregates_ok: bool) -> None:
+def check_expr(expr: ast.Expr, env) -> None:
     """Type-check one expression tree, its names as ``env.bound`` bound
     them (which reported the ones it could not).  Subqueries hand off
     to ``env.analyze_subquery``."""
     report = env.report
     family = env.bound.family
-    if isinstance(expr, (ast.ColumnRef, ast.Literal, ast.Star,
-                         ast.SlotRef)):
-        return
-    if isinstance(expr, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
-        if isinstance(expr, ast.InSubquery):
-            check_expr(expr.operand, env, aggregates_ok=aggregates_ok)
-        if expr.query is not None:
-            env.analyze_subquery(expr.query)
-        return
-    if isinstance(expr, ast.FunctionCall):
-        _check_function(expr, report, aggregates_ok)
-        for arg in expr.args:
-            check_expr(arg, env, aggregates_ok=aggregates_ok)
-        return
-    if isinstance(expr, ast.Cast):
-        try:
-            parse_type_name(expr.type_name)
-        except TypeMismatchError:
-            report.add("E-BAD-CAST",
-                       f"unknown SQL type {expr.type_name!r}",
-                       expression=render_expr(expr))
-        check_expr(expr.operand, env, aggregates_ok=aggregates_ok)
-        return
-
     # Generic descent first, then node-specific family checks.
     for child in ast.child_exprs(expr):
-        check_expr(child, env, aggregates_ok=aggregates_ok)
+        check_expr(child, env)
 
-    if isinstance(expr, ast.BinaryOp):
+    if isinstance(expr, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
+        if expr.query is not None:
+            env.analyze_subquery(expr.query)
+    elif isinstance(expr, ast.BinaryOp):
         if expr.op in _COMPARISONS:
             _check_comparison(expr, family, env.report)
         elif expr.op in _ARITHMETIC:
@@ -188,9 +123,7 @@ def check_expr(expr: ast.Expr, env, *, aggregates_ok: bool) -> None:
                         expression=render_expr(item))
 
 
-def check_predicate(expr: ast.Expr, env, *,
-                    aggregates_ok: bool = False,
-                    clause: str = "WHERE") -> None:
+def check_predicate(expr: ast.Expr, env, *, clause: str = "WHERE") -> None:
     """Checks for boolean contexts: WHERE, HAVING, JOIN ... ON."""
     report = env.report
     for conjunct in ast.conjuncts(expr):
@@ -205,4 +138,4 @@ def check_predicate(expr: ast.Expr, env, *,
                        f"{clause} conjunct is {family}-valued, not "
                        "boolean",
                        expression=render_expr(conjunct))
-    check_expr(expr, env, aggregates_ok=aggregates_ok)
+    check_expr(expr, env)

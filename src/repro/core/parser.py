@@ -150,8 +150,9 @@ class LiftedStatement:
 def lift_literals(text: str) -> LiftedStatement | None:
     """*text* with the SQL literals of its SQL part lifted into slots,
     or ``None`` when there is nothing to lift: no literal, a ``?``
-    already, or a text the SQP would reject (which it then does, as it
-    would have).
+    already, a literal in a GROUP BY term (its value decides what the
+    select list may read), or a text the SQP would reject (which it
+    then does, as it would have).
 
     One pass over :data:`sesql_spans` finds the split point, the cleaned
     SQL and the shape.  Literals that stay in the shape: ``NULL``,
@@ -170,7 +171,7 @@ def lift_literals(text: str) -> LiftedStatement | None:
     split = len(text)
     depth = 0
     keep_from: int | None = None    # depth of an open LIMIT / OFFSET
-    lists: set[int] = set()         # depths of open ORDER / GROUP BY
+    lists: dict[int, str] = {}      # open ORDER / GROUP BY, by depth
     previous = None                 # the word or operator just read
     previous_end = -1
     tag_end = -1                    # offset just past the last tag
@@ -188,9 +189,9 @@ def lift_literals(text: str) -> LiftedStatement | None:
                         keep_from is None or depth < keep_from):
                     keep_from = depth
                 if word == "BY":
-                    lists.add(depth)
+                    lists[depth] = previous
                 elif word in _LIST_ENDS:
-                    lists.discard(depth)
+                    lists.pop(depth, None)
             elif kind == "PARAM":
                 return None
             elif kind == "MARK" and value == "${":
@@ -207,7 +208,7 @@ def lift_literals(text: str) -> LiftedStatement | None:
                 if value == "(":
                     depth += 1
                 elif value == ")":
-                    lists.discard(depth)
+                    lists.pop(depth, None)
                     depth -= 1
                     if keep_from is not None and depth < keep_from:
                         keep_from = None
@@ -218,6 +219,8 @@ def lift_literals(text: str) -> LiftedStatement | None:
                     and not (type(value) is int and (
                         previous == "BY"
                         or previous == "," and depth in lists)):
+                if "GROUP" in lists.values():
+                    return None
                 shape.append(type(value))
                 values.append(value)
                 lifted.append((start, end))

@@ -97,6 +97,7 @@ def plan_select(query: ast.SelectQuery, catalog,
     if options.enabled:
         planned.query = ast.clone_query(query)
         bound = bind(planned.query, catalog)
+        bound.check()  # nothing is planned for a refused statement
         _plan_query(planned.query, catalog, stats, planned, bound)
     planned.root = build_select(planned.query, catalog, exec_hooks, stats,
                                 bound)
@@ -185,7 +186,8 @@ def _plan_from(core: ast.SelectCore, query: ast.SelectQuery, catalog,
     for leaf, binding in zip(leaves, bindings):
         if isinstance(leaf, ast.SubqueryRef):
             if needed[binding] is not None \
-                    and prune_derived_projection(leaf, needed[binding]):
+                    and prune_derived_projection(leaf, needed[binding],
+                                                 bound):
                 needed[binding] = None  # it outputs only what is read
             _plan_query(leaf.query, catalog, stats, planned, bound)
 
@@ -273,7 +275,7 @@ def _estimate_where(core: ast.SelectCore, rows: float, resolve,
     (The builder declines an ``IN`` whose subquery reads the row being
     filtered; its hint is then not read.)"""
     parts = ast.conjuncts(core.where)
-    joins = [semi_join(part, bound.level) for part in parts]
+    joins = [semi_join(part, bound) for part in parts]
     rows *= max(predicate_selectivity(ast.conjoin(
         [part for part, join in zip(parts, joins) if join is None])
         or ast.Literal(True), resolve), 0.0005)

@@ -23,6 +23,7 @@ from dataclasses import replace
 from typing import Callable, Optional
 
 from ..relational import ast
+from ..relational.aggregates import is_aggregate
 from ..relational.ast import binding_of, from_leaves
 from ..relational.bind import Binding, bind
 from ..relational.compiler import CompileContext, compile_expr
@@ -53,16 +54,8 @@ _fold_ctx = CompileContext(subplan_factory=None)  # type: ignore[arg-type]
 
 def _is_literal_only(expr: ast.Expr, bound: bool = False) -> bool:
     foldable = _FOLDABLE + (ast.Param,) if bound else _FOLDABLE
-    if not isinstance(expr, foldable):
-        return False
-    from ..relational.aggregates import AGGREGATE_NAMES
-    for node in ast.walk_expr(expr):
-        if not isinstance(node, foldable):
-            return False
-        if isinstance(node, ast.FunctionCall) \
-                and node.name.upper() in AGGREGATE_NAMES:
-            return False
-    return True
+    return all(isinstance(node, foldable) and not is_aggregate(node)
+               for node in ast.walk_expr(expr))
 
 
 def constant_once_bound(expr: ast.Expr) -> bool:
@@ -154,13 +147,6 @@ def _contains_subquery(expr: ast.Expr) -> bool:
                for node in ast.walk_expr(expr))
 
 
-def _has_aggregate(exprs: list[ast.Expr]) -> bool:
-    from ..relational.aggregates import AGGREGATE_NAMES
-    return any(isinstance(node, ast.FunctionCall)
-               and node.name.upper() in AGGREGATE_NAMES
-               for expr in exprs for node in ast.walk_expr(expr))
-
-
 def referenced_bindings(expr: ast.Expr,
                         bound: Binding) -> frozenset[str] | None:
     """FROM bindings a conjunct touches, as *bound* binds its names;
@@ -239,9 +225,9 @@ def compose_filter(query: ast.SelectQuery, binding: str,
     core = query.core
     items = [item.expr for item in core.items]
     bound = bind(query, catalog)
-    if not (query.is_compound or core.group_by or core.having is not None
+    if not (query.is_compound or bound.grouped(core)
             or query.limit is not None or query.offset is not None
-            or _has_aggregate(items) or any(map(_contains_subquery, items))):
+            or any(map(_contains_subquery, items))):
         merged = replace(core)
         if (not any(item.is_star for item in core.items)
                 or expand_star_items(merged, bound)) \
@@ -297,8 +283,8 @@ def prune_wrapper_projection(wrapper: ast.SubqueryRef,
     return True
 
 
-def prune_derived_projection(derived: ast.SubqueryRef,
-                             needed: set[str]) -> bool:
+def prune_derived_projection(derived: ast.SubqueryRef, needed: set[str],
+                             bound: Binding) -> bool:
     """Drop select items of a user-written derived table that the outer
     query never reads.  Only applies to shapes where dropping an item
     cannot change row counts or positional resolution."""
@@ -306,12 +292,10 @@ def prune_derived_projection(derived: ast.SubqueryRef,
     core = query.core
     if query.is_compound or core.distinct or query.order_by:
         return False
-    if core.group_by or core.having is not None:
-        return False  # ordinals / alias targets could shift
+    if bound.grouped(core):
+        return False  # an ordinal could shift, the grouping end
     if any(item.is_star for item in core.items):
         return False
-    if _has_aggregate([item.expr for item in core.items]):
-        return False  # dropping could toggle aggregation
     kept = [item for item in core.items
             if fold(item.output_name()) in needed]
     if not kept or len(kept) == len(core.items):

@@ -189,9 +189,12 @@ AGGREGATE_NAMES = frozenset(
     {"COUNT", "SUM", "AVG", "MIN", "MAX", "GROUP_CONCAT"})
 
 
+def is_aggregate(expr: ast.Expr) -> bool:
+    """Whether *expr* is an aggregate call."""
+    return isinstance(expr, ast.FunctionCall) \
+        and expr.name.upper() in AGGREGATE_NAMES
+
+
 def contains_aggregate(expr: ast.Expr | None) -> bool:
     """Whether *expr* calls an aggregate (outside any subquery)."""
-    return expr is not None and any(
-        isinstance(node, ast.FunctionCall)
-        and node.name.upper() in AGGREGATE_NAMES
-        for node in ast.walk_expr(expr))
+    return expr is not None and any(map(is_aggregate, ast.walk_expr(expr)))

@@ -6,13 +6,14 @@ programmatically when it synthesises the final enriched query (Fig. 6 of
 the paper), so every node can also be rendered back to SQL text by
 :mod:`repro.relational.render`.
 
-``node_key`` provides structural equality, which the aggregate planner
-uses to match GROUP BY expressions against SELECT expressions.
+``node_key`` provides structural equality by spelling; what two
+expressions *mean* is compared by :meth:`repro.relational.bind.Binding.key`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Optional, Union
 
 from .schema import fold
@@ -355,14 +356,18 @@ Statement = Union[SelectQuery, InsertStmt, UpdateStmt, DeleteStmt,
 # Structural keys and tree walking
 # ---------------------------------------------------------------------------
 
-def node_key(node: Any) -> Any:
-    """A hashable structural key; column names compare case-insensitively."""
+def node_key(node: Any, column: Any = None) -> Any:
+    """A hashable structural key; column names compare case-insensitively,
+    or, given *column*, each ``ColumnRef`` is keyed by ``column(node)``
+    (what the bind keys meaning by)."""
+    key = partial(node_key, column=column)
     if node is None:
         return None
     if isinstance(node, Literal):
         return ("lit", repr(node.value))
     if isinstance(node, ColumnRef):
-        return ("col", fold(node.qualifier or ""), fold(node.name))
+        return column(node) if column is not None \
+            else ("col", fold(node.qualifier or ""), fold(node.name))
     if isinstance(node, Star):
         return ("star", fold(node.qualifier or ""))
     if isinstance(node, SlotRef):
@@ -370,31 +375,30 @@ def node_key(node: Any) -> Any:
     if isinstance(node, Param):
         return ("param", node.index)
     if isinstance(node, UnaryOp):
-        return ("un", node.op, node_key(node.operand))
+        return ("un", node.op, key(node.operand))
     if isinstance(node, BinaryOp):
-        return ("bin", node.op, node_key(node.left), node_key(node.right))
+        return ("bin", node.op, key(node.left), key(node.right))
     if isinstance(node, IsNull):
-        return ("isnull", node.negated, node_key(node.operand))
+        return ("isnull", node.negated, key(node.operand))
     if isinstance(node, Like):
-        return ("like", node.negated, node_key(node.operand),
-                node_key(node.pattern))
+        return ("like", node.negated, key(node.operand), key(node.pattern))
     if isinstance(node, InList):
-        return ("inlist", node.negated, node_key(node.operand),
-                tuple(node_key(item) for item in node.items))
+        return ("inlist", node.negated, key(node.operand),
+                tuple(map(key, node.items)))
     if isinstance(node, Between):
-        return ("between", node.negated, node_key(node.operand),
-                node_key(node.low), node_key(node.high))
+        return ("between", node.negated, key(node.operand),
+                key(node.low), key(node.high))
     if isinstance(node, FunctionCall):
         return ("fn", fold(node.name), node.distinct, node.star,
-                tuple(node_key(arg) for arg in node.args))
+                tuple(map(key, node.args)))
     if isinstance(node, CaseExpr):
-        return ("case", node_key(node.operand),
-                tuple((node_key(c), node_key(r)) for c, r in node.whens),
-                node_key(node.else_result))
+        return ("case", key(node.operand),
+                tuple((key(c), key(r)) for c, r in node.whens),
+                key(node.else_result))
     if isinstance(node, Cast):
-        return ("cast", node.type_name.upper(), node_key(node.operand))
+        return ("cast", node.type_name.upper(), key(node.operand))
     if isinstance(node, (InSubquery, Exists, ScalarSubquery)):
-        # Subqueries compare by identity: good enough for GROUP BY matching.
+        # A subquery equals only itself.
         return ("subq", id(node))
     raise TypeError(f"no structural key for {type(node).__name__}")
 

@@ -1,13 +1,23 @@
-"""One name-binding pass over a SELECT: what every name in it means.
+"""One binding pass over a SELECT: what every name in it means, and
+whether the statement is valid.
 
-:func:`bind` walks a statement once — its FROM leaves, derived tables,
-compounds and expression subqueries — and resolves each column
-reference (:func:`resolve_column`, the one resolver).  The query
-analyzer, the planner, the mediator's pushdown and the executor read the
-:class:`Binding`; the executor raises its first error
-(:meth:`Binding.check`) and compiles each reference from its
-:class:`Ref`, and a planner rewrite that writes a reference records its
-``Ref`` as it makes it (:meth:`Binding.column`).
+:func:`bind` walks a statement once, as written, resolving each column
+reference (:func:`resolve_column`, the one resolver) and deciding every
+rule it is built by: each call is an aggregate or a scalar of the right
+arity (as the executor's ``make_aggregate`` / ``lookup_function`` say),
+an aggregate stands only in a select list, HAVING or ORDER BY, a CAST
+target is a type, a grouped core (:meth:`Binding.grouped`) has no ``*``
+and reads its FROM clause outside aggregate calls only through
+expressions that mean a GROUP BY target (:meth:`Binding.key`), and a
+compound's operands are equally wide.  The analyzer, the planner, the
+mediator's pushdown and the executor read the :class:`Binding`: the
+analyzer reports every error, the executor raises the first before
+anything is planned or built (:meth:`Binding.check`) and compiles each
+reference from its :class:`Ref`, and a planner rewrite that writes a
+reference records its ``Ref`` (:meth:`Binding.column`).  What a call or
+a CAST runs the compiler looks up as it compiles: rewrites rebuild the
+nodes a record would be kept by, and constant folding and the
+mediator's guards compile trees no bind has seen.
 
 Scopes are the executor's: an ON condition sees its own join's leaves,
 WHERE the whole FROM clause, a GROUP BY / ORDER BY term is first matched
@@ -32,9 +42,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import ast
-from .aggregates import AGGREGATE_NAMES, contains_aggregate
+from .aggregates import (AGGREGATE_NAMES, contains_aggregate, is_aggregate,
+                         make_aggregate)
 from .errors import (AmbiguousColumnError, CatalogError, ExecutionError,
                      SchemaError, TypeMismatchError, UnknownColumnError)
+from .functions import SCALAR_FUNCTIONS, lookup_function
 from .schema import ResultColumn, RowSchema, TableSchema, fold
 from .types import FAMILY, DataType, literal_family, parse_type_name
 
@@ -88,12 +100,14 @@ _PASSTHROUGH_FUNCTIONS = frozenset({
     "MIN", "MAX", "COALESCE", "IFNULL", "NULLIF"})
 
 
-#: The exception the executor raises for each naming error.
+#: The exception the executor raises for each error.
 _RAISES = {"E-UNKNOWN-COLUMN": UnknownColumnError,
            "E-AMBIGUOUS-COLUMN": AmbiguousColumnError,
-           "E-UNKNOWN-TABLE": CatalogError,
-           "E-DUPLICATE-ALIAS": SchemaError,
-           "E-ORDINAL-RANGE": ExecutionError}
+           "E-UNKNOWN-TABLE": CatalogError, "E-DUPLICATE-ALIAS": SchemaError,
+           "E-BAD-CAST": TypeMismatchError, **dict.fromkeys([
+               "E-ORDINAL-RANGE", "E-UNKNOWN-FUNCTION", "E-FUNCTION-ARITY",
+               "E-AGGREGATE-CONTEXT", "E-STAR-GROUPED", "E-SET-OP-ARITY",
+               "E-UNGROUPED-COLUMN"], ExecutionError)}
 
 
 def is_ordinal(expr: ast.Expr) -> bool:
@@ -148,12 +162,17 @@ def bind(query: ast.SelectQuery, catalog) -> "Binding":
     return binding
 
 
+class _PerRow(ast.SelectCore):
+    """A DML or DDL statement's expressions as a select list
+    (:func:`names_of`): evaluated per row, so they admit no aggregate."""
+
+
 def names_of(stmt) -> ast.SelectQuery | None:
     """What of *stmt* names columns, as one SELECT to bind: an UPDATE's
     or DELETE's expressions over its table, VALUES rows and column
     defaults over no table (any column in them is unknown)."""
     def select(exprs, table=None, where=None) -> ast.SelectQuery:
-        return ast.SelectQuery(core=ast.SelectCore(
+        return ast.SelectQuery(core=_PerRow(
             items=[ast.SelectItem(expr) for expr in exprs],
             from_clause=None if table is None else ast.TableRef(table),
             where=where))
@@ -192,8 +211,10 @@ class Binding:
         #: Per query (by id), the scopes around it that a reference in
         #: it reads, counted outwards (0: the innermost enclosing one).
         self.reach: dict[int, set[int]] = {}
-        #: Each naming error once: ``(code, message, node)``.
+        #: Each error once, in walk order: ``(code, message, node)``.
         self.errors: list[tuple[str, str, ast.Node]] = []
+        #: The grouped SELECT cores (by id).
+        self._grouped: set[int] = set()
         self._leaf_of: dict[int, ast.TableExpr] = {}
         #: :attr:`refs` by (id, the scope count a place reads it under).
         self._places: dict[tuple[int, int], Ref | None] = {}
@@ -227,12 +248,26 @@ class Binding:
         return found.binding if found is not None and found.level == 0 \
             else None
 
+    def grouped(self, core: ast.SelectCore) -> bool:
+        """Does *core* aggregate (GROUP BY, HAVING or an aggregate call in
+        its select list or ORDER BY)?  One never bound (a wrapper) not."""
+        return id(core) in self._grouped
+
+    def key(self, expr: ast.Expr):
+        """What *expr* means, hashable: :func:`ast.node_key`, each
+        reference keyed by its ``Ref`` (with none, it equals itself)."""
+        def column(node: ast.ColumnRef):
+            found = self.refs.get(id(node))
+            return ("ref", id(node)) if found is None \
+                else ("ref", *found[:3], id(found.leaf))
+        return ast.node_key(expr, column)
+
     def check(self) -> None:
-        """Raise the first naming error, as the executor reports it."""
+        """Raise the first error, as the executor reports it."""
         if self.errors:
             code, message, node = self.errors[0]
-            raise (UnknownColumnError if isinstance(node, ast.Star)
-                   else _RAISES[code])(message)
+            raise (UnknownColumnError if code == "E-UNKNOWN-TABLE"
+                   and isinstance(node, ast.Star) else _RAISES[code])(message)
 
     def column(self, leaf: ast.TableExpr,
                column: ResultColumn) -> ast.ColumnRef:
@@ -297,8 +332,12 @@ class Binding:
         simple = not query.is_compound
         result = self._core(query.core, outer,
                             query.order_by if simple else [])
-        for _op, core in query.compounds:
-            self._core(core, outer, [])
+        operands = [result] + [self._core(core, outer, [])
+                               for _op, core in query.compounds]
+        if not any(scope.open for scope in operands) \
+                and len({len(scope.columns) for scope in operands}) > 1:
+            self._error("E-SET-OP-ARITY", "set operation operands must "
+                        "have the same column count", query)
         if not simple:
             # An ordinal names a result column by position.
             self._terms([item.expr for item in query.order_by],
@@ -319,14 +358,18 @@ class Binding:
         scopes = outer + [from_scope]
         if core.where is not None:
             self._expr(core.where, scopes)
-        aggregate = bool(core.group_by) or core.having is not None \
+        per_row = isinstance(core, _PerRow)
+        grouped = not per_row and (
+            bool(core.group_by) or core.having is not None
             or any(contains_aggregate(item.expr)
-                   for item in list(core.items) + list(order_by))
+                   for item in list(core.items) + list(order_by)))
+        if grouped:
+            self._grouped.add(id(core))
         # A grouped core's subqueries outside an aggregate call read its
         # grouped rows: they are bound once the group keys are.
-        later: list[ast.SelectQuery] | None = [] if aggregate else None
+        later: list[ast.SelectQuery] | None = [] if grouped else None
         if core.having is not None:
-            self._expr(core.having, scopes, later)
+            self._expr(core.having, scopes, later, True)
         out = Scope()
         for item in core.items:
             expr = item.expr
@@ -336,8 +379,11 @@ class Binding:
                         else star_positions(expr, from_scope)
                 except UnknownColumnError as exc:
                     self._error("E-UNKNOWN-TABLE", str(exc), expr)
-                    continue
-                if not aggregate:
+                    positions = []
+                if grouped:
+                    self._error("E-STAR-GROUPED",
+                                "'*' cannot be used with GROUP BY", expr)
+                else:
                     out.open = out.open or from_scope.open
                     out.columns.extend(
                         ResultColumn(column.name, column.qualifier,
@@ -345,17 +391,19 @@ class Binding:
                         for column in map(from_scope.columns.__getitem__,
                                           positions))
                 continue
-            self._expr(expr, scopes, later)
+            self._expr(expr, scopes, later, not per_row)
             qualifier = expr.qualifier if isinstance(expr, ast.ColumnRef) \
-                and not item.alias and not aggregate else None
+                and not item.alias and not grouped else None
             out.columns.append(ResultColumn(
                 item.output_name(), qualifier,
                 _TYPE_OF.get(self.family(expr))))
         self._terms(core.group_by, core.items, scopes)
         # A DISTINCT core sorts what it outputs.
         self._terms([item.expr for item in order_by], core.items,
-                    outer + [out] if core.distinct and not aggregate
-                    else scopes, later=later)
+                    outer + [out] if core.distinct and not grouped
+                    else scopes, later=later, aggregates=True)
+        if grouped:
+            self._check_grouping(core, order_by)
         if later:
             # Of the FROM clause, the grouped rows hold the plain keys.
             keys = [self.refs.get(id(self.targets.get(id(term))))
@@ -370,9 +418,11 @@ class Binding:
 
     def _terms(self, terms: list[ast.Expr], items: list[ast.SelectItem],
                scopes: list[Scope], open_items: bool = False,
-               later: list[ast.SelectQuery] | None = None) -> None:
+               later: list[ast.SelectQuery] | None = None,
+               aggregates: bool = False) -> None:
         """Bind GROUP BY / ORDER BY *terms* over the select list *items*
-        (of unknown length when *open_items*) and *scopes*."""
+        (of unknown length when *open_items*) and *scopes*; *aggregates*
+        says whether an aggregate may stand in them."""
         for term in terms:
             if open_items and is_ordinal(term):
                 continue
@@ -382,8 +432,41 @@ class Binding:
                 self._error("E-ORDINAL-RANGE", str(exc), term)
                 continue
             self.targets[id(term)] = target
-            if target is term:  # else a select item's, bound already
-                self._expr(term, scopes, later)
+            if target is term:
+                self._expr(term, scopes, later, aggregates)
+            elif not aggregates:  # a select item's, bound where one may
+                for call in filter(is_aggregate, ast.walk_expr(target)):
+                    self._aggregate_here(call)
+
+    def _check_grouping(self, core: ast.SelectCore,
+                        order_by: list[ast.OrderItem]) -> None:
+        """A grouped *core*'s select list, HAVING and ORDER BY read its
+        FROM clause only in aggregate calls and group keys — unless a
+        ``?`` in GROUP BY leaves that to its values (built once bound)."""
+        if any(isinstance(node, ast.Param) for term in core.group_by
+               for node in ast.walk_expr(term)):
+            return
+        keys = {self.key(self.targets[id(term)]) for term in core.group_by
+                if id(term) in self.targets}
+
+        def reads(expr: ast.Expr) -> None:
+            if self.key(expr) in keys or is_aggregate(expr):
+                return
+            if isinstance(expr, ast.ColumnRef) and self.level(expr) == 0:
+                self._error("E-UNGROUPED-COLUMN",
+                            f"column {expr.display()!r} must appear in "
+                            "GROUP BY or be used in an aggregate", expr)
+            for child in ast.child_exprs(expr):
+                reads(child)
+
+        for item in core.items:
+            if not item.is_star:
+                reads(item.expr)
+        if core.having is not None:
+            reads(core.having)
+        for item in order_by:  # an item's target is checked as an item
+            if self.targets.get(id(item.expr)) is item.expr:
+                reads(item.expr)
 
     def _from(self, table_expr: ast.TableExpr, outer: list[Scope],
               seen: set[str]) -> Scope:
@@ -427,9 +510,11 @@ class Binding:
         return scope
 
     def _expr(self, expr: ast.Expr, scopes: list[Scope],
-              later: list[ast.SelectQuery] | None = None) -> None:
+              later: list[ast.SelectQuery] | None = None,
+              aggregates: bool = False) -> None:
         """Bind *expr* over *scopes* — but put a subquery outside an
-        aggregate call on *later*, when given."""
+        aggregate call on *later*, when given; *aggregates* says whether
+        an aggregate call may stand here."""
         if isinstance(expr, ast.ColumnRef):
             self._ref(expr, scopes)
         elif isinstance(expr, (ast.InSubquery, ast.Exists,
@@ -439,11 +524,33 @@ class Binding:
                 self._query(expr.query, scopes)
             else:
                 later.append(expr.query)
-        elif isinstance(expr, ast.FunctionCall) \
-                and expr.name.upper() in AGGREGATE_NAMES:
-            later = None
+        elif isinstance(expr, ast.FunctionCall):
+            # Looked up as the executor will look it up.
+            upper = expr.name.upper()
+            try:
+                if upper not in AGGREGATE_NAMES:
+                    lookup_function(expr.name, len(expr.args))
+                else:
+                    if not aggregates:
+                        self._aggregate_here(expr)
+                    later, aggregates = None, False
+                    make_aggregate(expr.name, expr.star, len(expr.args))
+            except ExecutionError as exc:
+                self._error("E-FUNCTION-ARITY" if upper in SCALAR_FUNCTIONS
+                            or upper in AGGREGATE_NAMES
+                            else "E-UNKNOWN-FUNCTION", str(exc), expr)
+        elif isinstance(expr, ast.Cast):
+            try:
+                parse_type_name(expr.type_name)
+            except TypeMismatchError as exc:
+                self._error("E-BAD-CAST", str(exc), expr)
         for child in ast.child_exprs(expr):
-            self._expr(child, scopes, later)
+            self._expr(child, scopes, later, aggregates)
+
+    def _aggregate_here(self, call: ast.FunctionCall) -> None:
+        self._error("E-AGGREGATE-CONTEXT",
+                    f"aggregate {call.name.upper()} is not allowed here",
+                    call)
 
     def _ref(self, node: ast.ColumnRef, scopes: list[Scope]) -> None:
         found = None

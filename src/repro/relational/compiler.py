@@ -26,7 +26,6 @@ from typing import Any, Callable, Protocol
 from . import ast
 from .errors import ExecutionError, NotSupportedError, TypeMismatchError
 from .functions import int_divmod, lookup_function, remainder
-from .aggregates import AGGREGATE_NAMES
 from .schema import RowSchema
 from .types import (and3, coerce_value, compare_values, format_value,
                     is_number, is_true, not3, or3, parse_type_name,
@@ -343,9 +342,6 @@ def compile_expr(expr: ast.Expr, scopes: list[RowSchema],
         return lambda rows: plan.scalar(rows)
 
     if isinstance(expr, ast.FunctionCall):
-        if expr.name.upper() in AGGREGATE_NAMES:
-            raise ExecutionError(
-                f"aggregate {expr.name.upper()} is not allowed here")
         function = lookup_function(expr.name, len(expr.args))
         args = [compile_expr(arg, scopes, ctx) for arg in expr.args]
         return lambda rows: function(*[arg(rows) for arg in args])
@@ -377,9 +373,6 @@ def compile_expr(expr: ast.Expr, scopes: list[RowSchema],
         target = parse_type_name(expr.type_name)
         operand = compile_expr(expr.operand, scopes, ctx)
         return lambda rows: coerce_value(operand(rows), target)
-
-    if isinstance(expr, ast.Star):
-        raise ExecutionError("'*' is only valid in a SELECT list")
 
     if isinstance(expr, ast.Param):
         slots, index = ctx.slots, expr.index

@@ -39,8 +39,7 @@ from functools import partial
 from typing import Any, Callable
 
 from . import ast, vectors
-from .aggregates import (AGGREGATE_NAMES, contains_aggregate,
-                         make_aggregate)
+from .aggregates import is_aggregate, make_aggregate
 from .batch import Batch, ColumnFold, GenericFold
 from .bind import Binding, bind, order_target, star_positions
 from .catalog import Catalog
@@ -472,7 +471,7 @@ def select_semi_joins(conjuncts: list[ast.Expr],
     scopes = outer_scopes + [schema]
     stack: list[Callable[[Operator], Join] | None] = []
     for conjunct in conjuncts:
-        found = vectors.semi_join(conjunct, ctx.bound.level)
+        found = vectors.semi_join(conjunct, ctx.bound)
         stack.append(found and (
             _in_semi_join if isinstance(found.node, ast.InSubquery)
             else _exists_semi_join)(found, scopes, catalog, ctx))
@@ -636,7 +635,7 @@ def build_filter(child: Operator, label: str, predicate: ast.Expr,
             # declined.
             fallbacks.append((_label(conjunct), vectors.fallback_reason(
                 conjunct, _typed_columns(conjunct, scopes, ctx.bound),
-                declined=True)))
+                declined=True, bound=ctx.bound)))
         generic = kernel is None or isinstance(kernel, vectors.SlotKernel)
         conjuncts.append((kernel, compile_expr(conjunct, scopes, ctx)
                           if generic else None))
@@ -651,12 +650,14 @@ def build_filter(child: Operator, label: str, predicate: ast.Expr,
 class _AggregateRewriter:
     """Rewrites expressions over grouped input into slot references.
 
-    Slots 0..G-1 hold the group keys, slots G.. hold aggregate results.
-    """
+    Slots 0..G-1 hold the group keys, slots G.. hold aggregate results,
+    matched by what an expression means (:meth:`Binding.key`); a column
+    left over is an outer one, constant per run (the bind refused any
+    other)."""
 
     def __init__(self, group_exprs: list[ast.Expr],
                  scopes: list[RowSchema], bound: Binding) -> None:
-        self.group_keys = {ast.node_key(expr): index
+        self.group_keys = {bound.key(expr): index
                            for index, expr in enumerate(group_exprs)}
         self.aggregates: list[ast.FunctionCall] = []
         self._agg_slots: dict[Any, int] = {}
@@ -664,22 +665,15 @@ class _AggregateRewriter:
         self.bound = bound
 
     def rewrite(self, expr: ast.Expr) -> ast.Expr:
-        key = ast.node_key(expr)
+        key = self.bound.key(expr)
         if key in self.group_keys:
             return ast.SlotRef(self.group_keys[key])
-        if isinstance(expr, ast.FunctionCall) \
-                and expr.name.upper() in AGGREGATE_NAMES:
+        if is_aggregate(expr):
             if key not in self._agg_slots:
                 self._agg_slots[key] = \
                     len(self.group_keys) + len(self.aggregates)
                 self.aggregates.append(expr)
             return ast.SlotRef(self._agg_slots[key])
-        if isinstance(expr, ast.ColumnRef):
-            if self.bound.ref(expr, len(self.scopes)).level:
-                return expr  # correlated outer reference: constant per run
-            raise ExecutionError(
-                f"column {expr.display()!r} must appear in GROUP BY "
-                "or be used in an aggregate")
         if isinstance(expr, ast.InSubquery):
             return ast.InSubquery(self.rewrite(expr.operand), expr.query,
                                   expr.negated, expr.hint)
@@ -801,9 +795,7 @@ def build_core(core: ast.SelectCore, catalog: Catalog,
     # DISTINCT over a plain core sorts what it emits, by output column;
     # everything else sorts the projection's input.
     sort_output = False
-    if bool(core.group_by) or core.having is not None \
-            or any(contains_aggregate(item.expr) for item in core.items) \
-            or any(contains_aggregate(item.expr) for item in order_by):
+    if ctx.bound.grouped(core):
         op, scopes, exprs = _build_aggregate(
             core, op, scopes, order_by, order_exprs, ctx)
         out_schema = RowSchema([
@@ -840,10 +832,6 @@ def _build_aggregate(core: ast.SelectCore, source: Operator,
     """Aggregate -> HAVING filter -> ORDER BY sort, all over slot rows.
     Returns the top operator, the slot scope chain and the select list
     rewritten over the slots, for ``build_core`` to project."""
-    for item in core.items:
-        if item.is_star:
-            raise ExecutionError("'*' cannot be used with GROUP BY")
-
     group_exprs = _substitute_order_targets(core.group_by, core.items)
     group_fns = [compile_expr(expr, scopes, ctx) for expr in group_exprs]
     rewriter = _AggregateRewriter(group_exprs, scopes, ctx.bound)
@@ -911,10 +899,6 @@ def build_query(query: ast.SelectQuery, catalog: Catalog,
 
     operands = [build_core(core, catalog, outer_scopes, ctx)
                 for core in [query.core] + [c for _op, c in query.compounds]]
-    for operand in operands[1:]:
-        if len(operand.schema) != len(operands[0].schema):
-            raise ExecutionError(
-                "set operation operands must have the same column count")
     op: Operator = SetOp(operands, [name for name, _c in query.compounds])
     if query.order_by:
         # An ordinal names a result column by position: two columns of

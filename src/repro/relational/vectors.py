@@ -37,10 +37,10 @@ from __future__ import annotations
 
 from itertools import compress, repeat
 from operator import is_
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import ast
-from .aggregates import contains_aggregate
+from .bind import Binding
 from .compiler import like_match
 from .render import as_slot, render_expr
 from .types import FAMILY, DataType, literal_family
@@ -343,13 +343,14 @@ def semi_join_conjunct(expr: ast.Expr
     return None, False
 
 
-def semi_join_shape(expr: ast.InSubquery | ast.Exists) -> str | None:
+def semi_join_shape(expr: ast.InSubquery | ast.Exists,
+                    bound: Binding) -> str | None:
     """Why a ``[NOT] IN (subquery)`` / ``[NOT] EXISTS`` conjunct cannot
     leave the filter for a semi / anti join, judged on its shape alone
     (``None``: it can, names permitting — see :func:`semi_join`).  Any
     ``IN`` subquery will do — it runs once — but an ``EXISTS`` is taken
     apart, so it must be one plain block over one table with an equality
-    to hash on."""
+    to hash on, not grouped (as *bound*, the statement's bind, says)."""
     if isinstance(expr, ast.InSubquery):
         return None
     query = expr.query
@@ -360,8 +361,7 @@ def semi_join_shape(expr: ast.InSubquery | ast.Exists) -> str | None:
         return "subquery has LIMIT"
     if query.order_by:
         return "subquery has ORDER BY"
-    if core.group_by or core.having is not None \
-            or any(contains_aggregate(item.expr) for item in core.items):
+    if bound.grouped(core):
         return "subquery aggregates"
     if not isinstance(core.from_clause, ast.TableRef):
         return "subquery does not read exactly one table"
@@ -387,15 +387,13 @@ class SemiJoin(NamedTuple):
     mixed: list[ast.Expr]
 
 
-def semi_join(expr: ast.Expr,
-              level_of: Callable[[ast.ColumnRef], Optional[int]]
-              ) -> SemiJoin | None:
+def semi_join(expr: ast.Expr, bound: Binding) -> SemiJoin | None:
     """The WHERE conjunct *expr* as a semi / anti join, or ``None`` when
     it is to stay in the filter.  The one place that decides: the
     executor's selector builds what this returns (declining only an
     ``IN`` whose subquery reads the row being filtered), the planner
     estimates it and the analyzer reports it — all three over the bind
-    (:meth:`repro.relational.bind.Binding.level` is *level_of*: where a
+    *bound* (:meth:`repro.relational.bind.Binding.level`: where a
     reference in the ``EXISTS`` subquery's WHERE resolves, 0 its table,
     1 the row being filtered, 2.. the enclosing queries' rows, ``None``
     nowhere).
@@ -406,7 +404,7 @@ def semi_join(expr: ast.Expr,
     behind a conjunct that may be guarding it (one that reads that row
     and is no key pair) only an equality of plain columns is one."""
     node, negated = semi_join_conjunct(expr)
-    if node is None or semi_join_shape(node) is not None:
+    if node is None or semi_join_shape(node, bound) is not None:
         return None
     if isinstance(node, ast.InSubquery):
         return SemiJoin(node, negated, [(node.operand, ast.SlotRef(0))],
@@ -423,7 +421,7 @@ def semi_join(expr: ast.Expr,
                                 ast.ScalarSubquery)):
                 return None
             if isinstance(sub, ast.ColumnRef):
-                level = level_of(sub)
+                level = bound.level(sub)
                 if level is None:
                     return None
                 found.add(level)
@@ -460,12 +458,13 @@ _DECLINED_ON_NAMES = {ast.InSubquery: "correlated IN subquery",
                       ast.Exists: "correlated without an equality"}
 
 
-def fallback_reason(expr: ast.Expr, columns: Columns,
-                    declined: bool = False) -> str | None:
+def fallback_reason(expr: ast.Expr, columns: Columns, declined: bool = False,
+                    bound: Binding | None = None) -> str | None:
     """Why the WHERE conjunct *expr* runs on the generic predicate, or
     ``None`` when it does not: it compiles to a vector kernel, or it has
-    the shape of a semi / anti join (:func:`semi_join_shape`) — unless
-    *declined* says the selector has been and left it there.
+    the shape of a semi / anti join (:func:`semi_join_shape`, over the
+    bind *bound*) — unless *declined* says the selector has been and
+    left it there.
 
     The single source of truth for "would this conjunct vectorize":
     the answer is literally :func:`compile_filter_kernel`'s, so the
@@ -477,7 +476,7 @@ def fallback_reason(expr: ast.Expr, columns: Columns,
         return None
     node, _negated = semi_join_conjunct(expr)
     if node is not None:
-        return semi_join_shape(node) or (
+        return semi_join_shape(node, bound) or (
             _DECLINED_ON_NAMES[type(node)] if declined else None)
     return _describe_fallback(expr, columns)
 

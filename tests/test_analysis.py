@@ -131,6 +131,38 @@ class TestErrorCodes:
         expect(db, "SELECT * FROM landfill GROUP BY city",
                "E-STAR-GROUPED")
 
+    @pytest.mark.parametrize("condition, code", [
+        ("NOSUCH(landfill.name) = 1", "E-UNKNOWN-FUNCTION"),
+        ("CAST(landfill.id AS BLOBBY) = 1", "E-BAD-CAST")])
+    def test_a_folded_away_conjunct_is_still_checked(self, db, condition,
+                                                      code):
+        """The planner folds ``1 = 0 AND ...`` to FALSE; the bind has
+        checked the statement as written before it does."""
+        expect(db, "SELECT landfill.name FROM landfill JOIN lab "
+                   "ON landfill.city = lab.city "
+                   f"WHERE 1 = 0 AND {condition}", code)
+
+    @pytest.mark.parametrize("sql", [
+        # The planner folds the key to the item's spelling; its meaning
+        # differs, as written.
+        "SELECT landfill.opened_year + 2, COUNT(*) FROM landfill JOIN lab "
+        "ON landfill.city = lab.city GROUP BY landfill.opened_year + (1 + 1)",
+        "SELECT name FROM landfill ORDER BY COUNT(*)"])
+    def test_ungrouped_column(self, db, sql):
+        expect(db, sql, "E-UNGROUPED-COLUMN")
+
+    def test_aggregate_in_an_aggregate(self, db):
+        expect(db, "SELECT COUNT(SUM(area_m2)) FROM landfill",
+               "E-AGGREGATE-CONTEXT")
+
+    def test_a_group_key_matches_by_meaning(self, db):
+        for sql in ("SELECT landfill.city, COUNT(*) FROM landfill "
+                    "GROUP BY city",
+                    "SELECT city, COUNT(*) FROM landfill "
+                    "GROUP BY landfill.city"):
+            assert not analyze_sql(sql, db).has_errors
+            assert db.query(sql).rows == [("Turin", 1)]
+
 
 # ---------------------------------------------------------------------------
 # warning codes: flagged, but the statement still runs
@@ -791,6 +823,7 @@ class TestArchlint:
         ("analysis/bad.py", "compiler.resolve_column(ref, scopes)"),
         ("relational/executor.py", "resolve_column(ref, scopes)"),
         ("relational/compiler.py", "resolve_column(ref, scopes)"),
+        ("analysis/typecheck.py", "lookup_function(node.name, 1)"),
     ])
     def test_pipeline_copy_outside_its_choke_point_fails(
             self, tmp_path, relative, call):

@@ -111,6 +111,9 @@ def test_shape_keys_each_literal_by_type():
     "SELECT k FROM t WHERE x IS NULL AND f = TRUE",
     "SELECT k FROM t ORDER BY 1 LIMIT 2 OFFSET 1",
     "SELECT x, COUNT(*) FROM t GROUP BY 1, 2",
+    "SELECT x + 1, COUNT(*) FROM t GROUP BY x + 1",
+    "SELECT x, COUNT(*) FROM t WHERE x IN "
+    "(SELECT y FROM u GROUP BY y, (y + 'a'))",
     "SELECT k FROM t WHERE s LIKE 'a%'",
     "SELECT CAST(x AS 5) FROM t",
     "SELECT k FROM t WHERE ${x = 'high' : c} "

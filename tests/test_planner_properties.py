@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.planner import PlannerOptions
-from repro.relational import Database, ast
+from repro.relational import (Database, ExecutionError, TypeMismatchError,
+                              ast)
 
 ON = PlannerOptions()
 OFF = PlannerOptions(enabled=False)
@@ -87,6 +89,36 @@ def test_aggregate_over_joins_equivalence(ta, tb, tc):
            "JOIN tc ON tb.x = tc.x "
            "GROUP BY ta.x ORDER BY n DESC, ta.x")
     equivalent({"ta": ta, "tb": tb, "tc": tc}, sql)
+
+
+@given(ta=table_rows, tb=table_rows)
+@settings(max_examples=40, deadline=None)
+def test_group_key_by_meaning_equivalence(ta, tb):
+    """``k`` and ``b.k`` name one column: the select item is the key
+    however each is written."""
+    sql = ("SELECT b.k, ta.x + 2, COUNT(*) FROM ta "
+           "JOIN (SELECT x AS k, y AS j FROM tb) AS b ON ta.y = b.j "
+           "GROUP BY k, ta.x + 2")
+    equivalent({"ta": ta, "tb": tb}, sql)
+
+
+@pytest.mark.parametrize("sql, error", [
+    ("SELECT ta.x FROM ta JOIN tb ON ta.x = tb.x "
+     "WHERE 1 = 0 AND NOSUCH(ta.x) = 1", ExecutionError),
+    ("SELECT ta.x FROM ta JOIN tb ON ta.x = tb.x "
+     "WHERE 1 = 0 AND CAST(ta.x AS BLOBBY) = 1", TypeMismatchError),
+    # Folded, the key reads ``ta.x + 2``; as written it does not.
+    ("SELECT ta.x + 2, COUNT(*) FROM ta JOIN tb ON ta.x = tb.x "
+     "GROUP BY ta.x + (1 + 1)", ExecutionError),
+])
+@given(ta=table_rows, tb=table_rows)
+@settings(max_examples=10, deadline=None)
+def test_a_statement_is_refused_planner_on_and_off(ta, tb, sql, error):
+    """Validity is decided on the statement as written, before any
+    rewrite: what the planner would fold away is refused all the same."""
+    for planner in (ON, OFF):
+        with pytest.raises(error):
+            build(planner, {"ta": ta, "tb": tb}, False).query(sql)
 
 
 @given(ta=table_rows, tb=table_rows, threshold=st.integers(0, 4))

@@ -4,8 +4,9 @@ import sqlite3
 
 import pytest
 
+from repro.analysis import analyze_sql
 from repro.relational import (CatalogError, ConstraintViolation, Database,
-                              SchemaError, TypeMismatchError)
+                              ExecutionError, SchemaError, TypeMismatchError)
 from repro.durability import DurabilityManager, DurabilityOptions
 
 
@@ -303,3 +304,31 @@ def test_execute_script_multiple_statements(db):
         SELECT COUNT(*) FROM t;
     """)
     assert results[-1].scalar() == 2
+
+
+@pytest.mark.parametrize("statement, message, code", [
+    ("UPDATE t SET x = COUNT(*)", "aggregate COUNT is not allowed here",
+     "E-AGGREGATE-CONTEXT"),
+    ("INSERT INTO t (x, y) VALUES (COUNT(*), 'b')",
+     "aggregate COUNT is not allowed here", "E-AGGREGATE-CONTEXT"),
+    ("DELETE FROM t WHERE SUM(x) > 0", "aggregate SUM is not allowed here",
+     "E-AGGREGATE-CONTEXT"),
+    ("UPDATE t SET y = NOSUCH(y)", "unknown function 'NOSUCH'",
+     "E-UNKNOWN-FUNCTION"),
+    ("UPDATE t SET y = x WHERE COUNT(*) > 0",
+     "aggregate COUNT is not allowed here", "E-AGGREGATE-CONTEXT"),
+])
+def test_a_dml_expression_is_no_aggregate_context(db, statement, message,
+                                                 code):
+    """An expression of a DML statement is evaluated per row: no
+    aggregate stands in it, whatever place the bind gives it.  The
+    analyzer reports what the executor raises, and nothing is written."""
+    db.execute("CREATE TABLE t (x INTEGER, y TEXT)")
+    db.execute("INSERT INTO t VALUES (1, 'a')")
+    assert [diagnostic.code for diagnostic in analyze_sql(statement, db)
+            if diagnostic.code.startswith("E-")] == [code]
+    with pytest.raises(ExecutionError) as raised:
+        db.execute(statement)
+    assert type(raised.value) is ExecutionError
+    assert str(raised.value) == message
+    assert db.query("SELECT x, y FROM t").rows == [(1, "a")]

@@ -123,6 +123,19 @@ def test_the_pinned_cases_agree_with_sqlite(generic_kernels, sql, expected):
         assert db.query(sql).rows == expected
 
 
+@pytest.mark.parametrize("sql", [
+    "SELECT a.i, COUNT(*) FROM a GROUP BY i ORDER BY 1",
+    "SELECT i, COUNT(*) FROM a GROUP BY a.i ORDER BY 1"])
+def test_a_group_key_written_two_ways_agrees_with_sqlite(sql):
+    """A select item equals a group key by the column it names, not by
+    its spelling."""
+    db, oracle = load([(0, 1, None, None, None), (1, 1, None, None, None),
+                       (2, 2, None, None, None)], [])
+    assert oracle.execute(sql).fetchall() == [(1, 2), (2, 1)]
+    oracle.close()
+    assert db.query(sql).rows == [(1, 2), (2, 1)]
+
+
 def test_a_values_row_does_not_see_its_own_statement():
     """Every row of an ``INSERT ... VALUES`` is evaluated before any is
     stored, so a scalar subquery in a later row reads the table as it
@@ -318,10 +331,17 @@ def unordered_queries(draw) -> str:
         for _ in range(draw(st.integers(1, 2))):
             sql += f" {draw(st.sampled_from(SET_OPERATIONS))} {operand()}"
         return sql
-    keys = ", ".join(draw(st.lists(st.sampled_from(["k", "i", "t", "b"]),
-                                   min_size=1, max_size=2, unique=True)))
-    return f"SELECT {keys}, COUNT(*), SUM(i), MIN(t), MAX(r), AVG(r) " \
-           f"FROM a{draw(st.sampled_from(WHERES))} GROUP BY {keys} " \
+    keys = draw(st.lists(st.sampled_from(["k", "i", "t", "b"]),
+                         min_size=1, max_size=2, unique=True))
+
+    def spelled(key: str) -> str:
+        """*key* qualified or not: one column, either way it is written
+        in the select list and in GROUP BY."""
+        return draw(st.sampled_from([key, f"a.{key}"]))
+    items = ", ".join(map(spelled, keys))
+    return f"SELECT {items}, COUNT(*), SUM(i), MIN(t), MAX(r), AVG(r) " \
+           f"FROM a{draw(st.sampled_from(WHERES))} " \
+           f"GROUP BY {', '.join(map(spelled, keys))} " \
            f"HAVING {draw(st.sampled_from(HAVINGS))}"
 
 
