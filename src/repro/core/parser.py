@@ -113,6 +113,11 @@ def read_tag(text: str, start: int, spans) -> tuple[str, str, int]:
 #: its shape: a LIKE pattern (lints and kernels read it) and a CAST
 #: target.
 _KEEP_AFTER = frozenset({"LIKE", "AS"})
+#: Words that open a clause of a SELECT block at their depth.
+_SQL_CLAUSES = frozenset({"SELECT", "FROM", "WHERE", "GROUP", "HAVING",
+                          "ORDER", "LIMIT", "OFFSET"})
+#: The clauses of a grouped block whose terms match its group keys.
+_GROUP_MATCHED = frozenset({"SELECT", "HAVING", "ORDER"})
 #: Words that close an open ORDER BY / GROUP BY list at their depth.
 _LIST_ENDS = frozenset({"HAVING", "ORDER", "LIMIT", "OFFSET", "UNION",
                         "INTERSECT", "EXCEPT"})
@@ -158,14 +163,21 @@ def lift_literals(text: str) -> LiftedStatement | None:
     SQL and the shape.  Literals that stay in the shape: ``NULL``,
     ``TRUE`` and ``FALSE`` (words, not literals), LIMIT / OFFSET
     operands, bare integers in an ORDER BY / GROUP BY list (ordinals),
-    LIKE patterns, CAST targets, and everything inside a condition tag
-    and the ENRICH clause — knowledge-base terms, not SQL values.  A tag
-    must stand apart from its neighbours: stripping it joins its
-    condition to them.
+    LIKE patterns, CAST targets, anything in the select list, HAVING or
+    ORDER BY of a block with a GROUP BY or HAVING (the bind matches
+    those terms to the group keys by meaning), and everything inside a
+    condition tag and the ENRICH clause — knowledge-base terms, not SQL
+    values.  A tag must stand apart from its neighbours: stripping it
+    joins its condition to them.
     """
     shape: list = []
     values: list = []
     lifted: list[tuple[int, int]] = []
+    #: Per lifted literal, its place in the shape and the clause it
+    #: stands in at each open depth: ``(core, clause word)``.
+    places: list[tuple[int, tuple]] = []
+    clauses: dict[int, tuple[int, str]] = {}    # open clause, by depth
+    grouped: set[int] = set()                   # cores with GROUP / HAVING
     pieces: list[str] = []
     copied = 0                  # text[:copied] is already in pieces
     split = len(text)
@@ -192,6 +204,12 @@ def lift_literals(text: str) -> LiftedStatement | None:
                     lists[depth] = previous
                 elif word in _LIST_ENDS:
                     lists.pop(depth, None)
+                if word in _SQL_CLAUSES:
+                    core = start if word == "SELECT" \
+                        else clauses.get(depth, (start, ""))[0]
+                    clauses[depth] = core, word
+                    if word in ("GROUP", "HAVING"):
+                        grouped.add(core)
             elif kind == "PARAM":
                 return None
             elif kind == "MARK" and value == "${":
@@ -209,6 +227,7 @@ def lift_literals(text: str) -> LiftedStatement | None:
                     depth += 1
                 elif value == ")":
                     lists.pop(depth, None)
+                    clauses.pop(depth, None)
                     depth -= 1
                     if keep_from is not None and depth < keep_from:
                         keep_from = None
@@ -221,6 +240,7 @@ def lift_literals(text: str) -> LiftedStatement | None:
                         or previous == "," and depth in lists)):
                 if "GROUP" in lists.values():
                     return None
+                places.append((len(shape), tuple(clauses.values())))
                 shape.append(type(value))
                 values.append(value)
                 lifted.append((start, end))
@@ -229,6 +249,16 @@ def lift_literals(text: str) -> LiftedStatement | None:
             previous, previous_end = word, end
     except SesqlSyntaxError:
         return None
+    # A grouped core's select list, HAVING and ORDER BY match their terms
+    # to its group keys by meaning: lifting a literal there would part
+    # two equal terms (``x + 1`` twice), so none is.
+    for index in reversed(range(len(places))):
+        at, open_clauses = places[index]
+        if any(core in grouped and word in _GROUP_MATCHED
+               for core, word in open_clauses):
+            start, end = lifted.pop(index)
+            del values[index]
+            shape[at] = text[start:end]
     if not values:
         return None
     pieces.append(text[copied:split])

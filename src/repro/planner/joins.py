@@ -16,7 +16,7 @@ from itertools import combinations
 
 from ..relational import ast
 from ..relational.ast import from_leaves
-from ..relational.bind import Binding, bind
+from ..relational.bind import Binding, aggregates, bind
 from ..relational.schema import fold
 from ..relational.table import BoundView, Table
 from .cost import CostModel, Inner
@@ -154,14 +154,17 @@ def estimate_query_rows(query: ast.SelectQuery, catalog,
         bound = bind(query, catalog)
     total = 0.0
     for core in cores:
-        total += _estimate_core_rows(core, catalog, stats, bound)
+        total += _estimate_core_rows(
+            core, [] if query.is_compound else query.order_by, catalog,
+            stats, bound)
     if query.limit is not None and isinstance(query.limit, ast.Literal) \
             and isinstance(query.limit.value, (int, float)):
         total = min(total, float(query.limit.value))
     return max(total, 0.1)
 
 
-def _estimate_core_rows(core: ast.SelectCore, catalog,
+def _estimate_core_rows(core: ast.SelectCore,
+                        order_by: list[ast.OrderItem], catalog,
                         stats: StatisticsCatalog,
                         bound: Binding | None) -> float:
     if core.from_clause is None:
@@ -179,8 +182,7 @@ def _estimate_core_rows(core: ast.SelectCore, catalog,
     for conjunct in conditions + ast.conjuncts(core.where):
         rows *= join_predicate(conjunct, frozenset(), bound,
                                resolve).selectivity
-    has_aggregate = bool(core.group_by) or core.having is not None
-    if has_aggregate:
+    if aggregates(core, order_by):
         rows = max(rows * GROUP_FACTOR, 1.0) if core.group_by else 1.0
     if core.distinct:
         rows *= DISTINCT_FACTOR

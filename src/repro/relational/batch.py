@@ -52,19 +52,27 @@ def _take(source: "Batch", position: int, ids: Sequence[int]) -> Sequence:
     return [column[i] for i in ids]
 
 
+def _cut(column: Sequence, start: int, stop: int) -> Sequence:
+    return column[start:stop]
+
+
 def _slice(source: "Batch", position: int, start: int, stop: int
            ) -> Sequence:
     """Column *position* of *source*'s rows *start*:*stop*: a pending
-    gather (``_take``) — reached directly or through the ``ref`` s that
-    hand it on — stays pending over its own ids' slice, so it gathers
-    only those rows; a gathered column is sliced now; anything else is
-    read whole when the slice is, as :func:`take` reads it."""
+    gather (``_take``) or slice (``_cut``) — reached directly or through
+    the ``ref`` s that hand it on — stays pending over its own rows'
+    slice, so it copies only those rows; a gathered column is sliced
+    now; anything else is read whole when the slice is, as :func:`take`
+    reads it."""
     column = source._cols[position]
     while type(column) is partial:
         fn, args = column.func, column.args
         if fn is _take:
             origin, at, ids = args
             return partial(_take, origin, at, ids[start:stop])
+        if fn is _cut:
+            values, low, _high = args
+            return partial(_cut, values, low + start, low + stop)
         if getattr(fn, "__func__", None) is not Batch.column:
             return partial(_take, source, position, range(start, stop))
         column = fn.__self__._cols[args[0]]
@@ -189,6 +197,15 @@ def take(sources: Iterable[tuple[Batch, Sequence[int], int]],
             cols.extend(partial(_take, source, position, ids)
                         for position in range(width))
     return Batch(cols=cols, length=length)
+
+
+def slices(columns: Sequence[Sequence], start: int, stop: int) -> "Batch":
+    """Rows *start*:*stop* of *columns* — a relation's value lists —
+    each column a pending slice, which a :meth:`Batch.window` narrows:
+    what a scan hands on, so a column no operator reads is never
+    copied."""
+    return Batch([partial(_cut, column, start, stop) for column in columns],
+                 stop - start)
 
 
 def pieces(whole: Batch, order: Optional[Sequence[int]] = None

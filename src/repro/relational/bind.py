@@ -162,6 +162,16 @@ def bind(query: ast.SelectQuery, catalog) -> "Binding":
     return binding
 
 
+def aggregates(core: ast.SelectCore, order_by: list[ast.OrderItem]) -> bool:
+    """Whether *core* aggregates — GROUP BY, HAVING or an aggregate call
+    in its select list or in *order_by* (the query's ORDER BY when the
+    core is the query's only one) — read from its text alone: the rule
+    the bind records (:meth:`Binding.grouped`)."""
+    return bool(core.group_by) or core.having is not None \
+        or any(contains_aggregate(item.expr)
+               for item in list(core.items) + list(order_by))
+
+
 class _PerRow(ast.SelectCore):
     """A DML or DDL statement's expressions as a select list
     (:func:`names_of`): evaluated per row, so they admit no aggregate."""
@@ -359,10 +369,7 @@ class Binding:
         if core.where is not None:
             self._expr(core.where, scopes)
         per_row = isinstance(core, _PerRow)
-        grouped = not per_row and (
-            bool(core.group_by) or core.having is not None
-            or any(contains_aggregate(item.expr)
-                   for item in list(core.items) + list(order_by)))
+        grouped = not per_row and aggregates(core, order_by)
         if grouped:
             self._grouped.add(id(core))
         # A grouped core's subqueries outside an aggregate call read its

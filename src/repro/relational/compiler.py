@@ -57,14 +57,20 @@ class Slots:
     the tree runs only values that :meth:`admits`.
 
     ``views`` are the relations bound for the run the same way, by
-    lower-cased name: what each ``ViewScan`` of the tree reads."""
+    lower-cased name: what each ``ViewScan`` of the tree reads.
 
-    __slots__ = ("values", "pinned", "views")
+    ``demand`` is how many rows the run's consumer asked for first — a
+    cursor's first ``fetchmany(n)`` — or ``None`` while it drains the
+    run whole: what a scan under an ORDER BY weighs reading in the
+    key's order by (:class:`~repro.relational.operators.Order`)."""
+
+    __slots__ = ("values", "pinned", "views", "demand")
 
     def __init__(self) -> None:
         self.values: tuple | None = None
         self.pinned: list = []
         self.views: dict | None = None
+        self.demand: int | None = None
 
     def admits(self, values: tuple) -> bool:
         """Does each pinned slot kernel choose a kernel under *values*?"""

@@ -141,10 +141,10 @@ class _Tree:
 
     def finish(self) -> None:
         """The run is over: drop the rows it left in the tree, and the
-        views it read."""
+        views and demand it ran with."""
         for node in self.holders:
             node.release()
-        self.root.slots.views = None
+        self.root.slots.views = self.root.slots.demand = None
 
 
 def _forget_template(database_ref: weakref.ref, key: int) -> None:
@@ -584,8 +584,11 @@ class Database:
         def pull(n: int | None) -> list[tuple]:
             # A window of the current batch — its rest when *n* is None —
             # gathered here, under the read lock: a pending gather below
-            # (a sort's, a join's) reads only the window's rows.
+            # (a sort's, a join's) reads only the window's rows.  The
+            # first demand is the run's, before any row is read.
             nonlocal batch, start
+            if batch is None:
+                root.slots.demand = n
             while batch is None or start == len(batch):
                 batch, start = next(chunks, None), 0
                 if batch is None:

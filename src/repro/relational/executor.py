@@ -43,12 +43,13 @@ from .aggregates import is_aggregate, make_aggregate
 from .batch import Batch, ColumnFold, GenericFold
 from .bind import Binding, bind, order_target, star_positions
 from .catalog import Catalog
-from .compiler import (CompileContext, compile_expr, compile_predicate,
-                       membership)
+from .compiler import (CompileContext, Slots, compile_expr,
+                       compile_predicate, membership)
 from .errors import ExecutionError, NotSupportedError
 from .operators import (Aggregate, Distinct, Filter, IndexProbe,
-                        Join, Limit, Operator, Path, Project, Result, RowFn,
-                        Rows, Scan, SetOp, Sort, Subquery, Values, ViewScan)
+                        Join, Limit, Operator, Order, Path, Project, Result,
+                        RowFn, Rows, Scan, SetOp, Sort, Subquery, Values,
+                        ViewScan)
 from .render import as_slot, render_expr
 from .schema import ResultColumn, RowSchema, fold
 from .table import BoundView, Table
@@ -144,8 +145,9 @@ def build_select(query: ast.SelectQuery, catalog: Catalog,
         bound = bind(query, catalog)
     bound.check()
     ctx = make_context(catalog, exec_hooks, stats, bound)
-    return Result(build_query(query, catalog, [], ctx), ctx.subplans,
-                  ctx.slots)
+    top = build_query(query, catalog, [], ctx)
+    select_ordered_read(top, ctx.slots)
+    return Result(top, ctx.subplans, ctx.slots)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +159,8 @@ def build_select(query: ast.SelectQuery, catalog: Catalog,
 # clause it reads, the sixth.  Each answers from what the builder can
 # observe; the generic compiled expression is always the alternative.
 # Beside them, ``select_access_paths`` finds what a scan may read
-# instead of all its rows; the alternative to a path is the scan.
+# instead of all its rows, and ``select_ordered_read`` the sort whose
+# scan may read in its key's order; the alternative to both is the scan.
 
 def _innermost_position(expr: ast.Expr | None, scopes: list[RowSchema],
                         bound: Binding, level: int = 0) -> int | None:
@@ -438,6 +441,45 @@ def select_access_paths(scan: Scan | ViewScan, conjuncts: list[ast.Expr],
                                   number))
                 break
     return paths
+
+
+def select_ordered_read(top: Operator, slots: Slots) -> None:
+    """Let the table scan under the statement's ORDER BY read in the
+    leading key's order, a run at a time (:class:`~.operators.Order`):
+    where the rows *top* hands out are those of a sort — through
+    projections and pass-throughs only, so no LIMIT, DISTINCT or
+    aggregate between — whose leading key is a plain column of a scan
+    of a :class:`Table` under it through filters, projections, the left
+    side of semi / anti joins and pass-throughs, which keep every row's
+    place in the key order.  Whether a run does, the scan decides."""
+    node = top
+    while not isinstance(node, Sort):
+        if not (isinstance(node, Project) or node.passes_through) \
+                or not node.children:
+            return
+        node = node.children[0]
+    sort = node
+    position = sort.positions[0] if sort.positions else None
+    node = sort.children[0]
+    conjuncts = 0
+    while position is not None and not isinstance(node, Scan):
+        if isinstance(node, Project):
+            position = node.columns[position][0]
+            if type(position) is not int:
+                return
+        elif isinstance(node, Filter):
+            conjuncts += len(node.conjuncts)
+        elif isinstance(node, Join) and node.semi:
+            conjuncts += 1
+        elif not node.passes_through:
+            return
+        node = node.children[0]
+    if position is None or not isinstance(node.table, Table):
+        return
+    node.order = Order(position, node.schema.columns[position].name,
+                       sort.order_fns[0][1], conjuncts,
+                       sort.children[0].est_rows, slots)
+    sort.source = node
 
 
 def _probe_estimate(scan: Scan | ViewScan, ctx: CompileContext

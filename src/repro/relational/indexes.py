@@ -37,7 +37,7 @@ import bisect
 from array import array
 from collections import defaultdict
 from itertools import chain, islice
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import ConstraintViolation, SchemaError
 from .schema import TableSchema, fold
@@ -90,15 +90,20 @@ class HashIndex:
 
 class SortedColumn:
     """One table column's live non-NULL values in ascending order
-    (``keys``), beside the slot each sits at (``slots``): what a range
-    conjunct bisects.  Only a column of one ``family`` has one — its raw
-    ``<`` then orders as ``compare_values`` does."""
+    (``keys``), beside the slot each sits at (``slots``), and its live
+    NULL slots ascending (``nulls``): what a range conjunct bisects, and
+    what a scan walks to hand its rows out in the column's order
+    (:meth:`walk`).  Equal keys sit in slot order: the path is built by
+    a stable sort of ascending slots, and :meth:`merge` puts appended
+    slots after their equals.  Only a column of one ``family`` has one
+    — its raw ``<`` then orders as ``compare_values`` does."""
 
-    __slots__ = ("keys", "slots", "family")
+    __slots__ = ("keys", "slots", "nulls", "family")
 
-    def __init__(self, keys: list, slots: array) -> None:
+    def __init__(self, keys: list, slots: array, nulls: array) -> None:
         self.keys = keys
         self.slots = slots
+        self.nulls = nulls
         self.family = literal_family(keys[0]) if keys else None
 
     def span(self, op: str, key: Any) -> tuple[int, int]:
@@ -113,11 +118,44 @@ class SortedColumn:
             return 0, bisect.bisect_left(keys, key)
         return 0, bisect.bisect_right(keys, key)
 
+    def walk(self, descending: bool, first: int, most: int
+             ) -> Iterator[Sequence[int]]:
+        """The live slots in the column's order — ascending with the
+        NULLs last, or descending with the NULLs first, each run of
+        equal keys in slot order — a batch at a time: about *first*
+        slots, then twice as many each time up to *most*, every batch
+        ending where a run does (the NULLs are one run)."""
+        keys, slots = self.keys, self.slots
+        size = first
+        if descending:
+            if self.nulls:
+                yield self.nulls
+            stop = len(keys)
+            while stop:
+                start = max(stop - size, 0)
+                start = bisect.bisect_left(keys, keys[start], 0, start)
+                # The runs from the highest down, each in slot order.
+                yield list(map(slots.__getitem__, sorted(
+                    range(start, stop), key=keys.__getitem__,
+                    reverse=True)))
+                stop, size = start, min(size * 2, most)
+        else:
+            start, count = 0, len(keys)
+            while start < count:
+                stop = min(start + size, count)
+                stop = bisect.bisect_right(keys, keys[stop - 1], stop)
+                yield slots[start:stop]
+                start, size = stop, min(size * 2, most)
+            if self.nulls:
+                yield self.nulls
+
     def merge(self, values: list, first: int) -> bool:
         """Take in the slots of the column's *values* from *first* on,
         just appended: whether they keep it one family."""
-        added = [slot for slot in range(first, len(values))
-                 if values[slot] is not None]
+        fresh = range(first, len(values))
+        added = [slot for slot in fresh if values[slot] is not None]
+        if len(added) < len(fresh):
+            self.nulls.extend(slot for slot in fresh if values[slot] is None)
         if not added:
             return True
         if not one_family(self.keys[:1] + list(map(values.__getitem__,
@@ -141,15 +179,17 @@ class SortedColumn:
 
 def _sorted(table, position: int) -> SortedColumn | None:
     """Column *position*'s sorted path — a sort of its live non-NULL
-    slots by value — or ``None`` when their values span more than one
-    family."""
+    slots by value, beside its live NULL slots — or ``None`` when their
+    values span more than one family."""
     columns, live = table.slot_columns()
     values = columns[position]
     slots = [slot for slot in live.values() if values[slot] is not None]
     if not one_family(list(map(values.__getitem__, slots))):
         return None
+    nulls = array("q", (slot for slot in live.values()
+                        if values[slot] is None))
     slots = array("q", sorted(slots, key=values.__getitem__))
-    return SortedColumn(list(map(values.__getitem__, slots)), slots)
+    return SortedColumn(list(map(values.__getitem__, slots)), slots, nulls)
 
 
 def build_lookup(values: Sequence, slots: Iterable[int],

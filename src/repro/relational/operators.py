@@ -41,14 +41,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import partial
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, islice, repeat
+from math import ceil
 from operator import is_not, not_
 from typing import (Any, Callable, Iterable, Iterator, NamedTuple,
                     Sequence)
 
 from . import batch as _batch
-from .batch import Batch, concat, pieces, stack, take
-from .compiler import conjunction
+from .batch import Batch, concat, pieces, slices, stack, take
+from .compiler import Slots, conjunction
 from .errors import ExecutionError, RelationalError
 from .indexes import RANGES, build_lookup
 from .schema import ResultColumn, RowSchema, fold
@@ -305,6 +306,24 @@ class Path(NamedTuple):
     number: int
 
 
+class Order(NamedTuple):
+    """What an ORDER BY asks of the table scan below it, when its
+    leading key is a plain column of the table (the builder decides,
+    :func:`~repro.relational.executor.select_ordered_read`): that
+    column's *position* and *column* name, its direction, how many
+    WHERE *conjuncts* lie between, the rows the planner expects to reach
+    the sort (``None``: not estimated), and the tree's
+    :class:`~repro.relational.compiler.Slots`, whose ``demand`` says how
+    many rows a run's consumer asked for first."""
+
+    position: int
+    column: str
+    descending: bool
+    conjuncts: int
+    rows: float | None
+    slots: Slots
+
+
 class _Access(Operator):
     """What a scan shares: the access paths the builder found in the
     WHERE above it (``paths``), and the choice among them, made per run.
@@ -326,6 +345,17 @@ class _Access(Operator):
     bound; the keys of an ``in`` come with the run (its semi join's
     build), so a run chooses again then, and what reads ``answered``
     reads it once the scan has handed on its first batch.
+
+    Under an ORDER BY that leads with one of its columns (``order``), a
+    run whose consumer asked for ``D`` rows first may instead read the
+    table in that column's order (``ordered``, detail ``ordered <col>``
+    or ``ordered <col> DESC``) and stop when no more is pulled.  It does
+    when it expects to read fewer rows so: ``D·N/k < m``, where the
+    chosen path names ``m`` of the ``N`` rows and ``k`` of them are
+    expected to pass the WHERE — ``m`` halved for each other conjunct;
+    with no path ``m = N`` and ``k`` is the WHERE's estimate, or ``N``
+    halved for each conjunct when the planner left none.  An ordered
+    run answers no conjunct.
     """
 
     def __init__(self, label: str, schema: RowSchema,
@@ -335,25 +365,34 @@ class _Access(Operator):
         self.paths: list[Path] = []
         self._families = [FAMILY.get(column.data_type)
                           for column in schema.columns]
-        #: The chosen path's row-id thunk; whether the choice is final.
+        #: The chosen path's row-id thunk, and how many rows it names;
+        #: whether the choice is final.
         self._pick: Callable[[], Sequence[int]] | None = None
+        self._count = 0
         self._chosen = False
         #: The conjunct the chosen path answers, or ``None``.
         self.answered: int | None = None
+        #: The ORDER BY above that may have this scan read in order.
+        self.order: Order | None = None
+        #: The run's ordered read: batches of slot ids, or ``None``.
+        self.ordered: Iterator[Sequence[int]] | None = None
 
     def reset(self) -> None:
         super().reset()
+        self.ordered = None
+        self.detail = ""
         if self.paths:
             self._pick = self._choose((), False)
             self._chosen = all(path.op != "in" for path in self.paths)
 
     def _row_ids(self, outer_rows: Rows) -> Sequence[int] | None:
-        """The ids of the rows this run reads, or ``None``: it scans."""
-        if not self.paths:
-            return None
-        if not self._chosen:
+        """The ids of the rows this run reads, or ``None``: it scans, or
+        reads in order (``ordered``)."""
+        if self.paths and not self._chosen:
             self._pick = self._choose(outer_rows, True)
             self._chosen = True
+        if self.order is not None and self.order.slots.demand:
+            self._read_in_order(self.order.slots.demand)
         return self._pick and self._pick()
 
     def _choose(self, outer_rows: Rows, run: bool
@@ -385,10 +424,35 @@ class _Access(Operator):
         if best is None:
             return None
         path, ids = best
+        self._count = limit
         self.answered = path.number
         self.detail = (f"range {path.column}" if path.op in RANGES else
                        f"probe {path.column}" + " IN" * (path.op == "in"))
         return ids
+
+    def _read_in_order(self, demand: int) -> None:
+        """Read this run in ``order`` instead when it expects to read
+        fewer rows so for the *demand*; the first batch is sized for it
+        at the expected share of rows kept, the later ones double."""
+        order, total = self.order, self._size()
+        if self._pick is not None:
+            named = self._count
+            kept = named / 2 ** (order.conjuncts - 1)
+        else:
+            named = total
+            kept = min(order.rows, total) if order.rows is not None \
+                else total / 2 ** order.conjuncts
+        if not (kept > 0 and demand * total < kept * named):
+            return
+        relation = self._relation()
+        path = relation.paths.path(relation, order.position, "<")
+        if path is None:
+            return
+        self.ordered = path.walk(order.descending,
+                                 ceil(demand * total / kept),
+                                 _batch.BATCH_SIZE)
+        self._pick = self.answered = None
+        self.detail = f"ordered {order.column}" + " DESC" * order.descending
 
     def _size(self) -> int:
         raise NotImplementedError
@@ -408,7 +472,9 @@ class Scan(_Access):
     A columnar :class:`Table` is read as column slices, and a whole run
     is a copy of each live column; any other table's rows (foreign
     wrappers) are transposed once, here, and offer no path.  A run
-    through a path gathers the slots the table's store names, pending."""
+    through a path gathers the slots the table's store names, pending,
+    and so does an ordered run, a batch of its column's sorted path at a
+    time (:meth:`~repro.relational.indexes.SortedColumn.walk`)."""
 
     def __init__(self, table, binding: str, label: str,
                  est_rows: float | None = None, hooks=None) -> None:
@@ -452,16 +518,19 @@ class Scan(_Access):
             yield from pieces(self._whole())
             return
         slots = self._row_ids(outer_rows)
-        if slots is not None:
+        if slots is not None or self.ordered is not None:
             columns = self.table.slot_columns()[0]
-            for batch in pieces(Batch(list(columns), len(columns[0])),
-                                slots):
+            source = Batch(list(columns), len(columns[0]))
+            batches = pieces(source, slots) if slots is not None else (
+                take([(source, ids, len(columns))], len(ids))
+                for ids in self.ordered)
+            for batch in batches:
                 self._observe(len(batch))
                 yield batch
             return
-        for cols in self.table.iter_batches(_batch.BATCH_SIZE):
-            self._observe(len(cols[0]))
-            yield Batch(cols=cols)
+        for batch in self.table.iter_batches(_batch.BATCH_SIZE):
+            self._observe(len(batch))
+            yield batch
 
 
 class ViewScan(_Access):
@@ -528,9 +597,8 @@ class ViewScan(_Access):
         size = _batch.BATCH_SIZE
         for start in range(0, length, size):
             stop = min(start + size, length)
-            chunk = [column[start:stop] for column in cols]
             self._observe(stop - start)
-            yield Batch(chunk, stop - start)
+            yield slices(cols, start, stop)
 
 
 class IndexProbe(Operator):
@@ -840,6 +908,12 @@ class Sort(Operator):
     ids, not rows: the output is pending gathers of the input's columns
     in that order, as a join's is, so only the key columns and those an
     operator above reads are ever gathered.
+
+    Over a scan that a run reads in the leading key's order (``source``,
+    its ``ordered``), no batch splits a run of equal leading keys, so
+    the sort is no breaker: each batch is sorted by all the keys and
+    handed on as it comes — by the leading key alone, it is handed on
+    as read — and nothing past what is pulled is read.
     """
 
     def __init__(self, child: Operator, label: str,
@@ -849,14 +923,31 @@ class Sort(Operator):
         self.order_fns = order_fns
         self.positions = positions
         self.vectorized = positions is not None
+        #: The scan that may read this sort's input in order.
+        self.source: _Access | None = None
 
     def reset(self) -> None:
         super().reset()
         self.vectorized = self.positions is not None
 
     def _batches(self, outer_rows: Rows) -> Iterator[Batch]:
-        whole = stack(list(self.children[0].chunks(outer_rows)),
-                      len(self.schema), False)
+        batches = self.children[0].chunks(outer_rows)
+        # The scan decides on its first batch whether it reads in order.
+        held = list(islice(batches, 1))
+        if held and self.source is not None \
+                and self.source.ordered is not None:
+            if len(self.order_fns) == 1:
+                yield from chain(held, batches)
+                return
+            for batch in chain(held, batches):
+                yield from self._sorted(batch, outer_rows)
+            return
+        held.extend(batches)
+        yield from self._sorted(stack(held, len(self.schema), False),
+                                outer_rows)
+
+    def _sorted(self, whole: Batch, outer_rows: Rows) -> Iterator[Batch]:
+        """*whole*'s rows in the keys' order, a batch at a time."""
         contexts = None
         columns = []
         for (fn, _descending), position in zip(

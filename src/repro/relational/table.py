@@ -48,6 +48,7 @@ from itertools import compress, count, repeat
 from operator import not_
 from typing import Any, Iterable, Iterator, Sequence
 
+from .batch import Batch, slices
 from .errors import ConstraintViolation, SchemaError, TypeMismatchError
 from .indexes import ColumnPaths, HashIndex
 from .schema import Column, TableSchema
@@ -207,26 +208,22 @@ class Table:
 
     # -- batch scan surface --------------------------------------------------
 
-    def iter_batches(self, size: int) -> Iterator[list]:
-        """Column-slice batches of at most *size* live rows.
-
-        Each batch is a list of per-column value lists, all the same
-        length — the shape predicate kernels and the vector aggregate
-        consume.  Dead slots are squeezed out per batch, so consumers
-        never see the deleted bitmap.
-        """
+    def iter_batches(self, size: int) -> Iterator[Batch]:
+        """Batches of at most *size* live rows, in slot order, each
+        column a pending slice of the table's (:func:`~.batch.slices`):
+        a column no operator reads is never copied.  Dead slots are
+        squeezed out per batch (a pending selection), so consumers never
+        see the deleted bitmap."""
+        slots = len(self._row_ids)
         columns = [column.values for column in self._columns]
         deleted = self._deleted
-        for start in range(0, len(self._row_ids), size):
-            end = start + size
+        for start in range(0, slots, size):
+            end = min(start + size, slots)
+            batch = slices(columns, start, end)
             window = deleted[start:end]
-            if 1 not in window:
-                yield [column[start:end] for column in columns]
-                continue
-            live = [flag == 0 for flag in window]
-            batch = [list(compress(column[start:end], live))
-                     for column in columns]
-            if batch[0]:
+            if 1 in window:
+                batch = batch.select([flag == 0 for flag in window])
+            if batch:
                 yield batch
 
     def slot_columns(self) -> tuple[list[list], dict[int, int]]:

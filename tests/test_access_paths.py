@@ -70,13 +70,15 @@ SOURCES = ["table", "indexed table", "sorted-indexed table", "held view",
 
 @contextmanager
 def forced_scan():
-    """Builds inside the block find no access path: every scan scans."""
-    saved = executor.select_access_paths
+    """Builds inside the block find no access path and no ordered read:
+    every scan scans, and every sort sorts its whole input."""
+    saved = executor.select_access_paths, executor.select_ordered_read
     executor.select_access_paths = lambda *args: []
+    executor.select_ordered_read = lambda *args: None
     try:
         yield
     finally:
-        executor.select_access_paths = saved
+        executor.select_access_paths, executor.select_ordered_read = saved
 
 
 def relation(source: str, data_type: str, keys: list, members: list

@@ -138,6 +138,29 @@ def test_a_text_with_a_slot_or_that_cannot_split_is_not_lifted(text):
     assert lift_literals(text) is None
 
 
+def test_a_grouped_blocks_matched_terms_keep_their_literals(world):
+    """A grouped block's select list, HAVING and ORDER BY name its group
+    keys by meaning, so their literals stay in the shape — two ``x + 1``
+    stay one term — while its WHERE's are lifted; the statement answers
+    as a session that lifts nothing does, through the session and REST
+    v1."""
+    text = "SELECT x + 1, x + 1, COUNT(*) FROM t GROUP BY 1"
+    assert lift_literals(text) is None
+    lifted = lift_literals(
+        "SELECT x + 1, COUNT(*) FROM t WHERE k > 2 GROUP BY 1 "
+        "HAVING COUNT(*) > 0 ORDER BY 1, x + 1")
+    assert lifted.values == (2,)
+    assert lift_literals("SELECT (SELECT y + 1 FROM u GROUP BY y), 5 "
+                         "FROM t").values == (5,)
+    for inline in (text, "SELECT x + 1, x + 1, COUNT(*) FROM t "
+                         "WHERE k > 1 GROUP BY 1 HAVING COUNT(*) > 0 "
+                         "ORDER BY x + 1"):
+        expected = outcome(executed(oracle(world), inline), True)
+        assert len(expected[1]) > 1   # rows, not an error
+        assert outcome(executed(world.lifting, inline), True) == expected
+        assert outcome(rest(world.service, inline), True) == expected
+
+
 def test_lifted_values_and_the_cleaned_sql_are_the_sqps():
     text = ("SELECT k, 'it''s' AS q FROM t /* c */ WHERE "
             "${s = 'Mercury' : c1} AND x IN (1, -2.5, 1e400) "

@@ -608,3 +608,24 @@ def test_semi_joins_are_estimated_where_the_selector_takes_them():
         == ["semi-join", "filter", "semi-join", "filter"]
     estimates = [est for _kind, est in chain]
     assert None not in estimates and estimates == sorted(estimates)
+
+
+def test_a_core_aggregates_by_the_binds_rule_in_its_estimate():
+    """An aggregate call in the select list or ORDER BY makes a core one
+    group, as the bind says (``Binding.grouped``), so it is estimated at
+    one row — alone, and as a derived table a join reads."""
+    from repro.planner.joins import estimate_query_rows
+    db = Database()
+    db.execute("CREATE TABLE t (x INTEGER)")
+    db.insert_rows("t", ({"x": n % 50} for n in range(1000)))
+    db.execute("ANALYZE")
+    for sql in ("SELECT COUNT(*) FROM t", "SELECT 1 FROM t ORDER BY SUM(x)"):
+        assert estimate_query_rows(parse_sql(sql), db.catalog,
+                                   db.stats) == 1.0
+    assert estimate_query_rows(parse_sql("SELECT x FROM t"), db.catalog,
+                               db.stats) == 1000.0
+    planned = db.explain("SELECT d.n FROM (SELECT COUNT(*) AS n FROM t) "
+                         "AS d JOIN t ON t.x = d.n")
+    estimates = {node.kind: node.est_rows for node in planned.root.walk()}
+    assert estimates["derived"] == 1.0
+    assert planned.root.est_rows == 20.0
