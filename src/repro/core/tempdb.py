@@ -45,6 +45,21 @@ class SqlExtraction:
                 buckets.setdefault(sql_key(subject), []).append(obj)
         return buckets
 
+    @cached_property
+    def single(self) -> dict[object, object] | None:
+        """Each subject ``sql_key`` 's one object, or ``None`` when any
+        subject has several: the SCHEMAEXTENSION / -REPLACEMENT combine
+        maps a page's key column through it (``map(single.get, keys)``).
+        Built once per extraction, it lives as long as the extraction."""
+        single: dict[object, object] = {}
+        for subject, obj in self.pairs:
+            if subject is not None:
+                key = sql_key(subject)
+                if key in single:
+                    return None
+                single[key] = obj
+        return single
+
     def view(self, kind: str, extra: tuple) -> BoundView:
         """The relation of this extraction — ``vals``: its values and
         then *extra*, one column ``c0``; ``pairs``: its pairs, ``c0`` and

@@ -113,6 +113,8 @@ class ContextTracker:
         self._profiles: dict[str, ContextProfile] = {}
         # resource -> {username -> access count}; feeds data recommendation.
         self._resource_access: dict[str, dict[str, int]] = defaultdict(dict)
+        #: username -> the resources that user used: the access map's inverse.
+        self._used: dict[str, set[str]] = {}
         #: concept -> users whose profile weighs it.
         self._users_by_concept: dict[str, set[str]] = {}
         #: username -> the concepts the index holds for her.
@@ -175,15 +177,29 @@ class ContextTracker:
     def record_resource(self, username: str, resource: str) -> None:
         """Track that *username* explored/used *resource*."""
         accesses = self._resource_access[resource]
+        if username not in accesses:
+            self._used.setdefault(username, set()).add(resource)
         accesses[username] = accesses.get(username, 0) + 1
         if self.durability_journal is not None:
             self.durability_journal.log(
                 "resource", {"username": username, "resource": resource})
 
+    def restore_accesses(self, resource: str,
+                         accesses: dict[str, int]) -> None:
+        """Set *resource*'s access counts as a snapshot holds them."""
+        self._resource_access[resource].update(accesses)
+        for username in accesses:
+            self._used.setdefault(username, set()).add(resource)
+
     def resources_of(self, username: str) -> list[str]:
-        return sorted(resource
-                      for resource, users in self._resource_access.items()
-                      if username in users)
+        return sorted(self._used.get(username, ()))
+
+    def used_by(self, usernames) -> set[str]:
+        """The resources any of *usernames* used."""
+        used: set[str] = set()
+        for username in usernames:
+            used |= self._used.get(username, set())
+        return used
 
     def users_of(self, resource: str) -> dict[str, int]:
         return dict(self._resource_access.get(resource, {}))

@@ -64,15 +64,18 @@ class PeerRecommender:
 
     def recommend_resources(self, username: str,
                             count: int = 5) -> list[tuple[str, float]]:
-        """Resources used by similar peers that *username* has not seen."""
-        mine = set(self.tracker.resources_of(username))
+        """Resources used by similar peers that *username* has not seen.
+
+        Only the resources the ranked peers used are walked; each one's
+        score sums its users' similarity x accesses in the order they
+        first used it."""
         peer_similarity = dict(self.recommend_peers(username, count=50))
+        tracker = self.tracker
         scored: dict[str, float] = {}
-        for resource in self.tracker.all_resources():
-            if resource in mine:
-                continue
+        for resource in (tracker.used_by(peer_similarity)
+                         - tracker.used_by((username,))):
             score = 0.0
-            for peer, accesses in self.tracker.users_of(resource).items():
+            for peer, accesses in tracker.users_of(resource).items():
                 similarity = peer_similarity.get(peer, 0.0)
                 score += similarity * accesses
             if score > 0.0:

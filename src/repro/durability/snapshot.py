@@ -307,7 +307,7 @@ def restore_platform(platform, payload: dict) -> None:
         context.profile(spec["username"]).restore(
             spec["weights"], [tuple(entry) for entry in spec["history"]])
     for resource, accesses in payload.get("resources", {}).items():
-        context._resource_access[resource].update(accesses)
+        context.restore_accesses(resource, accesses)
     for doc_id, title, text, tags in payload.get("documents", ()):
         platform.add_document(doc_id, title, text, tags)
 

@@ -14,11 +14,12 @@ from repro.crosse import (AnnotationError, CrossePlatform, Document,
                           KnowledgeBaseStore, Reference, StatementError,
                           UnknownUserError, extract_snippet,
                           highlight_concepts, rank_result)
-from repro.crosse.context import ContextProfile
+from repro.crosse.context import ContextProfile, ContextTracker
+from repro.crosse.recommend import PeerRecommender
 from repro.rdf import SMG, Literal
 from repro.relational import Database, ResultSet
 from repro.smartground import SmartGroundConfig, generate_databank
-from repro.workloads import peer_network
+from repro.workloads import peer_network, seeded_tracker
 
 
 @pytest.fixture
@@ -253,6 +254,48 @@ def test_resource_recommendation_from_peers(platform):
     platform.record_exploration("giulia", "lf0001", ["Mercury"])
     recommended = platform.recommend_resources("giulia")
     assert recommended and recommended[0][0] == "lf0003"
+
+
+def _full_walk_resources(tracker, recommender, username, count=5):
+    """Resource recommendation as first written: the user's own
+    resources by a scan of the whole access map, then every resource
+    walked, each one's users copied and summed against the ranking."""
+    mine = {resource for resource in tracker.all_resources()
+            if username in tracker.users_of(resource)}
+    peer_similarity = dict(recommender.recommend_peers(username, count=50))
+    scored = {}
+    for resource in tracker.all_resources():
+        if resource in mine:
+            continue
+        score = 0.0
+        for peer, accesses in tracker.users_of(resource).items():
+            score += peer_similarity.get(peer, 0.0) * accesses
+        if score > 0.0:
+            scored[resource] = score
+    return sorted(scored.items(), key=lambda item: (-item[1], item[0]))[
+        :count]
+
+
+def test_resource_recommendation_is_the_full_walk():
+    """Walking only the resources the ranked peers used ranks what the
+    full walk ranks, to the last bit of every score — also over a
+    tracker whose accesses a snapshot restored."""
+    tracker = seeded_tracker(500)
+    restored = ContextTracker()
+    for profile in tracker.profiles():
+        restored.profile(profile.username).restore(
+            dict(profile.weights), list(profile.history))
+    for resource in tracker.all_resources():
+        restored.restore_accesses(resource, tracker.users_of(resource))
+    for each in (tracker, restored):
+        recommender = PeerRecommender(each)
+        for index in range(0, 500, 3):
+            username = f"user{index:04d}"
+            assert each.resources_of(username) == sorted(
+                resource for resource in each.all_resources()
+                if username in each.users_of(resource))
+            assert recommender.recommend_resources(username, count=20) \
+                == _full_walk_resources(each, recommender, username, 20)
 
 
 def test_peer_network_graph(platform):

@@ -9,22 +9,24 @@ over ``Database.stream``, an enriched ``Session.stream`` and a
 telemetry-on session, the rows handed out are ``execute``'s, in its
 order, ``rows_yielded`` counts them, and the read lock is gone once the
 cursor closes.  The other tests pin what the demand buys: a window or
-``LIMIT`` over a sort gathers only its own rows, and a REST page
-combines once.
+``LIMIT`` over a sort gathers only its own rows, a REST page
+combines once, and the pages of many cursors over one cached
+extraction are folded through one single-valued map.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.core import join_manager
+from repro.core import join_manager, tempdb
 from repro.crosse.platform import CrossePlatform
 from repro.federation import CrosseRestService
-from repro.rdf import parse_turtle
+from repro.rdf import SMG, Literal, parse_turtle
 from repro.relational import Database, batch
 from repro.smartground.datagen import SmartGroundConfig, generate_databank
 
@@ -214,3 +216,47 @@ def test_a_rest_page_combines_once(monkeypatch):
         assert len(combined) == 1 and combined[0] <= 5 * (_page + 1) + 1
         combined.clear()
     service.close()
+
+
+def test_the_single_valued_map_is_built_once_per_extraction(monkeypatch):
+    """N cursors of a SCHEMAREPLACEMENT over one cached extraction build
+    its single-valued map once; an annotate to the enrichment's
+    predicate replaces the extraction, whose map is built once more."""
+    built = []
+    single = tempdb.SqlExtraction.single.func
+
+    def counting(self):
+        built.append(self)
+        return single(self)
+    counted = cached_property(counting)
+    counted.__set_name__(tempdb.SqlExtraction, "single")
+    monkeypatch.setattr(tempdb.SqlExtraction, "single", counted)
+    platform = CrossePlatform(
+        generate_databank(SmartGroundConfig(n_landfills=12, seed=7)))
+    platform.register_user("anna")
+    for subject, level in (("Mercury", "high"), ("Lead", "medium")):
+        platform.annotate_free("anna", SMG[subject], SMG.dangerLevel,
+                               Literal(level))
+    text = ("SELECT landfill_name, elem_name FROM elem_contained "
+            "WHERE amount > ? ORDER BY landfill_name, elem_name "
+            "ENRICH SCHEMAREPLACEMENT(elem_name, dangerLevel)")
+    session = platform.connect().as_user("anna")
+
+    def paged(session, amount) -> list[tuple]:
+        rows, cursor = [], session.stream(text, [amount])
+        while page := cursor.fetchmany(7):
+            rows += page
+        return rows
+
+    answers = [paged(session, amount) for amount in (0.0, 5.0, 12.5, 0.0)]
+    assert len(built) == 1 and built[0].single is not None
+    assert {row[1] for row in answers[0]} >= {"high", "medium", None}
+    platform.annotate_free("anna", SMG.Mercury, SMG.dangerLevel,
+                           Literal("extreme"))
+    answers = [paged(session, amount) for amount in (0.0, 5.0, 12.5, 0.0)]
+    assert len(built) == 2 and built[1].single is None
+    fresh = platform.connect(repro.QueryOptions()).as_user("anna")
+    assert answers == [paged(fresh, amount)
+                       for amount in (0.0, 5.0, 12.5, 0.0)]
+    assert len(built) == 3      # the fresh session's own extraction
+    assert {"high", "extreme"} <= {row[1] for row in answers[0]}

@@ -4,7 +4,8 @@ Covers: 3-valued logic laws, value comparison consistency, LIKE vs a
 regex model, SQL engine vs a naive Python evaluator, expression
 render/parse round-trips, triple-store index coherence, Turtle and
 N-Triples round-trips, condition-tag scanning, and the JoinManager's
-combine against stdlib ``sqlite3`` running the paper's final SQL.
+combine against stdlib ``sqlite3`` running the paper's final SQL and
+against the row-at-a-time fold its columnar combine replaced.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from repro.core import ResourceMapping, JoinManager, scan_condition_tags
 from repro.core.ast import (BoolSchemaExtension, BoolSchemaReplacement,
                             SchemaExtension, SchemaReplacement)
+from repro.core.join_manager import (PreparedFlagCombine, find_attr_index,
+                                     output_columns)
 from repro.core.sqm import Extraction
 from repro.rdf import (IRI, Literal, Triple, TripleStore, parse_ntriples,
                        parse_turtle, serialize_ntriples, serialize_turtle)
@@ -23,7 +26,7 @@ from repro.relational import Database, ResultSet, parse_expr, render_expr
 from repro.relational.ast import node_key
 from repro.relational.compiler import like_match
 from repro.relational.types import (and3, compare_values, not3, or3,
-                                    values_equal)
+                                    sql_key, values_equal)
 
 # -- 3VL laws -----------------------------------------------------------------
 
@@ -395,3 +398,129 @@ def test_pair_combine_edges_are_the_final_sql(keys, pairs, replace):
 @pytest.mark.parametrize("keys, pairs", EDGES)
 def test_flag_combine_edges_are_the_final_sql(keys, pairs, replace):
     check_flag_combine(keys, [subject for subject, _obj in pairs], replace)
+
+
+# -- the columnar combine against the row-at-a-time fold ---------------------------------------
+
+#: Base keys and subjects with booleans among them: ``TRUE`` equals ``1``
+#: in Python, never in SQL, and ``1.0`` is ``1`` in both.  A NULL
+#: subject matches nothing.
+tagged_keys = st.sampled_from([True, False, 1, 0, 1.0, "Hg", "1", None])
+
+
+def row_at_a_time(base: ResultSet, enrichment, extraction,
+                  mapping) -> ResultSet:
+    """The combine as two row loops (the fold before it went columnar):
+    each row's key through ``sql_key``, each output row sliced and
+    re-joined from its base row."""
+    sql = extraction.sql(mapping)
+    combiner = JoinManager(mapping).prepare(enrichment, extraction)
+    attr_index = find_attr_index(base.columns, combiner.attr)
+    rows: list[tuple] = []
+    if isinstance(combiner, PreparedFlagCombine):
+        for row in base.rows:
+            value = row[attr_index]
+            flag = value is not None and sql_key(value) in sql.keys
+            if combiner.replace:
+                rows.append(row[:attr_index] + (flag,)
+                            + row[attr_index + 1:])
+            else:
+                rows.append(row + (flag,))
+    else:
+        for row in base.rows:
+            key = row[attr_index]
+            matches = (sql.buckets.get(sql_key(key), [None])
+                       if key is not None else [None])
+            for obj in matches:
+                if combiner.replace:
+                    rows.append(row[:attr_index] + (obj,)
+                                + row[attr_index + 1:])
+                else:
+                    rows.append(row + (obj,))
+    return ResultSet(output_columns(base.columns, attr_index,
+                                    combiner.new_column, combiner.replace),
+                     rows)
+
+
+def check_columnar_combine(pages: list[list], pairs: list[tuple],
+                           kind, columnar: bool) -> None:
+    """Each of *pages* (base keys) folded through one prepared combiner,
+    in row or column form, is the row-at-a-time fold of that page."""
+    mapping = ResourceMapping()
+    extraction = Extraction(
+        "", pairs=[(mapping.to_term("elem", subject), Literal(obj))
+                   for subject, obj in pairs],
+        subjects={mapping.to_term("elem", subject)
+                  for subject, _obj in pairs})
+    enrichment = (kind("elem", "p") if kind in (SchemaExtension,
+                                                SchemaReplacement)
+                  else kind("elem", "isA", "Hazard"))
+    combiner = JoinManager(mapping).prepare(enrichment, extraction)
+    at = 0
+    for keys in pages:
+        numbers = list(range(at, at + len(keys)))
+        at += len(keys)
+        base = (ResultSet(["n", "elem"], cols=[numbers, list(keys)])
+                if columnar else
+                ResultSet(["n", "elem"], list(zip(numbers, keys))))
+        expected = row_at_a_time(base, enrichment, extraction, mapping)
+        got = combiner.combine(base)
+        assert got.columns == expected.columns
+        assert combiner.columns(base.columns) == expected.columns
+        assert len(got) == len(expected)
+        assert typed(got.rows) == typed(expected.rows)
+
+
+ALL_KINDS = pytest.mark.parametrize("kind", [
+    SchemaExtension, SchemaReplacement, BoolSchemaExtension,
+    BoolSchemaReplacement])
+
+
+@ALL_KINDS
+@given(pages=st.lists(st.lists(tagged_keys, max_size=10), min_size=1,
+                      max_size=3),
+       pairs=st.lists(st.tuples(tagged_keys, objects), max_size=8),
+       columnar=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_columnar_combine_is_the_row_at_a_time_fold(kind, pages, pairs,
+                                                    columnar):
+    check_columnar_combine(pages, pairs, kind, columnar)
+
+
+#: Pages a draw meets only by luck: ``(pages, pairs)``.
+COLUMNAR_EDGES = [
+    pytest.param([[]], [(1, "low"), (1, "high")], id="empty-page"),
+    pytest.param([[True, 1, None, "Hg"]], [], id="empty-extraction"),
+    pytest.param([[None, None, None]], [(1, "low"), (True, 7)],
+                 id="all-null-keys"),
+    pytest.param([[1, True, "Hg", 1.0]],
+                 [(True, "low"), (True, "high"), (1, 7), ("Hg", 2.5)],
+                 id="bool-in-a-multi-valued-row"),
+    pytest.param([[1, 0, 1.0], [True, False]],
+                 [(1, "low"), (False, "high")], id="bool-on-a-later-page"),
+]
+
+
+@ALL_KINDS
+@pytest.mark.parametrize("columnar", [False, True], ids=["rows", "cols"])
+@pytest.mark.parametrize("pages, pairs", COLUMNAR_EDGES)
+def test_columnar_combine_edges(kind, pages, pairs, columnar):
+    check_columnar_combine(pages, pairs, kind, columnar)
+
+
+@ALL_KINDS
+def test_a_combiner_follows_a_new_column_layout(kind):
+    """A combiner keeps the last page's layout; a page under other
+    names is placed anew."""
+    mapping = ResourceMapping()
+    extraction = Extraction("", pairs=[(Literal(1), Literal("low"))],
+                            subjects={Literal(1)})
+    enrichment = (kind("elem", "p") if kind in (SchemaExtension,
+                                                SchemaReplacement)
+                  else kind("elem", "isA", "Hazard"))
+    combiner = JoinManager(mapping).prepare(enrichment, extraction)
+    for base in (ResultSet(["elem", "n"], [(1, 0), (2, 1)]),
+                 ResultSet(["n", "elem"], [(0, 1), (1, 2)]),
+                 ResultSet(["n", "p", "elem"], [(0, "x", 1)])):
+        assert combiner.combine(base) == row_at_a_time(
+            base, enrichment, extraction, mapping)
